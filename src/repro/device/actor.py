@@ -33,6 +33,7 @@ import numpy as np
 from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
+from repro.core.pace import ReconnectWindow
 from repro.device.attestation import AttestationService
 from repro.device.runtime import (
     ComputeModel,
@@ -348,19 +349,19 @@ class DeviceActor(Actor):
 
     # -- check-in ------------------------------------------------------------
     def _attempt_checkin(self) -> None:
+        if not self.eligible or self.state is not DeviceState.IDLE:
+            return
+        if not self.memberships:
+            return
+        self.idle.clear_pending_window()
         started = self._begin_checkin()
         if started is not None:
             self._materialize_checkin(started)
 
     def _begin_checkin(self) -> str | None:
-        """The pre-materialization half of a check-in: guards, the
-        on-device worker-queue dance, and the Selector pick.  Returns the
-        population whose session starts, or ``None`` if nothing does."""
-        if not self.eligible or self.state is not DeviceState.IDLE:
-            return None
-        if not self.memberships:
-            return None
-        self.idle.clear_pending_window()
+        """The pre-materialization half of a check-in: the on-device
+        worker-queue dance and the Selector pick.  Returns the population
+        whose session starts, or ``None`` if nothing does."""
         # Every membership wants a session; the on-device worker queue
         # (Sec. 11) serializes them and picks who goes first.
         for membership in self.memberships:
@@ -419,20 +420,26 @@ class DeviceActor(Actor):
             delay=self.conditions.rtt_s,
         )
 
-    def _attempt_screened_checkin(self, attestation_ok: bool | None) -> bool:
+    def _attempt_screened_checkin(
+        self, attestation_ok: bool | None
+    ) -> ReconnectWindow | None:
         """Check in through the vectorized plane's synchronous screen.
 
-        The chosen Selector's admission policy runs inline
-        (:meth:`~repro.actors.selector.Selector.fast_checkin_decision`);
-        a bounced device applies its rejection right here — same health
-        counter, same device-RNG window draw, same whole-device pending
-        window as :meth:`_on_rejected` — and never materializes.  Returns
-        True when the check-in was screened out, False when the device
-        opened a real stream (or no screen was available).
+        The plane calls this for a row it knows to be eligible, idle and
+        past its pace window.  The chosen Selector's admission policy
+        runs inline (:meth:`~repro.actors.selector.Selector.
+        fast_checkin_decision`); a bounced device applies the device
+        half of its rejection right here — same health counter and
+        scheduler release as :meth:`_on_rejected` — and never
+        materializes.  Returns the pace window when the check-in was
+        screened out (the plane samples it and steers the row), ``None``
+        when the device opened a real stream or started nothing.
         """
+        if not self.memberships:
+            return None
         started = self._begin_checkin()
         if started is None:
-            return False
+            return None
         selector = (
             self.system.actor_of(self._selector)
             if self._selector is not None
@@ -444,15 +451,12 @@ class DeviceActor(Actor):
         )
         if window is None:
             self._materialize_checkin(started)
-            return False
+            return None
         self.health.checkins += 1
         self.scheduler.abort()
         self._active_population = None
         self._selector = None
-        reconnect_at = window.sample(self.rng)
-        self.idle.set_pending_window(reconnect_at)
-        self.idle.schedule_checkin(max(reconnect_at - self.now, 1.0))
-        return True
+        return window
 
     def _on_waiting_timeout(self, wait_epoch: int) -> None:
         self._waiting_timeout_event = None

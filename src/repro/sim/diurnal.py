@@ -137,6 +137,25 @@ class _HazardTable:
         self.total = float(cum[-1])
 
 
+class _StackedHazards:
+    """Both hazard tables of a model as flat arrays, for the batched
+    sampler: row 0 is ``rate_off`` (leaving eligibility), row 1 is
+    ``rate_on``, each ``stride`` entries long (``rates`` is padded by one
+    so it indexes like ``cum``), so ``to_eligible * stride + bucket``
+    addresses either table with one take."""
+
+    __slots__ = ("rates", "cum", "cum_off", "cum_on", "total", "stride", "bucket_s")
+
+    def __init__(self, off: _HazardTable, on: _HazardTable):
+        self.bucket_s = off.bucket_s
+        self.stride = len(off.cum)
+        self.cum_off = np.array(off.cum)
+        self.cum_on = np.array(on.cum)
+        self.cum = np.concatenate((self.cum_off, self.cum_on))
+        self.rates = np.array(off.rates + off.rates[-1:] + on.rates + on.rates[-1:])
+        self.total = np.array([off.total, on.total])
+
+
 @lru_cache(maxsize=32)
 def _rate_tables(model: DiurnalModel) -> tuple[_HazardTable, _HazardTable]:
     """Per-minute ``(rate_off, rate_on)`` hazard tables for ``model``.
@@ -150,6 +169,51 @@ def _rate_tables(model: DiurnalModel) -> tuple[_HazardTable, _HazardTable]:
         _HazardTable(model.rate_off_batch(edges)),
         _HazardTable(model.rate_on_batch(edges)),
     )
+
+
+@lru_cache(maxsize=32)
+def _stacked_hazards(model: DiurnalModel) -> _StackedHazards:
+    return _StackedHazards(*_rate_tables(model))
+
+
+def sample_transitions(
+    model: DiurnalModel,
+    wall_time_s: float,
+    tz_offset_s: np.ndarray,
+    to_eligible: np.ndarray,
+    exp1: np.ndarray,
+) -> np.ndarray:
+    """Next-transition delays for a batch of devices by exact inversion of
+    the tabulated hazard (the vectorized idle plane's sampler).
+
+    Row ``j`` sits at local time ``wall_time_s + tz_offset_s[j]`` and
+    waits to *become* eligible (``to_eligible[j]``, hazard ``rate_on``)
+    or to stop being so (``rate_off``); ``exp1[j]`` is its Exp(1) draw.
+    The piecewise-constant hazard's cumulative integral is invertible in
+    closed form, so one draw and one binary search per row replace the
+    thinning loop's 2-7 proposals.  Against
+    :meth:`AvailabilityProcess._sample_transition` the sampled law differs
+    only by the per-minute discretisation of the smooth hazard (~1e-5
+    relative), so trajectories are comparable across planes in
+    distribution.
+    """
+    tables = _stacked_hazards(model)
+    bucket_s = tables.bucket_s
+    phase = (wall_time_s + tz_offset_s) % SECONDS_PER_DAY
+    k0 = (phase / bucket_s).astype(np.intp)
+    row = to_eligible.astype(np.intp)
+    base = row * tables.stride
+    at = base + k0
+    target = tables.cum[at] + tables.rates[at] * (phase - k0 * bucket_s) + exp1
+    whole_days, remainder = np.divmod(target, tables.total[row])
+    k = np.where(
+        to_eligible,
+        tables.cum_on.searchsorted(remainder, "right"),
+        tables.cum_off.searchsorted(remainder, "right"),
+    ) - 1
+    at = base + k
+    hit_phase = k * bucket_s + (remainder - tables.cum[at]) / tables.rates[at]
+    return whole_days * SECONDS_PER_DAY + hit_phase - phase
 
 
 class AvailabilityProcess:

@@ -38,7 +38,8 @@ import numpy as np
 
 from repro.device.actor import DeviceState
 from repro.device.idle import WAKE_JITTER_S, first_checkin_delay
-from repro.sim.event_loop import EventLoop, Sweeper
+from repro.sim.diurnal import DiurnalModel, sample_transitions
+from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
 
 if TYPE_CHECKING:
     from repro.device.actor import DeviceActor
@@ -101,8 +102,11 @@ class VectorizedIdlePlane:
         loop: EventLoop,
         capacity: int = 0,
         sweep_interval_s: float = 15.0,
+        diurnal: DiurnalModel | None = None,
     ):
         self._loop = loop
+        #: The availability law every row flips under (one per fleet).
+        self._diurnal = diurnal or DiurnalModel()
         self._sweeper = Sweeper(loop, self._sweep)
         self.sweep_interval_s = float(sweep_interval_s)
         n = int(capacity)
@@ -115,15 +119,21 @@ class VectorizedIdlePlane:
         self.eligible = np.zeros(n, dtype=bool)
         self.active = np.zeros(n, dtype=bool)
         self._has_memberships = np.zeros(n, dtype=bool)
+        self._tz_offset_s = np.zeros(n)
         #: Cached attestation verdict per device (-1 unknown, 0 fail,
         #: 1 pass): token issue/verify is deterministic per device, so the
         #: screen only pays the hashing once.
         self._attestation_ok = np.full(n, -1, dtype=np.int8)
         self._devices: list["DeviceActor"] = []
-        self._availability: list = []
         #: True while a sweep is running: per-device touches skip re-arming
         #: the sweeper (the sweep's final rearm covers them all at once).
         self._sweeping = False
+        #: Census tallies, kept by the writes that change them (the flip
+        #: batch, session start/end), so telemetry never recounts the
+        #: fleet-sized arrays.  An active row is always eligible: losing
+        #: eligibility hands it back within the same sweep.
+        self._eligible_count = 0
+        self._active_count = 0
         # -- counters (observability; see ROADMAP.md "Performance") ----------
         self.sweeps = 0
         self.flips = 0
@@ -143,10 +153,10 @@ class VectorizedIdlePlane:
         """
         index = len(self._devices)
         self._devices.append(device)
-        self._availability.append(device.availability)
         if index >= self.next_flip_t.size:
             self._grow(index + 1)
         self._has_memberships[index] = bool(device.memberships)
+        self._tz_offset_s[index] = device.profile.tz_offset_hours * SECONDS_PER_HOUR
         # One real token round per device, at enrollment: the verdict is
         # deterministic, so every screen reuses it instead of re-hashing.
         # The service's verified/rejected counters are restored so they
@@ -176,6 +186,7 @@ class VectorizedIdlePlane:
         self.eligible = extend(self.eligible, False)
         self.active = extend(self.active, False)
         self._has_memberships = extend(self._has_memberships, False)
+        self._tz_offset_s = extend(self._tz_offset_s, 0.0)
         self._attestation_ok = extend(self._attestation_ok, -1)
 
     # -- per-device transitions (driver entry points) ---------------------------
@@ -199,6 +210,7 @@ class VectorizedIdlePlane:
         now = self._loop.now
         eligible = d.availability.is_initially_eligible(now)
         self.eligible[i] = eligible
+        self._eligible_count += eligible
         d.eligible = eligible
         if eligible:
             self.next_flip_t[i] = now + d.availability.time_until_ineligible(
@@ -220,6 +232,7 @@ class VectorizedIdlePlane:
         self._touch(i)
 
     def _session_started(self, i: int) -> None:
+        self._active_count += not self.active[i]
         self.active[i] = True
         self.materializations += 1
         self.next_checkin_t[i] = _INF
@@ -228,6 +241,7 @@ class VectorizedIdlePlane:
     def _session_ended(self, i: int) -> None:
         """The actor handed the device back; the device schedules its next
         check-in (if eligible) right after this call."""
+        self._active_count -= bool(self.active[i])
         self.active[i] = False
         self.next_checkin_t[i] = _INF
         self._touch(i)
@@ -259,110 +273,119 @@ class VectorizedIdlePlane:
         self._rearm()
 
     def _run_sweep(self, now: float) -> None:
-        due = np.nonzero(self._next_event_t <= now)[0].tolist()
+        due = np.nonzero(self._next_event_t <= now)[0]
         # Flips first: a device that loses eligibility exactly at a sweep
-        # boundary must not also check in at that boundary.  The flip is
-        # split so the per-device hazard resampling (the irreducible RNG
-        # work, owned by the availability process) happens here and the
-        # plane's own bookkeeping stays in ``_apply_flip``.
-        flip_t = self.next_flip_t
-        eligible_arr = self.eligible
-        availability = self._availability
-        for i in due:
-            if flip_t[i] <= now:
-                self.flips += 1
-                now_eligible = not eligible_arr[i]
-                eligible_arr[i] = now_eligible
-                if now_eligible:
-                    next_flip = now + availability[i].time_until_ineligible(
-                        now, fast=True
-                    )
-                else:
-                    next_flip = now + availability[i].time_until_eligible(
-                        now, fast=True
-                    )
-                self._apply_flip(i, now, now_eligible, next_flip)
-        checkin_t = self.next_checkin_t
-        active = self.active
+        # boundary must not also check in at that boundary.
+        flips = due[self.next_flip_t[due] <= now]
+        if flips.size:
+            self._flip_rows(flips, now)
+        checkins = due[self.next_checkin_t[due] <= now]
+        if checkins.size:
+            self._checkin_rows(checkins, now)
+
+    def _flip_rows(self, rows: np.ndarray, now: float) -> None:
+        """Toggle eligibility for every row whose flip is due and resample
+        all their next flips in one inversion of the tabulated hazard."""
         devices = self._devices
-        attestation_ok = self._attestation_ok
-        for i in due:
-            if checkin_t[i] <= now:
-                checkin_t[i] = _INF
-                self._next_event_t[i] = flip_t[i]
-                if eligible_arr[i] and not active[i]:
-                    self.checkins_dispatched += 1
-                    verdict = bool(attestation_ok[i]) if attestation_ok[i] >= 0 else None
-                    if devices[i]._attempt_screened_checkin(verdict):
-                        self.checkins_fast_rejected += 1
-                        if verdict is not None:
-                            # Keep AttestationService counters per
-                            # check-in (as the message path does) without
-                            # re-hashing: the cached verdict stands in
-                            # for the verify() this screen skipped.
-                            # Admitted devices are counted at arrival.
-                            service = devices[i].attestation
-                            if verdict:
-                                service.verified_count += 1
-                            else:
-                                service.rejected_count += 1
+        self.flips += rows.size
+        eligible = ~self.eligible[rows]
+        self.eligible[rows] = eligible
+        self._eligible_count += 2 * int(np.count_nonzero(eligible)) - rows.size
+        exp1 = np.array([devices[i].rng.exponential(1.0) for i in rows.tolist()])
+        self.next_flip_t[rows] = now + sample_transitions(
+            self._diurnal, now, self._tz_offset_s[rows], ~eligible, exp1
+        )
+        was_active = self.active[rows]
+        idle, idle_eligible = rows, eligible
+        if was_active.any():
+            # Materialized rows: the actor interrupts its session and
+            # hands the row back via session_ended — in device-index
+            # order, which fixes the shared actors/latency stream.
+            for i, now_eligible in zip(
+                rows[was_active].tolist(), eligible[was_active].tolist()
+            ):
+                devices[i].eligible = now_eligible
+                if not now_eligible:
+                    devices[i].on_eligibility_lost()
+            idle, idle_eligible = rows[~was_active], eligible[~was_active]
+        for i, now_eligible in zip(idle.tolist(), idle_eligible.tolist()):
+            device = devices[i]
+            device.eligible = now_eligible
+            device.state = DeviceState.IDLE if now_eligible else DeviceState.SLEEPING
+        self.next_checkin_t[idle[~idle_eligible]] = _INF
+        woke = idle[idle_eligible & self._has_memberships[idle]]
+        # A waking member returns at its pace window if one is still
+        # ahead, else after a short jitter.
+        checkin_t = self.pending_window_t[woke]
+        free = np.nonzero(checkin_t <= now)[0]
+        checkin_t[free] = now + np.array(
+            [devices[i].rng.uniform(*WAKE_JITTER_S) for i in woke[free].tolist()]
+        )
+        self.next_checkin_t[woke] = checkin_t
+        self._next_event_t[rows] = np.minimum(
+            self.next_flip_t[rows], self.next_checkin_t[rows]
+        )
+
+    def _checkin_rows(self, rows: np.ndarray, now: float) -> None:
+        """Dispatch every due check-in: verdicts per row, in device-index
+        order (it fixes the shared actors/latency stream); the rejected
+        rows' window samples and every array write once per sweep."""
+        self.next_checkin_t[rows] = _INF
+        self._next_event_t[rows] = self.next_flip_t[rows]
+        rows = rows[self.eligible[rows] & ~self.active[rows]]
+        self.checkins_dispatched += rows.size
+        self.pending_window_t[rows] = -_INF
+        devices = self._devices
+        rejected, reconnect_at = [], []
+        for i, cached in zip(rows.tolist(), self._attestation_ok[rows].tolist()):
+            device = devices[i]
+            verdict = bool(cached) if cached >= 0 else None
+            window = device._attempt_screened_checkin(verdict)
+            if window is None:
+                continue
+            rejected.append(i)
+            reconnect_at.append(window.sample(device.rng))
+            if verdict is not None:
+                # Keep AttestationService counters per check-in (as the
+                # message path does) without re-hashing: the cached
+                # verdict stands in for the verify() this screen skipped.
+                # Admitted devices are counted at arrival.
+                if verdict:
+                    device.attestation.verified_count += 1
+                else:
+                    device.attestation.rejected_count += 1
+        if not rejected:
+            return
+        self.checkins_fast_rejected += len(rejected)
+        reconnect_at = np.array(reconnect_at)
+        checkin_t = now + np.maximum(reconnect_at - now, 1.0)
+        self.pending_window_t[rejected] = reconnect_at
+        self.next_checkin_t[rejected] = checkin_t
+        self._next_event_t[rejected] = np.minimum(self.next_flip_t[rejected], checkin_t)
 
     def _rearm(self) -> None:
         t = self._next_event_t.min() if self._next_event_t.size else _INF
         if t < _INF:
             self._sweeper.arm(self._quantize(t))
 
-    def _apply_flip(self, i: int, now: float, eligible: bool, flip_t: float) -> None:
-        """Plane bookkeeping for one resampled eligibility transition.
-
-        The draw order per device matches the ActorIdleDriver: flip
-        resample first (done by the caller), then the wake-up jitter.
-        """
-        d = self._devices[i]
-        self.next_flip_t[i] = flip_t
-        checkin_t = self.next_checkin_t[i]
-        if self.active[i]:
-            # Materialized device: the actor interrupts its session and
-            # hands the row back via session_ended.
-            d.eligible = eligible
-            if not eligible:
-                d.on_eligibility_lost()
-            checkin_t = self.next_checkin_t[i]
-        else:
-            d.eligible = eligible
-            if eligible:
-                d.state = DeviceState.IDLE
-                if self._has_memberships[i]:
-                    window = self.pending_window_t[i]
-                    if window > now:
-                        checkin_t = window
-                    else:
-                        checkin_t = now + d.rng.uniform(*WAKE_JITTER_S)
-                    self.next_checkin_t[i] = checkin_t
-            else:
-                d.state = DeviceState.SLEEPING
-                checkin_t = _INF
-                self.next_checkin_t[i] = _INF
-        self._next_event_t[i] = flip_t if flip_t < checkin_t else checkin_t
-
     # -- observability -----------------------------------------------------------
-    def state_counts(self) -> dict[DeviceState, int]:
-        """Fleet state census without touching idle device objects.
+    def state_counts(
+        self, active: list["DeviceActor"] | None = None
+    ) -> dict[DeviceState, int]:
+        """Fleet state census without touching idle rows or devices.
 
-        Idle/sleeping counts come straight from the arrays; only the
-        (few) materialized devices are consulted for their actor state.
+        Idle/sleeping counts come from the running tallies; only the
+        (few) materialized devices — ``active``, when the caller already
+        holds :meth:`active_devices` — are consulted for their actor state.
         """
-        n = len(self._devices)
-        eligible = self.eligible[:n]
-        active = self.active[:n]
         counts = {state: 0 for state in DeviceState}
-        counts[DeviceState.SLEEPING] = int((~eligible).sum())
-        counts[DeviceState.IDLE] = int((eligible & ~active).sum())
-        for i in np.nonzero(active)[0]:
-            counts[self._devices[int(i)].state] += 1
+        counts[DeviceState.SLEEPING] = len(self._devices) - self._eligible_count
+        counts[DeviceState.IDLE] = self._eligible_count - self._active_count
+        for device in self.active_devices() if active is None else active:
+            counts[device.state] += 1
         return counts
 
     def active_devices(self) -> list["DeviceActor"]:
         """The currently materialized devices (WAITING/PARTICIPATING)."""
-        n = len(self._devices)
-        return [self._devices[int(i)] for i in np.nonzero(self.active[:n])[0]]
+        devices = self._devices
+        return [devices[i] for i in np.nonzero(self.active)[0].tolist()]

@@ -115,7 +115,11 @@ class FLFleet:
         #: The vectorized idle plane, when ``config.idle_plane`` selects it
         #: (``None`` under the per-device actor baseline).
         self.idle_plane: VectorizedIdlePlane | None = (
-            VectorizedIdlePlane(self.loop, capacity=len(self.profiles))
+            VectorizedIdlePlane(
+                self.loop,
+                capacity=len(self.profiles),
+                diurnal=self.config.diurnal,
+            )
             if self.config.idle_plane == "vectorized"
             else None
         )
@@ -405,10 +409,10 @@ class FLFleet:
         hosted = self.lifecycle.active
         participating: dict[str, int] = {name: 0 for name in hosted}
         if self.idle_plane is not None:
-            # Census from the plane arrays: only materialized devices are
-            # consulted individually (O(active), not O(fleet)).
-            counts = self.idle_plane.state_counts()
+            # Census from the plane's tallies: only materialized devices
+            # are consulted individually (O(active), not O(fleet)).
             sampled = self.idle_plane.active_devices()
+            counts = self.idle_plane.state_counts(sampled)
         else:
             counts = {state: 0 for state in DeviceState}
             sampled = self.devices

@@ -1,11 +1,13 @@
 """Diurnal model: the 4x availability swing and hazard consistency."""
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.diurnal import AvailabilityProcess, DiurnalModel
+from repro.sim.diurnal import AvailabilityProcess, DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -82,37 +84,97 @@ def test_more_devices_eligible_at_night(rng):
     assert night_count > 2.0 * day_count
 
 
+def scalar_transition_oracle(model, wall_time_s, tz_offset_s, to_eligible, exp1):
+    """The scalar inversion formula :func:`sample_transitions` replaced,
+    kept as its oracle: burn the cumulative hazard up to the current
+    local phase, add the Exp(1) draw, and invert."""
+    rates = (model.rate_on_batch if to_eligible else model.rate_off_batch)(
+        np.arange(1440) * 60.0
+    ).tolist()
+    cum = np.concatenate(([0.0], np.cumsum(np.array(rates) * 60.0))).tolist()
+    phase = (wall_time_s + tz_offset_s) % SECONDS_PER_DAY
+    k0 = int(phase / 60.0)
+    target = cum[k0] + rates[k0] * (phase - k0 * 60.0) + exp1
+    whole_days, remainder = divmod(target, cum[-1])
+    k = bisect_right(cum, remainder) - 1
+    hit_phase = k * 60.0 + (remainder - cum[k]) / rates[k]
+    return whole_days * SECONDS_PER_DAY + hit_phase - phase
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DiurnalModel(), DiurnalModel(amplitude=0.0, base_eligible_fraction=0.7,
+                                  mean_eligible_minutes=240.0)],
+)
+def test_batched_inversion_equals_the_scalar_formula_bit_for_bit(model, rng):
+    n = 4000
+    now = rng.uniform(0.0, 9 * SECONDS_PER_DAY, n)
+    tz = rng.integers(-12, 15, n) * SECONDS_PER_HOUR
+    to_eligible = rng.random(n) < 0.5
+    # Exp(1) draws, some stretched past one and several days of hazard.
+    exp1 = rng.exponential(1.0, n) * rng.choice([1.0, 1.0, 40.0, 400.0], n)
+    # Day wrap and bucket edges: local phases exactly on a minute edge,
+    # at midnight, and one ulp either side of an edge.
+    edge = rng.integers(0, 1440, n // 4) * 60.0
+    now[: n // 4] = edge - tz[: n // 4]
+    now[n // 4 : n // 2] = np.nextafter(
+        edge, rng.choice([-np.inf, np.inf], n // 4)
+    ) - tz[n // 4 : n // 2]
+    now[:8] = -tz[:8]
+    # One call per distinct wall time (the sampler takes a scalar time).
+    for t in np.unique(now)[:600]:
+        at = now == t
+        got = sample_transitions(model, float(t), tz[at], to_eligible[at], exp1[at])
+        want = [
+            scalar_transition_oracle(model, float(t), float(z), bool(e), float(x))
+            for z, e, x in zip(tz[at], to_eligible[at], exp1[at])
+        ]
+        assert got.tolist() == want
+    # ... and one big batch at a single instant, every time zone at once.
+    t = 3.7 * SECONDS_PER_DAY
+    got = sample_transitions(model, t, tz, to_eligible, exp1)
+    want = [
+        scalar_transition_oracle(model, t, float(z), bool(e), float(x))
+        for z, e, x in zip(tz, to_eligible, exp1)
+    ]
+    assert got.tolist() == want
+    assert (got > 0).all() and got.max() > 2 * SECONDS_PER_DAY
+
+
 def test_tabulated_sampler_matches_thinning_in_distribution(rng):
-    """The idle plane's fast sampler draws from the same law as thinning
-    (up to the per-minute hazard discretisation): compare mean delays
-    from many samples at several times of day, both transitions."""
+    """The idle plane's batched sampler draws from the same law as
+    thinning (up to the per-minute hazard discretisation): compare mean
+    delays from many samples at several times of day, both transitions."""
     model = DiurnalModel()
-    for attr in ("time_until_ineligible", "time_until_eligible"):
+    tz = np.full(1500, -8.0 * SECONDS_PER_HOUR)
+    for attr, to_eligible in (
+        ("time_until_ineligible", False), ("time_until_eligible", True)
+    ):
         for t0 in (0.0, 6 * SECONDS_PER_HOUR, 15 * SECONDS_PER_HOUR):
             slow_p = AvailabilityProcess(
                 model, tz_offset_hours=-8.0, rng=np.random.default_rng(1)
             )
-            fast_p = AvailabilityProcess(
-                model, tz_offset_hours=-8.0, rng=np.random.default_rng(2)
-            )
             slow = np.mean([getattr(slow_p, attr)(t0) for _ in range(1500)])
-            fast = np.mean(
-                [getattr(fast_p, attr)(t0, fast=True) for _ in range(1500)]
-            )
+            fast = sample_transitions(
+                model, t0, tz, np.full(1500, to_eligible),
+                np.random.default_rng(2).exponential(1.0, 1500),
+            ).mean()
             assert 0.85 < fast / slow < 1.18, (attr, t0, slow, fast)
 
 
 def test_tabulated_sampler_is_strictly_positive_and_deterministic(rng):
-    process = AvailabilityProcess(DiurnalModel(), tz_offset_hours=3.0, rng=rng)
+    tz = np.full(5, 3.0 * SECONDS_PER_HOUR)
+    both = np.array([True, False, True, False, True])
     for t in (0.0, 12_345.0, 5 * SECONDS_PER_DAY + 17.0):
-        assert process.time_until_eligible(t, fast=True) > 0
-        assert process.time_until_ineligible(t, fast=True) > 0
-    a = AvailabilityProcess(
-        DiurnalModel(), tz_offset_hours=3.0, rng=np.random.default_rng(9)
-    )
-    b = AvailabilityProcess(
-        DiurnalModel(), tz_offset_hours=3.0, rng=np.random.default_rng(9)
-    )
-    draws_a = [a.time_until_eligible(float(t), fast=True) for t in range(5)]
-    draws_b = [b.time_until_eligible(float(t), fast=True) for t in range(5)]
-    assert draws_a == draws_b
+        delays = sample_transitions(
+            DiurnalModel(), t, tz, both, rng.exponential(1.0, 5)
+        )
+        assert (delays > 0).all()
+    draws = [
+        sample_transitions(
+            DiurnalModel(), 4.0, tz, both,
+            np.random.default_rng(9).exponential(1.0, 5),
+        )
+        for _ in range(2)
+    ]
+    assert draws[0].tolist() == draws[1].tolist()

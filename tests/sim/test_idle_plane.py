@@ -14,6 +14,7 @@ from repro.device.attestation import AttestationService
 from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import MLPClassifier
+from repro.sim.diurnal import AvailabilityProcess, DiurnalModel
 from repro.sim.event_loop import EventLoop
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.network import NetworkModel
@@ -51,41 +52,34 @@ class RejectingServer(StubServer):
         return self.window
 
 
-class ScriptedAvailability:
-    """Deterministic eligibility: alternates on a fixed schedule."""
-
-    def __init__(self, eligible=True, until=None, off_for=1e9, on_for=1e9):
-        self._eligible = eligible
-        self._until = until
-        self._off_for = off_for
-        self._on_for = on_for
-
-    def is_initially_eligible(self, wall_time_s):
-        return self._eligible
-
-    def time_until_ineligible(self, wall_time_s, fast=False):
-        if self._until is not None:
-            return max(self._until - wall_time_s, 0.001)
-        return self._on_for
-
-    def time_until_eligible(self, wall_time_s, fast=False):
-        return self._off_for
+#: Scripted eligibility laws.  The plane resamples every flip from its
+#: fleet-wide diurnal model, so a test scripts the *law*: a device that
+#: starts eligible and (to any horizon a test runs) stays so, and one
+#: that flips about once a simulated minute.
+ALWAYS_ELIGIBLE = DiurnalModel(
+    amplitude=0.0, base_eligible_fraction=1.0, mean_eligible_minutes=1e9
+)
+FLIPS_EVERY_MINUTE = DiurnalModel(
+    amplitude=0.0, base_eligible_fraction=0.5, mean_eligible_minutes=1.0
+)
 
 
-@pytest.fixture
-def harness():
+def make_harness(diurnal):
     loop = EventLoop()
     rngs = RngRegistry(0)
     system = ActorSystem(loop, rngs.stream("lat"), mean_latency_s=0.001)
-    plane = VectorizedIdlePlane(loop, capacity=4)
+    plane = VectorizedIdlePlane(loop, capacity=4, diurnal=diurnal)
     server = StubServer()
     server_ref = system.spawn(server, "stub")
     return loop, system, plane, server, server_ref, rngs
 
 
-def make_device(
-    system, plane, server_ref, availability, rngs, memberships=("pop",), **kwargs
-):
+@pytest.fixture
+def harness():
+    return make_harness(ALWAYS_ELIGIBLE)
+
+
+def make_device(system, plane, server_ref, rngs, memberships=("pop",), **kwargs):
     profile = DeviceProfile(
         device_id=len(plane), tz_offset_hours=0.0, speed_factor=1.0,
         memory_mb=4096, os_version=28, runtime_version=10, genuine=True,
@@ -94,7 +88,7 @@ def make_device(
     rng = rngs.stream(f"dev/{profile.device_id}")
     device = DeviceActor(
         profile=profile,
-        availability=availability,
+        availability=AvailabilityProcess(plane._diurnal, 0.0, rng),
         network=network,
         conditions=network.sample_conditions(rng),
         selectors=[server_ref],
@@ -117,11 +111,9 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     loop, system, plane, server, server_ref, rngs = harness
     plane.sweep_interval_s = 15.0
     boundary = 600.0  # a multiple of the sweep interval
-    device = make_device(
-        system, plane, server_ref,
-        ScriptedAvailability(eligible=True, until=boundary), rngs,
-    )
-    # Force the check-in due time onto the same boundary as the flip.
+    device = make_device(system, plane, server_ref, rngs)
+    # Force the flip and the check-in due time onto the same boundary.
+    plane.next_flip_t[0] = boundary
     device.idle.schedule_checkin(boundary - loop.now)
     loop.run(until=boundary + 60.0)
     # The flip is processed first within the sweep: the device went
@@ -133,15 +125,11 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     assert plane.flips >= 1 and plane.checkins_dispatched == 0
 
 
-def test_zero_membership_device_never_checks_in_but_keeps_flipping(harness):
-    loop, system, plane, server, server_ref, rngs = harness
-    device = make_device(
-        system, plane, server_ref,
-        ScriptedAvailability(eligible=True, on_for=300.0, off_for=300.0),
-        rngs, memberships=(),
-    )
+def test_zero_membership_device_never_checks_in_but_keeps_flipping():
+    loop, system, plane, server, server_ref, rngs = make_harness(FLIPS_EVERY_MINUTE)
+    device = make_device(system, plane, server_ref, rngs, memberships=())
     loop.run(until=3000.0)
-    assert plane.flips >= 8           # kept flipping on the 300s schedule
+    assert plane.flips >= 8           # kept flipping, a minute or so apart
     assert plane.checkins_dispatched == 0
     assert server.checkins == []
     assert plane.next_checkin_t[0] == float("inf")
@@ -171,9 +159,7 @@ def make_configure(round_id, agg_ref):
 
 def test_stale_waiting_timer_does_not_break_rematerialized_device(harness):
     loop, system, plane, server, server_ref, rngs = harness
-    device = make_device(
-        system, plane, server_ref, ScriptedAvailability(eligible=True), rngs,
-    )
+    device = make_device(system, plane, server_ref, rngs)
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
     first_epoch = device._wait_epoch
@@ -203,9 +189,7 @@ def test_fast_rejected_device_never_materializes(harness):
     window = ReconnectWindow(5000.0, 5100.0)
     rejecting = RejectingServer(window)
     rejecting_ref = system.spawn(rejecting, "rejecting")
-    device = make_device(
-        system, plane, rejecting_ref, ScriptedAvailability(eligible=True), rngs,
-    )
+    device = make_device(system, plane, rejecting_ref, rngs)
     loop.run(until=700.0)
     assert rejecting.screened == 1
     assert rejecting.checkins == []          # no stream was ever opened
@@ -273,10 +257,16 @@ def test_vectorized_plane_is_deterministic():
 
 def test_plane_state_counts_match_device_states():
     fleet = build_fleet("vectorized", seed=3, devices=120)
-    fleet.run_days(0.07)
-    counts = fleet.idle_plane.state_counts()
-    truth = {state: 0 for state in DeviceState}
-    for device in fleet.devices:
-        truth[device.state] += 1
-    assert counts == truth
-    assert sum(counts.values()) == 120
+    plane = fleet.idle_plane
+    for _ in range(6):
+        fleet.run_days(0.012)
+        counts = plane.state_counts()
+        truth = {state: 0 for state in DeviceState}
+        for device in fleet.devices:
+            truth[device.state] += 1
+        assert counts == truth
+        assert sum(counts.values()) == 120
+        # The running tallies equal a recount of the arrays.
+        assert plane._eligible_count == int(plane.eligible.sum())
+        assert plane._active_count == int(plane.active.sum())
+        assert not (plane.active & ~plane.eligible).any()
