@@ -110,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
                     print(line)
         profile = scale.get("profile")
         if profile is not None:
-            verdict = "IN TOP-3 (!)" if profile["idle_plane_in_top3"] else "not in top-3"
+            verdict = "in top-3" if profile["idle_plane_in_top3"] else "not in top-3"
             print(
                 f"    profile @ {profile['devices']} devices: idle plane "
                 f"{verdict}; hottest: "

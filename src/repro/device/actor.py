@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -94,7 +94,7 @@ class DeviceActor(Actor):
     def __init__(
         self,
         profile: DeviceProfile,
-        availability: AvailabilityProcess,
+        availability: AvailabilityProcess | None,
         network: NetworkModel,
         conditions: NetworkConditions,
         selectors: list[ActorRef],
@@ -105,7 +105,7 @@ class DeviceActor(Actor):
         compute: ComputeModel | None = None,
         attestation: AttestationService | None = None,
         event_log: EventLog | None = None,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
         job: JobSchedule | None = None,
         compute_error_prob: float = 0.005,
         ack_timeout_s: float = 60.0,
@@ -115,6 +115,8 @@ class DeviceActor(Actor):
         shard_router: Any = None,  # system.sharding.ShardRouter; None = unsharded
     ):
         self.profile = profile
+        #: The timer-based idle driver's eligibility process; ``None``
+        #: when the vectorized plane flips this device as a row.
         self.availability = availability
         self.network = network
         self.conditions = conditions
@@ -144,13 +146,21 @@ class DeviceActor(Actor):
         self.compute = compute or ComputeModel()
         self.attestation = attestation or AttestationService()
         self.event_log = event_log if event_log is not None else EventLog()
-        self.rng = rng if rng is not None else standalone_stream(0)
+        #: A generator, or a source of one that :attr:`rng` calls at the
+        #: first draw (a plane-owned device draws nothing of its own until
+        #: its first session).
+        self._rng = rng if rng is not None else standalone_stream(0)
         self.job = job or JobSchedule()
         self.compute_error_prob = compute_error_prob
         self.ack_timeout_s = ack_timeout_s
         self.waiting_timeout_s = waiting_timeout_s
         self.upload_retry = upload_retry
 
+        #: Maintained by the actor for a session's length and by the
+        #: timer-based idle driver between sessions.  The vectorized plane
+        #: does *not* mirror an idle row's flips onto these two (its
+        #: ``eligible`` column and census are the truth there); it sets
+        #: them only when it hands the device a session or interrupts one.
         self.state = DeviceState.SLEEPING
         self.eligible = False
         self.scheduler = MultiTenantScheduler(policy=scheduler_policy)
@@ -184,6 +194,15 @@ class DeviceActor(Actor):
     @property
     def device_id(self) -> int:
         return self.profile.device_id
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """This device's pinned stream (session draws: transfers, training,
+        job jitter), created on first use."""
+        rng = self._rng
+        if not isinstance(rng, np.random.Generator):
+            rng = self._rng = rng()
+        return rng
 
     @property
     def population_name(self) -> str | None:
@@ -349,19 +368,20 @@ class DeviceActor(Actor):
 
     # -- check-in ------------------------------------------------------------
     def _attempt_checkin(self) -> None:
-        if not self.eligible or self.state is not DeviceState.IDLE:
-            return
-        if not self.memberships:
-            return
-        self.idle.clear_pending_window()
         started = self._begin_checkin()
         if started is not None:
             self._materialize_checkin(started)
 
-    def _begin_checkin(self) -> str | None:
+    def _begin_checkin(self, pick: float | None = None) -> str | None:
         """The pre-materialization half of a check-in: the on-device
         worker-queue dance and the Selector pick.  Returns the population
-        whose session starts, or ``None`` if nothing does."""
+        whose session starts, or ``None`` if nothing does.
+
+        ``pick`` is the check-in's one idle-side draw (which Selector, or
+        how long to back off from a busy queue) as a uniform in [0, 1)
+        when the vectorized plane made it — a sweep's worth at once;
+        ``None`` takes it from the device's own stream.
+        """
         # Every membership wants a session; the on-device worker queue
         # (Sec. 11) serializes them and picks who goes first.
         for membership in self.memberships:
@@ -369,11 +389,19 @@ class DeviceActor(Actor):
         started = self.scheduler.try_start()
         if started is None:
             # Another tenant is training; retry after its session.
-            self.idle.schedule_checkin(self.job.next_delay(self.rng))
+            if pick is None:
+                retry = self.job.next_delay(self.rng)
+            else:
+                jitter = self.job.jitter_fraction * (2.0 * pick - 1.0)
+                retry = self.job.base_interval_s * (1.0 + jitter)
+            self.idle.schedule_checkin(retry)
             return None
         self._active_population = started
         pool = self._selector_pool(started)
-        self._selector = pool[int(self.rng.integers(len(pool)))]
+        if pick is None:
+            self._selector = pool[int(self.rng.integers(len(pool)))]
+        else:
+            self._selector = pool[int(pick * len(pool))]
         return started
 
     def _selector_pool(self, population_name: str) -> list[ActorRef]:
@@ -393,6 +421,7 @@ class DeviceActor(Actor):
     def _materialize_checkin(self, started: str) -> None:
         """Open the real device stream: WAITING state, timers, messages."""
         self.state = DeviceState.WAITING
+        self.eligible = True  # only an eligible device opens a stream
         self.idle.session_started()
         self._wait_epoch += 1
         # A real check-in stream does not stay open forever: if no round
@@ -421,23 +450,23 @@ class DeviceActor(Actor):
         )
 
     def _attempt_screened_checkin(
-        self, attestation_ok: bool | None
+        self, attestation_ok: bool | None, pick: float
     ) -> ReconnectWindow | None:
         """Check in through the vectorized plane's synchronous screen.
 
         The plane calls this for a row it knows to be eligible, idle and
-        past its pace window.  The chosen Selector's admission policy
-        runs inline (:meth:`~repro.actors.selector.Selector.
-        fast_checkin_decision`); a bounced device applies the device
-        half of its rejection right here — same health counter and
-        scheduler release as :meth:`_on_rejected` — and never
-        materializes.  Returns the pace window when the check-in was
-        screened out (the plane samples it and steers the row), ``None``
-        when the device opened a real stream or started nothing.
+        past its pace window, with the row's ``pick`` draw.  The chosen
+        Selector's admission policy runs inline (:meth:`~repro.actors.
+        selector.Selector.fast_checkin_decision`); a bounced device
+        applies the device half of its rejection right here — same health
+        counter and scheduler release as :meth:`_on_rejected` — and never
+        materializes.  Returns the pace window when screened out (the
+        plane samples it and steers the row), ``None`` when the device
+        opened a real stream or started nothing.
         """
         if not self.memberships:
             return None
-        started = self._begin_checkin()
+        started = self._begin_checkin(pick)
         if started is None:
             return None
         selector = (

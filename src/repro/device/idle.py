@@ -45,14 +45,10 @@ FIRST_CHECKIN_MIN_S = 1.0
 
 
 def first_checkin_delay(device: "DeviceActor") -> float:
-    """The first-check-in stagger law: uniform over one job interval,
-    drawn from the device's own pinned stream.
-
-    The single definition shared by the actor idle driver, the
-    vectorized idle plane, and the population lifecycle plane's
-    attach-time kick — cross-plane byte-identity requires all three to
-    make exactly this draw.
-    """
+    """The first-check-in stagger law — uniform over one job interval —
+    drawn from the device's own pinned stream (the timer-based driver's
+    draw, at fleet start and at the lifecycle plane's attach-time kick;
+    the vectorized plane draws the same law from its row streams)."""
     return float(
         device.rng.uniform(FIRST_CHECKIN_MIN_S, device.job.base_interval_s)
     )
@@ -72,9 +68,6 @@ class IdleDriver(Protocol):
         """Record the pace-steering window start: the device should not
         check in again before ``reconnect_at_s``."""
 
-    def clear_pending_window(self) -> None:
-        """Forget the pending window (consumed by a check-in attempt)."""
-
     def session_started(self) -> None:
         """The device materialized: it is WAITING at a Selector (or
         beyond); the idle machinery must stop firing check-ins."""
@@ -87,12 +80,16 @@ class IdleDriver(Protocol):
         """The device's population membership set changed (a tenant was
         attached to or drained from a live fleet): refresh any membership
         view the driver keeps, and stop pending check-ins when the device
-        no longer belongs to any population.  The caller schedules the
-        first check-in for a newly-enrolled device."""
+        no longer belongs to any population.  On a live fleet the caller
+        follows an enrollment with :meth:`kick_first_checkin`."""
 
-    def has_scheduled_checkin(self) -> bool:
-        """Whether a future check-in attempt is already on the books."""
-        ...
+    def kick_first_checkin(self) -> None:
+        """The device just gained a membership on a live fleet: if it
+        idles eligible with no check-in on the books, schedule its first
+        one by the fleet-start law (uniform over one job interval), so a
+        rollout reaches its cohort within that interval.  Devices with a
+        check-in pending, asleep or in a session pick the membership up
+        at their next check-in, flip or session end."""
 
 
 class ActorIdleDriver:
@@ -162,9 +159,6 @@ class ActorIdleDriver:
     def set_pending_window(self, reconnect_at_s: float) -> None:
         self._pending_window_t = reconnect_at_s
 
-    def clear_pending_window(self) -> None:
-        self._pending_window_t = None
-
     # -- check-in timer (lazy rescheduling) ------------------------------------
     def schedule_checkin(self, delay: float) -> None:
         d = self._device
@@ -188,7 +182,9 @@ class ActorIdleDriver:
                 d.schedule(due - d.now, self._on_checkin_timer)
             return
         self._checkin_due_t = _INF
-        d._attempt_checkin()
+        if d.eligible and d.state is DeviceState.IDLE and d.memberships:
+            self._pending_window_t = None  # consumed by this attempt
+            d._attempt_checkin()
 
     def session_started(self) -> None:
         # The attempt consumed the due time; nothing to stop eagerly —
@@ -208,5 +204,11 @@ class ActorIdleDriver:
             self._checkin_due_t = _INF
             self._pending_window_t = None
 
-    def has_scheduled_checkin(self) -> bool:
-        return self._checkin_due_t < _INF
+    def kick_first_checkin(self) -> None:
+        d = self._device
+        if (
+            d.eligible
+            and d.state is DeviceState.IDLE
+            and self._checkin_due_t == _INF
+        ):
+            self.schedule_checkin(first_checkin_delay(d))

@@ -19,7 +19,6 @@ we calibrate to the paper's 4x night/day swing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -113,67 +112,45 @@ class DiurnalModel:
         return off * f / (1.0 - f)
 
 
-class _HazardTable:
-    """Piecewise-constant view of one diurnal hazard over a day.
+class _HazardTables:
+    """Piecewise-constant view of a model's two diurnal hazards over a day.
 
-    ``rates[k]`` is the hazard on bucket ``k``; ``cum[k]`` the integrated
-    hazard from local midnight to the bucket's left edge; ``total`` the
-    integral over a full day.  With these, the next-transition time can
-    be drawn by *exact inversion* — one Exp(1) draw, one binary search —
-    instead of a thinning loop (see
-    :meth:`AvailabilityProcess._sample_transition_table`).  Tables are
-    plain lists: the sampler touches a handful of scalars per draw, and
-    list indexing plus :func:`bisect.bisect_right` beat numpy's scalar
-    path several-fold at that granularity.
+    Per hazard, ``rates[k]`` is the hazard on minute-bucket ``k``,
+    ``cum[k]`` the integrated hazard from local midnight to the bucket's
+    left edge, ``total`` the integral over a full day.  With these the
+    next-transition time can be drawn by *exact inversion* — one Exp(1)
+    draw, one binary search — instead of a thinning loop (see
+    :func:`sample_transitions`).  Both hazards live in the same flat
+    arrays, ``stride`` entries each (``rates`` padded by one so it indexes
+    like ``cum``): row 0 is ``rate_off`` (leaving eligibility), row 1
+    ``rate_on``, so ``to_eligible * stride + bucket`` addresses either
+    with one take.
     """
-
-    __slots__ = ("rates", "cum", "total", "bucket_s")
-
-    def __init__(self, rates: np.ndarray):
-        self.bucket_s = SECONDS_PER_DAY / rates.size
-        cum = np.concatenate(([0.0], np.cumsum(rates * self.bucket_s)))
-        self.rates: list[float] = rates.tolist()
-        self.cum: list[float] = cum.tolist()
-        self.total = float(cum[-1])
-
-
-class _StackedHazards:
-    """Both hazard tables of a model as flat arrays, for the batched
-    sampler: row 0 is ``rate_off`` (leaving eligibility), row 1 is
-    ``rate_on``, each ``stride`` entries long (``rates`` is padded by one
-    so it indexes like ``cum``), so ``to_eligible * stride + bucket``
-    addresses either table with one take."""
 
     __slots__ = ("rates", "cum", "cum_off", "cum_on", "total", "stride", "bucket_s")
 
-    def __init__(self, off: _HazardTable, on: _HazardTable):
-        self.bucket_s = off.bucket_s
-        self.stride = len(off.cum)
-        self.cum_off = np.array(off.cum)
-        self.cum_on = np.array(on.cum)
+    def __init__(self, rate_off: np.ndarray, rate_on: np.ndarray):
+        self.bucket_s = SECONDS_PER_DAY / rate_off.size
+        self.stride = rate_off.size + 1
+        self.cum_off, self.cum_on = (
+            np.concatenate(([0.0], np.cumsum(rates * self.bucket_s)))
+            for rates in (rate_off, rate_on)
+        )
         self.cum = np.concatenate((self.cum_off, self.cum_on))
-        self.rates = np.array(off.rates + off.rates[-1:] + on.rates + on.rates[-1:])
-        self.total = np.array([off.total, on.total])
+        self.rates = np.concatenate((rate_off, rate_off[-1:], rate_on, rate_on[-1:]))
+        self.total = np.array([self.cum_off[-1], self.cum_on[-1]])
 
 
 @lru_cache(maxsize=32)
-def _rate_tables(model: DiurnalModel) -> tuple[_HazardTable, _HazardTable]:
-    """Per-minute ``(rate_off, rate_on)`` hazard tables for ``model``.
+def _rate_tables(model: DiurnalModel) -> _HazardTables:
+    """Per-minute hazard tables for ``model``.
 
     The hazards are pure functions of local time of day, so one table
-    pair serves every device (and every time zone) simulated under the
+    set serves every device (and every time zone) simulated under the
     same :class:`DiurnalModel`.
     """
     edges = np.arange(_RATE_TABLE_BUCKETS) * (SECONDS_PER_DAY / _RATE_TABLE_BUCKETS)
-    return (
-        _HazardTable(model.rate_off_batch(edges)),
-        _HazardTable(model.rate_on_batch(edges)),
-    )
-
-
-@lru_cache(maxsize=32)
-def _stacked_hazards(model: DiurnalModel) -> _StackedHazards:
-    return _StackedHazards(*_rate_tables(model))
+    return _HazardTables(model.rate_off_batch(edges), model.rate_on_batch(edges))
 
 
 def sample_transitions(
@@ -197,7 +174,7 @@ def sample_transitions(
     relative), so trajectories are comparable across planes in
     distribution.
     """
-    tables = _stacked_hazards(model)
+    tables = _rate_tables(model)
     bucket_s = tables.bucket_s
     phase = (wall_time_s + tz_offset_s) % SECONDS_PER_DAY
     k0 = (phase / bucket_s).astype(np.intp)
@@ -232,9 +209,6 @@ class AvailabilityProcess:
         self.model = model
         self.tz_offset_s = tz_offset_hours * SECONDS_PER_HOUR
         self.rng = rng
-        # Resolved once: the fast sampler runs per eligibility flip and
-        # must not pay the cached-table lookup (model hashing) each time.
-        self._tables = _rate_tables(model)
         # Thinning majorant: rate_off <= base*(1+a); rate_on <= rate_off_max
         # * f_max/(1-f_max).  A 1.5x safety factor keeps acceptance high
         # (few rejected proposals) while remaining a strict upper bound.
@@ -266,46 +240,12 @@ class AvailabilityProcess:
                 return t - wall_time_s
         return t - wall_time_s
 
-    def _sample_transition_table(
-        self, wall_time_s: float, table: _HazardTable
-    ) -> float:
-        """Next-transition delay by exact inversion of the tabulated hazard
-        (the vectorized idle plane's sampler).
-
-        The piecewise-constant hazard's cumulative integral is invertible
-        in closed form, so one ``Exp(1)`` draw and one binary search
-        replace the thinning loop's 2-7 proposals — a single RNG draw per
-        transition, from the same pinned per-device stream.  Against
-        :meth:`_sample_transition` the sampled law differs only by the
-        per-minute discretisation of the smooth hazard (~1e-5 relative),
-        so trajectories are comparable across planes in distribution.
-        """
-        local = wall_time_s + self.tz_offset_s
-        phase = local % SECONDS_PER_DAY
-        bucket_s = table.bucket_s
-        k0 = int(phase / bucket_s)
-        burned = table.cum[k0] + table.rates[k0] * (phase - k0 * bucket_s)
-        target = burned + self.rng.exponential(1.0)
-        whole_days, remainder = divmod(target, table.total)
-        k = bisect_right(table.cum, remainder) - 1
-        hit_phase = k * bucket_s + (remainder - table.cum[k]) / table.rates[k]
-        return whole_days * SECONDS_PER_DAY + hit_phase - phase
-
-    def time_until_ineligible(self, wall_time_s: float, fast: bool = False) -> float:
-        """Sample remaining eligible time starting at ``wall_time_s``.
-
-        ``fast=True`` selects the tabulated inverse sampler used by the
-        vectorized idle plane (same law up to per-minute hazard
-        discretisation, one draw per transition).
-        """
-        if fast:
-            return self._sample_transition_table(wall_time_s, self._tables[0])
+    def time_until_ineligible(self, wall_time_s: float) -> float:
+        """Sample remaining eligible time starting at ``wall_time_s``."""
         return self._sample_transition(wall_time_s, self.model.rate_off)
 
-    def time_until_eligible(self, wall_time_s: float, fast: bool = False) -> float:
+    def time_until_eligible(self, wall_time_s: float) -> float:
         """Sample waiting time until next eligibility window."""
-        if fast:
-            return self._sample_transition_table(wall_time_s, self._tables[1])
         return self._sample_transition(wall_time_s, self.model.rate_on)
 
 

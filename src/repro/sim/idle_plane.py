@@ -24,10 +24,12 @@ eligibility exactly at a sweep boundary never checks in at that instant.
 A device only materializes as a full :class:`~repro.device.actor.
 DeviceActor` interaction at the moment it actually checks in; when its
 session ends (report, rejection, timeout, interruption), the actor hands
-the device back to the plane.  Determinism: every device keeps its own
-pinned RNG stream and all per-device draws (flip resampling, check-in
-jitter) happen at that device's transitions, in device-index order
-within a sweep — the same seed yields a byte-identical run.
+the device back to the plane.  Determinism: every draw a device makes
+*while the plane owns it* (initial eligibility, flip resample, first
+check-in stagger, wake jitter, selector pick, rejected-window sample)
+comes from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`),
+a whole batch of rows per call — the same seed yields a byte-identical
+run, and the device's own generator serves its sessions only.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.device.actor import DeviceState
-from repro.device.idle import WAKE_JITTER_S, first_checkin_delay
+from repro.device.idle import FIRST_CHECKIN_MIN_S, WAKE_JITTER_S
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
+from repro.sim.rng import RowDraws
 
 if TYPE_CHECKING:
     from repro.device.actor import DeviceActor
@@ -69,9 +72,6 @@ class PlaneIdleDriver:
     def set_pending_window(self, reconnect_at_s: float) -> None:
         self._plane.pending_window_t[self._index] = reconnect_at_s
 
-    def clear_pending_window(self) -> None:
-        self._plane.pending_window_t[self._index] = -_INF
-
     def session_started(self) -> None:
         self._plane._session_started(self._index)
 
@@ -81,8 +81,8 @@ class PlaneIdleDriver:
     def membership_changed(self) -> None:
         self._plane._membership_changed(self._index)
 
-    def has_scheduled_checkin(self) -> bool:
-        return self._plane.next_checkin_t[self._index] < _INF
+    def kick_first_checkin(self) -> None:
+        self._plane._kick_first_checkin(self._index)
 
 
 class VectorizedIdlePlane:
@@ -100,13 +100,15 @@ class VectorizedIdlePlane:
     def __init__(
         self,
         loop: EventLoop,
+        draws: RowDraws,
+        diurnal: DiurnalModel,
         capacity: int = 0,
         sweep_interval_s: float = 15.0,
-        diurnal: DiurnalModel | None = None,
     ):
         self._loop = loop
+        self._draws = draws
         #: The availability law every row flips under (one per fleet).
-        self._diurnal = diurnal or DiurnalModel()
+        self._diurnal = diurnal
         self._sweeper = Sweeper(loop, self._sweep)
         self.sweep_interval_s = float(sweep_interval_s)
         n = int(capacity)
@@ -120,18 +122,23 @@ class VectorizedIdlePlane:
         self.active = np.zeros(n, dtype=bool)
         self._has_memberships = np.zeros(n, dtype=bool)
         self._tz_offset_s = np.zeros(n)
+        #: Each row's counter-keyed stream: key and draws made so far.
+        self._row_key = np.zeros(n, dtype=np.uint64)
+        self._draw_count = np.zeros(n, dtype=np.uint64)
         #: Cached attestation verdict per device (-1 unknown, 0 fail,
         #: 1 pass): token issue/verify is deterministic per device, so the
         #: screen only pays the hashing once.
         self._attestation_ok = np.full(n, -1, dtype=np.int8)
         self._devices: list["DeviceActor"] = []
+        #: Rows started since the last sweep; the next one (armed for the
+        #: same instant) starts them as one batch.
+        self._starting: list[int] = []
         #: True while a sweep is running: per-device touches skip re-arming
         #: the sweeper (the sweep's final rearm covers them all at once).
         self._sweeping = False
-        #: Census tallies, kept by the writes that change them (the flip
-        #: batch, session start/end), so telemetry never recounts the
-        #: fleet-sized arrays.  An active row is always eligible: losing
-        #: eligibility hands it back within the same sweep.
+        #: Census tallies, kept by the writes that change them so that
+        #: telemetry never recounts the fleet-sized arrays.  (An active
+        #: row is always eligible: losing eligibility hands it back.)
         self._eligible_count = 0
         self._active_count = 0
         # -- counters (observability; see ROADMAP.md "Performance") ----------
@@ -187,6 +194,8 @@ class VectorizedIdlePlane:
         self.active = extend(self.active, False)
         self._has_memberships = extend(self._has_memberships, False)
         self._tz_offset_s = extend(self._tz_offset_s, 0.0)
+        self._row_key = extend(self._row_key, 0)
+        self._draw_count = extend(self._draw_count, 0)
         self._attestation_ok = extend(self._attestation_ok, -1)
 
     # -- per-device transitions (driver entry points) ---------------------------
@@ -205,38 +214,68 @@ class VectorizedIdlePlane:
         if t < _INF and not self._sweeping:
             self._sweeper.arm(self._quantize(t))
 
+    def _draw(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """Each of ``rows``' (distinct) next draw: two uniforms in [0, 1)."""
+        drawn = self._draw_count[rows]
+        self._draw_count[rows] = drawn + np.uint64(1)
+        return self._draws.uniform_pair(self._row_key[rows], drawn)
+
     def _start_device(self, i: int) -> None:
-        d = self._devices[i]
-        now = self._loop.now
-        eligible = d.availability.is_initially_eligible(now)
-        self.eligible[i] = eligible
-        self._eligible_count += eligible
-        d.eligible = eligible
-        if eligible:
-            self.next_flip_t[i] = now + d.availability.time_until_ineligible(
-                now, fast=True
-            )
-            d.state = DeviceState.IDLE
-            if self._has_memberships[i]:
-                # Stagger the fleet's first check-ins across the job interval.
-                self.next_checkin_t[i] = now + first_checkin_delay(d)
-        else:
-            self.next_flip_t[i] = now + d.availability.time_until_eligible(
-                now, fast=True
-            )
-            d.state = DeviceState.SLEEPING
-        self._touch(i)
+        self._starting.append(i)
+        self._sweeper.arm(self._loop.now)
+
+    def _start_rows(self, now: float) -> None:
+        """Fleet start as one batch: initial eligibility, first flip and
+        first check-in stagger of every row started since the last sweep."""
+        devices = self._devices
+        rows = np.array(self._starting, dtype=np.intp)
+        self._starting.clear()
+        self._row_key[rows] = self._draws.keys(
+            np.array([devices[i].device_id for i in rows.tolist()])
+        )
+        model, tz = self._diurnal, self._tz_offset_s[rows]
+        u_eligible, u_stagger = self._draw(rows)
+        eligible = u_eligible < np.minimum(
+            1.0, model.base_eligible_fraction * model.modulation_batch(now + tz)
+        )
+        self.eligible[rows] = eligible
+        self._eligible_count += int(np.count_nonzero(eligible))
+        self.next_flip_t[rows] = now + sample_transitions(
+            model, now, tz, ~eligible, -np.log1p(-self._draw(rows)[0])
+        )
+        members = eligible & self._has_memberships[rows]
+        self._stagger_first_checkin(rows[members], u_stagger[members], now)
+        self._next_event_t[rows] = np.minimum(
+            self.next_flip_t[rows], self.next_checkin_t[rows]
+        )
+
+    def _stagger_first_checkin(self, rows: np.ndarray, u: np.ndarray, now: float) -> None:
+        """First check-ins, uniform over one job interval from ``now``."""
+        lo = FIRST_CHECKIN_MIN_S
+        hi = np.array([self._devices[i].job.base_interval_s for i in rows.tolist()])
+        self.next_checkin_t[rows] = now + (lo + (hi - lo) * u)
+
+    def _kick_first_checkin(self, i: int) -> None:
+        """:meth:`IdleDriver.kick_first_checkin` for row ``i``."""
+        if (
+            self.eligible[i]
+            and not self.active[i]
+            and self.next_checkin_t[i] == _INF
+        ):
+            row = np.array([i])
+            self._stagger_first_checkin(row, self._draw(row)[1], self._loop.now)
+            self._touch(i)
 
     def _schedule_checkin(self, i: int, delay: float) -> None:
         self.next_checkin_t[i] = self._loop.now + max(delay, 0.0)
         self._touch(i)
 
     def _session_started(self, i: int) -> None:
+        """Row ``i`` materialized.  Only a sweep's dispatch materializes a
+        row, and it has already retired the row's check-in."""
         self._active_count += not self.active[i]
         self.active[i] = True
         self.materializations += 1
-        self.next_checkin_t[i] = _INF
-        self._touch(i)
 
     def _session_ended(self, i: int) -> None:
         """The actor handed the device back; the device schedules its next
@@ -252,7 +291,7 @@ class VectorizedIdlePlane:
         A device whose last tenant left stops counting down to a check-in
         (its row stays swept only for eligibility flips); a device that
         just gained its first tenant is kicked by the lifecycle plane via
-        ``schedule_checkin`` — the membership-array update contract.
+        ``kick_first_checkin`` — the membership-array update contract.
         """
         has = bool(self._devices[i].memberships)
         self._has_memberships[i] = has
@@ -267,6 +306,8 @@ class VectorizedIdlePlane:
         self.sweeps += 1
         self._sweeping = True
         try:
+            if self._starting:
+                self._start_rows(now)
             self._run_sweep(now)
         finally:
             self._sweeping = False
@@ -274,77 +315,84 @@ class VectorizedIdlePlane:
 
     def _run_sweep(self, now: float) -> None:
         due = np.nonzero(self._next_event_t <= now)[0]
+        # One draw per due row: a flip spends it on (hazard, wake jitter),
+        # a check-in on (selector pick, pace-window sample).
+        u_first, u_second = self._draw(due)
         # Flips first: a device that loses eligibility exactly at a sweep
         # boundary must not also check in at that boundary.
-        flips = due[self.next_flip_t[due] <= now]
-        if flips.size:
-            self._flip_rows(flips, now)
-        checkins = due[self.next_checkin_t[due] <= now]
-        if checkins.size:
-            self._checkin_rows(checkins, now)
+        flips = self.next_flip_t[due] <= now
+        rows = due[flips]
+        if rows.size:
+            self._flip_rows(rows, u_first[flips], u_second[flips], now)
+        checkins = self.next_checkin_t[due] <= now
+        rows = due[checkins]
+        if rows.size:
+            self._checkin_rows(rows, u_first[checkins], u_second[checkins], now)
 
-    def _flip_rows(self, rows: np.ndarray, now: float) -> None:
-        """Toggle eligibility for every row whose flip is due and resample
-        all their next flips in one inversion of the tabulated hazard."""
+    def _flip_rows(
+        self, rows: np.ndarray, u_hazard: np.ndarray, u_jitter: np.ndarray, now: float
+    ) -> None:
+        """Toggle eligibility for every row whose flip is due, resample
+        all their next flips in one inversion of the tabulated hazard,
+        and book the wakers' next check-ins."""
         devices = self._devices
         self.flips += rows.size
         eligible = ~self.eligible[rows]
         self.eligible[rows] = eligible
         self._eligible_count += 2 * int(np.count_nonzero(eligible)) - rows.size
-        exp1 = np.array([devices[i].rng.exponential(1.0) for i in rows.tolist()])
-        self.next_flip_t[rows] = now + sample_transitions(
-            self._diurnal, now, self._tz_offset_s[rows], ~eligible, exp1
+        flip_t = now + sample_transitions(
+            self._diurnal, now, self._tz_offset_s[rows], ~eligible, -np.log1p(-u_hazard)
         )
+        self.next_flip_t[rows] = flip_t
+        # A waking member returns at its pace window if one is still
+        # ahead, else after a short jitter; a row that fell asleep or has
+        # no tenant has no check-in (nor has a materialized row: it was
+        # awake, so it fell asleep).
+        lo, hi = WAKE_JITTER_S
+        window = self.pending_window_t[rows]
+        checkin_t = np.where(
+            eligible & self._has_memberships[rows],
+            np.where(window > now, window, now + (lo + (hi - lo) * u_jitter)),
+            _INF,
+        )
+        self.next_checkin_t[rows] = checkin_t
         was_active = self.active[rows]
-        idle, idle_eligible = rows, eligible
-        if was_active.any():
-            # Materialized rows: the actor interrupts its session and
-            # hands the row back via session_ended — in device-index
-            # order, which fixes the shared actors/latency stream.
+        if np.count_nonzero(was_active):
+            # The actor interrupts its session and hands the row back via
+            # session_ended — in device-index order, which fixes the
+            # shared actors/latency stream.
             for i, now_eligible in zip(
                 rows[was_active].tolist(), eligible[was_active].tolist()
             ):
                 devices[i].eligible = now_eligible
                 if not now_eligible:
                     devices[i].on_eligibility_lost()
-            idle, idle_eligible = rows[~was_active], eligible[~was_active]
-        for i, now_eligible in zip(idle.tolist(), idle_eligible.tolist()):
-            device = devices[i]
-            device.eligible = now_eligible
-            device.state = DeviceState.IDLE if now_eligible else DeviceState.SLEEPING
-        self.next_checkin_t[idle[~idle_eligible]] = _INF
-        woke = idle[idle_eligible & self._has_memberships[idle]]
-        # A waking member returns at its pace window if one is still
-        # ahead, else after a short jitter.
-        checkin_t = self.pending_window_t[woke]
-        free = np.nonzero(checkin_t <= now)[0]
-        checkin_t[free] = now + np.array(
-            [devices[i].rng.uniform(*WAKE_JITTER_S) for i in woke[free].tolist()]
-        )
-        self.next_checkin_t[woke] = checkin_t
-        self._next_event_t[rows] = np.minimum(
-            self.next_flip_t[rows], self.next_checkin_t[rows]
-        )
+        self._next_event_t[rows] = np.minimum(flip_t, checkin_t)
 
-    def _checkin_rows(self, rows: np.ndarray, now: float) -> None:
+    def _checkin_rows(
+        self, rows: np.ndarray, u_pick: np.ndarray, u_window: np.ndarray, now: float
+    ) -> None:
         """Dispatch every due check-in: verdicts per row, in device-index
         order (it fixes the shared actors/latency stream); the rejected
         rows' window samples and every array write once per sweep."""
         self.next_checkin_t[rows] = _INF
         self._next_event_t[rows] = self.next_flip_t[rows]
-        rows = rows[self.eligible[rows] & ~self.active[rows]]
+        go = self.eligible[rows] & ~self.active[rows]
+        rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
         self.checkins_dispatched += rows.size
         self.pending_window_t[rows] = -_INF
         devices = self._devices
-        rejected, reconnect_at = [], []
-        for i, cached in zip(rows.tolist(), self._attestation_ok[rows].tolist()):
+        rejected, windows = [], []
+        for j, (i, cached, pick) in enumerate(zip(
+            rows.tolist(), self._attestation_ok[rows].tolist(), u_pick.tolist()
+        )):
             device = devices[i]
             verdict = bool(cached) if cached >= 0 else None
-            window = device._attempt_screened_checkin(verdict)
+            window = device._attempt_screened_checkin(verdict, pick)
             if window is None:
                 continue
-            rejected.append(i)
-            reconnect_at.append(window.sample(device.rng))
+            rejected.append(j)
+            windows.append(window)
             if verdict is not None:
                 # Keep AttestationService counters per check-in (as the
                 # message path does) without re-hashing: the cached
@@ -357,11 +405,14 @@ class VectorizedIdlePlane:
         if not rejected:
             return
         self.checkins_fast_rejected += len(rejected)
-        reconnect_at = np.array(reconnect_at)
+        rows = rows[rejected]
+        earliest = np.array([w.earliest_s for w in windows])
+        latest = np.array([w.latest_s for w in windows])
+        reconnect_at = earliest + (latest - earliest) * u_window[rejected]
         checkin_t = now + np.maximum(reconnect_at - now, 1.0)
-        self.pending_window_t[rejected] = reconnect_at
-        self.next_checkin_t[rejected] = checkin_t
-        self._next_event_t[rejected] = np.minimum(self.next_flip_t[rejected], checkin_t)
+        self.pending_window_t[rows] = reconnect_at
+        self.next_checkin_t[rows] = checkin_t
+        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
 
     def _rearm(self) -> None:
         t = self._next_event_t.min() if self._next_event_t.size else _INF

@@ -19,6 +19,52 @@ def _stable_hash(name: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+#: SplitMix64's Weyl increment (2^64 / golden ratio, odd).
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function over a uint64 array (wrapping)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+class RowDraws:
+    """Counter-keyed uniform draws for rows of a fleet-wide array plane.
+
+    A row's ``n``-th draw is a pure function of ``(fleet seed, device id,
+    n)`` — no generator object per row, no dependence on batch composition
+    or order — so a whole batch of rows draws in one vectorised call.
+    Each row is its own SplitMix64 stream: its key the (hashed) origin,
+    its draw counter the position.  The owner keeps both as array columns
+    (:meth:`keys` once per row, the counter advanced per draw), which
+    snapshot with the rest of its state.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, key: int):
+        self._key = np.uint64(key)
+
+    def keys(self, device_ids: np.ndarray) -> np.ndarray:
+        """Stream keys (uint64) for the rows of ``device_ids``."""
+        return _mix64(self._key + device_ids.astype(np.uint64) * _GAMMA)
+
+    @staticmethod
+    def uniform_pair(
+        keys: np.ndarray, counters: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw number ``counters[j]`` of row ``keys[j]``: two independent
+        uniforms in ``[0, 1)`` (the high and low 32 bits of one output; an
+        idle transition needs two — hazard and jitter, or pick and window)."""
+        z = _mix64(keys + counters * _GAMMA)
+        return (
+            (z >> np.uint64(32)) * 2.0**-32,
+            (z & np.uint64(0xFFFFFFFF)) * 2.0**-32,
+        )
+
+
 class RngRegistry:
     """Factory for independent, reproducible ``numpy.random.Generator`` streams.
 
@@ -37,17 +83,23 @@ class RngRegistry:
     def seed(self) -> int:
         return self._seed
 
+    def _seed_sequence(self, name: str) -> np.random.SeedSequence:
+        """Where every stream is born: (fleet seed, hashed name)."""
+        return np.random.SeedSequence([self._seed, _stable_hash(name)])
+
     def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it deterministically."""
         if name not in self._cache:
-            ss = np.random.SeedSequence([self._seed, _stable_hash(name)])
-            self._cache[name] = np.random.Generator(np.random.Philox(ss))
+            self._cache[name] = self.fresh(name)
         return self._cache[name]
 
     def fresh(self, name: str) -> np.random.Generator:
         """A new generator for ``name`` not shared with previous callers."""
-        ss = np.random.SeedSequence([self._seed, _stable_hash(name)])
-        return np.random.Generator(np.random.Philox(ss))
+        return np.random.Generator(np.random.Philox(self._seed_sequence(name)))
+
+    def row_draws(self, name: str) -> RowDraws:
+        """The counter-keyed row streams under ``name`` (see :class:`RowDraws`)."""
+        return RowDraws(int(self._seed_sequence(name).generate_state(1, np.uint64)[0]))
 
     def spawn(self, name: str, count: int) -> list[np.random.Generator]:
         """``count`` independent child generators under ``name``."""

@@ -25,6 +25,7 @@ single actor is spawned.  Results come back as typed
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from repro.actors.kernel import ActorRef, ActorSystem
@@ -117,8 +118,9 @@ class FLFleet:
         self.idle_plane: VectorizedIdlePlane | None = (
             VectorizedIdlePlane(
                 self.loop,
+                self.rngs.row_draws("device/idle"),
+                self.config.diurnal,
                 capacity=len(self.profiles),
-                diurnal=self.config.diurnal,
             )
             if self.config.idle_plane == "vectorized"
             else None
@@ -257,10 +259,18 @@ class FLFleet:
             len(self.profiles), self.rngs.stream("network/conditions")
         )
         for profile, conditions in zip(self.profiles, conditions_by_device):
-            device_rng = self.rngs.stream(f"device/{profile.device_id}")
-            availability = AvailabilityProcess(
-                self.config.diurnal, profile.tz_offset_hours, device_rng
-            )
+            stream_name = f"device/{profile.device_id}"
+            if self.idle_plane is not None:
+                # The plane flips the device as a row and draws for it from
+                # the row streams: no eligibility process, and no generator
+                # until the device's first session.
+                device_rng = partial(self.rngs.stream, stream_name)
+                availability = None
+            else:
+                device_rng = self.rngs.stream(stream_name)
+                availability = AvailabilityProcess(
+                    self.config.diurnal, profile.tz_offset_hours, device_rng
+                )
             device = DeviceActor(
                 profile=profile,
                 availability=availability,

@@ -53,14 +53,12 @@ from repro.core.pace import PaceSteering
 from repro.core.plan import generate_plan
 from repro.core.rounds import RoundResult
 from repro.core.task import FLPopulation, FLTask, TaskScheduler
-from repro.device.idle import first_checkin_delay
 from repro.nn.serialization import checkpoint_nbytes
 from repro.system.builder import FleetValidationError, PopulationSpec
 from repro.system.reports import PopulationLifecycleReport
 from repro.tools.versioning import PlanDirectory, PlanRepository, default_transforms
 
 if TYPE_CHECKING:
-    from repro.device.actor import DeviceActor
     from repro.system.fleet import FLFleet
 
 #: Disjoint round-id ranges per population *incarnation* so (device,
@@ -366,7 +364,7 @@ class PopulationLifecycle:
     ) -> None:
         """Install the tenant's (prebuilt) trainer and membership on every
         member device, in device-id order (each kick draws from that
-        device's own pinned stream, so enrollment is deterministic)."""
+        device's own stream, so enrollment is deterministic)."""
         fleet = self.fleet
         live = fleet.started
         for device_id in sorted(runtime.member_ids):
@@ -378,28 +376,7 @@ class PopulationLifecycle:
             if device.idle is not None:
                 device.idle.membership_changed()
                 if live:
-                    self._kick_first_checkin(device)
-
-    @staticmethod
-    def _kick_first_checkin(device: "DeviceActor") -> None:
-        """Schedule a newly-enrolled live device's first check-in.
-
-        Only devices with no check-in already on the books need one —
-        multi-tenant devices fold the new membership into their existing
-        cadence, sleeping devices wake via their next eligibility flip,
-        and materialized devices re-schedule when their session ends.
-        The stagger is the fleet-start law (uniform over one job
-        interval, from the device's own stream), so a rollout reaches
-        its whole cohort within one job interval.
-        """
-        from repro.device.actor import DeviceState
-
-        if (
-            device.eligible
-            and device.state is DeviceState.IDLE
-            and not device.idle.has_scheduled_checkin()
-        ):
-            device.idle.schedule_checkin(first_checkin_delay(device))
+                    device.idle.kick_first_checkin()
 
     # -- drain ------------------------------------------------------------------
     def drain(

@@ -1,6 +1,7 @@
 """Diurnal model: the 4x availability swing and hazard consistency."""
 
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -84,14 +85,20 @@ def test_more_devices_eligible_at_night(rng):
     assert night_count > 2.0 * day_count
 
 
+@lru_cache(maxsize=None)
+def oracle_table(model, to_eligible):
+    """Per-minute hazard ``rates`` and their running integral ``cum``."""
+    rates = (model.rate_on_batch if to_eligible else model.rate_off_batch)(
+        np.arange(1440) * 60.0
+    )
+    return rates.tolist(), np.concatenate(([0.0], np.cumsum(rates * 60.0))).tolist()
+
+
 def scalar_transition_oracle(model, wall_time_s, tz_offset_s, to_eligible, exp1):
     """The scalar inversion formula :func:`sample_transitions` replaced,
     kept as its oracle: burn the cumulative hazard up to the current
     local phase, add the Exp(1) draw, and invert."""
-    rates = (model.rate_on_batch if to_eligible else model.rate_off_batch)(
-        np.arange(1440) * 60.0
-    ).tolist()
-    cum = np.concatenate(([0.0], np.cumsum(np.array(rates) * 60.0))).tolist()
+    rates, cum = oracle_table(model, to_eligible)
     phase = (wall_time_s + tz_offset_s) % SECONDS_PER_DAY
     k0 = int(phase / 60.0)
     target = cum[k0] + rates[k0] * (phase - k0 * 60.0) + exp1

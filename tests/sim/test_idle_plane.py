@@ -14,7 +14,7 @@ from repro.device.attestation import AttestationService
 from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import MLPClassifier
-from repro.sim.diurnal import AvailabilityProcess, DiurnalModel
+from repro.sim.diurnal import DiurnalModel
 from repro.sim.event_loop import EventLoop
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.network import NetworkModel
@@ -68,7 +68,7 @@ def make_harness(diurnal):
     loop = EventLoop()
     rngs = RngRegistry(0)
     system = ActorSystem(loop, rngs.stream("lat"), mean_latency_s=0.001)
-    plane = VectorizedIdlePlane(loop, capacity=4, diurnal=diurnal)
+    plane = VectorizedIdlePlane(loop, rngs.row_draws("rows"), diurnal, capacity=4)
     server = StubServer()
     server_ref = system.spawn(server, "stub")
     return loop, system, plane, server, server_ref, rngs
@@ -88,7 +88,7 @@ def make_device(system, plane, server_ref, rngs, memberships=("pop",), **kwargs)
     rng = rngs.stream(f"dev/{profile.device_id}")
     device = DeviceActor(
         profile=profile,
-        availability=AvailabilityProcess(plane._diurnal, 0.0, rng),
+        availability=None,
         network=network,
         conditions=network.sample_conditions(rng),
         selectors=[server_ref],
@@ -104,6 +104,7 @@ def make_device(system, plane, server_ref, rngs, memberships=("pop",), **kwargs)
     )
     plane.adopt(device)
     system.spawn(device, profile.name)
+    system.loop.run(until=system.loop.now)  # the plane starts the row
     return device
 
 
@@ -119,8 +120,7 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     # The flip is processed first within the sweep: the device went
     # ineligible at the boundary, so the simultaneous check-in never fires.
     assert server.checkins == []
-    assert device.state is DeviceState.SLEEPING
-    assert not plane.eligible[0]
+    assert not plane.eligible[0] and not plane.active[0]
     assert plane.next_checkin_t[0] == float("inf")
     assert plane.flips >= 1 and plane.checkins_dispatched == 0
 
@@ -133,7 +133,7 @@ def test_zero_membership_device_never_checks_in_but_keeps_flipping():
     assert plane.checkins_dispatched == 0
     assert server.checkins == []
     assert plane.next_checkin_t[0] == float("inf")
-    assert device.state in (DeviceState.IDLE, DeviceState.SLEEPING)
+    assert not plane.active[0]
 
 
 def make_configure(round_id, agg_ref):
@@ -193,7 +193,7 @@ def test_fast_rejected_device_never_materializes(harness):
     loop.run(until=700.0)
     assert rejecting.screened == 1
     assert rejecting.checkins == []          # no stream was ever opened
-    assert device.state is DeviceState.IDLE  # never left the plane
+    assert device.state is not DeviceState.WAITING  # never left the plane
     assert not plane.active[0]
     assert plane.checkins_fast_rejected == 1
     assert device.health.checkins == 1       # the attempt still counts
@@ -261,8 +261,13 @@ def test_plane_state_counts_match_device_states():
     for _ in range(6):
         fleet.run_days(0.012)
         counts = plane.state_counts()
+        # A recount: idle rows from the arrays (the plane does not mirror
+        # them onto the device objects), materialized ones from their actors.
         truth = {state: 0 for state in DeviceState}
-        for device in fleet.devices:
+        truth[DeviceState.SLEEPING] = int((~plane.eligible[:120]).sum())
+        truth[DeviceState.IDLE] = int((plane.eligible & ~plane.active).sum())
+        for device in plane.active_devices():
+            assert device.state in (DeviceState.WAITING, DeviceState.PARTICIPATING)
             truth[device.state] += 1
         assert counts == truth
         assert sum(counts.values()) == 120

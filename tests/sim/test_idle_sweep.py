@@ -17,7 +17,7 @@ import numpy as np
 from repro import FLFleet
 from repro.actors.selector import SelectorStats
 from repro.core.config import RoundConfig, TaskConfig
-from repro.device.actor import DeviceActor, DeviceState
+from repro.device.actor import DeviceActor
 from repro.device.runtime import SyntheticTrainer
 from repro.nn.models import MLPClassifier
 from repro.sim.population import PopulationConfig
@@ -27,10 +27,12 @@ _INF = float("inf")
 
 def reference_checkin_loop(plane, now):
     """One sweep's check-ins the way ``_run_sweep`` made them before the
-    batch: every due row walked through its own calls and array writes."""
+    batch: every due row walked through its own calls and array writes —
+    and its own draw, taken from the row stream one row at a time."""
     plane.sweeps += 1
     plane._sweeping = True
     for i in np.nonzero(plane._next_event_t <= now)[0].tolist():
+        pick, sample = (float(u[0]) for u in plane._draw(np.array([i])))
         if plane.next_checkin_t[i] > now:
             continue
         plane.next_checkin_t[i] = _INF
@@ -41,12 +43,12 @@ def reference_checkin_loop(plane, now):
         device = plane._devices[i]
         cached = plane._attestation_ok[i]
         verdict = bool(cached) if cached >= 0 else None
-        device.idle.clear_pending_window()
-        window = device._attempt_screened_checkin(verdict)
+        plane.pending_window_t[i] = -_INF
+        window = device._attempt_screened_checkin(verdict, pick)
         if window is None:
             continue
         plane.checkins_fast_rejected += 1
-        reconnect_at = window.sample(device.rng)
+        reconnect_at = window.earliest_s + (window.latest_s - window.earliest_s) * sample
         device.idle.set_pending_window(reconnect_at)
         device.idle.schedule_checkin(max(reconnect_at - now, 1.0))
         if verdict:
@@ -99,8 +101,7 @@ def stage_due_set(fleet, scenario: np.random.Generator):
     )
     for i in rows:
         device = fleet.devices[i]
-        plane.eligible[i] = device.eligible = True
-        device.state = DeviceState.IDLE
+        plane.eligible[i] = True
         plane.next_flip_t[i] = now + 1e6
         plane.next_checkin_t[i] = plane._next_event_t[i] = now
         plane.pending_window_t[i] = now - 1.0
@@ -132,6 +133,7 @@ def observe(fleet):
         "next_checkin_t": plane.next_checkin_t.tolist(),
         "next_event_t": plane._next_event_t.tolist(),
         "active": plane.active.tolist(),
+        "draw_count": plane._draw_count.tolist(),
         "counters": (
             plane.sweeps, plane.checkins_dispatched,
             plane.checkins_fast_rejected, plane.materializations,

@@ -1,8 +1,12 @@
 """Named RNG streams: determinism and independence."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, RowDraws
 
 
 def test_same_name_same_seed_is_deterministic():
@@ -50,3 +54,108 @@ def test_adding_stream_does_not_perturb_existing():
     reg2.fresh("b")  # extra stream created first
     a_after = reg2.fresh("a").random(10)
     np.testing.assert_array_equal(a_before, a_after)
+
+
+# -- counter-keyed row streams ------------------------------------------------
+
+
+def ks_distance(samples: np.ndarray, cdf) -> float:
+    """Kolmogorov-Smirnov distance of ``samples`` from ``cdf``."""
+    x = np.sort(samples)
+    n = x.size
+    f = cdf(x)
+    return float(
+        max((np.arange(1, n + 1) / n - f).max(), (f - np.arange(n) / n).max())
+    )
+
+
+#: KS critical distance at alpha = 0.001 for n samples is 1.95 / sqrt(n).
+KS_N = 100_000
+KS_BOUND = 1.95 / np.sqrt(KS_N)
+
+
+def test_row_draw_depends_on_seed_id_and_counter_only():
+    draws = RngRegistry(seed=7).row_draws("rows")
+    ids = np.arange(500)
+    keys = draws.keys(ids)
+    counters = np.random.default_rng(0).integers(0, 1000, 500).astype(np.uint64)
+    first, second = RowDraws.uniform_pair(keys, counters)
+    # Any batch composition, any order, one row at a time: same values.
+    order = np.random.default_rng(1).permutation(500)
+    p_first, p_second = RowDraws.uniform_pair(keys[order], counters[order])
+    assert p_first.tolist() == first[order].tolist()
+    assert p_second.tolist() == second[order].tolist()
+    subset = order[:37]
+    assert RowDraws.uniform_pair(keys[subset], counters[subset])[0].tolist() == (
+        first[subset].tolist()
+    )
+    for j in (0, 13, 499):
+        key = draws.keys(np.array([j]))
+        one, two = RowDraws.uniform_pair(key, counters[j : j + 1])
+        assert (one[0], two[0]) == (first[j], second[j])
+    # Another fleet seed, stream name, device id or counter: another value.
+    for other in (
+        RowDraws.uniform_pair(RngRegistry(seed=8).row_draws("rows").keys(ids), counters),
+        RowDraws.uniform_pair(RngRegistry(seed=7).row_draws("other").keys(ids), counters),
+        RowDraws.uniform_pair(draws.keys(ids + 1), counters),
+        RowDraws.uniform_pair(keys, counters + np.uint64(1)),
+    ):
+        assert not np.any(other[0] == first)
+
+
+def test_row_draws_repeat_in_a_fresh_process():
+    script = (
+        "import numpy as np\n"
+        "from repro.sim.rng import RngRegistry, RowDraws\n"
+        "d = RngRegistry(seed=2019).row_draws('device/idle')\n"
+        "a, b = RowDraws.uniform_pair(d.keys(np.array([0, 1, 49999])),"
+        " np.array([0, 5, 123456], dtype=np.uint64))\n"
+        "print(a.tolist(), b.tolist())\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env={"PYTHONPATH": src, "PYTHONHASHSEED": hashseed},
+        ).stdout
+        for hashseed in ("0", "4242")
+    ]
+    d = RngRegistry(seed=2019).row_draws("device/idle")
+    a, b = RowDraws.uniform_pair(
+        d.keys(np.array([0, 1, 49999])), np.array([0, 5, 123456], dtype=np.uint64)
+    )
+    assert runs[0] == runs[1] == f"{a.tolist()} {b.tolist()}\n"
+
+
+def test_row_draws_are_uniform_and_invert_to_exponential():
+    draws = RngRegistry(seed=3).row_draws("rows")
+    uniform_cdf = lambda x: x
+    exponential_cdf = lambda x: 1.0 - np.exp(-x)
+    # Down one row's counter sequence, and across rows at one counter.
+    one_row = RowDraws.uniform_pair(
+        np.full(KS_N, draws.keys(np.array([17]))[0]), np.arange(KS_N, dtype=np.uint64)
+    )
+    across = RowDraws.uniform_pair(
+        draws.keys(np.arange(KS_N)), np.zeros(KS_N, dtype=np.uint64)
+    )
+    for u in (*one_row, *across):
+        assert 0.0 <= u.min() and u.max() < 1.0
+        assert ks_distance(u, uniform_cdf) < KS_BOUND
+        assert ks_distance(-np.log1p(-u), exponential_cdf) < KS_BOUND
+
+
+def test_adjacent_device_ids_first_draws_are_uncorrelated():
+    draws = RngRegistry(seed=3).row_draws("rows")
+    first, second = RowDraws.uniform_pair(
+        draws.keys(np.arange(KS_N)), np.zeros(KS_N, dtype=np.uint64)
+    )
+    # |r| of 1e5 independent pairs is ~N(0, 1/sqrt(n)): 4 sigma.
+    bound = 4.0 / np.sqrt(KS_N)
+    assert abs(np.corrcoef(first[:-1], first[1:])[0, 1]) < bound
+    assert abs(np.corrcoef(second[:-1], second[1:])[0, 1]) < bound
+    assert abs(np.corrcoef(first, second)[0, 1]) < bound
+    # ... nor is a row's next draw correlated with this one.
+    later, _ = RowDraws.uniform_pair(
+        draws.keys(np.arange(KS_N)), np.ones(KS_N, dtype=np.uint64)
+    )
+    assert abs(np.corrcoef(first, later)[0, 1]) < bound

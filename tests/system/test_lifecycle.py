@@ -13,10 +13,13 @@ The correctness bars (ISSUE 5):
   whatever the idle/training-plane levers say.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro import (
+    FaultPlan,
     FLFleet,
     FleetValidationError,
     PopulationSpec,
@@ -31,7 +34,13 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression, MLPClassifier
 from repro.sim.diurnal import DiurnalModel
 from repro.sim.population import PopulationConfig
-from repro.system import SnapshotError, read_manifest
+from repro.system import (
+    ActorCrashSchedule,
+    DeviceInterruptSchedule,
+    MessageFaultConfig,
+    SnapshotError,
+    read_manifest,
+)
 
 HOUR = 3600.0
 
@@ -356,7 +365,12 @@ def test_late_message_for_drained_population_is_not_misrouted():
 
 
 def test_reattach_same_name_after_drain():
-    fleet = build_fleet(devices=100)
+    # 300 devices, not the 100 this test used to build: with ~50 members
+    # at the afternoon availability trough, whether "stats" commits at
+    # all inside two hours is trajectory luck (0 or 1 round at most
+    # seeds, before and after the idle draws moved to row streams); with
+    # ~150 it commits dozens of rounds at every seed.
+    fleet = build_fleet(devices=300)
     fleet.run_for(HOUR)
     fleet.attach_population(stats_spec())
     fleet.run_for(2 * HOUR)
@@ -526,6 +540,52 @@ def test_snapshot_restore_equals_uninterrupted_run(tmp_path):
             restored.global_model(name).to_vector(),
             fleet.global_model(name).to_vector(),
         )
+
+
+SNAPSHOT_CHAOS = FaultPlan(
+    crashes=(
+        ActorCrashSchedule("selector", mean_interval_s=1800.0),
+        ActorCrashSchedule("master_aggregator", mean_interval_s=2700.0),
+    ),
+    messages=MessageFaultConfig(drop_prob=0.01, delay_prob=0.02, delay_mean_s=2.0),
+    device_interrupts=DeviceInterruptSchedule(mean_interval_s=1800.0),
+)
+
+
+@pytest.mark.parametrize("faults", [None, SNAPSHOT_CHAOS], ids=["clean", "mid-chaos"])
+def test_row_draw_counters_ride_the_snapshot(tmp_path, faults):
+    """The idle plane's counter-keyed row streams are two array columns
+    (stream key, draws made): they freeze with the rest of the plane, and
+    the restored fleet's tail — draw for draw — is the original's."""
+    path = tmp_path / "fleet.snap"
+    fleet = build_fleet(seed=23, **({"faults": faults} if faults else {}))
+    fleet.run_for(2.2 * HOUR)
+    assert (fleet.report().recovery.faults_total > 0) == (faults is not None)
+    fleet.snapshot(path)
+    plane = fleet.idle_plane
+    frozen = plane._draw_count.copy()
+    assert frozen.min() >= 2  # every row drew at fleet start ...
+    assert frozen.max() > 10  # ... and at each transition since
+    # The device generators serve sessions only: born at the first one.
+    born = {name for name in fleet.rngs._cache if name.startswith("device/")}
+    sessions = {
+        f"device/{d.device_id}" for d in fleet.devices if d.health.sessions_started
+    }
+    assert sessions <= born and len(born) < len(fleet.devices)
+
+    restored = FLFleet.restore(path)
+    assert restored.idle_plane._draw_count.tolist() == frozen.tolist()
+    assert restored.idle_plane._row_key.tolist() == plane._row_key.tolist()
+
+    fleet.run_for(2 * HOUR)
+    restored.run_for(2 * HOUR)
+    assert (plane._draw_count > frozen).any()
+    assert restored.idle_plane._draw_count.tolist() == plane._draw_count.tolist()
+    assert restored.idle_plane.next_flip_t.tolist() == plane.next_flip_t.tolist()
+    assert restored.idle_plane.next_checkin_t.tolist() == plane.next_checkin_t.tolist()
+    assert restored.report() == fleet.report()
+    assert pickle.dumps(restored.report()) == pickle.dumps(fleet.report())
+    assert restored.loop.events_processed == fleet.loop.events_processed
 
 
 def test_snapshot_restore_with_real_trainers_and_lifecycle(tmp_path):
