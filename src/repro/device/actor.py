@@ -368,19 +368,18 @@ class DeviceActor(Actor):
 
     # -- check-in ------------------------------------------------------------
     def _attempt_checkin(self) -> None:
-        started = self._begin_checkin()
+        started = self._begin_checkin(self.rng.random())
         if started is not None:
             self._materialize_checkin(started)
 
-    def _begin_checkin(self, pick: float | None = None) -> str | None:
+    def _begin_checkin(self, pick: float) -> str | None:
         """The pre-materialization half of a check-in: the on-device
         worker-queue dance and the Selector pick.  Returns the population
         whose session starts, or ``None`` if nothing does.
 
         ``pick`` is the check-in's one idle-side draw (which Selector, or
-        how long to back off from a busy queue) as a uniform in [0, 1)
-        when the vectorized plane made it — a sweep's worth at once;
-        ``None`` takes it from the device's own stream.
+        how long to back off from a busy queue), a uniform in [0, 1) made
+        by whichever idle driver fired the check-in.
         """
         # Every membership wants a session; the on-device worker queue
         # (Sec. 11) serializes them and picks who goes first.
@@ -389,19 +388,11 @@ class DeviceActor(Actor):
         started = self.scheduler.try_start()
         if started is None:
             # Another tenant is training; retry after its session.
-            if pick is None:
-                retry = self.job.next_delay(self.rng)
-            else:
-                jitter = self.job.jitter_fraction * (2.0 * pick - 1.0)
-                retry = self.job.base_interval_s * (1.0 + jitter)
-            self.idle.schedule_checkin(retry)
+            self.idle.schedule_checkin(self.job.delay_at(pick))
             return None
         self._active_population = started
         pool = self._selector_pool(started)
-        if pick is None:
-            self._selector = pool[int(self.rng.integers(len(pool)))]
-        else:
-            self._selector = pool[int(pick * len(pool))]
+        self._selector = pool[int(pick * len(pool))]
         return started
 
     def _selector_pool(self, population_name: str) -> list[ActorRef]:

@@ -34,24 +34,25 @@ if TYPE_CHECKING:
 
 _INF = float("inf")
 
-#: Wake-up jitter after regaining eligibility with no pace window
-#: pending: ``rng.uniform(*WAKE_JITTER_S)`` seconds.  Shared by both
-#: idle drivers so the actor baseline and the vectorized plane sample
-#: the same reconnect distribution.
+#: Wake-up jitter bounds (seconds) after regaining eligibility with no
+#: pace window pending, and the lower bound of the fleet-start check-in
+#: stagger (the upper bound is the device's job interval).
 WAKE_JITTER_S = (1.0, 120.0)
-#: Lower bound of the fleet-start check-in stagger (the upper bound is
-#: the device's job interval).
 FIRST_CHECKIN_MIN_S = 1.0
 
 
-def first_checkin_delay(device: "DeviceActor") -> float:
-    """The first-check-in stagger law — uniform over one job interval —
-    drawn from the device's own pinned stream (the timer-based driver's
-    draw, at fleet start and at the lifecycle plane's attach-time kick;
-    the vectorized plane draws the same law from its row streams)."""
-    return float(
-        device.rng.uniform(FIRST_CHECKIN_MIN_S, device.job.base_interval_s)
-    )
+def wake_jitter(u):
+    """The wake-up reconnect delay at uniform draw(s) ``u`` in [0, 1),
+    scalar (the timer driver) or a sweep's worth (the vectorized plane)."""
+    lo, hi = WAKE_JITTER_S
+    return lo + (hi - lo) * u
+
+
+def first_checkin_delay(job_interval_s, u):
+    """The first-check-in stagger — uniform over one job interval — at
+    uniform draw(s) ``u``: fleet start and the lifecycle plane's
+    attach-time kick, scalar or array alike."""
+    return FIRST_CHECKIN_MIN_S + (job_interval_s - FIRST_CHECKIN_MIN_S) * u
 
 
 class IdleDriver(Protocol):
@@ -124,7 +125,9 @@ class ActorIdleDriver:
             d.state = DeviceState.IDLE
             if d.memberships:
                 # Stagger the fleet's first check-ins across the job interval.
-                self.schedule_checkin(first_checkin_delay(d))
+                self.schedule_checkin(
+                    first_checkin_delay(d.job.base_interval_s, d.rng.random())
+                )
         else:
             d.state = DeviceState.SLEEPING
 
@@ -153,7 +156,7 @@ class ActorIdleDriver:
                 ):
                     self.schedule_checkin(self._pending_window_t - d.now)
                 else:
-                    self.schedule_checkin(d.rng.uniform(*WAKE_JITTER_S))
+                    self.schedule_checkin(wake_jitter(d.rng.random()))
 
     # -- pending window --------------------------------------------------------
     def set_pending_window(self, reconnect_at_s: float) -> None:
@@ -211,4 +214,6 @@ class ActorIdleDriver:
             and d.state is DeviceState.IDLE
             and self._checkin_due_t == _INF
         ):
-            self.schedule_checkin(first_checkin_delay(d))
+            self.schedule_checkin(
+                first_checkin_delay(d.job.base_interval_s, d.rng.random())
+            )

@@ -31,11 +31,15 @@ class JobSchedule:
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must be in [0, 1)")
 
-    def next_delay(self, rng: np.random.Generator) -> float:
-        """Time until the next job invocation, jittered."""
+    def delay_at(self, u: float) -> float:
+        """The jittered job interval at uniform draw ``u`` in [0, 1)."""
         lo = self.base_interval_s * (1.0 - self.jitter_fraction)
         hi = self.base_interval_s * (1.0 + self.jitter_fraction)
-        return float(rng.uniform(lo, hi))
+        return lo + (hi - lo) * u
+
+    def next_delay(self, rng: np.random.Generator) -> float:
+        """Time until the next job invocation, jittered."""
+        return self.delay_at(rng.random())
 
 
 #: Valid :class:`MultiTenantScheduler` arbitration policies.

@@ -102,13 +102,16 @@ class DiurnalModel:
         base = 1.0 / (self.mean_eligible_minutes * 60.0)
         return base * (2.0 - self.modulation_batch(local_times_s))
 
+    def eligible_fraction_batch(self, local_times_s: np.ndarray) -> np.ndarray:
+        """:meth:`eligible_fraction` over an array of times."""
+        return np.minimum(
+            1.0, self.base_eligible_fraction * self.modulation_batch(local_times_s)
+        )
+
     def rate_on_batch(self, local_times_s: np.ndarray) -> np.ndarray:
         """:meth:`rate_on` over an array of times."""
-        mod = self.modulation_batch(local_times_s)
-        f = np.minimum(self.base_eligible_fraction * mod, 1.0)
-        np.minimum(f, 0.97, out=f)
-        base = 1.0 / (self.mean_eligible_minutes * 60.0)
-        off = base * (2.0 - mod)
+        f = np.minimum(self.eligible_fraction_batch(local_times_s), 0.97)
+        off = self.rate_off_batch(local_times_s)
         return off * f / (1.0 - f)
 
 

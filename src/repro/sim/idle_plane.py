@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.device.actor import DeviceState
-from repro.device.idle import FIRST_CHECKIN_MIN_S, WAKE_JITTER_S
+from repro.device.idle import first_checkin_delay, wake_jitter
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
 from repro.sim.rng import RowDraws
@@ -235,9 +235,7 @@ class VectorizedIdlePlane:
         )
         model, tz = self._diurnal, self._tz_offset_s[rows]
         u_eligible, u_stagger = self._draw(rows)
-        eligible = u_eligible < np.minimum(
-            1.0, model.base_eligible_fraction * model.modulation_batch(now + tz)
-        )
+        eligible = u_eligible < model.eligible_fraction_batch(now + tz)
         self.eligible[rows] = eligible
         self._eligible_count += int(np.count_nonzero(eligible))
         self.next_flip_t[rows] = now + sample_transitions(
@@ -251,9 +249,8 @@ class VectorizedIdlePlane:
 
     def _stagger_first_checkin(self, rows: np.ndarray, u: np.ndarray, now: float) -> None:
         """First check-ins, uniform over one job interval from ``now``."""
-        lo = FIRST_CHECKIN_MIN_S
-        hi = np.array([self._devices[i].job.base_interval_s for i in rows.tolist()])
-        self.next_checkin_t[rows] = now + (lo + (hi - lo) * u)
+        interval = np.array([self._devices[i].job.base_interval_s for i in rows.tolist()])
+        self.next_checkin_t[rows] = now + first_checkin_delay(interval, u)
 
     def _kick_first_checkin(self, i: int) -> None:
         """:meth:`IdleDriver.kick_first_checkin` for row ``i``."""
@@ -348,11 +345,10 @@ class VectorizedIdlePlane:
         # ahead, else after a short jitter; a row that fell asleep or has
         # no tenant has no check-in (nor has a materialized row: it was
         # awake, so it fell asleep).
-        lo, hi = WAKE_JITTER_S
         window = self.pending_window_t[rows]
         checkin_t = np.where(
             eligible & self._has_memberships[rows],
-            np.where(window > now, window, now + (lo + (hi - lo) * u_jitter)),
+            np.where(window > now, window, now + wake_jitter(u_jitter)),
             _INF,
         )
         self.next_checkin_t[rows] = checkin_t

@@ -98,3 +98,28 @@ def test_rescheduling_earlier_arms_once_without_cancelling():
     # The superseded timers fire later and must no-op harmlessly.
     loop.run(until=2000.0)
     assert len(server.checkins) == 1
+
+
+def test_timer_checkin_spends_one_uniform_on_the_shared_laws():
+    """The timer driver's check-in makes the same single idle-side draw
+    the vectorized plane makes per row, and spends it by the same laws:
+    a busy on-device queue backs off `job.delay_at(u)`, a free one picks
+    Selector `pool[int(u * len(pool))]`."""
+    import copy
+
+    loop, server, device = make_harness()
+    loop.run(until=1.0)
+    device.selectors.append(device.system.spawn(StubServer(), "stub-2"))
+    # Another tenant's session holds the on-device worker queue.
+    device.scheduler.enqueue("other")
+    assert device.scheduler.try_start() == "other"
+    twin = copy.deepcopy(device.rng)
+    device._attempt_checkin()
+    assert device.state is DeviceState.IDLE
+    assert device.idle._checkin_due_t == loop.now + device.job.delay_at(
+        float(twin.random())
+    )
+    device.scheduler.finish("other")
+    device._attempt_checkin()
+    assert device.state is DeviceState.WAITING
+    assert device._selector is device.selectors[int(float(twin.random()) * 2)]

@@ -142,6 +142,21 @@ def test_job_schedule_jitter_bounds(rng):
     assert np.std(delays) > 0
 
 
+def test_job_schedule_next_delay_is_the_law_at_the_streams_next_uniform():
+    """One jitter law, two callers: `next_delay` draws the uniform that
+    `delay_at` (the idle drivers' busy-queue retry) takes — and the
+    draw is bit-for-bit the `rng.uniform(lo, hi)` it used to be."""
+    schedule = JobSchedule(base_interval_s=777.7, jitter_fraction=0.7)
+    lo, hi = 777.7 * (1.0 - 0.7), 777.7 * (1.0 + 0.7)
+    drawn, law, legacy = (np.random.default_rng(11) for _ in range(3))
+    for _ in range(1000):
+        delay = schedule.next_delay(drawn)
+        assert delay == schedule.delay_at(float(law.random()))
+        assert delay == float(legacy.uniform(lo, hi))
+    assert schedule.delay_at(0.0) == lo
+    assert schedule.delay_at(0.5) == pytest.approx(777.7)
+
+
 def test_job_schedule_validation():
     with pytest.raises(ValueError):
         JobSchedule(base_interval_s=0)
