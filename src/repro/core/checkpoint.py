@@ -48,6 +48,11 @@ class FLCheckpoint:
         return params_from_bytes(self.payload)
 
     @property
+    def round_key(self) -> tuple[str, str, int]:
+        """The (population, task, round) these weights belong to."""
+        return (self.population_name, self.task_id, self.round_number)
+
+    @property
     def nbytes(self) -> int:
         return len(self.payload)
 

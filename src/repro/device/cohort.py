@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.checkpoint import FLCheckpoint
 from repro.core.config import ClientTrainingConfig
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import (
@@ -152,6 +153,8 @@ class CohortExecutionPlane:
         self.model = model
         self._pending: list[PendingCohortResult] = []
         self._buffers: CohortUpdateBuffers | None = None
+        #: The latest round's decoded checkpoint, shared by its cohort.
+        self._decoded: tuple[object, Parameters] | None = None
         #: Telemetry: executions run, workloads executed, largest cohort.
         self.executions = 0
         self.workloads_executed = 0
@@ -160,6 +163,14 @@ class CohortExecutionPlane:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
+
+    def checkpoint_params(self, checkpoint: FLCheckpoint) -> Parameters:
+        """``checkpoint`` decoded — once per round, not once per
+        participant.  Read-only by contract: every workload of the round
+        trains against this one object."""
+        if self._decoded is None or self._decoded[0] != checkpoint.round_key:
+            self._decoded = (checkpoint.round_key, checkpoint.to_params())
+        return self._decoded[1]
 
     def enqueue(
         self,
@@ -174,9 +185,7 @@ class CohortExecutionPlane:
         Draws the session's randomness *now* from ``rng`` (exactly the
         draws :func:`~repro.core.fedavg.client_update` would make), so
         the caller's stream advances as if training had run inline.
-        ``round_key`` groups workloads that share ``params`` content —
-        per-device checkpoint caches may hold distinct-but-equal
-        deserializations, so object identity cannot be the group key.
+        ``round_key`` groups workloads that share ``params`` content.
         """
         schedule = LocalStepSchedule.draw(
             dataset,

@@ -138,9 +138,10 @@ class RealTrainer:
     zero and the upload is metrics-sized.
 
     In buffered mode the trainer owns the session's working buffers
-    (:class:`ClientUpdateBuffers`) and caches the deserialized global
-    checkpoint per round, so repeated sessions against the same round
-    don't re-decode the payload.
+    (:class:`ClientUpdateBuffers`).  The global checkpoint is decoded
+    once per round by the population's cohort plane, which every
+    participant of the round shares; a trainer without a plane decodes
+    per session.
     """
 
     model: Model
@@ -149,8 +150,6 @@ class RealTrainer:
 
     def __post_init__(self) -> None:
         self._buffers: ClientUpdateBuffers | None = None
-        self._params_cache_key: tuple[str, str, int] | None = None
-        self._params_cache: Parameters | None = None
         self._zero_delta: np.ndarray | None = None
         self._cohort_plane: CohortExecutionPlane | None = None
 
@@ -189,18 +188,12 @@ class RealTrainer:
         x, y = self.store.query(plan.device.selection_criteria, now_s)
         if x.shape[0] == 0:
             raise RuntimeError("example store returned no data for the plan")
-        params = self._checkpoint_params(checkpoint)
-        round_key = (
-            checkpoint.population_name,
-            checkpoint.task_id,
-            checkpoint.round_number,
-        )
         pending = self._cohort_plane.enqueue(
             ClientDataset("local", x, y),
-            params,
+            self._cohort_plane.checkpoint_params(checkpoint),
             plan.device.training,
             rng,
-            round_key,
+            checkpoint.round_key,
         )
         return PendingTrainResult(
             pending=pending,
@@ -209,17 +202,9 @@ class RealTrainer:
         )
 
     def _checkpoint_params(self, checkpoint: FLCheckpoint) -> Parameters:
-        if not buffered_math_enabled():
+        if self._cohort_plane is None or not buffered_math_enabled():
             return checkpoint.to_params()
-        key = (
-            checkpoint.population_name,
-            checkpoint.task_id,
-            checkpoint.round_number,
-        )
-        if self._params_cache is None or self._params_cache_key != key:
-            self._params_cache = checkpoint.to_params()
-            self._params_cache_key = key
-        return self._params_cache
+        return self._cohort_plane.checkpoint_params(checkpoint)
 
     def train(
         self,

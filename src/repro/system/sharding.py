@@ -81,6 +81,9 @@ class ShardRouter:
         points.sort()
         self._ring_points = [point for point, _ in points]
         self._ring_shards = [shard for _, shard in points]
+        #: name -> its Selector indices.  Placement is a pure function of
+        #: (name, topology) and every device check-in asks for it.
+        self._indices_by_name: dict[str, tuple[int, ...]] = {}
 
     # -- placement ---------------------------------------------------------------
     def shard_of(self, population_name: str) -> int:
@@ -104,7 +107,11 @@ class ShardRouter:
 
     def selector_indices_for(self, population_name: str) -> tuple[int, ...]:
         """The Selector indices serving ``population_name``."""
-        return self.selector_indices(self.shard_of(population_name))
+        indices = self._indices_by_name.get(population_name)
+        if indices is None:
+            indices = self.selector_indices(self.shard_of(population_name))
+            self._indices_by_name[population_name] = indices
+        return indices
 
     def assignments(self, population_names) -> dict[str, int]:
         """Name -> shard for a batch of populations (stability tests and

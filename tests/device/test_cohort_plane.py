@@ -202,6 +202,29 @@ def test_trainer_defer_matches_inline_train(params):
     assert rng.integers(1 << 30) == rng_inline.integers(1 << 30)
 
 
+def test_round_checkpoint_is_decoded_once_for_the_whole_cohort(params):
+    """Every participant of a round trains against the plane's one
+    decoded model; the next round's checkpoint replaces it, and trainers
+    keep no decoded copy of their own."""
+    plane = CohortExecutionPlane(MODEL)
+    trainers = [RealTrainer(model=MODEL, store=make_store(i)) for i in range(3)]
+    for trainer in trainers:
+        trainer.attach_cohort_plane(plane)
+    checkpoint = make_checkpoint(params)
+    handles = [
+        trainer.defer(make_plan(), checkpoint, 0.0, np.random.default_rng(i))
+        for i, trainer in enumerate(trainers)
+    ]
+    shared = plane.checkpoint_params(checkpoint)
+    assert all(h.pending.params is shared for h in handles)
+    assert shared.allclose(params)
+    assert not any(hasattr(t, "_params_cache") for t in trainers)
+    next_round = plane.checkpoint_params(make_checkpoint(params, round_number=2))
+    assert next_round is not shared
+    handles[0].resolve()
+    assert plane.executions == 1 and plane.workloads_executed == 3
+
+
 def test_defer_returns_none_without_plane(params):
     trainer = RealTrainer(model=MODEL, store=make_store(0))
     assert trainer.defer(make_plan(), make_checkpoint(params), 0.0,

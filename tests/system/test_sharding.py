@@ -77,6 +77,22 @@ def test_router_single_shard_owns_everything():
     assert router.selector_indices_for("anything") == (0, 1, 2, 3)
 
 
+def test_router_memoizes_placement_per_name():
+    """Every device check-in asks for its tenant's indices: the lookup is
+    hashed once per name, answers what the ring answers, and the memo is
+    plain data that rides a pickle."""
+    import pickle
+
+    router = ShardRouter(num_selectors=8, num_shards=4)
+    names = [f"tenant{i}" for i in range(20)]
+    expected = {n: router.selector_indices(router.shard_of(n)) for n in names}
+    first = {n: router.selector_indices_for(n) for n in names}
+    assert first == expected
+    assert all(router.selector_indices_for(n) is first[n] for n in names)
+    clone = pickle.loads(pickle.dumps(router))
+    assert {n: clone.selector_indices_for(n) for n in names} == expected
+
+
 def test_router_partitions_selectors():
     router = ShardRouter(num_selectors=8, num_shards=3)
     seen = []
