@@ -7,6 +7,10 @@ forward.  If it dies, the Selector layer respawns it (see
 :mod:`repro.actors.selector`); a replacement recovers its round counter
 from the checkpoint store, so commits stay monotonic.
 
+Rounds start only on its tick grid, but a tick is scheduled only at an
+instant a round could start (:meth:`Coordinator._arm_tick`): its cost
+follows rounds, not simulated seconds.
+
 The round lifecycle is identical under both training planes: the cohort
 execution plane only changes *how* admitted devices' local SGD executes
 numerically (batched, on demand), never *when* simulated events fire —
@@ -17,6 +21,7 @@ accept/reject state machine behave byte-for-byte the same.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -101,6 +106,9 @@ class Coordinator(Actor):
         #: begins draining: no new round may start; the active round (if
         #: any) runs to its own completion or timeout.
         self.draining = False
+        #: Rounds start only on the grid ``origin + k * tick_interval_s``
+        #: (see :meth:`_arm_tick`); the origin is this incarnation's start.
+        self._tick_origin_s = 0.0
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
@@ -122,12 +130,53 @@ class Coordinator(Actor):
                     coordinator=self.ref, population_name=self.population_name
                 ),
             )
-        self.schedule(self.config.tick_interval_s, self._tick)
+        self._tick_origin_s = self.now
+        self._arm_tick()
 
     # -- round scheduling -----------------------------------------------------------
     def _tick(self) -> None:
         self._maybe_start_round()
-        self.schedule(self.config.tick_interval_s, self._tick)
+        self._arm_tick()
+
+    def _arm_tick(self) -> None:
+        """Schedule the one pending tick, at the first grid instant at
+        which :meth:`_maybe_start_round` could pass its time gates.
+
+        Called once after every change that can enable a round — start-up
+        (a Sec. 4.4 respawn included), a tick that started none, a
+        round's end, a crashed master — each of which finds none pending:
+        a round's start arms nothing, its end re-arms.  The gap is slept
+        through in one event; only the gates that cannot be dated (no
+        checkpoint yet, too few devices connected) poll, once per instant.
+        """
+        if self._blocked():
+            return
+        origin, tick = self._tick_origin_s, self.config.tick_interval_s
+        # Strictly after now (a tick re-arming itself wants the next
+        # instant, not this one) and not before the gap is over.
+        earliest = max(math.nextafter(self.now, math.inf), self._gap_ends_at_s())
+        # Closed form; the quotient's rounding can be off by one either way.
+        k = math.ceil((earliest - origin) / tick)
+        if origin + (k - 1) * tick >= earliest:
+            k -= 1
+        elif origin + k * tick < earliest:
+            k += 1
+        self.loop.schedule_at(origin + k * tick, self._run_if_alive, self._tick)
+
+    def _blocked(self) -> bool:
+        """No round may start until something other than time changes."""
+        limit = self.config.max_rounds
+        return (
+            self.draining
+            or self.active_master is not None
+            or (limit is not None and self.rounds_finished >= limit)
+        )
+
+    def _gap_ends_at_s(self) -> float:
+        """When the explicit selection gap after the last round is over."""
+        if self.config.pipelining or self.last_round_ended_at_s is None:
+            return -math.inf
+        return self.last_round_ended_at_s + self.config.inter_round_gap_s
 
     def _connected_total(self) -> int:
         """Poll Selector pool sizes (the Sec. 4.2 'how many devices are
@@ -156,16 +205,8 @@ class Coordinator(Actor):
         return max(goals) if goals else 1
 
     def _maybe_start_round(self) -> None:
-        if self.draining or self.active_master is not None:
+        if self._blocked() or self.now < self._gap_ends_at_s():
             return
-        if (
-            self.config.max_rounds is not None
-            and self.rounds_finished >= self.config.max_rounds
-        ):
-            return
-        if not self.config.pipelining and self.last_round_ended_at_s is not None:
-            if self.now - self.last_round_ended_at_s < self.config.inter_round_gap_s:
-                return
         if not self.store.has_checkpoint(self.population_name):
             return  # model not initialized yet
         if self._connected_total() < self._start_threshold():
@@ -240,13 +281,14 @@ class Coordinator(Actor):
             )
         if self.config.pipelining:
             self._maybe_start_round()
+        self._arm_tick()
 
     def _on_death(self, notice: DeathNotice) -> None:
         if not notice.crashed:
             return  # graceful master stop: RoundFinished does the bookkeeping
         if self.active_master is not None and notice.ref == self.active_master:
             # Sec. 4.4: master crashed -> round fails, coordinator restarts
-            # (a fresh round starts on the next tick).
+            # (a fresh round starts on the tick armed below).
             dead_round_id = self.active_round_id
             self.active_master = None
             self.active_round_id = None
@@ -259,3 +301,4 @@ class Coordinator(Actor):
                         population_name=self.population_name,
                     ),
                 )
+            self._arm_tick()

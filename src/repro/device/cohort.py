@@ -168,8 +168,9 @@ class CohortExecutionPlane:
         """``checkpoint`` decoded — once per round, not once per
         participant.  Read-only by contract: every workload of the round
         trains against this one object."""
-        if self._decoded is None or self._decoded[0] != checkpoint.round_key:
-            self._decoded = (checkpoint.round_key, checkpoint.to_params())
+        key = checkpoint.round_key
+        if self._decoded is None or self._decoded[0] != key:
+            self._decoded = (key, checkpoint.to_params())
         return self._decoded[1]
 
     def enqueue(

@@ -81,8 +81,7 @@ class ShardRouter:
         points.sort()
         self._ring_points = [point for point, _ in points]
         self._ring_shards = [shard for _, shard in points]
-        #: name -> its Selector indices.  Placement is a pure function of
-        #: (name, topology) and every device check-in asks for it.
+        #: name -> Selector indices, memoized: every check-in asks.
         self._indices_by_name: dict[str, tuple[int, ...]] = {}
 
     # -- placement ---------------------------------------------------------------

@@ -1055,10 +1055,10 @@ def _build_tenant_fleet(
     Selectors split into ``shards`` shards.  Sessions are deliberately
     cheap (synthetic trainer, small model) and the Coordinator tick is
     fast, so the run times the *control plane*: route registration,
-    check-in admission, per-tick connected-count polling, and the
-    ForwardDevices/ClearForwarding round machinery — all of which an
-    unsharded fleet pays O(tenants x selectors) for, and a sharded fleet
-    O(tenants x selectors / shards).
+    check-in admission, connected-count polling while a tenant waits
+    for devices, and the ForwardDevices/ClearForwarding round machinery
+    — all of which an unsharded fleet pays O(tenants x selectors) for,
+    and a sharded fleet O(tenants x selectors / shards).
     """
     from repro import FLFleet
     from repro.actors.coordinator import CoordinatorConfig

@@ -130,3 +130,190 @@ def test_fleet_sampler_records_device_states():
     waiting = system.dashboard.series("devices/waiting")
     assert len(participating) > 10
     assert max(waiting.values) > 0
+
+
+# -- deadline-driven round scheduling ---------------------------------------------
+#
+# A Coordinator owns at most one pending tick, armed only at an instant a
+# round could start: none while a round is active, one for the whole gap,
+# one per grid instant in the states that genuinely poll.
+
+
+def coordinator_of(system):
+    """The population's current owner — the lock service knows a Sec. 4.4
+    replacement, ``coordinator_ref`` only the builder's original."""
+    return system.actors.actor_of(system.locks.owner_of("coordinator/itest"))
+
+
+def pending_ticks(system, coordinator):
+    """The live heap events the Coordinator owns (it schedules nothing
+    but its tick; messages to it are the kernel's ``_deliver`` events)."""
+    return [
+        event
+        for _, _, event in system.loop._heap
+        if not event.cancelled and event.fn == coordinator._run_if_alive
+    ]
+
+
+def on_grid(t, origin, tick):
+    return t == origin + round((t - origin) / tick) * tick
+
+
+def gapped_system(tick=1.0, gap=300.0, **kwargs):
+    kwargs = dict(seed=11, devices=500, target=10, job_interval=400.0) | kwargs
+    return build_system(
+        pipelining=False, inter_round_gap_s=gap, tick_interval_s=tick, **kwargs
+    )
+
+
+def test_no_tick_while_round_active_and_one_for_the_whole_gap():
+    gap, tick = 300.0, 1.0
+    system, _ = gapped_system(tick=tick, gap=gap)
+    coordinator = coordinator_of(system)
+    origin = coordinator._tick_origin_s
+    in_round = in_gap = 0
+    while system.loop.now < 2 * 3600:
+        system.run_for(7.0)
+        ticks = pending_ticks(system, coordinator)
+        if coordinator.active_master is not None:
+            assert ticks == []
+            in_round += 1
+            continue
+        ended = coordinator.last_round_ended_at_s
+        if ended is None or system.loop.now >= ended + gap:
+            continue  # waiting for devices: the polling state, tested below
+        (event,) = ticks
+        # the first grid instant >= end + gap
+        assert ended + gap <= event.time < ended + gap + tick
+        assert on_grid(event.time, origin, tick)
+        in_gap += 1
+    assert in_round > 10 and in_gap > 100
+    assert len(system.committed_rounds) >= 10
+
+
+@pytest.mark.parametrize("tick", [1.0, 10.0, 0.25])
+def test_rounds_start_on_the_tick_grid_across_crashes(tick):
+    system, _ = gapped_system(tick=tick, gap=120.0)
+    origins = [coordinator_of(system)._tick_origin_s]
+    assert origins == [0.0]
+    system.run_for(1800.0)
+
+    # Sec. 4.4, master: the round dies, the next starts on the same grid.
+    while coordinator_of(system).active_master is None:
+        system.run_for(5.0)
+    system.actors.crash(coordinator_of(system).active_master)
+    system.run_for(1800.0)
+    before_respawn = len(system.round_results)
+
+    # Sec. 4.4, coordinator: a Selector wins the lock race and respawns
+    # it; the replacement's grid starts at its own start-up instant.
+    crashed_at = system.loop.now
+    system.actors.crash(system.coordinator_ref)
+    system.run_for(3600.0)
+    respawned = coordinator_of(system)
+    assert respawned is not None
+    assert respawned._tick_origin_s > crashed_at
+    origins.append(respawned._tick_origin_s)
+
+    results = system.round_results
+    assert before_respawn >= 5 and len(results) >= before_respawn + 5
+    after = [r for r in results if r.started_at_s > crashed_at]
+    assert len(after) >= 5
+    for result in results:
+        origin = origins[result.started_at_s > crashed_at]
+        assert on_grid(result.started_at_s, origin, tick), result.started_at_s
+        assert result.started_at_s >= origin + tick
+
+
+def test_draining_or_exhausted_coordinator_holds_no_tick():
+    system, _ = gapped_system(gap=60.0, max_rounds=3)
+    coordinator = coordinator_of(system)
+    system.run_for(2 * 3600)
+    assert coordinator.rounds_finished == 3
+    assert pending_ticks(system, coordinator) == []
+    assert len(system.round_results) == 3
+
+    system, _ = gapped_system(gap=600.0)
+    coordinator = coordinator_of(system)
+    while coordinator.last_round_ended_at_s is None:
+        system.run_for(30.0)
+    # Mid-gap, the way the lifecycle plane's drain flips it: the tick
+    # already on the heap fires once, finds the gate shut, arms nothing.
+    coordinator.draining = True
+    assert len(pending_ticks(system, coordinator)) == 1
+    system.run_for(700.0)
+    assert pending_ticks(system, coordinator) == []
+    finished = coordinator.rounds_finished
+    system.run_for(3600.0)
+    assert coordinator.rounds_finished == finished
+    assert pending_ticks(system, coordinator) == []
+
+
+def test_below_threshold_polls_each_tick_and_starts_on_first_sufficient_instant():
+    tick = 10.0
+    system, _ = gapped_system(tick=tick, gap=0.0, devices=250, target=15,
+                              job_interval=1200.0, seed=3)
+    coordinator = coordinator_of(system)
+    origin = coordinator._tick_origin_s
+    fired = []
+    original = coordinator._maybe_start_round
+
+    def spy():
+        pool = coordinator._connected_total()
+        original()
+        fired.append((system.loop.now, pool, coordinator.active_master is not None))
+
+    coordinator._maybe_start_round = spy
+    system.run_for(2 * 3600)
+    threshold = coordinator._start_threshold()
+    starved = [(t, pool) for t, pool, started in fired if not started]
+    assert len(starved) > 20  # this fleet is supply-starved between rounds
+    assert all(on_grid(t, origin, tick) for t, _, _ in fired)
+    for (t, pool, started), (t_next, _, _) in zip(fired, fired[1:]):
+        # a round starts exactly when the pool suffices ...
+        assert started == (pool >= threshold)
+        # ... and a starved tick is followed by the very next grid instant
+        if not started:
+            assert t_next == origin + (round((t - origin) / tick) + 1) * tick
+    assert len(system.committed_rounds) >= 5
+
+
+def test_tick_grid_is_closed_form_exact_on_awkward_grids():
+    """The armed instant is ``origin + k * tick`` for the smallest k that
+    is strictly after now and not before the gap's end — on origins and
+    ticks with no exact binary form, where a quotient can round across an
+    integer either way (a tick re-arming itself sits *on* the grid)."""
+    from repro.actors.coordinator import Coordinator
+    from repro.sim.event_loop import EventLoop
+
+    rng = np.random.default_rng(5)
+    for _ in range(400):
+        origin = float(rng.uniform(0.0, 2e5))
+        tick = float(rng.choice([0.1, 0.25, 0.3, 1.0, 7.0, 10.0]))
+        gap = float(rng.choice([0.0, 60.0, 900.0]))
+        coordinator = Coordinator.__new__(Coordinator)
+        coordinator.config = CoordinatorConfig(
+            tick_interval_s=tick, pipelining=False, inter_round_gap_s=gap
+        )
+        coordinator.draining = False
+        coordinator.active_master = None
+        coordinator.rounds_finished = 0
+        coordinator._tick_origin_s = origin
+        j = int(rng.integers(0, 50_000))
+        on_grid_now = bool(rng.integers(2))
+        now = origin + j * tick if on_grid_now else origin + float(
+            rng.uniform(0.0, 5e4)
+        )
+        ended = None if rng.integers(3) == 0 else now - float(rng.uniform(0, 2 * gap + 1))
+        coordinator.last_round_ended_at_s = ended
+        coordinator.loop = EventLoop(start_time=now)
+        coordinator._arm_tick()
+        ((when, _, _),) = coordinator.loop._heap
+        k = round((when - origin) / tick)
+        assert when == origin + k * tick and k >= 1
+        ready = now if ended is None else max(now, ended + gap)
+        assert when > now and when >= ready
+        before = origin + (k - 1) * tick
+        assert before <= now or before < ready  # ... and it is the first
+        if on_grid_now and ready == now:
+            assert k == j + 1

@@ -1,0 +1,60 @@
+"""Event budget: host cost must follow rounds, not simulated seconds.
+
+A count, so it cannot flake: the same seed processes the same events.
+What it guards is the shape of the control plane's cost — Coordinators
+sleep through a round and through the gap after it, so a fleet whose
+tenants spend most of their time *between* rounds processes a few hundred
+events per committed round.  Anything that starts polling again (one
+event per tenant per tick: 4 tenants x 7200 s = 28,800 here) multiplies
+that figure several times over, where no wall-clock gate would notice.
+"""
+
+import numpy as np
+
+from repro import FLFleet, RoundConfig, TaskConfig
+from repro.actors.coordinator import CoordinatorConfig
+from repro.device.scheduler import JobSchedule
+from repro.nn.models import LogisticRegression
+from repro.sim.population import PopulationConfig
+
+#: Events per committed round on the fleet below: 240 when pinned (the
+#: per-second tick chain this replaced: 1,074), plus ~30 % headroom.
+EVENTS_PER_COMMITTED_ROUND_CEILING = 315
+
+
+def test_events_per_committed_round_stay_within_budget():
+    params = LogisticRegression(input_dim=4, n_classes=3).init(
+        np.random.default_rng(0)
+    )
+    builder = (
+        FLFleet.builder()
+        .seed(2019)
+        .devices(PopulationConfig(num_devices=200))
+        .selectors(8)
+        .selector_shards(2)
+        .coordinator(
+            CoordinatorConfig(
+                tick_interval_s=1.0, pipelining=False, inter_round_gap_s=900.0
+            )
+        )
+        .job(JobSchedule(7200.0, 0.5))
+        .waiting_timeout(1800.0)
+        .sample_interval(300.0)
+    )
+    for t in range(4):
+        name = f"tenant{t:02d}"
+        task = TaskConfig(
+            task_id=f"{name}/train",
+            population_name=name,
+            round_config=RoundConfig(target_participants=4),
+        )
+        builder.population(name, tasks=[task], model=params)
+    fleet = builder.build()
+    fleet.run_for(2 * 3600.0)
+    committed = fleet.report().rounds_committed
+    assert committed >= 25  # every tenant turned its gap-limited ~7 rounds
+    per_round = fleet.loop.events_processed / committed
+    assert per_round <= EVENTS_PER_COMMITTED_ROUND_CEILING, (
+        f"{fleet.loop.events_processed} events for {committed} committed "
+        f"rounds = {per_round:.0f} per round: something is polling"
+    )

@@ -27,6 +27,7 @@ from repro import (
     RoundConfig,
     TaskConfig,
 )
+from repro.actors.coordinator import CoordinatorConfig
 from repro.core.config import ClientTrainingConfig
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import RealTrainer
@@ -588,6 +589,83 @@ def test_row_draw_counters_ride_the_snapshot(tmp_path, faults):
     assert restored.report() == fleet.report()
     assert pickle.dumps(restored.report()) == pickle.dumps(fleet.report())
     assert restored.loop.events_processed == fleet.loop.events_processed
+
+
+GAPPED = CoordinatorConfig(
+    tick_interval_s=1.0, pipelining=False, inter_round_gap_s=600.0
+)
+
+
+def pending_ticks(fleet, coordinator):
+    """The live heap events ``coordinator`` owns (it schedules only ticks)."""
+    return [
+        event
+        for _, _, event in fleet.loop._heap
+        if not event.cancelled and event.fn == coordinator._run_if_alive
+    ]
+
+
+def coordinator_and_ticks(fleet, name="kbd"):
+    coordinator = fleet.actors.actor_of(fleet.locks.owner_of(f"coordinator/{name}"))
+    return coordinator, pending_ticks(fleet, coordinator)
+
+
+@pytest.mark.parametrize("faults", [None, SNAPSHOT_CHAOS], ids=["clean", "mid-chaos"])
+@pytest.mark.parametrize("phase", ["mid-gap", "mid-round"])
+def test_snapshot_mid_gap_and_mid_round_restores_exactly(tmp_path, faults, phase):
+    """A deadline-driven Coordinator's whole scheduling state is one heap
+    event (mid-gap) or none (mid-round: the round's end arms the next):
+    either way it freezes with the fleet and the tail replays exactly."""
+    path = tmp_path / "fleet.snap"
+    levers = {"coordinator": GAPPED} | ({"faults": faults} if faults else {})
+    fleet = build_fleet(seed=29, **levers)
+    gap, grid = GAPPED.inter_round_gap_s, GAPPED.tick_interval_s
+    fleet.run_for(1.5 * HOUR)
+    for _ in range(3000):
+        coordinator, ticks = coordinator_and_ticks(fleet)
+        ended = coordinator.last_round_ended_at_s
+        if coordinator.active_master is not None:
+            assert ticks == []
+            if phase == "mid-round":
+                break
+        elif ended is not None and fleet.loop.now < ended + gap - 30.0:
+            (tick,) = ticks
+            assert ended + gap <= tick.time < ended + gap + grid
+            if phase == "mid-gap":
+                break
+        fleet.run_for(3.0)
+    else:
+        raise AssertionError(f"never reached {phase}")
+    assert (fleet.report().recovery.faults_total > 0) == (faults is not None)
+    fleet.snapshot(path)
+
+    restored = FLFleet.restore(path)
+    twin, twin_ticks = coordinator_and_ticks(restored)
+    assert [t.time for t in twin_ticks] == [t.time for t in ticks]
+    assert twin._tick_origin_s == coordinator._tick_origin_s
+    assert len(twin_ticks) == (phase == "mid-gap")
+
+    fleet.run_for(2 * HOUR)
+    restored.run_for(2 * HOUR)
+    assert len(fleet.results_for("kbd")) >= 8
+    assert restored.report() == fleet.report()
+    assert pickle.dumps(restored.report()) == pickle.dumps(fleet.report())
+    assert restored.loop.events_processed == fleet.loop.events_processed
+
+
+def test_drained_tenant_leaves_no_tick_behind():
+    """Drain shuts the gate by flag: the one tick that may be on the heap
+    fires into it (or into a retired actor) and nothing re-arms."""
+    fleet = build_fleet(seed=29, coordinator=GAPPED)
+    fleet.attach_population(stats_spec())
+    fleet.run_for(2 * HOUR)
+    retired, _ = coordinator_and_ticks(fleet, "stats")
+    assert fleet.drain_population("stats", deadline_s=HOUR).clean
+    assert retired.draining and len(pending_ticks(fleet, retired)) <= 1
+    fleet.run_for(GAPPED.inter_round_gap_s + GAPPED.tick_interval_s)
+    assert pending_ticks(fleet, retired) == []
+    kbd, kbd_ticks = coordinator_and_ticks(fleet, "kbd")
+    assert len(kbd_ticks) == (kbd.active_master is None)
 
 
 def test_snapshot_restore_with_real_trainers_and_lifecycle(tmp_path):
