@@ -34,8 +34,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--scale-quick", action="store_true",
                         help="full classic benches, CI-sized fleet_scale "
                              "(1k devices only, reference-length window, no profiling)")
-    parser.add_argument("--no-fleet", action="store_true",
-                        help="skip the fleet_run_days benchmark")
     parser.add_argument("--no-scale", action="store_true",
                         help="skip the fleet_scale benchmark")
     parser.add_argument("--out", default=os.path.join(_REPO_ROOT, "BENCH_hotpath.json"),
@@ -57,11 +55,7 @@ def main(argv: list[str] | None = None) -> int:
     config = perf.HarnessConfig.quick() if args.quick else perf.HarnessConfig()
     if args.scale_quick:
         config = config.scale_quick()
-    report = perf.run_harness(
-        config,
-        include_fleet=not args.no_fleet,
-        include_scale=not args.no_scale,
-    )
+    report = perf.run_harness(config, include_scale=not args.no_scale)
 
     for name, entry in report["results"].items():
         speedup = entry.get("speedup")
@@ -79,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
             "  secagg_round phases (cross-group plane, summed over groups): "
             + ", ".join(f"{name}={secs:.3f}s" for name, secs in phases.items())
             + f"; dominant: {secagg['dominant_phase']}"
-            + f"; per-group plane {secagg['pergroup_speedup']:.2f}x"
         )
 
     scale = report["results"].get("fleet_scale")
@@ -148,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
     # The perf trajectory records one line per *full* run (quick modes
     # measure reduced workloads whose ratios aren't comparable across
     # PRs, so they never pollute the history).
-    full_run = not (args.quick or args.scale_quick or args.no_fleet or args.no_scale)
+    full_run = not (args.quick or args.scale_quick or args.no_scale)
     if full_run and not args.no_write and not args.no_history:
         line = perf.append_history(report, args.history)
         print(f"appended speedups for {line['git_commit']} to {args.history}")

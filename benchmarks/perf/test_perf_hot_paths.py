@@ -54,25 +54,30 @@ def test_streaming_paths_no_slower(micro_results):
 
 
 def test_harness_report_shape_and_write(tmp_path):
+    # CI-sized values for every field: the test asserts the report's
+    # shape, not its numbers.
     report = perf.run_harness(
         perf.HarnessConfig(
             repeats=2,
-            fleet_days=0.01,
-            fleet_devices=25,
             scale_days=0.01,
             scale_counts=(300,),
             scale_baseline_counts=(300,),
             scale_profile_devices=None,
+            sharded_days=0.02,
+            sharded_cells=((300, 3),),
+            sharded_shard_counts=(1, 2),
+            sharded_selectors=4,
+            secagg_clients=50,
         )
     )
     assert report["schema"] == perf.SCHEMA
     for name in perf.GUARDED:
         assert name in report["results"], name
         assert report["results"][name]["speedup"] > 0
-    # The fleet benchmark proves functional/buffered RunReport identity;
-    # the scale benchmark proves vectorized-plane determinism.
-    assert report["results"]["fleet_run_days"]["identical_run_reports"] is True
+    # The scale benchmarks prove same-seed determinism on the fleets
+    # they time.
     assert report["results"]["fleet_scale"]["identical_run_reports"] is True
+    assert report["results"]["fleet_scale_sharded"]["identical_run_reports"] is True
     assert report["results"]["fleet_scale"]["speedup_by_devices"].keys() == {"300"}
     assert report["environment"]["git_commit"]
     out = tmp_path / "bench.json"

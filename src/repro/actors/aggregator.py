@@ -11,15 +11,12 @@ its cohort (Sec. 6); the cryptography executes over the observed
 participation trace when the round closes, with devices that vanished
 mid-round entering the protocol as post-ShareKeys dropouts.
 
-Buffering: in buffered mode (the default) accepted reports fold into a
+Buffering: accepted reports fold into a
 :class:`~repro.nn.parameters.ParameterAccumulator` in place instead of
 re-allocating ``delta_sum + vector`` per report.  Report vectors are
 immutable by contract — trainers never write a vector again after
 reporting it (eval reports may even share one zero vector), and the
-aggregation pipeline only ever reads them.  An aggregator built with
-``copy_pending=True`` additionally stages pending reports into a pool of
-per-round scratch vectors, for report sources that may reuse their
-upload buffers.
+aggregation pipeline only ever reads them.
 
 Cohort fold: under the cohort training plane, a round's report vectors
 arrive as row *views* of one stacked ``(K, dim)`` delta matrix (minted
@@ -33,17 +30,52 @@ round's accumulator without ever materializing a per-device copy.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
 
-from repro.actors.kernel import Actor, ActorRef
+from repro.actors.kernel import Actor, ActorRef, ActorSystem
 from repro.actors import messages as msg
 from repro.core.config import SecAggConfig
-from repro.nn.parameters import ParameterAccumulator, buffered_math_enabled
+from repro.nn.parameters import ParameterAccumulator
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import DropoutSchedule, SecAggError, run_secure_aggregation
 from repro.tools.perf import wall_timer
+
+
+def fold_sources(
+    system: ActorSystem,
+    sources: Iterable[ActorRef],
+    accepted_ids: set[int],
+    on_dead: Callable[[], None] | None = None,
+    on_flushed: Callable[[], None] | None = None,
+) -> tuple[ParameterAccumulator | None, float, int]:
+    """One level of the Sec. 4.2 aggregation tree: flush every live
+    source (leaf or shard node) in order and fold the non-empty partials
+    into one accumulator (``None`` when nothing folded).  A dead source
+    contributes nothing (``on_dead`` is told); ``on_flushed`` fires per
+    source flushed.  Returns ``(accumulator, weight_sum, device_count)``."""
+    accumulator: ParameterAccumulator | None = None
+    weight_sum = 0.0
+    device_count = 0
+    for ref in sources:
+        source = system.actor_of(ref)
+        if source is None:
+            if on_dead is not None:
+                on_dead()
+            continue
+        partial = source.flush(accepted_ids)  # type: ignore[attr-defined]
+        if on_flushed is not None:
+            on_flushed()
+        if partial.delta_sum is None or partial.device_count == 0:
+            continue
+        device_count += partial.device_count
+        vec = np.asarray(partial.delta_sum, dtype=np.float64)
+        if accumulator is None:
+            accumulator = ParameterAccumulator(dim=vec.size)
+        accumulator.add_vector(vec, 1.0)
+        weight_sum += partial.weight_sum
+    return accumulator, weight_sum, device_count
 
 
 class Aggregator(Actor):
@@ -56,23 +88,17 @@ class Aggregator(Actor):
         master: ActorRef,
         secagg: SecAggConfig,
         rng: np.random.Generator,
-        copy_pending: bool = False,
     ):
         self.round_id = round_id
         self.task_id = task_id
         self.master = master
         self.secagg = secagg
         self.rng = rng
-        self.copy_pending = copy_pending
-        self._delta_sum: np.ndarray | None = None
         self._weight_sum: float = 0.0
         self._accumulator: ParameterAccumulator | None = None
         self._accepted_count = 0
         #: Reports awaiting the master's accept/reject decision.
         self._pending: dict[int, tuple[np.ndarray, float]] = {}
-        #: Scratch vectors reused for pending-report staging (only when
-        #: ``copy_pending``): returned here when a report resolves.
-        self._staging_pool: list[np.ndarray] = []
         #: SecAgg mode: accepted vectors retained inside the crypto sim.
         self._vectors: dict[int, np.ndarray] = {}
         self._weights: dict[int, float] = {}
@@ -95,20 +121,6 @@ class Aggregator(Actor):
         elif isinstance(message, msg.DeviceDropped):
             self._on_dropped(message)
 
-    def _stage(self, vector: np.ndarray) -> np.ndarray:
-        """Stage an incoming report vector for the pending window."""
-        if not self.copy_pending:
-            return vector
-        scratch = self._staging_pool.pop() if self._staging_pool else None
-        if scratch is None or scratch.size != vector.size:
-            scratch = np.empty_like(vector)
-        np.copyto(scratch, vector)
-        return scratch
-
-    def _unstage(self, vector: np.ndarray) -> None:
-        if self.copy_pending:
-            self._staging_pool.append(vector)
-
     def _on_report(self, report: msg.DeviceReport) -> None:
         if (
             report.round_id != self.round_id
@@ -120,7 +132,7 @@ class Aggregator(Actor):
             self._nack(report.device_id)
             return
         vector = np.asarray(report.delta_vector, dtype=np.float64)
-        self._pending[report.device_id] = (self._stage(vector), report.weight)
+        self._pending[report.device_id] = (vector, report.weight)
         # The master's round state machine decides acceptance; it calls
         # back via ack_device.
         self.tell(self.master, report)
@@ -141,11 +153,8 @@ class Aggregator(Actor):
     def ack_device(self, device_id: int, accepted: bool) -> None:
         """Master's decision for a pending report: fold in or discard."""
         pending = self._pending.pop(device_id, None)
-        if pending is not None:
-            if accepted:
-                self._fold_in(device_id, *pending)
-            else:
-                self._unstage(pending[0])
+        if pending is not None and accepted:
+            self._fold_in(device_id, *pending)
         device = self._devices.get(device_id)
         if device is not None:
             self.tell(device, msg.ReportAck(self.round_id, accepted=accepted))
@@ -153,24 +162,14 @@ class Aggregator(Actor):
     def _fold_in(self, device_id: int, vector: np.ndarray, weight: float) -> None:
         self._accepted_count += 1
         if self.secagg.enabled:
-            # The crypto sim retains the vector until the round closes, so
-            # a staged scratch stays checked out until flush.
+            # The crypto sim retains the vector until the round closes.
             self._vectors[device_id] = vector
             self._weights[device_id] = weight
             return
-        if buffered_math_enabled():
-            if self._accumulator is None:
-                self._accumulator = ParameterAccumulator(dim=vector.size)
-            self._accumulator.add_vector(vector, 1.0)
-            self._weight_sum += weight
-        else:
-            # Functional path (perf-harness baseline): re-allocates the
-            # running sum on every fold, as the original implementation did.
-            self._delta_sum = (
-                vector.copy() if self._delta_sum is None else self._delta_sum + vector
-            )
-            self._weight_sum += weight
-        self._unstage(vector)
+        if self._accumulator is None:
+            self._accumulator = ParameterAccumulator(dim=vector.size)
+        self._accumulator.add_vector(vector, 1.0)
+        self._weight_sum += weight
 
     # -- flush ----------------------------------------------------------------
     def flush(self, accepted_ids: set[int]) -> msg.IntermediateAggregate:
@@ -186,19 +185,15 @@ class Aggregator(Actor):
         self._pending.clear()
         if self.secagg.enabled:
             return self._flush_secagg()
-        if buffered_math_enabled():
-            # Ownership of the accumulator's buffer transfers to the
-            # message: the aggregator is stopped right after the round.
-            delta_sum = (
-                self._accumulator.sum_vector
-                if self._accumulator is not None and self._accumulator.count > 0
-                else None
-            )
-        else:
-            delta_sum = self._delta_sum
+        # Ownership of the accumulator's buffer transfers to the message:
+        # the aggregator is stopped right after the round.
         return msg.IntermediateAggregate(
             round_id=self.round_id,
-            delta_sum=delta_sum,
+            delta_sum=(
+                self._accumulator.sum_vector
+                if self._accumulator is not None
+                else None
+            ),
             weight_sum=self._weight_sum,
             device_count=self._accepted_count,
         )
@@ -241,7 +236,6 @@ class Aggregator(Actor):
                 quantizer=quantizer,
                 rng=self.rng,
                 dropouts=dropouts,
-                plane=self.secagg.plane,
                 timer=wall_timer,
             )
         except SecAggError:
@@ -278,9 +272,6 @@ class ShardAggregator(Actor):
         self.round_id = round_id
         self.task_id = task_id
         self.leaves: list[ActorRef] = []
-        #: Leaf partials folded by this node's last flush (per-shard
-        #: telemetry; the master records the upward fold itself).
-        self.folded_leaves = 0
 
     def adopt(self, leaf: ActorRef) -> None:
         self.leaves.append(leaf)
@@ -293,39 +284,13 @@ class ShardAggregator(Actor):
         intermediate aggregate — the same shape the master folds, so the
         tree composes (``master.flush-of-shards`` ≡ ``shard.flush-of-
         leaves``)."""
-        buffered = buffered_math_enabled()
-        accumulator: ParameterAccumulator | None = None
-        delta_sum: np.ndarray | None = None
-        weight_sum = 0.0
-        device_count = 0
-        for leaf_ref in self.leaves:
-            leaf = self.system.actor_of(leaf_ref)
-            if leaf is None:
-                continue  # crashed leaf: its devices are simply lost
-            partial = leaf.flush(accepted_ids)  # type: ignore[attr-defined]
-            if partial.delta_sum is None or partial.device_count == 0:
-                continue
-            self.folded_leaves += 1
-            device_count += partial.device_count
-            vec = np.asarray(partial.delta_sum, dtype=np.float64)
-            if buffered:
-                if accumulator is None:
-                    accumulator = ParameterAccumulator(dim=vec.size)
-                accumulator.add_vector(vec, 1.0)
-            else:
-                delta_sum = vec.copy() if delta_sum is None else delta_sum + vec
-            weight_sum += partial.weight_sum
-        if buffered:
-            folded = (
-                accumulator.sum_vector
-                if accumulator is not None and accumulator.count > 0
-                else None
-            )
-        else:
-            folded = delta_sum
+        # A crashed leaf's devices are simply lost.
+        accumulator, weight_sum, device_count = fold_sources(
+            self.system, self.leaves, accepted_ids
+        )
         return msg.IntermediateAggregate(
             round_id=self.round_id,
-            delta_sum=folded,
+            delta_sum=accumulator.sum_vector if accumulator is not None else None,
             weight_sum=weight_sum,
             device_count=device_count,
         )

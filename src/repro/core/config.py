@@ -80,8 +80,6 @@ class SecAggConfig:
     group_size: int = 100            # k: minimum secure-sum group
     threshold_fraction: float = 0.66  # Shamir threshold as fraction of group
     modulus_bits: int = 32           # masked-sum ring size per coordinate
-    quantization_range: float = 8.0  # float clip range mapped onto the ring
-    plane: str | None = None         # SecAgg execution plane; None = module default
 
     def __post_init__(self) -> None:
         if self.group_size < 2:
@@ -90,13 +88,6 @@ class SecAggConfig:
             raise ValueError("threshold_fraction must be in (0.5, 1]")
         if self.modulus_bits < 8 or self.modulus_bits > 48:
             raise ValueError("modulus_bits must be in [8, 48]")
-        if self.plane is not None and self.plane not in (
-            "scalar", "vectorized", "vectorized_pergroup"
-        ):
-            raise ValueError(
-                "plane must be 'scalar', 'vectorized', "
-                f"'vectorized_pergroup' or None, got {self.plane!r}"
-            )
 
     def threshold(self, group_size: int | None = None) -> int:
         g = group_size if group_size is not None else self.group_size

@@ -41,44 +41,9 @@ from __future__ import annotations
 
 import threading
 from collections.abc import Iterator, Mapping
-from contextlib import contextmanager
 from typing import Callable
 
 import numpy as np
-
-# -- buffered-math switch ----------------------------------------------------
-#
-# Global A/B lever used by the perf harness and the fleet-equivalence tests:
-# when disabled, the actors and trainers route through the original
-# allocating (functional) implementations so the pre-buffering cost model
-# can be measured and compared on the same build.  The two modes are
-# numerically byte-identical; only allocation behaviour differs.
-
-_BUFFERED_MATH = True
-
-
-def buffered_math_enabled() -> bool:
-    """Whether hot paths should use pre-allocated buffers (the default)."""
-    return _BUFFERED_MATH
-
-
-def set_buffered_math(enabled: bool) -> bool:
-    """Toggle the buffered model plane; returns the previous setting."""
-    global _BUFFERED_MATH
-    previous = _BUFFERED_MATH
-    _BUFFERED_MATH = bool(enabled)
-    return previous
-
-
-@contextmanager
-def functional_math():
-    """Context manager: run the model plane in functional (pre-buffering)
-    mode, restoring the previous setting on exit."""
-    previous = set_buffered_math(False)
-    try:
-        yield
-    finally:
-        set_buffered_math(previous)
 
 
 class ParameterLayout:

@@ -11,13 +11,12 @@ then further aggregates the intermediate aggregators' results into a final
 aggregate for the round, without Secure Aggregation."
 
 The groups are embarrassingly parallel — one instance per Aggregator —
-so the default "vectorized" plane batches the DH, PRG, and
+so the production "vectorized" plane batches the DH, PRG, and
 reconstruction sweeps across *all* groups at once
-(:func:`repro.secagg.vectorized.run_vectorized_grouped`); the
-"vectorized_pergroup" plane runs one vectorized instance per group
-sequentially, and "scalar" one device state machine at a time.  All
-three produce byte-identical sums, metrics counts, transcripts, rng
-trajectories, and error messages.
+(:func:`repro.secagg.vectorized.run_vectorized_grouped`); the "scalar"
+test reference (``plane="scalar"``, per call) runs one device state
+machine at a time.  Both produce byte-identical sums, metrics counts,
+transcripts, rng trajectories, and error messages.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from repro.secagg.protocol import (
     SecAggError,
     SecAggMetrics,
     SecAggTranscript,
-    resolve_secagg_plane,
-    run_secure_aggregation,
-    run_secure_aggregation_transcript,
+    _dispatch,
+    check_plane,
 )
 
 
@@ -79,14 +77,14 @@ def _grouped_dispatch(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None,
-    plane: str | None,
+    plane: str,
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[
     np.ndarray, list[SecAggMetrics], list[SecAggTranscript] | None
 ]:
     groups = partition_into_groups(list(inputs), min_group_size)
-    plane = resolve_secagg_plane(plane)
+    check_plane(plane)
     thresholds = [
         max(2, int(np.ceil(len(group) * threshold_fraction)))
         for group in groups
@@ -106,34 +104,21 @@ def _grouped_dispatch(
             timer=timer, capture=capture,
         )
     else:
-        # Sequential baselines: one instance per group on the scalar or
-        # (single-instance) vectorized plane.
-        instance_plane = (
-            "vectorized" if plane == "vectorized_pergroup" else plane
-        )
+        # Scalar reference: one per-device instance per group, in order.
         group_sums = []
         all_metrics = []
         transcripts = [] if capture else None
         for instance, threshold, schedule in zip(
             group_inputs, thresholds, schedules
         ):
-            if capture:
-                group_sum, metrics, transcript = (
-                    run_secure_aggregation_transcript(
-                        instance, threshold=threshold, quantizer=quantizer,
-                        rng=rng, dropouts=schedule, plane=instance_plane,
-                        timer=timer,
-                    )
-                )
-                transcripts.append(transcript)
-            else:
-                group_sum, metrics = run_secure_aggregation(
-                    instance, threshold=threshold, quantizer=quantizer,
-                    rng=rng, dropouts=schedule, plane=instance_plane,
-                    timer=timer,
-                )
+            group_sum, metrics, transcript = _dispatch(
+                instance, threshold, quantizer, rng, schedule, "scalar",
+                timer, capture,
+            )
             group_sums.append(group_sum)
             all_metrics.append(metrics)
+            if capture:
+                transcripts.append(transcript)
 
     # Master-Aggregator fold: one preallocated total, accumulated in
     # place.  Bit-identical to a left-to-right chain of `+` because
@@ -151,7 +136,7 @@ def grouped_secure_sum(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics]]:
     """Secure-sum per group, then a plain (Master Aggregator) sum of sums.
@@ -173,7 +158,7 @@ def grouped_secure_sum_transcripts(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str | None = None,
+    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics], list[SecAggTranscript]]:
     """Like :func:`grouped_secure_sum`, also returning per-group transcripts.

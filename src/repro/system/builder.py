@@ -174,15 +174,6 @@ class FleetBuilder:
         self._config.idle_plane = str(mode)
         return self
 
-    def training_plane(self, mode: str) -> "FleetBuilder":
-        """How admitted devices' local training executes: ``"cohort"``
-        (a round's sessions batched into stacked tensor ops on the
-        population's cohort execution plane, the default) or
-        ``"per_device"`` (inline per-session SGD, the measurable
-        baseline).  Simulated time is identical either way."""
-        self._config.training_plane = str(mode)
-        return self
-
     def device_scheduler(self, policy: str) -> "FleetBuilder":
         """On-device multi-tenant arbitration: ``"fifo"`` (arrival order,
         the default) or ``"fair_share"`` (round-robin across populations

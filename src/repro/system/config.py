@@ -68,17 +68,8 @@ class FleetConfig:
     #: them as rows in the fleet-wide :class:`repro.sim.idle_plane.
     #: VectorizedIdlePlane`, advanced by batched sweeps; ``"actor"`` gives
     #: every device its own eligibility/check-in timers (the measurable
-    #: baseline plane, mirroring the buffered-math A/B lever).
+    #: baseline plane).
     idle_plane: str = "vectorized"
-    #: How admitted devices' local training executes: ``"cohort"``
-    #: (default) defers each session's workload to its population's
-    #: :class:`repro.device.cohort.CohortExecutionPlane`, which runs the
-    #: whole cohort as stacked tensor ops; ``"per_device"`` executes each
-    #: session's SGD inline in the device callback (the measurable
-    #: baseline plane).  Simulated time, RNG streams, and — for models
-    #: with row-exact cohort kernels — the numbers themselves are
-    #: identical across the two planes.
-    training_plane: str = "cohort"
     #: On-device multi-tenant arbitration (Sec. 11 "Device Scheduling"):
     #: ``"fifo"`` (default) serves queued session requests in arrival
     #: order; ``"fair_share"`` round-robins across populations by
@@ -113,11 +104,6 @@ class FleetConfig:
             raise ValueError(
                 f"idle_plane must be 'vectorized' or 'actor', "
                 f"got {self.idle_plane!r}"
-            )
-        if self.training_plane not in ("cohort", "per_device"):
-            raise ValueError(
-                f"training_plane must be 'cohort' or 'per_device', "
-                f"got {self.training_plane!r}"
             )
         if self.sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be positive")

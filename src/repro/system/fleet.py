@@ -126,8 +126,8 @@ class FLFleet:
             else None
         )
         #: One cohort execution plane per population whose trainers can
-        #: defer (built by the lifecycle plane at attach; empty under
-        #: ``training_plane="per_device"`` or synthetic trainers).
+        #: defer (built by the lifecycle plane at attach; trainers
+        #: without ``attach_cohort_plane`` — synthetic ones — get none).
         self.cohort_planes: dict[str, CohortExecutionPlane] = {}
         self.selectors: list[ActorRef] = []
         #: Consistent-hash population -> selector-shard routing (the

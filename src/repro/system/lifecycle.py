@@ -370,8 +370,7 @@ class PopulationLifecycle:
         for device_id in sorted(runtime.member_ids):
             device = fleet.devices[device_id]
             trainer = trainers[device_id]
-            if fleet.config.training_plane == "cohort":
-                fleet.enroll_cohort_trainer(runtime.name, trainer)
+            fleet.enroll_cohort_trainer(runtime.name, trainer)
             device.enroll(runtime.name, trainer)
             if device.idle is not None:
                 device.idle.membership_changed()

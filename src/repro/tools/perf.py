@@ -34,14 +34,10 @@ What is measured (see ROADMAP.md "Performance" for how to read it):
   FLOPs.  ``cohort_round_98k`` reports (unguarded) the same A/B on the
   98k-param model, where single-core GEMM/memory costs are
   plane-independent and the honest ratio is ~1x.
-* ``fleet_run_days`` — simulated days/sec of a small pinned
-  ``FLFleet.run_days`` with real on-device training, run in functional
-  then buffered mode (the module-level A/B switch).
 * ``fleet_scale_sharded`` — sim-days/sec of the multi-tenant control
   plane across (devices x tenants x shards): consistent-hash selector
   shards plus the per-shard aggregation tree vs the flat shards=1
-  baseline, with same-seed determinism asserted at every shard count and
-  shards=1 asserted byte-identical to a fleet built without the knob.
+  baseline, with same-seed determinism asserted at every shard count.
 * ``tenant_starvation`` (separate runner, ``benchmarks/perf/
   starvation.py``) — per-tenant round-start gap p50/p95 under tenant
   contention, ``fifo`` vs ``fair_share`` on-device scheduling.
@@ -51,11 +47,10 @@ What is measured (see ROADMAP.md "Performance" for how to read it):
   ~50-device groups, 10% dropout at each protocol stage), scalar
   per-device plane vs the cross-group vectorized plane (one stacked DH
   pass over all groups on the Montgomery substrate, one (ΣC, dim)
-  PRG/commit pass, one shared reconstruction sweep); the sequential
-  per-group vectorized plane is timed alongside (``pergroup_seconds``)
-  and a timer-instrumented run reports the key-agreement / masking /
+  PRG/commit pass, one shared reconstruction sweep); a
+  timer-instrumented run reports the key-agreement / masking /
   recovery ``phase_seconds`` split.  Sums and metrics are asserted
-  byte-identical across all three planes before timing; the ratio is
+  byte-identical across the two before timing; the ratio is
   group-local, so the ``--quick`` run at 200 clients checks against the
   committed 1k-client reference ratio.
 
@@ -70,7 +65,7 @@ import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -79,11 +74,7 @@ from repro.core.datasets import ClientDataset
 from repro.core.fedavg import ClientUpdateBuffers, client_update
 from repro.nn.models import LogisticRegression, MLPClassifier, Model
 from repro.nn.optimizers import SGD, SGDConfig
-from repro.nn.parameters import (
-    ParameterAccumulator,
-    Parameters,
-    set_buffered_math,
-)
+from repro.nn.parameters import ParameterAccumulator, Parameters
 from repro.sim.event_loop import EventLoop
 
 SCHEMA = "repro-hotpath-bench/v1"
@@ -99,7 +90,6 @@ GUARDED = (
     "aggregator_fold",
     "weighted_mean",
     "cohort_round",
-    "fleet_run_days",
     "fleet_scale",
     #: Control-plane sharding: compared per (devices x tenants @ shards)
     #: cell (``speedup_by_shards``), so a quick CI run checks exactly the
@@ -158,7 +148,6 @@ def _time_pair(
 
 
 def _pair(
-    name: str,
     unit: str,
     functional_s: float,
     buffered_s: float,
@@ -268,7 +257,6 @@ def bench_sgd_step(repeats: int) -> dict:
 
     tf, tb = _time_pair(functional, buffered, repeats, inner=20)
     return _pair(
-        "sgd_step",
         "steps_per_sec",
         tf,
         tb,
@@ -319,7 +307,6 @@ def bench_client_update(repeats: int) -> dict:
     tf, tb = _client_update_pair(model, params, dataset, 40, repeats)
     steps = 40
     out = _pair(
-        "client_update",
         "updates_per_sec",
         tf,
         tb,
@@ -343,7 +330,6 @@ def bench_client_update_e2e(repeats: int) -> dict:
     dataset = ClientDataset("bench", x, y)
     tf, tb = _client_update_pair(model, params, dataset, 40, repeats)
     return _pair(
-        "client_update_e2e",
         "updates_per_sec",
         tf,
         tb,
@@ -536,7 +522,6 @@ def bench_aggregator_fold(repeats: int) -> dict:
 
     tf, tb = _time_pair(functional, buffered, repeats)
     out = _pair(
-        "aggregator_fold",
         "rounds_per_sec",
         tf,
         tb,
@@ -569,7 +554,7 @@ def bench_weighted_mean(repeats: int) -> dict:
         raise AssertionError("weighted_mean paths diverged")
     tf, tb = _time_pair(functional, buffered, repeats)
     return _pair(
-        "weighted_mean", "calls_per_sec", tf, tb,
+        "calls_per_sec", tf, tb,
         "50 weighted updates, 5.5k-param 6-array structure",
     )
 
@@ -598,7 +583,7 @@ def bench_vector_fold(repeats: int) -> dict:
         raise AssertionError("vector_fold paths diverged")
     tf, tb = _time_pair(functional, buffered, repeats)
     return _pair(
-        "vector_fold", "rounds_per_sec", tf, tb,
+        "rounds_per_sec", tf, tb,
         "50 flat 98k-dim report vectors per round (leaf aggregator)",
     )
 
@@ -637,7 +622,7 @@ def bench_event_loop(repeats: int) -> dict:
 
 
 def bench_secagg_round(clients: int, repeats: int) -> dict:
-    """One grouped SecAgg round: scalar vs per-group vs cross-group plane.
+    """One grouped SecAgg round: scalar reference vs cross-group plane.
 
     The pinned workload is the paper's operating point — groups of ~50
     devices (Sec. 6 caps SecAgg instances at "hundreds of users"), dim
@@ -645,8 +630,8 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
     dropping at *each* protocol stage (after AdvertiseKeys, after
     ShareKeys, after MaskedInputCollection), so the benchmark exercises
     dangling-mask recovery, not just the happy path.  Decoded sums and
-    full server metrics are asserted identical across all three planes
-    before any timing; every plane replays the same rng trajectory.
+    full server metrics are asserted identical across the two before
+    any timing; both replay the same rng trajectory.
 
     Besides the guarded scalar/vectorized ``speedup``, the result carries
     a ``phase_seconds`` breakdown (key agreement / masking / recovery,
@@ -683,18 +668,14 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
         )
 
     total_s, metrics_s = run("scalar")
-    total_p, metrics_p = run("vectorized_pergroup")
     total_v, metrics_v = run("vectorized")
-    if not (np.array_equal(total_s, total_v)
-            and np.array_equal(total_s, total_p)):
+    if not np.array_equal(total_s, total_v):
         raise AssertionError("secagg_round planes diverged (sums differ)")
-    if not (metrics_s == metrics_v == metrics_p):
+    if metrics_s != metrics_v:
         raise AssertionError("secagg_round planes diverged (metrics differ)")
 
     tf, tb = _time_pair(lambda: run("scalar"), lambda: run("vectorized"),
                         repeats)
-    tp = _time_per_call(lambda: run("vectorized_pergroup"),
-                        max(2, repeats // 2))
     _, timed_metrics = run("vectorized", timer=time.perf_counter)
     phase_seconds = {
         "key_agreement": sum(m.key_agreement_seconds for m in timed_metrics),
@@ -707,17 +688,15 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
             f"{clients} clients in {len(metrics_s)} groups of ~{group}, "
             f"dim {dim}, 32-bit ring, threshold 0.66, 10% dropout after "
             "each of AdvertiseKeys/ShareKeys/MaskedInputCollection "
-            "(sums and metrics asserted identical across all three "
-            "planes before timing; ratio is group-local, comparable "
-            "across client counts)"
+            "(sums and metrics asserted identical across the two planes "
+            "before timing; ratio is group-local, comparable across "
+            "client counts)"
         ),
         "unit": "rounds_per_sec",
         "scalar_rounds_per_sec": 1.0 / tf,
         "vectorized_rounds_per_sec": 1.0 / tb,
         "scalar_seconds": tf,
         "vectorized_seconds": tb,
-        "pergroup_seconds": tp,
-        "pergroup_speedup": tf / tp,
         "clients": clients,
         "groups": len(metrics_s),
         "committed_devices": committed,
@@ -725,101 +704,6 @@ def bench_secagg_round(clients: int, repeats: int) -> dict:
         "dominant_phase": max(phase_seconds, key=phase_seconds.get),
         "speedup": tf / tb,
     }
-
-
-# ---------------------------------------------------------------------------
-# fleet benchmark
-
-
-def _build_bench_fleet(seed: int, devices: int):
-    from repro import FLFleet
-    from repro.core.config import ClientTrainingConfig, RoundConfig, TaskConfig
-    from repro.device.example_store import ExampleStore
-    from repro.device.runtime import RealTrainer
-    from repro.device.scheduler import JobSchedule
-    from repro.sim.diurnal import DiurnalModel
-    from repro.sim.population import PopulationConfig
-
-    init_rng = np.random.default_rng(0)
-    init_params = _deep_stack_mlp().init(init_rng)
-    # Gradient production pinned fleet-wide (as in bench_client_update):
-    # run_days then measures the parameter plane plus the full protocol
-    # plumbing — plans, checkpoints, uploads, aggregation — end to end.
-    model = _PinnedGradientModel(init_params, init_rng)
-    data_rng = np.random.default_rng(4242)
-
-    def trainer_factory(profile):
-        store = ExampleStore(ttl_s=None)
-        x = data_rng.normal(size=(96, 4))
-        y = data_rng.integers(0, 2, size=96)
-        store.add_batch(x, y, timestamp_s=0.0)
-        return RealTrainer(model=model, store=store)
-
-    task = TaskConfig(
-        task_id="bench",
-        population_name="pop",
-        round_config=RoundConfig(target_participants=10),
-        # Small on-device batches, as the paper's keyboard workloads use:
-        # 2 epochs x 96/4 -> 48 local steps per session.
-        client_config=ClientTrainingConfig(
-            epochs=2, batch_size=4, learning_rate=0.1
-        ),
-    )
-    return (
-        FLFleet.builder()
-        .seed(seed)
-        .devices(PopulationConfig(num_devices=devices))
-        # Benchmark cadence: frequent check-ins and flat high availability
-        # so the short simulated window is dense with training sessions
-        # (this measures the hot paths, not diurnal dynamics).
-        .job(JobSchedule(600.0, 0.5))
-        .diurnal(DiurnalModel(amplitude=0.0, base_eligible_fraction=0.7,
-                              mean_eligible_minutes=240.0))
-        .population("pop", tasks=[task], model=init_params,
-                    trainer_factory=trainer_factory)
-        .build()
-    )
-
-
-def bench_fleet_run_days(days: float, devices: int, repeats: int = 3) -> dict:
-    def run(buffered: bool):
-        previous = set_buffered_math(buffered)
-        try:
-            fleet = _build_bench_fleet(seed=2019, devices=devices)
-            t0 = time.perf_counter()
-            fleet.run_days(days)
-            elapsed = time.perf_counter() - t0
-            report = fleet.report().to_operational_dict()
-        finally:
-            set_buffered_math(previous)
-        return elapsed, report
-
-    # Interleave modes and keep the best of each: run_days is seconds-long
-    # and a single noisy-neighbour stall would otherwise swamp the ratio.
-    tf = tb = float("inf")
-    report_f = report_b = None
-    for _ in range(repeats):
-        elapsed_f, rep_f = run(False)
-        elapsed_b, rep_b = run(True)
-        tf, tb = min(tf, elapsed_f), min(tb, elapsed_b)
-        report_f = rep_f if report_f is None else report_f
-        report_b = rep_b if report_b is None else report_b
-        if rep_f != report_f or rep_b != report_b:
-            raise AssertionError("fleet runs are not deterministic")
-    if report_f != report_b:
-        raise AssertionError("fleet modes diverged (RunReports differ)")
-    out = _pair(
-        "fleet_run_days",
-        "sim_days_per_sec",
-        tf / days,
-        tb / days,
-        f"{devices}-device fleet, {days} simulated days, 48 steps/session "
-        "on the 7.7k-param 12-array model with gradient production pinned "
-        "(parameter plane + full protocol plumbing; see client_update_e2e "
-        "for the FLOPs-diluted per-client ratio)",
-    )
-    out["identical_run_reports"] = True
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -839,9 +723,7 @@ def _build_scale_fleet(seed: int, devices: int, plane: str):
     from repro.actors.coordinator import CoordinatorConfig
     from repro.core.config import RoundConfig, TaskConfig
     from repro.core.pace import PaceConfig
-    from repro.device.runtime import SyntheticTrainer
     from repro.device.scheduler import JobSchedule
-    from repro.nn.models import MLPClassifier
     from repro.sim.population import PopulationConfig
 
     params = MLPClassifier(
@@ -852,9 +734,6 @@ def _build_scale_fleet(seed: int, devices: int, plane: str):
         population_name="pop",
         round_config=RoundConfig(target_participants=20),
     )
-
-    def trainer_factory(profile):
-        return SyntheticTrainer(num_parameters=params.num_parameters)
 
     return (
         FLFleet.builder()
@@ -875,17 +754,20 @@ def _build_scale_fleet(seed: int, devices: int, plane: str):
         .job(JobSchedule(10800.0, 0.5))
         .waiting_timeout(3600.0)
         .sample_interval(60.0)
-        .population("pop", tasks=[task], model=params,
-                    trainer_factory=trainer_factory)
+        .population("pop", tasks=[task], model=params)
         .build()
     )
 
 
-def _time_scale_run(seed: int, devices: int, plane: str, days: float):
-    fleet = _build_scale_fleet(seed, devices, plane)
+def _time_run_days(fleet, days: float):
+    """``(wall seconds of fleet.run_days(days), the fleet)``."""
     t0 = time.perf_counter()
     fleet.run_days(days)
     return time.perf_counter() - t0, fleet
+
+
+def _time_scale_run(seed: int, devices: int, plane: str, days: float):
+    return _time_run_days(_build_scale_fleet(seed, devices, plane), days)
 
 
 #: Dispatcher frames: bodies that pop due work and route control to
@@ -957,10 +839,9 @@ def bench_fleet_scale(
 
     The vectorized plane is timed at every count in ``counts``; the
     per-device actor baseline only at ``baseline_counts`` (it is the slow
-    side — that is the point).  Runs are interleaved best-of-``repeats``
-    like ``fleet_run_days``.  Determinism is asserted at the smallest
-    count: two fresh vectorized fleets must produce identical
-    ``RunReport``s.
+    side — that is the point).  Runs are interleaved best-of-``repeats``.
+    Determinism is asserted at the smallest count: two fresh vectorized
+    fleets must produce identical ``RunReport``s.
     """
     seed = 2019
     by_devices: dict[str, dict] = {}
@@ -1048,7 +929,6 @@ def _build_tenant_fleet(
     selectors: int,
     shards: int,
     policy: str = "fifo",
-    tick_s: float = 1.0,
 ):
     """The multi-tenant control-plane operating point: ``tenants``
     populations (every device enrolled in all of them) on ``selectors``
@@ -1063,17 +943,12 @@ def _build_tenant_fleet(
     from repro import FLFleet
     from repro.actors.coordinator import CoordinatorConfig
     from repro.core.config import RoundConfig, TaskConfig
-    from repro.device.runtime import SyntheticTrainer
     from repro.device.scheduler import JobSchedule
-    from repro.nn.models import MLPClassifier
     from repro.sim.population import PopulationConfig
 
     params = MLPClassifier(
         input_dim=16, hidden_dims=(16,), n_classes=4
     ).init(np.random.default_rng(0))
-
-    def trainer_factory(profile):
-        return SyntheticTrainer(num_parameters=params.num_parameters)
 
     builder = (
         FLFleet.builder()
@@ -1087,7 +962,7 @@ def _build_tenant_fleet(
         # 15-minute gap keep all tenants' pipelines continuously active.
         .coordinator(
             CoordinatorConfig(
-                tick_interval_s=tick_s,
+                tick_interval_s=1.0,
                 pipelining=False,
                 inter_round_gap_s=900.0,
             )
@@ -1103,27 +978,8 @@ def _build_tenant_fleet(
             population_name=name,
             round_config=RoundConfig(target_participants=10),
         )
-        builder = builder.population(
-            name, tasks=[task], model=params, trainer_factory=trainer_factory
-        )
+        builder = builder.population(name, tasks=[task], model=params)
     return builder.build()
-
-
-def _time_tenant_run(
-    seed: int,
-    devices: int,
-    tenants: int,
-    selectors: int,
-    shards: int,
-    days: float,
-    policy: str = "fifo",
-):
-    fleet = _build_tenant_fleet(
-        seed, devices, tenants, selectors, shards, policy=policy
-    )
-    t0 = time.perf_counter()
-    fleet.run_days(days)
-    return time.perf_counter() - t0, fleet
 
 
 def bench_fleet_scale_sharded(
@@ -1138,15 +994,10 @@ def bench_fleet_scale_sharded(
 
     Every cell is timed at every shard count (interleaved best-of-
     ``repeats``); speedups are shards=1 over shards=N within the same
-    cell, so the ratio isolates what control-plane sharding buys.  Two
-    correctness gates run on the same fleets the timings use:
-
-    * every (cell, shards) config must produce the identical
-      ``RunReport`` on every repeat (same-seed determinism at every
-      shard count), and
-    * at the smallest cell, the shards=1 fleet must be byte-identical to
-      a fleet built without the ``selector_shards`` knob at all — the
-      sharded control plane at one shard *is* the flat one.
+    cell, so the ratio isolates what control-plane sharding buys.  One
+    correctness gate runs on the same fleets the timings use: every
+    (cell, shards) config must produce the identical ``RunReport`` on
+    every repeat (same-seed determinism at every shard count).
     """
     seed = 2019
     if 1 not in shard_counts:
@@ -1160,8 +1011,9 @@ def bench_fleet_scale_sharded(
         fleet_of: dict[int, object] = {}
         for _ in range(repeats):
             for s in shard_counts:
-                elapsed, fleet = _time_tenant_run(
-                    seed, devices, tenants, selectors, s, days
+                elapsed, fleet = _time_run_days(
+                    _build_tenant_fleet(seed, devices, tenants, selectors, s),
+                    days,
                 )
                 best[s] = min(best[s], elapsed)
                 report = fleet.report()
@@ -1192,18 +1044,6 @@ def bench_fleet_scale_sharded(
             by_shards[str(s)] = entry
         by_cell[cell_key] = {"by_shards": by_shards}
 
-    # Flat-plane identity: shards=1 must be the legacy control plane,
-    # byte for byte, at the smallest cell.
-    devices, tenants = cells[0]
-    flat_fleet = _build_tenant_fleet(seed, devices, tenants, selectors, 1)
-    flat_fleet.run_days(days)
-    unsharded = _build_tenant_fleet_unsharded(seed, devices, tenants, selectors)
-    unsharded.run_days(days)
-    if flat_fleet.report() != unsharded.report():
-        raise AssertionError(
-            "shards=1 diverged from the unsharded control plane"
-        )
-
     largest_cell = f"{cells[-1][0]}x{cells[-1][1]}"
     max_shards = max(shard_counts)
     out = {
@@ -1220,7 +1060,6 @@ def bench_fleet_scale_sharded(
         "by_cell": by_cell,
         "speedup_by_shards": speedup_by_shards,
         "identical_run_reports": True,
-        "flat_plane_identical_at_one_shard": True,
     }
     if max_shards != 1:
         out["speedup"] = by_cell[largest_cell]["by_shards"][str(max_shards)][
@@ -1228,55 +1067,6 @@ def bench_fleet_scale_sharded(
         ]
         out["speedup_cell"] = f"{largest_cell}@{max_shards}"
     return out
-
-
-def _build_tenant_fleet_unsharded(
-    seed: int, devices: int, tenants: int, selectors: int
-):
-    """The same workload built without touching the ``selector_shards``
-    knob at all — the identity baseline for shards=1
-    (:func:`_build_tenant_fleet` always sets the knob; this builder
-    proves its default is inert)."""
-    from repro import FLFleet
-    from repro.actors.coordinator import CoordinatorConfig
-    from repro.core.config import RoundConfig, TaskConfig
-    from repro.device.runtime import SyntheticTrainer
-    from repro.device.scheduler import JobSchedule
-    from repro.nn.models import MLPClassifier
-    from repro.sim.population import PopulationConfig
-
-    params = MLPClassifier(
-        input_dim=16, hidden_dims=(16,), n_classes=4
-    ).init(np.random.default_rng(0))
-
-    def trainer_factory(profile):
-        return SyntheticTrainer(num_parameters=params.num_parameters)
-
-    builder = (
-        FLFleet.builder()
-        .seed(seed)
-        .devices(PopulationConfig(num_devices=devices))
-        .selectors(selectors)
-        .coordinator(
-            CoordinatorConfig(
-                tick_interval_s=1.0, pipelining=False, inter_round_gap_s=900.0
-            )
-        )
-        .job(JobSchedule(7200.0, 0.5))
-        .waiting_timeout(1800.0)
-        .sample_interval(300.0)
-    )
-    for t in range(tenants):
-        name = f"tenant{t:02d}"
-        task = TaskConfig(
-            task_id=f"train/{name}",
-            population_name=name,
-            round_config=RoundConfig(target_participants=10),
-        )
-        builder = builder.population(
-            name, tasks=[task], model=params, trainer_factory=trainer_factory
-        )
-    return builder.build()
 
 
 def bench_tenant_starvation(
@@ -1358,8 +1148,6 @@ def bench_tenant_starvation(
 @dataclass(frozen=True)
 class HarnessConfig:
     repeats: int = 20
-    fleet_days: float = 0.1
-    fleet_devices: int = 60
     #: ``fleet_scale``: vectorized plane timed at every count, the actor
     #: baseline (and the guarded speedup) at ``scale_baseline_counts``.
     scale_days: float = 0.1
@@ -1381,8 +1169,6 @@ class HarnessConfig:
     def quick(cls) -> "HarnessConfig":
         return cls(
             repeats=6,
-            fleet_days=0.05,
-            fleet_devices=40,
             scale_days=0.02,
             scale_counts=(1000,),
             scale_baseline_counts=(1000,),
@@ -1403,8 +1189,6 @@ class HarnessConfig:
         startup costs and read systematically low); at 1k devices the
         run is still only seconds of wall clock.
         """
-        from dataclasses import replace
-
         return replace(
             self,
             # Pin the window to the full-config default even when chained
@@ -1448,7 +1232,6 @@ def _git_commit() -> str:
 
 def run_harness(
     config: HarnessConfig | None = None,
-    include_fleet: bool = True,
     include_scale: bool = True,
 ) -> dict:
     config = config or HarnessConfig()
@@ -1470,12 +1253,6 @@ def run_harness(
             config.secagg_clients, max(3, config.repeats // 6)
         ),
     }
-    if include_fleet:
-        results["fleet_run_days"] = bench_fleet_run_days(
-            config.fleet_days,
-            config.fleet_devices,
-            repeats=3 if config.repeats >= 10 else 2,
-        )
     if include_scale:
         results["fleet_scale"] = bench_fleet_scale(
             config.scale_days,
@@ -1500,20 +1277,7 @@ def run_harness(
             "machine": platform.machine(),
             "git_commit": _git_commit(),
         },
-        "config": {
-            "repeats": config.repeats,
-            "fleet_days": config.fleet_days,
-            "fleet_devices": config.fleet_devices,
-            "scale_days": config.scale_days,
-            "scale_counts": list(config.scale_counts),
-            "scale_baseline_counts": list(config.scale_baseline_counts),
-            "scale_profile_devices": config.scale_profile_devices,
-            "sharded_days": config.sharded_days,
-            "sharded_cells": [list(c) for c in config.sharded_cells],
-            "sharded_shard_counts": list(config.sharded_shard_counts),
-            "sharded_selectors": config.sharded_selectors,
-            "secagg_clients": config.secagg_clients,
-        },
+        "config": asdict(config),
         "guarded": list(GUARDED),
         "results": results,
     }

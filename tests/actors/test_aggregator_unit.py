@@ -178,59 +178,85 @@ def accept_all(agg, ids):
         agg.ack_device(device_id, accepted=True)
 
 
-def test_fold_buffered_and_functional_byte_identical():
-    from repro.nn.parameters import functional_math
+def left_to_right(vectors):
+    """The numpy oracle: ``((v0 + v1) + v2) + ...``, nothing else."""
+    total = np.array(vectors[0], dtype=np.float64)
+    for vec in vectors[1:]:
+        total = total + vec
+    return total
+
+
+def test_fold_buffered_and_functional_byte_identical(monkeypatch):
+    """The in-place fold is byte-identical to a left-to-right numpy sum
+    at every level of the tree: a leaf's ``flush().delta_sum``, a shard
+    node's, and the model the master commits from the shard partials."""
+    from repro.actors import master_aggregator
+    from repro.actors.master_aggregator import MasterAggregator
+    from repro.core.checkpoint import CheckpointStore
+    from repro.core.config import RoundConfig, TaskConfig
+    from repro.nn.parameters import Parameters
 
     rng = np.random.default_rng(3)
     vectors = {i: rng.normal(size=32) for i in range(6)}
-    sums = {}
-    for label, buffered in (("buffered", True), ("functional", False)):
-        loop, system, master, agg, agg_ref = make_harness()
-        with functional_math() if not buffered else _noop():
-            for device_id, vec in vectors.items():
-                system.tell(agg_ref, report(device_id, vec, weight=device_id + 1.0))
-            loop.run()
-            accept_all(agg, vectors)
-            partial = agg.flush(accepted_ids=set(vectors))
-        sums[label] = (np.asarray(partial.delta_sum), partial.weight_sum,
-                       partial.device_count)
-    np.testing.assert_array_equal(sums["buffered"][0], sums["functional"][0])
-    assert sums["buffered"][1] == sums["functional"][1]
-    assert sums["buffered"][2] == sums["functional"][2]
 
-
-class _noop:
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-
-def test_copy_pending_stages_report_vectors():
-    """With ``copy_pending`` the aggregator owns staged copies: mutating
-    (reusing) the reporter's buffer after upload cannot corrupt the sum,
-    and resolved stagings return to the per-round scratch pool."""
     loop, system, master, agg, agg_ref = make_harness()
-    agg.copy_pending = True
-    shared = np.ones(8)
-    system.tell(agg_ref, report(1, shared))
+    for device_id, vec in vectors.items():
+        system.tell(agg_ref, report(device_id, vec, weight=device_id + 1.0))
     loop.run()
-    shared[:] = 999.0  # reporter reuses its buffer before the ack resolves
-    agg.ack_device(1, accepted=True)
-    partial = agg.flush(accepted_ids=set())
-    np.testing.assert_array_equal(partial.delta_sum, np.ones(8))
-    assert len(agg._staging_pool) == 1
-    # Rejected reports also return their staging scratch to the pool.
-    loop2, system2, master2, agg2, agg_ref2 = make_harness()
-    agg2.copy_pending = True
-    system2.tell(agg_ref2, report(4, np.ones(8)))
-    loop2.run()
-    agg2.ack_device(4, accepted=False)
-    assert len(agg2._staging_pool) == 1
-    system2.tell(agg_ref2, report(5, np.full(8, 2.0)))
-    loop2.run()
-    assert len(agg2._staging_pool) == 0  # scratch reused, not re-allocated
+    accept_all(agg, vectors)
+    partial = agg.flush(accepted_ids=set(vectors))
+    assert partial.delta_sum.tobytes() == left_to_right(list(vectors.values())).tobytes()
+    assert (partial.weight_sum, partial.device_count) == (21.0, 6)
+
+    # Three leaves of two devices (device i on leaf i % 3) under two
+    # shard nodes (leaves 0 and 2; leaf 1), under the master.
+    monkeypatch.setattr(master_aggregator, "_PLAIN_GROUP_SIZE", 2)
+    initial = Parameters({"w": rng.normal(size=(4, 8))})
+    leaves = [left_to_right([vectors[i], vectors[i + 3]]) for i in range(3)]
+
+    def run_tree(reporting):
+        loop = EventLoop()
+        system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
+        store = CheckpointStore()
+        store.initialize(initial, "pop", "t")
+        round_config = RoundConfig(target_participants=6, overselection_factor=1.0)
+        root = MasterAggregator(
+            round_id=1,
+            task=TaskConfig("t", "pop", round_config=round_config),
+            coordinator=system.spawn(Sink(), "coordinator"),
+            store=store,
+            rng=np.random.default_rng(1),
+            shard_slots=2,
+        )
+        system.spawn(root, "master")
+        for device_id in vectors:
+            _, leaf = root.admit_device(
+                device_id, system.spawn(Sink(), f"device-{device_id}"), 1
+            )
+            if device_id in reporting:
+                system.tell(
+                    leaf,
+                    report(device_id, vectors[device_id], weight=device_id + 1.0),
+                )
+        loop.run_for(1.0)
+        return system, root, store
+
+    # Device 5 silent: the round stays open, so the nodes flush by hand.
+    system, root, _ = run_tree({0, 1, 2, 3, 4})
+    node0, node1 = map(system.actor_of, root.shard_aggregators)
+    shard0 = node0.flush({0, 1, 2, 3, 4})
+    assert shard0.delta_sum.tobytes() == left_to_right(
+        [leaves[0], vectors[2]]
+    ).tobytes()
+    assert (shard0.weight_sum, shard0.device_count) == (8.0, 3)
+    assert node1.flush({0, 1, 2, 3, 4}).delta_sum.tobytes() == leaves[1].tobytes()
+
+    _, _, store = run_tree(set(vectors))
+    committed = store.latest("pop")
+    assert committed.round_number == 1
+    total = left_to_right([left_to_right([leaves[0], leaves[2]]), leaves[1]])
+    expected = initial.to_vector() + total / 21.0
+    assert committed.to_params().to_vector().tobytes() == expected.tobytes()
 
 
 def test_flush_secagg_stacked_augmentation_matches_per_device_concat():

@@ -11,7 +11,6 @@ from repro.device.cohort import CohortExecutionPlane
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import PendingTrainResult, RealTrainer
 from repro.nn.models import MLPClassifier
-from repro.nn.parameters import functional_math
 
 MODEL = MLPClassifier(input_dim=6, hidden_dims=(5,), n_classes=3)
 CONFIG = ClientTrainingConfig(epochs=2, batch_size=4, learning_rate=0.1)
@@ -237,14 +236,6 @@ def test_defer_returns_none_for_eval_plans(params):
     plan = make_plan(kind=TaskKind.EVALUATION)
     assert trainer.defer(plan, make_checkpoint(params), 0.0,
                          np.random.default_rng(0)) is None
-
-
-def test_defer_returns_none_in_functional_math(params):
-    trainer = RealTrainer(model=MODEL, store=make_store(0))
-    trainer.attach_cohort_plane(CohortExecutionPlane(MODEL))
-    with functional_math():
-        assert trainer.defer(make_plan(), make_checkpoint(params), 0.0,
-                             np.random.default_rng(0)) is None
 
 
 def test_defer_raises_on_empty_store(params):

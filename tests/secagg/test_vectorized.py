@@ -17,8 +17,6 @@ from repro.secagg.protocol import (
     SecAggError,
     run_secure_aggregation,
     run_secure_aggregation_transcript,
-    secagg_plane,
-    set_secagg_plane,
 )
 
 
@@ -158,29 +156,35 @@ def test_grouped_secure_sum_identical_across_planes():
     assert len(m_s) == 3
 
 
-def test_plane_lever_default_and_override():
-    assert secagg_plane() == "vectorized"
-    previous = set_secagg_plane("scalar")
-    try:
-        assert previous == "vectorized"
-        assert secagg_plane() == "scalar"
-        # module default drives the run when plane=None
-        inputs = make_inputs(n=8, dim=9)
-        rng = np.random.default_rng(3)
-        total_default, _ = run_secure_aggregation(inputs, 6, quantizer(), rng)
-        rng = np.random.default_rng(3)
-        total_scalar, _ = run_secure_aggregation(
-            inputs, 6, quantizer(), rng, plane="scalar"
-        )
-        assert np.array_equal(total_default, total_scalar)
-    finally:
-        set_secagg_plane("vectorized")
-    with pytest.raises(ValueError, match="secagg_plane must be one of"):
-        set_secagg_plane("turbo")
-    with pytest.raises(ValueError, match="secagg_plane must be one of"):
+def test_plane_lever_default_and_override(monkeypatch):
+    """No ``plane`` means the production plane; the scalar reference is
+    reachable per call only; any other name is refused."""
+    from repro.secagg import protocol, vectorized
+
+    calls = []
+    for module, name in ((vectorized, "run_vectorized"), (protocol, "_run_scalar")):
+        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    inputs = make_inputs(n=8, dim=9)
+    total_default, _ = run_secure_aggregation(
+        inputs, 6, quantizer(), np.random.default_rng(3)
+    )
+    total_scalar, _ = run_secure_aggregation(
+        inputs, 6, quantizer(), np.random.default_rng(3), plane="scalar"
+    )
+    assert calls == ["run_vectorized", "_run_scalar"]
+    assert np.array_equal(total_default, total_scalar)
+    with pytest.raises(ValueError, match="plane must be 'vectorized' or 'scalar'"):
         run_secure_aggregation(
-            make_inputs(n=8, dim=9), 6, quantizer(),
-            np.random.default_rng(3), plane="turbo",
+            inputs, 6, quantizer(), np.random.default_rng(3), plane="turbo"
+        )
+    with pytest.raises(ValueError, match="plane must be 'vectorized' or 'scalar'"):
+        grouped_secure_sum(
+            inputs, min_group_size=4, threshold_fraction=0.66,
+            quantizer=quantizer(), rng=np.random.default_rng(3), plane=None,
         )
 
 
@@ -197,28 +201,6 @@ def test_server_seconds_zero_without_timer_and_positive_with():
         plane="vectorized", timer=lambda: next(ticks),
     )
     assert metrics.server_seconds == 1.0  # two injected ticks, one apart
-
-
-def test_vectorized_pergroup_accepted_and_identical_on_single_instance():
-    """For a single instance the two vectorized planes coincide — the
-    pergroup spelling only changes scheduling under grouped_secure_sum."""
-    inputs = make_inputs(n=8, dim=9)
-    previous = set_secagg_plane("vectorized_pergroup")
-    try:
-        assert previous == "vectorized"
-        assert secagg_plane() == "vectorized_pergroup"
-    finally:
-        set_secagg_plane("vectorized")
-    outs = {}
-    for plane in ("vectorized", "vectorized_pergroup"):
-        rng = np.random.default_rng(3)
-        total, metrics = run_secure_aggregation(
-            inputs, 6, quantizer(), rng, plane=plane
-        )
-        outs[plane] = (total, metrics, rng.bytes(8))
-    assert np.array_equal(outs["vectorized"][0], outs["vectorized_pergroup"][0])
-    assert outs["vectorized"][1] == outs["vectorized_pergroup"][1]
-    assert outs["vectorized"][2] == outs["vectorized_pergroup"][2]
 
 
 def test_phase_seconds_on_single_instance():

@@ -155,3 +155,31 @@ def test_pool_cap_uses_largest_task_goal():
     )
     selector = fleet.actors.actor_of(fleet.selectors[0])
     assert selector.route_of("a").pool_cap == 2 * large.round_config.selection_goal
+
+
+def test_public_knob_surface_is_pinned():
+    """The option count, as an assertion: a new fleet-level lever is a
+    reviewed edit to these lists, never a side effect of another change."""
+    import dataclasses
+
+    from repro.core.config import SecAggConfig
+    from repro.system.builder import FleetBuilder
+    from repro.system.config import FleetConfig
+
+    assert {f.name for f in dataclasses.fields(FleetConfig)} == {
+        "seed", "population", "diurnal", "network", "pace", "coordinator",
+        "job", "compute", "num_selectors", "selector_shards",
+        "sample_interval_s", "compute_error_prob", "waiting_timeout_s",
+        "idle_plane", "device_scheduler", "faults",
+        "selector_restart_delay_s",
+    }
+    assert {f.name for f in dataclasses.fields(SecAggConfig)} == {
+        "enabled", "group_size", "threshold_fraction", "modulus_bits",
+    }
+    assert {n for n in vars(FleetBuilder) if not n.startswith("_")} == {
+        "seed", "devices", "selectors", "selector_shards", "diurnal",
+        "network", "job", "compute", "pace", "coordinator", "idle_plane",
+        "device_scheduler", "sample_interval", "compute_error_prob",
+        "waiting_timeout", "faults", "population", "add_spec", "validate",
+        "build",
+    }

@@ -1,33 +1,25 @@
 """Seed equivalence of the buffered model plane at fleet scale.
 
 The same seed must produce the identical ``RunReport`` — and identical
-committed model bytes — whether the model plane runs buffered (default)
-or functional (the pre-buffering implementation kept as the perf-harness
-baseline).  This is the system-level guarantee that the in-place rewrite
-changed allocation behaviour and nothing else.
+committed model bytes — on a fleet of real trainers.  (That the in-place
+kernels equal the allocating ones byte for byte is asserted where the
+kernels live: ``tests/nn/test_inplace_equivalence.py``,
+``tests/core/test_fedavg_buffered.py``, and the fold oracle in
+``tests/actors/test_aggregator_unit.py``.)
 """
 
 import numpy as np
-import pytest
 
 from repro import FLFleet
 from repro.core.config import ClientTrainingConfig, RoundConfig, TaskConfig
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import RealTrainer
+from repro.device.scheduler import JobSchedule
 from repro.nn.models import MLPClassifier
-from repro.nn.parameters import buffered_math_enabled, set_buffered_math
 from repro.sim.population import PopulationConfig
 
 
-@pytest.fixture(autouse=True)
-def restore_buffered_mode():
-    previous = buffered_math_enabled()
-    yield
-    set_buffered_math(previous)
-
-
-def build_and_run(buffered: bool, days: float = 0.2):
-    set_buffered_math(buffered)
+def build_and_run(days: float):
     model = MLPClassifier(input_dim=8, hidden_dims=(16,), n_classes=4)
     params = model.init(np.random.default_rng(0))
     data_rng = np.random.default_rng(99)
@@ -52,35 +44,22 @@ def build_and_run(buffered: bool, days: float = 0.2):
         FLFleet.builder()
         .seed(11)
         .devices(PopulationConfig(num_devices=120))
+        # The default hourly job cadence starts no round in 0.2 days.
+        .job(JobSchedule(600.0, 0.5))
         .population("pop", tasks=[task], model=params,
                     trainer_factory=trainer_factory)
         .build()
     )
     fleet.run_days(days)
+    assert fleet.report().rounds_committed > 0
     report = fleet.report().to_operational_dict()
     health = fleet.health_report().to_dict()
-    ckpt = (
-        fleet.store.latest("pop").to_params().to_vector()
-        if fleet.store.has_checkpoint("pop")
-        else None
-    )
-    return report, health, ckpt
-
-
-def test_functional_and_buffered_fleets_are_byte_identical():
-    report_b, health_b, ckpt_b = build_and_run(buffered=True)
-    report_f, health_f, ckpt_f = build_and_run(buffered=False)
-    assert report_b == report_f
-    assert health_b == health_f
-    assert ckpt_b is not None, "equivalence run must commit at least one round"
-    np.testing.assert_array_equal(ckpt_b, ckpt_f)
+    return report, health, fleet.global_model("pop").to_vector()
 
 
 def test_same_seed_same_report_within_buffered_mode():
-    report_1, _, ckpt_1 = build_and_run(buffered=True, days=0.15)
-    report_2, _, ckpt_2 = build_and_run(buffered=True, days=0.15)
+    report_1, health_1, ckpt_1 = build_and_run(days=0.2)
+    report_2, health_2, ckpt_2 = build_and_run(days=0.2)
     assert report_1 == report_2
-    if ckpt_1 is None:
-        assert ckpt_2 is None
-    else:
-        np.testing.assert_array_equal(ckpt_1, ckpt_2)
+    assert health_1 == health_2
+    np.testing.assert_array_equal(ckpt_1, ckpt_2)

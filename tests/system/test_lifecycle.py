@@ -449,9 +449,19 @@ REAL_MODEL = MLPClassifier(input_dim=8, hidden_dims=(6,), n_classes=3)
 REAL_INIT = REAL_MODEL.init(np.random.default_rng(2))
 
 
+class InlineTrainer(RealTrainer):
+    """The per-device oracle: without ``attach_cohort_plane`` the fleet
+    cannot enroll it in a cohort plane, so its sessions train inline."""
+
+    attach_cohort_plane = None
+
+
 class RealTrainerFactory:
     """Module-level (hence picklable) factory: per-device data pinned by
     device id, full minibatches (row-exact cohort kernels)."""
+
+    def __init__(self, trainer_cls=RealTrainer):
+        self.trainer_cls = trainer_cls
 
     def __call__(self, profile):
         data_rng = np.random.default_rng(7_000 + profile.device_id)
@@ -461,10 +471,10 @@ class RealTrainerFactory:
             data_rng.integers(0, 3, size=48),
             timestamp_s=0.0,
         )
-        return RealTrainer(model=REAL_MODEL, store=store)
+        return self.trainer_cls(model=REAL_MODEL, store=store)
 
 
-def real_spec():
+def real_spec(trainer_cls=RealTrainer):
     return PopulationSpec(
         name="ranker",
         tasks=[
@@ -478,16 +488,15 @@ def real_spec():
             )
         ],
         initial_params=REAL_INIT,
-        trainer_factory=RealTrainerFactory(),
+        trainer_factory=RealTrainerFactory(trainer_cls),
         membership_fraction=0.8,
     )
 
 
-def real_scripted_run(training_plane):
+def real_scripted_run(trainer_cls):
     fleet = build_fleet(
         seed=11,
         devices=60,
-        training_plane=training_plane,
         diurnal=DiurnalModel(
             amplitude=0.0,
             base_eligible_fraction=0.7,
@@ -495,7 +504,10 @@ def real_scripted_run(training_plane):
         ),
     )
     fleet.run_for(HOUR)
-    fleet.attach_population(real_spec())
+    fleet.attach_population(real_spec(trainer_cls))
+    assert set(fleet.cohort_planes) == (
+        set() if trainer_cls is InlineTrainer else {"ranker"}
+    )
     fleet.run_for(3 * HOUR)
     drain = fleet.drain_population("ranker", deadline_s=HOUR)
     fleet.run_for(HOUR)
@@ -503,8 +515,8 @@ def real_scripted_run(training_plane):
 
 
 def test_lifecycle_is_byte_identical_across_training_planes():
-    cohort, drain_cohort = real_scripted_run("cohort")
-    per_device, drain_per_device = real_scripted_run("per_device")
+    cohort, drain_cohort = real_scripted_run(RealTrainer)
+    per_device, drain_per_device = real_scripted_run(InlineTrainer)
     assert drain_cohort.rounds_committed > 0
     assert drain_cohort == drain_per_device
     assert cohort.report() == per_device.report()
