@@ -88,8 +88,8 @@ class PopulationRoute:
     #: Counted against the pool quota so one batched sweep cannot admit a
     #: whole cohort into the last free slot.
     pending_admissions: int = 0
-    #: Cached ``runtime_version -> has compatible plan`` verdicts for the
-    #: fast screen (the plan directory is immutable after deployment).
+    #: Cached ``runtime_version -> has compatible plan`` verdicts (the
+    #: plan directory is immutable after deployment).
     plan_compat: dict[int, bool] = field(default_factory=dict)
     #: The population is being drained from the fleet: admission is
     #: closed (new check-ins bounce with a pace window) while in-flight
@@ -227,51 +227,81 @@ class Selector(Actor):
 
     # -- vectorized-plane fast path ------------------------------------------------
     def fast_checkin_decision(
-        self, population_name: str, device, attestation_ok: bool | None = None
+        self,
+        population_name: str,
+        attestation_ok: list,
+        runtime_versions: list[int],
+        issue_token: Callable[[int], Any] | None = None,
     ):
-        """Screen a check-in synchronously for the vectorized idle plane.
+        """Screen one sweep's check-ins for one population, synchronously,
+        for the vectorized idle plane: one verdict for the whole group.
 
-        Runs the same admission policy as :meth:`_on_checkin` in the same
-        order (attestation, plan compatibility, pause/quota) and returns
-        ``None`` when the device should *materialize* — open a real
-        stream and go through the normal message path — or the rejection
-        ``window`` when it bounces.  Reject-branch counters are updated
-        here; admitted devices are counted by the real check-in message,
-        so nothing is double-counted.
-
-        ``attestation_ok`` lets the plane pass a cached verification
-        verdict (token issue/verify is deterministic per device); when
-        ``None`` a real token is issued and verified.
+        The group arrives in device-index order as parallel lists — each
+        row's cached attestation verdict (1 pass, 0 fail; -1 unknown, for
+        which ``issue_token(j)`` must issue row ``j`` a real token, to be
+        verified here) and its FL runtime version.  Runs the admission
+        policy of :meth:`_on_checkin` over the group in the same order
+        (draining, attestation, plan compatibility, pause/quota) and
+        returns ``(admitted, window)``: the positions that should
+        *materialize* — open a real stream and go through the normal
+        message path — and the pace window every other row bounces with
+        (``None`` when none does).  Bounced rows are counted here, by
+        reason; admitted ones by their check-in message, so nothing is
+        double-counted.
         """
+        count = len(attestation_ok)
         route = self.routes.get(population_name)
         if route is None:
             if not self.routes:
-                # Nothing hosted: the classic path silently drops the
-                # check-in, so let the device materialize into that fate.
-                return None
+                # Nothing hosted: the message path silently drops the
+                # check-in, so let the devices materialize into that fate.
+                return range(count), None
             fallback = next(iter(self.routes.values()))
-            fallback.stats.checkins += 1
-            fallback.stats.rejected_unknown_population += 1
-            return self._suggest_window(fallback)
-        if attestation_ok is None:
-            token = device.attestation.issue_token(
-                device.device_id, device.profile.genuine
-            )
-            attestation_ok = self.verify_attestation(token)
-        reason = self._admission_verdict(
-            route,
-            attestation_ok,
-            device.profile.runtime_version,
-            # Unlike the message path, a batched sweep screens many
-            # devices at one instant: in-flight admissions count against
-            # the quota so one sweep cannot over-admit into the pool.
-            count_inflight=True,
-        )
-        if reason is not None:
-            route.stats.checkins += 1
-            return self._suggest_window(route)
-        route.pending_admissions += 1
-        return None
+            fallback.stats.checkins += count
+            fallback.stats.rejected_unknown_population += count
+            return (), self._suggest_window(fallback)
+        if -1 in attestation_ok:
+            attestation_ok = [
+                self.verify_attestation(issue_token(j)) if ok < 0 else ok
+                for j, ok in enumerate(attestation_ok)
+            ]
+        admitted = self._admit_group(route, attestation_ok, runtime_versions)
+        bounced = count - len(admitted)
+        if not bounced:
+            return admitted, None
+        route.stats.checkins += bounced
+        return admitted, self._suggest_window(route)
+
+    def _admit_group(
+        self, route: PopulationRoute, attestation_ok: list, runtime_versions: list[int]
+    ):
+        """:meth:`_admission_verdict` over a group of simultaneous
+        check-ins: the positions admitted, every rejection counted under
+        its reason.  Unlike the message path, a sweep screens many
+        devices at one instant, so admissions still in flight count
+        against the quota and the ones made here are reserved at once —
+        the free slots go to the first admissible rows and one sweep
+        cannot over-admit into the pool."""
+        stats = route.stats
+        if route.draining:
+            stats.rejected_draining += len(attestation_ok)
+            return ()
+        live = range(len(attestation_ok))
+        if not all(attestation_ok):
+            live = [j for j in live if attestation_ok[j]]
+            stats.rejected_attestation += len(attestation_ok) - len(live)
+        if not all(map(route.plan_compat.get, runtime_versions)):
+            # Some row's runtime has no plan — or has not been looked up yet.
+            runnable = [
+                j for j in live if self._compatible(route, runtime_versions[j])
+            ]
+            stats.rejected_incompatible += len(live) - len(runnable)
+            live = runnable
+        free = route.pool_cap - len(route.pool) - route.pending_admissions
+        admitted = live[: 0 if self._paused else max(free, 0)]
+        stats.rejected_quota += len(live) - len(admitted)
+        route.pending_admissions += len(admitted)
+        return admitted
 
     # -- message handling ----------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
@@ -326,34 +356,32 @@ class Selector(Actor):
                 return
 
     # -- check-in path ---------------------------------------------------------
+    def _compatible(self, route: PopulationRoute, runtime_version: int) -> bool:
+        """Whether ``route`` has a plan this FL runtime version can run."""
+        compatible = route.plan_compat.get(runtime_version)
+        if compatible is None:
+            compatible = route.plans.plan_for_runtime(runtime_version) is not None
+            route.plan_compat[runtime_version] = compatible
+        return compatible
+
     def _admission_verdict(
-        self,
-        route: PopulationRoute,
-        attestation_ok: bool,
-        runtime_version: int,
-        count_inflight: bool,
+        self, route: PopulationRoute, attestation_ok: bool, runtime_version: int
     ) -> str | None:
-        """The admission policy, shared verbatim by the message path and
-        the vectorized plane's synchronous screen: returns the rejection
-        reason, or ``None`` to admit.  Updates the matching rejection
-        counter (``stats.checkins`` is the caller's job)."""
+        """The admission policy for one arriving check-in message (the
+        vectorized plane's screen applies it a group at a time,
+        :meth:`_admit_group`): returns the rejection reason, or ``None``
+        to admit.  Updates the matching rejection counter
+        (``stats.checkins`` is the caller's job)."""
         if route.draining:
             route.stats.rejected_draining += 1
             return "draining"
         if not attestation_ok:
             route.stats.rejected_attestation += 1
             return "attestation_failed"
-        compatible = route.plan_compat.get(runtime_version)
-        if compatible is None:
-            compatible = route.plans.plan_for_runtime(runtime_version) is not None
-            route.plan_compat[runtime_version] = compatible
-        if not compatible:
+        if not self._compatible(route, runtime_version):
             route.stats.rejected_incompatible += 1
             return "no_compatible_plan"
-        pooled = len(route.pool)
-        if count_inflight:
-            pooled += route.pending_admissions
-        if self._paused or pooled >= route.pool_cap:
+        if self._paused or len(route.pool) >= route.pool_cap:
             route.stats.rejected_quota += 1
             return "over_quota"
         return None
@@ -378,7 +406,6 @@ class Selector(Actor):
             route,
             self.verify_attestation(checkin.attestation_token),
             checkin.runtime_version,
-            count_inflight=False,
         )
         if reason is not None:
             self._reject(route, checkin.device_ref, reason)

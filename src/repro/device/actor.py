@@ -17,9 +17,11 @@ and only materialize as actor interactions when they actually check in.
 
 A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
 one fleet, many learning problems).  Each job-scheduler firing enqueues
-every membership on the on-device :class:`MultiTenantScheduler`; exactly
-one session runs at a time, and the check-in announces the session's
-population so the Selector can route it.
+every membership on the on-device worker queue (a
+:class:`MultiTenantScheduler`, or the device's row of the plane's
+:class:`~repro.device.scheduler.ColumnScheduler`); exactly one session
+runs at a time, and the check-in announces the session's population so
+the Selector can route it.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ import numpy as np
 from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
-from repro.core.pace import ReconnectWindow
 from repro.device.attestation import AttestationService
 from repro.device.runtime import (
     ComputeModel,
@@ -163,6 +164,10 @@ class DeviceActor(Actor):
         #: them only when it hands the device a session or interrupts one.
         self.state = DeviceState.SLEEPING
         self.eligible = False
+        #: The on-device worker queue and the health record.  The
+        #: vectorized plane keeps the queue (and the check-in tally) of a
+        #: device it adopts as rows of its columns, and swaps both for
+        #: row views with the same interface.
         self.scheduler = MultiTenantScheduler(policy=scheduler_policy)
         self.health = DeviceHealthStats()
         self.rounds_completed = 0
@@ -368,19 +373,11 @@ class DeviceActor(Actor):
 
     # -- check-in ------------------------------------------------------------
     def _attempt_checkin(self) -> None:
-        started = self._begin_checkin(self.rng.random())
-        if started is not None:
-            self._materialize_checkin(started)
-
-    def _begin_checkin(self, pick: float) -> str | None:
-        """The pre-materialization half of a check-in: the on-device
-        worker-queue dance and the Selector pick.  Returns the population
-        whose session starts, or ``None`` if nothing does.
-
-        ``pick`` is the check-in's one idle-side draw (which Selector, or
-        how long to back off from a busy queue), a uniform in [0, 1) made
-        by whichever idle driver fired the check-in.
-        """
+        """A check-in fired by the timer-based idle driver: the on-device
+        worker-queue dance, the Selector pick, and — if a session starts
+        — the real stream.  (A plane-owned device's queue and pick are
+        plane columns; it enters at :meth:`_attempt_screened_checkin`.)"""
+        pick = self.rng.random()
         # Every membership wants a session; the on-device worker queue
         # (Sec. 11) serializes them and picks who goes first.
         for membership in self.memberships:
@@ -389,11 +386,12 @@ class DeviceActor(Actor):
         if started is None:
             # Another tenant is training; retry after its session.
             self.idle.schedule_checkin(self.job.delay_at(pick))
-            return None
+            return
         self._active_population = started
         pool = self._selector_pool(started)
         self._selector = pool[int(pick * len(pool))]
-        return started
+        self.health.checkins += 1
+        self._materialize_checkin(started)
 
     def _selector_pool(self, population_name: str) -> list[ActorRef]:
         """The Selectors this population may check in to: its owning
@@ -421,7 +419,6 @@ class DeviceActor(Actor):
         self._waiting_timeout_event = self.schedule(
             self.waiting_timeout_s, self._on_waiting_timeout, self._wait_epoch
         )
-        self.health.checkins += 1
         self._round_id = None
         # The round id is unknown until selection; the check-in event is
         # logged retroactively (at its true time) once configured, so
@@ -440,43 +437,16 @@ class DeviceActor(Actor):
             delay=self.conditions.rtt_s,
         )
 
-    def _attempt_screened_checkin(
-        self, attestation_ok: bool | None, pick: float
-    ) -> ReconnectWindow | None:
-        """Check in through the vectorized plane's synchronous screen.
-
-        The plane calls this for a row it knows to be eligible, idle and
-        past its pace window, with the row's ``pick`` draw.  The chosen
-        Selector's admission policy runs inline (:meth:`~repro.actors.
-        selector.Selector.fast_checkin_decision`); a bounced device
-        applies the device half of its rejection right here — same health
-        counter and scheduler release as :meth:`_on_rejected` — and never
-        materializes.  Returns the pace window when screened out (the
-        plane samples it and steers the row), ``None`` when the device
-        opened a real stream or started nothing.
+    def _attempt_screened_checkin(self, started: str, selector: ActorRef) -> None:
+        """The device half of a check-in the vectorized plane's screen
+        admitted.  The plane has already run the worker queue (``started``
+        is the session it picked), resolved ``selector`` from the row's
+        pick draw and had it reserve a pool slot; a bounced row never
+        gets here — its rejection is array writes inside the plane.
         """
-        if not self.memberships:
-            return None
-        started = self._begin_checkin(pick)
-        if started is None:
-            return None
-        selector = (
-            self.system.actor_of(self._selector)
-            if self._selector is not None
-            else None
-        )
-        screen = getattr(selector, "fast_checkin_decision", None)
-        window = (
-            screen(started, self, attestation_ok) if screen is not None else None
-        )
-        if window is None:
-            self._materialize_checkin(started)
-            return None
-        self.health.checkins += 1
-        self.scheduler.abort()
-        self._active_population = None
-        self._selector = None
-        return window
+        self._active_population = started
+        self._selector = selector
+        self._materialize_checkin(started)
 
     def _on_waiting_timeout(self, wait_epoch: int) -> None:
         self._waiting_timeout_event = None

@@ -13,7 +13,11 @@ module instead keeps every idle device as a row in fleet-wide arrays:
 * ``pending_window_t`` — pace-steering window start (device must not
   check in before it);
 * ``active``        — the device is *materialized*: it is WAITING at a
-  Selector or PARTICIPATING in a round, under actor control.
+  Selector or PARTICIPATING in a round, under actor control;
+* the on-device worker queue (Sec. 11) of every row, as the
+  ``(rows x tenant-slot)`` columns of a :class:`~repro.device.scheduler.
+  ColumnScheduler`, and what a Selector's screen reads of a device
+  (cached attestation verdict, FL runtime version).
 
 The plane advances by batched sweeps: one :class:`~repro.sim.event_loop.
 Sweeper` event per sweep boundary (the earliest pending transition
@@ -21,10 +25,14 @@ fleet-wide) instead of one timer per device.  Within a sweep, due
 *flips* are processed before due *check-ins*, so a device that loses
 eligibility exactly at a sweep boundary never checks in at that instant.
 
-A device only materializes as a full :class:`~repro.device.actor.
-DeviceActor` interaction at the moment it actually checks in; when its
-session ends (report, rejection, timeout, interruption), the actor hands
-the device back to the plane.  Determinism: every draw a device makes
+A sweep's check-ins are array work end to end: the worker queues pick
+each due row's session, the row's pick draw resolves its Selector, and
+each Selector gives one admission verdict per (selector, tenant) group.
+A bounced row is pace-steered by vector writes; a device only
+materializes as a full :class:`~repro.device.actor.DeviceActor`
+interaction when a Selector admits it, and when its session ends
+(report, rejection, timeout, interruption) the actor hands the device
+back to the plane.  Determinism: every draw a device makes
 *while the plane owns it* (initial eligibility, flip resample, first
 check-in stagger, wake jitter, selector pick, rejected-window sample)
 comes from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`),
@@ -34,18 +42,23 @@ run, and the device's own generator serves its sessions only.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from functools import partial
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.device.actor import DeviceState
+from repro.device.actor import DeviceHealthStats, DeviceState
 from repro.device.idle import first_checkin_delay, wake_jitter
+from repro.device.scheduler import ColumnScheduler, RowScheduler
+from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
 from repro.sim.rng import RowDraws
 
 if TYPE_CHECKING:
+    from repro.actors.kernel import Actor, ActorRef
     from repro.device.actor import DeviceActor
+    from repro.device.attestation import AttestationService, AttestationToken
 
 _INF = float("inf")
 
@@ -85,6 +98,26 @@ class PlaneIdleDriver:
         self._plane._kick_first_checkin(self._index)
 
 
+class _RowHealthStats(DeviceHealthStats):
+    """A plane-owned device's health counters: ``checkins`` lives in the
+    plane's column (a bounced check-in is counted there by a vector
+    write, without visiting the device); everything else is the device's
+    own, as on :class:`~repro.device.actor.DeviceHealthStats`."""
+
+    def __init__(self, plane: "VectorizedIdlePlane", index: int):
+        self._plane = plane
+        self._index = index
+        super().__init__()
+
+    @property
+    def checkins(self) -> int:
+        return int(self._plane._health_checkins[self._index])
+
+    @checkins.setter
+    def checkins(self, value: int) -> None:
+        self._plane._health_checkins[self._index] = value
+
+
 class VectorizedIdlePlane:
     """Fleet-wide vectorized idle state, advanced by batched sweeps.
 
@@ -95,13 +128,53 @@ class VectorizedIdlePlane:
     up to one bucket of added latency per idle transition, which is
     negligible against the hour-scale idle dynamics.  Set it to ``0`` for
     exact-time sweeps (one sweep per distinct transition time).
+
+    The plane runs the device side of a check-in for every idle row, so
+    it is handed what that needs of the fleet: ``selectors`` (the live
+    Selector list — a respawn swaps refs in place), ``actor_of`` (a
+    Selector ref's live actor, ``None`` once crashed), the
+    ``shard_router`` that says which Selectors serve which tenant
+    (``None``: all of them), the ``attestation`` service every device
+    shares, and the fleet's on-device ``scheduler_policy``.
     """
+
+    #: Every per-row array, declared once: construction and growth both
+    #: size them through :func:`repro.sim.columns.resize`.
+    _COLUMNS: tuple[columns.Column, ...] = (
+        ("next_flip_t", np.float64, _INF),
+        ("next_checkin_t", np.float64, _INF),
+        ("pending_window_t", np.float64, -_INF),
+        # min(next_flip_t, next_checkin_t) per device, maintained on every
+        # write so a sweep scans one array, not two.
+        ("_next_event_t", np.float64, _INF),
+        ("eligible", np.bool_, False),
+        ("active", np.bool_, False),
+        ("_has_memberships", np.bool_, False),
+        ("_tz_offset_s", np.float64, 0.0),
+        # Each row's counter-keyed stream: key and draws made so far.
+        ("_row_key", np.uint64, 0),
+        ("_draw_count", np.uint64, 0),
+        # Cached attestation verdict per device (-1 unknown, 0 fail,
+        # 1 pass): token issue/verify is deterministic per device, so the
+        # screen only pays the hashing once.
+        ("_attestation_ok", np.int8, -1),
+        # FL runtime version (a Selector checks plan compatibility by it).
+        ("_runtime_version", np.int64, 0),
+        # ``device.health.checkins``: check-in attempts, bounced ones
+        # included.
+        ("_health_checkins", np.int64, 0),
+    )
 
     def __init__(
         self,
         loop: EventLoop,
         draws: RowDraws,
         diurnal: DiurnalModel,
+        selectors: list["ActorRef"],
+        actor_of: Callable[["ActorRef"], "Actor | None"],
+        attestation: "AttestationService",
+        shard_router=None,  # system.sharding.ShardRouter; None = unsharded
+        scheduler_policy: str = "fifo",
         capacity: int = 0,
         sweep_interval_s: float = 15.0,
     ):
@@ -109,27 +182,24 @@ class VectorizedIdlePlane:
         self._draws = draws
         #: The availability law every row flips under (one per fleet).
         self._diurnal = diurnal
+        self._selectors = selectors
+        self._actor_of = actor_of
+        self._attestation = attestation
+        self._shard_router = shard_router
         self._sweeper = Sweeper(loop, self._sweep)
         self.sweep_interval_s = float(sweep_interval_s)
-        n = int(capacity)
-        self.next_flip_t = np.full(n, _INF)
-        self.next_checkin_t = np.full(n, _INF)
-        self.pending_window_t = np.full(n, -_INF)
-        #: min(next_flip_t, next_checkin_t) per device, maintained on every
-        #: write so a sweep scans one array, not two.
-        self._next_event_t = np.full(n, _INF)
-        self.eligible = np.zeros(n, dtype=bool)
-        self.active = np.zeros(n, dtype=bool)
-        self._has_memberships = np.zeros(n, dtype=bool)
-        self._tz_offset_s = np.zeros(n)
-        #: Each row's counter-keyed stream: key and draws made so far.
-        self._row_key = np.zeros(n, dtype=np.uint64)
-        self._draw_count = np.zeros(n, dtype=np.uint64)
-        #: Cached attestation verdict per device (-1 unknown, 0 fail,
-        #: 1 pass): token issue/verify is deterministic per device, so the
-        #: screen only pays the hashing once.
-        self._attestation_ok = np.full(n, -1, dtype=np.int8)
+        columns.resize(self, self._COLUMNS, (int(capacity),))
+        #: The on-device worker queue (Sec. 11) of every row.
+        self.scheduler = ColumnScheduler(scheduler_policy, rows=int(capacity))
+        #: Per tenant slot of the scheduler: the indices into ``selectors``
+        #: of the Selectors that serve it, and how many there are.
+        self._pools: list[tuple[int, ...]] = []
+        self._pool_size = np.zeros(0)
         self._devices: list["DeviceActor"] = []
+        #: Rows whose memberships changed since a dispatch last read the
+        #: scheduler's membership columns: an attach touches every member
+        #: once per tenant, the columns are rewritten once per row.
+        self._stale_memberships: list[int] = []
         #: Rows started since the last sweep; the next one (armed for the
         #: same instant) starts them as one batch.
         self._starting: list[int] = []
@@ -156,47 +226,43 @@ class VectorizedIdlePlane:
         """Enroll a device; returns the driver to install as ``device.idle``.
 
         Must be called before the device actor is spawned (the driver's
-        ``start`` hook runs from ``DeviceActor.on_start``).
+        ``start`` hook runs from ``DeviceActor.on_start``).  From here on
+        the device's worker queue and its ``health.checkins`` tally are
+        plane columns, behind ``device.scheduler`` / ``device.health``.
         """
+        if device.scheduler.policy != self.scheduler.policy:
+            raise ValueError(
+                f"device {device.device_id} schedules {device.scheduler.policy!r}; "
+                f"this plane's fleet schedules {self.scheduler.policy!r}"
+            )
         index = len(self._devices)
         self._devices.append(device)
         if index >= self.next_flip_t.size:
             self._grow(index + 1)
-        self._has_memberships[index] = bool(device.memberships)
         self._tz_offset_s[index] = device.profile.tz_offset_hours * SECONDS_PER_HOUR
+        self._runtime_version[index] = device.profile.runtime_version
         # One real token round per device, at enrollment: the verdict is
         # deterministic, so every screen reuses it instead of re-hashing.
         # The service's verified/rejected counters are restored so they
-        # keep counting *check-ins* (the screen bumps them per screened
+        # keep counting *check-ins* (the sweep bumps them per bounced
         # attempt, the message path per arrival), not enrollments.
-        service = device.attestation
+        service = self._attestation
         counters = (service.verified_count, service.rejected_count)
         token = service.issue_token(device.device_id, device.profile.genuine)
         self._attestation_ok[index] = int(service.verify(token))
         service.verified_count, service.rejected_count = counters
+        device.scheduler = RowScheduler(self.scheduler, index)
+        device.health = _RowHealthStats(self, index)
+        self._has_memberships[index] = bool(device.memberships)
+        self._stale_memberships.append(index)
         driver = PlaneIdleDriver(self, index)
         device.idle = driver
         return driver
 
     def _grow(self, minimum: int) -> None:
         size = max(minimum, 2 * max(self.next_flip_t.size, 16))
-
-        def extend(arr: np.ndarray, fill) -> np.ndarray:
-            out = np.full(size, fill, dtype=arr.dtype)
-            out[: arr.size] = arr
-            return out
-
-        self.next_flip_t = extend(self.next_flip_t, _INF)
-        self.next_checkin_t = extend(self.next_checkin_t, _INF)
-        self.pending_window_t = extend(self.pending_window_t, -_INF)
-        self._next_event_t = extend(self._next_event_t, _INF)
-        self.eligible = extend(self.eligible, False)
-        self.active = extend(self.active, False)
-        self._has_memberships = extend(self._has_memberships, False)
-        self._tz_offset_s = extend(self._tz_offset_s, 0.0)
-        self._row_key = extend(self._row_key, 0)
-        self._draw_count = extend(self._draw_count, 0)
-        self._attestation_ok = extend(self._attestation_ok, -1)
+        columns.resize(self, self._COLUMNS, (size,))
+        self.scheduler.grow(size)
 
     # -- per-device transitions (driver entry points) ---------------------------
     def _quantize(self, t: float) -> float:
@@ -283,7 +349,7 @@ class VectorizedIdlePlane:
         self._touch(i)
 
     def _membership_changed(self, i: int) -> None:
-        """Refresh row ``i``'s membership bit after an attach/drain.
+        """Refresh row ``i``'s membership columns after an attach/drain.
 
         A device whose last tenant left stops counting down to a check-in
         (its row stays swept only for eligibility flips); a device that
@@ -292,6 +358,7 @@ class VectorizedIdlePlane:
         """
         has = bool(self._devices[i].memberships)
         self._has_memberships[i] = has
+        self._stale_memberships.append(i)
         if not has:
             self.next_checkin_t[i] = _INF
             self.pending_window_t[i] = -_INF
@@ -368,43 +435,173 @@ class VectorizedIdlePlane:
     def _checkin_rows(
         self, rows: np.ndarray, u_pick: np.ndarray, u_window: np.ndarray, now: float
     ) -> None:
-        """Dispatch every due check-in: verdicts per row, in device-index
-        order (it fixes the shared actors/latency stream); the rejected
-        rows' window samples and every array write once per sweep."""
+        """Dispatch every due check-in as array work: the worker queues
+        pick each row's session, its pick draw its Selector, and each
+        Selector screens its rows a (selector, tenant) group at a time.
+        Bounced rows are pace-steered by vector writes; only the admitted
+        few touch their ``DeviceActor`` — in device-index order (it fixes
+        the shared actors/latency stream)."""
         self.next_checkin_t[rows] = _INF
         self._next_event_t[rows] = self.next_flip_t[rows]
-        go = self.eligible[rows] & ~self.active[rows]
-        rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
+        # Eligible and not in a session (an active row is always eligible).
+        go = self.eligible[rows] != self.active[rows]
+        if np.count_nonzero(go) != rows.size:
+            rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
         self.checkins_dispatched += rows.size
         self.pending_window_t[rows] = -_INF
+        member = self._has_memberships[rows]
+        ready = member & self.scheduler.free(rows)
+        if np.count_nonzero(ready) != rows.size:
+            # A member whose worker is busy with another tenant's session
+            # retries after it; a row with no tenant wants nothing.
+            busy = member & ~ready
+            self._retry_busy(rows[busy], u_pick[busy], now)
+            rows, u_pick, u_window = rows[ready], u_pick[ready], u_window[ready]
+            if not rows.size:
+                return
+        if self._stale_memberships:
+            self._refresh_memberships()
+        slot = self.scheduler.checkin(rows)
+        if len(self._pools) != len(self.scheduler.tenants):
+            self._resolve_pools()
+        # The Selector a row checks in to: ``pool[int(pick * len(pool))]``
+        # over its tenant's pool.  Rows are grouped by (tenant, Selector),
+        # device-index order kept within a group.
+        choice = (u_pick * self._pool_size[slot]).astype(np.intp)
+        group = slot * len(self._selectors) + choice
+        order = group.argsort(kind="stable")
+        group, rows, u_window = group[order], rows[order], u_window[order]
+        cached = self._attestation_ok[rows].tolist()
+        held, admitted, spans, sizes = self._screen_groups(
+            group.tolist(),
+            (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(),
+            rows.tolist(),
+            cached,
+            self._runtime_version[rows].tolist(),
+        )
+        # The attempt counts on the device's health record, admitted or not.
+        self._health_checkins[rows] += 1
+        # Keep AttestationService counters per check-in (as the message
+        # path does) without re-hashing: for a bounced row the cached
+        # verdict stands in for the verify() the screen skipped.  A row
+        # without one had a real token verified; admitted devices are
+        # counted at arrival.
+        taken = [cached[position] for position in held]
+        self._attestation.verified_count += cached.count(1) - taken.count(1)
+        self._attestation.rejected_count += cached.count(0) - taken.count(0)
+        if len(held) < rows.size:
+            windows = np.repeat(np.array(spans), sizes, axis=0)
+            if held:
+                bounced = np.ones(rows.size, dtype=bool)
+                bounced[held] = False
+                rows, windows, u_window = rows[bounced], windows[bounced], u_window[bounced]
+            self._bounce_rows(rows, windows[:, 0], windows[:, 1], u_window, now)
+        # Materialize in global device-index order, whatever the grouping
+        # (device indices are distinct: the sort never compares past them).
         devices = self._devices
-        rejected, windows = [], []
-        for j, (i, cached, pick) in enumerate(zip(
-            rows.tolist(), self._attestation_ok[rows].tolist(), u_pick.tolist()
-        )):
-            device = devices[i]
-            verdict = bool(cached) if cached >= 0 else None
-            window = device._attempt_screened_checkin(verdict, pick)
-            if window is None:
-                continue
-            rejected.append(j)
-            windows.append(window)
-            if verdict is not None:
-                # Keep AttestationService counters per check-in (as the
-                # message path does) without re-hashing: the cached
-                # verdict stands in for the verify() this screen skipped.
-                # Admitted devices are counted at arrival.
-                if verdict:
-                    device.attestation.verified_count += 1
-                else:
-                    device.attestation.rejected_count += 1
-        if not rejected:
-            return
-        self.checkins_fast_rejected += len(rejected)
-        rows = rows[rejected]
-        earliest = np.array([w.earliest_s for w in windows])
-        latest = np.array([w.latest_s for w in windows])
-        reconnect_at = earliest + (latest - earliest) * u_window[rejected]
+        admitted.sort()
+        for i, tenant, selector in admitted:
+            devices[i]._attempt_screened_checkin(tenant, selector)
+
+    def _retry_busy(self, rows: np.ndarray, u_pick: np.ndarray, now: float) -> None:
+        """``rows``' workers are busy: their memberships still file their
+        requests, and the next check-in is one jittered job interval out,
+        on the draw the Selector pick would have used."""
+        delay = []
+        for i, u in zip(rows.tolist(), u_pick.tolist()):
+            device = self._devices[i]
+            for membership in device.memberships:
+                device.scheduler.enqueue(membership)
+            delay.append(max(device.job.delay_at(u), 0.0))
+        checkin_t = now + np.array(delay)
+        self.next_checkin_t[rows] = checkin_t
+        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+
+    def _refresh_memberships(self) -> None:
+        """Bring the scheduler's membership columns up to date."""
+        devices = self._devices
+        for i in dict.fromkeys(self._stale_memberships):
+            self.scheduler.set_memberships(i, devices[i].memberships)
+        self._stale_memberships.clear()
+
+    def _resolve_pools(self) -> None:
+        """Selector pools for the tenant slots registered since last time
+        (placement is a pure function of the name)."""
+        router = self._shard_router
+        everyone = tuple(range(len(self._selectors)))
+        for name in self.scheduler.tenants[len(self._pools):]:
+            self._pools.append(
+                everyone if router is None else router.selector_indices_for(name)
+            )
+        self._pool_size = np.array([float(len(pool)) for pool in self._pools])
+
+    def _screen_groups(
+        self,
+        group: list[int],
+        edges: list[int],
+        rows: list[int],
+        cached: list[int],
+        versions: list[int],
+    ) -> tuple[list[int], list[tuple], list[tuple[float, float]], list[int]]:
+        """One admission verdict per (selector, tenant) group of a sweep's
+        check-ins (sorted by group; a group starts at each of ``edges``).
+
+        Returns the admitted rows — their positions, and ``(device index,
+        tenant, selector ref)`` for each — and, per group, the
+        ``(earliest, latest)`` of the pace window its bounced rows are
+        steered into and its size.  Per-group work is scalar Python on
+        the route; nothing here is per row except for the admitted.
+        """
+        tenants, pools, selectors = self.scheduler.tenants, self._pools, self._selectors
+        width = len(selectors)
+        held: list[int] = []
+        admitted: list[tuple] = []
+        spans, sizes = [], []
+        for start, stop in zip([0, *edges], [*edges, len(rows)]):
+            slot, choice = divmod(group[start], width)
+            tenant = tenants[slot]
+            selector = selectors[pools[slot][choice]]
+            # A crashed Selector, or a stand-in without the screen: the
+            # rows materialize and meet their fate on the message path.
+            screen = getattr(self._actor_of(selector), "fast_checkin_decision", None)
+            if screen is None:
+                taken, window = range(stop - start), None
+            else:
+                verdicts = cached[start:stop]
+                taken, window = screen(
+                    tenant,
+                    verdicts,
+                    versions[start:stop],
+                    partial(self._issue_token, rows, start) if -1 in verdicts else None,
+                )
+            for j in taken:
+                held.append(start + j)
+                admitted.append((rows[start + j], tenant, selector))
+            spans.append(
+                (window.earliest_s, window.latest_s) if window is not None else (_INF, _INF)
+            )
+            sizes.append(stop - start)
+        return held, admitted, spans, sizes
+
+    def _issue_token(self, rows: list[int], start: int, j: int) -> "AttestationToken":
+        """A real attestation token for the ``j``-th row of the group that
+        starts at ``rows[start]`` (its cached verdict is unknown)."""
+        device = self._devices[rows[start + j]]
+        return self._attestation.issue_token(device.device_id, device.profile.genuine)
+
+    def _bounce_rows(
+        self,
+        rows: np.ndarray,
+        earliest: np.ndarray,
+        latest: np.ndarray,
+        u_window: np.ndarray,
+        now: float,
+    ) -> None:
+        """The device half of a rejection for every screened-out row: the
+        worker is released and the row returns inside its pace window."""
+        self.checkins_fast_rejected += rows.size
+        self.scheduler.abort_rows(rows)
+        reconnect_at = earliest + (latest - earliest) * u_window
         checkin_t = now + np.maximum(reconnect_at - now, 1.0)
         self.pending_window_t[rows] = reconnect_at
         self.next_checkin_t[rows] = checkin_t

@@ -113,18 +113,6 @@ class FLFleet:
         self.round_results: list[RoundResult] = []
         self.devices: list[DeviceActor] = []
         self.profiles = build_population(self.config.population, self.rngs)
-        #: The vectorized idle plane, when ``config.idle_plane`` selects it
-        #: (``None`` under the per-device actor baseline).
-        self.idle_plane: VectorizedIdlePlane | None = (
-            VectorizedIdlePlane(
-                self.loop,
-                self.rngs.row_draws("device/idle"),
-                self.config.diurnal,
-                capacity=len(self.profiles),
-            )
-            if self.config.idle_plane == "vectorized"
-            else None
-        )
         #: One cohort execution plane per population whose trainers can
         #: defer (built by the lifecycle plane at attach; trainers
         #: without ``attach_cohort_plane`` — synthetic ones — get none).
@@ -136,6 +124,23 @@ class FLFleet:
         self.shards = ShardRouter(
             num_selectors=self.config.num_selectors,
             num_shards=self.config.selector_shards,
+        )
+        #: The vectorized idle plane, when ``config.idle_plane`` selects it
+        #: (``None`` under the per-device actor baseline).
+        self.idle_plane: VectorizedIdlePlane | None = (
+            VectorizedIdlePlane(
+                self.loop,
+                self.rngs.row_draws("device/idle"),
+                self.config.diurnal,
+                selectors=self.selectors,
+                actor_of=self.actors.actor_of,
+                attestation=self.attestation,
+                shard_router=self.shards,
+                scheduler_policy=self.config.device_scheduler,
+                capacity=len(self.profiles),
+            )
+            if self.config.idle_plane == "vectorized"
+            else None
         )
         #: The population lifecycle plane: tenant registry plus the
         #: attach/drain state machine (see :mod:`repro.system.lifecycle`).

@@ -47,9 +47,11 @@ class RejectingServer(StubServer):
         self.window = window
         self.screened = 0
 
-    def fast_checkin_decision(self, population_name, device, attestation_ok=None):
-        self.screened += 1
-        return self.window
+    def fast_checkin_decision(
+        self, population_name, attestation_ok, runtime_versions, issue_token
+    ):
+        self.screened += len(attestation_ok)
+        return (), self.window
 
 
 #: Scripted eligibility laws.  The plane resamples every flip from its
@@ -68,9 +70,13 @@ def make_harness(diurnal):
     loop = EventLoop()
     rngs = RngRegistry(0)
     system = ActorSystem(loop, rngs.stream("lat"), mean_latency_s=0.001)
-    plane = VectorizedIdlePlane(loop, rngs.row_draws("rows"), diurnal, capacity=4)
     server = StubServer()
     server_ref = system.spawn(server, "stub")
+    plane = VectorizedIdlePlane(
+        loop, rngs.row_draws("rows"), diurnal,
+        selectors=[server_ref], actor_of=system.actor_of,
+        attestation=AttestationService(), capacity=4,
+    )
     return loop, system, plane, server, server_ref, rngs
 
 
@@ -79,7 +85,7 @@ def harness():
     return make_harness(ALWAYS_ELIGIBLE)
 
 
-def make_device(system, plane, server_ref, rngs, memberships=("pop",), **kwargs):
+def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
     profile = DeviceProfile(
         device_id=len(plane), tz_offset_hours=0.0, speed_factor=1.0,
         memory_mb=4096, os_version=28, runtime_version=10, genuine=True,
@@ -91,11 +97,11 @@ def make_device(system, plane, server_ref, rngs, memberships=("pop",), **kwargs)
         availability=None,
         network=network,
         conditions=network.sample_conditions(rng),
-        selectors=[server_ref],
+        selectors=plane._selectors,
         memberships=memberships,
         trainers={name: SyntheticTrainer(num_parameters=10) for name in memberships},
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
-        attestation=AttestationService(),
+        attestation=plane._attestation,
         event_log=EventLog(),
         rng=rng,
         job=JobSchedule(600.0, 0.1),
@@ -112,7 +118,7 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     loop, system, plane, server, server_ref, rngs = harness
     plane.sweep_interval_s = 15.0
     boundary = 600.0  # a multiple of the sweep interval
-    device = make_device(system, plane, server_ref, rngs)
+    device = make_device(system, plane, rngs)
     # Force the flip and the check-in due time onto the same boundary.
     plane.next_flip_t[0] = boundary
     device.idle.schedule_checkin(boundary - loop.now)
@@ -127,7 +133,7 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
 
 def test_zero_membership_device_never_checks_in_but_keeps_flipping():
     loop, system, plane, server, server_ref, rngs = make_harness(FLIPS_EVERY_MINUTE)
-    device = make_device(system, plane, server_ref, rngs, memberships=())
+    device = make_device(system, plane, rngs, memberships=())
     loop.run(until=3000.0)
     assert plane.flips >= 8           # kept flipping, a minute or so apart
     assert plane.checkins_dispatched == 0
@@ -159,7 +165,7 @@ def make_configure(round_id, agg_ref):
 
 def test_stale_waiting_timer_does_not_break_rematerialized_device(harness):
     loop, system, plane, server, server_ref, rngs = harness
-    device = make_device(system, plane, server_ref, rngs)
+    device = make_device(system, plane, rngs)
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
     first_epoch = device._wait_epoch
@@ -188,8 +194,8 @@ def test_fast_rejected_device_never_materializes(harness):
     loop, system, plane, server, _ref, rngs = harness
     window = ReconnectWindow(5000.0, 5100.0)
     rejecting = RejectingServer(window)
-    rejecting_ref = system.spawn(rejecting, "rejecting")
-    device = make_device(system, plane, rejecting_ref, rngs)
+    plane._selectors[0] = system.spawn(rejecting, "rejecting")
+    device = make_device(system, plane, rngs)
     loop.run(until=700.0)
     assert rejecting.screened == 1
     assert rejecting.checkins == []          # no stream was ever opened
@@ -200,6 +206,55 @@ def test_fast_rejected_device_never_materializes(harness):
     # The pace window gates the retry.
     assert 5000.0 <= plane.next_checkin_t[0] <= 5101.0
     assert plane.pending_window_t[0] >= 5000.0
+
+
+def _row_arrays(plane):
+    """Every array on the plane or its scheduler that is one entry (or one
+    row) per device — found by shape, not by the column tables."""
+    capacity = plane.next_flip_t.shape[0]
+    return {
+        (owner_name, name): value
+        for owner_name, owner in (("plane", plane), ("scheduler", plane.scheduler))
+        for name, value in vars(owner).items()
+        if isinstance(value, np.ndarray) and value.shape[:1] == (capacity,)
+    }
+
+
+def test_growing_past_capacity_mid_run_keeps_every_column():
+    loop, system, plane, server, _ref, rngs = make_harness(FLIPS_EVERY_MINUTE)
+    capacity = plane.next_flip_t.shape[0]
+    first = [
+        make_device(system, plane, rngs, memberships=("pop", "other"))
+        for _ in range(capacity)
+    ]
+    loop.run(until=1800.0)  # flips, check-ins, sessions: no column is at its fill
+    before = {key: value.copy() for key, value in _row_arrays(plane).items()}
+    declared = {("plane", name) for name, *_ in plane._COLUMNS} | {
+        ("scheduler", name)
+        for name, *_ in plane.scheduler._ROW_COLUMNS + plane.scheduler._SLOT_COLUMNS
+    }
+    assert set(before) == declared  # nothing per-row is allocated by hand
+
+    late = [make_device(system, plane, rngs) for _ in range(3 * capacity)]
+    after = _row_arrays(plane)
+    assert set(after) == declared
+    for key, old in before.items():
+        new = after[key]
+        assert new.shape[0] >= len(plane) > capacity, key
+        assert new.dtype == old.dtype and new.shape[1:] == old.shape[1:], key
+        np.testing.assert_array_equal(new[:capacity], old, err_msg=str(key))
+    fills = {("plane", name): fill for name, _, fill in plane._COLUMNS}
+    for (owner, name), fill in fills.items():
+        np.testing.assert_array_equal(
+            after[owner, name][len(plane):], fill, err_msg=name
+        )
+    # The grown fleet keeps running: the late rows flip and check in too.
+    loop.run(until=5400.0)
+    assert all(plane._draw_count[i] > 0 for i in range(len(plane)))
+    assert {m.device_id for m in server.checkins} >= {
+        d.device_id for d in first + late if d.health.checkins
+    }
+    assert sum(d.health.checkins for d in late) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,120 +1,246 @@
-"""The batched check-in sweep against the per-row loop it replaced.
+"""The array check-in dispatch against the per-row loop it replaced.
 
-Two identically seeded fleets get the same generated due-set — over 1-3
-selectors x 1-3 tenants, with quotas running out mid-sweep, paused and
-draining routes, failed attestation, incompatible runtimes and unknown
-populations.  One sweeps it with ``VectorizedIdlePlane._sweep``; the other
-walks it with ``reference_checkin_loop`` below, the old row-at-a-time
-code kept here as the oracle.  Everything the screen touches must agree,
-including the *order* in which admitted devices materialize: it fixes
-the shared ``actors/latency`` stream.
+Two identically seeded fleets live through the same generated scenario —
+1-3 selectors (sometimes sharded) x 1-3 tenants under ``fifo`` or
+``fair_share``, a fleet with failed attestations and incompatible
+runtimes in it, quotas that run out mid-sweep, paused and draining
+routes, unknown populations, busy on-device workers, a cached
+attestation verdict gone missing — over several staged sweeps, with a
+tenant attached, the fleet snapshotted and restored, and a tenant
+drained in between.
+
+One fleet runs ``VectorizedIdlePlane._checkin_rows`` as shipped: column
+scheduler, one Selector verdict per group, bounces as vector writes.  The
+other runs ``reference_checkin_rows`` below for its whole life — the old
+row-at-a-time code kept here as the oracle: every due row walked through
+its own ``MultiTenantScheduler``, its own scalar screen and its own
+rejection.  Everything a check-in touches must agree after every sweep,
+each device's worker queue and the *order* in which admitted devices
+materialize included: it fixes the shared ``actors/latency`` stream.
 """
 
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 
 from repro import FLFleet
-from repro.actors.selector import SelectorStats
+from repro.actors.selector import Selector, SelectorStats
 from repro.core.config import RoundConfig, TaskConfig
 from repro.device.actor import DeviceActor
 from repro.device.runtime import SyntheticTrainer
+from repro.device.scheduler import MultiTenantScheduler, RowScheduler
 from repro.nn.models import MLPClassifier
+from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig
+from repro.system.builder import PopulationSpec
 
 _INF = float("inf")
+SWEEPS = 4
+PARAMS = MLPClassifier(input_dim=8, hidden_dims=(8,), n_classes=4).init(
+    np.random.default_rng(0)
+)
 
 
-def reference_checkin_loop(plane, now):
-    """One sweep's check-ins the way ``_run_sweep`` made them before the
-    batch: every due row walked through its own calls and array writes —
-    and its own draw, taken from the row stream one row at a time."""
-    plane.sweeps += 1
-    plane._sweeping = True
-    for i in np.nonzero(plane._next_event_t <= now)[0].tolist():
-        pick, sample = (float(u[0]) for u in plane._draw(np.array([i])))
-        if plane.next_checkin_t[i] > now:
-            continue
-        plane.next_checkin_t[i] = _INF
-        plane._next_event_t[i] = plane.next_flip_t[i]
-        if not plane.eligible[i] or plane.active[i]:
-            continue
-        plane.checkins_dispatched += 1
-        device = plane._devices[i]
-        cached = plane._attestation_ok[i]
+# -- the oracle: the per-row check-in as it was before the array dispatch --------
+
+
+def reference_verdict(selector, route, attestation_ok, runtime_version):
+    """The admission policy for one screened check-in, in-flight
+    admissions counted against the quota."""
+    if route.draining:
+        route.stats.rejected_draining += 1
+        return "draining"
+    if not attestation_ok:
+        route.stats.rejected_attestation += 1
+        return "attestation_failed"
+    if route.plans.plan_for_runtime(runtime_version) is None:
+        route.stats.rejected_incompatible += 1
+        return "no_compatible_plan"
+    if selector._paused or len(route.pool) + route.pending_admissions >= route.pool_cap:
+        route.stats.rejected_quota += 1
+        return "over_quota"
+    return None
+
+
+def reference_screen(selector, population_name, device, attestation_ok):
+    """``Selector.fast_checkin_decision`` for one device: the rejection
+    window, or ``None`` to materialize."""
+    route = selector.routes.get(population_name)
+    if route is None:
+        if not selector.routes:
+            return None
+        fallback = next(iter(selector.routes.values()))
+        fallback.stats.checkins += 1
+        fallback.stats.rejected_unknown_population += 1
+        return selector._suggest_window(fallback)
+    if attestation_ok is None:
+        token = device.attestation.issue_token(
+            device.device_id, device.profile.genuine
+        )
+        attestation_ok = selector.verify_attestation(token)
+    reason = reference_verdict(
+        selector, route, attestation_ok, device.profile.runtime_version
+    )
+    if reason is not None:
+        route.stats.checkins += 1
+        return selector._suggest_window(route)
+    route.pending_admissions += 1
+    return None
+
+
+def reference_attempt(device, attestation_ok, pick):
+    """``DeviceActor._attempt_screened_checkin`` as it was: the worker
+    queue dance, the Selector pick, the screen, and the device half of a
+    rejection.  Returns the window when bounced."""
+    if not device.memberships:
+        return None
+    for membership in device.memberships:
+        device.scheduler.enqueue(membership)
+    started = device.scheduler.try_start()
+    if started is None:
+        device.idle.schedule_checkin(device.job.delay_at(pick))
+        return None
+    pool = device._selector_pool(started)
+    ref = pool[int(pick * len(pool))]
+    selector = device.system.actor_of(ref)
+    window = (
+        reference_screen(selector, started, device, attestation_ok)
+        if isinstance(selector, Selector)
+        else None
+    )
+    device.health.checkins += 1
+    if window is None:
+        device._attempt_screened_checkin(started, ref)
+        return None
+    device.scheduler.abort()
+    return window
+
+
+def reference_checkin_rows(self, rows, u_pick, u_window, now):
+    """``VectorizedIdlePlane._checkin_rows`` with the row loop in it."""
+    self.next_checkin_t[rows] = _INF
+    self._next_event_t[rows] = self.next_flip_t[rows]
+    go = self.eligible[rows] & ~self.active[rows]
+    rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
+    self.checkins_dispatched += rows.size
+    self.pending_window_t[rows] = -_INF
+    rejected, windows = [], []
+    for j, (i, cached, pick) in enumerate(zip(
+        rows.tolist(), self._attestation_ok[rows].tolist(), u_pick.tolist()
+    )):
+        device = self._devices[i]
         verdict = bool(cached) if cached >= 0 else None
-        plane.pending_window_t[i] = -_INF
-        window = device._attempt_screened_checkin(verdict, pick)
+        window = reference_attempt(device, verdict, pick)
         if window is None:
             continue
-        plane.checkins_fast_rejected += 1
-        reconnect_at = window.earliest_s + (window.latest_s - window.earliest_s) * sample
-        device.idle.set_pending_window(reconnect_at)
-        device.idle.schedule_checkin(max(reconnect_at - now, 1.0))
-        if verdict:
-            device.attestation.verified_count += 1
-        else:
-            device.attestation.rejected_count += 1
-    plane._sweeping = False
-    plane._rearm()
+        rejected.append(j)
+        windows.append(window)
+        if verdict is not None:
+            if verdict:
+                device.attestation.verified_count += 1
+            else:
+                device.attestation.rejected_count += 1
+    if not rejected:
+        return
+    self.checkins_fast_rejected += len(rejected)
+    rows = rows[rejected]
+    earliest = np.array([w.earliest_s for w in windows])
+    latest = np.array([w.latest_s for w in windows])
+    reconnect_at = earliest + (latest - earliest) * u_window[rejected]
+    checkin_t = now + np.maximum(reconnect_at - now, 1.0)
+    self.pending_window_t[rows] = reconnect_at
+    self.next_checkin_t[rows] = checkin_t
+    self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
 
 
-def build_fleet(selectors: int, tenants: int):
-    params = MLPClassifier(input_dim=8, hidden_dims=(8,), n_classes=4).init(
-        np.random.default_rng(0)
+# -- scenarios --------------------------------------------------------------------
+
+
+def spec_for(name: str, membership: float = 0.7) -> PopulationSpec:
+    task = TaskConfig(
+        task_id=f"train/{name}",
+        population_name=name,
+        round_config=RoundConfig(target_participants=5),
     )
+    return PopulationSpec(
+        name=name, tasks=[task], initial_params=PARAMS,
+        membership_fraction=membership,
+    )
+
+
+def build_fleet(selectors: int, shards: int, tenants: int, policy: str):
     builder = (
         FLFleet.builder()
         .seed(5)
-        .devices(PopulationConfig(num_devices=80))
+        # One device in ten fails attestation, one in ten runs a runtime
+        # no plan serves.
+        .devices(PopulationConfig(
+            num_devices=120,
+            runtime_versions=(0, 8, 9, 10),
+            runtime_weights=(0.1, 0.2, 0.3, 0.4),
+            compromised_fraction=0.1,
+        ))
         .selectors(selectors)
+        .selector_shards(shards)
+        .device_scheduler(policy)
     )
     for t in range(tenants):
-        name = f"tenant{t}"
-        task = TaskConfig(
-            task_id=f"train/{name}",
-            population_name=name,
-            round_config=RoundConfig(target_participants=5),
-        )
-        builder.population(name, tasks=[task], model=params, membership=0.7)
+        builder.add_spec(spec_for(f"tenant{t}"))
     return builder.build()
 
 
-def stage_due_set(fleet, scenario: np.random.Generator):
-    """Mutate ``fleet`` into the generated scenario; returns the due rows."""
+def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
+    """Stage the next sweep through the fleet's own interfaces; returns
+    the rows made due."""
     plane = fleet.idle_plane
-    now = fleet.loop.now
     for selector in fleet.selector_actors():
-        if scenario.random() < 0.2:
+        if first and scenario.random() < 0.2:
             selector._paused = True
         for name, route in selector.routes.items():
             # A handful of slots: the quota runs out mid-sweep.
-            route.pool_cap = int(scenario.integers(1, 8))
-            if scenario.random() < 0.15:
+            route.pool_cap = len(route.pool) + int(scenario.integers(1, 8))
+            if first and scenario.random() < 0.15:
                 selector.begin_drain(name)
-    members = [
-        i for i, d in enumerate(fleet.devices)
-        if d.memberships and not plane.active[i]
-    ]
-    rows = sorted(
-        scenario.choice(members, size=min(50, len(members)), replace=False).tolist()
-    )
+    idle = plane.eligible & ~plane.active & plane._has_memberships
+    candidates = np.nonzero(idle)[0]
+    rows = sorted(scenario.choice(
+        candidates, size=min(40, candidates.size), replace=False
+    ).tolist())
     for i in rows:
         device = fleet.devices[i]
-        plane.eligible[i] = True
-        plane.next_flip_t[i] = now + 1e6
-        plane.next_checkin_t[i] = plane._next_event_t[i] = now
-        plane.pending_window_t[i] = now - 1.0
         kind = scenario.random()
-        if kind < 0.1:
-            plane._attestation_ok[i] = 0
+        if kind < 0.1 and "ghost" not in device.memberships:
+            # A population no Selector routes.
+            device.enroll("ghost", SyntheticTrainer(num_parameters=10))
+            device.idle.membership_changed()
         elif kind < 0.2:
-            device.profile = replace(device.profile, runtime_version=0)
-        elif kind < 0.3:
-            device.memberships = ("ghost",)
-            device.trainers["ghost"] = SyntheticTrainer(num_parameters=10)
-    plane._eligible_count = int(plane.eligible.sum())
+            if device.scheduler.running is None:
+                # The worker is busy with a session of its own.
+                device.scheduler.enqueue(device.memberships[-1])
+                device.scheduler.try_start()
+            else:
+                device.scheduler.abort()
+        elif kind < 0.25:
+            plane._attestation_ok[i] = -1  # the cached verdict went missing
+        device.idle.schedule_checkin(0.0)
     return rows
+
+
+def scheduler_state(scheduler):
+    if isinstance(scheduler, RowScheduler):
+        queue = scheduler.queue
+        started = scheduler._columns._last_started[scheduler._row]
+        recency = {
+            name: int(started[slot])
+            for slot, name in enumerate(scheduler._columns.tenants)
+            if started[slot] >= 0
+        }
+    else:
+        assert isinstance(scheduler, MultiTenantScheduler)
+        queue = list(scheduler._queue)
+        recency = scheduler._last_started
+    # Clock readings differ; who started longer ago than whom must not.
+    return scheduler.running, queue, sorted(recency, key=recency.get)
 
 
 def observe(fleet):
@@ -125,6 +251,7 @@ def observe(fleet):
         for name, route in selector.routes.items()
     }
     return {
+        "now": fleet.loop.now,
         "routes": routes,
         "attestation": (
             fleet.attestation.verified_count, fleet.attestation.rejected_count
@@ -139,6 +266,8 @@ def observe(fleet):
             plane.checkins_fast_rejected, plane.materializations,
         ),
         "health_checkins": [d.health.checkins for d in fleet.devices],
+        "schedulers": [scheduler_state(d.scheduler) for d in fleet.devices],
+        "memberships": [d.memberships for d in fleet.devices],
         "latency_stream": repr(
             fleet.rngs.stream("actors/latency").bit_generator.state
         ),
@@ -146,23 +275,39 @@ def observe(fleet):
     }
 
 
-def run_scenario(scenario_seed: int, sweep: str, materialized: list[int]):
+def run_scenario(scenario_seed: int, reference: bool, materialized: list, tmp_path):
     shape = np.random.default_rng([scenario_seed, 0])
-    fleet = build_fleet(int(shape.integers(1, 4)), int(shape.integers(1, 4)))
+    selectors = int(shape.integers(1, 4))
+    shards = int(shape.integers(1, selectors + 1))
+    tenants = int(shape.integers(1, 4))
+    policy = ("fifo", "fair_share")[scenario_seed % 2]
+    fleet = build_fleet(selectors, shards, tenants, policy)
+    if reference:
+        for device in fleet.devices:
+            device.scheduler = MultiTenantScheduler(policy)
     fleet.run_for(600.0)
-    rows = stage_due_set(fleet, np.random.default_rng([scenario_seed, 1]))
+    scenario = np.random.default_rng([scenario_seed, 1])
     materialized.clear()
-    if sweep == "batched":
-        fleet.idle_plane._sweep()
-    else:
-        reference_checkin_loop(fleet.idle_plane, fleet.loop.now)
-    order = list(materialized)
-    seen = observe(fleet)
+    seen = []
+    for sweep in range(SWEEPS):
+        rows = stage_due_set(fleet, scenario, first=sweep == 0)
+        fleet.run_for(fleet.idle_plane.sweep_interval_s)
+        seen.append((rows, list(materialized), observe(fleet)))
+        # Between sweeps the tenant set changes and the fleet is reborn.
+        if sweep == 0:
+            fleet.attach_population(spec_for("late", membership=0.5))
+        elif sweep == 1:
+            path = tmp_path / f"fleet-{scenario_seed}-{reference}.snapshot"
+            fleet.snapshot(path)
+            fleet = FLFleet.restore(path)
+        elif sweep == 2:
+            fleet.drain_population("tenant0", deadline_s=300.0)
     fleet.run_for(3600.0)
-    return rows, order, seen, fleet.report()
+    seen.append(([], list(materialized), observe(fleet)))
+    return seen, fleet.report()
 
 
-def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch):
+def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
     materialized: list[int] = []
     original = DeviceActor._materialize_checkin
 
@@ -173,22 +318,33 @@ def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch):
     monkeypatch.setattr(DeviceActor, "_materialize_checkin", recording)
 
     exercised = SelectorStats()
-    for scenario_seed in range(12):
-        rows, order, seen, report = run_scenario(scenario_seed, "batched", materialized)
-        ref_rows, ref_order, ref_seen, ref_report = run_scenario(
-            scenario_seed, "reference", materialized
-        )
-        assert rows == ref_rows
-        for key in seen:
-            assert seen[key] == ref_seen[key], (scenario_seed, key)
-        # Admitted devices materialize in device-index order, in both.
-        assert order == ref_order == sorted(order)
+    busy_retries = groups = 0
+    for scenario_seed in range(10):
+        seen, report = run_scenario(scenario_seed, False, materialized, tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(VectorizedIdlePlane, "_checkin_rows", reference_checkin_rows)
+            ref_seen, ref_report = run_scenario(
+                scenario_seed, True, materialized, tmp_path
+            )
+        for step, ((rows, order, state), (ref_rows, ref_order, ref_state)) in enumerate(
+            zip(seen, ref_seen, strict=True)
+        ):
+            assert rows == ref_rows
+            for key in state:
+                assert state[key] == ref_state[key], (scenario_seed, step, key)
+            assert order == ref_order, (scenario_seed, step)
         assert report == ref_report
-        for stats, _pending in seen["routes"].values():
+        for stats, _pending in seen[-1][2]["routes"].values():
             exercised += SelectorStats(**stats)
-    # Across the scenarios the screen took every exit.
+        busy_retries += sum(
+            1 for running, queue, _ in seen[0][2]["schedulers"] if running and queue
+        )
+        groups = max(groups, len(seen[0][2]["routes"]))
+    # Across the scenarios the screen took every exit, workers were found
+    # busy, and a sweep spanned several (selector, tenant) groups.
     for reason in (
         "rejected_quota", "rejected_attestation", "rejected_incompatible",
-        "rejected_unknown_population", "rejected_draining",
+        "rejected_unknown_population", "rejected_draining", "accepted",
     ):
         assert getattr(exercised, reason) > 0, reason
+    assert busy_retries > 0 and groups > 1
