@@ -61,6 +61,10 @@ class Actor:
     before :meth:`on_start` runs.
     """
 
+    # So that a subclass with slots of its own (the device, the one actor
+    # a fleet has by the thousand) carries no instance dict.
+    __slots__ = ("system", "ref", "loop")
+
     system: "ActorSystem"
     ref: ActorRef
     loop: EventLoop
@@ -129,9 +133,18 @@ class ActorSystem:
         self.message_faults = None
 
     # -- lifecycle ------------------------------------------------------------
-    def spawn(self, actor: Actor, name: str) -> ActorRef:
-        ref = ActorRef(self._next_id, name, self)
-        self._next_id += 1
+    def reserve_ids(self, count: int) -> int:
+        """Set aside ``count`` consecutive actor ids (returns the first) for
+        actors spawned later that must be addressed as if spawned now:
+        respawns are named after ids, and watchers are keyed by them."""
+        first = self._next_id
+        self._next_id += count
+        return first
+
+    def spawn(self, actor: Actor, name: str, actor_id: int | None = None) -> ActorRef:
+        if actor_id is None:
+            actor_id = self.reserve_ids(1)
+        ref = ActorRef(actor_id, name, self)
         actor.system = self
         actor.ref = ref
         actor.loop = self.loop

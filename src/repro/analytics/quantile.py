@@ -8,24 +8,28 @@ estimator with five markers, plus Welford moments.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 
 class P2Quantile:
-    """Single-quantile streaming estimator using the P² algorithm."""
+    """Single-quantile streaming estimator using the P² algorithm.  The
+    five markers are lists of Python floats: an update is a handful of
+    scalar operations, which numpy would mostly spend on dispatch.  (A
+    metrics store keeps four sketches per summary per round: slots.)"""
+
+    __slots__ = ("quantile", "_initial", "_q", "_n", "_np", "_dn", "_count")
 
     def __init__(self, quantile: float):
         if not 0.0 < quantile < 1.0:
             raise ValueError(f"quantile must be in (0,1), got {quantile}")
         self.quantile = quantile
         self._initial: list[float] = []
-        # marker heights q, positions n, desired positions np, increments dn
-        self._q = np.zeros(5)
-        self._n = np.zeros(5)
-        self._np = np.zeros(5)
-        self._dn = np.zeros(5)
+        # marker heights q, positions n, desired positions np, increments
+        # dn: set when the fifth sample arrives
+        self._q = self._n = self._np = self._dn = None
         self._count = 0
 
     @property
@@ -44,13 +48,15 @@ class P2Quantile:
 
     def _bootstrap(self) -> None:
         p = self.quantile
-        self._q = np.array(sorted(self._initial))
-        self._n = np.arange(1.0, 6.0)
-        self._np = np.array([1, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5])
-        self._dn = np.array([0, p / 2, p, (1 + p) / 2, 1])
+        # One list from here on: ``value`` reads ``_initial`` only until
+        # the sixth sample, the first to move a marker.
+        self._q = self._initial = sorted(self._initial)
+        self._n = [1.0, 2.0, 3.0, 4.0, 5.0]
+        self._np = [1.0, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5.0]
+        self._dn = [0.0, p / 2, p, (1 + p) / 2, 1.0]
 
     def _insert(self, value: float) -> None:
-        q, n = self._q, self._n
+        q, n, desired = self._q, self._n, self._np
         if value < q[0]:
             q[0] = value
             k = 0
@@ -58,13 +64,14 @@ class P2Quantile:
             q[4] = value
             k = 3
         else:
-            k = int(np.searchsorted(q, value, side="right")) - 1
-            k = min(max(k, 0), 3)
-        n[k + 1 :] += 1
-        self._np += self._dn
+            k = min(max(bisect_right(q, value) - 1, 0), 3)
+        for j in range(k + 1, 5):
+            n[j] += 1.0
+        for j, step in enumerate(self._dn):
+            desired[j] += step
         # Adjust interior markers with parabolic (or linear) interpolation.
         for i in (1, 2, 3):
-            d = self._np[i] - n[i]
+            d = desired[i] - n[i]
             if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
                 sign = 1.0 if d >= 1 else -1.0
                 candidate = self._parabolic(i, sign)
@@ -93,7 +100,7 @@ class P2Quantile:
             data = sorted(self._initial)
             idx = min(int(self.quantile * len(data)), len(data) - 1)
             return data[idx]
-        return float(self._q[2])
+        return self._q[2]
 
 
 class StreamingMoments:

@@ -13,7 +13,9 @@ IdleDriver`.  By default each device runs its own timer-based
 :class:`~repro.device.idle.ActorIdleDriver`; a fleet may instead enroll
 its devices in the vectorized :class:`~repro.sim.idle_plane.
 VectorizedIdlePlane`, where idle devices are rows in fleet-wide arrays
-and only materialize as actor interactions when they actually check in.
+and only materialize as actor interactions when they actually check in
+— a fleet does not even construct a row's ``DeviceActor`` before its
+first admitted check-in (:mod:`repro.device.table`).
 
 A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
 one fleet, many learning problems).  Each job-scheduler firing enqueues
@@ -92,6 +94,20 @@ class DeviceHealthStats:
 class DeviceActor(Actor):
     """One phone in the fleet, member of one or more FL populations."""
 
+    # Constructed by the thousand inside a run (each at its first admitted
+    # check-in): no instance dict, one slot per field.
+    __slots__ = (
+        "profile", "availability", "network", "conditions", "selectors",
+        "shard_router", "memberships", "trainers", "compute", "attestation",
+        "event_log", "_rng", "job", "compute_error_prob", "ack_timeout_s",
+        "waiting_timeout_s", "upload_retry", "state", "eligible", "scheduler",
+        "health", "rounds_completed", "rounds_rejected_report",
+        "rounds_interrupted", "_active_population", "_selector", "_round_id",
+        "_aggregator", "_generation", "_waiting_timeout_event",
+        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch",
+        "_pending_train", "idle",
+    )
+
     def __init__(
         self,
         profile: DeviceProfile,
@@ -114,6 +130,9 @@ class DeviceActor(Actor):
         scheduler_policy: str = "fifo",
         upload_retry: Any = None,  # faults.RetryPolicy; None = legacy no-retry
         shard_router: Any = None,  # system.sharding.ShardRouter; None = unsharded
+        scheduler: Any = None,
+        health: DeviceHealthStats | None = None,
+        idle: Any = None,  # device.idle.IdleDriver
     ):
         self.profile = profile
         #: The timer-based idle driver's eligibility process; ``None``
@@ -164,12 +183,14 @@ class DeviceActor(Actor):
         #: them only when it hands the device a session or interrupts one.
         self.state = DeviceState.SLEEPING
         self.eligible = False
-        #: The on-device worker queue and the health record.  The
-        #: vectorized plane keeps the queue (and the check-in tally) of a
-        #: device it adopts as rows of its columns, and swaps both for
-        #: row views with the same interface.
-        self.scheduler = MultiTenantScheduler(policy=scheduler_policy)
-        self.health = DeviceHealthStats()
+        #: The on-device worker queue and the health record: the device's
+        #: own unless handed in (the vectorized plane keeps both as rows of
+        #: its columns and hands its devices row views of them).
+        self.scheduler = (
+            scheduler if scheduler is not None
+            else MultiTenantScheduler(policy=scheduler_policy)
+        )
+        self.health = health if health is not None else DeviceHealthStats()
         self.rounds_completed = 0
         self.rounds_rejected_report = 0
         self.rounds_interrupted = 0
@@ -189,11 +210,10 @@ class DeviceActor(Actor):
         #: so an interrupted session withdraws it instead of letting the
         #: plane execute work nobody will report.
         self._pending_train: PendingTrainResult | None = None
-        # The idle half of the lifecycle.  A fleet may install a handle
-        # into the shared vectorized idle plane before spawning the
-        # actor; otherwise ``on_start`` installs the per-device
-        # timer-based default.
-        self.idle = None  # type: ignore[assignment]
+        # The idle half of the lifecycle: a handle into the shared
+        # vectorized idle plane, or (``None`` until ``on_start`` installs
+        # it) the per-device timer-based default.
+        self.idle = idle
 
     # -- helpers -----------------------------------------------------------------
     @property

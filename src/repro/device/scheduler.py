@@ -241,6 +241,30 @@ class ColumnScheduler:
         self._member_pos[row] = _UNQUEUED
         self._member_pos[row, slots] = range(len(slots))
 
+    def enroll(self, rows: np.ndarray, name: str) -> None:
+        """``rows``' devices (none a member yet) join ``name``, after the
+        tenants they already belong to."""
+        slot = self.slot(name)  # may widen the arrays
+        self._member_pos[rows, slot] = self.membership_count(rows)
+
+    def leave(self, rows: np.ndarray, name: str) -> None:
+        """``rows``' devices leave ``name`` (a no-op for non-members): its
+        queued request goes with the membership, the tenants behind it
+        move up, the recency record stays."""
+        slot = self._slot_of.get(name)
+        if slot is None:
+            return
+        position = self._member_pos[rows]
+        behind = (position > position[:, slot : slot + 1]) & (position != _UNQUEUED)
+        position[behind] -= 1
+        position[:, slot] = _UNQUEUED
+        self._member_pos[rows] = position
+        self._stamp[rows, slot] = _UNQUEUED
+
+    def membership_count(self, rows: np.ndarray) -> np.ndarray:
+        """How many tenants each of ``rows``' devices belongs to."""
+        return np.count_nonzero(self._member_pos[rows] != _UNQUEUED, axis=1)
+
     # -- a sweep's worth of check-ins --------------------------------------------
     def free(self, rows: np.ndarray) -> np.ndarray:
         """Which of ``rows`` have no session running."""

@@ -30,9 +30,11 @@ each due row's session, the row's pick draw resolves its Selector, and
 each Selector gives one admission verdict per (selector, tenant) group.
 A bounced row is pace-steered by vector writes; a device only
 materializes as a full :class:`~repro.device.actor.DeviceActor`
-interaction when a Selector admits it, and when its session ends
-(report, rejection, timeout, interruption) the actor hands the device
-back to the plane.  Determinism: every draw a device makes
+interaction when a Selector admits it — which, the first time, is also
+when the ``DeviceActor`` is *constructed*: until then the device is only
+its row (:mod:`repro.device.table`) — and when its session ends (report,
+rejection, timeout, interruption) the actor hands the device back to the
+plane.  Determinism: every draw a device makes
 *while the plane owns it* (initial eligibility, flip resample, first
 check-in stagger, wake jitter, selector pick, rejected-window sample)
 comes from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`),
@@ -43,13 +45,14 @@ run, and the device's own generator serves its sessions only.
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from repro.device.actor import DeviceHealthStats, DeviceState
 from repro.device.idle import first_checkin_delay, wake_jitter
 from repro.device.scheduler import ColumnScheduler, RowScheduler
+from repro.device.table import DeviceTable
 from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
@@ -59,6 +62,7 @@ if TYPE_CHECKING:
     from repro.actors.kernel import Actor, ActorRef
     from repro.device.actor import DeviceActor
     from repro.device.attestation import AttestationService, AttestationToken
+    from repro.sim.population import DeviceProfile
 
 _INF = float("inf")
 
@@ -77,7 +81,7 @@ class PlaneIdleDriver:
         self._index = index
 
     def start(self) -> None:
-        self._plane._start_device(self._index)
+        self._plane.start()
 
     def schedule_checkin(self, delay: float) -> None:
         self._plane._schedule_checkin(self._index, delay)
@@ -95,7 +99,7 @@ class PlaneIdleDriver:
         self._plane._membership_changed(self._index)
 
     def kick_first_checkin(self) -> None:
-        self._plane._kick_first_checkin(self._index)
+        self._plane.kick_rows(np.array([self._index]))
 
 
 class _RowHealthStats(DeviceHealthStats):
@@ -107,7 +111,17 @@ class _RowHealthStats(DeviceHealthStats):
     def __init__(self, plane: "VectorizedIdlePlane", index: int):
         self._plane = plane
         self._index = index
-        super().__init__()
+        # Every field but ``checkins``, spelled out — not the dataclass
+        # ``__init__``: its ``checkins = 0`` would go through the setter
+        # below and zero what the row has tallied (and a device is built
+        # inside the run: this is a third of what one costs).
+        self.sessions_started = 0
+        self.train_seconds = 0.0
+        self.peak_memory_mb = 0.0
+        self.upload_retries = 0
+        self.upload_retries_exhausted = 0
+        self.errors = {}
+        self.sessions_by_population = {}
 
     @property
     def checkins(self) -> int:
@@ -136,6 +150,12 @@ class VectorizedIdlePlane:
     ``shard_router`` that says which Selectors serve which tenant
     (``None``: all of them), the ``attestation`` service every device
     shares, and the fleet's on-device ``scheduler_policy``.
+
+    A row needs no device object until a Selector admits one of its
+    check-ins: ``devices`` is the fleet's :class:`~repro.device.table.
+    DeviceTable`, which constructs a row's ``DeviceActor`` the first time
+    the dispatch (or anyone else) asks for it.  Without one the plane
+    keeps a table of its own, of the devices :meth:`adopt` seats in it.
     """
 
     #: Every per-row array, declared once: construction and growth both
@@ -151,6 +171,8 @@ class VectorizedIdlePlane:
         ("active", np.bool_, False),
         ("_has_memberships", np.bool_, False),
         ("_tz_offset_s", np.float64, 0.0),
+        # The device's job cadence (its first check-in is staggered over it).
+        ("_job_interval_s", np.float64, 0.0),
         # Each row's counter-keyed stream: key and draws made so far.
         ("_row_key", np.uint64, 0),
         ("_draw_count", np.uint64, 0),
@@ -177,6 +199,7 @@ class VectorizedIdlePlane:
         scheduler_policy: str = "fifo",
         capacity: int = 0,
         sweep_interval_s: float = 15.0,
+        devices: DeviceTable | None = None,
     ):
         self._loop = loop
         self._draws = draws
@@ -195,14 +218,11 @@ class VectorizedIdlePlane:
         #: of the Selectors that serve it, and how many there are.
         self._pools: list[tuple[int, ...]] = []
         self._pool_size = np.zeros(0)
-        self._devices: list["DeviceActor"] = []
-        #: Rows whose memberships changed since a dispatch last read the
-        #: scheduler's membership columns: an attach touches every member
-        #: once per tenant, the columns are rewritten once per row.
-        self._stale_memberships: list[int] = []
-        #: Rows started since the last sweep; the next one (armed for the
-        #: same instant) starts them as one batch.
-        self._starting: list[int] = []
+        self._devices = devices if devices is not None else DeviceTable()
+        #: Rows ``[0, _started)`` have drawn their initial eligibility;
+        #: the sweep armed by :meth:`start` starts those up to ``_start_to``
+        #: as one batch.
+        self._started = self._start_to = 0
         #: True while a sweep is running: per-device touches skip re-arming
         #: the sweeper (the sweep's final rearm covers them all at once).
         self._sweeping = False
@@ -222,8 +242,51 @@ class VectorizedIdlePlane:
     def __len__(self) -> int:
         return len(self._devices)
 
+    def adopt_rows(
+        self, profiles: Sequence["DeviceProfile"], job_interval_s: float
+    ) -> None:
+        """Enroll one row per profile, none with a device object yet:
+        everything the plane needs of an idle device, as column writes."""
+        first = len(self._devices)
+        stop = first + len(profiles)
+        if stop > self.next_flip_t.size:
+            self._grow(stop)
+        self._devices.extend(len(profiles))
+        rows = slice(first, stop)
+        self._tz_offset_s[rows] = (
+            np.array([p.tz_offset_hours for p in profiles]) * SECONDS_PER_HOUR
+        )
+        self._runtime_version[rows] = [p.runtime_version for p in profiles]
+        self._row_key[rows] = self._draws.keys(
+            np.array([p.device_id for p in profiles])
+        )
+        self._job_interval_s[rows] = job_interval_s
+        # One real token round per device, at enrollment: the verdict is
+        # deterministic, so every screen reuses it instead of re-hashing.
+        # The service's verified/rejected counters are restored so they
+        # keep counting *check-ins* (the sweep bumps them per bounced
+        # attempt, the message path per arrival), not enrollments.
+        service = self._attestation
+        counters = (service.verified_count, service.rejected_count)
+        issue, verify = service.issue_token, service.verify
+        self._attestation_ok[rows] = [
+            verify(issue(p.device_id, p.genuine)) for p in profiles
+        ]
+        service.verified_count, service.rejected_count = counters
+
+    def row_handles(self, index: int) -> dict:
+        """What makes a ``DeviceActor`` row ``index``'s device — its idle
+        driver and the row views of its worker queue and health record —
+        as the constructor's keywords.  Building them writes nothing."""
+        return {
+            "idle": PlaneIdleDriver(self, index),
+            "scheduler": RowScheduler(self.scheduler, index),
+            "health": _RowHealthStats(self, index),
+        }
+
     def adopt(self, device: "DeviceActor") -> PlaneIdleDriver:
-        """Enroll a device; returns the driver to install as ``device.idle``.
+        """Enroll a hand-built device — a batch of one row, its object
+        already there; returns the driver now installed as ``device.idle``.
 
         Must be called before the device actor is spawned (the driver's
         ``start`` hook runs from ``DeviceActor.on_start``).  From here on
@@ -236,28 +299,12 @@ class VectorizedIdlePlane:
                 f"this plane's fleet schedules {self.scheduler.policy!r}"
             )
         index = len(self._devices)
-        self._devices.append(device)
-        if index >= self.next_flip_t.size:
-            self._grow(index + 1)
-        self._tz_offset_s[index] = device.profile.tz_offset_hours * SECONDS_PER_HOUR
-        self._runtime_version[index] = device.profile.runtime_version
-        # One real token round per device, at enrollment: the verdict is
-        # deterministic, so every screen reuses it instead of re-hashing.
-        # The service's verified/rejected counters are restored so they
-        # keep counting *check-ins* (the sweep bumps them per bounced
-        # attempt, the message path per arrival), not enrollments.
-        service = self._attestation
-        counters = (service.verified_count, service.rejected_count)
-        token = service.issue_token(device.device_id, device.profile.genuine)
-        self._attestation_ok[index] = int(service.verify(token))
-        service.verified_count, service.rejected_count = counters
-        device.scheduler = RowScheduler(self.scheduler, index)
-        device.health = _RowHealthStats(self, index)
-        self._has_memberships[index] = bool(device.memberships)
-        self._stale_memberships.append(index)
-        driver = PlaneIdleDriver(self, index)
-        device.idle = driver
-        return driver
+        self.adopt_rows([device.profile], device.job.base_interval_s)
+        self._devices.seat(index, device)
+        for name, handle in self.row_handles(index).items():
+            setattr(device, name, handle)
+        self._membership_changed(index)
+        return device.idle
 
     def _grow(self, minimum: int) -> None:
         size = max(minimum, 2 * max(self.next_flip_t.size, 16))
@@ -286,19 +333,20 @@ class VectorizedIdlePlane:
         self._draw_count[rows] = drawn + np.uint64(1)
         return self._draws.uniform_pair(self._row_key[rows], drawn)
 
-    def _start_device(self, i: int) -> None:
-        self._starting.append(i)
-        self._sweeper.arm(self._loop.now)
+    def start(self) -> None:
+        """Fleet start (and :meth:`IdleDriver.start`): every row enrolled
+        and not yet started starts at the sweep armed for this instant —
+        one heap entry, however many rows; none, for a device constructed
+        after its row started."""
+        self._start_to = len(self._devices)
+        if self._started < self._start_to:
+            self._sweeper.arm(self._loop.now)
 
     def _start_rows(self, now: float) -> None:
-        """Fleet start as one batch: initial eligibility, first flip and
-        first check-in stagger of every row started since the last sweep."""
-        devices = self._devices
-        rows = np.array(self._starting, dtype=np.intp)
-        self._starting.clear()
-        self._row_key[rows] = self._draws.keys(
-            np.array([devices[i].device_id for i in rows.tolist()])
-        )
+        """Initial eligibility, first flip and first check-in stagger of
+        every row started since the last sweep, as one batch."""
+        rows = np.arange(self._started, self._start_to)
+        self._started = self._start_to
         model, tz = self._diurnal, self._tz_offset_s[rows]
         u_eligible, u_stagger = self._draw(rows)
         eligible = u_eligible < model.eligible_fraction_batch(now + tz)
@@ -315,19 +363,22 @@ class VectorizedIdlePlane:
 
     def _stagger_first_checkin(self, rows: np.ndarray, u: np.ndarray, now: float) -> None:
         """First check-ins, uniform over one job interval from ``now``."""
-        interval = np.array([self._devices[i].job.base_interval_s for i in rows.tolist()])
-        self.next_checkin_t[rows] = now + first_checkin_delay(interval, u)
+        self.next_checkin_t[rows] = now + first_checkin_delay(
+            self._job_interval_s[rows], u
+        )
 
-    def _kick_first_checkin(self, i: int) -> None:
-        """:meth:`IdleDriver.kick_first_checkin` for row ``i``."""
-        if (
-            self.eligible[i]
-            and not self.active[i]
-            and self.next_checkin_t[i] == _INF
-        ):
-            row = np.array([i])
-            self._stagger_first_checkin(row, self._draw(row)[1], self._loop.now)
-            self._touch(i)
+    def kick_rows(self, rows: np.ndarray) -> None:
+        """:meth:`IdleDriver.kick_first_checkin` for every row of ``rows``
+        (distinct): those idling eligible with no check-in on the books
+        draw a first one, uniform over one job interval."""
+        idle = self.eligible[rows] & ~self.active[rows]
+        rows = rows[idle & (self.next_checkin_t[rows] == _INF)]
+        if rows.size:
+            self._stagger_first_checkin(rows, self._draw(rows)[1], self._loop.now)
+            checkin_t = self.next_checkin_t[rows]
+            self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+            if not self._sweeping:
+                self._sweeper.arm(self._quantize(float(checkin_t.min())))
 
     def _schedule_checkin(self, i: int, delay: float) -> None:
         self.next_checkin_t[i] = self._loop.now + max(delay, 0.0)
@@ -348,21 +399,26 @@ class VectorizedIdlePlane:
         self.next_checkin_t[i] = _INF
         self._touch(i)
 
-    def _membership_changed(self, i: int) -> None:
-        """Refresh row ``i``'s membership columns after an attach/drain.
+    def memberships_changed(self, rows: np.ndarray) -> None:
+        """The scheduler's membership columns of ``rows`` were rewritten
+        (an attach or a drain — the lifecycle plane writes them for rows
+        without a device object, :meth:`_membership_changed` for a
+        device).  A row whose last tenant left stops counting down to a
+        check-in and is swept only for its flips (no re-arming: no next
+        event moved earlier); one that gained a tenant on a live fleet is
+        kicked by the lifecycle plane (:meth:`kick_rows`)."""
+        has = self.scheduler.membership_count(rows) > 0
+        self._has_memberships[rows] = has
+        rows = rows[~has]
+        self.next_checkin_t[rows] = _INF
+        self.pending_window_t[rows] = -_INF
+        self._next_event_t[rows] = self.next_flip_t[rows]
 
-        A device whose last tenant left stops counting down to a check-in
-        (its row stays swept only for eligibility flips); a device that
-        just gained its first tenant is kicked by the lifecycle plane via
-        ``kick_first_checkin`` — the membership-array update contract.
-        """
-        has = bool(self._devices[i].memberships)
-        self._has_memberships[i] = has
-        self._stale_memberships.append(i)
-        if not has:
-            self.next_checkin_t[i] = _INF
-            self.pending_window_t[i] = -_INF
-            self._touch(i)
+    def _membership_changed(self, i: int) -> None:
+        """:meth:`IdleDriver.membership_changed`: row ``i``'s membership
+        columns are rewritten from its device's."""
+        self.scheduler.set_memberships(i, self._devices[i].memberships)
+        self.memberships_changed(np.array([i]))
 
     # -- the sweep ---------------------------------------------------------------
     def _sweep(self) -> None:
@@ -370,7 +426,7 @@ class VectorizedIdlePlane:
         self.sweeps += 1
         self._sweeping = True
         try:
-            if self._starting:
+            if self._started < self._start_to:
                 self._start_rows(now)
             self._run_sweep(now)
         finally:
@@ -459,8 +515,6 @@ class VectorizedIdlePlane:
             rows, u_pick, u_window = rows[ready], u_pick[ready], u_window[ready]
             if not rows.size:
                 return
-        if self._stale_memberships:
-            self._refresh_memberships()
         slot = self.scheduler.checkin(rows)
         if len(self._pools) != len(self.scheduler.tenants):
             self._resolve_pools()
@@ -516,13 +570,6 @@ class VectorizedIdlePlane:
         checkin_t = now + np.array(delay)
         self.next_checkin_t[rows] = checkin_t
         self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
-
-    def _refresh_memberships(self) -> None:
-        """Bring the scheduler's membership columns up to date."""
-        devices = self._devices
-        for i in dict.fromkeys(self._stale_memberships):
-            self.scheduler.set_memberships(i, devices[i].memberships)
-        self._stale_memberships.clear()
 
     def _resolve_pools(self) -> None:
         """Selector pools for the tenant slots registered since last time
@@ -630,6 +677,7 @@ class VectorizedIdlePlane:
         return counts
 
     def active_devices(self) -> list["DeviceActor"]:
-        """The currently materialized devices (WAITING/PARTICIPATING)."""
-        devices = self._devices
+        """The currently materialized devices (WAITING/PARTICIPATING) —
+        each constructed, at the latest, by the dispatch that admitted it."""
+        devices = self._devices.rows()
         return [devices[i] for i in np.nonzero(self.active)[0].tolist()]

@@ -506,9 +506,12 @@ class FaultPlane:
         self.fleet.loop.schedule(at - now, self._fire_interrupt)
 
     def _fire_interrupt(self) -> None:
+        # Only a device in a session can be participating: the plane's
+        # active rows (index order) — or, under the timer driver, anyone.
+        plane, everyone = self.fleet.idle_plane, self.fleet.devices.rows()
         victims = [
             device
-            for device in self.fleet.devices
+            for device in (everyone if plane is None else plane.active_devices())
             if device.state is DeviceState.PARTICIPATING
         ]
         if victims:
@@ -562,9 +565,10 @@ class SelectorClusterManager:
     ``config.selector_restart_delay_s`` on the *same* registry stream
     (``selector/<i>``, cursor continuing), re-registered with a fresh
     route for every live population (coordinator link and drain state
-    included), and swapped into every coordinator's and device's selector
-    list, so forwarded devices re-home without any spare-the-last-selector
-    special case.
+    included), and swapped into every coordinator's selector list and the
+    fleet's (the one live list the idle plane and every device share), so
+    forwarded devices re-home without any spare-the-last-selector special
+    case.
     """
 
     def __init__(self, fleet: "FLFleet"):
@@ -618,8 +622,4 @@ class SelectorClusterManager:
                         if sel == dead_ref:
                             selector_list[i] = new_ref
             selector.add_route(route)
-        for device in fleet.devices:
-            for i, sel in enumerate(device.selectors):
-                if sel == dead_ref:
-                    device.selectors[i] = new_ref
         fleet.recovery.record_selector_respawn()

@@ -41,6 +41,7 @@ from repro.device.actor import DeviceActor, DeviceState
 from repro.device.attestation import AttestationService
 from repro.device.cohort import CohortExecutionPlane
 from repro.device.runtime import LocalTrainer, SyntheticTrainer
+from repro.device.table import DeviceTable
 from repro.nn.parameters import Parameters
 from repro.sim.diurnal import AvailabilityProcess
 from repro.sim.event_loop import SECONDS_PER_DAY, EventLoop
@@ -111,7 +112,11 @@ class FLFleet:
         self.metrics = ModelMetricsStore()
         self.attestation = AttestationService()
         self.round_results: list[RoundResult] = []
-        self.devices: list[DeviceActor] = []
+        #: The fleet's devices by index.  Under the vectorized idle plane a
+        #: device is only a row until it is asked for — by its first
+        #: admitted check-in, or ``fleet.devices[i]`` — and is constructed
+        #: then: walking the table inflates the fleet.
+        self.devices = DeviceTable(self._construct_device)
         self.profiles = build_population(self.config.population, self.rngs)
         #: One cohort execution plane per population whose trainers can
         #: defer (built by the lifecycle plane at attach; trainers
@@ -138,6 +143,7 @@ class FLFleet:
                 shard_router=self.shards,
                 scheduler_policy=self.config.device_scheduler,
                 capacity=len(self.profiles),
+                devices=self.devices,
             )
             if self.config.idle_plane == "vectorized"
             else None
@@ -146,7 +152,7 @@ class FLFleet:
         #: attach/drain state machine (see :mod:`repro.system.lifecycle`).
         self.lifecycle = PopulationLifecycle(self)
         self._installed = False
-        #: True once the device fleet is spawned (devices run their idle
+        #: True once the device fleet has started (devices run their idle
         #: machinery); a later attach must kick enrolled devices itself.
         self.started = False
 
@@ -237,7 +243,7 @@ class FLFleet:
         overrides = membership_overrides or {}
         for spec in specs:
             self.lifecycle.attach(spec, membership_overrides=overrides)
-        self._spawn_devices()
+        self._start_devices()
         self.loop.schedule(self.config.sample_interval_s, self._sample_fleet)
         if self.fault_plane is not None:
             self.fault_plane.start()
@@ -245,10 +251,11 @@ class FLFleet:
 
     def _build_substrate(self) -> None:
         """The population-independent fleet: Selectors (routes come and go
-        with tenants) and the device fleet (memberships come and go with
-        tenants; devices are constructed here but spawned only after the
-        builder's populations have attached)."""
-        for i in range(self.config.num_selectors):
+        with tenants) and one row per device (memberships come and go with
+        tenants; the fleet starts only after the builder's populations
+        have attached)."""
+        config = self.config
+        for i in range(config.num_selectors):
             selector = Selector(
                 locks=self.locks,
                 verify_attestation=self.attestation.verify,
@@ -260,54 +267,80 @@ class FLFleet:
         # Per-device link conditions in one vectorized draw (the scalar
         # sampler consumed 3 RNG calls per device, which dominated fleet
         # construction at 20k+ devices).
-        conditions_by_device = self.config.network.sample_conditions_batch(
+        self._conditions = config.network.sample_conditions_batch(
             len(self.profiles), self.rngs.stream("network/conditions")
         )
-        for profile, conditions in zip(self.profiles, conditions_by_device):
-            stream_name = f"device/{profile.device_id}"
-            if self.idle_plane is not None:
-                # The plane flips the device as a row and draws for it from
-                # the row streams: no eligibility process, and no generator
-                # until the device's first session.
-                device_rng = partial(self.rngs.stream, stream_name)
-                availability = None
-            else:
-                device_rng = self.rngs.stream(stream_name)
-                availability = AvailabilityProcess(
-                    self.config.diurnal, profile.tz_offset_hours, device_rng
-                )
-            device = DeviceActor(
-                profile=profile,
-                availability=availability,
-                network=self.config.network,
-                conditions=conditions,
-                selectors=list(self.selectors),
-                shard_router=self.shards,
-                memberships=(),
-                trainers={},
-                compute=self.config.compute,
-                attestation=self.attestation,
-                event_log=self.event_log,
-                rng=device_rng,
-                job=self.config.job,
-                compute_error_prob=self.config.compute_error_prob,
-                waiting_timeout_s=self.config.waiting_timeout_s,
-                scheduler_policy=self.config.device_scheduler,
-                upload_retry=(
-                    self.config.faults.upload_retry
-                    if self.config.faults is not None
-                    else None
-                ),
-            )
-            if self.idle_plane is not None:
-                # Enroll the device in the shared vectorized plane before
-                # spawn, replacing its default per-device timer driver.
-                self.idle_plane.adopt(device)
-            self.devices.append(device)
+        #: What every device is constructed with.  ``selectors`` is the
+        #: fleet's live list: a respawn swaps one entry, for all of them.
+        self._device_settings = dict(
+            network=config.network,
+            selectors=self.selectors,
+            compute=config.compute,
+            attestation=self.attestation,
+            event_log=self.event_log,
+            job=config.job,
+            compute_error_prob=config.compute_error_prob,
+            waiting_timeout_s=config.waiting_timeout_s,
+            scheduler_policy=config.device_scheduler,
+            upload_retry=(
+                config.faults.upload_retry if config.faults is not None else None
+            ),
+        )
+        if self.idle_plane is not None:
+            self.idle_plane.adopt_rows(self.profiles, config.job.base_interval_s)
+        else:
+            # The per-device timer driver arms its timers from
+            # ``on_start``: under it every device exists from the build on.
+            self.devices.extend(len(self.profiles))
+            list(self.devices)  # repro-lint: allow(no-fleet-walk)
 
-    def _spawn_devices(self) -> None:
-        for device in self.devices:
-            self.actors.spawn(device, device.profile.name)
+    def _construct_device(self, index: int) -> DeviceActor:
+        """Device ``index`` as an object (the table's constructor): its
+        profile, its row, what its tenants hold for it — spawned, on a
+        started fleet, under the actor id reserved for it.  Pure: nothing
+        is drawn, scheduled or written to a column, so *when* it happens
+        cannot be observed."""
+        profile = self.profiles[index]
+        stream = partial(self.rngs.stream, f"device/{profile.device_id}")
+        if self.idle_plane is not None:
+            # The plane flips the row, draws for it and resolves its
+            # Selector: no eligibility process, no shard router, and no
+            # generator before the device's first session.
+            own = self.idle_plane.row_handles(index)
+            own.update(rng=stream, availability=None)
+        else:
+            rng = stream()
+            availability = AvailabilityProcess(
+                self.config.diurnal, profile.tz_offset_hours, rng
+            )
+            own = dict(rng=rng, availability=availability, shard_router=self.shards)
+        memberships, trainers = self.lifecycle.enrollment(profile.device_id)
+        device = DeviceActor(
+            profile=profile,
+            conditions=self._conditions[index],
+            memberships=memberships,
+            trainers=trainers,
+            **own,
+            **self._device_settings,
+        )
+        if self.started:
+            self._spawn_device(index, device)
+        return device
+
+    def _spawn_device(self, index: int, device: DeviceActor) -> None:
+        actor_id = self._first_device_actor_id + index
+        self.actors.spawn(device, device.profile.name, actor_id)
+
+    def _start_devices(self) -> None:
+        """Fleet start.  The devices' contiguous block of actor ids is
+        reserved here, so ``device-<i>`` has the same id whenever it is
+        spawned; every row starts as one batch."""
+        self._first_device_actor_id = self.actors.reserve_ids(len(self.profiles))
+        for index, device in enumerate(self.devices.rows()):
+            if device is not None:
+                self._spawn_device(index, device)
+        if self.idle_plane is not None:
+            self.idle_plane.start()
         self.started = True
 
     # -- population lifecycle ----------------------------------------------------
@@ -367,12 +400,7 @@ class FLFleet:
         round counters — ``restore(p).run_days(d)`` reports exactly what
         the uninterrupted fleet would have reported.
         """
-        fleet = read_snapshot(path)
-        if not isinstance(fleet, cls):
-            raise TypeError(
-                f"snapshot holds {type(fleet).__name__}, not {cls.__name__}"
-            )
-        return fleet
+        return read_snapshot(path)
 
     # -- population plumbing (lifecycle plane entry points) ----------------------
     def enroll_cohort_trainer(self, name: str, trainer: LocalTrainer) -> None:
@@ -430,7 +458,7 @@ class FLFleet:
             counts = self.idle_plane.state_counts(sampled)
         else:
             counts = {state: 0 for state in DeviceState}
-            sampled = self.devices
+            sampled = self.devices.rows()  # all constructed at build
             for device in sampled:
                 counts[device.state] += 1
         for device in sampled:
@@ -488,6 +516,14 @@ class FLFleet:
         """Fleet-wide health telemetry (Sec. 5): training time, session
         counts, errors by kind, and OS-version / population breakdowns —
         all PII-free aggregates of per-device counters."""
+        return self._health_pass()[0]
+
+    def _health_pass(self) -> tuple[FleetHealthReport, int, int]:
+        """One pass over the fleet, in device-index order (the summaries
+        are streaming sketches, so order is part of the result): the
+        health report, and the upload retries attempted / exhausted.  A
+        row no device was ever constructed for has had no session: it
+        contributes its zeros, and is not constructed to say so."""
         from repro.analytics.quantile import MetricSummary
 
         train_seconds = MetricSummary.empty()
@@ -497,22 +533,32 @@ class FLFleet:
         by_population: dict[str, int] = {
             runtime.name: 0 for runtime in self.lifecycle.runtimes()
         }
-        for device in self.devices:
-            train_seconds.update(device.health.train_seconds)
-            sessions.update(device.health.sessions_started)
-            for reason, count in device.health.errors.items():
+        retries = exhausted = 0
+        for profile, device in zip(self.profiles, self.devices.rows()):
+            if device is None:
+                train_seconds.update(0.0)
+                sessions.update(0)
+                by_os.setdefault(profile.os_version, 0)
+                continue
+            health = device.health
+            train_seconds.update(health.train_seconds)
+            sessions.update(health.sessions_started)
+            for reason, count in health.errors.items():
                 errors[reason] = errors.get(reason, 0) + count
-            os_v = device.profile.os_version
-            by_os[os_v] = by_os.get(os_v, 0) + device.health.sessions_started
-            for name, count in device.health.sessions_by_population.items():
+            os_v = profile.os_version
+            by_os[os_v] = by_os.get(os_v, 0) + health.sessions_started
+            for name, count in health.sessions_by_population.items():
                 by_population[name] = by_population.get(name, 0) + count
-        return FleetHealthReport(
+            retries += health.upload_retries
+            exhausted += health.upload_retries_exhausted
+        report = FleetHealthReport(
             train_seconds=train_seconds.to_dict(),
             sessions=sessions.to_dict(),
             errors_by_reason=errors,
             sessions_by_os_version=by_os,
             sessions_by_population=by_population,
         )
+        return report, retries, exhausted
 
     def report(self) -> RunReport:
         """The structured results of the run so far (drained populations
@@ -520,14 +566,11 @@ class FLFleet:
         total, committed, drop, completed, run_time = summarize_rounds(
             self.round_results
         )
+        health, upload_retries, upload_retries_exhausted = self._health_pass()
         populations = []
         for runtime in self.lifecycle.runtimes():
             p_total, p_committed, p_drop, p_completed, p_run_time = (
                 summarize_rounds(runtime.results)
-            )
-            device_sessions = sum(
-                device.health.sessions_by_population.get(runtime.name, 0)
-                for device in self.devices
             )
             populations.append(
                 PopulationReport(
@@ -537,7 +580,7 @@ class FLFleet:
                     mean_drop_rate=p_drop,
                     mean_completed_per_round=p_completed,
                     mean_round_time_s=p_run_time,
-                    device_sessions=device_sessions,
+                    device_sessions=health.sessions_by_population[runtime.name],
                     member_devices=len(runtime.member_ids),
                     tasks=tuple(
                         TaskReport(
@@ -561,16 +604,11 @@ class FLFleet:
             download_bytes=meter.downloaded_bytes,
             upload_bytes=meter.uploaded_bytes,
             populations=tuple(populations),
-            health=self.health_report(),
+            health=health,
             recovery=self.recovery.build_report(
                 rounds_total=total,
                 rounds_committed=committed,
-                upload_retries=sum(
-                    device.health.upload_retries for device in self.devices
-                ),
-                upload_retries_exhausted=sum(
-                    device.health.upload_retries_exhausted
-                    for device in self.devices
-                ),
+                upload_retries=upload_retries,
+                upload_retries_exhausted=upload_retries_exhausted,
             ),
         )

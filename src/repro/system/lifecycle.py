@@ -14,10 +14,12 @@ transitions —
   checkpoint, plan directory, pace steering, a
   :class:`~repro.actors.selector.PopulationRoute` on every Selector, a
   freshly spawned Coordinator, device memberships sampled from the
-  tenant's pinned RNG stream, trainers installed per member, and — on a
+  tenant's pinned RNG stream, a trainer built per member, and — on a
   live fleet — first check-ins scheduled from each device's own stream so
-  the rollout reaches its cohort within one job interval.  Builder-time
-  populations go through *exactly this code path* ("attach before
+  the rollout reaches its cohort within one job interval.  A member that
+  is still only a row of the idle plane gets its membership as a column
+  write; its trainer waits on the tenant's :class:`PopulationRuntime`
+  until the device is constructed.  Builder-time populations go through *exactly this code path* ("attach before
   start"); there is no second wiring path.
 * :meth:`drain` — retire a population from the running fleet in three
   phases: stop admitting (every Selector flushes the tenant's pool and
@@ -44,6 +46,8 @@ import pickle
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping
+
+import numpy as np
 
 from repro.actors.coordinator import Coordinator
 from repro.actors.kernel import ActorRef
@@ -94,6 +98,9 @@ class PopulationRuntime:
     attached_at_s: float = 0.0
     drained_at_s: float | None = None
     member_ids: set[int] = field(default_factory=set)
+    #: Every member's trainer by device id, from attach to retirement (a
+    #: device constructed after the attach picks its up here).
+    trainers: dict[int, object] = field(default_factory=dict)
     coordinator_ref: ActorRef | None = None
     results: list[RoundResult] = field(default_factory=list)
 
@@ -173,17 +180,20 @@ class PopulationLifecycle:
             member_ids=member_ids,
             overrides=membership_overrides or {},
         )
+        # Factories are user code that may consume shared state in call
+        # order: built now, in device-id order, object or row alike.
         factory = self.fleet.resolve_trainer_factory(spec)
+        profiles = self.fleet.profiles
         trainers = {
-            device_id: factory(self.fleet.devices[device_id].profile)
-            for device_id in sorted(members)
+            device_id: factory(profiles[device_id]) for device_id in sorted(members)
         }
         runtime = self._create_runtime(spec)
         runtime.member_ids = members
+        runtime.trainers = trainers
         self.active[spec.name] = runtime
         self._register_routes(runtime)
         self._spawn_coordinator(runtime)
-        self._enroll_devices(runtime, trainers)
+        self._enroll_devices(runtime)
         return runtime
 
     def _create_runtime(self, spec: PopulationSpec) -> PopulationRuntime:
@@ -357,25 +367,56 @@ class PopulationLifecycle:
             f"coordinator/{runtime.name}/{runtime.index}",
         )
 
-    def _enroll_devices(
-        self,
-        runtime: PopulationRuntime,
-        trainers: Mapping[int, object],
-    ) -> None:
-        """Install the tenant's (prebuilt) trainer and membership on every
-        member device, in device-id order (each kick draws from that
-        device's own stream, so enrollment is deterministic)."""
-        fleet = self.fleet
-        live = fleet.started
+    def enrollment(self, device_id: int) -> tuple[tuple[str, ...], dict]:
+        """What the hosted tenants hold for a device being constructed: its
+        memberships (attach order; a draining tenant's is already gone)
+        and its installed trainers by tenant."""
+        memberships, trainers = [], {}
+        for runtime in self.active.values():
+            trainer = runtime.trainers.get(device_id)
+            if trainer is not None:
+                trainers[runtime.name] = trainer
+                if runtime.state is PopulationState.ATTACHED:
+                    memberships.append(runtime.name)
+        return tuple(memberships), trainers
+
+    def _members(self, runtime: PopulationRuntime) -> tuple[list, np.ndarray]:
+        """The tenant's members in device-id order: those that exist as
+        objects, and the idle-plane rows of those that do not.  Membership
+        changes touch the object where there is one, the columns otherwise."""
+        devices = self.fleet.devices.rows()
+        constructed, rows = [], []
         for device_id in sorted(runtime.member_ids):
-            device = fleet.devices[device_id]
-            trainer = trainers[device_id]
-            fleet.enroll_cohort_trainer(runtime.name, trainer)
-            device.enroll(runtime.name, trainer)
+            device = devices[device_id]
+            if device is None:
+                rows.append(device_id)
+            else:
+                constructed.append(device)
+        return constructed, np.array(rows, dtype=np.intp)
+
+    def _enroll_devices(self, runtime: PopulationRuntime) -> None:
+        """Install the tenant's membership on every member — and its
+        (prebuilt) trainer on those that exist as objects — in device-id
+        order (each kick draws from that device's own stream, so
+        enrollment is deterministic)."""
+        fleet = self.fleet
+        name = runtime.name
+        live = fleet.started
+        for trainer in runtime.trainers.values():
+            fleet.enroll_cohort_trainer(name, trainer)
+        constructed, rows = self._members(runtime)
+        for device in constructed:
+            device.enroll(name, runtime.trainers[device.device_id])
             if device.idle is not None:
                 device.idle.membership_changed()
                 if live:
                     device.idle.kick_first_checkin()
+        if rows.size:
+            plane = fleet.idle_plane
+            plane.scheduler.enroll(rows, name)
+            plane.memberships_changed(rows)
+            if live:
+                plane.kick_rows(rows)
 
     # -- drain ------------------------------------------------------------------
     def drain(
@@ -410,11 +451,14 @@ class PopulationLifecycle:
         coordinator = self._coordinator_actor(runtime)
         if coordinator is not None:
             coordinator.draining = True
-        for device_id in sorted(runtime.member_ids):
-            device = fleet.devices[device_id]
+        constructed, rows = self._members(runtime)
+        for device in constructed:
             device.leave_population(name)
             if device.idle is not None:
                 device.idle.membership_changed()
+        if rows.size:
+            fleet.idle_plane.scheduler.leave(rows, name)
+            fleet.idle_plane.memberships_changed(rows)
 
         # Phase 2 — quiesce: let the in-flight round and device sessions
         # finish on their own clocks, checking at a fixed cadence.
@@ -483,9 +527,14 @@ class PopulationLifecycle:
         name = runtime.name
         # Order-independent pure reads: no sort needed on this hot-ish
         # poll (unlike the mutating enroll/force walks, which draw from
-        # per-device streams and must run in device-id order).
+        # per-device streams and must run in device-id order).  A member
+        # that is still only a row is quiet: it has never been admitted,
+        # and the drain's first phase dropped its queued request.
+        devices = self.fleet.devices.rows()
         for device_id in runtime.member_ids:
-            device = self.fleet.devices[device_id]
+            device = devices[device_id]
+            if device is None:
+                continue
             if device._active_population == name:
                 return False
             scheduler = device.scheduler
@@ -503,8 +552,7 @@ class PopulationLifecycle:
             forced_round = True
         forced = 0
         name = runtime.name
-        for device_id in sorted(runtime.member_ids):
-            device = fleet.devices[device_id]
+        for device in self._members(runtime)[0]:
             if device._active_population == name:
                 device.interrupt_session("population_drained")
                 forced += 1
@@ -519,11 +567,12 @@ class PopulationLifecycle:
         runtime.coordinator_ref = None
         for selector in fleet.shard_selector_actors(name):
             selector.remove_route(name)
-        for device_id in sorted(runtime.member_ids):
-            device = fleet.devices[device_id]
+        # (A row without an object left for good in the drain's first phase.)
+        for device in self._members(runtime)[0]:
             device.withdraw(name)
             if device.idle is not None:
                 device.idle.membership_changed()
+        runtime.trainers = {}
         fleet.retire_cohort_plane(name)
         runtime.state = PopulationState.DRAINED
         runtime.drained_at_s = fleet.loop.now
@@ -533,14 +582,16 @@ class PopulationLifecycle:
 
 # -- fleet checkpoint / restore ---------------------------------------------------
 
-#: Bumped whenever the on-disk snapshot layout changes incompatibly.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Bumped whenever the on-disk snapshot layout changes incompatibly
+#: (2: the devices are a lazily filled table; the manifest counts them).
+SNAPSHOT_FORMAT_VERSION = 2
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 
 
 class SnapshotError(RuntimeError):
-    """The file is not a readable fleet snapshot of this format."""
+    """The file is not a readable fleet snapshot of this format, or its
+    payload is not the fleet its header describes."""
 
 
 @dataclass(frozen=True)
@@ -561,6 +612,7 @@ class FleetSnapshotManifest:
     format_version: int
     seed: int
     simulated_seconds: float
+    devices: int
     populations: tuple[PopulationSnapshotEntry, ...]
 
 
@@ -595,6 +647,7 @@ def build_manifest(fleet: "FLFleet") -> FleetSnapshotManifest:
         format_version=SNAPSHOT_FORMAT_VERSION,
         seed=fleet.config.seed,
         simulated_seconds=fleet.loop.now,
+        devices=len(fleet.devices),
         populations=tuple(entries),
     )
 
@@ -657,13 +710,26 @@ def _read_header(f, path) -> FleetSnapshotManifest:
 
 
 def read_snapshot(path) -> "FLFleet":
-    """Rebuild the frozen fleet from :func:`write_snapshot` output."""
+    """Rebuild the frozen fleet from :func:`write_snapshot` output.  What
+    unpickles must be a fleet whose manifest — seed, clock, device count,
+    tenant set, states, round counters — is the one written beside it."""
+    from repro.system.fleet import FLFleet  # deferred: it imports this module
+
     with open(path, "rb") as f:
-        _read_header(f, path)
+        manifest = _read_header(f, path)
         try:
-            return pickle.load(f)
+            fleet = pickle.load(f)
         except Exception as exc:
             raise SnapshotError(f"unreadable fleet snapshot {path!r}") from exc
+    if not isinstance(fleet, FLFleet):
+        raise SnapshotError(f"{path!r} holds {type(fleet).__name__}, not a fleet")
+    found = build_manifest(fleet)
+    if found != manifest:
+        raise SnapshotError(
+            f"{path!r} does not hold the fleet its header describes: "
+            f"header {manifest}, payload {found}"
+        )
+    return fleet
 
 
 def read_manifest(path) -> FleetSnapshotManifest:

@@ -7,6 +7,7 @@ the imports below.
 
 from repro.tools.lint.rules import (  # noqa: F401
     ambient_rng,
+    fleet_walk,
     inplace_discipline,
     report_immutability,
     snapshot_state,

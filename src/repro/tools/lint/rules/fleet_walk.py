@@ -1,0 +1,67 @@
+"""no-fleet-walk: nothing in the simulator walks ``fleet.devices``.
+
+Under the vectorized idle plane a device is only a row of the plane's
+columns until something asks for its object (``repro.device.table``): a
+50k-device fleet of which 5k ever train holds 5k ``DeviceActor``s.
+Iterating the device table constructs every one of them — one such loop
+re-inflates the fleet to a Python object per row, silently, and the run
+still reports the same bytes.  Code that needs every device's *numbers*
+reads the plane's columns and ``devices.rows()`` (which looks without
+constructing); a deliberate walk — the per-device timer baseline filling
+its table at build — carries ``# repro-lint: allow(no-fleet-walk)`` and
+says why.
+"""
+
+from __future__ import annotations
+
+import ast
+
+from repro.tools.lint.core import FileContext, Finding, Rule, register
+
+#: Builtins that consume their argument's whole iteration.
+_WALKERS = frozenset({
+    "list", "tuple", "set", "frozenset", "sorted", "sum", "min", "max",
+    "any", "all", "iter", "enumerate", "zip", "map", "filter", "reversed",
+})
+
+
+def _is_device_table(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "devices"
+
+
+@register
+class FleetWalkRule(Rule):
+    name = "no-fleet-walk"
+    description = (
+        "iterating, list()-ing, sum()-ing or comprehending over a .devices "
+        "attribute (constructs a DeviceActor per row)"
+    )
+    contract = "scale: resident objects follow the live set, not the fleet"
+    paths = (
+        "src/repro/sim/",
+        "src/repro/actors/",
+        "src/repro/system/",
+        "src/repro/device/",
+    )
+
+    def check(self, ctx: FileContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+                walked = [node.iter]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id in _WALKERS:
+                walked = node.args
+            elif isinstance(node, ast.Starred):
+                walked = [node.value]
+            else:
+                continue
+            for target in walked:
+                if _is_device_table(target):
+                    findings.append(self.finding(
+                        ctx, target,
+                        "walking .devices constructs a DeviceActor for every "
+                        "row of the fleet — read the idle plane's columns or "
+                        "devices.rows() instead",
+                    ))
+        return findings

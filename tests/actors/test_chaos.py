@@ -137,13 +137,17 @@ def test_commit_count_matches_round_results(chaotic_fleet):
 
 
 def test_device_fleet_unharmed(chaotic_fleet):
-    """Server chaos never kills devices (they live at the edge)."""
-    alive_devices = sum(
-        1
+    """Server chaos never kills devices (they live at the edge): every
+    device actor ever spawned is alive, and every device — spawned yet
+    or still only a row — answers when asked for."""
+    spawned = [
+        ref
         for ref in chaotic_fleet.actors.living_actors()
         if isinstance(chaotic_fleet.actors.actor_of(ref), DeviceActor)
-    )
-    assert alive_devices == 300
+    ]
+    assert len(spawned) == chaotic_fleet.devices.constructions > 0
+    assert len(chaotic_fleet.devices) == 300
+    assert all(device.ref.alive for device in chaotic_fleet.devices)
 
 
 def test_all_selectors_alive_after_chaos(chaotic_fleet):

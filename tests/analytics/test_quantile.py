@@ -78,3 +78,100 @@ def test_metric_summary_to_dict(rng):
     assert d["count"] == 500
     assert 0 <= d["p25"] <= d["p50"] <= d["p75"] <= d["p95"] <= 1
     assert MetricSummary.empty().to_dict() == {"count": 0}
+
+
+# -- the marker arithmetic, bit for bit ------------------------------------------
+
+
+class ArrayP2Quantile:
+    """``P2Quantile`` as it was when its five markers were numpy arrays —
+    frozen here as the oracle: the list-of-floats version performs the
+    same IEEE operations in the same order, so every output must be equal
+    to the last bit."""
+
+    def __init__(self, quantile):
+        self.quantile = quantile
+        self._initial = []
+        self._q = np.zeros(5)
+        self._n = np.zeros(5)
+        self._np = np.zeros(5)
+        self._dn = np.zeros(5)
+        self._count = 0
+
+    def update(self, value):
+        value = float(value)
+        self._count += 1
+        if self._count <= 5:
+            self._initial.append(value)
+            if self._count == 5:
+                p = self.quantile
+                self._q = np.array(sorted(self._initial))
+                self._n = np.arange(1.0, 6.0)
+                self._np = np.array([1, 1 + 2 * p, 1 + 4 * p, 3 + 2 * p, 5])
+                self._dn = np.array([0, p / 2, p, (1 + p) / 2, 1])
+            return
+        q, n = self._q, self._n
+        if value < q[0]:
+            q[0] = value
+            k = 0
+        elif value >= q[4]:
+            q[4] = value
+            k = 3
+        else:
+            k = int(np.searchsorted(q, value, side="right")) - 1
+            k = min(max(k, 0), 3)
+        n[k + 1 :] += 1
+        self._np += self._dn
+        for i in (1, 2, 3):
+            d = self._np[i] - n[i]
+            if (d >= 1 and n[i + 1] - n[i] > 1) or (d <= -1 and n[i - 1] - n[i] < -1):
+                sign = 1.0 if d >= 1 else -1.0
+                candidate = q[i] + sign / (n[i + 1] - n[i - 1]) * (
+                    (n[i] - n[i - 1] + sign) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
+                    + (n[i + 1] - n[i] - sign) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
+                )
+                if q[i - 1] < candidate < q[i + 1]:
+                    q[i] = candidate
+                else:
+                    j = i + int(sign)
+                    q[i] = q[i] + sign * (q[j] - q[i]) / (n[j] - n[i])
+                n[i] += sign
+
+    def value(self):
+        if self._count <= 5:
+            data = sorted(self._initial)
+            return data[min(int(self.quantile * len(data)), len(data) - 1)]
+        return float(self._q[2])
+
+
+def array_summary():
+    summary = MetricSummary.empty()
+    for name in ("p25", "p50", "p75", "p95"):
+        setattr(summary, name, ArrayP2Quantile(getattr(summary, name).quantile))
+    return summary
+
+
+#: Random values, and long runs of one value (a fleet's health report is
+#: mostly zeros: the devices that never trained).
+_RUNS = st.lists(
+    st.tuples(
+        st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 1.0, 3600.0])),
+        st.integers(1, 60),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@given(_RUNS)
+@settings(max_examples=150, deadline=None)
+def test_float_markers_match_the_array_implementation_exactly(runs):
+    summary, oracle = MetricSummary.empty(), array_summary()
+    seen = 0
+    for value, repeat in runs:
+        for _ in range(repeat):
+            summary.update(value)
+            oracle.update(value)
+        seen += repeat
+        # repr() tells -0.0 from 0.0 and spells out every last bit.
+        assert repr(summary.to_dict()) == repr(oracle.to_dict()), seen

@@ -220,6 +220,29 @@ def _row_arrays(plane):
     }
 
 
+def test_row_handles_are_pure_and_the_health_record_is_complete(harness):
+    """Building a row's handles (what constructing its device does) writes
+    no column — in particular it does not zero the check-ins the row has
+    tallied — and the row's health record starts as a fresh
+    ``DeviceHealthStats`` does, field for field."""
+    from dataclasses import asdict
+
+    from repro.device.actor import DeviceHealthStats
+
+    loop, system, plane, server, server_ref, rngs = harness
+    make_device(system, plane, rngs)
+    plane._health_checkins[0] = 7
+    before = {name: getattr(plane, name).copy() for name, _, _ in plane._COLUMNS}
+    handles = plane.row_handles(0)
+    for name, column in before.items():
+        assert (getattr(plane, name) == column).all(), name
+    health = handles["health"]
+    assert health.checkins == 7
+    assert asdict(health) == {**asdict(DeviceHealthStats()), "checkins": 7}
+    health.checkins += 1
+    assert plane._health_checkins[0] == 8
+
+
 def test_growing_past_capacity_mid_run_keeps_every_column():
     loop, system, plane, server, _ref, rngs = make_harness(FLIPS_EVERY_MINUTE)
     capacity = plane.next_flip_t.shape[0]

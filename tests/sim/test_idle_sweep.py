@@ -88,7 +88,17 @@ def reference_screen(selector, population_name, device, attestation_ok):
     return None
 
 
-def reference_attempt(device, attestation_ok, pick):
+def reference_pool(plane, population_name):
+    """``DeviceActor._selector_pool`` from what the plane holds (a
+    plane-owned device carries no shard router of its own)."""
+    selectors = plane._selectors
+    indices = plane._shard_router.selector_indices_for(population_name)
+    if len(indices) == len(selectors):
+        return selectors
+    return [selectors[i] for i in indices]
+
+
+def reference_attempt(plane, device, attestation_ok, pick):
     """``DeviceActor._attempt_screened_checkin`` as it was: the worker
     queue dance, the Selector pick, the screen, and the device half of a
     rejection.  Returns the window when bounced."""
@@ -100,7 +110,7 @@ def reference_attempt(device, attestation_ok, pick):
     if started is None:
         device.idle.schedule_checkin(device.job.delay_at(pick))
         return None
-    pool = device._selector_pool(started)
+    pool = reference_pool(plane, started)
     ref = pool[int(pick * len(pool))]
     selector = device.system.actor_of(ref)
     window = (
@@ -130,7 +140,7 @@ def reference_checkin_rows(self, rows, u_pick, u_window, now):
     )):
         device = self._devices[i]
         verdict = bool(cached) if cached >= 0 else None
-        window = reference_attempt(device, verdict, pick)
+        window = reference_attempt(self, device, verdict, pick)
         if window is None:
             continue
         rejected.append(j)

@@ -1,0 +1,139 @@
+"""Devices are rows until they are admitted — held by count and by byte.
+
+The paper's fleet is ~10^7 devices with ~10^4 live at a time (Sec. 9): a
+device that has never been admitted must cost a row of the idle plane's
+columns, not a Python object.  On an idle-majority fleet (the regime of
+``tests/system/test_checkin_budget.py``, five times the rows):
+
+* no ``DeviceActor`` exists after ``.build()``, nor after the sweep that
+  starts the fleet;
+* after a simulated day the devices that exist are exactly the rows a
+  Selector ever admitted, and reporting on the fleet constructs none;
+* what ``.build()`` allocates per row — profile, link conditions, the
+  tenant's trainer and every column included — stays under a stated
+  budget;
+* every check-in is still on its device's health record, even when the
+  walk that reads the records is what constructs most of the devices.
+
+Counts and traced bytes, so it cannot flake.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+
+from repro import FLFleet, RoundConfig, TaskConfig
+from repro.actors.coordinator import CoordinatorConfig
+from repro.core.pace import PaceConfig
+from repro.device.actor import DeviceActor
+from repro.device.scheduler import JobSchedule
+from repro.nn.models import LogisticRegression
+from repro.sim.population import PopulationConfig
+
+ROWS = 20_000
+#: Traced bytes ``.build()`` may allocate per row.  The floor — what a
+#: never-admitted row keeps: a ``DeviceProfile``, its ``NetworkConditions``,
+#: the tenant's ``SyntheticTrainer``, a member-set and a trainer-map entry,
+#: ~90 B of columns — measures 0.88 kB; one ``DeviceActor`` per row, with
+#: its row handles and mailbox, was ~3.7 kB.
+BUILD_BYTES_PER_ROW = 1200
+
+
+def build_fleet():
+    params = LogisticRegression(input_dim=4, n_classes=3).init(
+        np.random.default_rng(0)
+    )
+    task = TaskConfig(
+        task_id="train/pop",
+        population_name="pop",
+        round_config=RoundConfig(target_participants=10),
+    )
+    return (
+        FLFleet.builder()
+        .seed(2019)
+        .devices(PopulationConfig(num_devices=ROWS))
+        .selectors(1)
+        .coordinator(CoordinatorConfig(pipelining=False, inter_round_gap_s=2700.0))
+        .pace(PaceConfig(
+            round_period_s=2700.0,
+            small_population_threshold=500,
+            max_reconnect_delay_s=7200.0,
+        ))
+        .job(JobSchedule(3600.0, 0.5))
+        .waiting_timeout(3600.0)
+        .population("pop", tasks=[task], model=params)
+        .build()
+    )
+
+
+def device_objects(fleet) -> int:
+    """``DeviceActor``s this fleet holds: seated in its table, or known
+    to its actor system."""
+    seated = sum(device is not None for device in fleet.devices.rows())
+    spawned = sum(
+        isinstance(fleet.actors.actor_of(ref), DeviceActor)
+        for ref in fleet.actors.living_actors()
+    )
+    assert seated == spawned
+    return seated
+
+
+def test_a_never_admitted_device_is_only_a_row(monkeypatch):
+    admitted_rows = set()
+    attempt = DeviceActor._attempt_screened_checkin
+
+    def recording(self, started, selector):
+        admitted_rows.add(self.device_id)
+        attempt(self, started, selector)
+
+    monkeypatch.setattr(DeviceActor, "_attempt_screened_checkin", recording)
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        fleet = build_fleet()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # (c) the build's bytes per row.
+    assert (after - before) / ROWS <= BUILD_BYTES_PER_ROW
+
+    # (a) rows only: after the build, and after the sweep that starts them.
+    plane = fleet.idle_plane
+    assert len(fleet.devices) == len(plane) == ROWS
+    assert device_objects(fleet) == 0
+    fleet.run_for(0.0)
+    assert plane.sweeps == 1 and plane._started == ROWS
+    assert 0 < np.count_nonzero(plane.eligible) < ROWS
+    assert device_objects(fleet) == 0
+
+    # (b) a day on: the devices that exist are the rows ever admitted.
+    fleet.run_days(1.0)
+    assert plane.checkins_fast_rejected > 4 * plane.materializations > 0
+    constructed = device_objects(fleet)
+    assert constructed == len(admitted_rows) == fleet.devices.constructions
+    assert 0 < constructed <= plane.materializations
+    assert constructed < ROWS // 4
+    assert {
+        i for i, device in enumerate(fleet.devices.rows()) if device is not None
+    } == admitted_rows
+    # ... and reporting on the fleet leaves the rest as rows.
+    report = fleet.report()
+    health = fleet.health_report()
+    assert report.rounds_committed >= 10 and report.health == health
+    assert health.sessions["count"] == ROWS
+    assert sum(health.sessions_by_os_version.values()) == sum(
+        p.device_sessions for p in report.populations
+    )
+    assert device_objects(fleet) == constructed
+
+    # (d) every attempt is on its device's health record — read through a
+    # walk that constructs most of the devices it reads.
+    assert sum(d.health.checkins for d in fleet.devices) == (
+        plane.checkins_fast_rejected + plane.materializations
+    )
+    assert device_objects(fleet) == ROWS
+    assert fleet.report() == report

@@ -723,6 +723,57 @@ def test_restore_rejects_non_snapshots(tmp_path):
         FLFleet.restore(wrong_shape)
 
 
+def _snapshot_parts(path):
+    """A snapshot file's two pickles, as bytes: header, payload."""
+    import pickle
+
+    with open(path, "rb") as f:
+        pickle.load(f)
+        split = f.tell()
+    data = path.read_bytes()
+    return data[:split], data[split:]
+
+
+def test_restore_cross_checks_the_payload_against_its_header(tmp_path):
+    """A payload that unpickles but is not the fleet its manifest
+    describes — another seed, another tenant set, another clock, another
+    fleet size — is refused, whichever field disagrees."""
+    import pickle
+
+    base = tmp_path / "base.snap"
+    fleet = build_fleet(seed=3, devices=60)
+    fleet.run_for(HOUR)
+    fleet.snapshot(base)
+    header, payload = _snapshot_parts(base)
+    others = {
+        "seed": build_fleet(seed=4, devices=60),
+        "devices": build_fleet(seed=3, devices=61),
+        "clock": build_fleet(seed=3, devices=60),
+        "tenants": build_fleet(seed=3, devices=60),
+    }
+    for other in others.values():
+        other.run_for(HOUR)
+    others["clock"].run_for(60.0)
+    others["tenants"].attach_population(stats_spec())
+    for field, other in others.items():
+        other_path = tmp_path / f"{field}.snap"
+        other.snapshot(other_path)
+        spliced = tmp_path / f"spliced-{field}.snap"
+        spliced.write_bytes(header + _snapshot_parts(other_path)[1])
+        assert read_manifest(spliced) == read_manifest(base)  # the header is fine
+        with pytest.raises(SnapshotError, match="does not hold the fleet"):
+            FLFleet.restore(spliced)
+    # A well-formed header over something that is no fleet at all.
+    not_a_fleet = tmp_path / "not-a-fleet.snap"
+    not_a_fleet.write_bytes(header + pickle.dumps({"hello": "world"}))
+    with pytest.raises(SnapshotError, match="not a fleet"):
+        FLFleet.restore(not_a_fleet)
+    # The parts put back together are the snapshot again.
+    whole = tmp_path / "whole.snap"
+    whole.write_bytes(header + payload)
+    assert FLFleet.restore(whole).report() == fleet.report()
+
+
 def test_read_manifest_roundtrip(tmp_path):
     path = tmp_path / "fleet.snap"
     fleet = build_fleet(seed=3, devices=60)

@@ -505,3 +505,60 @@ class TestReportImmutability:
                 window = self.pending_window
                 window += 1.0
         """, path="src/repro/sim/example.py") == []
+
+
+# -- no-fleet-walk --------------------------------------------------------------
+
+
+class TestFleetWalk:
+    def test_fires_on_every_way_of_walking_the_table(self):
+        findings = run("""
+            def report(fleet):
+                for device in fleet.devices:
+                    device.health
+                everyone = list(fleet.devices)
+                checkins = sum(d.health.checkins for d in fleet.devices)
+                idle = [d for d in fleet.devices if d.idle]
+                first, *rest = [*fleet.devices]
+                return everyone, checkins, idle, first, rest
+        """)
+        assert rule_names(findings) == ["no-fleet-walk"] * 5
+        assert "constructs a DeviceActor" in findings[0].message
+
+    def test_fires_on_self_devices_in_a_fleet_method(self):
+        findings = run("""
+            class Fleet:
+                def retries(self):
+                    return sum(
+                        device.health.upload_retries for device in self.devices
+                    )
+        """)
+        assert rule_names(findings) == ["no-fleet-walk"]
+
+    def test_quiet_on_rows_indexing_len_and_the_builder_call(self):
+        assert run("""
+            def report(fleet, builder, config):
+                total = 0
+                for device in fleet.devices.rows():
+                    if device is not None:
+                        total += device.health.sessions_started
+                one = fleet.devices[3]
+                builder.devices(config)
+                return total, one, len(fleet.devices)
+        """) == []
+
+    def test_quiet_with_a_reasoned_suppression(self):
+        assert run("""
+            def fill(fleet):
+                # The timer driver needs every device from the build on.
+                list(fleet.devices)  # repro-lint: allow(no-fleet-walk)
+        """) == []
+
+    def test_quiet_outside_the_simulator_trees(self):
+        # Examples and the benchmark read every device on purpose.
+        source = """
+            def checkins(fleet):
+                return sum(d.health.checkins for d in fleet.devices)
+        """
+        assert run(source, path="examples/example.py") == []
+        assert run(source, path="src/repro/tools/example.py") == []
