@@ -15,20 +15,51 @@ from typing import Mapping
 from repro.analytics.quantile import MetricSummary
 
 
+class FinalizedMetricsError(RuntimeError):
+    """An update reached a record whose round is closed and stored."""
+
+
+@dataclass(frozen=True, slots=True)
+class FinalSummary:
+    """What a closed round keeps of a :class:`MetricSummary`: the numbers
+    of its ``to_dict()``, without the sketches that produced them."""
+
+    stats: Mapping[str, float]
+
+    def to_dict(self) -> dict[str, float]:
+        return dict(self.stats)
+
+
 @dataclass
 class MaterializedMetrics:
-    """One round's metric summaries plus annotations."""
+    """One round's metric summaries plus annotations.  Summaries are live
+    sketches while device reports are fed in and finished statistics after
+    :meth:`finalize`, which the store calls before it keeps a record."""
 
     task_name: str
     round_number: int
     time_s: float
-    summaries: dict[str, MetricSummary] = field(default_factory=dict)
+    summaries: dict[str, MetricSummary | FinalSummary] = field(default_factory=dict)
     metadata: Mapping[str, object] = field(default_factory=dict)
+    final: bool = field(default=False, init=False)
 
     def update(self, metric: str, value: float) -> None:
+        if self.final:
+            raise FinalizedMetricsError(
+                f"{self.task_name} round {self.round_number} is materialized: "
+                f"its {metric!r} summary no longer takes updates"
+            )
         if metric not in self.summaries:
             self.summaries[metric] = MetricSummary.empty()
         self.summaries[metric].update(value)
+
+    def finalize(self) -> None:
+        """Replace every live summary by its finished statistics."""
+        self.summaries = {
+            metric: FinalSummary(summary.to_dict())
+            for metric, summary in self.summaries.items()
+        }
+        self.final = True
 
     def to_row(self) -> dict[str, object]:
         """Flatten for loading into numerical data-science tooling."""
@@ -58,7 +89,8 @@ class ModelMetricsStore:
         device_metrics: list[Mapping[str, float]],
         **metadata: object,
     ) -> MaterializedMetrics:
-        """Summarize device reports for a closed round and persist them."""
+        """Summarize a closed round's complete device reports and persist
+        the result, final from here on."""
         record = MaterializedMetrics(
             task_name=task_name,
             round_number=round_number,
@@ -68,6 +100,7 @@ class ModelMetricsStore:
         for report in device_metrics:
             for metric, value in report.items():
                 record.update(metric, float(value))
+        record.finalize()
         self._by_task.setdefault(task_name, []).append(record)
         return record
 

@@ -18,7 +18,7 @@ class P2Quantile:
     """Single-quantile streaming estimator using the P² algorithm.  The
     five markers are lists of Python floats: an update is a handful of
     scalar operations, which numpy would mostly spend on dispatch.  (A
-    metrics store keeps four sketches per summary per round: slots.)"""
+    closing round builds four sketches per metric to summarize it: slots.)"""
 
     __slots__ = ("quantile", "_initial", "_q", "_n", "_np", "_dn", "_count")
 

@@ -11,7 +11,15 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.analytics.events import DeviceEvent, EventLog, EventRecord
+import numpy as np
+
+from repro.analytics.events import (
+    EVENTS,
+    DeviceEvent,
+    EventLog,
+    EventRecord,
+    group_sessions,
+)
 
 #: Table 1's legend, verbatim.
 SESSION_LEGEND: dict[str, str] = {
@@ -26,6 +34,8 @@ SESSION_LEGEND: dict[str, str] = {
     "*": "error",
 }
 
+_GLYPHS = np.frombuffer("".join(e.glyph for e in EVENTS).encode("ascii"), dtype="S1")
+
 
 def session_shape(events: list[EventRecord]) -> str:
     """Glyph string of one session, in event-time order."""
@@ -34,11 +44,14 @@ def session_shape(events: list[EventRecord]) -> str:
 
 
 def shape_distribution(log: EventLog) -> Counter[str]:
-    """Counts of every observed session shape."""
-    counts: Counter[str] = Counter()
-    for _, events in log.sessions():
-        counts[session_shape(events)] += 1
-    return counts
+    """Counts of every observed session shape: :func:`session_shape` of
+    every session, computed on the log's rows."""
+    rows = log.rows()
+    order, starts, ends = group_sessions(rows, by_time=True)
+    glyphs = _GLYPHS[rows["event"][order]].tobytes().decode("ascii")
+    return Counter(
+        glyphs[start:end] for start, end in zip(starts.tolist(), ends.tolist())
+    )
 
 
 def format_table(counts: Counter[str], top: int = 10) -> str:

@@ -10,7 +10,7 @@ multi-tenant scheduler; and prove genuineness via remote attestation.
 participant in the simulated fleet.
 """
 
-from repro.device.example_store import Example, ExampleStore, ExampleStoreRegistry
+from repro.device.example_store import ExampleStore, ExampleStoreRegistry
 from repro.device.eligibility import DeviceConditions, EligibilityPolicy
 from repro.device.attestation import AttestationService, AttestationToken
 from repro.device.scheduler import JobSchedule, MultiTenantScheduler
@@ -26,7 +26,6 @@ from repro.device.runtime import (
 from repro.device.actor import DeviceActor, DeviceState
 
 __all__ = [
-    "Example",
     "ExampleStore",
     "ExampleStoreRegistry",
     "DeviceConditions",

@@ -19,21 +19,16 @@ import numpy as np
 from repro.core.plan import ExampleSelectionCriteria
 
 
-@dataclass(frozen=True)
-class Example:
-    """One labelled training example with its collection timestamp."""
-
-    features: Any
-    label: Any
-    timestamp_s: float
-
-
 class ExampleStore:
     """A capacity-bounded, TTL-expiring store of labelled examples.
 
     The production analogue is e.g. "an SQLite database recording action
     suggestions shown to the user and whether or not those suggestions
     were accepted".
+
+    Examples are held as the blocks they arrived in, oldest first; both
+    capacity eviction and expiry drop the oldest rows, so a store is its
+    blocks minus a prefix.
     """
 
     def __init__(
@@ -49,36 +44,75 @@ class ExampleStore:
         self.name = name
         self.capacity = capacity
         self.ttl_s = ttl_s
-        self._examples: deque[Example] = deque()
+        #: ``(features (n, ...), labels (n,), timestamp_s)``, timestamps
+        #: ascending; the first block's first ``_head`` rows are gone.
+        self._blocks: deque[tuple[np.ndarray, np.ndarray, float]] = deque()
+        self._head = 0
+        self._size = 0
         self.total_added = 0
         self.total_expired = 0
         self.total_evicted = 0
 
     def __len__(self) -> int:
-        return len(self._examples)
+        return self._size
 
     def add(self, features: Any, label: Any, timestamp_s: float) -> None:
         """Append one example, evicting the oldest if at capacity."""
-        if self._examples and timestamp_s < self._examples[-1].timestamp_s:
-            raise ValueError("examples must be added in timestamp order")
-        self._examples.append(Example(features, label, timestamp_s))
-        self.total_added += 1
-        while len(self._examples) > self.capacity:
-            self._examples.popleft()
-            self.total_evicted += 1
+        self.add_batch(np.asarray(features)[None], np.asarray(label)[None], timestamp_s)
 
     def add_batch(self, x: np.ndarray, y: np.ndarray, timestamp_s: float) -> None:
-        for features, label in zip(np.asarray(x), np.asarray(y)):
-            self.add(features, label, timestamp_s)
+        """Append ``len(x)`` examples collected at ``timestamp_s``, evicting
+        the oldest beyond capacity.
+
+        The store keeps ``x`` and ``y`` themselves (no copy) and never
+        writes to them; the caller must not either while they are stored.
+        What :meth:`query` returns is freshly allocated and the caller's.
+        """
+        x, y = np.asarray(x), np.asarray(y)
+        if len(x) != len(y):
+            raise ValueError(
+                f"add_batch needs one label per example: got {len(x)} feature "
+                f"rows and {len(y)} labels"
+            )
+        if not len(x):
+            return
+        if self._blocks and timestamp_s < self._blocks[-1][2]:
+            raise ValueError("examples must be added in timestamp order")
+        self._blocks.append((x, y, timestamp_s))
+        self._size += len(x)
+        self.total_added += len(x)
+        excess = self._size - self.capacity
+        if excess > 0:
+            self._drop_oldest(excess)
+            self.total_evicted += excess
+
+    def _drop_oldest(self, count: int) -> None:
+        self._size -= count
+        while count > 0:
+            held = len(self._blocks[0][0]) - self._head
+            if count < held:
+                self._head += count
+                return
+            self._blocks.popleft()
+            self._head = 0
+            count -= held
+
+    def _older_than(self, age_s: float, now_s: float) -> int:
+        """How many stored examples — the oldest, as timestamps ascend —
+        are more than ``age_s`` old at ``now_s``."""
+        count = -self._head
+        for x, _, timestamp_s in self._blocks:
+            if not now_s - timestamp_s > age_s:
+                break
+            count += len(x)
+        return max(count, 0)
 
     def expire(self, now_s: float) -> int:
         """Remove examples older than the TTL; returns how many."""
         if self.ttl_s is None:
             return 0
-        removed = 0
-        while self._examples and now_s - self._examples[0].timestamp_s > self.ttl_s:
-            self._examples.popleft()
-            removed += 1
+        removed = self._older_than(self.ttl_s, now_s)
+        self._drop_oldest(removed)
         self.total_expired += removed
         return removed
 
@@ -92,18 +126,31 @@ class ExampleStore:
         by evaluation tasks), and the example-count cap (most recent wins).
         """
         self.expire(now_s)
-        rows = list(self._examples)
+        # Positions among the stored examples, oldest first; every step
+        # keeps a contiguous run, so the selection stays a range.
+        rows = range(self._size)
         if criteria.max_age_s is not None:
-            rows = [e for e in rows if now_s - e.timestamp_s <= criteria.max_age_s]
+            rows = rows[self._older_than(criteria.max_age_s, now_s) :]
         if rows:
             cut = max(1, int(len(rows) * 0.8)) if len(rows) > 1 else 1
             rows = rows[cut:] if criteria.holdout else rows[:cut]
         rows = rows[-criteria.max_examples :]
         if not rows:
             return np.zeros((0,)), np.zeros((0,))
-        x = np.stack([np.asarray(e.features) for e in rows])
-        y = np.asarray([e.label for e in rows])
-        return x, y
+        xs, ys = [], []
+        position = -self._head  # of the block's row 0 among the stored examples
+        for x, y, _ in self._blocks:
+            lo, hi = max(rows.start - position, 0), min(rows.stop - position, len(x))
+            if lo < hi:
+                xs.append(x[lo:hi])
+                ys.append(y[lo:hi])
+            position += len(x)
+            if position >= rows.stop:
+                break
+        return (
+            np.ascontiguousarray(np.concatenate(xs)),
+            np.ascontiguousarray(np.concatenate(ys)),
+        )
 
 
 @dataclass

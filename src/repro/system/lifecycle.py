@@ -583,8 +583,10 @@ class PopulationLifecycle:
 # -- fleet checkpoint / restore ---------------------------------------------------
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly
-#: (2: the devices are a lazily filled table; the manifest counts them).
-SNAPSHOT_FORMAT_VERSION = 2
+#: (2: the devices are a lazily filled table; the manifest counts them.
+#: 3: the event log is typed columns, materialized metrics are finished
+#: numbers, example stores hold blocks).
+SNAPSHOT_FORMAT_VERSION = 3
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -42,6 +42,7 @@ from repro.system import (
     SnapshotError,
     read_manifest,
 )
+from repro.system.lifecycle import SNAPSHOT_FORMAT_VERSION
 
 HOUR = 3600.0
 
@@ -721,6 +722,27 @@ def test_restore_rejects_non_snapshots(tmp_path):
     wrong_shape.write_bytes(pickle.dumps({"hello": "world"}))
     with pytest.raises(SnapshotError):
         FLFleet.restore(wrong_shape)
+
+
+def test_restore_refuses_an_older_format_by_its_header(tmp_path):
+    """The payload of an older format would unpickle into objects this
+    build's classes no longer describe; the header's version is what
+    refuses it, before the payload is read."""
+    import dataclasses
+    import pickle
+
+    path = tmp_path / "fleet.snap"
+    manifest = build_fleet(seed=3, devices=60).snapshot(path)
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 3
+    header = {
+        "magic": "repro-fleet-snapshot",
+        "manifest": dataclasses.replace(manifest, format_version=2),
+    }
+    old = tmp_path / "format2.snap"
+    old.write_bytes(pickle.dumps(header) + b"a payload no reader may touch")
+    for read in (FLFleet.restore, read_manifest):
+        with pytest.raises(SnapshotError, match="format 2 unsupported"):
+            read(old)
 
 
 def _snapshot_parts(path):
