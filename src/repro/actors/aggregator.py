@@ -18,14 +18,15 @@ immutable by contract — trainers never write a vector again after
 reporting it (eval reports may even share one zero vector), and the
 aggregation pipeline only ever reads them.
 
-Cohort fold: under the cohort training plane, a round's report vectors
-arrive as row *views* of one stacked ``(K, dim)`` delta matrix (minted
-by the population's :class:`~repro.device.cohort.CohortExecutionPlane`,
-one allocation per executed cohort instead of K report vectors).  The
-immutability contract covers them unchanged, each row view keeps the
-matrix alive for exactly as long as any consumer (pending window, SecAgg
-retention) needs it, and ``add_vector`` folds a row straight into the
-round's accumulator without ever materializing a per-device copy.
+Cohort fold: a cohort-plane report carries a *handle*
+(:class:`~repro.device.cohort.PendingCohortResult`) whose numbers the
+master executes, for the accepted set only, just before the fold.  From
+its first accepted handle on a leaf keeps an **ordered recipe** of
+``(vector-or-handle, weight)`` instead of folding online, and ``flush``
+folds it in acceptance order — the same float-add chain, so the same
+bytes — each handle's row a *view* of its execution's one ``(K, dim)``
+matrix.  A row that failed alone there is neither folded nor counted.
+SecAgg leaves retain until ``flush`` anyway and read their handles there.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def fold_sources(
     return accumulator, weight_sum, device_count
 
 
+def _executed_vector(update: Any) -> np.ndarray | None:
+    """An accepted update's vector at fold time: the reported one, or a
+    deferred one's executed row (``None`` if it failed alone there)."""
+    if isinstance(update, np.ndarray):
+        return update
+    return None if update.failed else update.delta_vector
+
+
 class Aggregator(Actor):
     """One leaf aggregator for one round."""
 
@@ -97,13 +106,18 @@ class Aggregator(Actor):
         self._weight_sum: float = 0.0
         self._accumulator: ParameterAccumulator | None = None
         self._accepted_count = 0
-        #: Reports awaiting the master's accept/reject decision.
-        self._pending: dict[int, tuple[np.ndarray, float]] = {}
-        #: SecAgg mode: accepted vectors retained inside the crypto sim.
-        self._vectors: dict[int, np.ndarray] = {}
-        self._weights: dict[int, float] = {}
+        #: Reports awaiting the master's accept/reject decision: the
+        #: vector, or the handle of a deferred one, and the weight.
+        self._pending: dict[int, tuple[Any, float]] = {}
+        #: Accepted reports retained until flush, in acceptance order:
+        #: all of them under SecAgg (the crypto sim runs over the round's
+        #: trace), otherwise those from the first deferred one on.
+        self._recipe: list[tuple[int, Any, float]] = []
         self._devices: dict[int, ActorRef] = {}
         self._dropped: set[int] = set()
+        #: Devices whose report the master has decided: a re-delivered
+        #: report must not be folded (or acked) a second time.
+        self._acked: set[int] = set()
         self._closed = False
 
     # -- membership ------------------------------------------------------------
@@ -126,13 +140,16 @@ class Aggregator(Actor):
             report.round_id != self.round_id
             or report.device_id in self._dropped
             or report.device_id in self._pending
+            or report.device_id in self._acked
         ):
             return
         if self._closed:
             self._nack(report.device_id)
             return
-        vector = np.asarray(report.delta_vector, dtype=np.float64)
-        self._pending[report.device_id] = (vector, report.weight)
+        update = report.deferred
+        if update is None:
+            update = np.asarray(report.delta_vector, dtype=np.float64)
+        self._pending[report.device_id] = (update, report.weight)
         # The master's round state machine decides acceptance; it calls
         # back via ack_device.
         self.tell(self.master, report)
@@ -153,19 +170,21 @@ class Aggregator(Actor):
     def ack_device(self, device_id: int, accepted: bool) -> None:
         """Master's decision for a pending report: fold in or discard."""
         pending = self._pending.pop(device_id, None)
+        self._acked.add(device_id)
         if pending is not None and accepted:
             self._fold_in(device_id, *pending)
         device = self._devices.get(device_id)
         if device is not None:
             self.tell(device, msg.ReportAck(self.round_id, accepted=accepted))
 
-    def _fold_in(self, device_id: int, vector: np.ndarray, weight: float) -> None:
+    def _fold_in(self, device_id: int, update: Any, weight: float) -> None:
+        if self.secagg.enabled or self._recipe or not isinstance(update, np.ndarray):
+            self._recipe.append((device_id, update, weight))
+        else:
+            self._accumulate(update, weight)
+
+    def _accumulate(self, vector: np.ndarray, weight: float) -> None:
         self._accepted_count += 1
-        if self.secagg.enabled:
-            # The crypto sim retains the vector until the round closes.
-            self._vectors[device_id] = vector
-            self._weights[device_id] = weight
-            return
         if self._accumulator is None:
             self._accumulator = ParameterAccumulator(dim=vector.size)
         self._accumulator.add_vector(vector, 1.0)
@@ -179,12 +198,19 @@ class Aggregator(Actor):
         reports whose accept/reject decision is still in flight.
         """
         self._closed = True
-        for device_id, (vector, weight) in list(self._pending.items()):
+        for device_id, (update, weight) in list(self._pending.items()):
             if device_id in accepted_ids:
-                self._fold_in(device_id, vector, weight)
+                self._fold_in(device_id, update, weight)
         self._pending.clear()
+        retained = [
+            (device_id, vector, weight) for device_id, update, weight in self._recipe
+            if (vector := _executed_vector(update)) is not None
+        ]
+        self._recipe.clear()
         if self.secagg.enabled:
-            return self._flush_secagg()
+            return self._flush_secagg({uid: (v, w) for uid, v, w in retained})
+        for _, vector, weight in retained:
+            self._accumulate(vector, weight)
         # Ownership of the accumulator's buffer transfers to the message:
         # the aggregator is stopped right after the round.
         return msg.IntermediateAggregate(
@@ -198,13 +224,14 @@ class Aggregator(Actor):
             device_count=self._accepted_count,
         )
 
-    def _flush_secagg(self) -> msg.IntermediateAggregate:
-        committed = self._vectors
+    def _flush_secagg(
+        self, committed: dict[int, tuple[np.ndarray, float]]
+    ) -> msg.IntermediateAggregate:
         if not committed:
             return msg.IntermediateAggregate(
                 round_id=self.round_id, delta_sum=None, weight_sum=0.0, device_count=0
             )
-        dim = next(iter(committed.values())).shape[0]
+        dim = next(iter(committed.values()))[0].shape[0]
         # The full cohort = everyone forwarded here; non-committers are
         # post-ShareKeys dropouts whose pairwise masks must be recovered.
         # Weights ride along as one extra securely-summed coordinate, since
@@ -214,10 +241,8 @@ class Aggregator(Actor):
         cohort_ids = list(self._devices)
         stacked = np.zeros((len(cohort_ids), dim + 1), dtype=np.float64)
         for i, uid in enumerate(cohort_ids):
-            vec = committed.get(uid)
-            if vec is not None:
-                stacked[i, :dim] = vec
-            stacked[i, dim] = self._weights.get(uid, 0.0)
+            if uid in committed:
+                stacked[i, :dim], stacked[i, dim] = committed[uid]
         augmented = {uid: stacked[i] for i, uid in enumerate(cohort_ids)}
         dropouts = DropoutSchedule(
             after_share=frozenset(uid for uid in self._devices if uid not in committed)

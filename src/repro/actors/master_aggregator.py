@@ -68,9 +68,12 @@ class MasterAggregator(Actor):
         self.shard_aggregators: list[ActorRef] = []
         self._shard_leaves: list[list[ActorRef]] = []
         self._shard_respawns = 0
-        #: Accepted devices' report metrics, summarized at round close
-        #: (Sec. 7.4 "Materialized model metrics").
-        self._device_metrics: list[dict[str, float]] = []
+        #: Accepted devices' report metrics in acceptance order, summarized
+        #: at round close (Sec. 7.4 "Materialized model metrics"), and the
+        #: handles of the cohort-plane updates among them, which ``_finish``
+        #: executes; by device id, so a re-delivered report records nothing.
+        self._device_metrics: dict[int, dict[str, float]] = {}
+        self._deferred: dict[int, Any] = {}
         self.state = RoundStateMachine(
             round_id=round_id,
             task_id=task.task_id,
@@ -202,18 +205,19 @@ class MasterAggregator(Actor):
             self.recovery.record_shard_aggregator_respawn()
 
     def _on_report(self, report: msg.DeviceReport) -> None:
-        if report.device_id not in self.state.participants:
+        device_id = report.device_id
+        if device_id not in self.state.participants:
             return
         was_terminal = self.state.is_terminal
-        outcome = self.state.on_report(report.device_id, self.now)
-        if outcome is DeviceOutcome.COMPLETED and report.train_metrics:
-            self._device_metrics.append(dict(report.train_metrics))
-        agg_ref = self._agg_of_device.get(report.device_id)
+        accepted = self.state.on_report(device_id, self.now) is DeviceOutcome.COMPLETED
+        if accepted and report.train_metrics:
+            self._device_metrics.setdefault(device_id, dict(report.train_metrics))
+        if accepted and report.deferred is not None:
+            self._deferred.setdefault(device_id, report.deferred)
+        agg_ref = self._agg_of_device.get(device_id)
         agg = self.system.actor_of(agg_ref) if agg_ref is not None else None
         if agg is not None:
-            agg.ack_device(  # type: ignore[attr-defined]
-                report.device_id, accepted=(outcome is DeviceOutcome.COMPLETED)
-            )
+            agg.ack_device(device_id, accepted=accepted)  # type: ignore[attr-defined]
         if self.state.is_terminal and not was_terminal and not self._finished:
             self._finish()
 
@@ -253,8 +257,28 @@ class MasterAggregator(Actor):
                 self._finish()
 
     # -- round completion -------------------------------------------------------
+    def _execute_accepted(self) -> None:
+        """Run the round's accepted cohort-plane workloads — here, where
+        the accepted set is known, once — and fill in each one's loss.  A
+        row that failed alone gives no metrics (its leaf skips it too)."""
+        if not self._deferred:
+            return
+        handles = list(self._deferred.values())
+        handles[0].plane.execute_pending(handles)
+        for device_id, handle in self._deferred.items():
+            if handle.failed:
+                self._device_metrics.pop(device_id, None)
+            elif device_id in self._device_metrics:
+                self._device_metrics[device_id]["loss"] = handle.mean_loss
+        # This actor stays reachable from its timeouts on the heap long
+        # after the round; the round's delta matrix must not.
+        self._deferred.clear()
+
     def _finish(self) -> None:
         self._finished = True
+        # Before the fold and the metrics (materialized even when the
+        # commit fails): both read the numbers.
+        self._execute_accepted()
         committed = False
         if self.state.phase is RoundPhase.COMPLETED:
             if self.task.kind is TaskKind.TRAINING:
@@ -268,7 +292,7 @@ class MasterAggregator(Actor):
                 task_name=self.task.task_id,
                 round_number=self.round_id,
                 time_s=self.now,
-                device_metrics=self._device_metrics,
+                device_metrics=list(self._device_metrics.values()),
                 kind=self.task.kind.value,
                 committed=committed,
             )

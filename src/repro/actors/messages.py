@@ -98,7 +98,10 @@ class ConfigureDevice:
 
 @dataclass(frozen=True)
 class DeviceReport:
-    """Step 4: the trained update (delta, weight) reported back."""
+    """Step 4: the trained update (delta, weight) reported back.  A
+    cohort-plane update is numbers only once accepted: its report carries
+    the workload's handle in ``deferred`` (``delta_vector`` and the
+    ``loss`` metric ``None``) and the round's fold executes it."""
 
     device_id: int
     round_id: int
@@ -107,6 +110,7 @@ class DeviceReport:
     num_examples: int
     train_metrics: dict[str, float]
     upload_nbytes: int
+    deferred: Any = None         # device.cohort.PendingCohortResult
 
 
 @dataclass(frozen=True)

@@ -361,8 +361,11 @@ def client_update_cohort(
     local step runs one batched ``loss_and_grad_cohort`` over the padded
     per-client minibatches and one vectorized SGD step advancing all
     working copies, and per-client weighting/clipping apply as masked
-    row-wise ops.  Clients with fewer local steps simply fall inactive
-    (count 0 → zero gradient row → their weights stop moving).
+    row-wise ops.  Rows are trained sorted by step count (stably, longest
+    first) and step ``s`` runs on the prefix that still has a step ``s``,
+    so a client that has finished its local steps leaves the stack — the
+    same bytes as carrying it along with a zero gradient (``w - lr·0 ==
+    w``), at none of the cost.  Results come back in the caller's order.
 
     Pass either pre-drawn ``schedules`` (the cohort plane's deferred
     workloads) or ``datasets`` + ``rngs``, in which case the schedules
@@ -384,6 +387,11 @@ def client_update_cohort(
     if not schedules:
         raise ValueError("cannot update an empty cohort")
     k = len(schedules)
+    client_ids = [s.dataset.client_id for s in schedules]
+    num_examples = np.array([s.num_examples for s in schedules], dtype=np.int64)
+    steps = np.array([s.steps for s in schedules], dtype=np.int64)
+    order = np.argsort(-steps, kind="stable")
+    schedules = [schedules[i] for i in order]
     batch_size = schedules[0].batch_size
     if any(s.batch_size != batch_size for s in schedules):
         raise ValueError("cohort members must share one batch size")
@@ -414,10 +422,12 @@ def client_update_cohort(
     # kernels mask those columns to exact zeros).
     x_all = np.concatenate([s.dataset.x for s in schedules], axis=0)
     y_all = np.concatenate([s.dataset.y for s in schedules], axis=0)
-    ns_int = np.array([s.num_examples for s in schedules], dtype=np.int64)
+    ns_int = num_examples[order]
     row_offsets = np.concatenate(([0], np.cumsum(ns_int)[:-1]))
-    steps_per_client = np.array([s.steps for s in schedules], dtype=np.int64)
-    total_steps = int(steps_per_client.max())
+    steps_per_client = steps[order]
+    total_steps = int(steps_per_client[0])
+    #: Rows still training at each step: a prefix, by the sort.
+    active = np.searchsorted(-steps_per_client, -np.arange(total_steps))
 
     idx_table = np.zeros((total_steps, k, batch_size), dtype=np.intp)
     cnt_table = np.zeros((total_steps, k), dtype=np.int64)
@@ -443,15 +453,19 @@ def client_update_cohort(
     step_losses = np.zeros((total_steps, k), dtype=np.float64)
     optimizer = SGD(SGDConfig(learning_rate=learning_rate))
 
+    k_s, work_s, grads_s = k, work, grads
     for step in range(total_steps):
-        flat_idx = idx_table[step].reshape(-1)
-        x_all.take(flat_idx, axis=0, out=gather_x)
-        y_all.take(flat_idx, axis=0, out=gather_y)
-        losses = model.loss_and_grad_cohort(
-            work, batch_x, batch_y, cnt_table[step], out=grads
+        if active[step] != k_s:
+            k_s = int(active[step])
+            work_s, grads_s = work.head(k_s), grads.head(k_s)
+        flat_idx = idx_table[step, :k_s].reshape(-1)
+        x_all.take(flat_idx, axis=0, out=gather_x[: k_s * batch_size])
+        y_all.take(flat_idx, axis=0, out=gather_y[: k_s * batch_size])
+        step_losses[step, :k_s] = model.loss_and_grad_cohort(
+            work_s, batch_x[:k_s], batch_y[:k_s], cnt_table[step, :k_s],
+            out=grads_s,
         )
-        step_losses[step] = losses
-        optimizer.step_stack_(work, grads)
+        optimizer.step_stack_(work_s, grads_s)
 
     # The working stack becomes the weighted (and clipped) delta in place
     # — the stacked twin of ``w.sub_(global).scale_(n)``.
@@ -466,20 +480,17 @@ def client_update_cohort(
         work.scale_rows_(factors)
 
     delta_matrix = np.empty((k, layout.total_size), dtype=np.float64)
-    work.write_rows(delta_matrix)
-    mean_losses = np.array(
-        [
-            float(np.mean(step_losses[: steps_per_client[i], i]))
-            for i in range(k)
-        ]
-    )
+    work.write_rows(delta_matrix, order)
+    mean_losses = np.empty(k, dtype=np.float64)
+    for i in range(k):
+        mean_losses[order[i]] = np.mean(step_losses[: steps_per_client[i], i])
     return CohortUpdateResult(
-        client_ids=[s.dataset.client_id for s in schedules],
+        client_ids=client_ids,
         delta_matrix=delta_matrix,
-        weights=ns,
-        num_examples=np.array([s.num_examples for s in schedules]),
+        weights=num_examples.astype(np.float64),
+        num_examples=num_examples,
         mean_losses=mean_losses,
-        steps=steps_per_client,
+        steps=steps,
         layout=layout,
     )
 

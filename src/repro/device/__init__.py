@@ -18,7 +18,6 @@ from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
 from repro.device.runtime import (
     ComputeModel,
     LocalTrainer,
-    PendingTrainResult,
     RealTrainer,
     SyntheticTrainer,
     TrainResult,
@@ -38,7 +37,6 @@ __all__ = [
     "PendingCohortResult",
     "ComputeModel",
     "LocalTrainer",
-    "PendingTrainResult",
     "RealTrainer",
     "SyntheticTrainer",
     "TrainResult",

@@ -38,12 +38,7 @@ from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
 from repro.device.attestation import AttestationService
-from repro.device.runtime import (
-    ComputeModel,
-    LocalTrainer,
-    PendingTrainResult,
-    TrainResult,
-)
+from repro.device.runtime import ComputeModel, LocalTrainer, TrainResult
 from repro.device.scheduler import JobSchedule, MultiTenantScheduler
 from repro.sim.diurnal import AvailabilityProcess
 from repro.sim.rng import standalone_stream
@@ -104,8 +99,7 @@ class DeviceActor(Actor):
         "health", "rounds_completed", "rounds_rejected_report",
         "rounds_interrupted", "_active_population", "_selector", "_round_id",
         "_aggregator", "_generation", "_waiting_timeout_event",
-        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch",
-        "_pending_train", "idle",
+        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch", "idle",
     )
 
     def __init__(
@@ -206,10 +200,6 @@ class DeviceActor(Actor):
         self._ack_timeout_event = None
         self._last_checkin_t: float | None = None
         self._wait_epoch = 0
-        #: Deferred cohort-plane workload for the active session, tracked
-        #: so an interrupted session withdraws it instead of letting the
-        #: plane execute work nobody will report.
-        self._pending_train: PendingTrainResult | None = None
         # The idle half of the lifecycle: a handle into the shared
         # vectorized idle plane, or (``None`` until ``on_start`` installs
         # it) the per-device timer-based default.
@@ -582,12 +572,12 @@ class DeviceActor(Actor):
         self._log(DeviceEvent.DOWNLOADED_PLAN)
         self._log(DeviceEvent.TRAIN_STARTED)
         trainer = self._active_trainer()
-        result: TrainResult | PendingTrainResult | None = None
+        result: TrainResult | None = None
         try:
             # Cohort execution plane: a deferral-capable trainer enqueues
-            # the workload (store query + RNG draws happen now, numeric
-            # execution runs batched with the rest of the cohort) and
-            # falls back to inline training when deferral doesn't apply.
+            # the workload (store query + RNG draws happen now; the numbers
+            # at the round's fold, if this report is accepted) and falls
+            # back to inline training when deferral doesn't apply.
             defer = getattr(trainer, "defer", None)
             if defer is not None:
                 result = defer(
@@ -606,10 +596,7 @@ class DeviceActor(Actor):
             result.train_compute_units, self.profile.speed_factor
         )
         self.health.train_seconds += train_time
-        if isinstance(result, PendingTrainResult):
-            self._pending_train = result
         if self.rng.random() < self.compute_error_prob:
-            self._cancel_pending_train()
             self.schedule(
                 float(self.rng.uniform(0.0, train_time)),
                 self._on_train_error,
@@ -618,33 +605,15 @@ class DeviceActor(Actor):
             return
         self.schedule(train_time, self._on_trained, generation, result)
 
-    def _cancel_pending_train(self) -> None:
-        """Withdraw an in-flight deferred workload (session ended early)."""
-        if self._pending_train is not None:
-            self._pending_train.cancel()
-            self._pending_train = None
-
     def _on_train_error(self, generation: int) -> None:
         if not self._guard(generation):
             return
         self._log(DeviceEvent.ERROR, reason="compute_error")
         self._drop("compute_error")
 
-    def _on_trained(
-        self, generation: int, result: TrainResult | PendingTrainResult
-    ) -> None:
+    def _on_trained(self, generation: int, result: TrainResult) -> None:
         if not self._guard(generation):
             return
-        if isinstance(result, PendingTrainResult):
-            # Simulated training just completed: materialize the numbers
-            # (executes the plane's pending cohort on first demand).
-            self._pending_train = None
-            try:
-                result = result.resolve()
-            except Exception:
-                self._log(DeviceEvent.ERROR, reason="plan_execution_failed")
-                self._drop("compute_error")
-                return
         self._log(DeviceEvent.TRAIN_COMPLETED)
         self._log(DeviceEvent.UPLOAD_STARTED)
         self._begin_upload(generation, result, 0)
@@ -695,6 +664,7 @@ class DeviceActor(Actor):
                 num_examples=result.num_examples,
                 train_metrics=result.metrics,
                 upload_nbytes=result.upload_nbytes,
+                deferred=result.deferred,
             ),
         )
         # If the server never answers (round torn down), treat as rejected.
@@ -740,7 +710,6 @@ class DeviceActor(Actor):
         self._generation += 1
         self._cancel_waiting_timer()
         self._cancel_ack_timer()
-        self._cancel_pending_train()
         if self.scheduler.running == self._active_population:
             self.scheduler.abort()
         self._active_population = None

@@ -1,46 +1,52 @@
 """The cohort execution plane: deferred, fleet-batched local training.
 
-The paper's server pipeline (Secs. 4-5) configures a whole cohort per
-round, but a naive simulation still *executes* each participant's local
-SGD one device at a time inside its own session callback — thousands of
-tiny forward/backward passes where one stacked tensor program would do.
-This module decouples the two concerns:
+The paper's server over-selects each round on purpose (130 % of the
+goal, Sec. 2.2) and aborts whatever is still in flight once the goal
+count has reported (Fig. 7), so executing every configured participant's
+local SGD computes numbers nothing ever reads.  This module decouples:
 
-* **simulated time** stays per-device: a device still samples its own
-  network/compute durations, and its report event fires at its own
-  completion time, so round state machines, pace steering, and straggler
-  dynamics are untouched;
-* **numeric execution** is deferred: an admitted device enqueues a
-  *training workload* (its store-query result, plan config, and the RNG
-  draws its session would have made, captured eagerly in a
-  :class:`~repro.core.fedavg.LocalStepSchedule`), and the plane later
-  executes every pending workload in one shot through
+* **simulated time**, which stays per-device: a device samples its own
+  network/compute durations and its report fires at its own completion
+  time, so round state machines, pace steering, and straggler dynamics
+  are untouched;
+* **numeric execution**, which happens at the round's fold, for the
+  accepted set only: an admitted device *enqueues* a workload (its
+  store-query result, plan config, and the RNG draws its session would
+  have made, captured eagerly in a
+  :class:`~repro.core.fedavg.LocalStepSchedule`) and gets back a
+  :class:`PendingCohortResult` handle that travels with its report; the
+  round's ``MasterAggregator`` — the one place the accepted set is known
+  — hands the accepted handles to :meth:`CohortExecutionPlane.
+  execute_pending` once, as one
   :func:`~repro.core.fedavg.client_update_cohort`.
 
-Because each workload's randomness is drawn at enqueue time from the
-device's own stream, the numbers are independent of *when* and *with
-whom* a workload is batched: per-client results depend only on the
-client's own data, schedule, and the shared global checkpoint.  Models
-whose cohort kernels are bitwise row-exact (full minibatches) make the
-whole plane byte-identical to per-device execution.
+Randomness is drawn at enqueue from the device's own stream, so a row's
+numbers depend only on its own data and schedule and the shared
+checkpoint — not on *when* or *with whom* it is batched
+(``tests/core/test_cohort_composition.py``); models whose cohort kernels
+are bitwise row-exact make the plane byte-identical to per-device
+execution.  The plane keeps **no list of work**: a handle is reachable
+only from the session event or report carrying it, so an abandoned
+session costs its enqueue and nothing is ever cancelled.
 
-Buffer ownership
-----------------
+Failure shape: what can be checked at enqueue is (an empty dataset; a
+feature shape or dtype that disagrees with the group's first member) and
+fails the *session*, like an inline training error.  A kernel failure at
+the fold re-runs the group row by row — the survivors' bytes do not
+change — and a row that fails alone is marked ``failed`` (tallied in
+``failed_workloads``); the aggregators leave it out of fold and metrics.
 
-The plane owns one reusable :class:`~repro.core.fedavg.
-CohortUpdateBuffers` (stacked weights/gradients/minibatch gathers),
-grown to the largest cohort seen.  Each execution writes the cohort's
-weighted deltas into a **freshly-allocated** ``(K, dim)`` matrix; the
-per-device slices handed back through :class:`PendingCohortResult` are
-row *views* of that matrix.  Report vectors are immutable by pipeline
-contract, and a row view keeps the matrix alive, so the plane simply
-drops its own reference after slicing — no K per-report copies, no
-lifetime bookkeeping.
+Buffer ownership: the plane owns one reusable :class:`~repro.core.
+fedavg.CohortUpdateBuffers`, grown to the largest cohort seen.  Each
+execution writes its weighted deltas into a **freshly-allocated**
+``(K, dim)`` matrix of accepted rows only; a handle's ``delta_vector``
+is a row *view* that keeps the matrix alive (report vectors are
+immutable by pipeline contract), and both die with the round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -60,30 +66,25 @@ from repro.nn.parameters import Parameters
 GroupKey = tuple[object, ClientTrainingConfig]
 
 
-@dataclass
-class CohortSlice:
-    """One client's share of an executed cohort."""
-
-    delta_vector: np.ndarray     # row view of the execution's delta matrix
-    weight: float
-    num_examples: int
-    mean_loss: float
-    steps: int
+class UnexecutedWorkloadError(RuntimeError):
+    """A deferred update's numbers were read before its round's fold
+    executed it (or after it failed there)."""
 
 
 class PendingCohortResult:
-    """Handle for one enqueued workload.
+    """Handle for one enqueued workload: its schedule, the round's
+    decoded checkpoint and its config until the fold, then also its row.
 
-    ``num_examples`` / ``weight`` are known at enqueue time (the store
-    query and any ``max_examples`` subsetting happen there), so the
-    device can schedule its simulated train-completion event before any
-    numbers exist.  :meth:`resolve` triggers execution of everything
-    pending on the plane the first time any handle needs its slice.
+    ``num_examples`` / ``weight`` are known at enqueue (the store query
+    and ``max_examples`` subsetting happen there), so the device schedules
+    its train-completion and upload events before any numbers exist.
+    :attr:`delta_vector` / :attr:`mean_loss` exist once :meth:`
+    CohortExecutionPlane.execute_pending` has run the handle.
     """
 
     __slots__ = (
-        "plane", "schedule", "params", "config", "round_key", "_slice",
-        "_cancelled", "_error",
+        "plane", "schedule", "params", "config", "round_key", "_row",
+        "_mean_loss", "error",
     )
 
     def __init__(
@@ -99,9 +100,10 @@ class PendingCohortResult:
         self.params = params
         self.config = config
         self.round_key = round_key
-        self._slice: CohortSlice | None = None
-        self._cancelled = False
-        self._error: Exception | None = None
+        self._row: np.ndarray | None = None
+        self._mean_loss = 0.0
+        #: What the kernels raised when this row ran alone, if they did.
+        self.error: Exception | None = None
 
     @property
     def num_examples(self) -> int:
@@ -113,56 +115,52 @@ class PendingCohortResult:
 
     @property
     def executed(self) -> bool:
-        return self._slice is not None
+        return self._row is not None
 
-    def resolve(self) -> CohortSlice:
-        """This client's slice, executing the pending cohort if needed.
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
-        Raises the group's execution error (wrapped per workload, so each
-        device's session fails individually, exactly as an inline
-        training failure would) if the batched run blew up."""
-        if self._cancelled:
-            raise RuntimeError("workload was cancelled")
-        if self._slice is None and self._error is None:
-            self.plane.execute_pending()
-        if self._error is not None:
-            raise RuntimeError("cohort execution failed") from self._error
-        assert self._slice is not None, "plane did not execute this workload"
-        return self._slice
+    def _require_executed(self) -> None:
+        if self._row is None:
+            raise UnexecutedWorkloadError(
+                f"update of round {self.round_key!r} read before its "
+                "round's fold executed it"
+            ) from self.error
 
-    def cancel(self) -> None:
-        """Withdraw an unexecuted workload (device dropped mid-session)."""
-        self._cancelled = True
-        if self._slice is None:
-            self.plane._withdraw(self)
+    @property
+    def delta_vector(self) -> np.ndarray:
+        """This client's flat weighted delta: a row view of its
+        execution's matrix, never written after it is minted."""
+        self._require_executed()
+        return self._row
+
+    @property
+    def mean_loss(self) -> float:
+        self._require_executed()
+        return self._mean_loss
 
 
 class CohortExecutionPlane:
-    """Batches one population's deferred training workloads.
-
-    One plane per FL population (workloads must share a model
-    structure).  Execution is demand-driven: the first ``resolve()`` on
-    any pending handle executes *everything* enqueued so far — in a
-    round, that is the first device whose simulated training completes,
-    by which point the round's cohort has typically been configured.
-    Workloads enqueued later simply form the next batch, and per-client
-    numbers are identical either way (randomness is pinned at enqueue).
+    """Executes one population's deferred training workloads (which
+    must share a model structure).  Holds the model, the round's decoded
+    checkpoint, scratch buffers and tallies — never a workload: whoever
+    holds the handles decides what runs (``MasterAggregator._finish``).
     """
 
     def __init__(self, model: Model):
         self.model = model
-        self._pending: list[PendingCohortResult] = []
         self._buffers: CohortUpdateBuffers | None = None
         #: The latest round's decoded checkpoint, shared by its cohort.
         self._decoded: tuple[object, Parameters] | None = None
-        #: Telemetry: executions run, workloads executed, largest cohort.
+        #: The feature signature the latest group's first member enqueued.
+        self._signature: tuple[GroupKey, tuple] | None = None
+        #: Telemetry: executions run, workloads executed, largest cohort,
+        #: rows that failed alone at a fold.
         self.executions = 0
         self.workloads_executed = 0
         self.largest_cohort = 0
-
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending)
+        self.failed_workloads = 0
 
     def checkpoint_params(self, checkpoint: FLCheckpoint) -> Parameters:
         """``checkpoint`` decoded — once per round, not once per
@@ -181,13 +179,25 @@ class CohortExecutionPlane:
         rng: np.random.Generator,
         round_key: object,
     ) -> PendingCohortResult:
-        """Defer one client's local training.
+        """Defer one client's local training; the plane retains nothing.
 
         Draws the session's randomness *now* from ``rng`` (exactly the
         draws :func:`~repro.core.fedavg.client_update` would make), so
         the caller's stream advances as if training had run inline.
-        ``round_key`` groups workloads that share ``params`` content.
+        ``round_key`` groups workloads that share ``params`` content; one
+        whose features could not share its group's tensor program is
+        refused here, where the session can still fail for it.
         """
+        group = (round_key, config)
+        x, y = dataset.x, dataset.y
+        signature = (x.shape[1:], x.dtype, y.shape[1:], y.dtype)
+        if self._signature is None or self._signature[0] != group:
+            self._signature = (group, signature)
+        elif self._signature[1] != signature:
+            raise ValueError(
+                f"workload features {signature} disagree with the cohort's "
+                f"{self._signature[1]} in round {round_key!r}"
+            )
         schedule = LocalStepSchedule.draw(
             dataset,
             epochs=config.epochs,
@@ -195,63 +205,49 @@ class CohortExecutionPlane:
             rng=rng,
             max_examples=config.max_examples,
         )
-        pending = PendingCohortResult(
-            self, schedule, params, config, round_key
-        )
-        self._pending.append(pending)
-        return pending
+        return PendingCohortResult(self, schedule, params, config, round_key)
 
-    def _withdraw(self, pending: PendingCohortResult) -> None:
-        try:
-            self._pending.remove(pending)
-        except ValueError:
-            pass
-
-    def execute_pending(self) -> int:
-        """Execute every pending workload; returns how many ran.
-
-        Workloads are grouped by ``(round_key, training config)`` —
-        normally one group per in-flight round — and each group runs as
-        one :func:`client_update_cohort` over stacked buffers.
+    def execute_pending(self, handles: Iterable[PendingCohortResult]) -> int:
+        """Execute exactly ``handles`` — a round's accepted set — and
+        return how many rows ran; one that already ran or failed is not
+        run again.  Each ``(round_key, training config)`` group (normally
+        one) is one :func:`client_update_cohort`, rows in the order given.
+        Never raises for a workload's sake (module docstring).
         """
-        if not self._pending:
-            return 0
-        pending, self._pending = self._pending, []
         groups: dict[GroupKey, list[PendingCohortResult]] = {}
-        for workload in pending:
-            groups.setdefault(
-                (workload.round_key, workload.config), []
-            ).append(workload)
-        for (_, config), members in groups.items():
-            params = members[0].params
-            if self._buffers is None or self._buffers.layout != params.layout:
-                self._buffers = CohortUpdateBuffers(params.layout)
-            try:
-                result = client_update_cohort(
-                    self.model,
-                    params,
-                    [m.schedule for m in members],
-                    learning_rate=config.learning_rate,
-                    clip_update_norm=config.clip_update_norm,
-                    buffers=self._buffers,
-                )
-            except Exception as exc:
-                # One bad workload must not orphan its cohort: every
-                # member fails *individually* at its own resolve() —
-                # the same per-device compute-error shape an inline
-                # training failure produces — and other groups still run.
+        for handle in handles:
+            if not (handle.executed or handle.failed):
+                groups.setdefault((handle.round_key, handle.config), []).append(handle)
+        for members in groups.values():
+            self._execute_group(members)
+        return sum(len(members) for members in groups.values())
+
+    def _execute_group(self, members: list[PendingCohortResult]) -> None:
+        params, config = members[0].params, members[0].config
+        if self._buffers is None or self._buffers.layout != params.layout:
+            self._buffers = CohortUpdateBuffers(params.layout)
+        try:
+            result = client_update_cohort(
+                self.model,
+                params,
+                [m.schedule for m in members],
+                learning_rate=config.learning_rate,
+                clip_update_norm=config.clip_update_norm,
+                buffers=self._buffers,
+            )
+        except Exception as exc:
+            # One bad row must not take its cohort (or the round's
+            # master, whose ``receive`` this runs under) with it.
+            if len(members) == 1:
+                members[0].error = exc
+                self.failed_workloads += 1
+            else:
                 for member in members:
-                    member._error = exc
-                continue
-            for i, member in enumerate(members):
-                member._slice = CohortSlice(
-                    delta_vector=result.delta_row(i),
-                    weight=float(result.weights[i]),
-                    num_examples=int(result.num_examples[i]),
-                    mean_loss=float(result.mean_losses[i]),
-                    steps=int(result.steps[i]),
-                )
-            self.executions += 1
-            self.workloads_executed += len(members)
-            self.largest_cohort = max(self.largest_cohort, len(members))
-        return len(pending)
+                    self._execute_group([member])
+            return
+        for i, member in enumerate(members):
+            member._row = result.delta_row(i)
+            member._mean_loss = float(result.mean_losses[i])
+        self.executions += 1
+        self.workloads_executed += len(members)
+        self.largest_cohort = max(self.largest_cohort, len(members))

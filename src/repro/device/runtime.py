@@ -48,53 +48,16 @@ from repro.nn.parameters import Parameters
 class TrainResult:
     """What one plan execution produces."""
 
-    delta_vector: np.ndarray       # flattened weighted delta, n*(w - w0)
+    delta_vector: np.ndarray | None  # flattened weighted delta, n*(w - w0)
     weight: float                  # n
     num_examples: int
     metrics: dict[str, float]
     upload_nbytes: int
     train_compute_units: float     # example-epochs of work performed
-
-
-@dataclass
-class PendingTrainResult:
-    """A deferred plan execution: simulated cost now, numbers later.
-
-    Produced by :meth:`RealTrainer.defer` when the trainer is enrolled in
-    a cohort execution plane.  The quantities a device needs *before* the
-    numbers exist — example count and compute units, which set the
-    simulated training duration and health accounting — are available
-    immediately; :meth:`resolve` (called when the simulated training
-    completes) executes the plane's pending cohort if this workload
-    hasn't run yet and builds the final :class:`TrainResult`.
-    """
-
-    pending: PendingCohortResult
-    epochs: int
-    update_compression_ratio: float
-
-    @property
-    def num_examples(self) -> int:
-        return self.pending.num_examples
-
-    @property
-    def train_compute_units(self) -> float:
-        return float(self.pending.num_examples * self.epochs)
-
-    def resolve(self) -> TrainResult:
-        part = self.pending.resolve()
-        raw_nbytes = part.delta_vector.size * 8
-        return TrainResult(
-            delta_vector=part.delta_vector,
-            weight=part.weight,
-            num_examples=part.num_examples,
-            metrics={"loss": part.mean_loss, "num_examples": part.num_examples},
-            upload_nbytes=int(raw_nbytes / max(self.update_compression_ratio, 1.0)),
-            train_compute_units=self.train_compute_units,
-        )
-
-    def cancel(self) -> None:
-        self.pending.cancel()
+    #: Set by :meth:`RealTrainer.defer`: the cohort-plane handle whose
+    #: numbers exist from the round's fold on (``delta_vector`` and
+    #: ``metrics["loss"]`` are ``None``; the session needs neither).
+    deferred: PendingCohortResult | None = None
 
 
 @dataclass(frozen=True)
@@ -165,15 +128,15 @@ class RealTrainer:
         checkpoint: FLCheckpoint,
         now_s: float,
         rng: np.random.Generator,
-    ) -> PendingTrainResult | None:
-        """Enqueue this session's training with the cohort plane.
+    ) -> TrainResult | None:
+        """Enqueue this session's training with the cohort plane: the
+        session's simulated cost now, its numbers if the round accepts it.
 
         Returns ``None`` when the session should run inline instead (no
         plane attached, an evaluation plan, or a model without a cohort
-        kernel).
-        The store query and every RNG draw the inline path would make
-        happen *here*, at the session's own simulated time, so deferring
-        never perturbs the device's stream or the simulated timeline.
+        kernel).  The store query and every RNG draw the inline path would
+        make happen *here*, at the session's own simulated time, so
+        deferring never perturbs the device's stream or the timeline.
         """
         if self._cohort_plane is None:
             return None
@@ -194,11 +157,19 @@ class RealTrainer:
             rng,
             checkpoint.round_key,
         )
-        return PendingTrainResult(
-            pending=pending,
-            epochs=plan.device.training.epochs,
-            update_compression_ratio=self.update_compression_ratio,
+        n = pending.num_examples
+        return TrainResult(
+            delta_vector=None,
+            weight=pending.weight,
+            num_examples=n,
+            metrics={"loss": None, "num_examples": n},
+            upload_nbytes=self._upload_nbytes(pending.params.num_parameters),
+            train_compute_units=float(n * plan.device.training.epochs),
+            deferred=pending,
         )
+
+    def _upload_nbytes(self, num_parameters: int) -> int:
+        return int(num_parameters * 8 / max(self.update_compression_ratio, 1.0))
 
     def _checkpoint_params(self, checkpoint: FLCheckpoint) -> Parameters:
         if self._cohort_plane is None:
@@ -236,13 +207,12 @@ class RealTrainer:
         )
         # Fresh storage: the report outlives this session.
         vector = update.delta.to_vector()
-        raw_nbytes = vector.size * 8
         return TrainResult(
             delta_vector=vector,
             weight=update.weight,
             num_examples=update.num_examples,
             metrics={"loss": update.mean_loss, "num_examples": update.num_examples},
-            upload_nbytes=int(raw_nbytes / max(self.update_compression_ratio, 1.0)),
+            upload_nbytes=self._upload_nbytes(vector.size),
             train_compute_units=float(update.num_examples * cfg.epochs),
         )
 

@@ -530,16 +530,18 @@ class StackedParameters:
             a.fill(0.0)
         return self
 
-    def write_rows(self, out: np.ndarray) -> np.ndarray:
-        """Copy every row into ``out`` (``(rows, dim)``) in layout order."""
+    def write_rows(self, out: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+        """Copy every row into ``out`` (``(rows, dim)``) in layout order:
+        row ``i`` to ``out[i]``, or to ``out[index[i]]`` (a permutation)."""
         layout = self.layout
         if out.shape != (self.rows, layout.total_size):
             raise ValueError(
                 f"out has shape {out.shape}, need "
                 f"{(self.rows, layout.total_size)}"
             )
+        rows = slice(None) if index is None else index
         for name, off, size in zip(layout.names, layout.offsets, layout.sizes):
-            out[:, off : off + size] = self._arrays[name].reshape(self.rows, size)
+            out[rows, off : off + size] = self._arrays[name].reshape(self.rows, size)
         return out
 
 

@@ -585,8 +585,9 @@ class PopulationLifecycle:
 #: Bumped whenever the on-disk snapshot layout changes incompatibly
 #: (2: the devices are a lazily filled table; the manifest counts them.
 #: 3: the event log is typed columns, materialized metrics are finished
-#: numbers, example stores hold blocks).
-SNAPSHOT_FORMAT_VERSION = 3
+#: numbers, example stores hold blocks.  4: a cohort-plane update rides
+#: its report as an unexecuted handle; ``DeviceActor`` lost a slot).
+SNAPSHOT_FORMAT_VERSION = 4
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

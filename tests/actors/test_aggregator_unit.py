@@ -279,3 +279,196 @@ def test_flush_secagg_stacked_augmentation_matches_per_device_concat():
     np.testing.assert_allclose(partial.delta_sum, expected_sum, atol=1e-3)
     expected_weight = sum(i + 5.0 for i in vectors)
     assert abs(partial.weight_sum - expected_weight) < 1e-3
+
+
+# -- deferred (cohort-plane) reports: the ordered recipe ------------------------
+
+from repro.core.config import ClientTrainingConfig
+from repro.core.datasets import ClientDataset
+from repro.device.cohort import CohortExecutionPlane, UnexecutedWorkloadError
+from repro.nn.models import LogisticRegression
+
+TINY = LogisticRegression(input_dim=3, n_classes=2)
+TINY_CONFIG = ClientTrainingConfig(epochs=1, batch_size=4, learning_rate=0.1)
+
+
+def make_handles(count, bad=()):
+    """``count`` enqueued workloads on one plane (those in ``bad`` carry a
+    label the kernel rejects, so they fail alone at the fold)."""
+    plane = CohortExecutionPlane(TINY)
+    params = TINY.init(np.random.default_rng(0))
+    handles = []
+    for i in range(count):
+        rng = np.random.default_rng(100 + i)
+        labels = rng.integers(0, 2, size=8)
+        if i in bad:
+            labels[0] = 5
+        handles.append(plane.enqueue(
+            ClientDataset(f"c{i}", rng.normal(size=(8, 3)), labels),
+            params, TINY_CONFIG, rng, round_key=("pop", "t", 0),
+        ))
+    return plane, handles
+
+
+def deferred_report(device_id, handle):
+    return msg.DeviceReport(
+        device_id=device_id, round_id=1, delta_vector=None,
+        weight=handle.weight, num_examples=handle.num_examples,
+        train_metrics={"loss": None, "num_examples": handle.num_examples},
+        upload_nbytes=80, deferred=handle,
+    )
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+def test_redelivered_report_is_folded_exactly_once(deferred):
+    """The state machine's ``on_report`` is idempotent, so the master
+    would accept a re-delivered report again: the leaf must not fold (or
+    forward, or ack) a device it has already acked."""
+    loop, system, master, agg, agg_ref = make_harness()
+    device = Sink()
+    agg.register_device(7, system.spawn(device, "device-7"))
+    plane, (handle,) = make_handles(1)
+    message = (
+        deferred_report(7, handle) if deferred
+        else report(7, [1.0, 2.0], weight=8.0)
+    )
+    system.tell(agg_ref, message)
+    system.tell(agg_ref, message)       # twice before the decision
+    loop.run()
+    agg.ack_device(7, accepted=True)
+    system.tell(agg_ref, message)       # and once after it
+    loop.run()
+    assert len(master.messages) == 1
+    assert len([m for m in device.messages if isinstance(m, msg.ReportAck)]) == 1
+    plane.execute_pending([handle])
+    partial = agg.flush(accepted_ids={7})
+    expected = handle.delta_vector if deferred else np.array([1.0, 2.0])
+    assert partial.device_count == 1
+    assert partial.delta_sum.tobytes() == expected.tobytes()
+    assert partial.weight_sum == 8.0
+
+
+def test_mixed_round_folds_in_acceptance_order():
+    """Eager vectors fold online until the first deferred report is
+    accepted; from then on everything waits in the recipe, so the float
+    chain is acceptance order whatever the mix."""
+    loop, system, master, agg, agg_ref = make_harness()
+    plane, handles = make_handles(2)
+    dim = TINY.init(np.random.default_rng(0)).num_parameters
+    rng = np.random.default_rng(9)
+    eager = [rng.normal(size=dim) * 1e3 for _ in range(3)]
+    messages = [
+        report(0, eager[0], weight=1.0), report(1, eager[1], weight=2.0),
+        deferred_report(2, handles[0]), report(3, eager[2], weight=3.0),
+        deferred_report(4, handles[1]),
+    ]
+    for message in messages:
+        system.tell(agg_ref, message)
+        loop.run()
+        if message.device_id != 4:      # 4's ack is still in flight at flush
+            agg.ack_device(message.device_id, accepted=True)
+    assert agg._accepted_count == 2     # the two eager ones folded online
+    plane.execute_pending(handles)
+    partial = agg.flush(accepted_ids={0, 1, 2, 3, 4})
+    chain = [eager[0], eager[1], handles[0].delta_vector, eager[2],
+             handles[1].delta_vector]
+    assert partial.delta_sum.tobytes() == left_to_right(chain).tobytes()
+    assert (partial.weight_sum, partial.device_count) == (22.0, 5)
+
+
+def test_failed_row_is_left_out_and_unexecuted_row_is_an_error():
+    loop, system, master, agg, agg_ref = make_harness()
+    plane, handles = make_handles(3, bad={1})
+    for device_id, handle in enumerate(handles):
+        system.tell(agg_ref, deferred_report(device_id, handle))
+    loop.run()
+    accept_all(agg, range(3))
+    with pytest.raises(UnexecutedWorkloadError):
+        agg.flush(accepted_ids=set())
+    assert plane.execute_pending(handles) == 3
+    assert handles[1].failed and plane.failed_workloads == 1
+    partial = agg.flush(accepted_ids=set())
+    assert (partial.device_count, partial.weight_sum) == (2, 16.0)
+    assert partial.delta_sum.tobytes() == left_to_right(
+        [handles[0].delta_vector, handles[2].delta_vector]
+    ).tobytes()
+
+
+def test_secagg_leaf_resolves_handles_at_flush():
+    config = SecAggConfig(enabled=True, group_size=4, threshold_fraction=0.6)
+    loop, system, master, agg, agg_ref = make_harness(secagg=config)
+    plane, handles = make_handles(5, bad={3})
+    agg._devices = {d: None for d in range(5)}
+    for device_id, handle in enumerate(handles):
+        system.tell(agg_ref, deferred_report(device_id, handle))
+    loop.run()
+    accept_all(agg, range(5))
+    plane.execute_pending(handles)
+    partial = agg.flush(accepted_ids=set())
+    survivors = [h for h in handles if not h.failed]
+    assert partial.device_count == len(survivors) == 4
+    np.testing.assert_allclose(
+        partial.delta_sum, sum(h.delta_vector for h in survivors), atol=1e-3
+    )
+    assert partial.weight_sum == pytest.approx(32.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
+def test_master_records_a_device_once(deferred):
+    """A report that reaches the master twice is one metrics row, one
+    handle, one row executed — and one fold."""
+    from repro.actors.master_aggregator import MasterAggregator
+    from repro.analytics.metrics_store import ModelMetricsStore
+    from repro.core.checkpoint import CheckpointStore
+    from repro.core.config import RoundConfig, TaskConfig
+
+    plane, handles = make_handles(2)
+    initial = TINY.init(np.random.default_rng(0))
+    dim = initial.num_parameters
+    loop = EventLoop()
+    system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
+    store = CheckpointStore()
+    store.initialize(initial, "pop", "t")
+    metrics = ModelMetricsStore()
+    root = MasterAggregator(
+        round_id=1,
+        task=TaskConfig("t", "pop", round_config=RoundConfig(
+            target_participants=2, overselection_factor=1.0)),
+        coordinator=system.spawn(Sink(), "coordinator"),
+        store=store,
+        rng=np.random.default_rng(1),
+        metrics_store=metrics,
+    )
+    master_ref = system.spawn(root, "master")
+    vectors = [np.full(dim, 1.0), np.full(dim, 2.0)]
+    leaves = [
+        root.admit_device(device_id, system.spawn(Sink(), f"d{device_id}"), 1)[1]
+        for device_id in (0, 1)
+    ]
+    for device_id, leaf in enumerate(leaves):
+        if deferred:
+            message = deferred_report(device_id, handles[device_id])
+        else:
+            message = msg.DeviceReport(
+                device_id=device_id, round_id=1, delta_vector=vectors[device_id],
+                weight=8.0, num_examples=8,
+                train_metrics={"loss": 0.5, "num_examples": 8}, upload_nbytes=8,
+            )
+        system.tell(leaf, message)
+        loop.run_for(0.1)
+        if device_id == 0:
+            # Again, straight to the master: what a leaf without its own
+            # guard would have forwarded.
+            system.tell(master_ref, message)
+            loop.run_for(0.1)
+    (record,) = metrics.history("t")
+    assert record.summaries["num_examples"].to_dict()["count"] == 2
+    assert record.summaries["loss"].to_dict()["count"] == 2
+    if deferred:
+        vectors = [h.delta_vector for h in handles]
+        assert plane.workloads_executed == 2 and plane.executions == 1
+        assert record.summaries["loss"].to_dict()["mean"] == pytest.approx(
+            np.mean([h.mean_loss for h in handles])
+        )
+    expected = initial.to_vector() + left_to_right(vectors) / 16.0
+    assert store.latest("pop").to_params().to_vector().tobytes() == expected.tobytes()

@@ -733,15 +733,15 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 3
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 4
     header = {
         "magic": "repro-fleet-snapshot",
-        "manifest": dataclasses.replace(manifest, format_version=2),
+        "manifest": dataclasses.replace(manifest, format_version=3),
     }
-    old = tmp_path / "format2.snap"
+    old = tmp_path / "format3.snap"
     old.write_bytes(pickle.dumps(header) + b"a payload no reader may touch")
     for read in (FLFleet.restore, read_manifest):
-        with pytest.raises(SnapshotError, match="format 2 unsupported"):
+        with pytest.raises(SnapshotError, match="format 3 unsupported"):
             read(old)
 
 
