@@ -15,8 +15,8 @@ sum-only structure is exactly what Secure Aggregation needs (Sec. 6).
 Two execution paths share :func:`client_update`:
 
 * **functional** (``buffers=None``): every SGD step returns a new
-  ``Parameters`` — the original implementation, kept as the measurable
-  baseline for the perf harness;
+  ``Parameters`` — the public algorithm API, and the oracle the buffered
+  path is tested against;
 * **buffered** (``buffers=``:class:`ClientUpdateBuffers`): training runs in
   a pre-allocated working copy with zero per-step allocation, gradients
   are written into a reusable buffer, and the weighted delta lands in the

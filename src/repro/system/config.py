@@ -9,6 +9,7 @@ scheduling strategy).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -105,8 +106,12 @@ class FleetConfig:
                 f"idle_plane must be 'vectorized' or 'actor', "
                 f"got {self.idle_plane!r}"
             )
-        if self.sample_interval_s <= 0:
-            raise ValueError("sample_interval_s must be positive")
+        for knob in ("sample_interval_s", "waiting_timeout_s"):
+            value = getattr(self, knob)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{knob} must be finite and positive, got {value}"
+                )
         if not 0.0 <= self.compute_error_prob <= 1.0:
             raise ValueError("compute_error_prob must be in [0, 1]")
         if self.selector_restart_delay_s < 0:

@@ -13,7 +13,6 @@ Android emulator."
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +23,7 @@ from repro.core.plan import FLPlan
 from repro.nn.models import Model
 from repro.nn.parameters import Parameters
 from repro.tools.modeling import FLTaskBuilder
+from repro.tools.perf import wall_timer
 from repro.tools.versioning import (
     IncompatiblePlanError,
     PlanRepository,
@@ -57,7 +57,7 @@ def measure_resources(
     cfg = plan.device.training
     # Deployment gating measures *real* train time by design (the
     # resource estimate is about this machine, not simulated time).
-    start = time.perf_counter()  # repro-lint: allow(no-wall-clock)
+    start = wall_timer()
     update = client_update(
         model,
         params,
@@ -67,7 +67,7 @@ def measure_resources(
         learning_rate=cfg.learning_rate,
         rng=rng,
     )
-    elapsed = time.perf_counter() - start  # repro-lint: allow(no-wall-clock)
+    elapsed = wall_timer() - start
     n = max(update.num_examples, 1)
     # params + gradients + momentum-free optimizer state + one batch.
     param_mb = 3 * params.nbytes / 1e6

@@ -1,8 +1,8 @@
 """Path-scoped rule policies.
 
 The contracts are not uniform across the tree: ``sim/rng.py`` *is* the
-one place allowed to construct generators, the perf harness times real
-wall clock by design, and tests/benchmarks deliberately poke at the
+one place allowed to construct generators, ``tools/perf.py`` *is* the one
+injectable wall clock, and tests/benchmarks deliberately poke at the
 machinery the rules guard.  Rather than littering those files with
 suppression comments, each region gets a policy that disables the rules
 that cannot meaningfully apply there.  Policies only ever *disable*
@@ -48,9 +48,9 @@ DEFAULT_POLICIES: tuple[PathPolicy, ...] = (
     ),
     PathPolicy(
         "src/repro/tools/perf.py",
-        disable=("no-ambient-rng", "no-wall-clock"),
-        reason="the perf harness times real wall clock and pins its own "
-               "literal seeds (the seeded whitelist)",
+        disable=("no-wall-clock",),
+        reason="the one injectable wall clock — wall_timer() is where "
+               "every observability timing in src/ reads real time",
     ),
     PathPolicy(
         "tests/",

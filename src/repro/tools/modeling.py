@@ -35,6 +35,8 @@ class ValidationError(RuntimeError):
 class TestPredicate:
     """One engineer-provided expectation over (model, params, proxy data)."""
 
+    __test__ = False  # tells pytest the Test* name is not a test class
+
     name: str
     check: Callable[[Model, Parameters, ClientDataset], bool]
 

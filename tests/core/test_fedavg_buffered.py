@@ -49,17 +49,21 @@ def test_client_update_buffered_byte_identical(clip, max_examples):
 
 def test_client_update_buffered_mlp_and_fallback_models():
     """MLP uses the in-place gradient override; the RNN goes through the
-    copy fallback — both must match the functional path exactly."""
+    copy fallback — both must match the functional path exactly.  The
+    98k-param model is the dgemm-bound `training_rounds` shape."""
     rng = np.random.default_rng(1)
-    mlp = MLPClassifier(input_dim=6, hidden_dims=(8, 5), n_classes=3)
-    ds = make_dataset(rng, classes=3)
-    p = mlp.init(rng)
-    a = client_update(mlp, p, ds, 1, 8, 0.1, np.random.default_rng(3))
-    b = client_update(
-        mlp, p, ds, 1, 8, 0.1, np.random.default_rng(3),
-        buffers=ClientUpdateBuffers.for_structure(p),
-    )
-    np.testing.assert_array_equal(a.delta.to_vector(), b.delta.to_vector())
+    for model in (
+        MLPClassifier(input_dim=6, hidden_dims=(8, 5), n_classes=3),
+        LogisticRegression(input_dim=1024, n_classes=96),
+    ):
+        ds = make_dataset(rng, dim=model.input_dim, classes=model.num_classes)
+        p = model.init(rng)
+        a = client_update(model, p, ds, 1, 8, 0.1, np.random.default_rng(3))
+        b = client_update(
+            model, p, ds, 1, 8, 0.1, np.random.default_rng(3),
+            buffers=ClientUpdateBuffers.for_structure(p),
+        )
+        np.testing.assert_array_equal(a.delta.to_vector(), b.delta.to_vector())
 
     rnn = RNNLanguageModel(vocab_size=12, embed_dim=4, hidden_dim=5)
     tokens = rng.integers(0, 12, size=(30, 3))

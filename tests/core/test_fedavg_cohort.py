@@ -27,6 +27,11 @@ from repro.nn.models import (
 EXACT_MODELS = {
     "logreg": LogisticRegression(input_dim=10, n_classes=4),
     "mlp": MLPClassifier(input_dim=10, hidden_dims=(8,), n_classes=4),
+    # The two `training_rounds` tenants' shapes: dispatch-bound (6k
+    # params in 6 arrays) and dgemm-bound (98k), where BLAS may pick a
+    # different kernel for the stacked GEMM than for the per-client one.
+    "ranker": MLPClassifier(input_dim=96, hidden_dims=(48, 24), n_classes=8),
+    "keyboard": LogisticRegression(input_dim=1024, n_classes=96),
 }
 TOKEN_MODELS = {
     "rnn": RNNLanguageModel(vocab_size=13, embed_dim=4, hidden_dim=6),
@@ -42,8 +47,9 @@ def make_datasets(name, sizes, seed=5):
             x = rng.integers(0, 13, size=(n, 3))
             y = rng.integers(0, 13, size=n)
         else:
-            x = rng.normal(size=(n, 10))
-            y = rng.integers(0, 4, size=n)
+            model = EXACT_MODELS[name]
+            x = rng.normal(size=(n, model.input_dim))
+            y = rng.integers(0, model.num_classes, size=n)
         out.append(ClientDataset(f"c{i}", x, y))
     return out
 

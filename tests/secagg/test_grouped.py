@@ -96,25 +96,27 @@ def _fleet_drops(n=60):
 def test_both_planes_identical_sums_metrics_and_rng():
     """The cross-group plane batches DH/PRG/recovery over all groups at
     once; the contract is byte-identity with the sequential scalar
-    reference, rng trajectory included."""
-    inputs = _fleet()
-    q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=64)
-    results = {}
-    for plane in ALL_PLANES:
-        plane_rng = np.random.default_rng(77)
-        total, metrics = grouped_secure_sum(
-            inputs, min_group_size=15, threshold_fraction=0.66,
-            quantizer=q, rng=plane_rng, dropouts=_fleet_drops(),
-            plane=plane,
-        )
-        results[plane] = (total, metrics, plane_rng.bytes(8))
-    base_total, base_metrics, base_probe = results["scalar"]
-    assert len(base_metrics) == 4
-    for plane in ALL_PLANES[1:]:
-        total, metrics, probe = results[plane]
-        assert np.array_equal(total, base_total), plane
-        assert metrics == base_metrics, plane
-        assert probe == base_probe, plane
+    reference, rng trajectory included.  The second point is the Sec. 6
+    operating size: groups of >= 50 at dim 256."""
+    for n, dim, group, groups in ((60, 13, 15, 4), (150, 256, 50, 3)):
+        inputs = _fleet(n, dim)
+        q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=128)
+        results = {}
+        for plane in ALL_PLANES:
+            plane_rng = np.random.default_rng(77)
+            total, metrics = grouped_secure_sum(
+                inputs, min_group_size=group, threshold_fraction=0.66,
+                quantizer=q, rng=plane_rng, dropouts=_fleet_drops(n),
+                plane=plane,
+            )
+            results[plane] = (total, metrics, plane_rng.bytes(8))
+        base_total, base_metrics, base_probe = results["scalar"]
+        assert len(base_metrics) == groups
+        for plane in ALL_PLANES[1:]:
+            total, metrics, probe = results[plane]
+            assert np.array_equal(total, base_total), (plane, n)
+            assert metrics == base_metrics, (plane, n)
+            assert probe == base_probe, (plane, n)
 
 
 def test_both_planes_identical_transcripts():

@@ -100,6 +100,16 @@ def test_membership_override_unknown_device_rejected():
         builder.build()
 
 
+@pytest.mark.parametrize("knob", ["waiting_timeout", "sample_interval"])
+@pytest.mark.parametrize("value", [-5, 0, float("nan"), float("inf")])
+def test_nonpositive_or_nonfinite_interval_rejected(knob, value):
+    builder = base_builder().population(
+        "a", tasks=[task("a/t", "a")], model=params()
+    )
+    with pytest.raises(FleetValidationError, match=f"{knob}_s must be"):
+        getattr(builder, knob)(value).build()
+
+
 def test_validation_failures_spawn_nothing():
     builder = (
         FLFleet.builder()

@@ -138,7 +138,7 @@ class TestPathPolicies:
             @dataclass
             class BenchConfig:
                 fleet: object = field(default_factory=lambda: object())
-        """, path="benchmarks/perf/example.py")
+        """, path="benchmarks/example.py")
         assert [f.rule for f in findings] == ["snapshot-unsafe-state"]
 
     def test_rule_selection_narrows(self):

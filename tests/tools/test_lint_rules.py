@@ -110,11 +110,14 @@ class TestWallClock:
                 return loop.now() + 3.0
         """) == []
 
-    def test_perf_harness_is_exempt(self):
-        assert run("""
+    def test_wall_timer_module_is_exempt_from_this_rule_only(self):
+        findings = run("""
             import time
+            import numpy as np
             t0 = time.perf_counter()
-        """, path="src/repro/tools/perf.py") == []
+            x = np.random.rand(3)
+        """, path="src/repro/tools/perf.py")
+        assert rule_names(findings) == ["no-ambient-rng"]
 
 
 # -- no-unordered-iteration ---------------------------------------------------
