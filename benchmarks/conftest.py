@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FLSystem, FLSystemConfig, RoundConfig, TaskConfig
+from repro import FLFleet, RoundConfig, TaskConfig
 from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import BagOfWordsLanguageModel
@@ -26,9 +26,10 @@ from repro.sim.population import PopulationConfig
 REFERENCE_DAYS = 3.0
 
 
-def build_reference_fleet(seed: int = 2019) -> FLSystem:
-    config = FLSystemConfig(
-        seed=seed,
+def build_reference_fleet(seed: int = 2019) -> FLFleet:
+    builder = (
+        FLFleet.builder()
+        .seed(seed)
         # 750 devices with a 360s check-in wait bound keeps the fleet
         # *supply-limited* in daytime while night rounds run at full
         # cadence, which is what makes the Fig. 5 oscillation visible.
@@ -36,24 +37,23 @@ def build_reference_fleet(seed: int = 2019) -> FLSystem:
         # bug that permanently wedged almost the whole fleet's on-device
         # schedulers over 3 days; with that fixed, a healthy 900-device
         # fleet saturates the round cadence around the clock.)
-        population=PopulationConfig(num_devices=750, tz_offset_hours=-8.0),
-        num_selectors=3,
-        job=JobSchedule(1800.0, 0.5),
+        .devices(PopulationConfig(num_devices=750, tz_offset_hours=-8.0))
+        .selectors(3)
+        .job(JobSchedule(1800.0, 0.5))
         # ~4 examples/s puts median on-device training around 60-90s, so
         # rounds run for minutes (Fig. 8) and eligibility churn during the
         # round lands drop-out in the paper's 6-10% band (Fig. 7).
-        compute=ComputeModel(examples_per_second=4.0, setup_overhead_s=3.0),
+        .compute(ComputeModel(examples_per_second=4.0, setup_overhead_s=3.0))
         # Prime-ish sampling interval: a 300s grid would alias against the
         # pace-steering round period (also 300s) and systematically sample
         # the inter-round gaps.
-        sample_interval_s=97.0,
+        .sample_interval(97.0)
         # Devices hang up after ~1.2 pace round periods (300s) without
         # being selected and retry on the job cadence; raising this back
         # toward the 1800s default re-saturates daytime rounds and
         # flattens the Fig. 5 oscillation.
-        waiting_timeout_s=360.0,
+        .waiting_timeout(360.0)
     )
-    system = FLSystem(config)
     task = TaskConfig(
         task_id="ref/train",
         population_name="ref",
@@ -76,16 +76,17 @@ def build_reference_fleet(seed: int = 2019) -> FLSystem:
             update_compression_ratio=3.0,
         )
 
-    system.deploy([task], params, trainer_factory=trainer_factory)
-    return system
+    return builder.population(
+        "ref", tasks=[task], model=params, trainer_factory=trainer_factory
+    ).build()
 
 
 @pytest.fixture(scope="session")
-def fleet() -> FLSystem:
+def fleet() -> FLFleet:
     """The reference fleet, after 3 simulated days of operation."""
-    system = build_reference_fleet()
-    system.run_days(REFERENCE_DAYS)
-    return system
+    fleet = build_reference_fleet()
+    fleet.run_days(REFERENCE_DAYS)
+    return fleet
 
 
 def local_hour(wall_time_s: float, tz_offset_hours: float = -8.0) -> float:

@@ -11,7 +11,7 @@ selection gap between rounds.
 
 import numpy as np
 
-from repro import FLSystem, FLSystemConfig, RoundConfig, TaskConfig
+from repro import FLFleet, RoundConfig, TaskConfig
 from repro.actors.coordinator import CoordinatorConfig
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
@@ -19,16 +19,6 @@ from repro.sim.population import PopulationConfig
 
 
 def run_fleet(pipelining: bool, hours: float = 4.0) -> int:
-    config = FLSystemConfig(
-        seed=31,
-        population=PopulationConfig(num_devices=600),
-        num_selectors=2,
-        job=JobSchedule(500.0, 0.5),
-        coordinator=CoordinatorConfig(
-            pipelining=pipelining, inter_round_gap_s=240.0
-        ),
-    )
-    system = FLSystem(config)
     task = TaskConfig(
         task_id="pipe/train",
         population_name="pipe",
@@ -38,9 +28,20 @@ def run_fleet(pipelining: bool, hours: float = 4.0) -> int:
         ),
     )
     model = LogisticRegression(input_dim=4, n_classes=2)
-    system.deploy([task], model.init(np.random.default_rng(0)))
-    system.run_for(hours * 3600)
-    return len(system.committed_rounds)
+    fleet = (
+        FLFleet.builder()
+        .seed(31)
+        .devices(PopulationConfig(num_devices=600))
+        .selectors(2)
+        .job(JobSchedule(500.0, 0.5))
+        .coordinator(
+            CoordinatorConfig(pipelining=pipelining, inter_round_gap_s=240.0)
+        )
+        .population("pipe", tasks=[task], model=model.init(np.random.default_rng(0)))
+        .build()
+    )
+    fleet.run_for(hours * 3600)
+    return len(fleet.committed_rounds)
 
 
 def test_ablation_pipelining(benchmark):

@@ -11,7 +11,7 @@ hour-by-hour round completion rate (Fig. 5's oscillation).
 
 import numpy as np
 
-from repro import FLSystem, FLSystemConfig, RoundConfig, TaskConfig
+from repro import FLFleet, RoundConfig, TaskConfig
 from repro.analytics.session_shapes import format_table
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
@@ -19,14 +19,7 @@ from repro.sim.population import PopulationConfig
 
 
 def main() -> None:
-    config = FLSystemConfig(
-        seed=7,
-        population=PopulationConfig(num_devices=600),
-        num_selectors=3,
-        job=JobSchedule(1800.0, 0.5),
-        sample_interval_s=300.0,
-    )
-    system = FLSystem(config)
+    seed = 7
     task = TaskConfig(
         task_id="demo/train",
         population_name="demo",
@@ -37,14 +30,25 @@ def main() -> None:
         ),
     )
     model = LogisticRegression(input_dim=20, n_classes=5)
-    # The model init shares the system seed so the whole run is governed by
-    # one knob (config.seed), not a stray constant.
-    system.deploy([task], model.init(np.random.default_rng(config.seed)))
+    fleet = (
+        FLFleet.builder()
+        .seed(seed)
+        .devices(PopulationConfig(num_devices=600))
+        .selectors(3)
+        .job(JobSchedule(1800.0, 0.5))
+        .sample_interval(300.0)
+        # The model init shares the fleet seed so the whole run is governed
+        # by one knob, not a stray constant.
+        .population(
+            "demo", tasks=[task], model=model.init(np.random.default_rng(seed))
+        )
+        .build()
+    )
 
     print("simulating 24 hours of fleet time...")
-    system.run_days(1.0)
+    fleet.run_days(1.0)
 
-    report = system.report()
+    report = fleet.report()
     print("\n== Operational summary (cf. Sec. 9) ==")
     print(f"rounds run / committed:  {report.rounds_total} / "
           f"{report.rounds_committed}")
@@ -56,10 +60,10 @@ def main() -> None:
     print(f"traffic down/up ratio:   {ratio:.1f}x (download dominates, Fig. 9)")
 
     print("\n== Session shapes (cf. Table 1) ==")
-    print(format_table(system.session_shapes(), top=6))
+    print(format_table(fleet.session_shapes(), top=6))
 
     print("\n== Rounds per 2h bucket (diurnal oscillation, Fig. 5) ==")
-    times, outcomes = system.dashboard.series("rounds/outcome").bucketed(
+    times, outcomes = fleet.dashboard.series("rounds/outcome").bucketed(
         7200.0, reducer="count"
     )
     for t, count in zip(times, outcomes):

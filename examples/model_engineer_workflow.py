@@ -11,8 +11,7 @@ import numpy as np
 
 from repro import (
     ClientTrainingConfig,
-    FLSystem,
-    FLSystemConfig,
+    FLFleet,
     RoundConfig,
     TaskConfig,
 )
@@ -76,20 +75,20 @@ def main() -> None:
         raise SystemExit(f"violations: {report.violations}")
 
     # 4. Deploy to the (simulated) fleet (Sec. 7.4).
-    system = FLSystem(
-        FLSystemConfig(
-            seed=2,
-            population=PopulationConfig(num_devices=400),
-            job=JobSchedule(1500.0, 0.5),
-        )
+    fleet = (
+        FLFleet.builder()
+        .seed(2)
+        .devices(PopulationConfig(num_devices=400))
+        .job(JobSchedule(1500.0, 0.5))
+        .population(task.population_name, tasks=[task], model=params, plan=plan)
+        .build()
     )
-    system.deploy([task], params, plan=plan)
-    system.run_for(2 * 3600)
-    summary = system.operational_summary()
-    print(f"\nfleet run: {summary['rounds_committed']:.0f} rounds committed, "
-          f"drop rate {summary['mean_drop_rate']:.1%}")
+    fleet.run_for(2 * 3600)
+    summary = fleet.report()
+    print(f"\nfleet run: {summary.rounds_committed} rounds committed, "
+          f"drop rate {summary.mean_drop_rate:.1%}")
     print("versioned plans were served to runtimes:",
-          sorted({p.runtime_version for p in system.profiles})[:0] or "7..10")
+          sorted({p.runtime_version for p in fleet.profiles})[:0] or "7..10")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ Three API layers:
   hosting many FL populations concurrently (Secs. 2-4), with pace
   steering, Secure Aggregation, and per-population analytics — on a
   deterministic discrete-event simulation.  Declared via
-  ``FLFleet.builder()``; results come back as typed
-  :class:`repro.system.RunReport` objects.  The legacy single-population
-  :class:`repro.system.FLSystem` remains as a thin shim.
+  ``FLFleet.builder()`` — the one way to build a fleet, one population
+  or many; results come back as typed :class:`repro.system.RunReport`
+  objects.
 * **Tools** (:mod:`repro.tools`): the model-engineer workflow — define,
   validate, version, gate, deploy.
 
@@ -57,8 +57,6 @@ from repro.core import (
 from repro.system import (
     FaultPlan,
     FLFleet,
-    FLSystem,
-    FLSystemConfig,
     FleetBuilder,
     FleetConfig,
     FleetValidationError,
@@ -85,8 +83,6 @@ __all__ = [
     "TaskKind",
     "FaultPlan",
     "FLFleet",
-    "FLSystem",
-    "FLSystemConfig",
     "FleetBuilder",
     "FleetConfig",
     "FleetValidationError",

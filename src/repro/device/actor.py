@@ -7,23 +7,22 @@ follow Sec. 3: "Once started, the FL runtime will abort, freeing the
 allocated resources, if these conditions are no longer met."
 
 The *idle* half of the lifecycle — eligibility flips (idle/charging/
-unmetered, diurnally modulated), the periodic job schedule, and the
-pace-steering pending window — lives in an :class:`repro.device.idle.
-IdleDriver`.  By default each device runs its own timer-based
-:class:`~repro.device.idle.ActorIdleDriver`; a fleet may instead enroll
-its devices in the vectorized :class:`~repro.sim.idle_plane.
-VectorizedIdlePlane`, where idle devices are rows in fleet-wide arrays
-and only materialize as actor interactions when they actually check in
-— a fleet does not even construct a row's ``DeviceActor`` before its
-first admitted check-in (:mod:`repro.device.table`).
+unmetered, diurnally modulated), the periodic job schedule, the
+pace-steering pending window, the on-device worker queue and the
+Selector pick — is the device's row of the :class:`~repro.sim.idle_plane.
+VectorizedIdlePlane`: idle devices are rows in fleet-wide arrays and
+only materialize as actor interactions when a Selector admits a
+check-in — a fleet does not even construct a row's ``DeviceActor``
+before its first admitted check-in (:mod:`repro.device.table`).  The
+actor reaches its row through three handles the plane hands it: ``idle``
+(a ``PlaneIdleDriver``), ``scheduler`` and ``health``.
 
 A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
 one fleet, many learning problems).  Each job-scheduler firing enqueues
-every membership on the on-device worker queue (a
-:class:`MultiTenantScheduler`, or the device's row of the plane's
-:class:`~repro.device.scheduler.ColumnScheduler`); exactly one session
-runs at a time, and the check-in announces the session's population so
-the Selector can route it.
+every membership on the on-device worker queue (the device's row of the
+plane's :class:`~repro.device.scheduler.ColumnScheduler`); exactly one
+session runs at a time, and the check-in announces the session's
+population so the Selector can route it.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
 from repro.device.attestation import AttestationService
 from repro.device.runtime import ComputeModel, LocalTrainer, TrainResult
-from repro.device.scheduler import JobSchedule, MultiTenantScheduler
-from repro.sim.diurnal import AvailabilityProcess
+from repro.device.scheduler import JobSchedule
 from repro.sim.rng import standalone_stream
 from repro.sim.network import NetworkConditions, NetworkModel, TransferDirection
 from repro.sim.population import DeviceProfile
@@ -60,7 +58,7 @@ class DeviceHealthStats:
     "the device state in which training was activated, how often and how
     long it ran, how much memory it used, which errors where detected,
     which phone model / OS / FL runtime version was used" — aggregated by
-    :meth:`repro.system.FLFleet.device_health_summary`.
+    :meth:`repro.system.FLFleet.health_report`.
     """
 
     checkins: int = 0
@@ -92,9 +90,9 @@ class DeviceActor(Actor):
     # Constructed by the thousand inside a run (each at its first admitted
     # check-in): no instance dict, one slot per field.
     __slots__ = (
-        "profile", "availability", "network", "conditions", "selectors",
-        "shard_router", "memberships", "trainers", "compute", "attestation",
-        "event_log", "_rng", "job", "compute_error_prob", "ack_timeout_s",
+        "profile", "network", "conditions", "memberships", "trainers",
+        "compute", "attestation", "event_log", "_rng", "job",
+        "compute_error_prob", "ack_timeout_s",
         "waiting_timeout_s", "upload_retry", "state", "eligible", "scheduler",
         "health", "rounds_completed", "rounds_rejected_report",
         "rounds_interrupted", "_active_population", "_selector", "_round_id",
@@ -105,10 +103,8 @@ class DeviceActor(Actor):
     def __init__(
         self,
         profile: DeviceProfile,
-        availability: AvailabilityProcess | None,
         network: NetworkModel,
         conditions: NetworkConditions,
-        selectors: list[ActorRef],
         trainer: LocalTrainer | None = None,
         population_name: str | None = None,
         memberships: Sequence[str] | None = None,
@@ -121,24 +117,14 @@ class DeviceActor(Actor):
         compute_error_prob: float = 0.005,
         ack_timeout_s: float = 60.0,
         waiting_timeout_s: float = 1800.0,
-        scheduler_policy: str = "fifo",
         upload_retry: Any = None,  # faults.RetryPolicy; None = legacy no-retry
-        shard_router: Any = None,  # system.sharding.ShardRouter; None = unsharded
-        scheduler: Any = None,
+        scheduler: Any = None,  # device.scheduler.RowScheduler
         health: DeviceHealthStats | None = None,
-        idle: Any = None,  # device.idle.IdleDriver
+        idle: Any = None,  # sim.idle_plane.PlaneIdleDriver
     ):
         self.profile = profile
-        #: The timer-based idle driver's eligibility process; ``None``
-        #: when the vectorized plane flips this device as a row.
-        self.availability = availability
         self.network = network
         self.conditions = conditions
-        self.selectors = selectors
-        #: Control-plane sharding: each population's check-ins go to its
-        #: owning shard's Selectors only.  ``None`` (and any single-shard
-        #: router) keeps the legacy any-selector draw byte-identical.
-        self.shard_router = shard_router
         # Membership normalization: the legacy single-population call shape
         # (population_name= + trainer=) and the fleet shape (memberships= +
         # trainers=) both land in the same internal representation.
@@ -170,21 +156,20 @@ class DeviceActor(Actor):
         self.waiting_timeout_s = waiting_timeout_s
         self.upload_retry = upload_retry
 
-        #: Maintained by the actor for a session's length and by the
-        #: timer-based idle driver between sessions.  The vectorized plane
+        #: Maintained by the actor for a session's length.  The idle plane
         #: does *not* mirror an idle row's flips onto these two (its
         #: ``eligible`` column and census are the truth there); it sets
         #: them only when it hands the device a session or interrupts one.
         self.state = DeviceState.SLEEPING
         self.eligible = False
-        #: The on-device worker queue and the health record: the device's
-        #: own unless handed in (the vectorized plane keeps both as rows of
-        #: its columns and hands its devices row views of them).
-        self.scheduler = (
-            scheduler if scheduler is not None
-            else MultiTenantScheduler(policy=scheduler_policy)
-        )
+        #: The row views of the on-device worker queue and the health
+        #: record (the plane keeps both as columns), and the handle on the
+        #: idle half of the lifecycle — handed in by the fleet's device
+        #: table, or installed by ``VectorizedIdlePlane.adopt`` on a
+        #: hand-built device.
+        self.scheduler = scheduler
         self.health = health if health is not None else DeviceHealthStats()
+        self.idle = idle
         self.rounds_completed = 0
         self.rounds_rejected_report = 0
         self.rounds_interrupted = 0
@@ -200,10 +185,6 @@ class DeviceActor(Actor):
         self._ack_timeout_event = None
         self._last_checkin_t: float | None = None
         self._wait_epoch = 0
-        # The idle half of the lifecycle: a handle into the shared
-        # vectorized idle plane, or (``None`` until ``on_start`` installs
-        # it) the per-device timer-based default.
-        self.idle = idle
 
     # -- helpers -----------------------------------------------------------------
     @property
@@ -258,11 +239,11 @@ class DeviceActor(Actor):
     # -- lifecycle ------------------------------------------------------------
     def on_start(self) -> None:
         if self.idle is None:
-            # Import deferred: repro.device.idle needs DeviceState from
-            # this module, so a top-level import would be circular.
-            from repro.device.idle import ActorIdleDriver
-
-            self.idle = ActorIdleDriver(self)
+            raise RuntimeError(
+                f"device {self.device_id} was spawned without an idle plane "
+                "row: enroll a hand-built device with "
+                "VectorizedIdlePlane.adopt(device) before spawning it"
+            )
         self.idle.start()
 
     def on_eligibility_lost(self) -> None:
@@ -382,41 +363,6 @@ class DeviceActor(Actor):
                 self.idle.schedule_checkin(self.job.next_delay(self.rng))
 
     # -- check-in ------------------------------------------------------------
-    def _attempt_checkin(self) -> None:
-        """A check-in fired by the timer-based idle driver: the on-device
-        worker-queue dance, the Selector pick, and — if a session starts
-        — the real stream.  (A plane-owned device's queue and pick are
-        plane columns; it enters at :meth:`_attempt_screened_checkin`.)"""
-        pick = self.rng.random()
-        # Every membership wants a session; the on-device worker queue
-        # (Sec. 11) serializes them and picks who goes first.
-        for membership in self.memberships:
-            self.scheduler.enqueue(membership)
-        started = self.scheduler.try_start()
-        if started is None:
-            # Another tenant is training; retry after its session.
-            self.idle.schedule_checkin(self.job.delay_at(pick))
-            return
-        self._active_population = started
-        pool = self._selector_pool(started)
-        self._selector = pool[int(pick * len(pool))]
-        self.health.checkins += 1
-        self._materialize_checkin(started)
-
-    def _selector_pool(self, population_name: str) -> list[ActorRef]:
-        """The Selectors this population may check in to: its owning
-        shard's, or the whole fleet's when unsharded.  The single-shard
-        pool *is* ``self.selectors`` (same list object, same length), so
-        the selector draw above stays byte-identical to the pre-sharding
-        fleet — and respawned Selector refs, swapped into
-        ``self.selectors`` by the cluster manager, are always picked up."""
-        if self.shard_router is None:
-            return self.selectors
-        indices = self.shard_router.selector_indices_for(population_name)
-        if len(indices) == len(self.selectors):
-            return self.selectors
-        return [self.selectors[i] for i in indices]
-
     def _materialize_checkin(self, started: str) -> None:
         """Open the real device stream: WAITING state, timers, messages."""
         self.state = DeviceState.WAITING
@@ -448,7 +394,7 @@ class DeviceActor(Actor):
         )
 
     def _attempt_screened_checkin(self, started: str, selector: ActorRef) -> None:
-        """The device half of a check-in the vectorized plane's screen
+        """The device half of a check-in the idle plane's screen
         admitted.  The plane has already run the worker queue (``started``
         is the session it picked), resolved ``selector`` from the row's
         pick draw and had it reserve a pool slot; a bounced row never

@@ -7,7 +7,9 @@ Three pieces:
 * :class:`MultiTenantScheduler` — "a simple worker queue for determining
   which training session to run next (we avoid running training sessions
   on-device in parallel because of their high resource consumption)"
-  (Sec. 11 "Device Scheduling"), one object per device;
+  (Sec. 11 "Device Scheduling"), one object per device: the law in its
+  scalar form, which no fleet constructs — the reference
+  :class:`ColumnScheduler` is tested against;
 * :class:`ColumnScheduler` — the same worker queues for a whole fleet as
   ``(rows x tenant-slot)`` arrays, so a sweep's worth of check-ins picks
   its sessions in one pass; :class:`RowScheduler` is one device's view of

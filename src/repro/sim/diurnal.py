@@ -56,6 +56,28 @@ class DiurnalModel:
     base_eligible_fraction: float = 0.25
     mean_eligible_minutes: float = 45.0
 
+    def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Both hazards must be finite and positive at every hour, or the
+        sampled delays are negative (time travel) or never come due.
+        (Each test is written so that NaN fails it.)"""
+        if not math.isfinite(self.peak_hour):
+            raise ValueError(f"peak_hour must be finite, got {self.peak_hour}")
+        if not 0.0 <= self.amplitude < 1.0:
+            raise ValueError(f"amplitude must be in [0, 1), got {self.amplitude}")
+        if not 0.0 < self.base_eligible_fraction <= 1.0:
+            raise ValueError(
+                "base_eligible_fraction must be in (0, 1], "
+                f"got {self.base_eligible_fraction}"
+            )
+        if not 0.0 < self.mean_eligible_minutes < math.inf:
+            raise ValueError(
+                "mean_eligible_minutes must be finite and > 0, "
+                f"got {self.mean_eligible_minutes}"
+            )
+
     def modulation(self, local_time_s: float) -> float:
         """Multiplicative availability factor in ``[1-a, 1+a]``."""
         hours = (local_time_s / SECONDS_PER_HOUR) % 24.0
@@ -174,8 +196,7 @@ def sample_transitions(
     thinning loop's 2-7 proposals.  Against
     :meth:`AvailabilityProcess._sample_transition` the sampled law differs
     only by the per-minute discretisation of the smooth hazard (~1e-5
-    relative), so trajectories are comparable across planes in
-    distribution.
+    relative).
     """
     tables = _rate_tables(model)
     bucket_s = tables.bucket_s
@@ -200,7 +221,9 @@ class AvailabilityProcess:
     """Samples eligibility transitions for one device.
 
     Uses thinning (Lewis & Shedler) so the time-varying hazards are honoured
-    exactly without discretising time.
+    exactly without discretising time.  No fleet runs it: it is the
+    reference :func:`sample_transitions` is compared against in
+    distribution (``tests/sim/test_diurnal.py``).
     """
 
     def __init__(

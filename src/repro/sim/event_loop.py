@@ -163,6 +163,10 @@ class EventLoop:
         even if the last event fired earlier, so periodic samplers observe a
         consistent end time.
         """
+        if until is not None and until != until:
+            # No event time compares greater than NaN: a self-re-arming
+            # event (any periodic sampler) would keep this running forever.
+            raise SimulationError("cannot run until t=nan")
         processed = 0
         heap = self._heap
         while heap:
@@ -188,6 +192,8 @@ class EventLoop:
 
     def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
         """Run for ``duration`` simulated seconds from the current time."""
+        if not duration >= 0:
+            raise SimulationError(f"cannot run for {duration} seconds")
         return self.run(until=self._now + duration, max_events=max_events)
 
 

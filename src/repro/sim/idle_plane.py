@@ -68,11 +68,9 @@ _INF = float("inf")
 
 
 class PlaneIdleDriver:
-    """A device's handle into the shared plane (one per enrolled device).
-
-    Implements the :class:`repro.device.idle.IdleDriver` contract by
-    delegating every operation to the plane row ``index``.
-    """
+    """What a :class:`DeviceActor` needs from the idle half of its
+    lifecycle: a handle on the plane row ``index`` (one per device
+    object), every operation delegated to the plane."""
 
     __slots__ = ("_plane", "_index")
 
@@ -81,24 +79,34 @@ class PlaneIdleDriver:
         self._index = index
 
     def start(self) -> None:
+        """Called once from ``DeviceActor.on_start``."""
         self._plane.start()
 
     def schedule_checkin(self, delay: float) -> None:
+        """Attempt a check-in ``delay`` seconds from now (device idle)."""
         self._plane._schedule_checkin(self._index, delay)
 
     def set_pending_window(self, reconnect_at_s: float) -> None:
+        """Pace steering: no check-in before ``reconnect_at_s``."""
         self._plane.pending_window_t[self._index] = reconnect_at_s
 
     def session_started(self) -> None:
+        """The device materialized: it is WAITING at a Selector."""
         self._plane._session_started(self._index)
 
     def session_ended(self) -> None:
+        """The device dematerialized; the plane owns it again."""
         self._plane._session_ended(self._index)
 
     def membership_changed(self) -> None:
+        """The device's membership set changed (a tenant attached to or
+        drained from a live fleet).  On a live fleet the caller follows
+        an enrollment with :meth:`kick_first_checkin`."""
         self._plane._membership_changed(self._index)
 
     def kick_first_checkin(self) -> None:
+        """The device just gained a membership on a live fleet: see
+        :meth:`VectorizedIdlePlane.kick_rows`."""
         self._plane.kick_rows(np.array([self._index]))
 
 
@@ -289,15 +297,10 @@ class VectorizedIdlePlane:
         already there; returns the driver now installed as ``device.idle``.
 
         Must be called before the device actor is spawned (the driver's
-        ``start`` hook runs from ``DeviceActor.on_start``).  From here on
-        the device's worker queue and its ``health.checkins`` tally are
-        plane columns, behind ``device.scheduler`` / ``device.health``.
+        ``start`` hook runs from ``DeviceActor.on_start``).  The device's
+        worker queue and its ``health.checkins`` tally are plane columns,
+        behind ``device.scheduler`` / ``device.health``.
         """
-        if device.scheduler.policy != self.scheduler.policy:
-            raise ValueError(
-                f"device {device.device_id} schedules {device.scheduler.policy!r}; "
-                f"this plane's fleet schedules {self.scheduler.policy!r}"
-            )
         index = len(self._devices)
         self.adopt_rows([device.profile], device.job.base_interval_s)
         self._devices.seat(index, device)
@@ -334,7 +337,7 @@ class VectorizedIdlePlane:
         return self._draws.uniform_pair(self._row_key[rows], drawn)
 
     def start(self) -> None:
-        """Fleet start (and :meth:`IdleDriver.start`): every row enrolled
+        """Fleet start (and a hand-built device's spawn): every row enrolled
         and not yet started starts at the sweep armed for this instant —
         one heap entry, however many rows; none, for a device constructed
         after its row started."""
@@ -368,9 +371,12 @@ class VectorizedIdlePlane:
         )
 
     def kick_rows(self, rows: np.ndarray) -> None:
-        """:meth:`IdleDriver.kick_first_checkin` for every row of ``rows``
-        (distinct): those idling eligible with no check-in on the books
-        draw a first one, uniform over one job interval."""
+        """``rows`` (distinct) just gained a membership on a live fleet:
+        those idling eligible with no check-in on the books draw a first
+        one by the fleet-start law (uniform over one job interval), so a
+        rollout reaches its cohort within that interval.  Rows with a
+        check-in pending, asleep or in a session pick the membership up
+        at their next check-in, flip or session end."""
         idle = self.eligible[rows] & ~self.active[rows]
         rows = rows[idle & (self.next_checkin_t[rows] == _INF)]
         if rows.size:
@@ -415,8 +421,8 @@ class VectorizedIdlePlane:
         self._next_event_t[rows] = self.next_flip_t[rows]
 
     def _membership_changed(self, i: int) -> None:
-        """:meth:`IdleDriver.membership_changed`: row ``i``'s membership
-        columns are rewritten from its device's."""
+        """Row ``i``'s membership columns are rewritten from its
+        device's."""
         self.scheduler.set_memberships(i, self._devices[i].memberships)
         self.memberships_changed(np.array([i]))
 

@@ -13,8 +13,6 @@ multi-tenant fleet.
   fleet (``fleet.attach_population`` / ``fleet.drain_population``), and
   whole fleets checkpoint and resume byte-identically
   (``fleet.snapshot`` / ``FLFleet.restore``).
-* :class:`FLSystem` — the original single-population API, kept as a thin
-  shim over a one-population fleet.
 """
 
 from repro.system.builder import (
@@ -22,8 +20,7 @@ from repro.system.builder import (
     FleetValidationError,
     PopulationSpec,
 )
-from repro.system.compat import FLSystem
-from repro.system.config import FleetConfig, FLSystemConfig, TrainerFactory
+from repro.system.config import FleetConfig, TrainerFactory
 from repro.system.faults import (
     ActorCrashSchedule,
     CheckpointFaultConfig,
@@ -57,10 +54,8 @@ __all__ = [
     "DeviceInterruptSchedule",
     "FaultPlan",
     "FLFleet",
-    "FLSystem",
     "FleetBuilder",
     "FleetConfig",
-    "FLSystemConfig",
     "FleetHealthReport",
     "FleetSnapshotManifest",
     "FleetValidationError",

@@ -167,18 +167,11 @@ class FleetBuilder:
         self._config.coordinator = config
         return self
 
-    def idle_plane(self, mode: str) -> "FleetBuilder":
-        """How idle devices are simulated: ``"vectorized"`` (fleet-wide
-        arrays swept in batch, the default) or ``"actor"`` (per-device
-        timers, the measurable baseline)."""
-        self._config.idle_plane = str(mode)
-        return self
-
     def device_scheduler(self, policy: str) -> "FleetBuilder":
         """On-device multi-tenant arbitration: ``"fifo"`` (arrival order,
         the default) or ``"fair_share"`` (round-robin across populations
         by least-recently-started — see
-        :class:`repro.device.scheduler.MultiTenantScheduler`)."""
+        :class:`repro.device.scheduler.ColumnScheduler`)."""
         self._config.device_scheduler = str(policy)
         return self
 

@@ -65,12 +65,6 @@ class FleetConfig:
     #: hanging up and retrying on the job cadence (Sec. 2.3's bounded
     #: selection wait).
     waiting_timeout_s: float = 1800.0
-    #: How idle devices are simulated: ``"vectorized"`` (default) keeps
-    #: them as rows in the fleet-wide :class:`repro.sim.idle_plane.
-    #: VectorizedIdlePlane`, advanced by batched sweeps; ``"actor"`` gives
-    #: every device its own eligibility/check-in timers (the measurable
-    #: baseline plane).
-    idle_plane: str = "vectorized"
     #: On-device multi-tenant arbitration (Sec. 11 "Device Scheduling"):
     #: ``"fifo"`` (default) serves queued session requests in arrival
     #: order; ``"fair_share"`` round-robins across populations by
@@ -101,11 +95,6 @@ class FleetConfig:
                 f"device_scheduler must be one of {SCHEDULER_POLICIES}, "
                 f"got {self.device_scheduler!r}"
             )
-        if self.idle_plane not in ("vectorized", "actor"):
-            raise ValueError(
-                f"idle_plane must be 'vectorized' or 'actor', "
-                f"got {self.idle_plane!r}"
-            )
         for knob in ("sample_interval_s", "waiting_timeout_s"):
             value = getattr(self, knob)
             if not (math.isfinite(value) and value > 0):
@@ -119,8 +108,7 @@ class FleetConfig:
         if self.faults is not None:
             self.faults.validate()
         self.population.validate()
-
-
-#: Legacy alias: the single-population deployment config is the fleet
-#: config — :class:`repro.system.FLSystem` simply hosts one population.
-FLSystemConfig = FleetConfig
+        # Both validate at construction; again here, for a field assigned
+        # since (``NetworkModel`` is mutable).
+        self.diurnal.validate()
+        self.network.validate()

@@ -507,11 +507,10 @@ class FaultPlane:
 
     def _fire_interrupt(self) -> None:
         # Only a device in a session can be participating: the plane's
-        # active rows (index order) — or, under the timer driver, anyone.
-        plane, everyone = self.fleet.idle_plane, self.fleet.devices.rows()
+        # active rows (index order).
         victims = [
             device
-            for device in (everyone if plane is None else plane.active_devices())
+            for device in self.fleet.idle_plane.active_devices()
             if device.state is DeviceState.PARTICIPATING
         ]
         if victims:
@@ -566,7 +565,7 @@ class SelectorClusterManager:
     (``selector/<i>``, cursor continuing), re-registered with a fresh
     route for every live population (coordinator link and drain state
     included), and swapped into every coordinator's selector list and the
-    fleet's (the one live list the idle plane and every device share), so
+    fleet's (the one live list the idle plane resolves its picks in), so
     forwarded devices re-home without any spare-the-last-selector special
     case.
     """

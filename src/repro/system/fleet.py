@@ -43,7 +43,6 @@ from repro.device.cohort import CohortExecutionPlane
 from repro.device.runtime import LocalTrainer, SyntheticTrainer
 from repro.device.table import DeviceTable
 from repro.nn.parameters import Parameters
-from repro.sim.diurnal import AvailabilityProcess
 from repro.sim.event_loop import SECONDS_PER_DAY, EventLoop
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import DeviceProfile, build_population
@@ -112,10 +111,10 @@ class FLFleet:
         self.metrics = ModelMetricsStore()
         self.attestation = AttestationService()
         self.round_results: list[RoundResult] = []
-        #: The fleet's devices by index.  Under the vectorized idle plane a
-        #: device is only a row until it is asked for — by its first
-        #: admitted check-in, or ``fleet.devices[i]`` — and is constructed
-        #: then: walking the table inflates the fleet.
+        #: The fleet's devices by index.  A device is only a row of the
+        #: idle plane until it is asked for — by its first admitted
+        #: check-in, or ``fleet.devices[i]`` — and is constructed then:
+        #: walking the table inflates the fleet.
         self.devices = DeviceTable(self._construct_device)
         self.profiles = build_population(self.config.population, self.rngs)
         #: One cohort execution plane per population whose trainers can
@@ -130,23 +129,19 @@ class FLFleet:
             num_selectors=self.config.num_selectors,
             num_shards=self.config.selector_shards,
         )
-        #: The vectorized idle plane, when ``config.idle_plane`` selects it
-        #: (``None`` under the per-device actor baseline).
-        self.idle_plane: VectorizedIdlePlane | None = (
-            VectorizedIdlePlane(
-                self.loop,
-                self.rngs.row_draws("device/idle"),
-                self.config.diurnal,
-                selectors=self.selectors,
-                actor_of=self.actors.actor_of,
-                attestation=self.attestation,
-                shard_router=self.shards,
-                scheduler_policy=self.config.device_scheduler,
-                capacity=len(self.profiles),
-                devices=self.devices,
-            )
-            if self.config.idle_plane == "vectorized"
-            else None
+        #: The idle plane: every device's idle life, worker queue and
+        #: Selector pick, as rows of fleet-wide columns.
+        self.idle_plane = VectorizedIdlePlane(
+            self.loop,
+            self.rngs.row_draws("device/idle"),
+            self.config.diurnal,
+            selectors=self.selectors,
+            actor_of=self.actors.actor_of,
+            attestation=self.attestation,
+            shard_router=self.shards,
+            scheduler_policy=self.config.device_scheduler,
+            capacity=len(self.profiles),
+            devices=self.devices,
         )
         #: The population lifecycle plane: tenant registry plus the
         #: attach/drain state machine (see :mod:`repro.system.lifecycle`).
@@ -233,8 +228,8 @@ class FLFleet:
     ) -> None:
         """Spawn the fleet substrate, then attach the declared populations
         through the lifecycle plane — the same path a live
-        :meth:`attach_population` takes.  Called by :class:`FleetBuilder`
-        (or the legacy ``FLSystem.deploy`` shim) exactly once."""
+        :meth:`attach_population` takes.  Called by :class:`FleetBuilder`,
+        exactly once."""
         if self._installed:
             raise RuntimeError("fleet already deployed")
         if not specs:
@@ -270,29 +265,20 @@ class FLFleet:
         self._conditions = config.network.sample_conditions_batch(
             len(self.profiles), self.rngs.stream("network/conditions")
         )
-        #: What every device is constructed with.  ``selectors`` is the
-        #: fleet's live list: a respawn swaps one entry, for all of them.
+        #: What every device is constructed with.
         self._device_settings = dict(
             network=config.network,
-            selectors=self.selectors,
             compute=config.compute,
             attestation=self.attestation,
             event_log=self.event_log,
             job=config.job,
             compute_error_prob=config.compute_error_prob,
             waiting_timeout_s=config.waiting_timeout_s,
-            scheduler_policy=config.device_scheduler,
             upload_retry=(
                 config.faults.upload_retry if config.faults is not None else None
             ),
         )
-        if self.idle_plane is not None:
-            self.idle_plane.adopt_rows(self.profiles, config.job.base_interval_s)
-        else:
-            # The per-device timer driver arms its timers from
-            # ``on_start``: under it every device exists from the build on.
-            self.devices.extend(len(self.profiles))
-            list(self.devices)  # repro-lint: allow(no-fleet-walk)
+        self.idle_plane.adopt_rows(self.profiles, config.job.base_interval_s)
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its
@@ -301,26 +287,16 @@ class FLFleet:
         is drawn, scheduled or written to a column, so *when* it happens
         cannot be observed."""
         profile = self.profiles[index]
-        stream = partial(self.rngs.stream, f"device/{profile.device_id}")
-        if self.idle_plane is not None:
-            # The plane flips the row, draws for it and resolves its
-            # Selector: no eligibility process, no shard router, and no
-            # generator before the device's first session.
-            own = self.idle_plane.row_handles(index)
-            own.update(rng=stream, availability=None)
-        else:
-            rng = stream()
-            availability = AvailabilityProcess(
-                self.config.diurnal, profile.tz_offset_hours, rng
-            )
-            own = dict(rng=rng, availability=availability, shard_router=self.shards)
         memberships, trainers = self.lifecycle.enrollment(profile.device_id)
         device = DeviceActor(
             profile=profile,
             conditions=self._conditions[index],
             memberships=memberships,
             trainers=trainers,
-            **own,
+            # The plane draws for the row: no generator of the device's
+            # own before its first session.
+            rng=partial(self.rngs.stream, f"device/{profile.device_id}"),
+            **self.idle_plane.row_handles(index),
             **self._device_settings,
         )
         if self.started:
@@ -339,8 +315,7 @@ class FLFleet:
         for index, device in enumerate(self.devices.rows()):
             if device is not None:
                 self._spawn_device(index, device)
-        if self.idle_plane is not None:
-            self.idle_plane.start()
+        self.idle_plane.start()
         self.started = True
 
     # -- population lifecycle ----------------------------------------------------
@@ -451,16 +426,10 @@ class FLFleet:
         now = self.loop.now
         hosted = self.lifecycle.active
         participating: dict[str, int] = {name: 0 for name in hosted}
-        if self.idle_plane is not None:
-            # Census from the plane's tallies: only materialized devices
-            # are consulted individually (O(active), not O(fleet)).
-            sampled = self.idle_plane.active_devices()
-            counts = self.idle_plane.state_counts(sampled)
-        else:
-            counts = {state: 0 for state in DeviceState}
-            sampled = self.devices.rows()  # all constructed at build
-            for device in sampled:
-                counts[device.state] += 1
+        # Census from the plane's tallies: only materialized devices are
+        # consulted individually (O(active), not O(fleet)).
+        sampled = self.idle_plane.active_devices()
+        counts = self.idle_plane.state_counts(sampled)
         for device in sampled:
             if (
                 device.state is DeviceState.PARTICIPATING

@@ -41,6 +41,7 @@ fleet continues *byte-identically* to one that never stopped.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -407,10 +408,9 @@ class PopulationLifecycle:
         constructed, rows = self._members(runtime)
         for device in constructed:
             device.enroll(name, runtime.trainers[device.device_id])
-            if device.idle is not None:
-                device.idle.membership_changed()
-                if live:
-                    device.idle.kick_first_checkin()
+            device.idle.membership_changed()
+            if live:
+                device.idle.kick_first_checkin()
         if rows.size:
             plane = fleet.idle_plane
             plane.scheduler.enroll(rows, name)
@@ -435,8 +435,10 @@ class PopulationLifecycle:
             raise FleetValidationError(
                 f"population {name!r} is not attached (cannot drain)"
             )
-        if deadline_s < 0:
-            raise ValueError("deadline_s must be >= 0")
+        if not (math.isfinite(deadline_s) and deadline_s >= 0):
+            raise ValueError(
+                f"deadline_s must be finite and >= 0, got {deadline_s}"
+            )
         fleet = self.fleet
         drain_started_at_s = fleet.loop.now
         runtime.state = PopulationState.DRAINING
@@ -454,8 +456,7 @@ class PopulationLifecycle:
         constructed, rows = self._members(runtime)
         for device in constructed:
             device.leave_population(name)
-            if device.idle is not None:
-                device.idle.membership_changed()
+            device.idle.membership_changed()
         if rows.size:
             fleet.idle_plane.scheduler.leave(rows, name)
             fleet.idle_plane.memberships_changed(rows)
@@ -570,8 +571,7 @@ class PopulationLifecycle:
         # (A row without an object left for good in the drain's first phase.)
         for device in self._members(runtime)[0]:
             device.withdraw(name)
-            if device.idle is not None:
-                device.idle.membership_changed()
+            device.idle.membership_changed()
         runtime.trainers = {}
         fleet.retire_cohort_plane(name)
         runtime.state = PopulationState.DRAINED
@@ -586,8 +586,10 @@ class PopulationLifecycle:
 #: (2: the devices are a lazily filled table; the manifest counts them.
 #: 3: the event log is typed columns, materialized metrics are finished
 #: numbers, example stores hold blocks.  4: a cohort-plane update rides
-#: its report as an unexecuted handle; ``DeviceActor`` lost a slot).
-SNAPSHOT_FORMAT_VERSION = 4
+#: its report as an unexecuted handle; ``DeviceActor`` lost a slot.
+#: 5: ``DeviceActor`` lost three more — the plane owns the eligibility
+#: law and the Selector pool — and ``FleetConfig`` its ``idle_plane``).
+SNAPSHOT_FORMAT_VERSION = 5
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -1,15 +1,14 @@
 """no-fleet-walk: nothing in the simulator walks ``fleet.devices``.
 
-Under the vectorized idle plane a device is only a row of the plane's
+A device is only a row of the idle plane's
 columns until something asks for its object (``repro.device.table``): a
 50k-device fleet of which 5k ever train holds 5k ``DeviceActor``s.
 Iterating the device table constructs every one of them — one such loop
 re-inflates the fleet to a Python object per row, silently, and the run
 still reports the same bytes.  Code that needs every device's *numbers*
 reads the plane's columns and ``devices.rows()`` (which looks without
-constructing); a deliberate walk — the per-device timer baseline filling
-its table at build — carries ``# repro-lint: allow(no-fleet-walk)`` and
-says why.
+constructing); a deliberate walk carries
+``# repro-lint: allow(no-fleet-walk)`` and says why (none in ``src/`` does).
 """
 
 from __future__ import annotations

@@ -7,20 +7,13 @@ previously committed round."
 
 import numpy as np
 
-from repro import FLSystem, FLSystemConfig, TaskConfig, RoundConfig
+from repro import FLFleet, TaskConfig, RoundConfig
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
 
-def build_system(seed=7):
-    config = FLSystemConfig(
-        seed=seed,
-        population=PopulationConfig(num_devices=250),
-        num_selectors=3,
-        job=JobSchedule(1200.0, 0.5),
-    )
-    system = FLSystem(config)
+def build_fleet(seed=7):
     task = TaskConfig(
         task_id="ftest/train",
         population_name="ftest",
@@ -29,88 +22,95 @@ def build_system(seed=7):
         ),
     )
     model = LogisticRegression(input_dim=4, n_classes=2)
-    system.deploy([task], model.init(np.random.default_rng(0)))
-    return system
+    return (
+        FLFleet.builder()
+        .seed(seed)
+        .devices(PopulationConfig(num_devices=250))
+        .selectors(3)
+        .job(JobSchedule(1200.0, 0.5))
+        .population("ftest", tasks=[task], model=model.init(np.random.default_rng(0)))
+        .build()
+    )
 
 
-def run_until_active_round(system, max_s=7200.0):
+def run_until_active_round(fleet, max_s=7200.0):
     """Advance until a master aggregator is live; returns its ref."""
-    start = system.loop.now
-    while system.loop.now - start < max_s:
-        system.loop.run_for(5.0)
-        coordinator = system.actors.actor_of(system.coordinator_ref)
+    start = fleet.loop.now
+    while fleet.loop.now - start < max_s:
+        fleet.loop.run_for(5.0)
+        coordinator = fleet.actors.actor_of(fleet.coordinators["ftest"])
         if coordinator is not None and coordinator.active_master is not None:
             return coordinator.active_master
     raise AssertionError("no round ever started")
 
 
 def test_master_aggregator_crash_fails_round_but_system_recovers():
-    system = build_system()
-    master_ref = run_until_active_round(system)
-    committed_before = len(system.committed_rounds)
-    system.actors.crash(master_ref)
-    system.run_for(2 * 3600)
+    fleet = build_fleet()
+    master_ref = run_until_active_round(fleet)
+    committed_before = len(fleet.committed_rounds)
+    fleet.actors.crash(master_ref)
+    fleet.run_for(2 * 3600)
     # The crashed round never committed, but later rounds did.
-    assert len(system.committed_rounds) > committed_before
+    assert len(fleet.committed_rounds) > committed_before
     assert not master_ref.alive
 
 
 def test_aggregator_crash_loses_only_its_devices():
-    system = build_system()
-    master_ref = run_until_active_round(system)
-    master = system.actors.actor_of(master_ref)
+    fleet = build_fleet()
+    master_ref = run_until_active_round(fleet)
+    master = fleet.actors.actor_of(master_ref)
     # Crash one leaf aggregator; the master and round may still finish.
     agg_ref = master.aggregators[0]
-    system.actors.crash(agg_ref)
-    system.run_for(2 * 3600)
-    assert len(system.committed_rounds) >= 1
+    fleet.actors.crash(agg_ref)
+    fleet.run_for(2 * 3600)
+    assert len(fleet.committed_rounds) >= 1
     assert not agg_ref.alive
 
 
 def test_selector_crash_only_loses_its_connections():
-    system = build_system()
-    system.run_for(1800)
-    victim = system.selectors[0]
-    system.actors.crash(victim)
-    committed_before = len(system.committed_rounds)
-    system.run_for(2 * 3600)
-    assert len(system.committed_rounds) > committed_before
+    fleet = build_fleet()
+    fleet.run_for(1800)
+    victim = fleet.selectors[0]
+    fleet.actors.crash(victim)
+    committed_before = len(fleet.committed_rounds)
+    fleet.run_for(2 * 3600)
+    assert len(fleet.committed_rounds) > committed_before
 
 
 def test_coordinator_crash_respawned_exactly_once():
-    system = build_system()
-    system.run_for(1800)
-    old_ref = system.coordinator_ref
-    system.actors.crash(old_ref)
-    system.run_for(3600)
+    fleet = build_fleet()
+    fleet.run_for(1800)
+    old_ref = fleet.coordinators["ftest"]
+    fleet.actors.crash(old_ref)
+    fleet.run_for(3600)
     # A new coordinator owns the population lock.
-    owner = system.locks.owner_of("ftest" and "coordinator/ftest")
+    owner = fleet.locks.owner_of("ftest" and "coordinator/ftest")
     assert owner is not None
     assert owner != old_ref
     assert owner.alive
     # Exactly one respawn occurred for this death (one respawn lock).
     respawn_keys = [
         k
-        for k in system.locks._locks
+        for k in fleet.locks._locks
         if k.startswith("respawn/ftest/")
     ]
     assert len(respawn_keys) == 1
 
 
 def test_system_makes_progress_after_coordinator_crash():
-    system = build_system()
-    system.run_for(1800)
-    before = len(system.committed_rounds)
-    system.actors.crash(system.coordinator_ref)
-    system.run_for(3 * 3600)
-    assert len(system.committed_rounds) > before
+    fleet = build_fleet()
+    fleet.run_for(1800)
+    before = len(fleet.committed_rounds)
+    fleet.actors.crash(fleet.coordinators["ftest"])
+    fleet.run_for(3 * 3600)
+    assert len(fleet.committed_rounds) > before
 
 
 def test_round_counter_monotonic_across_coordinator_respawn():
-    system = build_system()
-    system.run_for(1800)
-    system.actors.crash(system.coordinator_ref)
-    system.run_for(2 * 3600)
-    rounds = [c.round_number for c in system.store.history("ftest")]
+    fleet = build_fleet()
+    fleet.run_for(1800)
+    fleet.actors.crash(fleet.coordinators["ftest"])
+    fleet.run_for(2 * 3600)
+    rounds = [c.round_number for c in fleet.store.history("ftest")]
     assert rounds == sorted(rounds)
     assert len(set(rounds)) == len(rounds)

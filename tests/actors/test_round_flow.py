@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import FLSystem, FLSystemConfig, TaskConfig, RoundConfig
+from repro import FLFleet, PopulationSpec, TaskConfig, RoundConfig
 from repro.actors.coordinator import CoordinatorConfig
 from repro.analytics.session_shapes import classify_shape
 from repro.device.scheduler import JobSchedule
@@ -11,19 +11,9 @@ from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
 
-def build_system(
+def build_fleet(
     seed=3, devices=250, target=15, job_interval=1200.0, **coordinator_kwargs
 ):
-    config = FLSystemConfig(
-        seed=seed,
-        population=PopulationConfig(num_devices=devices),
-        num_selectors=2,
-        job=JobSchedule(job_interval, 0.5),
-        coordinator=CoordinatorConfig(**coordinator_kwargs)
-        if coordinator_kwargs
-        else CoordinatorConfig(),
-    )
-    system = FLSystem(config)
     task = TaskConfig(
         task_id="itest/train",
         population_name="itest",
@@ -35,32 +25,41 @@ def build_system(
     )
     model = LogisticRegression(input_dim=6, n_classes=3)
     params = model.init(np.random.default_rng(0))
-    system.deploy([task], params)
-    return system, params
+    fleet = (
+        FLFleet.builder()
+        .seed(seed)
+        .devices(PopulationConfig(num_devices=devices))
+        .selectors(2)
+        .job(JobSchedule(job_interval, 0.5))
+        .coordinator(CoordinatorConfig(**coordinator_kwargs))
+        .population("itest", tasks=[task], model=params)
+        .build()
+    )
+    return fleet, params
 
 
 def test_rounds_commit_and_model_advances():
-    system, initial = build_system()
-    system.run_for(2 * 3600)
-    committed = system.committed_rounds
+    fleet, initial = build_fleet()
+    fleet.run_for(2 * 3600)
+    committed = fleet.committed_rounds
     assert len(committed) >= 5
-    assert not system.global_model().allclose(initial)
+    assert not fleet.global_model().allclose(initial)
     # Exactly one persistent write per committed round, plus the init.
-    assert system.store.write_count == len(committed) + 1
+    assert fleet.store.write_count == len(committed) + 1
 
 
 def test_completed_counts_hit_target():
-    system, _ = build_system(target=10)
-    system.run_for(2 * 3600)
-    for result in system.committed_rounds:
+    fleet, _ = build_fleet(target=10)
+    fleet.run_for(2 * 3600)
+    for result in fleet.committed_rounds:
         assert result.completed_count >= 10 * 0.8
         assert result.selected_count <= int(np.ceil(10 * 1.3))
 
 
 def test_session_shapes_match_table_one_structure():
-    system, _ = build_system()
-    system.run_for(3 * 3600)
-    shapes = system.session_shapes()
+    fleet, _ = build_fleet()
+    fleet.run_for(3 * 3600)
+    shapes = fleet.session_shapes()
     total = sum(shapes.values())
     assert total > 50
     success = shapes.get("-v[]+^", 0) / total
@@ -72,9 +71,9 @@ def test_session_shapes_match_table_one_structure():
 
 
 def test_every_shape_classifiable():
-    system, _ = build_system()
-    system.run_for(3600)
-    for shape in system.session_shapes():
+    fleet, _ = build_fleet()
+    fleet.run_for(3600)
+    for shape in fleet.session_shapes():
         assert classify_shape(shape) in {
             "success",
             "upload_rejected",
@@ -88,16 +87,16 @@ def test_every_shape_classifiable():
 
 def test_download_traffic_dominates_upload():
     """Fig. 9: plan+model down vs compressed update up."""
-    system, _ = build_system()
-    system.run_for(2 * 3600)
-    meter = system.config.network.meter
+    fleet, _ = build_fleet()
+    fleet.run_for(2 * 3600)
+    meter = fleet.config.network.meter
     assert meter.downloaded_bytes > meter.uploaded_bytes
 
 
 def test_drop_rate_in_plausible_band():
-    system, _ = build_system()
-    system.run_for(3 * 3600)
-    summary = system.operational_summary()
+    fleet, _ = build_fleet()
+    fleet.run_for(3 * 3600)
+    summary = fleet.report().to_operational_dict()
     assert 0.0 <= summary["mean_drop_rate"] < 0.3
 
 
@@ -106,8 +105,8 @@ def test_non_pipelined_round_rate_is_lower():
     round frequency.  Needs abundant device supply so the pool refills
     faster than rounds complete."""
     kwargs = dict(seed=11, devices=500, target=10, job_interval=400.0)
-    pipelined, _ = build_system(pipelining=True, **kwargs)
-    gapped, _ = build_system(
+    pipelined, _ = build_fleet(pipelining=True, **kwargs)
+    gapped, _ = build_fleet(
         pipelining=False, inter_round_gap_s=300.0, **kwargs
     )
     pipelined.run_for(2 * 3600)
@@ -116,18 +115,20 @@ def test_non_pipelined_round_rate_is_lower():
 
 
 def test_deploy_twice_rejected():
-    system, params = build_system()
+    fleet, params = build_fleet()
+    again = PopulationSpec(
+        name="x", tasks=[TaskConfig(task_id="x", population_name="x")],
+        initial_params=params,
+    )
     with pytest.raises(RuntimeError, match="already deployed"):
-        system.deploy(
-            [TaskConfig(task_id="x", population_name="itest")], params
-        )
+        fleet._install([again])
 
 
 def test_fleet_sampler_records_device_states():
-    system, _ = build_system()
-    system.run_for(3600)
-    participating = system.dashboard.series("devices/participating")
-    waiting = system.dashboard.series("devices/waiting")
+    fleet, _ = build_fleet()
+    fleet.run_for(3600)
+    participating = fleet.dashboard.series("devices/participating")
+    waiting = fleet.dashboard.series("devices/waiting")
     assert len(participating) > 10
     assert max(waiting.values) > 0
 
@@ -139,18 +140,18 @@ def test_fleet_sampler_records_device_states():
 # one per grid instant in the states that genuinely poll.
 
 
-def coordinator_of(system):
+def coordinator_of(fleet):
     """The population's current owner — the lock service knows a Sec. 4.4
-    replacement, ``coordinator_ref`` only the builder's original."""
-    return system.actors.actor_of(system.locks.owner_of("coordinator/itest"))
+    replacement, ``fleet.coordinators`` only the builder's original."""
+    return fleet.actors.actor_of(fleet.locks.owner_of("coordinator/itest"))
 
 
-def pending_ticks(system, coordinator):
+def pending_ticks(fleet, coordinator):
     """The live heap events the Coordinator owns (it schedules nothing
     but its tick; messages to it are the kernel's ``_deliver`` events)."""
     return [
         event
-        for _, _, event in system.loop._heap
+        for _, _, event in fleet.loop._heap
         if not event.cancelled and event.fn == coordinator._run_if_alive
     ]
 
@@ -159,28 +160,28 @@ def on_grid(t, origin, tick):
     return t == origin + round((t - origin) / tick) * tick
 
 
-def gapped_system(tick=1.0, gap=300.0, **kwargs):
+def gapped_fleet(tick=1.0, gap=300.0, **kwargs):
     kwargs = dict(seed=11, devices=500, target=10, job_interval=400.0) | kwargs
-    return build_system(
+    return build_fleet(
         pipelining=False, inter_round_gap_s=gap, tick_interval_s=tick, **kwargs
     )
 
 
 def test_no_tick_while_round_active_and_one_for_the_whole_gap():
     gap, tick = 300.0, 1.0
-    system, _ = gapped_system(tick=tick, gap=gap)
-    coordinator = coordinator_of(system)
+    fleet, _ = gapped_fleet(tick=tick, gap=gap)
+    coordinator = coordinator_of(fleet)
     origin = coordinator._tick_origin_s
     in_round = in_gap = 0
-    while system.loop.now < 2 * 3600:
-        system.run_for(7.0)
-        ticks = pending_ticks(system, coordinator)
+    while fleet.loop.now < 2 * 3600:
+        fleet.run_for(7.0)
+        ticks = pending_ticks(fleet, coordinator)
         if coordinator.active_master is not None:
             assert ticks == []
             in_round += 1
             continue
         ended = coordinator.last_round_ended_at_s
-        if ended is None or system.loop.now >= ended + gap:
+        if ended is None or fleet.loop.now >= ended + gap:
             continue  # waiting for devices: the polling state, tested below
         (event,) = ticks
         # the first grid instant >= end + gap
@@ -188,34 +189,34 @@ def test_no_tick_while_round_active_and_one_for_the_whole_gap():
         assert on_grid(event.time, origin, tick)
         in_gap += 1
     assert in_round > 10 and in_gap > 100
-    assert len(system.committed_rounds) >= 10
+    assert len(fleet.committed_rounds) >= 10
 
 
 @pytest.mark.parametrize("tick", [1.0, 10.0, 0.25])
 def test_rounds_start_on_the_tick_grid_across_crashes(tick):
-    system, _ = gapped_system(tick=tick, gap=120.0)
-    origins = [coordinator_of(system)._tick_origin_s]
+    fleet, _ = gapped_fleet(tick=tick, gap=120.0)
+    origins = [coordinator_of(fleet)._tick_origin_s]
     assert origins == [0.0]
-    system.run_for(1800.0)
+    fleet.run_for(1800.0)
 
     # Sec. 4.4, master: the round dies, the next starts on the same grid.
-    while coordinator_of(system).active_master is None:
-        system.run_for(5.0)
-    system.actors.crash(coordinator_of(system).active_master)
-    system.run_for(1800.0)
-    before_respawn = len(system.round_results)
+    while coordinator_of(fleet).active_master is None:
+        fleet.run_for(5.0)
+    fleet.actors.crash(coordinator_of(fleet).active_master)
+    fleet.run_for(1800.0)
+    before_respawn = len(fleet.round_results)
 
     # Sec. 4.4, coordinator: a Selector wins the lock race and respawns
     # it; the replacement's grid starts at its own start-up instant.
-    crashed_at = system.loop.now
-    system.actors.crash(system.coordinator_ref)
-    system.run_for(3600.0)
-    respawned = coordinator_of(system)
+    crashed_at = fleet.loop.now
+    fleet.actors.crash(fleet.coordinators["itest"])
+    fleet.run_for(3600.0)
+    respawned = coordinator_of(fleet)
     assert respawned is not None
     assert respawned._tick_origin_s > crashed_at
     origins.append(respawned._tick_origin_s)
 
-    results = system.round_results
+    results = fleet.round_results
     assert before_respawn >= 5 and len(results) >= before_respawn + 5
     after = [r for r in results if r.started_at_s > crashed_at]
     assert len(after) >= 5
@@ -226,34 +227,34 @@ def test_rounds_start_on_the_tick_grid_across_crashes(tick):
 
 
 def test_draining_or_exhausted_coordinator_holds_no_tick():
-    system, _ = gapped_system(gap=60.0, max_rounds=3)
-    coordinator = coordinator_of(system)
-    system.run_for(2 * 3600)
+    fleet, _ = gapped_fleet(gap=60.0, max_rounds=3)
+    coordinator = coordinator_of(fleet)
+    fleet.run_for(2 * 3600)
     assert coordinator.rounds_finished == 3
-    assert pending_ticks(system, coordinator) == []
-    assert len(system.round_results) == 3
+    assert pending_ticks(fleet, coordinator) == []
+    assert len(fleet.round_results) == 3
 
-    system, _ = gapped_system(gap=600.0)
-    coordinator = coordinator_of(system)
+    fleet, _ = gapped_fleet(gap=600.0)
+    coordinator = coordinator_of(fleet)
     while coordinator.last_round_ended_at_s is None:
-        system.run_for(30.0)
+        fleet.run_for(30.0)
     # Mid-gap, the way the lifecycle plane's drain flips it: the tick
     # already on the heap fires once, finds the gate shut, arms nothing.
     coordinator.draining = True
-    assert len(pending_ticks(system, coordinator)) == 1
-    system.run_for(700.0)
-    assert pending_ticks(system, coordinator) == []
+    assert len(pending_ticks(fleet, coordinator)) == 1
+    fleet.run_for(700.0)
+    assert pending_ticks(fleet, coordinator) == []
     finished = coordinator.rounds_finished
-    system.run_for(3600.0)
+    fleet.run_for(3600.0)
     assert coordinator.rounds_finished == finished
-    assert pending_ticks(system, coordinator) == []
+    assert pending_ticks(fleet, coordinator) == []
 
 
 def test_below_threshold_polls_each_tick_and_starts_on_first_sufficient_instant():
     tick = 10.0
-    system, _ = gapped_system(tick=tick, gap=0.0, devices=250, target=15,
+    fleet, _ = gapped_fleet(tick=tick, gap=0.0, devices=250, target=15,
                               job_interval=1200.0, seed=3)
-    coordinator = coordinator_of(system)
+    coordinator = coordinator_of(fleet)
     origin = coordinator._tick_origin_s
     fired = []
     original = coordinator._maybe_start_round
@@ -261,10 +262,10 @@ def test_below_threshold_polls_each_tick_and_starts_on_first_sufficient_instant(
     def spy():
         pool = coordinator._connected_total()
         original()
-        fired.append((system.loop.now, pool, coordinator.active_master is not None))
+        fired.append((fleet.loop.now, pool, coordinator.active_master is not None))
 
     coordinator._maybe_start_round = spy
-    system.run_for(2 * 3600)
+    fleet.run_for(2 * 3600)
     threshold = coordinator._start_threshold()
     starved = [(t, pool) for t, pool, started in fired if not started]
     assert len(starved) > 20  # this fleet is supply-starved between rounds
@@ -275,7 +276,7 @@ def test_below_threshold_polls_each_tick_and_starts_on_first_sufficient_instant(
         # ... and a starved tick is followed by the very next grid instant
         if not started:
             assert t_next == origin + (round((t - origin) / tick) + 1) * tick
-    assert len(system.committed_rounds) >= 5
+    assert len(fleet.committed_rounds) >= 5
 
 
 def test_tick_grid_is_closed_form_exact_on_awkward_grids():

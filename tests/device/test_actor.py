@@ -1,4 +1,9 @@
-"""DeviceActor unit tests: the participation pipeline against stub actors."""
+"""DeviceActor unit tests: the participation pipeline against stub actors.
+
+The device under test is a hand-built ``DeviceActor`` whose idle half is
+a one-row ``VectorizedIdlePlane`` (``plane.adopt(device)``): eligibility
+is scripted through the plane's law and the row's ``next_flip_t`` column.
+"""
 
 import numpy as np
 import pytest
@@ -16,8 +21,9 @@ from repro.device.attestation import AttestationService
 from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
-from repro.sim.diurnal import AvailabilityProcess, DiurnalModel
+from repro.sim.diurnal import DiurnalModel
 from repro.sim.event_loop import EventLoop
+from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.network import NetworkModel
 from repro.sim.population import DeviceProfile
 from repro.sim.rng import RngRegistry
@@ -43,23 +49,16 @@ class StubServer(Actor):
             self.disconnects.append(message)
 
 
-class AlwaysEligible(AvailabilityProcess):
-    """Deterministic availability: eligible forever (or never)."""
-
-    def __init__(self, eligible=True, until=None):
-        self._eligible = eligible
-        self._until = until
-
-    def is_initially_eligible(self, wall_time_s):
-        return self._eligible
-
-    def time_until_ineligible(self, wall_time_s):
-        if self._until is not None:
-            return max(self._until - wall_time_s, 0.001)
-        return 1e9
-
-    def time_until_eligible(self, wall_time_s):
-        return 1e9
+#: Scripted eligibility laws (the plane resamples every flip from its
+#: fleet-wide diurnal model, so a test scripts the *law*): a device that
+#: starts eligible and, left alone, stays so to any horizon a test runs;
+#: and one that (to the draw's resolution) starts ineligible and stays so.
+ALWAYS_ELIGIBLE = DiurnalModel(
+    amplitude=0.0, base_eligible_fraction=1.0, mean_eligible_minutes=1e9
+)
+NEVER_ELIGIBLE = DiurnalModel(
+    amplitude=0.0, base_eligible_fraction=1e-12, mean_eligible_minutes=1e9
+)
 
 
 @pytest.fixture
@@ -72,19 +71,17 @@ def harness():
     return loop, system, server, server_ref, rngs
 
 
-def make_device(system, server_ref, availability, rngs, event_log=None, **kwargs):
+def build_device(rngs, event_log=None, **kwargs):
     profile = DeviceProfile(
         device_id=1, tz_offset_hours=0.0, speed_factor=1.0, memory_mb=4096,
         os_version=28, runtime_version=10, genuine=True,
     )
     network = NetworkModel(transfer_failure_prob=0.0)
     rng = rngs.stream("dev")
-    device = DeviceActor(
+    return DeviceActor(
         profile=profile,
-        availability=availability,
         network=network,
         conditions=network.sample_conditions(rng),
-        selectors=[server_ref],
         population_name="pop",
         trainer=SyntheticTrainer(num_parameters=10),
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
@@ -95,7 +92,25 @@ def make_device(system, server_ref, availability, rngs, event_log=None, **kwargs
         compute_error_prob=0.0,
         **kwargs,
     )
+
+
+def make_device(
+    system, server_ref, rngs, law=ALWAYS_ELIGIBLE, eligible_until=None, **kwargs
+):
+    """One device on a one-row plane under ``law``; ``eligible_until``
+    books the row's loss of eligibility at that instant."""
+    device = build_device(rngs, **kwargs)
+    plane = VectorizedIdlePlane(
+        system.loop, rngs.row_draws("rows"), law,
+        selectors=[server_ref], actor_of=system.actor_of,
+        attestation=device.attestation,
+    )
+    plane.adopt(device)
     ref = system.spawn(device, "device-1")
+    system.loop.run(until=system.loop.now)  # the plane starts the row
+    if eligible_until is not None:
+        plane.next_flip_t[0] = eligible_until
+        plane._touch(0)
     return device, ref
 
 
@@ -117,7 +132,7 @@ def make_configure(round_id, agg_ref):
 
 def test_eligible_device_checks_in(harness):
     loop, system, server, server_ref, rngs = harness
-    device, _ = make_device(system, server_ref, AlwaysEligible(), rngs)
+    device, _ = make_device(system, server_ref, rngs)
     loop.run(until=700.0)
     assert len(server.checkins) == 1
     assert device.state is DeviceState.WAITING
@@ -128,9 +143,7 @@ def test_eligible_device_checks_in(harness):
 
 def test_ineligible_device_sleeps(harness):
     loop, system, server, server_ref, rngs = harness
-    device, _ = make_device(
-        system, server_ref, AlwaysEligible(eligible=False), rngs
-    )
+    device, _ = make_device(system, server_ref, rngs, law=NEVER_ELIGIBLE)
     loop.run(until=5000.0)
     assert server.checkins == []
     assert device.state is DeviceState.SLEEPING
@@ -146,7 +159,7 @@ def test_full_participation_pipeline(harness):
     loop, system, server, server_ref, rngs = harness
     log = EventLog()
     device, device_ref = make_device(
-        system, server_ref, AlwaysEligible(), rngs, event_log=log
+        system, server_ref, rngs, event_log=log
     )
     loop.run(until=700.0)
     # Server configures the device for round 5.
@@ -168,7 +181,7 @@ def test_rejected_report_logs_hash_shape(harness):
     loop, system, server, server_ref, rngs = harness
     log = EventLog()
     device, device_ref = make_device(
-        system, server_ref, AlwaysEligible(), rngs, event_log=log
+        system, server_ref, rngs, event_log=log
     )
     loop.run(until=700.0)
     system.tell(device_ref, make_configure(3, server_ref))
@@ -183,7 +196,7 @@ def test_ack_timeout_treated_as_rejection(harness):
     loop, system, server, server_ref, rngs = harness
     log = EventLog()
     device, device_ref = make_device(
-        system, server_ref, AlwaysEligible(), rngs, event_log=log,
+        system, server_ref, rngs, event_log=log,
         ack_timeout_s=30.0,
     )
     loop.run(until=700.0)
@@ -199,7 +212,7 @@ def test_interruption_mid_training(harness):
     log = EventLog()
     # Eligibility vanishes shortly after training starts.
     device, device_ref = make_device(
-        system, server_ref, AlwaysEligible(until=710.0), rngs, event_log=log
+        system, server_ref, rngs, eligible_until=710.0, event_log=log
     )
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
@@ -216,7 +229,7 @@ def test_interruption_mid_training(harness):
 
 def test_checkin_rejection_respects_pace_window(harness):
     loop, system, server, server_ref, rngs = harness
-    device, device_ref = make_device(system, server_ref, AlwaysEligible(), rngs)
+    device, device_ref = make_device(system, server_ref, rngs)
     loop.run(until=700.0)
     first_checkins = len(server.checkins)
     window = ReconnectWindow(loop.now + 500.0, loop.now + 510.0)
@@ -229,9 +242,7 @@ def test_checkin_rejection_respects_pace_window(harness):
 
 def test_waiting_device_disconnects_when_ineligible(harness):
     loop, system, server, server_ref, rngs = harness
-    device, _ = make_device(
-        system, server_ref, AlwaysEligible(until=800.0), rngs
-    )
+    device, _ = make_device(system, server_ref, rngs, eligible_until=800.0)
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
     loop.run(until=900.0)
@@ -243,7 +254,7 @@ def test_download_failure_logs_error(harness):
     loop, system, server, server_ref, rngs = harness
     log = EventLog()
     device, device_ref = make_device(
-        system, server_ref, AlwaysEligible(), rngs, event_log=log
+        system, server_ref, rngs, event_log=log
     )
     device.network = NetworkModel(transfer_failure_prob=1.0)
     loop.run(until=700.0)
@@ -251,3 +262,9 @@ def test_download_failure_logs_error(harness):
     loop.run(until=1500.0)
     assert session_shape(log.session(1, 6)) == "-*"
     assert server.drops and server.drops[0].reason == "network_download"
+
+
+def test_device_spawned_without_a_plane_row_says_so(harness):
+    loop, system, server, server_ref, rngs = harness
+    with pytest.raises(RuntimeError, match="VectorizedIdlePlane.adopt"):
+        system.spawn(build_device(rngs), "device-1")

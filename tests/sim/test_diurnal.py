@@ -29,6 +29,29 @@ def test_peak_is_at_peak_hour():
     assert best == pytest.approx(2.0, abs=0.25)
 
 
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"base_eligible_fraction": -0.1},   # negative hazards: delays < 0
+        {"base_eligible_fraction": 0.0},    # rate_on == 0: nobody ever wakes
+        {"base_eligible_fraction": 1.5},
+        {"mean_eligible_minutes": -5.0},    # negative hazards
+        {"mean_eligible_minutes": 0.0},
+        {"amplitude": float("nan")},        # no row ever flips or checks in
+        {"amplitude": 1.0},                 # rate_off touches 0 at the peak
+        {"amplitude": -0.2},
+        {"peak_hour": float("inf")},
+    ],
+)
+def test_law_without_finite_positive_hazards_fails_at_construction(law):
+    with pytest.raises(ValueError, match=next(iter(law))):
+        DiurnalModel(**law)
+
+
+def test_degenerate_but_lawful_models_construct():
+    DiurnalModel(amplitude=0.0, base_eligible_fraction=1.0, mean_eligible_minutes=1e9)
+
+
 def test_rate_off_is_higher_during_the_day():
     """Fig. 7: drop-out is higher in daytime (users pick up their phones)."""
     model = DiurnalModel(peak_hour=2.0)

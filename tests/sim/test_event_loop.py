@@ -77,6 +77,26 @@ def test_run_for_relative_horizon():
     assert loop.now == 105.0
 
 
+def test_nan_horizon_is_refused_not_run_forever():
+    """No event time compares greater than NaN: with a self-re-arming
+    event on the heap (any periodic sampler) the run would never return.
+    ``max_events`` is this test's timeout guard."""
+    loop = EventLoop()
+
+    def sampler():
+        loop.schedule(1.0, sampler)
+
+    loop.schedule(1.0, sampler)
+    with pytest.raises(SimulationError, match="nan"):
+        loop.run(until=float("nan"), max_events=1000)
+    with pytest.raises(SimulationError, match="nan"):
+        loop.run_for(float("nan"), max_events=1000)
+    with pytest.raises(SimulationError, match="-1"):
+        loop.run_for(-1.0, max_events=1000)
+    assert loop.events_processed == 0 and loop.now == 0.0
+    assert loop.run_for(0.0) == 0
+
+
 def test_events_scheduled_during_run_are_processed():
     loop = EventLoop()
     fired = []

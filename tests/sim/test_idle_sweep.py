@@ -89,8 +89,8 @@ def reference_screen(selector, population_name, device, attestation_ok):
 
 
 def reference_pool(plane, population_name):
-    """``DeviceActor._selector_pool`` from what the plane holds (a
-    plane-owned device carries no shard router of its own)."""
+    """The Selectors a tenant's devices may check in to (its owning
+    shard's), from what the plane holds."""
     selectors = plane._selectors
     indices = plane._shard_router.selector_indices_for(population_name)
     if len(indices) == len(selectors):

@@ -116,3 +116,19 @@ def test_batch_sampler_median_scales():
     conditions = fast.sample_conditions_batch(8, np.random.default_rng(1))
     for cond in conditions:
         assert cond.downlink_bytes_per_s == pytest.approx(1e9)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        {"median_uplink_bytes_per_s": -1.0},   # a transfer of negative duration
+        {"median_downlink_bytes_per_s": 0.0},
+        {"median_rtt_s": float("nan")},
+        {"bandwidth_sigma": -0.1},
+        {"rtt_sigma": float("inf")},
+        {"transfer_failure_prob": 1.5},
+    ],
+)
+def test_law_without_finite_positive_transfer_times_fails_at_construction(law):
+    with pytest.raises(ValueError, match=next(iter(law))):
+        NetworkModel(**law)

@@ -5,8 +5,6 @@ import pytest
 
 from repro import (
     FLFleet,
-    FLSystem,
-    FLSystemConfig,
     RoundConfig,
     TaskConfig,
     TaskKind,
@@ -174,27 +172,41 @@ def test_differently_seeded_fleets_differ():
 
 
 def test_run_report_matches_legacy_dicts():
-    """The typed report reproduces the legacy summary dicts exactly."""
-    config = FLSystemConfig(
-        seed=5,
-        population=PopulationConfig(num_devices=150),
-        num_selectors=2,
-        job=JobSchedule(1200.0, 0.5),
-    )
-    system = FLSystem(config)
+    """The typed report still yields the legacy summary dicts — their key
+    sets, and values that agree with the fleet's raw telemetry."""
     task = TaskConfig(
         task_id="pop/t", population_name="pop", round_config=round_config()
     )
     model = LogisticRegression(input_dim=3, n_classes=2)
-    system.deploy([task], model.init(np.random.default_rng(0)))
-    system.run_for(2 * 3600)
+    fleet = (
+        FLFleet.builder()
+        .seed(5)
+        .devices(PopulationConfig(num_devices=150))
+        .selectors(2)
+        .job(JobSchedule(1200.0, 0.5))
+        .population("pop", tasks=[task], model=model.init(np.random.default_rng(0)))
+        .build()
+    )
+    fleet.run_for(2 * 3600)
 
-    report = system.report()
-    legacy = system.operational_summary()
-    assert report.to_operational_dict() == legacy
-    assert report.rounds_total == len(system.round_results)
-    assert report.rounds_committed == len(system.committed_rounds)
-    assert report.health.to_dict() == system.device_health_summary()
+    report = fleet.report()
+    meter = fleet.config.network.meter
+    assert report.to_operational_dict() == {
+        "rounds_total": len(fleet.round_results),
+        "rounds_committed": len(fleet.committed_rounds),
+        "mean_drop_rate": report.mean_drop_rate,
+        "mean_completed_per_round": report.mean_completed_per_round,
+        "mean_round_time_s": report.mean_round_time_s,
+        "download_bytes": meter.downloaded_bytes,
+        "upload_bytes": meter.uploaded_bytes,
+    }
+    assert report.rounds_committed > 0
+    health = fleet.health_report()
+    assert report.health == health
+    assert set(health.to_dict()) == {
+        "train_seconds", "sessions", "errors_by_reason", "sessions_by_os_version",
+    }
+    assert health.to_dict()["sessions"]["count"] == 150
     # The single population's report covers the whole run.
     (pop,) = report.populations
     assert pop.name == "pop"

@@ -110,6 +110,20 @@ def test_nonpositive_or_nonfinite_interval_rejected(knob, value):
         getattr(builder, knob)(value).build()
 
 
+def test_law_broken_after_construction_rejected_at_build():
+    """Both laws validate at construction; the builder validates again,
+    for a field assigned since."""
+    from repro.sim.network import NetworkModel
+
+    network = NetworkModel()
+    network.median_uplink_bytes_per_s = -1.0
+    builder = base_builder().population(
+        "a", tasks=[task("a/t", "a")], model=params()
+    )
+    with pytest.raises(FleetValidationError, match="median_uplink_bytes_per_s"):
+        builder.network(network).build()
+
+
 def test_validation_failures_spawn_nothing():
     builder = (
         FLFleet.builder()
@@ -180,7 +194,7 @@ def test_public_knob_surface_is_pinned():
         "seed", "population", "diurnal", "network", "pace", "coordinator",
         "job", "compute", "num_selectors", "selector_shards",
         "sample_interval_s", "compute_error_prob", "waiting_timeout_s",
-        "idle_plane", "device_scheduler", "faults",
+        "device_scheduler", "faults",
         "selector_restart_delay_s",
     }
     assert {f.name for f in dataclasses.fields(SecAggConfig)} == {
@@ -188,7 +202,7 @@ def test_public_knob_surface_is_pinned():
     }
     assert {n for n in vars(FleetBuilder) if not n.startswith("_")} == {
         "seed", "devices", "selectors", "selector_shards", "diurnal",
-        "network", "job", "compute", "pace", "coordinator", "idle_plane",
+        "network", "job", "compute", "pace", "coordinator",
         "device_scheduler", "sample_interval", "compute_error_prob",
         "waiting_timeout", "faults", "population", "add_spec", "validate",
         "build",

@@ -10,7 +10,7 @@ The correctness bars (ISSUE 5):
 * ``FLFleet.restore(snapshot)`` then ``run_days(d)`` reports exactly what
   the uninterrupted fleet reports over the same horizon;
 * same seed + same attach/drain script => byte-identical ``RunReport``,
-  whatever the idle/training-plane levers say.
+  whatever the training-plane lever says.
 """
 
 import pickle
@@ -94,9 +94,8 @@ def build_fleet(seed=5, devices=150, **levers):
 # -- attach on a live fleet -------------------------------------------------------
 
 
-@pytest.mark.parametrize("idle_plane", ["vectorized", "actor"])
-def test_attach_population_mid_run_commits_rounds(idle_plane):
-    fleet = build_fleet(idle_plane=idle_plane)
+def test_attach_population_mid_run_commits_rounds():
+    fleet = build_fleet()
     fleet.run_for(2 * HOUR)
     before = fleet.report()
     assert before.population_names == ("kbd",)
@@ -181,9 +180,8 @@ def drained_postconditions(fleet, name):
     assert name not in fleet.cohort_planes
 
 
-@pytest.mark.parametrize("idle_plane", ["vectorized", "actor"])
-def test_drain_population_retires_cleanly(idle_plane):
-    fleet = build_fleet(idle_plane=idle_plane)
+def test_drain_population_retires_cleanly():
+    fleet = build_fleet()
     fleet.run_for(HOUR)
     fleet.attach_population(stats_spec())
     fleet.run_for(2 * HOUR)
@@ -246,6 +244,12 @@ def test_drain_validation():
     fleet = build_fleet()
     with pytest.raises(FleetValidationError, match="not attached"):
         fleet.drain_population("nope")
+    # A deadline that is no bound at all voids the forced-termination
+    # guarantee: refused before the tenant leaves ATTACHED.
+    for no_bound in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="deadline_s"):
+            fleet.drain_population("kbd", deadline_s=no_bound)
+    assert fleet.lifecycle.runtime("kbd").state is PopulationState.ATTACHED
     fleet.drain_population("kbd")
     with pytest.raises(FleetValidationError, match="not attached"):
         fleet.drain_population("kbd")
@@ -419,8 +423,8 @@ def test_reattach_same_name_after_drain():
 # -- determinism across attach/drain scripts -------------------------------------
 
 
-def scripted_run(seed, **levers):
-    fleet = build_fleet(seed=seed, **levers)
+def scripted_run(seed):
+    fleet = build_fleet(seed=seed)
     fleet.run_for(2 * HOUR)
     fleet.attach_population(stats_spec())
     fleet.run_for(3 * HOUR)
@@ -429,10 +433,9 @@ def scripted_run(seed, **levers):
     return fleet, drain
 
 
-@pytest.mark.parametrize("idle_plane", ["vectorized", "actor"])
-def test_attach_drain_script_is_deterministic(idle_plane):
-    fleet_a, drain_a = scripted_run(29, idle_plane=idle_plane)
-    fleet_b, drain_b = scripted_run(29, idle_plane=idle_plane)
+def test_attach_drain_script_is_deterministic():
+    fleet_a, drain_a = scripted_run(29)
+    fleet_b, drain_b = scripted_run(29)
     assert drain_a == drain_b
     assert fleet_a.report() == fleet_b.report()
     assert fleet_a.loop.events_processed == fleet_b.loop.events_processed
@@ -733,16 +736,22 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 4
-    header = {
-        "magic": "repro-fleet-snapshot",
-        "manifest": dataclasses.replace(manifest, format_version=3),
-    }
-    old = tmp_path / "format3.snap"
-    old.write_bytes(pickle.dumps(header) + b"a payload no reader may touch")
-    for read in (FLFleet.restore, read_manifest):
-        with pytest.raises(SnapshotError, match="format 3 unsupported"):
-            read(old)
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 5
+    # Format 4's devices still carried their own eligibility process and
+    # shard router, and its config an ``idle_plane`` field.
+    for older in (3, 4):
+        header = {
+            "magic": "repro-fleet-snapshot",
+            "manifest": dataclasses.replace(manifest, format_version=older),
+        }
+        old = tmp_path / f"format{older}.snap"
+        old.write_bytes(pickle.dumps(header) + b"a payload no reader may touch")
+        for read in (FLFleet.restore, read_manifest):
+            with pytest.raises(
+                SnapshotError,
+                match=f"format {older} unsupported .*reads format 5",
+            ):
+                read(old)
 
 
 def _snapshot_parts(path):

@@ -12,8 +12,7 @@ import pytest
 
 from repro import (
     ClientTrainingConfig,
-    FLSystem,
-    FLSystemConfig,
+    FLFleet,
     RoundConfig,
     SecAggConfig,
     TaskConfig,
@@ -68,14 +67,7 @@ def test_synthetic_trainer_eval_plan_zero_delta(rng):
 
 
 @pytest.fixture(scope="module")
-def alternating_system():
-    config = FLSystemConfig(
-        seed=23,
-        population=PopulationConfig(num_devices=250),
-        num_selectors=2,
-        job=JobSchedule(1200.0, 0.5),
-    )
-    system = FLSystem(config)
+def alternating_fleet():
     rc = RoundConfig(
         target_participants=12, selection_timeout_s=60, reporting_timeout_s=150
     )
@@ -87,38 +79,47 @@ def alternating_system():
         kind=TaskKind.EVALUATION, round_config=rc,
     )
     model = LogisticRegression(input_dim=4, n_classes=2)
-    system.deploy(
-        [train, evaluate],
-        model.init(np.random.default_rng(0)),
-        strategy=SchedulingStrategy.ALTERNATE_TRAIN_EVAL,
+    fleet = (
+        FLFleet.builder()
+        .seed(23)
+        .devices(PopulationConfig(num_devices=250))
+        .selectors(2)
+        .job(JobSchedule(1200.0, 0.5))
+        .population(
+            "pop",
+            tasks=[train, evaluate],
+            model=model.init(np.random.default_rng(0)),
+            strategy=SchedulingStrategy.ALTERNATE_TRAIN_EVAL,
+        )
+        .build()
     )
-    system.run_for(3 * 3600)
-    return system
+    fleet.run_for(3 * 3600)
+    return fleet
 
 
-def test_eval_rounds_do_not_advance_the_model(alternating_system):
-    system = alternating_system
+def test_eval_rounds_do_not_advance_the_model(alternating_fleet):
+    fleet = alternating_fleet
     eval_rounds = [
-        r for r in system.round_results
+        r for r in fleet.round_results
         if r.task_id == "pop/eval" and r.committed
     ]
     assert len(eval_rounds) >= 2
     # Every persisted checkpoint must come from the training task.
-    for ckpt in system.store.history("pop"):
+    for ckpt in fleet.store.history("pop"):
         assert ckpt.task_id == "pop/train"
     # Write count: init + one per committed TRAINING round only.
     train_commits = sum(
         1
-        for r in system.round_results
+        for r in fleet.round_results
         if r.task_id == "pop/train" and r.committed
     )
-    assert system.store.write_count == train_commits + 1
+    assert fleet.store.write_count == train_commits + 1
 
 
-def test_metrics_materialized_per_round(alternating_system):
-    system = alternating_system
-    assert set(system.metrics.tasks()) == {"pop/train", "pop/eval"}
-    eval_history = system.metrics.history("pop/eval")
+def test_metrics_materialized_per_round(alternating_fleet):
+    fleet = alternating_fleet
+    assert set(fleet.metrics.tasks()) == {"pop/train", "pop/eval"}
+    eval_history = fleet.metrics.history("pop/eval")
     assert len(eval_history) >= 2
     record = eval_history[0]
     assert record.metadata["kind"] == "evaluation"
@@ -126,6 +127,6 @@ def test_metrics_materialized_per_round(alternating_system):
     summary = record.summaries["eval_loss"].to_dict()
     assert summary["count"] >= 10  # one report per completed device
     # Rows load cleanly into data-science tooling (Sec. 7.4).
-    rows = system.metrics.to_rows("pop/train")
+    rows = fleet.metrics.to_rows("pop/train")
     assert all("loss/mean" in row for row in rows)
     assert all(row["task_name"] == "pop/train" for row in rows)

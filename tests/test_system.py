@@ -1,12 +1,12 @@
-"""FLSystem end-to-end: multi-task scheduling, SecAgg rounds, real training."""
+"""One population end to end: multi-task scheduling, SecAgg rounds, real training."""
 
 import numpy as np
 import pytest
 
 from repro import (
     ClientTrainingConfig,
-    FLSystem,
-    FLSystemConfig,
+    FLFleet,
+    FleetValidationError,
     RoundConfig,
     SecAggConfig,
     TaskConfig,
@@ -20,12 +20,13 @@ from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
 
-def system_config(seed=5, devices=250):
-    return FLSystemConfig(
-        seed=seed,
-        population=PopulationConfig(num_devices=devices),
-        num_selectors=2,
-        job=JobSchedule(1200.0, 0.5),
+def fleet_builder(seed=5, devices=250, **population):
+    return (
+        FLFleet.builder()
+        .seed(seed)
+        .devices(PopulationConfig(num_devices=devices, **population))
+        .selectors(2)
+        .job(JobSchedule(1200.0, 0.5))
     )
 
 
@@ -36,7 +37,6 @@ def round_config(target=12):
 
 
 def test_multi_task_alternates_train_and_eval():
-    system = FLSystem(system_config())
     train = TaskConfig(
         task_id="pop/train", population_name="pop", round_config=round_config()
     )
@@ -47,13 +47,18 @@ def test_multi_task_alternates_train_and_eval():
         round_config=round_config(),
     )
     model = LogisticRegression(input_dim=4, n_classes=2)
-    system.deploy(
-        [train, evaluate],
-        model.init(np.random.default_rng(0)),
-        strategy=SchedulingStrategy.ALTERNATE_TRAIN_EVAL,
+    fleet = (
+        fleet_builder()
+        .population(
+            "pop",
+            tasks=[train, evaluate],
+            model=model.init(np.random.default_rng(0)),
+            strategy=SchedulingStrategy.ALTERNATE_TRAIN_EVAL,
+        )
+        .build()
     )
-    system.run_for(3 * 3600)
-    task_ids = [r.task_id for r in system.round_results]
+    fleet.run_for(3 * 3600)
+    task_ids = [r.task_id for r in fleet.round_results]
     assert "pop/train" in task_ids
     assert "pop/eval" in task_ids
     # Strict alternation at the scheduler level.
@@ -64,7 +69,6 @@ def test_multi_task_alternates_train_and_eval():
 
 def test_secure_aggregation_rounds_commit():
     """SecAgg through the actor stack: rounds commit and the model moves."""
-    system = FLSystem(system_config(seed=9))
     task = TaskConfig(
         task_id="pop/secagg",
         population_name="pop",
@@ -73,20 +77,21 @@ def test_secure_aggregation_rounds_commit():
     )
     model = LogisticRegression(input_dim=3, n_classes=2)
     initial = model.init(np.random.default_rng(1))
-    system.deploy([task], initial)
-    system.run_for(2 * 3600)
-    committed = system.committed_rounds
+    fleet = (
+        fleet_builder(seed=9).population("pop", tasks=[task], model=initial).build()
+    )
+    fleet.run_for(2 * 3600)
+    committed = fleet.committed_rounds
     assert len(committed) >= 3
-    assert not system.global_model().allclose(initial)
+    assert not fleet.global_model().allclose(initial)
 
 
 def test_secagg_quantization_error_is_small():
     """The securely-aggregated model must closely track what plain
     aggregation would produce (quantization error only)."""
-    # Run two systems with identical seeds, one secure, one plain.
+    # Run two fleets with identical seeds, one secure, one plain.
     results = {}
     for secure in (False, True):
-        system = FLSystem(system_config(seed=21))
         task = TaskConfig(
             task_id="pop/t",
             population_name="pop",
@@ -97,10 +102,14 @@ def test_secagg_quantization_error_is_small():
         )
         model = LogisticRegression(input_dim=3, n_classes=2)
         initial = model.init(np.random.default_rng(1))
-        system.deploy([task], initial)
-        system.run_for(1800)
-        if system.committed_rounds:
-            first = system.store.history("pop")[1]
+        fleet = (
+            fleet_builder(seed=21)
+            .population("pop", tasks=[task], model=initial)
+            .build()
+        )
+        fleet.run_for(1800)
+        if fleet.committed_rounds:
+            first = fleet.store.history("pop")[1]
             results[secure] = first.to_params().to_vector()
     if len(results) == 2:
         # Same seed -> same first-round cohort; only quantization differs.
@@ -125,7 +134,6 @@ def test_real_trainer_fleet_learns():
         store.add_batch(x, y, timestamp_s=0.0)
         return RealTrainer(model=model, store=store)
 
-    system = FLSystem(system_config(seed=13, devices=200))
     task = TaskConfig(
         task_id="pop/real",
         population_name="pop",
@@ -135,43 +143,53 @@ def test_real_trainer_fleet_learns():
         ),
     )
     initial = model.init(np.random.default_rng(0))
-    system.deploy([task], initial, trainer_factory=trainer_factory)
-    system.run_for(4 * 3600)
-    assert len(system.committed_rounds) >= 5
+    fleet = (
+        fleet_builder(seed=13, devices=200)
+        .population(
+            "pop", tasks=[task], model=initial, trainer_factory=trainer_factory
+        )
+        .build()
+    )
+    fleet.run_for(4 * 3600)
+    assert len(fleet.committed_rounds) >= 5
     loss_before = model.loss(initial, ref_x, ref_y)
-    loss_after = model.loss(system.global_model(), ref_x, ref_y)
+    loss_after = model.loss(fleet.global_model(), ref_x, ref_y)
     assert loss_after < 0.7 * loss_before
 
 
 def test_compromised_devices_never_participate():
-    config = system_config(seed=17)
-    config.population = PopulationConfig(num_devices=200, compromised_fraction=0.2)
-    system = FLSystem(config)
     task = TaskConfig(
         task_id="pop/t", population_name="pop", round_config=round_config()
     )
     model = LogisticRegression(input_dim=3, n_classes=2)
-    system.deploy([task], model.init(np.random.default_rng(0)))
-    system.run_for(2 * 3600)
-    compromised_ids = {p.device_id for p in system.profiles if not p.genuine}
+    fleet = (
+        fleet_builder(seed=17, devices=200, compromised_fraction=0.2)
+        .population("pop", tasks=[task], model=model.init(np.random.default_rng(0)))
+        .build()
+    )
+    fleet.run_for(2 * 3600)
+    compromised_ids = {p.device_id for p in fleet.profiles if not p.genuine}
     assert compromised_ids  # the scenario is non-trivial
-    for result in system.round_results:
+    for result in fleet.round_results:
         participant_ids = {r.device_id for r in result.participant_records}
         assert participant_ids.isdisjoint(compromised_ids)
-    assert system.attestation.rejected_count > 0
+    assert fleet.attestation.rejected_count > 0
 
 
 def test_device_health_telemetry_aggregates():
     """Sec. 5 health logging: training time, sessions, errors, OS split."""
-    system = FLSystem(system_config(seed=29))
     task = TaskConfig(
         task_id="pop/t", population_name="pop", round_config=round_config()
     )
     model = LogisticRegression(input_dim=3, n_classes=2)
-    system.deploy([task], model.init(np.random.default_rng(0)))
-    system.run_for(2 * 3600)
-    health = system.device_health_summary()
-    assert health["sessions"]["count"] == len(system.devices)
+    fleet = (
+        fleet_builder(seed=29)
+        .population("pop", tasks=[task], model=model.init(np.random.default_rng(0)))
+        .build()
+    )
+    fleet.run_for(2 * 3600)
+    health = fleet.health_report().to_dict()
+    assert health["sessions"]["count"] == len(fleet.devices)
     assert health["train_seconds"]["max"] > 0
     assert sum(health["sessions_by_os_version"].values()) > 0
     # Error reasons, when present, come from the known taxonomy.
@@ -183,17 +201,18 @@ def test_device_health_telemetry_aggregates():
 
 
 def test_run_before_deploy_rejected():
-    system = FLSystem(system_config())
-    with pytest.raises(RuntimeError, match="deploy"):
-        system.run_for(10.0)
+    """A fleet exists to run only once its builder has installed it."""
+    with pytest.raises(RuntimeError, match="build the fleet"):
+        FLFleet().run_for(10.0)
 
 
 def test_mixed_population_tasks_rejected():
-    system = FLSystem(system_config())
     model = LogisticRegression(input_dim=2, n_classes=2)
     tasks = [
         TaskConfig(task_id="a", population_name="p1"),
         TaskConfig(task_id="b", population_name="p2"),
     ]
-    with pytest.raises(ValueError, match="same population"):
-        system.deploy(tasks, model.init(np.random.default_rng(0)))
+    with pytest.raises(FleetValidationError, match="targets population 'p2'"):
+        fleet_builder().population(
+            "p1", tasks=tasks, model=model.init(np.random.default_rng(0))
+        )
