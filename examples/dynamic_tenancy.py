@@ -107,7 +107,12 @@ def main() -> None:
           f"{drain.forced_session_interrupts})")
     print(f"final committed checkpoint: round {drain.final_round_number}")
     assert all("ranker" not in s.routes for s in fleet.selector_actors())
-    assert all("ranker" not in d.memberships for d in fleet.devices)
+    # The drained tenant's last members, by id: walking ``fleet.devices``
+    # would construct a DeviceActor for every row of the fleet.
+    assert all(
+        "ranker" not in fleet.devices[i].memberships
+        for i in fleet.members_of("ranker")
+    )
     fleet.run_for(1 * HOUR)
     post = fleet.report()
     print(f"keyboard keeps training after the drain: "

@@ -80,9 +80,12 @@ def main() -> None:
         assert committed_series == pop.rounds_committed, "dashboard mismatch"
 
     print("\n== Cross-population session interleaving ==")
+    # rows() looks without constructing: a row no check-in was ever
+    # admitted for is still None, and has had no session.
     dual = [
-        d for d in fleet.devices
-        if len([c for c in d.health.sessions_by_population.values() if c]) > 1
+        d for d in fleet.devices.rows()
+        if d is not None
+        and len([c for c in d.health.sessions_by_population.values() if c]) > 1
     ]
     print(f"devices with sessions in BOTH populations: {len(dual)} "
           f"of {len(fleet.members_of('telemetry'))} dual-enrolled")

@@ -254,8 +254,6 @@ class Coordinator(Actor):
             self._on_round_finished(message)
         elif isinstance(message, DeathNotice):
             self._on_death(message)
-        elif isinstance(message, msg.SelectorStatus):
-            pass  # tracked by the analytics sampler in repro.system
 
     def _on_round_finished(self, finished: msg.RoundFinished) -> None:
         if finished.round_id != self.active_round_id:

@@ -10,6 +10,7 @@ persistent storage only after full aggregation succeeds.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Any, Optional
 
 import numpy as np
@@ -202,7 +203,7 @@ class MasterAggregator(Actor):
         self.system.watch(self.ref, ref)
         self.shard_aggregators[slot] = ref
         if self.recovery is not None:
-            self.recovery.record_shard_aggregator_respawn()
+            self.recovery.record("shard_aggregator_respawns")
 
     def _on_report(self, report: msg.DeviceReport) -> None:
         device_id = report.device_id
@@ -337,7 +338,7 @@ class MasterAggregator(Actor):
             self.shard_aggregators or self.aggregators,
             accepted,
             on_dead=(
-                self.recovery.record_shard_fold_abort
+                partial(self.recovery.record, "shard_fold_aborts")
                 if tree and self.recovery is not None
                 else None
             ),
@@ -384,7 +385,7 @@ class MasterAggregator(Actor):
                 # (commit exactly once, or not at all) is preserved either
                 # way.
                 if self.recovery is not None and attempt + 1 < attempts:
-                    self.recovery.record_checkpoint_retry()
+                    self.recovery.record("checkpoint_write_retries")
         if self.recovery is not None:
-            self.recovery.record_round_abandoned_on_commit()
+            self.recovery.record("rounds_abandoned_on_commit")
         return False

@@ -59,17 +59,6 @@ class ConnectionReset:
 
 # -- selector <-> coordinator ---------------------------------------------------
 @dataclass(frozen=True)
-class SelectorStatusRequest:
-    pass
-
-
-@dataclass(frozen=True)
-class SelectorStatus:
-    selector_name: str
-    connected_count: int
-
-
-@dataclass(frozen=True)
 class ForwardDevices:
     """Coordinator tells a Selector to forward ``count`` connected devices
     to the given Aggregators for a starting round of one population."""
@@ -134,17 +123,7 @@ class ReportAck:
     accepted: bool
 
 
-# -- selector -> aggregator/master ------------------------------------------------
-@dataclass(frozen=True)
-class DeviceForwarded:
-    """Selector hands a connected device to an Aggregator (Sec. 4.2)."""
-
-    round_id: int
-    device_id: int
-    device_ref: "ActorRef"
-    runtime_version: int
-
-
+# -- coordinator -> selector, aggregator -> master -------------------------------
 @dataclass(frozen=True)
 class PauseAccepting:
     """Coordinator gates Selector check-in acceptance (pipelining ablation)."""
@@ -165,12 +144,6 @@ class IntermediateAggregate:
 
 # -- master aggregator <-> coordinator ---------------------------------------------
 @dataclass(frozen=True)
-class StartRound:
-    round_id: int
-    task_id: str
-
-
-@dataclass(frozen=True)
 class RoundFinished:
     """Round outcome propagated to the Coordinator (step 6 commits)."""
 
@@ -178,22 +151,6 @@ class RoundFinished:
     committed: bool
     round_id: int
     task_id: str
-
-
-# -- internal timers ------------------------------------------------------------
-@dataclass(frozen=True)
-class SelectionTimeout:
-    round_id: int
-
-
-@dataclass(frozen=True)
-class ReportingTimeout:
-    round_id: int
-
-
-@dataclass(frozen=True)
-class CoordinatorTick:
-    """Periodic heartbeat driving round scheduling."""
 
 
 @dataclass(frozen=True)

@@ -182,11 +182,6 @@ class Selector(Actor):
             route.pool.clear()
 
     # -- helpers ----------------------------------------------------------------
-    @property
-    def connected_count(self) -> int:
-        """Pooled devices across every hosted population."""
-        return sum(len(route.pool) for route in self.routes.values())
-
     def connected_count_for(self, population_name: str) -> int:
         route = self.routes.get(population_name)
         return len(route.pool) if route is not None else 0
@@ -332,15 +327,6 @@ class Selector(Actor):
             if route is not None:
                 route.coordinator = message.coordinator
                 self.system.watch(self.ref, message.coordinator)
-        elif isinstance(message, msg.SelectorStatusRequest):
-            if sender is not None:
-                self.tell(
-                    sender,
-                    msg.SelectorStatus(
-                        selector_name=self.ref.name,
-                        connected_count=self.connected_count,
-                    ),
-                )
         elif isinstance(message, DeathNotice):
             self._on_coordinator_death(message)
 
@@ -501,7 +487,7 @@ class Selector(Actor):
         key = f"respawn/{route.population_name}/{notice.ref.actor_id}"
         if self.locks.acquire(key, self.ref):
             if self.recovery is not None:
-                self.recovery.record_coordinator_respawn()
+                self.recovery.record("coordinator_respawns")
             replacement = route.coordinator_factory()
             self.system.spawn(
                 replacement,

@@ -23,13 +23,21 @@ every membership on the on-device worker queue (the device's row of the
 plane's :class:`~repro.device.scheduler.ColumnScheduler`); exactly one
 session runs at a time, and the check-in announces the session's
 population so the Selector can route it.
+
+The actor is not a home of its tenancy.  Its memberships are its row of
+the plane's membership columns (``memberships`` is a read-only view) and
+its trainers are its tenants' (a session asks ``trainer_of(name)``, which
+a fleet resolves in the tenant's ``PopulationRuntime``): a tenant
+attaching to or draining from a live fleet writes columns and never
+visits a device.  What the object owns is its session — the state
+machine, the round it is in, its stale-event guards and its tallies.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -90,8 +98,8 @@ class DeviceActor(Actor):
     # Constructed by the thousand inside a run (each at its first admitted
     # check-in): no instance dict, one slot per field.
     __slots__ = (
-        "profile", "network", "conditions", "memberships", "trainers",
-        "compute", "attestation", "event_log", "_rng", "job",
+        "profile", "network", "conditions", "trainer_of", "compute",
+        "attestation", "event_log", "_rng", "job",
         "compute_error_prob", "ack_timeout_s",
         "waiting_timeout_s", "upload_retry", "state", "eligible", "scheduler",
         "health", "rounds_completed", "rounds_rejected_report",
@@ -105,10 +113,7 @@ class DeviceActor(Actor):
         profile: DeviceProfile,
         network: NetworkModel,
         conditions: NetworkConditions,
-        trainer: LocalTrainer | None = None,
-        population_name: str | None = None,
-        memberships: Sequence[str] | None = None,
-        trainers: Mapping[str, LocalTrainer] | None = None,
+        trainer_of: Callable[[str], LocalTrainer],
         compute: ComputeModel | None = None,
         attestation: AttestationService | None = None,
         event_log: EventLog | None = None,
@@ -125,24 +130,11 @@ class DeviceActor(Actor):
         self.profile = profile
         self.network = network
         self.conditions = conditions
-        # Membership normalization: the legacy single-population call shape
-        # (population_name= + trainer=) and the fleet shape (memberships= +
-        # trainers=) both land in the same internal representation.
-        if memberships is not None:
-            self.memberships: tuple[str, ...] = tuple(memberships)
-        elif population_name is not None:
-            self.memberships = (population_name,)
-        else:
-            self.memberships = ()
-        if trainers is not None:
-            self.trainers: dict[str, LocalTrainer] = dict(trainers)
-        elif trainer is not None:
-            self.trainers = {name: trainer for name in self.memberships}
-        else:
-            self.trainers = {}
-        missing = [m for m in self.memberships if m not in self.trainers]
-        if missing:
-            raise ValueError(f"no trainer for memberships {missing}")
+        #: Tenant name -> this device's trainer for it, asked when a
+        #: session trains: the tenant's runtime holds it (a fleet hands in
+        #: the lifecycle plane's lookup, a hand-built device a dict's
+        #: ``__getitem__``).
+        self.trainer_of = trainer_of
         self.compute = compute or ComputeModel()
         self.attestation = attestation or AttestationService()
         self.event_log = event_log if event_log is not None else EventLog()
@@ -162,11 +154,11 @@ class DeviceActor(Actor):
         #: them only when it hands the device a session or interrupts one.
         self.state = DeviceState.SLEEPING
         self.eligible = False
-        #: The row views of the on-device worker queue and the health
-        #: record (the plane keeps both as columns), and the handle on the
-        #: idle half of the lifecycle — handed in by the fleet's device
-        #: table, or installed by ``VectorizedIdlePlane.adopt`` on a
-        #: hand-built device.
+        #: The row views of the on-device worker queue (memberships
+        #: included) and the health record (the plane keeps both as
+        #: columns), and the handle on the idle half of the lifecycle —
+        #: handed in by the fleet's device table, or installed by
+        #: ``VectorizedIdlePlane.adopt`` on a hand-built device.
         self.scheduler = scheduler
         self.health = health if health is not None else DeviceHealthStats()
         self.idle = idle
@@ -201,22 +193,10 @@ class DeviceActor(Actor):
         return rng
 
     @property
-    def population_name(self) -> str | None:
-        """Legacy single-tenant view: the first (or only) membership."""
-        return self.memberships[0] if self.memberships else None
-
-    @property
-    def trainer(self) -> LocalTrainer:
-        """The primary membership's trainer (legacy accessor)."""
-        return self.trainers[self.memberships[0]]
-
-    @trainer.setter
-    def trainer(self, value: LocalTrainer) -> None:
-        self.trainers[self.memberships[0]] = value
-
-    def _active_trainer(self) -> LocalTrainer:
-        name = self._active_population or self.memberships[0]
-        return self.trainers[name]
+    def memberships(self) -> tuple[str, ...]:
+        """The FL populations this device belongs to, in attach order: a
+        read-only view of its row of the plane's membership columns."""
+        return self.scheduler.memberships
 
     def _log(self, event: DeviceEvent, **attrs: object) -> None:
         self.event_log.log(
@@ -242,7 +222,7 @@ class DeviceActor(Actor):
             raise RuntimeError(
                 f"device {self.device_id} was spawned without an idle plane "
                 "row: enroll a hand-built device with "
-                "VectorizedIdlePlane.adopt(device) before spawning it"
+                "VectorizedIdlePlane.adopt(device, memberships) before spawning it"
             )
         self.idle.start()
 
@@ -254,25 +234,14 @@ class DeviceActor(Actor):
         teardown (Sec. 3's abort semantics).
         """
         if self.state is DeviceState.WAITING:
-            self._cancel_waiting_timer()
-        if self.state is DeviceState.WAITING and self._selector is not None:
-            self.tell(
-                self._selector,
-                msg.DeviceDisconnect(
-                    self.device_id, population_name=self._active_population
-                ),
-            )
-            # Free the on-device worker queue (a stuck session would block
-            # every tenant forever) and reschedule the interrupted job at
-            # its normal cadence instead of the next eligibility window.
-            self.scheduler.abort()
-            self._active_population = None
+            self._leave_waiting(disconnect=True)
+            # The interrupted job reschedules at its normal cadence, not
+            # at the next eligibility window.
             self.idle.set_pending_window(self.now + self.job.next_delay(self.rng))
-            self.idle.session_ended()
         elif self.state is DeviceState.PARTICIPATING:
             # Sec. 3: the runtime aborts when conditions are no longer met.
             self._abort_participation("eligibility_change")
-            self.idle.session_ended()
+            self._hand_back()
         self.state = DeviceState.SLEEPING
 
     def _abort_participation(self, reason: str) -> None:
@@ -292,75 +261,53 @@ class DeviceActor(Actor):
             )
         self._end_participation()
 
-    # -- membership lifecycle (population attach/drain) -------------------------
-    def enroll(self, population_name: str, trainer: LocalTrainer) -> None:
-        """Join an FL population: install its trainer and membership.
-
-        The caller (the fleet's population lifecycle plane) owns the
-        idle-side follow-up — refreshing the idle driver's membership view
-        and scheduling a first check-in where one is needed.
-        """
-        if population_name in self.memberships:
-            raise ValueError(
-                f"device {self.device_id} already enrolled in "
-                f"{population_name!r}"
-            )
-        self.trainers[population_name] = trainer
-        self.memberships = (*self.memberships, population_name)
-
-    def leave_population(self, population_name: str) -> None:
-        """Drain phase 1: stop *requesting* sessions for a population —
-        drop its membership and any queued session request — while
-        letting a session already running for it finish on its own clock
-        (the trainer stays installed until :meth:`withdraw`)."""
-        self.scheduler.remove(population_name)
-        if population_name in self.memberships:
-            self.memberships = tuple(
-                m for m in self.memberships if m != population_name
-            )
-
-    def withdraw(self, population_name: str) -> None:
-        """Leave an FL population entirely (drain completed or forced).
-
-        Any session still running for the population is interrupted, its
-        queued work is dropped, and the trainer is discarded.  Idempotent
-        for non-members.
-        """
-        if self._active_population == population_name:
-            self.interrupt_session("population_drained")
-        self.leave_population(population_name)
-        self.trainers.pop(population_name, None)
-
     def interrupt_session(self, reason: str) -> None:
         """Server-driven session teardown (tenant drain past its deadline):
         the same abort semantics as eligibility loss, except the device
         keeps its eligibility and resumes its normal idle cadence."""
         if self.state is DeviceState.WAITING:
-            self._cancel_waiting_timer()
-            if self._selector is not None:
-                self.tell(
-                    self._selector,
-                    msg.DeviceDisconnect(
-                        self.device_id, population_name=self._active_population
-                    ),
-                )
-            self.scheduler.abort()
-            self._active_population = None
-            self._selector = None
+            self._leave_waiting(disconnect=True, back_in=self._next_job_delay)
         elif self.state is DeviceState.PARTICIPATING:
             self._abort_participation(reason)
-        else:
-            return
+            self._hand_back(self._next_job_delay)
+
+    # -- session teardown --------------------------------------------------------
+    def _leave_waiting(
+        self, disconnect: bool, back_in: Callable[[], float] | None = None
+    ) -> None:
+        """Every way out of WAITING but selection: hang up (``disconnect``:
+        the Selector's end is still up and has not hung up itself), free
+        the on-device worker queue (a stuck session would block every
+        tenant forever) and hand the row back."""
+        self._cancel_waiting_timer()
+        if disconnect:
+            self.tell(
+                self._selector,
+                msg.DeviceDisconnect(
+                    self.device_id, population_name=self._active_population
+                ),
+            )
+        self.scheduler.abort()
+        self._active_population = None
+        self._selector = None
+        self._hand_back(back_in)
+
+    def _hand_back(self, back_in: Callable[[], float] | None = None) -> None:
+        """The session is over: the plane owns the row again and, if the
+        device is still eligible, books its next check-in ``back_in()``
+        seconds out (drawn only then)."""
         self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
         self.idle.session_ended()
-        if self.eligible:
-            if self.scheduler.queue_depth > 0:
-                # Another tenant's session request is already queued:
-                # interleave promptly (same fast path as a normal session
-                # end) instead of sleeping a full job interval.
-                self.idle.schedule_checkin(1.0)
-            else:
-                self.idle.schedule_checkin(self.job.next_delay(self.rng))
+        if back_in is not None and self.eligible:
+            self.idle.schedule_checkin(back_in())
+
+    def _next_job_delay(self) -> float:
+        if self.scheduler.queue_depth > 0:
+            # A queued tenant is waiting its turn on the worker queue:
+            # check in again promptly for it rather than sleeping a full
+            # job interval (cross-population interleaving, Sec. 11).
+            return 1.0
+        return self.job.next_delay(self.rng)
 
     # -- check-in ------------------------------------------------------------
     def _materialize_checkin(self, started: str) -> None:
@@ -408,20 +355,9 @@ class DeviceActor(Actor):
         self._waiting_timeout_event = None
         if self.state is not DeviceState.WAITING or wait_epoch != self._wait_epoch:
             return
-        if self._selector is not None:
-            self.tell(
-                self._selector,
-                msg.DeviceDisconnect(
-                    self.device_id, population_name=self._active_population
-                ),
-            )
-        self.scheduler.abort()
-        self._active_population = None
-        self._selector = None
-        self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
-        self.idle.session_ended()
-        if self.eligible:
-            self.idle.schedule_checkin(self.job.next_delay(self.rng))
+        self._leave_waiting(
+            disconnect=True, back_in=lambda: self.job.next_delay(self.rng)
+        )
 
     # -- message handling ------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
@@ -438,24 +374,13 @@ class DeviceActor(Actor):
         """The selector's end of the stream died; retry another one."""
         if self.state is not DeviceState.WAITING:
             return
-        self._cancel_waiting_timer()
-        self.scheduler.abort()
-        self._active_population = None
-        self._selector = None
-        self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
-        self.idle.session_ended()
-        if self.eligible:
-            self.idle.schedule_checkin(self.rng.uniform(30.0, 180.0))
+        self._leave_waiting(
+            disconnect=False, back_in=lambda: self.rng.uniform(30.0, 180.0)
+        )
 
     def _on_rejected(self, rejected: msg.CheckinRejected) -> None:
         if self.state is not DeviceState.WAITING:
             return
-        self._cancel_waiting_timer()
-        self.scheduler.abort()
-        self._active_population = None
-        self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
-        self._selector = None
-        self.idle.session_ended()
         # Pace steering: "The device attempts to respect this, modulo its
         # eligibility."
         # The window gates the whole device, not just the rejected tenant:
@@ -463,8 +388,9 @@ class DeviceActor(Actor):
         # device hammering back for its other population would defeat it.
         reconnect_at = rejected.window.sample(self.rng)
         self.idle.set_pending_window(reconnect_at)
-        if self.eligible:
-            self.idle.schedule_checkin(max(reconnect_at - self.now, 1.0))
+        self._leave_waiting(
+            disconnect=False, back_in=lambda: max(reconnect_at - self.now, 1.0)
+        )
 
     # -- participation pipeline ----------------------------------------------------
     def _on_configure(self, configure: msg.ConfigureDevice) -> None:
@@ -480,9 +406,7 @@ class DeviceActor(Actor):
             return
         self.state = DeviceState.PARTICIPATING
         self._cancel_waiting_timer()
-        self.health.record_session(
-            self._active_population or self.memberships[0]
-        )
+        self.health.record_session(self._active_population)
         self.health.peak_memory_mb = max(
             self.health.peak_memory_mb,
             3 * configure.checkpoint.nbytes / 1e6,  # params+grads+activations
@@ -517,7 +441,7 @@ class DeviceActor(Actor):
             return
         self._log(DeviceEvent.DOWNLOADED_PLAN)
         self._log(DeviceEvent.TRAIN_STARTED)
-        trainer = self._active_trainer()
+        trainer = self.trainer_of(self._active_population)
         result: TrainResult | None = None
         try:
             # Cohort execution plane: a deferral-capable trainer enqueues
@@ -675,13 +599,4 @@ class DeviceActor(Actor):
         self._selector = None
         self._aggregator = None
         self._round_id = None
-        self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
-        self.idle.session_ended()
-        if self.eligible:
-            if self.scheduler.queue_depth > 0:
-                # A queued tenant is waiting its turn on the worker queue:
-                # check in again promptly for it rather than sleeping a full
-                # job interval (cross-population interleaving, Sec. 11).
-                self.idle.schedule_checkin(1.0)
-            else:
-                self.idle.schedule_checkin(self.job.next_delay(self.rng))
+        self._hand_back(self._next_job_delay)

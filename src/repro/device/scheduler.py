@@ -12,8 +12,10 @@ Three pieces:
   :class:`ColumnScheduler` is tested against;
 * :class:`ColumnScheduler` — the same worker queues for a whole fleet as
   ``(rows x tenant-slot)`` arrays, so a sweep's worth of check-ins picks
-  its sessions in one pass; :class:`RowScheduler` is one device's view of
-  it, with :class:`MultiTenantScheduler`'s API.
+  its sessions in one pass — and the one home of every device's
+  memberships (``enroll`` / ``leave`` are what a tenant's attach and
+  drain write); :class:`RowScheduler` is one device's view of it, with
+  :class:`MultiTenantScheduler`'s API.
 """
 
 from __future__ import annotations
@@ -235,14 +237,6 @@ class ColumnScheduler:
             self._resize_slots(self._running.size)
         return slot
 
-    def set_memberships(self, row: int, names: tuple[str, ...]) -> None:
-        """``row``'s device now belongs to ``names``, in that order.  Queued
-        requests and recency records are left alone: dropping a departed
-        tenant's request is :meth:`RowScheduler.remove`'s job."""
-        slots = [self.slot(name) for name in names]  # may widen the arrays
-        self._member_pos[row] = _UNQUEUED
-        self._member_pos[row, slots] = range(len(slots))
-
     def enroll(self, rows: np.ndarray, name: str) -> None:
         """``rows``' devices (none a member yet) join ``name``, after the
         tenants they already belong to."""
@@ -272,19 +266,23 @@ class ColumnScheduler:
         """Which of ``rows`` have no session running."""
         return self._running[rows] < 0
 
+    def _filed(self, rows: np.ndarray, clock: np.ndarray) -> np.ndarray:
+        """``rows``' queue stamps once every membership has filed a session
+        request at ``clock``, in membership order: a member's request is
+        stamped now, after everything queued; one already queued keeps its
+        earlier stamp (coalescing), and a non-member's cell stays unqueued."""
+        return np.minimum(
+            self._stamp.take(rows, axis=0),
+            clock[:, None] + self._member_pos.take(rows, axis=0),
+        )
+
     def checkin(self, rows: np.ndarray) -> np.ndarray:
         """One check-in on each of ``rows`` — distinct, each with a free
         worker and at least one membership: every membership files a
         session request, in membership order, and the row's next session
         starts.  Returns its slot per row."""
         clock = self._clock[rows]
-        # A member's request is stamped now, after everything queued; one
-        # already queued keeps its earlier stamp (coalescing), and a
-        # non-member's cell stays unqueued.
-        stamp = np.minimum(
-            self._stamp.take(rows, axis=0),
-            clock[:, None] + self._member_pos.take(rows, axis=0),
-        )
+        stamp = self._filed(rows, clock)
         clock += stamp.shape[1]
         pick = self._pick(rows, stamp)
         self._stamp[rows] = stamp
@@ -293,6 +291,17 @@ class ColumnScheduler:
         self._clock[rows] = clock + 1
         self._running[rows] = pick
         return pick
+
+    def enqueue_rows(self, rows: np.ndarray) -> None:
+        """A check-in on each of ``rows`` — distinct, each with a session
+        running — that cannot start anything: every membership still files
+        its request, the running tenant's coalescing into its session (as
+        :meth:`RowScheduler.enqueue` has it)."""
+        clock = self._clock[rows]
+        stamp = self._filed(rows, clock)
+        stamp[np.arange(rows.size), self._running[rows]] = _UNQUEUED
+        self._stamp[rows] = stamp
+        self._clock[rows] = clock + stamp.shape[1]
 
     def _pick(self, rows: np.ndarray, stamp: np.ndarray) -> np.ndarray:
         """The slot each row starts next, given its queue stamps (column 0
@@ -332,6 +341,11 @@ class RowScheduler:
         return self._columns.tenants[slot] if slot >= 0 else None
 
     @property
+    def memberships(self) -> tuple[str, ...]:
+        """The tenants the device belongs to, in attach order."""
+        return tuple(self._ordered(self._columns._member_pos))
+
+    @property
     def queue_depth(self) -> int:
         stamps = self._columns._stamp[self._row].tolist()
         return len(stamps) - stamps.count(_UNQUEUED)
@@ -339,12 +353,17 @@ class RowScheduler:
     @property
     def queue(self) -> list[str]:
         """Queued tenants in the order their requests were filed."""
-        stamps = self._columns._stamp[self._row]
+        return self._ordered(self._columns._stamp)
+
+    def _ordered(self, column: np.ndarray) -> list[str]:
+        """The tenants whose cell in this row of ``column`` is set, by
+        ascending cell value."""
+        values = column[self._row]
         tenants = self._columns.tenants
         return [
             tenants[slot]
-            for slot in np.argsort(stamps, kind="stable").tolist()
-            if stamps[slot] != _UNQUEUED
+            for slot in np.argsort(values, kind="stable").tolist()
+            if values[slot] != _UNQUEUED
         ]
 
     def is_queued(self, population_name: str) -> bool:

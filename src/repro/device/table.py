@@ -7,8 +7,9 @@ the idle plane's columns (Lo et al.'s *client registry*, kept apart from
 the client runtime), so a :class:`~repro.device.actor.DeviceActor` is
 constructed the first time something asks for it — the sweep that
 dispatches its first admitted check-in, or an explicit ``table[i]`` — and
-kept from then on: its session tallies, stale-event guards and trainers
-live on the object.
+kept from then on: its session tallies and stale-event guards live on
+the object (its memberships stay the plane's columns, its trainers its
+tenants').
 """
 
 from __future__ import annotations

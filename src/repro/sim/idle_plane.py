@@ -98,17 +98,6 @@ class PlaneIdleDriver:
         """The device dematerialized; the plane owns it again."""
         self._plane._session_ended(self._index)
 
-    def membership_changed(self) -> None:
-        """The device's membership set changed (a tenant attached to or
-        drained from a live fleet).  On a live fleet the caller follows
-        an enrollment with :meth:`kick_first_checkin`."""
-        self._plane._membership_changed(self._index)
-
-    def kick_first_checkin(self) -> None:
-        """The device just gained a membership on a live fleet: see
-        :meth:`VectorizedIdlePlane.kick_rows`."""
-        self._plane.kick_rows(np.array([self._index]))
-
 
 class _RowHealthStats(DeviceHealthStats):
     """A plane-owned device's health counters: ``checkins`` lives in the
@@ -292,21 +281,27 @@ class VectorizedIdlePlane:
             "health": _RowHealthStats(self, index),
         }
 
-    def adopt(self, device: "DeviceActor") -> PlaneIdleDriver:
+    def adopt(
+        self, device: "DeviceActor", memberships: Sequence[str] = ()
+    ) -> PlaneIdleDriver:
         """Enroll a hand-built device — a batch of one row, its object
-        already there; returns the driver now installed as ``device.idle``.
+        already there, a member of ``memberships`` in that order; returns
+        the driver now installed as ``device.idle``.
 
         Must be called before the device actor is spawned (the driver's
         ``start`` hook runs from ``DeviceActor.on_start``).  The device's
-        worker queue and its ``health.checkins`` tally are plane columns,
-        behind ``device.scheduler`` / ``device.health``.
+        worker queue, its memberships and its ``health.checkins`` tally
+        are plane columns, behind ``device.scheduler`` / ``device.health``.
         """
         index = len(self._devices)
         self.adopt_rows([device.profile], device.job.base_interval_s)
         self._devices.seat(index, device)
         for name, handle in self.row_handles(index).items():
             setattr(device, name, handle)
-        self._membership_changed(index)
+        row = np.array([index])
+        for name in memberships:
+            self.scheduler.enroll(row, name)
+        self.memberships_changed(row)
         return device.idle
 
     def _grow(self, minimum: int) -> None:
@@ -407,24 +402,17 @@ class VectorizedIdlePlane:
 
     def memberships_changed(self, rows: np.ndarray) -> None:
         """The scheduler's membership columns of ``rows`` were rewritten
-        (an attach or a drain — the lifecycle plane writes them for rows
-        without a device object, :meth:`_membership_changed` for a
-        device).  A row whose last tenant left stops counting down to a
-        check-in and is swept only for its flips (no re-arming: no next
-        event moved earlier); one that gained a tenant on a live fleet is
-        kicked by the lifecycle plane (:meth:`kick_rows`)."""
+        (an attach or a drain: the lifecycle plane's one write).  A row
+        whose last tenant left stops counting down to a check-in and is
+        swept only for its flips (no re-arming: no next event moved
+        earlier); one that gained a tenant on a live fleet is kicked by
+        the lifecycle plane (:meth:`kick_rows`)."""
         has = self.scheduler.membership_count(rows) > 0
         self._has_memberships[rows] = has
         rows = rows[~has]
         self.next_checkin_t[rows] = _INF
         self.pending_window_t[rows] = -_INF
         self._next_event_t[rows] = self.next_flip_t[rows]
-
-    def _membership_changed(self, i: int) -> None:
-        """Row ``i``'s membership columns are rewritten from its
-        device's."""
-        self.scheduler.set_memberships(i, self._devices[i].memberships)
-        self.memberships_changed(np.array([i]))
 
     # -- the sweep ---------------------------------------------------------------
     def _sweep(self) -> None:
@@ -567,13 +555,11 @@ class VectorizedIdlePlane:
         """``rows``' workers are busy: their memberships still file their
         requests, and the next check-in is one jittered job interval out,
         on the draw the Selector pick would have used."""
-        delay = []
-        for i, u in zip(rows.tolist(), u_pick.tolist()):
-            device = self._devices[i]
-            for membership in device.memberships:
-                device.scheduler.enqueue(membership)
-            delay.append(max(device.job.delay_at(u), 0.0))
-        checkin_t = now + np.array(delay)
+        self.scheduler.enqueue_rows(rows)
+        checkin_t = now + np.array([
+            max(self._devices[i].job.delay_at(u), 0.0)
+            for i, u in zip(rows.tolist(), u_pick.tolist())
+        ])
         self.next_checkin_t[rows] = checkin_t
         self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
 

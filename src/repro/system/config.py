@@ -103,7 +103,7 @@ class FleetConfig:
                 )
         if not 0.0 <= self.compute_error_prob <= 1.0:
             raise ValueError("compute_error_prob must be in [0, 1]")
-        if self.selector_restart_delay_s < 0:
+        if not self.selector_restart_delay_s >= 0:  # a NaN fails this too
             raise ValueError("selector_restart_delay_s must be >= 0")
         if self.faults is not None:
             self.faults.validate()

@@ -30,10 +30,10 @@ claim into a *plane* of the simulation rather than a test fixture:
   selector lists.
 * :class:`RecoveryLedger` — mutable run-time accounting for all of the
   above (crashes by kind, respawns, retries, drop/delay counts, and the
-  simulated-time crash-to-next-commit recovery latency), surfaced as the
-  typed :class:`~repro.system.reports.RecoveryReport` on ``RunReport``
-  and mirrored into ``faults/...`` / ``recovery/...`` dashboard
-  counters.
+  simulated-time crash-to-next-commit recovery latency): one tally keyed
+  by :class:`~repro.system.reports.RecoveryReport`'s own field names,
+  surfaced as that report on ``RunReport`` and mirrored into
+  ``faults/...`` / ``recovery/...`` dashboard counters.
 
 The lever is ``FLFleet.builder().faults(FaultPlan(...))`` and is off by
 default; a fleet without a plan constructs no plane, installs no hooks,
@@ -88,6 +88,19 @@ DEVICE_EDGE_MESSAGES = (
 
 
 # -- plan vocabulary ----------------------------------------------------------
+# Every bound below is written ``not value > bound``, never ``value <=
+# bound``: a NaN fails both comparisons, and must be refused, not let by.
+def _validate_schedule(mean_interval_s: float, start_s: float, stop_s: float) -> None:
+    """What the two exponential-interval schedules share (``stop_s`` may
+    be infinite: run to the end; so may ``mean_interval_s``: never fire)."""
+    if not mean_interval_s > 0:
+        raise ValueError("mean_interval_s must be positive")
+    if not 0 <= start_s < math.inf:
+        raise ValueError("start_s must be finite and >= 0")
+    if not stop_s > start_s:
+        raise ValueError("stop_s must be greater than start_s")
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential, jittered backoff.
@@ -104,12 +117,12 @@ class RetryPolicy:
     jitter: float = 0.5
 
     def validate(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_backoff_s <= 0:
-            raise ValueError("base_backoff_s must be positive")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        if not (isinstance(self.max_retries, int) and self.max_retries >= 0):
+            raise ValueError("max_retries must be an integer >= 0")
+        if not 0 < self.base_backoff_s < math.inf:
+            raise ValueError("base_backoff_s must be finite and positive")
+        if not 1.0 <= self.multiplier < math.inf:
+            raise ValueError("multiplier must be finite and >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
 
@@ -139,13 +152,8 @@ class ActorCrashSchedule:
             raise ValueError(
                 f"crash kind must be one of {CRASH_KINDS}, got {self.kind!r}"
             )
-        if self.mean_interval_s <= 0:
-            raise ValueError("mean_interval_s must be positive")
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
-        if self.stop_s <= self.start_s:
-            raise ValueError("stop_s must be greater than start_s")
-        if self.max_crashes is not None and self.max_crashes < 1:
+        _validate_schedule(self.mean_interval_s, self.start_s, self.stop_s)
+        if self.max_crashes is not None and not self.max_crashes >= 1:
             raise ValueError("max_crashes must be >= 1 when set")
 
 
@@ -166,8 +174,8 @@ class MessageFaultConfig:
             raise ValueError("drop_prob must be in [0, 1]")
         if not 0.0 <= self.delay_prob <= 1.0:
             raise ValueError("delay_prob must be in [0, 1]")
-        if self.delay_mean_s <= 0:
-            raise ValueError("delay_mean_s must be positive")
+        if not 0 < self.delay_mean_s < math.inf:
+            raise ValueError("delay_mean_s must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -192,13 +200,8 @@ class DeviceInterruptSchedule:
     max_interrupts: int | None = None
 
     def validate(self) -> None:
-        if self.mean_interval_s <= 0:
-            raise ValueError("mean_interval_s must be positive")
-        if self.start_s < 0:
-            raise ValueError("start_s must be >= 0")
-        if self.stop_s <= self.start_s:
-            raise ValueError("stop_s must be greater than start_s")
-        if self.max_interrupts is not None and self.max_interrupts < 1:
+        _validate_schedule(self.mean_interval_s, self.start_s, self.stop_s)
+        if self.max_interrupts is not None and not self.max_interrupts >= 1:
             raise ValueError("max_interrupts must be >= 1 when set")
 
 
@@ -236,13 +239,36 @@ class FaultPlan:
 
 
 # -- the recovery ledger ------------------------------------------------------
+#: Every counter the ledger tallies, by its :class:`RecoveryReport` field,
+#: and the dashboard counter that mirrors it (``faults/...``: injections;
+#: ``recovery/...``: the machinery's responses).
+LEDGER_COUNTERS = {
+    "messages_dropped": "faults/messages_dropped",
+    "messages_delayed": "faults/messages_delayed",
+    "device_interrupts": "faults/device_interrupts",
+    "checkpoint_write_faults": "faults/checkpoint_writes",
+    "selector_respawns": "recovery/selector_respawns",
+    "coordinator_respawns": "recovery/coordinator_respawns",
+    # A crashed shard aggregator was replaced mid-round (the node is
+    # stateless between folds — its leaves hold the reports — so the
+    # replacement recovers the shard's fold completely).
+    "shard_aggregator_respawns": "recovery/shard_aggregator_respawns",
+    # A shard aggregator was still down when its round folded: that
+    # shard's partial is lost for the round (the other shards commit
+    # normally — the tree's failure isolation).
+    "shard_fold_aborts": "recovery/shard_fold_aborts",
+    "checkpoint_write_retries": "recovery/checkpoint_write_retries",
+    "rounds_abandoned_on_commit": "recovery/rounds_abandoned_on_commit",
+}
+
+
 class RecoveryLedger:
     """Mutable fault/recovery accounting for one fleet run.
 
-    Every ``record_*`` both updates a counter and mirrors it into the
-    fleet dashboard (``faults/...`` for injections, ``recovery/...`` for
-    the machinery's responses); :meth:`build_report` freezes the state
-    into the typed :class:`~repro.system.reports.RecoveryReport`.
+    :meth:`record` bumps one :data:`LEDGER_COUNTERS` tally and its mirror
+    on the fleet dashboard (a misspelt counter is a ``KeyError``, not a
+    new series); :meth:`build_report` freezes the state into the typed
+    :class:`~repro.system.reports.RecoveryReport`.
 
     Recovery latency is measured crash-to-next-commit in simulated time:
     each injected crash is pending until the first round committed at or
@@ -251,17 +277,8 @@ class RecoveryLedger:
 
     def __init__(self, dashboard=None):
         self.dashboard = dashboard
+        self.tally: dict[str, int] = dict.fromkeys(LEDGER_COUNTERS, 0)
         self.crash_counts: dict[str, int] = {}
-        self.messages_dropped = 0
-        self.messages_delayed = 0
-        self.device_interrupts = 0
-        self.selector_respawns = 0
-        self.coordinator_respawns = 0
-        self.shard_aggregator_respawns = 0
-        self.shard_fold_aborts = 0
-        self.checkpoint_write_faults = 0
-        self.checkpoint_write_retries = 0
-        self.rounds_abandoned_on_commit = 0
         self.pending_crash_times: list[float] = []
         self.recovery_latencies_s: list[float] = []
 
@@ -269,58 +286,14 @@ class RecoveryLedger:
         if self.dashboard is not None:
             self.dashboard.increment(counter)
 
-    # -- injections ------------------------------------------------------------
+    def record(self, field: str) -> None:
+        self.tally[field] += 1
+        self._bump(LEDGER_COUNTERS[field])
+
     def record_crash(self, kind: str, now_s: float) -> None:
         self.crash_counts[kind] = self.crash_counts.get(kind, 0) + 1
         self.pending_crash_times.append(now_s)
         self._bump(f"faults/crash/{kind}")
-
-    def record_message_dropped(self) -> None:
-        self.messages_dropped += 1
-        self._bump("faults/messages_dropped")
-
-    def record_message_delayed(self) -> None:
-        self.messages_delayed += 1
-        self._bump("faults/messages_delayed")
-
-    def record_device_interrupt(self) -> None:
-        self.device_interrupts += 1
-        self._bump("faults/device_interrupts")
-
-    def record_checkpoint_fault(self) -> None:
-        self.checkpoint_write_faults += 1
-        self._bump("faults/checkpoint_writes")
-
-    # -- recovery responses ------------------------------------------------------
-    def record_selector_respawn(self) -> None:
-        self.selector_respawns += 1
-        self._bump("recovery/selector_respawns")
-
-    def record_coordinator_respawn(self) -> None:
-        self.coordinator_respawns += 1
-        self._bump("recovery/coordinator_respawns")
-
-    def record_shard_aggregator_respawn(self) -> None:
-        """A crashed shard aggregator was replaced mid-round (the node is
-        stateless between folds — its leaves hold the reports — so the
-        replacement recovers the shard's fold completely)."""
-        self.shard_aggregator_respawns += 1
-        self._bump("recovery/shard_aggregator_respawns")
-
-    def record_shard_fold_abort(self) -> None:
-        """A shard aggregator was still down when its round folded: that
-        shard's partial is lost for the round (the other shards commit
-        normally — the tree's failure isolation)."""
-        self.shard_fold_aborts += 1
-        self._bump("recovery/shard_fold_aborts")
-
-    def record_checkpoint_retry(self) -> None:
-        self.checkpoint_write_retries += 1
-        self._bump("recovery/checkpoint_write_retries")
-
-    def record_round_abandoned_on_commit(self) -> None:
-        self.rounds_abandoned_on_commit += 1
-        self._bump("recovery/rounds_abandoned_on_commit")
 
     def record_commit(self, now_s: float) -> None:
         """A round committed: every pending crash is recovered from."""
@@ -345,18 +318,8 @@ class RecoveryLedger:
                 kind: self.crash_counts[kind]
                 for kind in sorted(self.crash_counts)
             },
-            selector_respawns=self.selector_respawns,
-            coordinator_respawns=self.coordinator_respawns,
-            shard_aggregator_respawns=self.shard_aggregator_respawns,
-            shard_fold_aborts=self.shard_fold_aborts,
-            messages_dropped=self.messages_dropped,
-            messages_delayed=self.messages_delayed,
-            device_interrupts=self.device_interrupts,
             upload_retries=upload_retries,
             upload_retries_exhausted=upload_retries_exhausted,
-            checkpoint_write_faults=self.checkpoint_write_faults,
-            checkpoint_write_retries=self.checkpoint_write_retries,
-            rounds_abandoned_on_commit=self.rounds_abandoned_on_commit,
             rounds_failed=rounds_total - rounds_committed,
             rounds_committed=rounds_committed,
             recoveries=len(latencies),
@@ -364,6 +327,7 @@ class RecoveryLedger:
                 sum(latencies) / len(latencies) if latencies else 0.0
             ),
             max_recovery_latency_s=max(latencies) if latencies else 0.0,
+            **self.tally,
         )
 
 
@@ -517,7 +481,7 @@ class FaultPlane:
             rng = self._interrupt_rng()
             victim = victims[int(rng.integers(len(victims)))]
             self.interrupts_fired += 1
-            self.ledger.record_device_interrupt()
+            self.ledger.record("device_interrupts")
             victim.interrupt_session("fault_injected")
         self._arm_interrupt()
 
@@ -529,7 +493,7 @@ class FaultPlane:
             return 0.0
         rng = self.fleet.rngs.stream("faults/messages")
         if config.drop_prob > 0.0 and float(rng.random()) < config.drop_prob:
-            self.ledger.record_message_dropped()
+            self.ledger.record("messages_dropped")
             if isinstance(message, msg.DeviceCheckin):
                 # A screen-admitted check-in reserved pool quota at its
                 # Selector; losing the message must release it or the
@@ -539,7 +503,7 @@ class FaultPlane:
                     selector.checkin_lost(message.population_name)
             return None
         if config.delay_prob > 0.0 and float(rng.random()) < config.delay_prob:
-            self.ledger.record_message_delayed()
+            self.ledger.record("messages_delayed")
             return float(rng.exponential(config.delay_mean_s))
         return 0.0
 
@@ -549,7 +513,7 @@ class FaultPlane:
         config = self.plan.checkpoint
         rng = self.fleet.rngs.stream("faults/checkpoint")
         if float(rng.random()) < config.write_failure_prob:
-            self.ledger.record_checkpoint_fault()
+            self.ledger.record("checkpoint_write_faults")
             return True
         return False
 
@@ -621,4 +585,4 @@ class SelectorClusterManager:
                         if sel == dead_ref:
                             selector_list[i] = new_ref
             selector.add_route(route)
-        fleet.recovery.record_selector_respawn()
+        fleet.recovery.record("selector_respawns")

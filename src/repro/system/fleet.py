@@ -282,17 +282,15 @@ class FLFleet:
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its
-        profile, its row, what its tenants hold for it — spawned, on a
+        profile, its row, the way to its tenants' trainers — spawned, on a
         started fleet, under the actor id reserved for it.  Pure: nothing
         is drawn, scheduled or written to a column, so *when* it happens
         cannot be observed."""
         profile = self.profiles[index]
-        memberships, trainers = self.lifecycle.enrollment(profile.device_id)
         device = DeviceActor(
             profile=profile,
             conditions=self._conditions[index],
-            memberships=memberships,
-            trainers=trainers,
+            trainer_of=partial(self.lifecycle.trainer_of, profile.device_id),
             # The plane draws for the row: no generator of the device's
             # own before its first session.
             rng=partial(self.rngs.stream, f"device/{profile.device_id}"),

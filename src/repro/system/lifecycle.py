@@ -16,17 +16,21 @@ transitions —
   freshly spawned Coordinator, device memberships sampled from the
   tenant's pinned RNG stream, a trainer built per member, and — on a
   live fleet — first check-ins scheduled from each device's own stream so
-  the rollout reaches its cohort within one job interval.  A member that
-  is still only a row of the idle plane gets its membership as a column
-  write; its trainer waits on the tenant's :class:`PopulationRuntime`
-  until the device is constructed.  Builder-time populations go through *exactly this code path* ("attach before
-  start"); there is no second wiring path.
+  the rollout reaches its cohort within one job interval.  A device's
+  tenancy has one home: memberships are the idle plane's columns (one
+  vector write over the member rows, whether or not a row's
+  ``DeviceActor`` exists yet), trainers the tenant's
+  :class:`PopulationRuntime`'s, which a device's session asks through
+  :meth:`PopulationLifecycle.trainer_of`.  Builder-time populations go
+  through *exactly this code path* ("attach before start"); there is no
+  second wiring path.
 * :meth:`drain` — retire a population from the running fleet in three
   phases: stop admitting (every Selector flushes the tenant's pool and
   bounces new check-ins), quiesce (the event loop runs until the tenant's
   in-flight round and device sessions wind down, or a simulated-time
   deadline forces them), and retire (Coordinator stopped, routes removed,
-  memberships/scheduler queues stripped, idle-plane rows refreshed).  The
+  trainers dropped, idle-plane rows refreshed; memberships and queued
+  requests went with the first phase, one column write).  The
   tenant's final committed checkpoint stays in the store, and the caller
   gets a typed :class:`~repro.system.reports.PopulationLifecycleReport`.
 
@@ -99,8 +103,8 @@ class PopulationRuntime:
     attached_at_s: float = 0.0
     drained_at_s: float | None = None
     member_ids: set[int] = field(default_factory=set)
-    #: Every member's trainer by device id, from attach to retirement (a
-    #: device constructed after the attach picks its up here).
+    #: Every member's trainer by device id, from attach to retirement:
+    #: the one home of a trainer (a device's session looks its up here).
     trainers: dict[int, object] = field(default_factory=dict)
     coordinator_ref: ActorRef | None = None
     results: list[RoundResult] = field(default_factory=list)
@@ -368,55 +372,31 @@ class PopulationLifecycle:
             f"coordinator/{runtime.name}/{runtime.index}",
         )
 
-    def enrollment(self, device_id: int) -> tuple[tuple[str, ...], dict]:
-        """What the hosted tenants hold for a device being constructed: its
-        memberships (attach order; a draining tenant's is already gone)
-        and its installed trainers by tenant."""
-        memberships, trainers = [], {}
-        for runtime in self.active.values():
-            trainer = runtime.trainers.get(device_id)
-            if trainer is not None:
-                trainers[runtime.name] = trainer
-                if runtime.state is PopulationState.ATTACHED:
-                    memberships.append(runtime.name)
-        return tuple(memberships), trainers
+    def trainer_of(self, device_id: int, name: str):
+        """Device ``device_id``'s trainer for hosted tenant ``name``
+        (ATTACHED or DRAINING: a session running when its tenant starts
+        to drain trains to the end) — what a device's session resolves
+        its trainer through."""
+        return self.active[name].trainers[device_id]
 
-    def _members(self, runtime: PopulationRuntime) -> tuple[list, np.ndarray]:
-        """The tenant's members in device-id order: those that exist as
-        objects, and the idle-plane rows of those that do not.  Membership
-        changes touch the object where there is one, the columns otherwise."""
-        devices = self.fleet.devices.rows()
-        constructed, rows = [], []
-        for device_id in sorted(runtime.member_ids):
-            device = devices[device_id]
-            if device is None:
-                rows.append(device_id)
-            else:
-                constructed.append(device)
-        return constructed, np.array(rows, dtype=np.intp)
+    @staticmethod
+    def _member_rows(runtime: PopulationRuntime) -> np.ndarray:
+        """The tenant's members' idle-plane rows, in device-id order."""
+        return np.array(sorted(runtime.member_ids), dtype=np.intp)
 
     def _enroll_devices(self, runtime: PopulationRuntime) -> None:
-        """Install the tenant's membership on every member — and its
-        (prebuilt) trainer on those that exist as objects — in device-id
-        order (each kick draws from that device's own stream, so
-        enrollment is deterministic)."""
+        """The tenant's membership, on every member's row (each kicked row
+        draws from its own stream, so enrollment is deterministic)."""
         fleet = self.fleet
         name = runtime.name
-        live = fleet.started
         for trainer in runtime.trainers.values():
             fleet.enroll_cohort_trainer(name, trainer)
-        constructed, rows = self._members(runtime)
-        for device in constructed:
-            device.enroll(name, runtime.trainers[device.device_id])
-            device.idle.membership_changed()
-            if live:
-                device.idle.kick_first_checkin()
-        if rows.size:
-            plane = fleet.idle_plane
-            plane.scheduler.enroll(rows, name)
-            plane.memberships_changed(rows)
-            if live:
-                plane.kick_rows(rows)
+        rows = self._member_rows(runtime)
+        plane = fleet.idle_plane
+        plane.scheduler.enroll(rows, name)
+        plane.memberships_changed(rows)
+        if fleet.started:
+            plane.kick_rows(rows)
 
     # -- drain ------------------------------------------------------------------
     def drain(
@@ -453,13 +433,9 @@ class PopulationLifecycle:
         coordinator = self._coordinator_actor(runtime)
         if coordinator is not None:
             coordinator.draining = True
-        constructed, rows = self._members(runtime)
-        for device in constructed:
-            device.leave_population(name)
-            device.idle.membership_changed()
-        if rows.size:
-            fleet.idle_plane.scheduler.leave(rows, name)
-            fleet.idle_plane.memberships_changed(rows)
+        rows = self._member_rows(runtime)
+        fleet.idle_plane.scheduler.leave(rows, name)
+        fleet.idle_plane.memberships_changed(rows)
 
         # Phase 2 — quiesce: let the in-flight round and device sessions
         # finish on their own clocks, checking at a fixed cadence.
@@ -473,8 +449,8 @@ class PopulationLifecycle:
         if not self._is_quiet(runtime):
             forced_interrupts, forced_round_abort = self._force_quiet(runtime)
 
-        # Phase 3 — retire: coordinator down, routes out, memberships and
-        # device-side queues stripped, idle rows refreshed.
+        # Phase 3 — retire: coordinator down, routes out, trainers
+        # dropped, idle rows refreshed.
         self._retire(runtime)
         final = fleet.store.latest(name)
         return PopulationLifecycleReport(
@@ -526,11 +502,10 @@ class PopulationLifecycle:
         if coordinator is not None and coordinator.active_master is not None:
             return False
         name = runtime.name
-        # Order-independent pure reads: no sort needed on this hot-ish
-        # poll (unlike the mutating enroll/force walks, which draw from
-        # per-device streams and must run in device-id order).  A member
-        # that is still only a row is quiet: it has never been admitted,
-        # and the drain's first phase dropped its queued request.
+        # Order-independent pure reads of the objects that exist (a
+        # session lives on its device's object).  A member that is still
+        # only a row is quiet: it has never been admitted, and the drain's
+        # first phase dropped its queued request.
         devices = self.fleet.devices.rows()
         for device_id in runtime.member_ids:
             device = devices[device_id]
@@ -553,7 +528,9 @@ class PopulationLifecycle:
             forced_round = True
         forced = 0
         name = runtime.name
-        for device in self._members(runtime)[0]:
+        # Only a device in a session can be in one of the tenant's: the
+        # plane's active rows (index order — each interrupt draws).
+        for device in fleet.idle_plane.active_devices():
             if device._active_population == name:
                 device.interrupt_session("population_drained")
                 forced += 1
@@ -568,10 +545,10 @@ class PopulationLifecycle:
         runtime.coordinator_ref = None
         for selector in fleet.shard_selector_actors(name):
             selector.remove_route(name)
-        # (A row without an object left for good in the drain's first phase.)
-        for device in self._members(runtime)[0]:
-            device.withdraw(name)
-            device.idle.membership_changed()
+        # The memberships went in the drain's first phase; a member whose
+        # last session for the tenant ended since then booked a check-in on
+        # the way out, which a row left without a tenant must not keep.
+        fleet.idle_plane.memberships_changed(self._member_rows(runtime))
         runtime.trainers = {}
         fleet.retire_cohort_plane(name)
         runtime.state = PopulationState.DRAINED
@@ -588,8 +565,10 @@ class PopulationLifecycle:
 #: numbers, example stores hold blocks.  4: a cohort-plane update rides
 #: its report as an unexecuted handle; ``DeviceActor`` lost a slot.
 #: 5: ``DeviceActor`` lost three more — the plane owns the eligibility
-#: law and the Selector pool — and ``FleetConfig`` its ``idle_plane``).
-SNAPSHOT_FORMAT_VERSION = 5
+#: law and the Selector pool — and ``FleetConfig`` its ``idle_plane``.
+#: 6: and its ``memberships`` / ``trainers`` — a device's tenancy is its
+#: row's columns and its tenants' runtimes).
+SNAPSHOT_FORMAT_VERSION = 6
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

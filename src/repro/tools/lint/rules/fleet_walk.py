@@ -1,4 +1,5 @@
-"""no-fleet-walk: nothing in the simulator walks ``fleet.devices``.
+"""no-fleet-walk: nothing in the simulator — or in an example — walks
+``fleet.devices``.
 
 A device is only a row of the idle plane's
 columns until something asks for its object (``repro.device.table``): a
@@ -41,6 +42,9 @@ class FleetWalkRule(Rule):
         "src/repro/actors/",
         "src/repro/system/",
         "src/repro/device/",
+        # What a reader copies: an example reads ``devices.rows()`` or
+        # indexes the members it means (``fleet.members_of(name)``).
+        "examples/",
     )
 
     def check(self, ctx: FileContext) -> list[Finding]:

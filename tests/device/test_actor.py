@@ -1,8 +1,9 @@
 """DeviceActor unit tests: the participation pipeline against stub actors.
 
 The device under test is a hand-built ``DeviceActor`` whose idle half is
-a one-row ``VectorizedIdlePlane`` (``plane.adopt(device)``): eligibility
-is scripted through the plane's law and the row's ``next_flip_t`` column.
+a one-row ``VectorizedIdlePlane`` (``plane.adopt(device, ("pop",))``
+writes its membership): eligibility is scripted through the plane's law
+and the row's ``next_flip_t`` column.
 """
 
 import numpy as np
@@ -71,7 +72,7 @@ def harness():
     return loop, system, server, server_ref, rngs
 
 
-def build_device(rngs, event_log=None, **kwargs):
+def build_device(rngs, event_log=None, trainers=None, **kwargs):
     profile = DeviceProfile(
         device_id=1, tz_offset_hours=0.0, speed_factor=1.0, memory_mb=4096,
         os_version=28, runtime_version=10, genuine=True,
@@ -82,8 +83,9 @@ def build_device(rngs, event_log=None, **kwargs):
         profile=profile,
         network=network,
         conditions=network.sample_conditions(rng),
-        population_name="pop",
-        trainer=SyntheticTrainer(num_parameters=10),
+        trainer_of=(
+            trainers or {"pop": SyntheticTrainer(num_parameters=10)}
+        ).__getitem__,
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
         attestation=AttestationService(),
         event_log=event_log if event_log is not None else EventLog(),
@@ -105,7 +107,7 @@ def make_device(
         selectors=[server_ref], actor_of=system.actor_of,
         attestation=device.attestation,
     )
-    plane.adopt(device)
+    plane.adopt(device, ("pop",))
     ref = system.spawn(device, "device-1")
     system.loop.run(until=system.loop.now)  # the plane starts the row
     if eligible_until is not None:
@@ -211,13 +213,14 @@ def test_interruption_mid_training(harness):
     loop, system, server, server_ref, rngs = harness
     log = EventLog()
     # Eligibility vanishes shortly after training starts.
+    # A slow trainer, so the interruption lands mid-round.
+    slow = SyntheticTrainer(num_parameters=10, mean_examples=5000.0)
     device, device_ref = make_device(
-        system, server_ref, rngs, eligible_until=710.0, event_log=log
+        system, server_ref, rngs, eligible_until=710.0, event_log=log,
+        trainers={"pop": slow},
     )
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
-    # Slow the trainer down so the interruption lands mid-round.
-    device.trainer = SyntheticTrainer(num_parameters=10, mean_examples=5000.0)
     system.tell(device_ref, make_configure(4, server_ref))
     loop.run(until=5000.0)
     shape = session_shape(log.session(1, 4))

@@ -7,8 +7,9 @@ operation sequence: check-ins (every membership enqueued, the next
 session started, then kept or aborted as a Selector's verdict would),
 the scalar ``enqueue`` / ``try_start`` / ``finish`` / ``abort`` /
 ``remove`` the session path calls, and enrolling in, leaving and
-re-enrolling in tenants.  After every step each row's pick, running
-session, queued set, depth and queue order must agree.
+re-enrolling in tenants through ``enroll`` / ``leave`` — the lifecycle
+plane's column writes.  After every step each row's pick, running
+session, queued set, depth, queue order and memberships must agree.
 """
 
 import numpy as np
@@ -60,13 +61,12 @@ class Pair:
 
     def checkin(self, verdicts):
         """The plane's dispatch: rows that can start a session go through
-        the batch, the others (busy worker, no tenant) file their requests
-        one by one and start nothing."""
+        the batch, members with a busy worker file their requests as one
+        more and start nothing, a row with no tenant wants nothing."""
         verdicts = sorted(verdicts)
-        batch = [
-            (r, admit) for r, admit in verdicts
-            if self.memberships[r] and self.views[r].running is None
-        ]
+        members = [(r, admit) for r, admit in verdicts if self.memberships[r]]
+        batch = [(r, admit) for r, admit in members if self.views[r].running is None]
+        busy = [r for r, _ in members if self.views[r].running is not None]
         picks = {}
         if batch:
             rows = np.array([r for r, _ in batch])
@@ -84,9 +84,8 @@ class Pair:
                 assert reference.try_start() == picks[r]
                 if not admit:
                     reference.abort()
-            else:
-                for name in self.memberships[r]:
-                    self.views[r].enqueue(name)
+        if busy:
+            self.columns.enqueue_rows(np.array(busy))
 
     def apply(self, op):
         kind, *args = op
@@ -111,18 +110,21 @@ class Pair:
         elif kind == "enroll":
             if args[1] not in self.memberships[r]:
                 self.memberships[r] = (*self.memberships[r], args[1])
-                self.columns.set_memberships(r, self.memberships[r])
+                self.columns.enroll(np.array([r]), args[1])
         elif kind == "leave":
-            # DeviceActor.leave_population: the queued request goes, a
-            # running session and the recency record stay.
-            assert view.remove(args[1]) == reference.remove(args[1])
+            # A drain's first phase: the queued request goes with the
+            # membership, a running session and the recency record stay.
+            reference.remove(args[1])
             self.memberships[r] = tuple(
                 name for name in self.memberships[r] if name != args[1]
             )
-            self.columns.set_memberships(r, self.memberships[r])
+            self.columns.leave(np.array([r]), args[1])
 
     def check(self):
-        for view, reference in zip(self.views, self.references):
+        for view, reference, memberships in zip(
+            self.views, self.references, self.memberships
+        ):
+            assert view.memberships == memberships
             assert view.running == reference.running
             assert view.queue == list(reference._queue)
             assert view.queue_depth == reference.queue_depth

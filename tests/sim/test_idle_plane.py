@@ -96,8 +96,9 @@ def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
         profile=profile,
         network=network,
         conditions=network.sample_conditions(rng),
-        memberships=memberships,
-        trainers={name: SyntheticTrainer(num_parameters=10) for name in memberships},
+        trainer_of={
+            name: SyntheticTrainer(num_parameters=10) for name in memberships
+        }.__getitem__,
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
         attestation=plane._attestation,
         event_log=EventLog(),
@@ -106,7 +107,7 @@ def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
         compute_error_prob=0.0,
         **kwargs,
     )
-    plane.adopt(device)
+    plane.adopt(device, memberships)
     system.spawn(device, profile.name)
     system.loop.run(until=system.loop.now)  # the plane starts the row
     return device

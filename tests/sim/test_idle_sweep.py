@@ -14,7 +14,9 @@ scheduler, one Selector verdict per group, bounces as vector writes.  The
 other runs ``reference_checkin_rows`` below for its whole life — the old
 row-at-a-time code kept here as the oracle: every due row walked through
 its own ``MultiTenantScheduler``, its own scalar screen and its own
-rejection.  Everything a check-in touches must agree after every sweep,
+rejection (memberships it reads where they live, in the plane's columns,
+and it hears of a drain through ``reference_leave``).  Everything a
+check-in touches must agree after every sweep,
 each device's worker queue and the *order* in which admitted devices
 materialize included: it fixes the shared ``actors/latency`` stream.
 """
@@ -27,8 +29,7 @@ from repro import FLFleet
 from repro.actors.selector import Selector, SelectorStats
 from repro.core.config import RoundConfig, TaskConfig
 from repro.device.actor import DeviceActor
-from repro.device.runtime import SyntheticTrainer
-from repro.device.scheduler import MultiTenantScheduler, RowScheduler
+from repro.device.scheduler import ColumnScheduler, MultiTenantScheduler, RowScheduler
 from repro.nn.models import MLPClassifier
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig
@@ -98,13 +99,20 @@ def reference_pool(plane, population_name):
     return [selectors[i] for i in indices]
 
 
+def memberships_of(plane, i):
+    """Row ``i``'s tenants, read off the membership columns (a reference
+    device's ``scheduler`` is not its row's view)."""
+    return RowScheduler(plane.scheduler, i).memberships
+
+
 def reference_attempt(plane, device, attestation_ok, pick):
     """``DeviceActor._attempt_screened_checkin`` as it was: the worker
     queue dance, the Selector pick, the screen, and the device half of a
     rejection.  Returns the window when bounced."""
-    if not device.memberships:
+    memberships = memberships_of(plane, device.device_id)
+    if not memberships:
         return None
-    for membership in device.memberships:
+    for membership in memberships:
         device.scheduler.enqueue(membership)
     started = device.scheduler.try_start()
     if started is None:
@@ -163,6 +171,22 @@ def reference_checkin_rows(self, rows, u_pick, u_window, now):
     self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
 
 
+def reference_leave(fleets):
+    """``ColumnScheduler.leave`` for the reference run, whose worker queues
+    are not the columns: a drain's first phase also drops the tenant's
+    queued request from each leaving device's ``MultiTenantScheduler``
+    (``fleets[-1]`` is the run's fleet, as last reborn)."""
+    original = ColumnScheduler.leave
+
+    def leave(self, rows, name):
+        original(self, rows, name)
+        devices = fleets[-1].devices
+        for i in rows.tolist():
+            devices[i].scheduler.remove(name)
+
+    return leave
+
+
 # -- scenarios --------------------------------------------------------------------
 
 
@@ -219,14 +243,15 @@ def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
     for i in rows:
         device = fleet.devices[i]
         kind = scenario.random()
-        if kind < 0.1 and "ghost" not in device.memberships:
+        if kind < 0.1 and "ghost" not in memberships_of(plane, i):
             # A population no Selector routes.
-            device.enroll("ghost", SyntheticTrainer(num_parameters=10))
-            device.idle.membership_changed()
+            row = np.array([i])
+            plane.scheduler.enroll(row, "ghost")
+            plane.memberships_changed(row)
         elif kind < 0.2:
             if device.scheduler.running is None:
                 # The worker is busy with a session of its own.
-                device.scheduler.enqueue(device.memberships[-1])
+                device.scheduler.enqueue(memberships_of(plane, i)[-1])
                 device.scheduler.try_start()
             else:
                 device.scheduler.abort()
@@ -277,7 +302,7 @@ def observe(fleet):
         ),
         "health_checkins": [d.health.checkins for d in fleet.devices],
         "schedulers": [scheduler_state(d.scheduler) for d in fleet.devices],
-        "memberships": [d.memberships for d in fleet.devices],
+        "memberships": [memberships_of(plane, i) for i in range(len(plane))],
         "latency_stream": repr(
             fleet.rngs.stream("actors/latency").bit_generator.state
         ),
@@ -285,14 +310,17 @@ def observe(fleet):
     }
 
 
-def run_scenario(scenario_seed: int, reference: bool, materialized: list, tmp_path):
+def run_scenario(scenario_seed: int, reference: list | None, materialized: list, tmp_path):
+    """``reference``: ``None`` for the dispatch as shipped; for the oracle
+    run a list, which receives the fleet each time it is (re)born."""
     shape = np.random.default_rng([scenario_seed, 0])
     selectors = int(shape.integers(1, 4))
     shards = int(shape.integers(1, selectors + 1))
     tenants = int(shape.integers(1, 4))
     policy = ("fifo", "fair_share")[scenario_seed % 2]
     fleet = build_fleet(selectors, shards, tenants, policy)
-    if reference:
+    if reference is not None:
+        reference.append(fleet)
         for device in fleet.devices:
             device.scheduler = MultiTenantScheduler(policy)
     fleet.run_for(600.0)
@@ -307,9 +335,11 @@ def run_scenario(scenario_seed: int, reference: bool, materialized: list, tmp_pa
         if sweep == 0:
             fleet.attach_population(spec_for("late", membership=0.5))
         elif sweep == 1:
-            path = tmp_path / f"fleet-{scenario_seed}-{reference}.snapshot"
+            path = tmp_path / f"fleet-{scenario_seed}-{reference is None}.snapshot"
             fleet.snapshot(path)
             fleet = FLFleet.restore(path)
+            if reference is not None:
+                reference.append(fleet)
         elif sweep == 2:
             fleet.drain_population("tenant0", deadline_s=300.0)
     fleet.run_for(3600.0)
@@ -330,11 +360,13 @@ def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
     exercised = SelectorStats()
     busy_retries = groups = 0
     for scenario_seed in range(10):
-        seen, report = run_scenario(scenario_seed, False, materialized, tmp_path)
+        seen, report = run_scenario(scenario_seed, None, materialized, tmp_path)
         with monkeypatch.context() as patch:
+            fleets: list[FLFleet] = []
             patch.setattr(VectorizedIdlePlane, "_checkin_rows", reference_checkin_rows)
+            patch.setattr(ColumnScheduler, "leave", reference_leave(fleets))
             ref_seen, ref_report = run_scenario(
-                scenario_seed, True, materialized, tmp_path
+                scenario_seed, fleets, materialized, tmp_path
             )
         for step, ((rows, order, state), (ref_rows, ref_order, ref_state)) in enumerate(
             zip(seen, ref_seen, strict=True)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    FaultPlan,
     FLFleet,
     FleetValidationError,
     RoundConfig,
@@ -11,6 +12,12 @@ from repro import (
 )
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
+from repro.system import (
+    ActorCrashSchedule,
+    DeviceInterruptSchedule,
+    MessageFaultConfig,
+    RetryPolicy,
+)
 
 
 def params(seed=0, dim=3, classes=2):
@@ -110,6 +117,87 @@ def test_nonpositive_or_nonfinite_interval_rejected(knob, value):
         getattr(builder, knob)(value).build()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def crash(**fields):
+    return FaultPlan(crashes=(ActorCrashSchedule("selector", **fields),))
+
+
+def interrupts(**fields):
+    return FaultPlan(device_interrupts=DeviceInterruptSchedule(**fields))
+
+
+@pytest.mark.parametrize(
+    "plan, field",
+    [
+        pytest.param(crash(mean_interval_s=NAN), "mean_interval_s", id="crash-interval-nan"),
+        pytest.param(crash(mean_interval_s=60.0, start_s=NAN), "start_s", id="crash-start-nan"),
+        pytest.param(crash(mean_interval_s=60.0, stop_s=NAN), "stop_s", id="crash-stop-nan"),
+        pytest.param(crash(mean_interval_s=60.0, max_crashes=NAN), "max_crashes", id="crash-cap-nan"),
+        pytest.param(interrupts(mean_interval_s=NAN), "mean_interval_s", id="interrupt-interval-nan"),
+        pytest.param(interrupts(mean_interval_s=60.0, start_s=NAN), "start_s", id="interrupt-start-nan"),
+        pytest.param(
+            interrupts(mean_interval_s=60.0, max_interrupts=NAN), "max_interrupts",
+            id="interrupt-cap-nan",
+        ),
+        pytest.param(
+            FaultPlan(messages=MessageFaultConfig(delay_prob=0.5, delay_mean_s=NAN)),
+            "delay_mean_s", id="delay-mean-nan",
+        ),
+        pytest.param(
+            FaultPlan(messages=MessageFaultConfig(delay_prob=0.5, delay_mean_s=INF)),
+            "delay_mean_s", id="delay-mean-inf",
+        ),
+        pytest.param(
+            FaultPlan(upload_retry=RetryPolicy(base_backoff_s=NAN)), "base_backoff_s",
+            id="backoff-nan",
+        ),
+        pytest.param(
+            FaultPlan(upload_retry=RetryPolicy(base_backoff_s=INF)), "base_backoff_s",
+            id="backoff-inf",
+        ),
+        pytest.param(
+            FaultPlan(checkpoint_retry=RetryPolicy(multiplier=NAN)), "multiplier",
+            id="multiplier-nan",
+        ),
+        pytest.param(
+            FaultPlan(checkpoint_retry=RetryPolicy(multiplier=INF)), "multiplier",
+            id="multiplier-inf",
+        ),
+        pytest.param(
+            FaultPlan(upload_retry=RetryPolicy(max_retries=1.5)), "max_retries",
+            id="retries-fractional",
+        ),
+        pytest.param(
+            FaultPlan(upload_retry=RetryPolicy(max_retries=NAN)), "max_retries",
+            id="retries-nan",
+        ),
+    ],
+)
+def test_nonfinite_fault_plan_refused_at_build(plan, field):
+    """A NaN passes ``value <= 0``: it used to build, put a NaN-time event
+    on the heap and silently wreck the run.  Every ``FaultPlan`` number
+    that is meant to be finite is refused at ``.build()`` when it is not."""
+    builder = base_builder().population(
+        "a", tasks=[task("a/t", "a")], model=params()
+    )
+    with pytest.raises(FleetValidationError, match=f"{field} must be"):
+        builder.faults(plan).build()
+
+
+def test_schedules_that_never_fire_or_never_stop_stay_legal():
+    ActorCrashSchedule("selector", mean_interval_s=INF, stop_s=INF).validate()
+    DeviceInterruptSchedule(mean_interval_s=INF).validate()
+
+
+def test_nan_selector_restart_delay_refused():
+    from repro.system.config import FleetConfig
+
+    with pytest.raises(ValueError, match="selector_restart_delay_s"):
+        FleetConfig(selector_restart_delay_s=NAN).validate()
+
+
 def test_law_broken_after_construction_rejected_at_build():
     """Both laws validate at construction; the builder validates again,
     for a field assigned since."""
@@ -161,10 +249,12 @@ def test_membership_overrides_and_fractions_applied():
     assert 2 not in a and 2 not in b
     # Fraction sampling is a strict, non-empty subset of the fleet.
     assert 0 < len(b) < 80
-    # Devices carry memberships in population-declaration order.
+    # A device's memberships are in population-declaration order, and its
+    # trainers its tenants'.
     device_1 = fleet.devices[1]
     assert device_1.memberships == ("a", "b")
-    assert set(device_1.trainers) == {"a", "b"}
+    for name in ("a", "b"):
+        assert device_1.trainer_of(name) is fleet.lifecycle.runtime(name).trainers[1]
 
 
 def test_pool_cap_uses_largest_task_goal():

@@ -171,7 +171,8 @@ def drained_postconditions(fleet, name):
         assert name not in selector.routes
     for device in fleet.devices:
         assert name not in device.memberships
-        assert name not in device.trainers
+        with pytest.raises(KeyError):
+            device.trainer_of(name)
         assert device._active_population != name
         assert device.scheduler.running != name
         assert not device.scheduler.is_queued(name)
@@ -736,10 +737,11 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 5
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 6
     # Format 4's devices still carried their own eligibility process and
-    # shard router, and its config an ``idle_plane`` field.
-    for older in (3, 4):
+    # shard router, and its config an ``idle_plane`` field; format 5's a
+    # copy of their memberships and trainers.
+    for older in (3, 4, 5):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -749,7 +751,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 5",
+                match=f"format {older} unsupported .*reads format 6",
             ):
                 read(old)
 

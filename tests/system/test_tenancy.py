@@ -1,0 +1,160 @@
+"""The tenancy law: a device's tenancy has one home.
+
+Memberships are the idle plane's columns (``ColumnScheduler._member_pos``),
+trainers the tenant's ``PopulationRuntime.trainers``; a ``DeviceActor``
+holds neither, only views of both.  Hypothesis drives short scripts of
+attach / run / drain / re-attach / snapshot → restore on a small sharded
+fleet, forcing some devices into objects at random, and after every step
+— and inside every drain, while the tenant is DRAINING — every row must
+satisfy:
+
+* the tenants read off its ``_member_pos`` are exactly the ATTACHED
+  tenants that list the device, in attach order, positions compact from 0;
+* ``_has_memberships == (membership_count > 0)``, and a row with no
+  tenant has no check-in on the books once its drain has retired;
+* a constructed device's ``memberships`` is its row;
+* a trainer resolves for (device, tenant) iff the tenant is ATTACHED or
+  DRAINING and lists the device — through the lifecycle plane and through
+  the device's own ``trainer_of`` alike.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import FLFleet, PopulationSpec, RoundConfig, TaskConfig
+from repro.device.scheduler import _UNQUEUED, JobSchedule
+from repro.nn.models import LogisticRegression
+from repro.sim.population import PopulationConfig
+from repro.system.lifecycle import PopulationLifecycle, PopulationState
+
+DEVICES = 60
+TENANTS = ("t0", "t1", "t2")
+INIT = LogisticRegression(input_dim=4, n_classes=3).init(np.random.default_rng(0))
+_INF = float("inf")
+
+
+def spec_for(name):
+    task = TaskConfig(
+        task_id=f"{name}/train",
+        population_name=name,
+        round_config=RoundConfig(
+            target_participants=4, selection_timeout_s=60, reporting_timeout_s=120,
+        ),
+    )
+    return PopulationSpec(
+        name=name, tasks=[task], initial_params=INIT, membership_fraction=0.6
+    )
+
+
+def build_fleet():
+    return (
+        FLFleet.builder()
+        .seed(11)
+        .devices(PopulationConfig(num_devices=DEVICES))
+        .selectors(4)
+        .selector_shards(2)
+        .device_scheduler("fair_share")
+        .job(JobSchedule(300.0, 0.5))
+        .add_spec(spec_for("t0"))
+        .build()
+    )
+
+
+def check_law(fleet, retired=True):
+    """``retired``: no drain is under way (inside one, a device that just
+    finished its last session for the draining tenant may have booked a
+    check-in that the drain's retirement clears)."""
+    plane = fleet.idle_plane
+    columns = plane.scheduler
+    hosted = fleet.lifecycle.active  # ATTACHED and DRAINING, in attach order
+    rows = np.arange(DEVICES)
+    count = columns.membership_count(rows)
+    assert (plane._has_memberships[:DEVICES] == (count > 0)).all()
+    for i, device in enumerate(fleet.devices.rows()):
+        position = columns._member_pos[i]
+        slots = np.flatnonzero(position != _UNQUEUED)
+        slots = slots[np.argsort(position[slots])]
+        assert position[slots].tolist() == list(range(slots.size))
+        tenants = tuple(columns.tenants[slot] for slot in slots.tolist())
+        assert tenants == tuple(
+            name for name, runtime in hosted.items()
+            if runtime.state is PopulationState.ATTACHED and i in runtime.member_ids
+        )
+        if not tenants and retired:
+            assert plane.next_checkin_t[i] == _INF
+        if device is not None:
+            assert device.memberships == tenants
+        for name in TENANTS:
+            listed = name in hosted and i in hosted[name].member_ids
+            if listed:
+                trainer = fleet.lifecycle.trainer_of(i, name)
+                assert trainer is hosted[name].trainers[i]
+                assert device is None or device.trainer_of(name) is trainer
+            else:
+                with pytest.raises(KeyError):
+                    fleet.lifecycle.trainer_of(i, name)
+                if device is not None:
+                    with pytest.raises(KeyError):
+                        device.trainer_of(name)
+
+
+steps = st.one_of(
+    st.tuples(st.just("attach"), st.sampled_from(TENANTS), st.sampled_from((0.2, 0.6, 1.0))),
+    st.tuples(st.just("run"), st.integers(30, 1500)),
+    st.tuples(st.just("drain"), st.sampled_from(TENANTS), st.sampled_from((0.0, 90.0, 900.0))),
+    st.tuples(st.just("snapshot")),
+    st.tuples(
+        st.just("force"), st.lists(st.integers(0, DEVICES - 1), min_size=1, max_size=12)
+    ),
+)
+
+
+@given(st.lists(steps, min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_tenancy_has_one_home(script):
+    fleet = build_fleet()
+    check_law(fleet)
+    quiet = PopulationLifecycle._is_quiet
+    draining_seen = []
+
+    def probing(lifecycle, runtime):
+        # Every drain polls at least once while its tenant is DRAINING.
+        assert runtime.state is PopulationState.DRAINING
+        check_law(lifecycle.fleet, retired=False)
+        draining_seen.append(runtime.name)
+        return quiet(lifecycle, runtime)
+
+    drains = 0
+    with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
+        PopulationLifecycle, "_is_quiet", probing
+    ):
+        for number, (kind, *args) in enumerate(script):
+            hosted = fleet.population_names
+            if kind == "attach":
+                name, fraction = args
+                if name in hosted:
+                    continue
+                fleet.attach_population(spec_for(name), membership=fraction)
+            elif kind == "run":
+                fleet.run_for(float(args[0]))
+            elif kind == "drain":
+                name, deadline_s = args
+                if name not in hosted:
+                    continue
+                fleet.drain_population(name, deadline_s=deadline_s)
+                drains += 1
+            elif kind == "snapshot":
+                path = Path(scratch) / f"fleet-{number}.snapshot"
+                fleet.snapshot(path)
+                fleet = FLFleet.restore(path)
+            else:
+                for index in args[0]:
+                    assert fleet.devices[index].device_id == index
+            check_law(fleet)
+    assert len(draining_seen) >= drains

@@ -558,10 +558,24 @@ class TestFleetWalk:
         """) == []
 
     def test_quiet_outside_the_simulator_trees(self):
-        # Examples and the benchmark read every device on purpose.
+        # The benchmark reads every device on purpose, after its timed window.
         source = """
             def checkins(fleet):
                 return sum(d.health.checkins for d in fleet.devices)
         """
-        assert run(source, path="examples/example.py") == []
+        assert run(source, path="benchmarks/e2e/example.py") == []
         assert run(source, path="src/repro/tools/example.py") == []
+
+    def test_examples_are_in_scope(self):
+        # An example is what a reader copies: it may not teach the walk.
+        findings = run("""
+            def checkins(fleet):
+                return sum(d.health.checkins for d in fleet.devices)
+        """, path="examples/example.py")
+        assert rule_names(findings) == ["no-fleet-walk"]
+        assert run("""
+            def drained(fleet, name):
+                members = [fleet.devices[i] for i in fleet.members_of(name)]
+                seen = [d for d in fleet.devices.rows() if d is not None]
+                return members, seen
+        """, path="examples/example.py") == []
