@@ -48,10 +48,10 @@ class CoordinatorConfig:
     max_rounds: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tick_interval_s <= 0:
-            raise ValueError("tick_interval_s must be positive")
-        if self.inter_round_gap_s < 0:
-            raise ValueError("inter_round_gap_s must be >= 0")
+        if not 0 < self.tick_interval_s < math.inf:
+            raise ValueError("tick_interval_s must be finite and positive")
+        if not 0 <= self.inter_round_gap_s < math.inf:
+            raise ValueError("inter_round_gap_s must be finite and >= 0")
 
 
 class Coordinator(Actor):

@@ -68,10 +68,6 @@ class AdaptiveWindowTuner:
         self.adjustments = 0
 
     @property
-    def rounds_seen(self) -> int:
-        return self._rounds_seen
-
-    @property
     def reporting_timeout_s(self) -> float:
         return self._current_reporting_s
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.nn.parameters import Parameters
-from repro.nn.serialization import checkpoint_nbytes, params_from_bytes, params_to_bytes
+from repro.nn.serialization import params_from_bytes, params_to_bytes
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,3 @@ class CheckpointStore:
         self._history.setdefault(population_name, []).append(ckpt)
         self.write_count += 1
         return ckpt
-
-
-def estimate_checkpoint_bytes(params: Parameters) -> int:
-    """Wire size of a checkpoint for traffic accounting (Fig. 9)."""
-    return checkpoint_nbytes(params)

@@ -32,13 +32,13 @@ class RoundConfig:
     def __post_init__(self) -> None:
         if self.target_participants <= 0:
             raise ValueError("target_participants must be positive")
-        if self.overselection_factor < 1.0:
-            raise ValueError("overselection_factor must be >= 1.0")
+        if not 1.0 <= self.overselection_factor < math.inf:
+            raise ValueError("overselection_factor must be finite and >= 1.0")
         if not 0.0 < self.min_participant_fraction <= 1.0:
             raise ValueError("min_participant_fraction must be in (0, 1]")
         for name in ("selection_timeout_s", "reporting_timeout_s", "device_time_cap_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
     @property
     def selection_goal(self) -> int:

@@ -39,11 +39,12 @@ class PaceConfig:
     diurnal_damping: bool = True
 
     def __post_init__(self) -> None:
-        if self.round_period_s <= 0:
-            raise ValueError("round_period_s must be positive")
-        if self.min_reconnect_delay_s <= 0:
-            raise ValueError("min_reconnect_delay_s must be positive")
-        if self.max_reconnect_delay_s <= self.min_reconnect_delay_s:
+        for name in ("round_period_s", "min_reconnect_delay_s"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.sync_window_width_s < math.inf:
+            raise ValueError("sync_window_width_s must be finite and >= 0")
+        if not self.max_reconnect_delay_s > self.min_reconnect_delay_s:
             raise ValueError("max_reconnect_delay_s must exceed the minimum")
 
 

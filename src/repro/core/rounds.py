@@ -146,12 +146,6 @@ class RoundStateMachine:
     def is_terminal(self) -> bool:
         return self.phase in (RoundPhase.COMPLETED, RoundPhase.ABANDONED)
 
-    def _require_phase(self, *phases: RoundPhase) -> None:
-        if self.phase not in phases:
-            raise RuntimeError(
-                f"round {self.round_id}: operation invalid in phase {self.phase}"
-            )
-
     # -- selection phase --------------------------------------------------------
     def on_checkin(self, device_id: int, now_s: float) -> CheckinDecision:
         """A device announced readiness during the selection window."""

@@ -14,8 +14,8 @@ VectorizedIdlePlane`: idle devices are rows in fleet-wide arrays and
 only materialize as actor interactions when a Selector admits a
 check-in — a fleet does not even construct a row's ``DeviceActor``
 before its first admitted check-in (:mod:`repro.device.table`).  The
-actor reaches its row through three handles the plane hands it: ``idle``
-(a ``PlaneIdleDriver``), ``scheduler`` and ``health``.
+actor holds its ``plane`` and its ``row`` and calls the plane's per-row
+entry points with them; ``scheduler`` is that row of the worker queue.
 
 A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
 one fleet, many learning problems).  Each job-scheduler firing enqueues
@@ -29,8 +29,11 @@ the plane's membership columns (``memberships`` is a read-only view) and
 its trainers are its tenants' (a session asks ``trainer_of(name)``, which
 a fleet resolves in the tenant's ``PopulationRuntime``): a tenant
 attaching to or draining from a live fleet writes columns and never
-visits a device.  What the object owns is its session — the state
-machine, the round it is in, its stale-event guards and its tallies.
+visits a device.  Nor is it a home of its record: what it tallies
+(:class:`DeviceHealthStats`) and its eligibility are columns of its row,
+which ``health`` / ``eligible`` / ``state`` read.  What the object owns
+is its session — the round it is in, its timers — and, between sessions,
+its two stale-event guards (``_generation``, ``_wait_epoch``).
 """
 
 from __future__ import annotations
@@ -59,37 +62,28 @@ class DeviceState(enum.Enum):
     PARTICIPATING = "participating"  # configured; downloading/training/uploading
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceHealthStats:
     """PII-free health counters logged to the cloud (Sec. 5).
 
     "the device state in which training was activated, how often and how
-    long it ran, how much memory it used, which errors where detected,
-    which phone model / OS / FL runtime version was used" — aggregated by
-    :meth:`repro.system.FLFleet.health_report`.
+    long it ran, [...] which errors where detected, which phone model /
+    OS / FL runtime version was used" — aggregated by
+    :meth:`repro.system.FLFleet.health_report`.  The value ``device.health``
+    builds on read from the columns of the device's idle-plane row
+    (errors are tallied fleet-wide, by reason).
     """
 
     checkins: int = 0
     sessions_started: int = 0
     train_seconds: float = 0.0
-    peak_memory_mb: float = 0.0
     #: Bounded-retry recovery on the upload path: transient failures that
     #: were retried, and sessions dropped after the retry budget ran out.
     upload_retries: int = 0
     upload_retries_exhausted: int = 0
-    errors: dict[str, int] = field(default_factory=dict)
     #: Sessions started per FL population this device belongs to — the
     #: multi-tenant interleaving record (Sec. 11 "Device Scheduling").
     sessions_by_population: dict[str, int] = field(default_factory=dict)
-
-    def record_error(self, reason: str) -> None:
-        self.errors[reason] = self.errors.get(reason, 0) + 1
-
-    def record_session(self, population_name: str) -> None:
-        self.sessions_started += 1
-        self.sessions_by_population[population_name] = (
-            self.sessions_by_population.get(population_name, 0) + 1
-        )
 
 
 class DeviceActor(Actor):
@@ -101,11 +95,10 @@ class DeviceActor(Actor):
         "profile", "network", "conditions", "trainer_of", "compute",
         "attestation", "event_log", "_rng", "job",
         "compute_error_prob", "ack_timeout_s",
-        "waiting_timeout_s", "upload_retry", "state", "eligible", "scheduler",
-        "health", "rounds_completed", "rounds_rejected_report",
-        "rounds_interrupted", "_active_population", "_selector", "_round_id",
+        "waiting_timeout_s", "upload_retry", "plane", "row", "scheduler",
+        "_active_population", "_selector", "_round_id",
         "_aggregator", "_generation", "_waiting_timeout_event",
-        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch", "idle",
+        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch",
     )
 
     def __init__(
@@ -123,9 +116,9 @@ class DeviceActor(Actor):
         ack_timeout_s: float = 60.0,
         waiting_timeout_s: float = 1800.0,
         upload_retry: Any = None,  # faults.RetryPolicy; None = legacy no-retry
+        plane: Any = None,  # sim.idle_plane.VectorizedIdlePlane
+        row: int = -1,
         scheduler: Any = None,  # device.scheduler.RowScheduler
-        health: DeviceHealthStats | None = None,
-        idle: Any = None,  # sim.idle_plane.PlaneIdleDriver
     ):
         self.profile = profile
         self.network = network
@@ -148,23 +141,14 @@ class DeviceActor(Actor):
         self.waiting_timeout_s = waiting_timeout_s
         self.upload_retry = upload_retry
 
-        #: Maintained by the actor for a session's length.  The idle plane
-        #: does *not* mirror an idle row's flips onto these two (its
-        #: ``eligible`` column and census are the truth there); it sets
-        #: them only when it hands the device a session or interrupts one.
-        self.state = DeviceState.SLEEPING
-        self.eligible = False
-        #: The row views of the on-device worker queue (memberships
-        #: included) and the health record (the plane keeps both as
-        #: columns), and the handle on the idle half of the lifecycle —
-        #: handed in by the fleet's device table, or installed by
+        #: The idle plane and this device's row of it — the home of its
+        #: idle life, its eligibility and everything it tallies — and that
+        #: row's view of the on-device worker queue (memberships
+        #: included): handed in by the fleet's device table, or set by
         #: ``VectorizedIdlePlane.adopt`` on a hand-built device.
+        self.plane = plane
+        self.row = row
         self.scheduler = scheduler
-        self.health = health if health is not None else DeviceHealthStats()
-        self.idle = idle
-        self.rounds_completed = 0
-        self.rounds_rejected_report = 0
-        self.rounds_interrupted = 0
         self._active_population: str | None = None
         self._selector: ActorRef | None = None
         self._round_id: int | None = None
@@ -198,6 +182,26 @@ class DeviceActor(Actor):
         read-only view of its row of the plane's membership columns."""
         return self.scheduler.memberships
 
+    @property
+    def eligible(self) -> bool:
+        """Idle, charging and unmetered right now: the row's column."""
+        return bool(self.plane.eligible[self.row])
+
+    @property
+    def state(self) -> DeviceState:
+        """Inside a session, its phase; outside one, the row's
+        eligibility — read where each lives, so never stale."""
+        if self._aggregator is not None:
+            return DeviceState.PARTICIPATING
+        if self._active_population is not None:
+            return DeviceState.WAITING
+        return DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
+
+    @property
+    def health(self) -> DeviceHealthStats:
+        """This device's health record, built from its row's columns."""
+        return self.plane.health(self.row)
+
     def _log(self, event: DeviceEvent, **attrs: object) -> None:
         self.event_log.log(
             self.now, self.device_id, self._round_id or 0, event, **attrs
@@ -218,48 +222,51 @@ class DeviceActor(Actor):
 
     # -- lifecycle ------------------------------------------------------------
     def on_start(self) -> None:
-        if self.idle is None:
+        if self.plane is None:
             raise RuntimeError(
                 f"device {self.device_id} was spawned without an idle plane "
                 "row: enroll a hand-built device with "
                 "VectorizedIdlePlane.adopt(device, memberships) before spawning it"
             )
-        self.idle.start()
+        self.plane.start()
 
     def on_eligibility_lost(self) -> None:
-        """Eligibility vanished (driver callback): interrupt any session.
+        """Eligibility vanished (the plane's callback): interrupt any
+        session.
 
-        The driver has already updated ``self.eligible`` and owns the
-        idle-side rescheduling; this handles only the active-session
-        teardown (Sec. 3's abort semantics).
+        The plane has already flipped the row and owns the idle-side
+        rescheduling; this handles only the active-session teardown
+        (Sec. 3's abort semantics).
         """
         if self.state is DeviceState.WAITING:
             self._leave_waiting(disconnect=True)
             # The interrupted job reschedules at its normal cadence, not
             # at the next eligibility window.
-            self.idle.set_pending_window(self.now + self.job.next_delay(self.rng))
+            self.plane.set_pending_window(
+                self.row, self.now + self.job.next_delay(self.rng)
+            )
         elif self.state is DeviceState.PARTICIPATING:
             # Sec. 3: the runtime aborts when conditions are no longer met.
             self._abort_participation("eligibility_change")
             self._hand_back()
-        self.state = DeviceState.SLEEPING
 
     def _abort_participation(self, reason: str) -> None:
         """The PARTICIPATING-session abort core, shared by eligibility
-        loss and server-driven interrupts: log, count, notify the round's
+        loss and server-driven interrupts: log, notify the round's
         aggregator, and invalidate in-flight work."""
         self._log(DeviceEvent.INTERRUPTED, reason=reason)
-        self.rounds_interrupted += 1
-        if self._aggregator is not None and self._round_id is not None:
-            self.tell(
-                self._aggregator,
-                msg.DeviceDropped(
-                    device_id=self.device_id,
-                    round_id=self._round_id,
-                    reason=reason,
-                ),
-            )
+        self._tell_dropped(reason)
         self._end_participation()
+
+    def _tell_dropped(self, reason: str) -> None:
+        """Tell the round's aggregator this PARTICIPATING device is out
+        (``state`` is PARTICIPATING exactly while ``_aggregator`` is set)."""
+        self.tell(
+            self._aggregator,
+            msg.DeviceDropped(
+                device_id=self.device_id, round_id=self._round_id, reason=reason
+            ),
+        )
 
     def interrupt_session(self, reason: str) -> None:
         """Server-driven session teardown (tenant drain past its deadline):
@@ -296,10 +303,9 @@ class DeviceActor(Actor):
         """The session is over: the plane owns the row again and, if the
         device is still eligible, books its next check-in ``back_in()``
         seconds out (drawn only then)."""
-        self.state = DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
-        self.idle.session_ended()
+        self.plane.session_ended(self.row)
         if back_in is not None and self.eligible:
-            self.idle.schedule_checkin(back_in())
+            self.plane.schedule_checkin(self.row, back_in())
 
     def _next_job_delay(self) -> float:
         if self.scheduler.queue_depth > 0:
@@ -311,10 +317,8 @@ class DeviceActor(Actor):
 
     # -- check-in ------------------------------------------------------------
     def _materialize_checkin(self, started: str) -> None:
-        """Open the real device stream: WAITING state, timers, messages."""
-        self.state = DeviceState.WAITING
-        self.eligible = True  # only an eligible device opens a stream
-        self.idle.session_started()
+        """Open the real device stream: timers, messages."""
+        self.plane.session_started(self.row)
         self._wait_epoch += 1
         # A real check-in stream does not stay open forever: if no round
         # wants this device within the timeout, hang up and retry on the
@@ -387,7 +391,7 @@ class DeviceActor(Actor):
         # pace steering is the server's overload valve, and a multi-tenant
         # device hammering back for its other population would defeat it.
         reconnect_at = rejected.window.sample(self.rng)
-        self.idle.set_pending_window(reconnect_at)
+        self.plane.set_pending_window(self.row, reconnect_at)
         self._leave_waiting(
             disconnect=False, back_in=lambda: max(reconnect_at - self.now, 1.0)
         )
@@ -404,20 +408,12 @@ class DeviceActor(Actor):
                 ),
             )
             return
-        self.state = DeviceState.PARTICIPATING
         self._cancel_waiting_timer()
-        self.health.record_session(self._active_population)
-        self.health.peak_memory_mb = max(
-            self.health.peak_memory_mb,
-            3 * configure.checkpoint.nbytes / 1e6,  # params+grads+activations
-        )
+        self.plane.scheduler.count_session(self.row, self._active_population)
         self._round_id = configure.round_id
-        self._aggregator = configure.aggregator
-        checkin_t = (
-            self._last_checkin_t if self._last_checkin_t is not None else self.now
-        )
+        self._aggregator = configure.aggregator  # PARTICIPATING from here
         self.event_log.log(
-            checkin_t, self.device_id, configure.round_id, DeviceEvent.CHECKIN
+            self._last_checkin_t, self.device_id, configure.round_id, DeviceEvent.CHECKIN
         )
         generation = self._generation
         nbytes = configure.plan.nbytes + configure.checkpoint.nbytes
@@ -425,10 +421,8 @@ class DeviceActor(Actor):
         self.schedule(duration, self._on_downloaded, generation, ok, configure)
 
     def _guard(self, generation: int) -> bool:
-        return (
-            generation == self._generation
-            and self.state is DeviceState.PARTICIPATING
-        )
+        # Same session, still PARTICIPATING.
+        return generation == self._generation and self._aggregator is not None
 
     def _on_downloaded(
         self, generation: int, ok: bool, configure: msg.ConfigureDevice
@@ -465,7 +459,7 @@ class DeviceActor(Actor):
         train_time = self.compute.train_time_s(
             result.train_compute_units, self.profile.speed_factor
         )
-        self.health.train_seconds += train_time
+        self.plane.train_seconds[self.row] += train_time
         if self.rng.random() < self.compute_error_prob:
             self.schedule(
                 float(self.rng.uniform(0.0, train_time)),
@@ -508,20 +502,20 @@ class DeviceActor(Actor):
             # Transient: back off (jittered, from this device's own
             # stream) and re-send the same payload.
             self._log(DeviceEvent.ERROR, reason="upload_transient", attempt=attempt + 1)
-            self.health.upload_retries += 1
+            self.plane.upload_retries[self.row] += 1
             self.network.meter.record_retry(result.upload_nbytes)
             backoff = policy.backoff_s(attempt, self.rng)
             self.schedule(backoff, self._begin_upload, generation, result, attempt + 1)
             return
         if policy is not None:
-            self.health.upload_retries_exhausted += 1
+            self.plane.upload_retries_exhausted[self.row] += 1
             self._log(DeviceEvent.ERROR, reason="upload_exhausted")
         else:
             self._log(DeviceEvent.ERROR, reason="upload_failed")
         self._drop("network_upload")
 
     def _on_uploaded(self, generation: int, result: TrainResult) -> None:
-        if not self._guard(generation) or self._aggregator is None:
+        if not self._guard(generation):
             return
         assert self._round_id is not None
         self.tell(
@@ -545,12 +539,7 @@ class DeviceActor(Actor):
     def _on_report_ack(self, ack: msg.ReportAck) -> None:
         if self.state is not DeviceState.PARTICIPATING or ack.round_id != self._round_id:
             return
-        if ack.accepted:
-            self._log(DeviceEvent.UPLOAD_COMPLETED)
-            self.rounds_completed += 1
-        else:
-            self._log(DeviceEvent.UPLOAD_REJECTED)
-            self.rounds_rejected_report += 1
+        self._log(DeviceEvent.UPLOAD_COMPLETED if ack.accepted else DeviceEvent.UPLOAD_REJECTED)
         self._finish_participation()
 
     def _on_ack_timeout(self, generation: int) -> None:
@@ -558,21 +547,12 @@ class DeviceActor(Actor):
         if not self._guard(generation):
             return
         self._log(DeviceEvent.UPLOAD_REJECTED, reason="ack_timeout")
-        self.rounds_rejected_report += 1
         self._finish_participation()
 
     # -- participation teardown -----------------------------------------------------
     def _drop(self, reason: str) -> None:
-        self.health.record_error(reason)
-        if self._aggregator is not None and self._round_id is not None:
-            self.tell(
-                self._aggregator,
-                msg.DeviceDropped(
-                    device_id=self.device_id,
-                    round_id=self._round_id,
-                    reason=reason,
-                ),
-            )
+        self.plane.errors_by_reason[reason] += 1
+        self._tell_dropped(reason)
         self._finish_participation()
 
     def _end_participation(self) -> None:

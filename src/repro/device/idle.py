@@ -4,9 +4,10 @@ A device spends almost all of its life *not* training: sleeping
 (ineligible), or idle between check-ins.  That half of the state machine
 — eligibility flips, the periodic check-in, the pace-steering pending
 window — is a row of the fleet-wide :class:`~repro.sim.idle_plane.
-VectorizedIdlePlane`, which a :class:`~repro.device.actor.DeviceActor`
-reaches through its ``PlaneIdleDriver`` handle; the actor itself only
-runs the active session pipeline (WAITING → PARTICIPATING → reporting).
+VectorizedIdlePlane`, whose per-row entry points a
+:class:`~repro.device.actor.DeviceActor` calls with its ``row``; the
+actor itself only runs the active session pipeline (WAITING →
+PARTICIPATING → reporting).
 
 What stays here is what the plane's sweeps and the lifecycle plane's
 attach-time kick both draw from: how long a device that just woke waits

@@ -14,12 +14,13 @@ Three pieces:
   ``(rows x tenant-slot)`` arrays, so a sweep's worth of check-ins picks
   its sessions in one pass — and the one home of every device's
   memberships (``enroll`` / ``leave`` are what a tenant's attach and
-  drain write); :class:`RowScheduler` is one device's view of it, with
-  :class:`MultiTenantScheduler`'s API.
+  drain write) and of its per-tenant session tally; :class:`RowScheduler`
+  is one device's view of it, with :class:`MultiTenantScheduler`'s API.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -36,8 +37,9 @@ class JobSchedule:
     jitter_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.base_interval_s <= 0:
-            raise ValueError("base_interval_s must be positive")
+        # Not ``x <= 0``, which a NaN passes (and then wedges the sweeper).
+        if not 0 < self.base_interval_s < math.inf:
+            raise ValueError("base_interval_s must be finite and positive")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must be in [0, 1)")
 
@@ -205,6 +207,10 @@ class ColumnScheduler:
         # Position in the device's membership tuple (the order a check-in
         # files requests in).
         ("_member_pos", np.int64, _UNQUEUED),
+        # Sessions of the tenant the device has started (configured for a
+        # round) — ``device.health.sessions_by_population``.  A slot is
+        # per name and never recycled, which is that record's key.
+        ("_sessions", np.int32, 0),
     )
 
     def __init__(self, policy: str = "fifo", rows: int = 0) -> None:
@@ -318,6 +324,30 @@ class ColumnScheduler:
     def abort_rows(self, rows: np.ndarray) -> None:
         """Abandon the running session of every row of ``rows``."""
         self._running[rows] = -1
+
+    def occupied_by(self, rows: np.ndarray, name: str) -> bool:
+        """Does any of ``rows`` run, or hold a queued request for, a
+        session of ``name``?  (A drain's quiescence read.)"""
+        slot = self._slot_of.get(name)
+        return slot is not None and bool(
+            np.any(self._running[rows] == slot)
+            or np.any(self._stamp[rows, slot] != _UNQUEUED)
+        )
+
+    # -- the health record's per-tenant tally ------------------------------------
+    def count_session(self, row: int, name: str) -> None:
+        """``row``'s device was configured for a round of ``name``."""
+        self._sessions[row, self.slot(name)] += 1
+
+    def session_counts(self, rows: int) -> np.ndarray:
+        """The tally of the first ``rows`` rows, ``(rows x tenant-slot)``."""
+        return self._sessions[:rows]
+
+    def sessions(self, row: int) -> dict[str, int]:
+        """Sessions ``row``'s device has started, per tenant it has
+        started any for."""
+        counts = self._sessions[row].tolist()
+        return {name: count for name, count in zip(self.tenants, counts) if count}
 
 
 class RowScheduler:

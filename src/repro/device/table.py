@@ -7,8 +7,9 @@ the idle plane's columns (Lo et al.'s *client registry*, kept apart from
 the client runtime), so a :class:`~repro.device.actor.DeviceActor` is
 constructed the first time something asks for it — the sweep that
 dispatches its first admitted check-in, or an explicit ``table[i]`` — and
-kept from then on: its session tallies and stale-event guards live on
-the object (its memberships stay the plane's columns, its trainers its
+kept from then on: its two stale-event guards live on the object, and
+nothing else does between sessions (its memberships, its eligibility and
+everything it tallies stay the plane's columns, its trainers its
 tenants').
 """
 

@@ -118,10 +118,6 @@ class ParameterLayout:
         params._layout = self
         return params
 
-    def flatten(self, params: "Parameters", out: np.ndarray | None = None) -> np.ndarray:
-        """Concatenate ``params`` into ``out`` (allocated when ``None``)."""
-        return params.to_vector(out=out)
-
     def stacked(self, rows: int) -> "StackedParameters":
         """``rows`` zero-initialised parameter sets stacked along a
         leading cohort axis (see :class:`StackedParameters`)."""

@@ -273,8 +273,3 @@ class AvailabilityProcess:
     def time_until_eligible(self, wall_time_s: float) -> float:
         """Sample waiting time until next eligibility window."""
         return self._sample_transition(wall_time_s, self.model.rate_on)
-
-
-def day_fraction(wall_time_s: float) -> float:
-    """Fraction of the current day elapsed, in [0, 1)."""
-    return (wall_time_s % SECONDS_PER_DAY) / SECONDS_PER_DAY

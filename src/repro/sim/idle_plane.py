@@ -17,7 +17,12 @@ module instead keeps every idle device as a row in fleet-wide arrays:
 * the on-device worker queue (Sec. 11) of every row, as the
   ``(rows x tenant-slot)`` columns of a :class:`~repro.device.scheduler.
   ColumnScheduler`, and what a Selector's screen reads of a device
-  (cached attestation verdict, FL runtime version).
+  (cached attestation verdict, FL runtime version);
+* the device's record (Sec. 5's health counters): check-ins, training
+  seconds and upload retries per row, sessions per ``(row, tenant slot)``
+  in the scheduler, errors by reason fleet-wide.  ``device.health``,
+  ``device.eligible`` and ``device.state`` read these columns; a
+  ``DeviceActor`` keeps no copy.
 
 The plane advances by batched sweeps: one :class:`~repro.sim.event_loop.
 Sweeper` event per sweep boundary (the earliest pending transition
@@ -44,6 +49,7 @@ run, and the device's own generator serves its sessions only.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -65,68 +71,6 @@ if TYPE_CHECKING:
     from repro.sim.population import DeviceProfile
 
 _INF = float("inf")
-
-
-class PlaneIdleDriver:
-    """What a :class:`DeviceActor` needs from the idle half of its
-    lifecycle: a handle on the plane row ``index`` (one per device
-    object), every operation delegated to the plane."""
-
-    __slots__ = ("_plane", "_index")
-
-    def __init__(self, plane: "VectorizedIdlePlane", index: int):
-        self._plane = plane
-        self._index = index
-
-    def start(self) -> None:
-        """Called once from ``DeviceActor.on_start``."""
-        self._plane.start()
-
-    def schedule_checkin(self, delay: float) -> None:
-        """Attempt a check-in ``delay`` seconds from now (device idle)."""
-        self._plane._schedule_checkin(self._index, delay)
-
-    def set_pending_window(self, reconnect_at_s: float) -> None:
-        """Pace steering: no check-in before ``reconnect_at_s``."""
-        self._plane.pending_window_t[self._index] = reconnect_at_s
-
-    def session_started(self) -> None:
-        """The device materialized: it is WAITING at a Selector."""
-        self._plane._session_started(self._index)
-
-    def session_ended(self) -> None:
-        """The device dematerialized; the plane owns it again."""
-        self._plane._session_ended(self._index)
-
-
-class _RowHealthStats(DeviceHealthStats):
-    """A plane-owned device's health counters: ``checkins`` lives in the
-    plane's column (a bounced check-in is counted there by a vector
-    write, without visiting the device); everything else is the device's
-    own, as on :class:`~repro.device.actor.DeviceHealthStats`."""
-
-    def __init__(self, plane: "VectorizedIdlePlane", index: int):
-        self._plane = plane
-        self._index = index
-        # Every field but ``checkins``, spelled out — not the dataclass
-        # ``__init__``: its ``checkins = 0`` would go through the setter
-        # below and zero what the row has tallied (and a device is built
-        # inside the run: this is a third of what one costs).
-        self.sessions_started = 0
-        self.train_seconds = 0.0
-        self.peak_memory_mb = 0.0
-        self.upload_retries = 0
-        self.upload_retries_exhausted = 0
-        self.errors = {}
-        self.sessions_by_population = {}
-
-    @property
-    def checkins(self) -> int:
-        return int(self._plane._health_checkins[self._index])
-
-    @checkins.setter
-    def checkins(self, value: int) -> None:
-        self._plane._health_checkins[self._index] = value
 
 
 class VectorizedIdlePlane:
@@ -179,9 +123,13 @@ class VectorizedIdlePlane:
         ("_attestation_ok", np.int8, -1),
         # FL runtime version (a Selector checks plan compatibility by it).
         ("_runtime_version", np.int64, 0),
-        # ``device.health.checkins``: check-in attempts, bounced ones
-        # included.
+        # The device's health record (its per-tenant session tally is the
+        # scheduler's): check-in attempts, bounced ones included, ...
         ("_health_checkins", np.int64, 0),
+        ("train_seconds", np.float64, 0.0),
+        # ... upload failures retried, and sessions dropped for them.
+        ("upload_retries", np.int32, 0),
+        ("upload_retries_exhausted", np.int32, 0),
     )
 
     def __init__(
@@ -228,6 +176,9 @@ class VectorizedIdlePlane:
         #: row is always eligible: losing eligibility hands it back.)
         self._eligible_count = 0
         self._active_count = 0
+        #: Session errors by reason, fleet-wide (no reader wants them per
+        #: device).
+        self.errors_by_reason: Counter[str] = Counter()
         # -- counters (observability; see ROADMAP.md "Performance") ----------
         self.sweeps = 0
         self.flips = 0
@@ -271,45 +222,30 @@ class VectorizedIdlePlane:
         ]
         service.verified_count, service.rejected_count = counters
 
-    def row_handles(self, index: int) -> dict:
-        """What makes a ``DeviceActor`` row ``index``'s device — its idle
-        driver and the row views of its worker queue and health record —
-        as the constructor's keywords.  Building them writes nothing."""
-        return {
-            "idle": PlaneIdleDriver(self, index),
-            "scheduler": RowScheduler(self.scheduler, index),
-            "health": _RowHealthStats(self, index),
-        }
-
-    def adopt(
-        self, device: "DeviceActor", memberships: Sequence[str] = ()
-    ) -> PlaneIdleDriver:
+    def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
         """Enroll a hand-built device — a batch of one row, its object
-        already there, a member of ``memberships`` in that order; returns
-        the driver now installed as ``device.idle``.
+        already there, a member of ``memberships`` in that order.
 
-        Must be called before the device actor is spawned (the driver's
-        ``start`` hook runs from ``DeviceActor.on_start``).  The device's
-        worker queue, its memberships and its ``health.checkins`` tally
-        are plane columns, behind ``device.scheduler`` / ``device.health``.
+        Must be called before the device actor is spawned
+        (``DeviceActor.on_start`` starts the row): it hands the device the
+        plane, its row index and the row's view of the worker queue.
         """
         index = len(self._devices)
         self.adopt_rows([device.profile], device.job.base_interval_s)
         self._devices.seat(index, device)
-        for name, handle in self.row_handles(index).items():
-            setattr(device, name, handle)
+        device.plane, device.row = self, index
+        device.scheduler = RowScheduler(self.scheduler, index)
         row = np.array([index])
         for name in memberships:
             self.scheduler.enroll(row, name)
         self.memberships_changed(row)
-        return device.idle
 
     def _grow(self, minimum: int) -> None:
         size = max(minimum, 2 * max(self.next_flip_t.size, 16))
         columns.resize(self, self._COLUMNS, (size,))
         self.scheduler.grow(size)
 
-    # -- per-device transitions (driver entry points) ---------------------------
+    # -- per-row transitions (a device's entry points) --------------------------
     def _quantize(self, t: float) -> float:
         """The sweep boundary at-or-after ``t`` (never before it)."""
         q = self.sweep_interval_s
@@ -381,18 +317,24 @@ class VectorizedIdlePlane:
             if not self._sweeping:
                 self._sweeper.arm(self._quantize(float(checkin_t.min())))
 
-    def _schedule_checkin(self, i: int, delay: float) -> None:
+    def schedule_checkin(self, i: int, delay: float) -> None:
+        """Row ``i`` (idle) attempts a check-in ``delay`` seconds from now."""
         self.next_checkin_t[i] = self._loop.now + max(delay, 0.0)
         self._touch(i)
 
-    def _session_started(self, i: int) -> None:
-        """Row ``i`` materialized.  Only a sweep's dispatch materializes a
-        row, and it has already retired the row's check-in."""
+    def set_pending_window(self, i: int, reconnect_at_s: float) -> None:
+        """Pace steering: no check-in of row ``i`` before ``reconnect_at_s``."""
+        self.pending_window_t[i] = reconnect_at_s
+
+    def session_started(self, i: int) -> None:
+        """Row ``i`` materialized: its device is WAITING at a Selector.
+        Only a sweep's dispatch materializes a row, and it has already
+        retired the row's check-in."""
         self._active_count += not self.active[i]
         self.active[i] = True
         self.materializations += 1
 
-    def _session_ended(self, i: int) -> None:
+    def session_ended(self, i: int) -> None:
         """The actor handed the device back; the device schedules its next
         check-in (if eligible) right after this call."""
         self._active_count -= bool(self.active[i])
@@ -474,12 +416,8 @@ class VectorizedIdlePlane:
             # The actor interrupts its session and hands the row back via
             # session_ended — in device-index order, which fixes the
             # shared actors/latency stream.
-            for i, now_eligible in zip(
-                rows[was_active].tolist(), eligible[was_active].tolist()
-            ):
-                devices[i].eligible = now_eligible
-                if not now_eligible:
-                    devices[i].on_eligibility_lost()
+            for i in rows[was_active & ~eligible].tolist():
+                devices[i].on_eligibility_lost()
         self._next_event_t[rows] = np.minimum(flip_t, checkin_t)
 
     def _checkin_rows(
@@ -652,6 +590,18 @@ class VectorizedIdlePlane:
             self._sweeper.arm(self._quantize(t))
 
     # -- observability -----------------------------------------------------------
+    def health(self, i: int) -> DeviceHealthStats:
+        """Row ``i``'s health record, as the value ``device.health`` is."""
+        by_population = self.scheduler.sessions(i)
+        return DeviceHealthStats(
+            checkins=int(self._health_checkins[i]),
+            sessions_started=sum(by_population.values()),
+            train_seconds=float(self.train_seconds[i]),
+            upload_retries=int(self.upload_retries[i]),
+            upload_retries_exhausted=int(self.upload_retries_exhausted[i]),
+            sessions_by_population=by_population,
+        )
+
     def state_counts(
         self, active: list["DeviceActor"] | None = None
     ) -> dict[DeviceState, int]:

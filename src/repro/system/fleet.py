@@ -41,6 +41,7 @@ from repro.device.actor import DeviceActor, DeviceState
 from repro.device.attestation import AttestationService
 from repro.device.cohort import CohortExecutionPlane
 from repro.device.runtime import LocalTrainer, SyntheticTrainer
+from repro.device.scheduler import RowScheduler
 from repro.device.table import DeviceTable
 from repro.nn.parameters import Parameters
 from repro.sim.event_loop import SECONDS_PER_DAY, EventLoop
@@ -287,6 +288,7 @@ class FLFleet:
         is drawn, scheduled or written to a column, so *when* it happens
         cannot be observed."""
         profile = self.profiles[index]
+        plane = self.idle_plane
         device = DeviceActor(
             profile=profile,
             conditions=self._conditions[index],
@@ -294,7 +296,9 @@ class FLFleet:
             # The plane draws for the row: no generator of the device's
             # own before its first session.
             rng=partial(self.rngs.stream, f"device/{profile.device_id}"),
-            **self.idle_plane.row_handles(index),
+            plane=plane,
+            row=index,
+            scheduler=RowScheduler(plane.scheduler, index),
             **self._device_settings,
         )
         if self.started:
@@ -482,50 +486,34 @@ class FLFleet:
     def health_report(self) -> FleetHealthReport:
         """Fleet-wide health telemetry (Sec. 5): training time, session
         counts, errors by kind, and OS-version / population breakdowns —
-        all PII-free aggregates of per-device counters."""
-        return self._health_pass()[0]
-
-    def _health_pass(self) -> tuple[FleetHealthReport, int, int]:
-        """One pass over the fleet, in device-index order (the summaries
-        are streaming sketches, so order is part of the result): the
-        health report, and the upload retries attempted / exhausted.  A
-        row no device was ever constructed for has had no session: it
-        contributes its zeros, and is not constructed to say so."""
+        all PII-free aggregates of per-device counters, read off the idle
+        plane's columns in device-index order (the summaries are
+        streaming sketches, so order is part of the result).  No device
+        is visited."""
         from repro.analytics.quantile import MetricSummary
 
+        plane = self.idle_plane
+        rows = len(self.profiles)
+        per_tenant = plane.scheduler.session_counts(rows)
         train_seconds = MetricSummary.empty()
+        for seconds in plane.train_seconds[:rows].tolist():
+            train_seconds.update(seconds)
         sessions = MetricSummary.empty()
-        errors: dict[str, int] = {}
         by_os: dict[int, int] = {}
-        by_population: dict[str, int] = {
-            runtime.name: 0 for runtime in self.lifecycle.runtimes()
+        for profile, count in zip(self.profiles, per_tenant.sum(axis=1).tolist()):
+            sessions.update(count)
+            by_os[profile.os_version] = by_os.get(profile.os_version, 0) + count
+        totals = dict(zip(plane.scheduler.tenants, per_tenant.sum(axis=0).tolist()))
+        by_population = {
+            runtime.name: totals.get(runtime.name, 0) for runtime in self.lifecycle.runtimes()
         }
-        retries = exhausted = 0
-        for profile, device in zip(self.profiles, self.devices.rows()):
-            if device is None:
-                train_seconds.update(0.0)
-                sessions.update(0)
-                by_os.setdefault(profile.os_version, 0)
-                continue
-            health = device.health
-            train_seconds.update(health.train_seconds)
-            sessions.update(health.sessions_started)
-            for reason, count in health.errors.items():
-                errors[reason] = errors.get(reason, 0) + count
-            os_v = profile.os_version
-            by_os[os_v] = by_os.get(os_v, 0) + health.sessions_started
-            for name, count in health.sessions_by_population.items():
-                by_population[name] = by_population.get(name, 0) + count
-            retries += health.upload_retries
-            exhausted += health.upload_retries_exhausted
-        report = FleetHealthReport(
+        return FleetHealthReport(
             train_seconds=train_seconds.to_dict(),
             sessions=sessions.to_dict(),
-            errors_by_reason=errors,
+            errors_by_reason=dict(plane.errors_by_reason),
             sessions_by_os_version=by_os,
             sessions_by_population=by_population,
         )
-        return report, retries, exhausted
 
     def report(self) -> RunReport:
         """The structured results of the run so far (drained populations
@@ -533,7 +521,7 @@ class FLFleet:
         total, committed, drop, completed, run_time = summarize_rounds(
             self.round_results
         )
-        health, upload_retries, upload_retries_exhausted = self._health_pass()
+        health = self.health_report()
         populations = []
         for runtime in self.lifecycle.runtimes():
             p_total, p_committed, p_drop, p_completed, p_run_time = (
@@ -575,7 +563,9 @@ class FLFleet:
             recovery=self.recovery.build_report(
                 rounds_total=total,
                 rounds_committed=committed,
-                upload_retries=upload_retries,
-                upload_retries_exhausted=upload_retries_exhausted,
+                upload_retries=int(self.idle_plane.upload_retries.sum()),
+                upload_retries_exhausted=int(
+                    self.idle_plane.upload_retries_exhausted.sum()
+                ),
             ),
         )

@@ -501,22 +501,12 @@ class PopulationLifecycle:
         coordinator = self._coordinator_actor(runtime)
         if coordinator is not None and coordinator.active_master is not None:
             return False
-        name = runtime.name
-        # Order-independent pure reads of the objects that exist (a
-        # session lives on its device's object).  A member that is still
-        # only a row is quiet: it has never been admitted, and the drain's
-        # first phase dropped its queued request.
-        devices = self.fleet.devices.rows()
-        for device_id in runtime.member_ids:
-            device = devices[device_id]
-            if device is None:
-                continue
-            if device._active_population == name:
-                return False
-            scheduler = device.scheduler
-            if scheduler.running == name or scheduler.is_queued(name):
-                return False
-        return True
+        # A session of the tenant's holds its device's worker from the
+        # check-in that started it to the hand-back that ends it, so the
+        # member rows' queue columns say it all — one vector read.
+        return not self.fleet.idle_plane.scheduler.occupied_by(
+            self._member_rows(runtime), runtime.name
+        )
 
     def _force_quiet(self, runtime: PopulationRuntime) -> tuple[int, bool]:
         """Deadline passed: abort the tenant's round and sessions."""
@@ -567,8 +557,10 @@ class PopulationLifecycle:
 #: 5: ``DeviceActor`` lost three more — the plane owns the eligibility
 #: law and the Selector pool — and ``FleetConfig`` its ``idle_plane``.
 #: 6: and its ``memberships`` / ``trainers`` — a device's tenancy is its
-#: row's columns and its tenants' runtimes).
-SNAPSHOT_FORMAT_VERSION = 6
+#: row's columns and its tenants' runtimes.  7: and its tallies, its
+#: ``eligible`` / ``state`` copies and its three row handles — a device's
+#: record is its row's columns, and it pickles ``plane`` + ``row``).
+SNAPSHOT_FORMAT_VERSION = 7
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

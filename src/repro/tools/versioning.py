@@ -52,9 +52,6 @@ class TransformRegistry:
         fn = self._rules.get(op.key)
         return fn(op) if fn is not None else None
 
-    def known_ops(self) -> list[tuple[str, int]]:
-        return sorted(self._rules)
-
 
 def _unfuse_train_step(op: OpSpec) -> list[OpSpec]:
     """fused_train_step v2 (runtime >= 9) -> forward/backward/apply (v1)."""

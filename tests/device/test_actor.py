@@ -2,8 +2,10 @@
 
 The device under test is a hand-built ``DeviceActor`` whose idle half is
 a one-row ``VectorizedIdlePlane`` (``plane.adopt(device, ("pop",))``
-writes its membership): eligibility is scripted through the plane's law
-and the row's ``next_flip_t`` column.
+writes its membership and hands the device ``plane`` / ``row``):
+eligibility is scripted through the plane's law and the row's
+``next_flip_t`` column, and what the device tallies is read where it
+lives — the plane's columns (``device.health``) and the ``EventLog``.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 from repro.actors.kernel import Actor, ActorSystem
 from repro.actors import messages as msg
-from repro.analytics.events import EventLog
+from repro.analytics.events import DeviceEvent, EventLog
 from repro.analytics.session_shapes import session_shape
 from repro.core.checkpoint import FLCheckpoint
 from repro.core.config import ClientTrainingConfig, SecAggConfig, TaskKind
@@ -116,6 +118,12 @@ def make_device(
     return device, ref
 
 
+def logged(log, round_id, event):
+    """How many ``event`` records the log holds for the device's session
+    in ``round_id``."""
+    return sum(1 for record in log.session(1, round_id) if record.event is event)
+
+
 def make_configure(round_id, agg_ref):
     plan = generate_plan(
         task_id="t", kind=TaskKind.TRAINING,
@@ -175,8 +183,11 @@ def test_full_participation_pipeline(harness):
     system.tell(device_ref, msg.ReportAck(round_id=5, accepted=True))
     loop.run(until=loop.now + 10.0)
     assert session_shape(log.session(1, 5)) == "-v[]+^"
-    assert device.rounds_completed == 1
+    assert logged(log, 5, DeviceEvent.UPLOAD_COMPLETED) == 1
     assert device.state is DeviceState.IDLE
+    health = device.health
+    assert health.sessions_started == 1 and health.sessions_by_population == {"pop": 1}
+    assert health.train_seconds > 0 and health.checkins >= 1
 
 
 def test_rejected_report_logs_hash_shape(harness):
@@ -191,7 +202,7 @@ def test_rejected_report_logs_hash_shape(harness):
     system.tell(device_ref, msg.ReportAck(round_id=3, accepted=False))
     loop.run(until=loop.now + 10.0)
     assert session_shape(log.session(1, 3)) == "-v[]+#"
-    assert device.rounds_rejected_report == 1
+    assert logged(log, 3, DeviceEvent.UPLOAD_REJECTED) == 1
 
 
 def test_ack_timeout_treated_as_rejection(harness):
@@ -227,7 +238,7 @@ def test_interruption_mid_training(harness):
     assert shape == "-v[!"
     assert server.drops and server.drops[0].reason == "eligibility_change"
     assert device.state is DeviceState.SLEEPING
-    assert device.rounds_interrupted == 1
+    assert logged(log, 4, DeviceEvent.INTERRUPTED) == 1
 
 
 def test_checkin_rejection_respects_pace_window(harness):

@@ -120,7 +120,7 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     device = make_device(system, plane, rngs)
     # Force the flip and the check-in due time onto the same boundary.
     plane.next_flip_t[0] = boundary
-    device.idle.schedule_checkin(boundary - loop.now)
+    plane.schedule_checkin(device.row, boundary - loop.now)
     loop.run(until=boundary + 60.0)
     # The flip is processed first within the sweep: the device went
     # ineligible at the boundary, so the simultaneous check-in never fires.
@@ -174,9 +174,9 @@ def test_stale_waiting_timer_does_not_break_rematerialized_device(harness):
         loop.run(until=loop.now + 5.0)
     system.tell(device.ref, msg.ReportAck(round_id=5, accepted=True))
     loop.run(until=loop.now + 10.0)
-    assert device.rounds_completed == 1
+    assert device.health.sessions_started == 1
     # ... then re-materialize promptly.
-    device.idle.schedule_checkin(1.0)
+    plane.schedule_checkin(device.row, 1.0)
     loop.run(until=loop.now + 120.0)
     assert device.state is DeviceState.WAITING
     assert plane.active[0]
@@ -219,27 +219,34 @@ def _row_arrays(plane):
     }
 
 
-def test_row_handles_are_pure_and_the_health_record_is_complete(harness):
-    """Building a row's handles (what constructing its device does) writes
-    no column — in particular it does not zero the check-ins the row has
-    tallied — and the row's health record starts as a fresh
-    ``DeviceHealthStats`` does, field for field."""
-    from dataclasses import asdict
+def test_health_read_is_pure_and_the_health_record_is_complete(harness):
+    """Reading a row's record (what ``device.health`` does) writes no
+    column, a row that has done nothing reads as a fresh
+    ``DeviceHealthStats`` field for field, and the value is frozen: the
+    columns are the record's one home, so a tally is a column write."""
+    from dataclasses import FrozenInstanceError, asdict
 
     from repro.device.actor import DeviceHealthStats
 
     loop, system, plane, server, server_ref, rngs = harness
-    make_device(system, plane, rngs)
+    device = make_device(system, plane, rngs)
     plane._health_checkins[0] = 7
-    before = {name: getattr(plane, name).copy() for name, _, _ in plane._COLUMNS}
-    handles = plane.row_handles(0)
-    for name, column in before.items():
-        assert (getattr(plane, name) == column).all(), name
-    health = handles["health"]
-    assert health.checkins == 7
+    arrays = _row_arrays(plane)
+    before = {key: value.copy() for key, value in arrays.items()}
+    health = device.health
+    for key, column in before.items():
+        assert (arrays[key] == column).all(), key
+    assert health == plane.health(0)
     assert asdict(health) == {**asdict(DeviceHealthStats()), "checkins": 7}
-    health.checkins += 1
-    assert plane._health_checkins[0] == 8
+    with pytest.raises(FrozenInstanceError):
+        health.checkins += 1
+    plane._health_checkins[0] += 1
+    plane.train_seconds[0] += 2.5
+    plane.scheduler.count_session(0, "pop")
+    assert asdict(device.health) == {
+        **asdict(DeviceHealthStats()), "checkins": 8, "train_seconds": 2.5,
+        "sessions_started": 1, "sessions_by_population": {"pop": 1},
+    }
 
 
 def test_growing_past_capacity_mid_run_keeps_every_column():

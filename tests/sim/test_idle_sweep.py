@@ -15,8 +15,9 @@ other runs ``reference_checkin_rows`` below for its whole life — the old
 row-at-a-time code kept here as the oracle: every due row walked through
 its own ``MultiTenantScheduler``, its own scalar screen and its own
 rejection (memberships it reads where they live, in the plane's columns,
-and it hears of a drain through ``reference_leave``).  Everything a
-check-in touches must agree after every sweep,
+it hears of a drain through ``reference_leave``, and the drain reads its
+quiescence by ``reference_occupied_by``, the per-device walk the vector
+read replaced).  Everything a check-in touches must agree after every sweep,
 each device's worker queue and the *order* in which admitted devices
 materialize included: it fixes the shared ``actors/latency`` stream.
 """
@@ -116,7 +117,7 @@ def reference_attempt(plane, device, attestation_ok, pick):
         device.scheduler.enqueue(membership)
     started = device.scheduler.try_start()
     if started is None:
-        device.idle.schedule_checkin(device.job.delay_at(pick))
+        plane.schedule_checkin(device.row, device.job.delay_at(pick))
         return None
     pool = reference_pool(plane, started)
     ref = pool[int(pick * len(pool))]
@@ -126,7 +127,7 @@ def reference_attempt(plane, device, attestation_ok, pick):
         if isinstance(selector, Selector)
         else None
     )
-    device.health.checkins += 1
+    plane._health_checkins[device.row] += 1
     if window is None:
         device._attempt_screened_checkin(started, ref)
         return None
@@ -185,6 +186,21 @@ def reference_leave(fleets):
             devices[i].scheduler.remove(name)
 
     return leave
+
+
+def reference_occupied_by(fleets):
+    """``ColumnScheduler.occupied_by`` — a drain's quiescence read — for
+    the reference run: the per-device walk it replaced, over the devices'
+    own ``MultiTenantScheduler``s."""
+
+    def occupied_by(self, rows, name):
+        devices = fleets[-1].devices
+        return any(
+            devices[i].scheduler.running == name or devices[i].scheduler.is_queued(name)
+            for i in rows.tolist()
+        )
+
+    return occupied_by
 
 
 # -- scenarios --------------------------------------------------------------------
@@ -257,7 +273,7 @@ def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
                 device.scheduler.abort()
         elif kind < 0.25:
             plane._attestation_ok[i] = -1  # the cached verdict went missing
-        device.idle.schedule_checkin(0.0)
+        plane.schedule_checkin(i, 0.0)
     return rows
 
 
@@ -365,6 +381,7 @@ def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
             fleets: list[FLFleet] = []
             patch.setattr(VectorizedIdlePlane, "_checkin_rows", reference_checkin_rows)
             patch.setattr(ColumnScheduler, "leave", reference_leave(fleets))
+            patch.setattr(ColumnScheduler, "occupied_by", reference_occupied_by(fleets))
             ref_seen, ref_report = run_scenario(
                 scenario_seed, fleets, materialized, tmp_path
             )

@@ -10,6 +10,9 @@ from repro import (
     RoundConfig,
     TaskConfig,
 )
+from repro.actors.coordinator import CoordinatorConfig
+from repro.core.pace import PaceConfig
+from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 from repro.system import (
@@ -184,6 +187,72 @@ def test_nonfinite_fault_plan_refused_at_build(plan, field):
     )
     with pytest.raises(FleetValidationError, match=f"{field} must be"):
         builder.faults(plan).build()
+
+
+def round_of(**fields):
+    return lambda builder: builder.population(
+        "a",
+        tasks=[TaskConfig(
+            task_id="a/t", population_name="a",
+            round_config=RoundConfig(target_participants=10, **fields),
+        )],
+        model=params(),
+    )
+
+
+def knob(name, make):
+    """``builder.<name>(make())`` plus one plain population — the config
+    is built inside the case, where its refusal is expected."""
+    return lambda builder: getattr(builder, name)(make()).population(
+        "a", tasks=[task("a/t", "a")], model=params()
+    )
+
+
+@pytest.mark.parametrize(
+    "declare, field",
+    [
+        pytest.param(knob("job", lambda: JobSchedule(NAN, 0.5)), "base_interval_s", id="job-nan"),
+        pytest.param(knob("job", lambda: JobSchedule(INF, 0.5)), "base_interval_s", id="job-inf"),
+        pytest.param(
+            knob("coordinator", lambda: CoordinatorConfig(tick_interval_s=NAN)),
+            "tick_interval_s", id="tick-nan",
+        ),
+        pytest.param(
+            knob("coordinator", lambda: CoordinatorConfig(tick_interval_s=INF)),
+            "tick_interval_s", id="tick-inf",
+        ),
+        pytest.param(
+            knob("coordinator", lambda: CoordinatorConfig(pipelining=False, inter_round_gap_s=NAN)),
+            "inter_round_gap_s", id="gap-nan",
+        ),
+        pytest.param(knob("pace", lambda: PaceConfig(round_period_s=NAN)), "round_period_s", id="period-nan"),
+        pytest.param(
+            knob("pace", lambda: PaceConfig(min_reconnect_delay_s=NAN)),
+            "min_reconnect_delay_s", id="min-reconnect-nan",
+        ),
+        pytest.param(
+            knob("pace", lambda: PaceConfig(max_reconnect_delay_s=NAN)),
+            "max_reconnect_delay_s", id="max-reconnect-nan",
+        ),
+        pytest.param(
+            knob("pace", lambda: PaceConfig(sync_window_width_s=NAN)),
+            "sync_window_width_s", id="sync-width-nan",
+        ),
+        pytest.param(round_of(selection_timeout_s=NAN), "selection_timeout_s", id="selection-nan"),
+        pytest.param(round_of(reporting_timeout_s=NAN), "reporting_timeout_s", id="reporting-nan"),
+        pytest.param(round_of(device_time_cap_s=NAN), "device_time_cap_s", id="device-cap-nan"),
+        pytest.param(round_of(overselection_factor=NAN), "overselection_factor", id="overselection-nan"),
+    ],
+)
+def test_nonfinite_time_fields_refused_before_anything_runs(declare, field):
+    """``value <= 0`` is NaN-blind: each of these used to build, and then
+    wedged the idle plane's sweeper (a NaN job interval: one sweep, no
+    round, no error), died in ``_arm_tick`` or a pace window with an
+    untyped error, or silently committed a round or two.  Now the config
+    that holds the field refuses it by name — a ``ValueError``, as
+    ``FleetValidationError`` is — at the latest at ``.build()``."""
+    with pytest.raises(ValueError, match=f"{field} must"):
+        declare(base_builder()).build()
 
 
 def test_schedules_that_never_fire_or_never_stop_stay_legal():

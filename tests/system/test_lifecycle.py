@@ -737,11 +737,12 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 6
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 7
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
-    # copy of their memberships and trainers.
-    for older in (3, 4, 5):
+    # copy of their memberships and trainers; format 6's their tallies,
+    # an ``eligible`` / ``state`` copy and three row handles.
+    for older in (3, 4, 5, 6):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -751,7 +752,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 6",
+                match=f"format {older} unsupported .*reads format 7",
             ):
                 read(old)
 

@@ -1,4 +1,5 @@
-"""The tenancy law: a device's tenancy has one home.
+"""The tenancy law and the record law: a device's tenancy and its record
+each have one home.
 
 Memberships are the idle plane's columns (``ColumnScheduler._member_pos``),
 trainers the tenant's ``PopulationRuntime.trainers``; a ``DeviceActor``
@@ -15,7 +16,19 @@ satisfy:
 * a constructed device's ``memberships`` is its row;
 * a trainer resolves for (device, tenant) iff the tenant is ATTACHED or
   DRAINING and lists the device — through the lifecycle plane and through
-  the device's own ``trainer_of`` alike.
+  the device's own ``trainer_of`` alike;
+
+and its record — what it has tallied and what it mirrors of its row — is
+the plane's columns (``check_record``):
+
+* sessions per ``(row, tenant slot)`` are the ``CHECKIN`` records the
+  ``EventLog`` holds for that device in that tenant's round-id ranges
+  (both are written at ``ConfigureDevice``), and their sum over rows is
+  the tenant's ``PopulationReport.device_sessions``;
+* ``checkins >= sessions_started``, and ``train_seconds > 0`` only where
+  a session started;
+* a constructed device's ``health`` is its row, field for field, and its
+  ``eligible`` / ``state`` agree with ``plane.eligible`` / ``plane.active``.
 """
 
 import tempfile
@@ -28,10 +41,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FLFleet, PopulationSpec, RoundConfig, TaskConfig
+from repro.analytics.events import EVENTS, DeviceEvent
+from repro.device.actor import DeviceActor, DeviceHealthStats, DeviceState
 from repro.device.scheduler import _UNQUEUED, JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
-from repro.system.lifecycle import PopulationLifecycle, PopulationState
+from repro.system.lifecycle import ROUND_ID_STRIDE, PopulationLifecycle, PopulationState
 
 DEVICES = 60
 TENANTS = ("t0", "t1", "t2")
@@ -104,6 +119,75 @@ def check_law(fleet, retired=True):
                         device.trainer_of(name)
 
 
+def check_record(fleet):
+    """What every row has tallied, against the log and the report; what
+    every constructed device reads, against its row."""
+    plane = fleet.idle_plane
+    columns = plane.scheduler
+    tally = columns.session_counts(DEVICES)
+    assert tally.shape[1] == len(columns.tenants)
+    # The log's CHECKIN records, counted per (device, tenant slot): a
+    # round id names its tenant incarnation, an incarnation its name.
+    slot_of_index = {
+        runtime.index: columns._slot_of[runtime.name]
+        for runtime in fleet.lifecycle.runtimes()
+    }
+    log = fleet.event_log.rows()
+    log = log[log["event"] == EVENTS.index(DeviceEvent.CHECKIN)]
+    logged = np.zeros_like(tally)
+    slots = [slot_of_index[i] for i in (log["round_id"] // ROUND_ID_STRIDE).tolist()]
+    np.add.at(logged, (log["device_id"], slots), 1)
+    assert (tally == logged).all()
+    for population in fleet.report().populations:
+        slot = columns._slot_of[population.name]
+        assert population.device_sessions == tally[:, slot].sum()
+    started = tally.sum(axis=1)
+    assert (plane._health_checkins[:DEVICES] >= started).all()
+    assert not (plane.train_seconds[:DEVICES][started == 0] > 0).any()
+    for i, device in enumerate(fleet.devices.rows()):
+        if device is None:
+            continue
+        assert device.health == DeviceHealthStats(
+            checkins=plane._health_checkins[i],
+            sessions_started=started[i],
+            train_seconds=plane.train_seconds[i],
+            upload_retries=plane.upload_retries[i],
+            upload_retries_exhausted=plane.upload_retries_exhausted[i],
+            sessions_by_population={
+                name: count
+                for name, count in zip(columns.tenants, tally[i].tolist()) if count
+            },
+        )
+        assert device.eligible == plane.eligible[i]
+        in_session = device.state in (DeviceState.WAITING, DeviceState.PARTICIPATING)
+        assert in_session == plane.active[i]
+        if not in_session:
+            idle = DeviceState.IDLE if plane.eligible[i] else DeviceState.SLEEPING
+            assert device.state is idle
+
+
+def test_device_slots_are_pinned():
+    """What a ``DeviceActor`` holds, as an assertion: state creeping back
+    onto the object (a tally, a copy of a column) is a reviewed edit to
+    this list.  Between sessions only the two stale-event guards
+    (``_generation``, ``_wait_epoch``) carry anything."""
+    assert set(DeviceActor.__slots__) == {
+        # what it was built with
+        "profile", "network", "conditions", "trainer_of", "compute",
+        "attestation", "event_log", "_rng", "job", "compute_error_prob",
+        "ack_timeout_s", "waiting_timeout_s", "upload_retry",
+        # where its record and its idle life are
+        "plane", "row", "scheduler",
+        # the session it is in
+        "_active_population", "_selector", "_round_id", "_aggregator",
+        "_waiting_timeout_event", "_ack_timeout_event", "_last_checkin_t",
+        # stale-event guards
+        "_generation", "_wait_epoch",
+    }
+    # ... and no instance dict for anything else to land in.
+    assert all("__slots__" in vars(cls) for cls in DeviceActor.__mro__[:-1])
+
+
 steps = st.one_of(
     st.tuples(st.just("attach"), st.sampled_from(TENANTS), st.sampled_from((0.2, 0.6, 1.0))),
     st.tuples(st.just("run"), st.integers(30, 1500)),
@@ -120,6 +204,7 @@ steps = st.one_of(
 def test_tenancy_has_one_home(script):
     fleet = build_fleet()
     check_law(fleet)
+    check_record(fleet)
     quiet = PopulationLifecycle._is_quiet
     draining_seen = []
 
@@ -127,6 +212,7 @@ def test_tenancy_has_one_home(script):
         # Every drain polls at least once while its tenant is DRAINING.
         assert runtime.state is PopulationState.DRAINING
         check_law(lifecycle.fleet, retired=False)
+        check_record(lifecycle.fleet)
         draining_seen.append(runtime.name)
         return quiet(lifecycle, runtime)
 
@@ -157,4 +243,5 @@ def test_tenancy_has_one_home(script):
                 for index in args[0]:
                     assert fleet.devices[index].device_id == index
             check_law(fleet)
+            check_record(fleet)
     assert len(draining_seen) >= drains
