@@ -66,10 +66,14 @@ class ClientTrainingConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0 or self.batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if self.max_examples <= 0:
             raise ValueError("max_examples must be positive")
+        if self.clip_update_norm is not None and not (
+            0 < self.clip_update_norm < math.inf
+        ):
+            raise ValueError("clip_update_norm must be None or finite and positive")
 
 
 @dataclass(frozen=True)
@@ -112,5 +116,5 @@ class TaskConfig:
             raise ValueError("task_id must be non-empty")
         if not self.population_name:
             raise ValueError("population_name must be non-empty")
-        if self.priority <= 0:
-            raise ValueError("priority must be positive")
+        if not 0 < self.priority < math.inf:
+            raise ValueError("priority must be finite and positive")

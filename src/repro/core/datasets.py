@@ -59,38 +59,6 @@ class ClientDataset:
                 idx = order[start : start + batch_size]
                 yield self.x[idx], self.y[idx]
 
-    def batches_into(
-        self,
-        batch_size: int,
-        epochs: int,
-        rng: np.random.Generator | None,
-        x_out: np.ndarray,
-        y_out: np.ndarray,
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """:meth:`batches`, gathered into caller-provided buffers.
-
-        Consumes the identical RNG stream and yields byte-identical batch
-        values; each yielded pair is a view into ``x_out``/``y_out``,
-        valid until the next iteration.  Buffers must have leading
-        dimension >= ``batch_size`` and match this dataset's dtypes.
-        """
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {epochs}")
-        n = self.num_examples
-        for _ in range(epochs):
-            order = (
-                rng.permutation(n) if rng is not None else np.arange(n)
-            )
-            for start in range(0, n, batch_size):
-                idx = order[start : start + batch_size]
-                xb = x_out[: idx.size]
-                yb = y_out[: idx.size]
-                self.x.take(idx, axis=0, out=xb)
-                self.y.take(idx, axis=0, out=yb)
-                yield xb, yb
-
     def subset(self, indices: np.ndarray) -> "ClientDataset":
         return ClientDataset(self.client_id, self.x[indices], self.y[indices])
 

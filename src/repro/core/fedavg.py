@@ -12,23 +12,25 @@ and returns ``Δ = n · (w - w_init)`` — the *weighted* delta, which the
 paper notes is more amenable to compression than raw weights, and whose
 sum-only structure is exactly what Secure Aggregation needs (Sec. 6).
 
-Two execution paths share :func:`client_update`:
+``ClientUpdate`` has two kernel families:
 
-* **functional** (``buffers=None``): every SGD step returns a new
-  ``Parameters`` — the public algorithm API, and the oracle the buffered
-  path is tested against;
-* **buffered** (``buffers=``:class:`ClientUpdateBuffers`): training runs in
-  a pre-allocated working copy with zero per-step allocation, gradients
-  are written into a reusable buffer, and the weighted delta lands in the
-  buffer's flat delta vector.
+* **functional** (:func:`client_update`): every SGD step returns a new
+  ``Parameters`` — the public per-client API, and the byte oracle the
+  stacked kernels are tested against;
+* **stacked** (:func:`client_update_cohort`): a whole cohort trains as
+  rows of pre-allocated ``(K, ...)`` buffers, one batched kernel call and
+  one in-place SGD step per local step — what the fleet's cohort plane
+  and :meth:`FederatedAveraging.run_round` run.
 
-The two paths consume the identical RNG stream and perform the identical
-elementwise float ops, so they are byte-identical (see
-``tests/core/test_fedavg_buffered.py``).
+Both consume the identical RNG stream; row ``i`` of a cohort is bitwise
+equal to client ``i``'s functional update on full minibatches and equal
+to float summation order where a last minibatch is ragged (see
+``tests/core/test_fedavg_cohort.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,66 +64,6 @@ class ClientUpdateResult:
             )
 
 
-class ClientUpdateBuffers:
-    """Pre-allocated working state for buffered :func:`client_update`.
-
-    One instance serves one parameter structure and is reused across
-    sessions; everything it hands out (``result.delta`` included) aliases
-    its buffers and is only valid until the next ``client_update`` call
-    with the same buffers.  Callers that need the delta to outlive the
-    session copy it out (``delta.to_vector()`` always returns fresh
-    storage).
-    """
-
-    __slots__ = ("layout", "work", "params", "grad", "grads", "_batch_x", "_batch_y")
-
-    def __init__(self, layout: ParameterLayout):
-        self.layout = layout
-        #: Flat working weights; ``params`` is its structured view.
-        self.work = layout.empty()
-        self.params = layout.unflatten(self.work)
-        #: Flat gradient buffer; ``grads`` is its structured view.
-        self.grad = layout.empty()
-        self.grads = layout.unflatten(self.grad)
-        #: Minibatch gather buffers, sized lazily to the first dataset.
-        self._batch_x: np.ndarray | None = None
-        self._batch_y: np.ndarray | None = None
-
-    @classmethod
-    def for_structure(cls, params: Parameters) -> "ClientUpdateBuffers":
-        return cls(params.layout)
-
-    def __reduce__(self):
-        # Buffer contents are per-session scratch (every ``client_update``
-        # call rewrites the working copy before reading it), but the
-        # flat-buffer/structured-view aliasing would not survive a naive
-        # pickle — so a snapshotted trainer simply restores fresh buffers.
-        return (ClientUpdateBuffers, (self.layout,))
-
-    def matches(self, params: Parameters) -> bool:
-        return self.layout == params.layout
-
-    def batch_buffers(
-        self, x: np.ndarray, y: np.ndarray, batch_size: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Gather buffers for ``batch_size`` rows of ``x``/``y``;
-        re-allocated only when the data shape or dtype changes (a device
-        trains the same store session after session)."""
-        bx, by = self._batch_x, self._batch_y
-        if (
-            bx is None
-            or by is None
-            or bx.shape != (batch_size, *x.shape[1:])
-            or by.shape != (batch_size, *y.shape[1:])
-            or bx.dtype != x.dtype
-            or by.dtype != y.dtype
-        ):
-            bx = np.empty((batch_size, *x.shape[1:]), dtype=x.dtype)
-            by = np.empty((batch_size, *y.shape[1:]), dtype=y.dtype)
-            self._batch_x, self._batch_y = bx, by
-        return bx, by
-
-
 def client_update(
     model: Model,
     global_params: Parameters,
@@ -132,7 +74,6 @@ def client_update(
     rng: np.random.Generator,
     max_examples: int | None = None,
     clip_update_norm: float | None = None,
-    buffers: ClientUpdateBuffers | None = None,
 ) -> ClientUpdateResult:
     """``ClientUpdate(w)`` from Algorithm 1: local SGD, weighted delta out."""
     data = dataset
@@ -145,33 +86,15 @@ def client_update(
     optimizer = SGD(SGDConfig(learning_rate=learning_rate))
     losses = []
     steps = 0
-    if buffers is None:
-        # Functional path: each step materialises fresh Parameters.
-        w = global_params
-        for xb, yb in data.batches(batch_size, epochs, rng):
-            loss, grads = model.loss_and_grad(w, xb, yb)
-            w = optimizer.step(w, grads)
-            losses.append(loss)
-            steps += 1
-        delta = (w - global_params).scale(float(n))
-        if clip_update_norm is not None:
-            delta = delta.clip_by_norm(clip_update_norm * n)
-    else:
-        # Buffered path: train in the working copy, zero per-step allocation.
-        if not buffers.matches(global_params):
-            raise ValueError("buffers were built for a different model structure")
-        w = buffers.params
-        w.copy_from_(global_params)
-        batch_x, batch_y = buffers.batch_buffers(data.x, data.y, batch_size)
-        for xb, yb in data.batches_into(batch_size, epochs, rng, batch_x, batch_y):
-            loss = model.loss_and_grad_into(w, xb, yb, buffers.grads)
-            optimizer.step_(w, buffers.grads)
-            losses.append(loss)
-            steps += 1
-        # The working copy becomes the weighted delta in place.
-        delta = w.sub_(global_params).scale_(float(n))
-        if clip_update_norm is not None:
-            delta = delta.clip_by_norm_(clip_update_norm * n)
+    w = global_params
+    for xb, yb in data.batches(batch_size, epochs, rng):
+        loss, grads = model.loss_and_grad(w, xb, yb)
+        w = optimizer.step(w, grads)
+        losses.append(loss)
+        steps += 1
+    delta = (w - global_params).scale(float(n))
+    if clip_update_norm is not None:
+        delta = delta.clip_by_norm(clip_update_norm * n)
     return ClientUpdateResult(
         client_id=dataset.client_id,
         delta=delta,
@@ -260,9 +183,9 @@ class CohortUpdateBuffers:
             self.ensure(capacity)
 
     def __reduce__(self):
-        # Same contract as ClientUpdateBuffers: contents are per-execution
-        # scratch (stale rows only ever serve as masked padding), so a
-        # snapshot restores empty stacks at the same capacity.
+        # Contents are per-execution scratch (stale rows only ever serve
+        # as masked padding), so a snapshot restores empty stacks at the
+        # same capacity.
         return (CohortUpdateBuffers, (self.layout, self.capacity))
 
     def ensure(self, k: int) -> None:
@@ -468,7 +391,7 @@ def client_update_cohort(
         optimizer.step_stack_(work_s, grads_s)
 
     # The working stack becomes the weighted (and clipped) delta in place
-    # — the stacked twin of ``w.sub_(global).scale_(n)``.
+    # — the stacked twin of ``(w - global).scale(n)``.
     work.sub_broadcast_(global_params)
     work.scale_rows_(ns)
     if clip_update_norm is not None:
@@ -510,8 +433,18 @@ class FedAvgConfig:
     def __post_init__(self) -> None:
         if self.clients_per_round <= 0:
             raise ValueError("clients_per_round must be positive")
-        if self.server_learning_rate <= 0:
-            raise ValueError("server_learning_rate must be positive")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        for name in ("learning_rate", "server_learning_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if self.clip_update_norm is not None and not (
+            0 < self.clip_update_norm < math.inf
+        ):
+            raise ValueError("clip_update_norm must be None or finite and positive")
+        if self.max_examples_per_client is not None and self.max_examples_per_client < 1:
+            raise ValueError("max_examples_per_client must be None or >= 1")
 
 
 @dataclass
@@ -531,23 +464,18 @@ class FederatedAveraging:
 
     This is the algorithm layer: no networking, no failures — those live in
     the protocol/actor layers, which call :meth:`aggregate` with whatever
-    updates survived the round.  The loop owns one set of client-update
+    updates survived the round.  The loop owns one set of cohort-update
     buffers and one delta accumulator, reused across every round.
     """
 
     def __init__(self, model: Model, config: FedAvgConfig | None = None):
         self.model = model
         self.config = config or FedAvgConfig()
-        self._buffers: ClientUpdateBuffers | None = None
+        self._cohort_buffers: CohortUpdateBuffers | None = None
         self._accumulator: ParameterAccumulator | None = None
 
     def initialize(self, rng: np.random.Generator) -> Parameters:
         return self.model.init(rng)
-
-    def _buffers_for(self, params: Parameters) -> ClientUpdateBuffers:
-        if self._buffers is None or not self._buffers.matches(params):
-            self._buffers = ClientUpdateBuffers.for_structure(params)
-        return self._buffers
 
     def _accumulator_for(self, params: Parameters) -> ParameterAccumulator:
         if self._accumulator is None or self._accumulator.dim != params.num_parameters:
@@ -591,42 +519,44 @@ class FederatedAveraging:
         clients: Sequence[ClientDataset],
         rng: np.random.Generator,
     ) -> tuple[Parameters, RoundStats]:
-        """Select K clients uniformly, run ClientUpdate on each, aggregate."""
+        """Select K clients uniformly, run ClientUpdate on each, aggregate.
+
+        The K updates run as one :func:`client_update_cohort` call whose
+        schedules are drawn client by client from ``rng`` — the draw order
+        of K sequential :func:`client_update` calls, so ``rng`` leaves the
+        round at the same position.
+        """
         cfg = self.config
         k = min(cfg.clients_per_round, len(clients))
         if k == 0:
             raise ValueError("no clients available")
         chosen_idx = rng.choice(len(clients), size=k, replace=False)
-        buffers = self._buffers_for(global_params)
+        layout = global_params.layout
+        if self._cohort_buffers is None or self._cohort_buffers.layout != layout:
+            self._cohort_buffers = CohortUpdateBuffers(layout)
+        cohort = client_update_cohort(
+            self.model,
+            global_params,
+            datasets=[clients[i] for i in chosen_idx],
+            rngs=[rng] * k,
+            epochs=cfg.epochs,
+            batch_size=cfg.batch_size,
+            learning_rate=cfg.learning_rate,
+            max_examples=cfg.max_examples_per_client,
+            clip_update_norm=cfg.clip_update_norm,
+            buffers=self._cohort_buffers,
+        )
         acc = self._accumulator_for(global_params)
-        weight_sum = 0.0
-        total_examples = 0
-        client_losses = []
-        for i in chosen_idx:
-            update = client_update(
-                self.model,
-                global_params,
-                clients[i],
-                epochs=cfg.epochs,
-                batch_size=cfg.batch_size,
-                learning_rate=cfg.learning_rate,
-                rng=rng,
-                max_examples=cfg.max_examples_per_client,
-                clip_update_norm=cfg.clip_update_norm,
-                buffers=buffers,
-            )
-            # The delta aliases the shared buffers, so it must be folded
-            # into the accumulator before the next client trains.
-            acc.add(update.delta, 1.0)
-            weight_sum += update.weight
-            total_examples += update.num_examples
-            client_losses.append(update.mean_loss)
-        new_params = self._apply_mean_delta(global_params, acc, weight_sum)
+        for row in cohort.delta_matrix:
+            acc.add_vector(row, 1.0)
+        new_params = self._apply_mean_delta(
+            global_params, acc, float(cohort.weights.sum())
+        )
         stats = RoundStats(
             round_number=round_number,
             num_clients=k,
-            total_examples=total_examples,
-            mean_client_loss=float(np.mean(client_losses)),
+            total_examples=int(cohort.num_examples.sum()),
+            mean_client_loss=float(np.mean(cohort.mean_losses)),
             update_norm=(new_params - global_params).l2_norm(),
         )
         return new_params, stats

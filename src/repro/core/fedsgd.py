@@ -8,6 +8,7 @@ example-weighted mean gradient with a single learning rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,8 +29,8 @@ class FedSGDConfig:
     def __post_init__(self) -> None:
         if self.clients_per_round <= 0:
             raise ValueError("clients_per_round must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
 
 
 class FedSGD:

@@ -13,20 +13,21 @@ Two trainer implementations share the :class:`LocalTrainer` interface:
   numerically trivial update at near-zero cost.  Used by fleet-scale
   protocol benchmarks (Figs. 5–8) where per-device SGD cost is irrelevant.
 
-Both trainers run on the buffered model plane: training runs in
-per-trainer pre-allocated buffers so a check-in's session performs no
-per-step allocation.  Trainers are built one per
-device, and a device never starts a new session while a report is in
-flight, so per-trainer buffers are never aliased across sessions.  The
-``delta_vector`` placed in a :class:`TrainResult` is never written again
-by the trainer: training deltas are freshly-owned storage handed to the
-reporting pipeline, and evaluation deltas may be one shared zero vector
-— either way the pipeline treats report vectors as immutable (it only
-reads them).
+Trainers are built one per device.  A :class:`RealTrainer` enrolled in
+its population's cohort plane defers a training session's numbers to the
+plane's stacked kernels (:meth:`RealTrainer.defer`); one without a plane
+(or whose model ships no cohort kernel) runs functional
+:func:`~repro.core.fedavg.client_update` inline.  The ``delta_vector``
+placed in a :class:`TrainResult` is never written again by the trainer:
+training deltas are freshly-owned storage handed to the reporting
+pipeline, and evaluation deltas may be one shared zero vector — either
+way the pipeline treats report vectors as immutable (it only reads
+them).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -35,7 +36,7 @@ import numpy as np
 from repro.core.checkpoint import FLCheckpoint
 from repro.core.config import TaskKind
 from repro.core.datasets import ClientDataset
-from repro.core.fedavg import ClientUpdateBuffers, client_update
+from repro.core.fedavg import client_update
 from repro.core.plan import FLPlan
 from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
 from repro.device.example_store import ExampleStore
@@ -72,6 +73,19 @@ class ComputeModel:
     examples_per_second: float = 200.0
     setup_overhead_s: float = 2.0
 
+    def validate(self) -> None:
+        """Training must take a finite, non-negative time that grows with
+        the work."""
+        if not 0 < self.examples_per_second < math.inf:
+            raise ValueError(
+                "examples_per_second must be finite and > 0, "
+                f"got {self.examples_per_second}"
+            )
+        if not 0 <= self.setup_overhead_s < math.inf:
+            raise ValueError(
+                f"setup_overhead_s must be finite and >= 0, got {self.setup_overhead_s}"
+            )
+
     def train_time_s(self, compute_units: float, speed_factor: float) -> float:
         if speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
@@ -99,11 +113,9 @@ class RealTrainer:
     forward pass over held-out data and report only metrics — the delta is
     zero and the upload is metrics-sized.
 
-    The trainer owns the session's working buffers
-    (:class:`ClientUpdateBuffers`).  The global checkpoint is decoded
-    once per round by the population's cohort plane, which every
-    participant of the round shares; a trainer without a plane decodes
-    per session.
+    The global checkpoint is decoded once per round by the population's
+    cohort plane, which every participant of the round shares; a trainer
+    without a plane decodes per session.
     """
 
     model: Model
@@ -111,7 +123,6 @@ class RealTrainer:
     update_compression_ratio: float = 1.0   # >1 when a codec is configured
 
     def __post_init__(self) -> None:
-        self._buffers: ClientUpdateBuffers | None = None
         self._zero_delta: np.ndarray | None = None
         self._cohort_plane: CohortExecutionPlane | None = None
 
@@ -191,8 +202,6 @@ class RealTrainer:
         dataset = ClientDataset("local", x, y)
         if plan.device.kind is not TaskKind.TRAINING:
             return self._evaluate(params, dataset)
-        if self._buffers is None or not self._buffers.matches(params):
-            self._buffers = ClientUpdateBuffers.for_structure(params)
         update = client_update(
             self.model,
             params,
@@ -203,9 +212,7 @@ class RealTrainer:
             rng=rng,
             max_examples=cfg.max_examples,
             clip_update_norm=cfg.clip_update_norm,
-            buffers=self._buffers,
         )
-        # Fresh storage: the report outlives this session.
         vector = update.delta.to_vector()
         return TrainResult(
             delta_vector=vector,

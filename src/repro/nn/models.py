@@ -51,21 +51,6 @@ class Model(abc.ABC):
         value, _ = self.loss_and_grad(params, x, y)
         return value
 
-    def loss_and_grad_into(
-        self, params: Parameters, x: np.ndarray, y: np.ndarray, out: Parameters
-    ) -> float:
-        """Buffered :meth:`loss_and_grad`: write gradients into ``out``.
-
-        The default falls back to the functional path plus one copy, so
-        every model supports buffered callers; models whose large gradient
-        arrays can be produced directly with ``out=`` kwargs override this
-        to avoid the per-step gradient allocation entirely.  Results are
-        byte-identical to :meth:`loss_and_grad` either way.
-        """
-        value, grads = self.loss_and_grad(params, x, y)
-        out.copy_from_(grads)
-        return value
-
     def loss_and_grad_cohort(
         self,
         params: StackedParameters,
@@ -140,15 +125,6 @@ class LogisticRegression(Model):
         loss, dlogits = softmax_cross_entropy(self.logits(params, x), y)
         grads = Parameters({"W": x.T @ dlogits, "b": dlogits.sum(axis=0)})
         return loss, grads
-
-    def loss_and_grad_into(
-        self, params: Parameters, x: np.ndarray, y: np.ndarray, out: Parameters
-    ) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        loss, dlogits = softmax_cross_entropy(self.logits(params, x), y)
-        np.matmul(x.T, dlogits, out=out["W"])
-        np.sum(dlogits, axis=0, out=out["b"])
-        return loss
 
     def loss_and_grad_cohort(
         self,
@@ -229,21 +205,6 @@ class MLPClassifier(Model):
             if i > 0:
                 delta = (delta @ params[f"W{i}"].T) * (h_in > 0)
         return loss, Parameters(grads)
-
-    def loss_and_grad_into(
-        self, params: Parameters, x: np.ndarray, y: np.ndarray, out: Parameters
-    ) -> float:
-        out_logits, cache = self._forward(params, x)
-        loss, dlogits = softmax_cross_entropy(out_logits, y)
-        delta = dlogits
-        n_layers = len(self._layer_dims())
-        for i in reversed(range(n_layers)):
-            h_in = cache[i]
-            np.matmul(h_in.T, delta, out=out[f"W{i}"])
-            np.sum(delta, axis=0, out=out[f"b{i}"])
-            if i > 0:
-                delta = (delta @ params[f"W{i}"].T) * (h_in > 0)
-        return loss
 
     def loss_and_grad_cohort(
         self,

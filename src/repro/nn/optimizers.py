@@ -4,15 +4,17 @@ Clients run plain SGD inside ``ClientUpdate`` (Algorithm 1); the server can
 apply the aggregated update with its own learning rate / momentum (the
 "server optimizer" generalisation of FedAvg).
 
-``step`` is functional (returns new :class:`Parameters`); ``step_`` is the
-hot-path twin that updates the weights in place with zero per-step
-allocation.  Both perform the same elementwise float operations in the
-same order, so their results are byte-identical (guarded by
-``tests/nn/test_inplace_equivalence.py``).
+``step`` is functional (returns new :class:`Parameters`) — the public API
+and the byte oracle; ``step_stack_`` is the in-place kernel that advances a
+whole cohort's stacked working copies, which is what runs.  Row ``i`` of a
+stacked step receives the same elementwise float operations in the same
+order as a functional step on client ``i`` alone (guarded by
+``tests/nn/test_models_cohort.py``).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,56 +30,52 @@ class SGDConfig:
     weight_decay: float = 0.0
 
     def validate(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
 
 
 class SGD:
     """Stochastic gradient descent with optional momentum and weight decay.
 
     Stateful (keeps velocity) with two entry points: functional ``step``
-    (new ``Parameters`` out, inputs untouched) and in-place ``step_``
-    (mutates ``params``; ``grads`` is only read).  Per-array velocity
-    state is shared between ``step`` and the per-array ``step_`` path;
-    the flat fast path keeps its own velocity vector, so with momentum
-    enabled one optimizer instance must not mix flat-path steps with the
-    other conventions mid-run (it raises rather than silently dropping
-    momentum).
+    (new ``Parameters`` out, inputs untouched) and in-place
+    ``step_stack_`` (mutates the stacked ``params``; consumes ``grads``).
+    Each keeps momentum state in its own layout, so with momentum enabled
+    one optimizer instance must not mix the two mid-run (it raises rather
+    than silently restarting momentum).
     """
 
     def __init__(self, config: SGDConfig | None = None):
         self.config = config or SGDConfig()
         self.config.validate()
         self._velocity: dict[str, np.ndarray] | None = None
-        self._scratch: dict[str, np.ndarray] | None = None
-        self._flat_scratch: np.ndarray | None = None
-        self._flat_velocity: np.ndarray | None = None
         self._stack_velocity: dict[str, np.ndarray] | None = None
 
     def reset(self) -> None:
         self._velocity = None
-        self._flat_velocity = None
         self._stack_velocity = None
 
-    def _require_no_flat_velocity(self) -> None:
-        if self.config.momentum > 0 and (
-            self._flat_velocity is not None or self._stack_velocity is not None
-        ):
+    def _refuse_mixed_momentum(self, other: dict[str, np.ndarray] | None) -> None:
+        if self.config.momentum > 0 and other is not None:
             raise RuntimeError(
-                "momentum state was accumulated by the flat or stacked "
-                "step_ fast path; mixing calling conventions mid-run would "
-                "silently restart momentum from zero (call reset() to "
-                "start over)"
+                "momentum state was accumulated by the other calling "
+                "convention (step vs step_stack_); mixing them mid-run "
+                "would silently restart momentum from zero (call reset() "
+                "to start over)"
             )
 
     def step(self, params: Parameters, grads: Parameters) -> Parameters:
         """One update: ``w <- w - lr * (v if momentum else g)``."""
         cfg = self.config
-        self._require_no_flat_velocity()
+        self._refuse_mixed_momentum(self._stack_velocity)
         updated: dict[str, np.ndarray] = {}
         if cfg.momentum > 0 and self._velocity is None:
             self._velocity = {k: np.zeros_like(v) for k, v in params.items()}
@@ -93,72 +91,28 @@ class SGD:
             updated[name] = w - cfg.learning_rate * g
         return Parameters(updated)
 
-    def step_(self, params: Parameters, grads: Parameters) -> Parameters:
-        """In-place :meth:`step`: mutates and returns ``params``.
-
-        ``params`` must not alias ``grads``.  Scratch and velocity buffers
-        are owned by the optimizer and allocated once on first use; after
-        that every step is allocation-free.  When both ``params`` and
-        ``grads`` are flat-backed with the same layout, the whole update
-        runs as a handful of single vector ops.
-        """
-        cfg = self.config
-        # Momentum state is laid out per calling convention; don't mix a
-        # flat velocity into a run that already has per-array state.
-        if (cfg.momentum == 0 or self._velocity is None) and params._flat_pair(grads):
-            self._step_flat(params.flat_base, grads.flat_base)
-            return params
-        self._require_no_flat_velocity()
-        # One-time lazy state allocation ("allocated once on first use;
-        # after that every step is allocation-free" — see docstring).
-        if self._scratch is None:
-            self._scratch = {k: np.empty_like(v) for k, v in params.items()}  # repro-lint: allow(inplace-op-discipline)
-        if cfg.momentum > 0 and self._velocity is None:
-            self._velocity = {k: np.zeros_like(v) for k, v in params.items()}  # repro-lint: allow(inplace-op-discipline)
-        for name, w in params.items():
-            g = grads[name]
-            scratch = self._scratch[name]
-            if cfg.weight_decay > 0:
-                # scratch = wd * w + g  (addition is commutative bitwise,
-                # so this matches the functional `g + wd * w`)
-                np.multiply(w, cfg.weight_decay, out=scratch)
-                np.add(scratch, g, out=scratch)
-                g = scratch
-            if cfg.momentum > 0:
-                assert self._velocity is not None
-                v = self._velocity[name]
-                np.multiply(v, cfg.momentum, out=v)
-                np.add(v, g, out=v)
-                g = v
-            np.multiply(g, cfg.learning_rate, out=scratch)
-            np.subtract(w, scratch, out=w)
-        return params
-
     def step_stack_(
         self, params: StackedParameters, grads: StackedParameters
     ) -> StackedParameters:
-        """Vectorized :meth:`step_` advancing ``K`` stacked working copies.
+        """Vectorized :meth:`step` advancing ``K`` stacked working copies
+        in place.
 
         Every row receives the same elementwise float ops as a per-client
-        :meth:`step_` call (``w -= lr * g`` with optional weight decay and
+        :meth:`step` call (``w - lr * g`` with optional weight decay and
         momentum), so row ``i`` is bitwise-identical to stepping client
         ``i`` alone.  ``grads`` is *consumed* — its arrays are used as the
         update scratch — which is the contract the cohort execution plane
         wants (gradient stacks are rewritten by the next batched backward
         pass anyway).  Momentum state is kept as per-array stacked
-        velocity buffers keyed to this calling convention; as with the
-        flat fast path, don't mix conventions on one live optimizer.
+        velocity buffers keyed to this calling convention; don't mix it
+        with :meth:`step` on one live optimizer.
         """
         cfg = self.config
         if cfg.momentum > 0:
-            if self._velocity is not None or self._flat_velocity is not None:
-                raise RuntimeError(
-                    "momentum state was accumulated by another calling "
-                    "convention; mixing in stacked steps would silently "
-                    "restart momentum (call reset() to start over)"
-                )
+            self._refuse_mixed_momentum(self._velocity)
             if self._stack_velocity is None:
-                # One-time lazy momentum-state allocation (see step_).
+                # One-time lazy momentum-state allocation; every later
+                # step is allocation-free.
                 self._stack_velocity = {
                     name: np.zeros_like(a) for name, a in params.items()  # repro-lint: allow(inplace-op-discipline)
                 }
@@ -179,23 +133,3 @@ class SGD:
                 np.multiply(g, cfg.learning_rate, out=g)
             np.subtract(w, g, out=w)
         return params
-
-    def _step_flat(self, w: np.ndarray, g: np.ndarray) -> None:
-        """Flat fast path: identical elementwise math on the backing vectors."""
-        cfg = self.config
-        if self._flat_scratch is None or self._flat_scratch.size != w.size:
-            self._flat_scratch = np.empty_like(w)
-        scratch = self._flat_scratch
-        if cfg.momentum > 0 and self._flat_velocity is None:
-            self._flat_velocity = np.zeros_like(w)
-        if cfg.weight_decay > 0:
-            np.multiply(w, cfg.weight_decay, out=scratch)
-            np.add(scratch, g, out=scratch)
-            g = scratch
-        if cfg.momentum > 0:
-            v = self._flat_velocity
-            np.multiply(v, cfg.momentum, out=v)
-            np.add(v, g, out=v)
-            g = v
-        np.multiply(g, cfg.learning_rate, out=scratch)
-        np.subtract(w, scratch, out=w)

@@ -11,12 +11,14 @@ Two APIs coexist:
   :meth:`Parameters.axpy`, :func:`weighted_mean`) returns new objects and
   never mutates its inputs — safe for concurrent actors sharing a global
   model, and byte-for-byte identical to the original implementation;
-* the **in-place API** (:meth:`Parameters.add_`, :meth:`Parameters.axpy_`,
-  :meth:`Parameters.scale_`, :meth:`Parameters.copy_from_`, ...) mutates
-  ``self`` with zero allocation, for the model-update hot path.  Every
-  in-place op performs the *same elementwise float operations in the same
-  order* as its functional twin, so the two paths produce byte-identical
-  results (guarded by ``tests/nn/test_inplace_equivalence.py``).
+* the **in-place API** (:meth:`Parameters.copy_from_`,
+  :meth:`Parameters.zero_`, :meth:`Parameters.add_`, and everything on
+  :class:`StackedParameters` and :class:`ParameterAccumulator`) mutates
+  ``self`` with zero allocation, for the cohort kernels and the
+  aggregation fold.  Every in-place op performs the *same elementwise
+  float operations in the same order* as its functional twin, so the two
+  produce byte-identical results (guarded by
+  ``tests/nn/test_inplace_equivalence.py``).
 
 Flattening goes through a cached :class:`ParameterLayout` so repeated
 ``to_vector``/``from_vector`` round trips never recompute offsets, and a
@@ -39,7 +41,6 @@ Buffer-ownership invariants (see ROADMAP.md "Performance"):
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterator, Mapping
 from typing import Callable
 
@@ -312,61 +313,6 @@ class Parameters(Mapping[str, np.ndarray]):
             np.add(v, other[k], out=v)
         return self
 
-    def sub_(self, other: "Parameters") -> "Parameters":
-        """``self -= other``."""
-        if self._flat_pair(other):
-            np.subtract(self._flat, other._flat, out=self._flat)
-            return self
-        self._check_structure_fast(other)
-        for k, v in self._arrays.items():
-            np.subtract(v, other[k], out=v)
-        return self
-
-    def scale_(self, factor: float) -> "Parameters":
-        """``self *= factor``."""
-        if self._flat is not None:
-            np.multiply(self._flat, factor, out=self._flat)
-            return self
-        for v in self._arrays.values():
-            np.multiply(v, factor, out=v)
-        return self
-
-    def axpy_(
-        self,
-        alpha: float,
-        other: "Parameters",
-        scratch: np.ndarray | None = None,
-    ) -> "Parameters":
-        """``self += alpha * other``.
-
-        Pass a flat ``scratch`` buffer of ``num_parameters`` entries to
-        make the call allocation-free (the product ``alpha * other`` must
-        be materialised before the add to match the functional op order).
-        """
-        if self._flat_pair(other):
-            if scratch is None:
-                # Documented fallback: allocation-free only when the
-                # caller passes scratch.
-                scratch = np.empty_like(self._flat)  # repro-lint: allow(inplace-op-discipline)
-            np.multiply(other._flat, alpha, out=scratch)
-            np.add(self._flat, scratch, out=self._flat)
-            return self
-        self._check_structure_fast(other)
-        views = self.layout.views(scratch) if scratch is not None else None
-        for k, v in self._arrays.items():
-            # Same documented no-scratch fallback as above.
-            s = views[k] if views is not None else np.empty_like(v)  # repro-lint: allow(inplace-op-discipline)
-            np.multiply(other[k], alpha, out=s)
-            np.add(v, s, out=v)
-        return self
-
-    def clip_by_norm_(self, max_norm: float) -> "Parameters":
-        """In-place :meth:`clip_by_norm`."""
-        norm = self.l2_norm()
-        if norm <= max_norm or norm == 0.0:
-            return self
-        return self.scale_(max_norm / norm)
-
     # -- flattening (Secure Aggregation / compression operate on vectors) ---
     def to_vector(self, out: np.ndarray | None = None) -> np.ndarray:
         """Concatenate all arrays into a single 1-D float64 vector.
@@ -629,17 +575,6 @@ class ParameterAccumulator:
         self._weight_sum = 0.0
         self._count = 0
 
-    def restart(self) -> None:
-        """Reset the fold counters *without* clearing the sum buffer.
-
-        The first subsequent fold overwrites the whole buffer, so callers
-        that always fold before reading (``weighted_mean``) skip the
-        ``reset()`` fill; :attr:`sum_vector` is undefined until that
-        first fold lands.
-        """
-        self._weight_sum = 0.0
-        self._count = 0
-
     # -- folding -------------------------------------------------------------
     def _scratch_buffer(self) -> np.ndarray:
         if self._scratch is None:
@@ -742,48 +677,21 @@ class ParameterAccumulator:
         return out
 
 
-#: One reusable accumulator per parameter structure (and per thread) for
-#: the one-shot :func:`weighted_mean` entry point: the per-call buffer
-#: setup used to make the streaming path *slower* than the functional
-#: chain for single means, so the buffers are kept hot across calls
-#: instead.  Thread-local so concurrent callers never share a live sum
-#: buffer; bounded by the number of distinct model structures per thread.
-_MEAN_ACCUMULATORS = threading.local()
-_MEAN_ACCUMULATOR_CAP = 64
-
-
 def weighted_mean(
     updates: list[tuple[Parameters, float]]
 ) -> Parameters:
     """``sum_k w_k * p_k / sum_k w_k`` — the FedAvg combination rule.
 
-    Single-pass streaming implementation: one *cached per-structure*
-    accumulator buffer, one scratch buffer, zero allocations per update
-    (and none per call after the first for a given structure) —
-    byte-identical to the original functional chain ``acc =
-    p_0.scale(w_0); acc = acc.axpy(w, p)``.
+    One streaming pass through a fresh :class:`ParameterAccumulator` —
+    byte-identical to the functional chain ``acc = p_0.scale(w_0); acc =
+    acc.axpy(w, p)``.
     """
     if not updates:
         raise ValueError("cannot average an empty update list")
     total_weight = sum(w for _, w in updates)
     if total_weight <= 0:
         raise ValueError(f"total weight must be positive, got {total_weight}")
-    layout = updates[0][0].layout
-    cache: dict[ParameterLayout, ParameterAccumulator] | None = getattr(
-        _MEAN_ACCUMULATORS, "by_layout", None
-    )
-    if cache is None:
-        cache = _MEAN_ACCUMULATORS.by_layout = {}
-    acc = cache.get(layout)
-    if acc is None:
-        if len(cache) >= _MEAN_ACCUMULATOR_CAP:
-            # Evict the oldest entry only — clearing everything would
-            # also drop the buffers in steady hot use.
-            cache.pop(next(iter(cache)))
-        acc = ParameterAccumulator(layout=layout)
-        cache[layout] = acc
-    else:
-        acc.restart()
+    acc = ParameterAccumulator.like(updates[0][0])
     for params, w in updates:
         acc.add(params, w)
     return acc.mean()

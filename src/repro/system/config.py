@@ -112,3 +112,4 @@ class FleetConfig:
         # since (``NetworkModel`` is mutable).
         self.diurnal.validate()
         self.network.validate()
+        self.compute.validate()

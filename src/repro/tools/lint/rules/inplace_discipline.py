@@ -1,7 +1,7 @@
 """inplace-op-discipline: ``*_`` ops stay allocation-free on the hot path.
 
-The buffered model plane's whole point (ROADMAP "Performance") is that
-the trailing-underscore in-place ops (``add_``, ``step_``,
+The stacked model plane's whole point (ROADMAP "Performance") is that
+the trailing-underscore in-place ops (``add_``, ``step_stack_``,
 ``scale_rows_``, ...) run on pre-allocated buffers.  An allocating
 ``np.*`` call inside one silently re-introduces the per-step allocation
 the plane exists to remove.  Three clauses:

@@ -11,7 +11,6 @@ import pytest
 
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import (
-    ClientUpdateBuffers,
     CohortUpdateBuffers,
     LocalStepSchedule,
     client_update,
@@ -55,14 +54,12 @@ def make_datasets(name, sizes, seed=5):
 
 
 def run_both(model, datasets, exact, **kwargs):
-    """Per-device results (copied out per session) and the cohort result."""
+    """Per-client functional results and the cohort result."""
     params = model.init(np.random.default_rng(1))
-    buffers = ClientUpdateBuffers.for_structure(params)
     singles = []
     for i, d in enumerate(datasets):
         u = client_update(
-            model, params, d, rng=np.random.default_rng(400 + i),
-            buffers=buffers, **kwargs,
+            model, params, d, rng=np.random.default_rng(400 + i), **kwargs,
         )
         singles.append((u.delta.to_vector(), u.mean_loss, u.steps, u.weight))
     stacked = client_update_cohort(

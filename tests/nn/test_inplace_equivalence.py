@@ -1,9 +1,9 @@
 """Functional vs in-place model plane: byte-identical results.
 
 Property-style sweeps over randomized structures and hyperparameter
-branches (momentum / weight decay / clipping), asserting exact array
-equality — the buffered hot path must be indistinguishable from the
-functional API bit for bit.
+branches (momentum / weight decay), asserting exact array equality — the
+in-place ops and the stacked SGD kernel must be indistinguishable from
+the functional API bit for bit.
 """
 
 import numpy as np
@@ -82,13 +82,7 @@ def test_inplace_ops_match_functional(flat_backed):
         if flat_backed:
             a = a.layout.unflatten(a.to_vector())
             b = b.layout.unflatten(b.to_vector())
-        alpha = float(rng.normal())
         assert_params_equal(a + b, a.copy().add_(b))
-        assert_params_equal(a - b, a.copy().sub_(b))
-        assert_params_equal(a.scale(alpha), a.copy().scale_(alpha))
-        assert_params_equal(a.axpy(alpha, b), a.copy().axpy_(alpha, b))
-        scratch = np.empty(a.num_parameters)
-        assert_params_equal(a.axpy(alpha, b), a.copy().axpy_(alpha, b, scratch))
         zeroed = a.copy().zero_()
         assert zeroed.l2_norm() == 0.0
         filled = a.copy().zero_().copy_from_(b)
@@ -100,21 +94,17 @@ def test_inplace_mixed_backing():
     rng = np.random.default_rng(4)
     a, b = random_params(rng), random_params(rng)
     flat_a = a.layout.unflatten(a.to_vector())
+    flat_b = b.layout.unflatten(b.to_vector())
     assert_params_equal(a + b, flat_a.copy().add_(b))
-    assert_params_equal(a - b, a.copy().sub_(b.layout.unflatten(b.to_vector())))
-
-
-@pytest.mark.parametrize("max_norm", [1e-6, 1.0, 1e9])
-def test_clip_by_norm_inplace(max_norm):
-    rng = np.random.default_rng(5)
-    p = random_params(rng)
-    assert_params_equal(p.clip_by_norm(max_norm), p.copy().clip_by_norm_(max_norm))
+    assert_params_equal(a + b, a.copy().add_(flat_b))
+    assert_params_equal(b, flat_a.copy().copy_from_(b))
+    assert_params_equal(b, a.copy().copy_from_(flat_b))
 
 
 def test_structure_mismatch_raises():
     a = Parameters({"x": np.zeros(3)})
     b = Parameters({"x": np.zeros(4)})
-    for op in (a.add_, a.sub_, a.copy_from_):
+    for op in (a.add_, a.copy_from_):
         with pytest.raises(ValueError):
             op(b)
 
@@ -202,30 +192,39 @@ def test_weighted_mean_unchanged_semantics():
 @pytest.mark.parametrize("flat_backed", [False, True])
 def test_sgd_step_inplace_equivalence(momentum, weight_decay, flat_backed):
     """Multi-step equivalence across every (momentum, weight-decay) branch,
-    including the velocity state carried between steps."""
+    including the velocity state carried between steps: each row of the
+    stacked in-place kernel equals a functional optimizer stepping that
+    client alone, whatever backs the functional side's ``Parameters``."""
     rng = np.random.default_rng(10)
     cfg = SGDConfig(learning_rate=0.05, momentum=momentum, weight_decay=weight_decay)
-    params = random_params(rng)
-    grad_seq = [random_params(rng) for _ in range(5)]
+    k = 3
+    starts = [random_params(rng) for _ in range(k)]
+    grad_seq = [[random_params(rng) for _ in range(k)] for _ in range(5)]
+    layout = starts[0].layout
 
-    functional_opt = SGD(cfg)
-    w_functional = params
-    for g in grad_seq:
-        w_functional = functional_opt.step(w_functional, g)
-
+    stack, gstack = layout.stacked(k), layout.stacked(k)
+    for i, p in enumerate(starts):
+        for name in p:
+            stack[name][i] = p[name]
     inplace_opt = SGD(cfg)
-    if flat_backed:
-        w_inplace = params.layout.unflatten(params.to_vector())
-        grads = [g.layout.unflatten(g.to_vector()) for g in grad_seq]
-    else:
-        w_inplace = params.copy()
-        grads = grad_seq
-    for g in grads:
-        result = inplace_opt.step_(w_inplace, g)
-        assert result is w_inplace
-    np.testing.assert_array_equal(
-        w_functional.to_vector(), w_inplace.to_vector()
-    )
+    for grads in grad_seq:
+        for i, g in enumerate(grads):
+            for name in g:
+                gstack[name][i] = g[name]
+        assert inplace_opt.step_stack_(stack, gstack) is stack
+
+    for i in range(k):
+        functional_opt = SGD(cfg)
+        w = starts[i]
+        if flat_backed:
+            w = layout.unflatten(w.to_vector())
+        for grads in grad_seq:
+            g = grads[i]
+            if flat_backed:
+                g = layout.unflatten(g.to_vector())
+            w = functional_opt.step(w, g)
+        for name in w:
+            np.testing.assert_array_equal(w[name], stack[name][i], err_msg=name)
 
 
 def test_sgd_step_does_not_mutate_inputs():
@@ -235,41 +234,45 @@ def test_sgd_step_does_not_mutate_inputs():
     SGD(SGDConfig()).step(params, grads)
     np.testing.assert_array_equal(params.to_vector(), p0)
     np.testing.assert_array_equal(grads.to_vector(), g0)
-    SGD(SGDConfig()).step_(params.copy(), grads)
-    np.testing.assert_array_equal(grads.to_vector(), g0)
 
 
-def test_sgd_reset_clears_flat_velocity():
+def test_sgd_reset_clears_stack_velocity():
     rng = np.random.default_rng(12)
     cfg = SGDConfig(learning_rate=0.1, momentum=0.9)
     params = random_params(rng)
     layout = params.layout
-    w = layout.unflatten(params.to_vector())
-    g = layout.unflatten(random_params(rng).to_vector())
+
+    def stepped(opt):
+        stack, gstack = layout.stacked(2), layout.stacked(2)
+        stack.broadcast_(params)
+        for name in gstack:
+            gstack[name][...] = 0.5
+        opt.step_stack_(stack, gstack)
+        return stack
+
     opt = SGD(cfg)
-    opt.step_(w, g)
+    stepped(opt)
     opt.reset()
-    fresh = SGD(cfg)
-    w2 = layout.unflatten(params.to_vector())
-    opt.step_(w2, g)
-    fresh.step_(w := layout.unflatten(params.to_vector()), g)
-    np.testing.assert_array_equal(w2.to_vector(), w.to_vector())
+    reused, fresh = stepped(opt), stepped(SGD(cfg))
+    for name in reused:
+        np.testing.assert_array_equal(reused[name], fresh[name])
 
 
 def test_sgd_refuses_mixed_momentum_conventions():
-    """Flat-path momentum state must not be silently dropped by a switch
-    to the per-array conventions."""
+    """Momentum state laid out for one calling convention must not be
+    silently dropped by a switch to the other; ``reset`` clears both."""
     rng = np.random.default_rng(13)
     cfg = SGDConfig(learning_rate=0.1, momentum=0.9)
     params = random_params(rng)
     layout = params.layout
-    w = layout.unflatten(params.to_vector())
-    g = layout.unflatten(random_params(rng).to_vector())
+    stack, gstack = layout.stacked(2), layout.stacked(2)
     opt = SGD(cfg)
-    opt.step_(w, g)  # builds flat velocity
+    opt.step_stack_(stack, gstack)  # builds stacked velocity
     with pytest.raises(RuntimeError):
         opt.step(params, random_params(rng))
-    with pytest.raises(RuntimeError):
-        opt.step_(params.copy(), random_params(rng))
     opt.reset()
     opt.step(params, random_params(rng))  # fine after reset
+    with pytest.raises(RuntimeError):
+        opt.step_stack_(stack, gstack)
+    opt.reset()
+    opt.step_stack_(stack, gstack)

@@ -225,9 +225,7 @@ def test_step_stack_matches_per_row_step():
     before = [stack.row(i).copy() for i in range(3)]
     SGD(SGDConfig(learning_rate=0.3)).step_stack_(stack, grads)
     for i in range(3):
-        expected = SGD(SGDConfig(learning_rate=0.3)).step_(
-            before[i], g_rows[i].copy()
-        )
+        expected = SGD(SGDConfig(learning_rate=0.3)).step(before[i], g_rows[i])
         for name in expected:
             assert np.array_equal(stack[name][i], expected[name])
 

@@ -11,9 +11,14 @@ from repro import (
     TaskConfig,
 )
 from repro.actors.coordinator import CoordinatorConfig
+from repro.core.config import ClientTrainingConfig
+from repro.core.fedavg import FedAvgConfig
+from repro.core.fedsgd import FedSGDConfig
 from repro.core.pace import PaceConfig
+from repro.device.runtime import ComputeModel
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
+from repro.nn.optimizers import SGDConfig
 from repro.sim.population import PopulationConfig
 from repro.system import (
     ActorCrashSchedule,
@@ -253,6 +258,68 @@ def test_nonfinite_time_fields_refused_before_anything_runs(declare, field):
     ``FleetValidationError`` is — at the latest at ``.build()``."""
     with pytest.raises(ValueError, match=f"{field} must"):
         declare(base_builder()).build()
+
+
+def client_of(**fields):
+    return lambda: base_builder().population(
+        "a",
+        tasks=[TaskConfig(
+            task_id="a/t", population_name="a",
+            client_config=ClientTrainingConfig(**fields),
+        )],
+        model=params(),
+    ).build()
+
+
+def compute_of(**fields):
+    return lambda: knob("compute", lambda: ComputeModel(**fields))(base_builder()).build()
+
+
+@pytest.mark.parametrize(
+    "construct, field",
+    [
+        pytest.param(client_of(learning_rate=NAN), "learning_rate", id="client-lr-nan"),
+        pytest.param(client_of(learning_rate=INF), "learning_rate", id="client-lr-inf"),
+        pytest.param(client_of(clip_update_norm=-1.0), "clip_update_norm", id="client-clip-negative"),
+        pytest.param(client_of(clip_update_norm=0.0), "clip_update_norm", id="client-clip-zero"),
+        pytest.param(client_of(clip_update_norm=NAN), "clip_update_norm", id="client-clip-nan"),
+        pytest.param(compute_of(examples_per_second=NAN), "examples_per_second", id="rate-nan"),
+        pytest.param(compute_of(examples_per_second=0.0), "examples_per_second", id="rate-zero"),
+        pytest.param(compute_of(examples_per_second=-200.0), "examples_per_second", id="rate-negative"),
+        pytest.param(compute_of(setup_overhead_s=NAN), "setup_overhead_s", id="overhead-nan"),
+        pytest.param(compute_of(setup_overhead_s=INF), "setup_overhead_s", id="overhead-inf"),
+        pytest.param(lambda: SGDConfig(learning_rate=NAN).validate(), "learning_rate", id="sgd-lr-nan"),
+        pytest.param(lambda: SGDConfig(learning_rate=INF).validate(), "learning_rate", id="sgd-lr-inf"),
+        pytest.param(lambda: SGDConfig(weight_decay=NAN).validate(), "weight_decay", id="sgd-decay-nan"),
+        pytest.param(lambda: SGDConfig(weight_decay=INF).validate(), "weight_decay", id="sgd-decay-inf"),
+        pytest.param(lambda: FedAvgConfig(epochs=0), "epochs", id="fedavg-epochs-zero"),
+        pytest.param(lambda: FedAvgConfig(batch_size=0), "batch_size", id="fedavg-batch-zero"),
+        pytest.param(lambda: FedAvgConfig(learning_rate=NAN), "learning_rate", id="fedavg-lr-nan"),
+        pytest.param(lambda: FedAvgConfig(server_learning_rate=NAN), "server_learning_rate", id="fedavg-server-lr-nan"),
+        pytest.param(lambda: FedAvgConfig(server_learning_rate=INF), "server_learning_rate", id="fedavg-server-lr-inf"),
+        pytest.param(lambda: FedAvgConfig(clip_update_norm=-1.0), "clip_update_norm", id="fedavg-clip-negative"),
+        pytest.param(lambda: FedAvgConfig(max_examples_per_client=0), "max_examples_per_client", id="fedavg-max-examples-zero"),
+        pytest.param(lambda: FedSGDConfig(learning_rate=NAN), "learning_rate", id="fedsgd-lr-nan"),
+        pytest.param(
+            lambda: TaskConfig(task_id="a/t", population_name="a", priority=NAN),
+            "priority", id="priority-nan",
+        ),
+        pytest.param(
+            lambda: TaskConfig(task_id="a/t", population_name="a", priority=INF),
+            "priority", id="priority-inf",
+        ),
+    ],
+)
+def test_nonfinite_training_and_compute_settings_refused(construct, field):
+    """The same NaN-blind ``value <= 0`` checks, on the training and
+    compute settings: a NaN learning rate used to commit every round on
+    a non-finite model, a negative clip norm sign-flipped every clipped
+    delta, a NaN / zero / negative device speed put NaN-time events on
+    the heap, died untyped mid-run or made more work finish sooner.
+    Each is refused by name — a ``ValueError``, as
+    ``FleetValidationError`` is — at the latest at ``.build()``."""
+    with pytest.raises(ValueError, match=f"{field} must"):
+        construct()
 
 
 def test_schedules_that_never_fire_or_never_stop_stay_legal():

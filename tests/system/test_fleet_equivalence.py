@@ -1,10 +1,10 @@
-"""Seed equivalence of the buffered model plane at fleet scale.
+"""Seed equivalence of the model-update plane at fleet scale.
 
 The same seed must produce the identical ``RunReport`` — and identical
 committed model bytes — on a fleet of real trainers.  (That the in-place
 kernels equal the allocating ones byte for byte is asserted where the
 kernels live: ``tests/nn/test_inplace_equivalence.py``,
-``tests/core/test_fedavg_buffered.py``, and the fold oracle in
+``tests/core/test_fedavg_cohort.py``, and the fold oracle in
 ``tests/actors/test_aggregator_unit.py``.)
 """
 
