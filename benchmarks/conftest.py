@@ -62,7 +62,6 @@ def build_reference_fleet(seed: int = 2019) -> FLFleet:
             overselection_factor=1.3,
             selection_timeout_s=90.0,
             reporting_timeout_s=300.0,
-            device_time_cap_s=240.0,
         ),
     )
     model = BagOfWordsLanguageModel(vocab_size=2000, embed_dim=24)

@@ -242,7 +242,6 @@ class Coordinator(Actor):
                     round_id=round_id,
                     task_id=task.task_id,
                     count=task.config.round_config.selection_goal,
-                    aggregators=(),
                     master=master_ref,
                     population_name=self.population_name,
                 ),

@@ -27,7 +27,6 @@ class DeviceCheckin:
     device_id: int
     population_name: str
     runtime_version: int
-    attestation_token: Any
     device_ref: "ActorRef"
 
 
@@ -41,14 +40,11 @@ class CheckinRejected:
 
 @dataclass(frozen=True)
 class DeviceDisconnect:
-    """Device closes its stream (lost eligibility while waiting).
-
-    ``population_name`` routes the disconnect to the right per-population
-    pool on a multi-tenant Selector; ``None`` (legacy senders) makes the
-    Selector search all pools for the device id."""
+    """Device closes its stream (lost eligibility while waiting);
+    ``population_name`` routes it to that tenant's pool."""
 
     device_id: int
-    population_name: str | None = None
+    population_name: str
 
 
 @dataclass(frozen=True)
@@ -61,14 +57,14 @@ class ConnectionReset:
 @dataclass(frozen=True)
 class ForwardDevices:
     """Coordinator tells a Selector to forward ``count`` connected devices
-    to the given Aggregators for a starting round of one population."""
+    to a starting round of one population (its master admits each one to
+    an Aggregator)."""
 
     round_id: int
     task_id: str
     count: int
-    aggregators: tuple["ActorRef", ...]
     master: "ActorRef"
-    population_name: str = ""
+    population_name: str
 
 
 # -- configuration / reporting (device <-> aggregator) -------------------------
@@ -81,8 +77,6 @@ class ConfigureDevice:
     plan: FLPlan
     checkpoint: FLCheckpoint
     aggregator: "ActorRef"
-    report_deadline_s: float
-    participation_cap_s: float
 
 
 @dataclass(frozen=True)
@@ -123,14 +117,7 @@ class ReportAck:
     accepted: bool
 
 
-# -- coordinator -> selector, aggregator -> master -------------------------------
-@dataclass(frozen=True)
-class PauseAccepting:
-    """Coordinator gates Selector check-in acceptance (pipelining ablation)."""
-
-    paused: bool
-
-
+# -- aggregator -> master ---------------------------------------------------------
 @dataclass(frozen=True)
 class IntermediateAggregate:
     """An Aggregator's (securely) summed contribution for the round."""
@@ -166,4 +153,4 @@ class ClearForwarding:
     """Coordinator cancels its population's standing forwarding instruction."""
 
     round_id: int
-    population_name: str = ""
+    population_name: str

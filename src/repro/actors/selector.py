@@ -14,6 +14,14 @@ fleet): each check-in names a population, and the Selector keeps one
 Coordinator link, pace steering, quotas, and counters — per hosted
 population.
 
+A check-in is judged once.  The idle plane's sweep asks
+:meth:`Selector.fast_checkin_decision` for one verdict per (selector,
+tenant) group — draining, the row's cached attestation verdict, plan
+compatibility, quota — and each admitted row reserves a pool slot
+(``pending_admissions``).  The ``DeviceCheckin`` that follows only
+releases its reservation and joins the pool; the one thing it can still
+meet is a drain that began while it was in flight.
+
 Selectors also watch each population's Coordinator and — arbitrated by
 the shared lock service — respawn it exactly once if it dies (Sec. 4.4).
 """
@@ -100,25 +108,22 @@ class PopulationRoute:
 class Selector(Actor):
     """One selector; production runs many, spread geographically.
 
-    Shared pieces (attestation, locks, checkpoint store) are fleet-wide;
-    everything population-specific lives in :attr:`routes`.
+    Shared pieces (locks, checkpoint store) are fleet-wide; everything
+    population-specific lives in :attr:`routes`.
     """
 
     def __init__(
         self,
         locks: LockService,
-        verify_attestation: Callable[[Any], bool],
         checkpoint_store: Any,         # exposes latest(population)
         rng: np.random.Generator,
         recovery: Any = None,          # fleet RecoveryLedger, if any
     ):
         self.locks = locks
-        self.verify_attestation = verify_attestation
         self.store = checkpoint_store
         self.rng = rng
         self.recovery = recovery
         self.routes: dict[str, PopulationRoute] = {}
-        self._paused = False
 
     # -- population registry ---------------------------------------------------
     def add_route(self, route: PopulationRoute) -> None:
@@ -158,16 +163,6 @@ class Selector(Actor):
         for device in route.pool.values():
             self.tell(device.ref, msg.ConnectionReset())
         route.pool.clear()
-        return route
-
-    def _lookup(self, population_name: str | None) -> PopulationRoute | None:
-        route = self.routes.get(population_name)
-        if route is None and not population_name and len(self.routes) == 1:
-            # Single-tenant deployments tolerate legacy messages that omit
-            # the population name.  A message that *names* an unknown
-            # population (e.g. a late in-flight check-in for a tenant that
-            # was just drained) must not be misrouted to the survivor.
-            return next(iter(self.routes.values()))
         return route
 
     # -- lifecycle --------------------------------------------------------------
@@ -224,25 +219,21 @@ class Selector(Actor):
     def fast_checkin_decision(
         self,
         population_name: str,
-        attestation_ok: list,
+        attestation_ok: list[bool],
         runtime_versions: list[int],
-        issue_token: Callable[[int], Any] | None = None,
     ):
         """Screen one sweep's check-ins for one population, synchronously,
-        for the vectorized idle plane: one verdict for the whole group.
+        for the vectorized idle plane: one verdict for the whole group —
+        the Selector's admission policy, and its only one.
 
         The group arrives in device-index order as parallel lists — each
-        row's cached attestation verdict (1 pass, 0 fail; -1 unknown, for
-        which ``issue_token(j)`` must issue row ``j`` a real token, to be
-        verified here) and its FL runtime version.  Runs the admission
-        policy of :meth:`_on_checkin` over the group in the same order
-        (draining, attestation, plan compatibility, pause/quota) and
-        returns ``(admitted, window)``: the positions that should
-        *materialize* — open a real stream and go through the normal
-        message path — and the pace window every other row bounces with
-        (``None`` when none does).  Bounced rows are counted here, by
-        reason; admitted ones by their check-in message, so nothing is
-        double-counted.
+        row's attestation verdict (cached in the plane at enrollment) and
+        its FL runtime version.  Returns ``(admitted, window)``: the
+        positions that should *materialize* — open a real stream, each
+        holding a pool slot reserved here — and the pace window every
+        other row bounces with (``None`` when none does).  Bounced rows
+        are counted here, by reason; admitted ones by their check-in
+        message, so nothing is double-counted.
         """
         count = len(attestation_ok)
         route = self.routes.get(population_name)
@@ -255,11 +246,6 @@ class Selector(Actor):
             fallback.stats.checkins += count
             fallback.stats.rejected_unknown_population += count
             return (), self._suggest_window(fallback)
-        if -1 in attestation_ok:
-            attestation_ok = [
-                self.verify_attestation(issue_token(j)) if ok < 0 else ok
-                for j, ok in enumerate(attestation_ok)
-            ]
         admitted = self._admit_group(route, attestation_ok, runtime_versions)
         bounced = count - len(admitted)
         if not bounced:
@@ -268,15 +254,15 @@ class Selector(Actor):
         return admitted, self._suggest_window(route)
 
     def _admit_group(
-        self, route: PopulationRoute, attestation_ok: list, runtime_versions: list[int]
+        self, route: PopulationRoute, attestation_ok: list[bool], runtime_versions: list[int]
     ):
-        """:meth:`_admission_verdict` over a group of simultaneous
-        check-ins: the positions admitted, every rejection counted under
-        its reason.  Unlike the message path, a sweep screens many
-        devices at one instant, so admissions still in flight count
-        against the quota and the ones made here are reserved at once —
-        the free slots go to the first admissible rows and one sweep
-        cannot over-admit into the pool."""
+        """The admission policy over a group of simultaneous check-ins, in
+        order — draining, attestation, plan compatibility, quota: the
+        positions admitted, every rejection counted under its reason.
+        Admissions still in flight count against the quota and the ones
+        made here are reserved at once, so the free slots go to the first
+        admissible rows and ``len(pool) + pending_admissions`` never
+        passes ``pool_cap``."""
         stats = route.stats
         if route.draining:
             stats.rejected_draining += len(attestation_ok)
@@ -293,7 +279,7 @@ class Selector(Actor):
             stats.rejected_incompatible += len(live) - len(runnable)
             live = runnable
         free = route.pool_cap - len(route.pool) - route.pending_admissions
-        admitted = live[: 0 if self._paused else max(free, 0)]
+        admitted = live[: max(free, 0)]
         stats.rejected_quota += len(live) - len(admitted)
         route.pending_admissions += len(admitted)
         return admitted
@@ -305,25 +291,20 @@ class Selector(Actor):
         elif isinstance(message, msg.DeviceDisconnect):
             self._on_disconnect(message)
         elif isinstance(message, msg.ForwardDevices):
-            route = self._lookup(message.population_name)
+            route = self.routes.get(message.population_name)
             if route is not None:
                 route.forwarding = message
                 self._drain_pool(route)
         elif isinstance(message, msg.ClearForwarding):
-            route = self._lookup(message.population_name)
+            route = self.routes.get(message.population_name)
             if (
                 route is not None
                 and route.forwarding is not None
                 and route.forwarding.round_id == message.round_id
             ):
                 route.forwarding = None
-        elif isinstance(message, msg.PauseAccepting):
-            self._paused = message.paused
-            if self._paused:
-                for route in self.routes.values():
-                    self._flush_pool(route, "paused")
         elif isinstance(message, msg.RegisterCoordinator):
-            route = self._lookup(message.population_name)
+            route = self.routes.get(message.population_name)
             if route is not None:
                 route.coordinator = message.coordinator
                 self.system.watch(self.ref, message.coordinator)
@@ -331,15 +312,9 @@ class Selector(Actor):
             self._on_coordinator_death(message)
 
     def _on_disconnect(self, message: msg.DeviceDisconnect) -> None:
-        if message.population_name is not None:
-            route = self._lookup(message.population_name)
-            routes = [route] if route is not None else []
-        else:
-            routes = list(self.routes.values())
-        for route in routes:
-            if route.pool.pop(message.device_id, None) is not None:
-                route.stats.disconnects += 1
-                return
+        route = self.routes.get(message.population_name)
+        if route is not None and route.pool.pop(message.device_id, None) is not None:
+            route.stats.disconnects += 1
 
     # -- check-in path ---------------------------------------------------------
     def _compatible(self, route: PopulationRoute, runtime_version: int) -> bool:
@@ -349,28 +324,6 @@ class Selector(Actor):
             compatible = route.plans.plan_for_runtime(runtime_version) is not None
             route.plan_compat[runtime_version] = compatible
         return compatible
-
-    def _admission_verdict(
-        self, route: PopulationRoute, attestation_ok: bool, runtime_version: int
-    ) -> str | None:
-        """The admission policy for one arriving check-in message (the
-        vectorized plane's screen applies it a group at a time,
-        :meth:`_admit_group`): returns the rejection reason, or ``None``
-        to admit.  Updates the matching rejection counter
-        (``stats.checkins`` is the caller's job)."""
-        if route.draining:
-            route.stats.rejected_draining += 1
-            return "draining"
-        if not attestation_ok:
-            route.stats.rejected_attestation += 1
-            return "attestation_failed"
-        if not self._compatible(route, runtime_version):
-            route.stats.rejected_incompatible += 1
-            return "no_compatible_plan"
-        if self._paused or len(route.pool) >= route.pool_cap:
-            route.stats.rejected_quota += 1
-            return "over_quota"
-        return None
 
     def _on_checkin(self, checkin: msg.DeviceCheckin) -> None:
         route = self.routes.get(checkin.population_name)
@@ -384,17 +337,17 @@ class Selector(Actor):
                 self._reject(fallback, checkin.device_ref, "unknown_population")
             return
         route.stats.checkins += 1
+        # The sweep's screen admitted this check-in and reserved its slot;
+        # it has landed, and the slot becomes its place in the pool.  (A
+        # stale one — its device left WAITING while it flew, and the route
+        # was re-created by a re-attach since — finds no slot to release.)
         if route.pending_admissions > 0:
-            # One in-flight screen-admitted check-in has landed (whatever
-            # its fate below).
             route.pending_admissions -= 1
-        reason = self._admission_verdict(
-            route,
-            self.verify_attestation(checkin.attestation_token),
-            checkin.runtime_version,
-        )
-        if reason is not None:
-            self._reject(route, checkin.device_ref, reason)
+        if route.draining:
+            # The one change a screen cannot see coming: the tenant began
+            # to drain while the message was in flight.
+            route.stats.rejected_draining += 1
+            self._reject(route, checkin.device_ref, "draining")
             return
         device = _ConnectedDevice(
             device_id=checkin.device_id,
@@ -450,19 +403,8 @@ class Selector(Actor):
                 plan=plan,
                 checkpoint=checkpoint,
                 aggregator=agg_ref,
-                report_deadline_s=self.now
-                + self._report_window_s(),
-                participation_cap_s=self._participation_cap_s(),
             ),
         )
-
-    def _report_window_s(self) -> float:
-        # Deadline hint shipped to the device; authoritative enforcement is
-        # the master's reporting timeout.
-        return 600.0
-
-    def _participation_cap_s(self) -> float:
-        return 600.0
 
     def _flush_pool(self, route: PopulationRoute, reason: str) -> None:
         for device in list(route.pool.values()):

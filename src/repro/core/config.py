@@ -27,7 +27,6 @@ class RoundConfig:
     min_participant_fraction: float = 0.8   # min % of goal to start/commit
     selection_timeout_s: float = 120.0
     reporting_timeout_s: float = 300.0      # round run-time cap (Fig. 8)
-    device_time_cap_s: float = 240.0        # per-device participation cap
 
     def __post_init__(self) -> None:
         if self.target_participants <= 0:
@@ -36,7 +35,7 @@ class RoundConfig:
             raise ValueError("overselection_factor must be finite and >= 1.0")
         if not 0.0 < self.min_participant_fraction <= 1.0:
             raise ValueError("min_participant_fraction must be in (0, 1]")
-        for name in ("selection_timeout_s", "reporting_timeout_s", "device_time_cap_s"):
+        for name in ("selection_timeout_s", "reporting_timeout_s"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
 

@@ -2,9 +2,12 @@
 
 One :class:`DeviceActor` per phone.  It owns check-in, plan download,
 local training, update upload, and every Table 1 event along the way —
-the WAITING → PARTICIPATING → reporting pipeline.  Interruption semantics
-follow Sec. 3: "Once started, the FL runtime will abort, freeing the
-allocated resources, if these conditions are no longer met."
+the WAITING → PARTICIPATING → reporting pipeline.  Its check-in is
+already admitted when it opens the stream: the idle plane's screen judged
+it, attestation verdict included (a device is attested once, when its
+row is enrolled), and reserved its Selector pool slot.  Interruption
+semantics follow Sec. 3: "Once started, the FL runtime will abort,
+freeing the allocated resources, if these conditions are no longer met."
 
 The *idle* half of the lifecycle — eligibility flips (idle/charging/
 unmetered, diurnally modulated), the periodic job schedule, the
@@ -47,7 +50,6 @@ import numpy as np
 from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
-from repro.device.attestation import AttestationService
 from repro.device.runtime import ComputeModel, LocalTrainer, TrainResult
 from repro.device.scheduler import JobSchedule
 from repro.sim.rng import standalone_stream
@@ -93,7 +95,7 @@ class DeviceActor(Actor):
     # check-in): no instance dict, one slot per field.
     __slots__ = (
         "profile", "network", "conditions", "trainer_of", "compute",
-        "attestation", "event_log", "_rng", "job",
+        "event_log", "_rng", "job",
         "compute_error_prob", "ack_timeout_s",
         "waiting_timeout_s", "upload_retry", "plane", "row", "scheduler",
         "_active_population", "_selector", "_round_id",
@@ -108,7 +110,6 @@ class DeviceActor(Actor):
         conditions: NetworkConditions,
         trainer_of: Callable[[str], LocalTrainer],
         compute: ComputeModel | None = None,
-        attestation: AttestationService | None = None,
         event_log: EventLog | None = None,
         rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
         job: JobSchedule | None = None,
@@ -129,7 +130,6 @@ class DeviceActor(Actor):
         #: ``__getitem__``).
         self.trainer_of = trainer_of
         self.compute = compute or ComputeModel()
-        self.attestation = attestation or AttestationService()
         self.event_log = event_log if event_log is not None else EventLog()
         #: A generator, or a source of one that :attr:`rng` calls at the
         #: first draw (a plane-owned device draws nothing of its own until
@@ -331,14 +331,12 @@ class DeviceActor(Actor):
         # logged retroactively (at its true time) once configured, so
         # Table 1 sessions are keyed by the round they belong to.
         self._last_checkin_t = self.now
-        token = self.attestation.issue_token(self.device_id, self.profile.genuine)
         self.tell(
             self._selector,
             msg.DeviceCheckin(
                 device_id=self.device_id,
                 population_name=started,
                 runtime_version=self.profile.runtime_version,
-                attestation_token=token,
                 device_ref=self.ref,
             ),
             delay=self.conditions.rtt_s,

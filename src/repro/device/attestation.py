@@ -10,6 +10,12 @@ platform-issued key whose fingerprint the service knows; tokens are
 nonce-bound MACs under that key.  Compromised devices hold self-made keys
 and fail verification — exercising the data-poisoning defence without
 real hardware-backed keystores.
+
+A fleet runs one token round per device, when the idle plane enrolls its
+row (``VectorizedIdlePlane.adopt_rows``): the verdict is deterministic,
+so the plane caches it and every Selector screen reads the cache.  A
+rejected device is counted once, under its Selector route's
+``rejected_attestation``, at each check-in the screen bounces.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ class AttestationService:
     def __init__(self, platform_secret: bytes = b"platform-root-of-trust"):
         self._platform_secret = platform_secret
         self._nonce_counter = 0
-        self.verified_count = 0
-        self.rejected_count = 0
 
     # -- device side -------------------------------------------------------------
     def issue_token(self, device_id: int, genuine: bool) -> AttestationToken:
@@ -68,10 +72,4 @@ class AttestationService:
     # -- server side -------------------------------------------------------------
     def verify(self, token: AttestationToken) -> bool:
         key = _device_key(self._platform_secret, token.device_id)
-        expected = _sign(key, token.device_id, token.nonce)
-        ok = expected == token.signature
-        if ok:
-            self.verified_count += 1
-        else:
-            self.rejected_count += 1
-        return ok
+        return _sign(key, token.device_id, token.nonce) == token.signature

@@ -16,8 +16,9 @@ module instead keeps every idle device as a row in fleet-wide arrays:
   Selector or PARTICIPATING in a round, under actor control;
 * the on-device worker queue (Sec. 11) of every row, as the
   ``(rows x tenant-slot)`` columns of a :class:`~repro.device.scheduler.
-  ColumnScheduler`, and what a Selector's screen reads of a device
-  (cached attestation verdict, FL runtime version);
+  ColumnScheduler`, and what a Selector's screen reads of a device (its
+  attestation verdict — one real token round per device, at enrollment —
+  and its FL runtime version);
 * the device's record (Sec. 5's health counters): check-ins, training
   seconds and upload retries per row, sessions per ``(row, tenant slot)``
   in the scheduler, errors by reason fleet-wide.  ``device.health``,
@@ -32,8 +33,9 @@ eligibility exactly at a sweep boundary never checks in at that instant.
 
 A sweep's check-ins are array work end to end: the worker queues pick
 each due row's session, the row's pick draw resolves its Selector, and
-each Selector gives one admission verdict per (selector, tenant) group.
-A bounced row is pace-steered by vector writes; a device only
+each Selector gives one admission verdict per (selector, tenant) group —
+the only time a check-in is judged; an admitted row holds a reserved
+pool slot.  A bounced row is pace-steered by vector writes; a device only
 materializes as a full :class:`~repro.device.actor.DeviceActor`
 interaction when a Selector admits it — which, the first time, is also
 when the ``DeviceActor`` is *constructed*: until then the device is only
@@ -50,7 +52,6 @@ run, and the device's own generator serves its sessions only.
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
@@ -67,7 +68,7 @@ from repro.sim.rng import RowDraws
 if TYPE_CHECKING:
     from repro.actors.kernel import Actor, ActorRef
     from repro.device.actor import DeviceActor
-    from repro.device.attestation import AttestationService, AttestationToken
+    from repro.device.attestation import AttestationService
     from repro.sim.population import DeviceProfile
 
 _INF = float("inf")
@@ -89,8 +90,9 @@ class VectorizedIdlePlane:
     Selector list — a respawn swaps refs in place), ``actor_of`` (a
     Selector ref's live actor, ``None`` once crashed), the
     ``shard_router`` that says which Selectors serve which tenant
-    (``None``: all of them), the ``attestation`` service every device
-    shares, and the fleet's on-device ``scheduler_policy``.
+    (``None``: all of them), the ``attestation`` service that vouches
+    for each row once, at enrollment, and the fleet's on-device
+    ``scheduler_policy``.
 
     A row needs no device object until a Selector admits one of its
     check-ins: ``devices`` is the fleet's :class:`~repro.device.table.
@@ -117,10 +119,10 @@ class VectorizedIdlePlane:
         # Each row's counter-keyed stream: key and draws made so far.
         ("_row_key", np.uint64, 0),
         ("_draw_count", np.uint64, 0),
-        # Cached attestation verdict per device (-1 unknown, 0 fail,
-        # 1 pass): token issue/verify is deterministic per device, so the
-        # screen only pays the hashing once.
-        ("_attestation_ok", np.int8, -1),
+        # Attestation verdict per device, from its enrollment's token
+        # round: the verdict is deterministic per device, so no check-in
+        # pays the hashing again.
+        ("_attestation_ok", np.bool_, False),
         # FL runtime version (a Selector checks plan compatibility by it).
         ("_runtime_version", np.int64, 0),
         # The device's health record (its per-tenant session tally is the
@@ -210,17 +212,11 @@ class VectorizedIdlePlane:
         )
         self._job_interval_s[rows] = job_interval_s
         # One real token round per device, at enrollment: the verdict is
-        # deterministic, so every screen reuses it instead of re-hashing.
-        # The service's verified/rejected counters are restored so they
-        # keep counting *check-ins* (the sweep bumps them per bounced
-        # attempt, the message path per arrival), not enrollments.
-        service = self._attestation
-        counters = (service.verified_count, service.rejected_count)
-        issue, verify = service.issue_token, service.verify
+        # deterministic, so every screen reads it instead of re-hashing.
+        issue, verify = self._attestation.issue_token, self._attestation.verify
         self._attestation_ok[rows] = [
             verify(issue(p.device_id, p.genuine)) for p in profiles
         ]
-        service.verified_count, service.rejected_count = counters
 
     def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
         """Enroll a hand-built device — a batch of one row, its object
@@ -457,24 +453,15 @@ class VectorizedIdlePlane:
         group = slot * len(self._selectors) + choice
         order = group.argsort(kind="stable")
         group, rows, u_window = group[order], rows[order], u_window[order]
-        cached = self._attestation_ok[rows].tolist()
         held, admitted, spans, sizes = self._screen_groups(
             group.tolist(),
             (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(),
             rows.tolist(),
-            cached,
+            self._attestation_ok[rows].tolist(),
             self._runtime_version[rows].tolist(),
         )
         # The attempt counts on the device's health record, admitted or not.
         self._health_checkins[rows] += 1
-        # Keep AttestationService counters per check-in (as the message
-        # path does) without re-hashing: for a bounced row the cached
-        # verdict stands in for the verify() the screen skipped.  A row
-        # without one had a real token verified; admitted devices are
-        # counted at arrival.
-        taken = [cached[position] for position in held]
-        self._attestation.verified_count += cached.count(1) - taken.count(1)
-        self._attestation.rejected_count += cached.count(0) - taken.count(0)
         if len(held) < rows.size:
             windows = np.repeat(np.array(spans), sizes, axis=0)
             if held:
@@ -517,7 +504,7 @@ class VectorizedIdlePlane:
         group: list[int],
         edges: list[int],
         rows: list[int],
-        cached: list[int],
+        attested: list[bool],
         versions: list[int],
     ) -> tuple[list[int], list[tuple], list[tuple[float, float]], list[int]]:
         """One admission verdict per (selector, tenant) group of a sweep's
@@ -539,17 +526,14 @@ class VectorizedIdlePlane:
             tenant = tenants[slot]
             selector = selectors[pools[slot][choice]]
             # A crashed Selector, or a stand-in without the screen: the
-            # rows materialize and meet their fate on the message path.
+            # rows materialize, and a crashed one's check-ins are lost in
+            # delivery (the devices' waiting timeouts hand them back).
             screen = getattr(self._actor_of(selector), "fast_checkin_decision", None)
             if screen is None:
                 taken, window = range(stop - start), None
             else:
-                verdicts = cached[start:stop]
                 taken, window = screen(
-                    tenant,
-                    verdicts,
-                    versions[start:stop],
-                    partial(self._issue_token, rows, start) if -1 in verdicts else None,
+                    tenant, attested[start:stop], versions[start:stop]
                 )
             for j in taken:
                 held.append(start + j)
@@ -559,12 +543,6 @@ class VectorizedIdlePlane:
             )
             sizes.append(stop - start)
         return held, admitted, spans, sizes
-
-    def _issue_token(self, rows: list[int], start: int, j: int) -> "AttestationToken":
-        """A real attestation token for the ``j``-th row of the group that
-        starts at ``rows[start]`` (its cached verdict is unknown)."""
-        device = self._devices[rows[start + j]]
-        return self._attestation.issue_token(device.device_id, device.profile.genuine)
 
     def _bounce_rows(
         self,

@@ -8,7 +8,8 @@ Sec. 7.3), and genuineness (drives attestation, Sec. 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +56,31 @@ class PopulationConfig:
     compromised_fraction: float = 0.002     # fail attestation
 
     def validate(self) -> None:
+        # Every bound is written so that a NaN fails it: a non-finite time
+        # zone or speed builds a fleet that breaks (or stalls) mid-run.
         if self.num_devices <= 0:
             raise ValueError("num_devices must be positive")
-        for name, w in (
-            ("memory_weights", self.memory_weights),
-            ("os_weights", self.os_weights),
-            ("runtime_weights", self.runtime_weights),
+        if not math.isfinite(self.tz_offset_hours):
+            raise ValueError("tz_offset_hours must be finite")
+        for name in ("tz_spread_hours", "speed_sigma"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        for name, weights_name in (
+            ("memory_choices", "memory_weights"),
+            ("os_versions", "os_weights"),
+            ("runtime_versions", "runtime_weights"),
         ):
+            choices, w = getattr(self, name), getattr(self, weights_name)
+            if not choices:
+                raise ValueError(f"{name} must be non-empty")
+            if len(w) != len(choices):
+                raise ValueError(
+                    f"{weights_name} must hold one weight per entry of {name}"
+                )
+            if not all(0.0 <= x < math.inf for x in w):
+                raise ValueError(f"{weights_name} must be finite and >= 0")
             if abs(sum(w) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must sum to 1, got {sum(w)}")
+                raise ValueError(f"{weights_name} must sum to 1, got {sum(w)}")
         if not 0.0 <= self.compromised_fraction <= 1.0:
             raise ValueError("compromised_fraction must be in [0, 1]")
 

@@ -560,7 +560,6 @@ class SelectorClusterManager:
             return  # already replaced (stale duplicate notification)
         selector = Selector(
             locks=fleet.locks,
-            verify_attestation=fleet.attestation.verify,
             checkpoint_store=fleet.store,
             rng=fleet.rngs.stream(f"selector/{index}"),
             recovery=fleet.recovery,

@@ -254,7 +254,6 @@ class FLFleet:
         for i in range(config.num_selectors):
             selector = Selector(
                 locks=self.locks,
-                verify_attestation=self.attestation.verify,
                 checkpoint_store=self.store,
                 rng=self.rngs.stream(f"selector/{i}"),
                 recovery=self.recovery,
@@ -270,7 +269,6 @@ class FLFleet:
         self._device_settings = dict(
             network=config.network,
             compute=config.compute,
-            attestation=self.attestation,
             event_log=self.event_log,
             job=config.job,
             compute_error_prob=config.compute_error_prob,

@@ -559,8 +559,11 @@ class PopulationLifecycle:
 #: 6: and its ``memberships`` / ``trainers`` — a device's tenancy is its
 #: row's columns and its tenants' runtimes.  7: and its tallies, its
 #: ``eligible`` / ``state`` copies and its three row handles — a device's
-#: record is its row's columns, and it pickles ``plane`` + ``row``).
-SNAPSHOT_FORMAT_VERSION = 7
+#: record is its row's columns, and it pickles ``plane`` + ``row``.
+#: 8: and its ``attestation`` — a device is attested once, at enrollment;
+#: the plane's verdict column is a bool, and check-in messages, Selectors
+#: and the attestation service lost their second attestation round).
+SNAPSHOT_FORMAT_VERSION = 8
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -8,7 +8,10 @@ every server actor kind, device-edge message drop/delay, checkpoint write
 failures, and mid-session device interrupts, all drawn from pinned
 ``faults/...`` streams.  Because the plane is deterministic, chaos runs
 are *reproducible*: same seed + same plan => byte-identical RunReport,
-and a snapshot taken mid-chaos restores to a byte-identical tail.
+and a snapshot taken mid-chaos restores to a byte-identical tail.  The
+chaos fleets run under ``fleet_laws``: Selector quota conservation and
+the durable-write law after every ten simulated minutes, a reservation
+for every arriving check-in throughout — with check-ins being dropped.
 """
 
 import pickle
@@ -16,6 +19,7 @@ import pickle
 import numpy as np
 import pytest
 
+from fleet_laws import run_checked
 from repro import FLFleet, FaultPlan, RoundConfig, TaskConfig
 from repro.core.config import SecAggConfig
 from repro.device.actor import DeviceActor
@@ -72,7 +76,7 @@ def build_chaotic_fleet(seed=41, faults=CHAOS_PLAN, num_devices=300):
 @pytest.fixture(scope="module")
 def chaotic_fleet():
     fleet = build_chaotic_fleet()
-    fleet.run_for(CHAOS_HOURS * 3600.0)
+    run_checked(fleet, CHAOS_HOURS * 3600.0)
     return fleet
 
 
@@ -264,7 +268,7 @@ def build_sharded_chaotic_fleet(
 
 def test_shard_aggregator_crashes_are_injected_and_healed():
     fleet = build_sharded_chaotic_fleet()
-    fleet.run_for(CHAOS_HOURS * 3600.0)
+    run_checked(fleet, CHAOS_HOURS * 3600.0)
     rec = fleet.report().recovery
     crashed = rec.faults_by_kind.get("shard_aggregator", 0)
     assert crashed >= 1

@@ -89,7 +89,6 @@ def build_device(rngs, event_log=None, trainers=None, **kwargs):
             trainers or {"pop": SyntheticTrainer(num_parameters=10)}
         ).__getitem__,
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
-        attestation=AttestationService(),
         event_log=event_log if event_log is not None else EventLog(),
         rng=rng,
         job=JobSchedule(600.0, 0.1),
@@ -107,7 +106,7 @@ def make_device(
     plane = VectorizedIdlePlane(
         system.loop, rngs.row_draws("rows"), law,
         selectors=[server_ref], actor_of=system.actor_of,
-        attestation=device.attestation,
+        attestation=AttestationService(),
     )
     plane.adopt(device, ("pop",))
     ref = system.spawn(device, "device-1")
@@ -136,7 +135,7 @@ def make_configure(round_id, agg_ref):
     )
     return msg.ConfigureDevice(
         round_id=round_id, task_id="t", plan=plan, checkpoint=ckpt,
-        aggregator=agg_ref, report_deadline_s=1e9, participation_cap_s=600.0,
+        aggregator=agg_ref,
     )
 
 

@@ -47,9 +47,7 @@ class RejectingServer(StubServer):
         self.window = window
         self.screened = 0
 
-    def fast_checkin_decision(
-        self, population_name, attestation_ok, runtime_versions, issue_token
-    ):
+    def fast_checkin_decision(self, population_name, attestation_ok, runtime_versions):
         self.screened += len(attestation_ok)
         return (), self.window
 
@@ -100,7 +98,6 @@ def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
             name: SyntheticTrainer(num_parameters=10) for name in memberships
         }.__getitem__,
         compute=ComputeModel(examples_per_second=100.0, setup_overhead_s=1.0),
-        attestation=plane._attestation,
         event_log=EventLog(),
         rng=rng,
         job=JobSchedule(600.0, 0.1),
@@ -158,7 +155,7 @@ def make_configure(round_id, agg_ref):
     )
     return msg.ConfigureDevice(
         round_id=round_id, task_id="t", plan=plan, checkpoint=ckpt,
-        aggregator=agg_ref, report_deadline_s=1e9, participation_cap_s=600.0,
+        aggregator=agg_ref,
     )
 
 

@@ -3,9 +3,8 @@
 Two identically seeded fleets live through the same generated scenario —
 1-3 selectors (sometimes sharded) x 1-3 tenants under ``fifo`` or
 ``fair_share``, a fleet with failed attestations and incompatible
-runtimes in it, quotas that run out mid-sweep, paused and draining
-routes, unknown populations, busy on-device workers, a cached
-attestation verdict gone missing — over several staged sweeps, with a
+runtimes in it, quotas that run out mid-sweep, draining routes, unknown
+populations, busy on-device workers — over several staged sweeps, with a
 tenant attached, the fleet snapshotted and restored, and a tenant
 drained in between.
 
@@ -58,7 +57,7 @@ def reference_verdict(selector, route, attestation_ok, runtime_version):
     if route.plans.plan_for_runtime(runtime_version) is None:
         route.stats.rejected_incompatible += 1
         return "no_compatible_plan"
-    if selector._paused or len(route.pool) + route.pending_admissions >= route.pool_cap:
+    if len(route.pool) + route.pending_admissions >= route.pool_cap:
         route.stats.rejected_quota += 1
         return "over_quota"
     return None
@@ -75,11 +74,6 @@ def reference_screen(selector, population_name, device, attestation_ok):
         fallback.stats.checkins += 1
         fallback.stats.rejected_unknown_population += 1
         return selector._suggest_window(fallback)
-    if attestation_ok is None:
-        token = device.attestation.issue_token(
-            device.device_id, device.profile.genuine
-        )
-        attestation_ok = selector.verify_attestation(token)
     reason = reference_verdict(
         selector, route, attestation_ok, device.profile.runtime_version
     )
@@ -144,21 +138,13 @@ def reference_checkin_rows(self, rows, u_pick, u_window, now):
     self.checkins_dispatched += rows.size
     self.pending_window_t[rows] = -_INF
     rejected, windows = [], []
-    for j, (i, cached, pick) in enumerate(zip(
+    for j, (i, attested, pick) in enumerate(zip(
         rows.tolist(), self._attestation_ok[rows].tolist(), u_pick.tolist()
     )):
-        device = self._devices[i]
-        verdict = bool(cached) if cached >= 0 else None
-        window = reference_attempt(self, device, verdict, pick)
-        if window is None:
-            continue
-        rejected.append(j)
-        windows.append(window)
-        if verdict is not None:
-            if verdict:
-                device.attestation.verified_count += 1
-            else:
-                device.attestation.rejected_count += 1
+        window = reference_attempt(self, self._devices[i], attested, pick)
+        if window is not None:
+            rejected.append(j)
+            windows.append(window)
     if not rejected:
         return
     self.checkins_fast_rejected += len(rejected)
@@ -244,8 +230,6 @@ def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
     the rows made due."""
     plane = fleet.idle_plane
     for selector in fleet.selector_actors():
-        if first and scenario.random() < 0.2:
-            selector._paused = True
         for name, route in selector.routes.items():
             # A handful of slots: the quota runs out mid-sweep.
             route.pool_cap = len(route.pool) + int(scenario.integers(1, 8))
@@ -271,8 +255,6 @@ def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
                 device.scheduler.try_start()
             else:
                 device.scheduler.abort()
-        elif kind < 0.25:
-            plane._attestation_ok[i] = -1  # the cached verdict went missing
         plane.schedule_checkin(i, 0.0)
     return rows
 
@@ -304,9 +286,6 @@ def observe(fleet):
     return {
         "now": fleet.loop.now,
         "routes": routes,
-        "attestation": (
-            fleet.attestation.verified_count, fleet.attestation.rejected_count
-        ),
         "pending_window_t": plane.pending_window_t.tolist(),
         "next_checkin_t": plane.next_checkin_t.tolist(),
         "next_event_t": plane._next_event_t.tolist(),

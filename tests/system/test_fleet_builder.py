@@ -245,7 +245,6 @@ def knob(name, make):
         ),
         pytest.param(round_of(selection_timeout_s=NAN), "selection_timeout_s", id="selection-nan"),
         pytest.param(round_of(reporting_timeout_s=NAN), "reporting_timeout_s", id="reporting-nan"),
-        pytest.param(round_of(device_time_cap_s=NAN), "device_time_cap_s", id="device-cap-nan"),
         pytest.param(round_of(overselection_factor=NAN), "overselection_factor", id="overselection-nan"),
     ],
 )
@@ -320,6 +319,56 @@ def test_nonfinite_training_and_compute_settings_refused(construct, field):
     ``FleetValidationError`` is — at the latest at ``.build()``."""
     with pytest.raises(ValueError, match=f"{field} must"):
         construct()
+
+
+@pytest.mark.parametrize(
+    "fields, field",
+    [
+        pytest.param({"tz_offset_hours": NAN}, "tz_offset_hours", id="tz-offset-nan"),
+        pytest.param({"tz_offset_hours": INF}, "tz_offset_hours", id="tz-offset-inf"),
+        pytest.param({"tz_spread_hours": NAN}, "tz_spread_hours", id="tz-spread-nan"),
+        pytest.param({"tz_spread_hours": INF}, "tz_spread_hours", id="tz-spread-inf"),
+        pytest.param({"tz_spread_hours": -1.0}, "tz_spread_hours", id="tz-spread-negative"),
+        pytest.param({"speed_sigma": NAN}, "speed_sigma", id="sigma-nan"),
+        pytest.param({"speed_sigma": INF}, "speed_sigma", id="sigma-inf"),
+        pytest.param({"speed_sigma": -0.4}, "speed_sigma", id="sigma-negative"),
+        pytest.param(
+            {"memory_weights": (NAN, 0.25, 0.25, 0.12, 0.08)}, "memory_weights",
+            id="memory-weights-nan",
+        ),
+        pytest.param(
+            {"os_weights": (1.15, -0.15, 0.0, 0.0)}, "os_weights", id="os-weights-negative",
+        ),
+        pytest.param(
+            {"runtime_weights": (0.5, 0.5)}, "runtime_weights", id="runtime-weights-short",
+        ),
+        pytest.param(
+            {"memory_choices": (), "memory_weights": ()}, "memory_choices",
+            id="memory-choices-empty",
+        ),
+        pytest.param({"os_versions": (), "os_weights": ()}, "os_versions", id="os-versions-empty"),
+        pytest.param(
+            {"runtime_versions": (), "runtime_weights": ()}, "runtime_versions",
+            id="runtime-versions-empty",
+        ),
+    ],
+)
+def test_malformed_population_config_refused_at_build(fields, field):
+    """Each of these used to build: a non-finite time zone then died
+    mid-run inside the diurnal tables' lookup, a NaN speed spread
+    committed no round and raised nothing, an infinite one died mid-run;
+    a negative spread, a NaN or negative weight or an empty choice list
+    failed inside numpy naming no field.  Now ``PopulationConfig``
+    refuses the field by name before anything spawns."""
+    builder = (
+        FLFleet.builder()
+        .seed(3)
+        .devices(PopulationConfig(num_devices=300, **fields))
+        .selectors(2)
+        .population("a", tasks=[task("a/t", "a")], model=params())
+    )
+    with pytest.raises(FleetValidationError, match=f"{field} must"):
+        builder.build()
 
 
 def test_schedules_that_never_fire_or_never_stop_stay_legal():

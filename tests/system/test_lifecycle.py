@@ -358,17 +358,27 @@ def test_drain_handles_respawned_coordinator():
 
 
 def test_late_message_for_drained_population_is_not_misrouted():
-    """A message *naming* a removed population must not fall back to the
-    single surviving route (only legacy name-less messages may)."""
+    """A message naming a removed population reaches no route — not the
+    single surviving one: every sender names its tenant, and a Selector
+    routes by that name alone."""
+    from repro.actors import messages as msg
+
     fleet = build_fleet()
     fleet.attach_population(stats_spec())
     fleet.run_for(2 * HOUR)
     fleet.drain_population("stats")
-    (survivor,) = fleet.selector_actors()[0].routes.values()
     selector = fleet.selector_actors()[0]
-    assert selector._lookup("stats") is None
-    assert selector._lookup("") is survivor
-    assert selector._lookup(None) is survivor
+    (survivor,) = selector.routes.values()
+    forwarding, pool = survivor.forwarding, dict(survivor.pool)
+    late = msg.ForwardDevices(
+        round_id=-1, task_id="stats/t", count=5, master=selector.ref,
+        population_name="stats",
+    )
+    selector.receive(None, late)
+    for device_id in pool:
+        selector.receive(None, msg.DeviceDisconnect(device_id, population_name="stats"))
+    assert "stats" not in selector.routes
+    assert survivor.forwarding is forwarding and survivor.pool == pool
 
 
 def test_reattach_same_name_after_drain():
@@ -737,12 +747,13 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 7
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 8
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
-    # an ``eligible`` / ``state`` copy and three row handles.
-    for older in (3, 4, 5, 6):
+    # an ``eligible`` / ``state`` copy and three row handles; format 7's
+    # an attestation service, for a second token round at every check-in.
+    for older in (3, 4, 5, 6, 7):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -752,7 +763,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 7",
+                match=f"format {older} unsupported .*reads format 8",
             ):
                 read(old)
 

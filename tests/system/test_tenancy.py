@@ -29,6 +29,11 @@ the plane's columns (``check_record``):
   a session started;
 * a constructed device's ``health`` is its row, field for field, and its
   ``eligible`` / ``state`` agree with ``plane.eligible`` / ``plane.active``.
+
+The same scripts hold the check-in and commit laws of ``fleet_laws`` —
+Selector quota conservation and the durable-write law after every step
+and inside every drain, a reservation for every arriving check-in
+throughout.
 """
 
 import tempfile
@@ -40,6 +45,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleet_laws import check_fleet_laws, reservations_checked
 from repro import FLFleet, PopulationSpec, RoundConfig, TaskConfig
 from repro.analytics.events import EVENTS, DeviceEvent
 from repro.device.actor import DeviceActor, DeviceHealthStats, DeviceState
@@ -174,7 +180,7 @@ def test_device_slots_are_pinned():
     assert set(DeviceActor.__slots__) == {
         # what it was built with
         "profile", "network", "conditions", "trainer_of", "compute",
-        "attestation", "event_log", "_rng", "job", "compute_error_prob",
+        "event_log", "_rng", "job", "compute_error_prob",
         "ack_timeout_s", "waiting_timeout_s", "upload_retry",
         # where its record and its idle life are
         "plane", "row", "scheduler",
@@ -205,6 +211,7 @@ def test_tenancy_has_one_home(script):
     fleet = build_fleet()
     check_law(fleet)
     check_record(fleet)
+    check_fleet_laws(fleet)
     quiet = PopulationLifecycle._is_quiet
     draining_seen = []
 
@@ -213,13 +220,14 @@ def test_tenancy_has_one_home(script):
         assert runtime.state is PopulationState.DRAINING
         check_law(lifecycle.fleet, retired=False)
         check_record(lifecycle.fleet)
+        check_fleet_laws(lifecycle.fleet)
         draining_seen.append(runtime.name)
         return quiet(lifecycle, runtime)
 
     drains = 0
     with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
         PopulationLifecycle, "_is_quiet", probing
-    ):
+    ), reservations_checked():
         for number, (kind, *args) in enumerate(script):
             hosted = fleet.population_names
             if kind == "attach":
@@ -244,4 +252,5 @@ def test_tenancy_has_one_home(script):
                     assert fleet.devices[index].device_id == index
             check_law(fleet)
             check_record(fleet)
+            check_fleet_laws(fleet)
     assert len(draining_seen) >= drains

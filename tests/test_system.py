@@ -173,7 +173,8 @@ def test_compromised_devices_never_participate():
     for result in fleet.round_results:
         participant_ids = {r.device_id for r in result.participant_records}
         assert participant_ids.isdisjoint(compromised_ids)
-    assert fleet.attestation.rejected_count > 0
+    # ... because the Selectors' screens turned them away.
+    assert sum(s.stats.rejected_attestation for s in fleet.selector_actors()) > 0
 
 
 def test_device_health_telemetry_aggregates():
