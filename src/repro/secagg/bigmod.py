@@ -3,32 +3,35 @@
 The protocol's remaining scalar hot spot is ``pow(base, exponent,
 DH_PRIME)`` — one CPython big-int exponentiation per keypair, per
 pairwise agreement, and per dropout-recovery re-derivation.  This module
-replaces those per-element calls with *stacked* fixed-window Montgomery
+replaces those per-element calls with *stacked* fixed-window
 exponentiation on numpy limb arrays, the same deferred-carry limb
 technique :mod:`repro.secagg.field` uses for GF(2^127 − 1):
 
 * elements are held as nine 29-bit limbs in uint64 lanes, *transposed*
-  ``(9, N)`` so every limb row is contiguous across the batch;
-* one Montgomery multiply is a schoolbook limb convolution plus word-wise
-  REDC — ~9 × 2 broadcast multiply-adds with all carries deferred to one
-  final normalization pass (the uint64 lanes cannot overflow: limbs are
-  29 bits, so 2·9 accumulated 58-bit products stay below 2^63);
+  ``(9, N)`` so every limb row is contiguous across the batch, as plain
+  (not necessarily canonical) residues;
+* one multiply (:func:`_mul_`) is a schoolbook limb convolution folded
+  with the special form of the prime: ``2^261 ≡ 19 · 2^6 = 1216 (mod
+  p)``, so the nine high limbs of the 18-limb product fold back onto the
+  low nine with one multiply-add — about a dozen numpy calls per
+  multiply, whatever the batch width;
 * :func:`powmod_batch` runs a fixed 4-bit window ladder over the whole
   batch at once (per-element window digits are gathered from a shared
   table), and :class:`FixedBaseTable` removes the squarings entirely for
-  a *known* base — ``g^x`` becomes one table gather + one Montgomery
-  multiply per 12-bit window, with the per-window tables built once and
-  cached.
+  a *known* base — ``g^x`` becomes one table gather + one multiply per
+  14-bit window, with the per-window tables built once and cached.
 
-Every result is reduced to the canonical residue, so outputs are
-bit-identical to CPython's ``pow(base, exponent, MODULUS)`` by
-construction — the batched DH plane (:mod:`repro.secagg.dh`) relies on
-that for cross-plane byte-equivalence, and ``tests/secagg/test_bigmod.py``
-asserts it on random and adversarial edge inputs.
+Results are reduced to the canonical residue once per batch, at the
+``_from_limbs*`` boundary, so outputs are bit-identical to CPython's
+``pow(base, exponent, MODULUS)`` by construction — the batched DH plane
+(:mod:`repro.secagg.dh`) relies on that for cross-plane byte-equivalence,
+and ``tests/secagg/test_bigmod.py`` asserts it on random and adversarial
+edge inputs.
 
 Limb discipline: uint64 limb arrays never round-trip through Python ints
-inside a kernel — object-dtype escapes are confined to the ``_to_*`` /
-``_from_*`` boundary helpers (machine-checked by repro-lint's
+inside a kernel — ints enter and leave, as little-endian bytes, only
+through the ``_to_*`` / ``_from_*`` boundary helpers, and no object-dtype
+array exists anywhere else (machine-checked by repro-lint's
 ``inplace-op-discipline`` bigmod clause).
 """
 
@@ -41,16 +44,15 @@ MODULUS: int = (1 << 255) - 19
 
 _LIMB_BITS = 29
 _NUM_LIMBS = 9                        # 9 x 29 = 261 bits >= 255
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-_R_BITS = _LIMB_BITS * _NUM_LIMBS     # Montgomery radix R = 2^261
-_R_MOD_P = (1 << _R_BITS) % MODULUS
-_R2_MOD_P = ((1 << _R_BITS) ** 2) % MODULUS
-#: -MODULUS^-1 mod 2^29, the word-wise REDC multiplier.
-_NPRIME = (-pow(MODULUS, -1, 1 << _LIMB_BITS)) % (1 << _LIMB_BITS)
 
-_MASK64 = np.uint64(_LIMB_MASK)
+_MASK64 = np.uint64((1 << _LIMB_BITS) - 1)
 _SHIFT64 = np.uint64(_LIMB_BITS)
-_NPRIME64 = np.uint64(_NPRIME)
+#: The top limb holds bits 232..254 of a canonical value (255 - 8 * 29).
+_TOP_SHIFT64 = np.uint64(255 - _LIMB_BITS * (_NUM_LIMBS - 1))
+_TOP_MASK64 = (np.uint64(1) << _TOP_SHIFT64) - np.uint64(1)
+_NINETEEN64 = np.uint64(19)
+#: 2^261 mod p = 19 * 2^6: the weight of a limb carried past limb 8.
+_FOLD64 = np.uint64(19 << (_LIMB_BITS * _NUM_LIMBS - 255))
 
 #: Window width of the generic (per-element base) ladder.
 _POW_WINDOW_BITS = 4
@@ -60,50 +62,43 @@ _FIXED_WINDOW_BITS = 14
 
 def _to_limbs(values: list[int]) -> np.ndarray:
     """Pack residues into a transposed ``(9, N)`` uint64 limb array."""
-    col = np.array([v % MODULUS for v in values], dtype=object)
+    blob = b"".join((v % MODULUS).to_bytes(32, "little") for v in values)
+    words = np.frombuffer(blob, dtype="<u8").reshape(len(values), 4).T
     out = np.empty((_NUM_LIMBS, len(values)), dtype=np.uint64)
     for k in range(_NUM_LIMBS):
-        out[k] = (col >> (k * _LIMB_BITS)) & _LIMB_MASK
+        wi, shift = divmod(k * _LIMB_BITS, 64)
+        out[k] = words[wi] >> np.uint64(shift)
+        if shift + _LIMB_BITS > 64 and wi + 1 < 4:
+            out[k] |= words[wi + 1] << np.uint64(64 - shift)
+    out &= _MASK64
     return out
 
 
 def _from_limbs(limbs: np.ndarray) -> list[int]:
-    """Unpack a ``(9, N)`` limb array into canonical ``% MODULUS`` ints."""
-    vals = limbs.astype(object)
-    combined = vals[0]
-    for k in range(1, _NUM_LIMBS):
-        combined = combined + (vals[k] << (k * _LIMB_BITS))
-    return [int(v % MODULUS) for v in combined.tolist()]
+    """Canonical ``% MODULUS`` ints of a ``(9, N)`` limb array (consumed)."""
+    return [int.from_bytes(b, "little") for b in _from_limbs_bytes(limbs)]
 
 
 def _from_limbs_bytes(limbs: np.ndarray) -> list[bytes]:
     """Canonical 32-byte little-endian encodings of a ``(9, N)`` limb array.
 
-    Limbs hold normalized REDC outputs (values below 2·MODULUS).  The
-    canonical-residue test rides one addition: ``v >= p`` iff ``v + 19``
-    has bit 255 set, and in that case ``v - p`` *is* ``v + 19`` with that
-    bit cleared — so one carry pass plus a select canonicalizes the whole
-    batch.  The packed bytes equal ``int.to_bytes(v % p, 32, "little")``
-    exactly; key derivation hashes them without materializing Python ints.
+    Canonicalizes ``limbs`` in place (callers hand over a ladder's
+    accumulator), so the packed bytes equal ``int.to_bytes(v % p, 32,
+    "little")`` exactly; key derivation hashes them without materializing
+    Python ints.
     """
     n = limbs.shape[1]
-    plus = limbs.astype(np.uint64, copy=True)
-    plus[0] += np.uint64(19)
     carry = np.empty(n, dtype=np.uint64)
-    _normalize_(plus, carry)
-    # Bit 255 of the value is bit 23 of limb 8 (8 * 29 = 232).
-    wraps = (plus[8] >> np.uint64(23)).astype(bool)
-    plus[8] &= np.uint64((1 << 23) - 1)
-    canonical = np.where(wraps, plus, limbs)
+    _canonicalize_(limbs, carry)
     words = np.zeros((4, n), dtype=np.uint64)
     for k in range(_NUM_LIMBS):
         start = k * _LIMB_BITS
         wi, shift = divmod(start, 64)
-        words[wi] |= canonical[k] << np.uint64(shift)
+        words[wi] |= limbs[k] << np.uint64(shift)
         # Canonical values are < 2^255, so the top limb never spills
         # past word 3 — guard like _to_digits does.
         if shift + _LIMB_BITS > 64 and wi + 1 < 4:
-            words[wi + 1] |= canonical[k] >> np.uint64(64 - shift)
+            words[wi + 1] |= limbs[k] >> np.uint64(64 - shift)
     blob = words.T.astype("<u8").tobytes()
     return [blob[32 * i: 32 * i + 32] for i in range(n)]
 
@@ -133,83 +128,91 @@ def _to_digits(
     return out
 
 
-#: Modulus limbs as a ``(9, 1)`` column, broadcastable over ``(9, N)``.
-#: Packed directly — ``_to_limbs`` canonicalizes mod p, which would fold
-#: the modulus itself to zero.
-_P_LIMBS = np.array(
-    [[(MODULUS >> (k * _LIMB_BITS)) & _LIMB_MASK] for k in range(_NUM_LIMBS)],
-    dtype=np.uint64,
-)
-#: Plain 1 (NOT Montgomery 1) — multiplying by it performs the final REDC.
-_ONE_LIMBS = _to_limbs([1])
-#: Montgomery representation of 1, i.e. R mod p.
-_MONT_ONE_LIMBS = _to_limbs([_R_MOD_P])
-#: R^2 mod p — multiplying by it lifts a value into the Montgomery domain.
-_R2_LIMBS = _to_limbs([_R2_MOD_P])
-
-
 class _Scratch:
     """Per-call work buffers for one batch width ``n``.
 
-    One Montgomery multiply needs a ``(2L, N)`` accumulator, an ``(L, N)``
-    product buffer and an ``(N,)`` word buffer; allocating them once per
-    ``powmod`` call keeps the ladder itself allocation-free.
+    ``plane`` is the ``(9, 18, N)`` partial-product plane, zeroed once:
+    ``skew`` views it so that row ``i`` of ``a_i · b`` lands in columns
+    ``i .. i+8`` — every multiply writes exactly those cells, so the rest
+    stay zero and one ``add.reduce`` over axis 0 yields the 18 product
+    columns.  Allocating the buffers once per ``powmod`` call keeps the
+    ladder itself allocation-free.
     """
 
     def __init__(self, n: int):
-        self.t = np.zeros((2 * _NUM_LIMBS, n), dtype=np.uint64)
-        self.prod = np.empty((_NUM_LIMBS, n), dtype=np.uint64)
-        self.word = np.empty(n, dtype=np.uint64)
+        self.plane = np.zeros((_NUM_LIMBS, 2 * _NUM_LIMBS, n), dtype=np.uint64)
+        s_row, s_col, s_lane = self.plane.strides
+        self.skew = np.lib.stride_tricks.as_strided(
+            self.plane, (_NUM_LIMBS, _NUM_LIMBS, n), (s_row + s_col, s_col, s_lane)
+        )
+        self.cols = np.empty((2 * _NUM_LIMBS, n), dtype=np.uint64)
+        self.carry = np.empty((2 * _NUM_LIMBS, n), dtype=np.uint64)
 
 
-def _normalize_(limbs: np.ndarray, carry: np.ndarray) -> None:
-    """Propagate deferred carries in place; top limb absorbs the rest.
+def _mul_(
+    out: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: _Scratch
+) -> None:
+    """``out <- a · b (mod p)`` on ``(9, N)`` limb arrays, not canonical.
 
-    Inputs are REDC outputs (< 2·MODULUS < 2^256), so after one pass every
-    limb is below 2^29 and the top limb below 2^24 — no wrap-around fold
-    is ever needed at this radix (261 bits of headroom over 256).
+    Limb bound: inputs with every limb ≤ 2^29.1 give an output with every
+    limb ≤ 2^29.05, so outputs feed back in indefinitely.  A product
+    column sums at most nine limb products, ≤ 9 · 2^58.2 < 2^61.4 <
+    2^64; one parallel carry leaves limbs ≤ 2^32.6, the ×1216 fold of
+    limbs 9..17 onto 0..8 ≤ 2^42.8, and the closing parallel carry — its
+    top carry folded ×1216 into limb 0 — limbs ≤ 2^29 + 2^24.05 (limb 0)
+    and ≤ 2^29 + 2^13.8 (the rest).  ``tests/secagg/test_bigmod.py``
+    checks the bound after every step of long multiply chains.  ``out``
+    may alias ``a`` and/or ``b`` — they are read only by the first call.
     """
+    np.multiply(a[:, None], b[None], out=scratch.skew)
+    cols, carry = scratch.cols, scratch.carry
+    np.add.reduce(scratch.plane, axis=0, out=cols)
+    np.right_shift(cols, _SHIFT64, out=carry)
+    cols &= _MASK64
+    cols[1:] += carry[:-1]
+    # Column 16 is the product's top, so column 17 holds only a carry
+    # and carry[17] is always zero.
+    cols[_NUM_LIMBS:] *= _FOLD64
+    np.add(cols[:_NUM_LIMBS], cols[_NUM_LIMBS:], out=out)
+    low = carry[:_NUM_LIMBS]
+    np.right_shift(out, _SHIFT64, out=low)
+    out &= _MASK64
+    out[1:] += low[:-1]
+    low[-1] *= _FOLD64
+    out[0] += low[-1]
+
+
+def _carry_(limbs: np.ndarray, carry: np.ndarray) -> None:
+    """Sequential carry in place: limbs 0..7 end below 2^29, the top limb
+    absorbs the rest."""
     for k in range(_NUM_LIMBS - 1):
         np.right_shift(limbs[k], _SHIFT64, out=carry)
         limbs[k] &= _MASK64
         limbs[k + 1] += carry
 
 
-def _mont_mul_(
-    out: np.ndarray, a: np.ndarray, b: np.ndarray, scratch: _Scratch
-) -> None:
-    """``out <- REDC(a · b)`` on ``(9, N)`` limb arrays, carries deferred.
+def _canonicalize_(limbs: np.ndarray, carry: np.ndarray) -> None:
+    """Reduce ``(9, N)`` limbs (each ≤ 2^29.05) to canonical residues.
 
-    ``a`` and ``b`` hold values below 2·MODULUS in (near-)normalized
-    limbs; the result is again below 2·MODULUS, normalized.  ``out`` may
-    alias ``a`` and/or ``b`` — it is only written after both are fully
-    read.  Overflow headroom: every accumulator limb gathers at most
-    2·9 products of two 29-bit limbs (< 2^62.2) plus two carries, safely
-    inside uint64.
+    One carry pass leaves value < 2^261.1; folding bits ≥ 255 of the top
+    limb (×19) leaves v < 2^255 + 2^11 < 2p.  Then ``v >= p`` iff ``v +
+    19`` reaches bit 255, read off a carry chain into ``q`` ∈ {0, 1};
+    adding ``19 · q``, carrying and clearing bit 255 subtracts ``q · p``.
     """
-    t, prod, word = scratch.t, scratch.prod, scratch.word
-    # First partial product writes rows 0..8 directly; only the upper
-    # accumulator rows need zeroing.
-    np.multiply(b, a[0], out=t[0:_NUM_LIMBS])
-    t[_NUM_LIMBS:] = 0
-    for i in range(1, _NUM_LIMBS):
-        np.multiply(b, a[i], out=prod)
-        t[i:i + _NUM_LIMBS] += prod
-    for i in range(_NUM_LIMBS):
-        # m = t_i * (-p^-1) mod 2^29.  Mask *before* multiplying: the
-        # 29x29-bit product then fits uint64 exactly (2^64 is not a
-        # multiple of 2^29, so a wrapped product would corrupt the low
-        # window).
-        np.bitwise_and(t[i], _MASK64, out=word)
-        word *= _NPRIME64
-        word &= _MASK64
-        np.multiply(_P_LIMBS, word, out=prod)
-        t[i:i + _NUM_LIMBS] += prod
-        # limb i is now ≡ 0 mod 2^29; push its carry up and drop it.
-        np.right_shift(t[i], _SHIFT64, out=word)
-        t[i + 1] += word
-    np.copyto(out, t[_NUM_LIMBS:2 * _NUM_LIMBS])
-    _normalize_(out, word)
+    _carry_(limbs, carry)
+    np.right_shift(limbs[-1], _TOP_SHIFT64, out=carry)
+    limbs[-1] &= _TOP_MASK64
+    carry *= _NINETEEN64
+    limbs[0] += carry
+    np.add(limbs[0], _NINETEEN64, out=carry)
+    for k in range(1, _NUM_LIMBS):
+        carry >>= _SHIFT64
+        carry += limbs[k]
+    carry >>= _TOP_SHIFT64
+    carry *= _NINETEEN64
+    limbs[0] += carry
+    _carry_(limbs, carry)
+    limbs[-1] &= _TOP_MASK64
 
 
 def _validate(bases_or_none: list[int] | None, exponents: list[int]) -> None:
@@ -225,11 +228,11 @@ def _validate(bases_or_none: list[int] | None, exponents: list[int]) -> None:
 def powmod_batch(bases: list[int], exponents: list[int]) -> list[int]:
     """``[pow(b, e, MODULUS) for b, e in zip(bases, exponents)]``, stacked.
 
-    Fixed 4-bit-window Montgomery ladder over the whole batch: per-element
-    window digits index a shared ``base^j`` table, so every element walks
-    the same ladder (elements with shorter exponents multiply by the
-    identity in their leading windows).  Bit-identical to CPython ``pow``
-    by construction — results are canonical residues.
+    Fixed 4-bit-window ladder over the whole batch: per-element window
+    digits index a shared ``base^j`` table, so every element walks the
+    same ladder (elements with shorter exponents multiply by the identity
+    in their leading windows).  Bit-identical to CPython ``pow`` by
+    construction — results are canonical residues.
     """
     _validate(bases, exponents)
     n = len(bases)
@@ -242,14 +245,12 @@ def powmod_batch(bases: list[int], exponents: list[int]) -> list[int]:
     scratch = _Scratch(n)
     digits = _to_digits(exponents, _POW_WINDOW_BITS, num_windows)
 
-    base_m = np.empty((_NUM_LIMBS, n), dtype=np.uint64)
-    _mont_mul_(base_m, _to_limbs(bases), _R2_LIMBS, scratch)
-    # table[j] = base^j in the Montgomery domain, j = 0 .. 2^w - 1.
+    # table[j] = base^j, j = 0 .. 2^w - 1.
     table = np.empty((1 << _POW_WINDOW_BITS, _NUM_LIMBS, n), dtype=np.uint64)
-    table[0] = _MONT_ONE_LIMBS
-    table[1] = base_m
+    table[0] = _to_limbs([1])
+    table[1] = _to_limbs(bases)
     for j in range(2, 1 << _POW_WINDOW_BITS):
-        _mont_mul_(table[j], table[j - 1], base_m, scratch)
+        _mul_(table[j], table[j - 1], table[1], scratch)
 
     def gather(w: int) -> np.ndarray:
         idx = digits[w][None, None, :]
@@ -258,24 +259,25 @@ def powmod_batch(bases: list[int], exponents: list[int]) -> list[int]:
     acc = gather(num_windows - 1).copy()
     for w in range(num_windows - 2, -1, -1):
         for _ in range(_POW_WINDOW_BITS):
-            _mont_mul_(acc, acc, acc, scratch)
-        _mont_mul_(acc, acc, gather(w), scratch)
-    _mont_mul_(acc, acc, _ONE_LIMBS, scratch)   # leave the Montgomery domain
+            _mul_(acc, acc, acc, scratch)
+        _mul_(acc, acc, gather(w), scratch)
     return _from_limbs(acc)
 
 
 class FixedBaseTable:
     """Precomputed window tables for a *fixed* base — ``g^x`` sans squarings.
 
-    Position ``i`` caches ``base^(j · 2^(w·i)) · R mod p`` for every
-    ``w``-bit digit ``j`` (``w`` = 14 by default), stored transposed
-    ``(9, 2^w)`` so a batch exponentiation is one ``np.take`` gather and
-    one Montgomery multiply per window — no per-call table build and no
-    squaring ladder.  Positions are built lazily (sequential 255-bit
-    mulmods on plain ints, ~milliseconds each) and cached for the life of
-    the process; :mod:`repro.secagg.dh` keeps one instance for the group
-    generator, shared by keypair generation, pair agreement, and
-    dropout-recovery verification on the vectorized planes.
+    Position ``i`` caches ``base^(j · 2^(w·i)) mod p`` for every ``w``-bit
+    digit ``j`` (``w`` = 14 by default), one ``(2^w, 9)`` row per digit
+    so an entry's limbs share a cache line: a batch exponentiation is one
+    ``np.take`` gather (transposed into a ``(9, N)`` buffer) and one
+    multiply per window — no per-call table build and no squaring ladder.
+    Positions are built lazily (two 128-entry power lists on plain ints,
+    then 128 stacked multiplies — a few milliseconds each) and cached for
+    the life of the process;
+    :mod:`repro.secagg.dh` keeps one instance for the group generator,
+    shared by keypair generation, pair agreement, and dropout-recovery
+    verification on the vectorized planes.
     """
 
     def __init__(self, base: int, window_bits: int = _FIXED_WINDOW_BITS):
@@ -287,21 +289,25 @@ class FixedBaseTable:
 
     def _ensure_positions(self, num_windows: int) -> None:
         w = self.window_bits
+        half = w // 2
         while len(self._tables) < num_windows:
-            i = len(self._tables)
-            step = pow(self.base, 1 << (w * i), MODULUS)
-            entries = [0] * (1 << w)
-            cur = _R_MOD_P                    # Montgomery form of base^0
-            entries[0] = cur
-            for j in range(1, 1 << w):
-                # Multiplying a Montgomery value by the *plain* step keeps
-                # exactly one R factor: entries[j] = base^(j·2^(wi)) · R.
-                cur = (cur * step) % MODULUS
-                entries[j] = cur
-            self._tables.append(_to_limbs(entries))
+            step = pow(self.base, 1 << (w * len(self._tables)), MODULUS)
+            # Digit j = hi · 2^half + lo: step^lo times (step^2^half)^hi,
+            # one stacked multiply per hi.
+            low = _to_limbs([pow(step, j, MODULUS) for j in range(1 << half)])
+            high = _to_limbs(
+                [pow(step, j << half, MODULUS) for j in range(1 << (w - half))]
+            )
+            table = np.empty((1 << w, _NUM_LIMBS), dtype=np.uint64)
+            product = np.empty_like(low)
+            scratch = _Scratch(1 << half)
+            for j in range(1 << (w - half)):
+                _mul_(product, low, high[:, j:j + 1], scratch)
+                table[j << half:(j + 1) << half] = product.T
+            self._tables.append(table)
 
     def _pow_limbs(self, exponents: list[int]) -> np.ndarray | None:
-        """The shared ladder: non-Montgomery ``(9, N)`` result limbs.
+        """The shared ladder: ``(9, N)`` result limbs, not yet canonical.
 
         Returns None for an all-zero exponent batch (callers answer 1).
         """
@@ -314,19 +320,18 @@ class FixedBaseTable:
         self._ensure_positions(num_windows)
         digits = _to_digits(exponents, self.window_bits, num_windows)
         scratch = _Scratch(n)
-        acc = np.take(self._tables[0], digits[0], axis=1)
+        rows = np.take(self._tables[0], digits[0], axis=0)   # (N, 9)
+        acc = rows.T.copy()
+        gathered = np.empty_like(acc)
         for w in range(1, num_windows):
-            gathered = np.take(self._tables[w], digits[w], axis=1)
-            _mont_mul_(acc, acc, gathered, scratch)
-        _mont_mul_(acc, acc, _ONE_LIMBS, scratch)
+            np.take(self._tables[w], digits[w], axis=0, out=rows)
+            np.copyto(gathered, rows.T)
+            _mul_(acc, acc, gathered, scratch)
         return acc
 
     def pow_batch(self, exponents: list[int]) -> list[int]:
         """``[pow(self.base, e, MODULUS) for e in exponents]``, stacked."""
-        acc = self._pow_limbs(exponents)
-        if acc is None:
-            return [1] * len(exponents)
-        return _from_limbs(acc)
+        return [int.from_bytes(b, "little") for b in self.pow_batch_bytes(exponents)]
 
     def pow_batch_bytes(self, exponents: list[int]) -> list[bytes]:
         """Like :meth:`pow_batch`, but each result arrives as its canonical

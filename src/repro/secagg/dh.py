@@ -10,7 +10,7 @@ Exponents are 120 bits so they fit in the Shamir field — adequate for a
 systems reproduction, NOT for production cryptography.
 
 Batch variants (``generate_keypairs_batch``, ``agree_batch``,
-``agree_pairs_batch``) ride the vectorized Montgomery substrate in
+``agree_pairs_batch``) ride the vectorized 2^255−19 limb substrate in
 :mod:`repro.secagg.bigmod`.  They draw rng bytes in exactly the scalar
 order and hash agreements with the same truncated SHA-256, so every
 derived key and seed is byte-identical to the scalar API — the planes'
@@ -81,7 +81,8 @@ def _derive_key_bytes(element_bytes: bytes) -> int:
 
 
 def _draw_secret(rng: np.random.Generator) -> int:
-    """One secret exponent — the exact byte draw ``generate_keypair`` makes."""
+    """One secret exponent — the exact byte draw ``generate_keypair`` makes
+    (the vectorized planes draw every ``c`` and ``s`` exponent with it)."""
     secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "little")
     return secret | 1 << (SECRET_BITS - 8)
 

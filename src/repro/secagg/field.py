@@ -99,97 +99,95 @@ def lagrange_coefficients_at_zero(
     return [(num * inv) % p for num, inv in zip(nums, inv_dens)]
 
 
-#: Limb layout for vectorized GF(2^127 - 1) arithmetic: five 26-bit limbs
-#: (130 bits) per element, little-endian, held in uint64 lanes.
+#: Vectorized GF(2^127 - 1): five 26-bit limbs (130 bits) per element in
+#: uint64 lanes, transposed ``(5, ...)`` so every limb op is contiguous.
 _LIMB_BITS = 26
-_NUM_LIMBS = 5
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_MASK64 = np.uint64((1 << _LIMB_BITS) - 1)
+_SHIFT64 = np.uint64(_LIMB_BITS)
+_TOP64 = np.uint64(127 - 4 * _LIMB_BITS)    # top limb's bits below 2^127
 
 
-def _to_limbs(values: list[int]) -> np.ndarray:
-    """Pack field elements into a ``(len(values), 5)`` uint64 limb array."""
-    col = np.array(values, dtype=object)
-    out = np.empty((len(values), _NUM_LIMBS), dtype=np.uint64)
-    for k in range(_NUM_LIMBS):
-        out[:, k] = (col >> (k * _LIMB_BITS)) & _LIMB_MASK
-    return out
+def coefficient_words(values: list[int]) -> np.ndarray:
+    """``(len(values), 2)`` little-endian uint64 words of values in
+    ``[0, 2^128)`` — the layout :func:`eval_polynomial_words` reads."""
+    blob = b"".join(v.to_bytes(16, "little") for v in values)
+    return np.frombuffer(blob, dtype="<u8").reshape(len(values), 2)
 
 
-def _from_limbs(acc: np.ndarray, p: int) -> list[list[int]]:
-    """Unpack a ``(P, n, 5)`` limb array into canonical ``% p`` residues."""
-    vals = acc.astype(object)
-    combined = vals[..., 0]
-    for k in range(1, _NUM_LIMBS):
-        combined = combined + (vals[..., k] << (k * _LIMB_BITS))
-    return (combined % p).tolist()
+def _carry_(acc: np.ndarray, carry: np.ndarray) -> None:
+    """Sequential carry: limbs 0..3 end below 2^26, the top absorbs the rest."""
+    for k in range(4):
+        np.right_shift(acc[k], _SHIFT64, out=carry)
+        acc[k] &= _MASK64
+        acc[k + 1] += carry
 
 
-def _normalize_limbs_(acc: np.ndarray) -> None:
-    """Carry-propagate ``acc`` in place and fold bit 127 overflow.
+def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
+    """Evaluate many polynomials at many points in one stacked pass.
 
-    ``2^127 ≡ 1 (mod p)`` for the Mersenne prime, so the part of the top
-    limb above bit 127 wraps around to limb 0.  The fold can leave limb 0
-    well above 26 bits (the overflow of a deferred accumulation is large),
-    so two passes run; afterwards every limb is below ``2^26 + 2``.
+    ``words`` is ``(S, D, 2)``: coefficient ``d`` of polynomial ``i`` as
+    two little-endian uint64 words, any value below 2^128 (reducing mod p
+    first would not change the result, so words >= p enter as they are;
+    the top limb takes bits 104..127).  Returns ``out[i][j] =
+    eval_polynomial(coeffs[i], xs[j])``.  Horner runs on one ``(5, S,
+    n)`` accumulator: two uint64 array ops per degree, plus a parallel
+    carry — the top limb's carry folded ×8 into limb 0, as 2^130 ≡ 2^3 —
+    whenever the tracked bound ``bits`` would pass 2^63 on the next step.
     """
-    limb_bits = np.uint64(_LIMB_BITS)
-    limb_mask = np.uint64(_LIMB_MASK)
-    top_bits = np.uint64(127 - _LIMB_BITS * (_NUM_LIMBS - 1))
-    top_mask = np.uint64((1 << (127 - _LIMB_BITS * (_NUM_LIMBS - 1))) - 1)
-    for _ in range(2):
-        for k in range(_NUM_LIMBS - 1):
-            carry = acc[..., k] >> limb_bits
-            acc[..., k] &= limb_mask
-            acc[..., k + 1] += carry
-        # Top limb holds bits 104..127 plus overflow; bits >= 127 fold
-        # back into limb 0.
-        overflow = acc[..., _NUM_LIMBS - 1] >> top_bits
-        acc[..., _NUM_LIMBS - 1] &= top_mask
-        acc[..., 0] += overflow
+    if any(x < 0 or x >= 1 << 32 for x in xs):
+        raise ValueError("evaluation points must be in [0, 2^32)")
+    num_polys, degree = words.shape[:2]
+    if not num_polys or not xs:
+        return [[] for _ in range(num_polys)]
+    lo, hi = words[..., 0].T, words[..., 1].T
+    coeffs = np.stack([                          # (5, D, S)
+        lo & _MASK64, (lo >> _SHIFT64) & _MASK64,
+        ((lo >> np.uint64(52)) | (hi << np.uint64(12))) & _MASK64,
+        (hi >> np.uint64(14)) & _MASK64, hi >> np.uint64(40),
+    ])
+    x_row = np.asarray(xs, dtype=np.uint64)
+    x_bits = max(xs).bit_length()
+    acc = np.empty((5, num_polys, len(xs)), dtype=np.uint64)
+    acc[...] = coeffs[:, degree - 1, :, None]
+    carry = np.empty_like(acc)
+    bits = _LIMB_BITS                            # every limb < 2^bits
+    for k in range(degree - 2, -1, -1):
+        while bits + x_bits + 1 > 63:    # limbs < 2^b end < 2^26 + 2^(b-23)
+            np.right_shift(acc, _SHIFT64, out=carry)
+            acc &= _MASK64
+            acc[1:] += carry[:-1]
+            acc[0] += carry[-1] << np.uint64(3)
+            bits = max(bits - 23, _LIMB_BITS) + 1
+        acc *= x_row
+        acc += coeffs[:, k, :, None]
+        bits = max(bits + x_bits, _LIMB_BITS) + 1
+    # Exact limbs: a carry with bits >= 127 folded back (2^127 ≡ 1) leaves
+    # limb 0 < 2^41, a second carry every limb < 2^26 but the top < 2^24.
+    c = carry[0]
+    _carry_(acc, c)
+    np.right_shift(acc[4], _TOP64, out=c)
+    acc[4] &= (np.uint64(1) << _TOP64) - np.uint64(1)
+    acc[0] += c
+    _carry_(acc, c)
+    lo = acc[0] | (acc[1] << _SHIFT64) | (acc[2] << np.uint64(52))
+    hi = (acc[2] >> np.uint64(12)) | (acc[3] << np.uint64(14)) | (
+        acc[4] << np.uint64(40))
+    return [
+        [(low | high << 64) % SHAMIR_PRIME for low, high in zip(lrow, hrow)]
+        for lrow, hrow in zip(lo.tolist(), hi.tolist())
+    ]
 
 
 def eval_polynomial_batch(
-    coeffs: list[list[int]], xs: list[int], p: int = SHAMIR_PRIME
+    coeffs: list[list[int]], xs: list[int]
 ) -> list[list[int]]:
-    """Evaluate many polynomials at many points in one stacked pass.
-
-    Returns ``out[i][j] = eval_polynomial(coeffs[i], xs[j], p)``.  For the
-    Mersenne ``SHAMIR_PRIME`` the Horner recurrence runs on a
-    ``(num_polys, num_points, 5)`` 26-bit-limb array with deferred
-    carries, which replaces ``num_polys * num_points`` big-int Horner
-    loops with ``~2 * max_degree`` uint64 array ops; results are reduced
-    to canonical ``% p`` residues at the end, so they are bit-identical
-    to the scalar :func:`eval_polynomial`.  Any other prime falls back to
-    the scalar loop.
-    """
-    if not coeffs:
-        return []
-    if p != SHAMIR_PRIME or not xs:
-        return [[eval_polynomial(c, x, p) for x in xs] for c in coeffs]
-    degree = max(len(c) for c in coeffs)
-    if any(x < 0 or x >= (1 << 32) for x in xs):
-        return [[eval_polynomial(c, x, p) for x in xs] for c in coeffs]
-    # Horner with deferred normalization: limbs start < 2^27 and gain
-    # ~bit_length(x) bits per step, so normalize often enough that the
-    # uint64 lanes can never overflow mid-multiply.
-    x_bits = max(x.bit_length() for x in xs) or 1
-    steps_per_norm = max(1, (62 - 28) // (x_bits + 1))
-    xs_arr = np.asarray(xs, dtype=np.uint64)[None, :, None]
-    coeff_limbs = [
-        _to_limbs([c[k] if k < len(c) else 0 for c in coeffs])[:, None, :]
-        for k in range(degree)
-    ]
-    acc = np.zeros((len(coeffs), len(xs), _NUM_LIMBS), dtype=np.uint64)
-    acc += coeff_limbs[degree - 1]
-    pending = 0
-    for k in range(degree - 2, -1, -1):
-        acc *= xs_arr
-        acc += coeff_limbs[k]
-        pending += 1
-        if pending >= steps_per_norm:
-            _normalize_limbs_(acc)
-            pending = 0
-    return _from_limbs(acc, p)
+    """``[[eval_polynomial(c, x) for x in xs] for c in coeffs]`` through
+    :func:`eval_polynomial_words`; coefficients lie in ``[0, 2^128)``,
+    ragged lists are zero-padded."""
+    degree = max((len(c) for c in coeffs), default=0)
+    padded = [v for c in coeffs for v in c + [0] * (degree - len(c))]
+    words = coefficient_words(padded).reshape(len(coeffs), degree, 2)
+    return eval_polynomial_words(words, xs)
 
 
 def ring_mask(modulus_bits: int) -> np.uint64:

@@ -40,8 +40,12 @@ class VectorQuantizer:
                 f"modulus_bits must be an integer in [8, 64], "
                 f"got {self.modulus_bits!r}"
             )
-        if self.clip_range <= 0:
-            raise ValueError("clip_range must be positive")
+        # NaN compares false with 0 and would make every scaled value 0;
+        # inf would make the scale 0.  Both must name the field.
+        if not (np.isfinite(self.clip_range) and self.clip_range > 0):
+            raise ValueError(
+                f"clip_range must be finite and positive, got {self.clip_range!r}"
+            )
         if self.max_summands < 1:
             raise ValueError("max_summands must be >= 1")
         if self.scale < 1.0:

@@ -67,15 +67,17 @@ class DropoutSchedule:
 class SecAggMetrics:
     """Server-side cost accounting for one protocol instance.
 
-    The phase-seconds fields break the vectorized planes' wall time into
-    the three sweeps that dominate a round: pairwise seed derivation
-    (round 2), PRG expansion + mask arithmetic (round 2), and dropout
-    recovery (round 3, a superset of ``server_seconds``' span).  They are
-    populated only when a ``timer`` is injected *and* the instance ran on
-    a vectorized plane — the scalar plane leaves them 0.0, so cross-plane
-    metrics equality (the contract tests' ``==``) holds whenever no timer
-    is injected.  Under the cross-group plane each shared sweep's duration
-    is attributed to groups proportionally to their share of the sweep's
+    The phase-seconds fields partition the vectorized planes' timed span
+    into four phases: the per-group prologue (rounds 0–1: secret draws,
+    Shamir share creation and the threshold checks), pairwise seed
+    derivation (round 2), PRG expansion + mask arithmetic (round 2), and
+    dropout recovery (round 3, a superset of ``server_seconds``' span).
+    They are populated only when a ``timer`` is injected *and* the
+    instance ran on a vectorized plane — the scalar plane leaves them
+    0.0, so cross-plane metrics equality (the contract tests' ``==``)
+    holds whenever no timer is injected.  Under the cross-group plane the
+    prologue is timed group by group, and each shared sweep's duration is
+    attributed to groups proportionally to their share of the sweep's
     work items.
     """
 
@@ -87,6 +89,7 @@ class SecAggMetrics:
     prg_expansions: int = 0
     shamir_reconstructions: int = 0
     server_seconds: float = 0.0
+    sharing_seconds: float = 0.0
     key_agreement_seconds: float = 0.0
     masking_seconds: float = 0.0
     recovery_seconds: float = 0.0

@@ -14,8 +14,9 @@ import numpy as np
 
 from repro.secagg.field import (
     SHAMIR_PRIME,
+    coefficient_words,
     eval_polynomial,
-    eval_polynomial_batch,
+    eval_polynomial_words,
     lagrange_coefficients_at_zero,
     mod_inverse,
 )
@@ -66,7 +67,6 @@ def share_secrets_batch(
     num_shares: int,
     threshold: int,
     rng: np.random.Generator,
-    prime: int = SHAMIR_PRIME,
 ) -> list[list[int]]:
     """Share many secrets at once; returns ``ys[i][x-1]`` for x=1..n.
 
@@ -83,35 +83,27 @@ def share_secrets_batch(
             f"need at least threshold={threshold} shares, got {num_shares}"
         )
     for secret in secrets:
-        if not 0 <= secret < prime:
+        if not 0 <= secret < SHAMIR_PRIME:
             raise ValueError("secret out of field range")
     # One bulk draw replaces the per-coefficient rng.bytes(16) calls.
     # 16 bytes is a whole number of the generator's output words, so the
     # concatenation of N sequential draws is byte-for-byte one draw of
     # 16*N — the rng lands at exactly the scalar path's stream position.
-    per_secret = threshold - 1
-    total = len(secrets) * per_secret
-    random_coeffs: list[int] = []
+    # The words feed the limbs unreduced: the scalar path's `% prime`
+    # does not change a share.  An empty draw still moves the generator,
+    # so none is made when there is nothing to draw.
+    total = len(secrets) * (threshold - 1)
+    words = np.empty((len(secrets), threshold, 2), dtype=np.uint64)
+    words[:, 0] = coefficient_words(secrets)
     if total:
-        words = (
-            np.frombuffer(rng.bytes(16 * total), dtype="<u8")
-            .reshape(total, 2)
-            .astype(object)
-        )
-        random_coeffs = ((words[:, 0] + (words[:, 1] << 64)) % prime).tolist()
-    all_coeffs = [
-        [secret] + random_coeffs[i * per_secret : (i + 1) * per_secret]
-        for i, secret in enumerate(secrets)
-    ]
-    return eval_polynomial_batch(
-        all_coeffs, list(range(1, num_shares + 1)), prime
-    )
+        words[:, 1:] = np.frombuffer(
+            rng.bytes(16 * total), dtype="<u8"
+        ).reshape(len(secrets), threshold - 1, 2)
+    return eval_polynomial_words(words, list(range(1, num_shares + 1)))
 
 
 def reconstruct_secrets_batch(
-    xs: list[int],
-    ys_per_secret: list[list[int]],
-    prime: int = SHAMIR_PRIME,
+    xs: list[int], ys_per_secret: list[list[int]]
 ) -> list[int]:
     """Reconstruct many secrets whose shares sit at the same x-set.
 
@@ -120,14 +112,14 @@ def reconstruct_secrets_batch(
     one batched inversion), each secret is an O(t) dot product.  Results
     are bit-identical to per-secret :func:`reconstruct_secret` calls.
     """
-    lambdas = lagrange_coefficients_at_zero(xs, prime)
+    lambdas = lagrange_coefficients_at_zero(xs)
     out = []
     for ys in ys_per_secret:
         if len(ys) != len(xs):
             raise ValueError("share count does not match x-set")
         acc = 0
         for y, lam in zip(ys, lambdas):
-            acc = (acc + y * lam) % prime
+            acc = (acc + y * lam) % SHAMIR_PRIME
         out.append(acc)
     return out
 

@@ -5,7 +5,7 @@ per device — K PRG expansions, K share loops, and per-device ``ring_add``
 chains.  This module replays the *same* protocol as stacked operations:
 
 * pairwise PRG seeds ride the batched DH substrate
-  (:func:`~repro.secagg.dh.agree_pairs_batch` on the Montgomery limb
+  (:func:`~repro.secagg.dh.agree_pairs_batch` on the 2^255−19 limb
   kernels of :mod:`repro.secagg.bigmod`) — the simulator holds both
   secrets of every pair, so each seed is one fixed-base exponentiation
   of ``g^(a·b)``, no per-pair squaring ladder;
@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.secagg.dh import agree_pairs_batch, public_keys_batch
+from repro.secagg.dh import _draw_secret, agree_pairs_batch, public_keys_batch
 from repro.secagg.field import SECRET_BITS, ring_mask
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.prg import prg_expand_batch
@@ -73,12 +73,6 @@ from repro.secagg.protocol import (
     SecAggTranscript,
 )
 from repro.secagg.shamir import reconstruct_secrets_batch, share_secrets_batch
-
-
-def _draw_secret(rng: np.random.Generator) -> int:
-    """The exponent draw of ``generate_keypair``, without the group pow."""
-    secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "little")
-    return secret | (1 << (SECRET_BITS - 8))
 
 
 def _apply_self_masks_(masked: np.ndarray, self_rows: np.ndarray) -> None:
@@ -177,10 +171,12 @@ def run_vectorized_grouped(
     """
     bits = quantizer.modulus_bits
     states: list[_GroupState] = []
+    phases = _PhaseTimer(timer)
 
     # -- Rounds 0–1 per group, in order: every rng draw and every
     # threshold check of rounds 0–3 happens here, at the exact stream
     # position of a sequential per-group run (rounds 2–3 draw nothing).
+    # Each group's prologue is its own lap of `sharing_seconds`.
     for inputs, threshold, dropouts in zip(group_inputs, thresholds, schedules):
         lengths = {v.shape for v in inputs.values()}
         if len(lengths) != 1:
@@ -260,12 +256,12 @@ def run_vectorized_grouped(
         state.xs = [
             state.pos[uid] + 1 for uid in state.responders[:threshold]
         ]
+        state.metrics.sharing_seconds = phases.lap()
         states.append(state)
 
     dim = (
         next(iter(group_inputs[0].values())).shape[0] if group_inputs else 0
     )
-    phases = _PhaseTimer(timer)
 
     # -- Round 2, sweep 1: every group's pairwise seeds in one stacked
     # fixed-base pass — one seed per unordered pair with at least one

@@ -15,7 +15,7 @@ the plane exists to remove.  Three clauses:
   contract, which is exactly one hidden allocation per call.  The
   vectorized SecAgg plane sits on this hot path: its stacked mask/commit
   kernels are ``*_``-named, so the first clause polices them too;
-* inside ``secagg/bigmod.py`` (the Montgomery limb plane): no
+* inside ``secagg/bigmod.py`` (the 2^255−19 limb plane): no
   ``dtype=object`` arrays or ``.astype(object)`` outside the declared
   ``_to_*`` / ``_from_*`` boundary helpers — an object-dtype array
   silently falls back to per-element Python big-int arithmetic, which
@@ -55,7 +55,7 @@ _TO_VECTOR_PATHS = (
     "src/repro/secagg/",
 )
 
-#: The Montgomery limb plane: object-dtype escapes allowed only in the
+#: The 2^255−19 limb plane: object-dtype escapes allowed only in the
 #: int<->limb boundary helpers.
 _BIGMOD_PATH = "src/repro/secagg/bigmod.py"
 _BIGMOD_BOUNDARY_PREFIXES = ("_to_", "_from_")
@@ -143,7 +143,7 @@ class InplaceDisciplineRule(Rule):
                     ctx, node,
                     "object-dtype array outside a _to_*/_from_* boundary "
                     "helper — object arrays run per-element Python big-int "
-                    "loops; keep the Montgomery plane on uint64 limbs",
+                    "loops; keep the limb plane on uint64 limbs",
                 ))
 
     @staticmethod

@@ -1,18 +1,106 @@
-"""Bit-identity of the Montgomery substrate against ``pow(b, e, p)``.
+"""Bit-identity of the 2^255−19 limb substrate against ``pow(b, e, p)``.
 
 Every claim the cross-group SecAgg plane makes rests on these: the limb
 kernels must agree with CPython's big-int ``pow`` on *every* input, not
 statistically, so edge exponents (the forced-high-bit minimum secret,
 the maximal 120-bit secret, exponent one and zero) and edge bases
-(0, 1, p-1, non-canonical >= p) are pinned alongside random draws.
+(0, 1, p-1, non-canonical >= p) are pinned alongside random draws, and
+the multiply's stated limb bound is checked along long chains.
 """
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.secagg.bigmod import MODULUS, FixedBaseTable, powmod_batch
+from repro.secagg.bigmod import (
+    MODULUS,
+    FixedBaseTable,
+    _from_limbs,
+    _mul_,
+    _Scratch,
+    powmod_batch,
+)
 from repro.secagg.field import SECRET_BITS
+
+#: The multiply's documented limb bounds: inputs <= 2^29.1, outputs
+#: <= 2^29.05.
+LIMB_IN = math.floor(2**29.1)
+LIMB_OUT = math.floor(2**29.05)
+LANES = 4
+
+
+def _limbs(value):
+    return [(value >> (29 * k)) & ((1 << 29) - 1) for k in range(9)]
+
+
+def _value(limbs):
+    return sum(int(limb) << (29 * k) for k, limb in enumerate(limbs))
+
+
+#: p−1, 0, non-canonical values >= p (p itself, p + small, every limb
+#: all-ones), and every limb at the post-multiply and input bounds.
+ADVERSARIAL = [
+    _limbs(MODULUS - 1), _limbs(0), _limbs(MODULUS), _limbs(MODULUS + 19),
+    _limbs((1 << 261) - 1), [LIMB_OUT] * 9, [LIMB_IN] * 9,
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(
+        st.tuples(
+            st.booleans(),
+            st.lists(st.integers(0, 2 * len(ADVERSARIAL) - 1),
+                     min_size=LANES, max_size=LANES),
+        ),
+        min_size=64, max_size=80,
+    ),
+)
+@settings(max_examples=30, deadline=None)
+def test_multiply_chains_match_bigint_and_keep_the_limb_bound(seed, steps):
+    """Each step squares the accumulator or multiplies it by an operand
+    drawn from the adversarial set or from random limbs (canonical, or
+    anywhere up to the post-multiply bound); every lane must equal the
+    big-int product mod p and keep every limb <= 2^29.05."""
+    rnd = random.Random(seed)
+    pool = ADVERSARIAL + [
+        _limbs(rnd.randrange(MODULUS)) if i % 2
+        else [rnd.randint(0, LIMB_OUT) for _ in range(9)]
+        for i in range(len(ADVERSARIAL))
+    ]
+    acc = np.array(
+        [pool[rnd.randrange(len(pool))] for _ in range(LANES)], dtype=np.uint64
+    ).T.copy()
+    expected = [_value(acc[:, j]) % MODULUS for j in range(LANES)]
+    scratch = _Scratch(LANES)
+    for square, picks in steps:
+        if square:
+            _mul_(acc, acc, acc, scratch)
+            expected = [v * v % MODULUS for v in expected]
+        else:
+            operand = np.array([pool[i] for i in picks], dtype=np.uint64).T
+            _mul_(acc, acc, np.ascontiguousarray(operand), scratch)
+            expected = [
+                v * _value(pool[i]) % MODULUS
+                for v, i in zip(expected, picks)
+            ]
+        assert int(acc.max()) <= LIMB_OUT
+        assert [_value(acc[:, j]) % MODULUS for j in range(LANES)] == expected
+    assert _from_limbs(acc.copy()) == expected
+
+
+def test_canonical_boundary_reduces_adversarial_limbs():
+    # Every entry but the last (limbs at the input bound, 2^29.1) is in
+    # the boundary's domain: limbs <= 2^29.05.
+    limbs = np.array(ADVERSARIAL[:-1], dtype=np.uint64).T.copy()
+    assert _from_limbs(limbs) == [
+        _value(col) % MODULUS for col in ADVERSARIAL[:-1]
+    ]
+
 
 #: Edge exponents the DH layer can actually produce: the smallest secret
 #: the forced-high-bit draw permits, the largest 120-bit value, and the

@@ -187,3 +187,30 @@ def test_phase_breakdown_populated_only_with_timer():
         for m in metrics
     )
     assert phase_total > 0.0
+
+
+def test_grouped_phases_sum_to_the_timed_span_under_a_step_clock():
+    """Each group's prologue is its own one-read lap of `sharing_seconds`;
+    the shared sweeps are split over groups; across groups the four
+    phases add up to the whole span the timer saw."""
+    reads: list[float] = []
+
+    def step_clock():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    _, metrics = grouped_secure_sum(
+        _fleet(n=30), min_group_size=10, threshold_fraction=0.66,
+        quantizer=VectorQuantizer(
+            modulus_bits=32, clip_range=1.5, max_summands=64
+        ),
+        rng=np.random.default_rng(5), dropouts=_fleet_drops(30),
+        timer=step_clock,
+    )
+    assert len(metrics) == 3
+    assert [m.sharing_seconds for m in metrics] == [1.0, 1.0, 1.0]
+    assert sum(
+        m.sharing_seconds + m.key_agreement_seconds + m.masking_seconds
+        + m.recovery_seconds
+        for m in metrics
+    ) == pytest.approx(reads[-1] - reads[0])

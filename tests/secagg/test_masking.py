@@ -47,6 +47,14 @@ def test_quantizer_validation():
         VectorQuantizer(modulus_bits=8, clip_range=1000.0, max_summands=1000)
 
 
+@pytest.mark.parametrize("clip_range", [float("nan"), float("inf"), -float("inf")])
+def test_quantizer_refuses_non_finite_clip_range(clip_range):
+    # NaN passed `<= 0` and quantized every value to 0; inf was refused
+    # as "modulus too small".  Both name the field now.
+    with pytest.raises(ValueError, match="clip_range must be finite"):
+        VectorQuantizer(clip_range=clip_range)
+
+
 def test_pairwise_masks_cancel_in_sums(rng):
     """The core masking identity: Σ_u y_u == Σ_u x_u when everyone commits."""
     q = VectorQuantizer(modulus_bits=32, clip_range=2.0, max_summands=8)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.secagg.field import SHAMIR_PRIME
 from repro.secagg.shamir import ShamirShare, reconstruct_secret, share_secret
 
 
@@ -80,6 +81,73 @@ def test_share_secrets_batch_matches_scalar_and_rng_trajectory():
         assert [sh.x for sh in shares] == list(range(1, n + 1))
     # Identical rng stream position afterwards.
     assert rng.bytes(16) == rng2.bytes(16)
+
+
+#: Secrets at the edges of what the protocol shares (120-bit exponents
+#: and seeds) and of the field itself.
+EDGE_SECRETS = [0, 1, 2**120 - 1, 2**120, SHAMIR_PRIME - 1]
+
+
+class _WordRng:
+    """Stands in for a Generator's ``bytes``: serves a fixed cycle of
+    16-byte coefficient words, so adversarial coefficients can be forced."""
+
+    def __init__(self, words):
+        self._blob = b"".join(w.to_bytes(16, "little") for w in words)
+        self.drawn = 0
+
+    def bytes(self, n):
+        start = self.drawn % len(self._blob)
+        self.drawn += n
+        return (self._blob * (2 + n // len(self._blob)))[start:start + n]
+
+
+@pytest.mark.parametrize("num_shares", [40, 100])
+def test_share_secrets_batch_matches_scalar_at_operating_size(num_shares):
+    """Sec. 6 operating size: 80 secrets (40 devices x (s, b)), t=27 —
+    and n=100.  Half of the drawn 128-bit words are >= p and enter the
+    limbs unreduced; the shares and the rng position still match."""
+    from repro.secagg.shamir import share_secrets_batch
+
+    threshold = 27
+    rnd = np.random.default_rng(7)
+    secrets = EDGE_SECRETS + [
+        int.from_bytes(rnd.bytes(15), "little") for _ in range(75)
+    ]
+    words = np.frombuffer(
+        np.random.default_rng(2019).bytes(16 * 80 * (threshold - 1)), "<u8"
+    ).reshape(-1, 2)
+    assert (words[:, 1] >> np.uint64(63)).any()   # some words are >= p
+    rng, rng2 = np.random.default_rng(2019), np.random.default_rng(2019)
+    ys = share_secrets_batch(secrets, num_shares, threshold, rng)
+    for secret, row in zip(secrets, ys):
+        assert row == [
+            sh.y for sh in share_secret(secret, num_shares, threshold, rng2)
+        ]
+    assert rng.bytes(16) == rng2.bytes(16)
+
+
+def test_share_secrets_batch_adversarial_coefficient_words():
+    """Coefficient words at 2^128 - 1, p, p + 1, 2^127 and 0 — the
+    largest limbs Horner can meet, and values that reduce to 0 and 1."""
+    from repro.secagg.shamir import share_secrets_batch
+
+    words = [2**128 - 1, SHAMIR_PRIME, SHAMIR_PRIME + 1, 2**127, 0]
+    rng, rng2 = _WordRng(words), _WordRng(words)
+    ys = share_secrets_batch(EDGE_SECRETS * 16, 100, 27, rng)
+    for secret, row in zip(EDGE_SECRETS * 16, ys):
+        assert row == [sh.y for sh in share_secret(secret, 100, 27, rng2)]
+    assert rng.drawn == rng2.drawn
+
+
+def test_share_secrets_batch_draws_nothing_when_nothing_is_drawn():
+    from repro.secagg.shamir import share_secrets_batch
+
+    for secrets, threshold in (([], 3), ([5, 6], 1)):
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        share_secrets_batch(secrets, 4, threshold, rng)
+        assert rng.bit_generator.state == before
 
 
 def test_share_secrets_batch_validation(rng):

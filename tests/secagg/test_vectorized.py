@@ -223,3 +223,26 @@ def test_phase_seconds_on_single_instance():
         + metrics.masking_seconds
         + metrics.recovery_seconds
     ) > 0.0
+
+
+def test_phases_sum_to_the_timed_span_under_a_step_clock():
+    """Each timer read advances one second, so every phase is a count of
+    reads: the prologue (rounds 0–1) is one lap, each sweep one lap, and
+    the four phases add up to the whole span the timer saw."""
+    reads: list[float] = []
+
+    def step_clock():
+        reads.append(float(len(reads)))
+        return reads[-1]
+
+    _, metrics = run_secure_aggregation(
+        make_inputs(n=8, dim=9), 6, quantizer(), np.random.default_rng(3),
+        dropouts=DropoutSchedule(after_share=frozenset({101})),
+        plane="vectorized", timer=step_clock,
+    )
+    phases = (
+        metrics.sharing_seconds, metrics.key_agreement_seconds,
+        metrics.masking_seconds, metrics.recovery_seconds,
+    )
+    assert phases == (1.0, 1.0, 1.0, 1.0)
+    assert sum(phases) == reads[-1] - reads[0]
