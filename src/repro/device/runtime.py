@@ -254,13 +254,15 @@ class RealTrainer:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SyntheticTrainer:
     """Zero-cost stand-in producing protocol-identical updates.
 
     The delta is a small random vector (so aggregation math stays
     non-degenerate); example counts are sampled log-normally to model
-    heterogeneous on-device data volumes.
+    heterogeneous on-device data volumes.  A fleet holds one per member
+    row, so it keeps no instance dict, and no ``metrics_template`` dict
+    unless one is given.
     """
 
     num_parameters: int
@@ -268,10 +270,32 @@ class SyntheticTrainer:
     examples_sigma: float = 0.8
     update_compression_ratio: float = 3.0
     delta_scale: float = 1e-3
-    metrics_template: dict[str, float] = field(default_factory=dict)
+    #: Extra metrics every report carries (``None``: none).
+    metrics_template: dict[str, float] | None = None
+    _zero_delta: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self._zero_delta: np.ndarray | None = None
+        # Each bound is written so that a NaN fails it: a non-finite field
+        # used to build a fleet that committed nothing or a NaN model.
+        if not 0.0 < self.mean_examples < math.inf:
+            raise ValueError(
+                f"mean_examples must be finite and > 0, got {self.mean_examples}"
+            )
+        if not 0.0 < self.update_compression_ratio < math.inf:
+            raise ValueError(
+                "update_compression_ratio must be finite and > 0, "
+                f"got {self.update_compression_ratio}"
+            )
+        if not 0.0 <= self.examples_sigma < math.inf:
+            raise ValueError(
+                f"examples_sigma must be finite and >= 0, got {self.examples_sigma}"
+            )
+        if not 0.0 <= self.delta_scale < math.inf:
+            raise ValueError(
+                f"delta_scale must be finite and >= 0, got {self.delta_scale}"
+            )
 
     def _zero_vector(self) -> np.ndarray:
         if self._zero_delta is None:
@@ -292,7 +316,8 @@ class SyntheticTrainer:
         if plan.device.kind is not TaskKind.TRAINING:
             metrics = {"eval_loss": float(rng.uniform(0.5, 2.0)),
                        "num_examples": n}
-            metrics.update(self.metrics_template)
+            if self.metrics_template:
+                metrics.update(self.metrics_template)
             return TrainResult(
                 delta_vector=self._zero_vector(),
                 weight=float(n),
@@ -307,7 +332,8 @@ class SyntheticTrainer:
         np.multiply(delta, n, out=delta)
         raw_nbytes = self.num_parameters * 8
         metrics = {"loss": float(rng.uniform(0.5, 2.0)), "num_examples": n}
-        metrics.update(self.metrics_template)
+        if self.metrics_template:
+            metrics.update(self.metrics_template)
         return TrainResult(
             delta_vector=delta,
             weight=float(n),

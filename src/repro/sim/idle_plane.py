@@ -19,6 +19,8 @@ module instead keeps every idle device as a row in fleet-wide arrays:
   ColumnScheduler`, and what a Selector's screen reads of a device (its
   attestation verdict — one real token round per device, at enrollment —
   and its FL runtime version);
+* the device's link conditions (downlink, uplink, rtt), from which its
+  ``NetworkConditions`` is built only when the device is constructed;
 * the device's record (Sec. 5's health counters): check-ins, training
   seconds and upload retries per row, sessions per ``(row, tenant slot)``
   in the scheduler, errors by reason fleet-wide.  ``device.health``,
@@ -63,6 +65,7 @@ from repro.device.table import DeviceTable
 from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
+from repro.sim.network import NetworkConditions
 from repro.sim.rng import RowDraws
 
 if TYPE_CHECKING:
@@ -125,6 +128,11 @@ class VectorizedIdlePlane:
         ("_attestation_ok", np.bool_, False),
         # FL runtime version (a Selector checks plan compatibility by it).
         ("_runtime_version", np.int64, 0),
+        # The device's link, sampled once per device: its
+        # ``NetworkConditions`` is built from these when it is constructed.
+        ("_downlink_bytes_per_s", np.float64, 0.0),
+        ("_uplink_bytes_per_s", np.float64, 0.0),
+        ("_rtt_s", np.float64, 0.0),
         # The device's health record (its per-tenant session tally is the
         # scheduler's): check-in attempts, bounced ones included, ...
         ("_health_checkins", np.int64, 0),
@@ -193,10 +201,16 @@ class VectorizedIdlePlane:
         return len(self._devices)
 
     def adopt_rows(
-        self, profiles: Sequence["DeviceProfile"], job_interval_s: float
+        self,
+        profiles: Sequence["DeviceProfile"],
+        job_interval_s: float,
+        links: tuple[Sequence[float], Sequence[float], Sequence[float]],
     ) -> None:
         """Enroll one row per profile, none with a device object yet:
-        everything the plane needs of an idle device, as column writes."""
+        everything the plane needs of an idle device, as column writes.
+        ``links`` is each row's ``(downlink, uplink, rtt)``, as
+        :meth:`~repro.sim.network.NetworkModel.sample_conditions_batch`
+        draws them."""
         first = len(self._devices)
         stop = first + len(profiles)
         if stop > self.next_flip_t.size:
@@ -207,6 +221,11 @@ class VectorizedIdlePlane:
             np.array([p.tz_offset_hours for p in profiles]) * SECONDS_PER_HOUR
         )
         self._runtime_version[rows] = [p.runtime_version for p in profiles]
+        (
+            self._downlink_bytes_per_s[rows],
+            self._uplink_bytes_per_s[rows],
+            self._rtt_s[rows],
+        ) = links
         self._row_key[rows] = self._draws.keys(
             np.array([p.device_id for p in profiles])
         )
@@ -227,7 +246,12 @@ class VectorizedIdlePlane:
         plane, its row index and the row's view of the worker queue.
         """
         index = len(self._devices)
-        self.adopt_rows([device.profile], device.job.base_interval_s)
+        link = device.conditions
+        self.adopt_rows(
+            [device.profile],
+            device.job.base_interval_s,
+            ([link.downlink_bytes_per_s], [link.uplink_bytes_per_s], [link.rtt_s]),
+        )
         self._devices.seat(index, device)
         device.plane, device.row = self, index
         device.scheduler = RowScheduler(self.scheduler, index)
@@ -568,6 +592,14 @@ class VectorizedIdlePlane:
             self._sweeper.arm(self._quantize(t))
 
     # -- observability -----------------------------------------------------------
+    def conditions(self, i: int) -> NetworkConditions:
+        """Row ``i``'s link, as the record its constructed device holds."""
+        return NetworkConditions(
+            float(self._downlink_bytes_per_s[i]),
+            float(self._uplink_bytes_per_s[i]),
+            float(self._rtt_s[i]),
+        )
+
     def health(self, i: int) -> DeviceHealthStats:
         """Row ``i``'s health record, as the value ``device.health`` is."""
         by_population = self.scheduler.sessions(i)

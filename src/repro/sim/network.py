@@ -20,9 +20,11 @@ class TransferDirection(enum.Enum):
     UPLOAD = "upload"      # device -> server (model update + metrics)
 
 
-@dataclass
+@dataclass(slots=True)
 class NetworkConditions:
-    """Per-device link characteristics, sampled once per device."""
+    """Per-device link characteristics, sampled once per device.  A
+    fleet keeps them as idle-plane columns; only a constructed device
+    holds one of these."""
 
     downlink_bytes_per_s: float
     uplink_bytes_per_s: float
@@ -113,15 +115,14 @@ class NetworkModel:
 
     def sample_conditions_batch(
         self, n: int, rng: np.random.Generator
-    ) -> list[NetworkConditions]:
-        """Sample ``n`` devices' link conditions in three vectorized draws.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sample ``n`` devices' link conditions in three vectorized draws:
+        the ``(downlink, uplink, rtt)`` arrays, one value per device.
 
-        The per-device scalar sampler made 3 RNG calls per device, which
-        dominated fleet construction at 20k+ devices; here each
-        log-normal field is one ``size=n`` draw.  Fields are drawn in the
-        same order as :meth:`sample_conditions` (down, up, rtt), so
-        ``sample_conditions_batch(1, rng)`` consumes the stream exactly
-        like one scalar call.
+        Each log-normal field is one ``size=n`` draw, in that order, so
+        :meth:`sample_conditions` (which builds its record from
+        ``sample_conditions_batch(1, rng)``) consumes the stream exactly
+        like a batch of one.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -132,19 +133,13 @@ class NetworkModel:
             rng.normal(0.0, self.bandwidth_sigma, size=n)
         )
         rtt = self.median_rtt_s * np.exp(rng.normal(0.0, self.rtt_sigma, size=n))
-        return [
-            NetworkConditions(
-                downlink_bytes_per_s=float(d),
-                uplink_bytes_per_s=float(u),
-                rtt_s=float(r),
-            )
-            for d, u, r in zip(down, up, rtt)
-        ]
+        return down, up, rtt
 
     def sample_conditions(self, rng: np.random.Generator) -> NetworkConditions:
         """One device's link conditions (delegates to the batch sampler,
         so scalar and batch paths stay stream-compatible)."""
-        return self.sample_conditions_batch(1, rng)[0]
+        down, up, rtt = self.sample_conditions_batch(1, rng)
+        return NetworkConditions(float(down[0]), float(up[0]), float(rtt[0]))
 
     def transfer_fails(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.transfer_failure_prob)

@@ -16,9 +16,10 @@ import numpy as np
 from repro.sim.rng import RngRegistry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeviceProfile:
-    """Static characteristics of one simulated device."""
+    """Static characteristics of one simulated device (one per row of the
+    fleet, so no instance dict)."""
 
     device_id: int
     tz_offset_hours: float
@@ -100,15 +101,12 @@ def build_population(
         config.runtime_versions, size=n, p=config.runtime_weights
     )
     genuine = rng.random(n) >= config.compromised_fraction
+    # One ``tolist`` per array converts every row's field in bulk (a
+    # numpy-scalar conversion per field per row is the slow way).
     return [
-        DeviceProfile(
-            device_id=i,
-            tz_offset_hours=float(tz[i]),
-            speed_factor=float(speed[i]),
-            memory_mb=int(memory[i]),
-            os_version=int(os_v[i]),
-            runtime_version=int(rt_v[i]),
-            genuine=bool(genuine[i]),
+        DeviceProfile(*fields)
+        for fields in zip(
+            range(n), tz.tolist(), speed.tolist(), memory.tolist(),
+            os_v.tolist(), rt_v.tolist(), genuine.tolist(),
         )
-        for i in range(n)
     ]

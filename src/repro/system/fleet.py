@@ -259,12 +259,6 @@ class FLFleet:
                 recovery=self.recovery,
             )
             self.selectors.append(self.actors.spawn(selector, f"selector/{i}"))
-        # Per-device link conditions in one vectorized draw (the scalar
-        # sampler consumed 3 RNG calls per device, which dominated fleet
-        # construction at 20k+ devices).
-        self._conditions = config.network.sample_conditions_batch(
-            len(self.profiles), self.rngs.stream("network/conditions")
-        )
         #: What every device is constructed with.
         self._device_settings = dict(
             network=config.network,
@@ -277,19 +271,27 @@ class FLFleet:
                 config.faults.upload_retry if config.faults is not None else None
             ),
         )
-        self.idle_plane.adopt_rows(self.profiles, config.job.base_interval_s)
+        # Per-device link conditions: three vectorized draws, kept as the
+        # rows' columns (a device object holds its record only once built).
+        self.idle_plane.adopt_rows(
+            self.profiles,
+            config.job.base_interval_s,
+            config.network.sample_conditions_batch(
+                len(self.profiles), self.rngs.stream("network/conditions")
+            ),
+        )
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its
-        profile, its row, the way to its tenants' trainers — spawned, on a
-        started fleet, under the actor id reserved for it.  Pure: nothing
-        is drawn, scheduled or written to a column, so *when* it happens
-        cannot be observed."""
+        profile, its row (link conditions included), the way to its
+        tenants' trainers — spawned, on a started fleet, under the actor
+        id reserved for it.  Pure: nothing is drawn, scheduled or written
+        to a column, so *when* it happens cannot be observed."""
         profile = self.profiles[index]
         plane = self.idle_plane
         device = DeviceActor(
             profile=profile,
-            conditions=self._conditions[index],
+            conditions=plane.conditions(index),
             trainer_of=partial(self.lifecycle.trainer_of, profile.device_id),
             # The plane draws for the row: no generator of the device's
             # own before its first session.

@@ -562,8 +562,11 @@ class PopulationLifecycle:
 #: record is its row's columns, and it pickles ``plane`` + ``row``.
 #: 8: and its ``attestation`` — a device is attested once, at enrollment;
 #: the plane's verdict column is a bool, and check-in messages, Selectors
-#: and the attestation service lost their second attestation round).
-SNAPSHOT_FORMAT_VERSION = 8
+#: and the attestation service lost their second attestation round.
+#: 9: the fleet lost its per-device ``NetworkConditions`` list — a row's
+#: link is three plane columns — and ``DeviceProfile``,
+#: ``NetworkConditions`` and ``SyntheticTrainer`` pickle by slots).
+SNAPSHOT_FORMAT_VERSION = 9
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

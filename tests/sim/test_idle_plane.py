@@ -17,7 +17,7 @@ from repro.nn.models import MLPClassifier
 from repro.sim.diurnal import DiurnalModel
 from repro.sim.event_loop import EventLoop
 from repro.sim.idle_plane import VectorizedIdlePlane
-from repro.sim.network import NetworkModel
+from repro.sim.network import NetworkConditions, NetworkModel
 from repro.sim.population import DeviceProfile, PopulationConfig
 from repro.sim.rng import RngRegistry
 
@@ -283,6 +283,14 @@ def test_growing_past_capacity_mid_run_keeps_every_column():
     assert sum(d.health.checkins for d in late) > 0
 
 
+def test_a_hand_built_devices_link_is_written_to_its_row(harness):
+    loop, system, plane, server, _ref, rngs = harness
+    devices = [make_device(system, plane, rngs) for _ in range(3)]
+    assert len({d.conditions.downlink_bytes_per_s for d in devices}) == 3
+    for device in devices:
+        assert plane.conditions(device.row) == device.conditions
+
+
 # ---------------------------------------------------------------------------
 # fleet-level: determinism and the census
 
@@ -315,6 +323,19 @@ def test_vectorized_plane_is_deterministic():
              fleet.health_report().to_dict())
         )
     assert runs[0] == runs[1]
+
+
+def test_a_constructed_devices_link_is_its_rows_draw():
+    """A fleet keeps each row's link as plane columns, drawn by one
+    ``network/conditions`` batch; the device constructed for a row gets
+    exactly that row's draw, whenever it is constructed."""
+    fleet = build_fleet(seed=5, devices=40)
+    down, up, rtt = fleet.config.network.sample_conditions_batch(
+        40, RngRegistry(5).stream("network/conditions")
+    )
+    assert fleet.devices.constructions == 0
+    for i in (39, 0, 17):
+        assert fleet.devices[i].conditions == NetworkConditions(down[i], up[i], rtt[i])
 
 
 def test_plane_state_counts_match_device_states():

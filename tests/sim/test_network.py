@@ -84,14 +84,13 @@ def test_sampled_conditions_are_heterogeneous(rng):
 
 def test_batch_sampler_shapes_and_positivity():
     model = NetworkModel()
-    conditions = model.sample_conditions_batch(200, np.random.default_rng(5))
-    assert len(conditions) == 200
-    for cond in conditions:
-        assert cond.downlink_bytes_per_s > 0
-        assert cond.uplink_bytes_per_s > 0
-        assert cond.rtt_s > 0
+    links = model.sample_conditions_batch(200, np.random.default_rng(5))
+    assert len(links) == 3
+    for column in links:  # downlink, uplink, rtt
+        assert column.shape == (200,) and column.dtype == np.float64
+        assert (column > 0).all()
     # log-normal heterogeneity: a real spread, not a constant
-    downs = np.array([c.downlink_bytes_per_s for c in conditions])
+    downs, _, _ = links
     assert downs.std() > 0
     with pytest.raises(ValueError):
         model.sample_conditions_batch(0, np.random.default_rng(5))
@@ -102,8 +101,8 @@ def test_scalar_sampler_delegates_to_batch():
     sample_conditions_batch(1, rng): same draws, same values."""
     model = NetworkModel()
     a = model.sample_conditions(np.random.default_rng(9))
-    b = model.sample_conditions_batch(1, np.random.default_rng(9))[0]
-    assert a == b
+    down, up, rtt = model.sample_conditions_batch(1, np.random.default_rng(9))
+    assert a == NetworkConditions(down[0], up[0], rtt[0])
     # and the stream positions agree afterwards
     rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
     model.sample_conditions(rng_a)
@@ -113,9 +112,8 @@ def test_scalar_sampler_delegates_to_batch():
 
 def test_batch_sampler_median_scales():
     fast = NetworkModel(median_downlink_bytes_per_s=1e9, bandwidth_sigma=0.0)
-    conditions = fast.sample_conditions_batch(8, np.random.default_rng(1))
-    for cond in conditions:
-        assert cond.downlink_bytes_per_s == pytest.approx(1e9)
+    downs, _, _ = fast.sample_conditions_batch(8, np.random.default_rng(1))
+    assert downs == pytest.approx(np.full(8, 1e9))
 
 
 @pytest.mark.parametrize(

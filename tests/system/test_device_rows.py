@@ -9,9 +9,9 @@ columns, not a Python object.  On an idle-majority fleet (the regime of
   starts the fleet;
 * after a simulated day the devices that exist are exactly the rows a
   Selector ever admitted, and reporting on the fleet constructs none;
-* what ``.build()`` allocates per row — profile, link conditions, the
-  tenant's trainer and every column included — stays under a stated
-  budget;
+* what ``.build()`` allocates per row — profile, link columns, the
+  tenant's trainer and every other column included — stays under a
+  stated budget;
 * every check-in is still on its device's health record, even when the
   walk that reads the records is what constructs most of the devices.
 
@@ -33,11 +33,15 @@ from repro.sim.population import PopulationConfig
 
 ROWS = 20_000
 #: Traced bytes ``.build()`` may allocate per row.  The floor — what a
-#: never-admitted row keeps: a ``DeviceProfile``, its ``NetworkConditions``,
-#: the tenant's ``SyntheticTrainer``, a member-set and a trainer-map entry,
-#: ~90 B of columns — measures 0.88 kB; one ``DeviceActor`` per row, with
-#: its row handles and mailbox, was ~3.7 kB.
-BUILD_BYTES_PER_ROW = 1200
+#: never-admitted row keeps — measures 0.64 kB: the profile (~0.21 kB, a
+#: slotted ``DeviceProfile`` and its boxed fields), the link (24 B: three
+#: float64 columns, no ``NetworkConditions`` until the device is
+#: constructed), the tenant's slotted ``SyntheticTrainer`` (88 B), a
+#: member-set and a trainer-map entry (~0.13 kB), and the other columns
+#: (~0.14 kB).  It was 0.95 kB while every row held a
+#: ``NetworkConditions`` and the three records each an instance dict; one
+#: ``DeviceActor`` per row, with its row handles and mailbox, was ~3.7 kB.
+BUILD_BYTES_PER_ROW = 700
 
 
 def build_fleet():

@@ -15,7 +15,7 @@ from repro.core.config import ClientTrainingConfig
 from repro.core.fedavg import FedAvgConfig
 from repro.core.fedsgd import FedSGDConfig
 from repro.core.pace import PaceConfig
-from repro.device.runtime import ComputeModel
+from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.nn.optimizers import SGDConfig
@@ -274,6 +274,18 @@ def compute_of(**fields):
     return lambda: knob("compute", lambda: ComputeModel(**fields))(base_builder()).build()
 
 
+def synthetic_of(**fields):
+    """A fleet whose tenant trains on ``SyntheticTrainer(**fields)`` (its
+    trainers are built at attach, so at ``.build()``)."""
+    init = params()
+    return lambda: base_builder().population(
+        "a", tasks=[task("a/t", "a")], model=init,
+        trainer_factory=lambda profile: SyntheticTrainer(
+            num_parameters=init.num_parameters, **fields
+        ),
+    ).build()
+
+
 @pytest.mark.parametrize(
     "construct, field",
     [
@@ -287,6 +299,20 @@ def compute_of(**fields):
         pytest.param(compute_of(examples_per_second=-200.0), "examples_per_second", id="rate-negative"),
         pytest.param(compute_of(setup_overhead_s=NAN), "setup_overhead_s", id="overhead-nan"),
         pytest.param(compute_of(setup_overhead_s=INF), "setup_overhead_s", id="overhead-inf"),
+        pytest.param(synthetic_of(mean_examples=NAN), "mean_examples", id="synthetic-examples-nan"),
+        pytest.param(synthetic_of(mean_examples=0.0), "mean_examples", id="synthetic-examples-zero"),
+        pytest.param(
+            synthetic_of(update_compression_ratio=NAN), "update_compression_ratio",
+            id="synthetic-compression-nan",
+        ),
+        pytest.param(
+            synthetic_of(update_compression_ratio=-3.0), "update_compression_ratio",
+            id="synthetic-compression-negative",
+        ),
+        pytest.param(synthetic_of(examples_sigma=INF), "examples_sigma", id="synthetic-sigma-inf"),
+        pytest.param(synthetic_of(examples_sigma=-0.8), "examples_sigma", id="synthetic-sigma-negative"),
+        pytest.param(synthetic_of(delta_scale=NAN), "delta_scale", id="synthetic-delta-nan"),
+        pytest.param(synthetic_of(delta_scale=INF), "delta_scale", id="synthetic-delta-inf"),
         pytest.param(lambda: SGDConfig(learning_rate=NAN).validate(), "learning_rate", id="sgd-lr-nan"),
         pytest.param(lambda: SGDConfig(learning_rate=INF).validate(), "learning_rate", id="sgd-lr-inf"),
         pytest.param(lambda: SGDConfig(weight_decay=NAN).validate(), "weight_decay", id="sgd-decay-nan"),
@@ -314,7 +340,10 @@ def test_nonfinite_training_and_compute_settings_refused(construct, field):
     compute settings: a NaN learning rate used to commit every round on
     a non-finite model, a negative clip norm sign-flipped every clipped
     delta, a NaN / zero / negative device speed put NaN-time events on
-    the heap, died untyped mid-run or made more work finish sooner.
+    the heap, died untyped mid-run or made more work finish sooner.  A
+    ``SyntheticTrainer`` with a NaN example count or compression ratio
+    committed no round, with a NaN delta scale committed every round on a
+    NaN model, and with an infinite spread fewer than half of them.
     Each is refused by name — a ``ValueError``, as
     ``FleetValidationError`` is — at the latest at ``.build()``."""
     with pytest.raises(ValueError, match=f"{field} must"):

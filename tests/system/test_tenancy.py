@@ -49,9 +49,11 @@ from fleet_laws import check_fleet_laws, reservations_checked
 from repro import FLFleet, PopulationSpec, RoundConfig, TaskConfig
 from repro.analytics.events import EVENTS, DeviceEvent
 from repro.device.actor import DeviceActor, DeviceHealthStats, DeviceState
+from repro.device.runtime import SyntheticTrainer
 from repro.device.scheduler import _UNQUEUED, JobSchedule
 from repro.nn.models import LogisticRegression
-from repro.sim.population import PopulationConfig
+from repro.sim.network import NetworkConditions
+from repro.sim.population import DeviceProfile, PopulationConfig
 from repro.system.lifecycle import ROUND_ID_STRIDE, PopulationLifecycle, PopulationState
 
 DEVICES = 60
@@ -192,6 +194,34 @@ def test_device_slots_are_pinned():
     }
     # ... and no instance dict for anything else to land in.
     assert all("__slots__" in vars(cls) for cls in DeviceActor.__mro__[:-1])
+
+
+def test_per_row_record_slots_are_pinned():
+    """What the fleet keeps per row outside the columns — a profile, and a
+    trainer per tenant — and the link record a constructed device is
+    handed, as an assertion: a new field is a reviewed edit to this list,
+    and none of them can bring an instance dict back to every row."""
+    profile = DeviceProfile(
+        device_id=0, tz_offset_hours=0.0, speed_factor=1.0, memory_mb=4096,
+        os_version=28, runtime_version=10, genuine=True,
+    )
+    records = [
+        (profile, (
+            "device_id", "tz_offset_hours", "speed_factor", "memory_mb",
+            "os_version", "runtime_version", "genuine",
+        )),
+        (NetworkConditions(1e6, 1e5, 0.1), (
+            "downlink_bytes_per_s", "uplink_bytes_per_s", "rtt_s",
+        )),
+        (SyntheticTrainer(num_parameters=4), (
+            "num_parameters", "mean_examples", "examples_sigma",
+            "update_compression_ratio", "delta_scale", "metrics_template",
+            "_zero_delta",
+        )),
+    ]
+    for record, slots in records:
+        assert type(record).__slots__ == slots
+        assert not hasattr(record, "__dict__")
 
 
 steps = st.one_of(
