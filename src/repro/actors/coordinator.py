@@ -31,6 +31,7 @@ from repro.actors.kernel import Actor, ActorRef, DeathNotice
 from repro.actors.locking import LockService
 from repro.actors.master_aggregator import MasterAggregator
 from repro.actors import messages as msg
+from repro.bounds import check, count, non_negative, positive
 from repro.core.checkpoint import CheckpointStore
 from repro.core.task import TaskScheduler
 
@@ -39,19 +40,15 @@ from repro.core.task import TaskScheduler
 class CoordinatorConfig:
     """Round-scheduling policy."""
 
-    tick_interval_s: float = 10.0
+    tick_interval_s: float = positive(default=10.0)
     #: Sec. 4.3 pipelining: start the next round the moment the previous
     #: one finishes (selection already ran in parallel at the Selectors).
     #: When False, an explicit selection gap is inserted between rounds.
     pipelining: bool = True
-    inter_round_gap_s: float = 60.0
-    max_rounds: int | None = None
+    inter_round_gap_s: float = non_negative(default=60.0)
+    max_rounds: int | None = count(1, default=None)
 
-    def __post_init__(self) -> None:
-        if not 0 < self.tick_interval_s < math.inf:
-            raise ValueError("tick_interval_s must be finite and positive")
-        if not 0 <= self.inter_round_gap_s < math.inf:
-            raise ValueError("inter_round_gap_s must be finite and >= 0")
+    __post_init__ = check
 
 
 class Coordinator(Actor):

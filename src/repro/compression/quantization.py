@@ -7,6 +7,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.bounds import check, count
 from repro.compression.codec import UpdateCodec
 
 
@@ -19,11 +20,9 @@ class QuantizationCodec(UpdateCodec):
     ``E[decode(encode(x))] = x``.
     """
 
-    bits: int = 8
+    bits: int = count(1, 16, default=8)
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.bits <= 16:
-            raise ValueError(f"bits must be in [1, 16], got {self.bits}")
+    __post_init__ = check
 
     @property
     def levels(self) -> int:

@@ -7,6 +7,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.bounds import check, interval
 from repro.compression.codec import UpdateCodec
 
 
@@ -19,11 +20,9 @@ class SubsamplingCodec(UpdateCodec):
     is a seeded mask (seed + count) plus the surviving values.
     """
 
-    fraction: float = 0.25
+    fraction: float = interval("(0, 1]", default=0.25)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+    __post_init__ = check
 
     def encode(self, vector: np.ndarray, rng: np.random.Generator):
         vector = np.asarray(vector, dtype=np.float64)

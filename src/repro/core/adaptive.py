@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.analytics.quantile import P2Quantile
+from repro.bounds import check, count, interval, positive
 from repro.core.config import RoundConfig
 from repro.core.rounds import DeviceOutcome, RoundResult
 
@@ -26,26 +27,21 @@ class AdaptiveWindowConfig:
     """Controller targets and safety bounds."""
 
     #: Quantile of completer participation times the window should cover.
-    target_quantile: float = 0.95
+    target_quantile: float = interval("(0.5, 1)", default=0.95)
     #: Multiplicative headroom over the quantile estimate.
-    headroom: float = 1.25
+    headroom: float = interval("[1, inf)", default=1.25)
     #: Bounds on the reporting window the controller may set.
-    min_reporting_s: float = 60.0
-    max_reporting_s: float = 1800.0
+    min_reporting_s: float = positive(default=60.0)
+    max_reporting_s: float = positive(default=1800.0)
     #: Rounds observed before the controller starts adjusting.
-    warmup_rounds: int = 5
+    warmup_rounds: int = count(1, default=5)
     #: Exponential smoothing of successive window targets.
-    smoothing: float = 0.5
+    smoothing: float = interval("(0, 1]", default=0.5)
 
     def __post_init__(self) -> None:
-        if not 0.5 < self.target_quantile < 1.0:
-            raise ValueError("target_quantile must be in (0.5, 1)")
-        if self.headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
-        if self.min_reporting_s <= 0 or self.max_reporting_s <= self.min_reporting_s:
-            raise ValueError("need 0 < min_reporting_s < max_reporting_s")
-        if not 0.0 < self.smoothing <= 1.0:
-            raise ValueError("smoothing must be in (0, 1]")
+        check(self)
+        if not self.max_reporting_s > self.min_reporting_s:
+            raise ValueError("max_reporting_s must exceed min_reporting_s")
 
 
 class AdaptiveWindowTuner:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from repro.bounds import check, count, interval, nested, positive
 
 
 class TaskKind(enum.Enum):
@@ -22,22 +24,15 @@ class TaskKind(enum.Enum):
 class RoundConfig:
     """Time-window and participant-count parameters for one round."""
 
-    target_participants: int = 100          # K in Algorithm 1
-    overselection_factor: float = 1.3       # "selects 130% of the target"
-    min_participant_fraction: float = 0.8   # min % of goal to start/commit
-    selection_timeout_s: float = 120.0
-    reporting_timeout_s: float = 300.0      # round run-time cap (Fig. 8)
+    target_participants: int = count(1, default=100)  # K in Algorithm 1
+    #: "selects 130% of the target"
+    overselection_factor: float = interval("[1, inf)", default=1.3)
+    #: min % of goal to start/commit
+    min_participant_fraction: float = interval("(0, 1]", default=0.8)
+    selection_timeout_s: float = positive(default=120.0)
+    reporting_timeout_s: float = positive(default=300.0)  # round run-time cap (Fig. 8)
 
-    def __post_init__(self) -> None:
-        if self.target_participants <= 0:
-            raise ValueError("target_participants must be positive")
-        if not 1.0 <= self.overselection_factor < math.inf:
-            raise ValueError("overselection_factor must be finite and >= 1.0")
-        if not 0.0 < self.min_participant_fraction <= 1.0:
-            raise ValueError("min_participant_fraction must be in (0, 1]")
-        for name in ("selection_timeout_s", "reporting_timeout_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+    __post_init__ = check
 
     @property
     def selection_goal(self) -> int:
@@ -56,23 +51,14 @@ class RoundConfig:
 class ClientTrainingConfig:
     """On-device optimization hyperparameters carried in the plan."""
 
-    epochs: int = 1
-    batch_size: int = 16
-    learning_rate: float = 0.1
-    max_examples: int = 10_000      # plan-level bound on examples consumed
-    clip_update_norm: float | None = None
+    epochs: int = count(1, default=1)
+    batch_size: int = count(1, default=16)
+    learning_rate: float = positive(default=0.1)
+    #: plan-level bound on examples consumed
+    max_examples: int = count(1, default=10_000)
+    clip_update_norm: float | None = positive(default=None)
 
-    def __post_init__(self) -> None:
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("epochs and batch_size must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and positive")
-        if self.max_examples <= 0:
-            raise ValueError("max_examples must be positive")
-        if self.clip_update_norm is not None and not (
-            0 < self.clip_update_norm < math.inf
-        ):
-            raise ValueError("clip_update_norm must be None or finite and positive")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
@@ -80,17 +66,12 @@ class SecAggConfig:
     """Secure Aggregation parameters (Sec. 6)."""
 
     enabled: bool = False
-    group_size: int = 100            # k: minimum secure-sum group
-    threshold_fraction: float = 0.66  # Shamir threshold as fraction of group
-    modulus_bits: int = 32           # masked-sum ring size per coordinate
+    group_size: int = count(2, default=100)  # k: minimum secure-sum group
+    #: Shamir threshold as fraction of group
+    threshold_fraction: float = interval("(0.5, 1]", default=0.66)
+    modulus_bits: int = count(8, 48, default=32)  # masked-sum ring size per coordinate
 
-    def __post_init__(self) -> None:
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if not 0.5 < self.threshold_fraction <= 1.0:
-            raise ValueError("threshold_fraction must be in (0.5, 1]")
-        if self.modulus_bits < 8 or self.modulus_bits > 48:
-            raise ValueError("modulus_bits must be in [8, 48]")
+    __post_init__ = check
 
     def threshold(self, group_size: int | None = None) -> int:
         g = group_size if group_size is not None else self.group_size
@@ -104,16 +85,16 @@ class TaskConfig:
     task_id: str
     population_name: str
     kind: TaskKind = TaskKind.TRAINING
-    round_config: RoundConfig = field(default_factory=RoundConfig)
-    client_config: ClientTrainingConfig = field(default_factory=ClientTrainingConfig)
-    secagg: SecAggConfig = field(default_factory=SecAggConfig)
-    min_runtime_version: int = 1     # oldest runtime the task claims to support
-    priority: float = 1.0
+    round_config: RoundConfig = nested(default_factory=RoundConfig)
+    client_config: ClientTrainingConfig = nested(default_factory=ClientTrainingConfig)
+    secagg: SecAggConfig = nested(default_factory=SecAggConfig)
+    #: oldest runtime the task claims to support
+    min_runtime_version: int = count(1, default=1)
+    priority: float = positive(default=1.0)
 
     def __post_init__(self) -> None:
+        check(self)
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
         if not self.population_name:
             raise ValueError("population_name must be non-empty")
-        if not 0 < self.priority < math.inf:
-            raise ValueError("priority must be finite and positive")

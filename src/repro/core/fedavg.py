@@ -30,12 +30,12 @@ to float summation order where a last minibatch is ragged (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.bounds import check, count, positive
 from repro.core.datasets import ClientDataset
 from repro.nn.models import Model
 from repro.nn.optimizers import SGD, SGDConfig
@@ -422,29 +422,15 @@ def client_update_cohort(
 class FedAvgConfig:
     """Hyperparameters of the server loop."""
 
-    clients_per_round: int = 10           # K
-    epochs: int = 1
-    batch_size: int = 16
-    learning_rate: float = 0.1
-    server_learning_rate: float = 1.0     # scales the averaged delta
-    max_examples_per_client: int | None = None
-    clip_update_norm: float | None = None
+    clients_per_round: int = count(1, default=10)  # K
+    epochs: int = count(1, default=1)
+    batch_size: int = count(1, default=16)
+    learning_rate: float = positive(default=0.1)
+    server_learning_rate: float = positive(default=1.0)  # scales the averaged delta
+    max_examples_per_client: int | None = count(1, default=None)
+    clip_update_norm: float | None = positive(default=None)
 
-    def __post_init__(self) -> None:
-        if self.clients_per_round <= 0:
-            raise ValueError("clients_per_round must be positive")
-        for name in ("epochs", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("learning_rate", "server_learning_rate"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if self.clip_update_norm is not None and not (
-            0 < self.clip_update_norm < math.inf
-        ):
-            raise ValueError("clip_update_norm must be None or finite and positive")
-        if self.max_examples_per_client is not None and self.max_examples_per_client < 1:
-            raise ValueError("max_examples_per_client must be None or >= 1")
+    __post_init__ = check
 
 
 @dataclass

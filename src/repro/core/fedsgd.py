@@ -8,12 +8,12 @@ example-weighted mean gradient with a single learning rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from repro.bounds import check, count, positive
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import ClientUpdateResult, RoundStats
 from repro.nn.models import Model
@@ -22,15 +22,11 @@ from repro.nn.parameters import Parameters
 
 @dataclass(frozen=True)
 class FedSGDConfig:
-    clients_per_round: int = 10
-    learning_rate: float = 0.5
-    max_examples_per_client: int | None = None
+    clients_per_round: int = count(1, default=10)
+    learning_rate: float = positive(default=0.5)
+    max_examples_per_client: int | None = count(1, default=None)
 
-    def __post_init__(self) -> None:
-        if self.clients_per_round <= 0:
-            raise ValueError("clients_per_round must be positive")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be finite and positive")
+    __post_init__ = check
 
 
 class FedSGD:

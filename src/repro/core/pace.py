@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, count, non_negative, positive
 from repro.sim.diurnal import DiurnalModel
 
 
@@ -31,19 +32,16 @@ from repro.sim.diurnal import DiurnalModel
 class PaceConfig:
     """Knobs for :class:`PaceSteering`."""
 
-    round_period_s: float = 300.0           # target round cadence, small pops
-    small_population_threshold: int = 5000
-    sync_window_width_s: float = 30.0       # spread inside a sync window
-    min_reconnect_delay_s: float = 60.0
-    max_reconnect_delay_s: float = 6 * 3600.0
+    round_period_s: float = positive(default=300.0)  # target round cadence, small pops
+    small_population_threshold: int = count(0, default=5000)
+    #: spread inside a sync window
+    sync_window_width_s: float = non_negative(default=30.0)
+    min_reconnect_delay_s: float = positive(default=60.0)
+    max_reconnect_delay_s: float = positive(default=6 * 3600.0)
     diurnal_damping: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("round_period_s", "min_reconnect_delay_s"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not 0 <= self.sync_window_width_s < math.inf:
-            raise ValueError("sync_window_width_s must be finite and >= 0")
+        check(self)
         if not self.max_reconnect_delay_s > self.min_reconnect_delay_s:
             raise ValueError("max_reconnect_delay_s must exceed the minimum")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from repro.bounds import check, count, positive
 from repro.core.config import ClientTrainingConfig, SecAggConfig, TaskKind
 from repro.nn.graph import (
     GraphDef,
@@ -29,15 +30,11 @@ class ExampleSelectionCriteria:
     """Which rows of the example store the plan consumes (Sec. 7.2)."""
 
     store_name: str = "default"
-    max_examples: int = 10_000
-    max_age_s: float | None = None
+    max_examples: int = count(1, default=10_000)
+    max_age_s: float | None = positive(default=None)
     holdout: bool = False
 
-    def __post_init__(self) -> None:
-        if self.max_examples <= 0:
-            raise ValueError("max_examples must be positive")
-        if self.max_age_s is not None and self.max_age_s <= 0:
-            raise ValueError("max_age_s must be positive when set")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)

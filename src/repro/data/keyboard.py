@@ -26,48 +26,38 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, count, interval, positive
 from repro.core.datasets import ClientDataset
 
 
 @dataclass(frozen=True)
 class KeyboardCorpusConfig:
-    vocab_size: int = 200
-    context_length: int = 5
+    vocab_size: int = count(10, default=200)
+    context_length: int = count(1, default=5)
     num_users: int = 100
     sentences_per_user_mean: float = 40.0
-    sentence_length: int = 12
+    sentence_length: int = count(2, default=12)
     zipf_exponent: float = 1.1
     #: Probability a token comes from the user's personal distribution.
-    personalization: float = 0.15
+    personalization: float = interval("[0, 1)", default=0.15)
     #: How many favourite tokens each user has.
     user_support: int = 12
     #: Bigram structure: each token has this many preferred successors.
     successors_per_token: int = 8
     #: Probability a token is drawn from the sentence's topic distribution.
-    topic_strength: float = 0.5
+    topic_strength: float = interval("[0, 1)", default=0.5)
     #: Number of latent topics.
-    num_topics: int = 8
+    num_topics: int = count(1, default=8)
     #: Dirichlet concentration of per-user topic preferences (small =
     #: users strongly specialized = more non-IID).
-    topic_concentration: float = 0.5
+    topic_concentration: float = positive(default=0.5)
 
     def __post_init__(self) -> None:
-        if self.vocab_size < 10:
-            raise ValueError("vocab_size must be >= 10")
-        if self.context_length < 1:
-            raise ValueError("context_length must be >= 1")
-        if self.sentence_length <= self.context_length:
+        check(self)
+        if not self.sentence_length > self.context_length:
             raise ValueError("sentence_length must exceed context_length")
-        if not 0.0 <= self.personalization < 1.0:
-            raise ValueError("personalization must be in [0, 1)")
-        if not 0.0 <= self.topic_strength < 1.0:
-            raise ValueError("topic_strength must be in [0, 1)")
         if self.personalization + self.topic_strength >= 1.0:
             raise ValueError("personalization + topic_strength must be < 1")
-        if self.num_topics < 1:
-            raise ValueError("num_topics must be >= 1")
-        if self.topic_concentration <= 0:
-            raise ValueError("topic_concentration must be positive")
 
 
 def _zipf_weights(vocab_size: int, exponent: float) -> np.ndarray:

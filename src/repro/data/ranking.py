@@ -17,24 +17,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, count
 from repro.core.datasets import ClientDataset
 
 
 @dataclass(frozen=True)
 class RankingConfig:
     num_users: int = 50
-    feature_dim: int = 8
-    num_candidates: int = 5
+    feature_dim: int = count(1, default=8)
+    num_candidates: int = count(2, default=5)
     impressions_per_user_mean: float = 60.0
     #: Per-user deviation from the shared preference direction.
     preference_noise: float = 0.5
     click_temperature: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.num_candidates < 2:
-            raise ValueError("need at least 2 candidates to rank")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
+    __post_init__ = check
 
 
 def build_ranking_clients(

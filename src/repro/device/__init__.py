@@ -13,7 +13,7 @@ participant in the simulated fleet.
 from repro.device.example_store import ExampleStore, ExampleStoreRegistry
 from repro.device.eligibility import DeviceConditions, EligibilityPolicy
 from repro.device.attestation import AttestationService, AttestationToken
-from repro.device.scheduler import JobSchedule, MultiTenantScheduler
+from repro.device.scheduler import JobSchedule
 from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
 from repro.device.runtime import (
     ComputeModel,
@@ -32,7 +32,6 @@ __all__ = [
     "AttestationService",
     "AttestationToken",
     "JobSchedule",
-    "MultiTenantScheduler",
     "CohortExecutionPlane",
     "PendingCohortResult",
     "ComputeModel",

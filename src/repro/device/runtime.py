@@ -27,12 +27,12 @@ them).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
 
+from repro.bounds import check, count, non_negative, positive
 from repro.core.checkpoint import FLCheckpoint
 from repro.core.config import TaskKind
 from repro.core.datasets import ClientDataset
@@ -70,21 +70,10 @@ class ComputeModel:
     mid-range phone running a small model.
     """
 
-    examples_per_second: float = 200.0
-    setup_overhead_s: float = 2.0
+    examples_per_second: float = positive(default=200.0)
+    setup_overhead_s: float = non_negative(default=2.0)
 
-    def validate(self) -> None:
-        """Training must take a finite, non-negative time that grows with
-        the work."""
-        if not 0 < self.examples_per_second < math.inf:
-            raise ValueError(
-                "examples_per_second must be finite and > 0, "
-                f"got {self.examples_per_second}"
-            )
-        if not 0 <= self.setup_overhead_s < math.inf:
-            raise ValueError(
-                f"setup_overhead_s must be finite and >= 0, got {self.setup_overhead_s}"
-            )
+    __post_init__ = check
 
     def train_time_s(self, compute_units: float, speed_factor: float) -> float:
         if speed_factor <= 0:
@@ -265,37 +254,18 @@ class SyntheticTrainer:
     unless one is given.
     """
 
-    num_parameters: int
-    mean_examples: float = 100.0
-    examples_sigma: float = 0.8
-    update_compression_ratio: float = 3.0
-    delta_scale: float = 1e-3
+    num_parameters: int = count(1)
+    mean_examples: float = positive(default=100.0)
+    examples_sigma: float = non_negative(default=0.8)
+    update_compression_ratio: float = positive(default=3.0)
+    delta_scale: float = non_negative(default=1e-3)
     #: Extra metrics every report carries (``None``: none).
     metrics_template: dict[str, float] | None = None
     _zero_delta: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        # Each bound is written so that a NaN fails it: a non-finite field
-        # used to build a fleet that committed nothing or a NaN model.
-        if not 0.0 < self.mean_examples < math.inf:
-            raise ValueError(
-                f"mean_examples must be finite and > 0, got {self.mean_examples}"
-            )
-        if not 0.0 < self.update_compression_ratio < math.inf:
-            raise ValueError(
-                "update_compression_ratio must be finite and > 0, "
-                f"got {self.update_compression_ratio}"
-            )
-        if not 0.0 <= self.examples_sigma < math.inf:
-            raise ValueError(
-                f"examples_sigma must be finite and >= 0, got {self.examples_sigma}"
-            )
-        if not 0.0 <= self.delta_scale < math.inf:
-            raise ValueError(
-                f"delta_scale must be finite and >= 0, got {self.delta_scale}"
-            )
+    __post_init__ = check
 
     def _zero_vector(self) -> np.ndarray:
         if self._zero_delta is None:

@@ -1,31 +1,28 @@
 """On-device job scheduling and multi-tenancy (Secs. 3, 11).
 
-Three pieces:
+Two pieces:
 
 * :class:`JobSchedule` — the JobScheduler-analogue periodic invocation
   policy (with jitter), which only fires when the device is eligible;
-* :class:`MultiTenantScheduler` — "a simple worker queue for determining
+* :class:`ColumnScheduler` — "a simple worker queue for determining
   which training session to run next (we avoid running training sessions
   on-device in parallel because of their high resource consumption)"
-  (Sec. 11 "Device Scheduling"), one object per device: the law in its
-  scalar form, which no fleet constructs — the reference
-  :class:`ColumnScheduler` is tested against;
-* :class:`ColumnScheduler` — the same worker queues for a whole fleet as
-  ``(rows x tenant-slot)`` arrays, so a sweep's worth of check-ins picks
-  its sessions in one pass — and the one home of every device's
-  memberships (``enroll`` / ``leave`` are what a tenant's attach and
-  drain write) and of its per-tenant session tally; :class:`RowScheduler`
-  is one device's view of it, with :class:`MultiTenantScheduler`'s API.
+  (Sec. 11 "Device Scheduling"), for a whole fleet as ``(rows x
+  tenant-slot)`` arrays, so a sweep's worth of check-ins picks its
+  sessions in one pass — and the one home of every device's memberships
+  (``enroll`` / ``leave`` are what a tenant's attach and drain write) and
+  of its per-tenant session tally; :class:`RowScheduler` is one device's
+  view of it.  Its scalar reference, one queue object per device, is
+  ``tests/reference/scheduler.py:MultiTenantScheduler``.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, interval, positive
 from repro.sim import columns
 
 
@@ -33,15 +30,10 @@ from repro.sim import columns
 class JobSchedule:
     """Periodic FL-runtime job parameters."""
 
-    base_interval_s: float = 3600.0
-    jitter_fraction: float = 0.5
+    base_interval_s: float = positive(default=3600.0)
+    jitter_fraction: float = interval("[0, 1)", default=0.5)
 
-    def __post_init__(self) -> None:
-        # Not ``x <= 0``, which a NaN passes (and then wedges the sweeper).
-        if not 0 < self.base_interval_s < math.inf:
-            raise ValueError("base_interval_s must be finite and positive")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be in [0, 1)")
+    __post_init__ = check
 
     def delay_at(self, u: float) -> float:
         """The jittered job interval at uniform draw ``u`` in [0, 1)."""
@@ -54,113 +46,8 @@ class JobSchedule:
         return self.delay_at(rng.random())
 
 
-#: Valid :class:`MultiTenantScheduler` arbitration policies.
+#: Valid worker-queue arbitration policies.
 SCHEDULER_POLICIES = ("fifo", "fair_share")
-
-
-class MultiTenantScheduler:
-    """Worker queue over FL populations sharing one device.
-
-    One session runs at a time; re-enqueueing an already-queued or running
-    population is a no-op (coalescing, like JobScheduler).  Two
-    arbitration policies decide who goes next when several populations are
-    queued (Sec. 11 "Device Scheduling" leaves this open):
-
-    * ``"fifo"`` (default) — strict enqueue order.  Because requests
-      coalesce, a population already waiting cannot be overtaken, but the
-      *order* requests arrive in — which on a real device follows the
-      fixed membership enumeration order of each check-in — decides who
-      leads every burst.
-    * ``"fair_share"`` — round-robin by least-recently-started: among the
-      queued populations, the one whose last session started longest ago
-      (never-started first, enqueue order breaking ties) runs next,
-      regardless of its position in the queue.  A chatty tenant that
-      re-files a request the instant its session ends can no longer lead
-      every burst; service alternates by construction.
-    """
-
-    def __init__(self, policy: str = "fifo") -> None:
-        if policy not in SCHEDULER_POLICIES:
-            raise ValueError(
-                f"policy must be one of {SCHEDULER_POLICIES}, got {policy!r}"
-            )
-        self.policy = policy
-        self._queue: deque[str] = deque()
-        self._queued: set[str] = set()
-        self._running: str | None = None
-        #: population -> serial number of its most recent session start
-        #: (the fair-share recency record).
-        self._last_started: dict[str, int] = {}
-        self._start_serial = 0
-        self.sessions_completed = 0
-
-    @property
-    def running(self) -> str | None:
-        return self._running
-
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def is_queued(self, population_name: str) -> bool:
-        return population_name in self._queued
-
-    def enqueue(self, population_name: str) -> bool:
-        """Request a training session; returns False if coalesced."""
-        if population_name in self._queued or population_name == self._running:
-            return False
-        self._queue.append(population_name)
-        self._queued.add(population_name)
-        return True
-
-    def _pick(self) -> str:
-        if self.policy == "fair_share":
-            # Deque iteration is FIFO order, and min() keeps the first
-            # minimum, so never-started populations (serial -1) win in
-            # enqueue order before any recency comparison applies.
-            population = min(
-                self._queue, key=lambda p: self._last_started.get(p, -1)
-            )
-            self._queue.remove(population)
-            return population
-        return self._queue.popleft()
-
-    def try_start(self) -> str | None:
-        """Pop the next session if nothing is running."""
-        if self._running is not None or not self._queue:
-            return None
-        population = self._pick()
-        self._queued.discard(population)
-        self._running = population
-        self._start_serial += 1
-        self._last_started[population] = self._start_serial
-        return population
-
-    def finish(self, population_name: str) -> None:
-        if self._running != population_name:
-            raise RuntimeError(
-                f"finish({population_name!r}) but running={self._running!r}"
-            )
-        self._running = None
-        self.sessions_completed += 1
-
-    def abort(self) -> str | None:
-        """Abandon the running session (eligibility lost)."""
-        running, self._running = self._running, None
-        return running
-
-    def remove(self, population_name: str) -> bool:
-        """Drop a population's queued session request (its membership was
-        drained, or the request expired with its eligibility window).
-        The fair-share recency record survives — expiry must not launder
-        a chatty tenant back into never-started priority — and the caller
-        tears down a *running* session separately.  Returns True when a
-        queued request was dropped."""
-        if population_name in self._queued:
-            self._queued.discard(population_name)
-            self._queue.remove(population_name)
-            return True
-        return False
 
 
 #: A ``(row, tenant slot)`` cell that holds no queued session request —
@@ -173,9 +60,9 @@ _UNQUEUED = 1 << 62
 class ColumnScheduler:
     """The worker queues of a whole fleet as ``(rows x tenant-slot)`` arrays.
 
-    The law is :class:`MultiTenantScheduler`'s — one session at a time per
-    device, coalescing requests, ``fifo`` or ``fair_share`` arbitration —
-    and that class is its scalar reference
+    The law is one session at a time per device, coalescing requests,
+    ``fifo`` or ``fair_share`` arbitration; its scalar reference is
+    ``MultiTenantScheduler`` in ``tests/reference/scheduler.py``
     (``tests/device/test_column_scheduler.py`` drives both with the same
     operations).  What differs is the shape: a tenant name is a *slot*
     (a column, registered on first use and kept for good, so a drained
@@ -352,8 +239,9 @@ class ColumnScheduler:
 
 class RowScheduler:
     """One device's worker queue: row ``row`` of a :class:`ColumnScheduler`,
-    behind :class:`MultiTenantScheduler`'s API (the session path and the
-    lifecycle plane call it per device)."""
+    behind the API of the scalar reference ``MultiTenantScheduler``
+    (``tests/reference/scheduler.py``; the session path and the lifecycle
+    plane call it per device)."""
 
     __slots__ = ("_columns", "_row")
 

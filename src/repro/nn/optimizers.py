@@ -14,32 +14,22 @@ order as a functional step on client ``i`` alone (guarded by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, interval, non_negative, positive
 from repro.nn.parameters import Parameters, StackedParameters
 
 @dataclass(frozen=True)
 class SGDConfig:
     """Hyperparameters for :class:`SGD`."""
 
-    learning_rate: float = 0.1
-    momentum: float = 0.0
-    weight_decay: float = 0.0
+    learning_rate: float = positive(default=0.1)
+    momentum: float = interval("[0, 1)", default=0.0)
+    weight_decay: float = non_negative(default=0.0)
 
-    def validate(self) -> None:
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}"
-            )
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ValueError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
-            )
+    __post_init__ = check
 
 
 class SGD:
@@ -55,7 +45,6 @@ class SGD:
 
     def __init__(self, config: SGDConfig | None = None):
         self.config = config or SGDConfig()
-        self.config.validate()
         self._velocity: dict[str, np.ndarray] | None = None
         self._stack_velocity: dict[str, np.ndarray] | None = None
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, count, positive
 from repro.secagg.field import centered_mod, ring_add, ring_sub
 from repro.secagg.prg import prg_expand
 
@@ -24,30 +25,12 @@ class VectorQuantizer:
     the worst-case magnitude of the *sum* stays below ``2^{b-1}``.
     """
 
-    modulus_bits: int = 32
-    clip_range: float = 8.0
-    max_summands: int = 1000
+    modulus_bits: int = count(8, 64, default=32)
+    clip_range: float = positive(default=8.0)
+    max_summands: int = count(1, default=1000)
 
     def __post_init__(self) -> None:
-        # modulus_bits gates everything else: ``scale`` shifts by it, so
-        # it must be validated before any check (or error message) that
-        # touches ``scale`` — a bogus value would otherwise surface as a
-        # downstream shift overflow instead of a clear error.
-        if not isinstance(self.modulus_bits, (int, np.integer)) or not (
-            8 <= self.modulus_bits <= 64
-        ):
-            raise ValueError(
-                f"modulus_bits must be an integer in [8, 64], "
-                f"got {self.modulus_bits!r}"
-            )
-        # NaN compares false with 0 and would make every scaled value 0;
-        # inf would make the scale 0.  Both must name the field.
-        if not (np.isfinite(self.clip_range) and self.clip_range > 0):
-            raise ValueError(
-                f"clip_range must be finite and positive, got {self.clip_range!r}"
-            )
-        if self.max_summands < 1:
-            raise ValueError("max_summands must be >= 1")
+        check(self)  # first: ``scale`` shifts by ``modulus_bits``
         if self.scale < 1.0:
             raise ValueError(
                 "modulus too small for clip_range * max_summands; "

@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro.bounds import check, finite, interval, positive
 from repro.sim.event_loop import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 #: Resolution of the cached hazard lookup tables: one bucket per minute
@@ -51,32 +52,14 @@ class DiurnalModel:
         Average length of one eligible stretch (a charging session).
     """
 
-    peak_hour: float = 2.0
-    amplitude: float = 0.6
-    base_eligible_fraction: float = 0.25
-    mean_eligible_minutes: float = 45.0
+    peak_hour: float = finite(default=2.0)
+    amplitude: float = interval("[0, 1)", default=0.6)
+    base_eligible_fraction: float = interval("(0, 1]", default=0.25)
+    mean_eligible_minutes: float = positive(default=45.0)
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Both hazards must be finite and positive at every hour, or the
-        sampled delays are negative (time travel) or never come due.
-        (Each test is written so that NaN fails it.)"""
-        if not math.isfinite(self.peak_hour):
-            raise ValueError(f"peak_hour must be finite, got {self.peak_hour}")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ValueError(f"amplitude must be in [0, 1), got {self.amplitude}")
-        if not 0.0 < self.base_eligible_fraction <= 1.0:
-            raise ValueError(
-                "base_eligible_fraction must be in (0, 1], "
-                f"got {self.base_eligible_fraction}"
-            )
-        if not 0.0 < self.mean_eligible_minutes < math.inf:
-            raise ValueError(
-                "mean_eligible_minutes must be finite and > 0, "
-                f"got {self.mean_eligible_minutes}"
-            )
+    #: Both hazards must be finite and positive at every hour, or the
+    #: sampled delays are negative (time travel) or never come due.
+    __post_init__ = check
 
     def modulation(self, local_time_s: float) -> float:
         """Multiplicative availability factor in ``[1-a, 1+a]``."""

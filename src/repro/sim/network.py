@@ -9,10 +9,11 @@ probability; the server side records every byte moved so that Fig. 9
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from repro.bounds import check, non_negative, positive, probability
 
 
 class TransferDirection(enum.Enum):
@@ -84,34 +85,16 @@ class NetworkModel:
     stragglers, which the protocol must discard (Sec. 2.2).
     """
 
-    median_downlink_bytes_per_s: float = 2.5e6   # ~20 Mbit/s WiFi
-    median_uplink_bytes_per_s: float = 6.0e5     # ~5 Mbit/s
-    bandwidth_sigma: float = 0.7                 # log-normal shape
-    median_rtt_s: float = 0.08
-    rtt_sigma: float = 0.4
-    transfer_failure_prob: float = 0.01
+    median_downlink_bytes_per_s: float = positive(default=2.5e6)  # ~20 Mbit/s WiFi
+    median_uplink_bytes_per_s: float = positive(default=6.0e5)  # ~5 Mbit/s
+    bandwidth_sigma: float = non_negative(default=0.7)  # log-normal shape
+    median_rtt_s: float = positive(default=0.08)
+    rtt_sigma: float = non_negative(default=0.4)
+    transfer_failure_prob: float = probability(default=0.01)
     meter: TrafficMeter = field(default_factory=TrafficMeter)
 
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """A transfer must take a finite, positive time."""
-        for name in (
-            "median_downlink_bytes_per_s", "median_uplink_bytes_per_s", "median_rtt_s"
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
-        for name in ("bandwidth_sigma", "rtt_sigma"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not 0.0 <= self.transfer_failure_prob <= 1.0:
-            raise ValueError(
-                "transfer_failure_prob must be in [0, 1], "
-                f"got {self.transfer_failure_prob}"
-            )
+    #: A transfer must take a finite, positive time.
+    __post_init__ = check
 
     def sample_conditions_batch(
         self, n: int, rng: np.random.Generator

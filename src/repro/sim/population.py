@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.bounds import check, count, finite, non_negative, probability
 from repro.sim.rng import RngRegistry
 
 
@@ -44,28 +45,20 @@ class PopulationConfig:
     population "primarily from the same time zone").
     """
 
-    num_devices: int = 1000
-    tz_offset_hours: float = -8.0           # US Pacific-centric population
-    tz_spread_hours: float = 1.5            # small spread around the center
-    speed_sigma: float = 0.4                # log-normal compute speed
+    num_devices: int = count(1, default=1000)
+    tz_offset_hours: float = finite(default=-8.0)  # US Pacific-centric population
+    tz_spread_hours: float = non_negative(default=1.5)  # small spread around the center
+    speed_sigma: float = non_negative(default=0.4)  # log-normal compute speed
     memory_choices: tuple[int, ...] = (2048, 3072, 4096, 6144, 8192)
     memory_weights: tuple[float, ...] = (0.30, 0.25, 0.25, 0.12, 0.08)
     os_versions: tuple[int, ...] = (26, 27, 28, 29)
     os_weights: tuple[float, ...] = (0.15, 0.25, 0.35, 0.25)
     runtime_versions: tuple[int, ...] = (7, 8, 9, 10)
     runtime_weights: tuple[float, ...] = (0.10, 0.20, 0.30, 0.40)
-    compromised_fraction: float = 0.002     # fail attestation
+    compromised_fraction: float = probability(default=0.002)  # fail attestation
 
-    def validate(self) -> None:
-        # Every bound is written so that a NaN fails it: a non-finite time
-        # zone or speed builds a fleet that breaks (or stalls) mid-run.
-        if self.num_devices <= 0:
-            raise ValueError("num_devices must be positive")
-        if not math.isfinite(self.tz_offset_hours):
-            raise ValueError("tz_offset_hours must be finite")
-        for name in ("tz_spread_hours", "speed_sigma"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+    def __post_init__(self) -> None:
+        check(self)
         for name, weights_name in (
             ("memory_choices", "memory_weights"),
             ("os_versions", "os_weights"),
@@ -82,15 +75,12 @@ class PopulationConfig:
                 raise ValueError(f"{weights_name} must be finite and >= 0")
             if abs(sum(w) - 1.0) > 1e-9:
                 raise ValueError(f"{weights_name} must sum to 1, got {sum(w)}")
-        if not 0.0 <= self.compromised_fraction <= 1.0:
-            raise ValueError("compromised_fraction must be in [0, 1]")
 
 
 def build_population(
     config: PopulationConfig, rngs: RngRegistry
 ) -> list[DeviceProfile]:
     """Sample ``config.num_devices`` device profiles deterministically."""
-    config.validate()
     rng = rngs.stream("population")
     n = config.num_devices
     tz = rng.normal(config.tz_offset_hours, config.tz_spread_hours, size=n)

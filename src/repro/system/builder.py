@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.actors.coordinator import CoordinatorConfig
+from repro.bounds import check, interval, nested
 from repro.core.config import TaskConfig
 from repro.core.pace import PaceConfig
 from repro.core.plan import FLPlan
@@ -55,16 +56,23 @@ class PopulationSpec:
     """
 
     name: str
-    tasks: list[TaskConfig]
+    tasks: list[TaskConfig] = nested()
     initial_params: Parameters
     plan: FLPlan | None = None
     strategy: SchedulingStrategy = SchedulingStrategy.ROUND_ROBIN
     trainer_factory: TrainerFactory | None = None
-    membership_fraction: float = 1.0
-    pace: PaceConfig | None = None
-    coordinator: CoordinatorConfig | None = None
+    membership_fraction: float = interval("(0, 1]", default=1.0)
+    pace: PaceConfig | None = nested(default=None)
+    coordinator: CoordinatorConfig | None = nested(default=None)
 
     def validate(self) -> None:
+        """Every declared range, the tasks' included, then the cross-field
+        rules.  Run at construction and again at ``.build()`` and at
+        attach: a spec is mutable."""
+        try:
+            check(self)
+        except ValueError as exc:
+            raise FleetValidationError(f"population {self.name!r}: {exc}") from exc
         if not self.name:
             raise FleetValidationError("population name must be non-empty")
         if not self.tasks:
@@ -84,11 +92,8 @@ class PopulationSpec:
                     f"{self.name!r}"
                 )
             seen.add(task.task_id)
-        if not 0.0 < self.membership_fraction <= 1.0:
-            raise FleetValidationError(
-                f"population {self.name!r}: membership fraction must be in "
-                f"(0, 1], got {self.membership_fraction}"
-            )
+
+    __post_init__ = validate
 
     @property
     def pool_cap(self) -> int:
@@ -228,7 +233,6 @@ class FleetBuilder:
             pace=pace,
             coordinator=coordinator,
         )
-        spec.validate()
         self._specs.append(spec)
         return self
 

@@ -9,11 +9,11 @@ scheduling strategy).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.actors.coordinator import CoordinatorConfig
+from repro.bounds import check, count, nested, non_negative, positive, probability
 from repro.core.pace import PaceConfig
 from repro.device.runtime import ComputeModel, LocalTrainer
 from repro.device.scheduler import SCHEDULER_POLICIES, JobSchedule
@@ -41,15 +41,15 @@ class FleetConfig:
     populations may override them in their spec.
     """
 
-    seed: int = 0
-    population: PopulationConfig = field(default_factory=PopulationConfig)
-    diurnal: DiurnalModel = field(default_factory=DiurnalModel)
-    network: NetworkModel = field(default_factory=NetworkModel)
-    pace: PaceConfig = field(default_factory=PaceConfig)
-    coordinator: CoordinatorConfig = field(default_factory=CoordinatorConfig)
-    job: JobSchedule = field(default_factory=_default_job_schedule)
-    compute: ComputeModel = field(default_factory=ComputeModel)
-    num_selectors: int = 2
+    seed: int = count(0, default=0)
+    population: PopulationConfig = nested(default_factory=PopulationConfig)
+    diurnal: DiurnalModel = nested(default_factory=DiurnalModel)
+    network: NetworkModel = nested(default_factory=NetworkModel)
+    pace: PaceConfig = nested(default_factory=PaceConfig)
+    coordinator: CoordinatorConfig = nested(default_factory=CoordinatorConfig)
+    job: JobSchedule = nested(default_factory=_default_job_schedule)
+    compute: ComputeModel = nested(default_factory=ComputeModel)
+    num_selectors: int = count(1, default=2)
     #: Consistent-hash control-plane sharding (:mod:`repro.system.
     #: sharding`): the Selector set is partitioned into this many disjoint
     #: shards and each population lives on exactly one — its routes,
@@ -58,13 +58,13 @@ class FleetConfig:
     #: (default) is the unsharded topology: every tenant on every
     #: Selector, rounds folded by the flat leaf funnel — byte-identical
     #: to a build without the knob.
-    selector_shards: int = 1
-    sample_interval_s: float = 120.0
-    compute_error_prob: float = 0.005
+    selector_shards: int = count(1, default=1)
+    sample_interval_s: float = positive(default=120.0)
+    compute_error_prob: float = probability(default=0.005)
     #: How long a checked-in device holds its selector stream open before
     #: hanging up and retrying on the job cadence (Sec. 2.3's bounded
     #: selection wait).
-    waiting_timeout_s: float = 1800.0
+    waiting_timeout_s: float = positive(default=1800.0)
     #: On-device multi-tenant arbitration (Sec. 11 "Device Scheduling"):
     #: ``"fifo"`` (default) serves queued session requests in arrival
     #: order; ``"fair_share"`` round-robins across populations by
@@ -74,16 +74,16 @@ class FleetConfig:
     #: (:mod:`repro.system.faults`).  ``None`` (default) disables the
     #: plane entirely — no hooks, no ``faults/...`` streams, trajectories
     #: byte-identical to a build without the plane.
-    faults: FaultPlan | None = None
+    faults: FaultPlan | None = nested(default=None)
     #: How long the cluster manager waits before respawning a crashed
     #: Selector (Sec. 4.4's "restarted by the cluster manager").
-    selector_restart_delay_s: float = 5.0
+    selector_restart_delay_s: float = non_negative(default=5.0)
 
     def validate(self) -> None:
-        if self.num_selectors < 1:
-            raise ValueError("num_selectors must be >= 1")
-        if self.selector_shards < 1:
-            raise ValueError("selector_shards must be >= 1")
+        """Every declared range, nested configs included, then the
+        cross-field rules.  Run at construction and again at ``.build()``:
+        the builder's knobs assign fields after construction."""
+        check(self)
         if self.selector_shards > self.num_selectors:
             raise ValueError(
                 f"selector_shards ({self.selector_shards}) cannot exceed "
@@ -95,21 +95,5 @@ class FleetConfig:
                 f"device_scheduler must be one of {SCHEDULER_POLICIES}, "
                 f"got {self.device_scheduler!r}"
             )
-        for knob in ("sample_interval_s", "waiting_timeout_s"):
-            value = getattr(self, knob)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"{knob} must be finite and positive, got {value}"
-                )
-        if not 0.0 <= self.compute_error_prob <= 1.0:
-            raise ValueError("compute_error_prob must be in [0, 1]")
-        if not self.selector_restart_delay_s >= 0:  # a NaN fails this too
-            raise ValueError("selector_restart_delay_s must be >= 0")
-        if self.faults is not None:
-            self.faults.validate()
-        self.population.validate()
-        # Both validate at construction; again here, for a field assigned
-        # since (``NetworkModel`` is mutable).
-        self.diurnal.validate()
-        self.network.validate()
-        self.compute.validate()
+
+    __post_init__ = validate

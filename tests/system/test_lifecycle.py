@@ -313,6 +313,49 @@ def test_failed_trainer_factory_leaves_fleet_untouched():
     assert fleet.report().population("stats").rounds_committed > 0
 
 
+def test_refused_spec_leaves_no_half_attached_tenant():
+    """An out-of-range round config never reaches attach's writes.  A NaN
+    ``target_participants`` used to get as far as ``PopulationSpec.
+    pool_cap`` — after the round-0 checkpoint, with the tenant already in
+    ``lifecycle.active`` — and die there untyped.  Now it is refused by
+    name when the config is constructed, and one slipped into a frozen
+    config afterwards is refused by attach's re-check of the spec."""
+    fleet = build_fleet()
+    fleet.run_for(HOUR)
+
+    def state():
+        return (
+            list(fleet.lifecycle.active),
+            fleet.store.write_count,
+            fleet.store.has_checkpoint("stats"),
+            [sorted(selector.routes) for selector in fleet.selector_actors()],
+        )
+
+    before = state()
+    with pytest.raises(ValueError, match="target_participants must"):
+        fleet.attach_population(
+            PopulationSpec(
+                name="stats",
+                tasks=[TaskConfig(
+                    task_id="stats/train", population_name="stats",
+                    round_config=RoundConfig(target_participants=float("nan")),
+                )],
+                initial_params=STATS_INIT,
+            )
+        )
+    assert state() == before
+    spec = stats_spec()
+    object.__setattr__(
+        spec.tasks[0].round_config, "target_participants", float("nan")
+    )
+    with pytest.raises(FleetValidationError, match="target_participants must"):
+        fleet.attach_population(spec)
+    assert state() == before
+    # The fleet is undamaged: the same name attaches cleanly afterwards.
+    fleet.attach_population(stats_spec())
+    assert fleet.population_names == ("kbd", "stats")
+
+
 def test_failed_snapshot_preserves_existing_file(tmp_path):
     """Snapshots write-then-rename: a pickling failure must not clobber a
     good snapshot already at the path (nor leave a truncated one)."""
