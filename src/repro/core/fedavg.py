@@ -158,14 +158,22 @@ class LocalStepSchedule:
         return len(self.orders) * per_epoch
 
 
+#: Bytes one block of a cohort may hold in working rows (weights,
+#: gradients and padded minibatch per row).  :func:`client_update_cohort`
+#: trains a larger cohort as consecutive blocks, so its stacks stay this
+#: size however many clients a round accepted.
+BLOCK_BYTES = 8 << 20
+
+
 class CohortUpdateBuffers:
     """Stacked working state for :func:`client_update_cohort`.
 
-    Owns the ``(K, ...)`` working-weight and gradient stacks plus the
-    padded minibatch gather buffers, grown to the largest cohort (and
-    batch shape) seen; everything handed to the kernels aliases these
-    buffers and is valid only until the next execution.  The weighted
-    deltas themselves are written to a caller-owned matrix
+    Owns the ``(B, ...)`` working-weight and gradient stacks plus the
+    padded minibatch gather buffers for one *block* of a cohort — at most
+    :meth:`rows_per_block` rows, grown to the largest block (and batch
+    shape) seen, never to the cohort; everything handed to the kernels
+    aliases these buffers and is valid only until the next block.  The
+    weighted deltas themselves are written to a caller-owned matrix
     (:meth:`StackedParameters.write_rows`), so nothing that escapes an
     execution aliases the buffers.
     """
@@ -196,6 +204,14 @@ class CohortUpdateBuffers:
             self.capacity = k
             self._batch_x = None
             self._batch_y = None
+
+    def rows_per_block(self, x: np.ndarray, y: np.ndarray, batch_size: int) -> int:
+        """How many rows of features like ``x`` / labels like ``y`` fit
+        :data:`BLOCK_BYTES` (at least one): a row is its weights, its
+        gradients and its padded minibatch."""
+        row_bytes = 2 * self.layout.total_size * np.dtype(np.float64).itemsize
+        row_bytes += batch_size * (x[0].nbytes + y[0].nbytes)
+        return max(1, BLOCK_BYTES // row_bytes)
 
     def batch_buffers(
         self, x: np.ndarray, y: np.ndarray, batch_size: int
@@ -280,7 +296,7 @@ def client_update_cohort(
     """Run a whole cohort's ``ClientUpdate`` as stacked tensor ops.
 
     The numeric twin of ``K`` independent :func:`client_update` calls:
-    client weights live as rows of stacked ``(K, ...)`` buffers, each
+    client weights live as rows of stacked ``(B, ...)`` buffers, each
     local step runs one batched ``loss_and_grad_cohort`` over the padded
     per-client minibatches and one vectorized SGD step advancing all
     working copies, and per-client weighting/clipping apply as masked
@@ -288,7 +304,12 @@ def client_update_cohort(
     first) and step ``s`` runs on the prefix that still has a step ``s``,
     so a client that has finished its local steps leaves the stack — the
     same bytes as carrying it along with a zero gradient (``w - lr·0 ==
-    w``), at none of the cost.  Results come back in the caller's order.
+    w``), at none of the cost.  The sorted cohort runs as consecutive
+    blocks of ``B = buffers.rows_per_block(...)`` rows (one block when it
+    fits :data:`BLOCK_BYTES`), each gathering only its own clients' data
+    and writing its rows straight into the caller-order ``(K, dim)``
+    delta matrix; a row's bytes do not depend on which rows share its
+    block.  Results come back in the caller's order.
 
     Pass either pre-drawn ``schedules`` (the cohort plane's deferred
     workloads) or ``datasets`` + ``rngs``, in which case the schedules
@@ -310,20 +331,57 @@ def client_update_cohort(
     if not schedules:
         raise ValueError("cannot update an empty cohort")
     k = len(schedules)
-    client_ids = [s.dataset.client_id for s in schedules]
-    num_examples = np.array([s.num_examples for s in schedules], dtype=np.int64)
-    steps = np.array([s.steps for s in schedules], dtype=np.int64)
-    order = np.argsort(-steps, kind="stable")
-    schedules = [schedules[i] for i in order]
     batch_size = schedules[0].batch_size
     if any(s.batch_size != batch_size for s in schedules):
         raise ValueError("cohort members must share one batch size")
     layout = global_params.layout
     if buffers is None:
-        buffers = CohortUpdateBuffers(layout, capacity=k)
+        buffers = CohortUpdateBuffers(layout)
     elif buffers.layout != layout:
         raise ValueError("buffers were built for a different model structure")
-    buffers.ensure(k)
+    first = schedules[0].dataset
+    block = buffers.rows_per_block(first.x, first.y, batch_size)
+    buffers.ensure(min(block, k))
+
+    num_examples = np.array([s.num_examples for s in schedules], dtype=np.int64)
+    steps = np.array([s.steps for s in schedules], dtype=np.int64)
+    order = np.argsort(-steps, kind="stable")
+    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    delta_matrix = np.empty((k, layout.total_size), dtype=np.float64)
+    mean_losses = np.empty(k, dtype=np.float64)
+    for start in range(0, k, block):
+        rows = order[start : start + block]
+        deltas, losses = _train_block(
+            model, global_params, [schedules[i] for i in rows],
+            optimizer, clip_update_norm, buffers,
+        )
+        deltas.write_rows(delta_matrix, rows)
+        mean_losses[rows] = losses
+    return CohortUpdateResult(
+        client_ids=[s.dataset.client_id for s in schedules],
+        delta_matrix=delta_matrix,
+        weights=num_examples.astype(np.float64),
+        num_examples=num_examples,
+        mean_losses=mean_losses,
+        steps=steps,
+        layout=layout,
+    )
+
+
+def _train_block(
+    model: Model,
+    global_params: Parameters,
+    schedules: list[LocalStepSchedule],
+    optimizer: SGD,
+    clip_update_norm: float | None,
+    buffers: CohortUpdateBuffers,
+) -> tuple[StackedParameters, np.ndarray]:
+    """Train one step-sorted block of a cohort in the first rows of
+    ``buffers``' stacks.  Returns the block's weighted (and clipped)
+    deltas — a view of the working stack, valid until the next block —
+    and its clients' mean losses."""
+    k = len(schedules)
+    batch_size = schedules[0].batch_size
     assert buffers.work is not None and buffers.grads is not None
     work = buffers.work.head(k)
     grads = buffers.grads.head(k)
@@ -335,19 +393,19 @@ def client_update_cohort(
     )
     batch_x, batch_y = batch_x_full[:k], batch_y_full[:k]
 
-    # The cohort's data fused into one array, so each local step gathers
+    # The block's data fused into one array, so each local step gathers
     # every client's padded minibatch with a single flat fancy-index
     # instead of 2K small takes.  The whole (step -> indices, counts)
     # table is laid out up front from the schedules' permutations —
     # per-step work is then one gather, one batched kernel call, and one
     # stacked SGD step, with no per-client Python inside the loop.
-    # Padding slots point at global row 0 (any valid row works — the
+    # Padding slots point at the block's row 0 (any valid row works — the
     # kernels mask those columns to exact zeros).
     x_all = np.concatenate([s.dataset.x for s in schedules], axis=0)
     y_all = np.concatenate([s.dataset.y for s in schedules], axis=0)
-    ns_int = num_examples[order]
+    ns_int = np.array([s.num_examples for s in schedules], dtype=np.int64)
     row_offsets = np.concatenate(([0], np.cumsum(ns_int)[:-1]))
-    steps_per_client = steps[order]
+    steps_per_client = np.array([s.steps for s in schedules], dtype=np.int64)
     total_steps = int(steps_per_client[0])
     #: Rows still training at each step: a prefix, by the sort.
     active = np.searchsorted(-steps_per_client, -np.arange(total_steps))
@@ -374,7 +432,6 @@ def client_update_cohort(
     gather_y = batch_y.reshape(k * batch_size, *y_all.shape[1:])
     ns = ns_int.astype(np.float64)
     step_losses = np.zeros((total_steps, k), dtype=np.float64)
-    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
 
     k_s, work_s, grads_s = k, work, grads
     for step in range(total_steps):
@@ -402,20 +459,10 @@ def client_update_cohort(
         factors[over] = max_norms[over] / norms[over]
         work.scale_rows_(factors)
 
-    delta_matrix = np.empty((k, layout.total_size), dtype=np.float64)
-    work.write_rows(delta_matrix, order)
     mean_losses = np.empty(k, dtype=np.float64)
     for i in range(k):
-        mean_losses[order[i]] = np.mean(step_losses[: steps_per_client[i], i])
-    return CohortUpdateResult(
-        client_ids=client_ids,
-        delta_matrix=delta_matrix,
-        weights=num_examples.astype(np.float64),
-        num_examples=num_examples,
-        mean_losses=mean_losses,
-        steps=steps,
-        layout=layout,
-    )
+        mean_losses[i] = np.mean(step_losses[: steps_per_client[i], i])
+    return work, mean_losses
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,11 @@ change — and a row that fails alone is marked ``failed`` (tallied in
 ``failed_workloads``); the aggregators leave it out of fold and metrics.
 
 Buffer ownership: the plane owns one reusable :class:`~repro.core.
-fedavg.CohortUpdateBuffers`, grown to the largest cohort seen.  Each
-execution writes its weighted deltas into a **freshly-allocated**
+fedavg.CohortUpdateBuffers` sized to one *block* of rows
+(:data:`~repro.core.fedavg.BLOCK_BYTES` of weights, gradients and padded
+minibatches), not to the largest cohort seen: an execution trains its
+cohort block by block, each block gathering only its own clients' data.
+Each execution writes its weighted deltas into a **freshly-allocated**
 ``(K, dim)`` matrix of accepted rows only; a handle's ``delta_vector``
 is a row *view* that keeps the matrix alive (report vectors are
 immutable by pipeline contract), and both die with the round.

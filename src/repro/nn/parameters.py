@@ -377,8 +377,8 @@ class StackedParameters:
       ``i`` — valid only while the stack is not rewritten;
     * :meth:`write_rows` copies the rows out into a caller-owned
       ``(K, dim)`` matrix in layout order — the only way stacked state
-      escapes the buffers (the cohort plane does this once per execution
-      to mint the round's immutable report vectors).
+      escapes the buffers (the cohort plane does this once per block,
+      into the one matrix of the round's immutable report vectors).
     """
 
     __slots__ = ("layout", "rows", "_arrays")
@@ -473,13 +473,16 @@ class StackedParameters:
         return self
 
     def write_rows(self, out: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
-        """Copy every row into ``out`` (``(rows, dim)``) in layout order:
-        row ``i`` to ``out[i]``, or to ``out[index[i]]`` (a permutation)."""
+        """Copy every row into ``out`` in layout order: row ``i`` to
+        ``out[i]`` (``out`` is ``(rows, dim)``), or to ``out[index[i]]``
+        (``out`` is ``(n, dim)`` for any ``n`` the ``rows`` destinations
+        fit in — one block's rows land in its whole cohort's matrix)."""
         layout = self.layout
-        if out.shape != (self.rows, layout.total_size):
+        targets = out.shape[0] if index is None else len(index)
+        if out.ndim != 2 or out.shape[1] != layout.total_size or targets != self.rows:
             raise ValueError(
-                f"out has shape {out.shape}, need "
-                f"{(self.rows, layout.total_size)}"
+                f"cannot write {self.rows} rows of {layout.total_size} into "
+                f"shape {out.shape} at {targets} destinations"
             )
         rows = slice(None) if index is None else index
         for name, off, size in zip(layout.names, layout.offsets, layout.sizes):

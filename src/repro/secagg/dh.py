@@ -81,10 +81,14 @@ def _derive_key_bytes(element_bytes: bytes) -> int:
 
 
 def _draw_secret(rng: np.random.Generator) -> int:
-    """One secret exponent — the exact byte draw ``generate_keypair`` makes
-    (the vectorized planes draw every ``c`` and ``s`` exponent with it)."""
-    secret = int.from_bytes(rng.bytes(SECRET_BITS // 8), "little")
-    return secret | 1 << (SECRET_BITS - 8)
+    """One secret exponent — the exact byte draw ``generate_keypair`` makes."""
+    return _secret_of(rng.bytes(SECRET_BITS // 8))
+
+
+def _secret_of(draw: bytes) -> int:
+    """The secret exponent ``generate_keypair`` makes of its 15-byte draw
+    (the vectorized plane slices every ``s`` exponent's from one draw)."""
+    return int.from_bytes(draw, "little") | 1 << (SECRET_BITS - 8)
 
 
 def public_keys_batch(secrets: list[int]) -> list[int]:

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.secagg.dh import _draw_secret, agree_pairs_batch, public_keys_batch
+from repro.secagg.dh import _secret_of, agree_pairs_batch, public_keys_batch
 from repro.secagg.field import SECRET_BITS, ring_mask
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.prg import prg_expand_batch
@@ -187,17 +187,22 @@ def run_vectorized_grouped(
         cohort = len(state.uids)
 
         # Round 0: AdvertiseKeys — per device: c exponent (trajectory
-        # only), s exponent, self-mask seed; draws precede the threshold
-        # check exactly as scalar constructs clients before the server
-        # thresholds the roster.
+        # only: no wire encryption in simulation), s exponent, self-mask
+        # seed; draws precede the threshold check exactly as scalar
+        # constructs clients before the server thresholds the roster.
+        # The scalar plane's three 15-byte draws per device are one draw
+        # here: a 15-byte draw spends four whole 4-byte words, so the
+        # scalar draws are the 16-byte-strided slices of one 48-byte-per-
+        # device draw, which leaves the stream where they leave it
+        # (pinned by tests/secagg/test_dh.py).
+        width = SECRET_BITS // 8
+        draws = rng.bytes(48 * cohort)
         state.s_secret = {}
         state.b_seed = {}
-        for uid in state.uids:
-            _draw_secret(rng)  # c key: no wire encryption in simulation
-            state.s_secret[uid] = _draw_secret(rng)
-            state.b_seed[uid] = int.from_bytes(
-                rng.bytes(SECRET_BITS // 8), "little"
-            )
+        for i, uid in enumerate(state.uids):
+            s_at, b_at = 48 * i + 16, 48 * i + 32
+            state.s_secret[uid] = _secret_of(draws[s_at : s_at + width])
+            state.b_seed[uid] = int.from_bytes(draws[b_at : b_at + width], "little")
         if cohort < threshold:
             raise SecAggError(
                 f"only {cohort} devices advertised keys, threshold is "

@@ -7,14 +7,18 @@ it gets in the whole cohort — ragged example counts (not multiples of
 the batch), differing step counts, ``max_examples`` subsetting and
 ``clip_update_norm`` included.  That is what lets the plane execute a
 round's *accepted set* at the fold, retry a failed group row by row, and
-stay byte-identical to any other grouping of the same workloads.
+stay byte-identical to any other grouping of the same workloads — and
+what lets one call train its cohort in memory-budget-sized blocks.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import fedavg
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import (
     CohortUpdateBuffers,
@@ -116,6 +120,38 @@ def test_rows_do_not_depend_on_batch_composition(
         part = run(model, params, [schedules[i] for i in block], clip, buffers)
         assert list(part) == [f"c{i}" for i in block]
         assert_same_rows(part, whole)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS) + sorted(BENCHMARK_SHAPES))
+@given(
+    data=st.data(),
+    clip=st.one_of(st.none(), st.floats(1e-3, 0.5)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_boundaries_inside_one_call_do_not_move_rows(name, data, clip, seed):
+    """``client_update_cohort`` cuts a cohort past its memory budget into
+    blocks of rows; one-row blocks must give every row what one block of
+    the whole cohort gives it."""
+    if name in MODELS:
+        model = MODELS[name]
+        sizes = data.draw(st.lists(st.integers(1, 23), min_size=1, max_size=7))
+        config = dict(
+            epochs=data.draw(st.integers(1, 3)),
+            batch_size=data.draw(st.integers(2, 6)),
+            max_examples=data.draw(st.one_of(st.none(), st.integers(3, 12))),
+        )
+    else:
+        model, config, (low, high) = BENCHMARK_SHAPES[name]
+        sizes = data.draw(st.lists(st.integers(low, high), min_size=1, max_size=7))
+    params = model.init(np.random.default_rng(seed))
+    schedules = draw_schedules(model, sizes, seed, **config)
+    with mock.patch.object(fedavg, "BLOCK_BYTES", 1):
+        one_row_blocks = run(model, params, schedules, clip)
+    with mock.patch.object(fedavg, "BLOCK_BYTES", 1 << 40):
+        one_block = run(model, params, schedules, clip)
+    assert list(one_row_blocks) == list(one_block)
+    assert_same_rows(one_row_blocks, one_block)
 
 
 @pytest.mark.parametrize("tenant", sorted(BENCHMARK_SHAPES))

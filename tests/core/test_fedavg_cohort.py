@@ -6,9 +6,12 @@ kernels are row-exact, and handle ragged cohorts (different per-client
 example counts, hence different local step counts) by masking.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.core import fedavg
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import (
     CohortUpdateBuffers,
@@ -163,10 +166,19 @@ def test_prebuilt_schedules_equal_datasets_path():
     assert np.array_equal(a.mean_losses, b.mean_losses)
 
 
-def test_buffers_reused_across_cohort_sizes():
+def test_buffers_reused_across_cohort_sizes(monkeypatch):
+    """One buffer set serves cohorts of every size and holds at most one
+    block: a cohort past the budget runs in blocks, never grows it."""
     model = EXACT_MODELS["logreg"]
     params = model.init(np.random.default_rng(1))
     buffers = CohortUpdateBuffers(params.layout)
+    # A row is its weights, its gradients and its padded minibatch.
+    probe = make_datasets("logreg", [1])[0]
+    row_bytes = 2 * 8 * params.num_parameters
+    row_bytes += 8 * (probe.x[0].nbytes + probe.y[0].nbytes)
+    monkeypatch.setattr(fedavg, "BLOCK_BYTES", 4 * row_bytes + row_bytes // 2)
+    assert buffers.rows_per_block(probe.x, probe.y, 8) == 4
+    capacities = []
     for sizes in ([16] * 3, [16] * 7, [16] * 2):
         datasets = make_datasets("logreg", sizes)
         stacked = client_update_cohort(
@@ -175,12 +187,43 @@ def test_buffers_reused_across_cohort_sizes():
             epochs=1, batch_size=8, learning_rate=0.1, buffers=buffers,
         )
         assert stacked.cohort_size == len(sizes)
-        single = client_update(
-            model, params, datasets[0], epochs=1, batch_size=8,
-            learning_rate=0.1, rng=np.random.default_rng(0),
+        for i, dataset in enumerate(datasets):
+            single = client_update(
+                model, params, dataset, epochs=1, batch_size=8,
+                learning_rate=0.1, rng=np.random.default_rng(i),
+            )
+            assert np.array_equal(stacked.delta_row(i), single.delta.to_vector())
+        capacities.append(buffers.capacity)
+    assert capacities == [3, 4, 4]
+
+
+def test_working_memory_is_one_block_not_the_cohort():
+    """A cohort's peak allocation is its delta matrix, one block's stacks
+    and its data — not K × the model.  Here a row's weights and
+    gradients are 4.2 MB, so stacking all 12 rows would add 50 MB to the
+    25 MB delta matrix; one block adds at most the budget."""
+    model = LogisticRegression(input_dim=2048, n_classes=128)
+    params = model.init(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    schedules = [
+        LocalStepSchedule.draw(
+            ClientDataset(
+                f"c{i}", rng.normal(size=(16, 2048)), rng.integers(0, 128, size=16)
+            ),
+            epochs=1, batch_size=8, rng=np.random.default_rng(i),
         )
-        assert np.array_equal(stacked.delta_row(0), single.delta.to_vector())
-    assert buffers.capacity == 7
+        for i in range(12)
+    ]
+    data_bytes = sum(s.dataset.x.nbytes + s.dataset.y.nbytes for s in schedules)
+    tracemalloc.start()
+    try:
+        result = client_update_cohort(model, params, schedules, learning_rate=0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.delta_matrix.shape == (12, params.num_parameters)
+    bound = result.delta_matrix.nbytes + 2 * fedavg.BLOCK_BYTES + data_bytes
+    assert peak <= bound, (peak, bound)
 
 
 def test_delta_matrix_is_freshly_owned():

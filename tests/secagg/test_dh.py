@@ -1,6 +1,7 @@
 """Diffie–Hellman agreement symmetry, scalar and batched."""
 
 import numpy as np
+import pytest
 
 from repro.secagg.dh import (
     agree,
@@ -55,6 +56,26 @@ def test_keypairs_batch_matches_scalar_loop_and_rng_trajectory():
     assert batch == scalar
     # Both generators must now sit at the same stream position.
     assert rng_scalar.bytes(16) == rng_batch.bytes(16)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+def test_one_draw_sliced_at_word_strides_is_the_sequential_draws(bit_generator):
+    """numpy's ``bytes()`` spends whole 4-byte words, so ``n`` sequential
+    15-byte secret draws are the 16-byte-strided slices of one
+    ``bytes(16 n)`` and leave the stream where it leaves it — what lets
+    the vectorized plane make a group's secret draws as one.  (Philox is
+    the generator the fleet's registry hands out.)"""
+    width = SECRET_BITS // 8
+    for n in (1, 3, 105):
+        sequential = np.random.Generator(bit_generator(11))
+        one_draw = np.random.Generator(bit_generator(11))
+        # An odd number of words first, in case a half-used output word
+        # is carried into the next draw.
+        assert sequential.bytes(3) == one_draw.bytes(3)
+        draws = [sequential.bytes(width) for _ in range(n)]
+        blob = one_draw.bytes(16 * n)
+        assert draws == [blob[16 * i : 16 * i + width] for i in range(n)]
+        assert sequential.bytes(16) == one_draw.bytes(16)
 
 
 def test_agree_batch_matches_scalar_and_is_symmetric(rng):
