@@ -7,6 +7,11 @@ forward.  If it dies, the Selector layer respawns it (see
 :mod:`repro.actors.selector`); a replacement recovers its round counter
 from the checkpoint store, so commits stay monotonic.
 
+How a round is wired is not its business: ``make_master(round_id=,
+task=, coordinator=)`` builds each round's master (the lifecycle plane
+binds the rest).  Its Selectors are its shard's indices into the fleet's
+one live list, so a Selector respawn reaches it without being told.
+
 Rounds start only on its tick grid, but a tick is scheduled only at an
 instant a round could start (:meth:`Coordinator._arm_tick`): its cost
 follows rounds, not simulated seconds.
@@ -25,11 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-import numpy as np
-
 from repro.actors.kernel import Actor, ActorRef, DeathNotice
 from repro.actors.locking import LockService
-from repro.actors.master_aggregator import MasterAggregator
 from repro.actors import messages as msg
 from repro.bounds import check, count, non_negative, positive
 from repro.core.checkpoint import CheckpointStore
@@ -58,42 +60,29 @@ class Coordinator(Actor):
         self,
         population_name: str,
         scheduler: TaskScheduler,
-        selectors: list[ActorRef],
+        fleet_selectors: list[ActorRef],
+        selector_indices: tuple[int, ...],
         locks: LockService,
         store: CheckpointStore,
-        rng: np.random.Generator,
+        make_master: Callable[..., Actor],
         config: CoordinatorConfig | None = None,
-        round_listener: Callable[..., None] | None = None,
-        metrics_store=None,
         round_id_base: int = 0,
-        checkpoint_retry=None,  # faults.RetryPolicy, handed to each master
-        recovery=None,          # fleet RecoveryLedger, if any
-        shard_slots: int = 0,   # >0: rounds fold through an aggregation tree
-        shard_restart_delay_s: float = 5.0,
-        fold_recorder=None,     # per-shard fold telemetry, handed to masters
     ):
         self.population_name = population_name
         self.scheduler = scheduler
-        self.selectors = list(selectors)
+        #: The fleet's live Selector list (shared, never copied) and the
+        #: indices of this population's owning shard in it (every index
+        #: on an unsharded fleet).
+        self.fleet_selectors = fleet_selectors
+        self.selector_indices = selector_indices
         self.locks = locks
         self.store = store
-        self.rng = rng
+        self.make_master = make_master
         self.config = config or CoordinatorConfig()
-        self.round_listener = round_listener
-        self.metrics_store = metrics_store
         #: Populations hosted on one fleet get disjoint round-id ranges so
         #: (device, round) session keys never collide across populations.
         self.round_id_base = round_id_base
         self.round_counter = round_id_base
-        self.checkpoint_retry = checkpoint_retry
-        self.recovery = recovery
-        #: Control-plane sharding: on a sharded fleet this Coordinator's
-        #: ``selectors`` list is its population's owning shard only, and
-        #: every spawned master folds through ``shard_slots`` shard
-        #: aggregators (0 = the flat legacy funnel).
-        self.shard_slots = shard_slots
-        self.shard_restart_delay_s = shard_restart_delay_s
-        self.fold_recorder = fold_recorder
         self.active_master: ActorRef | None = None
         self.active_round_id: int | None = None
         self.last_round_ended_at_s: float | None = None
@@ -106,6 +95,13 @@ class Coordinator(Actor):
         #: Rounds start only on the grid ``origin + k * tick_interval_s``
         #: (see :meth:`_arm_tick`); the origin is this incarnation's start.
         self._tick_origin_s = 0.0
+
+    @property
+    def selectors(self) -> list[ActorRef]:
+        """The owning shard's Selectors, in index order, as the fleet's
+        live list holds them now."""
+        fleet_selectors = self.fleet_selectors
+        return [fleet_selectors[i] for i in self.selector_indices]
 
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
@@ -212,19 +208,8 @@ class Coordinator(Actor):
         task.rounds_started += 1
         self.round_counter += 1
         round_id = self.round_counter
-        master = MasterAggregator(
-            round_id=round_id,
-            task=task.config,
-            coordinator=self.ref,
-            store=self.store,
-            rng=self.rng,
-            round_listener=self.round_listener,
-            metrics_store=self.metrics_store,
-            checkpoint_retry=self.checkpoint_retry,
-            recovery=self.recovery,
-            shard_slots=self.shard_slots,
-            shard_restart_delay_s=self.shard_restart_delay_s,
-            fold_recorder=self.fold_recorder,
+        master = self.make_master(
+            round_id=round_id, task=task.config, coordinator=self.ref
         )
         master_ref = self.system.spawn(
             master, f"master/{self.population_name}/{round_id}"

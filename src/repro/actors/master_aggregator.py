@@ -1,6 +1,7 @@
 """Master Aggregator actor (Sec. 4.2): owns one round of one FL task.
 
-Spawned by the Coordinator per round; spawns leaf Aggregators sized to the
+Spawned by the Coordinator per round, through the ``make_master`` its
+tenant's lifecycle plane binds; spawns leaf Aggregators sized to the
 cohort (and to Secure Aggregation's group parameter ``k``); drives the
 round state machine; and — crucially for the paper's storage/attack-surface
 claims — keeps everything in memory, committing exactly one checkpoint to
@@ -116,13 +117,10 @@ class MasterAggregator(Actor):
             self._shard_leaves = [[] for _ in range(tier)]
             for i, leaf in enumerate(self.aggregators):
                 self._shard_leaves[i % tier].append(leaf)
-            for j, leaves in enumerate(self._shard_leaves):
-                node = ShardAggregator(self.round_id, self.task.task_id)
-                for leaf in leaves:
-                    node.adopt(leaf)
-                ref = self.system.spawn(node, f"shardagg/{self.round_id}/{j}")
-                self.system.watch(self.ref, ref)
-                self.shard_aggregators.append(ref)
+            for j in range(tier):
+                self.shard_aggregators.append(
+                    self._spawn_shard(j, f"shardagg/{self.round_id}/{j}")
+                )
         self.schedule(
             self.task.round_config.selection_timeout_s,
             self._on_selection_timeout,
@@ -193,17 +191,22 @@ class MasterAggregator(Actor):
     def _respawn_shard(self, slot: int, dead_ref: ActorRef) -> None:
         if self._finished or self.shard_aggregators[slot] != dead_ref:
             return  # round closed, or a stale duplicate notification
+        self._shard_respawns += 1
+        self.shard_aggregators[slot] = self._spawn_shard(
+            slot, f"shardagg/{self.round_id}/{slot}/r{self._shard_respawns}"
+        )
+        if self.recovery is not None:
+            self.recovery.record("shard_aggregator_respawns")
+
+    def _spawn_shard(self, slot: int, name: str) -> ActorRef:
+        """A shard aggregator for ``slot``'s leaves, spawned as ``name``
+        and watched by this master — at round start and at a respawn."""
         node = ShardAggregator(self.round_id, self.task.task_id)
         for leaf in self._shard_leaves[slot]:
             node.adopt(leaf)
-        self._shard_respawns += 1
-        ref = self.system.spawn(
-            node, f"shardagg/{self.round_id}/{slot}/r{self._shard_respawns}"
-        )
+        ref = self.system.spawn(node, name)
         self.system.watch(self.ref, ref)
-        self.shard_aggregators[slot] = ref
-        if self.recovery is not None:
-            self.recovery.record("shard_aggregator_respawns")
+        return ref
 
     def _on_report(self, report: msg.DeviceReport) -> None:
         device_id = report.device_id

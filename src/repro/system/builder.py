@@ -114,7 +114,7 @@ class FleetBuilder:
 
     # -- fleet-wide knobs -----------------------------------------------------
     def seed(self, seed: int) -> "FleetBuilder":
-        self._config.seed = int(seed)
+        self._config.seed = seed
         return self
 
     def devices(
@@ -133,7 +133,7 @@ class FleetBuilder:
         return self
 
     def selectors(self, count: int) -> "FleetBuilder":
-        self._config.num_selectors = int(count)
+        self._config.num_selectors = count
         return self
 
     def selector_shards(self, count: int) -> "FleetBuilder":
@@ -143,7 +143,7 @@ class FleetBuilder:
         only, and its rounds fold through a per-shard aggregation tree.
         ``1`` (the default) is the unsharded, byte-identical legacy
         topology."""
-        self._config.selector_shards = int(count)
+        self._config.selector_shards = count
         return self
 
     def diurnal(self, model: DiurnalModel) -> "FleetBuilder":

@@ -498,11 +498,10 @@ class SelectorClusterManager:
     runs.  A replacement Selector is spawned after
     ``config.selector_restart_delay_s`` on the *same* registry stream
     (``selector/<i>``, cursor continuing), re-registered with a fresh
-    route for every live population (coordinator link and drain state
-    included), and swapped into every coordinator's selector list and the
-    fleet's (the one live list the idle plane resolves its picks in), so
-    forwarded devices re-home without any spare-the-last-selector special
-    case.
+    route for every live population its shard owns (coordinator link and
+    drain state included), and swapped into entry ``i`` of the fleet's
+    live Selector list, which Coordinators and the idle plane read — so
+    forwarded devices re-home, and no Coordinator is patched.
     """
 
     def __init__(self, fleet: "FLFleet"):
@@ -529,14 +528,8 @@ class SelectorClusterManager:
         fleet = self.fleet
         if fleet.selectors[index] != dead_ref:
             return  # already replaced (stale duplicate notification)
-        selector = Selector(
-            locks=fleet.locks,
-            checkpoint_store=fleet.store,
-            rng=fleet.rngs.stream(f"selector/{index}"),
-            recovery=fleet.recovery,
-        )
-        new_ref = fleet.actors.spawn(selector, f"selector/{index}")
-        fleet.selectors[index] = new_ref
+        selector = fleet._spawn_selector(index)
+        new_ref = fleet.selectors[index] = selector.ref
         for runtime in fleet.lifecycle.active.values():
             # On a sharded fleet a selector only carries routes for the
             # populations its shard owns (shards=1: every index qualifies).
@@ -548,11 +541,5 @@ class SelectorClusterManager:
             if coordinator_ref is not None:
                 route.coordinator = coordinator_ref
                 fleet.actors.watch(new_ref, coordinator_ref)
-                coordinator = fleet.actors.actor_of(coordinator_ref)
-                selector_list = getattr(coordinator, "selectors", None)
-                if selector_list is not None:
-                    for i, sel in enumerate(selector_list):
-                        if sel == dead_ref:
-                            selector_list[i] = new_ref
             selector.add_route(route)
         fleet.recovery.record("selector_respawns")

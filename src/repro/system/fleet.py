@@ -252,13 +252,7 @@ class FLFleet:
         have attached)."""
         config = self.config
         for i in range(config.num_selectors):
-            selector = Selector(
-                locks=self.locks,
-                checkpoint_store=self.store,
-                rng=self.rngs.stream(f"selector/{i}"),
-                recovery=self.recovery,
-            )
-            self.selectors.append(self.actors.spawn(selector, f"selector/{i}"))
+            self.selectors.append(self._spawn_selector(i).ref)
         #: What every device is constructed with.
         self._device_settings = dict(
             network=config.network,
@@ -280,6 +274,18 @@ class FLFleet:
                 len(self.profiles), self.rngs.stream("network/conditions")
             ),
         )
+
+    def _spawn_selector(self, index: int) -> Selector:
+        """Selector ``index`` on its registry stream, at build and at a
+        respawn (whose replacement continues the stream's cursor)."""
+        selector = Selector(
+            locks=self.locks,
+            checkpoint_store=self.store,
+            rng=self.rngs.stream(f"selector/{index}"),
+            recovery=self.recovery,
+        )
+        self.actors.spawn(selector, f"selector/{index}")
+        return selector
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its

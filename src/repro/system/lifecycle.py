@@ -56,6 +56,7 @@ import numpy as np
 
 from repro.actors.coordinator import Coordinator
 from repro.actors.kernel import ActorRef
+from repro.actors.master_aggregator import MasterAggregator
 from repro.actors.selector import PopulationRoute
 from repro.analytics.dashboard import ScopedDashboard
 from repro.core.pace import PaceSteering
@@ -326,41 +327,44 @@ class PopulationLifecycle:
     def make_coordinator(self, name: str) -> Coordinator:
         """A fresh Coordinator for ``name`` — used at attach and by the
         Sec. 4.4 selector-driven respawn path (a partial of this method
-        is every route's ``coordinator_factory``)."""
+        is every route's ``coordinator_factory``).  The one place that
+        knows how the tenant's rounds are wired: the Coordinator gets a
+        ``make_master`` with everything but the round bound."""
         fleet = self.fleet
         runtime = self.runtime(name)
         # The tenant's Coordinator talks to its owning shard's Selectors
         # only (the full set on an unsharded fleet); its rounds fold
         # through one shard-aggregator per owned Selector when sharding
         # is on (``shard_slots=0`` keeps the flat legacy funnel).
-        shard_selectors = fleet.shard_selectors(name)
-        sharded = fleet.config.selector_shards > 1
-        coordinator = Coordinator(
-            population_name=name,
-            scheduler=TaskScheduler(
-                runtime.fl_population,
-                runtime.spec.strategy,
-                fleet.rngs.stream(f"scheduler/{name}"),
-            ),
-            selectors=shard_selectors,
-            locks=fleet.locks,
+        indices = fleet.shard_selector_indices(name)
+        faults = fleet.config.faults
+        scheduler = TaskScheduler(
+            runtime.fl_population,
+            runtime.spec.strategy,
+            fleet.rngs.stream(f"scheduler/{name}"),
+        )
+        make_master = partial(
+            MasterAggregator,
             store=fleet.store,
             rng=fleet.rngs.stream(f"coordinator/{name}"),
-            config=runtime.spec.coordinator or fleet.config.coordinator,
             round_listener=partial(fleet._on_round_result, name),
             metrics_store=fleet.metrics,
-            round_id_base=runtime.round_id_base,
-            checkpoint_retry=(
-                fleet.config.faults.checkpoint_retry
-                if fleet.config.faults is not None
-                else None
-            ),
+            checkpoint_retry=faults.checkpoint_retry if faults is not None else None,
             recovery=fleet.recovery,
-            shard_slots=len(shard_selectors) if sharded else 0,
+            shard_slots=len(indices) if fleet.config.selector_shards > 1 else 0,
             shard_restart_delay_s=fleet.config.selector_restart_delay_s,
-            fold_recorder=(
-                partial(fleet._record_shard_fold, name) if sharded else None
-            ),
+            fold_recorder=partial(fleet._record_shard_fold, name),
+        )
+        coordinator = Coordinator(
+            population_name=name,
+            scheduler=scheduler,
+            fleet_selectors=fleet.selectors,
+            selector_indices=indices,
+            locks=fleet.locks,
+            store=fleet.store,
+            make_master=make_master,
+            config=runtime.spec.coordinator or fleet.config.coordinator,
+            round_id_base=runtime.round_id_base,
         )
         # A respawn that lands mid-drain must not restart rounds.
         coordinator.draining = runtime.state is PopulationState.DRAINING
@@ -566,7 +570,10 @@ class PopulationLifecycle:
 #: 9: the fleet lost its per-device ``NetworkConditions`` list — a row's
 #: link is three plane columns — and ``DeviceProfile``,
 #: ``NetworkConditions`` and ``SyntheticTrainer`` pickle by slots).
-SNAPSHOT_FORMAT_VERSION = 9
+#: 10: a ``Coordinator`` lost its copy of its shard's Selector refs and
+#: the eight arguments it only handed to each master — it holds the
+#: fleet's live Selector list, its shard's indices and ``make_master``.
+SNAPSHOT_FORMAT_VERSION = 10
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -86,9 +86,8 @@ class ShardRouter:
 
     # -- placement ---------------------------------------------------------------
     def shard_of(self, population_name: str) -> int:
-        """The shard owning ``population_name`` (clockwise ring successor)."""
-        if self.num_shards == 1:
-            return 0
+        """The shard owning ``population_name`` (clockwise ring successor;
+        on a one-shard ring every point belongs to shard 0)."""
         point = _ring_point(f"population:{population_name}")
         i = bisect.bisect_right(self._ring_points, point)
         if i == len(self._ring_points):

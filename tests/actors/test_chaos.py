@@ -21,6 +21,7 @@ import pytest
 
 from fleet_laws import run_checked
 from repro import FLFleet, FaultPlan, RoundConfig, TaskConfig
+from repro.actors import messages as msg
 from repro.core.config import SecAggConfig
 from repro.device.actor import DeviceActor
 from repro.device.runtime import ComputeModel
@@ -363,6 +364,110 @@ def test_respawned_shard_aggregator_recovers_the_fold():
     assert rec.shard_fold_aborts == 0
     result = next(r for r in fleet.round_results if r.round_id == round_id)
     assert result.committed
+
+
+def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
+    """A Selector respawn swaps one entry of the fleet's live Selector
+    list and patches nothing else: every live Coordinator's Selectors are
+    its shard's entries of that list — one respawned by the Sec. 4.4 lock
+    race while the Selector was down included — and the next round's
+    ForwardDevices reaches the replacement."""
+    tenants = ("t0", "t1", "t2")
+    builder = (
+        FLFleet.builder()
+        .seed(45)
+        .devices(PopulationConfig(num_devices=300))
+        .selectors(4)
+        .selector_shards(2)
+        .job(JobSchedule(900.0, 0.5))
+    )
+    model = LogisticRegression(input_dim=4, n_classes=2)
+    for name in tenants:
+        task = TaskConfig(
+            task_id=f"{name}/train",
+            population_name=name,
+            round_config=RoundConfig(
+                target_participants=8, selection_timeout_s=60,
+                reporting_timeout_s=150,
+            ),
+        )
+        builder.population(name, tasks=[task], model=model.init(np.random.default_rng(0)))
+    fleet = builder.build()
+    lifecycle = fleet.lifecycle
+
+    forwards = []  # (tenant, round, target, target alive at delivery)
+    deliver = fleet.actors._deliver
+
+    def spy(target, sender, message):
+        if isinstance(message, msg.ForwardDevices):
+            forwards.append((
+                message.population_name, message.round_id, target,
+                fleet.actors.is_alive(target),
+            ))
+        deliver(target, sender, message)
+
+    monkeypatch.setattr(fleet.actors, "_deliver", spy)
+
+    def coordinator_of(name):
+        return lifecycle._coordinator_actor(lifecycle.active[name])
+
+    def assert_addressed():
+        for name in tenants:
+            assert coordinator_of(name).selectors == fleet.shard_selectors(name)
+
+    def next_round_reaches(name, replacement):
+        """Run until a round of ``name`` starts after now; its
+        ForwardDevices went to the shard's live Selectors only."""
+        seen = len(forwards)
+        for _ in range(int(6 * 3600 / 60)):
+            fleet.run_for(60.0)
+            started = [f for f in forwards[seen:] if f[0] == name]
+            if started:
+                round_id = started[0][1]
+                targets = [(t, alive) for n, r, t, alive in started if r == round_id]
+                assert sorted(t.actor_id for t, _ in targets) == sorted(
+                    ref.actor_id for ref in fleet.shard_selectors(name)
+                )
+                assert all(alive for _, alive in targets)
+                assert replacement in [t for t, _ in targets]
+                return
+        raise AssertionError(f"no round of {name!r} started in time")
+
+    fleet.run_for(2 * 3600.0)
+    delay = fleet.config.selector_restart_delay_s
+    # Selectors crash, one per shard: each respawn swaps one list entry.
+    for index in (0, 1):
+        dead = fleet.selectors[index]
+        fleet.actors.crash(dead)
+        fleet.run_for(delay + 1.0)
+        assert fleet.selectors[index] != dead and fleet.selectors[index].alive
+        assert_addressed()
+        owner = next(n for n in tenants if index in fleet.shard_selector_indices(n))
+        next_round_reaches(owner, fleet.selectors[index])
+        assert_addressed()
+
+    # A Coordinator crashes while one of its Selectors is down: a surviving
+    # Selector of the shard respawns it at once, from the list as it is
+    # then — the dead entry still in it.
+    name = "t0"
+    index = fleet.shard_selector_indices(name)[0]
+    dead = fleet.selectors[index]
+    fleet.actors.crash(dead)
+    crashed = lifecycle._coordinator_ref(lifecycle.active[name])
+    fleet.actors.crash(crashed)
+    fleet.run_for(1.0)
+    assert fleet.selectors[index] == dead
+    respawned = lifecycle._coordinator_ref(lifecycle.active[name])
+    assert respawned is not None and respawned != crashed
+    assert fleet.report().recovery.coordinator_respawns == 1
+    fleet.run_for(delay)
+    replacement = fleet.selectors[index]
+    assert replacement != dead and replacement.alive
+    assert lifecycle._coordinator_ref(lifecycle.active[name]) == respawned
+    assert_addressed()
+    assert replacement in coordinator_of(name).selectors
+    next_round_reaches(name, replacement)
+    assert fleet.report().recovery.selector_respawns == 3
 
 
 def test_upload_retry_recovers_transient_failures():

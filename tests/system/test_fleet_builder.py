@@ -128,6 +128,23 @@ def test_nonpositive_or_nonfinite_interval_rejected(knob, value):
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize(
+    "knob, field",
+    [("selectors", "num_selectors"), ("selector_shards", "selector_shards"),
+     ("seed", "seed")],
+)
+@pytest.mark.parametrize("value", [2.5, True, NAN, INF])
+def test_count_knobs_keep_what_they_are_given(knob, field, value):
+    """A count knob does not round: ``.selectors(2.5)`` is not two
+    Selectors and ``.seed(True)`` is not seed 1 — ``.build()`` refuses
+    each, naming the field."""
+    builder = base_builder().population(
+        "a", tasks=[task("a/t", "a")], model=params()
+    )
+    with pytest.raises(FleetValidationError, match=f"^{field} must be an integer"):
+        getattr(builder, knob)(value).build()
+
+
 def crash(**fields):
     return lambda: FaultPlan(crashes=(ActorCrashSchedule("selector", **fields),))
 

@@ -790,15 +790,17 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 9
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 10
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
     # an ``eligible`` / ``state`` copy and three row handles; format 7's
     # an attestation service, for a second token round at every check-in;
     # format 8's fleet a ``NetworkConditions`` per row, and its profiles,
-    # link records and synthetic trainers pickled an instance dict.
-    for older in (3, 4, 5, 6, 7, 8):
+    # link records and synthetic trainers pickled an instance dict;
+    # format 9's Coordinators a copy of their Selector refs and eight
+    # master arguments, but no ``make_master``.
+    for older in (3, 4, 5, 6, 7, 8, 9):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -808,7 +810,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 9",
+                match=f"format {older} unsupported .*reads format 10",
             ):
                 read(old)
 

@@ -13,6 +13,8 @@ the equivalence bars:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     FLFleet,
@@ -70,11 +72,16 @@ def test_router_is_deterministic():
     assert a.assignments(names) == b.assignments(names)
 
 
-def test_router_single_shard_owns_everything():
-    router = ShardRouter(num_selectors=4, num_shards=1)
-    assert router.shard_of("anything") == 0
-    assert router.selector_indices(0) == (0, 1, 2, 3)
-    assert router.selector_indices_for("anything") == (0, 1, 2, 3)
+@settings(max_examples=200, deadline=None)
+@given(name=st.text(), num_selectors=st.integers(1, 64))
+def test_router_single_shard_owns_everything(name, num_selectors):
+    """One shard is the general case, not a special one: its ring sends
+    every name to shard 0, and shard 0 is every Selector."""
+    router = ShardRouter(num_selectors=num_selectors, num_shards=1)
+    everyone = tuple(range(num_selectors))
+    assert router.shard_of(name) == 0
+    assert router.selector_indices(0) == everyone
+    assert router.selector_indices_for(name) == everyone
 
 
 def test_router_memoizes_placement_per_name():
