@@ -86,7 +86,7 @@ def main() -> None:
     print("\n== 2. attach 'ranker' on the LIVE fleet ==")
     runtime = fleet.attach_population(ranker_spec())
     print(f"attached at t={runtime.attached_at_s / HOUR:.1f}h with "
-          f"{len(runtime.member_ids)} member devices")
+          f"{len(runtime.members)} member devices")
     fleet.run_for(2 * HOUR)
     mid = fleet.report()
     print(f"ranker rounds committed mid-run: "

@@ -19,8 +19,10 @@ module instead keeps every idle device as a row in fleet-wide arrays:
   ColumnScheduler`, and what a Selector's screen reads of a device (its
   attestation verdict — one real token round per device, at enrollment —
   and its FL runtime version);
-* the device's link conditions (downlink, uplink, rtt), from which its
-  ``NetworkConditions`` is built only when the device is constructed;
+* the device's profile (id, time zone, speed, memory, OS and runtime
+  versions, genuineness) and its link conditions (downlink, uplink, rtt),
+  from which a ``DeviceProfile`` / ``NetworkConditions`` is built on read
+  — a constructed device holds one, a row holds none;
 * the device's record (Sec. 5's health counters): check-ins, training
   seconds and upload retries per row, sessions per ``(row, tenant slot)``
   in the scheduler, errors by reason fleet-wide.  ``device.health``,
@@ -54,7 +56,9 @@ run, and the device's own generator serves its sessions only.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Sequence
+from collections.abc import Mapping, Sequence
+from operator import index as as_index
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -66,15 +70,18 @@ from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
 from repro.sim.event_loop import SECONDS_PER_HOUR, EventLoop, Sweeper
 from repro.sim.network import NetworkConditions
+from repro.sim.population import DeviceProfile
 from repro.sim.rng import RowDraws
 
 if TYPE_CHECKING:
     from repro.actors.kernel import Actor, ActorRef
     from repro.device.actor import DeviceActor
     from repro.device.attestation import AttestationService
-    from repro.sim.population import DeviceProfile
 
 _INF = float("inf")
+
+#: The column that holds each :class:`DeviceProfile` field, in field order.
+_PROFILE_COLUMNS = tuple(f"_{name}" for name in DeviceProfile._fields)
 
 
 class VectorizedIdlePlane:
@@ -116,7 +123,17 @@ class VectorizedIdlePlane:
         ("eligible", np.bool_, False),
         ("active", np.bool_, False),
         ("_has_memberships", np.bool_, False),
-        ("_tz_offset_s", np.float64, 0.0),
+        # The device's profile, one column per ``DeviceProfile`` field
+        # (``profile(row)`` builds the record).  A sweep reads the time
+        # zone, a Selector's screen the runtime version (plan
+        # compatibility) — the profile's own column, not a copy.
+        ("_device_id", np.int64, 0),
+        ("_tz_offset_hours", np.float64, 0.0),
+        ("_speed_factor", np.float64, 0.0),
+        ("_memory_mb", np.int64, 0),
+        ("_os_version", np.int64, 0),
+        ("_runtime_version", np.int64, 0),
+        ("_genuine", np.bool_, False),
         # The device's job cadence (its first check-in is staggered over it).
         ("_job_interval_s", np.float64, 0.0),
         # Each row's counter-keyed stream: key and draws made so far.
@@ -126,8 +143,6 @@ class VectorizedIdlePlane:
         # round: the verdict is deterministic per device, so no check-in
         # pays the hashing again.
         ("_attestation_ok", np.bool_, False),
-        # FL runtime version (a Selector checks plan compatibility by it).
-        ("_runtime_version", np.int64, 0),
         # The device's link, sampled once per device: its
         # ``NetworkConditions`` is built from these when it is constructed.
         ("_downlink_bytes_per_s", np.float64, 0.0),
@@ -202,39 +217,41 @@ class VectorizedIdlePlane:
 
     def adopt_rows(
         self,
-        profiles: Sequence["DeviceProfile"],
+        profiles: Mapping[str, Sequence],
         job_interval_s: float,
         links: tuple[Sequence[float], Sequence[float], Sequence[float]],
     ) -> None:
-        """Enroll one row per profile, none with a device object yet:
+        """Enroll one row per device, none with a device object yet:
         everything the plane needs of an idle device, as column writes.
-        ``links`` is each row's ``(downlink, uplink, rtt)``, as
-        :meth:`~repro.sim.network.NetworkModel.sample_conditions_batch`
-        draws them."""
+        ``profiles`` holds one sequence per :class:`DeviceProfile` field,
+        keyed by its name (what :func:`~repro.sim.population.
+        build_population` draws); ``links`` is each row's ``(downlink,
+        uplink, rtt)``, as :meth:`~repro.sim.network.NetworkModel.
+        sample_conditions_batch` draws them."""
         first = len(self._devices)
-        stop = first + len(profiles)
+        stop = first + len(profiles["device_id"])
         if stop > self.next_flip_t.size:
             self._grow(stop)
-        self._devices.extend(len(profiles))
+        self._devices.extend(stop - first)
         rows = slice(first, stop)
-        self._tz_offset_s[rows] = (
-            np.array([p.tz_offset_hours for p in profiles]) * SECONDS_PER_HOUR
-        )
-        self._runtime_version[rows] = [p.runtime_version for p in profiles]
+        for name, column in zip(DeviceProfile._fields, _PROFILE_COLUMNS):
+            getattr(self, column)[rows] = profiles[name]
         (
             self._downlink_bytes_per_s[rows],
             self._uplink_bytes_per_s[rows],
             self._rtt_s[rows],
         ) = links
-        self._row_key[rows] = self._draws.keys(
-            np.array([p.device_id for p in profiles])
-        )
+        device_ids = self._device_id[rows]
+        self._row_key[rows] = self._draws.keys(device_ids)
         self._job_interval_s[rows] = job_interval_s
         # One real token round per device, at enrollment: the verdict is
         # deterministic, so every screen reads it instead of re-hashing.
         issue, verify = self._attestation.issue_token, self._attestation.verify
         self._attestation_ok[rows] = [
-            verify(issue(p.device_id, p.genuine)) for p in profiles
+            verify(issue(device_id, genuine))
+            for device_id, genuine in zip(
+                device_ids.tolist(), self._genuine[rows].tolist()
+            )
         ]
 
     def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
@@ -248,7 +265,7 @@ class VectorizedIdlePlane:
         index = len(self._devices)
         link = device.conditions
         self.adopt_rows(
-            [device.profile],
+            {name: [value] for name, value in device.profile._asdict().items()},
             device.job.base_interval_s,
             ([link.downlink_bytes_per_s], [link.uplink_bytes_per_s], [link.rtt_s]),
         )
@@ -301,7 +318,7 @@ class VectorizedIdlePlane:
         every row started since the last sweep, as one batch."""
         rows = np.arange(self._started, self._start_to)
         self._started = self._start_to
-        model, tz = self._diurnal, self._tz_offset_s[rows]
+        model, tz = self._diurnal, self._tz_offset_hours[rows] * SECONDS_PER_HOUR
         u_eligible, u_stagger = self._draw(rows)
         eligible = u_eligible < model.eligible_fraction_batch(now + tz)
         self.eligible[rows] = eligible
@@ -417,7 +434,11 @@ class VectorizedIdlePlane:
         self.eligible[rows] = eligible
         self._eligible_count += 2 * int(np.count_nonzero(eligible)) - rows.size
         flip_t = now + sample_transitions(
-            self._diurnal, now, self._tz_offset_s[rows], ~eligible, -np.log1p(-u_hazard)
+            self._diurnal,
+            now,
+            self._tz_offset_hours[rows] * SECONDS_PER_HOUR,
+            ~eligible,
+            -np.log1p(-u_hazard),
         )
         self.next_flip_t[rows] = flip_t
         # A waking member returns at its pace window if one is still
@@ -592,6 +613,18 @@ class VectorizedIdlePlane:
             self._sweeper.arm(self._quantize(t))
 
     # -- observability -----------------------------------------------------------
+    def profile(self, i: int) -> DeviceProfile:
+        """Row ``i``'s profile, as the record its constructed device holds."""
+        return self.profiles(slice(i, i + 1))[0]
+
+    def profiles(self, rows: np.ndarray | slice) -> list[DeviceProfile]:
+        """``rows``' profiles, built in one bulk pass: one ``tolist`` per
+        column (a numpy-scalar conversion per field per row is the slow
+        way)."""
+        return list(map(DeviceProfile._make, zip(*(
+            getattr(self, column)[rows].tolist() for column in _PROFILE_COLUMNS
+        ))))
+
     def conditions(self, i: int) -> NetworkConditions:
         """Row ``i``'s link, as the record its constructed device holds."""
         return NetworkConditions(
@@ -633,3 +666,38 @@ class VectorizedIdlePlane:
         each constructed, at the latest, by the dispatch that admitted it."""
         devices = self._devices.rows()
         return [devices[i] for i in np.nonzero(self.active)[0].tolist()]
+
+
+class ProfileTable(Sequence):
+    """``Sequence[DeviceProfile]`` over a plane's rows, read-only.
+
+    A profile is built from the plane's columns on read: indexing builds
+    one, iterating or slicing builds one per row (in one bulk pass).  To
+    read a field of every row without building any, take its
+    :meth:`column`.
+    """
+
+    __slots__ = ("_plane",)
+
+    def __init__(self, plane: VectorizedIdlePlane):
+        self._plane = plane
+
+    def __len__(self) -> int:
+        return len(self._plane)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._plane.profiles(np.arange(len(self))[index])
+        return self._plane.profile(range(len(self))[as_index(index)])
+
+    def __iter__(self):
+        return iter(self[:])
+
+    def column(self, name: str) -> np.ndarray:
+        """Field ``name`` of every row's profile, in row order: a
+        read-only view of the plane's column."""
+        if name not in DeviceProfile._fields:
+            raise KeyError(f"DeviceProfile has no field {name!r}")
+        view = getattr(self._plane, f"_{name}")[: len(self)]
+        view.flags.writeable = False
+        return view

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,10 +18,16 @@ from repro.bounds import check, count, finite, non_negative, probability
 from repro.sim.rng import RngRegistry
 
 
-@dataclass(frozen=True, slots=True)
-class DeviceProfile:
-    """Static characteristics of one simulated device (one per row of the
-    fleet, so no instance dict)."""
+class DeviceProfile(NamedTuple):
+    """Static characteristics of one simulated device.
+
+    A fleet keeps its profiles as idle-plane columns and builds one on
+    read (``plane.profile(row)``): only a constructed device, or a trainer
+    factory's argument, is a profile object.  A tuple, not a frozen
+    dataclass, because a tenant's attach builds one per member: ~0.3 µs
+    each on a 2-vCPU Xeon, against ~1.5 µs for a frozen slotted
+    dataclass's ``__init__``.
+    """
 
     device_id: int
     tz_offset_hours: float
@@ -79,8 +86,10 @@ class PopulationConfig:
 
 def build_population(
     config: PopulationConfig, rngs: RngRegistry
-) -> list[DeviceProfile]:
-    """Sample ``config.num_devices`` device profiles deterministically."""
+) -> dict[str, np.ndarray]:
+    """Sample ``config.num_devices`` device profiles deterministically, as
+    columns: one array per :class:`DeviceProfile` field, keyed by its name
+    (a fleet's idle plane adopts them as its profile columns)."""
     rng = rngs.stream("population")
     n = config.num_devices
     tz = rng.normal(config.tz_offset_hours, config.tz_spread_hours, size=n)
@@ -91,12 +100,12 @@ def build_population(
         config.runtime_versions, size=n, p=config.runtime_weights
     )
     genuine = rng.random(n) >= config.compromised_fraction
-    # One ``tolist`` per array converts every row's field in bulk (a
-    # numpy-scalar conversion per field per row is the slow way).
-    return [
-        DeviceProfile(*fields)
-        for fields in zip(
-            range(n), tz.tolist(), speed.tolist(), memory.tolist(),
-            os_v.tolist(), rt_v.tolist(), genuine.tolist(),
-        )
-    ]
+    return {
+        "device_id": np.arange(n),
+        "tz_offset_hours": tz,
+        "speed_factor": speed,
+        "memory_mb": memory,
+        "os_version": os_v,
+        "runtime_version": rt_v,
+        "genuine": genuine,
+    }

@@ -22,8 +22,9 @@ event loop until the topology is known-good::
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.actors.coordinator import CoordinatorConfig
 from repro.bounds import check, interval, nested
@@ -43,6 +44,19 @@ from repro.system.faults import FaultPlan
 
 class FleetValidationError(ValueError):
     """The declared topology is inconsistent; nothing was spawned."""
+
+
+def device_ids(ids: Iterable, what: str) -> list[int]:
+    """``ids`` as device ids.  Each must be an integer (a
+    ``numbers.Integral``, not a ``bool``): anything else is refused by
+    name, never truncated to a row it does not mean."""
+    ids = list(ids)
+    for device_id in ids:
+        if isinstance(device_id, bool) or not isinstance(device_id, numbers.Integral):
+            raise FleetValidationError(
+                f"{what} device id {device_id!r} is not an integer"
+            )
+    return [int(device_id) for device_id in ids]
 
 
 @dataclass
@@ -124,12 +138,12 @@ class FleetBuilder:
     ) -> "FleetBuilder":
         """The shared device fleet, with optional explicit per-device
         population memberships (device id -> population names)."""
-        self._config.population = population
         if memberships is not None:
-            self._membership_overrides = {
-                int(device_id): tuple(names)
-                for device_id, names in memberships.items()
-            }
+            ids = device_ids(memberships, "membership override for")
+            self._membership_overrides = dict(
+                zip(ids, map(tuple, memberships.values()))
+            )
+        self._config.population = population
         return self
 
     def selectors(self, count: int) -> "FleetBuilder":

@@ -45,7 +45,7 @@ from repro.device.scheduler import RowScheduler
 from repro.device.table import DeviceTable
 from repro.nn.parameters import Parameters
 from repro.sim.event_loop import SECONDS_PER_DAY, EventLoop
-from repro.sim.idle_plane import VectorizedIdlePlane
+from repro.sim.idle_plane import ProfileTable, VectorizedIdlePlane
 from repro.sim.population import DeviceProfile, build_population
 from repro.sim.rng import RngRegistry
 from repro.system.builder import FleetBuilder, FleetValidationError, PopulationSpec
@@ -117,7 +117,6 @@ class FLFleet:
         #: check-in, or ``fleet.devices[i]`` — and is constructed then:
         #: walking the table inflates the fleet.
         self.devices = DeviceTable(self._construct_device)
-        self.profiles = build_population(self.config.population, self.rngs)
         #: One cohort execution plane per population whose trainers can
         #: defer (built by the lifecycle plane at attach; trainers
         #: without ``attach_cohort_plane`` — synthetic ones — get none).
@@ -141,9 +140,22 @@ class FLFleet:
             attestation=self.attestation,
             shard_router=self.shards,
             scheduler_policy=self.config.device_scheduler,
-            capacity=len(self.profiles),
+            capacity=self.config.population.num_devices,
             devices=self.devices,
         )
+        # One row per device: its profile and link conditions are plane
+        # columns (vectorized draws; a device object holds its records
+        # only once built).  Memberships come and go with tenants.
+        self.idle_plane.adopt_rows(
+            build_population(self.config.population, self.rngs),
+            self.config.job.base_interval_s,
+            self.config.network.sample_conditions_batch(
+                self.config.population.num_devices,
+                self.rngs.stream("network/conditions"),
+            ),
+        )
+        #: The devices' profiles, built from the plane's columns on read.
+        self.profiles = ProfileTable(self.idle_plane)
         #: The population lifecycle plane: tenant registry plus the
         #: attach/drain state machine (see :mod:`repro.system.lifecycle`).
         self.lifecycle = PopulationLifecycle(self)
@@ -175,7 +187,7 @@ class FLFleet:
         runtime = self.lifecycle.find(population_name)
         if runtime is None:
             raise KeyError(f"no population {population_name!r}")
-        return set(runtime.member_ids)
+        return set(runtime.members.tolist())
 
     def results_for(self, population_name: str) -> list[RoundResult]:
         runtime = self.lifecycle.find(population_name)
@@ -237,8 +249,13 @@ class FLFleet:
             raise FleetValidationError("fleet declares no populations")
         self._build_substrate()
         overrides = membership_overrides or {}
+        # The builder's tenants share one build of every row's profile
+        # (twelve tenants over the same rows would otherwise build twelve).
+        profiles = self.profiles[:]
         for spec in specs:
-            self.lifecycle.attach(spec, membership_overrides=overrides)
+            self.lifecycle.attach(
+                spec, membership_overrides=overrides, profiles=profiles
+            )
         self._start_devices()
         self.loop.schedule(self.config.sample_interval_s, self._sample_fleet)
         if self.fault_plane is not None:
@@ -246,10 +263,10 @@ class FLFleet:
         self._installed = True
 
     def _build_substrate(self) -> None:
-        """The population-independent fleet: Selectors (routes come and go
-        with tenants) and one row per device (memberships come and go with
-        tenants; the fleet starts only after the builder's populations
-        have attached)."""
+        """The population-independent fleet the device rows (adopted at
+        construction) do not cover: Selectors (routes come and go with
+        tenants) and what every device is constructed with.  The fleet
+        starts only after the builder's populations have attached."""
         config = self.config
         for i in range(config.num_selectors):
             self.selectors.append(self._spawn_selector(i).ref)
@@ -263,15 +280,6 @@ class FLFleet:
             waiting_timeout_s=config.waiting_timeout_s,
             upload_retry=(
                 config.faults.upload_retry if config.faults is not None else None
-            ),
-        )
-        # Per-device link conditions: three vectorized draws, kept as the
-        # rows' columns (a device object holds its record only once built).
-        self.idle_plane.adopt_rows(
-            self.profiles,
-            config.job.base_interval_s,
-            config.network.sample_conditions_batch(
-                len(self.profiles), self.rngs.stream("network/conditions")
             ),
         )
 
@@ -289,12 +297,12 @@ class FLFleet:
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its
-        profile, its row (link conditions included), the way to its
-        tenants' trainers — spawned, on a started fleet, under the actor
+        profile and link conditions (built from its row), its row, the way
+        to its tenants' trainers — spawned, on a started fleet, under the actor
         id reserved for it.  Pure: nothing is drawn, scheduled or written
         to a column, so *when* it happens cannot be observed."""
-        profile = self.profiles[index]
         plane = self.idle_plane
+        profile = plane.profile(index)
         device = DeviceActor(
             profile=profile,
             conditions=plane.conditions(index),
@@ -319,7 +327,7 @@ class FLFleet:
         """Fleet start.  The devices' contiguous block of actor ids is
         reserved here, so ``device-<i>`` has the same id whenever it is
         spawned; every row starts as one batch."""
-        self._first_device_actor_id = self.actors.reserve_ids(len(self.profiles))
+        self._first_device_actor_id = self.actors.reserve_ids(len(self.devices))
         for index, device in enumerate(self.devices.rows()):
             if device is not None:
                 self._spawn_device(index, device)
@@ -499,16 +507,19 @@ class FLFleet:
         from repro.analytics.quantile import MetricSummary
 
         plane = self.idle_plane
-        rows = len(self.profiles)
+        rows = len(self.devices)
         per_tenant = plane.scheduler.session_counts(rows)
         train_seconds = MetricSummary.empty()
         for seconds in plane.train_seconds[:rows].tolist():
             train_seconds.update(seconds)
         sessions = MetricSummary.empty()
         by_os: dict[int, int] = {}
-        for profile, count in zip(self.profiles, per_tenant.sum(axis=1).tolist()):
+        for os_version, count in zip(
+            self.profiles.column("os_version").tolist(),
+            per_tenant.sum(axis=1).tolist(),
+        ):
             sessions.update(count)
-            by_os[profile.os_version] = by_os.get(profile.os_version, 0) + count
+            by_os[os_version] = by_os.get(os_version, 0) + count
         totals = dict(zip(plane.scheduler.tenants, per_tenant.sum(axis=0).tolist()))
         by_population = {
             runtime.name: totals.get(runtime.name, 0) for runtime in self.lifecycle.runtimes()
@@ -542,7 +553,7 @@ class FLFleet:
                     mean_completed_per_round=p_completed,
                     mean_round_time_s=p_run_time,
                     device_sessions=health.sessions_by_population[runtime.name],
-                    member_devices=len(runtime.member_ids),
+                    member_devices=len(runtime.members),
                     tasks=tuple(
                         TaskReport(
                             task_id=task.task_id,

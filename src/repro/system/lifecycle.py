@@ -20,8 +20,9 @@ transitions —
   tenancy has one home: memberships are the idle plane's columns (one
   vector write over the member rows, whether or not a row's
   ``DeviceActor`` exists yet), trainers the tenant's
-  :class:`PopulationRuntime`'s, which a device's session asks through
-  :meth:`PopulationLifecycle.trainer_of`.  Builder-time populations go
+  :class:`PopulationRuntime`'s — one list in member order, beside one
+  sorted array of the member rows — which a device's session asks
+  through :meth:`PopulationLifecycle.trainer_of`.  Builder-time populations go
   through *exactly this code path* ("attach before start"); there is no
   second wiring path.
 * :meth:`drain` — retire a population from the running fleet in three
@@ -50,7 +51,7 @@ import os
 import pickle
 from dataclasses import dataclass, field
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,11 +65,12 @@ from repro.core.plan import generate_plan
 from repro.core.rounds import RoundResult
 from repro.core.task import FLPopulation, FLTask, TaskScheduler
 from repro.nn.serialization import checkpoint_nbytes
-from repro.system.builder import FleetValidationError, PopulationSpec
+from repro.system.builder import FleetValidationError, PopulationSpec, device_ids
 from repro.system.reports import PopulationLifecycleReport
 from repro.tools.versioning import PlanDirectory, PlanRepository, default_transforms
 
 if TYPE_CHECKING:
+    from repro.sim.population import DeviceProfile
     from repro.system.fleet import FLFleet
 
 #: Disjoint round-id ranges per population *incarnation* so (device,
@@ -100,13 +102,16 @@ class PopulationRuntime:
     plan_directory: PlanDirectory
     pace: PaceSteering
     scope: ScopedDashboard
+    #: The members' idle-plane rows (= device ids), sorted: one array,
+    #: the last enrolled set once the tenant has drained.
+    members: np.ndarray
+    #: Every member's trainer, in ``members`` order, from attach to
+    #: retirement: the one home of a trainer (a device's session looks
+    #: it up through :meth:`PopulationLifecycle.trainer_of`).
+    trainers: list
     state: PopulationState = PopulationState.ATTACHED
     attached_at_s: float = 0.0
     drained_at_s: float | None = None
-    member_ids: set[int] = field(default_factory=set)
-    #: Every member's trainer by device id, from attach to retirement:
-    #: the one home of a trainer (a device's session looks its up here).
-    trainers: dict[int, object] = field(default_factory=dict)
     coordinator_ref: ActorRef | None = None
     results: list[RoundResult] = field(default_factory=list)
 
@@ -164,6 +169,7 @@ class PopulationLifecycle:
         membership_overrides: Mapping[int, tuple[str, ...]] | None = None,
         membership: float | None = None,
         member_ids: Iterable[int] | None = None,
+        profiles: Sequence[DeviceProfile] | None = None,
     ) -> PopulationRuntime:
         """Bring one population up on the fleet (running or not yet started).
 
@@ -171,6 +177,9 @@ class PopulationLifecycle:
         ``member_ids`` pins the member set explicitly (no sampling).
         ``membership_overrides`` is the builder's global per-device map
         (device id -> population names the device belongs to).
+        ``profiles`` is every row's profile, when the caller has built
+        them (the builder's tenants attach as one batch and share one
+        build); otherwise the members' are built here.
         """
         spec.validate()
         if spec.name in self.active:
@@ -187,22 +196,25 @@ class PopulationLifecycle:
             overrides=membership_overrides or {},
         )
         # Factories are user code that may consume shared state in call
-        # order: built now, in device-id order, object or row alike.
+        # order: called now, once per member in device-id order, object or
+        # row alike, each with a profile built for the attach (one bulk
+        # pass over the plane's columns; the fleet keeps none).
         factory = self.fleet.resolve_trainer_factory(spec)
-        profiles = self.fleet.profiles
-        trainers = {
-            device_id: factory(profiles[device_id]) for device_id in sorted(members)
-        }
-        runtime = self._create_runtime(spec)
-        runtime.member_ids = members
-        runtime.trainers = trainers
+        if profiles is None:
+            profiles = self.fleet.idle_plane.profiles(members)
+        else:
+            profiles = map(profiles.__getitem__, members.tolist())
+        trainers = [factory(profile) for profile in profiles]
+        runtime = self._create_runtime(spec, members, trainers)
         self.active[spec.name] = runtime
         self._register_routes(runtime)
         self._spawn_coordinator(runtime)
         self._enroll_devices(runtime)
         return runtime
 
-    def _create_runtime(self, spec: PopulationSpec) -> PopulationRuntime:
+    def _create_runtime(
+        self, spec: PopulationSpec, members: np.ndarray, trainers: list
+    ) -> PopulationRuntime:
         """Per-population server state: plan directory, task registry,
         pace steering, round-0 checkpoint.  Everything that can *raise*
         (plan generation, repository builds) runs before anything is
@@ -255,6 +267,8 @@ class PopulationLifecycle:
                 spec.pace or fleet.config.pace, fleet.config.diurnal
             ),
             scope=fleet.dashboard.scoped(f"pop/{spec.name}"),
+            members=members,
+            trainers=trainers,
             attached_at_s=fleet.loop.now,
         )
 
@@ -264,46 +278,41 @@ class PopulationLifecycle:
         fraction: float,
         member_ids: Iterable[int] | None,
         overrides: Mapping[int, tuple[str, ...]],
-    ) -> set[int]:
-        """Deterministic member set: fraction-sampled from the tenant's
-        pinned ``membership/<name>`` stream (or pinned explicitly), then
-        per-device overrides."""
+    ) -> np.ndarray:
+        """Deterministic member rows, sorted: fraction-sampled from the
+        tenant's pinned ``membership/<name>`` stream (or pinned
+        explicitly), then per-device overrides."""
         fleet = self.fleet
+        devices = len(fleet.devices)
         if member_ids is not None:
-            members = {int(device_id) for device_id in member_ids}
-            unknown = [
-                i for i in sorted(members)
-                if not 0 <= i < len(fleet.profiles)
-            ]
+            ids = device_ids(member_ids, f"population {name!r}: member")
+            unknown = sorted({i for i in ids if not 0 <= i < devices})
             if unknown:
                 raise FleetValidationError(
                     f"population {name!r}: unknown member device ids "
-                    f"{sorted(unknown)} (fleet has {len(fleet.profiles)} "
-                    f"devices)"
+                    f"{unknown} (fleet has {devices} devices)"
                 )
+            members = np.unique(np.array(ids, dtype=np.intp))
         elif fraction >= 1.0:
-            members = {p.device_id for p in fleet.profiles}
+            members = np.arange(devices)
         else:
             # A *fresh* generator, not the cached registry stream: the
             # draw starts at cursor 0 every time, so a failed attach
             # consumes nothing (a retry samples the identical member set)
             # and a same-named re-attach re-pins the same members.
             rng = fleet.rngs.fresh(f"membership/{name}")
-            draws = rng.random(len(fleet.profiles))
-            members = {
-                p.device_id
-                for p, draw in zip(fleet.profiles, draws)
-                if draw < fraction
-            }
-        for device_id, names in overrides.items():
-            if name in names:
-                members.add(device_id)
-            else:
-                members.discard(device_id)
-        if not members:
+            members = np.flatnonzero(rng.random(devices) < fraction)
+        if overrides:
+            joined = [i for i, names in overrides.items() if name in names]
+            left = [i for i, names in overrides.items() if name not in names]
+            members = np.union1d(
+                np.setdiff1d(members, np.array(left, dtype=np.intp)),
+                np.array(joined, dtype=np.intp),
+            )
+        if not members.size:
             raise FleetValidationError(
                 f"population {name!r} has no member devices "
-                f"(fraction {fraction}, {len(fleet.profiles)} devices)"
+                f"(fraction {fraction}, {devices} devices)"
             )
         return members
 
@@ -319,7 +328,7 @@ class PopulationLifecycle:
             population_name=runtime.name,
             pace=runtime.pace,
             plans=runtime.plan_directory,
-            population_size=len(runtime.member_ids),
+            population_size=len(runtime.members),
             pool_cap=runtime.spec.pool_cap,
             coordinator_factory=partial(self.make_coordinator, runtime.name),
         )
@@ -380,22 +389,22 @@ class PopulationLifecycle:
         """Device ``device_id``'s trainer for hosted tenant ``name``
         (ATTACHED or DRAINING: a session running when its tenant starts
         to drain trains to the end) — what a device's session resolves
-        its trainer through."""
-        return self.active[name].trainers[device_id]
-
-    @staticmethod
-    def _member_rows(runtime: PopulationRuntime) -> np.ndarray:
-        """The tenant's members' idle-plane rows, in device-id order."""
-        return np.array(sorted(runtime.member_ids), dtype=np.intp)
+        its trainer through: its position among the sorted members."""
+        runtime = self.active[name]
+        members = runtime.members
+        position = members.searchsorted(device_id)
+        if position < members.size and members[position] == device_id:
+            return runtime.trainers[position]
+        raise KeyError(device_id)
 
     def _enroll_devices(self, runtime: PopulationRuntime) -> None:
         """The tenant's membership, on every member's row (each kicked row
         draws from its own stream, so enrollment is deterministic)."""
         fleet = self.fleet
         name = runtime.name
-        for trainer in runtime.trainers.values():
+        for trainer in runtime.trainers:
             fleet.enroll_cohort_trainer(name, trainer)
-        rows = self._member_rows(runtime)
+        rows = runtime.members
         plane = fleet.idle_plane
         plane.scheduler.enroll(rows, name)
         plane.memberships_changed(rows)
@@ -437,9 +446,8 @@ class PopulationLifecycle:
         coordinator = self._coordinator_actor(runtime)
         if coordinator is not None:
             coordinator.draining = True
-        rows = self._member_rows(runtime)
-        fleet.idle_plane.scheduler.leave(rows, name)
-        fleet.idle_plane.memberships_changed(rows)
+        fleet.idle_plane.scheduler.leave(runtime.members, name)
+        fleet.idle_plane.memberships_changed(runtime.members)
 
         # Phase 2 — quiesce: let the in-flight round and device sessions
         # finish on their own clocks, checking at a fixed cadence.
@@ -465,7 +473,7 @@ class PopulationLifecycle:
             rounds_total=len(runtime.results),
             rounds_committed=sum(1 for r in runtime.results if r.committed),
             final_round_number=final.round_number,
-            member_devices=len(runtime.member_ids),
+            member_devices=len(runtime.members),
             forced_session_interrupts=forced_interrupts,
             forced_round_abort=forced_round_abort,
             clean=not forced_interrupts and not forced_round_abort,
@@ -509,7 +517,7 @@ class PopulationLifecycle:
         # check-in that started it to the hand-back that ends it, so the
         # member rows' queue columns say it all — one vector read.
         return not self.fleet.idle_plane.scheduler.occupied_by(
-            self._member_rows(runtime), runtime.name
+            runtime.members, runtime.name
         )
 
     def _force_quiet(self, runtime: PopulationRuntime) -> tuple[int, bool]:
@@ -542,8 +550,8 @@ class PopulationLifecycle:
         # The memberships went in the drain's first phase; a member whose
         # last session for the tenant ended since then booked a check-in on
         # the way out, which a row left without a tenant must not keep.
-        fleet.idle_plane.memberships_changed(self._member_rows(runtime))
-        runtime.trainers = {}
+        fleet.idle_plane.memberships_changed(runtime.members)
+        runtime.trainers = []
         fleet.retire_cohort_plane(name)
         runtime.state = PopulationState.DRAINED
         runtime.drained_at_s = fleet.loop.now
@@ -573,7 +581,10 @@ class PopulationLifecycle:
 #: 10: a ``Coordinator`` lost its copy of its shard's Selector refs and
 #: the eight arguments it only handed to each master — it holds the
 #: fleet's live Selector list, its shard's indices and ``make_master``.
-SNAPSHOT_FORMAT_VERSION = 10
+#: 11: the fleet lost its ``DeviceProfile`` list — a row's profile is
+#: plane columns — and a tenant's runtime its member-id set and trainer
+#: dict: its members are one sorted row array, its trainers one list.
+SNAPSHOT_FORMAT_VERSION = 11
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

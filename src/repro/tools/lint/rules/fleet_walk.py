@@ -1,15 +1,17 @@
 """no-fleet-walk: nothing in the simulator — or in an example — walks
-``fleet.devices``.
+``fleet.devices`` or ``fleet.profiles``.
 
 A device is only a row of the idle plane's
 columns until something asks for its object (``repro.device.table``): a
 50k-device fleet of which 5k ever train holds 5k ``DeviceActor``s.
 Iterating the device table constructs every one of them — one such loop
 re-inflates the fleet to a Python object per row, silently, and the run
-still reports the same bytes.  Code that needs every device's *numbers*
-reads the plane's columns and ``devices.rows()`` (which looks without
-constructing); a deliberate walk carries
-``# repro-lint: allow(no-fleet-walk)`` and says why (none in ``src/`` does).
+still reports the same bytes.  The profile table is columns too, and
+iterating it builds a ``DeviceProfile`` per row.  Code that needs every
+device's *numbers* reads the plane's columns, ``devices.rows()`` (which
+looks without constructing) or ``profiles.column(name)``; a deliberate
+walk carries ``# repro-lint: allow(no-fleet-walk)`` and says why (none in
+``src/`` does).
 """
 
 from __future__ import annotations
@@ -24,9 +26,17 @@ _WALKERS = frozenset({
     "any", "all", "iter", "enumerate", "zip", "map", "filter", "reversed",
 })
 
-
-def _is_device_table(node: ast.AST) -> bool:
-    return isinstance(node, ast.Attribute) and node.attr == "devices"
+#: The fleet's row tables, and what walking each one does instead.
+_TABLES = {
+    "devices": (
+        "walking .devices constructs a DeviceActor for every row of the "
+        "fleet — read the idle plane's columns or devices.rows() instead"
+    ),
+    "profiles": (
+        "walking .profiles builds a DeviceProfile for every row of the "
+        "fleet — read the field's profiles.column(name) instead"
+    ),
+}
 
 
 @register
@@ -34,7 +44,7 @@ class FleetWalkRule(Rule):
     name = "no-fleet-walk"
     description = (
         "iterating, list()-ing, sum()-ing or comprehending over a .devices "
-        "attribute (constructs a DeviceActor per row)"
+        "or .profiles attribute (builds an object per row)"
     )
     contract = "scale: resident objects follow the live set, not the fleet"
     paths = (
@@ -60,11 +70,8 @@ class FleetWalkRule(Rule):
             else:
                 continue
             for target in walked:
-                if _is_device_table(target):
-                    findings.append(self.finding(
-                        ctx, target,
-                        "walking .devices constructs a DeviceActor for every "
-                        "row of the fleet — read the idle plane's columns or "
-                        "devices.rows() instead",
-                    ))
+                if isinstance(target, ast.Attribute) and target.attr in _TABLES:
+                    findings.append(
+                        self.finding(ctx, target, _TABLES[target.attr])
+                    )
         return findings

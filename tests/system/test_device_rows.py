@@ -9,7 +9,7 @@ columns, not a Python object.  On an idle-majority fleet (the regime of
   starts the fleet;
 * after a simulated day the devices that exist are exactly the rows a
   Selector ever admitted, and reporting on the fleet constructs none;
-* what ``.build()`` allocates per row — profile, link columns, the
+* what ``.build()`` allocates per row — profile and link columns, the
   tenant's trainer and every other column included — stays under a
   stated budget;
 * every check-in is still on its device's health record, even when the
@@ -33,15 +33,19 @@ from repro.sim.population import PopulationConfig
 
 ROWS = 20_000
 #: Traced bytes ``.build()`` may allocate per row.  The floor — what a
-#: never-admitted row keeps — measures 0.64 kB: the profile (~0.21 kB, a
-#: slotted ``DeviceProfile`` and its boxed fields), the link (24 B: three
-#: float64 columns, no ``NetworkConditions`` until the device is
-#: constructed), the tenant's slotted ``SyntheticTrainer`` (88 B), a
-#: member-set and a trainer-map entry (~0.13 kB), and the other columns
-#: (~0.14 kB).  It was 0.95 kB while every row held a
-#: ``NetworkConditions`` and the three records each an instance dict; one
-#: ``DeviceActor`` per row, with its row handles and mailbox, was ~3.7 kB.
-BUILD_BYTES_PER_ROW = 700
+#: never-admitted row keeps — measures 0.35 kB: the idle plane's columns
+#: (157 B, of which the profile's seven fields are 49 B and the link's
+#: three 24 B: a ``DeviceProfile`` / ``NetworkConditions`` is built only
+#: for a constructed device), the worker-queue columns (40 B), the
+#: tenant's slotted ``SyntheticTrainer`` (88 B) and its slot in the
+#: tenant's trainer list (8 B), the tenant's member-row array (8 B) and
+#: the device table's entry (8 B); ~40 B is not attributed to a row.  It
+#: was 0.64 kB while every row held a ``DeviceProfile`` object and the
+#: tenant a member-id set and a trainer dict, 0.95 kB while every row held
+#: a ``NetworkConditions`` and the three records each an instance dict;
+#: one ``DeviceActor`` per row, with its row handles and mailbox, was
+#: ~3.7 kB.
+BUILD_BYTES_PER_ROW = 400
 
 
 def build_fleet():

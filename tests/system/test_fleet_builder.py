@@ -105,6 +105,18 @@ def test_membership_override_unknown_population_rejected():
         builder.build()
 
 
+@pytest.mark.parametrize("device_id", [2.5, 3.0, True, float("nan")])
+def test_membership_override_non_integral_device_id_refused(device_id):
+    """An override's device id is an integer or refused, by name, before
+    the builder writes anything — never truncated to a row it does not
+    mean."""
+    builder = base_builder()
+    with pytest.raises(FleetValidationError, match=f"device id {device_id!r} is not"):
+        builder.devices(PopulationConfig(num_devices=61), memberships={device_id: ("a",)})
+    assert builder._config.population.num_devices == 60
+    assert builder._membership_overrides == {}
+
+
 def test_membership_override_unknown_device_rejected():
     builder = (
         FLFleet.builder()
@@ -498,7 +510,9 @@ def test_membership_overrides_and_fractions_applied():
     device_1 = fleet.devices[1]
     assert device_1.memberships == ("a", "b")
     for name in ("a", "b"):
-        assert device_1.trainer_of(name) is fleet.lifecycle.runtime(name).trainers[1]
+        runtime = fleet.lifecycle.runtime(name)
+        position = runtime.members.tolist().index(1)
+        assert device_1.trainer_of(name) is runtime.trainers[position]
 
 
 def test_pool_cap_uses_largest_task_goal():

@@ -103,7 +103,7 @@ def test_attach_population_mid_run_commits_rounds():
     runtime = fleet.attach_population(stats_spec())
     assert runtime.state is PopulationState.ATTACHED
     assert runtime.attached_at_s == 2 * HOUR
-    assert runtime.member_ids
+    assert runtime.members.size
     for selector in fleet.selector_actors():
         assert "stats" in selector.routes
     assert fleet.population_names == ("kbd", "stats")
@@ -131,9 +131,60 @@ def test_attach_with_pinned_member_ids():
     runtime = fleet.attach_population(
         stats_spec(), member_ids=[3, 14, 15, 92, 65, 35]
     )
-    assert runtime.member_ids == {3, 14, 15, 92, 65, 35}
-    for device_id in sorted(runtime.member_ids):
+    assert runtime.members.tolist() == [3, 14, 15, 35, 65, 92]
+    for device_id in runtime.members.tolist():
         assert "stats" in fleet.devices[device_id].memberships
+
+
+@pytest.mark.parametrize(
+    "member_ids", [[3.9, True, 7.2], [3, 4.0], [float("nan")], [np.float64(5.0)]]
+)
+def test_attach_refuses_non_integral_member_ids(member_ids):
+    """A pinned member id is an integer or refused, by name, before the
+    attach writes anything — ``[3.9, True, 7.2]`` is not devices 3, 1, 7."""
+    fleet = build_fleet()
+    with pytest.raises(FleetValidationError, match="is not an integer") as refused:
+        fleet.attach_population(stats_spec(), member_ids=member_ids)
+    offender = next(
+        i for i in member_ids
+        if isinstance(i, bool) or not float(i).is_integer()
+        or not isinstance(i, int)
+    )
+    assert repr(offender) in str(refused.value)
+    assert "stats" not in fleet.population_names
+    assert not fleet.store.has_checkpoint("stats")
+    # Integers of any integral type are ids.
+    runtime = fleet.attach_population(stats_spec(), member_ids=np.array([7, 3, 7]))
+    assert runtime.members.tolist() == [3, 7]
+
+
+def test_trainer_of_is_a_position_lookup_that_keeps_nothing():
+    """A tenant holds its members as one sorted row array and its
+    trainers as one list in that order — no per-member set or dict — and
+    resolving a trainer allocates nothing that outlives the call."""
+    import tracemalloc
+
+    fleet = build_fleet()
+    runtime = fleet.attach_population(stats_spec(), member_ids=[92, 3, 14, 65])
+    lifecycle = fleet.lifecycle
+    assert runtime.members.tolist() == [3, 14, 65, 92]
+    assert len(runtime.trainers) == runtime.members.size
+    assert not any(isinstance(v, (set, dict)) for v in vars(runtime).values())
+    for position, device_id in enumerate(runtime.members.tolist()):
+        assert lifecycle.trainer_of(device_id, "stats") is runtime.trainers[position]
+    for outsider in (0, 4, 93, 149):
+        with pytest.raises(KeyError):
+            lifecycle.trainer_of(outsider, "stats")
+    calls = [65] * 1000
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for device_id in calls:
+            lifecycle.trainer_of(device_id, "stats")
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after == before and peak - before < 1024
 
 
 def test_attach_validation():
@@ -306,9 +357,9 @@ def test_failed_trainer_factory_leaves_fleet_untouched():
     # consumed nothing from the tenant's membership stream).
     reference = build_fleet()
     reference.run_for(HOUR)
-    expected_members = reference.attach_population(stats_spec()).member_ids
+    expected_members = reference.attach_population(stats_spec()).members
     runtime = fleet.attach_population(stats_spec())
-    assert runtime.member_ids == expected_members
+    assert np.array_equal(runtime.members, expected_members)
     fleet.run_for(2 * HOUR)
     assert fleet.report().population("stats").rounds_committed > 0
 
@@ -790,7 +841,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 10
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 11
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -799,8 +850,10 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # format 8's fleet a ``NetworkConditions`` per row, and its profiles,
     # link records and synthetic trainers pickled an instance dict;
     # format 9's Coordinators a copy of their Selector refs and eight
-    # master arguments, but no ``make_master``.
-    for older in (3, 4, 5, 6, 7, 8, 9):
+    # master arguments, but no ``make_master``; format 10's fleet a
+    # ``DeviceProfile`` per row, and each tenant a member-id set and a
+    # trainer dict.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -810,7 +863,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 10",
+                match=f"format {older} unsupported .*reads format 11",
             ):
                 read(old)
 

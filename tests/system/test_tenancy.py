@@ -107,17 +107,18 @@ def check_law(fleet, retired=True):
         tenants = tuple(columns.tenants[slot] for slot in slots.tolist())
         assert tenants == tuple(
             name for name, runtime in hosted.items()
-            if runtime.state is PopulationState.ATTACHED and i in runtime.member_ids
+            if runtime.state is PopulationState.ATTACHED and i in runtime.members
         )
         if not tenants and retired:
             assert plane.next_checkin_t[i] == _INF
         if device is not None:
             assert device.memberships == tenants
         for name in TENANTS:
-            listed = name in hosted and i in hosted[name].member_ids
+            listed = name in hosted and i in hosted[name].members
             if listed:
                 trainer = fleet.lifecycle.trainer_of(i, name)
-                assert trainer is hosted[name].trainers[i]
+                position = hosted[name].members.tolist().index(i)
+                assert trainer is hosted[name].trainers[position]
                 assert device is None or device.trainer_of(name) is trainer
             else:
                 with pytest.raises(KeyError):
@@ -197,19 +198,22 @@ def test_device_slots_are_pinned():
 
 
 def test_per_row_record_slots_are_pinned():
-    """What the fleet keeps per row outside the columns — a profile, and a
-    trainer per tenant — and the link record a constructed device is
-    handed, as an assertion: a new field is a reviewed edit to this list,
-    and none of them can bring an instance dict back to every row."""
+    """What the fleet keeps per row outside the columns — a trainer per
+    tenant — and the records a constructed device is handed (its profile
+    and its link), as an assertion: a new field is a reviewed edit to this
+    list, and none of them can bring an instance dict back to every row."""
     profile = DeviceProfile(
         device_id=0, tz_offset_hours=0.0, speed_factor=1.0, memory_mb=4096,
         os_version=28, runtime_version=10, genuine=True,
     )
+    # A profile is a tuple built on read: its fields are its items.
+    assert type(profile)._fields == (
+        "device_id", "tz_offset_hours", "speed_factor", "memory_mb",
+        "os_version", "runtime_version", "genuine",
+    )
+    assert type(profile).__slots__ == ()
+    assert not hasattr(profile, "__dict__")
     records = [
-        (profile, (
-            "device_id", "tz_offset_hours", "speed_factor", "memory_mb",
-            "os_version", "runtime_version", "genuine",
-        )),
         (NetworkConditions(1e6, 1e5, 0.1), (
             "downlink_bytes_per_s", "uplink_bytes_per_s", "rtt_s",
         )),

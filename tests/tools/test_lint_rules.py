@@ -579,3 +579,22 @@ class TestFleetWalk:
                 seen = [d for d in fleet.devices.rows() if d is not None]
                 return members, seen
         """, path="examples/example.py") == []
+
+
+    def test_fires_on_walking_the_profile_table(self):
+        findings = run("""
+            def runtimes(fleet):
+                seen = sorted({p.runtime_version for p in fleet.profiles})
+                return seen, list(fleet.profiles)
+        """, path="examples/example.py")
+        assert rule_names(findings) == ["no-fleet-walk"] * 2
+        assert "builds a DeviceProfile" in findings[0].message
+
+    def test_quiet_on_a_profile_column_an_index_and_a_row_batch(self):
+        assert run("""
+            def runtimes(fleet, plane, rows):
+                versions = np.unique(fleet.profiles.column("runtime_version"))
+                one = fleet.profiles[3]
+                members = [p.device_id for p in plane.profiles(rows)]
+                return versions, one, members, len(fleet.profiles)
+        """, path="examples/example.py") == []
