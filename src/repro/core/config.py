@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from repro.bounds import check, count, interval, nested, positive
+from repro.secagg.grouped import shamir_threshold
 
 
 class TaskKind(enum.Enum):
@@ -75,7 +76,7 @@ class SecAggConfig:
 
     def threshold(self, group_size: int | None = None) -> int:
         g = group_size if group_size is not None else self.group_size
-        return max(2, int(math.ceil(g * self.threshold_fraction)))
+        return shamir_threshold(g, self.threshold_fraction)
 
 
 @dataclass(frozen=True)

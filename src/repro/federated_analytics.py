@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.secagg.grouped import shamir_threshold
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import DropoutSchedule, run_secure_aggregation
 
@@ -131,7 +132,7 @@ def run_federated_analytics(
             clip_range=max(dim_max, 1.0),
             max_summands=len(contributions),
         )
-        threshold = max(2, int(np.ceil(len(contributions) * secagg_threshold_fraction)))
+        threshold = shamir_threshold(len(contributions), secagg_threshold_fraction)
         total, _ = run_secure_aggregation(
             contributions,
             threshold=threshold,

@@ -14,35 +14,23 @@ of size at least ``k``.
 
 Cryptographic primitives are *simulation grade* (smaller DH group,
 Philox-based PRG); the protocol logic, message flow, threshold semantics
-and cost structure match the real system.
+and cost structure match the real system.  The protocol runs as stacked
+matrix work (:mod:`repro.secagg.vectorized`); the per-device state
+machines it is byte-identical to are the test reference,
+``tests/reference/secagg.py``.
 """
 
 from repro.secagg.field import SHAMIR_PRIME, centered_mod
-from repro.secagg.shamir import (
-    ShamirShare,
-    reconstruct_secret,
-    reconstruct_secrets_batch,
-    share_secret,
-    share_secrets_batch,
-)
-from repro.secagg.dh import (
-    DHKeyPair,
-    agree,
-    agree_batch,
-    agree_pairs_batch,
-    generate_keypair,
-    generate_keypairs_batch,
-)
-from repro.secagg.bigmod import FixedBaseTable, powmod_batch
-from repro.secagg.prg import prg_expand, prg_expand_batch
+from repro.secagg.shamir import reconstruct_secrets_batch, share_secrets_batch
+from repro.secagg.dh import agree_pairs_batch
+from repro.secagg.bigmod import FixedBaseTable
+from repro.secagg.prg import prg_expand_batch
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import (
     DropoutSchedule,
     SecAggError,
     SecAggMetrics,
     SecAggTranscript,
-    SecureAggregationClient,
-    SecureAggregationServer,
     run_secure_aggregation,
     run_secure_aggregation_transcript,
 )
@@ -53,29 +41,17 @@ from repro.secagg.grouped import (
 
 __all__ = [
     "FixedBaseTable",
-    "powmod_batch",
     "SHAMIR_PRIME",
     "centered_mod",
-    "ShamirShare",
-    "share_secret",
     "share_secrets_batch",
-    "reconstruct_secret",
     "reconstruct_secrets_batch",
-    "DHKeyPair",
-    "generate_keypair",
-    "generate_keypairs_batch",
-    "agree",
-    "agree_batch",
     "agree_pairs_batch",
-    "prg_expand",
     "prg_expand_batch",
     "VectorQuantizer",
     "DropoutSchedule",
     "SecAggError",
     "SecAggMetrics",
     "SecAggTranscript",
-    "SecureAggregationClient",
-    "SecureAggregationServer",
     "run_secure_aggregation",
     "run_secure_aggregation_transcript",
     "grouped_secure_sum",

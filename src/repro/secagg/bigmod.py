@@ -1,11 +1,11 @@
 """Batched modular exponentiation over the 255-bit DH prime ``2^255 - 19``.
 
-The protocol's remaining scalar hot spot is ``pow(base, exponent,
-DH_PRIME)`` — one CPython big-int exponentiation per keypair, per
-pairwise agreement, and per dropout-recovery re-derivation.  This module
-replaces those per-element calls with *stacked* fixed-window
-exponentiation on numpy limb arrays, the same deferred-carry limb
-technique :mod:`repro.secagg.field` uses for GF(2^127 − 1):
+Per device, the protocol's DH cost is ``pow(g, exponent, DH_PRIME)`` —
+one CPython big-int exponentiation per public key, per pairwise
+agreement, and per dropout-recovery re-derivation.  This module replaces
+those per-element calls with *stacked* fixed-window exponentiation on
+numpy limb arrays, the same deferred-carry limb technique
+:mod:`repro.secagg.field` uses for GF(2^127 − 1):
 
 * elements are held as nine 29-bit limbs in uint64 lanes, *transposed*
   ``(9, N)`` so every limb row is contiguous across the batch, as plain
@@ -15,18 +15,16 @@ technique :mod:`repro.secagg.field` uses for GF(2^127 − 1):
   p)``, so the nine high limbs of the 18-limb product fold back onto the
   low nine with one multiply-add — about a dozen numpy calls per
   multiply, whatever the batch width;
-* :func:`powmod_batch` runs a fixed 4-bit window ladder over the whole
-  batch at once (per-element window digits are gathered from a shared
-  table), and :class:`FixedBaseTable` removes the squarings entirely for
-  a *known* base — ``g^x`` becomes one table gather + one multiply per
-  14-bit window, with the per-window tables built once and cached.
+* :class:`FixedBaseTable` needs no squarings for its *known* base —
+  ``g^x`` is one table gather + one multiply per 14-bit window, with
+  the per-window tables built once and cached.
 
 Results are reduced to the canonical residue once per batch, at the
-``_from_limbs*`` boundary, so outputs are bit-identical to CPython's
-``pow(base, exponent, MODULUS)`` by construction — the batched DH plane
-(:mod:`repro.secagg.dh`) relies on that for cross-plane byte-equivalence,
-and ``tests/secagg/test_bigmod.py`` asserts it on random and adversarial
-edge inputs.
+``_from_limbs_bytes`` boundary, so outputs are bit-identical to CPython's
+``pow(base, exponent, MODULUS)`` by construction — the batched DH layer
+(:mod:`repro.secagg.dh`) relies on that for byte-equivalence with the
+per-device reference protocol, and ``tests/secagg/test_bigmod.py``
+asserts it on random and adversarial edge inputs.
 
 Limb discipline: uint64 limb arrays never round-trip through Python ints
 inside a kernel — ints enter and leave, as little-endian bytes, only
@@ -54,9 +52,7 @@ _NINETEEN64 = np.uint64(19)
 #: 2^261 mod p = 19 * 2^6: the weight of a limb carried past limb 8.
 _FOLD64 = np.uint64(19 << (_LIMB_BITS * _NUM_LIMBS - 255))
 
-#: Window width of the generic (per-element base) ladder.
-_POW_WINDOW_BITS = 4
-#: Window width of the fixed-base tables (larger: the table is cached).
+#: Window width of the fixed-base tables.
 _FIXED_WINDOW_BITS = 14
 
 
@@ -72,11 +68,6 @@ def _to_limbs(values: list[int]) -> np.ndarray:
             out[k] |= words[wi + 1] << np.uint64(64 - shift)
     out &= _MASK64
     return out
-
-
-def _from_limbs(limbs: np.ndarray) -> list[int]:
-    """Canonical ``% MODULUS`` ints of a ``(9, N)`` limb array (consumed)."""
-    return [int.from_bytes(b, "little") for b in _from_limbs_bytes(limbs)]
 
 
 def _from_limbs_bytes(limbs: np.ndarray) -> list[bytes]:
@@ -135,7 +126,7 @@ class _Scratch:
     ``skew`` views it so that row ``i`` of ``a_i · b`` lands in columns
     ``i .. i+8`` — every multiply writes exactly those cells, so the rest
     stay zero and one ``add.reduce`` over axis 0 yields the 18 product
-    columns.  Allocating the buffers once per ``powmod`` call keeps the
+    columns.  Allocating the buffers once per batch call keeps the
     ladder itself allocation-free.
     """
 
@@ -215,55 +206,6 @@ def _canonicalize_(limbs: np.ndarray, carry: np.ndarray) -> None:
     limbs[-1] &= _TOP_MASK64
 
 
-def _validate(bases_or_none: list[int] | None, exponents: list[int]) -> None:
-    if bases_or_none is not None and len(bases_or_none) != len(exponents):
-        raise ValueError(
-            f"got {len(bases_or_none)} bases for {len(exponents)} exponents"
-        )
-    for e in exponents:
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
-
-
-def powmod_batch(bases: list[int], exponents: list[int]) -> list[int]:
-    """``[pow(b, e, MODULUS) for b, e in zip(bases, exponents)]``, stacked.
-
-    Fixed 4-bit-window ladder over the whole batch: per-element window
-    digits index a shared ``base^j`` table, so every element walks the
-    same ladder (elements with shorter exponents multiply by the identity
-    in their leading windows).  Bit-identical to CPython ``pow`` by
-    construction — results are canonical residues.
-    """
-    _validate(bases, exponents)
-    n = len(bases)
-    if n == 0:
-        return []
-    max_bits = max(e.bit_length() for e in exponents)
-    if max_bits == 0:
-        return [1] * n
-    num_windows = -(-max_bits // _POW_WINDOW_BITS)
-    scratch = _Scratch(n)
-    digits = _to_digits(exponents, _POW_WINDOW_BITS, num_windows)
-
-    # table[j] = base^j, j = 0 .. 2^w - 1.
-    table = np.empty((1 << _POW_WINDOW_BITS, _NUM_LIMBS, n), dtype=np.uint64)
-    table[0] = _to_limbs([1])
-    table[1] = _to_limbs(bases)
-    for j in range(2, 1 << _POW_WINDOW_BITS):
-        _mul_(table[j], table[j - 1], table[1], scratch)
-
-    def gather(w: int) -> np.ndarray:
-        idx = digits[w][None, None, :]
-        return np.take_along_axis(table, idx, axis=0)[0]
-
-    acc = gather(num_windows - 1).copy()
-    for w in range(num_windows - 2, -1, -1):
-        for _ in range(_POW_WINDOW_BITS):
-            _mul_(acc, acc, acc, scratch)
-        _mul_(acc, acc, gather(w), scratch)
-    return _from_limbs(acc)
-
-
 class FixedBaseTable:
     """Precomputed window tables for a *fixed* base — ``g^x`` sans squarings.
 
@@ -276,8 +218,7 @@ class FixedBaseTable:
     then 128 stacked multiplies — a few milliseconds each) and cached for
     the life of the process;
     :mod:`repro.secagg.dh` keeps one instance for the group generator,
-    shared by keypair generation, pair agreement, and dropout-recovery
-    verification on the vectorized planes.
+    shared by pair agreement and dropout-recovery verification.
     """
 
     def __init__(self, base: int, window_bits: int = _FIXED_WINDOW_BITS):
@@ -311,7 +252,8 @@ class FixedBaseTable:
 
         Returns None for an all-zero exponent batch (callers answer 1).
         """
-        _validate(None, exponents)
+        if any(e < 0 for e in exponents):
+            raise ValueError("negative exponents are not supported")
         n = len(exponents)
         max_bits = max(e.bit_length() for e in exponents) if n else 0
         if max_bits == 0:

@@ -6,7 +6,11 @@ Two algebraic structures are used:
   are shared over GF(p) with the Mersenne prime ``p = 2^127 - 1``.
 * **Masking ring** — masked input vectors live in ``Z_{2^b}`` per
   coordinate (default b=32), implemented vectorized on ``uint64`` with a
-  bitmask since the modulus is a power of two.
+  bitmask (:func:`ring_mask`) since the modulus is a power of two.
+
+The per-element inversion, Horner evaluation and ring add/subtract the
+batched kernels are bit-identical to live in the reference protocol,
+``tests/reference/secagg.py``.
 """
 
 from __future__ import annotations
@@ -20,29 +24,12 @@ SHAMIR_PRIME: int = (1 << 127) - 1
 SECRET_BITS: int = 120
 
 
-def mod_inverse(a: int, p: int = SHAMIR_PRIME) -> int:
-    """Multiplicative inverse in GF(p) via Fermat's little theorem."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("no inverse of 0 in GF(p)")
-    return pow(a, p - 2, p)
-
-
-def eval_polynomial(coeffs: list[int], x: int, p: int = SHAMIR_PRIME) -> int:
-    """Horner evaluation of ``coeffs[0] + coeffs[1]x + ...`` in GF(p)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def mod_inverse_batch(values: list[int], p: int = SHAMIR_PRIME) -> list[int]:
     """Inverses of every value in GF(p) with a single modular exponentiation.
 
     Montgomery's trick: invert the running product once, then unfold with
     multiplications.  Each result is the unique inverse in GF(p), so it is
-    bit-identical to calling :func:`mod_inverse` per value — the batched
-    unmasking plane relies on that.
+    bit-identical to one Fermat inversion per value.
     """
     if not values:
         return []
@@ -128,8 +115,8 @@ def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
     ``words`` is ``(S, D, 2)``: coefficient ``d`` of polynomial ``i`` as
     two little-endian uint64 words, any value below 2^128 (reducing mod p
     first would not change the result, so words >= p enter as they are;
-    the top limb takes bits 104..127).  Returns ``out[i][j] =
-    eval_polynomial(coeffs[i], xs[j])``.  Horner runs on one ``(5, S,
+    the top limb takes bits 104..127).  Returns ``out[i][j]``, polynomial
+    ``i`` at ``xs[j]`` in GF(p) — per-point Horner's value.  Horner runs on one ``(5, S,
     n)`` accumulator: two uint64 array ops per degree, plus a parallel
     carry — the top limb's carry folded ×8 into limb 0, as 2^130 ≡ 2^3 —
     whenever the tracked bound ``bits`` would pass 2^63 on the next step.
@@ -178,18 +165,6 @@ def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
     ]
 
 
-def eval_polynomial_batch(
-    coeffs: list[list[int]], xs: list[int]
-) -> list[list[int]]:
-    """``[[eval_polynomial(c, x) for x in xs] for c in coeffs]`` through
-    :func:`eval_polynomial_words`; coefficients lie in ``[0, 2^128)``,
-    ragged lists are zero-padded."""
-    degree = max((len(c) for c in coeffs), default=0)
-    padded = [v for c in coeffs for v in c + [0] * (degree - len(c))]
-    words = coefficient_words(padded).reshape(len(coeffs), degree, 2)
-    return eval_polynomial_words(words, xs)
-
-
 def ring_mask(modulus_bits: int) -> np.uint64:
     """Bitmask implementing reduction mod ``2^modulus_bits`` on uint64."""
     if not 1 <= modulus_bits <= 63:
@@ -197,24 +172,11 @@ def ring_mask(modulus_bits: int) -> np.uint64:
     return np.uint64((1 << modulus_bits) - 1)
 
 
-def ring_add(a: np.ndarray, b: np.ndarray, modulus_bits: int) -> np.ndarray:
-    """Elementwise addition in ``Z_{2^b}`` on uint64 arrays."""
-    mask = ring_mask(modulus_bits)
-    return (a.astype(np.uint64) + b.astype(np.uint64)) & mask
-
-
-def ring_sub(a: np.ndarray, b: np.ndarray, modulus_bits: int) -> np.ndarray:
-    """Elementwise subtraction in ``Z_{2^b}``."""
-    mask = ring_mask(modulus_bits)
-    # uint64 arithmetic wraps mod 2^64; masking afterwards gives mod 2^b.
-    return (a.astype(np.uint64) - b.astype(np.uint64)) & mask
-
-
 def centered_mod(values: np.ndarray, modulus_bits: int) -> np.ndarray:
     """Map ring elements to signed representatives in ``[-2^{b-1}, 2^{b-1})``.
 
     Used to decode a summed, masked vector back to signed integers before
-    dequantization.  Supports the full quantizer range ``b <= 64``: the
+    dequantization.  Supports every ``b <= 64``: the
     subtraction runs in uint64 (wrapping mod 2^64) and the final int64
     cast reinterprets wrapped values as their negative representatives,
     so no int64 shift ever exceeds 63 bits.

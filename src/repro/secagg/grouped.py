@@ -11,16 +11,18 @@ then further aggregates the intermediate aggregators' results into a final
 aggregate for the round, without Secure Aggregation."
 
 The groups are embarrassingly parallel — one instance per Aggregator —
-so the production "vectorized" plane batches the DH, PRG, and
-reconstruction sweeps across *all* groups at once
-(:func:`repro.secagg.vectorized.run_vectorized_grouped`); the "scalar"
-test reference (``plane="scalar"``, per call) runs one device state
-machine at a time.  Both produce byte-identical sums, metrics counts,
-transcripts, rng trajectories, and error messages.
+so the DH, PRG, and reconstruction sweeps are batched across *all*
+groups at once (:func:`repro.secagg.vectorized.run_vectorized_grouped`).
+The per-device reference protocol in ``tests/reference/secagg.py`` runs
+the groups one device state machine at a time; the two produce
+byte-identical sums, metrics counts, transcripts, rng trajectories, and
+error messages.
 """
 
 from __future__ import annotations
 
+import math
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -31,9 +33,26 @@ from repro.secagg.protocol import (
     SecAggError,
     SecAggMetrics,
     SecAggTranscript,
-    _dispatch,
-    check_plane,
 )
+from repro.secagg.vectorized import run_vectorized_grouped
+
+
+def shamir_threshold(group_size: int, threshold_fraction: float) -> int:
+    """The Shamir threshold of a ``group_size``-device instance:
+    ``max(2, ceil(group_size · threshold_fraction))``.
+
+    The one threshold rule — :meth:`repro.core.config.SecAggConfig.threshold`,
+    :func:`grouped_secure_sum` and federated analytics all call it.  A
+    fraction outside ``(0.5, 1]`` (NaN included) is refused: at or below
+    one half, two disjoint halves of a group could each reach the
+    threshold — one revealing a device's self mask, the other its key —
+    and above one no group could ever reach it.
+    """
+    if not 0.5 < threshold_fraction <= 1:
+        raise ValueError(
+            f"threshold_fraction must be in (0.5, 1], got {threshold_fraction!r}"
+        )
+    return max(2, math.ceil(group_size * threshold_fraction))
 
 
 def partition_into_groups(user_ids: list[int], min_group_size: int) -> list[list[int]]:
@@ -42,8 +61,14 @@ def partition_into_groups(user_ids: list[int], min_group_size: int) -> list[list
     With fewer than ``2k`` users a single group is returned (still >= k
     required, else :class:`SecAggError`).
     """
-    if min_group_size < 2:
-        raise ValueError("min_group_size must be >= 2")
+    if (
+        isinstance(min_group_size, bool)
+        or not isinstance(min_group_size, Integral)
+        or min_group_size < 2
+    ):
+        raise ValueError(
+            f"min_group_size must be an integer >= 2, got {min_group_size!r}"
+        )
     ids = sorted(user_ids)
     n = len(ids)
     if n < min_group_size:
@@ -70,55 +95,31 @@ def _group_schedule(
     )
 
 
-def _grouped_dispatch(
+def _grouped_run(
     inputs: dict[int, np.ndarray],
     min_group_size: int,
     threshold_fraction: float,
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None,
-    plane: str,
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[
     np.ndarray, list[SecAggMetrics], list[SecAggTranscript] | None
 ]:
+    # Every argument is checked here, before the first rng draw.
     groups = partition_into_groups(list(inputs), min_group_size)
-    check_plane(plane)
     thresholds = [
-        max(2, int(np.ceil(len(group) * threshold_fraction)))
-        for group in groups
+        shamir_threshold(len(group), threshold_fraction) for group in groups
     ]
-    schedules = [_group_schedule(group, dropouts) for group in groups]
-    group_inputs = [
-        {uid: inputs[uid] for uid in group} for group in groups
-    ]
-
-    if plane == "vectorized":
-        # Cross-group plane: one stacked pairwise-agreement pass, one
-        # (ΣC, dim) PRG/commit pass, one shared reconstruction sweep.
-        from repro.secagg.vectorized import run_vectorized_grouped
-
-        group_sums, all_metrics, transcripts = run_vectorized_grouped(
-            group_inputs, thresholds, quantizer, rng, schedules,
-            timer=timer, capture=capture,
-        )
-    else:
-        # Scalar reference: one per-device instance per group, in order.
-        group_sums = []
-        all_metrics = []
-        transcripts = [] if capture else None
-        for instance, threshold, schedule in zip(
-            group_inputs, thresholds, schedules
-        ):
-            group_sum, metrics, transcript = _dispatch(
-                instance, threshold, quantizer, rng, schedule, "scalar",
-                timer, capture,
-            )
-            group_sums.append(group_sum)
-            all_metrics.append(metrics)
-            if capture:
-                transcripts.append(transcript)
+    # One stacked pairwise-agreement pass, one (ΣC, dim) PRG/commit pass,
+    # one shared reconstruction sweep.
+    group_sums, all_metrics, transcripts = run_vectorized_grouped(
+        [{uid: inputs[uid] for uid in group} for group in groups],
+        thresholds, quantizer, rng,
+        [_group_schedule(group, dropouts) for group in groups],
+        timer=timer, capture=capture,
+    )
 
     # Master-Aggregator fold: one preallocated total, accumulated in
     # place.  Bit-identical to a left-to-right chain of `+` because
@@ -136,17 +137,17 @@ def grouped_secure_sum(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics]]:
     """Secure-sum per group, then a plain (Master Aggregator) sum of sums.
 
-    ``plane`` selects how the group instances execute (see module
-    docstring); ``timer`` is forwarded into every instance's metrics.
+    Each group of at least ``min_group_size`` devices runs at threshold
+    :func:`shamir_threshold`; ``timer`` is forwarded into every
+    instance's metrics.
     """
-    total, all_metrics, _ = _grouped_dispatch(
+    total, all_metrics, _ = _grouped_run(
         inputs, min_group_size, threshold_fraction, quantizer, rng,
-        dropouts, plane, timer, capture=False,
+        dropouts, timer, capture=False,
     )
     return total, all_metrics
 
@@ -158,18 +159,17 @@ def grouped_secure_sum_transcripts(
     quantizer: VectorQuantizer,
     rng: np.random.Generator,
     dropouts: DropoutSchedule | None = None,
-    plane: str = "vectorized",
     timer: Callable[[], float] | None = None,
 ) -> tuple[np.ndarray, list[SecAggMetrics], list[SecAggTranscript]]:
     """Like :func:`grouped_secure_sum`, also returning per-group transcripts.
 
-    Exists so equivalence tests can compare the grouped planes round by
-    round — masked vectors, delivered shares, ring sums — not just on the
-    folded total.
+    Exists so equivalence tests can compare the groups round by round
+    against the per-device reference — masked vectors, delivered shares,
+    ring sums — not just on the folded total.
     """
-    total, all_metrics, transcripts = _grouped_dispatch(
+    total, all_metrics, transcripts = _grouped_run(
         inputs, min_group_size, threshold_fraction, quantizer, rng,
-        dropouts, plane, timer, capture=True,
+        dropouts, timer, capture=True,
     )
     assert transcripts is not None
     return total, all_metrics, transcripts

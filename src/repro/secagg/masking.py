@@ -1,9 +1,10 @@
-"""Quantization and double-masking of input vectors.
+"""Quantization of input vectors into the masking ring.
 
 Secure Aggregation sums vectors in ``Z_{2^b}``; model deltas are floats.
 :class:`VectorQuantizer` maps floats into the ring such that a sum of up
 to ``max_summands`` quantized vectors cannot wrap, and decodes the summed
-ring vector back to floats.
+ring vector back to floats.  The double masking itself is stacked
+uint64 work in :mod:`repro.secagg.vectorized`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.bounds import check, count, positive
-from repro.secagg.field import centered_mod, ring_add, ring_sub
-from repro.secagg.prg import prg_expand
+from repro.secagg.field import centered_mod
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,13 @@ class VectorQuantizer:
     """Fixed-point codec into ``Z_{2^b}`` safe for ``max_summands`` sums.
 
     Values are clipped to ``[-clip_range, clip_range]`` and scaled so that
-    the worst-case magnitude of the *sum* stays below ``2^{b-1}``.
+    the worst-case magnitude of the *sum* stays below ``2^{b-1}``.  The
+    ring is at most ``2^63``: mask words are 63 bits (the PRG keeps the top
+    63 bits of a Philox word), so bit 63 of a 64-bit ring would
+    never be masked, and :func:`~repro.secagg.field.ring_mask` refuses 64.
     """
 
-    modulus_bits: int = count(8, 64, default=32)
+    modulus_bits: int = count(8, 63, default=32)
     clip_range: float = positive(default=8.0)
     max_summands: int = count(1, default=1000)
 
@@ -49,7 +52,7 @@ class VectorQuantizer:
         ints = np.rint(clipped * self.scale).astype(np.int64)
         # int64 -> uint64 wraps mod 2^64; masking then reduces mod 2^b
         # (2^b divides 2^64, so the composition is exact for negatives
-        # too, and b = 63/64 needs no oversized int64 shift).
+        # too, and b = 63 needs no oversized int64 shift).
         mask = np.uint64((1 << self.modulus_bits) - 1)
         return ints.astype(np.uint64) & mask
 
@@ -61,32 +64,3 @@ class VectorQuantizer:
         """Worst-case absolute error of a decoded ``num_summands``-sum."""
         return 0.5 * num_summands / self.scale
 
-
-def apply_masks(
-    quantized: np.ndarray,
-    self_seed: int,
-    pairwise_seeds: dict[int, int],
-    my_id: int,
-    modulus_bits: int,
-) -> np.ndarray:
-    """Compute the committed vector ``y_u`` (Round 2).
-
-    ``y_u = x_u + PRG(b_u) + Σ_{v: u<v} PRG(s_uv) - Σ_{v: v<u} PRG(s_uv)``
-
-    The sign convention (+ for higher-id peers, - for lower) makes the
-    pairwise masks cancel exactly in the sum over any set of committed
-    devices whose peers also committed.
-    """
-    n = quantized.shape[0]
-    masked = ring_add(
-        quantized, prg_expand(self_seed, n, modulus_bits), modulus_bits
-    )
-    for peer_id, seed in pairwise_seeds.items():
-        if peer_id == my_id:
-            raise ValueError("device cannot share a pairwise mask with itself")
-        mask = prg_expand(seed, n, modulus_bits)
-        if my_id < peer_id:
-            masked = ring_add(masked, mask, modulus_bits)
-        else:
-            masked = ring_sub(masked, mask, modulus_bits)
-    return masked

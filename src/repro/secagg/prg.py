@@ -13,18 +13,6 @@ import numpy as np
 _KEY_MASK = (1 << 128) - 1
 
 
-def prg_expand(seed: int, length: int, modulus_bits: int) -> np.ndarray:
-    """Expand ``seed`` into ``length`` uint64 values in ``[0, 2^b)``."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    bitgen = np.random.Philox(key=seed & _KEY_MASK)
-    raw = np.random.Generator(bitgen).integers(
-        0, 1 << 63, size=length, dtype=np.uint64, endpoint=False
-    )
-    mask = np.uint64((1 << modulus_bits) - 1)
-    return raw & mask
-
-
 def prg_expand_batch(
     seeds: list[int],
     length: int,
@@ -33,14 +21,15 @@ def prg_expand_batch(
 ) -> np.ndarray:
     """Expand many seeds into one ``(len(seeds), length)`` uint64 matrix.
 
-    Row ``i`` is bit-identical to ``prg_expand(seeds[i], length,
-    modulus_bits)``: for the power-of-two bound ``2^63`` numpy's masked
-    generation consumes exactly one Philox word per output and keeps its
-    top 63 bits, so each row is the raw counter stream of a re-keyed
-    generator, shifted and masked.  Re-keying one bit generator per row
-    skips the per-call ``Generator`` construction of the scalar path;
-    expansion order across rows does not matter because every row depends
-    only on its own seed.
+    Row ``i`` is bit-identical to the reference protocol's one-seed
+    expansion (``tests/reference/secagg.py``: a ``Generator`` over a
+    Philox keyed with the seed, ``integers(0, 2^63)``, masked to ``b``
+    bits): for the power-of-two bound ``2^63`` numpy's masked generation
+    consumes exactly one Philox word per output and keeps its top 63
+    bits, so each row is the raw counter stream of a re-keyed generator,
+    shifted and masked.  Re-keying one bit generator per row skips the
+    per-seed ``Generator`` construction; expansion order across rows does
+    not matter because every row depends only on its own seed.
     """
     if length < 0:
         raise ValueError("length must be non-negative")

@@ -1,8 +1,9 @@
-"""Vectorized Secure Aggregation planes: the four rounds as matrix work.
+"""The Secure Aggregation protocol (Sec. 6) as matrix work.
 
-The scalar plane (:mod:`repro.secagg.protocol`) runs one state machine
-per device — K PRG expansions, K share loops, and per-device ``ring_add``
-chains.  This module replays the *same* protocol as stacked operations:
+The protocol is one state machine per device — K PRG expansions, K share
+loops, per-device ring chains (the per-device form is the test reference,
+``tests/reference/secagg.py``).  This module replays the *same* protocol
+as stacked operations:
 
 * pairwise PRG seeds ride the batched DH substrate
   (:func:`~repro.secagg.dh.agree_pairs_batch` on the 2^255−19 limb
@@ -15,35 +16,37 @@ chains.  This module replays the *same* protocol as stacked operations:
   over every secret of the round (limb-vectorized Horner);
 * MaskedInputCollection is in-place uint64 arithmetic on a ``(K, dim)``
   matrix — exact, because 2^b divides 2^64 so wrapping sums followed by
-  one final mask equal the scalar per-op-masked chains;
+  one final mask equal per-op-masked chains;
 * dropout recovery reconstructs every seed with one shared Lagrange
   basis (:func:`~repro.secagg.shamir.reconstruct_secrets_batch`).
 
-:func:`run_vectorized_grouped` extends the same batching *across* the
+:func:`run_vectorized_grouped` batches the same sweeps *across* the
 per-Aggregator groups of :mod:`repro.secagg.grouped` (Sec. 6): rng draws
 and threshold checks stay strictly sequential in group order — so every
 error raises with the message and rng position of the sequential
 per-group run — while the pairwise-agreement, PRG/commit, and
 reconstruction sweeps each run once over all groups' work stacked into
-one batch.  A single instance is the one-group special case, so
-:func:`run_vectorized` is a thin wrapper.
+one batch.  A single instance
+(:func:`repro.secagg.protocol.run_secure_aggregation`) is the one-group
+case.
 
-Byte-for-byte equivalence with the scalar plane is a hard contract:
-same rng draw order (so trajectories match even across a raised
-:class:`SecAggError`), same masked vectors, same shares, same ring sum,
-same metrics counts, same error messages at every threshold check.
-Tests and the guarded ``secagg_round`` benchmark assert all of it.
+Byte-for-byte equivalence with the per-device reference is a hard
+contract: same rng draw order (so trajectories match even across a
+raised :class:`SecAggError`), same masked vectors, same shares, same
+ring sum, same metrics counts, same error messages at every threshold
+check.  ``tests/secagg/test_vectorized.py`` and
+``tests/secagg/test_grouped.py`` assert all of it.
 
 Deliberate simulation shortcuts, none observable in any output:
 
-* share-transport encryption is skipped — the scalar plane's
+* share-transport encryption is skipped — the reference's
   encrypt/decrypt round-trips are the identity on payloads, and the
   ``c`` exponent is still drawn so the rng trajectory is unchanged;
 * each pairwise PRG seed is computed once per unordered pair from the
   two secret exponents (``agree(a, g^b)`` hashes the symmetric group
-  element ``g^(a·b)``), where scalar devices compute it independently at
-  both endpoints.  Server-side metrics count unmasking work only, so
-  counts are unaffected;
+  element ``g^(a·b)``), where devices compute it independently at both
+  endpoints.  Server-side metrics count unmasking work only, so counts
+  are unaffected;
 * ``g^s`` public keys are materialized only where an output can observe
   them — verifying reconstructed keys of dropped devices — in one
   stacked fixed-base pass, instead of one ``pow`` per device at
@@ -188,11 +191,11 @@ def run_vectorized_grouped(
 
         # Round 0: AdvertiseKeys — per device: c exponent (trajectory
         # only: no wire encryption in simulation), s exponent, self-mask
-        # seed; draws precede the threshold check exactly as scalar
+        # seed; draws precede the threshold check exactly as the reference
         # constructs clients before the server thresholds the roster.
-        # The scalar plane's three 15-byte draws per device are one draw
-        # here: a 15-byte draw spends four whole 4-byte words, so the
-        # scalar draws are the 16-byte-strided slices of one 48-byte-per-
+        # The reference's three 15-byte draws per device are one draw
+        # here: a 15-byte draw spends four whole 4-byte words, so its
+        # draws are the 16-byte-strided slices of one 48-byte-per-
         # device draw, which leaves the stream where they leave it
         # (pinned by tests/secagg/test_dh.py).
         width = SECRET_BITS // 8
@@ -214,7 +217,7 @@ def run_vectorized_grouped(
         state.pos = {uid: i for i, uid in enumerate(peer_ids)}
 
         # Round 1: ShareKeys — interleaved (s, b) secrets per survivor,
-        # coefficients drawn in the scalar loop's order.
+        # coefficients drawn in the reference's per-device order.
         state.u2 = [
             uid for uid in peer_ids if uid not in dropouts.after_advertise
         ]
@@ -271,7 +274,7 @@ def run_vectorized_grouped(
     # -- Round 2, sweep 1: every group's pairwise seeds in one stacked
     # fixed-base pass — one seed per unordered pair with at least one
     # committed endpoint; agree() hashes the symmetric element g^(ab),
-    # so both scalar endpoints would compute this exact value.
+    # so both endpoints of the pair would compute this exact value.
     secret_pairs: list[tuple[int, int]] = []
     for state in states:
         state.pair_start = len(secret_pairs)
@@ -337,7 +340,7 @@ def run_vectorized_grouped(
 
     # -- Round 3: one shared reconstruction sweep.  Every responder holds
     # a share of every reconstructed secret, so each group uses one x-set
-    # — its first `threshold` responders, exactly the shares the scalar
+    # — its first `threshold` responders, exactly the shares the reference
     # server consumes.  Groups with identical x-sets (the common case:
     # equal sizes, same dropout pattern) share one Lagrange basis and one
     # batched call; results are bit-identical regardless of bucketing.
@@ -391,7 +394,7 @@ def run_vectorized_grouped(
     # Self masks off via one (ΣC, dim) PRG pass; then the dangling
     # pairwise masks of share-then-drop devices — the server re-derives
     # each seed from the *reconstructed* key (one agreement per survivor,
-    # as scalar) in one stacked pass over every group's recovery work.
+    # as the reference) in one stacked pass over every group's recovery work.
     b_rows = prg_expand_batch(
         [seed for per_group in recon_b for seed in per_group], dim, bits
     )
@@ -434,7 +437,7 @@ def run_vectorized_grouped(
         len(state.committers) + 2 * len(state.dropped) for state in states
     ]
     _attribute_phase(states, "recovery_seconds", recovery, recovery_weights)
-    # server_seconds keeps its scalar meaning — round-3 unmasking time.
+    # server_seconds keeps its reference meaning — round-3 unmasking time.
     _attribute_phase(states, "server_seconds", recovery, recovery_weights)
     for state in states:
         state.metrics.succeeded = True
@@ -467,25 +470,3 @@ def run_vectorized_grouped(
     ]
     return totals, [state.metrics for state in states], transcripts
 
-
-def run_vectorized(
-    inputs: dict[int, np.ndarray],
-    threshold: int,
-    quantizer: VectorQuantizer,
-    rng: np.random.Generator,
-    dropouts: DropoutSchedule | None = None,
-    timer: Callable[[], float] | None = None,
-    capture: bool = False,
-) -> tuple[np.ndarray, SecAggMetrics, SecAggTranscript | None]:
-    """One batched protocol instance — the one-group case of the grouped
-    runner; see module docstring for the equivalence contract."""
-    totals, metrics, transcripts = run_vectorized_grouped(
-        [inputs],
-        [threshold],
-        quantizer,
-        rng,
-        [dropouts or DropoutSchedule.none()],
-        timer=timer,
-        capture=capture,
-    )
-    return totals[0], metrics[0], transcripts[0] if transcripts else None

@@ -19,10 +19,9 @@ from hypothesis import strategies as st
 from repro.secagg.bigmod import (
     MODULUS,
     FixedBaseTable,
-    _from_limbs,
+    _from_limbs_bytes,
     _mul_,
     _Scratch,
-    powmod_batch,
 )
 from repro.secagg.field import SECRET_BITS
 
@@ -39,6 +38,12 @@ def _limbs(value):
 
 def _value(limbs):
     return sum(int(limb) << (29 * k) for k, limb in enumerate(limbs))
+
+
+def _canonical(limbs):
+    """The boundary's canonical residues of a ``(9, N)`` limb array, as
+    ints (``_from_limbs_bytes`` consumes its argument)."""
+    return [int.from_bytes(b, "little") for b in _from_limbs_bytes(limbs)]
 
 
 #: p−1, 0, non-canonical values >= p (p itself, p + small, every limb
@@ -90,14 +95,14 @@ def test_multiply_chains_match_bigint_and_keep_the_limb_bound(seed, steps):
             ]
         assert int(acc.max()) <= LIMB_OUT
         assert [_value(acc[:, j]) % MODULUS for j in range(LANES)] == expected
-    assert _from_limbs(acc.copy()) == expected
+    assert _canonical(acc.copy()) == expected
 
 
 def test_canonical_boundary_reduces_adversarial_limbs():
     # Every entry but the last (limbs at the input bound, 2^29.1) is in
     # the boundary's domain: limbs <= 2^29.05.
     limbs = np.array(ADVERSARIAL[:-1], dtype=np.uint64).T.copy()
-    assert _from_limbs(limbs) == [
+    assert _canonical(limbs) == [
         _value(col) % MODULUS for col in ADVERSARIAL[:-1]
     ]
 
@@ -106,41 +111,6 @@ def test_canonical_boundary_reduces_adversarial_limbs():
 #: the forced-high-bit draw permits, the largest 120-bit value, and the
 #: degenerate one/zero cases.
 EDGE_EXPONENTS = [0, 1, 1 << (SECRET_BITS - 8), (1 << SECRET_BITS) - 1]
-
-
-def test_powmod_batch_matches_builtin_pow():
-    rnd = random.Random(1234)
-    bases = [rnd.randrange(MODULUS) for _ in range(64)]
-    exponents = [rnd.randrange(1 << SECRET_BITS) for _ in range(64)]
-    assert powmod_batch(bases, exponents) == [
-        pow(b, e, MODULUS) for b, e in zip(bases, exponents)
-    ]
-
-
-def test_powmod_batch_edge_exponents():
-    rnd = random.Random(99)
-    for e in EDGE_EXPONENTS:
-        bases = [rnd.randrange(MODULUS) for _ in range(5)] + [2]
-        assert powmod_batch(bases, [e] * len(bases)) == [
-            pow(b, e, MODULUS) for b in bases
-        ]
-
-
-def test_powmod_batch_edge_bases():
-    # Non-canonical bases (>= p) must reduce first, exactly as pow does.
-    bases = [0, 1, MODULUS - 1, MODULUS, MODULUS + 7]
-    exponents = [3, (1 << SECRET_BITS) - 1, 2, 5, 1]
-    assert powmod_batch(bases, exponents) == [
-        pow(b, e, MODULUS) for b, e in zip(bases, exponents)
-    ]
-
-
-def test_powmod_batch_empty_and_validation():
-    assert powmod_batch([], []) == []
-    with pytest.raises(ValueError):
-        powmod_batch([2], [1, 2])
-    with pytest.raises(ValueError):
-        powmod_batch([2], [-1])
 
 
 def test_fixed_base_table_matches_pow():
@@ -157,6 +127,15 @@ def test_fixed_base_table_matches_pow():
     assert table.pow_batch(exponents) == [
         pow(2, e, MODULUS) for e in exponents
     ]
+
+
+def test_fixed_base_table_edge_bases():
+    # Non-canonical bases (>= p) must reduce first, exactly as pow does.
+    exponents = [0, 1, 3, (1 << SECRET_BITS) - 1]
+    for base in (0, 1, MODULUS - 1, MODULUS, MODULUS + 7):
+        assert FixedBaseTable(base).pow_batch(exponents) == [
+            pow(base, e, MODULUS) for e in exponents
+        ]
 
 
 def test_fixed_base_table_grows_lazily():

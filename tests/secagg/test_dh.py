@@ -1,17 +1,11 @@
-"""Diffie–Hellman agreement symmetry, scalar and batched."""
+"""Diffie–Hellman agreement symmetry: the reference protocol's per-device
+``pow`` and the batched kernels the plane runs."""
 
 import numpy as np
 import pytest
 
-from repro.secagg.dh import (
-    agree,
-    agree_batch,
-    agree_pairs_batch,
-    generate_keypair,
-    generate_keypairs_batch,
-    public_key_of,
-    public_keys_batch,
-)
+from reference.secagg import agree, generate_keypair, public_key_of
+from repro.secagg.dh import agree_pairs_batch, public_keys_batch
 from repro.secagg.field import SECRET_BITS, SHAMIR_PRIME
 
 
@@ -46,18 +40,6 @@ def test_agreed_keys_fit_in_shamir_field(rng):
     assert 0 <= key < SHAMIR_PRIME
 
 
-def test_keypairs_batch_matches_scalar_loop_and_rng_trajectory():
-    """The batch API must consume rng bytes in exactly the scalar order —
-    the planes' equivalence contract rides on the shared trajectory."""
-    rng_scalar = np.random.default_rng(42)
-    rng_batch = np.random.default_rng(42)
-    scalar = [generate_keypair(rng_scalar) for _ in range(17)]
-    batch = generate_keypairs_batch(17, rng_batch)
-    assert batch == scalar
-    # Both generators must now sit at the same stream position.
-    assert rng_scalar.bytes(16) == rng_batch.bytes(16)
-
-
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
 def test_one_draw_sliced_at_word_strides_is_the_sequential_draws(bit_generator):
     """numpy's ``bytes()`` spends whole 4-byte words, so ``n`` sequential
@@ -76,18 +58,6 @@ def test_one_draw_sliced_at_word_strides_is_the_sequential_draws(bit_generator):
         blob = one_draw.bytes(16 * n)
         assert draws == [blob[16 * i : 16 * i + width] for i in range(n)]
         assert sequential.bytes(16) == one_draw.bytes(16)
-
-
-def test_agree_batch_matches_scalar_and_is_symmetric(rng):
-    pairs = [(generate_keypair(rng), generate_keypair(rng))
-             for _ in range(12)]
-    keys = agree_batch(
-        [a.secret for a, _ in pairs], [b.public for _, b in pairs]
-    )
-    assert keys == [agree(a.secret, b.public) for a, b in pairs]
-    assert keys == agree_batch(
-        [b.secret for _, b in pairs], [a.public for a, _ in pairs]
-    )
 
 
 def test_agree_pairs_batch_matches_agree(rng):

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference.secagg import eval_polynomial, mod_inverse, ring_add, ring_sub
 from repro.secagg.field import (
     SHAMIR_PRIME,
     centered_mod,
-    eval_polynomial,
-    mod_inverse,
-    ring_add,
-    ring_sub,
+    coefficient_words,
+    eval_polynomial_words,
 )
 
 
@@ -115,6 +114,14 @@ def test_lagrange_coefficients_shared_basis():
         lagrange_coefficients_at_zero([])
 
 
+def words_of(coeffs):
+    """``(S, D, 2)`` coefficient words of ragged lists, zero-padded to the
+    longest — the layout share creation hands the kernel."""
+    degree = max(len(c) for c in coeffs)
+    padded = [v for c in coeffs for v in c + [0] * (degree - len(c))]
+    return coefficient_words(padded).reshape(len(coeffs), degree, 2)
+
+
 @given(
     n_polys=st.integers(min_value=1, max_value=6),
     degree=st.integers(min_value=1, max_value=8),
@@ -122,8 +129,8 @@ def test_lagrange_coefficients_shared_basis():
 )
 @settings(max_examples=25, deadline=None)
 def test_eval_polynomial_batch_matches_scalar(n_polys, degree, data):
-    from repro.secagg.field import eval_polynomial_batch
-
+    """The stacked Horner kernel share creation runs, on ragged
+    (zero-padded) coefficient lists, against per-point Horner."""
     coeff_st = st.integers(min_value=0, max_value=SHAMIR_PRIME - 1)
     coeffs = [
         data.draw(st.lists(coeff_st, min_size=1, max_size=degree + 1))
@@ -135,15 +142,13 @@ def test_eval_polynomial_batch_matches_scalar(n_polys, degree, data):
             min_size=1, max_size=8,
         )
     )
-    out = eval_polynomial_batch(coeffs, xs)
+    out = eval_polynomial_words(words_of(coeffs), xs)
     assert out == [[eval_polynomial(c, x) for x in xs] for c in coeffs]
 
 
 def test_eval_polynomial_batch_worst_case_coefficients():
     """All-maximal coefficients stress the deferred-carry limb path."""
-    from repro.secagg.field import eval_polynomial_batch
-
     coeffs = [[SHAMIR_PRIME - 1] * 33, [SHAMIR_PRIME - 1] * 40]
     xs = [1, 2, (1 << 32) - 1]
-    out = eval_polynomial_batch(coeffs, xs)
+    out = eval_polynomial_words(words_of(coeffs), xs)
     assert out == [[eval_polynomial(c, x) for x in xs] for c in coeffs]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import secagg as reference
 from repro.secagg.grouped import (
     grouped_secure_sum,
     grouped_secure_sum_transcripts,
@@ -11,8 +12,12 @@ from repro.secagg.grouped import (
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import DropoutSchedule, SecAggError
 
-#: The scalar reference and the production plane: byte-equivalent.
-ALL_PLANES = ("scalar", "vectorized")
+#: The per-device reference and the production plane: byte-equivalent.
+#: Each entry returns ``(total, metrics, transcripts)``.
+ALL_PLANES = {
+    "scalar": reference.grouped_secure_sum_transcripts,
+    "vectorized": grouped_secure_sum_transcripts,
+}
 
 
 def test_partition_all_groups_at_least_k():
@@ -35,6 +40,41 @@ def test_partition_too_few_users():
 def test_partition_validates_k():
     with pytest.raises(ValueError):
         partition_into_groups([1, 2, 3], min_group_size=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs,argument",
+    [
+        ({"threshold_fraction": 0.0}, "threshold_fraction"),
+        ({"threshold_fraction": -1}, "threshold_fraction"),
+        ({"threshold_fraction": 0.5}, "threshold_fraction"),
+        ({"threshold_fraction": 1.5}, "threshold_fraction"),
+        ({"threshold_fraction": float("nan")}, "threshold_fraction"),
+        ({"threshold_fraction": float("inf")}, "threshold_fraction"),
+        ({"min_group_size": float("nan")}, "min_group_size"),
+        ({"min_group_size": 2.5}, "min_group_size"),
+        ({"min_group_size": 5.0}, "min_group_size"),
+        ({"min_group_size": True}, "min_group_size"),
+    ],
+    ids=[
+        "fraction_zero", "fraction_negative", "fraction_half",
+        "fraction_above_one", "fraction_nan", "fraction_inf",
+        "k_nan", "k_fractional", "k_float", "k_bool",
+    ],
+)
+def test_bad_arguments_refused_before_any_draw(kwargs, argument):
+    """One threshold rule, ``max(2, ceil(n·f))`` with ``f`` in (0.5, 1],
+    and an integer ``k >= 2``: anything else is a ValueError naming the
+    argument, raised before the rng has drawn a byte."""
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    args = {"min_group_size": 5, "threshold_fraction": 0.66, **kwargs}
+    with pytest.raises(ValueError, match=argument):
+        grouped_secure_sum(
+            _fleet(n=10), quantizer=VectorQuantizer(max_summands=16),
+            rng=rng, **args,
+        )
+    assert rng.bit_generator.state == before
 
 
 def test_grouped_sum_matches_plain_sum(rng):
@@ -102,17 +142,16 @@ def test_both_planes_identical_sums_metrics_and_rng():
         inputs = _fleet(n, dim)
         q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=128)
         results = {}
-        for plane in ALL_PLANES:
+        for plane, run in ALL_PLANES.items():
             plane_rng = np.random.default_rng(77)
-            total, metrics = grouped_secure_sum(
+            total, metrics, _ = run(
                 inputs, min_group_size=group, threshold_fraction=0.66,
                 quantizer=q, rng=plane_rng, dropouts=_fleet_drops(n),
-                plane=plane,
             )
             results[plane] = (total, metrics, plane_rng.bytes(8))
         base_total, base_metrics, base_probe = results["scalar"]
         assert len(base_metrics) == groups
-        for plane in ALL_PLANES[1:]:
+        for plane in list(ALL_PLANES)[1:]:
             total, metrics, probe = results[plane]
             assert np.array_equal(total, base_total), (plane, n)
             assert metrics == base_metrics, (plane, n)
@@ -123,15 +162,15 @@ def test_both_planes_identical_transcripts():
     inputs = _fleet(n=30)
     q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=64)
     captured = {}
-    for plane in ALL_PLANES:
-        _, _, transcripts = grouped_secure_sum_transcripts(
+    for plane, run in ALL_PLANES.items():
+        _, _, transcripts = run(
             inputs, min_group_size=10, threshold_fraction=0.66,
             quantizer=q, rng=np.random.default_rng(5),
-            dropouts=_fleet_drops(30), plane=plane,
+            dropouts=_fleet_drops(30),
         )
         captured[plane] = transcripts
     base = captured["scalar"]
-    for plane in ALL_PLANES[1:]:
+    for plane in list(ALL_PLANES)[1:]:
         assert len(captured[plane]) == len(base) == 3
         for tr, tr0 in zip(captured[plane], base):
             assert set(tr.masked) == set(tr0.masked)
@@ -151,12 +190,15 @@ def test_mid_sequence_group_failure_parity():
     drops = DropoutSchedule(after_share=frozenset(range(32, 45)))
     q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=64)
     observed = {}
-    for plane in ALL_PLANES:
+    for plane, run in (
+        ("scalar", reference.grouped_secure_sum_transcripts),
+        ("vectorized", grouped_secure_sum),
+    ):
         plane_rng = np.random.default_rng(21)
         with pytest.raises(SecAggError) as exc:
-            grouped_secure_sum(
+            run(
                 inputs, min_group_size=15, threshold_fraction=0.66,
-                quantizer=q, rng=plane_rng, dropouts=drops, plane=plane,
+                quantizer=q, rng=plane_rng, dropouts=drops,
             )
         observed[plane] = (str(exc.value), plane_rng.bytes(8))
     assert observed["scalar"] == observed["vectorized"]
@@ -168,11 +210,11 @@ def test_phase_breakdown_populated_only_with_timer():
     q = VectorQuantizer(modulus_bits=32, clip_range=1.5, max_summands=64)
 
     def run(plane, timer=None):
-        return grouped_secure_sum(
+        return ALL_PLANES[plane](
             inputs, min_group_size=10, threshold_fraction=0.66,
             quantizer=q, rng=np.random.default_rng(5),
-            dropouts=_fleet_drops(30), plane=plane, timer=timer,
-        )
+            dropouts=_fleet_drops(30), timer=timer,
+        )[:2]
 
     for plane in ALL_PLANES:
         _, metrics = run(plane)

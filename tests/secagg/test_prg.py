@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.secagg.prg import prg_expand
+from reference.secagg import prg_expand
 
 
 def test_same_seed_same_stream():

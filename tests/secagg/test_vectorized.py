@@ -1,16 +1,28 @@
-"""Scalar vs vectorized plane: byte-identity, boundaries, error parity.
+"""The vectorized plane vs the per-device reference: byte-identity,
+boundaries, error parity.
 
-The vectorized plane's contract is not "approximately the same sum" —
-it is byte-for-byte equivalence of every observable artifact with the
-scalar plane from the same rng: masked vectors, delivered shares, ring
-sum, decoded total, server metrics, post-run rng position, and the
-exact SecAggError on every failure path.
+The plane's contract is not "approximately the same sum" — it is
+byte-for-byte equivalence of every observable artifact with the
+per-device reference protocol (``tests/reference/secagg.py``) from the
+same rng: masked vectors, delivered shares, ring sum, decoded total,
+server metrics, post-run rng position, and the exact SecAggError on
+every failure path.
 """
+
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.secagg.grouped import grouped_secure_sum
+import repro.secagg
+from reference import secagg as reference
+from repro.secagg.grouped import (
+    grouped_secure_sum,
+    grouped_secure_sum_transcripts,
+)
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.protocol import (
     DropoutSchedule,
@@ -29,14 +41,22 @@ def make_inputs(n=12, dim=33, seed=5):
     return {100 + u: r.uniform(-3, 3, size=dim) for u in range(n)}
 
 
+#: The per-device reference and the production plane, one entry each.
+RUNS = {
+    "scalar": reference.run_secure_aggregation_transcript,
+    "vectorized": run_secure_aggregation_transcript,
+}
+
+
 def run_both(inputs, threshold, dropouts, seed=2019, q=None):
-    """Run each plane from a fresh identically-seeded rng; return both
-    (total, metrics, transcript, rng-position probe) tuples."""
+    """Run the reference and the plane, each from a fresh identically-seeded
+    rng; return both (total, metrics, transcript, rng-position probe)
+    tuples."""
     out = {}
-    for plane in ("scalar", "vectorized"):
+    for plane, run in RUNS.items():
         rng = np.random.default_rng(seed)
-        total, metrics, transcript = run_secure_aggregation_transcript(
-            inputs, threshold, q or quantizer(), rng, dropouts, plane=plane
+        total, metrics, transcript = run(
+            inputs, threshold, q or quantizer(), rng, dropouts
         )
         out[plane] = (total, metrics, transcript, rng.bytes(8))
     return out["scalar"], out["vectorized"]
@@ -118,12 +138,13 @@ def test_exactly_threshold_survivors_boundary():
 def test_below_threshold_error_identical_on_both_planes(dropouts, expected):
     inputs = make_inputs(n=10)
     observed = {}
-    for plane in ("scalar", "vectorized"):
+    for plane, run in (
+        ("scalar", reference.run_secure_aggregation_transcript),
+        ("vectorized", run_secure_aggregation),
+    ):
         rng = np.random.default_rng(2019)
         with pytest.raises(SecAggError) as exc:
-            run_secure_aggregation(
-                inputs, 7, quantizer(), rng, dropouts, plane=plane
-            )
+            run(inputs, 7, quantizer(), rng, dropouts)
         # Error message, type, and the rng position afterwards all match:
         # a fleet that catches the error and reuses the rng stays
         # deterministic regardless of plane.
@@ -138,16 +159,18 @@ def test_grouped_secure_sum_identical_across_planes():
         after_share=frozenset({103, 117}), after_mask=frozenset({125})
     )
     results = {}
-    for plane in ("scalar", "vectorized"):
-        total, metrics = grouped_secure_sum(
+    for plane, run in (
+        ("scalar", reference.grouped_secure_sum_transcripts),
+        ("vectorized", grouped_secure_sum),
+    ):
+        total, metrics = run(
             inputs,
             min_group_size=12,
             threshold_fraction=0.66,
             quantizer=quantizer(n=40),
             rng=np.random.default_rng(7),
             dropouts=dropouts,
-            plane=plane,
-        )
+        )[:2]
         results[plane] = (total, metrics)
     t_s, m_s = results["scalar"]
     t_v, m_v = results["vectorized"]
@@ -156,49 +179,35 @@ def test_grouped_secure_sum_identical_across_planes():
     assert len(m_s) == 3
 
 
-def test_plane_lever_default_and_override(monkeypatch):
-    """No ``plane`` means the production plane; the scalar reference is
-    reachable per call only; any other name is refused."""
-    from repro.secagg import protocol, vectorized
-
-    calls = []
-    for module, name in ((vectorized, "run_vectorized"), (protocol, "_run_scalar")):
-        def spy(*args, _name=name, _real=getattr(module, name), **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, spy)
-    inputs = make_inputs(n=8, dim=9)
-    total_default, _ = run_secure_aggregation(
-        inputs, 6, quantizer(), np.random.default_rng(3)
-    )
-    total_scalar, _ = run_secure_aggregation(
-        inputs, 6, quantizer(), np.random.default_rng(3), plane="scalar"
-    )
-    assert calls == ["run_vectorized", "_run_scalar"]
-    assert np.array_equal(total_default, total_scalar)
-    with pytest.raises(ValueError, match="plane must be 'vectorized' or 'scalar'"):
-        run_secure_aggregation(
-            inputs, 6, quantizer(), np.random.default_rng(3), plane="turbo"
-        )
-    with pytest.raises(ValueError, match="plane must be 'vectorized' or 'scalar'"):
-        grouped_secure_sum(
-            inputs, min_group_size=4, threshold_fraction=0.66,
-            quantizer=quantizer(), rng=np.random.default_rng(3), plane=None,
-        )
+def test_secagg_surface_is_pinned():
+    """One protocol in ``repro.secagg``: no plane to choose, and no scalar
+    crypto exported (it lives in ``tests/reference/secagg.py``).  A
+    second plane or a scalar primitive creeping back is a reviewed edit
+    here."""
+    assert set(repro.secagg.__all__) == {
+        "FixedBaseTable", "SHAMIR_PRIME", "centered_mod",
+        "share_secrets_batch", "reconstruct_secrets_batch",
+        "agree_pairs_batch", "prg_expand_batch", "VectorQuantizer",
+        "DropoutSchedule", "SecAggError", "SecAggMetrics", "SecAggTranscript",
+        "run_secure_aggregation", "run_secure_aggregation_transcript",
+        "grouped_secure_sum", "grouped_secure_sum_transcripts",
+    }
+    for entry in (
+        run_secure_aggregation, run_secure_aggregation_transcript,
+        grouped_secure_sum, grouped_secure_sum_transcripts,
+    ):
+        assert "plane" not in inspect.signature(entry).parameters, entry
 
 
 def test_server_seconds_zero_without_timer_and_positive_with():
     ticks = iter(float(i) for i in range(100))
     inputs = make_inputs(n=8, dim=9)
-    for plane in ("scalar", "vectorized"):
-        _, metrics = run_secure_aggregation(
-            inputs, 6, quantizer(), np.random.default_rng(3), plane=plane
-        )
+    for run in RUNS.values():
+        metrics = run(inputs, 6, quantizer(), np.random.default_rng(3))[1]
         assert metrics.server_seconds == 0.0
     _, metrics = run_secure_aggregation(
         inputs, 6, quantizer(), np.random.default_rng(3),
-        plane="vectorized", timer=lambda: next(ticks),
+        timer=lambda: next(ticks),
     )
     assert metrics.server_seconds == 1.0  # two injected ticks, one apart
 
@@ -206,14 +215,14 @@ def test_server_seconds_zero_without_timer_and_positive_with():
 def test_phase_seconds_on_single_instance():
     inputs = make_inputs(n=8, dim=9)
     _, metrics = run_secure_aggregation(
-        inputs, 6, quantizer(), np.random.default_rng(3), plane="vectorized"
+        inputs, 6, quantizer(), np.random.default_rng(3)
     )
     assert (metrics.key_agreement_seconds, metrics.masking_seconds,
             metrics.recovery_seconds) == (0.0, 0.0, 0.0)
     ticks = iter(float(i) for i in range(100))
     _, metrics = run_secure_aggregation(
         inputs, 6, quantizer(), np.random.default_rng(3),
-        plane="vectorized", timer=lambda: next(ticks),
+        timer=lambda: next(ticks),
     )
     assert metrics.key_agreement_seconds > 0.0
     assert metrics.masking_seconds > 0.0
@@ -238,7 +247,7 @@ def test_phases_sum_to_the_timed_span_under_a_step_clock():
     _, metrics = run_secure_aggregation(
         make_inputs(n=8, dim=9), 6, quantizer(), np.random.default_rng(3),
         dropouts=DropoutSchedule(after_share=frozenset({101})),
-        plane="vectorized", timer=step_clock,
+        timer=step_clock,
     )
     phases = (
         metrics.sharing_seconds, metrics.key_agreement_seconds,
@@ -246,3 +255,168 @@ def test_phases_sum_to_the_timed_span_under_a_step_clock():
     )
     assert phases == (1.0, 1.0, 1.0, 1.0)
     assert sum(phases) == reads[-1] - reads[0]
+
+
+# -- generated equivalence law -----------------------------------------------
+
+#: The stages a device can leave the protocol after (or never leave).
+STAGES = ("survivor", "after_advertise", "after_share", "after_mask")
+#: Each device's stage: a survivor five times in eight, so that most
+#: generated instances clear every threshold and reach round 3.
+stage_of = st.sampled_from(STAGES[:1] * 5 + STAGES[1:])
+
+
+def split(uids, stages):
+    """A ``DropoutSchedule`` putting ``uids[i]`` in ``stages[i]``."""
+    return DropoutSchedule(**{
+        stage: frozenset(u for u, s in zip(uids, stages) if s == stage)
+        for stage in STAGES[1:]
+    })
+
+
+@dataclass(frozen=True)
+class Case:
+    """One generated instance: the uids in insertion order, each
+    device's input drawn from ``input_seed`` in that order."""
+
+    uids: tuple
+    dim: int
+    modulus_bits: int
+    max_summands: int
+    threshold: int
+    dropouts: DropoutSchedule
+    input_seed: int = 5
+    rng_seed: int = 2019
+
+    def inputs(self):
+        r = np.random.default_rng(self.input_seed)
+        return {uid: r.uniform(-3, 3, size=self.dim) for uid in self.uids}
+
+    def quantizer(self):
+        return VectorQuantizer(
+            modulus_bits=self.modulus_bits, clip_range=4.0,
+            max_summands=self.max_summands,
+        )
+
+
+@st.composite
+def cases(draw):
+    n = draw(st.integers(2, 24))
+    uids = draw(st.lists(
+        st.integers(0, 999), min_size=n, max_size=n, unique=True
+    ))
+    stages = draw(st.lists(stage_of, min_size=n, max_size=n))
+    return Case(
+        uids=tuple(uids),
+        dim=draw(st.integers(1, 40)),
+        modulus_bits=draw(st.integers(8, 48)),
+        # clip 4 * at most 31 summands < 2^7: valid at every ring size.
+        max_summands=draw(st.integers(n, 31)),
+        threshold=draw(st.integers(2, n + 1)),
+        dropouts=split(uids, stages),
+        input_seed=draw(st.integers(0, 2**32 - 1)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def outcome(run, rng, *args, **kwargs):
+    """``run``'s result, or its SecAggError message — with the rng's next
+    eight bytes either way."""
+    try:
+        result = run(*args, rng=rng, **kwargs)
+    except SecAggError as exc:
+        result = str(exc)
+    return result, rng.bytes(8)
+
+
+def hand_picked(dropouts, n=12, threshold=7):
+    """The hand-written schedules above: uids 100.., dim 33, t=7, seed 2019."""
+    return Case(
+        uids=tuple(range(100, 100 + n)), dim=33, modulus_bits=32,
+        max_summands=16, threshold=threshold, dropouts=dropouts,
+    )
+
+
+@given(case=cases())
+@example(case=hand_picked(DropoutSchedule.none()))
+@example(case=hand_picked(DropoutSchedule(after_advertise=frozenset({103, 110}))))
+@example(case=hand_picked(DropoutSchedule(after_share=frozenset({101, 105}))))
+@example(case=hand_picked(DropoutSchedule(after_mask=frozenset({102, 111}))))
+@example(case=hand_picked(DropoutSchedule(
+    after_advertise=frozenset({100}), after_share=frozenset({104, 109}),
+    after_mask=frozenset({106, 111}),
+)))
+@example(case=hand_picked(DropoutSchedule(
+    after_share=frozenset({100}), after_mask=frozenset({101, 109}),
+), n=10))
+@example(case=hand_picked(
+    DropoutSchedule(after_advertise=frozenset(range(100, 106))), n=10
+))
+@example(case=hand_picked(
+    DropoutSchedule(after_share=frozenset(range(100, 106))), n=10
+))
+@example(case=hand_picked(
+    DropoutSchedule(after_mask=frozenset(range(100, 106))), n=10
+))
+@settings(max_examples=40, deadline=None)
+def test_plane_equals_reference_on_generated_instances(case):
+    """Any cohort, ring, threshold and dropout split: the plane and the
+    reference either raise the same SecAggError or agree on total,
+    metrics and transcript — and leave the rng at the same position."""
+    (ref, ref_probe), (got, got_probe) = (
+        outcome(run, np.random.default_rng(case.rng_seed), case.inputs(),
+                case.threshold, case.quantizer(), dropouts=case.dropouts)
+        for run in RUNS.values()
+    )
+    if isinstance(ref, str) or isinstance(got, str):
+        assert (got, got_probe) == (ref, ref_probe)
+    else:
+        assert_identical((*ref, ref_probe), (*got, got_probe))
+
+
+@st.composite
+def grouped_cases(draw):
+    """1–4 groups: ``n`` devices with ``n // k`` = the group count."""
+    groups = draw(st.integers(1, 4))
+    k = draw(st.integers(2, 8))
+    n = draw(st.integers(groups * k, groups * k + k - 1))
+    uids = draw(st.lists(
+        st.integers(0, 999), min_size=n, max_size=n, unique=True
+    ))
+    stages = draw(st.lists(stage_of, min_size=n, max_size=n))
+    case = Case(
+        uids=tuple(uids), dim=draw(st.integers(1, 40)),
+        modulus_bits=draw(st.integers(8, 48)), max_summands=31,
+        threshold=0,  # unused: each group's comes from the fraction
+        dropouts=split(uids, stages),
+        input_seed=draw(st.integers(0, 2**32 - 1)),
+        rng_seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    fraction = draw(st.floats(0.5, 1.0, exclude_min=True))
+    return case, k, fraction
+
+
+@given(grouped=grouped_cases())
+@settings(max_examples=40, deadline=None)
+def test_grouped_plane_equals_reference_on_generated_instances(grouped):
+    """The cross-group plane against the reference's group-by-group run:
+    the same error at the same rng position, or the same folded total,
+    per-group metrics and per-group transcripts."""
+    case, k, fraction = grouped
+    (ref, ref_probe), (got, got_probe) = (
+        outcome(run, np.random.default_rng(case.rng_seed), case.inputs(), k,
+                fraction, case.quantizer(), dropouts=case.dropouts)
+        for run in (
+            reference.grouped_secure_sum_transcripts,
+            grouped_secure_sum_transcripts,
+        )
+    )
+    if isinstance(ref, str) or isinstance(got, str):
+        assert (got, got_probe) == (ref, ref_probe)
+        return
+    assert len(ref[1]) == len(got[1]) == len(case.uids) // k
+    for r_metrics, r_tr, g_metrics, g_tr in zip(ref[1], ref[2], got[1], got[2]):
+        assert_identical(
+            (ref[0], r_metrics, r_tr, ref_probe),
+            (got[0], g_metrics, g_tr, got_probe),
+        )

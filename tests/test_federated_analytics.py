@@ -82,3 +82,20 @@ def test_input_validation(rng):
         run_federated_analytics(
             {0: np.ones(3)}, [count_statistic("a"), count_statistic("a")], rng
         )
+
+
+@pytest.mark.parametrize(
+    "fraction", [0.0, -1, 0.5, 1.5, float("nan"), float("inf")]
+)
+def test_secure_mode_refuses_a_bad_threshold_fraction(fraction):
+    """The one Shamir-threshold rule: a fraction outside (0.5, 1] is a
+    ValueError naming it, before the rng has drawn a byte."""
+    rng = np.random.default_rng(0)
+    data = device_data(np.random.default_rng(1), n=10)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="threshold_fraction"):
+        run_federated_analytics(
+            data, [count_statistic()], rng, secure=True,
+            secagg_threshold_fraction=fraction,
+        )
+    assert rng.bit_generator.state == before
