@@ -191,11 +191,7 @@ class Coordinator(Actor):
         this gate is what couples round completion rate to the diurnal
         availability curve (Figs. 5/6).
         """
-        goals = [
-            t.config.round_config.selection_goal
-            for t in self.scheduler.population.tasks
-        ]
-        return max(goals) if goals else 1
+        return self.scheduler.population.selection_goal
 
     def _maybe_start_round(self) -> None:
         if self._blocked() or self.now < self._gap_ends_at_s():

@@ -81,6 +81,10 @@ class PopulationRoute:
     pace: PaceSteering
     plans: Any
     population_size: int
+    #: What a round of the tenant selects (its Coordinator's start
+    #: threshold): the demand a pace window is sized for while no round
+    #: is forwarding.
+    selection_goal: int
     pool_cap: int = 1000
     coordinator_factory: Callable[[], Actor] | None = None
     coordinator: ActorRef | None = None
@@ -190,7 +194,8 @@ class Selector(Actor):
         return total
 
     def _suggest_window(self, route: PopulationRoute):
-        needed = route.forwarding.count if route.forwarding is not None else 100
+        forwarding = route.forwarding
+        needed = forwarding.count if forwarding is not None else route.selection_goal
         cached = route.window_cache
         if cached is not None and cached[0] == self.now and cached[1] == needed:
             return cached[2]

@@ -68,6 +68,13 @@ class FLPopulation:
                 return t
         raise KeyError(f"no task {task_id!r} in population {self.name!r}")
 
+    @property
+    def selection_goal(self) -> int:
+        """Devices a round of this population wants at most: the largest
+        of its tasks' selection goals (1 with no task deployed)."""
+        goals = [t.config.round_config.selection_goal for t in self.tasks]
+        return max(goals) if goals else 1
+
 
 class TaskScheduler:
     """Chooses the next FL task to run a round for (Sec. 7.1)."""

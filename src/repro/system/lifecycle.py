@@ -329,6 +329,7 @@ class PopulationLifecycle:
             pace=runtime.pace,
             plans=runtime.plan_directory,
             population_size=len(runtime.members),
+            selection_goal=runtime.fl_population.selection_goal,
             pool_cap=runtime.spec.pool_cap,
             coordinator_factory=partial(self.make_coordinator, runtime.name),
         )
