@@ -137,6 +137,15 @@ class MasterAggregator(Actor):
                 self.system.stop(node)
 
     # -- device admission -------------------------------------------------------
+    @property
+    def demand(self) -> int:
+        """Devices this round still admits: what its selection goal lacks,
+        while it is selecting (a Selector draws no more than this)."""
+        state = self.state
+        if state.phase is not RoundPhase.SELECTION:
+            return 0
+        return state.config.selection_goal - state.selected_count
+
     def admit_device(
         self, device_id: int, device_ref: ActorRef, runtime_version: int
     ) -> tuple[CheckinDecision, ActorRef | None]:

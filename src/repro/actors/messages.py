@@ -7,50 +7,15 @@ onto them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.core.checkpoint import FLCheckpoint
-from repro.core.pace import ReconnectWindow
 from repro.core.plan import FLPlan
 from repro.core.rounds import RoundResult
 
 if TYPE_CHECKING:
     from repro.actors.kernel import ActorRef
-
-
-# -- device <-> selector ------------------------------------------------------
-@dataclass(frozen=True)
-class DeviceCheckin:
-    """Step 1 of Fig. 1: a device announces readiness for a population."""
-
-    device_id: int
-    population_name: str
-    runtime_version: int
-    device_ref: "ActorRef"
-
-
-@dataclass(frozen=True)
-class CheckinRejected:
-    """'Come back later' plus the pace-steering window (Sec. 2.3)."""
-
-    window: ReconnectWindow
-    reason: str
-
-
-@dataclass(frozen=True)
-class DeviceDisconnect:
-    """Device closes its stream (lost eligibility while waiting);
-    ``population_name`` routes it to that tenant's pool."""
-
-    device_id: int
-    population_name: str
-
-
-@dataclass(frozen=True)
-class ConnectionReset:
-    """Server end of the stream died (Selector crash): the device's open
-    connection breaks, and it should retry another selector later."""
 
 
 # -- selector <-> coordinator ---------------------------------------------------

@@ -10,17 +10,20 @@ the next one.
 
 One Selector serves *many* FL populations at once (Sec. 2's multi-tenant
 fleet): each check-in names a population, and the Selector keeps one
-:class:`PopulationRoute` — pool, standing forwarding instruction,
-Coordinator link, pace steering, quotas, and counters — per hosted
-population.
+:class:`PopulationRoute` — standing forwarding instruction, Coordinator
+link, pace steering, quotas, and counters — per hosted population.
 
-A check-in is judged once.  The idle plane's sweep asks
+Its pool is not here: a device WAITING at it is a row of the idle
+plane's columns (Lo et al.'s client registry), counted per ``(selector,
+tenant)``.  A check-in is judged once: the plane's sweep asks
 :meth:`Selector.fast_checkin_decision` for one verdict per (selector,
 tenant) group — draining, the row's cached attestation verdict, plan
-compatibility, quota — and each admitted row reserves a pool slot
-(``pending_admissions``).  The ``DeviceCheckin`` that follows only
-releases its reservation and joins the pool; the one thing it can still
-meet is a drain that began while it was in flight.
+compatibility, quota — and each admitted row joins the pool by the
+plane's column writes.  At round start, and for rows admitted while a
+round is forwarding, the Selector draws the rows the round still wants
+uniformly from its pool (the paper's reservoir sampling, footnote 1);
+each drawn row's device is configured, every other one is told to come
+back later — vector writes, like every way out of the pool.
 
 Selectors also watch each population's Coordinator and — arbitrated by
 the shared lock service — respawn it exactly once if it dies (Sec. 4.4).
@@ -29,6 +32,8 @@ the shared lock service — respawn it exactly once if it dies (Sec. 4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import compress
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -37,7 +42,6 @@ from repro.actors.kernel import Actor, ActorRef, DeathNotice
 from repro.actors.locking import LockService
 from repro.actors import messages as msg
 from repro.core.pace import PaceSteering
-from repro.core.rounds import CheckinDecision
 
 
 @dataclass
@@ -52,20 +56,11 @@ class SelectorStats:
     rejected_unknown_population: int = 0
     rejected_draining: int = 0
     forwarded: int = 0
-    disconnects: int = 0
 
     def __iadd__(self, other: "SelectorStats") -> "SelectorStats":
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
-
-
-@dataclass
-class _ConnectedDevice:
-    device_id: int
-    ref: ActorRef
-    runtime_version: int
-    connected_at_s: float
 
 
 @dataclass
@@ -88,7 +83,6 @@ class PopulationRoute:
     pool_cap: int = 1000
     coordinator_factory: Callable[[], Actor] | None = None
     coordinator: ActorRef | None = None
-    pool: dict[int, _ConnectedDevice] = field(default_factory=dict)
     forwarding: msg.ForwardDevices | None = None
     stats: SelectorStats = field(default_factory=SelectorStats)
     #: Memoized pace window for the current instant: a batched sweep can
@@ -96,10 +90,6 @@ class PopulationRoute:
     #: depends on (now, demand) — each device still samples its own
     #: reconnect time inside the shared window.
     window_cache: tuple[float, int, Any] | None = None
-    #: Screen-admitted devices whose check-in message is still in flight.
-    #: Counted against the pool quota so one batched sweep cannot admit a
-    #: whole cohort into the last free slot.
-    pending_admissions: int = 0
     #: Cached ``runtime_version -> has compatible plan`` verdicts (the
     #: plan directory is immutable after deployment).
     plan_compat: dict[int, bool] = field(default_factory=dict)
@@ -112,8 +102,11 @@ class PopulationRoute:
 class Selector(Actor):
     """One selector; production runs many, spread geographically.
 
-    Shared pieces (locks, checkpoint store) are fleet-wide; everything
-    population-specific lives in :attr:`routes`.
+    Shared pieces (locks, checkpoint store, the idle plane that holds its
+    pool) are fleet-wide; everything population-specific lives in
+    :attr:`routes`.  ``index`` is its place in the fleet's Selector list,
+    which is how the plane's columns name it; ``rng`` draws its rounds'
+    samples.
     """
 
     def __init__(
@@ -121,11 +114,15 @@ class Selector(Actor):
         locks: LockService,
         checkpoint_store: Any,         # exposes latest(population)
         rng: np.random.Generator,
+        plane: Any,                    # sim.idle_plane.VectorizedIdlePlane
+        index: int,
         recovery: Any = None,          # fleet RecoveryLedger, if any
     ):
         self.locks = locks
         self.store = checkpoint_store
         self.rng = rng
+        self.plane = plane
+        self.index = index
         self.recovery = recovery
         self.routes: dict[str, PopulationRoute] = {}
 
@@ -150,40 +147,37 @@ class Selector(Actor):
             return
         route.draining = True
         route.forwarding = None
-        self._flush_pool(route, "draining")
+        self.plane.bounce(
+            self.plane.pooled(self.index, population_name), self._suggest_window(route)
+        )
 
     def remove_route(self, population_name: str) -> PopulationRoute | None:
         """Retire a drained population's route entirely.
 
-        Any device still pooled (a check-in that raced the drain) has its
-        stream reset so it retries — by which point its membership is gone
-        and it will never announce this population again.
+        Any device still pooled has its stream reset so it retries — by
+        which point its membership is gone and it will never announce this
+        population again.
         """
         route = self.routes.pop(population_name, None)
         if route is None:
             return None
         if route.coordinator is not None:
             self.system.unwatch(self.ref, route.coordinator)
-        for device in route.pool.values():
-            self.tell(device.ref, msg.ConnectionReset())
-        route.pool.clear()
+        self.plane.reset(self.plane.pooled(self.index, population_name))
         return route
 
     # -- lifecycle --------------------------------------------------------------
     def on_stop(self, crashed: bool) -> None:
-        # A dying selector's open device streams break: notify the pooled
-        # devices so they retry elsewhere (Sec. 4.4: "only the devices
-        # connected to that actor will be lost" — lost from this round,
-        # not forever).
-        for route in self.routes.values():
-            for device in route.pool.values():
-                self.system.tell(device.ref, msg.ConnectionReset())
-            route.pool.clear()
+        # A dying selector's open device streams break: the pooled devices
+        # retry elsewhere (Sec. 4.4: "only the devices connected to that
+        # actor will be lost" — lost from this round, not forever).
+        self.plane.reset(self.plane.pooled(self.index))
 
     # -- helpers ----------------------------------------------------------------
     def connected_count_for(self, population_name: str) -> int:
-        route = self.routes.get(population_name)
-        return len(route.pool) if route is not None else 0
+        if population_name in self.routes:
+            return self.plane.connected(self.index, population_name)
+        return 0
 
     @property
     def stats(self) -> SelectorStats:
@@ -207,19 +201,6 @@ class Selector(Actor):
         route.window_cache = (self.now, needed, window)
         return window
 
-    def _reject(
-        self, route: PopulationRoute, device_ref: ActorRef, reason: str
-    ) -> None:
-        window = self._suggest_window(route)
-        self.tell(device_ref, msg.CheckinRejected(window=window, reason=reason))
-
-    def checkin_lost(self, population_name: str) -> None:
-        """A screen-admitted check-in message was lost in flight (fault
-        plane): release the pool-quota slot its admission reserved."""
-        route = self.routes.get(population_name)
-        if route is not None and route.pending_admissions > 0:
-            route.pending_admissions -= 1
-
     # -- vectorized-plane fast path ------------------------------------------------
     def fast_checkin_decision(
         self,
@@ -234,28 +215,26 @@ class Selector(Actor):
         The group arrives in device-index order as parallel lists — each
         row's attestation verdict (cached in the plane at enrollment) and
         its FL runtime version.  Returns ``(admitted, window)``: the
-        positions that should *materialize* — open a real stream, each
-        holding a pool slot reserved here — and the pace window every
-        other row bounces with (``None`` when none does).  Bounced rows
-        are counted here, by reason; admitted ones by their check-in
-        message, so nothing is double-counted.
+        positions that join the pool — open a stream and WAIT here — and
+        the pace window every other row bounces with (``None`` when none
+        does).  Every row is counted here, bounced ones by reason.
         """
         count = len(attestation_ok)
         route = self.routes.get(population_name)
         if route is None:
             if not self.routes:
-                # Nothing hosted: the message path silently drops the
-                # check-in, so let the devices materialize into that fate.
+                # Nothing hosted: the stream opens onto nothing, and the
+                # devices wait out their deadlines.
                 return range(count), None
             fallback = next(iter(self.routes.values()))
             fallback.stats.checkins += count
             fallback.stats.rejected_unknown_population += count
             return (), self._suggest_window(fallback)
+        route.stats.checkins += count
         admitted = self._admit_group(route, attestation_ok, runtime_versions)
-        bounced = count - len(admitted)
-        if not bounced:
+        route.stats.accepted += len(admitted)
+        if len(admitted) == count:
             return admitted, None
-        route.stats.checkins += bounced
         return admitted, self._suggest_window(route)
 
     def _admit_group(
@@ -263,10 +242,8 @@ class Selector(Actor):
     ):
         """The admission policy over a group of simultaneous check-ins, in
         order — draining, attestation, plan compatibility, quota: the
-        positions admitted, every rejection counted under its reason.
-        Admissions still in flight count against the quota and the ones
-        made here are reserved at once, so the free slots go to the first
-        admissible rows and ``len(pool) + pending_admissions`` never
+        positions admitted, every rejection counted under its reason.  The
+        free slots go to the first admissible rows, so the pool never
         passes ``pool_cap``."""
         stats = route.stats
         if route.draining:
@@ -283,23 +260,25 @@ class Selector(Actor):
             ]
             stats.rejected_incompatible += len(live) - len(runnable)
             live = runnable
-        free = route.pool_cap - len(route.pool) - route.pending_admissions
+        free = route.pool_cap - self.plane.connected(self.index, route.population_name)
         admitted = live[: max(free, 0)]
         stats.rejected_quota += len(live) - len(admitted)
-        route.pending_admissions += len(admitted)
         return admitted
+
+    def admitted(self, population_name: str, rows: np.ndarray) -> None:
+        """The plane pooled ``rows`` here, admitted by this Selector's
+        screen: a round that is forwarding takes what it still wants."""
+        route = self.routes.get(population_name)
+        if route is not None and route.forwarding is not None:
+            self._drain(route, rows)
 
     # -- message handling ----------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        if isinstance(message, msg.DeviceCheckin):
-            self._on_checkin(message)
-        elif isinstance(message, msg.DeviceDisconnect):
-            self._on_disconnect(message)
-        elif isinstance(message, msg.ForwardDevices):
+        if isinstance(message, msg.ForwardDevices):
             route = self.routes.get(message.population_name)
             if route is not None:
                 route.forwarding = message
-                self._drain_pool(route)
+                self._drain(route, self.plane.pooled(self.index, route.population_name))
         elif isinstance(message, msg.ClearForwarding):
             route = self.routes.get(message.population_name)
             if (
@@ -316,11 +295,6 @@ class Selector(Actor):
         elif isinstance(message, DeathNotice):
             self._on_coordinator_death(message)
 
-    def _on_disconnect(self, message: msg.DeviceDisconnect) -> None:
-        route = self.routes.get(message.population_name)
-        if route is not None and route.pool.pop(message.device_id, None) is not None:
-            route.stats.disconnects += 1
-
     # -- check-in path ---------------------------------------------------------
     def _compatible(self, route: PopulationRoute, runtime_version: int) -> bool:
         """Whether ``route`` has a plan this FL runtime version can run."""
@@ -330,91 +304,55 @@ class Selector(Actor):
             route.plan_compat[runtime_version] = compatible
         return compatible
 
-    def _on_checkin(self, checkin: msg.DeviceCheckin) -> None:
-        route = self.routes.get(checkin.population_name)
-        if route is None:
-            # No hosted population by that name: steer the device away with
-            # an arbitrary route's pace (or drop if nothing is hosted).
-            if self.routes:
-                fallback = next(iter(self.routes.values()))
-                fallback.stats.checkins += 1
-                fallback.stats.rejected_unknown_population += 1
-                self._reject(fallback, checkin.device_ref, "unknown_population")
-            return
-        route.stats.checkins += 1
-        # The sweep's screen admitted this check-in and reserved its slot;
-        # it has landed, and the slot becomes its place in the pool.  (A
-        # stale one — its device left WAITING while it flew, and the route
-        # was re-created by a re-attach since — finds no slot to release.)
-        if route.pending_admissions > 0:
-            route.pending_admissions -= 1
-        if route.draining:
-            # The one change a screen cannot see coming: the tenant began
-            # to drain while the message was in flight.
-            route.stats.rejected_draining += 1
-            self._reject(route, checkin.device_ref, "draining")
-            return
-        device = _ConnectedDevice(
-            device_id=checkin.device_id,
-            ref=checkin.device_ref,
-            runtime_version=checkin.runtime_version,
-            connected_at_s=self.now,
-        )
-        route.pool[checkin.device_id] = device
-        route.stats.accepted += 1
-        if route.forwarding is not None:
-            self._try_forward(route, device)
-
     # -- forwarding path -----------------------------------------------------------
-    def _drain_pool(self, route: PopulationRoute) -> None:
-        """Offer pooled devices to the newly started round, oldest first."""
-        for device in sorted(route.pool.values(), key=lambda d: d.connected_at_s):
-            if route.forwarding is None:
-                break
-            self._try_forward(route, device)
-
-    def _try_forward(self, route: PopulationRoute, device: _ConnectedDevice) -> None:
-        """Admission RPC to the Master Aggregator, then configure or reject."""
-        assert route.forwarding is not None
+    def _drain(self, route: PopulationRoute, rows: np.ndarray) -> None:
+        """Offer pooled ``rows`` to the forwarding round: as many as its
+        master still wants, drawn uniformly from those its task can serve
+        (from this Selector's stream), are configured in row order; the
+        rest of those are turned away, round full.  A row the task cannot
+        serve stays pooled for a differently versioned task."""
+        if not rows.size:
+            return
         instruction = route.forwarding
         master = self.system.actor_of(instruction.master)
         if master is None:
-            # Master died (Sec. 4.4): the round is gone; keep the device
+            # Master died (Sec. 4.4): the round is gone; keep the rows
             # pooled for the next round.
             route.forwarding = None
             return
-        plan = route.plans.plan_for_task(
-            instruction.task_id, device.runtime_version
-        )
-        if plan is None:
-            # This task cannot be served to this runtime; keep the device
-            # pooled for a differently versioned task.
-            return
-        decision, agg_ref = master.admit_device(  # type: ignore[attr-defined]
-            device.device_id, device.ref, device.runtime_version
-        )
-        route.pool.pop(device.device_id, None)
-        if decision is not CheckinDecision.ACCEPT or agg_ref is None:
-            route.stats.rejected_quota += 1
-            self._reject(route, device.ref, "round_full")
+        plan_for = partial(route.plans.plan_for_task, instruction.task_id)
+        plans = list(map(plan_for, self.plane._runtime_version[rows].tolist()))
+        if None in plans:
+            servable = [plan is not None for plan in plans]
+            rows, plans = rows[servable], list(compress(plans, servable))
+        demand = master.demand  # type: ignore[attr-defined]
+        if rows.size > demand:
+            # The rows holding the ``demand`` smallest of one uniform each:
+            # a uniform draw of that many.
+            order = self.rng.random(rows.size).argsort()
+            route.stats.rejected_quota += rows.size - demand
+            self.plane.bounce(np.sort(rows[order[demand:]]), self._suggest_window(route))
+            taken = np.sort(order[:demand])
+            rows, plans = rows[taken], [plans[j] for j in taken.tolist()]
+        if not rows.size:
             return
         checkpoint = self.store.latest(route.population_name)
-        route.stats.forwarded += 1
-        self.tell(
-            device.ref,
-            msg.ConfigureDevice(
-                round_id=instruction.round_id,
-                task_id=instruction.task_id,
-                plan=plan,
-                checkpoint=checkpoint,
-                aggregator=agg_ref,
-            ),
-        )
-
-    def _flush_pool(self, route: PopulationRoute, reason: str) -> None:
-        for device in list(route.pool.values()):
-            self._reject(route, device.ref, reason)
-        route.pool.clear()
+        route.stats.forwarded += rows.size
+        for device, plan in zip(self.plane.forward(rows), plans):
+            # The draw stays within the master's demand: it accepts each.
+            _, aggregator = master.admit_device(  # type: ignore[attr-defined]
+                device.device_id, device.ref, device.profile.runtime_version
+            )
+            self.tell(
+                device.ref,
+                msg.ConfigureDevice(
+                    round_id=instruction.round_id,
+                    task_id=instruction.task_id,
+                    plan=plan,
+                    checkpoint=checkpoint,
+                    aggregator=aggregator,
+                ),
+            )
 
     # -- coordinator recovery (Sec. 4.4) ------------------------------------------
     def _on_coordinator_death(self, notice: DeathNotice) -> None:

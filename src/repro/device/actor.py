@@ -1,24 +1,24 @@
 """The simulated device: an actor driving the active participation lifecycle.
 
-One :class:`DeviceActor` per phone.  It owns check-in, plan download,
-local training, update upload, and every Table 1 event along the way —
-the WAITING → PARTICIPATING → reporting pipeline.  Its check-in is
-already admitted when it opens the stream: the idle plane's screen judged
-it, attestation verdict included (a device is attested once, when its
-row is enrolled), and reserved its Selector pool slot.  Interruption
-semantics follow Sec. 3: "Once started, the FL runtime will abort,
-freeing the allocated resources, if these conditions are no longer met."
+One :class:`DeviceActor` per phone, and only for a phone a round has
+taken.  It owns a session — plan download, local training, update
+upload, and every Table 1 event along the way — from the
+``ConfigureDevice`` that starts it to the hand-back that ends it.
+Interruption semantics follow Sec. 3: "Once started, the FL runtime will
+abort, freeing the allocated resources, if these conditions are no
+longer met."
 
-The *idle* half of the lifecycle — eligibility flips (idle/charging/
+Everything before that is the device's row of the :class:`~repro.sim.
+idle_plane.VectorizedIdlePlane`: eligibility flips (idle/charging/
 unmetered, diurnally modulated), the periodic job schedule, the
-pace-steering pending window, the on-device worker queue and the
-Selector pick — is the device's row of the :class:`~repro.sim.idle_plane.
-VectorizedIdlePlane`: idle devices are rows in fleet-wide arrays and
-only materialize as actor interactions when a Selector admits a
-check-in — a fleet does not even construct a row's ``DeviceActor``
-before its first admitted check-in (:mod:`repro.device.table`).  The
-actor holds its ``plane`` and its ``row`` and calls the plane's per-row
-entry points with them; ``scheduler`` is that row of the worker queue.
+pace-steering pending window, the on-device worker queue, the Selector
+pick, the screen's verdict (attestation included: a device is attested
+once, when its row is enrolled) and WAITING at a Selector until a round
+takes the row or it hangs up — all columns.  A fleet constructs a row's
+``DeviceActor`` when a round first takes the row
+(:mod:`repro.device.table`).  The actor holds its ``plane`` and its
+``row`` and calls the plane's per-row entry points with them;
+``scheduler`` is that row of the worker queue.
 
 A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
 one fleet, many learning problems).  Each job-scheduler firing enqueues
@@ -33,10 +33,10 @@ its trainers are its tenants' (a session asks ``trainer_of(name)``, which
 a fleet resolves in the tenant's ``PopulationRuntime``): a tenant
 attaching to or draining from a live fleet writes columns and never
 visits a device.  Nor is it a home of its record: what it tallies
-(:class:`DeviceHealthStats`) and its eligibility are columns of its row,
-which ``health`` / ``eligible`` / ``state`` read.  What the object owns
-is its session — the round it is in, its timers — and, between sessions,
-its two stale-event guards (``_generation``, ``_wait_epoch``).
+(:class:`DeviceHealthStats`), its eligibility and its state are columns
+of its row, which ``health`` / ``eligible`` / ``state`` read.  What the
+object owns is its session — the round it is in, its timers — and,
+between sessions, its stale-event guard (``_generation``).
 """
 
 from __future__ import annotations
@@ -91,16 +91,14 @@ class DeviceHealthStats:
 class DeviceActor(Actor):
     """One phone in the fleet, member of one or more FL populations."""
 
-    # Constructed by the thousand inside a run (each at its first admitted
-    # check-in): no instance dict, one slot per field.
+    # Constructed by the thousand inside a run (each at its first
+    # configuration): no instance dict, one slot per field.
     __slots__ = (
         "profile", "network", "conditions", "trainer_of", "compute",
-        "event_log", "_rng", "job",
-        "compute_error_prob", "ack_timeout_s",
-        "waiting_timeout_s", "upload_retry", "plane", "row", "scheduler",
-        "_active_population", "_selector", "_round_id",
-        "_aggregator", "_generation", "_waiting_timeout_event",
-        "_ack_timeout_event", "_last_checkin_t", "_wait_epoch",
+        "event_log", "_rng", "job", "compute_error_prob", "ack_timeout_s",
+        "upload_retry", "plane", "row", "scheduler",
+        "_active_population", "_round_id", "_aggregator", "_generation",
+        "_ack_timeout_event",
     )
 
     def __init__(
@@ -115,7 +113,6 @@ class DeviceActor(Actor):
         job: JobSchedule | None = None,
         compute_error_prob: float = 0.005,
         ack_timeout_s: float = 60.0,
-        waiting_timeout_s: float = 1800.0,
         upload_retry: Any = None,  # faults.RetryPolicy; None = legacy no-retry
         plane: Any = None,  # sim.idle_plane.VectorizedIdlePlane
         row: int = -1,
@@ -138,7 +135,6 @@ class DeviceActor(Actor):
         self.job = job or JobSchedule()
         self.compute_error_prob = compute_error_prob
         self.ack_timeout_s = ack_timeout_s
-        self.waiting_timeout_s = waiting_timeout_s
         self.upload_retry = upload_retry
 
         #: The idle plane and this device's row of it — the home of its
@@ -150,17 +146,13 @@ class DeviceActor(Actor):
         self.row = row
         self.scheduler = scheduler
         self._active_population: str | None = None
-        self._selector: ActorRef | None = None
         self._round_id: int | None = None
         self._aggregator: ActorRef | None = None
         self._generation = 0
-        #: Stale-guard timers: cancelled eagerly when their session ends so
-        #: they are reclaimed by the event loop's compaction instead of
-        #: surviving on the heap until their (guarded no-op) fire time.
-        self._waiting_timeout_event = None
+        #: Stale-guard timer: cancelled eagerly when its session ends so it
+        #: is reclaimed by the event loop's compaction instead of surviving
+        #: on the heap until its (guarded no-op) fire time.
         self._ack_timeout_event = None
-        self._last_checkin_t: float | None = None
-        self._wait_epoch = 0
 
     # -- helpers -----------------------------------------------------------------
     @property
@@ -189,13 +181,8 @@ class DeviceActor(Actor):
 
     @property
     def state(self) -> DeviceState:
-        """Inside a session, its phase; outside one, the row's
-        eligibility — read where each lives, so never stale."""
-        if self._aggregator is not None:
-            return DeviceState.PARTICIPATING
-        if self._active_population is not None:
-            return DeviceState.WAITING
-        return DeviceState.IDLE if self.eligible else DeviceState.SLEEPING
+        """The row's state: its columns say it all."""
+        return self.plane.state(self.row)
 
     @property
     def health(self) -> DeviceHealthStats:
@@ -209,11 +196,6 @@ class DeviceActor(Actor):
 
     def _transfer(self, nbytes: int, direction: TransferDirection) -> tuple[float, bool]:
         return self.network.transfer(self.conditions, nbytes, direction, self.rng)
-
-    def _cancel_waiting_timer(self) -> None:
-        if self._waiting_timeout_event is not None:
-            self._waiting_timeout_event.cancel()
-            self._waiting_timeout_event = None
 
     def _cancel_ack_timer(self) -> None:
         if self._ack_timeout_event is not None:
@@ -231,24 +213,11 @@ class DeviceActor(Actor):
         self.plane.start()
 
     def on_eligibility_lost(self) -> None:
-        """Eligibility vanished (the plane's callback): interrupt any
-        session.
-
-        The plane has already flipped the row and owns the idle-side
-        rescheduling; this handles only the active-session teardown
-        (Sec. 3's abort semantics).
-        """
-        if self.state is DeviceState.WAITING:
-            self._leave_waiting(disconnect=True)
-            # The interrupted job reschedules at its normal cadence, not
-            # at the next eligibility window.
-            self.plane.set_pending_window(
-                self.row, self.now + self.job.next_delay(self.rng)
-            )
-        elif self.state is DeviceState.PARTICIPATING:
-            # Sec. 3: the runtime aborts when conditions are no longer met.
-            self._abort_participation("eligibility_change")
-            self._hand_back()
+        """Eligibility vanished mid-session (the plane's callback): Sec. 3's
+        abort.  The plane has already flipped the row and owns the
+        idle-side rescheduling."""
+        self._abort_participation("eligibility_change")
+        self._hand_back()
 
     def _abort_participation(self, reason: str) -> None:
         """The PARTICIPATING-session abort core, shared by eligibility
@@ -269,36 +238,13 @@ class DeviceActor(Actor):
         )
 
     def interrupt_session(self, reason: str) -> None:
-        """Server-driven session teardown (tenant drain past its deadline):
-        the same abort semantics as eligibility loss, except the device
-        keeps its eligibility and resumes its normal idle cadence."""
-        if self.state is DeviceState.WAITING:
-            self._leave_waiting(disconnect=True, back_in=self._next_job_delay)
-        elif self.state is DeviceState.PARTICIPATING:
-            self._abort_participation(reason)
-            self._hand_back(self._next_job_delay)
+        """Server-driven session teardown (a fault, a tenant drain past its
+        deadline): the same abort semantics as eligibility loss, except the
+        device keeps its eligibility and resumes its normal idle cadence."""
+        self._abort_participation(reason)
+        self._hand_back(self._next_job_delay)
 
     # -- session teardown --------------------------------------------------------
-    def _leave_waiting(
-        self, disconnect: bool, back_in: Callable[[], float] | None = None
-    ) -> None:
-        """Every way out of WAITING but selection: hang up (``disconnect``:
-        the Selector's end is still up and has not hung up itself), free
-        the on-device worker queue (a stuck session would block every
-        tenant forever) and hand the row back."""
-        self._cancel_waiting_timer()
-        if disconnect:
-            self.tell(
-                self._selector,
-                msg.DeviceDisconnect(
-                    self.device_id, population_name=self._active_population
-                ),
-            )
-        self.scheduler.abort()
-        self._active_population = None
-        self._selector = None
-        self._hand_back(back_in)
-
     def _hand_back(self, back_in: Callable[[], float] | None = None) -> None:
         """The session is over: the plane owns the row again and, if the
         device is still eligible, books its next check-in ``back_in()``
@@ -315,88 +261,22 @@ class DeviceActor(Actor):
             return 1.0
         return self.job.next_delay(self.rng)
 
-    # -- check-in ------------------------------------------------------------
-    def _materialize_checkin(self, started: str) -> None:
-        """Open the real device stream: timers, messages."""
-        self.plane.session_started(self.row)
-        self._wait_epoch += 1
-        # A real check-in stream does not stay open forever: if no round
-        # wants this device within the timeout, hang up and retry on the
-        # normal job cadence.
-        self._waiting_timeout_event = self.schedule(
-            self.waiting_timeout_s, self._on_waiting_timeout, self._wait_epoch
-        )
-        self._round_id = None
-        # The round id is unknown until selection; the check-in event is
-        # logged retroactively (at its true time) once configured, so
-        # Table 1 sessions are keyed by the round they belong to.
-        self._last_checkin_t = self.now
-        self.tell(
-            self._selector,
-            msg.DeviceCheckin(
-                device_id=self.device_id,
-                population_name=started,
-                runtime_version=self.profile.runtime_version,
-                device_ref=self.ref,
-            ),
-            delay=self.conditions.rtt_s,
-        )
-
-    def _attempt_screened_checkin(self, started: str, selector: ActorRef) -> None:
-        """The device half of a check-in the idle plane's screen
-        admitted.  The plane has already run the worker queue (``started``
-        is the session it picked), resolved ``selector`` from the row's
-        pick draw and had it reserve a pool slot; a bounced row never
-        gets here — its rejection is array writes inside the plane.
-        """
-        self._active_population = started
-        self._selector = selector
-        self._materialize_checkin(started)
-
-    def _on_waiting_timeout(self, wait_epoch: int) -> None:
-        self._waiting_timeout_event = None
-        if self.state is not DeviceState.WAITING or wait_epoch != self._wait_epoch:
-            return
-        self._leave_waiting(
-            disconnect=True, back_in=lambda: self.job.next_delay(self.rng)
-        )
-
     # -- message handling ------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        if isinstance(message, msg.CheckinRejected):
-            self._on_rejected(message)
-        elif isinstance(message, msg.ConfigureDevice):
-            self._on_configure(message)
+        if isinstance(message, msg.ConfigureDevice):
+            self._attempt_screened_checkin(message)
         elif isinstance(message, msg.ReportAck):
             self._on_report_ack(message)
-        elif isinstance(message, msg.ConnectionReset):
-            self._on_connection_reset()
-
-    def _on_connection_reset(self) -> None:
-        """The selector's end of the stream died; retry another one."""
-        if self.state is not DeviceState.WAITING:
-            return
-        self._leave_waiting(
-            disconnect=False, back_in=lambda: self.rng.uniform(30.0, 180.0)
-        )
-
-    def _on_rejected(self, rejected: msg.CheckinRejected) -> None:
-        if self.state is not DeviceState.WAITING:
-            return
-        # Pace steering: "The device attempts to respect this, modulo its
-        # eligibility."
-        # The window gates the whole device, not just the rejected tenant:
-        # pace steering is the server's overload valve, and a multi-tenant
-        # device hammering back for its other population would defeat it.
-        reconnect_at = rejected.window.sample(self.rng)
-        self.plane.set_pending_window(self.row, reconnect_at)
-        self._leave_waiting(
-            disconnect=False, back_in=lambda: max(reconnect_at - self.now, 1.0)
-        )
 
     # -- participation pipeline ----------------------------------------------------
-    def _on_configure(self, configure: msg.ConfigureDevice) -> None:
-        if self.state is not DeviceState.WAITING or not self.eligible:
+    def _attempt_screened_checkin(self, configure: msg.ConfigureDevice) -> None:
+        """The device's entry: a round took its row — pooled at a Selector
+        since the screen admitted its check-in — and its configuration
+        arrived.  If the row still waits for it, the session starts
+        (PARTICIPATING) and logs its check-in at its true time; a row that
+        hung up meanwhile is gone before configuration."""
+        started = self.plane.begin_session(self.row)
+        if started is None:
             self.tell(
                 configure.aggregator,
                 msg.DeviceDropped(
@@ -406,12 +286,15 @@ class DeviceActor(Actor):
                 ),
             )
             return
-        self._cancel_waiting_timer()
-        self.plane.scheduler.count_session(self.row, self._active_population)
+        self.plane.scheduler.count_session(self.row, started)
+        self._active_population = started
         self._round_id = configure.round_id
         self._aggregator = configure.aggregator  # PARTICIPATING from here
         self.event_log.log(
-            self._last_checkin_t, self.device_id, configure.round_id, DeviceEvent.CHECKIN
+            float(self.plane.connected_at_s[self.row]),
+            self.device_id,
+            configure.round_id,
+            DeviceEvent.CHECKIN,
         )
         generation = self._generation
         nbytes = configure.plan.nbytes + configure.checkpoint.nbytes
@@ -535,7 +418,7 @@ class DeviceActor(Actor):
         )
 
     def _on_report_ack(self, ack: msg.ReportAck) -> None:
-        if self.state is not DeviceState.PARTICIPATING or ack.round_id != self._round_id:
+        if self._aggregator is None or ack.round_id != self._round_id:
             return
         self._log(DeviceEvent.UPLOAD_COMPLETED if ack.accepted else DeviceEvent.UPLOAD_REJECTED)
         self._finish_participation()
@@ -556,17 +439,14 @@ class DeviceActor(Actor):
     def _end_participation(self) -> None:
         """Invalidate in-flight work (interruption path)."""
         self._generation += 1
-        self._cancel_waiting_timer()
         self._cancel_ack_timer()
         if self.scheduler.running == self._active_population:
             self.scheduler.abort()
         self._active_population = None
-        self._selector = None
         self._aggregator = None
 
     def _finish_participation(self) -> None:
         self._generation += 1
-        self._cancel_waiting_timer()
         self._cancel_ack_timer()
         if (
             self._active_population is not None
@@ -574,7 +454,6 @@ class DeviceActor(Actor):
         ):
             self.scheduler.finish(self._active_population)
         self._active_population = None
-        self._selector = None
         self._aggregator = None
         self._round_id = None
         self._hand_back(self._next_job_delay)

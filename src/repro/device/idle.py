@@ -6,8 +6,7 @@ A device spends almost all of its life *not* training: sleeping
 window — is a row of the fleet-wide :class:`~repro.sim.idle_plane.
 VectorizedIdlePlane`, whose per-row entry points a
 :class:`~repro.device.actor.DeviceActor` calls with its ``row``; the
-actor itself only runs the active session pipeline (WAITING →
-PARTICIPATING → reporting).
+actor itself only runs a round's session (PARTICIPATING → reporting).
 
 What stays here is what the plane's sweeps and the lifecycle plane's
 attach-time kick both draw from: how long a device that just woke waits

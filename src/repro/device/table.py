@@ -1,15 +1,16 @@
 """The device table: a fleet's devices by index, objects on demand.
 
 The paper's fleet is ~10^7 devices with ~10^4 live at a time (Sec. 9),
-and its actors are ephemeral — created for the work (Sec. 4.1).  Between
-sessions everything the server side knows of a device fits in a row of
-the idle plane's columns (Lo et al.'s *client registry*, kept apart from
-the client runtime), so a :class:`~repro.device.actor.DeviceActor` is
-constructed the first time something asks for it — the sweep that
-dispatches its first admitted check-in, or an explicit ``table[i]`` — and
-kept from then on: its two stale-event guards live on the object, and
-nothing else does between sessions (its memberships, its eligibility and
-everything it tallies stay the plane's columns, its trainers its
+and its actors are ephemeral — created for the work (Sec. 4.1).  Outside
+a round everything the server side knows of a device — WAITING at a
+Selector included — fits in a row of the idle plane's columns (Lo et
+al.'s *client registry*, kept apart from the client runtime), so a
+:class:`~repro.device.actor.DeviceActor` is constructed the first time
+something asks for it — the Selector that forwards its row to a round
+(``VectorizedIdlePlane.forward``), or an explicit ``table[i]`` — and kept
+from then on: its stale-event guard lives on the object, and nothing
+else does between sessions (its memberships, its eligibility, its state
+and everything it tallies stay the plane's columns, its trainers its
 tenants').
 """
 

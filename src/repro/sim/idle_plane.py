@@ -9,11 +9,17 @@ module instead keeps every idle device as a row in fleet-wide arrays:
 * ``next_flip_t``   — absolute time of the next eligibility transition;
 * ``eligible``      — the current eligibility bit;
 * ``next_checkin_t``— absolute time of the next check-in attempt
-  (``inf`` while ineligible, membership-less, or materialized);
+  (``inf`` while ineligible, membership-less or participating; a
+  WAITING row's hang-up deadline);
 * ``pending_window_t`` — pace-steering window start (device must not
   check in before it);
-* ``active``        — the device is *materialized*: it is WAITING at a
-  Selector or PARTICIPATING in a round, under actor control;
+* ``active``        — the device is in a session: WAITING or
+  PARTICIPATING;
+* ``_waiting_at`` / ``connected_at_s`` — a WAITING row's Selector and
+  when it connected (Sec. 4.2's Selector pool is these two columns, the
+  tenant being the worker queue's running slot, plus a small
+  ``(selector, tenant-slot)`` count array); a WAITING row's
+  ``next_checkin_t`` is its hang-up deadline;
 * the on-device worker queue (Sec. 11) of every row, as the
   ``(rows x tenant-slot)`` columns of a :class:`~repro.device.scheduler.
   ColumnScheduler`, and what a Selector's screen reads of a device (its
@@ -38,18 +44,21 @@ eligibility exactly at a sweep boundary never checks in at that instant.
 A sweep's check-ins are array work end to end: the worker queues pick
 each due row's session, the row's pick draw resolves its Selector, and
 each Selector gives one admission verdict per (selector, tenant) group —
-the only time a check-in is judged; an admitted row holds a reserved
-pool slot.  A bounced row is pace-steered by vector writes; a device only
-materializes as a full :class:`~repro.device.actor.DeviceActor`
-interaction when a Selector admits it — which, the first time, is also
-when the ``DeviceActor`` is *constructed*: until then the device is only
-its row (:mod:`repro.device.table`) — and when its session ends (report,
-rejection, timeout, interruption) the actor hands the device back to the
-plane.  Determinism: every draw a device makes
-*while the plane owns it* (initial eligibility, flip resample, first
-check-in stagger, wake jitter, selector pick, rejected-window sample)
-comes from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`),
-a whole batch of rows per call — the same seed yields a byte-identical
+the only time a check-in is judged.  A bounced row is pace-steered by
+vector writes; an admitted row WAITs, as columns, at its Selector, which
+offers it to a round (:meth:`repro.actors.selector.Selector.admitted`).
+Every way out of WAITING but selection — its deadline, a flip to
+ineligible, a Selector crash, a drain, a round that is full — is vector
+writes too.  A device becomes a :class:`~repro.device.actor.DeviceActor`
+interaction only when a round takes its row — which, the first time, is
+also when the ``DeviceActor`` is *constructed*: until then the device is
+only its row (:mod:`repro.device.table`) — and when its session ends
+(report, interruption) the actor hands the device back to the plane.
+Determinism: every draw a device makes *while the plane owns it*
+(initial eligibility, flip resample, first check-in stagger, wake
+jitter, selector pick, pace-window sample, every hang-up's delay) comes
+from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`), a
+whole batch of rows per call — the same seed yields a byte-identical
 run, and the device's own generator serves its sessions only.
 """
 
@@ -64,7 +73,7 @@ import numpy as np
 
 from repro.device.actor import DeviceHealthStats, DeviceState
 from repro.device.idle import first_checkin_delay, wake_jitter
-from repro.device.scheduler import ColumnScheduler, RowScheduler
+from repro.device.scheduler import ColumnScheduler, JobSchedule, RowScheduler
 from repro.device.table import DeviceTable
 from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
@@ -79,6 +88,10 @@ if TYPE_CHECKING:
     from repro.device.attestation import AttestationService
 
 _INF = float("inf")
+
+#: Seconds (uniform) before a row whose Selector's stream broke — a crash,
+#: or a retired route — tries again.
+RESET_RETRY_S = (30.0, 180.0)
 
 #: The column that holds each :class:`DeviceProfile` field, in field order.
 _PROFILE_COLUMNS = tuple(f"_{name}" for name in DeviceProfile._fields)
@@ -104,11 +117,13 @@ class VectorizedIdlePlane:
     for each row once, at enrollment, and the fleet's on-device
     ``scheduler_policy``.
 
-    A row needs no device object until a Selector admits one of its
-    check-ins: ``devices`` is the fleet's :class:`~repro.device.table.
-    DeviceTable`, which constructs a row's ``DeviceActor`` the first time
-    the dispatch (or anyone else) asks for it.  Without one the plane
-    keeps a table of its own, of the devices :meth:`adopt` seats in it.
+    A row needs no device object until a round takes it: ``devices`` is
+    the fleet's :class:`~repro.device.table.DeviceTable`, which constructs
+    a row's ``DeviceActor`` the first time :meth:`forward` (or anyone
+    else) asks for it.  Without one the plane keeps a table of its own,
+    of the devices :meth:`adopt` seats in it.  ``job`` and
+    ``waiting_timeout_s`` are the fleet's: a hang-up waits out a jittered
+    job interval, a WAITING row hangs up after the timeout.
     """
 
     #: Every per-row array, declared once: construction and growth both
@@ -122,6 +137,11 @@ class VectorizedIdlePlane:
         ("_next_event_t", np.float64, _INF),
         ("eligible", np.bool_, False),
         ("active", np.bool_, False),
+        # A WAITING row's Selector index (``len(selectors)`` — nowhere —
+        # once forwarded, or when its check-in was lost on the way), else
+        # -1; and when it connected.
+        ("_waiting_at", np.int32, -1),
+        ("connected_at_s", np.float64, 0.0),
         ("_has_memberships", np.bool_, False),
         # The device's profile, one column per ``DeviceProfile`` field
         # (``profile(row)`` builds the record).  A sweep reads the time
@@ -170,6 +190,8 @@ class VectorizedIdlePlane:
         capacity: int = 0,
         sweep_interval_s: float = 15.0,
         devices: DeviceTable | None = None,
+        job: JobSchedule | None = None,
+        waiting_timeout_s: float = 1800.0,
     ):
         self._loop = loop
         self._draws = draws
@@ -188,6 +210,14 @@ class VectorizedIdlePlane:
         #: of the Selectors that serve it, and how many there are.
         self._pools: list[tuple[int, ...]] = []
         self._pool_size = np.zeros(0)
+        #: WAITING rows per ``(selector, tenant slot)``; the last row is
+        #: nowhere's.  Sized with the pools.
+        self._waiting = np.zeros((1, 0), np.int64)
+        self._job = job or JobSchedule()
+        self.waiting_timeout_s = float(waiting_timeout_s)
+        #: ``count -> lost mask``, drawn for every batch of check-ins a
+        #: Selector admits (the fault plane's message drops), or ``None``.
+        self.checkin_fault: Callable[[int], np.ndarray] | None = None
         self._devices = devices if devices is not None else DeviceTable()
         #: Rows ``[0, _started)`` have drawn their initial eligibility;
         #: the sweep armed by :meth:`start` starts those up to ``_start_to``
@@ -209,6 +239,7 @@ class VectorizedIdlePlane:
         self.flips = 0
         self.checkins_dispatched = 0
         self.checkins_fast_rejected = 0
+        #: Admitted check-ins: rows that began to WAIT.
         self.materializations = 0
 
     # -- enrollment ------------------------------------------------------------
@@ -298,6 +329,13 @@ class VectorizedIdlePlane:
         if t < _INF and not self._sweeping:
             self._sweeper.arm(self._quantize(t))
 
+    def _job_delay(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each of ``rows``' jittered job interval at uniform draw ``u``
+        (:meth:`JobSchedule.delay_at` over its ``_job_interval_s``)."""
+        base = self._job_interval_s[rows]
+        lo = base * (1.0 - self._job.jitter_fraction)
+        return lo + (base * (1.0 + self._job.jitter_fraction) - lo) * u
+
     def _draw(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """Each of ``rows``' (distinct) next draw: two uniforms in [0, 1)."""
         drawn = self._draw_count[rows]
@@ -359,18 +397,6 @@ class VectorizedIdlePlane:
         self.next_checkin_t[i] = self._loop.now + max(delay, 0.0)
         self._touch(i)
 
-    def set_pending_window(self, i: int, reconnect_at_s: float) -> None:
-        """Pace steering: no check-in of row ``i`` before ``reconnect_at_s``."""
-        self.pending_window_t[i] = reconnect_at_s
-
-    def session_started(self, i: int) -> None:
-        """Row ``i`` materialized: its device is WAITING at a Selector.
-        Only a sweep's dispatch materializes a row, and it has already
-        retired the row's check-in."""
-        self._active_count += not self.active[i]
-        self.active[i] = True
-        self.materializations += 1
-
     def session_ended(self, i: int) -> None:
         """The actor handed the device back; the device schedules its next
         check-in (if eligible) right after this call."""
@@ -409,7 +435,8 @@ class VectorizedIdlePlane:
     def _run_sweep(self, now: float) -> None:
         due = np.nonzero(self._next_event_t <= now)[0]
         # One draw per due row: a flip spends it on (hazard, wake jitter),
-        # a check-in on (selector pick, pace-window sample).
+        # a check-in on (selector pick, pace-window sample), a WAITING
+        # row's deadline on its hang-up delay.
         u_first, u_second = self._draw(due)
         # Flips first: a device that loses eligibility exactly at a sweep
         # boundary must not also check in at that boundary.
@@ -418,9 +445,15 @@ class VectorizedIdlePlane:
         if rows.size:
             self._flip_rows(rows, u_first[flips], u_second[flips], now)
         checkins = self.next_checkin_t[due] <= now
-        rows = due[checkins]
+        rows, u_first, u_second = due[checkins], u_first[checkins], u_second[checkins]
+        waiting = self._waiting_at[rows] >= 0
+        if np.count_nonzero(waiting):
+            # No round took them in time: they hang up and come back a
+            # jittered job interval later.
+            self.release(rows[waiting], self._job_delay(rows[waiting], u_first[waiting]))
+            rows, u_first, u_second = rows[~waiting], u_first[~waiting], u_second[~waiting]
         if rows.size:
-            self._checkin_rows(rows, u_first[checkins], u_second[checkins], now)
+            self._checkin_rows(rows, u_first, u_second, now)
 
     def _flip_rows(
         self, rows: np.ndarray, u_hazard: np.ndarray, u_jitter: np.ndarray, now: float
@@ -443,7 +476,7 @@ class VectorizedIdlePlane:
         self.next_flip_t[rows] = flip_t
         # A waking member returns at its pace window if one is still
         # ahead, else after a short jitter; a row that fell asleep or has
-        # no tenant has no check-in (nor has a materialized row: it was
+        # no tenant has no check-in (nor has a row in a session: it was
         # awake, so it fell asleep).
         window = self.pending_window_t[rows]
         checkin_t = np.where(
@@ -452,12 +485,19 @@ class VectorizedIdlePlane:
             _INF,
         )
         self.next_checkin_t[rows] = checkin_t
-        was_active = self.active[rows]
-        if np.count_nonzero(was_active):
-            # The actor interrupts its session and hands the row back via
-            # session_ended — in device-index order, which fixes the
-            # shared actors/latency stream.
-            for i in rows[was_active & ~eligible].tolist():
+        in_session = self.active[rows]
+        if np.count_nonzero(in_session):
+            asleep, u_asleep = rows[in_session], u_jitter[in_session]
+            waiting = self._waiting_at[asleep] >= 0
+            # A WAITING row hangs up; its job comes back at its normal
+            # cadence, not at the next eligibility window.
+            self.release(
+                asleep[waiting], self._job_delay(asleep[waiting], u_asleep[waiting]), True
+            )
+            # A participating device's actor interrupts its session and
+            # hands the row back via session_ended — in device-index
+            # order, which fixes the shared actors/latency stream.
+            for i in asleep[~waiting].tolist():
                 devices[i].on_eligibility_lost()
         self._next_event_t[rows] = np.minimum(flip_t, checkin_t)
 
@@ -467,9 +507,8 @@ class VectorizedIdlePlane:
         """Dispatch every due check-in as array work: the worker queues
         pick each row's session, its pick draw its Selector, and each
         Selector screens its rows a (selector, tenant) group at a time.
-        Bounced rows are pace-steered by vector writes; only the admitted
-        few touch their ``DeviceActor`` — in device-index order (it fixes
-        the shared actors/latency stream)."""
+        Bounced rows are pace-steered by vector writes, admitted ones
+        WAIT (:meth:`_wait_rows`); no ``DeviceActor`` is visited."""
         self.next_checkin_t[rows] = _INF
         self._next_event_t[rows] = self.next_flip_t[rows]
         # Eligible and not in a session (an active row is always eligible).
@@ -498,7 +537,7 @@ class VectorizedIdlePlane:
         group = slot * len(self._selectors) + choice
         order = group.argsort(kind="stable")
         group, rows, u_window = group[order], rows[order], u_window[order]
-        held, admitted, spans, sizes = self._screen_groups(
+        held, at, spans, sizes = self._screen_groups(
             group.tolist(),
             (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(),
             rows.tolist(),
@@ -507,6 +546,10 @@ class VectorizedIdlePlane:
         )
         # The attempt counts on the device's health record, admitted or not.
         self._health_checkins[rows] += 1
+        if held:
+            self._wait_rows(
+                rows[held], group[held] // len(self._selectors), np.array(at), now
+            )
         if len(held) < rows.size:
             windows = np.repeat(np.array(spans), sizes, axis=0)
             if held:
@@ -514,28 +557,20 @@ class VectorizedIdlePlane:
                 bounced[held] = False
                 rows, windows, u_window = rows[bounced], windows[bounced], u_window[bounced]
             self._bounce_rows(rows, windows[:, 0], windows[:, 1], u_window, now)
-        # Materialize in global device-index order, whatever the grouping
-        # (device indices are distinct: the sort never compares past them).
-        devices = self._devices
-        admitted.sort()
-        for i, tenant, selector in admitted:
-            devices[i]._attempt_screened_checkin(tenant, selector)
 
     def _retry_busy(self, rows: np.ndarray, u_pick: np.ndarray, now: float) -> None:
         """``rows``' workers are busy: their memberships still file their
         requests, and the next check-in is one jittered job interval out,
         on the draw the Selector pick would have used."""
         self.scheduler.enqueue_rows(rows)
-        checkin_t = now + np.array([
-            max(self._devices[i].job.delay_at(u), 0.0)
-            for i, u in zip(rows.tolist(), u_pick.tolist())
-        ])
+        checkin_t = now + self._job_delay(rows, u_pick)
         self.next_checkin_t[rows] = checkin_t
         self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
 
     def _resolve_pools(self) -> None:
         """Selector pools for the tenant slots registered since last time
-        (placement is a pure function of the name)."""
+        (placement is a pure function of the name), and their WAITING
+        counts."""
         router = self._shard_router
         everyone = tuple(range(len(self._selectors)))
         for name in self.scheduler.tenants[len(self._pools):]:
@@ -543,6 +578,10 @@ class VectorizedIdlePlane:
                 everyone if router is None else router.selector_indices_for(name)
             )
         self._pool_size = np.array([float(len(pool)) for pool in self._pools])
+        waiting = np.zeros((len(self._selectors) + 1, len(self._pools)), np.int64)
+        old = self._waiting
+        waiting[: old.shape[0], : old.shape[1]] = old
+        self._waiting = waiting
 
     def _screen_groups(
         self,
@@ -551,12 +590,12 @@ class VectorizedIdlePlane:
         rows: list[int],
         attested: list[bool],
         versions: list[int],
-    ) -> tuple[list[int], list[tuple], list[tuple[float, float]], list[int]]:
+    ) -> tuple[list[int], list[int], list[tuple[float, float]], list[int]]:
         """One admission verdict per (selector, tenant) group of a sweep's
         check-ins (sorted by group; a group starts at each of ``edges``).
 
-        Returns the admitted rows — their positions, and ``(device index,
-        tenant, selector ref)`` for each — and, per group, the
+        Returns the admitted rows — their positions, and for each the
+        index of the Selector it waits at — and, per group, the
         ``(earliest, latest)`` of the pace window its bounced rows are
         steered into and its size.  Per-group work is scalar Python on
         the route; nothing here is per row except for the admitted.
@@ -564,30 +603,145 @@ class VectorizedIdlePlane:
         tenants, pools, selectors = self.scheduler.tenants, self._pools, self._selectors
         width = len(selectors)
         held: list[int] = []
-        admitted: list[tuple] = []
+        at: list[int] = []
         spans, sizes = [], []
         for start, stop in zip([0, *edges], [*edges, len(rows)]):
             slot, choice = divmod(group[start], width)
-            tenant = tenants[slot]
-            selector = selectors[pools[slot][choice]]
+            index = pools[slot][choice]
             # A crashed Selector, or a stand-in without the screen: the
-            # rows materialize, and a crashed one's check-ins are lost in
-            # delivery (the devices' waiting timeouts hand them back).
-            screen = getattr(self._actor_of(selector), "fast_checkin_decision", None)
+            # check-ins are lost on the way (the rows wait, nowhere, for
+            # their deadlines).
+            screen = getattr(self._actor_of(selectors[index]), "fast_checkin_decision", None)
             if screen is None:
-                taken, window = range(stop - start), None
+                taken, window, index = range(stop - start), None, width
             else:
                 taken, window = screen(
-                    tenant, attested[start:stop], versions[start:stop]
+                    tenants[slot], attested[start:stop], versions[start:stop]
                 )
-            for j in taken:
-                held.append(start + j)
-                admitted.append((rows[start + j], tenant, selector))
+            held.extend(start + j for j in taken)
+            at.extend([index] * len(taken))
             spans.append(
                 (window.earliest_s, window.latest_s) if window is not None else (_INF, _INF)
             )
             sizes.append(stop - start)
-        return held, admitted, spans, sizes
+        return held, at, spans, sizes
+
+    def _wait_rows(
+        self, rows: np.ndarray, slots: np.ndarray, at: np.ndarray, now: float
+    ) -> None:
+        """The screen admitted ``rows`` for their running ``slots``: each
+        opens its stream and WAITs at its Selector ``at`` — nowhere, when
+        its check-in is lost on the way — until a round takes it or its
+        deadline, ``waiting_timeout_s`` out, hangs it up.  Each Selector
+        then hears of its new rows, once per group (a forwarding route
+        offers them to its round at once)."""
+        nowhere = len(self._selectors)
+        if self.checkin_fault is not None:
+            live = np.flatnonzero(at != nowhere)
+            at[live[self.checkin_fault(live.size)]] = nowhere
+        self.materializations += rows.size
+        self._active_count += rows.size
+        self.active[rows] = True
+        self._waiting_at[rows] = at
+        self.connected_at_s[rows] = now
+        deadline = now + self.waiting_timeout_s
+        self.next_checkin_t[rows] = deadline
+        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], deadline)
+        # One (selector, tenant) group after another, each in row order.
+        groups: dict[tuple[int, int], list[int]] = {}
+        for row, slot, index in zip(rows.tolist(), slots.tolist(), at.tolist()):
+            groups.setdefault((slot, index), []).append(row)
+        tenants, waiting = self.scheduler.tenants, self._waiting
+        for (slot, index), group in sorted(groups.items()):
+            waiting[index, slot] += len(group)
+            if index != nowhere:
+                self._actor_of(self._selectors[index]).admitted(
+                    tenants[slot], np.array(group)
+                )
+
+    # -- WAITING rows: the Selector pools as columns -------------------------------
+    def pooled(self, selector: int, name: str | None = None) -> np.ndarray:
+        """The rows WAITING at Selector ``selector`` (for tenant ``name``
+        only, when given), in row order."""
+        waiting = self._waiting_at[: len(self)] == selector
+        if name is not None:
+            if not self.connected(selector, name):
+                return np.zeros(0, np.intp)
+            slot = self.scheduler._slot_of[name]
+            waiting &= self.scheduler._running[: len(self)] == slot
+        return np.flatnonzero(waiting)
+
+    def connected(self, selector: int, name: str) -> int:
+        """How many rows WAIT at Selector ``selector`` for tenant ``name``."""
+        slot = self.scheduler._slot_of.get(name, -1)
+        waiting = self._waiting
+        return waiting.item(selector, slot) if 0 <= slot < waiting.shape[1] else 0
+
+    def _move(self, rows: np.ndarray, to: int) -> None:
+        """Re-home WAITING ``rows`` at ``to`` (``-1``: they stop waiting)."""
+        slots = self.scheduler._running[rows]
+        np.subtract.at(self._waiting, (self._waiting_at[rows], slots), 1)
+        if to >= 0:
+            np.add.at(self._waiting, (to, slots), 1)
+        self._waiting_at[rows] = to
+
+    def forward(self, rows: np.ndarray) -> list["DeviceActor"]:
+        """Pooled ``rows`` were forwarded to a round: each leaves its pool
+        and waits on, nowhere, for its configuration (its deadline still
+        running); their devices, built now if never before."""
+        self._move(rows, len(self._selectors))
+        devices = self._devices
+        return [devices[i] for i in rows.tolist()]
+
+    def begin_session(self, i: int) -> str | None:
+        """Row ``i``'s configuration arrived: if the row still waits for
+        it, it is PARTICIPATING from now and the session's tenant is
+        returned; ``None`` if it hung up meanwhile."""
+        nowhere = len(self._selectors)
+        if self._waiting_at[i] != nowhere:
+            return None
+        slot = self.scheduler._running.item(i)
+        self._waiting[nowhere, slot] -= 1
+        self._waiting_at[i] = -1
+        self.next_checkin_t[i] = _INF
+        self._next_event_t[i] = self.next_flip_t[i]
+        return self.scheduler.tenants[slot]
+
+    def release(self, rows: np.ndarray, delay: np.ndarray, window: bool = False) -> None:
+        """WAITING ``rows`` hang up: each leaves its pool, frees its worker
+        and, if still eligible, checks in again ``delay`` seconds from now
+        — opening a pace window then too, when ``window``."""
+        self._move(rows, -1)
+        self.scheduler.abort_rows(rows)
+        self.active[rows] = False
+        self._active_count -= rows.size
+        reconnect_at = self._loop.now + delay
+        if window:
+            self.pending_window_t[rows] = reconnect_at
+        checkin_t = np.where(self.eligible[rows], reconnect_at, _INF)
+        self.next_checkin_t[rows] = checkin_t
+        event_t = np.minimum(self.next_flip_t[rows], checkin_t)
+        self._next_event_t[rows] = event_t
+        if event_t.size and not self._sweeping:
+            self._sweeper.arm(self._quantize(float(event_t.min())))
+
+    def hang_up(self, rows: np.ndarray) -> None:
+        """WAITING ``rows`` hang up and come back a jittered job interval
+        later, each at its own row draw."""
+        self.release(rows, self._job_delay(rows, self._draw(rows)[0]))
+
+    def bounce(self, rows: np.ndarray, window) -> None:
+        """WAITING ``rows`` are turned away into pace window ``window``
+        (a drain, a full round), each at its own row draw."""
+        u = self._draw(rows)[0]
+        reconnect_at = window.earliest_s + (window.latest_s - window.earliest_s) * u
+        self.release(rows, np.maximum(reconnect_at - self._loop.now, 1.0), True)
+
+    def reset(self, rows: np.ndarray) -> None:
+        """WAITING ``rows``' Selector stream broke: they retry another one
+        ``RESET_RETRY_S`` later, each at its own row draw."""
+        lo, hi = RESET_RETRY_S
+        self.release(rows, lo + (hi - lo) * self._draw(rows)[0])
 
     def _bounce_rows(
         self,
@@ -645,27 +799,41 @@ class VectorizedIdlePlane:
             sessions_by_population=by_population,
         )
 
-    def state_counts(
-        self, active: list["DeviceActor"] | None = None
-    ) -> dict[DeviceState, int]:
-        """Fleet state census without touching idle rows or devices.
+    def state(self, i: int) -> DeviceState:
+        """Row ``i``'s lifecycle state, read off its columns."""
+        if not self.eligible[i]:
+            return DeviceState.SLEEPING
+        if not self.active[i]:
+            return DeviceState.IDLE
+        return DeviceState.WAITING if self._waiting_at[i] >= 0 else DeviceState.PARTICIPATING
 
-        Idle/sleeping counts come from the running tallies; only the
-        (few) materialized devices — ``active``, when the caller already
-        holds :meth:`active_devices` — are consulted for their actor state.
-        """
-        counts = {state: 0 for state in DeviceState}
-        counts[DeviceState.SLEEPING] = len(self._devices) - self._eligible_count
-        counts[DeviceState.IDLE] = self._eligible_count - self._active_count
-        for device in self.active_devices() if active is None else active:
-            counts[device.state] += 1
-        return counts
+    def state_counts(self) -> dict[DeviceState, int]:
+        """Fleet state census from the running tallies and the WAITING
+        counts: no row is scanned, no device visited."""
+        waiting = int(self._waiting.sum())
+        return {
+            DeviceState.SLEEPING: len(self._devices) - self._eligible_count,
+            DeviceState.IDLE: self._eligible_count - self._active_count,
+            DeviceState.WAITING: waiting,
+            DeviceState.PARTICIPATING: self._active_count - waiting,
+        }
 
-    def active_devices(self) -> list["DeviceActor"]:
-        """The currently materialized devices (WAITING/PARTICIPATING) —
-        each constructed, at the latest, by the dispatch that admitted it."""
+    def sessions_of(self, rows: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Those of ``rows`` (distinct) in a session of tenant ``name``:
+        the WAITING ones and the participating ones."""
+        slot = self.scheduler._slot_of.get(name, -2)
+        rows = rows[self.active[rows] & (self.scheduler._running[rows] == slot)]
+        waiting = self._waiting_at[rows] >= 0
+        return rows[waiting], rows[~waiting]
+
+    def participating_rows(self) -> np.ndarray:
+        """The rows in a round's session, in row order (each has its
+        device: it was built when the round took the row)."""
+        return np.flatnonzero(self.active & (self._waiting_at < 0))
+
+    def participating_devices(self) -> list["DeviceActor"]:
         devices = self._devices.rows()
-        return [devices[i] for i in np.nonzero(self.active)[0].tolist()]
+        return [devices[i] for i in self.participating_rows().tolist()]
 
 
 class ProfileTable(Sequence):

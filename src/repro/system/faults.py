@@ -60,8 +60,6 @@ from repro.bounds import (
     positive,
     probability,
 )
-from repro.actors.selector import Selector
-from repro.device.actor import DeviceState
 from repro.system.reports import RecoveryReport
 
 if TYPE_CHECKING:
@@ -83,12 +81,10 @@ CRASH_KINDS = (
 #: Server-internal control traffic (DeathNotice, RoundFinished,
 #: ForwardDevices, RegisterCoordinator, ClearForwarding) is modeled as
 #: reliable intra-datacenter RPC; its failure mode is *actor crashes*,
-#: injected above, never silent message loss.
+#: injected above, never silent message loss.  A check-in is no message
+#: (the idle plane's columns): its drop is drawn by the plane's
+#: ``checkin_fault`` hook, on the same stream.
 DEVICE_EDGE_MESSAGES = (
-    msg.DeviceCheckin,
-    msg.CheckinRejected,
-    msg.DeviceDisconnect,
-    msg.ConnectionReset,
     msg.ConfigureDevice,
     msg.DeviceReport,
     msg.DeviceDropped,
@@ -330,6 +326,8 @@ class FaultPlane:
         self._started = True
         if self.plan.messages is not None and self.plan.messages.active:
             self.fleet.actors.message_faults = self._message_fault
+            if self.plan.messages.drop_prob > 0.0:
+                self.fleet.idle_plane.checkin_fault = self._checkins_lost
         if (
             self.plan.checkpoint is not None
             and self.plan.checkpoint.write_failure_prob > 0.0
@@ -441,13 +439,8 @@ class FaultPlane:
         self.fleet.loop.schedule(at - now, self._fire_interrupt)
 
     def _fire_interrupt(self) -> None:
-        # Only a device in a session can be participating: the plane's
-        # active rows (index order).
-        victims = [
-            device
-            for device in self.fleet.idle_plane.active_devices()
-            if device.state is DeviceState.PARTICIPATING
-        ]
+        # The plane's participating rows (index order).
+        victims = self.fleet.idle_plane.participating_devices()
         if victims:
             rng = self._interrupt_rng()
             victim = victims[int(rng.integers(len(victims)))]
@@ -465,18 +458,21 @@ class FaultPlane:
         rng = self.fleet.rngs.stream("faults/messages")
         if config.drop_prob > 0.0 and float(rng.random()) < config.drop_prob:
             self.ledger.record("messages_dropped")
-            if isinstance(message, msg.DeviceCheckin):
-                # A screen-admitted check-in reserved pool quota at its
-                # Selector; losing the message must release it or the
-                # reservation leaks forever.
-                selector = self.fleet.actors.actor_of(target)
-                if isinstance(selector, Selector):
-                    selector.checkin_lost(message.population_name)
             return None
         if config.delay_prob > 0.0 and float(rng.random()) < config.delay_prob:
             self.ledger.record("messages_delayed")
             return float(rng.exponential(config.delay_mean_s))
         return 0.0
+
+    def _checkins_lost(self, count: int) -> np.ndarray:
+        """The idle plane's ``checkin_fault`` hook: which of ``count``
+        admitted check-ins are lost on the way (one draw each)."""
+        lost = self.fleet.rngs.stream("faults/messages").random(count) < (
+            self.plan.messages.drop_prob
+        )
+        for _ in range(int(np.count_nonzero(lost))):
+            self.ledger.record("messages_dropped")
+        return lost
 
     # -- checkpoint faults -------------------------------------------------------
     def _checkpoint_write_fails(self) -> bool:

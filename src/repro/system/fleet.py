@@ -28,6 +28,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from repro.actors.kernel import ActorRef, ActorSystem
 from repro.actors.locking import LockService
 from repro.actors.selector import Selector
@@ -37,7 +39,7 @@ from repro.analytics.metrics_store import ModelMetricsStore
 from repro.analytics.session_shapes import shape_distribution
 from repro.core.checkpoint import CheckpointStore
 from repro.core.rounds import RoundResult
-from repro.device.actor import DeviceActor, DeviceState
+from repro.device.actor import DeviceActor
 from repro.device.attestation import AttestationService
 from repro.device.cohort import CohortExecutionPlane
 from repro.device.runtime import LocalTrainer, SyntheticTrainer
@@ -113,9 +115,9 @@ class FLFleet:
         self.attestation = AttestationService()
         self.round_results: list[RoundResult] = []
         #: The fleet's devices by index.  A device is only a row of the
-        #: idle plane until it is asked for — by its first admitted
-        #: check-in, or ``fleet.devices[i]`` — and is constructed then:
-        #: walking the table inflates the fleet.
+        #: idle plane until it is asked for — by the first round that
+        #: takes its row, or ``fleet.devices[i]`` — and is constructed
+        #: then: walking the table inflates the fleet.
         self.devices = DeviceTable(self._construct_device)
         #: One cohort execution plane per population whose trainers can
         #: defer (built by the lifecycle plane at attach; trainers
@@ -142,6 +144,8 @@ class FLFleet:
             scheduler_policy=self.config.device_scheduler,
             capacity=self.config.population.num_devices,
             devices=self.devices,
+            job=self.config.job,
+            waiting_timeout_s=self.config.waiting_timeout_s,
         )
         # One row per device: its profile and link conditions are plane
         # columns (vectorized draws; a device object holds its records
@@ -277,7 +281,6 @@ class FLFleet:
             event_log=self.event_log,
             job=config.job,
             compute_error_prob=config.compute_error_prob,
-            waiting_timeout_s=config.waiting_timeout_s,
             upload_retry=(
                 config.faults.upload_retry if config.faults is not None else None
             ),
@@ -290,6 +293,8 @@ class FLFleet:
             locks=self.locks,
             checkpoint_store=self.store,
             rng=self.rngs.stream(f"selector/{index}"),
+            plane=self.idle_plane,
+            index=index,
             recovery=self.recovery,
         )
         self.actors.spawn(selector, f"selector/{index}")
@@ -440,22 +445,19 @@ class FLFleet:
 
     def _sample_fleet(self) -> None:
         now = self.loop.now
-        hosted = self.lifecycle.active
-        participating: dict[str, int] = {name: 0 for name in hosted}
-        # Census from the plane's tallies: only materialized devices are
-        # consulted individually (O(active), not O(fleet)).
-        sampled = self.idle_plane.active_devices()
-        counts = self.idle_plane.state_counts(sampled)
-        for device in sampled:
-            if (
-                device.state is DeviceState.PARTICIPATING
-                and device._active_population in participating
-            ):
-                participating[device._active_population] += 1
-        for state, count in counts.items():
+        plane = self.idle_plane
+        # Census from the plane's tallies and columns: no device is visited.
+        for state, count in plane.state_counts().items():
             self.dashboard.record(f"devices/{state.value}", now, count)
-        for name, count in participating.items():
-            hosted[name].scope.record("devices/participating", now, count)
+        scheduler = plane.scheduler
+        slots = scheduler._running[plane.participating_rows()]
+        per_slot = np.bincount(
+            slots[slots >= 0], minlength=len(scheduler.tenants)
+        ).tolist()
+        for name, runtime in self.lifecycle.active.items():
+            slot = scheduler._slot_of.get(name)
+            count = per_slot[slot] if slot is not None else 0
+            runtime.scope.record("devices/participating", now, count)
         self.loop.schedule(self.config.sample_interval_s, self._sample_fleet)
 
     # -- running ------------------------------------------------------------

@@ -529,15 +529,13 @@ class PopulationLifecycle:
         if coordinator is not None and coordinator.active_master is not None:
             fleet.actors.crash(coordinator.active_master)
             forced_round = True
-        forced = 0
-        name = runtime.name
-        # Only a device in a session can be in one of the tenant's: the
-        # plane's active rows (index order — each interrupt draws).
-        for device in fleet.idle_plane.active_devices():
-            if device._active_population == name:
-                device.interrupt_session("population_drained")
-                forced += 1
-        return forced, forced_round
+        # The tenant's WAITING rows hang up, its participating devices are
+        # interrupted (index order — each interrupt draws).
+        waiting, participating = fleet.idle_plane.sessions_of(runtime.members, runtime.name)
+        fleet.idle_plane.hang_up(waiting)
+        for i in participating.tolist():
+            fleet.devices[i].interrupt_session("population_drained")
+        return waiting.size + participating.size, forced_round
 
     def _retire(self, runtime: PopulationRuntime) -> None:
         fleet = self.fleet
@@ -585,7 +583,12 @@ class PopulationLifecycle:
 #: 11: the fleet lost its ``DeviceProfile`` list — a row's profile is
 #: plane columns — and a tenant's runtime its member-id set and trainer
 #: dict: its members are one sorted row array, its trainers one list.
-SNAPSHOT_FORMAT_VERSION = 11
+#: 12: a Selector's pool is idle-plane columns (``_waiting_at``,
+#: ``connected_at_s``, a per-``(selector, tenant)`` count) — routes lost
+#: ``pool`` and ``pending_admissions`` — and ``DeviceActor`` its WAITING
+#: slots (``_selector``, ``_wait_epoch``, its waiting timer, its check-in
+#: time and ``waiting_timeout_s``).
+SNAPSHOT_FORMAT_VERSION = 12
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -9,9 +9,9 @@ failures, and mid-session device interrupts, all drawn from pinned
 ``faults/...`` streams.  Because the plane is deterministic, chaos runs
 are *reproducible*: same seed + same plan => byte-identical RunReport,
 and a snapshot taken mid-chaos restores to a byte-identical tail.  The
-chaos fleets run under ``fleet_laws``: Selector quota conservation and
-the durable-write law after every ten simulated minutes, a reservation
-for every arriving check-in throughout — with check-ins being dropped.
+chaos fleets run under ``fleet_laws``: Selector pool conservation,
+waiting rows that are only rows, and the durable-write law after every
+ten simulated minutes — with check-ins being dropped.
 """
 
 import pickle

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.selection import (
+from reference.selection import (
     DeviceEstimate,
     ReservoirSampler,
     resource_aware_select,

@@ -6,6 +6,9 @@ writes its membership and hands the device ``plane`` / ``row``):
 eligibility is scripted through the plane's law and the row's
 ``next_flip_t`` column, and what the device tallies is read where it
 lives — the plane's columns (``device.health``) and the ``EventLog``.
+The stub "Selector" has no screen, so an admitted check-in waits,
+nowhere, for the ``ConfigureDevice`` a test sends — as a row a Selector
+forwarded does.
 """
 
 import numpy as np
@@ -36,20 +39,14 @@ class StubServer(Actor):
     """Collects whatever devices send; scripted responses."""
 
     def __init__(self):
-        self.checkins: list[msg.DeviceCheckin] = []
         self.reports: list[msg.DeviceReport] = []
         self.drops: list[msg.DeviceDropped] = []
-        self.disconnects: list[msg.DeviceDisconnect] = []
 
     def receive(self, sender, message):
-        if isinstance(message, msg.DeviceCheckin):
-            self.checkins.append(message)
-        elif isinstance(message, msg.DeviceReport):
+        if isinstance(message, msg.DeviceReport):
             self.reports.append(message)
         elif isinstance(message, msg.DeviceDropped):
             self.drops.append(message)
-        elif isinstance(message, msg.DeviceDisconnect):
-            self.disconnects.append(message)
 
 
 #: Scripted eligibility laws (the plane resamples every flip from its
@@ -106,7 +103,7 @@ def make_device(
     plane = VectorizedIdlePlane(
         system.loop, rngs.row_draws("rows"), law,
         selectors=[server_ref], actor_of=system.actor_of,
-        attestation=AttestationService(),
+        attestation=AttestationService(), job=device.job,
     )
     plane.adopt(device, ("pop",))
     ref = system.spawn(device, "device-1")
@@ -143,18 +140,20 @@ def test_eligible_device_checks_in(harness):
     loop, system, server, server_ref, rngs = harness
     device, _ = make_device(system, server_ref, rngs)
     loop.run(until=700.0)
-    assert len(server.checkins) == 1
+    plane = device.plane
+    assert plane.checkins_dispatched == plane.materializations == 1
+    assert device.health.checkins == 1
     assert device.state is DeviceState.WAITING
-    checkin = server.checkins[0]
-    assert checkin.population_name == "pop"
-    assert checkin.runtime_version == 10
+    # Its session's tenant is its worker's, and it waits for a round.
+    assert device.scheduler.running == "pop"
+    assert plane.next_checkin_t[0] == plane.connected_at_s[0] + plane.waiting_timeout_s
 
 
 def test_ineligible_device_sleeps(harness):
     loop, system, server, server_ref, rngs = harness
     device, _ = make_device(system, server_ref, rngs, law=NEVER_ELIGIBLE)
     loop.run(until=5000.0)
-    assert server.checkins == []
+    assert device.plane.checkins_dispatched == 0
     assert device.state is DeviceState.SLEEPING
 
 
@@ -244,13 +243,14 @@ def test_checkin_rejection_respects_pace_window(harness):
     loop, system, server, server_ref, rngs = harness
     device, device_ref = make_device(system, server_ref, rngs)
     loop.run(until=700.0)
-    first_checkins = len(server.checkins)
+    first_checkins = device.health.checkins
     window = ReconnectWindow(loop.now + 500.0, loop.now + 510.0)
-    system.tell(device_ref, msg.CheckinRejected(window=window, reason="full"))
+    device.plane.bounce(np.array([device.row]), window)  # a round is full
+    assert device.state is DeviceState.IDLE and device.scheduler.running is None
     loop.run(until=loop.now + 400.0)
-    assert len(server.checkins) == first_checkins  # still waiting
+    assert device.health.checkins == first_checkins  # still away
     loop.run(until=loop.now + 200.0)
-    assert len(server.checkins) == first_checkins + 1  # retried in window
+    assert device.health.checkins == first_checkins + 1  # retried in window
 
 
 def test_waiting_device_disconnects_when_ineligible(harness):
@@ -260,7 +260,12 @@ def test_waiting_device_disconnects_when_ineligible(harness):
     assert device.state is DeviceState.WAITING
     loop.run(until=900.0)
     assert device.state is DeviceState.SLEEPING
-    assert len(server.disconnects) == 1
+    plane = device.plane
+    # Hung up: worker free, no longer counted anywhere, and its job back at
+    # the normal cadence (540-660 s out, the device's jittered interval).
+    assert device.scheduler.running is None and not plane.active[0]
+    assert plane.state_counts()[DeviceState.WAITING] == 0
+    assert 800.0 + 540.0 <= plane.pending_window_t[0] <= 815.0 + 660.0
 
 
 def test_download_failure_logs_error(harness):

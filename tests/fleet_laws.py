@@ -1,55 +1,69 @@
-"""Three laws a fleet's check-in and commit paths rest on, as test helpers.
+"""Laws a fleet's check-in and commit paths rest on, as test helpers.
 
 A check-in is judged once, by the idle plane's sweep
-(``Selector.fast_checkin_decision``), which reserves a pool slot for
-every row it admits; the ``DeviceCheckin`` that follows releases it.
-Two laws keep that honest, and Sec. 4.2 gives the third:
+(``Selector.fast_checkin_decision``); every row it admits WAITs as idle-plane
+columns — ``_waiting_at`` (its Selector, or nowhere once forwarded or
+lost on the way) and the worker's running slot (its tenant) — counted per
+``(selector, tenant slot)`` in ``_waiting``, which is what a Selector's
+``connected_count_for`` reads.  Two laws keep that honest, and Sec. 4.2
+gives the third:
 
-* **(i) quota conservation**, on every route of every live Selector:
-  ``0 <= pending_admissions <=`` the number of that (Selector, tenant)'s
-  WAITING devices not in its pool — a reservation is held only by a
-  device whose check-in is on its way — and ``len(pool) +
-  pending_admissions <= pool_cap``;
-* **(ii) every check-in finds its reservation**: a ``DeviceCheckin`` that
-  reaches a hosted route from a device still waiting on it finds
-  ``pending_admissions > 0``.  (A check-in whose device has already left
-  WAITING — its session interrupted while the message was in flight — is
-  stale: it may land on a route that no longer holds its slot);
+* **(i) pool conservation**: the per-``(selector, tenant)`` counts equal a
+  recount of the columns, and no route of a live Selector holds more than
+  its ``pool_cap`` waiting rows;
+* **(ii) a waiting row is a row**: every WAITING row is active, eligible
+  and has a session's tenant, and no device object of it is in a round's
+  session (it is ``None``, or an idle ``DeviceActor`` built for an earlier
+  round);
 * **(iii) one durable write per committed round**: ``store.write_count``
   equals the committed rounds plus one initial checkpoint per tenant
   incarnation, at any checkpoint-fault rate.
 
-:func:`check_fleet_laws` checks (i) and (iii) at an instant;
-:func:`reservations_checked` checks (ii) at every arrival while it is
-entered; :func:`run_checked` does both over a stretch of simulated time.
+:func:`check_fleet_laws` checks all three at an instant;
+:func:`run_checked` checks them over a stretch of simulated time.
 """
 
-from contextlib import contextmanager
-from unittest import mock
-
-from repro.actors.selector import Selector
-from repro.device.actor import DeviceState
+import numpy as np
 
 
-def check_quota_conservation(fleet) -> None:
+def check_pool_conservation(fleet) -> None:
     """Law (i)."""
-    waiting: dict[tuple[int, str], set[int]] = {}
-    for device in fleet.idle_plane.active_devices():
-        if device.state is DeviceState.WAITING:
-            key = (device._selector.actor_id, device._active_population)
-            waiting.setdefault(key, set()).add(device.device_id)
+    plane = fleet.idle_plane
+    rows = len(plane)
+    at = plane._waiting_at[:rows]
+    waiting = at >= 0
+    recount = np.zeros_like(plane._waiting)
+    np.add.at(recount, (at[waiting], plane.scheduler._running[:rows][waiting]), 1)
+    where = f"pool law at t={fleet.loop.now}"
+    assert (recount == plane._waiting).all(), (
+        f"{where}: counts {plane._waiting.tolist()}, columns say {recount.tolist()}"
+    )
     for selector in fleet.selector_actors():
         for name, route in selector.routes.items():
-            holders = waiting.get((selector.ref.actor_id, name), set()) - route.pool.keys()
-            where = f"quota law at t={fleet.loop.now}, {selector.ref.name} / {name!r}"
-            assert 0 <= route.pending_admissions <= len(holders), (
-                f"{where}: {route.pending_admissions} reservations, "
-                f"{len(holders)} waiting devices outside the pool"
+            pooled = selector.connected_count_for(name)
+            assert pooled == plane.pooled(selector.index, name).size, (
+                f"{where}, {selector.ref.name} / {name!r}: count {pooled} "
+                "is not its rows"
             )
-            assert len(route.pool) + route.pending_admissions <= route.pool_cap, (
-                f"{where}: pool {len(route.pool)} + {route.pending_admissions} "
-                f"reserved > cap {route.pool_cap}"
+            assert pooled <= route.pool_cap, (
+                f"{where}, {selector.ref.name} / {name!r}: pool {pooled} "
+                f"> cap {route.pool_cap}"
             )
+
+
+def check_waiting_rows(fleet) -> None:
+    """Law (ii)."""
+    plane = fleet.idle_plane
+    rows = np.flatnonzero(plane._waiting_at[: len(plane)] >= 0)
+    where = f"waiting-row law at t={fleet.loop.now}"
+    assert plane.active[rows].all() and plane.eligible[rows].all(), where
+    assert (plane.scheduler._running[rows] >= 0).all(), where
+    devices = fleet.devices.rows()
+    for i in rows.tolist():
+        device = devices[i]
+        assert device is None or device._aggregator is None, (
+            f"{where}: row {i} waits, but its device is in a session"
+        )
 
 
 def check_write_count(fleet) -> None:
@@ -63,42 +77,16 @@ def check_write_count(fleet) -> None:
 
 
 def check_fleet_laws(fleet) -> None:
-    check_quota_conservation(fleet)
+    check_pool_conservation(fleet)
+    check_waiting_rows(fleet)
     check_write_count(fleet)
-
-
-@contextmanager
-def reservations_checked():
-    """Law (ii) at every ``DeviceCheckin`` delivered while entered."""
-    on_checkin = Selector._on_checkin
-
-    def checked(selector, checkin):
-        route = selector.routes.get(checkin.population_name)
-        device = selector.system.actor_of(checkin.device_ref)
-        waiting = (
-            device is not None
-            and device.state is DeviceState.WAITING
-            and device._selector == selector.ref
-            and device._active_population == checkin.population_name
-        )
-        if route is not None and waiting:
-            assert route.pending_admissions > 0, (
-                f"reservation law at t={selector.now}: device "
-                f"{checkin.device_id}'s check-in reached {selector.ref.name} / "
-                f"{checkin.population_name!r} with no reservation"
-            )
-        on_checkin(selector, checkin)
-
-    with mock.patch.object(Selector, "_on_checkin", checked):
-        yield
 
 
 def run_checked(fleet, seconds: float, step_s: float = 600.0) -> None:
     """Advance ``fleet`` by ``seconds`` in ``step_s`` steps — the same
-    trajectory as one ``run_for`` — with law (ii) at every arrival and
-    (i) and (iii) after every step."""
+    trajectory as one ``run_for`` — with every law checked after every
+    step."""
     end = fleet.loop.now + seconds
-    with reservations_checked():
-        while fleet.loop.now < end:
-            fleet.run_for(min(step_s, end - fleet.loop.now))
-            check_fleet_laws(fleet)
+    while fleet.loop.now < end:
+        fleet.run_for(min(step_s, end - fleet.loop.now))
+        check_fleet_laws(fleet)

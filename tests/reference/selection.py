@@ -1,11 +1,14 @@
-"""Device selection strategies.
+"""Device selection strategies, kept as references.
 
 The paper's footnote 1: "In the current implementation, selection is done
 by simple reservoir sampling, but the protocol is amenable to more
-sophisticated methods which address selection bias."  We provide both the
-production reservoir sampler and a resource-aware selector in the spirit
-of Nishio & Yonetani (2018), which the paper cites as implementable within
-the system.
+sophisticated methods which address selection bias."  The Selector draws
+the rows a round takes uniformly from its pool columns
+(``Selector._drain``); :class:`ReservoirSampler` (Algorithm R) is the
+oracle that draw is tested against (``tests/actors/test_selector.py``).
+A resource-aware selector in the spirit of Nishio & Yonetani (2018),
+which the paper cites as implementable within the system, sits beside
+it.  No fleet constructs either.
 """
 
 from __future__ import annotations

@@ -23,20 +23,15 @@ from repro.sim.rng import RngRegistry
 
 
 class StubServer(Actor):
-    """Collects whatever devices send (no fast check-in screen)."""
+    """Collects the reports devices send.  No fast check-in screen: an
+    admitted check-in waits, nowhere, for a ``ConfigureDevice``."""
 
     def __init__(self):
-        self.checkins = []
         self.reports = []
-        self.disconnects = []
 
     def receive(self, sender, message):
-        if isinstance(message, msg.DeviceCheckin):
-            self.checkins.append(message)
-        elif isinstance(message, msg.DeviceReport):
+        if isinstance(message, msg.DeviceReport):
             self.reports.append(message)
-        elif isinstance(message, msg.DeviceDisconnect):
-            self.disconnects.append(message)
 
 
 class RejectingServer(StubServer):
@@ -121,7 +116,7 @@ def test_flip_to_ineligible_exactly_at_sweep_boundary_suppresses_checkin(harness
     loop.run(until=boundary + 60.0)
     # The flip is processed first within the sweep: the device went
     # ineligible at the boundary, so the simultaneous check-in never fires.
-    assert server.checkins == []
+    assert plane.materializations == 0 and device.health.checkins == 0
     assert not plane.eligible[0] and not plane.active[0]
     assert plane.next_checkin_t[0] == float("inf")
     assert plane.flips >= 1 and plane.checkins_dispatched == 0
@@ -133,7 +128,7 @@ def test_zero_membership_device_never_checks_in_but_keeps_flipping():
     loop.run(until=3000.0)
     assert plane.flips >= 8           # kept flipping, a minute or so apart
     assert plane.checkins_dispatched == 0
-    assert server.checkins == []
+    assert device.health.checkins == 0
     assert plane.next_checkin_t[0] == float("inf")
     assert not plane.active[0]
 
@@ -164,7 +159,7 @@ def test_stale_waiting_timer_does_not_break_rematerialized_device(harness):
     device = make_device(system, plane, rngs)
     loop.run(until=700.0)
     assert device.state is DeviceState.WAITING
-    first_epoch = device._wait_epoch
+    first_deadline = plane.next_checkin_t[0]
     # Run a full session so the device hands itself back to the plane...
     system.tell(device.ref, make_configure(5, server_ref))
     while not server.reports and loop.now < 5000.0:
@@ -172,18 +167,24 @@ def test_stale_waiting_timer_does_not_break_rematerialized_device(harness):
     system.tell(device.ref, msg.ReportAck(round_id=5, accepted=True))
     loop.run(until=loop.now + 10.0)
     assert device.health.sessions_started == 1
-    # ... then re-materialize promptly.
+    # ... then wait again promptly.
     plane.schedule_checkin(device.row, 1.0)
     loop.run(until=loop.now + 120.0)
     assert device.state is DeviceState.WAITING
     assert plane.active[0]
-    # A stale timer from the first session fires with the old epoch: it
-    # must not tear down the new session.
-    device._on_waiting_timeout(first_epoch)
+    # The first wait's deadline passes: the new wait has its own, later
+    # one, and is not hung up.
+    assert plane.next_checkin_t[0] > first_deadline
+    loop.run(until=first_deadline + 60.0)
     assert device.state is DeviceState.WAITING
     assert plane.active[0]
-    assert server.disconnects == []
     assert device.scheduler.running == "pop"
+    # A configuration that arrives for a wait that hung up is turned away.
+    loop.run(until=plane.next_checkin_t[0] + 60.0)
+    assert device.state is DeviceState.IDLE
+    system.tell(device.ref, make_configure(6, server_ref))
+    loop.run(until=loop.now + 10.0)
+    assert device.state is DeviceState.IDLE and device.health.sessions_started == 1
 
 
 def test_fast_rejected_device_never_materializes(harness):
@@ -194,7 +195,7 @@ def test_fast_rejected_device_never_materializes(harness):
     device = make_device(system, plane, rngs)
     loop.run(until=700.0)
     assert rejecting.screened == 1
-    assert rejecting.checkins == []          # no stream was ever opened
+    assert plane.materializations == 0       # no stream was ever opened
     assert device.state is not DeviceState.WAITING  # never left the plane
     assert not plane.active[0]
     assert plane.checkins_fast_rejected == 1
@@ -277,9 +278,7 @@ def test_growing_past_capacity_mid_run_keeps_every_column():
     # The grown fleet keeps running: the late rows flip and check in too.
     loop.run(until=5400.0)
     assert all(plane._draw_count[i] > 0 for i in range(len(plane)))
-    assert {m.device_id for m in server.checkins} >= {
-        d.device_id for d in first + late if d.health.checkins
-    }
+    assert plane.materializations == sum(d.health.checkins for d in first + late)
     assert sum(d.health.checkins for d in late) > 0
 
 
@@ -344,15 +343,19 @@ def test_plane_state_counts_match_device_states():
     for _ in range(6):
         fleet.run_days(0.012)
         counts = plane.state_counts()
-        # A recount: idle rows from the arrays (the plane does not mirror
-        # them onto the device objects), materialized ones from their actors.
-        truth = {state: 0 for state in DeviceState}
-        truth[DeviceState.SLEEPING] = int((~plane.eligible[:120]).sum())
-        truth[DeviceState.IDLE] = int((plane.eligible & ~plane.active).sum())
-        for device in plane.active_devices():
-            assert device.state in (DeviceState.WAITING, DeviceState.PARTICIPATING)
-            truth[device.state] += 1
+        # A recount of the arrays, and of the devices in a round's session.
+        waiting = plane._waiting_at[:120] >= 0
+        truth = {
+            DeviceState.SLEEPING: int((~plane.eligible[:120]).sum()),
+            DeviceState.IDLE: int((plane.eligible & ~plane.active).sum()),
+            DeviceState.WAITING: int(waiting.sum()),
+            DeviceState.PARTICIPATING: len(plane.participating_devices()),
+        }
         assert counts == truth
+        assert not (waiting & ~plane.active[:120]).any()
+        for device in plane.participating_devices():
+            assert device.state is DeviceState.PARTICIPATING
+            assert device._aggregator is not None
         assert sum(counts.values()) == 120
         # The running tallies equal a recount of the arrays.
         assert plane._eligible_count == int(plane.eligible.sum())

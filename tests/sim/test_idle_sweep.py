@@ -14,11 +14,14 @@ other runs ``reference_checkin_rows`` below for its whole life — the old
 row-at-a-time code kept here as the oracle: every due row walked through
 its own ``MultiTenantScheduler``, its own scalar screen and its own
 rejection (memberships it reads where they live, in the plane's columns,
-it hears of a drain through ``reference_leave``, and the drain reads its
+it hears of a drain and of a worker freed by a vector write through
+``reference_leave`` / ``reference_abort_rows``, and the drain reads its
 quiescence by ``reference_occupied_by``, the per-device walk the vector
-read replaced).  Everything a check-in touches must agree after every sweep,
-each device's worker queue and the *order* in which admitted devices
-materialize included: it fixes the shared ``actors/latency`` stream.
+read replaced).  The rows both admit WAIT through the same
+``_wait_rows``.  Everything a check-in touches must agree after every
+sweep, each device's worker queue, the pools' columns and the *order* in
+which a round's Selectors forward rows included: it fixes the shared
+``actors/latency`` stream.
 """
 
 from dataclasses import asdict
@@ -29,7 +32,6 @@ from reference.scheduler import MultiTenantScheduler
 from repro import FLFleet
 from repro.actors.selector import Selector, SelectorStats
 from repro.core.config import RoundConfig, TaskConfig
-from repro.device.actor import DeviceActor
 from repro.device.scheduler import ColumnScheduler, RowScheduler
 from repro.nn.models import MLPClassifier
 from repro.sim.idle_plane import VectorizedIdlePlane
@@ -46,9 +48,9 @@ PARAMS = MLPClassifier(input_dim=8, hidden_dims=(8,), n_classes=4).init(
 # -- the oracle: the per-row check-in as it was before the array dispatch --------
 
 
-def reference_verdict(selector, route, attestation_ok, runtime_version):
-    """The admission policy for one screened check-in, in-flight
-    admissions counted against the quota."""
+def reference_verdict(selector, route, attestation_ok, runtime_version, pending):
+    """The admission policy for one screened check-in, the sweep's
+    earlier admissions (``pending``) counted against the quota."""
     if route.draining:
         route.stats.rejected_draining += 1
         return "draining"
@@ -58,15 +60,16 @@ def reference_verdict(selector, route, attestation_ok, runtime_version):
     if route.plans.plan_for_runtime(runtime_version) is None:
         route.stats.rejected_incompatible += 1
         return "no_compatible_plan"
-    if len(route.pool) + route.pending_admissions >= route.pool_cap:
+    if selector.connected_count_for(route.population_name) + pending >= route.pool_cap:
         route.stats.rejected_quota += 1
         return "over_quota"
     return None
 
 
-def reference_screen(selector, population_name, device, attestation_ok):
+def reference_screen(selector, population_name, device, attestation_ok, pending):
     """``Selector.fast_checkin_decision`` for one device: the rejection
-    window, or ``None`` to materialize."""
+    window, or ``None`` to join the pool (``pending`` counts the sweep's
+    admissions per route)."""
     route = selector.routes.get(population_name)
     if route is None:
         if not selector.routes:
@@ -75,24 +78,23 @@ def reference_screen(selector, population_name, device, attestation_ok):
         fallback.stats.checkins += 1
         fallback.stats.rejected_unknown_population += 1
         return selector._suggest_window(fallback)
+    route.stats.checkins += 1
+    key = (selector.index, population_name)
     reason = reference_verdict(
-        selector, route, attestation_ok, device.profile.runtime_version
+        selector, route, attestation_ok, device.profile.runtime_version,
+        pending.get(key, 0),
     )
     if reason is not None:
-        route.stats.checkins += 1
         return selector._suggest_window(route)
-    route.pending_admissions += 1
+    route.stats.accepted += 1
+    pending[key] = pending.get(key, 0) + 1
     return None
 
 
 def reference_pool(plane, population_name):
-    """The Selectors a tenant's devices may check in to (its owning
-    shard's), from what the plane holds."""
-    selectors = plane._selectors
-    indices = plane._shard_router.selector_indices_for(population_name)
-    if len(indices) == len(selectors):
-        return selectors
-    return [selectors[i] for i in indices]
+    """The indices of the Selectors a tenant's devices may check in to
+    (its owning shard's), from what the plane holds."""
+    return plane._shard_router.selector_indices_for(population_name)
 
 
 def memberships_of(plane, i):
@@ -101,10 +103,13 @@ def memberships_of(plane, i):
     return RowScheduler(plane.scheduler, i).memberships
 
 
-def reference_attempt(plane, device, attestation_ok, pick):
-    """``DeviceActor._attempt_screened_checkin`` as it was: the worker
-    queue dance, the Selector pick, the screen, and the device half of a
-    rejection.  Returns the window when bounced."""
+def reference_attempt(plane, device, attestation_ok, pick, pending):
+    """A device's check-in as it was, row at a time: the worker queue
+    dance, the Selector pick, the screen, and the device half of a
+    rejection.  Returns the window when bounced, ``(tenant slot, Selector
+    index)`` when admitted (a crashed Selector's index is nowhere's), and
+    ``None`` when nothing was started.  The worker's running slot is
+    mirrored on the plane's column, where a WAITING row's tenant lives."""
     memberships = memberships_of(plane, device.device_id)
     if not memberships:
         return None
@@ -114,19 +119,20 @@ def reference_attempt(plane, device, attestation_ok, pick):
     if started is None:
         plane.schedule_checkin(device.row, device.job.delay_at(pick))
         return None
+    slot = plane.scheduler.slot(started)
+    plane.scheduler._running[device.row] = slot
     pool = reference_pool(plane, started)
-    ref = pool[int(pick * len(pool))]
-    selector = device.system.actor_of(ref)
-    window = (
-        reference_screen(selector, started, device, attestation_ok)
-        if isinstance(selector, Selector)
-        else None
-    )
+    index = pool[int(pick * len(pool))]
+    selector = device.system.actor_of(plane._selectors[index])
+    if isinstance(selector, Selector):
+        window = reference_screen(selector, started, device, attestation_ok, pending)
+    else:
+        window, index = None, len(plane._selectors)
     plane._health_checkins[device.row] += 1
     if window is None:
-        device._attempt_screened_checkin(started, ref)
-        return None
+        return slot, index
     device.scheduler.abort()
+    plane.scheduler._running[device.row] = -1
     return window
 
 
@@ -138,14 +144,21 @@ def reference_checkin_rows(self, rows, u_pick, u_window, now):
     rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
     self.checkins_dispatched += rows.size
     self.pending_window_t[rows] = -_INF
-    rejected, windows = [], []
+    rejected, windows, waiting, pending = [], [], [], {}
     for j, (i, attested, pick) in enumerate(zip(
         rows.tolist(), self._attestation_ok[rows].tolist(), u_pick.tolist()
     )):
-        window = reference_attempt(self, self._devices[i], attested, pick)
-        if window is not None:
+        outcome = reference_attempt(self, self._devices[i], attested, pick, pending)
+        if isinstance(outcome, tuple):
+            waiting.append((i, *outcome))
+        elif outcome is not None:
             rejected.append(j)
-            windows.append(window)
+            windows.append(outcome)
+    if waiting:
+        if len(self._pools) != len(self.scheduler.tenants):
+            self._resolve_pools()
+        admitted, slots, at = (np.array(column) for column in zip(*waiting))
+        self._wait_rows(admitted, slots, at, now)
     if not rejected:
         return
     self.checkins_fast_rejected += len(rejected)
@@ -173,6 +186,21 @@ def reference_leave(fleets):
             devices[i].scheduler.remove(name)
 
     return leave
+
+
+def reference_abort_rows(fleets):
+    """``ColumnScheduler.abort_rows`` for the reference run: a worker freed
+    by a vector write (a hang-up, a bounce out of the pool) is freed on
+    each device's own ``MultiTenantScheduler`` too."""
+    original = ColumnScheduler.abort_rows
+
+    def abort_rows(self, rows):
+        original(self, rows)
+        devices = fleets[-1].devices
+        for i in rows.tolist():
+            devices[i].scheduler.abort()
+
+    return abort_rows
 
 
 def reference_occupied_by(fleets):
@@ -233,7 +261,9 @@ def stage_due_set(fleet, scenario: np.random.Generator, first: bool):
     for selector in fleet.selector_actors():
         for name, route in selector.routes.items():
             # A handful of slots: the quota runs out mid-sweep.
-            route.pool_cap = len(route.pool) + int(scenario.integers(1, 8))
+            route.pool_cap = selector.connected_count_for(name) + int(
+                scenario.integers(1, 8)
+            )
             if first and scenario.random() < 0.15:
                 selector.begin_drain(name)
     idle = plane.eligible & ~plane.active & plane._has_memberships
@@ -280,7 +310,9 @@ def scheduler_state(scheduler):
 def observe(fleet):
     plane = fleet.idle_plane
     routes = {
-        (selector.ref.name, name): (asdict(route.stats), route.pending_admissions)
+        (selector.ref.name, name): (
+            asdict(route.stats), selector.connected_count_for(name)
+        )
         for selector in fleet.selector_actors()
         for name, route in selector.routes.items()
     }
@@ -291,6 +323,11 @@ def observe(fleet):
         "next_checkin_t": plane.next_checkin_t.tolist(),
         "next_event_t": plane._next_event_t.tolist(),
         "active": plane.active.tolist(),
+        "waiting_at": plane._waiting_at.tolist(),
+        "connected_at": plane.connected_at_s.tolist(),
+        "waiting": [
+            (index, value) for index, value in np.ndenumerate(plane._waiting) if value
+        ],
         "draw_count": plane._draw_count.tolist(),
         "counters": (
             plane.sweeps, plane.checkins_dispatched,
@@ -345,13 +382,13 @@ def run_scenario(scenario_seed: int, reference: list | None, materialized: list,
 
 def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
     materialized: list[int] = []
-    original = DeviceActor._materialize_checkin
+    original = VectorizedIdlePlane.forward
 
-    def recording(self, started):
-        materialized.append(self.device_id)
-        original(self, started)
+    def recording(self, rows):
+        materialized.extend(rows.tolist())
+        return original(self, rows)
 
-    monkeypatch.setattr(DeviceActor, "_materialize_checkin", recording)
+    monkeypatch.setattr(VectorizedIdlePlane, "forward", recording)
 
     exercised = SelectorStats()
     busy_retries = groups = 0
@@ -361,6 +398,7 @@ def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
             fleets: list[FLFleet] = []
             patch.setattr(VectorizedIdlePlane, "_checkin_rows", reference_checkin_rows)
             patch.setattr(ColumnScheduler, "leave", reference_leave(fleets))
+            patch.setattr(ColumnScheduler, "abort_rows", reference_abort_rows(fleets))
             patch.setattr(ColumnScheduler, "occupied_by", reference_occupied_by(fleets))
             ref_seen, ref_report = run_scenario(
                 scenario_seed, fleets, materialized, tmp_path

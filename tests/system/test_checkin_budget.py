@@ -1,14 +1,14 @@
-"""Check-in budget: a bounced check-in must not visit its device.
+"""Check-in budget: a check-in must not visit its device.
 
 A count, so it cannot flake: the same seed dispatches the same check-ins.
 The paper's regime is a huge idle majority held back by Selector quotas
 and pace steering — almost every check-in is told "come back later" — so
 what it costs to say so must not grow a Python object visit per device.
-On an idle-majority fleet over a simulated day, the only calls a sweep's
-check-in dispatch makes into ``DeviceActor`` are the admitted rows'
-``_attempt_screened_checkin`` — one per materialization, none per bounce
-— while every attempt, bounced or not, still lands on its device's health
-record.
+On an idle-majority fleet over a simulated day, a sweep's check-in
+dispatch makes no call into ``DeviceActor`` at all — bounced rows are
+pace-steered and admitted ones WAIT as columns — while every attempt,
+bounced or not, still lands on its device's health record; a device is
+built only for a round that configures it.
 """
 
 import sys
@@ -65,6 +65,14 @@ def test_a_bounced_checkin_never_visits_its_device(monkeypatch):
     monkeypatch.setattr(
         idle_plane.VectorizedIdlePlane, "_checkin_rows", profiled_dispatch
     )
+    configured = set()
+    configure = DeviceActor._attempt_screened_checkin
+
+    def recording(self, message):
+        configured.add(self.device_id)
+        configure(self, message)
+
+    monkeypatch.setattr(DeviceActor, "_attempt_screened_checkin", recording)
     params = LogisticRegression(input_dim=4, n_classes=3).init(
         np.random.default_rng(0)
     )
@@ -97,7 +105,8 @@ def test_a_bounced_checkin_never_visits_its_device(monkeypatch):
     assert plane.checkins_dispatched == (
         plane.checkins_fast_rejected + plane.materializations
     )
-    assert visits == ["_attempt_screened_checkin"] * plane.materializations
+    assert visits == []
+    assert fleet.devices.constructions == len(configured) > 0
     assert sum(d.health.checkins for d in fleet.devices) == (
         plane.checkins_fast_rejected + plane.materializations
     )

@@ -8,7 +8,8 @@ columns, not a Python object.  On an idle-majority fleet (the regime of
 * no ``DeviceActor`` exists after ``.build()``, nor after the sweep that
   starts the fleet;
 * after a simulated day the devices that exist are exactly the rows a
-  Selector ever admitted, and reporting on the fleet constructs none;
+  round ever configured — a row a Selector admits WAITs as columns — and
+  reporting on the fleet constructs none;
 * what ``.build()`` allocates per row — profile and link columns, the
   tenant's trainer and every other column included — stays under a
   stated budget;
@@ -88,12 +89,12 @@ def device_objects(fleet) -> int:
 
 
 def test_a_never_admitted_device_is_only_a_row(monkeypatch):
-    admitted_rows = set()
-    attempt = DeviceActor._attempt_screened_checkin
+    configured_rows = set()
+    configure = DeviceActor._attempt_screened_checkin
 
-    def recording(self, started, selector):
-        admitted_rows.add(self.device_id)
-        attempt(self, started, selector)
+    def recording(self, message):
+        configured_rows.add(self.device_id)
+        configure(self, message)
 
     monkeypatch.setattr(DeviceActor, "_attempt_screened_checkin", recording)
 
@@ -118,16 +119,17 @@ def test_a_never_admitted_device_is_only_a_row(monkeypatch):
     assert 0 < np.count_nonzero(plane.eligible) < ROWS
     assert device_objects(fleet) == 0
 
-    # (b) a day on: the devices that exist are the rows ever admitted.
+    # (b) a day on: the devices that exist are the rows ever configured —
+    # the distinct devices a ConfigureDevice reached.
     fleet.run_days(1.0)
     assert plane.checkins_fast_rejected > 4 * plane.materializations > 0
     constructed = device_objects(fleet)
-    assert constructed == len(admitted_rows) == fleet.devices.constructions
+    assert constructed == len(configured_rows) == fleet.devices.constructions
     assert 0 < constructed <= plane.materializations
     assert constructed < ROWS // 4
     assert {
         i for i, device in enumerate(fleet.devices.rows()) if device is not None
-    } == admitted_rows
+    } == configured_rows
     # ... and reporting on the fleet leaves the rest as rows.
     report = fleet.report()
     health = fleet.health_report()

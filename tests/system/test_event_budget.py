@@ -17,9 +17,11 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
-#: Events per committed round on the fleet below: 240 when pinned (the
-#: per-second tick chain this replaced: 1,074), plus ~30 % headroom.
-EVENTS_PER_COMMITTED_ROUND_CEILING = 315
+#: Events per committed round on the fleet below: 163 when pinned, plus
+#: ~30 % headroom.  It was 240 while a WAITING device was an actor — a
+#: check-in message, a waiting timer, a rejection or a disconnect per
+#: admitted check-in — and 1,074 with the per-second tick chain.
+EVENTS_PER_COMMITTED_ROUND_CEILING = 212
 
 
 def test_events_per_committed_round_stay_within_budget():

@@ -5,15 +5,21 @@ is shown to hold on a lossy fleet and to fail once one bug is injected
 into the code it guards — a law that cannot fail guards nothing.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fleet_laws import run_checked
-from repro import FaultPlan, FLFleet, RoundConfig, TaskConfig
-from repro.actors.selector import Selector
+from fleet_laws import check_fleet_laws, run_checked
+from repro import FaultPlan, FLFleet, PopulationSpec, RoundConfig, TaskConfig
 from repro.core.checkpoint import CheckpointStore, CheckpointWriteError
+from repro.device.actor import DeviceActor
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
+from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig
 from repro.system import CheckpointFaultConfig, MessageFaultConfig
 
@@ -43,32 +49,55 @@ def lossy_fleet(plan: FaultPlan):
 
 
 def test_quota_law_catches_a_lost_checkin_keeping_its_slot(monkeypatch):
-    """(i): a dropped check-in must give its reserved slot back."""
+    """(i): a check-in lost on the way waits nowhere — its Selector's
+    pool must not count it."""
     plan = FaultPlan(messages=MessageFaultConfig(drop_prob=0.2))
     fleet = lossy_fleet(plan)
     run_checked(fleet, HOURS)
     assert fleet.report().recovery.messages_dropped > 0
 
-    monkeypatch.setattr(Selector, "checkin_lost", lambda self, population_name: None)
-    with pytest.raises(AssertionError, match="quota law"):
+    wait_rows = VectorizedIdlePlane._wait_rows
+
+    def keeping_slots(self, rows, slots, at, now):
+        meant = at.copy()
+        wait_rows(self, rows, slots, at, now)  # the fault re-homes ``at``
+        lost = at != meant
+        np.add.at(self._waiting, (meant[lost], slots[lost]), 1)
+
+    monkeypatch.setattr(VectorizedIdlePlane, "_wait_rows", keeping_slots)
+    with pytest.raises(AssertionError, match="pool law"):
         run_checked(lossy_fleet(plan), HOURS)
 
 
 def test_reservation_law_catches_an_admission_without_a_slot(monkeypatch):
-    """(ii): the screen must reserve a slot for every row it admits."""
+    """(i): every row the screen admits is counted in its pool."""
     fleet = lossy_fleet(FaultPlan())
     run_checked(fleet, HOURS)
     assert fleet.report().rounds_committed > 0
 
-    admit_group = Selector._admit_group
+    wait_rows = VectorizedIdlePlane._wait_rows
 
-    def unreserved(self, route, *verdicts):
-        admitted = admit_group(self, route, *verdicts)
-        route.pending_admissions -= len(admitted)
-        return admitted
+    def uncounted(self, rows, slots, at, now):
+        wait_rows(self, rows, slots, at, now)
+        pooled = at != len(self._selectors)
+        np.subtract.at(self._waiting, (at[pooled], slots[pooled]), 1)
 
-    monkeypatch.setattr(Selector, "_admit_group", unreserved)
-    with pytest.raises(AssertionError, match="reservation law"):
+    monkeypatch.setattr(VectorizedIdlePlane, "_wait_rows", uncounted)
+    with pytest.raises(AssertionError, match="pool law"):
+        run_checked(lossy_fleet(FaultPlan()), HOURS)
+
+
+def test_waiting_law_catches_a_device_left_in_its_session(monkeypatch):
+    """(ii): a row that waits again has no device still in a session."""
+    finish = DeviceActor._finish_participation
+
+    def sticky(device):
+        aggregator = device._aggregator
+        finish(device)
+        device._aggregator = aggregator
+
+    monkeypatch.setattr(DeviceActor, "_finish_participation", sticky)
+    with pytest.raises(AssertionError, match="waiting-row law"):
         run_checked(lossy_fleet(FaultPlan()), HOURS)
 
 
@@ -91,3 +120,59 @@ def test_write_law_catches_a_failed_write_counted_as_durable(monkeypatch):
     monkeypatch.setattr(CheckpointStore, "commit", miscounted)
     with pytest.raises(AssertionError, match="durable-write law"):
         run_checked(lossy_fleet(plan), HOURS)
+
+
+def laws_spec() -> PopulationSpec:
+    task = TaskConfig(
+        task_id="laws/train",
+        population_name="laws",
+        round_config=RoundConfig(
+            target_participants=8, selection_timeout_s=60, reporting_timeout_s=120
+        ),
+    )
+    params = LogisticRegression(input_dim=4, n_classes=2).init(np.random.default_rng(0))
+    return PopulationSpec(name="laws", tasks=[task], initial_params=params)
+
+
+steps = st.one_of(
+    st.tuples(st.just("run"), st.integers(60, 1800)),
+    st.tuples(st.just("crash"), st.integers(0, 1)),
+    st.tuples(st.just("drain"), st.integers(0, 600)),
+    st.tuples(st.just("snapshot"), st.just(0)),
+)
+
+
+@given(st.lists(steps, min_size=1, max_size=6))
+@settings(max_examples=12, deadline=None)
+def test_pool_law_holds_across_crashes_drops_drains_and_restores(script):
+    """(i) and (ii) on generated trajectories of a fleet that drops a fifth
+    of its check-ins: Selector crashes (and the cluster manager's
+    respawns), drains and re-attaches, and snapshots — each restored
+    fleet continuing byte-identically to the one it froze."""
+    fleet = lossy_fleet(FaultPlan(messages=MessageFaultConfig(drop_prob=0.2)))
+    run_checked(fleet, 1800.0)
+    with tempfile.TemporaryDirectory() as scratch:
+        for number, (kind, arg) in enumerate(script):
+            if kind == "run":
+                run_checked(fleet, float(arg))
+            elif kind == "crash":
+                ref = fleet.selectors[arg]
+                if ref.alive:
+                    fleet.actors.crash(ref)
+            elif kind == "drain":
+                if "laws" in fleet.population_names:
+                    fleet.drain_population("laws", deadline_s=float(arg))
+                else:
+                    fleet.attach_population(laws_spec())
+            else:
+                path = Path(scratch) / f"fleet-{number}.snapshot"
+                fleet.snapshot(path)
+                restored = FLFleet.restore(path)
+                check_fleet_laws(restored)
+                fleet.run_for(600.0)
+                restored.run_for(600.0)
+                assert restored.report() == fleet.report()
+                assert (restored.idle_plane._waiting == fleet.idle_plane._waiting).all()
+                fleet = restored
+            check_fleet_laws(fleet)
+    assert fleet.report().recovery.messages_dropped > 0

@@ -463,16 +463,18 @@ def test_late_message_for_drained_population_is_not_misrouted():
     fleet.drain_population("stats")
     selector = fleet.selector_actors()[0]
     (survivor,) = selector.routes.values()
-    forwarding, pool = survivor.forwarding, dict(survivor.pool)
+    forwarding = survivor.forwarding
+    pool = selector.connected_count_for(survivor.population_name)
     late = msg.ForwardDevices(
         round_id=-1, task_id="stats/t", count=5, master=selector.ref,
         population_name="stats",
     )
     selector.receive(None, late)
-    for device_id in pool:
-        selector.receive(None, msg.DeviceDisconnect(device_id, population_name="stats"))
+    selector.admitted("stats", np.arange(3))
     assert "stats" not in selector.routes
-    assert survivor.forwarding is forwarding and survivor.pool == pool
+    assert selector.connected_count_for("stats") == 0
+    assert survivor.forwarding is forwarding
+    assert selector.connected_count_for(survivor.population_name) == pool
 
 
 def test_reattach_same_name_after_drain():
@@ -841,7 +843,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 11
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 12
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -852,8 +854,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # format 9's Coordinators a copy of their Selector refs and eight
     # master arguments, but no ``make_master``; format 10's fleet a
     # ``DeviceProfile`` per row, and each tenant a member-id set and a
-    # trainer dict.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10):
+    # trainer dict; format 11's Selector routes a pool of connected
+    # devices, and its devices a WAITING state.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -863,7 +866,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 11",
+                match=f"format {older} unsupported .*reads format 12",
             ):
                 read(old)
 

@@ -31,9 +31,8 @@ the plane's columns (``check_record``):
   ``eligible`` / ``state`` agree with ``plane.eligible`` / ``plane.active``.
 
 The same scripts hold the check-in and commit laws of ``fleet_laws`` —
-Selector quota conservation and the durable-write law after every step
-and inside every drain, a reservation for every arriving check-in
-throughout.
+Selector pool conservation, waiting rows that are only rows, and the
+durable-write law — after every step and inside every drain.
 """
 
 import tempfile
@@ -45,7 +44,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleet_laws import check_fleet_laws, reservations_checked
+from fleet_laws import check_fleet_laws
 from repro import FLFleet, PopulationSpec, RoundConfig, TaskConfig
 from repro.analytics.events import EVENTS, DeviceEvent
 from repro.device.actor import DeviceActor, DeviceHealthStats, DeviceState
@@ -177,21 +176,20 @@ def check_record(fleet):
 
 def test_device_slots_are_pinned():
     """What a ``DeviceActor`` holds, as an assertion: state creeping back
-    onto the object (a tally, a copy of a column) is a reviewed edit to
-    this list.  Between sessions only the two stale-event guards
-    (``_generation``, ``_wait_epoch``) carry anything."""
+    onto the object (a tally, a copy of a column, a WAITING state) is a
+    reviewed edit to this list.  Between sessions only the stale-event
+    guard (``_generation``) carries anything."""
     assert set(DeviceActor.__slots__) == {
         # what it was built with
         "profile", "network", "conditions", "trainer_of", "compute",
         "event_log", "_rng", "job", "compute_error_prob",
-        "ack_timeout_s", "waiting_timeout_s", "upload_retry",
+        "ack_timeout_s", "upload_retry",
         # where its record and its idle life are
         "plane", "row", "scheduler",
         # the session it is in
-        "_active_population", "_selector", "_round_id", "_aggregator",
-        "_waiting_timeout_event", "_ack_timeout_event", "_last_checkin_t",
-        # stale-event guards
-        "_generation", "_wait_epoch",
+        "_active_population", "_round_id", "_aggregator", "_ack_timeout_event",
+        # stale-event guard
+        "_generation",
     }
     # ... and no instance dict for anything else to land in.
     assert all("__slots__" in vars(cls) for cls in DeviceActor.__mro__[:-1])
@@ -261,7 +259,7 @@ def test_tenancy_has_one_home(script):
     drains = 0
     with tempfile.TemporaryDirectory() as scratch, mock.patch.object(
         PopulationLifecycle, "_is_quiet", probing
-    ), reservations_checked():
+    ):
         for number, (kind, *args) in enumerate(script):
             hosted = fleet.population_names
             if kind == "attach":
