@@ -3,9 +3,10 @@
 One Coordinator owns each FL population (ownership is registered in the
 shared locking service).  It schedules FL tasks, spawns a Master
 Aggregator per round, and instructs the Selectors how many devices to
-forward.  If it dies, the Selector layer respawns it (see
-:mod:`repro.actors.selector`); a replacement recovers its round counter
-from the checkpoint store, so commits stay monotonic.
+forward.  If it crashes, the layer that spawned it — the tenant's
+lifecycle plane — respawns it at once, exactly once (a kernel
+:class:`~repro.actors.kernel.Restart`); a replacement recovers its round
+counter from the checkpoint store, so commits stay monotonic.
 
 How a round is wired is not its business: ``make_master(round_id=,
 task=, coordinator=)`` builds each round's master (the lifecycle plane
@@ -115,13 +116,6 @@ class Coordinator(Actor):
             self.round_counter = max(
                 self.round_id_base,
                 self.store.latest(self.population_name).round_number,
-            )
-        for selector in self.selectors:
-            self.tell(
-                selector,
-                msg.RegisterCoordinator(
-                    coordinator=self.ref, population_name=self.population_name
-                ),
             )
         self._tick_origin_s = self.now
         self._arm_tick()

@@ -5,6 +5,12 @@ single-threaded event loop that ordering is natural: every delivery is an
 event, and events for one actor fire in schedule order.  Crashing an actor
 drops its mailbox, releases its locks, and notifies its watchers — the
 substrate for the failure-mode experiments.
+
+Supervision is one mechanism (Sec. 4.4's "restarted by the layer above"):
+whoever spawns an actor may hand :meth:`ActorSystem.spawn` a
+:class:`Restart` — a delay and a ``respawn(dead_ref)`` callable.  A crash
+schedules it before any watcher hears; a graceful stop drops it, and a
+restart whose owner has died by then does not fire.
 """
 
 from __future__ import annotations
@@ -15,6 +21,18 @@ from typing import Any, Callable, Optional
 import numpy as np
 
 from repro.sim.event_loop import EventLoop
+
+
+@dataclass(frozen=True)
+class Restart:
+    """How a crashed actor comes back: ``respawn(dead_ref)`` runs
+    ``delay_s`` after the crash, unless ``owner`` (the spawning actor, if
+    any) has died by then.  ``respawn`` must pickle (a bound method or a
+    partial of one) so a pending restart survives a snapshot."""
+
+    delay_s: float
+    respawn: Callable[["ActorRef"], Any]
+    owner: Optional["ActorRef"] = None
 
 
 @dataclass(frozen=True)
@@ -125,7 +143,8 @@ class ActorSystem:
         self.messages_dropped = 0
         self.crashes_injected = 0
         self._lock_release_hooks: list[Callable[[ActorRef], None]] = []
-        self._crash_hooks: list[Callable[[ActorRef], None]] = []
+        #: actor id -> its restart, for actors spawned with one.
+        self._restarts: dict[int, Restart] = {}
         #: Fault hook (the fault plane installs one): (target, message) ->
         #: extra delay seconds, or ``None`` to drop the message outright.
         #: ``None`` here = no fault plane; :meth:`tell` stays a single
@@ -141,7 +160,15 @@ class ActorSystem:
         self._next_id += count
         return first
 
-    def spawn(self, actor: Actor, name: str, actor_id: int | None = None) -> ActorRef:
+    def spawn(
+        self,
+        actor: Actor,
+        name: str,
+        actor_id: int | None = None,
+        restart: Restart | None = None,
+    ) -> ActorRef:
+        """Start ``actor`` as ``name``; with a ``restart``, a crash brings
+        it back (see :class:`Restart`)."""
         if actor_id is None:
             actor_id = self.reserve_ids(1)
         ref = ActorRef(actor_id, name, self)
@@ -149,6 +176,8 @@ class ActorSystem:
         actor.ref = ref
         actor.loop = self.loop
         self._actors[ref.actor_id] = actor
+        if restart is not None:
+            self._restarts[actor_id] = restart
         actor.on_start()
         return ref
 
@@ -175,12 +204,11 @@ class ActorSystem:
         for hook in self._lock_release_hooks:
             hook(ref)
         actor.on_stop(crashed)
-        if crashed:
-            # Cluster-manager hooks (Sec. 4.4's "processes are restarted
-            # by the cluster manager"): run before watchers hear, so a
-            # respawn is already scheduled when DeathNotices land.
-            for hook in self._crash_hooks:
-                hook(ref)
+        restart = self._restarts.pop(ref.actor_id, None)
+        if crashed and restart is not None:
+            # Before watchers hear, so the respawn is already scheduled
+            # when DeathNotices land.
+            self.loop.schedule(restart.delay_s, self._restart, restart, ref)
         for watcher in self._watchers.pop(ref.actor_id, {}).values():
             self.tell(watcher, DeathNotice(ref=ref, crashed=crashed), sender=None)
 
@@ -195,13 +223,13 @@ class ActorSystem:
     def unwatch(self, watcher: ActorRef, watched: ActorRef) -> None:
         self._watchers.get(watched.actor_id, {}).pop(watcher.actor_id, None)
 
+    def _restart(self, restart: Restart, dead_ref: ActorRef) -> None:
+        if restart.owner is None or self.is_alive(restart.owner):
+            restart.respawn(dead_ref)
+
     def on_actor_terminated(self, hook: Callable[[ActorRef], None]) -> None:
         """Register a hook run at every termination (lock auto-release)."""
         self._lock_release_hooks.append(hook)
-
-    def on_actor_crashed(self, hook: Callable[[ActorRef], None]) -> None:
-        """Register a hook run only on *crash* termination (respawn paths)."""
-        self._crash_hooks.append(hook)
 
     # -- messaging ------------------------------------------------------------
     def tell(

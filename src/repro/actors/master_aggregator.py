@@ -17,7 +17,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.actors.aggregator import Aggregator, ShardAggregator, fold_sources
-from repro.actors.kernel import Actor, ActorRef, DeathNotice
+from repro.actors.kernel import Actor, ActorRef, Restart
 from repro.actors import messages as msg
 from repro.core.checkpoint import CheckpointStore, CheckpointWriteError, FLCheckpoint
 from repro.core.config import TaskConfig, TaskKind
@@ -69,7 +69,6 @@ class MasterAggregator(Actor):
         self.fold_recorder = fold_recorder
         self.shard_aggregators: list[ActorRef] = []
         self._shard_leaves: list[list[ActorRef]] = []
-        self._shard_respawns = 0
         #: Accepted devices' report metrics in acceptance order, summarized
         #: at round close (Sec. 7.4 "Materialized model metrics"), and the
         #: handles of the cohort-plane updates among them, which ``_finish``
@@ -110,17 +109,14 @@ class MasterAggregator(Actor):
             )
         if self.shard_slots > 0:
             # The aggregation-tree middle tier: leaves are dealt round-
-            # robin across shard aggregators, and the master watches each
-            # node so the cluster-manager-style respawn below can heal a
-            # crash that happens before the round's fold.
+            # robin across shard aggregators, each restarted by this
+            # master if it crashes before the round's fold.
             tier = max(1, min(self.shard_slots, num_aggs))
             self._shard_leaves = [[] for _ in range(tier)]
             for i, leaf in enumerate(self.aggregators):
                 self._shard_leaves[i % tier].append(leaf)
             for j in range(tier):
-                self.shard_aggregators.append(
-                    self._spawn_shard(j, f"shardagg/{self.round_id}/{j}")
-                )
+                self.shard_aggregators.append(self._spawn_shard(j))
         self.schedule(
             self.task.round_config.selection_timeout_s,
             self._on_selection_timeout,
@@ -177,45 +173,33 @@ class MasterAggregator(Actor):
                 message.device_id, self.now, reason=message.reason
             )
             self._maybe_finish_on_depletion()
-        elif isinstance(message, DeathNotice):
-            self._on_shard_death(message)
 
     # -- shard-aggregator supervision ------------------------------------------
-    def _on_shard_death(self, notice: DeathNotice) -> None:
-        """A watched shard aggregator died.  Crashes are healed by a
-        delayed respawn (the Sec. 4.4 cluster manager, one tree level
-        down): the node holds no report state — its leaves do — so a
-        replacement adopting the same leaves recovers the shard's fold
-        completely.  Only a crash still unhealed when the round folds
-        costs the shard its contribution (ledgered at fold time)."""
-        if not notice.crashed or self._finished:
-            return
-        for slot, ref in enumerate(self.shard_aggregators):
-            if ref == notice.ref:
-                self.schedule(
-                    self.shard_restart_delay_s, self._respawn_shard, slot, ref
-                )
-                return
-
-    def _respawn_shard(self, slot: int, dead_ref: ActorRef) -> None:
-        if self._finished or self.shard_aggregators[slot] != dead_ref:
-            return  # round closed, or a stale duplicate notification
-        self._shard_respawns += 1
-        self.shard_aggregators[slot] = self._spawn_shard(
-            slot, f"shardagg/{self.round_id}/{slot}/r{self._shard_respawns}"
-        )
-        if self.recovery is not None:
-            self.recovery.record("shard_aggregator_respawns")
-
-    def _spawn_shard(self, slot: int, name: str) -> ActorRef:
-        """A shard aggregator for ``slot``'s leaves, spawned as ``name``
-        and watched by this master — at round start and at a respawn."""
+    def _spawn_shard(self, slot: int) -> ActorRef:
+        """A shard aggregator for ``slot``'s leaves — at round start and
+        at a respawn.  This master owns its restart (Sec. 4.4 one tree
+        level down): the node holds no report state — its leaves do — so
+        a replacement ``shard_restart_delay_s`` after a crash recovers the
+        shard's fold completely; one due after the round closed does not
+        fire, and a crash still open at the fold costs the shard its
+        contribution (ledgered there)."""
         node = ShardAggregator(self.round_id, self.task.task_id)
         for leaf in self._shard_leaves[slot]:
             node.adopt(leaf)
-        ref = self.system.spawn(node, name)
-        self.system.watch(self.ref, ref)
-        return ref
+        return self.system.spawn(
+            node,
+            f"shardagg/{self.round_id}/{slot}",
+            restart=Restart(
+                self.shard_restart_delay_s,
+                partial(self._respawn_shard, slot),
+                owner=self.ref,
+            ),
+        )
+
+    def _respawn_shard(self, slot: int, dead_ref: ActorRef) -> None:
+        self.shard_aggregators[slot] = self._spawn_shard(slot)
+        if self.recovery is not None:
+            self.recovery.record("shard_aggregator_respawns")
 
     def _on_report(self, report: msg.DeviceReport) -> None:
         device_id = report.device_id

@@ -106,14 +106,6 @@ class RoundFinished:
 
 
 @dataclass(frozen=True)
-class RegisterCoordinator:
-    """A (re)spawned Coordinator announces itself to its Selectors."""
-
-    coordinator: "ActorRef"
-    population_name: str
-
-
-@dataclass(frozen=True)
 class ClearForwarding:
     """Coordinator cancels its population's standing forwarding instruction."""
 

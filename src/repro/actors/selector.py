@@ -25,8 +25,9 @@ uniformly from its pool (the paper's reservoir sampling, footnote 1);
 each drawn row's device is configured, every other one is told to come
 back later — vector writes, like every way out of the pool.
 
-Selectors also watch each population's Coordinator and — arbitrated by
-the shared lock service — respawn it exactly once if it dies (Sec. 4.4).
+A Selector supervises nothing: the fleet restarts a crashed Selector, and
+a tenant's lifecycle plane its Coordinator (Sec. 4.4's "restarted by the
+layer above", :class:`~repro.actors.kernel.Restart`).
 """
 
 from __future__ import annotations
@@ -34,12 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import compress
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 import numpy as np
 
-from repro.actors.kernel import Actor, ActorRef, DeathNotice
-from repro.actors.locking import LockService
+from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.core.pace import PaceSteering
 
@@ -67,9 +67,7 @@ class SelectorStats:
 class PopulationRoute:
     """One hosted population's routing state inside a Selector.
 
-    ``plans`` exposes ``plan_for_runtime(version)`` / ``plan_for_task``;
-    ``coordinator_factory`` builds a replacement Coordinator for the
-    Sec. 4.4 respawn path.
+    ``plans`` exposes ``plan_for_runtime(version)`` / ``plan_for_task``.
     """
 
     population_name: str
@@ -81,8 +79,6 @@ class PopulationRoute:
     #: is forwarding.
     selection_goal: int
     pool_cap: int = 1000
-    coordinator_factory: Callable[[], Actor] | None = None
-    coordinator: ActorRef | None = None
     forwarding: msg.ForwardDevices | None = None
     stats: SelectorStats = field(default_factory=SelectorStats)
     #: Memoized pace window for the current instant: a batched sweep can
@@ -102,8 +98,8 @@ class PopulationRoute:
 class Selector(Actor):
     """One selector; production runs many, spread geographically.
 
-    Shared pieces (locks, checkpoint store, the idle plane that holds its
-    pool) are fleet-wide; everything population-specific lives in
+    Shared pieces (checkpoint store, the idle plane that holds its pool)
+    are fleet-wide; everything population-specific lives in
     :attr:`routes`.  ``index`` is its place in the fleet's Selector list,
     which is how the plane's columns name it; ``rng`` draws its rounds'
     samples.
@@ -111,19 +107,15 @@ class Selector(Actor):
 
     def __init__(
         self,
-        locks: LockService,
         checkpoint_store: Any,         # exposes latest(population)
         rng: np.random.Generator,
         plane: Any,                    # sim.idle_plane.VectorizedIdlePlane
         index: int,
-        recovery: Any = None,          # fleet RecoveryLedger, if any
     ):
-        self.locks = locks
         self.store = checkpoint_store
         self.rng = rng
         self.plane = plane
         self.index = index
-        self.recovery = recovery
         self.routes: dict[str, PopulationRoute] = {}
 
     # -- population registry ---------------------------------------------------
@@ -161,8 +153,6 @@ class Selector(Actor):
         route = self.routes.pop(population_name, None)
         if route is None:
             return None
-        if route.coordinator is not None:
-            self.system.unwatch(self.ref, route.coordinator)
         self.plane.reset(self.plane.pooled(self.index, population_name))
         return route
 
@@ -287,13 +277,6 @@ class Selector(Actor):
                 and route.forwarding.round_id == message.round_id
             ):
                 route.forwarding = None
-        elif isinstance(message, msg.RegisterCoordinator):
-            route = self.routes.get(message.population_name)
-            if route is not None:
-                route.coordinator = message.coordinator
-                self.system.watch(self.ref, message.coordinator)
-        elif isinstance(message, DeathNotice):
-            self._on_coordinator_death(message)
 
     # -- check-in path ---------------------------------------------------------
     def _compatible(self, route: PopulationRoute, runtime_version: int) -> bool:
@@ -352,29 +335,4 @@ class Selector(Actor):
                     checkpoint=checkpoint,
                     aggregator=aggregator,
                 ),
-            )
-
-    # -- coordinator recovery (Sec. 4.4) ------------------------------------------
-    def _on_coordinator_death(self, notice: DeathNotice) -> None:
-        route = next(
-            (r for r in self.routes.values() if r.coordinator == notice.ref),
-            None,
-        )
-        if route is None:
-            return
-        route.coordinator = None
-        route.forwarding = None
-        if not notice.crashed or route.coordinator_factory is None or route.draining:
-            return  # a draining tenant's coordinator is never respawned
-        # "Because the Coordinators are registered in a shared locking
-        # service, this will happen exactly once": the respawn key embeds
-        # the dead incarnation's actor id, so exactly one selector wins.
-        key = f"respawn/{route.population_name}/{notice.ref.actor_id}"
-        if self.locks.acquire(key, self.ref):
-            if self.recovery is not None:
-                self.recovery.record("coordinator_respawns")
-            replacement = route.coordinator_factory()
-            self.system.spawn(
-                replacement,
-                f"coordinator/{route.population_name}/r{notice.ref.actor_id}",
             )

@@ -21,19 +21,20 @@ claim into a *plane* of the simulation rather than a test fixture:
   schedules and stream cursors live on the fleet object graph,
   ``fleet.snapshot()`` mid-chaos freezes the *remaining* fault schedule
   too: a restored fleet replays the tail byte-identically.
-* :class:`SelectorClusterManager` — the production "cluster manager"
-  from Sec. 4.4 ("FL server actors ... are restarted by the cluster
-  manager"), scoped to Selectors, the one server actor class nothing in
-  the actor model itself supervises: a crashed Selector is respawned
-  after ``config.selector_restart_delay_s``, re-registered with every
-  live population route, and re-homed into coordinator and device
-  selector lists.
 * :class:`RecoveryLedger` — mutable run-time accounting for all of the
-  above (crashes by kind, respawns, retries, drop/delay counts, and the
-  simulated-time crash-to-next-commit recovery latency): one tally keyed
-  by :class:`~repro.system.reports.RecoveryReport`'s own field names,
+  above and the recovery it provokes (crashes by kind, respawns,
+  retries, drop/delay counts, and the simulated-time
+  crash-to-next-commit recovery latency): one tally keyed by
+  :class:`~repro.system.reports.RecoveryReport`'s own field names,
   surfaced as that report on ``RunReport`` and mirrored into
   ``faults/...`` / ``recovery/...`` dashboard counters.
+
+Recovery itself is not here: a crashed server actor is restarted by the
+layer that spawned it, through one kernel mechanism
+(:class:`~repro.actors.kernel.Restart`, Sec. 4.4's "restarted by the
+layer above") — the fleet restarts a Selector after
+``config.selector_restart_delay_s``, the lifecycle plane a tenant's
+Coordinator at once, a round's master its shard aggregators.
 
 The lever is ``FLFleet.builder().faults(FaultPlan(...))`` and is off by
 default; a fleet without a plan constructs no plane, installs no hooks,
@@ -79,7 +80,7 @@ CRASH_KINDS = (
 #: Message types subject to drop/delay faults: the device<->server edge —
 #: the paper's actually-flaky link (cellular/WiFi gRPC streams).
 #: Server-internal control traffic (DeathNotice, RoundFinished,
-#: ForwardDevices, RegisterCoordinator, ClearForwarding) is modeled as
+#: ForwardDevices, ClearForwarding) is modeled as
 #: reliable intra-datacenter RPC; its failure mode is *actor crashes*,
 #: injected above, never silent message loss.  A check-in is no message
 #: (the idle plane's columns): its drop is drawn by the plane's
@@ -483,59 +484,3 @@ class FaultPlane:
             self.ledger.record("checkpoint_write_faults")
             return True
         return False
-
-
-# -- selector recovery --------------------------------------------------------
-class SelectorClusterManager:
-    """Respawns crashed Selectors (Sec. 4.4's cluster manager, in-model).
-
-    Installed on every fleet unconditionally — it draws no RNG and does
-    nothing until a Selector actually crashes, so it is free on healthy
-    runs.  A replacement Selector is spawned after
-    ``config.selector_restart_delay_s`` on the *same* registry stream
-    (``selector/<i>``, cursor continuing), re-registered with a fresh
-    route for every live population its shard owns (coordinator link and
-    drain state included), and swapped into entry ``i`` of the fleet's
-    live Selector list, which Coordinators and the idle plane read — so
-    forwarded devices re-home, and no Coordinator is patched.
-    """
-
-    def __init__(self, fleet: "FLFleet"):
-        self.fleet = fleet
-
-    def on_actor_crashed(self, ref: ActorRef) -> None:
-        """ActorSystem crash hook: schedule a respawn for fleet Selectors."""
-        fleet = self.fleet
-        for index, selector_ref in enumerate(fleet.selectors):
-            if selector_ref == ref:
-                fleet.loop.schedule(
-                    fleet.config.selector_restart_delay_s,
-                    self._respawn,
-                    index,
-                    ref,
-                )
-                return
-
-    def _respawn(self, index: int, dead_ref: ActorRef) -> None:
-        # Deferred import: lifecycle -> builder -> config -> faults would
-        # cycle at module load.
-        from repro.system.lifecycle import PopulationState
-
-        fleet = self.fleet
-        if fleet.selectors[index] != dead_ref:
-            return  # already replaced (stale duplicate notification)
-        selector = fleet._spawn_selector(index)
-        new_ref = fleet.selectors[index] = selector.ref
-        for runtime in fleet.lifecycle.active.values():
-            # On a sharded fleet a selector only carries routes for the
-            # populations its shard owns (shards=1: every index qualifies).
-            if index not in fleet.shard_selector_indices(runtime.name):
-                continue
-            route = fleet.lifecycle._build_route(runtime)
-            route.draining = runtime.state is PopulationState.DRAINING
-            coordinator_ref = fleet.lifecycle._coordinator_ref(runtime)
-            if coordinator_ref is not None:
-                route.coordinator = coordinator_ref
-                fleet.actors.watch(new_ref, coordinator_ref)
-            selector.add_route(route)
-        fleet.recovery.record("selector_respawns")

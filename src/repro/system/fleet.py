@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.actors.kernel import ActorRef, ActorSystem
+from repro.actors.kernel import ActorRef, ActorSystem, Restart
 from repro.actors.locking import LockService
 from repro.actors.selector import Selector
 from repro.analytics.dashboard import Dashboard
@@ -52,7 +52,7 @@ from repro.sim.population import DeviceProfile, build_population
 from repro.sim.rng import RngRegistry
 from repro.system.builder import FleetBuilder, FleetValidationError, PopulationSpec
 from repro.system.config import FleetConfig
-from repro.system.faults import FaultPlane, RecoveryLedger, SelectorClusterManager
+from repro.system.faults import FaultPlane, RecoveryLedger
 from repro.system.lifecycle import (
     ROUND_ID_STRIDE,
     FleetSnapshotManifest,
@@ -100,11 +100,6 @@ class FLFleet:
         #: Fault/recovery accounting (always present; all-zero without a
         #: fault plan or crashes) — see :mod:`repro.system.faults`.
         self.recovery = RecoveryLedger(dashboard=self.dashboard)
-        #: Sec. 4.4's cluster manager, scoped to Selectors.  Installed
-        #: unconditionally: it draws no RNG and does nothing until a
-        #: Selector actually crashes, so healthy runs pay nothing.
-        self.cluster = SelectorClusterManager(self)
-        self.actors.on_actor_crashed(self.cluster.on_actor_crashed)
         #: The fault-injection plane, when a plan was configured.
         self.fault_plane: FaultPlane | None = (
             FaultPlane(self, self.config.faults)
@@ -288,17 +283,36 @@ class FLFleet:
 
     def _spawn_selector(self, index: int) -> Selector:
         """Selector ``index`` on its registry stream, at build and at a
-        respawn (whose replacement continues the stream's cursor)."""
+        respawn (whose replacement continues the stream's cursor).  The
+        fleet restarts it ``selector_restart_delay_s`` after a crash
+        (Sec. 4.4's cluster manager)."""
         selector = Selector(
-            locks=self.locks,
             checkpoint_store=self.store,
             rng=self.rngs.stream(f"selector/{index}"),
             plane=self.idle_plane,
             index=index,
-            recovery=self.recovery,
         )
-        self.actors.spawn(selector, f"selector/{index}")
+        self.actors.spawn(
+            selector,
+            f"selector/{index}",
+            restart=Restart(
+                self.config.selector_restart_delay_s,
+                partial(self._respawn_selector, index),
+            ),
+        )
         return selector
+
+    def _respawn_selector(self, index: int, dead_ref: ActorRef) -> None:
+        """Replace crashed Selector ``index``: a fresh route for every
+        hosted tenant its shard owns (drain state carried over), swapped
+        into entry ``index`` of the live list that Coordinators and the
+        idle plane read — so nothing else is patched."""
+        selector = self._spawn_selector(index)
+        self.selectors[index] = selector.ref
+        for runtime in self.lifecycle.active.values():
+            if index in self.shard_selector_indices(runtime.name):
+                selector.add_route(self.lifecycle._build_route(runtime))
+        self.recovery.record("selector_respawns")
 
     def _construct_device(self, index: int) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its

@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.actors.coordinator import Coordinator
-from repro.actors.kernel import ActorRef
+from repro.actors.kernel import ActorRef, Restart
 from repro.actors.master_aggregator import MasterAggregator
 from repro.actors.selector import PopulationRoute
 from repro.analytics.dashboard import ScopedDashboard
@@ -324,6 +324,8 @@ class PopulationLifecycle:
             selector.add_route(self._build_route(runtime))
 
     def _build_route(self, runtime: PopulationRuntime) -> PopulationRoute:
+        """The tenant's route on one Selector — at attach and on a
+        respawned Selector (which a draining tenant's bounces)."""
         return PopulationRoute(
             population_name=runtime.name,
             pace=runtime.pace,
@@ -331,15 +333,14 @@ class PopulationLifecycle:
             population_size=len(runtime.members),
             selection_goal=runtime.fl_population.selection_goal,
             pool_cap=runtime.spec.pool_cap,
-            coordinator_factory=partial(self.make_coordinator, runtime.name),
+            draining=runtime.state is PopulationState.DRAINING,
         )
 
     def make_coordinator(self, name: str) -> Coordinator:
-        """A fresh Coordinator for ``name`` — used at attach and by the
-        Sec. 4.4 selector-driven respawn path (a partial of this method
-        is every route's ``coordinator_factory``).  The one place that
-        knows how the tenant's rounds are wired: the Coordinator gets a
-        ``make_master`` with everything but the round bound."""
+        """A fresh Coordinator for ``name`` — at attach and at a Sec. 4.4
+        respawn.  The one place that knows how the tenant's rounds are
+        wired: the Coordinator gets a ``make_master`` with everything but
+        the round bound."""
         fleet = self.fleet
         runtime = self.runtime(name)
         # The tenant's Coordinator talks to its owning shard's Selectors
@@ -365,7 +366,7 @@ class PopulationLifecycle:
             shard_restart_delay_s=fleet.config.selector_restart_delay_s,
             fold_recorder=partial(fleet._record_shard_fold, name),
         )
-        coordinator = Coordinator(
+        return Coordinator(
             population_name=name,
             scheduler=scheduler,
             fleet_selectors=fleet.selectors,
@@ -376,15 +377,27 @@ class PopulationLifecycle:
             config=runtime.spec.coordinator or fleet.config.coordinator,
             round_id_base=runtime.round_id_base,
         )
-        # A respawn that lands mid-drain must not restart rounds.
-        coordinator.draining = runtime.state is PopulationState.DRAINING
-        return coordinator
 
     def _spawn_coordinator(self, runtime: PopulationRuntime) -> None:
+        """The tenant's Coordinator, at attach and at a respawn: this plane
+        spawned it, so this plane restarts it — at the crash instant,
+        exactly once (Sec. 4.4)."""
         runtime.coordinator_ref = self.fleet.actors.spawn(
             self.make_coordinator(runtime.name),
             f"coordinator/{runtime.name}/{runtime.index}",
+            restart=Restart(0.0, partial(self._respawn_coordinator, runtime)),
         )
+
+    def _respawn_coordinator(self, runtime: PopulationRuntime, dead_ref: ActorRef) -> None:
+        """A crashed Coordinator's replacement — none for a draining or
+        retired tenant.  Its Selectors drop the dead round's forwarding
+        instruction; the replacement resumes from the last checkpoint."""
+        if runtime.state is not PopulationState.ATTACHED:
+            return
+        for selector in self.fleet.shard_selector_actors(runtime.name):
+            selector.route_of(runtime.name).forwarding = None
+        self._spawn_coordinator(runtime)
+        self.fleet.recovery.record("coordinator_respawns")
 
     def trainer_of(self, device_id: int, name: str):
         """Device ``device_id``'s trainer for hosted tenant ``name``
@@ -481,22 +494,10 @@ class PopulationLifecycle:
         )
 
     def _coordinator_ref(self, runtime: PopulationRuntime) -> ActorRef | None:
-        """The tenant's *live* Coordinator ref.
-
-        A Sec. 4.4 selector respawn replaces the coordinator without
-        telling the lifecycle plane, so the recorded ref can be stale —
-        but every incarnation registers in the shared lock service, which
-        is the authoritative ownership record.  Resolve through it and
-        heal the runtime's pointer.
-        """
+        """The tenant's Coordinator ref while it is alive (``None`` once
+        retired, and for a draining tenant's crashed one)."""
         ref = runtime.coordinator_ref
-        if ref is not None and ref.alive:
-            return ref
-        owner = self.fleet.locks.owner_of(f"coordinator/{runtime.name}")
-        if owner is not None and owner.alive:
-            runtime.coordinator_ref = owner
-            return owner
-        return None
+        return ref if ref is not None and ref.alive else None
 
     def _coordinator_actor(self, runtime: PopulationRuntime) -> Coordinator | None:
         ref = self._coordinator_ref(runtime)
@@ -588,7 +589,11 @@ class PopulationLifecycle:
 #: ``pool`` and ``pending_admissions`` — and ``DeviceActor`` its WAITING
 #: slots (``_selector``, ``_wait_epoch``, its waiting timer, its check-in
 #: time and ``waiting_timeout_s``).
-SNAPSHOT_FORMAT_VERSION = 12
+#: 13: the kernel holds each supervised actor's ``Restart`` (the fleet,
+#: the lifecycle plane and a round's master restart what they spawned);
+#: the fleet lost its ``cluster`` manager, Selectors their ``locks`` and
+#: ``recovery``, routes their ``coordinator`` link and factory.
+SNAPSHOT_FORMAT_VERSION = 13
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -15,6 +15,7 @@ ten simulated minutes — with check-ins being dropped.
 """
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -329,12 +330,16 @@ def test_crashed_shard_aggregator_aborts_only_its_shard_fold():
     fleet = build_sharded_chaotic_fleet(
         faults=None, min_fraction=0.25, secagg_group=6
     )
+    # Pin the heal far past the fold: the crash must still be open when
+    # the round closes.  A master registers its shards' restarts when it
+    # spawns them, so the delay is bound before any round starts.
+    coordinator = fleet.actors.actor_of(fleet.coordinators["shardchaos"])
+    coordinator.make_master = partial(
+        coordinator.make_master, shard_restart_delay_s=1e9
+    )
     master = _run_until_sharded_round(fleet)
     assert len(master.shard_aggregators) >= 2
     round_id = master.round_id
-    # Pin the heal far past the fold: the crash must still be open when
-    # the round closes.
-    master.shard_restart_delay_s = 1e9
     fleet.actors.crash(master.shard_aggregators[0])
     fleet.run_for(2 * 3600.0)
     rec = fleet.report().recovery
@@ -446,9 +451,9 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
         next_round_reaches(owner, fleet.selectors[index])
         assert_addressed()
 
-    # A Coordinator crashes while one of its Selectors is down: a surviving
-    # Selector of the shard respawns it at once, from the list as it is
-    # then — the dead entry still in it.
+    # A Coordinator crashes while one of its Selectors is down: the
+    # lifecycle plane respawns it at once, from the list as it is then —
+    # the dead entry still in it.
     name = "t0"
     index = fleet.shard_selector_indices(name)[0]
     dead = fleet.selectors[index]

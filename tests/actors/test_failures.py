@@ -6,6 +6,7 @@ previously committed round."
 """
 
 import numpy as np
+import pytest
 
 from repro import FLFleet, TaskConfig, RoundConfig
 from repro.device.scheduler import JobSchedule
@@ -13,7 +14,7 @@ from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
 
-def build_fleet(seed=7):
+def build_fleet(seed=7, selectors=3, devices=250):
     task = TaskConfig(
         task_id="ftest/train",
         population_name="ftest",
@@ -25,8 +26,8 @@ def build_fleet(seed=7):
     return (
         FLFleet.builder()
         .seed(seed)
-        .devices(PopulationConfig(num_devices=250))
-        .selectors(3)
+        .devices(PopulationConfig(num_devices=devices))
+        .selectors(selectors)
         .job(JobSchedule(1200.0, 0.5))
         .population("ftest", tasks=[task], model=model.init(np.random.default_rng(0)))
         .build()
@@ -83,18 +84,47 @@ def test_coordinator_crash_respawned_exactly_once():
     old_ref = fleet.coordinators["ftest"]
     fleet.actors.crash(old_ref)
     fleet.run_for(3600)
-    # A new coordinator owns the population lock.
-    owner = fleet.locks.owner_of("ftest" and "coordinator/ftest")
-    assert owner is not None
-    assert owner != old_ref
-    assert owner.alive
-    # Exactly one respawn occurred for this death (one respawn lock).
-    respawn_keys = [
-        k
-        for k in fleet.locks._locks
-        if k.startswith("respawn/ftest/")
+    # One live Coordinator owns the population lock: the replacement.
+    live = [
+        ref for ref in fleet.actors.living_actors()
+        if ref.name.startswith("coordinator/ftest/")
     ]
-    assert len(respawn_keys) == 1
+    assert live == [fleet.locks.owner_of("coordinator/ftest")]
+    assert live[0] != old_ref
+    # Exactly one respawn, and no lock race left anything behind.
+    assert fleet.report().recovery.coordinator_respawns == 1
+    assert not [k for k in fleet.locks._locks if k.startswith("respawn/")]
+
+
+def test_fleet_coordinators_is_live_after_a_respawn():
+    fleet = build_fleet()
+    fleet.run_for(1800)
+    old_ref = fleet.coordinators["ftest"]
+    fleet.actors.crash(old_ref)
+    fleet.run_for(60)
+    new_ref = fleet.coordinators["ftest"]
+    assert new_ref is not None and new_ref.alive
+    assert new_ref != old_ref
+
+
+@pytest.mark.parametrize("selectors", [1, 2])
+def test_coordinator_crashed_with_every_selector_of_its_shard_is_respawned(
+    selectors,
+):
+    """Sec. 4.4's progress claim when nothing in the tenant's shard is left
+    to notice: every Selector and the Coordinator crash at one instant.
+    The Coordinator is still respawned, once, and the tenant commits
+    rounds it started after the crash."""
+    fleet = build_fleet(seed=3, selectors=selectors, devices=200)
+    fleet.run_for(4 * 3600)
+    assert fleet.committed_rounds
+    crashed_at = fleet.loop.now
+    for ref in fleet.shard_selectors("ftest"):
+        fleet.actors.crash(ref)
+    fleet.actors.crash(fleet.coordinators["ftest"])
+    fleet.run_for(4 * 3600)
+    assert fleet.report().recovery.coordinator_respawns == 1
+    assert [r for r in fleet.committed_rounds if r.started_at_s > crashed_at]
 
 
 def test_system_makes_progress_after_coordinator_crash():

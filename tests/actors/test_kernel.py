@@ -1,8 +1,10 @@
 """Actor kernel: delivery, lifecycle, supervision, failure injection."""
 
+import pickle
+
 import numpy as np
 
-from repro.actors.kernel import Actor, ActorSystem, DeathNotice
+from repro.actors.kernel import Actor, ActorSystem, DeathNotice, Restart
 from repro.sim.event_loop import EventLoop
 
 
@@ -143,3 +145,75 @@ def test_termination_hook_runs():
     ref = system.spawn(Recorder(), "r")
     system.stop(ref)
     assert released == [ref]
+
+
+# -- restarts ---------------------------------------------------------------------
+
+
+class Respawner:
+    """A restart's ``respawn``: logs (time, dead ref, DeathNotices the
+    watcher had by then) and spawns a fresh Recorder under the dead name."""
+
+    def __init__(self, system, watcher=None):
+        self.system = system
+        self.watcher = watcher
+        self.calls = []
+
+    def __call__(self, dead_ref):
+        heard = len(self.watcher.received) if self.watcher is not None else None
+        self.calls.append((self.system.loop.now, dead_ref, heard))
+        self.system.spawn(Recorder(), dead_ref.name)
+
+
+def test_restart_fires_once_at_crash_time_plus_delay_before_death_notices():
+    loop = EventLoop()
+    system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
+    for delay in (0.0, 2.5):
+        watcher = Recorder()
+        watcher_ref = system.spawn(watcher, "watcher")
+        respawner = Respawner(system, watcher)
+        ref = system.spawn(Recorder(), "r", restart=Restart(delay, respawner))
+        system.watch(watcher_ref, ref)
+        loop.run_for(1.0)
+        crashed_at = loop.now
+        system.crash(ref)
+        loop.run_for(10.0)
+        # Scheduled before the notice: a zero delay still fires first.
+        assert respawner.calls == [(crashed_at + delay, ref, 0 if delay == 0 else 1)]
+        assert len(watcher.received) == 1
+
+
+def test_graceful_stop_drops_the_restart():
+    loop, system = make_system()
+    respawner = Respawner(system)
+    ref = system.spawn(Recorder(), "r", restart=Restart(1.0, respawner))
+    system.stop(ref)
+    system.crash(ref)  # already gone: nothing to restart
+    loop.run()
+    assert respawner.calls == []
+
+
+def test_restart_owned_by_a_dead_actor_does_not_fire():
+    loop, system = make_system()
+    owner = system.spawn(Recorder(), "owner")
+    respawner = Respawner(system)
+    ref = system.spawn(Recorder(), "r", restart=Restart(1.0, respawner, owner=owner))
+    system.crash(ref)
+    system.stop(owner)
+    loop.run()
+    assert respawner.calls == []
+
+
+def test_pending_restart_survives_snapshot_restore():
+    loop, system = make_system()
+    respawner = Respawner(system)
+    ref = system.spawn(Recorder(), "r", restart=Restart(5.0, respawner))
+    loop.run_for(1.0)
+    system.crash(ref)
+    restored = pickle.loads(pickle.dumps(respawner))
+    restored.system.loop.run()
+    ((at, dead, _),) = restored.calls
+    assert (at, dead.actor_id, dead.name) == (6.0, ref.actor_id, "r")
+    assert respawner.calls == []  # the original never ran
+    # The restored system spawned the replacement.
+    assert [r.name for r in restored.system.living_actors()] == ["r"]

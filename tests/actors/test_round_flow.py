@@ -141,9 +141,9 @@ def test_fleet_sampler_records_device_states():
 
 
 def coordinator_of(fleet):
-    """The population's current owner — the lock service knows a Sec. 4.4
-    replacement, ``fleet.coordinators`` only the builder's original."""
-    return fleet.actors.actor_of(fleet.locks.owner_of("coordinator/itest"))
+    """The population's live Coordinator (a Sec. 4.4 replacement once the
+    original crashed)."""
+    return fleet.actors.actor_of(fleet.coordinators["itest"])
 
 
 def pending_ticks(fleet, coordinator):
@@ -206,14 +206,14 @@ def test_rounds_start_on_the_tick_grid_across_crashes(tick):
     fleet.run_for(1800.0)
     before_respawn = len(fleet.round_results)
 
-    # Sec. 4.4, coordinator: a Selector wins the lock race and respawns
-    # it; the replacement's grid starts at its own start-up instant.
+    # Sec. 4.4, coordinator: the lifecycle plane respawns it at the crash
+    # instant; the replacement's grid starts there.
     crashed_at = fleet.loop.now
     fleet.actors.crash(fleet.coordinators["itest"])
     fleet.run_for(3600.0)
     respawned = coordinator_of(fleet)
     assert respawned is not None
-    assert respawned._tick_origin_s > crashed_at
+    assert respawned._tick_origin_s == crashed_at
     origins.append(respawned._tick_origin_s)
 
     results = fleet.round_results

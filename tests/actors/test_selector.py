@@ -6,7 +6,6 @@ import numpy as np
 from reference.selection import ReservoirSampler
 from repro.actors import messages as msg
 from repro.actors.kernel import Actor, ActorSystem
-from repro.actors.locking import LockService
 from repro.actors.selector import PopulationRoute, Selector
 from repro.core.checkpoint import CheckpointStore
 from repro.core.pace import PaceConfig, PaceSteering
@@ -24,7 +23,7 @@ def spawn_selector() -> Selector:
     loop = EventLoop()
     system = ActorSystem(loop, np.random.default_rng(0))
     selector = Selector(
-        LockService(), CheckpointStore(), np.random.default_rng(1), plane=None, index=0
+        CheckpointStore(), np.random.default_rng(1), plane=None, index=0
     )
     system.spawn(selector, "selector/0")
     return selector
@@ -106,7 +105,7 @@ def pooled_selector(rows: int):
     everyone = np.arange(rows)
     plane.scheduler.enroll(everyone, "pop")
     plane.memberships_changed(everyone)
-    selector = Selector(LockService(), StubStore(), rngs.stream("selector/0"), plane, 0)
+    selector = Selector(StubStore(), rngs.stream("selector/0"), plane, 0)
     selectors.append(system.spawn(selector, "selector/0"))
     pace = PaceSteering(PaceConfig(), DiurnalModel())
     route = PopulationRoute("pop", pace, StubPlans(), rows, selection_goal=4)

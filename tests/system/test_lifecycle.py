@@ -843,7 +843,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 12
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 13
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -855,8 +855,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # master arguments, but no ``make_master``; format 10's fleet a
     # ``DeviceProfile`` per row, and each tenant a member-id set and a
     # trainer dict; format 11's Selector routes a pool of connected
-    # devices, and its devices a WAITING state.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11):
+    # devices, and its devices a WAITING state; format 12's fleet a
+    # Selector cluster manager, and its routes a Coordinator link.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -866,7 +867,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 12",
+                match=f"format {older} unsupported .*reads format 13",
             ):
                 read(old)
 
