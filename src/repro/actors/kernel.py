@@ -220,9 +220,6 @@ class ActorSystem:
             return
         self._watchers.setdefault(watched.actor_id, {})[watcher.actor_id] = watcher
 
-    def unwatch(self, watcher: ActorRef, watched: ActorRef) -> None:
-        self._watchers.get(watched.actor_id, {}).pop(watcher.actor_id, None)
-
     def _restart(self, restart: Restart, dead_ref: ActorRef) -> None:
         if restart.owner is None or self.is_alive(restart.owner):
             restart.respawn(dead_ref)

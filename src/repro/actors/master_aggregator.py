@@ -46,7 +46,7 @@ class MasterAggregator(Actor):
         metrics_store=None,
         checkpoint_retry=None,  # faults.RetryPolicy; None = single attempt
         recovery=None,          # fleet RecoveryLedger, if any
-        shard_slots: int = 0,   # >0: fold through that many shard aggregators
+        shard_slots: int = 1,   # at most this many shard aggregators
         shard_restart_delay_s: float = 5.0,
         fold_recorder=None,     # per-shard-partial fold telemetry callback
     ):
@@ -59,11 +59,11 @@ class MasterAggregator(Actor):
         self.metrics_store = metrics_store
         self.checkpoint_retry = checkpoint_retry
         self.recovery = recovery
-        #: Sec. 4.2 aggregation tree: ``0`` keeps the flat legacy funnel
-        #: (the master flushes every leaf itself — the unsharded,
-        #: byte-identical path); ``>0`` interposes that many
-        #: :class:`~repro.actors.aggregator.ShardAggregator` nodes, one
-        #: upward fold per shard per round instead of one per leaf.
+        #: Sec. 4.2 aggregation tree: every round folds leaf -> shard ->
+        #: master through ``min(shard_slots, leaves)``
+        #: :class:`~repro.actors.aggregator.ShardAggregator` nodes (one
+        #: per owned Selector), one upward fold per shard per round.  A
+        #: tree of one folds the bits a flat funnel would.
         self.shard_slots = shard_slots
         self.shard_restart_delay_s = shard_restart_delay_s
         self.fold_recorder = fold_recorder
@@ -107,16 +107,12 @@ class MasterAggregator(Actor):
             self.aggregators.append(
                 self.system.spawn(agg, f"aggregator/{self.round_id}/{i}")
             )
-        if self.shard_slots > 0:
-            # The aggregation-tree middle tier: leaves are dealt round-
-            # robin across shard aggregators, each restarted by this
-            # master if it crashes before the round's fold.
-            tier = max(1, min(self.shard_slots, num_aggs))
-            self._shard_leaves = [[] for _ in range(tier)]
-            for i, leaf in enumerate(self.aggregators):
-                self._shard_leaves[i % tier].append(leaf)
-            for j in range(tier):
-                self.shard_aggregators.append(self._spawn_shard(j))
+        # The aggregation tree's middle tier: leaves are dealt round-robin
+        # across shard aggregators, each restarted by this master if it
+        # crashes before the round's fold.
+        tier = min(self.shard_slots, num_aggs)
+        self._shard_leaves = [self.aggregators[j::tier] for j in range(tier)]
+        self.shard_aggregators = [self._spawn_shard(j) for j in range(tier)]
         self.schedule(
             self.task.round_config.selection_timeout_s,
             self._on_selection_timeout,
@@ -323,22 +319,19 @@ class MasterAggregator(Actor):
             for p in self.state.participants.values()
             if p.outcome is DeviceOutcome.COMPLETED
         }
-        # With the aggregation tree, the master folds one partial per
-        # shard aggregator (each of which flushed its own leaves); the
-        # flat funnel folds one partial per leaf.  A crashed source's
-        # devices (flat funnel) or whole shard subtree (tree) are simply
-        # lost — the round's other sources still fold.
-        tree = bool(self.shard_aggregators)
+        # The master folds one partial per shard aggregator, each of which
+        # flushed its own leaves.  A crashed shard node's whole subtree is
+        # lost; the round's other shards still fold.
         accumulator, weight_sum, contributing = fold_sources(
             self.system,
-            self.shard_aggregators or self.aggregators,
+            self.shard_aggregators,
             accepted,
             on_dead=(
                 partial(self.recovery.record, "shard_fold_aborts")
-                if tree and self.recovery is not None
+                if self.recovery is not None
                 else None
             ),
-            on_flushed=self.fold_recorder if tree else None,
+            on_flushed=self.fold_recorder,
         )
         if accumulator is None or weight_sum <= 0:
             return False

@@ -54,10 +54,10 @@ class FleetConfig:
     #: sharding`): the Selector set is partitioned into this many disjoint
     #: shards and each population lives on exactly one — its routes,
     #: check-in traffic, and admission quotas never touch other shards,
-    #: and its rounds fold through a per-shard aggregation tree.  ``1``
-    #: (default) is the unsharded topology: every tenant on every
-    #: Selector, rounds folded by the flat leaf funnel — byte-identical
-    #: to a build without the knob.
+    #: and its rounds fold through at most one shard aggregator per
+    #: Selector of its shard.  ``1`` (default) is the unsharded topology,
+    #: the one-shard case of the same code: every tenant on every
+    #: Selector, and rounds fold leaf -> shard -> master like any other.
     selector_shards: int = count(1, default=1)
     sample_interval_s: float = positive(default=120.0)
     compute_error_prob: float = probability(default=0.005)

@@ -68,7 +68,7 @@ if TYPE_CHECKING:
 
 #: Server actor kinds a crash schedule may target.  ``"aggregator"`` is
 #: the leaf tier; ``"shard_aggregator"`` targets the aggregation tree's
-#: middle tier (live only on fleets built with ``selector_shards > 1``).
+#: middle tier, which every round has.
 CRASH_KINDS = (
     "selector",
     "coordinator",
@@ -378,45 +378,23 @@ class FaultPlane:
         if kind == "selector":
             return [ref for ref in fleet.selectors if ref.alive]
         lifecycle = fleet.lifecycle
+        coordinators = [
+            coordinator
+            for runtime in lifecycle.active.values()
+            if (coordinator := lifecycle._coordinator_actor(runtime)) is not None
+        ]
         if kind == "coordinator":
-            out = []
-            for runtime in lifecycle.active.values():
-                ref = lifecycle._coordinator_ref(runtime)
-                if ref is not None:
-                    out.append(ref)
-            return out
-        masters: list[ActorRef] = []
-        for runtime in lifecycle.active.values():
-            ref = lifecycle._coordinator_ref(runtime)
-            coordinator = fleet.actors.actor_of(ref) if ref is not None else None
-            if coordinator is None:
-                continue
-            master = getattr(coordinator, "active_master", None)
-            if master is not None and master.alive:
-                masters.append(master)
+            return [coordinator.ref for coordinator in coordinators]
+        masters = [
+            master
+            for coordinator in coordinators
+            if coordinator.active_master is not None
+            and (master := fleet.actors.actor_of(coordinator.active_master)) is not None
+        ]
         if kind == "master_aggregator":
-            return masters
-        if kind == "shard_aggregator":
-            shard_nodes: list[ActorRef] = []
-            for master_ref in masters:
-                master = fleet.actors.actor_of(master_ref)
-                if master is None:
-                    continue
-                shard_nodes.extend(
-                    ref
-                    for ref in getattr(master, "shard_aggregators", ())
-                    if ref.alive
-                )
-            return shard_nodes
-        aggregators: list[ActorRef] = []
-        for master_ref in masters:
-            master = fleet.actors.actor_of(master_ref)
-            if master is None:
-                continue
-            aggregators.extend(
-                ref for ref in getattr(master, "aggregators", ()) if ref.alive
-            )
-        return aggregators
+            return [master.ref for master in masters]
+        tier = "shard_aggregators" if kind == "shard_aggregator" else "aggregators"
+        return [ref for master in masters for ref in getattr(master, tier) if ref.alive]
 
     # -- device interrupts -------------------------------------------------------
     def _interrupt_rng(self) -> np.random.Generator:

@@ -345,8 +345,7 @@ class PopulationLifecycle:
         runtime = self.runtime(name)
         # The tenant's Coordinator talks to its owning shard's Selectors
         # only (the full set on an unsharded fleet); its rounds fold
-        # through one shard-aggregator per owned Selector when sharding
-        # is on (``shard_slots=0`` keeps the flat legacy funnel).
+        # through at most one shard aggregator per owned Selector.
         indices = fleet.shard_selector_indices(name)
         faults = fleet.config.faults
         scheduler = TaskScheduler(
@@ -362,7 +361,7 @@ class PopulationLifecycle:
             metrics_store=fleet.metrics,
             checkpoint_retry=faults.checkpoint_retry if faults is not None else None,
             recovery=fleet.recovery,
-            shard_slots=len(indices) if fleet.config.selector_shards > 1 else 0,
+            shard_slots=len(indices),
             shard_restart_delay_s=fleet.config.selector_restart_delay_s,
             fold_recorder=partial(fleet._record_shard_fold, name),
         )
@@ -388,7 +387,9 @@ class PopulationLifecycle:
             restart=Restart(0.0, partial(self._respawn_coordinator, runtime)),
         )
 
-    def _respawn_coordinator(self, runtime: PopulationRuntime, dead_ref: ActorRef) -> None:
+    def _respawn_coordinator(
+        self, runtime: PopulationRuntime, dead_ref: ActorRef
+    ) -> None:
         """A crashed Coordinator's replacement — none for a draining or
         retired tenant.  Its Selectors drop the dead round's forwarding
         instruction; the replacement resumes from the last checkpoint."""
@@ -493,18 +494,11 @@ class PopulationLifecycle:
             clean=not forced_interrupts and not forced_round_abort,
         )
 
-    def _coordinator_ref(self, runtime: PopulationRuntime) -> ActorRef | None:
-        """The tenant's Coordinator ref while it is alive (``None`` once
-        retired, and for a draining tenant's crashed one)."""
-        ref = runtime.coordinator_ref
-        return ref if ref is not None and ref.alive else None
-
     def _coordinator_actor(self, runtime: PopulationRuntime) -> Coordinator | None:
-        ref = self._coordinator_ref(runtime)
-        if ref is None:
-            return None
-        actor = self.fleet.actors.actor_of(ref)
-        return actor if isinstance(actor, Coordinator) else None
+        """The tenant's live Coordinator (``None`` once retired, and for a
+        draining tenant's crashed one)."""
+        ref = runtime.coordinator_ref
+        return self.fleet.actors.actor_of(ref) if ref is not None else None
 
     def _is_quiet(self, runtime: PopulationRuntime) -> bool:
         """No round in flight and no device-side session for the tenant.
@@ -541,9 +535,7 @@ class PopulationLifecycle:
     def _retire(self, runtime: PopulationRuntime) -> None:
         fleet = self.fleet
         name = runtime.name
-        coordinator_ref = self._coordinator_ref(runtime)
-        if coordinator_ref is not None:
-            fleet.actors.stop(coordinator_ref)
+        fleet.actors.stop(runtime.coordinator_ref)
         runtime.coordinator_ref = None
         for selector in fleet.shard_selector_actors(name):
             selector.remove_route(name)

@@ -103,7 +103,7 @@ class RecoveryReport:
 
     Sec. 4.4's claim — "in all failure cases the system will continue to
     make progress" — made auditable: every fault injected by the
-    :mod:`repro.system.faults` plane, every respawn/retry the recovery
+    :mod:`repro.system.faults` plane, every respawn and retry the recovery
     machinery performed in response, and the simulated-time latency from
     each crash to the next committed round.  All zeros when the fault
     plane is disabled and nothing crashed.
@@ -129,8 +129,8 @@ class RecoveryReport:
     recoveries: int
     mean_recovery_latency_s: float
     max_recovery_latency_s: float
-    #: Aggregation-tree middle tier (fleets with ``selector_shards > 1``):
-    #: crashed shard aggregators replaced mid-round, and folds where a
+    #: Aggregation-tree middle tier (every round has one): crashed shard
+    #: aggregators replaced mid-round by their master, and folds where a
     #: shard node was still down so only that shard's partial was lost.
     shard_aggregator_respawns: int = 0
     shard_fold_aborts: int = 0

@@ -189,7 +189,9 @@ def left_to_right(vectors):
 def test_fold_buffered_and_functional_byte_identical(monkeypatch):
     """The in-place fold is byte-identical to a left-to-right numpy sum
     at every level of the tree: a leaf's ``flush().delta_sum``, a shard
-    node's, and the model the master commits from the shard partials."""
+    node's, and the model the master commits from the shard partials —
+    under two shard nodes, and under one, whose tree folds what a flat
+    funnel over the leaves would."""
     from repro.actors import master_aggregator
     from repro.actors.master_aggregator import MasterAggregator
     from repro.core.checkpoint import CheckpointStore
@@ -214,7 +216,7 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
     initial = Parameters({"w": rng.normal(size=(4, 8))})
     leaves = [left_to_right([vectors[i], vectors[i + 3]]) for i in range(3)]
 
-    def run_tree(reporting):
+    def run_tree(reporting, shard_slots=2):
         loop = EventLoop()
         system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
         store = CheckpointStore()
@@ -226,7 +228,7 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
             coordinator=system.spawn(Sink(), "coordinator"),
             store=store,
             rng=np.random.default_rng(1),
-            shard_slots=2,
+            shard_slots=shard_slots,
         )
         system.spawn(root, "master")
         for device_id in vectors:
@@ -251,12 +253,14 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
     assert (shard0.weight_sum, shard0.device_count) == (8.0, 3)
     assert node1.flush({0, 1, 2, 3, 4}).delta_sum.tobytes() == leaves[1].tobytes()
 
-    _, _, store = run_tree(set(vectors))
-    committed = store.latest("pop")
-    assert committed.round_number == 1
-    total = left_to_right([left_to_right([leaves[0], leaves[2]]), leaves[1]])
-    expected = initial.to_vector() + total / 21.0
-    assert committed.to_params().to_vector().tobytes() == expected.tobytes()
+    two_shards = left_to_right([left_to_right([leaves[0], leaves[2]]), leaves[1]])
+    for shard_slots, total in ((2, two_shards), (1, left_to_right(leaves))):
+        _, root, store = run_tree(set(vectors), shard_slots)
+        assert len(root.shard_aggregators) == shard_slots
+        committed = store.latest("pop")
+        assert committed.round_number == 1
+        expected = initial.to_vector() + total / 21.0
+        assert committed.to_params().to_vector().tobytes() == expected.tobytes()
 
 
 def test_flush_secagg_stacked_augmentation_matches_per_device_concat():

@@ -305,8 +305,7 @@ def _run_until_sharded_round(fleet, name="shardchaos", cap_hours=6.0):
     runtime = fleet.lifecycle.active[name]
     for _ in range(int(cap_hours * 3600 / 15)):
         fleet.run_for(15.0)
-        ref = fleet.lifecycle._coordinator_ref(runtime)
-        coordinator = fleet.actors.actor_of(ref) if ref is not None else None
+        coordinator = fleet.lifecycle._coordinator_actor(runtime)
         if coordinator is None or coordinator.active_master is None:
             continue
         master = fleet.actors.actor_of(coordinator.active_master)
@@ -458,17 +457,17 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
     index = fleet.shard_selector_indices(name)[0]
     dead = fleet.selectors[index]
     fleet.actors.crash(dead)
-    crashed = lifecycle._coordinator_ref(lifecycle.active[name])
+    crashed = fleet.coordinators[name]
     fleet.actors.crash(crashed)
     fleet.run_for(1.0)
     assert fleet.selectors[index] == dead
-    respawned = lifecycle._coordinator_ref(lifecycle.active[name])
-    assert respawned is not None and respawned != crashed
+    respawned = fleet.coordinators[name]
+    assert respawned.alive and respawned != crashed
     assert fleet.report().recovery.coordinator_respawns == 1
     fleet.run_for(delay)
     replacement = fleet.selectors[index]
     assert replacement != dead and replacement.alive
-    assert lifecycle._coordinator_ref(lifecycle.active[name]) == respawned
+    assert fleet.coordinators[name] == respawned
     assert_addressed()
     assert replacement in coordinator_of(name).selectors
     next_round_reaches(name, replacement)

@@ -269,12 +269,15 @@ def test_sharded_round_folds_through_shard_aggregators():
     assert folds > 0  # rounds folded through the tree, not the flat funnel
 
 
-def test_flat_fleet_records_no_shard_folds():
+def test_unsharded_fleet_folds_through_shard_zero():
+    """One shard is the general case here too: an unsharded fleet's
+    rounds fold leaf -> shard -> master, recorded as shard 0's folds."""
     fleet = build_fleet(shards=1, selectors=4)
     fleet.run_for(4 * HOUR)
-    assert not any(
-        name.startswith("shards/") for name in fleet.dashboard.counters()
-    )
+    counters = fleet.dashboard.counters()
+    shard_counters = [name for name in counters if name.startswith("shards/")]
+    assert shard_counters == ["shards/0/folds"]
+    assert counters["shards/0/folds"] >= fleet.report().rounds_committed > 0
 
 
 # -- equivalence bars -------------------------------------------------------------
