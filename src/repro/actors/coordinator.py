@@ -148,7 +148,7 @@ class Coordinator(Actor):
             k -= 1
         elif origin + k * tick < earliest:
             k += 1
-        self.loop.schedule_at(origin + k * tick, self._run_if_alive, self._tick)
+        self.loop.schedule_batched_at(origin + k * tick, _tick_all, self)
 
     def _blocked(self) -> bool:
         """No round may start until something other than time changes."""
@@ -271,3 +271,10 @@ class Coordinator(Actor):
                     ),
                 )
             self._arm_tick()
+
+
+def _tick_all(coordinators: list[Coordinator]) -> None:
+    """Ticks armed back to back for one instant (every tenant polling for
+    devices, say), in that order: they share one event."""
+    for coordinator in coordinators:
+        coordinator._run_if_alive(coordinator._tick)

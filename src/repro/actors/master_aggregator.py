@@ -172,13 +172,11 @@ class MasterAggregator(Actor):
 
     # -- shard-aggregator supervision ------------------------------------------
     def _spawn_shard(self, slot: int) -> ActorRef:
-        """A shard aggregator for ``slot``'s leaves — at round start and
-        at a respawn.  This master owns its restart (Sec. 4.4 one tree
-        level down): the node holds no report state — its leaves do — so
-        a replacement ``shard_restart_delay_s`` after a crash recovers the
-        shard's fold completely; one due after the round closed does not
-        fire, and a crash still open at the fold costs the shard its
-        contribution (ledgered there)."""
+        """A shard aggregator for ``slot``'s leaves, at round start and at
+        a respawn, restarted by this master (Sec. 4.4 a level down).  Its
+        leaves hold the reports, so a replacement recovers the whole fold;
+        one due after the round closed does not fire, and a crash still
+        open at the fold costs the shard its contribution (ledgered)."""
         node = ShardAggregator(self.round_id, self.task.task_id)
         for leaf in self._shard_leaves[slot]:
             node.adopt(leaf)

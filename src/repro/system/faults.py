@@ -378,11 +378,8 @@ class FaultPlane:
         if kind == "selector":
             return [ref for ref in fleet.selectors if ref.alive]
         lifecycle = fleet.lifecycle
-        coordinators = [
-            coordinator
-            for runtime in lifecycle.active.values()
-            if (coordinator := lifecycle._coordinator_actor(runtime)) is not None
-        ]
+        live = map(lifecycle._coordinator_actor, lifecycle.active.values())
+        coordinators = [coordinator for coordinator in live if coordinator is not None]
         if kind == "coordinator":
             return [coordinator.ref for coordinator in coordinators]
         masters = [

@@ -54,7 +54,6 @@ from repro.system.builder import FleetBuilder, FleetValidationError, PopulationS
 from repro.system.config import FleetConfig
 from repro.system.faults import FaultPlane, RecoveryLedger
 from repro.system.lifecycle import (
-    ROUND_ID_STRIDE,
     FleetSnapshotManifest,
     PopulationLifecycle,
     PopulationRuntime,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import FLFleet, PopulationSpec, TaskConfig, RoundConfig
-from repro.actors.coordinator import CoordinatorConfig
+from repro.actors.coordinator import CoordinatorConfig, _tick_all
 from repro.analytics.session_shapes import classify_shape
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
@@ -147,12 +147,15 @@ def coordinator_of(fleet):
 
 
 def pending_ticks(fleet, coordinator):
-    """The live heap events the Coordinator owns (it schedules nothing
-    but its tick; messages to it are the kernel's ``_deliver`` events)."""
+    """The live heap events holding the Coordinator's tick (it schedules
+    nothing else; messages to it are the kernel's ``_deliver`` events).
+    Coordinators that arm one instant back to back share one event."""
     return [
         event
         for _, _, event in fleet.loop._heap
-        if not event.cancelled and event.fn == coordinator._run_if_alive
+        if not event.cancelled
+        and event.fn is _tick_all
+        and any(c is coordinator for c in event.args[0])
     ]
 
 

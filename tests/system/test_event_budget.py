@@ -17,16 +17,13 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
-#: Events per committed round on the fleet below: 221 when pinned, plus
-#: ~30 % headroom.  The figure is one trajectory's: most of it is the
-#: Coordinators' legitimate once-per-tick polls while a tenant is short of
-#: devices, so it moves with any re-pinned trajectory (163 before the
-#: Coordinator stopped announcing itself to its Selectors; 163–291 over
-#: seeds 2019 and 1–5 then, 167–297 now).  It was 240 while a WAITING
-#: device was an actor — a check-in message, a waiting timer, a rejection
-#: or a disconnect per admitted check-in — and 1,074 with the per-second
-#: tick chain.
-EVENTS_PER_COMMITTED_ROUND_CEILING = 287
+#: Events per committed round on the fleet below: 163 when pinned, plus
+#: ~30 % headroom (221 on the trajectory the one-supervisor restart moved
+#: it to); 122 since Coordinators polling for devices at one instant share
+#: one event.  It was 240 while a WAITING device was an actor — a
+#: check-in message, a waiting timer, a rejection or a disconnect per
+#: admitted check-in — and 1,074 with the per-second tick chain.
+EVENTS_PER_COMMITTED_ROUND_CEILING = 212
 
 
 def test_events_per_committed_round_stay_within_budget():

@@ -27,7 +27,7 @@ from repro import (
     RoundConfig,
     TaskConfig,
 )
-from repro.actors.coordinator import CoordinatorConfig
+from repro.actors.coordinator import CoordinatorConfig, _tick_all
 from repro.core.config import ClientTrainingConfig
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import RealTrainer
@@ -720,11 +720,14 @@ GAPPED = CoordinatorConfig(
 
 
 def pending_ticks(fleet, coordinator):
-    """The live heap events ``coordinator`` owns (it schedules only ticks)."""
+    """The live heap events holding ``coordinator``'s tick (it schedules
+    only ticks; Coordinators arming one instant back to back share one)."""
     return [
         event
         for _, _, event in fleet.loop._heap
-        if not event.cancelled and event.fn == coordinator._run_if_alive
+        if not event.cancelled
+        and event.fn is _tick_all
+        and any(c is coordinator for c in event.args[0])
     ]
 
 
