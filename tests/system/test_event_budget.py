@@ -4,9 +4,10 @@ A count, so it cannot flake: the same seed processes the same events.
 What it guards is the shape of the control plane's cost — Coordinators
 sleep through a round and through the gap after it, so a fleet whose
 tenants spend most of their time *between* rounds processes a few hundred
-events per committed round.  Anything that starts polling again (one
-event per tenant per tick: 4 tenants x 7200 s = 28,800 here) multiplies
-that figure several times over, where no wall-clock gate would notice.
+events per committed round.  Anything that starts polling again (a tick
+per tenant per second: 7,200 events here even with the four tenants'
+ticks sharing events, 28,800 without) more than doubles that figure,
+where no wall-clock gate would notice.
 """
 
 import numpy as np
