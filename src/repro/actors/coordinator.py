@@ -14,8 +14,10 @@ binds the rest).  Its Selectors are its shard's indices into the fleet's
 one live list, so a Selector respawn reaches it without being told.
 
 Rounds start only on its tick grid, but a tick is scheduled only at an
-instant a round could start (:meth:`Coordinator._arm_tick`): its cost
-follows rounds, not simulated seconds.
+instant a round can start (:meth:`Coordinator._arm_tick`): its cost
+follows rounds, not simulated seconds.  Nothing polls: the one gate time
+cannot date — enough devices waiting — is dated by the Selectors, whose
+admissions wake it (:meth:`Coordinator.devices_waiting`).
 
 The round lifecycle is identical under both training planes: the cohort
 execution plane only changes *how* admitted devices' local SGD executes
@@ -55,7 +57,12 @@ class CoordinatorConfig:
 
 
 class Coordinator(Actor):
-    """Top-level actor for one FL population."""
+    """Top-level actor for one FL population.
+
+    It holds at most one pending tick, armed when a round can start at
+    it: after start-up, a round's end, a crashed master — and when its
+    Selectors admit devices while none is pending.
+    """
 
     def __init__(
         self,
@@ -96,6 +103,9 @@ class Coordinator(Actor):
         #: Rounds start only on the grid ``origin + k * tick_interval_s``
         #: (see :meth:`_arm_tick`); the origin is this incarnation's start.
         self._tick_origin_s = 0.0
+        #: A tick is on the heap (set when one is scheduled, cleared when
+        #: it fires).
+        self._tick_pending = False
 
     @property
     def selectors(self) -> list[ActorRef]:
@@ -111,44 +121,51 @@ class Coordinator(Actor):
             self.system.stop(self.ref)
             return
         # A respawned coordinator recovers its round counter from the
-        # last committed checkpoint.
-        if self.store.has_checkpoint(self.population_name):
-            self.round_counter = max(
-                self.round_id_base,
-                self.store.latest(self.population_name).round_number,
-            )
+        # last committed checkpoint (the tenant's attach wrote round 0's).
+        self.round_counter = max(
+            self.round_id_base,
+            self.store.latest(self.population_name).round_number,
+        )
         self._tick_origin_s = self.now
         self._arm_tick()
 
     # -- round scheduling -----------------------------------------------------------
+    def devices_waiting(self) -> None:
+        """A Selector admitted devices for this tenant (the Sec. 4.2
+        report of how many are connected, pushed): arm a tick if the
+        pool now suffices and none is pending."""
+        if not self._tick_pending:
+            self._arm_tick()
+
     def _tick(self) -> None:
+        self._tick_pending = False
         self._maybe_start_round()
-        self._arm_tick()
 
     def _arm_tick(self) -> None:
-        """Schedule the one pending tick, at the first grid instant at
-        which :meth:`_maybe_start_round` could pass its time gates.
+        """Schedule a tick at the first grid instant at which
+        :meth:`_maybe_start_round` passes its time gates — when the pool
+        suffices now and nothing else blocks a round.
 
-        Called once after every change that can enable a round — start-up
-        (a Sec. 4.4 respawn included), a tick that started none, a
-        round's end, a crashed master — each of which finds none pending:
-        a round's start arms nothing, its end re-arms.  The gap is slept
-        through in one event; only the gates that cannot be dated (no
-        checkpoint yet, too few devices connected) poll, once per instant.
+        Called, with no tick pending, after every change that can enable
+        a round: start-up (a Sec. 4.4 respawn included), a round's end, a
+        crashed master, a Selector admitting devices.  A round's start
+        arms nothing, and a tick that finds the pool short again (devices
+        hung up) waits for the next admission.  The gap is slept through
+        in one event.
         """
-        if self._blocked():
+        if self._blocked() or self._connected_total() < self._start_threshold():
             return
         origin, tick = self._tick_origin_s, self.config.tick_interval_s
-        # Strictly after now (a tick re-arming itself wants the next
-        # instant, not this one) and not before the gap is over.
-        earliest = max(math.nextafter(self.now, math.inf), self._gap_ends_at_s())
+        # At or after now and not before the gap is over.
+        earliest = max(self.now, self._gap_ends_at_s())
         # Closed form; the quotient's rounding can be off by one either way.
         k = math.ceil((earliest - origin) / tick)
         if origin + (k - 1) * tick >= earliest:
             k -= 1
         elif origin + k * tick < earliest:
             k += 1
-        self.loop.schedule_batched_at(origin + k * tick, _tick_all, self)
+        self._tick_pending = True
+        self.loop.schedule_at(origin + k * tick, self._run_if_alive, self._tick)
 
     def _blocked(self) -> bool:
         """No round may start until something other than time changes."""
@@ -166,8 +183,9 @@ class Coordinator(Actor):
         return self.last_round_ended_at_s + self.config.inter_round_gap_s
 
     def _connected_total(self) -> int:
-        """Poll Selector pool sizes (the Sec. 4.2 'how many devices are
-        connected to each Selector' report, modeled as a cheap RPC)."""
+        """The owning shard's pool sizes, summed (the Sec. 4.2 'how many
+        devices are connected to each Selector' report, read as a cheap
+        RPC when a tick is armed and when it fires)."""
         total = 0
         for ref in self.selectors:
             selector = self.system.actor_of(ref)
@@ -190,8 +208,6 @@ class Coordinator(Actor):
     def _maybe_start_round(self) -> None:
         if self._blocked() or self.now < self._gap_ends_at_s():
             return
-        if not self.store.has_checkpoint(self.population_name):
-            return  # model not initialized yet
         if self._connected_total() < self._start_threshold():
             return  # wait for enough devices (diurnal availability gate)
         task = self.scheduler.next_task()
@@ -272,9 +288,3 @@ class Coordinator(Actor):
                 )
             self._arm_tick()
 
-
-def _tick_all(coordinators: list[Coordinator]) -> None:
-    """Ticks armed back to back for one instant (every tenant polling for
-    devices, say), in that order: they share one event."""
-    for coordinator in coordinators:
-        coordinator._run_if_alive(coordinator._tick)

@@ -10,8 +10,9 @@ the next one.
 
 One Selector serves *many* FL populations at once (Sec. 2's multi-tenant
 fleet): each check-in names a population, and the Selector keeps one
-:class:`PopulationRoute` — standing forwarding instruction, Coordinator
-link, pace steering, quotas, and counters — per hosted population.
+:class:`PopulationRoute` — standing forwarding instruction, pace
+steering, quotas, counters, and the ``wake`` that tells the tenant's
+Coordinator devices are waiting — per hosted population.
 
 Its pool is not here: a device WAITING at it is a row of the idle
 plane's columns (Lo et al.'s client registry), counted per ``(selector,
@@ -23,7 +24,9 @@ plane's column writes.  At round start, and for rows admitted while a
 round is forwarding, the Selector draws the rows the round still wants
 uniformly from its pool (the paper's reservoir sampling, footnote 1);
 each drawn row's device is configured, every other one is told to come
-back later — vector writes, like every way out of the pool.
+back later — vector writes, like every way out of the pool.  Every
+admission then wakes the tenant's Coordinator (Sec. 4.2's report of how
+many devices are connected, pushed rather than polled).
 
 A Selector supervises nothing: the fleet restarts a crashed Selector, and
 a tenant's lifecycle plane its Coordinator (Sec. 4.4's "restarted by the
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import compress
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -78,6 +81,9 @@ class PopulationRoute:
     #: threshold): the demand a pace window is sized for while no round
     #: is forwarding.
     selection_goal: int
+    #: Tells the tenant's live Coordinator that devices were admitted
+    #: here (it arms a tick if its pool now suffices).
+    wake: Callable[[], None]
     pool_cap: int = 1000
     forwarding: msg.ForwardDevices | None = None
     stats: SelectorStats = field(default_factory=SelectorStats)
@@ -257,10 +263,16 @@ class Selector(Actor):
 
     def admitted(self, population_name: str, rows: np.ndarray) -> None:
         """The plane pooled ``rows`` here, admitted by this Selector's
-        screen: a round that is forwarding takes what it still wants."""
+        screen: a round that is forwarding takes what it still wants, and
+        the tenant's Coordinator hears of what is left — forwarding or
+        not, since a round that has finished may not have cleared its
+        instruction here yet."""
         route = self.routes.get(population_name)
-        if route is not None and route.forwarding is not None:
+        if route is None:
+            return
+        if route.forwarding is not None:
             self._drain(route, rows)
+        route.wake()
 
     # -- message handling ----------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:

@@ -11,7 +11,6 @@ participant in the simulated fleet.
 """
 
 from repro.device.example_store import ExampleStore, ExampleStoreRegistry
-from repro.device.eligibility import DeviceConditions, EligibilityPolicy
 from repro.device.attestation import AttestationService, AttestationToken
 from repro.device.scheduler import JobSchedule
 from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
@@ -27,8 +26,6 @@ from repro.device.actor import DeviceActor, DeviceState
 __all__ = [
     "ExampleStore",
     "ExampleStoreRegistry",
-    "DeviceConditions",
-    "EligibilityPolicy",
     "AttestationService",
     "AttestationToken",
     "JobSchedule",

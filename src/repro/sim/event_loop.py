@@ -80,7 +80,6 @@ class EventLoop:
         self._seq = 0
         self._cancelled_pending = 0
         self._events_processed = 0
-        self._batch: tuple[Event, Callable[[list], Any], list] | None = None
 
     @property
     def now(self) -> float:
@@ -117,19 +116,6 @@ class EventLoop:
         event = Event(float(when), seq, fn, args, loop=self)
         heapq.heappush(self._heap, (event.time, seq, event))
         return event
-
-    def schedule_batched_at(self, when: float, run: Callable[[list], Any], item: Any):
-        """``run([item])`` at ``when``; or ``item`` joins the list of the
-        event scheduled last, if that is a batch of ``run`` for the same
-        instant yet to fire.  Two events scheduled back to back for one
-        instant fire back to back, so sharing one changes no firing order."""
-        event, batch_run, items = self._batch or (None, None, None)
-        if (batch_run == run and event.seq == self._seq - 1
-                and event.time == when and not event._popped):
-            items.append(item)
-            return
-        items = [item]
-        self._batch = (self.schedule_at(when, run, items), run, items)
 
     # -- cancellation bookkeeping --------------------------------------------
     def _on_cancelled(self, event: Event) -> None:

@@ -332,6 +332,7 @@ class PopulationLifecycle:
             plans=runtime.plan_directory,
             population_size=len(runtime.members),
             selection_goal=runtime.fl_population.selection_goal,
+            wake=partial(self._devices_waiting, runtime),
             pool_cap=runtime.spec.pool_cap,
             draining=runtime.state is PopulationState.DRAINING,
         )
@@ -500,6 +501,14 @@ class PopulationLifecycle:
         ref = runtime.coordinator_ref
         return self.fleet.actors.actor_of(ref) if ref is not None else None
 
+    def _devices_waiting(self, runtime: PopulationRuntime) -> None:
+        """A route's ``wake``: tell the tenant's live Coordinator (an
+        actor the lifecycle plane may have respawned since) that devices
+        were admitted."""
+        coordinator = self._coordinator_actor(runtime)
+        if coordinator is not None:
+            coordinator.devices_waiting()
+
     def _is_quiet(self, runtime: PopulationRuntime) -> bool:
         """No round in flight and no device-side session for the tenant.
 
@@ -585,7 +594,10 @@ class PopulationLifecycle:
 #: the lifecycle plane and a round's master restart what they spawned);
 #: the fleet lost its ``cluster`` manager, Selectors their ``locks`` and
 #: ``recovery``, routes their ``coordinator`` link and factory.
-SNAPSHOT_FORMAT_VERSION = 13
+#: 14: Coordinators hold ``_tick_pending`` and routes a ``wake`` (the
+#: Selectors' admissions wake a Coordinator, which no longer polls), and
+#: the event loop lost its tick ``_batch``.
+SNAPSHOT_FORMAT_VERSION = 14
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

@@ -1,10 +1,12 @@
 """Integration: full rounds through the actor stack with a real fleet."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import FLFleet, PopulationSpec, TaskConfig, RoundConfig
-from repro.actors.coordinator import CoordinatorConfig, _tick_all
+from repro.actors.coordinator import CoordinatorConfig
 from repro.analytics.session_shapes import classify_shape
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
@@ -136,8 +138,9 @@ def test_fleet_sampler_records_device_states():
 # -- deadline-driven round scheduling ---------------------------------------------
 #
 # A Coordinator owns at most one pending tick, armed only at an instant a
-# round could start: none while a round is active, one for the whole gap,
-# one per grid instant in the states that genuinely poll.
+# round can start: none while a round is active or its pool is short, one
+# for the whole gap once the pool suffices.  Its Selectors' admissions
+# wake it; nothing polls.
 
 
 def coordinator_of(fleet):
@@ -148,14 +151,13 @@ def coordinator_of(fleet):
 
 def pending_ticks(fleet, coordinator):
     """The live heap events holding the Coordinator's tick (it schedules
-    nothing else; messages to it are the kernel's ``_deliver`` events).
-    Coordinators that arm one instant back to back share one event."""
+    nothing else; messages to it are the kernel's ``_deliver`` events)."""
     return [
         event
         for _, _, event in fleet.loop._heap
         if not event.cancelled
-        and event.fn is _tick_all
-        and any(c is coordinator for c in event.args[0])
+        and event.fn == coordinator._run_if_alive
+        and event.args == (coordinator._tick,)
     ]
 
 
@@ -170,28 +172,45 @@ def gapped_fleet(tick=1.0, gap=300.0, **kwargs):
     )
 
 
+def step_through(fleet, coordinator, seconds):
+    """Advance ``fleet`` one event at a time for ``seconds``, yielding
+    after each event whether the Coordinator's pool suffices to start a
+    round, and its pending ticks."""
+    threshold = coordinator._start_threshold()
+    until = fleet.loop.now + seconds
+    while fleet.loop.now < until and fleet.loop.step():
+        yield coordinator._connected_total() >= threshold, pending_ticks(fleet, coordinator)
+
+
 def test_no_tick_while_round_active_and_one_for_the_whole_gap():
+    """Mid-gap, a Coordinator holds one tick — at the first grid instant
+    the gap allows — if its pool has reached the threshold since the round
+    ended, and none if it has not."""
     gap, tick = 300.0, 1.0
     fleet, _ = gapped_fleet(tick=tick, gap=gap)
     coordinator = coordinator_of(fleet)
     origin = coordinator._tick_origin_s
-    in_round = in_gap = 0
-    while fleet.loop.now < 2 * 3600:
-        fleet.run_for(7.0)
-        ticks = pending_ticks(fleet, coordinator)
+    in_round = armed = unarmed = 0
+    sufficed = False
+    for suffices, ticks in step_through(fleet, coordinator, 2 * 3600):
         if coordinator.active_master is not None:
             assert ticks == []
             in_round += 1
+            sufficed = False
             continue
+        sufficed |= suffices
         ended = coordinator.last_round_ended_at_s
         if ended is None or fleet.loop.now >= ended + gap:
-            continue  # waiting for devices: the polling state, tested below
-        (event,) = ticks
-        # the first grid instant >= end + gap
-        assert ended + gap <= event.time < ended + gap + tick
-        assert on_grid(event.time, origin, tick)
-        in_gap += 1
-    assert in_round > 10 and in_gap > 100
+            continue  # waiting for devices: tested below
+        assert len(ticks) == sufficed, fleet.loop.now
+        if ticks:
+            (event,) = ticks
+            # the first grid instant >= end + gap
+            assert ended + gap <= event.time < ended + gap + tick
+            assert on_grid(event.time, origin, tick)
+        armed += sufficed
+        unarmed += not sufficed
+    assert in_round > 100 and armed > 100 and unarmed > 100, (in_round, armed, unarmed)
     assert len(fleet.committed_rounds) >= 10
 
 
@@ -239,10 +258,15 @@ def test_draining_or_exhausted_coordinator_holds_no_tick():
 
     fleet, _ = gapped_fleet(gap=600.0)
     coordinator = coordinator_of(fleet)
-    while coordinator.last_round_ended_at_s is None:
+    # Mid-gap, once the pool suffices (a short pool holds no tick) ...
+    while coordinator.last_round_ended_at_s is None or not pending_ticks(
+        fleet, coordinator
+    ):
         fleet.run_for(30.0)
-    # Mid-gap, the way the lifecycle plane's drain flips it: the tick
-    # already on the heap fires once, finds the gate shut, arms nothing.
+    assert coordinator.active_master is None
+    # ... the way the lifecycle plane's drain flips it: the tick already
+    # on the heap fires once, finds the gate shut, arms nothing, and the
+    # Selectors' admissions wake nothing.
     coordinator.draining = True
     assert len(pending_ticks(fleet, coordinator)) == 1
     fleet.run_for(700.0)
@@ -253,40 +277,94 @@ def test_draining_or_exhausted_coordinator_holds_no_tick():
     assert pending_ticks(fleet, coordinator) == []
 
 
-def test_below_threshold_polls_each_tick_and_starts_on_first_sufficient_instant():
+# Two fleets often short of devices between rounds: one with a gap after
+# each round, one pipelined (a round may start the instant the last ends).
+WAITING_FLEETS = {
+    "gapped": dict(gap=120.0, devices=500, target=10, job_interval=400.0, seed=3),
+    "pipelined": dict(gap=0.0, devices=500, target=10, job_interval=400.0, seed=3,
+                      pipelining=True),
+}
+
+
+def waiting_fleet(kind, tick=10.0):
+    kwargs = dict(WAITING_FLEETS[kind])
+    fleet, _ = build_fleet(
+        pipelining=kwargs.pop("pipelining", False),
+        inter_round_gap_s=kwargs.pop("gap"),
+        tick_interval_s=tick,
+        **kwargs,
+    )
+    return fleet, coordinator_of(fleet)
+
+
+@pytest.mark.parametrize("kind", sorted(WAITING_FLEETS))
+def test_no_tick_is_pending_while_the_pool_is_short(kind):
+    """Nothing polls.  A Coordinator holds a tick only once its pool has
+    sufficed since the tick was armed — a tick with the pool short is one
+    armed before waiting rows hung up or lost eligibility, which fires
+    into the short pool and arms nothing — and it holds one whenever its
+    pool suffices and nothing else blocks a round (no admission's wake is
+    lost)."""
+    fleet, coordinator = waiting_fleet(kind)
+    short = held = 0
+    sufficed_since_armed, armed = False, None
+    for suffices, ticks in step_through(fleet, coordinator, 2 * 3600):
+        assert len(ticks) <= 1 and coordinator._tick_pending == bool(ticks)
+        if ticks and ticks[0] is not armed:
+            armed, sufficed_since_armed = ticks[0], False
+        sufficed_since_armed |= suffices
+        if not suffices:
+            short += 1
+            assert not ticks or sufficed_since_armed, fleet.loop.now
+        elif not coordinator._blocked():
+            assert ticks, fleet.loop.now
+        held += bool(ticks)
+    assert short > 1000 and held > 50
+    assert len(fleet.committed_rounds) >= 20
+
+
+@pytest.mark.parametrize("kind", sorted(WAITING_FLEETS))
+def test_rounds_start_at_the_first_instant_pool_and_gap_allow(kind):
+    """Every round starts at the first grid instant at or after both the
+    moment its pool reached the threshold (last, if rows left it since)
+    and the end of the gap — or, pipelined, the instant the previous round
+    ended, its pool sufficing then."""
     tick = 10.0
-    fleet, _ = gapped_fleet(tick=tick, gap=0.0, devices=250, target=15,
-                              job_interval=1200.0, seed=3)
-    coordinator = coordinator_of(fleet)
-    origin = coordinator._tick_origin_s
-    fired = []
-    original = coordinator._maybe_start_round
-
-    def spy():
-        pool = coordinator._connected_total()
-        original()
-        fired.append((fleet.loop.now, pool, coordinator.active_master is not None))
-
-    coordinator._maybe_start_round = spy
-    fleet.run_for(2 * 3600)
-    threshold = coordinator._start_threshold()
-    starved = [(t, pool) for t, pool, started in fired if not started]
-    assert len(starved) > 20  # this fleet is supply-starved between rounds
-    assert all(on_grid(t, origin, tick) for t, _, _ in fired)
-    for (t, pool, started), (t_next, _, _) in zip(fired, fired[1:]):
-        # a round starts exactly when the pool suffices ...
-        assert started == (pool >= threshold)
-        # ... and a starved tick is followed by the very next grid instant
-        if not started:
-            assert t_next == origin + (round((t - origin) / tick) + 1) * tick
-    assert len(fleet.committed_rounds) >= 5
+    fleet, coordinator = waiting_fleet(kind, tick=tick)
+    origin, config = coordinator._tick_origin_s, coordinator.config
+    gap = -math.inf if config.pipelining else config.inter_round_gap_s
+    active = reached = ended = None
+    pool_bound = gap_bound = 0
+    for suffices, _ in step_through(fleet, coordinator, 2 * 3600):
+        now, round_id = fleet.loop.now, coordinator.active_round_id
+        if round_id is not None and active not in (None, round_id):
+            # One round ended and the next started in this event.
+            assert config.pipelining, now
+        elif round_id is not None and active is None:
+            ready = max(reached, ended + gap if ended is not None else reached)
+            assert on_grid(now, origin, tick), now
+            assert ready <= now < ready + tick, (now, reached, ended)
+            pool_bound += reached >= ready
+            gap_bound += reached < ready
+        elif round_id is None and active is not None:
+            ended = now
+        active = round_id
+        if active is None and not suffices:
+            reached = None
+        elif active is None and reached is None:
+            reached = now
+    # (A pipelined round rarely starts back to back: a forwarding round
+    # bounces what its Selectors admit once it is full.)
+    assert pool_bound >= 10 and (config.pipelining or gap_bound >= 10)
+    assert len(fleet.committed_rounds) >= 20
 
 
 def test_tick_grid_is_closed_form_exact_on_awkward_grids():
     """The armed instant is ``origin + k * tick`` for the smallest k that
-    is strictly after now and not before the gap's end — on origins and
+    is at or after now and not before the gap's end — on origins and
     ticks with no exact binary form, where a quotient can round across an
-    integer either way (a tick re-arming itself sits *on* the grid)."""
+    integer either way (a wake at a grid instant arms that instant).  The
+    pool is stubbed to suffice."""
     from repro.actors.coordinator import Coordinator
     from repro.sim.event_loop import EventLoop
 
@@ -303,6 +381,8 @@ def test_tick_grid_is_closed_form_exact_on_awkward_grids():
         coordinator.active_master = None
         coordinator.rounds_finished = 0
         coordinator._tick_origin_s = origin
+        coordinator._connected_total = lambda: 1
+        coordinator._start_threshold = lambda: 1
         j = int(rng.integers(0, 50_000))
         on_grid_now = bool(rng.integers(2))
         now = origin + j * tick if on_grid_now else origin + float(
@@ -314,10 +394,10 @@ def test_tick_grid_is_closed_form_exact_on_awkward_grids():
         coordinator._arm_tick()
         ((when, _, _),) = coordinator.loop._heap
         k = round((when - origin) / tick)
-        assert when == origin + k * tick and k >= 1
+        assert when == origin + k * tick and k >= 0
         ready = now if ended is None else max(now, ended + gap)
-        assert when > now and when >= ready
+        assert when >= now and when >= ready
         before = origin + (k - 1) * tick
-        assert before <= now or before < ready  # ... and it is the first
+        assert before < ready  # ... and it is the first
         if on_grid_now and ready == now:
-            assert k == j + 1
+            assert k == j

@@ -43,7 +43,7 @@ def test_idle_route_sizes_a_large_populations_window_for_its_selection_goal():
     selector = spawn_selector()
     route = PopulationRoute(
         population_name="pop", pace=pace, plans=None,
-        population_size=2_000, selection_goal=13,
+        population_size=2_000, selection_goal=13, wake=lambda: None,
     )
     selector.add_route(route)
     assert route.forwarding is None
@@ -88,7 +88,8 @@ class StubMaster(Actor):
 
 def pooled_selector(rows: int):
     """A Selector over a plane of ``rows`` rows, members of ``pop``, and a
-    round's master; ``plane.forwarded`` records what the Selector takes."""
+    round's master; ``plane.forwarded`` records what the Selector takes,
+    and ``plane.wakes`` the pool its route's Coordinator is woken to."""
     loop = EventLoop()
     rngs = RngRegistry(0)
     system = ActorSystem(loop, rngs.stream("lat"))
@@ -108,7 +109,11 @@ def pooled_selector(rows: int):
     selector = Selector(StubStore(), rngs.stream("selector/0"), plane, 0)
     selectors.append(system.spawn(selector, "selector/0"))
     pace = PaceSteering(PaceConfig(), DiurnalModel())
-    route = PopulationRoute("pop", pace, StubPlans(), rows, selection_goal=4)
+    plane.wakes = []
+    route = PopulationRoute(
+        "pop", pace, StubPlans(), rows, selection_goal=4,
+        wake=lambda: plane.wakes.append(selector.connected_count_for("pop")),
+    )
     selector.add_route(route)
     master = StubMaster()
     master_ref = system.spawn(master, "master")
@@ -191,6 +196,7 @@ def test_a_round_takes_at_most_what_its_master_still_wants():
     assert selector.routes["pop"].stats.rejected_quota == 10
     assert not plane.active[everyone].any()
     assert (plane.pending_window_t[everyone] > 0).all()  # told to come back later
+    assert plane.wakes == [10]  # the admission, no round forwarding
 
 
 def test_rows_pooled_while_a_round_forwards_are_drawn_at_once():
@@ -209,3 +215,6 @@ def test_rows_pooled_while_a_round_forwards_are_drawn_at_once():
     assert selector.connected_count_for("pop") == 0
     assert plane.state_counts()[DeviceState.WAITING] == 3  # nowhere, configuring
     assert selector.routes["pop"].stats.rejected_quota == 2
+    # Forwarding or not, the Coordinator hears of an admission — after the
+    # round took its rows.
+    assert plane.wakes == [0]

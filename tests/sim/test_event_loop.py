@@ -1,7 +1,5 @@
 """Event loop: ordering, cancellation, time semantics."""
 
-import random
-
 import pytest
 
 from repro.sim.event_loop import EventLoop, SimulationError
@@ -204,60 +202,6 @@ def test_events_processed_excludes_cancelled():
     a.cancel()
     loop.run()
     assert loop.events_processed == 1
-
-
-def _replay(batched: bool) -> tuple[list, int]:
-    """Six tickers re-arming at the next instant, with plain events
-    scheduled in between now and then — one event per tick, or batched."""
-    rng = random.Random(3)
-    loop = EventLoop()
-    fired = []
-
-    def arm(name, when):
-        if batched:
-            loop.schedule_batched_at(when, run_all, name)
-        else:
-            loop.schedule_at(when, tick, name)
-
-    def run_all(names):
-        for name in names:
-            tick(name)
-
-    def tick(name):
-        fired.append((loop.now, name))
-        if rng.random() < 0.3:
-            loop.schedule(1.0, fired.append, (loop.now + 1.0, "plain"))
-        if rng.random() < 0.9:
-            arm(name, loop.now + 1.0)
-
-    for i in range(6):
-        arm(f"c{i}", rng.choice([1.0, 2.0]))
-        if rng.random() < 0.5:
-            loop.schedule(1.0, fired.append, (1.0, "plain"))
-    loop.run(until=40.0)
-    return fired, loop.events_processed
-
-
-def test_batched_events_fire_as_if_scheduled_one_by_one():
-    one_by_one, events = _replay(batched=False)
-    batched, batched_events = _replay(batched=True)
-    assert batched == one_by_one and len(one_by_one) > 100
-    assert batched_events < events
-
-
-def test_batch_is_joined_only_by_the_next_schedule_at_its_instant():
-    loop = EventLoop()
-    fired = []
-    loop.schedule_batched_at(1.0, fired.append, "a")
-    loop.schedule_batched_at(1.0, fired.append, "b")  # joins
-    loop.schedule_batched_at(2.0, fired.append, "c")  # other instant
-    loop.schedule_batched_at(2.0, fired.append, "d")  # joins
-    loop.schedule_at(2.0, fired.append, "plain")
-    loop.schedule_batched_at(2.0, fired.append, "e")  # something came between
-    assert len(loop) == 4
-    loop.run()
-    assert fired == [["a", "b"], ["c", "d"], "plain", ["e"]]
-    assert loop.events_processed == 4
 
 
 # ---------------------------------------------------------------------------

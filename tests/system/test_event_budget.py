@@ -2,12 +2,13 @@
 
 A count, so it cannot flake: the same seed processes the same events.
 What it guards is the shape of the control plane's cost — Coordinators
-sleep through a round and through the gap after it, so a fleet whose
-tenants spend most of their time *between* rounds processes a few hundred
-events per committed round.  Anything that starts polling again (a tick
-per tenant per second: 7,200 events here even with the four tenants'
-ticks sharing events, 28,800 without) more than doubles that figure,
-where no wall-clock gate would notice.
+sleep through a round and through the gap after it, and a tenant short of
+devices holds no tick at all (its Selectors' admissions wake it), so a
+fleet whose tenants spend most of their time *between* rounds processes
+about sixty events per committed round.  Anything that starts polling
+again moves that figure, where no wall-clock gate would notice: one
+tenant ticking once a second is 7,200 events here, about 240 more per
+committed round.
 """
 
 import numpy as np
@@ -18,13 +19,11 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
-#: Events per committed round on the fleet below: 163 when pinned, plus
-#: ~30 % headroom (221 on the trajectory the one-supervisor restart moved
-#: it to); 122 since Coordinators polling for devices at one instant share
-#: one event.  It was 240 while a WAITING device was an actor — a
-#: check-in message, a waiting timer, a rejection or a disconnect per
-#: admitted check-in — and 1,074 with the per-second tick chain.
-EVENTS_PER_COMMITTED_ROUND_CEILING = 212
+#: Events per committed round on the fleet below: at most 63.3 over seeds
+#: 2019 and 1-5 (61.8 at 2019) when pinned, plus 30 % headroom.  With
+#: Coordinators polling their Selectors once a grid instant while short
+#: of devices, the same seeds read 116-141.
+EVENTS_PER_COMMITTED_ROUND_CEILING = 82
 
 
 def test_events_per_committed_round_stay_within_budget():

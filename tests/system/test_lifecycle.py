@@ -27,7 +27,7 @@ from repro import (
     RoundConfig,
     TaskConfig,
 )
-from repro.actors.coordinator import CoordinatorConfig, _tick_all
+from repro.actors.coordinator import CoordinatorConfig
 from repro.core.config import ClientTrainingConfig
 from repro.device.example_store import ExampleStore
 from repro.device.runtime import RealTrainer
@@ -721,13 +721,13 @@ GAPPED = CoordinatorConfig(
 
 def pending_ticks(fleet, coordinator):
     """The live heap events holding ``coordinator``'s tick (it schedules
-    only ticks; Coordinators arming one instant back to back share one)."""
+    only ticks)."""
     return [
         event
         for _, _, event in fleet.loop._heap
         if not event.cancelled
-        and event.fn is _tick_all
-        and any(c is coordinator for c in event.args[0])
+        and event.fn == coordinator._run_if_alive
+        and event.args == (coordinator._tick,)
     ]
 
 
@@ -739,27 +739,35 @@ def coordinator_and_ticks(fleet, name="kbd"):
 @pytest.mark.parametrize("faults", [None, SNAPSHOT_CHAOS], ids=["clean", "mid-chaos"])
 @pytest.mark.parametrize("phase", ["mid-gap", "mid-round"])
 def test_snapshot_mid_gap_and_mid_round_restores_exactly(tmp_path, faults, phase):
-    """A deadline-driven Coordinator's whole scheduling state is one heap
-    event (mid-gap) or none (mid-round: the round's end arms the next):
-    either way it freezes with the fleet and the tail replays exactly."""
+    """A deadline-driven Coordinator's whole scheduling state is at most
+    one heap event and its ``_tick_pending`` flag — mid-gap, one tick once
+    the pool has reached the threshold; mid-round, none (the round's end
+    or a Selector's wake arms the next): either way it freezes with the
+    fleet, and the tail, wakes included, replays exactly."""
     path = tmp_path / "fleet.snap"
     levers = {"coordinator": GAPPED} | ({"faults": faults} if faults else {})
     fleet = build_fleet(seed=29, **levers)
     gap, grid = GAPPED.inter_round_gap_s, GAPPED.tick_interval_s
     fleet.run_for(1.5 * HOUR)
-    for _ in range(3000):
+    sufficed = False  # the pool has reached the threshold since the round
+    while fleet.loop.now < 4 * HOUR:
         coordinator, ticks = coordinator_and_ticks(fleet)
         ended = coordinator.last_round_ended_at_s
         if coordinator.active_master is not None:
             assert ticks == []
+            sufficed = False
             if phase == "mid-round":
                 break
-        elif ended is not None and fleet.loop.now < ended + gap - 30.0:
-            (tick,) = ticks
-            assert ended + gap <= tick.time < ended + gap + grid
-            if phase == "mid-gap":
-                break
-        fleet.run_for(3.0)
+        else:
+            sufficed |= coordinator._connected_total() >= coordinator._start_threshold()
+            if ended is not None and fleet.loop.now < ended + gap - 30.0:
+                assert len(ticks) == coordinator._tick_pending == sufficed
+                if ticks:
+                    (tick,) = ticks
+                    assert ended + gap <= tick.time < ended + gap + grid
+                    if phase == "mid-gap":
+                        break
+        fleet.loop.step()
     else:
         raise AssertionError(f"never reached {phase}")
     assert (fleet.report().recovery.faults_total > 0) == (faults is not None)
@@ -769,6 +777,7 @@ def test_snapshot_mid_gap_and_mid_round_restores_exactly(tmp_path, faults, phase
     twin, twin_ticks = coordinator_and_ticks(restored)
     assert [t.time for t in twin_ticks] == [t.time for t in ticks]
     assert twin._tick_origin_s == coordinator._tick_origin_s
+    assert twin._tick_pending == coordinator._tick_pending == (phase == "mid-gap")
     assert len(twin_ticks) == (phase == "mid-gap")
 
     fleet.run_for(2 * HOUR)
@@ -790,8 +799,12 @@ def test_drained_tenant_leaves_no_tick_behind():
     assert retired.draining and len(pending_ticks(fleet, retired)) <= 1
     fleet.run_for(GAPPED.inter_round_gap_s + GAPPED.tick_interval_s)
     assert pending_ticks(fleet, retired) == []
+    # The other tenant keeps its own: a tick only while no round is
+    # active, and one whenever its pool suffices then.
     kbd, kbd_ticks = coordinator_and_ticks(fleet, "kbd")
-    assert len(kbd_ticks) == (kbd.active_master is None)
+    assert len(kbd_ticks) == kbd._tick_pending <= (kbd.active_master is None)
+    if kbd.active_master is None and kbd._connected_total() >= kbd._start_threshold():
+        assert kbd_ticks
 
 
 def test_snapshot_restore_with_real_trainers_and_lifecycle(tmp_path):
@@ -846,7 +859,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 13
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 14
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -859,8 +872,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # ``DeviceProfile`` per row, and each tenant a member-id set and a
     # trainer dict; format 11's Selector routes a pool of connected
     # devices, and its devices a WAITING state; format 12's fleet a
-    # Selector cluster manager, and its routes a Coordinator link.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12):
+    # Selector cluster manager, and its routes a Coordinator link; format
+    # 13's routes no ``wake``, and its Coordinators polled for devices.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -870,7 +884,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 13",
+                match=f"format {older} unsupported .*reads format 14",
             ):
                 read(old)
 
