@@ -3,9 +3,10 @@
 Aggregators receive forwarded devices, collect their reported updates and
 combine them.  Without Secure Aggregation the combination is a running
 ``(Σ Δ, Σ n)`` — updates are "processed online as they are received
-without a need to store them" (Sec. 10); an update is held only for the
-few-millisecond window between upload and the Master Aggregator's
-accept/reject decision, then folded into the sum or discarded.  With
+without a need to store them" (Sec. 10): the leaf hands each upload to
+its round's Master Aggregator in one synchronous call, and the master's
+accept/reject decision comes back through ``ack_device`` in that call,
+which folds the update into the sum or discards it.  With
 Secure Aggregation enabled the Aggregator runs one protocol instance over
 its cohort (Sec. 6); the cryptography executes over the observed
 participation trace when the round closes, with devices that vanished
@@ -47,7 +48,6 @@ from repro.tools.perf import wall_timer
 def fold_sources(
     system: ActorSystem,
     sources: Iterable[ActorRef],
-    accepted_ids: set[int],
     on_dead: Callable[[], None] | None = None,
     on_flushed: Callable[[], None] | None = None,
 ) -> tuple[ParameterAccumulator | None, float, int]:
@@ -65,7 +65,7 @@ def fold_sources(
             if on_dead is not None:
                 on_dead()
             continue
-        partial = source.flush(accepted_ids)  # type: ignore[attr-defined]
+        partial = source.flush()  # type: ignore[attr-defined]
         if on_flushed is not None:
             on_flushed()
         if partial.delta_sum is None or partial.device_count == 0:
@@ -106,9 +106,6 @@ class Aggregator(Actor):
         self._weight_sum: float = 0.0
         self._accumulator: ParameterAccumulator | None = None
         self._accepted_count = 0
-        #: Reports awaiting the master's accept/reject decision: the
-        #: vector, or the handle of a deferred one, and the weight.
-        self._pending: dict[int, tuple[Any, float]] = {}
         #: Accepted reports retained until flush, in acceptance order:
         #: all of them under SecAgg (the crypto sim runs over the round's
         #: trace), otherwise those from the first deferred one on.
@@ -139,41 +136,41 @@ class Aggregator(Actor):
         if (
             report.round_id != self.round_id
             or report.device_id in self._dropped
-            or report.device_id in self._pending
             or report.device_id in self._acked
         ):
             return
         if self._closed:
             self._nack(report.device_id)
             return
-        update = report.deferred
-        if update is None:
-            update = np.asarray(report.delta_vector, dtype=np.float64)
-        self._pending[report.device_id] = (update, report.weight)
-        # The master's round state machine decides acceptance; it calls
-        # back via ack_device.
-        self.tell(self.master, report)
+        # The master's round state machine decides acceptance in this
+        # call, answering through ack_device.  A dead master answers
+        # nothing: the device times out.
+        master = self.system.actor_of(self.master)
+        if master is not None:
+            master.decide_report(report, self)  # type: ignore[attr-defined]
 
     def _on_dropped(self, dropped: msg.DeviceDropped) -> None:
         if dropped.round_id != self.round_id or self._closed:
             return
-        if dropped.device_id in self._pending:
-            return  # already reported; the report wins
         self._dropped.add(dropped.device_id)
-        self.tell(self.master, dropped)
+        master = self.system.actor_of(self.master)
+        if master is not None:
+            master.record_drop(dropped)  # type: ignore[attr-defined]
 
     def _nack(self, device_id: int) -> None:
         device = self._devices.get(device_id)
         if device is not None:
             self.tell(device, msg.ReportAck(self.round_id, accepted=False))
 
-    def ack_device(self, device_id: int, accepted: bool) -> None:
-        """Master's decision for a pending report: fold in or discard."""
-        pending = self._pending.pop(device_id, None)
-        self._acked.add(device_id)
-        if pending is not None and accepted:
-            self._fold_in(device_id, *pending)
-        device = self._devices.get(device_id)
+    def ack_device(self, report: msg.DeviceReport, accepted: bool) -> None:
+        """Master's decision on ``report``: fold it in or discard it."""
+        self._acked.add(report.device_id)
+        if accepted:
+            update = report.deferred
+            if update is None:
+                update = np.asarray(report.delta_vector, dtype=np.float64)
+            self._fold_in(report.device_id, update, report.weight)
+        device = self._devices.get(report.device_id)
         if device is not None:
             self.tell(device, msg.ReportAck(self.round_id, accepted=accepted))
 
@@ -191,17 +188,9 @@ class Aggregator(Actor):
         self._weight_sum += weight
 
     # -- flush ----------------------------------------------------------------
-    def flush(self, accepted_ids: set[int]) -> msg.IntermediateAggregate:
-        """Produce this aggregator's intermediate sum for the round.
-
-        ``accepted_ids`` (from the master's state machine) resolves any
-        reports whose accept/reject decision is still in flight.
-        """
+    def flush(self) -> msg.IntermediateAggregate:
+        """Produce this aggregator's intermediate sum for the round."""
         self._closed = True
-        for device_id, (update, weight) in list(self._pending.items()):
-            if device_id in accepted_ids:
-                self._fold_in(device_id, update, weight)
-        self._pending.clear()
         retained = [
             (device_id, vector, weight) for device_id, update, weight in self._recipe
             if (vector := _executed_vector(update)) is not None
@@ -304,15 +293,13 @@ class ShardAggregator(Actor):
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
         pass  # folds run as synchronous intra-datacenter RPCs (flush)
 
-    def flush(self, accepted_ids: set[int]) -> msg.IntermediateAggregate:
+    def flush(self) -> msg.IntermediateAggregate:
         """Flush every live leaf and fold the partials into one
         intermediate aggregate — the same shape the master folds, so the
         tree composes (``master.flush-of-shards`` ≡ ``shard.flush-of-
         leaves``)."""
         # A crashed leaf's devices are simply lost.
-        accumulator, weight_sum, device_count = fold_sources(
-            self.system, self.leaves, accepted_ids
-        )
+        accumulator, weight_sum, device_count = fold_sources(self.system, self.leaves)
         return msg.IntermediateAggregate(
             round_id=self.round_id,
             delta_sum=accumulator.sum_vector if accumulator is not None else None,

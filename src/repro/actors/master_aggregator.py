@@ -3,7 +3,8 @@
 Spawned by the Coordinator per round, through the ``make_master`` its
 tenant's lifecycle plane binds; spawns leaf Aggregators sized to the
 cohort (and to Secure Aggregation's group parameter ``k``); drives the
-round state machine; and — crucially for the paper's storage/attack-surface
+round state machine, deciding each report or drop in the synchronous call
+its leaf makes when the upload lands (no message reaches this actor); and — crucially for the paper's storage/attack-surface
 claims — keeps everything in memory, committing exactly one checkpoint to
 persistent storage only after full aggregation succeeds.
 """
@@ -82,7 +83,6 @@ class MasterAggregator(Actor):
             started_at_s=0.0,  # fixed in on_start when sim time is known
         )
         self.aggregators: list[ActorRef] = []
-        self._agg_of_device: dict[int, ActorRef] = {}
         self._next_agg = 0
         self._finished = False
         self._reporting_armed = False
@@ -154,21 +154,13 @@ class MasterAggregator(Actor):
         agg = self.system.actor_of(agg_ref)
         if agg is not None:
             agg.register_device(device_id, device_ref)  # type: ignore[attr-defined]
-        self._agg_of_device[device_id] = agg_ref
         self.state.on_configured(device_id, self.now)
         if self.state.phase is RoundPhase.REPORTING:
             self._arm_reporting_timeout()
         return decision, agg_ref
 
-    # -- message handling -------------------------------------------------------
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        if isinstance(message, msg.DeviceReport):
-            self._on_report(message)
-        elif isinstance(message, msg.DeviceDropped):
-            self.state.on_device_dropped(
-                message.device_id, self.now, reason=message.reason
-            )
-            self._maybe_finish_on_depletion()
+        pass  # leaves call decide_report / record_drop synchronously
 
     # -- shard-aggregator supervision ------------------------------------------
     def _spawn_shard(self, slot: int) -> ActorRef:
@@ -195,7 +187,11 @@ class MasterAggregator(Actor):
         if self.recovery is not None:
             self.recovery.record("shard_aggregator_respawns")
 
-    def _on_report(self, report: msg.DeviceReport) -> None:
+    # -- the leaves' calls -------------------------------------------------------
+    def decide_report(self, report: msg.DeviceReport, leaf: Aggregator) -> None:
+        """Decide a report its ``leaf`` just collected and answer through
+        that leaf — before finishing the round, so the report that
+        completes it is in the round's fold."""
         device_id = report.device_id
         if device_id not in self.state.participants:
             return
@@ -205,12 +201,14 @@ class MasterAggregator(Actor):
             self._device_metrics.setdefault(device_id, dict(report.train_metrics))
         if accepted and report.deferred is not None:
             self._deferred.setdefault(device_id, report.deferred)
-        agg_ref = self._agg_of_device.get(device_id)
-        agg = self.system.actor_of(agg_ref) if agg_ref is not None else None
-        if agg is not None:
-            agg.ack_device(device_id, accepted=accepted)  # type: ignore[attr-defined]
+        leaf.ack_device(report, accepted=accepted)
         if self.state.is_terminal and not was_terminal and not self._finished:
             self._finish()
+
+    def record_drop(self, dropped: msg.DeviceDropped) -> None:
+        """A device left mid-round; one already decided stays decided."""
+        self.state.on_device_dropped(dropped.device_id, self.now, reason=dropped.reason)
+        self._maybe_finish_on_depletion()
 
     def _on_selection_timeout(self) -> None:
         if self.state.phase is not RoundPhase.SELECTION:
@@ -312,18 +310,12 @@ class MasterAggregator(Actor):
 
     def _aggregate_and_commit(self) -> bool:
         """Combine intermediate aggregates; write exactly one checkpoint."""
-        accepted = {
-            p.device_id
-            for p in self.state.participants.values()
-            if p.outcome is DeviceOutcome.COMPLETED
-        }
         # The master folds one partial per shard aggregator, each of which
         # flushed its own leaves.  A crashed shard node's whole subtree is
         # lost; the round's other shards still fold.
         accumulator, weight_sum, contributing = fold_sources(
             self.system,
             self.shard_aggregators,
-            accepted,
             on_dead=(
                 partial(self.recovery.record, "shard_fold_aborts")
                 if self.recovery is not None

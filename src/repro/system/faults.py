@@ -78,7 +78,9 @@ CRASH_KINDS = (
 )
 
 #: Message types subject to drop/delay faults: the device<->server edge —
-#: the paper's actually-flaky link (cellular/WiFi gRPC streams).
+#: the paper's actually-flaky link (cellular/WiFi gRPC streams).  Every
+#: message of these types crosses that edge: a leaf Aggregator hands a
+#: report or drop on to its master in a call, not a message.
 #: Server-internal control traffic (DeathNotice, RoundFinished,
 #: ForwardDevices, ClearForwarding) is modeled as
 #: reliable intra-datacenter RPC; its failure mode is *actor crashes*,

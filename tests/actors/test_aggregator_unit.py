@@ -1,4 +1,5 @@
-"""Aggregator unit tests: pending-until-ack accounting and SecAgg flush."""
+"""Aggregator unit tests: the leaf's synchronous hand-off to its master,
+fold-on-ack accounting and SecAgg flush."""
 
 import numpy as np
 import pytest
@@ -18,10 +19,32 @@ class Sink(Actor):
         self.messages.append(message)
 
 
-def make_harness(secagg=None):
+class StubMaster(Actor):
+    """Stands in for the round's MasterAggregator: records every call a
+    leaf makes and answers each report with ``verdict`` through that leaf
+    (``None``: leaves it undecided, as a master does a stranger's)."""
+
+    def __init__(self, verdict=True):
+        self.verdict = verdict
+        self.reports = []
+        self.drops = []
+
+    def receive(self, sender, message):
+        raise AssertionError(f"a leaf sent its master {message!r}")
+
+    def decide_report(self, report, leaf):
+        self.reports.append(report)
+        if self.verdict is not None:
+            leaf.ack_device(report, accepted=self.verdict)
+
+    def record_drop(self, dropped):
+        self.drops.append(dropped)
+
+
+def make_harness(secagg=None, verdict=True):
     loop = EventLoop()
     system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
-    master = Sink()
+    master = StubMaster(verdict)
     master_ref = system.spawn(master, "master")
     agg = Aggregator(
         round_id=1,
@@ -47,15 +70,16 @@ def report(device_id, vec, weight=10.0):
 
 
 def test_report_held_pending_until_ack():
-    loop, system, master, agg, agg_ref = make_harness()
+    loop, system, master, agg, agg_ref = make_harness(verdict=None)
     device = Sink()
     device_ref = system.spawn(device, "device-7")
     agg.register_device(7, device_ref)
     system.tell(agg_ref, report(7, [1.0, 2.0]))
     loop.run()
-    # Forwarded to the master, but not yet folded into the sum.
-    assert len(master.messages) == 1
-    partial = agg.flush(accepted_ids=set())
+    # Handed to the master, but not folded into the sum without its answer.
+    assert len(master.reports) == 1
+    assert device.messages == []
+    partial = agg.flush()
     assert partial.device_count == 0  # never accepted
     assert partial.delta_sum is None
 
@@ -67,42 +91,67 @@ def test_ack_accept_folds_into_sum():
     agg.register_device(7, device_ref)
     system.tell(agg_ref, report(7, [1.0, 2.0], weight=5.0))
     loop.run()
-    agg.ack_device(7, accepted=True)
-    loop.run()
     # Device got the ack message.
     assert any(
         isinstance(m, msg.ReportAck) and m.accepted for m in device.messages
     )
-    partial = agg.flush(accepted_ids=set())
+    partial = agg.flush()
     assert partial.device_count == 1
     np.testing.assert_array_equal(partial.delta_sum, [1.0, 2.0])
     assert partial.weight_sum == 5.0
 
 
 def test_ack_reject_discards():
-    loop, system, master, agg, agg_ref = make_harness()
+    loop, system, master, agg, agg_ref = make_harness(verdict=False)
     device = Sink()
     device_ref = system.spawn(device, "device-7")
     agg.register_device(7, device_ref)
     system.tell(agg_ref, report(7, [1.0, 2.0]))
     loop.run()
-    agg.ack_device(7, accepted=False)
-    partial = agg.flush(accepted_ids=set())
+    assert [m.accepted for m in device.messages] == [False]
+    partial = agg.flush()
     assert partial.device_count == 0
 
 
-def test_flush_resolves_in_flight_pending_with_accepted_set():
-    loop, system, master, agg, agg_ref = make_harness()
-    for d in (1, 2, 3):
-        agg.register_device(d, system.spawn(Sink(), f"device-{d}"))
-    system.tell(agg_ref, report(1, [1.0], weight=1.0))
-    system.tell(agg_ref, report(2, [2.0], weight=1.0))
-    system.tell(agg_ref, report(3, [4.0], weight=1.0))
-    loop.run()
-    # Master accepted 1 and 3 but the acks never reached the aggregator.
-    partial = agg.flush(accepted_ids={1, 3})
-    assert partial.device_count == 2
-    np.testing.assert_array_equal(partial.delta_sum, [5.0])
+def test_report_that_completes_the_round_is_in_its_fold():
+    """The master answers a report through its leaf before it finishes
+    the round, so the report that completes the round is folded into
+    the round's commit and acked ``accepted``."""
+    from repro.actors.master_aggregator import MasterAggregator
+    from repro.core.checkpoint import CheckpointStore
+    from repro.core.config import RoundConfig, TaskConfig
+    from repro.nn.parameters import Parameters
+
+    loop = EventLoop()
+    system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
+    initial = Parameters({"w": np.zeros(2)})
+    store = CheckpointStore()
+    store.initialize(initial, "pop", "t")
+    root = MasterAggregator(
+        round_id=1,
+        task=TaskConfig("t", "pop", round_config=RoundConfig(
+            target_participants=2, overselection_factor=1.0)),
+        coordinator=system.spawn(Sink(), "coordinator"),
+        store=store,
+        rng=np.random.default_rng(1),
+    )
+    system.spawn(root, "master")
+    devices = {d: Sink() for d in (1, 2)}
+    leaves = {
+        d: root.admit_device(d, system.spawn(device, f"device-{d}"), 1)[1]
+        for d, device in devices.items()
+    }
+    system.tell(leaves[1], report(1, [1.0, 2.0], weight=1.0))
+    loop.run_for(0.1)
+    assert store.latest("pop").round_number == 0
+    system.tell(leaves[2], report(2, [3.0, 6.0], weight=1.0))
+    loop.run_for(0.1)
+    committed = store.latest("pop")
+    assert committed.round_number == 1
+    assert committed.metadata["contributing_devices"] == 2
+    np.testing.assert_array_equal(committed.to_params().to_vector(), [2.0, 4.0])
+    for device in devices.values():
+        assert [m.accepted for m in device.messages] == [True]
 
 
 def test_duplicate_and_post_drop_reports_ignored():
@@ -115,11 +164,11 @@ def test_duplicate_and_post_drop_reports_ignored():
     loop.run()
     system.tell(agg_ref, report(4, [9.0]))
     loop.run()
-    partial = agg.flush(accepted_ids={4})
+    partial = agg.flush()
     assert partial.device_count == 0  # dropped devices cannot report
-    # The drop was forwarded to the master exactly once.
-    drops = [m for m in master.messages if isinstance(m, msg.DeviceDropped)]
-    assert len(drops) == 1
+    # The drop was handed to the master exactly once; the report never.
+    assert len(master.drops) == 1
+    assert master.reports == []
 
 
 def test_wrong_round_ignored():
@@ -131,7 +180,7 @@ def test_wrong_round_ignored():
     )
     system.tell(agg_ref, bad)
     loop.run()
-    assert master.messages == []
+    assert master.reports == []
 
 
 def test_secagg_flush_recovers_exact_sum():
@@ -143,9 +192,7 @@ def test_secagg_flush_recovers_exact_sum():
     for d, vec in vectors.items():
         system.tell(agg_ref, report(d, vec, weight=float(d + 1)))
     loop.run()
-    for d in vectors:
-        agg.ack_device(d, accepted=True)
-    partial = agg.flush(accepted_ids=set(vectors))
+    partial = agg.flush()
     assert partial.device_count == 6
     assert partial.secagg_metrics is not None
     expected = sum(vectors.values())
@@ -163,8 +210,7 @@ def test_secagg_flush_with_non_reporting_devices():
     for d, vec in vectors.items():
         system.tell(agg_ref, report(d, vec))
         loop.run()
-        agg.ack_device(d, accepted=True)
-    partial = agg.flush(accepted_ids=set(vectors))
+    partial = agg.flush()
     assert partial.device_count == 6
     np.testing.assert_allclose(
         partial.delta_sum, sum(vectors.values()), atol=1e-3
@@ -172,11 +218,6 @@ def test_secagg_flush_with_non_reporting_devices():
 
 
 # -- buffered fold path -------------------------------------------------------
-
-def accept_all(agg, ids):
-    for device_id in ids:
-        agg.ack_device(device_id, accepted=True)
-
 
 def left_to_right(vectors):
     """The numpy oracle: ``((v0 + v1) + v2) + ...``, nothing else."""
@@ -205,8 +246,7 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
     for device_id, vec in vectors.items():
         system.tell(agg_ref, report(device_id, vec, weight=device_id + 1.0))
     loop.run()
-    accept_all(agg, vectors)
-    partial = agg.flush(accepted_ids=set(vectors))
+    partial = agg.flush()
     assert partial.delta_sum.tobytes() == left_to_right(list(vectors.values())).tobytes()
     assert (partial.weight_sum, partial.device_count) == (21.0, 6)
 
@@ -246,12 +286,12 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
     # Device 5 silent: the round stays open, so the nodes flush by hand.
     system, root, _ = run_tree({0, 1, 2, 3, 4})
     node0, node1 = map(system.actor_of, root.shard_aggregators)
-    shard0 = node0.flush({0, 1, 2, 3, 4})
+    shard0 = node0.flush()
     assert shard0.delta_sum.tobytes() == left_to_right(
         [leaves[0], vectors[2]]
     ).tobytes()
     assert (shard0.weight_sum, shard0.device_count) == (8.0, 3)
-    assert node1.flush({0, 1, 2, 3, 4}).delta_sum.tobytes() == leaves[1].tobytes()
+    assert node1.flush().delta_sum.tobytes() == leaves[1].tobytes()
 
     two_shards = left_to_right([left_to_right([leaves[0], leaves[2]]), leaves[1]])
     for shard_slots, total in ((2, two_shards), (1, left_to_right(leaves))):
@@ -275,8 +315,7 @@ def test_flush_secagg_stacked_augmentation_matches_per_device_concat():
         agg.register_device(device_id, system.spawn(device, f"d{device_id}"))
         system.tell(agg_ref, report(device_id, vec, weight=device_id + 5.0))
     loop.run()
-    accept_all(agg, vectors)
-    partial = agg.flush(accepted_ids=set(vectors))
+    partial = agg.flush()
     assert partial.device_count == 4
     # The decoded sum approximates sum of vectors and weights (quantized).
     expected_sum = np.sum(list(vectors.values()), axis=0)
@@ -327,7 +366,7 @@ def deferred_report(device_id, handle):
 def test_redelivered_report_is_folded_exactly_once(deferred):
     """The state machine's ``on_report`` is idempotent, so the master
     would accept a re-delivered report again: the leaf must not fold (or
-    forward, or ack) a device it has already acked."""
+    hand on, or ack) a device it has already acked."""
     loop, system, master, agg, agg_ref = make_harness()
     device = Sink()
     agg.register_device(7, system.spawn(device, "device-7"))
@@ -337,15 +376,14 @@ def test_redelivered_report_is_folded_exactly_once(deferred):
         else report(7, [1.0, 2.0], weight=8.0)
     )
     system.tell(agg_ref, message)
-    system.tell(agg_ref, message)       # twice before the decision
+    system.tell(agg_ref, message)       # twice in one instant
     loop.run()
-    agg.ack_device(7, accepted=True)
-    system.tell(agg_ref, message)       # and once after it
+    system.tell(agg_ref, message)       # and once later
     loop.run()
-    assert len(master.messages) == 1
+    assert len(master.reports) == 1
     assert len([m for m in device.messages if isinstance(m, msg.ReportAck)]) == 1
     plane.execute_pending([handle])
-    partial = agg.flush(accepted_ids={7})
+    partial = agg.flush()
     expected = handle.delta_vector if deferred else np.array([1.0, 2.0])
     assert partial.device_count == 1
     assert partial.delta_sum.tobytes() == expected.tobytes()
@@ -369,11 +407,9 @@ def test_mixed_round_folds_in_acceptance_order():
     for message in messages:
         system.tell(agg_ref, message)
         loop.run()
-        if message.device_id != 4:      # 4's ack is still in flight at flush
-            agg.ack_device(message.device_id, accepted=True)
     assert agg._accepted_count == 2     # the two eager ones folded online
     plane.execute_pending(handles)
-    partial = agg.flush(accepted_ids={0, 1, 2, 3, 4})
+    partial = agg.flush()
     chain = [eager[0], eager[1], handles[0].delta_vector, eager[2],
              handles[1].delta_vector]
     assert partial.delta_sum.tobytes() == left_to_right(chain).tobytes()
@@ -386,12 +422,11 @@ def test_failed_row_is_left_out_and_unexecuted_row_is_an_error():
     for device_id, handle in enumerate(handles):
         system.tell(agg_ref, deferred_report(device_id, handle))
     loop.run()
-    accept_all(agg, range(3))
     with pytest.raises(UnexecutedWorkloadError):
-        agg.flush(accepted_ids=set())
+        agg.flush()
     assert plane.execute_pending(handles) == 3
     assert handles[1].failed and plane.failed_workloads == 1
-    partial = agg.flush(accepted_ids=set())
+    partial = agg.flush()
     assert (partial.device_count, partial.weight_sum) == (2, 16.0)
     assert partial.delta_sum.tobytes() == left_to_right(
         [handles[0].delta_vector, handles[2].delta_vector]
@@ -406,15 +441,22 @@ def test_secagg_leaf_resolves_handles_at_flush():
     for device_id, handle in enumerate(handles):
         system.tell(agg_ref, deferred_report(device_id, handle))
     loop.run()
-    accept_all(agg, range(5))
     plane.execute_pending(handles)
-    partial = agg.flush(accepted_ids=set())
+    partial = agg.flush()
     survivors = [h for h in handles if not h.failed]
     assert partial.device_count == len(survivors) == 4
     np.testing.assert_allclose(
         partial.delta_sum, sum(h.delta_vector for h in survivors), atol=1e-3
     )
     assert partial.weight_sum == pytest.approx(32.0, abs=1e-3)
+
+
+class StubLeaf:
+    def __init__(self):
+        self.acks = []
+
+    def ack_device(self, report, accepted):
+        self.acks.append((report.device_id, accepted))
 
 
 @pytest.mark.parametrize("deferred", [False, True], ids=["eager", "deferred"])
@@ -443,7 +485,7 @@ def test_master_records_a_device_once(deferred):
         rng=np.random.default_rng(1),
         metrics_store=metrics,
     )
-    master_ref = system.spawn(root, "master")
+    system.spawn(root, "master")
     vectors = [np.full(dim, 1.0), np.full(dim, 2.0)]
     leaves = [
         root.admit_device(device_id, system.spawn(Sink(), f"d{device_id}"), 1)[1]
@@ -462,9 +504,10 @@ def test_master_records_a_device_once(deferred):
         loop.run_for(0.1)
         if device_id == 0:
             # Again, straight to the master: what a leaf without its own
-            # guard would have forwarded.
-            system.tell(master_ref, message)
-            loop.run_for(0.1)
+            # guard would have handed on (to a leaf that only records).
+            second = StubLeaf()
+            root.decide_report(message, second)
+            assert second.acks == [(0, True)]
     (record,) = metrics.history("t")
     assert record.summaries["num_examples"].to_dict()["count"] == 2
     assert record.summaries["loss"].to_dict()["count"] == 2

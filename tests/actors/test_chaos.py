@@ -23,6 +23,8 @@ import pytest
 from fleet_laws import run_checked
 from repro import FLFleet, FaultPlan, RoundConfig, TaskConfig
 from repro.actors import messages as msg
+from repro.actors.aggregator import Aggregator
+from repro.actors.master_aggregator import MasterAggregator
 from repro.core.config import SecAggConfig
 from repro.device.actor import DeviceActor
 from repro.device.runtime import ComputeModel
@@ -209,6 +211,54 @@ def test_disabled_plane_is_inert():
     assert rec.messages_dropped == rec.messages_delayed == 0
     assert rec.upload_retries == 0
     assert rec.checkpoint_write_faults == 0
+
+
+def test_device_edge_faults_meet_only_device_edge_messages(monkeypatch):
+    """A leaf hands each report and drop to its master in a call, not a
+    message, so the fault plane's device-edge faults never hit that
+    server-internal hop: every ``DeviceReport`` / ``DeviceDropped`` the
+    plane consults targets a leaf Aggregator, and it consults one
+    ``DeviceReport`` per report a device sent."""
+    plan = FaultPlan(
+        messages=MessageFaultConfig(drop_prob=0.05, delay_prob=0.05, delay_mean_s=2.0),
+        device_interrupts=DeviceInterruptSchedule(mean_interval_s=600.0),
+    )
+    fleet = build_chaotic_fleet(faults=plan)
+    system = fleet.actors
+    kinds = {}
+    spawn, tell, verdict = system.spawn, system.tell, system.message_faults
+
+    def recording_spawn(actor, *args, **kwargs):
+        ref = spawn(actor, *args, **kwargs)
+        kinds[ref.actor_id] = type(actor)
+        return ref
+
+    sent = []
+
+    def recording_tell(target, message, sender=None, extra_delay=0.0):
+        if isinstance(message, msg.DeviceReport) and sender is not None:
+            sent.append(kinds.get(sender.actor_id))
+        tell(target, message, sender=sender, extra_delay=extra_delay)
+
+    consulted = []
+
+    def recording_verdict(target, message):
+        consulted.append((type(message), kinds.get(target.actor_id)))
+        return verdict(target, message)
+
+    monkeypatch.setattr(system, "spawn", recording_spawn)
+    monkeypatch.setattr(system, "tell", recording_tell)
+    system.message_faults = recording_verdict
+    fleet.run_for(3 * 3600.0)
+
+    edge = [kind for message, kind in consulted
+            if message in (msg.DeviceReport, msg.DeviceDropped)]
+    reports = [kind for message, kind in consulted if message is msg.DeviceReport]
+    assert len(reports) >= 50 and len(edge) > len(reports)
+    assert MasterAggregator not in edge
+    assert set(edge) == {Aggregator}
+    assert set(sent) == {DeviceActor}
+    assert len(reports) == len(sent)
 
 
 # -- control-plane sharding under chaos (ISSUE 10) --------------------------------

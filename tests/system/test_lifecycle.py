@@ -859,7 +859,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 14
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 15
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -873,8 +873,10 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # trainer dict; format 11's Selector routes a pool of connected
     # devices, and its devices a WAITING state; format 12's fleet a
     # Selector cluster manager, and its routes a Coordinator link; format
-    # 13's routes no ``wake``, and its Coordinators polled for devices.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13):
+    # 13's routes no ``wake``, and its Coordinators polled for devices;
+    # format 14's leaves staged reports in ``_pending`` for a relay to
+    # their master.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -884,7 +886,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 14",
+                match=f"format {older} unsupported .*reads format 15",
             ):
                 read(old)
 
