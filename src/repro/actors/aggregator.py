@@ -93,13 +93,11 @@ class Aggregator(Actor):
     def __init__(
         self,
         round_id: int,
-        task_id: str,
         master: ActorRef,
         secagg: SecAggConfig,
         rng: np.random.Generator,
     ):
         self.round_id = round_id
-        self.task_id = task_id
         self.master = master
         self.secagg = secagg
         self.rng = rng
@@ -282,9 +280,8 @@ class ShardAggregator(Actor):
     lifted one level up the tree.
     """
 
-    def __init__(self, round_id: int, task_id: str):
+    def __init__(self, round_id: int):
         self.round_id = round_id
-        self.task_id = task_id
         self.leaves: list[ActorRef] = []
 
     def adopt(self, leaf: ActorRef) -> None:

@@ -22,12 +22,7 @@ from repro.actors.kernel import Actor, ActorRef, Restart
 from repro.actors import messages as msg
 from repro.core.checkpoint import CheckpointStore, CheckpointWriteError, FLCheckpoint
 from repro.core.config import TaskConfig, TaskKind
-from repro.core.rounds import (
-    CheckinDecision,
-    DeviceOutcome,
-    RoundPhase,
-    RoundStateMachine,
-)
+from repro.core.rounds import DeviceOutcome, RoundPhase, RoundStateMachine
 
 #: Devices per leaf aggregator when Secure Aggregation is off.
 _PLAIN_GROUP_SIZE = 100
@@ -99,7 +94,6 @@ class MasterAggregator(Actor):
         for i in range(num_aggs):
             agg = Aggregator(
                 round_id=self.round_id,
-                task_id=self.task.task_id,
                 master=self.ref,
                 secagg=self.task.secagg,
                 rng=self.rng,
@@ -138,17 +132,11 @@ class MasterAggregator(Actor):
             return 0
         return state.config.selection_goal - state.selected_count
 
-    def admit_device(
-        self, device_id: int, device_ref: ActorRef, runtime_version: int
-    ) -> tuple[CheckinDecision, ActorRef | None]:
-        """Called (synchronously, via Selector forwarding) per device.
-
-        Returns the admission decision and the Aggregator the device was
-        attached to.
-        """
-        decision = self.state.on_checkin(device_id, self.now)
-        if decision is not CheckinDecision.ACCEPT:
-            return decision, None
+    def admit_device(self, device_id: int, device_ref: ActorRef) -> ActorRef:
+        """Called (synchronously, via Selector forwarding) per device, never
+        beyond :attr:`demand`, so the state machine accepts each.  Returns
+        the Aggregator the device was attached to."""
+        self.state.on_checkin(device_id, self.now)
         agg_ref = self.aggregators[self._next_agg % len(self.aggregators)]
         self._next_agg += 1
         agg = self.system.actor_of(agg_ref)
@@ -157,7 +145,7 @@ class MasterAggregator(Actor):
         self.state.on_configured(device_id, self.now)
         if self.state.phase is RoundPhase.REPORTING:
             self._arm_reporting_timeout()
-        return decision, agg_ref
+        return agg_ref
 
     def receive(self, sender: Optional[ActorRef], message: Any) -> None:
         pass  # leaves call decide_report / record_drop synchronously
@@ -169,7 +157,7 @@ class MasterAggregator(Actor):
         leaves hold the reports, so a replacement recovers the whole fold;
         one due after the round closed does not fire, and a crash still
         open at the fold costs the shard its contribution (ledgered)."""
-        node = ShardAggregator(self.round_id, self.task.task_id)
+        node = ShardAggregator(self.round_id)
         for leaf in self._shard_leaves[slot]:
             node.adopt(leaf)
         return self.system.spawn(

@@ -335,8 +335,8 @@ class Selector(Actor):
         route.stats.forwarded += rows.size
         for device, plan in zip(self.plane.forward(rows), plans):
             # The draw stays within the master's demand: it accepts each.
-            _, aggregator = master.admit_device(  # type: ignore[attr-defined]
-                device.device_id, device.ref, device.profile.runtime_version
+            aggregator = master.admit_device(  # type: ignore[attr-defined]
+                device.device_id, device.ref
             )
             self.tell(
                 device.ref,

@@ -48,7 +48,6 @@ def make_harness(secagg=None, verdict=True):
     master_ref = system.spawn(master, "master")
     agg = Aggregator(
         round_id=1,
-        task_id="t",
         master=master_ref,
         secagg=secagg or SecAggConfig(enabled=False),
         rng=np.random.default_rng(1),
@@ -138,7 +137,7 @@ def test_report_that_completes_the_round_is_in_its_fold():
     system.spawn(root, "master")
     devices = {d: Sink() for d in (1, 2)}
     leaves = {
-        d: root.admit_device(d, system.spawn(device, f"device-{d}"), 1)[1]
+        d: root.admit_device(d, system.spawn(device, f"device-{d}"))
         for d, device in devices.items()
     }
     system.tell(leaves[1], report(1, [1.0, 2.0], weight=1.0))
@@ -272,8 +271,8 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
         )
         system.spawn(root, "master")
         for device_id in vectors:
-            _, leaf = root.admit_device(
-                device_id, system.spawn(Sink(), f"device-{device_id}"), 1
+            leaf = root.admit_device(
+                device_id, system.spawn(Sink(), f"device-{device_id}")
             )
             if device_id in reporting:
                 system.tell(
@@ -488,7 +487,7 @@ def test_master_records_a_device_once(deferred):
     system.spawn(root, "master")
     vectors = [np.full(dim, 1.0), np.full(dim, 2.0)]
     leaves = [
-        root.admit_device(device_id, system.spawn(Sink(), f"d{device_id}"), 1)[1]
+        root.admit_device(device_id, system.spawn(Sink(), f"d{device_id}"))
         for device_id in (0, 1)
     ]
     for device_id, leaf in enumerate(leaves):
