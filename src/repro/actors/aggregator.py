@@ -140,9 +140,8 @@ class Aggregator(Actor):
         if self._closed:
             self._nack(report.device_id)
             return
-        # The master's round state machine decides acceptance in this
-        # call, answering through ack_device.  A dead master answers
-        # nothing: the device times out.
+        # The master decides in this call and answers through ack_device;
+        # a dead master answers nothing (the device times out).
         master = self.system.actor_of(self.master)
         if master is not None:
             master.decide_report(report, self)  # type: ignore[attr-defined]

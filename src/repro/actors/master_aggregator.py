@@ -4,9 +4,10 @@ Spawned by the Coordinator per round, through the ``make_master`` its
 tenant's lifecycle plane binds; spawns leaf Aggregators sized to the
 cohort (and to Secure Aggregation's group parameter ``k``); drives the
 round state machine, deciding each report or drop in the synchronous call
-its leaf makes when the upload lands (no message reaches this actor); and — crucially for the paper's storage/attack-surface
-claims — keeps everything in memory, committing exactly one checkpoint to
-persistent storage only after full aggregation succeeds.
+its leaf makes when the upload lands (no message reaches this actor);
+and — crucially for the paper's storage/attack-surface claims — keeps
+everything in memory, committing exactly one checkpoint to persistent
+storage only after full aggregation succeeds.
 """
 
 from __future__ import annotations

@@ -597,9 +597,9 @@ class PopulationLifecycle:
 #: 14: Coordinators hold ``_tick_pending`` and routes a ``wake`` (the
 #: Selectors' admissions wake a Coordinator, which no longer polls), and
 #: the event loop lost its tick ``_batch``.
-#: 15: leaf Aggregators lost ``_pending`` and masters ``_agg_of_device``
-#: (a leaf hands each report and drop to its master in one call); leaves
-#: and shard aggregators lost their unread ``task_id``.
+#: 15: leaf Aggregators lost ``_pending`` and masters their device-to-leaf
+#: map (a leaf hands each report and drop to its master in one call);
+#: leaves and shard aggregators lost their unread ``task_id``.
 SNAPSHOT_FORMAT_VERSION = 15
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
