@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.secagg.field import ring_mask
+
 _KEY_MASK = (1 << 128) - 1
 
 
@@ -31,6 +33,7 @@ def prg_expand_batch(
     per-seed ``Generator`` construction; expansion order across rows does
     not matter because every row depends only on its own seed.
     """
+    mask = ring_mask(modulus_bits)  # refuses a ring outside [1, 63]
     if length < 0:
         raise ValueError("length must be non-negative")
     k = len(seeds)
@@ -56,5 +59,5 @@ def prg_expand_batch(
         bitgen.state = state
         out[i] = bitgen.random_raw(length)
     out >>= np.uint64(1)
-    out &= np.uint64((1 << modulus_bits) - 1)
+    out &= mask
     return out

@@ -47,6 +47,11 @@ Deliberate simulation shortcuts, none observable in any output:
   element ``g^(a·b)``), where devices compute it independently at both
   endpoints.  Server-side metrics count unmasking work only, so counts
   are unaffected;
+* round 3 reads from round 2, keyed on what it reconstructed: a ``b``
+  seed's self-mask row, a dangling pair's seed (keyed on the product of
+  the reconstructed key and the survivor's secret) and its mask row.
+  Both kernels are pure, so a read equals a recomputation, and a key
+  round 2 never held is computed; metrics count the recomputations;
 * ``g^s`` public keys are materialized only where an output can observe
   them — verifying reconstructed keys of dropped devices — in one
   stacked fixed-base pass, instead of one ``pow`` per device at
@@ -78,9 +83,21 @@ from repro.secagg.protocol import (
 from repro.secagg.shamir import reconstruct_secrets_batch, share_secrets_batch
 
 
-def _apply_self_masks_(masked: np.ndarray, self_rows: np.ndarray) -> None:
-    """Add each committer's self-mask row into ``masked`` in place."""
-    masked += self_rows
+def _expand_held(
+    seeds: list[int], held: list[int], rows: np.ndarray, bits: int
+) -> np.ndarray:
+    """``prg_expand_batch(seeds, …)``, read from ``rows`` (round 2's
+    expansion of ``held``) wherever round 2 holds the seed: expansion is
+    pure, so a read row equals a fresh one.  A seed round 2 never held
+    (a wrong reconstruction would be one) is expanded as it stands."""
+    row_of = {seed: k for k, seed in enumerate(held)}
+    fresh = [seed for seed in seeds if seed not in row_of]
+    if fresh:
+        row_of.update(zip(fresh, range(len(held), len(held) + len(fresh))))
+        rows = np.concatenate(
+            [rows, prg_expand_batch(fresh, rows.shape[1], bits)]
+        )
+    return rows[[row_of[seed] for seed in seeds]]
 
 
 def _apply_pair_masks_(
@@ -105,19 +122,16 @@ def _apply_pair_masks_(
 
 
 class _PhaseTimer:
-    """Lap clock over an injected timer; a no-op when ``timer`` is None."""
+    """Lap clock over an injected timer; every lap is 0.0 without one."""
 
     def __init__(self, timer: Callable[[], float] | None):
-        self._timer = timer
-        self._last = timer() if timer is not None else 0.0
+        self._timer = timer or float  # float() is 0.0: a stopped clock
+        self._last = self._timer()
 
     def lap(self) -> float:
-        """Seconds since the previous lap (0.0 without a timer)."""
-        if self._timer is None:
-            return 0.0
+        """Seconds since the previous lap."""
         now = self._timer()
-        elapsed = now - self._last
-        self._last = now
+        elapsed, self._last = now - self._last, now
         return elapsed
 
 
@@ -130,11 +144,8 @@ def _attribute_phase(
     """Split one shared sweep's duration over groups by work-item share."""
     total = max(sum(weights), 1)
     for state, weight in zip(states, weights):
-        setattr(
-            state.metrics,
-            field,
-            getattr(state.metrics, field) + duration * weight / total,
-        )
+        share = duration * weight / total
+        setattr(state.metrics, field, getattr(state.metrics, field) + share)
 
 
 class _GroupState:
@@ -284,9 +295,7 @@ def run_vectorized_grouped(
             for b in state.u2[i + 1:]:
                 if a_committed or b in state.committed:
                     state.pairs.append((a, b))
-                    secret_pairs.append(
-                        (state.s_secret[a], state.s_secret[b])
-                    )
+                    secret_pairs.append((state.s_secret[a], state.s_secret[b]))
     pair_seeds = agree_pairs_batch(secret_pairs)
     _attribute_phase(
         states, "key_agreement_seconds", phases.lap(),
@@ -323,7 +332,7 @@ def run_vectorized_grouped(
             if ib is not None:
                 minus_rows[ib].append(k)
     masked = quantizer.quantize(stacked)  # (ΣC, dim) uint64, freshly owned
-    _apply_self_masks_(masked, self_rows)
+    masked += self_rows
     _apply_pair_masks_(masked, pair_rows, plus_rows, minus_rows)
     masked &= ring_mask(bits)
 
@@ -332,10 +341,7 @@ def run_vectorized_grouped(
     masked_sums &= ring_mask(bits)
     _attribute_phase(
         states, "masking_seconds", phases.lap(),
-        [
-            len(state.committers) + len(state.pairs)
-            for state in states
-        ],
+        [len(state.committers) + len(state.pairs) for state in states],
     )
 
     # -- Round 3: one shared reconstruction sweep.  Every responder holds
@@ -374,63 +380,53 @@ def run_vectorized_grouped(
     # Verify every reconstructed key against its advertised public key in
     # one stacked fixed-base pass (the only place public keys are
     # observable), raising in sequential group/device order.
-    dropped_secrets: list[int] = []
-    for state in states:
-        dropped_secrets.extend(state.s_secret[uid] for uid in state.dropped)
-    all_recon_s = [s for per_group in recon_s for s in per_group]
-    publics = public_keys_batch(dropped_secrets + all_recon_s)
-    advertised = publics[: len(dropped_secrets)]
-    reconstructed = publics[len(dropped_secrets):]
-    offset = 0
-    for state in states:
-        for uid in state.dropped:
-            if reconstructed[offset] != advertised[offset]:
-                raise SecAggError(
-                    f"reconstructed key for {uid} does not match "
-                    "advertised key"
-                )
-            offset += 1
-
-    # Self masks off via one (ΣC, dim) PRG pass; then the dangling
-    # pairwise masks of share-then-drop devices — the server re-derives
-    # each seed from the *reconstructed* key (one agreement per survivor,
-    # as the reference) in one stacked pass over every group's recovery work.
-    b_rows = prg_expand_batch(
-        [seed for per_group in recon_b for seed in per_group], dim, bits
+    dropped = [(uid, state.s_secret[uid]) for state in states
+               for uid in state.dropped]
+    publics = public_keys_batch(
+        [s for _, s in dropped] + [s for group in recon_s for s in group]
     )
+    for (uid, _), advertised, reconstructed in zip(
+        dropped, publics, publics[len(dropped):]
+    ):
+        if reconstructed != advertised:
+            raise SecAggError(
+                f"reconstructed key for {uid} does not match advertised key"
+            )
+
+    # Self masks off, then the dangling pairwise masks of share-then-drop
+    # devices.  The reference server re-derives each self mask from its
+    # reconstructed ``b`` seed and each dangling seed from a reconstructed
+    # key (one agreement per survivor), and the metrics count that work;
+    # the plane reads round 2's value for what it reconstructed instead.
+    recon_seeds = [seed for per_group in recon_b for seed in per_group]
+    b_rows = _expand_held(recon_seeds, self_seeds, self_rows, bits)
     results = masked_sums
     results -= np.add.reduceat(b_rows, row_starts, axis=0)
-
-    dangling_pairs: list[tuple[int, int]] = []
-    dangling_sub: list[bool] = []
-    dangling_starts: list[int] = []
+    dangling: list[tuple[int, int]] = []
+    folds: list[tuple[list[int], list[int]]] = []  # group: (sub, add)
     for state, per_group in zip(states, recon_s):
-        state.metrics.prg_expansions += len(state.committers)
-        dangling_starts.append(len(dangling_pairs))
+        work = len(state.dropped) * len(state.committers)
+        state.metrics.key_agreements += work
+        state.metrics.prg_expansions += len(state.committers) + work
+        folds.append(([], []))
         for uid, s_rec in zip(state.dropped, per_group):
             for survivor in state.committers:
-                dangling_pairs.append((s_rec, state.s_secret[survivor]))
                 # survivor applied +mask if survivor < uid else -mask;
                 # subtract exactly what was applied.
-                dangling_sub.append(survivor < uid)
-                state.metrics.key_agreements += 1
-    if dangling_pairs:
-        dangling_seeds = agree_pairs_batch(dangling_pairs)
-        rows = prg_expand_batch(dangling_seeds, dim, bits)
-        sub = np.asarray(dangling_sub)
-        ends = dangling_starts[1:] + [len(dangling_pairs)]
-        for g, (state, start, end) in enumerate(
-            zip(states, dangling_starts, ends)
-        ):
-            if start == end:
-                continue
-            state.metrics.prg_expansions += end - start
-            group_rows = rows[start:end]
-            group_sub = sub[start:end]
-            if group_sub.any():
-                results[g] -= group_rows[group_sub].sum(axis=0)
-            if not group_sub.all():
-                results[g] += group_rows[~group_sub].sum(axis=0)
+                folds[-1][survivor > uid].append(len(dangling))
+                dangling.append((s_rec, state.s_secret[survivor]))
+    if dangling:
+        # agree() hashes g^(a·b): round 2's seed of the same product.
+        seed_of = dict(zip((a * b for a, b in secret_pairs), pair_seeds))
+        fresh = [(a, b) for a, b in dangling if a * b not in seed_of]
+        seed_of.update(
+            zip((a * b for a, b in fresh), agree_pairs_batch(fresh))
+        )
+        rows = _expand_held(
+            [seed_of[a * b] for a, b in dangling], pair_seeds, pair_rows, bits
+        )
+        for g, (sub, add) in enumerate(folds):
+            results[g] -= rows[sub].sum(axis=0) - rows[add].sum(axis=0)
     results &= ring_mask(bits)
     recovery = phases.lap()
     recovery_weights = [
@@ -446,12 +442,11 @@ def run_vectorized_grouped(
     if capture:
         transcripts = []
         for g, state in enumerate(states):
-            row_of = {
-                uid: state.row_start + i
-                for i, uid in enumerate(state.committers)
-            }
             transcripts.append(SecAggTranscript(
-                masked={uid: masked[row_of[uid]] for uid in state.committers},
+                masked={
+                    uid: masked[state.row_start + i]
+                    for i, uid in enumerate(state.committers)
+                },
                 shares={
                     uid: {
                         sender: (

@@ -43,7 +43,7 @@ def test_batch_rows_match_scalar_expansion():
     from repro.secagg.prg import prg_expand_batch
 
     seeds = [0, 1, 123456789, (1 << 120) - 7, (1 << 200) + 17]
-    for bits in (8, 32, 48, 63):
+    for bits in (1, 8, 32, 48, 63):
         rows = prg_expand_batch(seeds, 257, bits)
         assert rows.shape == (len(seeds), 257) and rows.dtype == np.uint64
         for i, seed in enumerate(seeds):
@@ -62,3 +62,15 @@ def test_batch_out_buffer_reused():
     assert prg_expand_batch([], 64, 32).shape == (0, 64)
     with pytest.raises(ValueError):
         prg_expand_batch([1], -1, 32)
+
+
+@pytest.mark.parametrize("bits", [-1, 0, 64, 65, 128])
+def test_batch_refuses_a_ring_outside_1_to_63(bits):
+    """One ring rule (``field.ring_mask``): 0 would return all-zero masks
+    (the input unmasked), 64 would leave bit 63 unmasked, and 65 up would
+    overflow — each is refused up front, empty batches included."""
+    from repro.secagg.prg import prg_expand_batch
+
+    for seeds in ([5, 6], []):
+        with pytest.raises(ValueError, match="modulus_bits"):
+            prg_expand_batch(seeds, 16, bits)

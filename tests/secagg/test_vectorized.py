@@ -76,6 +76,39 @@ def assert_identical(scalar, vectorized):
     assert np.array_equal(tr_s.ring_sum, tr_v.ring_sum)
 
 
+@pytest.fixture
+def kernel_counts(monkeypatch):
+    """Count the pairs the plane agrees and the rows it expands, by
+    wrapping the kernels its module calls."""
+    import repro.secagg.vectorized as plane
+
+    counts = {"agreed": 0, "expanded": 0}
+    agree, expand = plane.agree_pairs_batch, plane.prg_expand_batch
+
+    def counted_agree(pairs):
+        counts["agreed"] += len(pairs)
+        return agree(pairs)
+
+    def counted_expand(seeds, *args, **kwargs):
+        counts["expanded"] += len(seeds)
+        return expand(seeds, *args, **kwargs)
+
+    monkeypatch.setattr(plane, "agree_pairs_batch", counted_agree)
+    monkeypatch.setattr(plane, "prg_expand_batch", counted_expand)
+    return counts
+
+
+def round_two_work(shared, share_then_drop):
+    """The round-3 work law: the kernel work of a group whose ``shared``
+    devices shared keys, ``share_then_drop`` of them never committing, is
+    round 2's alone — each pair with a committed endpoint agreed once,
+    and its mask and each committer's self mask expanded once.  Round 3
+    reads its dangling seeds, their masks and the self masks back."""
+    dropped_pairs = share_then_drop * (share_then_drop - 1) // 2
+    pairs = shared * (shared - 1) // 2 - dropped_pairs
+    return {"agreed": pairs, "expanded": pairs + shared - share_then_drop}
+
+
 @pytest.mark.parametrize(
     "dropouts",
     [
@@ -91,9 +124,12 @@ def assert_identical(scalar, vectorized):
     ],
     ids=["none", "after_advertise", "after_share", "after_mask", "all_stages"],
 )
-def test_planes_byte_identical_across_dropout_stages(dropouts):
+def test_planes_byte_identical_across_dropout_stages(dropouts, kernel_counts):
     scalar, vectorized = run_both(make_inputs(), threshold=7, dropouts=dropouts)
     assert_identical(scalar, vectorized)
+    assert kernel_counts == round_two_work(
+        12 - len(dropouts.after_advertise), len(dropouts.after_share)
+    )
     # and the sum is still correct
     total, metrics, _, _ = vectorized
     survivors = set(make_inputs()) - dropouts.after_advertise - dropouts.after_share
@@ -153,7 +189,10 @@ def test_below_threshold_error_identical_on_both_planes(dropouts, expected):
     assert observed["scalar"][0] == expected
 
 
-def test_grouped_secure_sum_identical_across_planes():
+def test_grouped_secure_sum_identical_across_planes(kernel_counts):
+    """Three groups, a share-then-drop device in each of the first two:
+    the reference's sums and metrics, and the round-3 work law summed
+    over the groups (no device leaves before sharing)."""
     inputs = make_inputs(n=40, dim=17)
     dropouts = DropoutSchedule(
         after_share=frozenset({103, 117}), after_mask=frozenset({125})
@@ -176,7 +215,9 @@ def test_grouped_secure_sum_identical_across_planes():
     t_v, m_v = results["vectorized"]
     assert np.array_equal(t_s, t_v)
     assert m_s == m_v
-    assert len(m_s) == 3
+    assert [m.dropped_before_commit for m in m_v] == [1, 1, 0]
+    work = [round_two_work(m.cohort_size, m.dropped_before_commit) for m in m_v]
+    assert kernel_counts == {k: sum(w[k] for w in work) for k in kernel_counts}
 
 
 def test_secagg_surface_is_pinned():
@@ -420,3 +461,23 @@ def test_grouped_plane_equals_reference_on_generated_instances(grouped):
             (ref[0], r_metrics, r_tr, ref_probe),
             (got[0], g_metrics, g_tr, got_probe),
         )
+
+
+def test_a_seed_round_two_never_held_is_expanded():
+    """The miss path: a seed outside round 2's expansion comes back as
+    ``prg_expand_batch`` makes it, beside the rows read back."""
+    from repro.secagg.prg import prg_expand_batch
+    from repro.secagg.vectorized import _expand_held
+
+    held = [11, 22, (1 << 120) - 3]
+    rows = prg_expand_batch(held, 17, 32)
+    fresh = 12345
+    np.testing.assert_array_equal(
+        _expand_held([22, fresh, 11, fresh], held, rows, 32),
+        prg_expand_batch([22, fresh, 11, fresh], 17, 32),
+    )
+    nothing_held = prg_expand_batch([], 17, 32)
+    np.testing.assert_array_equal(
+        _expand_held([fresh], [], nothing_held, 32),
+        prg_expand_batch([fresh], 17, 32),
+    )
