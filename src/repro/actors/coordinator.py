@@ -3,10 +3,14 @@
 One Coordinator owns each FL population (ownership is registered in the
 shared locking service).  It schedules FL tasks, spawns a Master
 Aggregator per round, and instructs the Selectors how many devices to
-forward.  If it crashes, the layer that spawned it — the tenant's
-lifecycle plane — respawns it at once, exactly once (a kernel
-:class:`~repro.actors.kernel.Restart`); a replacement recovers its round
-counter from the checkpoint store, so commits stay monotonic.
+forward — calls on the live Selectors of its shard, like the master's
+:meth:`Coordinator.round_finished` to it when the round is over.  It
+spawns each master with a kernel :class:`~repro.actors.kernel.Restart`:
+a crashed master's round fails and the Coordinator restarts it (Sec.
+4.4).  If the Coordinator itself crashes, the layer that spawned it —
+the tenant's lifecycle plane — respawns it at once, exactly once; a
+replacement recovers its round counter from the checkpoint store, so
+commits stay monotonic.
 
 How a round is wired is not its business: ``make_master(round_id=,
 task=, coordinator=)`` builds each round's master (the lifecycle plane
@@ -31,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Callable
 
-from repro.actors.kernel import Actor, ActorRef, DeathNotice
+from repro.actors.kernel import Actor, ActorRef, Restart
 from repro.actors.locking import LockService
-from repro.actors import messages as msg
+from repro.actors.selector import Forwarding, Selector
 from repro.bounds import check, count, non_negative, positive
 from repro.core.checkpoint import CheckpointStore
 from repro.core.task import TaskScheduler
@@ -114,6 +118,12 @@ class Coordinator(Actor):
         fleet_selectors = self.fleet_selectors
         return [fleet_selectors[i] for i in self.selector_indices]
 
+    def _live_selectors(self) -> list[Selector]:
+        """The owning shard's live Selectors, in index order: a call skips
+        a dead one, as a message to it would have been dropped."""
+        actor_of = self.system.actor_of
+        return [s for ref in self.selectors if (s := actor_of(ref)) is not None]
+
     # -- lifecycle -----------------------------------------------------------
     def on_start(self) -> None:
         # Single-owner registration (Sec. 4.2).
@@ -128,6 +138,11 @@ class Coordinator(Actor):
         )
         self._tick_origin_s = self.now
         self._arm_tick()
+
+    def on_stop(self, crashed: bool) -> None:
+        # Its round's Selectors stop forwarding to it: a replacement
+        # starts over from the last checkpoint.
+        self._clear_forwarding()
 
     # -- round scheduling -----------------------------------------------------------
     def devices_waiting(self) -> None:
@@ -186,14 +201,8 @@ class Coordinator(Actor):
         """The owning shard's pool sizes, summed (the Sec. 4.2 'how many
         devices are connected to each Selector' report, read as a cheap
         RPC when a tick is armed and when it fires)."""
-        total = 0
-        for ref in self.selectors:
-            selector = self.system.actor_of(ref)
-            if selector is not None:
-                total += selector.connected_count_for(  # type: ignore[attr-defined]
-                    self.population_name
-                )
-        return total
+        name = self.population_name
+        return sum(s.connected_count_for(name) for s in self._live_selectors())
 
     def _start_threshold(self) -> int:
         """Devices that must be waiting before a round is scheduled.
@@ -218,73 +227,57 @@ class Coordinator(Actor):
             round_id=round_id, task=task.config, coordinator=self.ref
         )
         master_ref = self.system.spawn(
-            master, f"master/{self.population_name}/{round_id}"
+            master,
+            f"master/{self.population_name}/{round_id}",
+            restart=Restart(0.0, self._master_crashed, owner=self.ref),
         )
-        self.system.watch(self.ref, master_ref)
         self.active_master = master_ref
         self.active_round_id = round_id
-        for selector in self.selectors:
-            self.tell(
-                selector,
-                msg.ForwardDevices(
-                    round_id=round_id,
-                    task_id=task.task_id,
-                    count=task.config.round_config.selection_goal,
-                    master=master_ref,
-                    population_name=self.population_name,
-                ),
-            )
+        instruction = Forwarding(
+            round_id=round_id,
+            task_id=task.task_id,
+            count=task.config.round_config.selection_goal,
+            master=master_ref,
+            population_name=self.population_name,
+        )
+        for selector in self._live_selectors():
+            selector.receive(self.ref, instruction)
 
-    # -- message handling ---------------------------------------------------------
-    def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        if isinstance(message, msg.RoundFinished):
-            self._on_round_finished(message)
-        elif isinstance(message, DeathNotice):
-            self._on_death(message)
-
-    def _on_round_finished(self, finished: msg.RoundFinished) -> None:
-        if finished.round_id != self.active_round_id:
-            return  # stale notification from a pre-crash round
-        self.active_master = None
-        self.active_round_id = None
-        self.last_round_ended_at_s = self.now
+    # -- round end -------------------------------------------------------------
+    def round_finished(self, round_id: int, task_id: str, committed: bool) -> None:
+        """Its master's last call (step 6 of Fig. 1 done or abandoned),
+        made once the master, its leaves and its shard nodes are stopped:
+        with pipelining the next round starts inside this call."""
+        if round_id != self.active_round_id:
+            return  # a master of a round this incarnation no longer runs
+        self._end_round()
         self.rounds_finished += 1
-        if finished.committed:
+        if committed:
             self.rounds_committed += 1
             try:
-                task = self.scheduler.population.task(finished.task_id)
+                task = self.scheduler.population.task(task_id)
                 task.rounds_committed += 1
             except KeyError:
                 pass
-        for selector in self.selectors:
-            self.tell(
-                selector,
-                msg.ClearForwarding(
-                    round_id=finished.round_id,
-                    population_name=self.population_name,
-                ),
-            )
         if self.config.pipelining:
             self._maybe_start_round()
         self._arm_tick()
 
-    def _on_death(self, notice: DeathNotice) -> None:
-        if not notice.crashed:
-            return  # graceful master stop: RoundFinished does the bookkeeping
-        if self.active_master is not None and notice.ref == self.active_master:
-            # Sec. 4.4: master crashed -> round fails, coordinator restarts
-            # (a fresh round starts on the tick armed below).
-            dead_round_id = self.active_round_id
-            self.active_master = None
-            self.active_round_id = None
-            self.last_round_ended_at_s = self.now
-            for selector in self.selectors:
-                self.tell(
-                    selector,
-                    msg.ClearForwarding(
-                        round_id=dead_round_id or -1,
-                        population_name=self.population_name,
-                    ),
-                )
-            self._arm_tick()
+    def _master_crashed(self, dead_ref: ActorRef) -> None:
+        """The kernel's restart of a crashed master, at the crash instant
+        (Sec. 4.4): its round fails, and a fresh one starts on the tick
+        armed here."""
+        if dead_ref != self.active_master:
+            return
+        self._end_round()
+        self._arm_tick()
 
+    def _end_round(self) -> None:
+        self._clear_forwarding()
+        self.active_master = None
+        self.active_round_id = None
+        self.last_round_ended_at_s = self.now
+
+    def _clear_forwarding(self) -> None:
+        for selector in self._live_selectors():
+            selector.clear_forwarding(self.population_name, self.active_round_id)

@@ -2,15 +2,17 @@
 
 Each actor handles its mailbox strictly sequentially (Sec. 4.1).  On a
 single-threaded event loop that ordering is natural: every delivery is an
-event, and events for one actor fire in schedule order.  Crashing an actor
-drops its mailbox, releases its locks, and notifies its watchers — the
+event, and events for one actor fire in schedule order.  Messages cross
+the device edge only; inside the datacenter an actor calls the live
+actor it addresses (:meth:`ActorSystem.actor_of`), skipping a dead one.
+Crashing an actor drops its mailbox and releases its locks — the
 substrate for the failure-mode experiments.
 
 Supervision is one mechanism (Sec. 4.4's "restarted by the layer above"):
 whoever spawns an actor may hand :meth:`ActorSystem.spawn` a
 :class:`Restart` — a delay and a ``respawn(dead_ref)`` callable.  A crash
-schedules it before any watcher hears; a graceful stop drops it, and a
-restart whose owner has died by then does not fire.
+schedules it; a graceful stop drops it, and a restart whose owner has
+died by then does not fire.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ class Restart:
     owner: Optional["ActorRef"] = None
 
 
-@dataclass(frozen=True)
-class DeathNotice:
-    """Delivered to watchers when a watched actor terminates."""
-
-    ref: "ActorRef"
-    crashed: bool
-
-
 class ActorRef:
     """Handle used to address an actor; stable across the actor's life."""
 
@@ -56,11 +50,6 @@ class ActorRef:
     @property
     def alive(self) -> bool:
         return self._system.is_alive(self)
-
-    def tell(
-        self, message: Any, sender: Optional["ActorRef"] = None, delay: float = 0.0
-    ) -> None:
-        self._system.tell(self, message, sender=sender, extra_delay=delay)
 
     def __repr__(self) -> str:
         return f"ActorRef({self.name}#{self.actor_id})"
@@ -118,9 +107,10 @@ class Actor:
 class ActorSystem:
     """Spawns actors, routes messages, injects failures.
 
-    Message delivery latency models intra-datacenter RPC; it is small,
-    random, and drawn from the dedicated ``actors/latency`` stream so the
-    rest of the simulation is unaffected by actor-count changes.
+    Every message crosses the device edge (configuration, report, drop,
+    ack).  Its delivery latency is small, random, and drawn from the
+    dedicated ``actors/latency`` stream so the rest of the simulation is
+    unaffected by actor-count changes.
     """
 
     def __init__(
@@ -133,11 +123,6 @@ class ActorSystem:
         self.rng = rng
         self.mean_latency_s = mean_latency_s
         self._actors: dict[int, Actor] = {}
-        #: watched actor id -> {watcher actor id -> watcher ref}.  An
-        #: insertion-ordered dict rather than a set so DeathNotice
-        #: delivery order is deterministic and survives a snapshot's
-        #: pickle round-trip (set iteration order does not).
-        self._watchers: dict[int, dict[int, ActorRef]] = {}
         self._next_id = 0
         self.messages_delivered = 0
         self.messages_dropped = 0
@@ -155,7 +140,7 @@ class ActorSystem:
     def reserve_ids(self, count: int) -> int:
         """Set aside ``count`` consecutive actor ids (returns the first) for
         actors spawned later that must be addressed as if spawned now:
-        respawns are named after ids, and watchers are keyed by them."""
+        respawns are named after ids."""
         first = self._next_id
         self._next_id += count
         return first
@@ -206,20 +191,9 @@ class ActorSystem:
         actor.on_stop(crashed)
         restart = self._restarts.pop(ref.actor_id, None)
         if crashed and restart is not None:
-            # Before watchers hear, so the respawn is already scheduled
-            # when DeathNotices land.
             self.loop.schedule(restart.delay_s, self._restart, restart, ref)
-        for watcher in self._watchers.pop(ref.actor_id, {}).values():
-            self.tell(watcher, DeathNotice(ref=ref, crashed=crashed), sender=None)
 
     # -- supervision ------------------------------------------------------------
-    def watch(self, watcher: ActorRef, watched: ActorRef) -> None:
-        """Deliver a DeathNotice to ``watcher`` when ``watched`` dies."""
-        if not self.is_alive(watched):
-            self.tell(watcher, DeathNotice(ref=watched, crashed=True), sender=None)
-            return
-        self._watchers.setdefault(watched.actor_id, {})[watcher.actor_id] = watcher
-
     def _restart(self, restart: Restart, dead_ref: ActorRef) -> None:
         if restart.owner is None or self.is_alive(restart.owner):
             restart.respawn(dead_ref)

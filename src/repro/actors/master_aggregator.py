@@ -7,14 +7,15 @@ round state machine, deciding each report or drop in the synchronous call
 its leaf makes when the upload lands (no message reaches this actor);
 and — crucially for the paper's storage/attack-surface claims — keeps
 everything in memory, committing exactly one checkpoint to persistent
-storage only after full aggregation succeeds.
+storage only after full aggregation succeeds.  It ends by stopping its
+tree and itself and then calling its Coordinator's ``round_finished``.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Any, Optional
+from typing import Any
 
 import numpy as np
 
@@ -116,8 +117,8 @@ class MasterAggregator(Actor):
     def on_stop(self, crashed: bool) -> None:
         if crashed and not self._finished:
             # Sec. 4.4: "If the Master Aggregator fails, the current round
-            # of the FL task it manages will fail" — the Coordinator learns
-            # via its death watch and restarts.
+            # of the FL task it manages will fail" — the Coordinator's
+            # kernel Restart restarts it.
             for agg in self.aggregators:
                 self.system.stop(agg)
             for node in self.shard_aggregators:
@@ -147,9 +148,6 @@ class MasterAggregator(Actor):
         if self.state.phase is RoundPhase.REPORTING:
             self._arm_reporting_timeout()
         return agg_ref
-
-    def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        pass  # leaves call decide_report / record_drop synchronously
 
     # -- shard-aggregator supervision ------------------------------------------
     def _spawn_shard(self, slot: int) -> ActorRef:
@@ -282,20 +280,18 @@ class MasterAggregator(Actor):
         result.committed = committed
         if self.round_listener is not None:
             self.round_listener(result)
-        self.tell(
-            self.coordinator,
-            msg.RoundFinished(
-                result=result,
-                committed=committed,
-                round_id=self.round_id,
-                task_id=self.task.task_id,
-            ),
-        )
         for agg in self.aggregators:
             self.system.stop(agg)
         for node in self.shard_aggregators:
             self.system.stop(node)
         self.system.stop(self.ref)
+        # Last: with pipelining the next round starts inside this call,
+        # and it must never run beside a live predecessor.
+        coordinator = self.system.actor_of(self.coordinator)
+        if coordinator is not None:
+            coordinator.round_finished(  # type: ignore[attr-defined]
+                self.round_id, self.task.task_id, committed
+            )
 
     def _aggregate_and_commit(self) -> bool:
         """Combine intermediate aggregates; write exactly one checkpoint."""

@@ -1,8 +1,8 @@
 """Message catalogue for the FL server actors and devices.
 
-All inter-actor communication uses these frozen dataclasses; keeping them
-in one module documents the protocol surface (Fig. 1's numbered steps map
-onto them).
+Every message crosses the device edge — Fig. 1's steps 3 and 4 map onto
+the first four frozen dataclasses — and the last is what a flush hands up
+the aggregation tree.  Server actors otherwise call each other.
 """
 
 from __future__ import annotations
@@ -12,24 +12,9 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.checkpoint import FLCheckpoint
 from repro.core.plan import FLPlan
-from repro.core.rounds import RoundResult
 
 if TYPE_CHECKING:
     from repro.actors.kernel import ActorRef
-
-
-# -- selector <-> coordinator ---------------------------------------------------
-@dataclass(frozen=True)
-class ForwardDevices:
-    """Coordinator tells a Selector to forward ``count`` connected devices
-    to a starting round of one population (its master admits each one to
-    an Aggregator)."""
-
-    round_id: int
-    task_id: str
-    count: int
-    master: "ActorRef"
-    population_name: str
 
 
 # -- configuration / reporting (device <-> aggregator) -------------------------
@@ -92,22 +77,3 @@ class IntermediateAggregate:
     weight_sum: float
     device_count: int
     secagg_metrics: Any = None
-
-
-# -- master aggregator <-> coordinator ---------------------------------------------
-@dataclass(frozen=True)
-class RoundFinished:
-    """Round outcome propagated to the Coordinator (step 6 commits)."""
-
-    result: RoundResult
-    committed: bool
-    round_id: int
-    task_id: str
-
-
-@dataclass(frozen=True)
-class ClearForwarding:
-    """Coordinator cancels its population's standing forwarding instruction."""
-
-    round_id: int
-    population_name: str

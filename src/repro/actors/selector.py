@@ -12,7 +12,10 @@ One Selector serves *many* FL populations at once (Sec. 2's multi-tenant
 fleet): each check-in names a population, and the Selector keeps one
 :class:`PopulationRoute` — standing forwarding instruction, pace
 steering, quotas, counters, and the ``wake`` that tells the tenant's
-Coordinator devices are waiting — per hosted population.
+Coordinator devices are waiting — per hosted population.  The
+Coordinator sets and clears a route's instruction in calls
+(:meth:`Selector.receive`, :meth:`Selector.clear_forwarding`); no
+message reaches a Selector.
 
 Its pool is not here: a device WAITING at it is a row of the idle
 plane's columns (Lo et al.'s client registry), counted per ``(selector,
@@ -24,9 +27,10 @@ plane's column writes.  At round start, and for rows admitted while a
 round is forwarding, the Selector draws the rows the round still wants
 uniformly from its pool (the paper's reservoir sampling, footnote 1);
 each drawn row's device is configured, every other one is told to come
-back later — vector writes, like every way out of the pool.  Every
-admission then wakes the tenant's Coordinator (Sec. 4.2's report of how
-many devices are connected, pushed rather than polled).
+back later — vector writes, like every way out of the pool.  An
+admission while no round forwards wakes the tenant's Coordinator
+(Sec. 4.2's report of how many devices are connected, pushed rather than
+polled).
 
 A Selector supervises nothing: the fleet restarts a crashed Selector, and
 a tenant's lifecycle plane its Coordinator (Sec. 4.4's "restarted by the
@@ -45,6 +49,19 @@ import numpy as np
 from repro.actors.kernel import Actor, ActorRef
 from repro.actors import messages as msg
 from repro.core.pace import PaceSteering
+
+
+@dataclass(frozen=True)
+class Forwarding:
+    """A route's standing instruction (Sec. 4.2): forward up to ``count``
+    connected devices of ``population_name`` to round ``round_id`` of task
+    ``task_id``, whose master admits each one to an Aggregator."""
+
+    round_id: int
+    task_id: str
+    count: int
+    master: ActorRef
+    population_name: str
 
 
 @dataclass
@@ -85,7 +102,7 @@ class PopulationRoute:
     #: here (it arms a tick if its pool now suffices).
     wake: Callable[[], None]
     pool_cap: int = 1000
-    forwarding: msg.ForwardDevices | None = None
+    forwarding: Forwarding | None = None
     stats: SelectorStats = field(default_factory=SelectorStats)
     #: Memoized pace window for the current instant: a batched sweep can
     #: reject dozens of devices at one timestamp, and the suggestion only
@@ -263,32 +280,35 @@ class Selector(Actor):
 
     def admitted(self, population_name: str, rows: np.ndarray) -> None:
         """The plane pooled ``rows`` here, admitted by this Selector's
-        screen: a round that is forwarding takes what it still wants, and
-        the tenant's Coordinator hears of what is left — forwarding or
-        not, since a round that has finished may not have cleared its
-        instruction here yet."""
+        screen: a round that is forwarding takes what it still wants;
+        with none forwarding, the tenant's Coordinator hears of them (one
+        that is forwarding has a round running and starts none)."""
         route = self.routes.get(population_name)
         if route is None:
             return
         if route.forwarding is not None:
             self._drain(route, rows)
-        route.wake()
+        else:
+            route.wake()
 
-    # -- message handling ----------------------------------------------------------
-    def receive(self, sender: Optional[ActorRef], message: Any) -> None:
-        if isinstance(message, msg.ForwardDevices):
-            route = self.routes.get(message.population_name)
-            if route is not None:
-                route.forwarding = message
-                self._drain(route, self.plane.pooled(self.index, route.population_name))
-        elif isinstance(message, msg.ClearForwarding):
-            route = self.routes.get(message.population_name)
-            if (
-                route is not None
-                and route.forwarding is not None
-                and route.forwarding.round_id == message.round_id
-            ):
-                route.forwarding = None
+    # -- the Coordinator's calls ---------------------------------------------------
+    def receive(self, sender: Optional[ActorRef], instruction: Forwarding) -> None:
+        """A round of the instruction's tenant starts — its Coordinator
+        calls this, no message is told: offer the round the pool now, and
+        the rows admitted while the instruction stands."""
+        route = self.routes.get(instruction.population_name)
+        if route is not None:
+            route.forwarding = instruction
+            self._drain(route, self.plane.pooled(self.index, route.population_name))
+
+    def clear_forwarding(self, population_name: str, round_id: int | None) -> None:
+        """Round ``round_id`` of the tenant is over: stop forwarding to it
+        (another round's instruction stands)."""
+        route = self.routes.get(population_name)
+        if route is not None and route.forwarding is not None and (
+            route.forwarding.round_id == round_id
+        ):
+            route.forwarding = None
 
     # -- check-in path ---------------------------------------------------------
     def _compatible(self, route: PopulationRoute, runtime_version: int) -> bool:

@@ -7,11 +7,11 @@ claim into a *plane* of the simulation rather than a test fixture:
 
 * :class:`FaultPlan` — a declarative, frozen description of what goes
   wrong: actor-crash schedules per server actor kind
-  (:class:`ActorCrashSchedule`), message drop/delay on the device edge
-  (:class:`MessageFaultConfig`), checkpoint-store write failures
-  (:class:`CheckpointFaultConfig`), and mid-session device interrupts
-  (:class:`DeviceInterruptSchedule`) — plus the :class:`RetryPolicy`
-  knobs for the recovery side.
+  (:class:`ActorCrashSchedule`), message drop/delay on the device edge,
+  which every message crosses (:class:`MessageFaultConfig`),
+  checkpoint-store write failures (:class:`CheckpointFaultConfig`), and
+  mid-session device interrupts (:class:`DeviceInterruptSchedule`) —
+  plus the :class:`RetryPolicy` knobs for the recovery side.
 * :class:`FaultPlane` — executes a plan against a live
   :class:`~repro.system.fleet.FLFleet`.  Every draw comes from pinned
   ``faults/...`` registry streams and every fault fires as a
@@ -34,7 +34,8 @@ layer that spawned it, through one kernel mechanism
 (:class:`~repro.actors.kernel.Restart`, Sec. 4.4's "restarted by the
 layer above") — the fleet restarts a Selector after
 ``config.selector_restart_delay_s``, the lifecycle plane a tenant's
-Coordinator at once, a round's master its shard aggregators.
+Coordinator at once, a Coordinator its round's crashed master (the round
+fails; a fresh one starts), a round's master its shard aggregators.
 
 The lever is ``FLFleet.builder().faults(FaultPlan(...))`` and is off by
 default; a fleet without a plan constructs no plane, installs no hooks,
@@ -51,7 +52,6 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.actors.kernel import ActorRef
-from repro.actors import messages as msg
 from repro.bounds import (
     check,
     count,
@@ -75,23 +75,6 @@ CRASH_KINDS = (
     "master_aggregator",
     "aggregator",
     "shard_aggregator",
-)
-
-#: Message types subject to drop/delay faults: the device<->server edge —
-#: the paper's actually-flaky link (cellular/WiFi gRPC streams).  Every
-#: message of these types crosses that edge: a leaf Aggregator hands a
-#: report or drop on to its master in a call, not a message.
-#: Server-internal control traffic (DeathNotice, RoundFinished,
-#: ForwardDevices, ClearForwarding) is modeled as
-#: reliable intra-datacenter RPC; its failure mode is *actor crashes*,
-#: injected above, never silent message loss.  A check-in is no message
-#: (the idle plane's columns): its drop is drawn by the plane's
-#: ``checkin_fault`` hook, on the same stream.
-DEVICE_EDGE_MESSAGES = (
-    msg.ConfigureDevice,
-    msg.DeviceReport,
-    msg.DeviceDropped,
-    msg.ReportAck,
 )
 
 
@@ -429,10 +412,15 @@ class FaultPlane:
 
     # -- message faults ----------------------------------------------------------
     def _message_fault(self, target: ActorRef, message: Any) -> float | None:
-        """The ``ActorSystem.tell`` hook: ``None`` drops, else extra delay."""
+        """The ``ActorSystem.tell`` hook: ``None`` drops, else extra delay.
+
+        Every message crosses the device<->server edge — the paper's
+        actually-flaky link (cellular/WiFi gRPC streams).  Server actors
+        call each other, as reliable intra-datacenter RPC whose failure
+        mode is *actor crashes*, never silent loss.  A check-in is no
+        message (the idle plane's columns): its drop is drawn by the
+        plane's ``checkin_fault`` hook, on the same stream."""
         config = self.plan.messages
-        if not isinstance(message, DEVICE_EDGE_MESSAGES):
-            return 0.0
         rng = self.fleet.rngs.stream("faults/messages")
         if config.drop_prob > 0.0 and float(rng.random()) < config.drop_prob:
             self.ledger.record("messages_dropped")

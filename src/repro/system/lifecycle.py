@@ -49,7 +49,7 @@ import enum
 import math
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -181,6 +181,9 @@ class PopulationLifecycle:
         them (the builder's tenants attach as one batch and share one
         build); otherwise the members' are built here.
         """
+        if membership is not None:
+            # Through the field's own bounds, before anything is written.
+            spec = replace(spec, membership_fraction=membership)
         spec.validate()
         if spec.name in self.active:
             raise FleetValidationError(
@@ -191,7 +194,7 @@ class PopulationLifecycle:
         # a failed attach leaves the fleet untouched.
         members = self._resolve_membership(
             spec.name,
-            fraction=spec.membership_fraction if membership is None else membership,
+            fraction=spec.membership_fraction,
             member_ids=member_ids,
             overrides=membership_overrides or {},
         )
@@ -392,12 +395,10 @@ class PopulationLifecycle:
         self, runtime: PopulationRuntime, dead_ref: ActorRef
     ) -> None:
         """A crashed Coordinator's replacement — none for a draining or
-        retired tenant.  Its Selectors drop the dead round's forwarding
-        instruction; the replacement resumes from the last checkpoint."""
+        retired tenant.  It resumes from the last checkpoint (the dead one
+        cleared its round's forwarding as it stopped)."""
         if runtime.state is not PopulationState.ATTACHED:
             return
-        for selector in self.fleet.shard_selector_actors(runtime.name):
-            selector.route_of(runtime.name).forwarding = None
         self._spawn_coordinator(runtime)
         self.fleet.recovery.record("coordinator_respawns")
 
@@ -600,7 +601,10 @@ class PopulationLifecycle:
 #: 15: leaf Aggregators lost ``_pending`` and masters their device-to-leaf
 #: map (a leaf hands each report and drop to its master in one call);
 #: leaves and shard aggregators lost their unread ``task_id``.
-SNAPSHOT_FORMAT_VERSION = 15
+#: 16: the kernel lost ``_watchers`` (a Coordinator supervises its masters
+#: with a ``Restart``) and a route's instruction is a ``Forwarding`` record
+#: (Coordinators, Selectors and masters call each other; no message).
+SNAPSHOT_FORMAT_VERSION = 16
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

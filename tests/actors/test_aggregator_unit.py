@@ -19,6 +19,17 @@ class Sink(Actor):
         self.messages.append(message)
 
 
+class StubCoordinator(Actor):
+    """Stands in for the round's Coordinator: records the master's
+    ``round_finished`` calls."""
+
+    def __init__(self):
+        self.finished = []
+
+    def round_finished(self, round_id, task_id, committed):
+        self.finished.append((round_id, task_id, committed))
+
+
 class StubMaster(Actor):
     """Stands in for the round's MasterAggregator: records every call a
     leaf makes and answers each report with ``verdict`` through that leaf
@@ -126,11 +137,12 @@ def test_report_that_completes_the_round_is_in_its_fold():
     initial = Parameters({"w": np.zeros(2)})
     store = CheckpointStore()
     store.initialize(initial, "pop", "t")
+    coordinator = StubCoordinator()
     root = MasterAggregator(
         round_id=1,
         task=TaskConfig("t", "pop", round_config=RoundConfig(
             target_participants=2, overselection_factor=1.0)),
-        coordinator=system.spawn(Sink(), "coordinator"),
+        coordinator=system.spawn(coordinator, "coordinator"),
         store=store,
         rng=np.random.default_rng(1),
     )
@@ -151,6 +163,7 @@ def test_report_that_completes_the_round_is_in_its_fold():
     np.testing.assert_array_equal(committed.to_params().to_vector(), [2.0, 4.0])
     for device in devices.values():
         assert [m.accepted for m in device.messages] == [True]
+    assert coordinator.finished == [(1, "t", True)]
 
 
 def test_duplicate_and_post_drop_reports_ignored():
@@ -264,7 +277,7 @@ def test_fold_buffered_and_functional_byte_identical(monkeypatch):
         root = MasterAggregator(
             round_id=1,
             task=TaskConfig("t", "pop", round_config=round_config),
-            coordinator=system.spawn(Sink(), "coordinator"),
+            coordinator=system.spawn(StubCoordinator(), "coordinator"),
             store=store,
             rng=np.random.default_rng(1),
             shard_slots=shard_slots,
@@ -475,11 +488,12 @@ def test_master_records_a_device_once(deferred):
     store = CheckpointStore()
     store.initialize(initial, "pop", "t")
     metrics = ModelMetricsStore()
+    coordinator = StubCoordinator()
     root = MasterAggregator(
         round_id=1,
         task=TaskConfig("t", "pop", round_config=RoundConfig(
             target_participants=2, overselection_factor=1.0)),
-        coordinator=system.spawn(Sink(), "coordinator"),
+        coordinator=system.spawn(coordinator, "coordinator"),
         store=store,
         rng=np.random.default_rng(1),
         metrics_store=metrics,

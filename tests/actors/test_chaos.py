@@ -15,6 +15,7 @@ ten simulated minutes — with check-ins being dropped.
 """
 
 import pickle
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro import FLFleet, FaultPlan, RoundConfig, TaskConfig
 from repro.actors import messages as msg
 from repro.actors.aggregator import Aggregator
 from repro.actors.master_aggregator import MasterAggregator
+from repro.actors.selector import Selector
 from repro.core.config import SecAggConfig
 from repro.device.actor import DeviceActor
 from repro.device.runtime import ComputeModel
@@ -32,6 +34,7 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.network import NetworkModel
 from repro.sim.population import PopulationConfig
+from repro.system.faults import CRASH_KINDS
 from repro.system import (
     ActorCrashSchedule,
     CheckpointFaultConfig,
@@ -261,6 +264,37 @@ def test_device_edge_faults_meet_only_device_edge_messages(monkeypatch):
     assert len(reports) == len(sent)
 
 
+def test_every_message_told_crosses_the_device_edge(monkeypatch):
+    """Server actors call each other: with all five server actor kinds
+    crashing, every message handed to ``ActorSystem.tell`` is one of the
+    four device-edge types."""
+    plan = FaultPlan(
+        # A round-level victim exists only while a round runs: those
+        # clocks tick often enough to find one.
+        crashes=tuple(
+            ActorCrashSchedule(kind, mean_interval_s=60.0 if "aggregator" in kind else 1200.0)
+            for kind in CRASH_KINDS
+        ),
+        messages=MessageFaultConfig(drop_prob=0.01, delay_prob=0.02, delay_mean_s=2.0),
+    )
+    fleet = build_chaotic_fleet(faults=plan)
+    system = fleet.actors
+    told = Counter()
+    tell = system.tell
+
+    def recording_tell(target, message, sender=None, extra_delay=0.0):
+        told[type(message)] += 1
+        tell(target, message, sender=sender, extra_delay=extra_delay)
+
+    monkeypatch.setattr(system, "tell", recording_tell)
+    fleet.run_for(6 * 3600.0)
+
+    assert set(fleet.report().recovery.faults_by_kind) == set(CRASH_KINDS)
+    edge = {msg.ConfigureDevice, msg.DeviceReport, msg.DeviceDropped, msg.ReportAck}
+    assert set(told) <= edge
+    assert told[msg.ConfigureDevice] >= 50 and told[msg.ReportAck] >= 50
+
+
 # -- control-plane sharding under chaos (ISSUE 10) --------------------------------
 
 SHARDED_CHAOS_PLAN = FaultPlan(
@@ -425,7 +459,7 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
     list and patches nothing else: every live Coordinator's Selectors are
     its shard's entries of that list — one respawned by the Sec. 4.4 lock
     race while the Selector was down included — and the next round's
-    ForwardDevices reaches the replacement."""
+    forwarding call reaches the replacement."""
     tenants = ("t0", "t1", "t2")
     builder = (
         FLFleet.builder()
@@ -449,18 +483,17 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
     fleet = builder.build()
     lifecycle = fleet.lifecycle
 
-    forwards = []  # (tenant, round, target, target alive at delivery)
-    deliver = fleet.actors._deliver
+    forwards = []  # (tenant, round, called Selector, alive when called)
+    receive = Selector.receive
 
-    def spy(target, sender, message):
-        if isinstance(message, msg.ForwardDevices):
-            forwards.append((
-                message.population_name, message.round_id, target,
-                fleet.actors.is_alive(target),
-            ))
-        deliver(target, sender, message)
+    def spy(selector, sender, instruction):
+        forwards.append((
+            instruction.population_name, instruction.round_id, selector.ref,
+            fleet.actors.is_alive(selector.ref),
+        ))
+        receive(selector, sender, instruction)
 
-    monkeypatch.setattr(fleet.actors, "_deliver", spy)
+    monkeypatch.setattr(Selector, "receive", spy)
 
     def coordinator_of(name):
         return lifecycle._coordinator_actor(lifecycle.active[name])
@@ -471,7 +504,7 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
 
     def next_round_reaches(name, replacement):
         """Run until a round of ``name`` starts after now; its
-        ForwardDevices went to the shard's live Selectors only."""
+        Coordinator called the shard's live Selectors only."""
         seen = len(forwards)
         for _ in range(int(6 * 3600 / 60)):
             fleet.run_for(60.0)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro import FLFleet, TaskConfig, RoundConfig
+from repro.actors.coordinator import Coordinator
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
@@ -54,6 +55,40 @@ def test_master_aggregator_crash_fails_round_but_system_recovers():
     # The crashed round never committed, but later rounds did.
     assert len(fleet.committed_rounds) > committed_before
     assert not master_ref.alive
+
+
+def test_master_crash_is_restarted_by_its_coordinator_at_the_crash_instant(
+    monkeypatch,
+):
+    """Sec. 4.4: "the current round ... will fail, but will then be
+    restarted by the Coordinator" — the kernel Restart the Coordinator
+    spawned the master with fires at the crash instant, clears the round's
+    forwarding at its Selectors, and a fresh round commits."""
+    calls = []
+    master_crashed = Coordinator._master_crashed
+
+    def spy(coordinator, dead_ref):
+        calls.append((coordinator.now, dead_ref))
+        master_crashed(coordinator, dead_ref)
+
+    monkeypatch.setattr(Coordinator, "_master_crashed", spy)
+    fleet = build_fleet()
+    master_ref = run_until_active_round(fleet)
+    coordinator = fleet.actors.actor_of(fleet.coordinators["ftest"])
+    crashed_round = coordinator.active_round_id
+    routes = [selector.routes["ftest"] for selector in fleet.selector_actors()]
+    assert {route.forwarding.round_id for route in routes} == {crashed_round}
+    crashed_at = fleet.loop.now
+    fleet.actors.crash(master_ref)
+    fleet.loop.run_for(0.0)
+    assert calls == [(crashed_at, master_ref)]
+    assert coordinator.active_round_id != crashed_round
+    for route in routes:
+        assert route.forwarding is None or route.forwarding.round_id != crashed_round
+    fleet.run_for(2 * 3600)
+    assert len(calls) == 1
+    assert crashed_round not in [r.round_id for r in fleet.round_results]
+    assert any(r.committed for r in fleet.round_results if r.round_id > crashed_round)
 
 
 def test_aggregator_crash_loses_only_its_devices():

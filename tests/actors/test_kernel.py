@@ -1,10 +1,11 @@
-"""Actor kernel: delivery, lifecycle, supervision, failure injection."""
+"""Actor kernel: delivery, lifecycle, supervision (its one mechanism,
+``Restart``), failure injection."""
 
 import pickle
 
 import numpy as np
 
-from repro.actors.kernel import Actor, ActorSystem, DeathNotice, Restart
+from repro.actors.kernel import Actor, ActorSystem, Restart
 from repro.sim.event_loop import EventLoop
 
 
@@ -72,44 +73,17 @@ def test_messages_to_dead_actor_dropped():
     assert not ref.alive
 
 
-def test_crash_notifies_watchers():
+def test_crash_and_stop_tell_on_stop_which_it_was():
     loop, system = make_system()
-    watcher, watched = Recorder(), Recorder()
-    watcher_ref = system.spawn(watcher, "watcher")
-    watched_ref = system.spawn(watched, "watched")
-    system.watch(watcher_ref, watched_ref)
-    system.crash(watched_ref)
-    loop.run()
-    (sender, notice), = watcher.received
-    assert isinstance(notice, DeathNotice)
-    assert notice.crashed
-    assert notice.ref == watched_ref
-    assert watched.stopped_crashed is True
+    crashed, stopped = Recorder(), Recorder()
+    crashed_ref = system.spawn(crashed, "c")
+    stopped_ref = system.spawn(stopped, "s")
+    system.crash(crashed_ref)
+    system.stop(stopped_ref)
+    assert crashed.stopped_crashed is True
+    assert stopped.stopped_crashed is False
+    assert not crashed_ref.alive and not stopped_ref.alive
     assert system.crashes_injected == 1
-
-
-def test_graceful_stop_notice_not_crashed():
-    loop, system = make_system()
-    watcher, watched = Recorder(), Recorder()
-    watcher_ref = system.spawn(watcher, "w")
-    watched_ref = system.spawn(watched, "x")
-    system.watch(watcher_ref, watched_ref)
-    system.stop(watched_ref)
-    loop.run()
-    (_, notice), = watcher.received
-    assert not notice.crashed
-    assert watched.stopped_crashed is False
-
-
-def test_watching_already_dead_actor_fires_immediately():
-    loop, system = make_system()
-    watcher = Recorder()
-    watcher_ref = system.spawn(watcher, "w")
-    doomed_ref = system.spawn(Recorder(), "d")
-    system.crash(doomed_ref)
-    system.watch(watcher_ref, doomed_ref)
-    loop.run()
-    assert len(watcher.received) == 1
 
 
 def test_scheduled_work_skipped_after_death():
@@ -151,36 +125,29 @@ def test_termination_hook_runs():
 
 
 class Respawner:
-    """A restart's ``respawn``: logs (time, dead ref, DeathNotices the
-    watcher had by then) and spawns a fresh Recorder under the dead name."""
+    """A restart's ``respawn``: logs (time, dead ref) and spawns a fresh
+    Recorder under the dead name."""
 
-    def __init__(self, system, watcher=None):
+    def __init__(self, system):
         self.system = system
-        self.watcher = watcher
         self.calls = []
 
     def __call__(self, dead_ref):
-        heard = len(self.watcher.received) if self.watcher is not None else None
-        self.calls.append((self.system.loop.now, dead_ref, heard))
+        self.calls.append((self.system.loop.now, dead_ref))
         self.system.spawn(Recorder(), dead_ref.name)
 
 
-def test_restart_fires_once_at_crash_time_plus_delay_before_death_notices():
+def test_restart_fires_once_at_crash_time_plus_delay():
     loop = EventLoop()
     system = ActorSystem(loop, np.random.default_rng(0), mean_latency_s=0.0)
     for delay in (0.0, 2.5):
-        watcher = Recorder()
-        watcher_ref = system.spawn(watcher, "watcher")
-        respawner = Respawner(system, watcher)
+        respawner = Respawner(system)
         ref = system.spawn(Recorder(), "r", restart=Restart(delay, respawner))
-        system.watch(watcher_ref, ref)
         loop.run_for(1.0)
         crashed_at = loop.now
         system.crash(ref)
         loop.run_for(10.0)
-        # Scheduled before the notice: a zero delay still fires first.
-        assert respawner.calls == [(crashed_at + delay, ref, 0 if delay == 0 else 1)]
-        assert len(watcher.received) == 1
+        assert respawner.calls == [(crashed_at + delay, ref)]
 
 
 def test_graceful_stop_drops_the_restart():
@@ -212,7 +179,7 @@ def test_pending_restart_survives_snapshot_restore():
     system.crash(ref)
     restored = pickle.loads(pickle.dumps(respawner))
     restored.system.loop.run()
-    ((at, dead, _),) = restored.calls
+    ((at, dead),) = restored.calls
     assert (at, dead.actor_id, dead.name) == (6.0, ref.actor_id, "r")
     assert respawner.calls == []  # the original never ran
     # The restored system spawned the replacement.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro import FLFleet, PopulationSpec, TaskConfig, RoundConfig
-from repro.actors.coordinator import CoordinatorConfig
+from repro.actors.coordinator import Coordinator, CoordinatorConfig
+from repro.actors.master_aggregator import MasterAggregator
 from repro.analytics.session_shapes import classify_shape
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
@@ -135,6 +136,50 @@ def test_fleet_sampler_records_device_states():
     assert max(waiting.values) > 0
 
 
+def test_a_pipelined_round_starts_once_its_predecessor_is_gone(monkeypatch):
+    """With pipelining the next round starts inside its predecessor's
+    ``round_finished`` call: by then that round's master, leaves and shard
+    nodes are dead, and when the call returns every live Selector of the
+    shard holds the new round's instruction.  (A forwarding round turns
+    away every row it does not take, so a pool is rarely full when a
+    round ends; a start threshold of zero starts the next round at every
+    end.)"""
+    finishing = []  # masters inside their _finish
+    predecessors_dead = []  # per master started there
+    instructions_held = []  # per such round_finished call
+    finish, start = MasterAggregator._finish, MasterAggregator.on_start
+    round_finished = Coordinator.round_finished
+
+    def spy_finish(master):
+        finishing.append(master)
+        finish(master)
+        finishing.pop()
+
+    def spy_start(master):
+        if finishing:
+            previous = finishing[-1]
+            tree = [previous.ref, *previous.aggregators, *previous.shard_aggregators]
+            predecessors_dead.append(not any(ref.alive for ref in tree))
+        start(master)
+
+    def spy_round_finished(coordinator, round_id, task_id, committed):
+        round_finished(coordinator, round_id, task_id, committed)
+        if coordinator.active_master is not None:
+            instructions_held.append(all(
+                selector.routes["itest"].forwarding.master == coordinator.active_master
+                for selector in coordinator._live_selectors()
+            ))
+
+    monkeypatch.setattr(MasterAggregator, "_finish", spy_finish)
+    monkeypatch.setattr(MasterAggregator, "on_start", spy_start)
+    monkeypatch.setattr(Coordinator, "round_finished", spy_round_finished)
+    monkeypatch.setattr(Coordinator, "_start_threshold", lambda coordinator: 0)
+    fleet, _ = build_fleet()
+    fleet.run_for(2 * 3600)
+    assert len(predecessors_dead) >= 3 and all(predecessors_dead)
+    assert instructions_held == predecessors_dead
+
+
 # -- deadline-driven round scheduling ---------------------------------------------
 #
 # A Coordinator owns at most one pending tick, armed only at an instant a
@@ -151,7 +196,7 @@ def coordinator_of(fleet):
 
 def pending_ticks(fleet, coordinator):
     """The live heap events holding the Coordinator's tick (it schedules
-    nothing else; messages to it are the kernel's ``_deliver`` events)."""
+    nothing else, and no message reaches it)."""
     return [
         event
         for _, _, event in fleet.loop._heap

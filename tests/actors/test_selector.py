@@ -4,9 +4,8 @@ round takes from its pool."""
 import numpy as np
 
 from reference.selection import ReservoirSampler
-from repro.actors import messages as msg
 from repro.actors.kernel import Actor, ActorSystem
-from repro.actors.selector import PopulationRoute, Selector
+from repro.actors.selector import Forwarding, PopulationRoute, Selector
 from repro.core.checkpoint import CheckpointStore
 from repro.core.pace import PaceConfig, PaceSteering
 from repro.device.actor import DeviceState
@@ -142,7 +141,7 @@ def run_rounds(rows: int, demand: int, rounds: int) -> np.ndarray:
         plane.connected_at_s[everyone] = np.arange(rows, dtype=float)
         assert selector.connected_count_for("pop") == rows
         master.demand = demand
-        selector.receive(None, msg.ForwardDevices(round_id, "t", demand, master_ref, "pop"))
+        selector.receive(None, Forwarding(round_id, "t", demand, master_ref, "pop"))
         took = plane.forwarded[-1]
         assert took.size == demand and np.all(np.diff(took) > 0)  # row order
         taken[took] += 1
@@ -150,7 +149,7 @@ def run_rounds(rows: int, demand: int, rounds: int) -> np.ndarray:
         # and the round ends.
         assert selector.connected_count_for("pop") == 0
         plane.release(took, np.zeros(demand))
-        selector.receive(None, msg.ClearForwarding(round_id, "pop"))
+        selector.clear_forwarding("pop", round_id)
     return taken
 
 
@@ -191,7 +190,7 @@ def test_a_round_takes_at_most_what_its_master_still_wants():
     plane._resolve_pools()
     plane._wait_rows(everyone, np.zeros(10, np.intp), np.zeros(10, np.intp), 0.0)
     master.demand = 0  # a round that is reporting takes nobody
-    selector.receive(None, msg.ForwardDevices(1, "t", 4, master_ref, "pop"))
+    selector.receive(None, Forwarding(1, "t", 4, master_ref, "pop"))
     assert plane.forwarded == [] and selector.connected_count_for("pop") == 0
     assert selector.routes["pop"].stats.rejected_quota == 10
     assert not plane.active[everyone].any()
@@ -204,7 +203,7 @@ def test_rows_pooled_while_a_round_forwards_are_drawn_at_once():
     wants of the rows the screen just admitted, and turns the rest away."""
     selector, plane, master, master_ref = pooled_selector(10)
     master.demand = 3
-    selector.receive(None, msg.ForwardDevices(1, "t", 3, master_ref, "pop"))
+    selector.receive(None, Forwarding(1, "t", 3, master_ref, "pop"))
     assert plane.forwarded == []  # an empty pool: nothing to take yet
     rows = np.arange(2, 7)
     plane.scheduler.checkin(rows)
@@ -215,6 +214,14 @@ def test_rows_pooled_while_a_round_forwards_are_drawn_at_once():
     assert selector.connected_count_for("pop") == 0
     assert plane.state_counts()[DeviceState.WAITING] == 3  # nowhere, configuring
     assert selector.routes["pop"].stats.rejected_quota == 2
-    # Forwarding or not, the Coordinator hears of an admission — after the
-    # round took its rows.
-    assert plane.wakes == [0]
+    # The Coordinator is running this round: it hears of no admission
+    # until the round is over and its instruction cleared.
+    assert plane.wakes == []
+    selector.clear_forwarding("pop", 0)  # another round's end: it stands
+    assert selector.routes["pop"].forwarding.round_id == 1
+    selector.clear_forwarding("pop", 1)
+    more = np.arange(7, 9)
+    plane.scheduler.checkin(more)
+    plane._resolve_pools()
+    plane._wait_rows(more, np.zeros(2, np.intp), np.zeros(2, np.intp), 0.0)
+    assert len(plane.forwarded) == 1 and plane.wakes == [2]

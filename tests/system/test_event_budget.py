@@ -5,7 +5,7 @@ What it guards is the shape of the control plane's cost — Coordinators
 sleep through a round and through the gap after it, and a tenant short of
 devices holds no tick at all (its Selectors' admissions wake it), so a
 fleet whose tenants spend most of their time *between* rounds processes
-under sixty events per committed round.  Anything that starts polling
+under fifty events per committed round.  Anything that starts polling
 again moves that figure, where no wall-clock gate would notice: one
 tenant ticking once a second is 7,200 events here, about 240 more per
 committed round.
@@ -19,12 +19,15 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.population import PopulationConfig
 
-#: Events per committed round on the fleet below: at most 59.2 over seeds
-#: 2019 and 1-5 (57.7 at 2019) when pinned, plus 30 % headroom.  With
-#: each leaf relaying every report and drop to its master as a message,
-#: the same seeds read 61.8-63.3; with Coordinators polling their
-#: Selectors once a grid instant while short of devices, 116-141.
-EVENTS_PER_COMMITTED_ROUND_CEILING = 77
+#: Events per committed round on the fleet below: at most 49.4 over seeds
+#: 2019 and 1-5 (47.5 at 2019) when pinned, plus 30 % headroom.  With a
+#: round's forwarding, its clearing, its end and its master's death
+#: notice sent as messages (ten events a round at four Selectors a
+#: shard), the same seeds read 57.7-59.2; with each leaf also relaying
+#: every report and drop to its master as a message, 61.8-63.3; with
+#: Coordinators polling their Selectors once a grid instant while short
+#: of devices, 116-141.
+EVENTS_PER_COMMITTED_ROUND_CEILING = 64
 
 
 def test_events_per_committed_round_stay_within_budget():

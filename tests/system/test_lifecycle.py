@@ -204,6 +204,19 @@ def test_attach_validation():
         fleet.attach_population(stats_spec(membership=1e-9))
 
 
+@pytest.mark.parametrize("membership", [1.5, 0.0, -0.5, float("nan")])
+def test_attach_membership_override_obeys_the_fields_bounds(membership):
+    """``membership=`` overrides the spec's fraction through the field's
+    own rule: out of (0, 1] it is refused by name, before anything is
+    written — not clamped to every device, not reported as an empty
+    membership."""
+    fleet = build_fleet()
+    with pytest.raises(FleetValidationError, match=r"membership_fraction must be in \(0, 1\]"):
+        fleet.attach_population(stats_spec(), membership=membership)
+    assert fleet.lifecycle.find("stats") is None
+    assert not fleet.store.has_checkpoint("stats")
+
+
 def test_builder_populations_go_through_attach():
     """Builder-time populations are 'attach before start' — same runtime
     records, same code path, no second wiring."""
@@ -452,10 +465,10 @@ def test_drain_handles_respawned_coordinator():
 
 
 def test_late_message_for_drained_population_is_not_misrouted():
-    """A message naming a removed population reaches no route — not the
-    single surviving one: every sender names its tenant, and a Selector
-    routes by that name alone."""
-    from repro.actors import messages as msg
+    """A forwarding call naming a removed population reaches no route —
+    not the single surviving one: every caller names its tenant, and a
+    Selector routes by that name alone."""
+    from repro.actors.selector import Forwarding
 
     fleet = build_fleet()
     fleet.attach_population(stats_spec())
@@ -465,11 +478,12 @@ def test_late_message_for_drained_population_is_not_misrouted():
     (survivor,) = selector.routes.values()
     forwarding = survivor.forwarding
     pool = selector.connected_count_for(survivor.population_name)
-    late = msg.ForwardDevices(
+    late = Forwarding(
         round_id=-1, task_id="stats/t", count=5, master=selector.ref,
         population_name="stats",
     )
     selector.receive(None, late)
+    selector.clear_forwarding("stats", -1)
     selector.admitted("stats", np.arange(3))
     assert "stats" not in selector.routes
     assert selector.connected_count_for("stats") == 0
@@ -859,7 +873,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 15
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 16
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -875,8 +889,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # Selector cluster manager, and its routes a Coordinator link; format
     # 13's routes no ``wake``, and its Coordinators polled for devices;
     # format 14's leaves staged reports in ``_pending`` for a relay to
-    # their master.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14):
+    # their master; format 15's kernel kept death watchers, and its routes
+    # held a ``ForwardDevices`` message as their instruction.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -886,7 +901,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 15",
+                match=f"format {older} unsupported .*reads format 16",
             ):
                 read(old)
 
