@@ -30,8 +30,9 @@ to float summation order where a last minibatch is ragged (see
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -76,6 +77,7 @@ def client_update(
     clip_update_norm: float | None = None,
 ) -> ClientUpdateResult:
     """``ClientUpdate(w)`` from Algorithm 1: local SGD, weighted delta out."""
+    _check_clip(clip_update_norm)
     data = dataset
     if max_examples is not None and dataset.num_examples > max_examples:
         idx = rng.choice(dataset.num_examples, size=max_examples, replace=False)
@@ -103,6 +105,11 @@ def client_update(
         mean_loss=float(np.mean(losses)),
         steps=steps,
     )
+
+
+def _check_clip(clip: float | None) -> None:
+    if clip is not None and not 0 < clip < float("inf"):  # NaN fails it too
+        raise ValueError(f"clip_update_norm must be None or finite and > 0, got {clip}")
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +172,25 @@ class LocalStepSchedule:
 BLOCK_BYTES = 8 << 20
 
 
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+_lane_pool: tuple[int, Any] | None = None
+
+
+def _lanes() -> Any:
+    """Lanes 1..'s thread pool, made on first use in each process (a fork has
+    none of its threads); importing ``concurrent.futures`` up front costs 0.6 MB."""
+    global _lane_pool
+    if _lane_pool is None or _lane_pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _lane_pool = (os.getpid(), ThreadPoolExecutor(thread_name_prefix="cohort-lane"))
+    return _lane_pool[1]
+
+
 class CohortUpdateBuffers:
     """Stacked working state for :func:`client_update_cohort`.
 
@@ -172,13 +198,14 @@ class CohortUpdateBuffers:
     padded minibatch gather buffers for one *block* of a cohort — at most
     :meth:`rows_per_block` rows, grown to the largest block (and batch
     shape) seen, never to the cohort; everything handed to the kernels
-    aliases these buffers and is valid only until the next block.  The
-    weighted deltas themselves are written to a caller-owned matrix
-    (:meth:`StackedParameters.write_rows`), so nothing that escapes an
-    execution aliases the buffers.
+    aliases these buffers and is valid only until the next block.  They
+    serve lane 0; lane ``i > 0`` trains on ``siblings[i - 1]``.  Deltas are
+    written to a caller-owned matrix (:meth:`StackedParameters.write_rows`),
+    so nothing that escapes an execution aliases the buffers.
     """
 
-    __slots__ = ("layout", "capacity", "work", "grads", "_batch_x", "_batch_y")
+    __slots__ = ("layout", "capacity", "work", "grads", "_batch_x", "_batch_y",
+                 "siblings")
 
     def __init__(self, layout: ParameterLayout, capacity: int = 0):
         self.layout = layout
@@ -187,13 +214,13 @@ class CohortUpdateBuffers:
         self.grads: StackedParameters | None = None
         self._batch_x: np.ndarray | None = None
         self._batch_y: np.ndarray | None = None
+        self.siblings: list[CohortUpdateBuffers] = []
         if capacity:
             self.ensure(capacity)
 
     def __reduce__(self):
-        # Contents are per-execution scratch (stale rows only ever serve
-        # as masked padding), so a snapshot restores empty stacks at the
-        # same capacity.
+        # Contents are per-execution scratch (stale rows only ever serve as
+        # masked padding): a snapshot restores empty stacks, no siblings.
         return (CohortUpdateBuffers, (self.layout, self.capacity))
 
     def ensure(self, k: int) -> None:
@@ -202,8 +229,7 @@ class CohortUpdateBuffers:
             self.work = StackedParameters(self.layout, k)
             self.grads = StackedParameters(self.layout, k)
             self.capacity = k
-            self._batch_x = None
-            self._batch_y = None
+            self._batch_x = self._batch_y = None
 
     def rows_per_block(self, x: np.ndarray, y: np.ndarray, batch_size: int) -> int:
         """How many rows of features like ``x`` / labels like ``y`` fit
@@ -226,13 +252,8 @@ class CohortUpdateBuffers:
         shape_x = (self.capacity, batch_size, *x.shape[1:])
         shape_y = (self.capacity, batch_size, *y.shape[1:])
         bx, by = self._batch_x, self._batch_y
-        if (
-            bx is None
-            or by is None
-            or bx.shape != shape_x
-            or by.shape != shape_y
-            or bx.dtype != x.dtype
-            or by.dtype != y.dtype
+        if bx is None or by is None or (bx.shape, by.shape, bx.dtype, by.dtype) != (
+            shape_x, shape_y, x.dtype, y.dtype
         ):
             bx = np.zeros(shape_x, dtype=x.dtype)
             by = np.zeros(shape_y, dtype=y.dtype)
@@ -257,26 +278,10 @@ class CohortUpdateResult:
     num_examples: np.ndarray             # (K,) int
     mean_losses: np.ndarray              # (K,)
     steps: np.ndarray                    # (K,) int
-    layout: ParameterLayout
-
-    @property
-    def cohort_size(self) -> int:
-        return len(self.client_ids)
 
     def delta_row(self, i: int) -> np.ndarray:
         """Client ``i``'s flat weighted delta (a view into the matrix)."""
         return self.delta_matrix[i]
-
-    def result(self, i: int) -> ClientUpdateResult:
-        """Client ``i``'s slice as a per-client :class:`ClientUpdateResult`."""
-        return ClientUpdateResult(
-            client_id=self.client_ids[i],
-            delta=self.layout.unflatten(self.delta_matrix[i]),
-            weight=float(self.weights[i]),
-            num_examples=int(self.num_examples[i]),
-            mean_loss=float(self.mean_losses[i]),
-            steps=int(self.steps[i]),
-        )
 
 
 def client_update_cohort(
@@ -309,7 +314,10 @@ def client_update_cohort(
     fits :data:`BLOCK_BYTES`), each gathering only its own clients' data
     and writing its rows straight into the caller-order ``(K, dim)``
     delta matrix; a row's bytes do not depend on which rows share its
-    block.  Results come back in the caller's order.
+    block.  Results come back in the caller's order.  Blocks go round-robin
+    to parallel *lanes* (at most :func:`usable_cpus`; BLAS and large ufuncs
+    release the GIL), each with its own buffers, optimizer and share of the
+    budget; all are joined before the earliest failing block's error is raised.
 
     Pass either pre-drawn ``schedules`` (the cohort plane's deferred
     workloads) or ``datasets`` + ``rngs``, in which case the schedules
@@ -319,6 +327,7 @@ def client_update_cohort(
     same shapes (full minibatches), and equal up to float summation
     order otherwise.
     """
+    _check_clip(clip_update_norm)
     if schedules is None:
         if datasets is None or rngs is None:
             raise ValueError("need schedules, or datasets with rngs")
@@ -341,22 +350,25 @@ def client_update_cohort(
         raise ValueError("buffers were built for a different model structure")
     first = schedules[0].dataset
     block = buffers.rows_per_block(first.x, first.y, batch_size)
-    buffers.ensure(min(block, k))
+    lanes = min(usable_cpus(), -(-k // block))
+    block = max(1, block // lanes)      # each lane's share of the budget
 
     num_examples = np.array([s.num_examples for s in schedules], dtype=np.int64)
     steps = np.array([s.steps for s in schedules], dtype=np.int64)
     order = np.argsort(-steps, kind="stable")
-    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    blocks = list(enumerate(order[i : i + block] for i in range(0, k, block)))
     delta_matrix = np.empty((k, layout.total_size), dtype=np.float64)
     mean_losses = np.empty(k, dtype=np.float64)
-    for start in range(0, k, block):
-        rows = order[start : start + block]
-        deltas, losses = _train_block(
-            model, global_params, [schedules[i] for i in rows],
-            optimizer, clip_update_norm, buffers,
-        )
-        deltas.write_rows(delta_matrix, rows)
-        mean_losses[rows] = losses
+    args = (learning_rate, model, global_params, schedules, clip_update_norm,
+            delta_matrix, mean_losses)
+    siblings = buffers.siblings
+    siblings += [CohortUpdateBuffers(layout) for _ in range(lanes - 1 - len(siblings))]
+    helpers = [_lanes().submit(_run_lane, blocks[i::lanes], siblings[i - 1], *args)
+               for i in range(1, lanes)]
+    failures = [_run_lane(blocks[::lanes], buffers, *args)]
+    failures = [f for f in failures + [lane.result() for lane in helpers] if f]
+    if failures:  # every lane has joined; block indices differ, so no error is compared
+        raise min(failures)[1]
     return CohortUpdateResult(
         client_ids=[s.dataset.client_id for s in schedules],
         delta_matrix=delta_matrix,
@@ -364,43 +376,49 @@ def client_update_cohort(
         num_examples=num_examples,
         mean_losses=mean_losses,
         steps=steps,
-        layout=layout,
     )
 
 
+def _run_lane(blocks: list[tuple[int, np.ndarray]], buffers: CohortUpdateBuffers,
+              learning_rate: float, *block_args: Any) -> tuple[int, Exception] | None:
+    """One lane's ``(index, rows)`` blocks in turn; the first failure's index, error."""
+    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    for index, rows in blocks:
+        try:
+            _train_block(rows, buffers, optimizer, *block_args)
+        except Exception as exc:
+            return index, exc
+    return None
+
+
 def _train_block(
-    model: Model,
-    global_params: Parameters,
-    schedules: list[LocalStepSchedule],
-    optimizer: SGD,
-    clip_update_norm: float | None,
-    buffers: CohortUpdateBuffers,
-) -> tuple[StackedParameters, np.ndarray]:
-    """Train one step-sorted block of a cohort in the first rows of
-    ``buffers``' stacks.  Returns the block's weighted (and clipped)
-    deltas — a view of the working stack, valid until the next block —
-    and its clients' mean losses."""
+    members: np.ndarray, buffers: CohortUpdateBuffers, optimizer: SGD, model: Model,
+    global_params: Parameters, schedules: Sequence[LocalStepSchedule],
+    clip_update_norm: float | None, delta_matrix: np.ndarray, mean_losses: np.ndarray,
+) -> None:
+    """Train the cohort's ``members`` (one step-sorted block) in the first
+    rows of ``buffers``' stacks, then write their weighted (and clipped)
+    deltas and mean losses to their rows of ``delta_matrix`` / ``mean_losses``."""
+    schedules = [schedules[i] for i in members]
     k = len(schedules)
     batch_size = schedules[0].batch_size
+    buffers.ensure(k)
     assert buffers.work is not None and buffers.grads is not None
     work = buffers.work.head(k)
     grads = buffers.grads.head(k)
     work.broadcast_(global_params)
 
     first = schedules[0].dataset
-    batch_x_full, batch_y_full = buffers.batch_buffers(
-        first.x, first.y, batch_size
-    )
+    batch_x_full, batch_y_full = buffers.batch_buffers(first.x, first.y, batch_size)
     batch_x, batch_y = batch_x_full[:k], batch_y_full[:k]
 
-    # The block's data fused into one array, so each local step gathers
-    # every client's padded minibatch with a single flat fancy-index
-    # instead of 2K small takes.  The whole (step -> indices, counts)
-    # table is laid out up front from the schedules' permutations —
-    # per-step work is then one gather, one batched kernel call, and one
-    # stacked SGD step, with no per-client Python inside the loop.
-    # Padding slots point at the block's row 0 (any valid row works — the
-    # kernels mask those columns to exact zeros).
+    # The block's data fused into one array, so each local step gathers every
+    # client's padded minibatch with a single flat fancy-index instead of 2K
+    # small takes.  The whole (step -> indices, counts) table is laid out up
+    # front from the schedules' permutations — per-step work is then one
+    # gather, one batched kernel call, and one stacked SGD step, with no
+    # per-client Python inside the loop.  Padding slots point at the block's
+    # row 0 (any valid row works — the kernels mask those columns to zeros).
     x_all = np.concatenate([s.dataset.x for s in schedules], axis=0)
     y_all = np.concatenate([s.dataset.y for s in schedules], axis=0)
     ns_int = np.array([s.num_examples for s in schedules], dtype=np.int64)
@@ -459,10 +477,9 @@ def _train_block(
         factors[over] = max_norms[over] / norms[over]
         work.scale_rows_(factors)
 
-    mean_losses = np.empty(k, dtype=np.float64)
-    for i in range(k):
-        mean_losses[i] = np.mean(step_losses[: steps_per_client[i], i])
-    return work, mean_losses
+    work.write_rows(delta_matrix, members)
+    for i, row in enumerate(members):
+        mean_losses[row] = np.mean(step_losses[: steps_per_client[i], i])
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,13 @@ change — and a row that fails alone is marked ``failed`` (tallied in
 ``failed_workloads``); the aggregators leave it out of fold and metrics.
 
 Buffer ownership: the plane owns one reusable :class:`~repro.core.
-fedavg.CohortUpdateBuffers` sized to one *block* of rows
-(:data:`~repro.core.fedavg.BLOCK_BYTES` of weights, gradients and padded
-minibatches), not to the largest cohort seen: an execution trains its
-cohort block by block, each block gathering only its own clients' data.
-Each execution writes its weighted deltas into a **freshly-allocated**
-``(K, dim)`` matrix of accepted rows only; a handle's ``delta_vector``
-is a row *view* that keeps the matrix alive (report vectors are
-immutable by pipeline contract), and both die with the round.
+fedavg.CohortUpdateBuffers` sized to one *block* of rows, not to the
+largest cohort seen, and its siblings: a cohort past one block trains its
+blocks on parallel lanes, each on its own buffers, all lanes together
+within :data:`~repro.core.fedavg.BLOCK_BYTES`.  Each execution writes its
+weighted deltas into a **freshly-allocated** ``(K, dim)`` matrix of
+accepted rows only; a handle's ``delta_vector`` is a row *view* that keeps
+the matrix alive (report vectors are immutable), and both die with the round.
 """
 
 from __future__ import annotations

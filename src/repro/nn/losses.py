@@ -94,14 +94,3 @@ def softmax_cross_entropy_cohort(
     dlogits *= mask[:, :, None]
     return losses, dlogits
 
-
-def l2_regularization(
-    weight_decay: float, arrays: list[np.ndarray]
-) -> tuple[float, list[np.ndarray]]:
-    """``(wd/2) * ||w||^2`` penalty and its gradients."""
-    loss = 0.0
-    grads = []
-    for a in arrays:
-        loss += 0.5 * weight_decay * float(np.sum(a * a))
-        grads.append(weight_decay * a)
-    return loss, grads

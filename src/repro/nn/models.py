@@ -22,11 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nn.losses import (
-    softmax,
-    softmax_cross_entropy,
-    softmax_cross_entropy_cohort,
-)
+from repro.nn.losses import softmax_cross_entropy, softmax_cross_entropy_cohort
 from repro.nn.parameters import Parameters, StackedParameters
 
 
@@ -74,7 +70,8 @@ class Model(abc.ABC):
         true batched kernels (einsum/matmul with a cohort axis) that are
         bitwise-identical per row when all rows are full (the per-row
         GEMM shapes then match the per-client call exactly) and equal to
-        float summation order otherwise.
+        float summation order otherwise.  Kernels must be reentrant: the
+        lanes of one cohort call them at once, from several threads.
         """
         k = params.rows
         losses = np.zeros(k, dtype=np.float64)
@@ -330,9 +327,6 @@ class RNNLanguageModel(Model):
             }
         )
         return loss, grads
-
-    def predict_proba(self, params: Parameters, x: np.ndarray) -> np.ndarray:
-        return softmax(self.logits(params, x))
 
     def loss_and_grad_cohort(
         self,

@@ -8,9 +8,15 @@ the batch), differing step counts, ``max_examples`` subsetting and
 ``clip_update_norm`` included.  That is what lets the plane execute a
 round's *accepted set* at the fold, retry a failed group row by row, and
 stay byte-identical to any other grouping of the same workloads — and
-what lets one call train its cohort in memory-budget-sized blocks.
+what lets one call train its cohort in memory-budget-sized blocks, and
+those blocks on parallel lanes.
 """
 
+import os
+import signal
+import threading
+import time
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -19,12 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import fedavg
+from repro.core.config import ClientTrainingConfig
 from repro.core.datasets import ClientDataset
 from repro.core.fedavg import (
     CohortUpdateBuffers,
     LocalStepSchedule,
     client_update_cohort,
 )
+from repro.device.cohort import CohortExecutionPlane
 from repro.nn.models import LogisticRegression, MLPClassifier
 
 MODELS = {
@@ -82,6 +90,23 @@ def assert_same_rows(part, whole):
         assert (loss, steps, weight, n) == ref[1:], client_id
 
 
+def draw_cohort(name, data):
+    """A model, client sizes and a training config: drawn for the small
+    models, the benchmark's own for its two tenants."""
+    if name not in MODELS:
+        model, config, (low, high) = BENCHMARK_SHAPES[name]
+        return model, data.draw(
+            st.lists(st.integers(low, high), min_size=1, max_size=7)
+        ), config
+    return MODELS[name], data.draw(
+        st.lists(st.integers(1, 23), min_size=1, max_size=7)
+    ), dict(
+        epochs=data.draw(st.integers(1, 3)),
+        batch_size=data.draw(st.integers(2, 6)),
+        max_examples=data.draw(st.one_of(st.none(), st.integers(3, 12))),
+    )
+
+
 @st.composite
 def compositions(draw):
     """A cohort and one regrouping of it: a permuted subset, cut into
@@ -133,17 +158,7 @@ def test_block_boundaries_inside_one_call_do_not_move_rows(name, data, clip, see
     """``client_update_cohort`` cuts a cohort past its memory budget into
     blocks of rows; one-row blocks must give every row what one block of
     the whole cohort gives it."""
-    if name in MODELS:
-        model = MODELS[name]
-        sizes = data.draw(st.lists(st.integers(1, 23), min_size=1, max_size=7))
-        config = dict(
-            epochs=data.draw(st.integers(1, 3)),
-            batch_size=data.draw(st.integers(2, 6)),
-            max_examples=data.draw(st.one_of(st.none(), st.integers(3, 12))),
-        )
-    else:
-        model, config, (low, high) = BENCHMARK_SHAPES[name]
-        sizes = data.draw(st.lists(st.integers(low, high), min_size=1, max_size=7))
+    model, sizes, config = draw_cohort(name, data)
     params = model.init(np.random.default_rng(seed))
     schedules = draw_schedules(model, sizes, seed, **config)
     with mock.patch.object(fedavg, "BLOCK_BYTES", 1):
@@ -169,3 +184,176 @@ def test_every_block_size_on_the_benchmark_shapes(tenant):
         for start in range(0, len(sizes), block_size):
             block = schedules[start : start + block_size]
             assert_same_rows(run(model, params, block, None, buffers), whole)
+
+
+@contextmanager
+def pinned_lanes(lanes):
+    """Pin the usable CPUs to ``lanes``; yields the set of threads that
+    ran a lane."""
+    threads = set()
+    run_lane = fedavg._run_lane
+
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        return run_lane(*args)
+
+    with mock.patch.object(fedavg, "usable_cpus", lambda: lanes), \
+            mock.patch.object(fedavg, "_run_lane", spy):
+        yield threads
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(MODELS) + sorted(BENCHMARK_SHAPES))
+@given(
+    data=st.data(),
+    clip=st.one_of(st.none(), st.floats(1e-3, 0.5)),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_lane_count_does_not_move_rows(lanes, name, data, clip, seed):
+    """A cohort past one block trains its blocks on up to ``lanes``
+    parallel lanes, each on its own share of the budget; every row is
+    what one block of the whole cohort gives it."""
+    model, sizes, config = draw_cohort(name, data)
+    params = model.init(np.random.default_rng(seed))
+    schedules = draw_schedules(model, sizes, seed, **config)
+    with mock.patch.object(fedavg, "BLOCK_BYTES", 1 << 40):
+        one_block = run(model, params, schedules, clip)
+    # A budget of ``block_rows`` rows: ceil(K / block_rows) blocks want
+    # lanes, and each lane's blocks hold block_rows // lanes rows.
+    block_rows = data.draw(st.integers(1, 4))
+    first = schedules[0].dataset
+    row_bytes = 16 * params.num_parameters + schedules[0].batch_size * (
+        first.x[0].nbytes + first.y[0].nbytes
+    )
+    with mock.patch.object(fedavg, "BLOCK_BYTES", block_rows * row_bytes), \
+            pinned_lanes(lanes) as threads:
+        on_lanes = run(model, params, schedules, clip)
+    assert len(threads) == min(lanes, -(-len(sizes) // block_rows))
+    assert list(on_lanes) == list(one_block)
+    assert_same_rows(on_lanes, one_block)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_trains_on_lanes_of_its_own():
+    """The lanes' thread pool is made per process: a child forked after
+    its parent trained on two lanes has none of the parent's threads, and
+    trains on two lanes of its own (with the parent's pool it would hang
+    until the alarm)."""
+    model = MODELS["logreg"]
+    params = model.init(np.random.default_rng(2))
+    schedules = draw_schedules(model, [9, 5, 7, 4], 2, 1, 3, None)
+    with mock.patch.object(fedavg, "BLOCK_BYTES", 1), pinned_lanes(2) as threads:
+        parent = run(model, params, schedules, None)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(20)
+                threads.clear()
+                child = run(model, params, schedules, None)
+                code = int(len(threads) != 2 or any(
+                    not np.array_equal(child[c][0], parent[c][0]) for c in parent
+                ))
+            finally:
+                os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+class PoisonedRow(Exception):
+    pass
+
+
+class Poisoned(LogisticRegression):
+    """Raises on a block holding a marked client (first feature
+    ``1000 + i`` for client ``i``), after ``DELAYS[i]`` seconds; every
+    other call sleeps a little first, so lanes overlap.  Counts the calls
+    in flight and finished."""
+
+    DELAYS = {1: 0.05}
+
+    def __init__(self):
+        super().__init__(input_dim=5, n_classes=3)
+        self.lock = threading.Lock()
+        self.in_flight = 0
+        self.finished = 0
+
+    def loss_and_grad_cohort(self, params, x, y, counts, out):
+        with self.lock:
+            self.in_flight += 1
+        try:
+            marked = x[..., 0][x[..., 0] >= 1000]
+            if marked.size:
+                client = int(marked.min()) - 1000
+                time.sleep(self.DELAYS.get(client, 0.0))
+                raise PoisonedRow(client)
+            time.sleep(0.005)
+            return super().loss_and_grad_cohort(params, x, y, counts, out)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+                self.finished += 1
+
+
+def poisoned_cohort(marked):
+    rng = np.random.default_rng(8)
+    datasets = []
+    for i in range(7):
+        x = rng.normal(size=(8, 5))
+        if i in marked:
+            x[:, 0] = 1000 + i
+        datasets.append(ClientDataset(f"c{i}", x, rng.integers(0, 3, size=8)))
+    return datasets
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_a_failing_block_raises_the_earliest_error_after_every_lane(lanes):
+    """Clients 1 and 2 fail, client 1 last in time (it sleeps first).
+    One-row blocks in step order are the clients, so lane ``l`` trains
+    clients ``l, l + lanes, ...``: every lane joins before the raise,
+    which is block 1's error whichever lane finished failing first."""
+    model = Poisoned()
+    params = model.init(np.random.default_rng(1))
+    schedules = [
+        LocalStepSchedule.draw(d, 1, 4, np.random.default_rng(i))
+        for i, d in enumerate(poisoned_cohort({1, 2}))
+    ]
+    with mock.patch.object(fedavg, "BLOCK_BYTES", 1), pinned_lanes(lanes) as threads:
+        with pytest.raises(PoisonedRow) as raised:
+            client_update_cohort(model, params, schedules, learning_rate=0.1)
+        assert model.in_flight == 0
+        finished = model.finished
+        time.sleep(0.05)
+    assert raised.value.args == (1,)
+    assert model.finished == finished
+    assert len(threads) == lanes
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_the_plane_fallback_fails_the_same_rows_on_every_lane_count(lanes):
+    """The plane's row-by-row retry after a lane failure marks exactly
+    the poisoned rows failed, and the survivors' bytes are a clean
+    one-lane run's."""
+    config = ClientTrainingConfig(epochs=1, batch_size=4, learning_rate=0.1)
+    marked = {1, 2, 5}
+
+    def execute(model, datasets, lanes):
+        plane = CohortExecutionPlane(model)
+        params = model.init(np.random.default_rng(1))
+        handles = [
+            plane.enqueue(d, params, config, np.random.default_rng(i), "round")
+            for i, d in enumerate(datasets)
+        ]
+        with mock.patch.object(fedavg, "BLOCK_BYTES", 1), pinned_lanes(lanes):
+            assert plane.execute_pending(handles) == len(handles)
+        return plane, handles
+
+    plane, handles = execute(Poisoned(), poisoned_cohort(marked), lanes)
+    assert {i for i, h in enumerate(handles) if h.failed} == marked
+    assert plane.failed_workloads == len(marked)
+    _, clean = execute(Poisoned(), poisoned_cohort(set()), 1)
+    for i, handle in enumerate(handles):
+        if i not in marked:
+            assert np.array_equal(handle.delta_vector, clean[i].delta_vector)
+            assert handle.mean_loss == clean[i].mean_loss

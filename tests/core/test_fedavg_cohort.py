@@ -166,9 +166,11 @@ def test_prebuilt_schedules_equal_datasets_path():
     assert np.array_equal(a.mean_losses, b.mean_losses)
 
 
-def test_buffers_reused_across_cohort_sizes(monkeypatch):
-    """One buffer set serves cohorts of every size and holds at most one
-    block: a cohort past the budget runs in blocks, never grows it."""
+def reused_capacities(monkeypatch, lanes):
+    """Run cohorts of 3, 7 and 2 rows through one buffer set on at most
+    ``lanes`` lanes, each row against its per-client call; returns the
+    capacity of lane 0's buffers and of their siblings' after each."""
+    monkeypatch.setattr(fedavg, "usable_cpus", lambda: lanes)
     model = EXACT_MODELS["logreg"]
     params = model.init(np.random.default_rng(1))
     buffers = CohortUpdateBuffers(params.layout)
@@ -186,22 +188,38 @@ def test_buffers_reused_across_cohort_sizes(monkeypatch):
             rngs=[np.random.default_rng(i) for i in range(len(sizes))],
             epochs=1, batch_size=8, learning_rate=0.1, buffers=buffers,
         )
-        assert stacked.cohort_size == len(sizes)
+        assert len(stacked.client_ids) == len(sizes)
         for i, dataset in enumerate(datasets):
             single = client_update(
                 model, params, dataset, epochs=1, batch_size=8,
                 learning_rate=0.1, rng=np.random.default_rng(i),
             )
             assert np.array_equal(stacked.delta_row(i), single.delta.to_vector())
-        capacities.append(buffers.capacity)
-    assert capacities == [3, 4, 4]
+        siblings = [sibling.capacity for sibling in buffers.siblings]
+        capacities.append((buffers.capacity, siblings))
+    return capacities
 
 
-def test_working_memory_is_one_block_not_the_cohort():
+def test_buffers_reused_across_cohort_sizes(monkeypatch):
+    """One buffer set serves cohorts of every size and holds at most one
+    block: a cohort past the budget runs in blocks, never grows it."""
+    assert reused_capacities(monkeypatch, lanes=1) == [(3, []), (4, []), (4, [])]
+
+
+def test_buffers_reused_across_cohort_sizes_on_two_lanes(monkeypatch):
+    """On two lanes the 7-row cohort runs 2-row blocks, half the budget
+    each, lane 1 on a sibling buffer set; the cohorts that fit one block
+    stay on lane 0 and leave the sibling alone."""
+    assert reused_capacities(monkeypatch, lanes=2) == [(3, []), (3, [2]), (3, [2])]
+
+
+def test_working_memory_is_one_block_not_the_cohort(monkeypatch):
     """A cohort's peak allocation is its delta matrix, one block's stacks
     and its data — not K × the model.  Here a row's weights and
     gradients are 4.2 MB, so stacking all 12 rows would add 50 MB to the
-    25 MB delta matrix; one block adds at most the budget."""
+    25 MB delta matrix; one block adds at most the budget.  Two lanes
+    train a one-row block each, in parallel, within the same bound."""
+    monkeypatch.setattr(fedavg, "usable_cpus", lambda: 2)
     model = LogisticRegression(input_dim=2048, n_classes=128)
     params = model.init(np.random.default_rng(1))
     rng = np.random.default_rng(2)
@@ -247,19 +265,28 @@ def test_delta_matrix_is_freshly_owned():
     assert np.array_equal(a.delta_matrix, kept)
 
 
-def test_result_accessor_round_trips():
+@pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan"), float("inf")])
+def test_bad_clip_norm_is_refused_before_any_draw(clip):
+    """Both paths refuse a clip norm a config would refuse (-1 would
+    negate every delta, 0 zero it, NaN leave the cohort path unclipped
+    and the per-client one all-NaN) before they draw anything."""
     model = EXACT_MODELS["logreg"]
     params = model.init(np.random.default_rng(1))
-    datasets = make_datasets("logreg", [16, 16])
-    stacked = client_update_cohort(
-        model, params, datasets=datasets,
-        rngs=[np.random.default_rng(i) for i in range(2)],
-        epochs=1, batch_size=8, learning_rate=0.1,
-    )
-    single = stacked.result(1)
-    assert single.client_id == "c1"
-    assert single.weight == 16.0
-    assert np.array_equal(single.delta.to_vector(), stacked.delta_row(1))
+    dataset = make_datasets("logreg", [16])[0]
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    message = "clip_update_norm must be None or finite and > 0"
+    with pytest.raises(ValueError, match=message):
+        client_update(
+            model, params, dataset, epochs=1, batch_size=8, learning_rate=0.1,
+            rng=rng, max_examples=8, clip_update_norm=clip,
+        )
+    with pytest.raises(ValueError, match=message):
+        client_update_cohort(
+            model, params, datasets=[dataset], rngs=[rng], epochs=1,
+            batch_size=8, max_examples=8, clip_update_norm=clip,
+        )
+    assert rng.bit_generator.state == state
 
 
 def test_empty_cohort_rejected():

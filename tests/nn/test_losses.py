@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.losses import l2_regularization, softmax, softmax_cross_entropy
+from repro.nn.losses import softmax, softmax_cross_entropy
 
 
 def test_softmax_rows_sum_to_one(rng):
@@ -45,9 +45,3 @@ def test_cross_entropy_batch_mismatch():
     with pytest.raises(ValueError, match="batch mismatch"):
         softmax_cross_entropy(np.zeros((3, 2)), np.zeros(4, dtype=int))
 
-
-def test_l2_regularization_value_and_grad():
-    arrays = [np.array([3.0, 4.0])]
-    loss, grads = l2_regularization(0.1, arrays)
-    assert loss == pytest.approx(0.05 * 25.0)
-    np.testing.assert_allclose(grads[0], 0.1 * arrays[0])
