@@ -31,6 +31,7 @@ to float summation order where a last minibatch is ragged (see
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
@@ -183,11 +184,13 @@ _lane_pool: tuple[int, Any] | None = None
 
 def _lanes() -> Any:
     """Lanes 1..'s thread pool, made on first use in each process (a fork has
-    none of its threads); importing ``concurrent.futures`` up front costs 0.6 MB."""
+    none of its threads); importing ``concurrent.futures`` up front costs 0.6 MB.
+    Its ``max_workers`` is the default's without the cap of 32: above any CPU count."""
     global _lane_pool
     if _lane_pool is None or _lane_pool[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
-        _lane_pool = (os.getpid(), ThreadPoolExecutor(thread_name_prefix="cohort-lane"))
+        _lane_pool = (os.getpid(), ThreadPoolExecutor(
+            max_workers=(os.cpu_count() or 1) + 4, thread_name_prefix="cohort-lane"))
     return _lane_pool[1]
 
 
@@ -363,9 +366,12 @@ def client_update_cohort(
             delta_matrix, mean_losses)
     siblings = buffers.siblings
     siblings += [CohortUpdateBuffers(layout) for _ in range(lanes - 1 - len(siblings))]
-    helpers = [_lanes().submit(_run_lane, blocks[i::lanes], siblings[i - 1], *args)
+    # One start barrier: a worker that took a helper lane cannot take the next
+    # too.  No deadlock: lanes <= usable CPUs < the pool's max_workers.
+    start = threading.Barrier(lanes)
+    helpers = [_lanes().submit(_run_lane, blocks[i::lanes], siblings[i - 1], start, *args)
                for i in range(1, lanes)]
-    failures = [_run_lane(blocks[::lanes], buffers, *args)]
+    failures = [_run_lane(blocks[::lanes], buffers, start, *args)]
     failures = [f for f in failures + [lane.result() for lane in helpers] if f]
     if failures:  # every lane has joined; block indices differ, so no error is compared
         raise min(failures)[1]
@@ -380,8 +386,11 @@ def client_update_cohort(
 
 
 def _run_lane(blocks: list[tuple[int, np.ndarray]], buffers: CohortUpdateBuffers,
-              learning_rate: float, *block_args: Any) -> tuple[int, Exception] | None:
-    """One lane's ``(index, rows)`` blocks in turn; the first failure's index, error."""
+              start: threading.Barrier, learning_rate: float,
+              *block_args: Any) -> tuple[int, Exception] | None:
+    """One lane's ``(index, rows)`` blocks in turn, once every lane has
+    started; the first failure's index, error."""
+    start.wait()
     optimizer = SGD(SGDConfig(learning_rate=learning_rate))
     for index, rows in blocks:
         try:

@@ -11,7 +11,7 @@ participant in the simulated fleet.
 """
 
 from repro.device.example_store import ExampleStore, ExampleStoreRegistry
-from repro.device.attestation import AttestationService, AttestationToken
+from repro.device.attestation import AttestationService
 from repro.device.scheduler import JobSchedule
 from repro.device.cohort import CohortExecutionPlane, PendingCohortResult
 from repro.device.runtime import (
@@ -27,7 +27,6 @@ __all__ = [
     "ExampleStore",
     "ExampleStoreRegistry",
     "AttestationService",
-    "AttestationToken",
     "JobSchedule",
     "CohortExecutionPlane",
     "PendingCohortResult",

@@ -11,38 +11,19 @@ nonce-bound MACs under that key.  Compromised devices hold self-made keys
 and fail verification — exercising the data-poisoning defence without
 real hardware-backed keystores.
 
-A fleet runs one token round per device, when the idle plane enrolls its
-row (``VectorizedIdlePlane.adopt_rows``): the verdict is deterministic,
-so the plane caches it and every Selector screen reads the cache.  A
-rejected device is counted once, under its Selector route's
+A fleet attests its devices in one batched round when the idle plane
+enrolls their rows (``VectorizedIdlePlane.adopt_rows``): each device still
+makes its own token round, but no token object is built (the per-device
+flow is the oracle in ``tests/reference/attestation.py``).  The verdict
+is deterministic, so the plane caches it and every Selector screen reads
+the cache.  A rejected device is counted once, under its Selector route's
 ``rejected_attestation``, at each check-in the screen bounces.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class AttestationToken:
-    """A nonce-bound proof of device genuineness (PII-free)."""
-
-    device_id: int
-    nonce: int
-    signature: bytes
-
-
-def _device_key(platform_secret: bytes, device_id: int) -> bytes:
-    return hashlib.sha256(
-        platform_secret + device_id.to_bytes(8, "little")
-    ).digest()
-
-
-def _sign(key: bytes, device_id: int, nonce: int) -> bytes:
-    return hashlib.sha256(
-        key + device_id.to_bytes(8, "little") + nonce.to_bytes(8, "little")
-    ).digest()
+from typing import Iterable
 
 
 class AttestationService:
@@ -52,24 +33,30 @@ class AttestationService:
         self._platform_secret = platform_secret
         self._nonce_counter = 0
 
-    # -- device side -------------------------------------------------------------
-    def issue_token(self, device_id: int, genuine: bool) -> AttestationToken:
-        """Create the token a device presents at check-in.
+    def attest(self, device_ids: Iterable[int], genuine: Iterable[bool]) -> list[bool]:
+        """One token round per device, in order; each device's verdict.
 
-        Genuine devices sign with the platform-derived key; compromised
-        ones can only fabricate a key (and thus an invalid signature).
-        """
-        self._nonce_counter += 1
+        The device signs the next nonce with its key (platform-derived if
+        ``genuine``, else forged); the server re-derives the key from the
+        platform secret, re-signs and compares.  A key is ``sha256(secret ||
+        id)``, a signature ``sha256(key || id || nonce)`` (8-byte little-endian
+        ints); the prefixes' hash states are made once and copied."""
+        sha256 = hashlib.sha256
+        issuer, server = sha256(self._platform_secret), sha256(self._platform_secret)
+        forged = sha256(b"forged")
         nonce = self._nonce_counter
-        if genuine:
-            key = _device_key(self._platform_secret, device_id)
-        else:
-            key = hashlib.sha256(b"forged" + device_id.to_bytes(8, "little")).digest()
-        return AttestationToken(
-            device_id=device_id, nonce=nonce, signature=_sign(key, device_id, nonce)
-        )
-
-    # -- server side -------------------------------------------------------------
-    def verify(self, token: AttestationToken) -> bool:
-        key = _device_key(self._platform_secret, token.device_id)
-        return _sign(key, token.device_id, token.nonce) == token.signature
+        verdicts = []
+        for device_id, is_genuine in zip(device_ids, genuine):
+            nonce += 1
+            id_bytes = device_id.to_bytes(8, "little")
+            signed = id_bytes + nonce.to_bytes(8, "little")
+            # Device side: sign with the key this device holds.
+            key = (issuer if is_genuine else forged).copy()
+            key.update(id_bytes)
+            signature = sha256(key.digest() + signed).digest()
+            # Server side: re-derive the key from the platform secret.
+            key = server.copy()
+            key.update(id_bytes)
+            verdicts.append(sha256(key.digest() + signed).digest() == signature)
+        self._nonce_counter = nonce
+        return verdicts

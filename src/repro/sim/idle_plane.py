@@ -277,13 +277,9 @@ class VectorizedIdlePlane:
         self._job_interval_s[rows] = job_interval_s
         # One real token round per device, at enrollment: the verdict is
         # deterministic, so every screen reads it instead of re-hashing.
-        issue, verify = self._attestation.issue_token, self._attestation.verify
-        self._attestation_ok[rows] = [
-            verify(issue(device_id, genuine))
-            for device_id, genuine in zip(
-                device_ids.tolist(), self._genuine[rows].tolist()
-            )
-        ]
+        self._attestation_ok[rows] = self._attestation.attest(
+            device_ids.tolist(), self._genuine[rows].tolist()
+        )
 
     def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
         """Enroll a hand-built device — a batch of one row, its object

@@ -247,9 +247,10 @@ class FLFleet:
             raise FleetValidationError("fleet declares no populations")
         self._build_substrate()
         overrides = membership_overrides or {}
-        # The builder's tenants share one build of every row's profile
-        # (twelve tenants over the same rows would otherwise build twelve).
-        profiles = self.profiles[:]
+        # Several tenants share one build of every row's profile (twelve
+        # over the same rows would otherwise build twelve); one tenant
+        # streams its members' profiles instead of holding every row's.
+        profiles = self.profiles[:] if len(specs) > 1 else None
         for spec in specs:
             self.lifecycle.attach(
                 spec, membership_overrides=overrides, profiles=profiles

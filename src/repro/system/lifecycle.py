@@ -51,6 +51,7 @@ import os
 import pickle
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -82,6 +83,10 @@ ROUND_ID_STRIDE = 1_000_000
 #: gone quiet.  A fixed cadence keeps drains deterministic; the checks
 #: themselves never mutate state, so polling cannot perturb the run.
 DRAIN_POLL_INTERVAL_S = 15.0
+
+#: Member profiles an attach builds at a time, each chunk handed to the
+#: factory as built: it holds one chunk of them, not one per member.
+PROFILE_CHUNK_ROWS = 2048
 
 
 class PopulationState(enum.Enum):
@@ -178,8 +183,8 @@ class PopulationLifecycle:
         ``membership_overrides`` is the builder's global per-device map
         (device id -> population names the device belongs to).
         ``profiles`` is every row's profile, when the caller has built
-        them (the builder's tenants attach as one batch and share one
-        build); otherwise the members' are built here.
+        them (several builder tenants attach as one batch and share one
+        build); otherwise the members' are built here, a chunk at a time.
         """
         if membership is not None:
             # Through the field's own bounds, before anything is written.
@@ -200,11 +205,13 @@ class PopulationLifecycle:
         )
         # Factories are user code that may consume shared state in call
         # order: called now, once per member in device-id order, object or
-        # row alike, each with a profile built for the attach (one bulk
-        # pass over the plane's columns; the fleet keeps none).
+        # row alike, each with a profile built for the attach (bulk passes
+        # over the plane's columns, one per chunk; the fleet keeps none).
         factory = self.fleet.resolve_trainer_factory(spec)
         if profiles is None:
-            profiles = self.fleet.idle_plane.profiles(members)
+            build, step = self.fleet.idle_plane.profiles, PROFILE_CHUNK_ROWS
+            chunks = np.split(members, range(step, members.size, step))
+            profiles = chain.from_iterable(map(build, chunks))
         else:
             profiles = map(profiles.__getitem__, members.tolist())
         trainers = [factory(profile) for profile in profiles]

@@ -12,7 +12,8 @@ columns, not a Python object.  On an idle-majority fleet (the regime of
   reporting on the fleet constructs none;
 * what ``.build()`` allocates per row — profile and link columns, the
   tenant's trainer and every other column included — stays under a
-  stated budget;
+  stated budget, and its traced peak stays within a smaller one of what
+  it keeps;
 * every check-in is still on its device's health record, even when the
   walk that reads the records is what constructs most of the devices.
 
@@ -47,6 +48,12 @@ ROWS = 20_000
 #: one ``DeviceActor`` per row, with its row handles and mailbox, was
 #: ~3.7 kB.
 BUILD_BYTES_PER_ROW = 400
+#: Traced bytes per row the peak during ``.build()`` may exceed what the
+#: build keeps.  It measures 24 B: the tenant's factory gets its members'
+#: ``DeviceProfile``s a chunk at a time (~0.25 kB a profile, one chunk
+#: live) and the fleet is attested in one batched round.  It was 263 B
+#: while the build held every row's profile in one list.
+BUILD_PEAK_BYTES_PER_ROW = 64
 
 
 def build_fleet():
@@ -104,11 +111,12 @@ def test_a_never_admitted_device_is_only_a_row(monkeypatch):
         before, _ = tracemalloc.get_traced_memory()
         fleet = build_fleet()
         gc.collect()
-        after, _ = tracemalloc.get_traced_memory()
+        after, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # (c) the build's bytes per row.
+    # (c) the build's bytes per row, and its peak's.
     assert (after - before) / ROWS <= BUILD_BYTES_PER_ROW
+    assert (peak - after) / ROWS <= BUILD_PEAK_BYTES_PER_ROW
 
     # (a) rows only: after the build, and after the sweep that starts them.
     plane = fleet.idle_plane

@@ -34,7 +34,9 @@ from repro.device.runtime import RealTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression, MLPClassifier
 from repro.sim.diurnal import DiurnalModel
+from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig
+from repro.system import lifecycle
 from repro.system import (
     ActorCrashSchedule,
     DeviceInterruptSchedule,
@@ -42,6 +44,7 @@ from repro.system import (
     SnapshotError,
     read_manifest,
 )
+from repro.system.fleet import SyntheticTrainerFactory
 from repro.system.lifecycle import SNAPSHOT_FORMAT_VERSION
 
 HOUR = 3600.0
@@ -343,6 +346,68 @@ def test_failed_attach_leaves_no_server_state(monkeypatch):
     fleet.attach_population(stats_spec())
     fleet.run_for(2 * HOUR)
     assert fleet.report().population("stats").rounds_committed > 0
+
+
+class RecordingFactory:
+    """The default factory, recording every profile it is called with."""
+
+    def __init__(self, params):
+        self.profiles = []
+        self.default = SyntheticTrainerFactory(params.num_parameters)
+
+    def __call__(self, profile):
+        self.profiles.append(profile)
+        return self.default(profile)
+
+
+@pytest.mark.parametrize("tenants", [1, 3])
+def test_factories_see_each_member_once_in_device_id_order(monkeypatch, tenants):
+    """Each factory is called once per member, in device-id order, with the
+    member's profile.  One builder tenant and a live attach stream their
+    members' profiles a chunk at a time; several builder tenants share one
+    build of every row's."""
+    monkeypatch.setattr(lifecycle, "PROFILE_CHUNK_ROWS", 7)
+    built = []  # rows of each bulk profile build
+    profiles = VectorizedIdlePlane.profiles
+
+    def recording(plane, rows):
+        built.append(len(plane._device_id[rows]))
+        return profiles(plane, rows)
+
+    monkeypatch.setattr(VectorizedIdlePlane, "profiles", recording)
+
+    def assert_called_per_member(factory, runtime):
+        members = runtime.members.tolist()
+        assert [profile.device_id for profile in factory.profiles] == members
+        assert factory.profiles == [fleet.profiles[row] for row in members]
+        assert len(runtime.trainers) == len(members)
+
+    builder = (
+        FLFleet.builder()
+        .seed(5)
+        .devices(PopulationConfig(num_devices=150))
+        .job(JobSchedule(900.0, 0.5))
+    )
+    factories = {f"t{i}": RecordingFactory(KBD_INIT) for i in range(tenants)}
+    for name, factory in factories.items():
+        builder.population(name, tasks=[task_for(name)], model=KBD_INIT,
+                           trainer_factory=factory, membership=0.6)
+    fleet = builder.build()
+    if tenants == 1:
+        assert max(built) == 7
+        assert sum(built) == fleet.lifecycle.runtime("t0").members.size
+    else:
+        assert built == [150]
+    for name, factory in factories.items():
+        assert_called_per_member(factory, fleet.lifecycle.runtime(name))
+
+    fleet.run_for(HOUR)
+    built.clear()
+    spec = stats_spec()
+    spec.trainer_factory = live = RecordingFactory(STATS_INIT)
+    runtime = fleet.attach_population(spec)
+    assert max(built) == 7 and sum(built) == runtime.members.size
+    assert_called_per_member(live, runtime)
 
 
 class ExplodingFactory:
