@@ -11,7 +11,7 @@ round, and nothing else ever persists per-device data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from repro.nn.parameters import Parameters
 from repro.nn.serialization import params_from_bytes, params_to_bytes
@@ -29,20 +29,11 @@ class FLCheckpoint:
 
     @classmethod
     def from_params(
-        cls,
-        params: Parameters,
-        population_name: str,
-        task_id: str,
-        round_number: int,
-        **metadata: object,
+        cls, params: Parameters, population_name: str, task_id: str,
+        round_number: int, **metadata: object,
     ) -> "FLCheckpoint":
-        return cls(
-            payload=params_to_bytes(params),
-            population_name=population_name,
-            task_id=task_id,
-            round_number=round_number,
-            metadata=dict(metadata),
-        )
+        payload = params_to_bytes(params)
+        return cls(payload, population_name, task_id, round_number, metadata)
 
     def to_params(self) -> Parameters:
         return params_from_bytes(self.payload)
@@ -58,30 +49,37 @@ class FLCheckpoint:
 
 
 class CheckpointWriteError(RuntimeError):
-    """A (simulated) persistent-storage write failed.
+    """A (simulated) persistent-storage write failed: the retryable failure
+    an installed write fault raises in :meth:`CheckpointStore.commit`, unlike
+    a non-monotonic commit's :class:`ValueError` (no retry fixes that)."""
 
-    Raised by :meth:`CheckpointStore.commit` when an installed write
-    fault fires — the transient, retryable failure class, as opposed to
-    the :class:`ValueError` a non-monotonic commit raises (a logic
-    conflict no retry can fix).
-    """
+
+class CommitRecord(NamedTuple):
+    """One durable write without its model: an entry of the store's log."""
+
+    population_name: str
+    task_id: str
+    round_number: int
+    nbytes: int
 
 
 class CheckpointStore:
     """In-memory stand-in for the server's persistent storage.
 
-    Tracks write counts so tests can assert the "commit only after full
-    aggregation" invariant: exactly one write per successful round, zero
-    per abandoned round.  ``write_count`` counts only *durable* writes —
-    an injected write failure increments ``failed_write_count`` instead,
-    so the invariant holds under write retries.
+    It keeps one model per population, the latest, and logs every durable
+    write as a payload-free :class:`CommitRecord`: a commit grows it by a
+    record, not by a model.  ``write_count`` counts durable writes only
+    (an injected write failure counts in ``failed_write_count``), so one
+    write per successful round and none per abandoned one holds under
+    write retries.
     """
 
     def __init__(self) -> None:
         self._latest: dict[str, FLCheckpoint] = {}
-        self._history: dict[str, list[FLCheckpoint]] = {}
+        #: Per population, a plain (population, task, round, nbytes) tuple
+        #: per write, which the collector stops tracking; ``history`` names it.
+        self._log: dict[str, list[tuple]] = {}
         self.write_count = 0
-        self.read_count = 0
         self.failed_write_count = 0
         #: Fault hook (the fault plane installs one): () -> bool, True
         #: when this write attempt should fail.  ``None`` = never fails.
@@ -102,15 +100,17 @@ class CheckpointStore:
         if self.write_fault is not None and self.write_fault():
             self.failed_write_count += 1
             raise CheckpointWriteError(
-                f"injected write failure for {key} round "
-                f"{checkpoint.round_number}"
+                f"injected write failure for {key} round {checkpoint.round_number}"
             )
+        self._write(checkpoint)
+
+    def _write(self, checkpoint: FLCheckpoint) -> None:
+        key = checkpoint.population_name
         self._latest[key] = checkpoint
-        self._history.setdefault(key, []).append(checkpoint)
+        self._log.setdefault(key, []).append((*checkpoint.round_key, checkpoint.nbytes))
         self.write_count += 1
 
     def latest(self, population_name: str) -> FLCheckpoint:
-        self.read_count += 1
         if population_name not in self._latest:
             raise KeyError(f"no checkpoint for population {population_name!r}")
         return self._latest[population_name]
@@ -118,27 +118,21 @@ class CheckpointStore:
     def has_checkpoint(self, population_name: str) -> bool:
         return population_name in self._latest
 
-    def history(self, population_name: str) -> list[FLCheckpoint]:
-        return list(self._history.get(population_name, []))
+    def history(self, population_name: str) -> list[CommitRecord]:
+        """Every durable write of ``population_name``, in write order."""
+        return list(map(CommitRecord._make, self._log.get(population_name, ())))
 
     def initialize(
-        self,
-        params: Parameters,
-        population_name: str,
-        task_id: str,
+        self, params: Parameters, population_name: str, task_id: str,
         round_number: int = 0,
     ) -> FLCheckpoint:
         """Write the initial model for a fresh population (incarnation).
 
         ``round_number`` is the incarnation's round-id base — 0 for a
         first-time population, the new disjoint base when a drained name
-        re-attaches, so the store's history stays monotonic and the old
+        re-attaches, so the store's log stays monotonic and the old
         incarnation's final committed model is never rewound over.
         """
-        ckpt = FLCheckpoint.from_params(
-            params, population_name, task_id, round_number
-        )
-        self._latest[population_name] = ckpt
-        self._history.setdefault(population_name, []).append(ckpt)
-        self.write_count += 1
+        ckpt = FLCheckpoint.from_params(params, population_name, task_id, round_number)
+        self._write(ckpt)
         return ckpt

@@ -89,7 +89,10 @@ class DeviceHealthStats:
 
 
 class DeviceActor(Actor):
-    """One phone in the fleet, member of one or more FL populations."""
+    """One phone in the fleet, member of one or more FL populations.
+
+    Between sessions it keeps its stale-event guard (``_generation``) and
+    its Philox session stream (``_rng``), whose position carries over."""
 
     # Constructed by the thousand inside a run (each at its first
     # configuration): no instance dict, one slot per field.

@@ -8,7 +8,8 @@ al.'s *client registry*, kept apart from the client runtime), so a
 :class:`~repro.device.actor.DeviceActor` is constructed the first time
 something asks for it — the Selector that forwards its row to a round
 (``VectorizedIdlePlane.forward``), or an explicit ``table[i]`` — and kept
-from then on: its stale-event guard lives on the object, and nothing
+from then on: its stale-event guard and its Philox session stream
+(``_rng``, whose position carries over) live on the object, and nothing
 else does between sessions (its memberships, its eligibility, its state
 and everything it tallies stay the plane's columns, its trainers its
 tenants').

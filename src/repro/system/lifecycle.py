@@ -259,9 +259,9 @@ class PopulationLifecycle:
         index = self._next_index
         self._next_index += 1
         # The round-0 checkpoint lands at the incarnation's round-id base,
-        # so a re-attach of a drained name stays monotonic in the store
-        # and never buries the old incarnation's final model below a
-        # round-0 rewrite (it remains in the store history).
+        # so a re-attach of a drained name stays monotonic in the store:
+        # the old incarnation's final commit stays a record in its log,
+        # and this write replaces its model as ``latest(name)``.
         fleet.store.initialize(
             spec.initial_params,
             spec.name,
@@ -611,7 +611,9 @@ class PopulationLifecycle:
 #: 16: the kernel lost ``_watchers`` (a Coordinator supervises its masters
 #: with a ``Restart``) and a route's instruction is a ``Forwarding`` record
 #: (Coordinators, Selectors and masters call each other; no message).
-SNAPSHOT_FORMAT_VERSION = 16
+#: 17: the checkpoint store keeps its latest model per tenant and a
+#: payload-free ``_log`` of writes, not ``_history``'s every checkpoint.
+SNAPSHOT_FORMAT_VERSION = 17
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

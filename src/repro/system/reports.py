@@ -54,9 +54,9 @@ class PopulationLifecycleReport:
     in-flight round finished (or none was running) and every device-side
     session ended on its own; otherwise the deadline forced
     ``forced_session_interrupts`` device aborts and — when a round was
-    still open — ``forced_round_abort``.  The tenant's final committed
-    checkpoint (round ``final_round_number``) remains in the fleet's
-    checkpoint store after the drain.
+    still open — ``forced_round_abort``.  The tenant's final commit (round
+    ``final_round_number``) stays a record in the store's ``history`` and
+    its model ``latest(name)`` until the name re-attaches.
     """
 
     population: str

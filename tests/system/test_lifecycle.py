@@ -576,8 +576,8 @@ def test_reattach_same_name_after_drain():
     second_runtime = fleet.attach_population(stats_spec())
     assert second_runtime.index == 2  # indices are never reused
     # The new incarnation's initial checkpoint lands at its round-id
-    # base: monotonic past the drained incarnation's final commit, which
-    # stays in the store history.
+    # base: monotonic past the drained incarnation's final commit, whose
+    # record stays in the store's log.
     assert fleet.store.latest("stats").round_number == 2_000_000
     history_rounds = [c.round_number for c in fleet.store.history("stats")]
     assert history_rounds == sorted(history_rounds)
@@ -938,7 +938,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 16
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 17
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -955,8 +955,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # 13's routes no ``wake``, and its Coordinators polled for devices;
     # format 14's leaves staged reports in ``_pending`` for a relay to
     # their master; format 15's kernel kept death watchers, and its routes
-    # held a ``ForwardDevices`` message as their instruction.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15):
+    # held a ``ForwardDevices`` message as their instruction; format 16's
+    # checkpoint store kept every committed model in ``_history``.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -966,7 +967,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 16",
+                match=f"format {older} unsupported .*reads format 17",
             ):
                 read(old)
 

@@ -12,6 +12,8 @@ past its warm-up:
   quantile sketch;
 * what ``analytics/events.py`` allocates per logged event stays near the
   25 B the four columns take;
+* the checkpoint store holds one model per tenant and a payload-free
+  record per commit, not every committed model;
 * a ``RealTrainer`` fleet's build spends bytes per store, not per stored
   example;
 * a fleet restored from a mid-run snapshot reads the same log, the same
@@ -45,13 +47,14 @@ MODEL = LogisticRegression(input_dim=4, n_classes=3)
 PARAMS = MODEL.init(np.random.default_rng(0))
 
 #: GC-tracked objects a logged event may leave behind, the round's
-#: ``ParticipantRecord``s aside (measured 0.075; one ``EventRecord`` and a
+#: ``ParticipantRecord``s aside (measured 0.065; one ``EventRecord`` and a
 #: share of a session list per event, plus live sketches, was 1.7).
 OBJECTS_PER_EVENT = 0.1
-#: ... and a closed round: its ``RoundResult``, checkpoint, materialized
-#: record, that record's dicts and one ``FinalSummary`` per metric
-#: (measured 7.1; with four live sketches per metric and ~95 events to
-#: the round it was 160).
+#: ... and a closed round: its ``RoundResult``, materialized record, that
+#: record's dicts and one ``FinalSummary`` per metric (measured 6.2; the
+#: store's commit log is untracked tuples, and a retained checkpoint made
+#: it 7.2; with four live sketches per metric and ~95 events to the round
+#: it was 160).
 OBJECTS_PER_ROUND = 10
 #: Traced bytes ``analytics/events.py`` may hold per logged event: 25 B of
 #: columns, ``array``'s over-allocation, and an index entry for each of the
@@ -63,6 +66,12 @@ LOG_BYTES_PER_EVENT = 40
 #: one deque and one block tuple per store; an ``Example``, a row view and
 #: a numpy scalar per example were 250).
 STORE_BYTES_PER_EXAMPLE = 64
+#: Traced bytes ``core/checkpoint.py`` and ``nn/serialization.py`` may
+#: hold per durable write, beyond one serialized model per tenant: the
+#: write's log tuple, its round number and a list slot (measured 86, the
+#: latest checkpoints and numpy's first-call buffers spread in; keeping
+#: every committed checkpoint was 509).
+CHECKPOINT_BYTES_PER_COMMIT = 128
 
 
 def build_fleet():
@@ -143,6 +152,17 @@ def test_the_log_costs_its_columns():
     assert events > 30_000
     log_bytes = traced_bytes(before, after, "analytics/events.py")
     assert 25 <= log_bytes / events <= LOG_BYTES_PER_EVENT
+
+    # Sec. 4.2's store keeps the latest model of each tenant; every
+    # earlier commit is a record without its payload.
+    commits = fleet.store.write_count
+    assert commits > 300
+    models = sum(fleet.store.latest(name).nbytes for name in TENANTS)
+    held = sum(
+        traced_bytes(before, after, module)
+        for module in ("core/checkpoint.py", "nn/serialization.py")
+    )
+    assert models <= held <= models + commits * CHECKPOINT_BYTES_PER_COMMIT
 
 
 def test_a_trainer_fleet_builds_bytes_per_store_not_per_example():
