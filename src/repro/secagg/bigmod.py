@@ -16,8 +16,8 @@ numpy limb arrays, the same deferred-carry limb technique
   low nine with one multiply-add — about a dozen numpy calls per
   multiply, whatever the batch width;
 * :class:`FixedBaseTable` needs no squarings for its *known* base —
-  ``g^x`` is one table gather + one multiply per 14-bit window, with
-  the per-window tables built once and cached.
+  ``g^x`` is one table gather + one multiply per 13-bit window, with
+  the per-window tables built once and cached (as uint32 limbs).
 
 Results are reduced to the canonical residue once per batch, at the
 ``_from_limbs_bytes`` boundary, so outputs are bit-identical to CPython's
@@ -52,8 +52,8 @@ _NINETEEN64 = np.uint64(19)
 #: 2^261 mod p = 19 * 2^6: the weight of a limb carried past limb 8.
 _FOLD64 = np.uint64(19 << (_LIMB_BITS * _NUM_LIMBS - 255))
 
-#: Window width of the fixed-base tables.
-_FIXED_WINDOW_BITS = 14
+#: Window width of the fixed-base tables; a 288 KB position stays in cache.
+_FIXED_WINDOW_BITS = 13
 
 
 def _to_limbs(values: list[int]) -> np.ndarray:
@@ -210,12 +210,13 @@ class FixedBaseTable:
     """Precomputed window tables for a *fixed* base — ``g^x`` sans squarings.
 
     Position ``i`` caches ``base^(j · 2^(w·i)) mod p`` for every ``w``-bit
-    digit ``j`` (``w`` = 14 by default), one ``(2^w, 9)`` row per digit
-    so an entry's limbs share a cache line: a batch exponentiation is one
-    ``np.take`` gather (transposed into a ``(9, N)`` buffer) and one
-    multiply per window — no per-call table build and no squaring ladder.
-    Positions are built lazily (two 128-entry power lists on plain ints,
-    then 128 stacked multiplies — a few milliseconds each) and cached for
+    digit ``j`` (``w`` = 13 by default), one ``(2^w, 9)`` uint32 row per
+    digit so an entry's limbs share a cache line: a batch exponentiation
+    is one ``np.take`` gather (widened by the copy that transposes it into
+    a ``(9, N)`` uint64 buffer) and one multiply per window — no per-call
+    table build and no squaring ladder.  uint32 is exact: each entry is
+    built in uint64 as a :func:`_mul_` output, whose limbs are ≤ 2^29.05.
+    Positions are built lazily (a few milliseconds each) and cached for
     the life of the process;
     :mod:`repro.secagg.dh` keeps one instance for the group generator,
     shared by pair agreement and dropout-recovery verification.
@@ -226,7 +227,7 @@ class FixedBaseTable:
             raise ValueError(f"window_bits must be in [1, 16], got {window_bits}")
         self.base = base % MODULUS
         self.window_bits = window_bits
-        self._tables: list[np.ndarray] = []   # position i -> (2^w, 9) limbs
+        self._tables: list[np.ndarray] = []   # position i -> (2^w, 9) uint32
 
     def _ensure_positions(self, num_windows: int) -> None:
         w = self.window_bits
@@ -239,7 +240,7 @@ class FixedBaseTable:
             high = _to_limbs(
                 [pow(step, j << half, MODULUS) for j in range(1 << (w - half))]
             )
-            table = np.empty((1 << w, _NUM_LIMBS), dtype=np.uint64)
+            table = np.empty((1 << w, _NUM_LIMBS), dtype=np.uint32)
             product = np.empty_like(low)
             scratch = _Scratch(1 << half)
             for j in range(1 << (w - half)):
@@ -262,8 +263,8 @@ class FixedBaseTable:
         self._ensure_positions(num_windows)
         digits = _to_digits(exponents, self.window_bits, num_windows)
         scratch = _Scratch(n)
-        rows = np.take(self._tables[0], digits[0], axis=0)   # (N, 9)
-        acc = rows.T.copy()
+        rows = np.take(self._tables[0], digits[0], axis=0)   # (N, 9) uint32
+        acc = rows.T.astype(np.uint64, order="C")  # F order slows _mul_
         gathered = np.empty_like(acc)
         for w in range(1, num_windows):
             np.take(self._tables[w], digits[w], axis=0, out=rows)

@@ -47,15 +47,14 @@ def prg_expand_batch(
     if k == 0 or length == 0:
         return out
     bitgen = np.random.Philox(key=0)
+    # The setter copies plain-int lists faster than the getter's arrays and
+    # nothing writes back, so the zero counter and spent buffer hold per row.
     state = bitgen.state
-    key = state["state"]["key"]
-    counter = state["state"]["counter"]
+    state["buffer"] = [0] * 4
+    inner = state["state"] = {"counter": [0] * 4, "key": None}
     for i, seed in enumerate(seeds):
         seed &= _KEY_MASK
-        key[0] = seed & 0xFFFFFFFFFFFFFFFF
-        key[1] = seed >> 64
-        counter[:] = 0
-        state["buffer_pos"] = 4
+        inner["key"] = [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]
         bitgen.state = state
         out[i] = bitgen.random_raw(length)
     out >>= np.uint64(1)

@@ -129,6 +129,34 @@ def test_fixed_base_table_matches_pow():
     ]
 
 
+def test_fixed_base_table_entries_are_exact_uint32_powers():
+    """A table entry is ``base^(j · 2^(w·i))``, stored as uint32 limbs
+    (exact because every limb is a multiply output, <= 2^29.05); the
+    default tables a 247-bit exponent needs fit in 5.5 MiB."""
+    table = FixedBaseTable(2)
+    assert table.pow_batch([(1 << 247) - 1]) == [pow(2, (1 << 247) - 1, MODULUS)]
+    w, tables = table.window_bits, table._tables
+    assert len(tables) == -(-247 // w)
+    assert all(t.dtype == np.uint32 and int(t.max()) <= LIMB_OUT for t in tables)
+    assert sum(t.nbytes for t in tables) <= 5.5 * 2**20   # 20.25 MiB at w14 uint64
+    for i in (0, len(tables) - 1):
+        step, expected = pow(2, 1 << (w * i), MODULUS), [1]
+        for _ in range(1, 1 << w):   # step^j as a running big-int product
+            expected.append(expected[-1] * step % MODULUS)
+        assert _canonical(tables[i].T.astype(np.uint64, order="C")) == expected
+
+
+@pytest.mark.parametrize("window_bits", [1, 5, 13])
+def test_fixed_base_table_odd_and_small_windows(window_bits):
+    # An odd width splits its digit into unequal low and high halves
+    # (13 bits: 6 low, 7 high).
+    rnd = random.Random(window_bits)
+    exponents = EDGE_EXPONENTS + [rnd.randrange(1 << 247) for _ in range(4)]
+    assert FixedBaseTable(2, window_bits=window_bits).pow_batch(exponents) == [
+        pow(2, e, MODULUS) for e in exponents
+    ]
+
+
 def test_fixed_base_table_edge_bases():
     # Non-canonical bases (>= p) must reduce first, exactly as pow does.
     exponents = [0, 1, 3, (1 << SECRET_BITS) - 1]
