@@ -12,9 +12,9 @@ synthetic fleet whose reporting-time distribution shifts mid-experiment
 
 import numpy as np
 
-from repro.core.adaptive import AdaptiveWindowConfig, AdaptiveWindowTuner
 from repro.core.config import RoundConfig
 from repro.core.rounds import RoundPhase, RoundStateMachine
+from window_tuner import AdaptiveWindowConfig, AdaptiveWindowTuner
 
 
 def simulate_round(config: RoundConfig, report_times: np.ndarray):

@@ -11,15 +11,15 @@ subsampling — on a real update from the keyboard workload.
 import numpy as np
 
 from repro import ClientDataset, FedAvgConfig, FederatedAveraging
-from repro.compression import (
+from repro.data.keyboard import KeyboardCorpusConfig, build_keyboard_clients
+from repro.nn.models import BagOfWordsLanguageModel
+from update_codecs import (
     CodecPipeline,
     IdentityCodec,
     QuantizationCodec,
     RotationCodec,
     SubsamplingCodec,
 )
-from repro.data.keyboard import KeyboardCorpusConfig, build_keyboard_clients
-from repro.nn.models import BagOfWordsLanguageModel
 
 
 def make_update(rng):

@@ -12,14 +12,16 @@ Three composable codecs on flat update vectors:
 * :class:`SubsamplingCodec` — random sparsification with unbiased
   rescaling.
 
-Codecs report their wire size so the traffic benchmarks (Fig. 9 and the
-compression ablation) account bytes honestly.
+Codecs report their wire size so the compression ablation
+(``test_ablation_compression.py``) accounts bytes honestly.  No fleet
+runs them: a fleet charges an upload its trainer's modelled
+``update_compression_ratio``.
 """
 
-from repro.compression.codec import CodecPipeline, IdentityCodec, UpdateCodec
-from repro.compression.quantization import QuantizationCodec
-from repro.compression.rotation import RotationCodec, hadamard_transform
-from repro.compression.subsampling import SubsamplingCodec
+from update_codecs.codec import CodecPipeline, IdentityCodec, UpdateCodec
+from update_codecs.quantization import QuantizationCodec
+from update_codecs.rotation import RotationCodec, hadamard_transform
+from update_codecs.subsampling import SubsamplingCodec
 
 __all__ = [
     "UpdateCodec",

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.compression.codec import UpdateCodec, VectorTransform
+from update_codecs.codec import UpdateCodec, VectorTransform
 
 
 def _next_pow2(n: int) -> int:

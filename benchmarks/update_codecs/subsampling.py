@@ -8,7 +8,7 @@ from typing import Any
 import numpy as np
 
 from repro.bounds import check, interval
-from repro.compression.codec import UpdateCodec
+from update_codecs.codec import UpdateCodec
 
 
 @dataclass

@@ -83,8 +83,9 @@ def main() -> None:
     total_folds = 0
     for shard in range(NUM_SHARDS):
         indices = fleet.shards.selector_indices(shard)
-        checkins = sum(selectors[i].stats.checkins for i in indices)
-        accepted = sum(selectors[i].stats.accepted for i in indices)
+        routes = [r for i in indices for r in selectors[i].routes.values()]
+        checkins = sum(route.stats.checkins for route in routes)
+        accepted = sum(route.stats.accepted for route in routes)
         folds = int(counters.get(f"shards/{shard}/folds", 0))
         total_folds += folds
         tenants = [t for t in TENANTS if fleet.shards.shard_of(t) == shard]

@@ -3,8 +3,8 @@ Design" (Bonawitz et al., MLSYS 2019).
 
 Three API layers:
 
-* **Algorithms** (:mod:`repro.core`): ``FederatedAveraging`` / ``FedSGD``
-  over in-memory clients — Appendix B, runnable anywhere.
+* **Algorithms** (:mod:`repro.core`): ``FederatedAveraging`` over
+  in-memory clients — Appendix B, runnable anywhere.
 * **System** (:class:`repro.system.FLFleet`): the full production design as
   a *multi-tenant fleet* — one actor server and simulated device fleet
   hosting many FL populations concurrently (Secs. 2-4), with pace
@@ -47,7 +47,6 @@ from repro.core import (
     ClientDataset,
     ClientTrainingConfig,
     FedAvgConfig,
-    FedSGD,
     FederatedAveraging,
     RoundConfig,
     SecAggConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "ClientDataset",
     "ClientTrainingConfig",
     "FedAvgConfig",
-    "FedSGD",
     "FederatedAveraging",
     "RoundConfig",
     "SecAggConfig",

@@ -50,9 +50,12 @@ class CoordinatorConfig:
     """Round-scheduling policy."""
 
     tick_interval_s: float = positive(default=10.0)
-    #: Sec. 4.3 pipelining: start the next round the moment the previous
-    #: one finishes (selection already ran in parallel at the Selectors).
-    #: When False, an explicit selection gap is inserted between rounds.
+    #: True: no gap, and a round's end tries to start the next round at
+    #: once; False: ``inter_round_gap_s`` between rounds.  Sec. 4.3's
+    #: overlap is not modelled yet (a forwarding Selector bounces what its
+    #: round cannot take, so the pool is empty at a round's end), and True
+    #: runs as False with a zero gap (ROADMAP.md, "Sec. 4.3 pipelining,
+    #: for real").
     pipelining: bool = True
     inter_round_gap_s: float = non_negative(default=60.0)
     max_rounds: int | None = count(1, default=None)
@@ -246,8 +249,9 @@ class Coordinator(Actor):
     # -- round end -------------------------------------------------------------
     def round_finished(self, round_id: int, task_id: str, committed: bool) -> None:
         """Its master's last call (step 6 of Fig. 1 done or abandoned),
-        made once the master, its leaves and its shard nodes are stopped:
-        with pipelining the next round starts inside this call."""
+        made once the master, its leaves and its shard nodes are stopped.
+        With pipelining the next round may start inside this call; today
+        the pool is empty by then, so it starts on a later tick."""
         if round_id != self.active_round_id:
             return  # a master of a round this incarnation no longer runs
         self._end_round()

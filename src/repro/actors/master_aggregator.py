@@ -285,8 +285,8 @@ class MasterAggregator(Actor):
         for node in self.shard_aggregators:
             self.system.stop(node)
         self.system.stop(self.ref)
-        # Last: with pipelining the next round starts inside this call,
-        # and it must never run beside a live predecessor.
+        # Last: with pipelining the next round may start inside this
+        # call, and it must never run beside a live predecessor.
         coordinator = self.system.actor_of(self.coordinator)
         if coordinator is not None:
             coordinator.round_finished(  # type: ignore[attr-defined]

@@ -3,10 +3,11 @@
 Selectors are the globally distributed edge of the server: they hold the
 open device streams, make local accept/reject decisions from soft quotas,
 forward accepted devices to the round's Aggregators, and hand rejected
-devices a pace-steering window (Sec. 2.3).  Selection runs *continuously*,
-which is exactly what makes the pipelining of Sec. 4.3 free: while one
-round is reporting, newly checked-in devices are already pooling here for
-the next one.
+devices a pace-steering window (Sec. 2.3).  Sec. 4.3 pipelines selection
+with the previous round's reporting; here it does not yet: while a round
+forwards, its route bounces every row the round cannot take, so the pool
+is empty when the round ends (ROADMAP.md, "Sec. 4.3 pipelining, for
+real").
 
 One Selector serves *many* FL populations at once (Sec. 2's multi-tenant
 fleet): each check-in names a population, and the Selector keeps one
@@ -39,7 +40,7 @@ layer above", :class:`~repro.actors.kernel.Restart`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress
 from typing import Any, Callable, Optional
@@ -76,11 +77,6 @@ class SelectorStats:
     rejected_unknown_population: int = 0
     rejected_draining: int = 0
     forwarded: int = 0
-
-    def __iadd__(self, other: "SelectorStats") -> "SelectorStats":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-        return self
 
 
 @dataclass
@@ -191,14 +187,6 @@ class Selector(Actor):
         if population_name in self.routes:
             return self.plane.connected(self.index, population_name)
         return 0
-
-    @property
-    def stats(self) -> SelectorStats:
-        """Aggregate counters across routes (legacy single-tenant view)."""
-        total = SelectorStats()
-        for route in self.routes.values():
-            total += route.stats
-        return total
 
     def _suggest_window(self, route: PopulationRoute):
         forwarding = route.forwarding

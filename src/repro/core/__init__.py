@@ -2,8 +2,8 @@
 
 Two levels of API live here:
 
-* **Algorithm level** — :class:`~repro.core.fedavg.FederatedAveraging` and
-  :class:`~repro.core.fedsgd.FedSGD` run directly over in-memory
+* **Algorithm level** — :class:`~repro.core.fedavg.FederatedAveraging`
+  runs directly over in-memory
   :class:`~repro.core.datasets.ClientDataset` collections (Appendix B).
 * **Protocol level** — :class:`~repro.core.rounds.RoundStateMachine`,
   :class:`~repro.core.pace.PaceSteering`, tasks / populations / plans /
@@ -31,7 +31,6 @@ from repro.core.fedavg import (
     client_update,
     client_update_cohort,
 )
-from repro.core.fedsgd import FedSGD
 from repro.core.pace import PaceConfig, PaceSteering
 from repro.core.rounds import (
     DeviceOutcome,
@@ -64,7 +63,6 @@ __all__ = [
     "LocalStepSchedule",
     "client_update",
     "client_update_cohort",
-    "FedSGD",
     "PaceConfig",
     "PaceSteering",
     "DeviceOutcome",

@@ -1,9 +1,9 @@
 """Synthetic workload generators.
 
 Substitutes for the paper's on-device data (which never leaves real
-phones): a non-IID keyboard corpus for the Sec. 8 next-word workload, an
-on-device item-ranking workload, and generic partitioners for turning any
-pooled dataset into federated clients.
+phones): a non-IID keyboard corpus for the Sec. 8 next-word workload, and
+generic partitioners for turning any pooled dataset into federated
+clients.
 """
 
 from repro.data.keyboard import (
@@ -11,15 +11,12 @@ from repro.data.keyboard import (
     build_keyboard_clients,
     build_proxy_corpus,
 )
-from repro.data.ranking import RankingConfig, build_ranking_clients
 from repro.data.partition import dirichlet_partition, iid_partition
 
 __all__ = [
     "KeyboardCorpusConfig",
     "build_keyboard_clients",
     "build_proxy_corpus",
-    "RankingConfig",
-    "build_ranking_clients",
     "dirichlet_partition",
     "iid_partition",
 ]

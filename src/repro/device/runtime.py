@@ -109,7 +109,9 @@ class RealTrainer:
 
     model: Model
     store: ExampleStore
-    update_compression_ratio: float = 1.0   # >1 when a codec is configured
+    #: A modelled codec: the upload is the raw delta's bytes over this
+    #: ratio (at least 1).  No codec runs on a device.
+    update_compression_ratio: float = 1.0
 
     def __post_init__(self) -> None:
         self._zero_delta: np.ndarray | None = None

@@ -313,7 +313,7 @@ class Parameters(Mapping[str, np.ndarray]):
             np.add(v, other[k], out=v)
         return self
 
-    # -- flattening (Secure Aggregation / compression operate on vectors) ---
+    # -- flattening (Secure Aggregation operates on vectors) ----------------
     def to_vector(self, out: np.ndarray | None = None) -> np.ndarray:
         """Concatenate all arrays into a single 1-D float64 vector.
 

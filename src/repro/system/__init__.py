@@ -7,7 +7,7 @@ multi-tenant fleet.
 * :class:`FleetBuilder` / :class:`PopulationSpec` — validate the whole
   topology (populations, tasks, memberships) before spawning anything.
 * :class:`RunReport` / :class:`PopulationReport` — typed, comparable run
-  results replacing the legacy summary dicts.
+  results.
 * :class:`PopulationLifecycle` (:mod:`repro.system.lifecycle`) — the
   population lifecycle plane: tenants attach to and drain from a *live*
   fleet (``fleet.attach_population`` / ``fleet.drain_population``), and

@@ -87,15 +87,6 @@ class FleetHealthReport:
     sessions_by_os_version: Mapping[int, int]
     sessions_by_population: Mapping[str, int]
 
-    def to_dict(self) -> dict[str, object]:
-        """The legacy ``device_health_summary()`` dict shape."""
-        return {
-            "train_seconds": dict(self.train_seconds),
-            "sessions": dict(self.sessions),
-            "errors_by_reason": dict(self.errors_by_reason),
-            "sessions_by_os_version": dict(self.sessions_by_os_version),
-        }
-
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -145,8 +136,7 @@ class RunReport:
     """Structured results of one fleet run.
 
     Fleet-level aggregates plus one :class:`PopulationReport` per hosted
-    population.  ``to_operational_dict()`` reproduces the legacy
-    ``operational_summary()`` mapping bit-for-bit for migration.
+    population.
     """
 
     simulated_seconds: float
@@ -175,25 +165,13 @@ class RunReport:
     def population_names(self) -> tuple[str, ...]:
         return tuple(report.name for report in self.populations)
 
-    def to_operational_dict(self) -> dict[str, float]:
-        """Legacy ``operational_summary()`` key set and values."""
-        return {
-            "rounds_total": self.rounds_total,
-            "rounds_committed": self.rounds_committed,
-            "mean_drop_rate": self.mean_drop_rate,
-            "mean_completed_per_round": self.mean_completed_per_round,
-            "mean_round_time_s": self.mean_round_time_s,
-            "download_bytes": self.download_bytes,
-            "upload_bytes": self.upload_bytes,
-        }
-
 
 def summarize_rounds(
     results: Iterable[RoundResult],
 ) -> tuple[int, int, float, float, float]:
     """(total, committed, mean_drop, mean_completed, mean_round_time) over
     a round-result stream — shared by fleet- and population-level reports
-    so both always agree with the legacy dict math."""
+    so the two always agree."""
     results = list(results)
     committed = [r for r in results if r.committed]
     drop_rates = [r.drop_rate for r in results if r.selected_count]

@@ -14,8 +14,8 @@ comes from a named, pinned ``np.random.Generator``
 
 Explicitly *keyed* bit-generator construction
 (``np.random.Generator(np.random.Philox(key=...))``) is allowed: the
-compression codecs and SecAgg PRG derive generators from wire-carried
-seeds, which is pinned by construction.
+SecAgg PRG derives generators from wire-carried seeds, which is pinned
+by construction.
 """
 
 from __future__ import annotations

@@ -99,14 +99,16 @@ def test_download_traffic_dominates_upload():
 def test_drop_rate_in_plausible_band():
     fleet, _ = build_fleet()
     fleet.run_for(3 * 3600)
-    summary = fleet.report().to_operational_dict()
-    assert 0.0 <= summary["mean_drop_rate"] < 0.3
+    assert 0.0 <= fleet.report().mean_drop_rate < 0.3
 
 
 def test_non_pipelined_round_rate_is_lower():
-    """Sec. 4.3: overlapping selection with configuration/reporting raises
-    round frequency.  Needs abundant device supply so the pool refills
-    faster than rounds complete."""
+    """No selection gap commits more rounds than a 300 s one.  This is
+    not yet Sec. 4.3's overlap of selection with configuration/reporting
+    (a forwarding Selector bounces what its round cannot take, so the
+    pool is empty at a round's end): pipelining here only drops the gap.
+    Needs abundant device supply so the pool refills faster than rounds
+    complete."""
     kwargs = dict(seed=11, devices=500, target=10, job_interval=400.0)
     pipelined, _ = build_fleet(pipelining=True, **kwargs)
     gapped, _ = build_fleet(

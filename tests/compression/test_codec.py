@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compression.codec import CodecPipeline, IdentityCodec
-from repro.compression.quantization import QuantizationCodec
-from repro.compression.rotation import RotationCodec
+from update_codecs.codec import CodecPipeline, IdentityCodec
+from update_codecs.quantization import QuantizationCodec
+from update_codecs.rotation import RotationCodec
 
 
 def test_identity_codec(rng):

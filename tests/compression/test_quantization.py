@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression.quantization import QuantizationCodec
+from update_codecs.quantization import QuantizationCodec
 
 
 def test_roundtrip_error_bounded(rng):

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.compression.codec import CodecPipeline
-from repro.compression.quantization import QuantizationCodec
-from repro.compression.rotation import RotationCodec, hadamard_transform
+from update_codecs.codec import CodecPipeline
+from update_codecs.quantization import QuantizationCodec
+from update_codecs.rotation import RotationCodec, hadamard_transform
 
 
 def test_hadamard_requires_power_of_two():

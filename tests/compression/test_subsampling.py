@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.compression.subsampling import SubsamplingCodec
+from update_codecs.subsampling import SubsamplingCodec
 
 
 def test_decode_restores_length(rng):

@@ -1,7 +1,17 @@
-"""Shared fixtures."""
+"""Shared fixtures.
+
+The update codecs and the reporting-window tuner are support modules of
+their ablations in ``benchmarks/`` (no fleet runs them); their unit tests
+here import them from there.
+"""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 @pytest.fixture

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.adaptive import AdaptiveWindowConfig, AdaptiveWindowTuner
 from repro.core.config import RoundConfig
 from repro.core.rounds import RoundStateMachine
+from window_tuner import AdaptiveWindowConfig, AdaptiveWindowTuner
 
 
 def run_round_with_times(report_times, target=10, factor=1.3):

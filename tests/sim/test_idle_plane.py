@@ -317,10 +317,7 @@ def test_vectorized_plane_is_deterministic():
     for _ in range(2):
         fleet = build_fleet(seed=7, devices=150)
         fleet.run_days(0.15)
-        runs.append(
-            (fleet.report().to_operational_dict(),
-             fleet.health_report().to_dict())
-        )
+        runs.append(fleet.report())
     assert runs[0] == runs[1]
 
 

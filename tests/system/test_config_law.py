@@ -4,7 +4,9 @@ The classes are found by walking dataclass field types from the fleet's
 roots — ``FleetConfig`` and ``PopulationSpec``, which reaches
 ``TaskConfig`` — not from a hand-kept list.  To them the law adds the
 trainer every member row builds (``SyntheticTrainer``, reached through a
-factory, which the walk does not enter) and the algorithm configs.
+factory, which the walk does not enter) and the algorithm configs,
+among them the reporting-window tuner's, which lives beside its
+ablation in ``benchmarks/``.
 
 For every numeric field and every probe in {nan, +inf, -inf, -1, 0} —
 and, for an integer field, a fraction and a bool — one of two things
@@ -31,10 +33,8 @@ import numpy as np
 import pytest
 
 from repro import bounds
-from repro.core.adaptive import AdaptiveWindowConfig
 from repro.core.config import RoundConfig, TaskConfig
 from repro.core.fedavg import FedAvgConfig
-from repro.core.fedsgd import FedSGDConfig
 from repro.core.plan import ExampleSelectionCriteria, FLPlan
 from repro.device.runtime import SyntheticTrainer
 from repro.device.scheduler import JobSchedule
@@ -50,6 +50,7 @@ from repro.system import (
 )
 from repro.system.builder import PopulationSpec
 from repro.system.config import FleetConfig
+from window_tuner import AdaptiveWindowConfig
 
 HOUR = 3600.0
 PROBES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-1": -1, "0": 0}
@@ -58,7 +59,7 @@ COUNT_PROBES = {"1.5": 1.5, "True": True}
 
 ROOTS = (FleetConfig, PopulationSpec)
 ALGORITHM_CONFIGS = (
-    SGDConfig, FedAvgConfig, FedSGDConfig, AdaptiveWindowConfig, ExampleSelectionCriteria,
+    SGDConfig, FedAvgConfig, AdaptiveWindowConfig, ExampleSelectionCriteria,
 )
 #: Dataclasses the walk reaches that are not settings.
 NOT_CONFIGS = {

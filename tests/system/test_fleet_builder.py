@@ -13,7 +13,6 @@ from repro import (
 from repro.actors.coordinator import CoordinatorConfig
 from repro.core.config import ClientTrainingConfig
 from repro.core.fedavg import FedAvgConfig
-from repro.core.fedsgd import FedSGDConfig
 from repro.core.pace import PaceConfig
 from repro.device.runtime import ComputeModel, SyntheticTrainer
 from repro.device.scheduler import JobSchedule
@@ -360,7 +359,6 @@ def synthetic_of(**fields):
         pytest.param(lambda: FedAvgConfig(server_learning_rate=INF), "server_learning_rate", id="fedavg-server-lr-inf"),
         pytest.param(lambda: FedAvgConfig(clip_update_norm=-1.0), "clip_update_norm", id="fedavg-clip-negative"),
         pytest.param(lambda: FedAvgConfig(max_examples_per_client=0), "max_examples_per_client", id="fedavg-max-examples-zero"),
-        pytest.param(lambda: FedSGDConfig(learning_rate=NAN), "learning_rate", id="fedsgd-lr-nan"),
         pytest.param(
             lambda: TaskConfig(task_id="a/t", population_name="a", priority=NAN),
             "priority", id="priority-nan",

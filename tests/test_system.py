@@ -180,7 +180,10 @@ def test_compromised_devices_never_participate():
         participant_ids = {r.device_id for r in result.participant_records}
         assert participant_ids.isdisjoint(compromised_ids)
     # ... because the Selectors' screens turned them away.
-    assert sum(s.stats.rejected_attestation for s in fleet.selector_actors()) > 0
+    assert sum(
+        route.stats.rejected_attestation
+        for s in fleet.selector_actors() for route in s.routes.values()
+    ) > 0
 
 
 def test_device_health_telemetry_aggregates():
@@ -195,16 +198,16 @@ def test_device_health_telemetry_aggregates():
         .build()
     )
     fleet.run_for(2 * 3600)
-    health = fleet.health_report().to_dict()
-    assert health["sessions"]["count"] == len(fleet.devices)
-    assert health["train_seconds"]["max"] > 0
-    assert sum(health["sessions_by_os_version"].values()) > 0
+    health = fleet.health_report()
+    assert health.sessions["count"] == len(fleet.devices)
+    assert health.train_seconds["max"] > 0
+    assert sum(health.sessions_by_os_version.values()) > 0
     # Error reasons, when present, come from the known taxonomy.
     known = {
         "eligibility_change", "network_download", "network_upload",
         "compute_error", "gone_before_configuration",
     }
-    assert set(health["errors_by_reason"]) <= known
+    assert set(health.errors_by_reason) <= known
 
 
 def test_run_before_deploy_rejected():
