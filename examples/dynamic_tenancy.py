@@ -108,7 +108,7 @@ def main() -> None:
     print(f"final committed checkpoint: round {drain.final_round_number}")
     assert all("ranker" not in s.routes for s in fleet.selector_actors())
     # The drained tenant's last members, by id: walking ``fleet.devices``
-    # would construct a DeviceActor for every row of the fleet.
+    # would build (and retire) a DeviceActor for every row of the fleet.
     assert all(
         "ranker" not in fleet.devices[i].memberships
         for i in fleet.members_of("ranker")

@@ -80,21 +80,21 @@ def main() -> None:
         assert committed_series == pop.rounds_committed, "dashboard mismatch"
 
     print("\n== Cross-population session interleaving ==")
-    # rows() looks without constructing: a row no check-in was ever
-    # admitted for is still None, and has had no session.
-    dual = [
-        d for d in fleet.devices.rows()
-        if d is not None
-        and len([c for c in d.health.sessions_by_population.values() if c]) > 1
-    ]
+    # Each row's sessions per tenant are worker-queue columns (a device
+    # object exists only while its row is in a session): no walk needed.
+    plane = fleet.idle_plane
+    sessions = plane.scheduler.session_counts(len(plane))
+    dual = [row for row, counts in enumerate(sessions.tolist())
+            if sum(1 for c in counts if c) > 1]
     print(f"devices with sessions in BOTH populations: {len(dual)} "
           f"of {len(fleet.members_of('telemetry'))} dual-enrolled")
-    for device in dual[:5]:
+    for row in dual[:5]:
+        health = plane.health(row)
         split = ", ".join(
             f"{name}: {count}"
-            for name, count in sorted(device.health.sessions_by_population.items())
+            for name, count in sorted(health.sessions_by_population.items())
         )
-        print(f"  device-{device.device_id:<4d} sessions -> {split}")
+        print(f"  device-{row:<4d} sessions -> {split}")
 
     print("\n== Fleet-wide ==")
     print(f"rounds committed (all tenants): {report.rounds_committed}")

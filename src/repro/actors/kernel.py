@@ -135,6 +135,8 @@ class ActorSystem:
         #: ``None`` here = no fault plane; :meth:`tell` stays a single
         #: attribute check on the disabled path.
         self.message_faults = None
+        #: For a message to an absent actor: one built to take it, or ``None``.
+        self.absent = None
 
     # -- lifecycle ------------------------------------------------------------
     def reserve_ids(self, count: int) -> int:
@@ -225,6 +227,8 @@ class ActorSystem:
         self, target: ActorRef, sender: Optional[ActorRef], message: Any
     ) -> None:
         actor = self._actors.get(target.actor_id)
+        if actor is None and self.absent is not None:
+            actor = self.absent(target, message)
         if actor is None:
             self.messages_dropped += 1
             return

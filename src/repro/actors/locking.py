@@ -22,6 +22,8 @@ class LockService:
     """A linearizable in-memory lock table."""
 
     _locks: dict[str, ActorRef] = field(default_factory=dict)
+    #: Ids of the actors that took a lock since they last released all.
+    _holders: set[int] = field(default_factory=set)
     acquire_attempts: int = 0
     acquire_successes: int = 0
 
@@ -31,6 +33,7 @@ class LockService:
         holder = self._locks.get(key)
         if holder is None or holder == owner:
             self._locks[key] = owner
+            self._holders.add(owner.actor_id)
             self.acquire_successes += 1
             return True
         return False
@@ -46,5 +49,8 @@ class LockService:
 
     def release_all(self, owner: ActorRef) -> None:
         """Drop every lock held by a terminated actor."""
+        if owner.actor_id not in self._holders:
+            return
+        self._holders.discard(owner.actor_id)
         for key in [k for k, v in self._locks.items() if v == owner]:
             del self._locks[key]

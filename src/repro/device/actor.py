@@ -1,42 +1,32 @@
 """The simulated device: an actor driving the active participation lifecycle.
 
-One :class:`DeviceActor` per phone, and only for a phone a round has
-taken.  It owns a session — plan download, local training, update
-upload, and every Table 1 event along the way — from the
+One :class:`DeviceActor` per phone in a session, for as long as the
+session lasts.  It owns that session — plan download, local training,
+update upload, and every Table 1 event along the way — from the
 ``ConfigureDevice`` that starts it to the hand-back that ends it.
 Interruption semantics follow Sec. 3: "Once started, the FL runtime will
 abort, freeing the allocated resources, if these conditions are no
 longer met."
 
-Everything before that is the device's row of the :class:`~repro.sim.
-idle_plane.VectorizedIdlePlane`: eligibility flips (idle/charging/
-unmetered, diurnally modulated), the periodic job schedule, the
-pace-steering pending window, the on-device worker queue, the Selector
-pick, the screen's verdict (attestation included: a device is attested
-once, when its row is enrolled) and WAITING at a Selector until a round
-takes the row or it hangs up — all columns.  A fleet constructs a row's
-``DeviceActor`` when a round first takes the row
-(:mod:`repro.device.table`).  The actor holds its ``plane`` and its
-``row`` and calls the plane's per-row entry points with them;
-``scheduler`` is that row of the worker queue.
+Everything else is the device's row of the :class:`~repro.sim.
+idle_plane.VectorizedIdlePlane` — eligibility flips, the job schedule,
+the pace-steering window, the on-device worker queue, the Selector pick,
+the screen's verdict and WAITING at a Selector — and so is its tenancy
+and its record: ``memberships``, ``health``, ``eligible`` and ``state``
+read its row's columns, and a session asks ``trainer_of(name)`` for the
+trainer its tenant's ``PopulationRuntime`` holds, so a tenant attaching
+or draining writes columns and never visits a device.  A device may
+belong to *several* FL populations (Sec. 2's multi-tenancy); exactly one
+session runs at a time, and the check-in announces its population so
+the Selector can route it.
 
-A device may belong to *several* FL populations (Sec. 2's multi-tenancy:
-one fleet, many learning problems).  Each job-scheduler firing enqueues
-every membership on the on-device worker queue (the device's row of the
-plane's :class:`~repro.device.scheduler.ColumnScheduler`); exactly one
-session runs at a time, and the check-in announces the session's
-population so the Selector can route it.
-
-The actor is not a home of its tenancy.  Its memberships are its row of
-the plane's membership columns (``memberships`` is a read-only view) and
-its trainers are its tenants' (a session asks ``trainer_of(name)``, which
-a fleet resolves in the tenant's ``PopulationRuntime``): a tenant
-attaching to or draining from a live fleet writes columns and never
-visits a device.  Nor is it a home of its record: what it tallies
-(:class:`DeviceHealthStats`), its eligibility and its state are columns
-of its row, which ``health`` / ``eligible`` / ``state`` read.  What the
-object owns is its session — the round it is in, its timers — and,
-between sessions, its stale-event guard (``_generation``).
+A fleet builds a row's ``DeviceActor`` when a round takes the row and
+drops it when the session is over (:mod:`repro.device.table`).  The
+actor holds its ``plane`` and its ``row`` and calls the plane's per-row
+entry points with them (``scheduler`` is that row of the worker queue).
+What it owns is its session — the round it is in, its timers — and
+nothing after it: a timer of a session that is over finds ``_aggregator``
+``None``, and the row's next session has an object of its own.
 """
 
 from __future__ import annotations
@@ -89,19 +79,17 @@ class DeviceHealthStats:
 
 
 class DeviceActor(Actor):
-    """One phone in the fleet, member of one or more FL populations.
+    """One phone in the fleet, member of one or more FL populations, for
+    the length of one session (its stream, ``rng``, is the row's: its
+    position carries over to the row's next session)."""
 
-    Between sessions it keeps its stale-event guard (``_generation``) and
-    its Philox session stream (``_rng``), whose position carries over."""
-
-    # Constructed by the thousand inside a run (each at its first
-    # configuration): no instance dict, one slot per field.
+    # Built by the ten thousand inside a run (one per session): no
+    # instance dict, one slot per field.
     __slots__ = (
         "profile", "network", "conditions", "trainer_of", "compute",
-        "event_log", "_rng", "job", "compute_error_prob", "ack_timeout_s",
+        "event_log", "_rng", "_stream", "job", "compute_error_prob", "ack_timeout_s",
         "upload_retry", "plane", "row", "scheduler",
-        "_active_population", "_round_id", "_aggregator", "_generation",
-        "_ack_timeout_event",
+        "_active_population", "_round_id", "_aggregator", "_ack_timeout_event",
     )
 
     def __init__(
@@ -124,37 +112,31 @@ class DeviceActor(Actor):
         self.profile = profile
         self.network = network
         self.conditions = conditions
-        #: Tenant name -> this device's trainer for it, asked when a
-        #: session trains: the tenant's runtime holds it (a fleet hands in
-        #: the lifecycle plane's lookup, a hand-built device a dict's
-        #: ``__getitem__``).
+        #: Tenant name -> this device's trainer for it, which the tenant's
+        #: runtime holds (a fleet hands in the lifecycle plane's lookup).
         self.trainer_of = trainer_of
         self.compute = compute or ComputeModel()
         self.event_log = event_log if event_log is not None else EventLog()
-        #: A generator, or a source of one that :attr:`rng` calls at the
-        #: first draw (a plane-owned device draws nothing of its own until
-        #: its first session).
-        self._rng = rng if rng is not None else standalone_stream(0)
+        #: A generator, or a source of one that :attr:`rng` asks at a
+        #: session's first draw (a device that turns its configuration
+        #: away draws nothing); ``_stream`` is the answer, for the session.
+        self._rng = rng if rng is not None else self._standalone_stream
+        self._stream: np.random.Generator | None = None
         self.job = job or JobSchedule()
         self.compute_error_prob = compute_error_prob
         self.ack_timeout_s = ack_timeout_s
         self.upload_retry = upload_retry
 
-        #: The idle plane and this device's row of it — the home of its
-        #: idle life, its eligibility and everything it tallies — and that
-        #: row's view of the on-device worker queue (memberships
-        #: included): handed in by the fleet's device table, or set by
-        #: ``VectorizedIdlePlane.adopt`` on a hand-built device.
+        #: The idle plane, this device's row of it (its idle life and its
+        #: record) and that row's view of the worker queue: the fleet's,
+        #: or set by ``VectorizedIdlePlane.adopt`` on a hand-built device.
         self.plane = plane
         self.row = row
         self.scheduler = scheduler
         self._active_population: str | None = None
         self._round_id: int | None = None
         self._aggregator: ActorRef | None = None
-        self._generation = 0
-        #: Stale-guard timer: cancelled eagerly when its session ends so it
-        #: is reclaimed by the event loop's compaction instead of surviving
-        #: on the heap until its (guarded no-op) fire time.
+        #: Cancelled when its session ends (else it fires, as a no-op).
         self._ack_timeout_event = None
 
     # -- helpers -----------------------------------------------------------------
@@ -165,11 +147,26 @@ class DeviceActor(Actor):
     @property
     def rng(self) -> np.random.Generator:
         """This device's pinned stream (session draws: transfers, training,
-        job jitter), created on first use."""
-        rng = self._rng
-        if not isinstance(rng, np.random.Generator):
-            rng = self._rng = rng()
-        return rng
+        job jitter); a fleet device's is its row's, which outlives it."""
+        stream = self._stream
+        if stream is None:
+            rng = self._rng
+            stream = self._stream = rng if isinstance(rng, np.random.Generator) else rng()
+        return stream
+
+    def _standalone_stream(self) -> np.random.Generator:
+        """The stream of a device built without one, made at its first draw."""
+        self._rng = standalone_stream(0)
+        return self._rng
+
+    def schedule(self, delay: float, fn: Callable[..., Any], *args: Any):
+        """A device's timer runs only while its session lasts (its object
+        may have gone by then: a timer left behind is a no-op)."""
+        return self.loop.schedule(delay, self._in_session, fn, *args)
+
+    def _in_session(self, fn: Callable[..., Any], *args: Any) -> None:
+        if self._aggregator is not None:
+            fn(*args)
 
     @property
     def memberships(self) -> tuple[str, ...]:
@@ -219,16 +216,17 @@ class DeviceActor(Actor):
         """Eligibility vanished mid-session (the plane's callback): Sec. 3's
         abort.  The plane has already flipped the row and owns the
         idle-side rescheduling."""
-        self._abort_participation("eligibility_change")
-        self._hand_back()
+        self._abort_participation("eligibility_change", None)
 
-    def _abort_participation(self, reason: str) -> None:
+    def _abort_participation(
+        self, reason: str, back_in: Callable[[], float] | None
+    ) -> None:
         """The PARTICIPATING-session abort core, shared by eligibility
         loss and server-driven interrupts: log, notify the round's
-        aggregator, and invalidate in-flight work."""
+        aggregator, and end the session with its worker aborted."""
         self._log(DeviceEvent.INTERRUPTED, reason=reason)
         self._tell_dropped(reason)
-        self._end_participation()
+        self._end_session(False, back_in)
 
     def _tell_dropped(self, reason: str) -> None:
         """Tell the round's aggregator this PARTICIPATING device is out
@@ -244,17 +242,7 @@ class DeviceActor(Actor):
         """Server-driven session teardown (a fault, a tenant drain past its
         deadline): the same abort semantics as eligibility loss, except the
         device keeps its eligibility and resumes its normal idle cadence."""
-        self._abort_participation(reason)
-        self._hand_back(self._next_job_delay)
-
-    # -- session teardown --------------------------------------------------------
-    def _hand_back(self, back_in: Callable[[], float] | None = None) -> None:
-        """The session is over: the plane owns the row again and, if the
-        device is still eligible, books its next check-in ``back_in()``
-        seconds out (drawn only then)."""
-        self.plane.session_ended(self.row)
-        if back_in is not None and self.eligible:
-            self.plane.schedule_checkin(self.row, back_in())
+        self._abort_participation(reason, self._next_job_delay)
 
     def _next_job_delay(self) -> float:
         if self.scheduler.queue_depth > 0:
@@ -277,7 +265,8 @@ class DeviceActor(Actor):
         since the screen admitted its check-in — and its configuration
         arrived.  If the row still waits for it, the session starts
         (PARTICIPATING) and logs its check-in at its true time; a row that
-        hung up meanwhile is gone before configuration."""
+        hung up meanwhile is gone before configuration (and, unless in a
+        session, so is this object)."""
         started = self.plane.begin_session(self.row)
         if started is None:
             self.tell(
@@ -299,20 +288,11 @@ class DeviceActor(Actor):
             configure.round_id,
             DeviceEvent.CHECKIN,
         )
-        generation = self._generation
         nbytes = configure.plan.nbytes + configure.checkpoint.nbytes
         duration, ok = self._transfer(nbytes, TransferDirection.DOWNLOAD)
-        self.schedule(duration, self._on_downloaded, generation, ok, configure)
+        self.schedule(duration, self._on_downloaded, ok, configure)
 
-    def _guard(self, generation: int) -> bool:
-        # Same session, still PARTICIPATING.
-        return generation == self._generation and self._aggregator is not None
-
-    def _on_downloaded(
-        self, generation: int, ok: bool, configure: msg.ConfigureDevice
-    ) -> None:
-        if not self._guard(generation):
-            return
+    def _on_downloaded(self, ok: bool, configure: msg.ConfigureDevice) -> None:
         if not ok:
             self._log(DeviceEvent.ERROR, reason="download_failed")
             self._drop("network_download")
@@ -346,41 +326,29 @@ class DeviceActor(Actor):
         self.plane.train_seconds[self.row] += train_time
         if self.rng.random() < self.compute_error_prob:
             self.schedule(
-                float(self.rng.uniform(0.0, train_time)),
-                self._on_train_error,
-                generation,
+                float(self.rng.uniform(0.0, train_time)), self._on_train_error
             )
             return
-        self.schedule(train_time, self._on_trained, generation, result)
+        self.schedule(train_time, self._on_trained, result)
 
-    def _on_train_error(self, generation: int) -> None:
-        if not self._guard(generation):
-            return
+    def _on_train_error(self) -> None:
         self._log(DeviceEvent.ERROR, reason="compute_error")
         self._drop("compute_error")
 
-    def _on_trained(self, generation: int, result: TrainResult) -> None:
-        if not self._guard(generation):
-            return
+    def _on_trained(self, result: TrainResult) -> None:
         self._log(DeviceEvent.TRAIN_COMPLETED)
         self._log(DeviceEvent.UPLOAD_STARTED)
-        self._begin_upload(generation, result, 0)
+        self._begin_upload(result, 0)
 
-    def _begin_upload(
-        self, generation: int, result: TrainResult, attempt: int
-    ) -> None:
+    def _begin_upload(self, result: TrainResult, attempt: int) -> None:
         """One upload attempt; retried under ``upload_retry`` on failure."""
         duration, ok = self._transfer(result.upload_nbytes, TransferDirection.UPLOAD)
         if ok:
-            self.schedule(duration, self._on_uploaded, generation, result)
+            self.schedule(duration, self._on_uploaded, result)
         else:
-            self.schedule(duration, self._on_upload_failed, generation, result, attempt)
+            self.schedule(duration, self._on_upload_failed, result, attempt)
 
-    def _on_upload_failed(
-        self, generation: int, result: TrainResult | None = None, attempt: int = 0
-    ) -> None:
-        if not self._guard(generation):
-            return
+    def _on_upload_failed(self, result: TrainResult | None = None, attempt: int = 0) -> None:
         policy = self.upload_retry
         if policy is not None and result is not None and attempt < policy.max_retries:
             # Transient: back off (jittered, from this device's own
@@ -389,7 +357,9 @@ class DeviceActor(Actor):
             self.plane.upload_retries[self.row] += 1
             self.network.meter.record_retry(result.upload_nbytes)
             backoff = policy.backoff_s(attempt, self.rng)
-            self.schedule(backoff, self._begin_upload, generation, result, attempt + 1)
+            # Not a session timer: a retry whose session ends during its
+            # backoff still sends, metered, on the row's stream.
+            self.loop.schedule(backoff, self._begin_upload, result, attempt + 1)
             return
         if policy is not None:
             self.plane.upload_retries_exhausted[self.row] += 1
@@ -398,9 +368,7 @@ class DeviceActor(Actor):
             self._log(DeviceEvent.ERROR, reason="upload_failed")
         self._drop("network_upload")
 
-    def _on_uploaded(self, generation: int, result: TrainResult) -> None:
-        if not self._guard(generation):
-            return
+    def _on_uploaded(self, result: TrainResult) -> None:
         assert self._round_id is not None
         self.tell(
             self._aggregator,
@@ -416,47 +384,36 @@ class DeviceActor(Actor):
             ),
         )
         # If the server never answers (round torn down), treat as rejected.
-        self._ack_timeout_event = self.schedule(
-            self.ack_timeout_s, self._on_ack_timeout, self._generation
-        )
+        self._ack_timeout_event = self.schedule(self.ack_timeout_s, self._on_ack_timeout)
 
     def _on_report_ack(self, ack: msg.ReportAck) -> None:
         if self._aggregator is None or ack.round_id != self._round_id:
             return
         self._log(DeviceEvent.UPLOAD_COMPLETED if ack.accepted else DeviceEvent.UPLOAD_REJECTED)
-        self._finish_participation()
+        self._end_session(True, self._next_job_delay)
 
-    def _on_ack_timeout(self, generation: int) -> None:
+    def _on_ack_timeout(self) -> None:
         self._ack_timeout_event = None
-        if not self._guard(generation):
-            return
         self._log(DeviceEvent.UPLOAD_REJECTED, reason="ack_timeout")
-        self._finish_participation()
+        self._end_session(True, self._next_job_delay)
 
     # -- participation teardown -----------------------------------------------------
     def _drop(self, reason: str) -> None:
         self.plane.errors_by_reason[reason] += 1
         self._tell_dropped(reason)
-        self._finish_participation()
+        self._end_session(True, self._next_job_delay)
 
-    def _end_participation(self) -> None:
-        """Invalidate in-flight work (interruption path)."""
-        self._generation += 1
+    def _end_session(self, finished: bool, back_in: Callable[[], float] | None) -> None:
+        """The session is over: in-flight work is void, the worker's
+        session ``finished`` or aborted, and the row handed back to the
+        plane (:meth:`~repro.sim.idle_plane.VectorizedIdlePlane.
+        session_ended`), which drops this object."""
         self._cancel_ack_timer()
         if self.scheduler.running == self._active_population:
-            self.scheduler.abort()
-        self._active_population = None
+            if finished:
+                self.scheduler.finish(self._active_population)
+            else:
+                self.scheduler.abort()
         self._aggregator = None
-
-    def _finish_participation(self) -> None:
-        self._generation += 1
-        self._cancel_ack_timer()
-        if (
-            self._active_population is not None
-            and self.scheduler.running == self._active_population
-        ):
-            self.scheduler.finish(self._active_population)
-        self._active_population = None
-        self._aggregator = None
-        self._round_id = None
-        self._hand_back(self._next_job_delay)
+        self.plane.session_ended(self.row, back_in)
+        self._stream = None  # a retry left behind asks for the row's again

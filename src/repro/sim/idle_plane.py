@@ -4,36 +4,20 @@ The paper's populations are millions of devices of which, at any moment,
 the overwhelming majority are idle — merely flipping eligibility or
 counting down to a check-in.  Simulating that majority as full actors
 costs one timer (plus cancel churn) per device per transition; this
-module instead keeps every idle device as a row in fleet-wide arrays:
-
-* ``next_flip_t``   — absolute time of the next eligibility transition;
-* ``eligible``      — the current eligibility bit;
-* ``next_checkin_t``— absolute time of the next check-in attempt
-  (``inf`` while ineligible, membership-less or participating; a
-  WAITING row's hang-up deadline);
-* ``pending_window_t`` — pace-steering window start (device must not
-  check in before it);
-* ``active``        — the device is in a session: WAITING or
-  PARTICIPATING;
-* ``_waiting_at`` / ``connected_at_s`` — a WAITING row's Selector and
-  when it connected (Sec. 4.2's Selector pool is these two columns, the
-  tenant being the worker queue's running slot, plus a small
-  ``(selector, tenant-slot)`` count array); a WAITING row's
-  ``next_checkin_t`` is its hang-up deadline;
-* the on-device worker queue (Sec. 11) of every row, as the
-  ``(rows x tenant-slot)`` columns of a :class:`~repro.device.scheduler.
-  ColumnScheduler`, and what a Selector's screen reads of a device (its
-  attestation verdict — one real token round per device, at enrollment —
-  and its FL runtime version);
-* the device's profile (id, time zone, speed, memory, OS and runtime
-  versions, genuineness) and its link conditions (downlink, uplink, rtt),
-  from which a ``DeviceProfile`` / ``NetworkConditions`` is built on read
-  — a constructed device holds one, a row holds none;
-* the device's record (Sec. 5's health counters): check-ins, training
-  seconds and upload retries per row, sessions per ``(row, tenant slot)``
-  in the scheduler, errors by reason fleet-wide.  ``device.health``,
-  ``device.eligible`` and ``device.state`` read these columns; a
-  ``DeviceActor`` keeps no copy.
+module instead keeps every device as a row of fleet-wide arrays
+(:attr:`VectorizedIdlePlane._COLUMNS`): its eligibility and next flip,
+its next check-in (``inf`` while ineligible, membership-less or in a
+session; a WAITING row's hang-up deadline) and pace-steering window,
+whether it is in a session and, while WAITING, at which Selector since
+when (Sec. 4.2's Selector pool is those columns plus a small
+``(selector, tenant-slot)`` count array), what a Selector's screen reads
+of it (its attestation verdict — one real token round per device, at
+enrollment — and its runtime version), its profile and link (from which
+a ``DeviceProfile`` / ``NetworkConditions`` is built on read) and its
+record (Sec. 5's health counters: ``device.health``, ``device.eligible``
+and ``device.state`` read the columns, a ``DeviceActor`` keeps no copy).
+Its on-device worker queue (Sec. 11) is its row of a
+:class:`~repro.device.scheduler.ColumnScheduler`.
 
 The plane advances by batched sweeps: one :class:`~repro.sim.event_loop.
 Sweeper` event per sweep boundary (the earliest pending transition
@@ -49,17 +33,15 @@ vector writes; an admitted row WAITs, as columns, at its Selector, which
 offers it to a round (:meth:`repro.actors.selector.Selector.admitted`).
 Every way out of WAITING but selection — its deadline, a flip to
 ineligible, a Selector crash, a drain, a round that is full — is vector
-writes too.  A device becomes a :class:`~repro.device.actor.DeviceActor`
-interaction only when a round takes its row — which, the first time, is
-also when the ``DeviceActor`` is *constructed*: until then the device is
-only its row (:mod:`repro.device.table`) — and when its session ends
-(report, interruption) the actor hands the device back to the plane.
-Determinism: every draw a device makes *while the plane owns it*
-(initial eligibility, flip resample, first check-in stagger, wake
-jitter, selector pick, pace-window sample, every hang-up's delay) comes
-from its counter-keyed row stream (:class:`repro.sim.rng.RowDraws`), a
-whole batch of rows per call — the same seed yields a byte-identical
-run, and the device's own generator serves its sessions only.
+writes too.  A device is a :class:`~repro.device.actor.DeviceActor` only
+from when a round takes its row to when its session ends and the actor
+hands the row back (:mod:`repro.device.table`).  Determinism: every draw
+a device makes *while the plane owns it* (initial eligibility, flip
+resample, first check-in stagger, wake jitter, selector pick,
+pace-window sample, every hang-up's delay) comes from its counter-keyed
+row stream (:class:`repro.sim.rng.RowDraws`), a whole batch of rows per
+call — the same seed yields a byte-identical run — and its session
+stream serves its sessions only.
 """
 
 from __future__ import annotations
@@ -112,18 +94,14 @@ class VectorizedIdlePlane:
     it is handed what that needs of the fleet: ``selectors`` (the live
     Selector list — a respawn swaps refs in place), ``actor_of`` (a
     Selector ref's live actor, ``None`` once crashed), the
-    ``shard_router`` that says which Selectors serve which tenant
-    (``None``: all of them), the ``attestation`` service that vouches
-    for each row once, at enrollment, and the fleet's on-device
-    ``scheduler_policy``.
-
-    A row needs no device object until a round takes it: ``devices`` is
-    the fleet's :class:`~repro.device.table.DeviceTable`, which constructs
-    a row's ``DeviceActor`` the first time :meth:`forward` (or anyone
-    else) asks for it.  Without one the plane keeps a table of its own,
-    of the devices :meth:`adopt` seats in it.  ``job`` and
-    ``waiting_timeout_s`` are the fleet's: a hang-up waits out a jittered
-    job interval, a WAITING row hangs up after the timeout.
+    ``shard_router`` (``None``: every Selector serves every tenant), the
+    ``attestation`` service, the on-device ``scheduler_policy``, the
+    ``job`` a hang-up waits out and the ``waiting_timeout_s`` after which
+    a WAITING row hangs up.  ``devices`` is the fleet's
+    :class:`~repro.device.table.DeviceTable`: :meth:`forward` builds a
+    row's ``DeviceActor``, :meth:`session_ended` drops it, and so does a
+    hang-up first (:meth:`release`).  Without one the plane keeps a table
+    of its own, of the devices :meth:`adopt` seats in it.
     """
 
     #: Every per-row array, declared once: construction and growth both
@@ -283,7 +261,7 @@ class VectorizedIdlePlane:
 
     def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
         """Enroll a hand-built device — a batch of one row, its object
-        already there, a member of ``memberships`` in that order.
+        seated until its session is over, a member of ``memberships``.
 
         Must be called before the device actor is spawned
         (``DeviceActor.on_start`` starts the row): it hands the device the
@@ -393,13 +371,16 @@ class VectorizedIdlePlane:
         self.next_checkin_t[i] = self._loop.now + max(delay, 0.0)
         self._touch(i)
 
-    def session_ended(self, i: int) -> None:
-        """The actor handed the device back; the device schedules its next
-        check-in (if eligible) right after this call."""
+    def session_ended(self, i: int, back_in: Callable[[], float] | None = None) -> None:
+        """The actor handed the device back: if still eligible it checks in
+        ``back_in()`` seconds out (the session's last draw); its object goes."""
         self._active_count -= bool(self.active[i])
         self.active[i] = False
         self.next_checkin_t[i] = _INF
         self._touch(i)
+        if back_in is not None and self.eligible[i]:
+            self.schedule_checkin(i, back_in())
+        self._devices.close(i)
 
     def memberships_changed(self, rows: np.ndarray) -> None:
         """The scheduler's membership columns of ``rows`` were rewritten
@@ -684,17 +665,19 @@ class VectorizedIdlePlane:
     def forward(self, rows: np.ndarray) -> list["DeviceActor"]:
         """Pooled ``rows`` were forwarded to a round: each leaves its pool
         and waits on, nowhere, for its configuration (its deadline still
-        running); their devices, built now if never before."""
+        running); their devices, built now (profiles in one pass)."""
         self._move(rows, len(self._selectors))
-        devices = self._devices
-        return [devices[i] for i in rows.tolist()]
+        return list(map(self._devices.open, rows.tolist(), self.profiles(rows)))
 
     def begin_session(self, i: int) -> str | None:
         """Row ``i``'s configuration arrived: if the row still waits for
         it, it is PARTICIPATING from now and the session's tenant is
-        returned; ``None`` if it hung up meanwhile."""
+        returned; ``None`` if it hung up meanwhile — and then its device
+        goes, unless the row is in a session or was forwarded again."""
         nowhere = len(self._selectors)
         if self._waiting_at[i] != nowhere:
+            if not self.active[i] or self._waiting_at[i] >= 0:
+                self._devices.close(i)
             return None
         slot = self.scheduler._running.item(i)
         self._waiting[nowhere, slot] -= 1
@@ -706,7 +689,10 @@ class VectorizedIdlePlane:
     def release(self, rows: np.ndarray, delay: np.ndarray, window: bool = False) -> None:
         """WAITING ``rows`` hang up: each leaves its pool, frees its worker
         and, if still eligible, checks in again ``delay`` seconds from now
-        — opening a pace window then too, when ``window``."""
+        — opening a pace window then too, when ``window``.  A forwarded
+        row's device goes: a configuration that comes later builds one to
+        turn it away."""
+        forwarded = rows[self._waiting_at[rows] == len(self._selectors)]
         self._move(rows, -1)
         self.scheduler.abort_rows(rows)
         self.active[rows] = False
@@ -720,6 +706,8 @@ class VectorizedIdlePlane:
         self._next_event_t[rows] = event_t
         if event_t.size and not self._sweeping:
             self._sweeper.arm(self._quantize(float(event_t.min())))
+        for i in forwarded.tolist():
+            self._devices.close(i)
 
     def hang_up(self, rows: np.ndarray) -> None:
         """WAITING ``rows`` hang up and come back a jittered job interval
@@ -764,7 +752,7 @@ class VectorizedIdlePlane:
 
     # -- observability -----------------------------------------------------------
     def profile(self, i: int) -> DeviceProfile:
-        """Row ``i``'s profile, as the record its constructed device holds."""
+        """Row ``i``'s profile, as the record its device holds."""
         return self.profiles(slice(i, i + 1))[0]
 
     def profiles(self, rows: np.ndarray | slice) -> list[DeviceProfile]:
@@ -776,7 +764,7 @@ class VectorizedIdlePlane:
         ))))
 
     def conditions(self, i: int) -> NetworkConditions:
-        """Row ``i``'s link, as the record its constructed device holds."""
+        """Row ``i``'s link, as the record its device holds."""
         return NetworkConditions(
             float(self._downlink_bytes_per_s[i]),
             float(self._uplink_bytes_per_s[i]),
@@ -828,7 +816,7 @@ class VectorizedIdlePlane:
         return np.flatnonzero(self.active & (self._waiting_at < 0))
 
     def participating_devices(self) -> list["DeviceActor"]:
-        devices = self._devices.rows()
+        devices = self._devices
         return [devices[i] for i in self.participating_rows().tolist()]
 
 

@@ -9,6 +9,7 @@ same device availability trace).
 from __future__ import annotations
 
 import hashlib
+import struct
 
 import numpy as np
 
@@ -104,6 +105,64 @@ class RngRegistry:
     def spawn(self, name: str, count: int) -> list[np.random.Generator]:
         """``count`` independent child generators under ``name``."""
         return [self.fresh(f"{name}/{i}") for i in range(count)]
+
+
+#: A Philox state, packed: counter, key, buffer (the getter's arrays'
+#: native bytes), buffer_pos, has_uint32, uinteger (92 bytes).
+_PHILOX_STATE = struct.Struct("=10QiiI")
+_PHILOX_TAIL = struct.Struct("=iiI")
+
+
+class SessionStreams:
+    """Per-row streams that outlive the objects drawing from them.
+
+    Row ``i``'s stream is what :meth:`RngRegistry.fresh` gives its name,
+    drawn across all its sessions.  Between them it is the packed Philox
+    state it stopped at: :meth:`open` re-keys a pooled generator through
+    the ``state`` setter (a row's first session derives its key, once),
+    :meth:`close` packs the state back and pools the generator.
+    """
+
+    def __init__(self, registry: RngRegistry):
+        self._registry = registry
+        self._saved: dict[int, bytes] = {}
+        self._open: dict[int, np.random.Generator] = {}
+        self._pool: list[np.random.Generator] = []
+
+    def open(self, row: int, name: str) -> np.random.Generator:
+        """Row ``row``'s stream (named ``name``): open, or opened now."""
+        generator = self._open.get(row)
+        if generator is None:
+            saved = self._saved.get(row)
+            if saved is None:
+                key = self._registry._seed_sequence(name).generate_state(2, np.uint64)
+                state = (0, 0, 0, 0, *key.tolist(), 0, 0, 0, 0, 4, 0, 0)
+            else:
+                state = _PHILOX_STATE.unpack(saved)
+            generator = self._pool.pop() if self._pool else self._registry.fresh(name)
+            generator.bit_generator.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": state[:4], "key": state[4:6]},
+                "buffer": state[6:10],
+                "buffer_pos": state[10],
+                "has_uint32": state[11],
+                "uinteger": state[12],
+            }
+            self._open[row] = generator
+        return generator
+
+    def close(self, row: int) -> None:
+        """Row ``row``'s session is over: keep where its stream stopped."""
+        generator = self._open.pop(row, None)
+        if generator is not None:
+            state = generator.bit_generator.state
+            self._saved[row] = b"".join((
+                state["state"]["counter"].tobytes(),
+                state["state"]["key"].tobytes(),
+                state["buffer"].tobytes(),
+                _PHILOX_TAIL.pack(state["buffer_pos"], state["has_uint32"], state["uinteger"]),
+            ))
+            self._pool.append(generator)
 
 
 def standalone_stream(seed: int = 0) -> np.random.Generator:

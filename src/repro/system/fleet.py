@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.actors.kernel import ActorRef, ActorSystem, Restart
 from repro.actors.locking import LockService
+from repro.actors.messages import ConfigureDevice
 from repro.actors.selector import Selector
 from repro.analytics.dashboard import Dashboard
 from repro.analytics.events import EventLog
@@ -49,7 +50,7 @@ from repro.nn.parameters import Parameters
 from repro.sim.event_loop import SECONDS_PER_DAY, EventLoop
 from repro.sim.idle_plane import ProfileTable, VectorizedIdlePlane
 from repro.sim.population import DeviceProfile, build_population
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, SessionStreams
 from repro.system.builder import FleetBuilder, FleetValidationError, PopulationSpec
 from repro.system.config import FleetConfig
 from repro.system.faults import FaultPlane, RecoveryLedger
@@ -109,10 +110,13 @@ class FLFleet:
         self.attestation = AttestationService()
         self.round_results: list[RoundResult] = []
         #: The fleet's devices by index.  A device is only a row of the
-        #: idle plane until it is asked for — by the first round that
-        #: takes its row, or ``fleet.devices[i]`` — and is constructed
-        #: then: walking the table inflates the fleet.
-        self.devices = DeviceTable(self._construct_device)
+        #: idle plane outside a session: its ``DeviceActor`` is built when
+        #: a round takes the row and goes when the session is over, and
+        #: ``fleet.devices[i]`` of any other row is a detached look.
+        self.devices = DeviceTable(self._construct_device, self._retire_device)
+        #: Each device's session stream, where it stopped last session.
+        self.device_streams = SessionStreams(self.rngs)
+        self.actors.absent = self._configure_absent
         #: One cohort execution plane per population whose trainers can
         #: defer (built by the lifecycle plane at attach; trainers
         #: without ``attach_cohort_plane`` — synthetic ones — get none).
@@ -314,42 +318,47 @@ class FLFleet:
                 selector.add_route(self.lifecycle._build_route(runtime))
         self.recovery.record("selector_respawns")
 
-    def _construct_device(self, index: int) -> DeviceActor:
+    def _construct_device(self, index: int, profile: DeviceProfile | None) -> DeviceActor:
         """Device ``index`` as an object (the table's constructor): its
-        profile and link conditions (built from its row), its row, the way
-        to its tenants' trainers — spawned, on a started fleet, under the actor
-        id reserved for it.  Pure: nothing is drawn, scheduled or written
-        to a column, so *when* it happens cannot be observed."""
+        profile (``profile``, or built from its row) and link conditions,
+        its row, the way to its tenants' trainers and to its session
+        stream — spawned, on a started fleet, under the actor id reserved
+        for it.  Pure: nothing is drawn, scheduled or written to a column,
+        so *when* it happens cannot be observed."""
         plane = self.idle_plane
-        profile = plane.profile(index)
+        profile = profile or plane.profile(index)
         device = DeviceActor(
             profile=profile,
             conditions=plane.conditions(index),
             trainer_of=partial(self.lifecycle.trainer_of, profile.device_id),
-            # The plane draws for the row: no generator of the device's
-            # own before its first session.
-            rng=partial(self.rngs.stream, f"device/{profile.device_id}"),
+            rng=partial(self.device_streams.open, index, f"device/{profile.device_id}"),
             plane=plane,
             row=index,
             scheduler=RowScheduler(plane.scheduler, index),
             **self._device_settings,
         )
         if self.started:
-            self._spawn_device(index, device)
+            self.actors.spawn(device, profile.name, self._first_device_actor_id + index)
         return device
 
-    def _spawn_device(self, index: int, device: DeviceActor) -> None:
-        actor_id = self._first_device_actor_id + index
-        self.actors.spawn(device, device.profile.name, actor_id)
+    def _retire_device(self, device: DeviceActor) -> None:
+        """``device``'s session (or look) is over: it stops, its stream saved."""
+        self.device_streams.close(device.row)
+        if self.started:
+            self.actors.stop(device.ref)
+
+    def _configure_absent(self, target: ActorRef, message: object) -> DeviceActor | None:
+        """A configuration that comes after its row hung up gets a device
+        built to turn it away; anything else for an absent one is dropped."""
+        if not isinstance(message, ConfigureDevice):
+            return None
+        return self.devices.open(target.actor_id - self._first_device_actor_id)
 
     def _start_devices(self) -> None:
         """Fleet start.  The devices' contiguous block of actor ids is
         reserved here, so ``device-<i>`` has the same id whenever it is
         spawned; every row starts as one batch."""
         self._first_device_actor_id = self.actors.reserve_ids(len(self.devices))
-        for index, device in enumerate(self.devices.rows()):
-            if device is not None:
-                self._spawn_device(index, device)
         self.idle_plane.start()
         self.started = True
 

@@ -570,50 +570,12 @@ class PopulationLifecycle:
 
 # -- fleet checkpoint / restore ---------------------------------------------------
 
-#: Bumped whenever the on-disk snapshot layout changes incompatibly
-#: (2: the devices are a lazily filled table; the manifest counts them.
-#: 3: the event log is typed columns, materialized metrics are finished
-#: numbers, example stores hold blocks.  4: a cohort-plane update rides
-#: its report as an unexecuted handle; ``DeviceActor`` lost a slot.
-#: 5: ``DeviceActor`` lost three more — the plane owns the eligibility
-#: law and the Selector pool — and ``FleetConfig`` its ``idle_plane``.
-#: 6: and its ``memberships`` / ``trainers`` — a device's tenancy is its
-#: row's columns and its tenants' runtimes.  7: and its tallies, its
-#: ``eligible`` / ``state`` copies and its three row handles — a device's
-#: record is its row's columns, and it pickles ``plane`` + ``row``.
-#: 8: and its ``attestation`` — a device is attested once, at enrollment;
-#: the plane's verdict column is a bool, and check-in messages, Selectors
-#: and the attestation service lost their second attestation round.
-#: 9: the fleet lost its per-device ``NetworkConditions`` list — a row's
-#: link is three plane columns — and ``DeviceProfile``,
-#: ``NetworkConditions`` and ``SyntheticTrainer`` pickle by slots).
-#: 10: a ``Coordinator`` lost its copy of its shard's Selector refs and
-#: the eight arguments it only handed to each master — it holds the
-#: fleet's live Selector list, its shard's indices and ``make_master``.
-#: 11: the fleet lost its ``DeviceProfile`` list — a row's profile is
-#: plane columns — and a tenant's runtime its member-id set and trainer
-#: dict: its members are one sorted row array, its trainers one list.
-#: 12: a Selector's pool is idle-plane columns (``_waiting_at``,
-#: ``connected_at_s``, a per-``(selector, tenant)`` count) — routes lost
-#: ``pool`` and ``pending_admissions`` — and ``DeviceActor`` its WAITING
-#: slots (``_selector``, ``_wait_epoch``, its waiting timer, its check-in
-#: time and ``waiting_timeout_s``).
-#: 13: the kernel holds each supervised actor's ``Restart`` (the fleet,
-#: the lifecycle plane and a round's master restart what they spawned);
-#: the fleet lost its ``cluster`` manager, Selectors their ``locks`` and
-#: ``recovery``, routes their ``coordinator`` link and factory.
-#: 14: Coordinators hold ``_tick_pending`` and routes a ``wake`` (the
-#: Selectors' admissions wake a Coordinator, which no longer polls), and
-#: the event loop lost its tick ``_batch``.
-#: 15: leaf Aggregators lost ``_pending`` and masters their device-to-leaf
-#: map (a leaf hands each report and drop to its master in one call);
-#: leaves and shard aggregators lost their unread ``task_id``.
-#: 16: the kernel lost ``_watchers`` (a Coordinator supervises its masters
-#: with a ``Restart``) and a route's instruction is a ``Forwarding`` record
-#: (Coordinators, Selectors and masters call each other; no message).
-#: 17: the checkpoint store keeps its latest model per tenant and a
-#: payload-free ``_log`` of writes, not ``_history``'s every checkpoint.
-SNAPSHOT_FORMAT_VERSION = 17
+#: Bumped whenever the on-disk snapshot layout changes incompatibly (the
+#: commit that bumps it says what moved).  18: a device is an object only
+#: in a session — the table holds the live ones, the fleet each row's
+#: packed ``SessionStreams`` state, the kernel an ``absent`` hook — and
+#: ``DeviceActor`` lost ``_generation``.
+SNAPSHOT_FORMAT_VERSION = 18
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

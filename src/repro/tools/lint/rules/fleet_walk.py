@@ -2,10 +2,10 @@
 ``fleet.devices`` or ``fleet.profiles``.
 
 A device is only a row of the idle plane's
-columns until something asks for its object (``repro.device.table``): a
-50k-device fleet of which 5k ever train holds 5k ``DeviceActor``s.
-Iterating the device table constructs every one of them — one such loop
-re-inflates the fleet to a Python object per row, silently, and the run
+columns outside a session (``repro.device.table``): a 50k-device fleet
+with 100 devices in a session holds 100 ``DeviceActor``s.  Iterating the
+device table constructs one for every row — a look, built and retired —
+so one such loop costs an object's work per row, silently, and the run
 still reports the same bytes.  The profile table is columns too, and
 iterating it builds a ``DeviceProfile`` per row.  Code that needs every
 device's *numbers* reads the plane's columns, ``devices.rows()`` (which

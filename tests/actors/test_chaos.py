@@ -148,17 +148,22 @@ def test_commit_count_matches_round_results(chaotic_fleet):
 
 
 def test_device_fleet_unharmed(chaotic_fleet):
-    """Server chaos never kills devices (they live at the edge): every
-    device actor ever spawned is alive, and every device — spawned yet
-    or still only a row — answers when asked for."""
-    spawned = [
-        ref
+    """Server chaos never kills devices (they live at the edge): the
+    device actors alive are exactly the devices in a session, and every
+    device — in a session or only a row — answers when asked for."""
+    spawned = {
+        ref.actor_id
         for ref in chaotic_fleet.actors.living_actors()
         if isinstance(chaotic_fleet.actors.actor_of(ref), DeviceActor)
-    ]
-    assert len(spawned) == chaotic_fleet.devices.constructions > 0
+    }
+    live = [device for device in chaotic_fleet.devices.rows() if device is not None]
+    assert spawned == {device.ref.actor_id for device in live}
+    assert chaotic_fleet.devices.constructions > len(live)
     assert len(chaotic_fleet.devices) == 300
-    assert all(device.ref.alive for device in chaotic_fleet.devices)
+    assert all(
+        device.ref.alive == (device in live) and device.device_id == i
+        for i, device in enumerate(chaotic_fleet.devices)
+    )
 
 
 def test_all_selectors_alive_after_chaos(chaotic_fleet):

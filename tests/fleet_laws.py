@@ -5,25 +5,29 @@ A check-in is judged once, by the idle plane's sweep
 columns — ``_waiting_at`` (its Selector, or nowhere once forwarded or
 lost on the way) and the worker's running slot (its tenant) — counted per
 ``(selector, tenant slot)`` in ``_waiting``, which is what a Selector's
-``connected_count_for`` reads.  Two laws keep that honest, and Sec. 4.2
-gives the third:
+``connected_count_for`` reads.  Two laws keep that honest, Sec. 4.2
+gives the third, and Sec. 4.1's ephemeral actors the fourth:
 
 * **(i) pool conservation**: the per-``(selector, tenant)`` counts equal a
   recount of the columns, and no route of a live Selector holds more than
   its ``pool_cap`` waiting rows;
 * **(ii) a waiting row is a row**: every WAITING row is active, eligible
   and has a session's tenant, and no device object of it is in a round's
-  session (it is ``None``, or an idle ``DeviceActor`` built for an earlier
-  round);
+  session (it has none, or one built for the round it was forwarded to);
 * **(iii) one durable write per committed round**: ``store.write_count``
   equals the committed rounds plus one initial checkpoint per tenant
-  incarnation, at any checkpoint-fault rate.
+  incarnation, at any checkpoint-fault rate;
+* **(iv) a device is an object only in a session**: the ``DeviceActor``s
+  alive are the device table's, each of a row PARTICIPATING or forwarded
+  and awaiting its configuration — so there are at most that many.
 
-:func:`check_fleet_laws` checks all three at an instant;
+:func:`check_fleet_laws` checks all four at an instant;
 :func:`run_checked` checks them over a stretch of simulated time.
 """
 
 import numpy as np
+
+from repro.device.actor import DeviceActor
 
 
 def check_pool_conservation(fleet) -> None:
@@ -76,10 +80,28 @@ def check_write_count(fleet) -> None:
     )
 
 
+def check_resident_devices(fleet) -> None:
+    """Law (iv)."""
+    plane = fleet.idle_plane
+    live = {i for i, device in enumerate(fleet.devices.rows()) if device is not None}
+    alive = [
+        actor.row
+        for ref in fleet.actors.living_actors()
+        if isinstance(actor := fleet.actors.actor_of(ref), DeviceActor)
+    ]
+    in_session = plane.participating_rows()
+    forwarded = np.flatnonzero(plane._waiting_at[: len(plane)] == len(fleet.selectors))
+    where = f"residency law at t={fleet.loop.now}"
+    assert sorted(alive) == sorted(live), where
+    assert len(live) <= in_session.size + forwarded.size, where
+    assert live <= set(in_session.tolist()) | set(forwarded.tolist()), where
+
+
 def check_fleet_laws(fleet) -> None:
     check_pool_conservation(fleet)
     check_waiting_rows(fleet)
     check_write_count(fleet)
+    check_resident_devices(fleet)
 
 
 def run_checked(fleet, seconds: float, step_s: float = 600.0) -> None:

@@ -41,6 +41,7 @@ from repro.system.builder import PopulationSpec
 
 _INF = float("inf")
 SWEEPS = 4
+CONSTRUCT_DEVICE = FLFleet._construct_device
 PARAMS = MLPClassifier(input_dim=8, hidden_dims=(8,), n_classes=4).init(
     np.random.default_rng(0)
 )
@@ -204,6 +205,16 @@ def reference_abort_rows(fleets):
     return abort_rows
 
 
+def _construct_device(self, index, profile):
+    """``FLFleet._construct_device`` for the reference run: a device built
+    for a row — a look, or one for a session — carries the row's own
+    ``MultiTenantScheduler``.  (Named as the method it stands in for: a
+    snapshot pickles the device table's bound constructor by name.)"""
+    device = CONSTRUCT_DEVICE(self, index, profile)
+    device.scheduler = self.reference_schedulers[index]
+    return device
+
+
 def reference_occupied_by(fleets):
     """``ColumnScheduler.occupied_by`` — a drain's quiescence read — for
     the reference run: the per-device walk it replaced, over the devices'
@@ -355,8 +366,12 @@ def run_scenario(scenario_seed: int, reference: list | None, materialized: list,
     fleet = build_fleet(selectors, shards, tenants, policy)
     if reference is not None:
         reference.append(fleet)
-        for device in fleet.devices:
-            device.scheduler = MultiTenantScheduler(policy)
+        # Each row's own worker queue, held by the fleet (so a snapshot
+        # freezes it) and handed to every device object built for the row.
+        fleet.reference_schedulers = [
+            MultiTenantScheduler(policy) for _ in range(len(fleet.devices))
+        ]
+        assert fleet.devices[0].scheduler is fleet.reference_schedulers[0]
     fleet.run_for(600.0)
     scenario = np.random.default_rng([scenario_seed, 1])
     materialized.clear()
@@ -398,6 +413,7 @@ def test_batched_checkin_sweep_matches_per_row_reference(monkeypatch, tmp_path):
         with monkeypatch.context() as patch:
             fleets: list[FLFleet] = []
             patch.setattr(VectorizedIdlePlane, "_checkin_rows", reference_checkin_rows)
+            patch.setattr(FLFleet, "_construct_device", _construct_device)
             patch.setattr(ColumnScheduler, "leave", reference_leave(fleets))
             patch.setattr(ColumnScheduler, "abort_rows", reference_abort_rows(fleets))
             patch.setattr(ColumnScheduler, "occupied_by", reference_occupied_by(fleets))

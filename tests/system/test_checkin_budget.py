@@ -8,7 +8,7 @@ On an idle-majority fleet over a simulated day, a sweep's check-in
 dispatch makes no call into ``DeviceActor`` at all — bounced rows are
 pace-steered and admitted ones WAIT as columns — while every attempt,
 bounced or not, still lands on its device's health record; a device is
-built only for a round that configures it.
+built only for a configuration a round sends it.
 """
 
 import sys
@@ -65,11 +65,11 @@ def test_a_bounced_checkin_never_visits_its_device(monkeypatch):
     monkeypatch.setattr(
         idle_plane.VectorizedIdlePlane, "_checkin_rows", profiled_dispatch
     )
-    configured = set()
+    configured = []
     configure = DeviceActor._attempt_screened_checkin
 
     def recording(self, message):
-        configured.add(self.device_id)
+        configured.append(self.device_id)
         configure(self, message)
 
     monkeypatch.setattr(DeviceActor, "_attempt_screened_checkin", recording)

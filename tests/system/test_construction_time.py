@@ -1,15 +1,18 @@
-"""When a ``DeviceActor`` is constructed is unobservable.
+"""A ``DeviceActor`` exists only in a session, and building one is unobservable.
 
-Under the vectorized idle plane a device is a row until something asks
-for its object.  Constructing it draws nothing, schedules nothing and
-writes no column, and it is spawned under the actor id reserved for it
-at fleet start — so a run in which every device is forced into existence
-right after ``.build()`` (what every fleet used to do, and the oracle
-here) and a run that constructs each device at its first admitted
-check-in must agree on every ``RunReport`` byte, every event and every
-``ActorRef`` id: on an idle-majority fleet, on a 12-tenant sharded one,
-through a chaos run with attach → snapshot → restore → drain → re-attach,
-and when a random subset of devices is forced at random simulated times.
+Under the vectorized idle plane a device is a row outside a session: its
+object is built when a round takes the row and goes when the session is
+over.  Building one draws nothing, schedules nothing and writes no
+column, and it is spawned under the actor id reserved for it at fleet
+start — so a run in which every row is looked at (a device object built
+and retired at once) right after ``.build()`` and a run that builds
+devices only for sessions must agree on every ``RunReport`` byte, every
+event and every ``ActorRef`` id: on an idle-majority fleet, on a
+12-tenant sharded one, through a chaos run with attach → snapshot →
+restore → drain → re-attach, and when a random subset of rows is looked
+at at random simulated times.  Through those runs, at every round
+boundary, the device objects alive are only rows in a session
+(``fleet_laws`` law iv).
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fleet_laws import check_resident_devices
 from repro import FLFleet, FaultPlan, PopulationSpec, RoundConfig, TaskConfig
 from repro.actors.coordinator import CoordinatorConfig
 from repro.core.pace import PaceConfig
@@ -142,7 +146,8 @@ def lifecycle_script(fleet, tmp_path, tag):
 
 def observe(fleet):
     """Everything a run yields, then every actor's address (asking for
-    the refs constructs whatever is still a row — after the report)."""
+    the refs builds a look at every row not in a session — after the
+    report)."""
     report = fleet.report()
     events = fleet.loop.events_processed
     memberships = [device.memberships for device in fleet.devices]
@@ -162,17 +167,33 @@ def observe(fleet):
     ],
     ids=["idle-majority", "12-tenant-sharded", "chaos-lifecycle"],
 )
-def test_constructing_every_device_up_front_changes_nothing(build, script, tmp_path):
-    lazy = build()
-    assert lazy.devices.constructions == 0
-    lazy = script(lazy, tmp_path, "lazy")
-    # The regime: most of a run's devices are constructed inside it, some never.
-    assert 0 < lazy.devices.constructions
-    assert any(device is None for device in lazy.devices.rows())
+def test_constructing_every_device_up_front_changes_nothing(
+    build, script, tmp_path, monkeypatch
+):
+    boundaries = []
+    on_round_result = FLFleet._on_round_result
+
+    def _on_round_result(self, population_name, result):
+        # Named as the method it wraps: a snapshot pickles the Coordinators'
+        # bound listener by name.
+        on_round_result(self, population_name, result)
+        check_resident_devices(self)
+        boundaries.append(result.round_id)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FLFleet, "_on_round_result", _on_round_result)
+        lazy = build()
+        assert lazy.devices.constructions == 0
+        lazy = script(lazy, tmp_path, "lazy")
+    # The regime: a device per session, and few rows in one at any time.
+    assert len(boundaries) == len(lazy.round_results) > 0
+    live = [device for device in lazy.devices.rows() if device is not None]
+    assert lazy.devices.constructions > len(live) and len(live) < len(lazy.devices)
 
     eager = build()
     everyone = list(eager.devices)
-    assert eager.devices.constructions == len(everyone) == len(eager.profiles)
+    assert len(everyone) == len(eager.profiles) and eager.devices.constructions == 0
+    assert not any(device.ref.alive for device in everyone)  # each look retired
     eager = script(eager, tmp_path, "eager")
 
     lazy_seen, eager_seen = observe(lazy), observe(eager)
@@ -225,7 +246,8 @@ def test_forcing_any_devices_at_any_time_changes_nothing(forcings):
         fleet.run_for(at_s - fleet.loop.now)
         for index in indices:
             device = fleet.devices[index]
-            assert device is fleet.devices[index]  # kept from then on
+            # A row in a session has its device; any other's look is retired.
+            assert (device is fleet.devices[index]) == device.ref.alive
             assert device.device_id == index % 150
     fleet.run_for(SMALL_RUN_S - fleet.loop.now)
     assert observe(fleet) == untouched_run()

@@ -7,15 +7,16 @@ columns, not a Python object.  On an idle-majority fleet (the regime of
 
 * no ``DeviceActor`` exists after ``.build()``, nor after the sweep that
   starts the fleet;
-* after a simulated day the devices that exist are exactly the rows a
-  round ever configured — a row a Selector admits WAITs as columns — and
-  reporting on the fleet constructs none;
+* after a simulated day the devices that exist are only rows in a
+  session — a row a Selector admits WAITs as columns, and a session's
+  device goes when it is over — one was built per session and per
+  configuration turned away, and reporting on the fleet builds none;
 * what ``.build()`` allocates per row — profile and link columns, the
   tenant's trainer and every other column included — stays under a
   stated budget, and its traced peak stays within a smaller one of what
   it keeps;
-* every check-in is still on its device's health record, even when the
-  walk that reads the records is what constructs most of the devices.
+* every check-in is still on its device's health record, read through a
+  walk that builds a look at every row and keeps none.
 
 Counts and traced bytes, so it cannot flake.
 """
@@ -35,18 +36,18 @@ from repro.sim.population import PopulationConfig
 
 ROWS = 20_000
 #: Traced bytes ``.build()`` may allocate per row.  The floor — what a
-#: never-admitted row keeps — measures 0.35 kB: the idle plane's columns
-#: (157 B, of which the profile's seven fields are 49 B and the link's
-#: three 24 B: a ``DeviceProfile`` / ``NetworkConditions`` is built only
-#: for a constructed device), the worker-queue columns (40 B), the
-#: tenant's slotted ``SyntheticTrainer`` (88 B) and its slot in the
-#: tenant's trainer list (8 B), the tenant's member-row array (8 B) and
-#: the device table's entry (8 B); ~40 B is not attributed to a row.  It
-#: was 0.64 kB while every row held a ``DeviceProfile`` object and the
-#: tenant a member-id set and a trainer dict, 0.95 kB while every row held
-#: a ``NetworkConditions`` and the three records each an instance dict;
-#: one ``DeviceActor`` per row, with its row handles and mailbox, was
-#: ~3.7 kB.
+#: never-admitted row keeps — measures 0.35 kB (353 B): the idle plane's
+#: columns (157 B, of which the profile's seven fields are 49 B and the
+#: link's three 24 B: a ``DeviceProfile`` / ``NetworkConditions`` is
+#: built only for a constructed device), the worker-queue columns (40 B),
+#: the tenant's slotted ``SyntheticTrainer`` (88 B) and its slot in the
+#: tenant's trainer list (8 B) and the tenant's member-row array (8 B);
+#: ~40 B is not attributed to a row.  It was 361 B while the device table
+#: held an 8 B entry per row, 0.64 kB while every row held a
+#: ``DeviceProfile`` object and the tenant a member-id set and a trainer
+#: dict, 0.95 kB while every row held a ``NetworkConditions`` and the
+#: three records each an instance dict; one ``DeviceActor`` per row, with
+#: its row handles and mailbox, was ~3.7 kB.
 BUILD_BYTES_PER_ROW = 400
 #: Traced bytes per row the peak during ``.build()`` may exceed what the
 #: build keeps.  It measures 24 B: the tenant's factory gets its members'
@@ -96,12 +97,14 @@ def device_objects(fleet) -> int:
 
 
 def test_a_never_admitted_device_is_only_a_row(monkeypatch):
-    configured_rows = set()
+    #: One entry per configuration a device received: did it start a session?
+    started = []
     configure = DeviceActor._attempt_screened_checkin
 
     def recording(self, message):
-        configured_rows.add(self.device_id)
+        in_session = self._aggregator is not None
         configure(self, message)
+        started.append(not in_session and self._aggregator is not None)
 
     monkeypatch.setattr(DeviceActor, "_attempt_screened_checkin", recording)
 
@@ -127,17 +130,21 @@ def test_a_never_admitted_device_is_only_a_row(monkeypatch):
     assert 0 < np.count_nonzero(plane.eligible) < ROWS
     assert device_objects(fleet) == 0
 
-    # (b) a day on: the devices that exist are the rows ever configured —
-    # the distinct devices a ConfigureDevice reached.
+    # (b) a day on: the devices that exist are rows in a session — in a
+    # round, or forwarded to one and waiting for its configuration — and
+    # one was built per session and per configuration turned away.
     fleet.run_days(1.0)
     assert plane.checkins_fast_rejected > 4 * plane.materializations > 0
-    constructed = device_objects(fleet)
-    assert constructed == len(configured_rows) == fleet.devices.constructions
-    assert 0 < constructed <= plane.materializations
-    assert constructed < ROWS // 4
-    assert {
-        i for i, device in enumerate(fleet.devices.rows()) if device is not None
-    } == configured_rows
+    resident = device_objects(fleet)
+    in_session = set(plane.participating_rows().tolist())
+    forwarded = set(np.flatnonzero(plane._waiting_at == len(fleet.selectors)).tolist())
+    live = {i for i, device in enumerate(fleet.devices.rows()) if device is not None}
+    assert in_session <= live <= in_session | forwarded
+    assert resident == len(live) <= len(in_session) + len(forwarded)
+    sessions = sum(p.device_sessions for p in fleet.report().populations)
+    assert sum(started) == sessions > 0
+    assert fleet.devices.constructions == sessions + started.count(False)
+    assert resident < sessions // 4
     # ... and reporting on the fleet leaves the rest as rows.
     report = fleet.report()
     health = fleet.health_report()
@@ -146,12 +153,12 @@ def test_a_never_admitted_device_is_only_a_row(monkeypatch):
     assert sum(health.sessions_by_os_version.values()) == sum(
         p.device_sessions for p in report.populations
     )
-    assert device_objects(fleet) == constructed
+    assert device_objects(fleet) == resident
 
     # (d) every attempt is on its device's health record — read through a
-    # walk that constructs most of the devices it reads.
+    # walk that builds a look at every row it reads, and keeps none.
     assert sum(d.health.checkins for d in fleet.devices) == (
         plane.checkins_fast_rejected + plane.materializations
     )
-    assert device_objects(fleet) == ROWS
+    assert device_objects(fleet) == resident
     assert fleet.report() == report

@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fleet_laws import check_fleet_laws, run_checked
+from fleet_laws import check_fleet_laws, check_waiting_rows, run_checked
 from repro import FaultPlan, FLFleet, PopulationSpec, RoundConfig, TaskConfig
 from repro.core.checkpoint import CheckpointStore, CheckpointWriteError
 from repro.device.actor import DeviceActor
 from repro.device.scheduler import JobSchedule
+from repro.device.table import DeviceTable
 from repro.nn.models import LogisticRegression
 from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.population import PopulationConfig
@@ -88,17 +89,40 @@ def test_reservation_law_catches_an_admission_without_a_slot(monkeypatch):
 
 
 def test_waiting_law_catches_a_device_left_in_its_session(monkeypatch):
-    """(ii): a row that waits again has no device still in a session."""
-    finish = DeviceActor._finish_participation
+    """(ii): a row that waits again has no device still in a session —
+    here one whose session never let go of it, kept by its table."""
+    end = DeviceActor._end_session
 
-    def sticky(device):
+    def sticky(device, *args):
         aggregator = device._aggregator
-        finish(device)
+        end(device, *args)
         device._aggregator = aggregator
 
-    monkeypatch.setattr(DeviceActor, "_finish_participation", sticky)
+    monkeypatch.setattr(DeviceActor, "_end_session", sticky)
+    monkeypatch.setattr(DeviceTable, "close", lambda table, index: None)
+    fleet = lossy_fleet(FaultPlan())
     with pytest.raises(AssertionError, match="waiting-row law"):
-        run_checked(lossy_fleet(FaultPlan()), HOURS)
+        while fleet.loop.now < HOURS:  # (iv) alone would fire first
+            fleet.run_for(600.0)
+            check_waiting_rows(fleet)
+
+
+def test_residency_law_catches_a_device_kept_past_its_hang_up(monkeypatch):
+    """(iv): a row forwarded to a round whose configuration is lost on the
+    way hangs up, and its device goes with the wait."""
+    plan = FaultPlan(messages=MessageFaultConfig(drop_prob=0.2))
+    release = VectorizedIdlePlane.release
+
+    def keeping_devices(plane, rows, delay, window=False):
+        plane._devices.close = lambda index: None
+        try:
+            release(plane, rows, delay, window)
+        finally:
+            del plane._devices.close
+
+    monkeypatch.setattr(VectorizedIdlePlane, "release", keeping_devices)
+    with pytest.raises(AssertionError, match="residency law"):
+        run_checked(lossy_fleet(plan), HOURS)
 
 
 def test_write_law_catches_a_failed_write_counted_as_durable(monkeypatch):

@@ -771,12 +771,13 @@ def test_row_draw_counters_ride_the_snapshot(tmp_path, faults):
     frozen = plane._draw_count.copy()
     assert frozen.min() >= 2  # every row drew at fleet start ...
     assert frozen.max() > 10  # ... and at each transition since
-    # The device generators serve sessions only: born at the first one.
-    born = {name for name in fleet.rngs._cache if name.startswith("device/")}
-    sessions = {
-        f"device/{d.device_id}" for d in fleet.devices if d.health.sessions_started
-    }
-    assert sessions <= born and len(born) < len(fleet.devices)
+    # The device streams serve sessions only: no generator of a device's
+    # own is cached, and a row's saved stream is born at its first session.
+    assert not [name for name in fleet.rngs._cache if name.startswith("device/")]
+    born = set(fleet.device_streams._saved)
+    sessions = set(np.flatnonzero(fleet.idle_plane.scheduler.session_counts(
+        len(fleet.devices)).sum(axis=1)).tolist())
+    assert born <= sessions and 0 < len(born) < len(fleet.devices)
 
     restored = FLFleet.restore(path)
     assert restored.idle_plane._draw_count.tolist() == frozen.tolist()
@@ -938,7 +939,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 17
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 18
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -956,8 +957,10 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # format 14's leaves staged reports in ``_pending`` for a relay to
     # their master; format 15's kernel kept death watchers, and its routes
     # held a ``ForwardDevices`` message as their instruction; format 16's
-    # checkpoint store kept every committed model in ``_history``.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16):
+    # checkpoint store kept every committed model in ``_history``; format
+    # 17's devices lived on after their first session, each with a
+    # stale-event generation and a generator cached in the registry.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -967,7 +970,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 17",
+                match=f"format {older} unsupported .*reads format 18",
             ):
                 read(old)
 

@@ -177,8 +177,9 @@ def check_record(fleet):
 def test_device_slots_are_pinned():
     """What a ``DeviceActor`` holds, as an assertion: state creeping back
     onto the object (a tally, a copy of a column, a WAITING state) is a
-    reviewed edit to this list.  Between sessions only the stale-event
-    guard (``_generation``) carries anything."""
+    reviewed edit to this list.  Nothing carries between sessions: a
+    session's object goes when it is over, and its stale timers are
+    turned away by ``_aggregator`` being ``None``."""
     assert set(DeviceActor.__slots__) == {
         # what it was built with
         "profile", "network", "conditions", "trainer_of", "compute",
@@ -186,10 +187,9 @@ def test_device_slots_are_pinned():
         "ack_timeout_s", "upload_retry",
         # where its record and its idle life are
         "plane", "row", "scheduler",
-        # the session it is in
+        # the session it is in, and its stream for the session
         "_active_population", "_round_id", "_aggregator", "_ack_timeout_event",
-        # stale-event guard
-        "_generation",
+        "_stream",
     }
     # ... and no instance dict for anything else to land in.
     assert all("__slots__" in vars(cls) for cls in DeviceActor.__mro__[:-1])
