@@ -59,6 +59,10 @@ class DeviceTable(Sequence):
         if device is not None:
             self._retire(device)
 
+    def live_rows(self) -> list[int]:
+        """The rows whose device is built, in row order."""
+        return sorted(self._live)
+
     def rows(self) -> list["DeviceActor | None"]:
         """One entry per row, ``None`` where no device is in a session."""
         return [self._live.get(i) for i in range(self._size)]

@@ -67,56 +67,35 @@ class DiurnalModel:
         phase = 2.0 * math.pi * (hours - self.peak_hour) / 24.0
         return 1.0 + self.amplitude * math.cos(phase)
 
-    def eligible_fraction(self, local_time_s: float) -> float:
-        """Instantaneous expected fraction of eligible devices."""
-        return min(1.0, self.base_eligible_fraction * self.modulation(local_time_s))
-
-    def rate_off(self, local_time_s: float) -> float:
-        """Hazard (per second) of an eligible device losing eligibility.
-
-        Inverted modulation: users interact with phones during the day, so
-        eligibility is lost faster then.
-        """
-        base = 1.0 / (self.mean_eligible_minutes * 60.0)
-        # Invert the sinusoid: when availability is at its 1+a peak the
-        # off-hazard is at its 1-a trough, and vice versa.
-        inverted = 2.0 - self.modulation(local_time_s)
-        return base * inverted
-
-    def rate_on(self, local_time_s: float) -> float:
-        """Hazard (per second) of an ineligible device becoming eligible.
-
-        Derived so the stationary eligible fraction tracks
-        :meth:`eligible_fraction` at every hour of the day.
-        """
-        f = self.eligible_fraction(local_time_s)
-        f = min(f, 0.97)
-        off = self.rate_off(local_time_s)
-        # stationary: f = on / (on + off)  =>  on = off * f / (1 - f)
-        return off * f / (1.0 - f)
-
-    # -- batched evaluation (for the vectorized idle plane's sampler) ---------
     def modulation_batch(self, local_times_s: np.ndarray) -> np.ndarray:
-        """:meth:`modulation` over an array of times, one numpy pass."""
+        """:meth:`modulation` over an array of times, one numpy pass (the
+        hazards below are built on it)."""
         hours = (local_times_s / SECONDS_PER_HOUR) % 24.0
         phase = (2.0 * math.pi / 24.0) * (hours - self.peak_hour)
         return 1.0 + self.amplitude * np.cos(phase)
 
-    def rate_off_batch(self, local_times_s: np.ndarray) -> np.ndarray:
-        """:meth:`rate_off` over an array of times."""
-        base = 1.0 / (self.mean_eligible_minutes * 60.0)
-        return base * (2.0 - self.modulation_batch(local_times_s))
-
-    def eligible_fraction_batch(self, local_times_s: np.ndarray) -> np.ndarray:
-        """:meth:`eligible_fraction` over an array of times."""
+    # The laws below take a time or an array of times (one numpy pass).
+    def eligible_fraction(self, local_times_s):
+        """Instantaneous expected fraction of eligible devices."""
         return np.minimum(
             1.0, self.base_eligible_fraction * self.modulation_batch(local_times_s)
         )
 
-    def rate_on_batch(self, local_times_s: np.ndarray) -> np.ndarray:
-        """:meth:`rate_on` over an array of times."""
-        f = np.minimum(self.eligible_fraction_batch(local_times_s), 0.97)
-        off = self.rate_off_batch(local_times_s)
+    def rate_off(self, local_times_s):
+        """Hazard (per second) of an eligible device losing eligibility:
+        the inverted modulation — users interact with phones during the
+        day, so eligibility is lost faster then (when availability is at
+        its 1+a peak the off-hazard is at its 1-a trough)."""
+        base = 1.0 / (self.mean_eligible_minutes * 60.0)
+        return base * (2.0 - self.modulation_batch(local_times_s))
+
+    def rate_on(self, local_times_s):
+        """Hazard (per second) of an ineligible device becoming eligible,
+        derived so the stationary eligible fraction tracks
+        :meth:`eligible_fraction` at every hour of the day."""
+        f = np.minimum(self.eligible_fraction(local_times_s), 0.97)
+        off = self.rate_off(local_times_s)
+        # stationary: f = on / (on + off)  =>  on = off * f / (1 - f)
         return off * f / (1.0 - f)
 
 
@@ -133,20 +112,31 @@ class _HazardTables:
     like ``cum``): row 0 is ``rate_off`` (leaving eligibility), row 1
     ``rate_on``, so ``to_eligible * stride + bucket`` addresses either
     with one take.
+
+    Both ``cum`` rows, merged, are ``bounds``: a remainder's one binary
+    search there counts the entries of either row at or below it, and
+    ``below[row * (bounds.size + 1) + position]`` is that count for the
+    row, less one — the bucket a search of the row's own ``cum`` finds.
     """
 
-    __slots__ = ("rates", "cum", "cum_off", "cum_on", "total", "stride", "bucket_s")
+    __slots__ = ("rates", "cum", "total", "stride", "bucket_s", "bounds", "below")
 
     def __init__(self, rate_off: np.ndarray, rate_on: np.ndarray):
         self.bucket_s = SECONDS_PER_DAY / rate_off.size
         self.stride = rate_off.size + 1
-        self.cum_off, self.cum_on = (
+        cum_off, cum_on = (
             np.concatenate(([0.0], np.cumsum(rates * self.bucket_s)))
             for rates in (rate_off, rate_on)
         )
-        self.cum = np.concatenate((self.cum_off, self.cum_on))
+        self.cum = np.concatenate((cum_off, cum_on))
         self.rates = np.concatenate((rate_off, rate_off[-1:], rate_on, rate_on[-1:]))
-        self.total = np.array([self.cum_off[-1], self.cum_on[-1]])
+        self.total = np.array([cum_off[-1], cum_on[-1]])
+        order = self.cum.argsort(kind="stable")
+        self.bounds = self.cum[order]
+        on = order >= self.stride
+        self.below = np.concatenate(
+            [np.concatenate(([0], np.cumsum(counted))) - 1 for counted in (~on, on)]
+        )
 
 
 @lru_cache(maxsize=32)
@@ -158,7 +148,7 @@ def _rate_tables(model: DiurnalModel) -> _HazardTables:
     same :class:`DiurnalModel`.
     """
     edges = np.arange(_RATE_TABLE_BUCKETS) * (SECONDS_PER_DAY / _RATE_TABLE_BUCKETS)
-    return _HazardTables(model.rate_off_batch(edges), model.rate_on_batch(edges))
+    return _HazardTables(model.rate_off(edges), model.rate_on(edges))
 
 
 def sample_transitions(
@@ -190,11 +180,8 @@ def sample_transitions(
     at = base + k0
     target = tables.cum[at] + tables.rates[at] * (phase - k0 * bucket_s) + exp1
     whole_days, remainder = np.divmod(target, tables.total[row])
-    k = np.where(
-        to_eligible,
-        tables.cum_on.searchsorted(remainder, "right"),
-        tables.cum_off.searchsorted(remainder, "right"),
-    ) - 1
+    bounds = tables.bounds
+    k = tables.below[row * (bounds.size + 1) + bounds.searchsorted(remainder, "right")]
     at = base + k
     hit_phase = k * bucket_s + (remainder - tables.cum[at]) / tables.rates[at]
     return whole_days * SECONDS_PER_DAY + hit_phase - phase

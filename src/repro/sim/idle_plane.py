@@ -4,20 +4,28 @@ The paper's populations are millions of devices of which, at any moment,
 the overwhelming majority are idle — merely flipping eligibility or
 counting down to a check-in.  Simulating that majority as full actors
 costs one timer (plus cancel churn) per device per transition; this
-module instead keeps every device as a row of fleet-wide arrays
-(:attr:`VectorizedIdlePlane._COLUMNS`): its eligibility and next flip,
-its next check-in (``inf`` while ineligible, membership-less or in a
-session; a WAITING row's hang-up deadline) and pace-steering window,
-whether it is in a session and, while WAITING, at which Selector since
-when (Sec. 4.2's Selector pool is those columns plus a small
-``(selector, tenant-slot)`` count array), what a Selector's screen reads
-of it (its attestation verdict — one real token round per device, at
-enrollment — and its runtime version), its profile and link (from which
-a ``DeviceProfile`` / ``NetworkConditions`` is built on read) and its
+module instead keeps every device as a row — Lo et al.'s *client
+registry* — of fleet-wide arrays: its eligibility and next flip, its
+next check-in and pace-steering window, whether it is in a session and,
+while WAITING, at which Selector since when (Sec. 4.2's Selector pool is
+those plus a small ``(selector, tenant-slot)`` count array), what a
+Selector's screen reads of it, its profile and link (from which a
+``DeviceProfile`` / ``NetworkConditions`` is built on read) and its
 record (Sec. 5's health counters: ``device.health``, ``device.eligible``
-and ``device.state`` read the columns, a ``DeviceActor`` keeps no copy).
-Its on-device worker queue (Sec. 11) is its row of a
+and ``device.state`` read them, a ``DeviceActor`` keeps no copy).  Its
+on-device worker queue (Sec. 11) is its row of a
 :class:`~repro.device.scheduler.ColumnScheduler`.
+
+A sweep reads and writes, for each due row, the eleven fields of
+:attr:`VectorizedIdlePlane._RECORD` — its flip, check-in and window
+times, time zone, stream key and counter, check-in tally, Selector,
+eligibility, session and membership flags — so they are one 64-byte,
+cache-line-aligned record per row (:func:`repro.sim.columns.resize`),
+and each attribute a view of its field.  The one exception is
+``_next_event_t``, the earlier of a row's next flip and check-in: the
+due scan and the re-arm read all of it every sweep, so it is a
+contiguous column of its own, as is everything a sweep does not touch
+(:attr:`VectorizedIdlePlane._COLUMNS`).
 
 The plane advances by batched sweeps: one :class:`~repro.sim.event_loop.
 Sweeper` event per sweep boundary (the earliest pending transition
@@ -54,7 +62,6 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.device.actor import DeviceHealthStats, DeviceState
-from repro.device.idle import first_checkin_delay, wake_jitter
 from repro.device.scheduler import ColumnScheduler, JobSchedule, RowScheduler
 from repro.device.table import DeviceTable
 from repro.sim import columns
@@ -74,9 +81,16 @@ _INF = float("inf")
 #: Seconds (uniform) before a row whose Selector's stream broke — a crash,
 #: or a retired route — tries again.
 RESET_RETRY_S = (30.0, 180.0)
+#: Seconds (uniform) a row that wakes with no pace window pending waits
+#: before it checks in, and the least first-check-in stagger (at fleet
+#: start and at an attach's kick: uniform up to the row's job interval).
+WAKE_JITTER_S = (1.0, 120.0)
+FIRST_CHECKIN_MIN_S = 1.0
 
-#: The column that holds each :class:`DeviceProfile` field, in field order.
+#: The column that holds each :class:`DeviceProfile` field, in field order,
+#: and each :class:`NetworkConditions` field.
 _PROFILE_COLUMNS = tuple(f"_{name}" for name in DeviceProfile._fields)
+_LINK_COLUMNS = ("_downlink_bytes_per_s", "_uplink_bytes_per_s", "_rtt_s")
 
 
 class VectorizedIdlePlane:
@@ -104,29 +118,36 @@ class VectorizedIdlePlane:
     of its own, of the devices :meth:`adopt` seats in it.
     """
 
-    #: Every per-row array, declared once: construction and growth both
-    #: size them through :func:`repro.sim.columns.resize`.
-    _COLUMNS: tuple[columns.Column, ...] = (
+    #: The fields a sweep touches for each due row: one 64-byte record per
+    #: row (63 bytes used; widest first, so each field is aligned).
+    #: ``next_checkin_t`` is ``inf`` while ineligible, membership-less or
+    #: in a session, a WAITING row's hang-up deadline; ``_waiting_at`` a
+    #: WAITING row's Selector index (``len(selectors)`` — nowhere — once
+    #: forwarded, or when its check-in was lost on the way), else -1.
+    _RECORD: tuple[columns.Column, ...] = (
         ("next_flip_t", np.float64, _INF),
         ("next_checkin_t", np.float64, _INF),
         ("pending_window_t", np.float64, -_INF),
-        # min(next_flip_t, next_checkin_t) per device, maintained on every
-        # write so a sweep scans one array, not two.
-        ("_next_event_t", np.float64, _INF),
+        ("_tz_offset_hours", np.float64, 0.0),
+        ("_row_key", np.uint64, 0),
+        ("_draw_count", np.uint64, 0),
+        ("_health_checkins", np.int64, 0),
+        ("_waiting_at", np.int32, -1),
         ("eligible", np.bool_, False),
         ("active", np.bool_, False),
-        # A WAITING row's Selector index (``len(selectors)`` — nowhere —
-        # once forwarded, or when its check-in was lost on the way), else
-        # -1; and when it connected.
-        ("_waiting_at", np.int32, -1),
-        ("connected_at_s", np.float64, 0.0),
         ("_has_memberships", np.bool_, False),
-        # The device's profile, one column per ``DeviceProfile`` field
-        # (``profile(row)`` builds the record).  A sweep reads the time
-        # zone, a Selector's screen the runtime version (plan
-        # compatibility) — the profile's own column, not a copy.
+    )
+    #: The other per-row arrays, one column each.  Construction and growth
+    #: size both tables through :func:`repro.sim.columns.resize`.
+    _COLUMNS: tuple[columns.Column, ...] = (
+        # min(next_flip_t, next_checkin_t) per row, kept on every write.
+        ("_next_event_t", np.float64, _INF),
+        # When a WAITING row connected.
+        ("connected_at_s", np.float64, 0.0),
+        # The device's profile, a column per ``DeviceProfile`` field (the
+        # time zone's is in the record): a Selector's screen reads the
+        # runtime version — the profile's own column, not a copy.
         ("_device_id", np.int64, 0),
-        ("_tz_offset_hours", np.float64, 0.0),
         ("_speed_factor", np.float64, 0.0),
         ("_memory_mb", np.int64, 0),
         ("_os_version", np.int64, 0),
@@ -134,9 +155,6 @@ class VectorizedIdlePlane:
         ("_genuine", np.bool_, False),
         # The device's job cadence (its first check-in is staggered over it).
         ("_job_interval_s", np.float64, 0.0),
-        # Each row's counter-keyed stream: key and draws made so far.
-        ("_row_key", np.uint64, 0),
-        ("_draw_count", np.uint64, 0),
         # Attestation verdict per device, from its enrollment's token
         # round: the verdict is deterministic per device, so no check-in
         # pays the hashing again.
@@ -146,11 +164,10 @@ class VectorizedIdlePlane:
         ("_downlink_bytes_per_s", np.float64, 0.0),
         ("_uplink_bytes_per_s", np.float64, 0.0),
         ("_rtt_s", np.float64, 0.0),
-        # The device's health record (its per-tenant session tally is the
-        # scheduler's): check-in attempts, bounced ones included, ...
-        ("_health_checkins", np.int64, 0),
+        # The rest of its health record (the per-tenant session tally is
+        # the scheduler's): training time, upload failures retried, and
+        # sessions dropped for them.
         ("train_seconds", np.float64, 0.0),
-        # ... upload failures retried, and sessions dropped for them.
         ("upload_retries", np.int32, 0),
         ("upload_retries_exhausted", np.int32, 0),
     )
@@ -181,7 +198,7 @@ class VectorizedIdlePlane:
         self._shard_router = shard_router
         self._sweeper = Sweeper(loop, self._sweep)
         self.sweep_interval_s = float(sweep_interval_s)
-        columns.resize(self, self._COLUMNS, (int(capacity),))
+        self._resize(int(capacity))
         #: The on-device worker queue (Sec. 11) of every row.
         self.scheduler = ColumnScheduler(scheduler_policy, rows=int(capacity))
         #: Per tenant slot of the scheduler: the indices into ``selectors``
@@ -245,11 +262,8 @@ class VectorizedIdlePlane:
         rows = slice(first, stop)
         for name, column in zip(DeviceProfile._fields, _PROFILE_COLUMNS):
             getattr(self, column)[rows] = profiles[name]
-        (
-            self._downlink_bytes_per_s[rows],
-            self._uplink_bytes_per_s[rows],
-            self._rtt_s[rows],
-        ) = links
+        for column, values in zip(_LINK_COLUMNS, links):
+            getattr(self, column)[rows] = values
         device_ids = self._device_id[rows]
         self._row_key[rows] = self._draws.keys(device_ids)
         self._job_interval_s[rows] = job_interval_s
@@ -284,8 +298,21 @@ class VectorizedIdlePlane:
 
     def _grow(self, minimum: int) -> None:
         size = max(minimum, 2 * max(self.next_flip_t.size, 16))
-        columns.resize(self, self._COLUMNS, (size,))
+        self._resize(size)
         self.scheduler.grow(size)
+
+    def _resize(self, size: int) -> None:
+        columns.resize(self, self._RECORD, (size,), record="_record")
+        columns.resize(self, self._COLUMNS, (size,))
+
+    # A field view pickles as an array of its own: the record is pickled
+    # once, and a restore binds the views to it again.
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k not in self._record.dtype.names}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        columns.resize(self, self._RECORD, self._record.shape, record="_record")
 
     # -- per-row transitions (a device's entry points) --------------------------
     def _quantize(self, t: float) -> float:
@@ -332,7 +359,7 @@ class VectorizedIdlePlane:
         self._started = self._start_to
         model, tz = self._diurnal, self._tz_offset_hours[rows] * SECONDS_PER_HOUR
         u_eligible, u_stagger = self._draw(rows)
-        eligible = u_eligible < model.eligible_fraction_batch(now + tz)
+        eligible = u_eligible < model.eligible_fraction(now + tz)
         self.eligible[rows] = eligible
         self._eligible_count += int(np.count_nonzero(eligible))
         self.next_flip_t[rows] = now + sample_transitions(
@@ -340,15 +367,21 @@ class VectorizedIdlePlane:
         )
         members = eligible & self._has_memberships[rows]
         self._stagger_first_checkin(rows[members], u_stagger[members], now)
-        self._next_event_t[rows] = np.minimum(
-            self.next_flip_t[rows], self.next_checkin_t[rows]
-        )
+        self._book(rows, self.next_checkin_t[rows])
 
-    def _stagger_first_checkin(self, rows: np.ndarray, u: np.ndarray, now: float) -> None:
+    def _stagger_first_checkin(self, rows: np.ndarray, u, now: float) -> np.ndarray:
         """First check-ins, uniform over one job interval from ``now``."""
-        self.next_checkin_t[rows] = now + first_checkin_delay(
-            self._job_interval_s[rows], u
-        )
+        least = FIRST_CHECKIN_MIN_S
+        checkin_t = now + (least + (self._job_interval_s[rows] - least) * u)
+        self._book(rows, checkin_t)
+        return checkin_t
+
+    def _book(self, rows, checkin_t) -> np.ndarray:
+        """``rows``' next check-ins are ``checkin_t``; returns their next
+        events (each row's earlier of that and its next flip)."""
+        self.next_checkin_t[rows] = checkin_t
+        event_t = self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+        return event_t
 
     def kick_rows(self, rows: np.ndarray) -> None:
         """``rows`` (distinct) just gained a membership on a live fleet:
@@ -360,9 +393,8 @@ class VectorizedIdlePlane:
         idle = self.eligible[rows] & ~self.active[rows]
         rows = rows[idle & (self.next_checkin_t[rows] == _INF)]
         if rows.size:
-            self._stagger_first_checkin(rows, self._draw(rows)[1], self._loop.now)
-            checkin_t = self.next_checkin_t[rows]
-            self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+            u = self._draw(rows)[1]
+            checkin_t = self._stagger_first_checkin(rows, u, self._loop.now)
             if not self._sweeping:
                 self._sweeper.arm(self._quantize(float(checkin_t.min())))
 
@@ -391,10 +423,8 @@ class VectorizedIdlePlane:
         the lifecycle plane (:meth:`kick_rows`)."""
         has = self.scheduler.membership_count(rows) > 0
         self._has_memberships[rows] = has
-        rows = rows[~has]
-        self.next_checkin_t[rows] = _INF
-        self.pending_window_t[rows] = -_INF
-        self._next_event_t[rows] = self.next_flip_t[rows]
+        self._book(rows[~has], _INF)
+        self.pending_window_t[rows[~has]] = -_INF
 
     # -- the sweep ---------------------------------------------------------------
     def _sweep(self) -> None:
@@ -410,7 +440,7 @@ class VectorizedIdlePlane:
         self._rearm()
 
     def _run_sweep(self, now: float) -> None:
-        due = np.nonzero(self._next_event_t <= now)[0]
+        due = (self._next_event_t <= now).nonzero()[0]
         # One draw per due row: a flip spends it on (hazard, wake jitter),
         # a check-in on (selector pick, pace-window sample), a WAITING
         # row's deadline on its hang-up delay.
@@ -456,9 +486,10 @@ class VectorizedIdlePlane:
         # no tenant has no check-in (nor has a row in a session: it was
         # awake, so it fell asleep).
         window = self.pending_window_t[rows]
+        lo, hi = WAKE_JITTER_S
         checkin_t = np.where(
             eligible & self._has_memberships[rows],
-            np.where(window > now, window, now + wake_jitter(u_jitter)),
+            np.where(window > now, window, now + (lo + (hi - lo) * u_jitter)),
             _INF,
         )
         self.next_checkin_t[rows] = checkin_t
@@ -485,13 +516,15 @@ class VectorizedIdlePlane:
         pick each row's session, its pick draw its Selector, and each
         Selector screens its rows a (selector, tenant) group at a time.
         Bounced rows are pace-steered by vector writes, admitted ones
-        WAIT (:meth:`_wait_rows`); no ``DeviceActor`` is visited."""
-        self.next_checkin_t[rows] = _INF
-        self._next_event_t[rows] = self.next_flip_t[rows]
+        WAIT (:meth:`_wait_rows`); no ``DeviceActor`` is visited.  Each
+        row's next check-in is written once: by the way it leaves."""
         # Eligible and not in a session (an active row is always eligible).
         go = self.eligible[rows] != self.active[rows]
         if np.count_nonzero(go) != rows.size:
+            self._book(rows[~go], _INF)
             rows, u_pick, u_window = rows[go], u_pick[go], u_window[go]
+            if not rows.size:
+                return
         self.checkins_dispatched += rows.size
         self.pending_window_t[rows] = -_INF
         member = self._has_memberships[rows]
@@ -499,6 +532,7 @@ class VectorizedIdlePlane:
         if np.count_nonzero(ready) != rows.size:
             # A member whose worker is busy with another tenant's session
             # retries after it; a row with no tenant wants nothing.
+            self._book(rows[~member], _INF)
             busy = member & ~ready
             self._retry_busy(rows[busy], u_pick[busy], now)
             rows, u_pick, u_window = rows[ready], u_pick[ready], u_window[ready]
@@ -516,33 +550,32 @@ class VectorizedIdlePlane:
         group, rows, u_window = group[order], rows[order], u_window[order]
         held, at, spans, sizes = self._screen_groups(
             group.tolist(),
-            (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(),
-            rows.tolist(),
+            ((group[1:] != group[:-1]).nonzero()[0] + 1).tolist(),
             self._attestation_ok[rows].tolist(),
             self._runtime_version[rows].tolist(),
         )
         # The attempt counts on the device's health record, admitted or not.
         self._health_checkins[rows] += 1
         if held:
-            self._wait_rows(
-                rows[held], group[held] // len(self._selectors), np.array(at), now
-            )
+            slots = group[held] // len(self._selectors)
+            self._wait_rows(rows[held], slots, np.array(at), now)
         if len(held) < rows.size:
-            windows = np.repeat(np.array(spans), sizes, axis=0)
+            bounced = slice(None)
             if held:
                 bounced = np.ones(rows.size, dtype=bool)
                 bounced[held] = False
-                rows, windows, u_window = rows[bounced], windows[bounced], u_window[bounced]
-            self._bounce_rows(rows, windows[:, 0], windows[:, 1], u_window, now)
+            if len(set(spans)) == 1:  # one pace window: it is two scalars
+                earliest, latest = spans[0]
+            else:
+                earliest, latest = np.repeat(np.array(spans), sizes, axis=0)[bounced].T
+            self._bounce_rows(rows[bounced], earliest, latest, u_window[bounced], now)
 
     def _retry_busy(self, rows: np.ndarray, u_pick: np.ndarray, now: float) -> None:
         """``rows``' workers are busy: their memberships still file their
         requests, and the next check-in is one jittered job interval out,
         on the draw the Selector pick would have used."""
         self.scheduler.enqueue_rows(rows)
-        checkin_t = now + self._job_delay(rows, u_pick)
-        self.next_checkin_t[rows] = checkin_t
-        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+        self._book(rows, now + self._job_delay(rows, u_pick))
 
     def _resolve_pools(self) -> None:
         """Selector pools for the tenant slots registered since last time
@@ -561,12 +594,7 @@ class VectorizedIdlePlane:
         self._waiting = waiting
 
     def _screen_groups(
-        self,
-        group: list[int],
-        edges: list[int],
-        rows: list[int],
-        attested: list[bool],
-        versions: list[int],
+        self, group: list[int], edges: list[int], attested: list[bool], versions: list[int]
     ) -> tuple[list[int], list[int], list[tuple[float, float]], list[int]]:
         """One admission verdict per (selector, tenant) group of a sweep's
         check-ins (sorted by group; a group starts at each of ``edges``).
@@ -582,7 +610,7 @@ class VectorizedIdlePlane:
         held: list[int] = []
         at: list[int] = []
         spans, sizes = [], []
-        for start, stop in zip([0, *edges], [*edges, len(rows)]):
+        for start, stop in zip([0, *edges], [*edges, len(group)]):
             slot, choice = divmod(group[start], width)
             index = pools[slot][choice]
             # A crashed Selector, or a stand-in without the screen: the
@@ -614,16 +642,14 @@ class VectorizedIdlePlane:
         offers them to its round at once)."""
         nowhere = len(self._selectors)
         if self.checkin_fault is not None:
-            live = np.flatnonzero(at != nowhere)
+            live = (at != nowhere).nonzero()[0]
             at[live[self.checkin_fault(live.size)]] = nowhere
         self.materializations += rows.size
         self._active_count += rows.size
         self.active[rows] = True
         self._waiting_at[rows] = at
         self.connected_at_s[rows] = now
-        deadline = now + self.waiting_timeout_s
-        self.next_checkin_t[rows] = deadline
-        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], deadline)
+        self._book(rows, now + self.waiting_timeout_s)
         # One (selector, tenant) group after another, each in row order.
         groups: dict[tuple[int, int], list[int]] = {}
         for row, slot, index in zip(rows.tolist(), slots.tolist(), at.tolist()):
@@ -700,10 +726,7 @@ class VectorizedIdlePlane:
         reconnect_at = self._loop.now + delay
         if window:
             self.pending_window_t[rows] = reconnect_at
-        checkin_t = np.where(self.eligible[rows], reconnect_at, _INF)
-        self.next_checkin_t[rows] = checkin_t
-        event_t = np.minimum(self.next_flip_t[rows], checkin_t)
-        self._next_event_t[rows] = event_t
+        event_t = self._book(rows, np.where(self.eligible[rows], reconnect_at, _INF))
         if event_t.size and not self._sweeping:
             self._sweeper.arm(self._quantize(float(event_t.min())))
         for i in forwarded.tolist():
@@ -728,22 +751,16 @@ class VectorizedIdlePlane:
         self.release(rows, lo + (hi - lo) * self._draw(rows)[0])
 
     def _bounce_rows(
-        self,
-        rows: np.ndarray,
-        earliest: np.ndarray,
-        latest: np.ndarray,
-        u_window: np.ndarray,
-        now: float,
+        self, rows: np.ndarray, earliest, latest, u_window: np.ndarray, now: float
     ) -> None:
         """The device half of a rejection for every screened-out row: the
-        worker is released and the row returns inside its pace window."""
+        worker is released and the row returns inside its pace window
+        (``earliest`` / ``latest``: per row, or one for all)."""
         self.checkins_fast_rejected += rows.size
         self.scheduler.abort_rows(rows)
         reconnect_at = earliest + (latest - earliest) * u_window
-        checkin_t = now + np.maximum(reconnect_at - now, 1.0)
         self.pending_window_t[rows] = reconnect_at
-        self.next_checkin_t[rows] = checkin_t
-        self._next_event_t[rows] = np.minimum(self.next_flip_t[rows], checkin_t)
+        self._book(rows, now + np.maximum(reconnect_at - now, 1.0))
 
     def _rearm(self) -> None:
         t = self._next_event_t.min() if self._next_event_t.size else _INF
@@ -765,11 +782,7 @@ class VectorizedIdlePlane:
 
     def conditions(self, i: int) -> NetworkConditions:
         """Row ``i``'s link, as the record its device holds."""
-        return NetworkConditions(
-            float(self._downlink_bytes_per_s[i]),
-            float(self._uplink_bytes_per_s[i]),
-            float(self._rtt_s[i]),
-        )
+        return NetworkConditions(*(getattr(self, c).item(i) for c in _LINK_COLUMNS))
 
     def health(self, i: int) -> DeviceHealthStats:
         """Row ``i``'s health record, as the value ``device.health`` is."""
@@ -811,9 +824,11 @@ class VectorizedIdlePlane:
         return rows[waiting], rows[~waiting]
 
     def participating_rows(self) -> np.ndarray:
-        """The rows in a round's session, in row order (each has its
-        device: it was built when the round took the row)."""
-        return np.flatnonzero(self.active & (self._waiting_at < 0))
+        """The rows in a round's session, in row order: each has its
+        device (built when the round took the row), so they are found
+        among the table's few live rows, not by a scan of the fleet."""
+        live = np.array(self._devices.live_rows(), np.intp)
+        return live[self.active[live] & (self._waiting_at[live] < 0)]
 
     def participating_devices(self) -> list["DeviceActor"]:
         devices = self._devices

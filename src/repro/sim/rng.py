@@ -22,13 +22,21 @@ def _stable_hash(name: str) -> int:
 
 #: SplitMix64's Weyl increment (2^64 / golden ratio, odd).
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+#: Its output function's shifts and multipliers, and a word's low half.
+_S30, _S27, _S31, _S32 = map(np.uint64, (30, 27, 31, 32))
+_M1, _M2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's output function over a uint64 array (wrapping)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64's output function over a uint64 array (wrapping), mixed
+    in place: ``z`` must be a fresh array of the caller's."""
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 class RowDraws:
@@ -60,10 +68,7 @@ class RowDraws:
         uniforms in ``[0, 1)`` (the high and low 32 bits of one output; an
         idle transition needs two — hazard and jitter, or pick and window)."""
         z = _mix64(keys + counters * _GAMMA)
-        return (
-            (z >> np.uint64(32)) * 2.0**-32,
-            (z & np.uint64(0xFFFFFFFF)) * 2.0**-32,
-        )
+        return (z >> _S32) * 2.0**-32, (z & _LOW32) * 2.0**-32
 
 
 class RngRegistry:

@@ -571,11 +571,10 @@ class PopulationLifecycle:
 # -- fleet checkpoint / restore ---------------------------------------------------
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly (the
-#: commit that bumps it says what moved).  18: a device is an object only
-#: in a session — the table holds the live ones, the fleet each row's
-#: packed ``SessionStreams`` state, the kernel an ``absent`` hook — and
-#: ``DeviceActor`` lost ``_generation``.
-SNAPSHOT_FORMAT_VERSION = 18
+#: commit that bumps it says what moved).  19: the idle plane pickles the
+#: fields a sweep touches as one record of 64-byte rows (``_record``),
+#: not as separate columns, and binds their views again on restore.
+SNAPSHOT_FORMAT_VERSION = 19
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

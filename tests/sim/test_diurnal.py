@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.diurnal import AvailabilityProcess, DiurnalModel, sample_transitions
+from repro.sim.diurnal import (
+    AvailabilityProcess,
+    DiurnalModel,
+    _rate_tables,
+    sample_transitions,
+)
 from repro.sim.event_loop import SECONDS_PER_DAY, SECONDS_PER_HOUR
 
 
@@ -111,7 +116,7 @@ def test_more_devices_eligible_at_night(rng):
 @lru_cache(maxsize=None)
 def oracle_table(model, to_eligible):
     """Per-minute hazard ``rates`` and their running integral ``cum``."""
-    rates = (model.rate_on_batch if to_eligible else model.rate_off_batch)(
+    rates = (model.rate_on if to_eligible else model.rate_off)(
         np.arange(1440) * 60.0
     )
     return rates.tolist(), np.concatenate(([0.0], np.cumsum(rates * 60.0))).tolist()
@@ -208,3 +213,67 @@ def test_tabulated_sampler_is_strictly_positive_and_deterministic(rng):
         for _ in range(2)
     ]
     assert draws[0].tolist() == draws[1].tolist()
+
+
+# -- one search per row, against the two-table form it replaced --------------------
+
+
+def two_search_transitions(model, wall_time_s, tz_offset_s, to_eligible, exp1):
+    """:func:`sample_transitions` as it was before each row searched once:
+    every row searched in both hazard tables, one result kept by ``where``."""
+    tables = _rate_tables(model)
+    bucket_s = tables.bucket_s
+    phase = (wall_time_s + tz_offset_s) % SECONDS_PER_DAY
+    k0 = (phase / bucket_s).astype(np.intp)
+    row = to_eligible.astype(np.intp)
+    base = row * tables.stride
+    at = base + k0
+    target = tables.cum[at] + tables.rates[at] * (phase - k0 * bucket_s) + exp1
+    whole_days, remainder = np.divmod(target, tables.total[row])
+    cum_off, cum_on = tables.cum[: tables.stride], tables.cum[tables.stride :]
+    k = np.where(
+        to_eligible,
+        cum_on.searchsorted(remainder, "right"),
+        cum_off.searchsorted(remainder, "right"),
+    ) - 1
+    at = base + k
+    hit_phase = k * bucket_s + (remainder - tables.cum[at]) / tables.rates[at]
+    return whole_days * SECONDS_PER_DAY + hit_phase - phase
+
+
+LAWS = [DiurnalModel(), DiurnalModel(amplitude=0.0, base_eligible_fraction=0.7,
+                                     mean_eligible_minutes=20.0)]
+
+
+@st.composite
+def laws_and_draws(draw):
+    """A law and Exp(1) draws that, at local midnight (phase 0, so the
+    remainder *is* the draw), land on an entry of either of its tables, on
+    0, and just below each table's total — beside arbitrary ones."""
+    law = draw(st.sampled_from(LAWS))
+    tables = _rate_tables(law)
+    edges = [*tables.cum.tolist(), *np.nextafter(tables.total, 0.0).tolist()]
+    near = st.sampled_from(edges).flatmap(lambda x: st.sampled_from(
+        [x, float(np.nextafter(x, np.inf)), float(np.nextafter(x, -np.inf))]
+    )).filter(lambda x: x >= 0.0)
+    values = st.one_of(near, st.floats(0.0, 40.0 * float(tables.total.max())))
+    return law, np.array(draw(st.lists(values, min_size=1, max_size=40)))
+
+
+@given(
+    law_and_exp1=laws_and_draws(),
+    eligible=st.lists(st.booleans(), min_size=40, max_size=40),
+    day=st.integers(0, 9),
+    shift=st.sampled_from([0.0, 37.5, 59.999, 0.25 * SECONDS_PER_DAY]),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_search_per_row_equals_the_two_table_form(law_and_exp1, eligible, day, shift):
+    law, exp1 = law_and_exp1
+    to_eligible = np.array(eligible[: exp1.size])
+    # Each time zone's local midnight (``shift`` 0), or a phase off it.
+    for offset in (-8.0 * SECONDS_PER_HOUR, 0.0, 5.5 * SECONDS_PER_HOUR):
+        now = day * SECONDS_PER_DAY - offset + shift
+        tz = np.full(exp1.size, offset)
+        got = sample_transitions(law, now, tz, to_eligible, exp1)
+        want = two_search_transitions(law, now, tz, to_eligible, exp1)
+        assert got.tobytes() == want.tobytes()

@@ -1,9 +1,11 @@
 """Vectorized idle-plane edge cases and fleet-level determinism."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro import FLFleet
+from repro import FLFleet, FaultPlan, PopulationSpec
 from repro.actors.kernel import Actor, ActorSystem
 from repro.actors import messages as msg
 from repro.analytics.events import EventLog
@@ -20,6 +22,7 @@ from repro.sim.idle_plane import VectorizedIdlePlane
 from repro.sim.network import NetworkConditions, NetworkModel
 from repro.sim.population import DeviceProfile, PopulationConfig
 from repro.sim.rng import RngRegistry
+from repro.system import ActorCrashSchedule, DeviceInterruptSchedule, MessageFaultConfig
 
 
 class StubServer(Actor):
@@ -247,8 +250,29 @@ def test_health_read_is_pure_and_the_health_record_is_complete(harness):
     }
 
 
+def assert_one_record(plane):
+    """Every field a sweep touches per due row is a view of one record of
+    64-byte, cache-line-aligned rows; ``_next_event_t``, which the due scan
+    and the re-arm read whole, is a contiguous column outside it, and so
+    is every other column."""
+    record = plane._record
+    assert record.dtype.itemsize == 64 and record.ctypes.data % 64 == 0
+    assert set(record.dtype.names) == {name for name, *_ in plane._RECORD}
+    for name, *_ in plane._RECORD:
+        view, offset = getattr(plane, name), record.dtype.fields[name][1]
+        assert view.ctypes.data == record.ctypes.data + offset, name
+        assert view.strides == (64,) and view.shape == record.shape, name
+        assert np.shares_memory(view, record) and view.flags.aligned, name
+    for name, *_ in plane._COLUMNS:
+        column = getattr(plane, name)
+        assert column.flags.c_contiguous, name
+        assert not np.shares_memory(column, record), name
+    assert plane._next_event_t.flags.c_contiguous
+
+
 def test_growing_past_capacity_mid_run_keeps_every_column():
     loop, system, plane, server, _ref, rngs = make_harness(FLIPS_EVERY_MINUTE)
+    assert_one_record(plane)
     capacity = plane.next_flip_t.shape[0]
     first = [
         make_device(system, plane, rngs, memberships=("pop", "other"))
@@ -256,7 +280,8 @@ def test_growing_past_capacity_mid_run_keeps_every_column():
     ]
     loop.run(until=1800.0)  # flips, check-ins, sessions: no column is at its fill
     before = {key: value.copy() for key, value in _row_arrays(plane).items()}
-    declared = {("plane", name) for name, *_ in plane._COLUMNS} | {
+    table = plane._COLUMNS + plane._RECORD
+    declared = {("plane", name) for name, *_ in table} | {("plane", "_record")} | {
         ("scheduler", name)
         for name, *_ in plane.scheduler._ROW_COLUMNS + plane.scheduler._SLOT_COLUMNS
     }
@@ -265,21 +290,33 @@ def test_growing_past_capacity_mid_run_keeps_every_column():
     late = [make_device(system, plane, rngs) for _ in range(3 * capacity)]
     after = _row_arrays(plane)
     assert set(after) == declared
+    assert_one_record(plane)
     for key, old in before.items():
         new = after[key]
         assert new.shape[0] >= len(plane) > capacity, key
         assert new.dtype == old.dtype and new.shape[1:] == old.shape[1:], key
         np.testing.assert_array_equal(new[:capacity], old, err_msg=str(key))
-    fills = {("plane", name): fill for name, _, fill in plane._COLUMNS}
+    fills = {("plane", name): fill for name, _, fill in table}
     for (owner, name), fill in fills.items():
         np.testing.assert_array_equal(
             after[owner, name][len(plane):], fill, err_msg=name
         )
+    # A snapshot carries the record once, and a restore binds the views
+    # to its own record again; both copies then run the same.
+    state = plane.__getstate__()
+    assert "_record" in state and not {name for name, *_ in plane._RECORD} & set(state)
+    twin_loop, twin_plane = pickle.loads(pickle.dumps((loop, plane)))
+    assert_one_record(twin_plane)
+    for name, *_ in table:
+        np.testing.assert_array_equal(getattr(twin_plane, name), getattr(plane, name))
     # The grown fleet keeps running: the late rows flip and check in too.
     loop.run(until=5400.0)
+    twin_loop.run(until=5400.0)
     assert all(plane._draw_count[i] > 0 for i in range(len(plane)))
     assert plane.materializations == sum(d.health.checkins for d in first + late)
     assert sum(d.health.checkins for d in late) > 0
+    assert twin_plane._record.tobytes() == plane._record.tobytes()
+    assert twin_plane._next_event_t.tobytes() == plane._next_event_t.tobytes()
 
 
 def test_a_hand_built_devices_link_is_written_to_its_row(harness):
@@ -358,3 +395,115 @@ def test_plane_state_counts_match_device_states():
         assert plane._eligible_count == int(plane.eligible.sum())
         assert plane._active_count == int(plane.active.sum())
         assert not (plane.active & ~plane.eligible).any()
+
+
+# ---------------------------------------------------------------------------
+# the participating rows: the device table's live rows, not a fleet scan
+
+
+def scanned_participants(plane):
+    """The rows in a round's session, by a scan of every row."""
+    return np.flatnonzero(plane.active & (plane._waiting_at < 0))
+
+
+CHAOS = FaultPlan(
+    crashes=(ActorCrashSchedule("selector", mean_interval_s=1800.0),),
+    messages=MessageFaultConfig(drop_prob=0.01, delay_prob=0.02, delay_mean_s=2.0),
+    device_interrupts=DeviceInterruptSchedule(mean_interval_s=600.0),
+)
+
+
+def spec_for(name, target, membership):
+    task = TaskConfig(
+        task_id=f"{name}/train", population_name=name,
+        round_config=RoundConfig(
+            target_participants=target, selection_timeout_s=60, reporting_timeout_s=150
+        ),
+    )
+    params = MLPClassifier(input_dim=8, hidden_dims=(16,), n_classes=4).init(
+        np.random.default_rng(0)
+    )
+    return PopulationSpec(
+        name=name, tasks=[task], initial_params=params, membership_fraction=membership
+    )
+
+
+def test_participating_rows_are_the_live_rows_in_a_session(tmp_path, monkeypatch):
+    """At every telemetry sample of a chaos fleet — through an attach, a
+    snapshot → restore and a drain — the participating rows read off the
+    device table's live rows are exactly those a scan of every row finds."""
+    sizes = []
+    sample_fleet = FLFleet._sample_fleet
+
+    def _sample_fleet(self):  # named as the method: the loop pickles it by name
+        rows = self.idle_plane.participating_rows()
+        assert rows.dtype == np.intp
+        assert rows.tolist() == scanned_participants(self.idle_plane).tolist()
+        sizes.append(rows.size)
+        sample_fleet(self)
+
+    monkeypatch.setattr(FLFleet, "_sample_fleet", _sample_fleet)
+    fleet = (
+        FLFleet.builder()
+        .seed(41)
+        .devices(PopulationConfig(num_devices=300))
+        .selectors(4)
+        .selector_shards(2)
+        .job(JobSchedule(900.0, 0.5))
+        .sample_interval(60.0)
+        .faults(CHAOS)
+        .add_spec(spec_for("secure", 10, 1.0))
+        .add_spec(spec_for("plain", 6, 0.5))
+        .build()
+    )
+    fleet.run_for(3600.0)
+    fleet.attach_population(spec_for("late", 6, 0.5))
+    fleet.run_for(1800.0)
+    fleet.snapshot(tmp_path / "fleet.snapshot")
+    fleet = FLFleet.restore(tmp_path / "fleet.snapshot")
+    fleet.run_for(1800.0)
+    fleet.drain_population("plain", deadline_s=900.0)
+    fleet.run_for(1800.0)
+    assert len(sizes) >= 150 and sum(sizes) > 0  # one a minute, 2.5 hours
+    assert fleet.report().recovery.device_interrupts > 0
+
+
+def test_a_seated_device_is_a_participant_only_in_its_session(harness):
+    """A hand-built device is the table's live row from ``adopt`` on; it
+    counts as participating only while its session runs."""
+    loop, system, plane, server, server_ref, rngs = harness
+    idle = make_device(system, plane, rngs)
+    device = make_device(system, plane, rngs)
+    assert plane._devices.live_rows() == [0, 1]
+    loop.run(until=700.0)
+    assert device.state is DeviceState.WAITING
+    assert plane.participating_rows().tolist() == [] == scanned_participants(plane).tolist()
+    system.tell(device.ref, make_configure(5, server_ref))
+    loop.run(until=loop.now + 2.0)
+    assert device.state is DeviceState.PARTICIPATING
+    assert idle.state is not DeviceState.PARTICIPATING
+    assert plane.participating_rows().tolist() == [1]
+    assert scanned_participants(plane).tolist() == [1]
+    while not server.reports and loop.now < 5000.0:
+        loop.run(until=loop.now + 5.0)
+    system.tell(device.ref, msg.ReportAck(round_id=5, accepted=True))
+    loop.run(until=loop.now + 10.0)
+    assert plane.participating_rows().tolist() == [] == scanned_participants(plane).tolist()
+
+
+def test_a_due_checkin_that_cannot_go_books_none():
+    """A due check-in of a row asleep or with no tenant leaves the sweep
+    with no check-in booked — its one write on that way out — so the
+    plane's next event is its next flip and the sweeps move on."""
+    loop, system, plane, server, server_ref, rngs = make_harness(
+        DiurnalModel(amplitude=0.0, base_eligible_fraction=1e-12, mean_eligible_minutes=1e9)
+    )
+    asleep = make_device(system, plane, rngs)
+    loop2, system2, plane2, *_, rngs2 = make_harness(ALWAYS_ELIGIBLE)
+    tenantless = make_device(system2, plane2, rngs2, memberships=())
+    for plane, device, loop in ((plane, asleep, loop), (plane2, tenantless, loop2)):
+        plane.schedule_checkin(device.row, 30.0)
+        assert loop.run(until=600.0, max_events=50) < 50  # no sweep re-runs
+        assert plane.checkins_dispatched <= 1 and device.health.checkins == 0
+        assert plane.next_checkin_t[0] == float("inf")
+        assert plane._next_event_t[0] == plane.next_flip_t[0] > 600.0

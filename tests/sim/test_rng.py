@@ -7,7 +7,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.sim.rng import RngRegistry, RowDraws, SessionStreams
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.rng import RngRegistry, RowDraws, SessionStreams, _mix64
 
 
 def test_same_name_same_seed_is_deterministic():
@@ -198,3 +201,29 @@ def test_a_rows_session_stream_is_one_stream_across_sessions_and_a_snapshot():
     for draw, _ in sessions[2:]:
         np.testing.assert_array_equal(draw(resumed.open(7, "device/7")), draw(replay))
         resumed.close(7)
+
+
+def allocating_mix64(z):
+    """SplitMix64's output function as it was before it mixed in place."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=0, max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_mixing_in_place_equals_the_allocating_form(words):
+    edges = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    z = np.array(words + edges, dtype=np.uint64)
+    want = allocating_mix64(z.copy())
+    fresh = z.copy()
+    got = _mix64(fresh)
+    assert got is fresh  # the caller's fresh array, mixed where it lies
+    assert got.tobytes() == want.tobytes()
+    # And through the two callers, which hand it arrays of their own.
+    keys, counters = z, z[::-1].copy()
+    got_pair = RowDraws.uniform_pair(keys, counters)
+    mixed = allocating_mix64(keys + counters * np.uint64(0x9E3779B97F4A7C15))
+    assert got_pair[0].tobytes() == ((mixed >> np.uint64(32)) * 2.0**-32).tobytes()
+    assert got_pair[1].tobytes() == ((mixed & np.uint64(0xFFFFFFFF)) * 2.0**-32).tobytes()
+    assert np.array_equal(keys, np.array(words + edges, dtype=np.uint64))
