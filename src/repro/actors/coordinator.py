@@ -40,7 +40,7 @@ from typing import Callable
 from repro.actors.kernel import Actor, ActorRef, Restart
 from repro.actors.locking import LockService
 from repro.actors.selector import Forwarding, Selector
-from repro.bounds import check, count, non_negative, positive
+from repro.bounds import check, non_negative, positive
 from repro.core.checkpoint import CheckpointStore
 from repro.core.task import TaskScheduler
 
@@ -58,7 +58,6 @@ class CoordinatorConfig:
     #: for real").
     pipelining: bool = True
     inter_round_gap_s: float = non_negative(default=60.0)
-    max_rounds: int | None = count(1, default=None)
 
     __post_init__ = check
 
@@ -187,12 +186,7 @@ class Coordinator(Actor):
 
     def _blocked(self) -> bool:
         """No round may start until something other than time changes."""
-        limit = self.config.max_rounds
-        return (
-            self.draining
-            or self.active_master is not None
-            or (limit is not None and self.rounds_finished >= limit)
-        )
+        return self.draining or self.active_master is not None
 
     def _gap_ends_at_s(self) -> float:
         """When the explicit selection gap after the last round is over."""

@@ -1,8 +1,8 @@
 """Analytics (Secs. 5 and 7.4).
 
 Device and server health telemetry: per-state event logs rendered as the
-ASCII "session shapes" of Table 1, time-series dashboards with automatic
-monitors, and materialized per-round model metrics summarized by
+ASCII "session shapes" of Table 1, time-series dashboards, and
+materialized per-round model metrics summarized by
 approximate order statistics (a P² quantile sketch) and moments.
 
 No entry contains personally identifiable information: events carry only
@@ -18,7 +18,6 @@ from repro.analytics.session_shapes import (
 )
 from repro.analytics.quantile import P2Quantile, StreamingMoments, MetricSummary
 from repro.analytics.dashboard import TimeSeries, Dashboard
-from repro.analytics.monitors import Alert, ThresholdMonitor, DeviationMonitor
 from repro.analytics.metrics_store import MaterializedMetrics, ModelMetricsStore
 
 __all__ = [
@@ -34,9 +33,6 @@ __all__ = [
     "MetricSummary",
     "TimeSeries",
     "Dashboard",
-    "Alert",
-    "ThresholdMonitor",
-    "DeviationMonitor",
     "MaterializedMetrics",
     "ModelMetricsStore",
 ]

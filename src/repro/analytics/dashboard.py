@@ -3,8 +3,8 @@
 Log entries "are aggregated and presented in dashboards to be analyzed,
 and fed into automatic time-series monitors that trigger alerts on
 substantial deviations."  :class:`Dashboard` is the aggregation layer:
-named, bucketed time series that the monitors and the figure benchmarks
-read back.
+named, bucketed time series that the figure benchmarks read back (no
+monitor is attached to a fleet yet).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.core.datasets import ClientDataset, pool_datasets
 from repro.nn.models import Model
-from repro.nn.optimizers import SGD, SGDConfig
+from repro.nn.optimizers import SGD
 from repro.nn.parameters import Parameters
 
 
@@ -43,7 +43,7 @@ class CentralizedTrainer:
             if initial_params is not None
             else self.model.init(rng)
         )
-        optimizer = SGD(SGDConfig(learning_rate=self.learning_rate))
+        optimizer = SGD(self.learning_rate)
         for xb, yb in pooled.batches(self.batch_size, epochs, rng):
             loss, grads = self.model.loss_and_grad(params, xb, yb)
             params = optimizer.step(params, grads)

@@ -57,7 +57,6 @@ class ClientTrainingConfig:
     learning_rate: float = positive(default=0.1)
     #: plan-level bound on examples consumed
     max_examples: int = count(1, default=10_000)
-    clip_update_norm: float | None = positive(default=None)
 
     __post_init__ = check
 

@@ -7,10 +7,11 @@ and applies the weighted average of the deltas::
     n̄_t = Σ_k n^k         (sum of weights)
     w_{t+1} = w_t + w̄_t / n̄_t
 
-``ClientUpdate`` runs ``epochs`` of minibatch SGD from the global weights
-and returns ``Δ = n · (w - w_init)`` — the *weighted* delta, which the
-paper notes is more amenable to compression than raw weights, and whose
-sum-only structure is exactly what Secure Aggregation needs (Sec. 6).
+``ClientUpdate`` runs ``epochs`` of plain minibatch SGD from the global
+weights and returns ``Δ = n · (w - w_init)`` — the *weighted* delta, which
+the paper notes is more amenable to compression than raw weights, and
+whose sum-only structure is exactly what Secure Aggregation needs
+(Sec. 6).
 
 ``ClientUpdate`` has two kernel families:
 
@@ -40,7 +41,7 @@ import numpy as np
 from repro.bounds import check, count, positive
 from repro.core.datasets import ClientDataset
 from repro.nn.models import Model
-from repro.nn.optimizers import SGD, SGDConfig
+from repro.nn.optimizers import SGD
 from repro.nn.parameters import (
     ParameterAccumulator,
     ParameterLayout,
@@ -75,10 +76,8 @@ def client_update(
     learning_rate: float,
     rng: np.random.Generator,
     max_examples: int | None = None,
-    clip_update_norm: float | None = None,
 ) -> ClientUpdateResult:
     """``ClientUpdate(w)`` from Algorithm 1: local SGD, weighted delta out."""
-    _check_clip(clip_update_norm)
     data = dataset
     if max_examples is not None and dataset.num_examples > max_examples:
         idx = rng.choice(dataset.num_examples, size=max_examples, replace=False)
@@ -86,7 +85,7 @@ def client_update(
     n = data.num_examples
     if n == 0:
         raise ValueError(f"client {dataset.client_id} has no examples")
-    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    optimizer = SGD(learning_rate)
     losses = []
     steps = 0
     w = global_params
@@ -95,22 +94,14 @@ def client_update(
         w = optimizer.step(w, grads)
         losses.append(loss)
         steps += 1
-    delta = (w - global_params).scale(float(n))
-    if clip_update_norm is not None:
-        delta = delta.clip_by_norm(clip_update_norm * n)
     return ClientUpdateResult(
         client_id=dataset.client_id,
-        delta=delta,
+        delta=(w - global_params).scale(float(n)),
         weight=float(n),
         num_examples=n,
         mean_loss=float(np.mean(losses)),
         steps=steps,
     )
-
-
-def _check_clip(clip: float | None) -> None:
-    if clip is not None and not 0 < clip < float("inf"):  # NaN fails it too
-        raise ValueError(f"clip_update_norm must be None or finite and > 0, got {clip}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +289,6 @@ def client_update_cohort(
     batch_size: int = 16,
     learning_rate: float = 0.1,
     max_examples: int | None = None,
-    clip_update_norm: float | None = None,
     buffers: CohortUpdateBuffers | None = None,
 ) -> CohortUpdateResult:
     """Run a whole cohort's ``ClientUpdate`` as stacked tensor ops.
@@ -307,12 +297,12 @@ def client_update_cohort(
     client weights live as rows of stacked ``(B, ...)`` buffers, each
     local step runs one batched ``loss_and_grad_cohort`` over the padded
     per-client minibatches and one vectorized SGD step advancing all
-    working copies, and per-client weighting/clipping apply as masked
-    row-wise ops.  Rows are trained sorted by step count (stably, longest
-    first) and step ``s`` runs on the prefix that still has a step ``s``,
-    so a client that has finished its local steps leaves the stack — the
-    same bytes as carrying it along with a zero gradient (``w - lr·0 ==
-    w``), at none of the cost.  The sorted cohort runs as consecutive
+    working copies, and per-client weighting applies as a row-wise op.
+    Rows are trained sorted by step count (stably, longest first) and
+    step ``s`` runs on the prefix that still has a step ``s``, so a client
+    that has finished its local steps leaves the stack — the same bytes as
+    carrying it along with a zero gradient (``w - lr·0 == w``), at none of
+    the cost.  The sorted cohort runs as consecutive
     blocks of ``B = buffers.rows_per_block(...)`` rows (one block when it
     fits :data:`BLOCK_BYTES`), each gathering only its own clients' data
     and writing its rows straight into the caller-order ``(K, dim)``
@@ -330,7 +320,6 @@ def client_update_cohort(
     same shapes (full minibatches), and equal up to float summation
     order otherwise.
     """
-    _check_clip(clip_update_norm)
     if schedules is None:
         if datasets is None or rngs is None:
             raise ValueError("need schedules, or datasets with rngs")
@@ -362,8 +351,7 @@ def client_update_cohort(
     blocks = list(enumerate(order[i : i + block] for i in range(0, k, block)))
     delta_matrix = np.empty((k, layout.total_size), dtype=np.float64)
     mean_losses = np.empty(k, dtype=np.float64)
-    args = (learning_rate, model, global_params, schedules, clip_update_norm,
-            delta_matrix, mean_losses)
+    args = (learning_rate, model, global_params, schedules, delta_matrix, mean_losses)
     siblings = buffers.siblings
     siblings += [CohortUpdateBuffers(layout) for _ in range(lanes - 1 - len(siblings))]
     # One start barrier: a worker that took a helper lane cannot take the next
@@ -391,7 +379,7 @@ def _run_lane(blocks: list[tuple[int, np.ndarray]], buffers: CohortUpdateBuffers
     """One lane's ``(index, rows)`` blocks in turn, once every lane has
     started; the first failure's index, error."""
     start.wait()
-    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    optimizer = SGD(learning_rate)
     for index, rows in blocks:
         try:
             _train_block(rows, buffers, optimizer, *block_args)
@@ -403,11 +391,11 @@ def _run_lane(blocks: list[tuple[int, np.ndarray]], buffers: CohortUpdateBuffers
 def _train_block(
     members: np.ndarray, buffers: CohortUpdateBuffers, optimizer: SGD, model: Model,
     global_params: Parameters, schedules: Sequence[LocalStepSchedule],
-    clip_update_norm: float | None, delta_matrix: np.ndarray, mean_losses: np.ndarray,
+    delta_matrix: np.ndarray, mean_losses: np.ndarray,
 ) -> None:
     """Train the cohort's ``members`` (one step-sorted block) in the first
-    rows of ``buffers``' stacks, then write their weighted (and clipped)
-    deltas and mean losses to their rows of ``delta_matrix`` / ``mean_losses``."""
+    rows of ``buffers``' stacks, then write their weighted deltas and mean
+    losses to their rows of ``delta_matrix`` / ``mean_losses``."""
     schedules = [schedules[i] for i in members]
     k = len(schedules)
     batch_size = schedules[0].batch_size
@@ -474,17 +462,10 @@ def _train_block(
         )
         optimizer.step_stack_(work_s, grads_s)
 
-    # The working stack becomes the weighted (and clipped) delta in place
-    # — the stacked twin of ``(w - global).scale(n)``.
+    # The working stack becomes the weighted delta in place — the stacked
+    # twin of ``(w - global).scale(n)``.
     work.sub_broadcast_(global_params)
     work.scale_rows_(ns)
-    if clip_update_norm is not None:
-        norms = work.row_norms()
-        max_norms = clip_update_norm * ns
-        factors = np.ones(k, dtype=np.float64)
-        over = norms > max_norms
-        factors[over] = max_norms[over] / norms[over]
-        work.scale_rows_(factors)
 
     work.write_rows(delta_matrix, members)
     for i, row in enumerate(members):
@@ -499,9 +480,7 @@ class FedAvgConfig:
     epochs: int = count(1, default=1)
     batch_size: int = count(1, default=16)
     learning_rate: float = positive(default=0.1)
-    server_learning_rate: float = positive(default=1.0)  # scales the averaged delta
     max_examples_per_client: int | None = count(1, default=None)
-    clip_update_norm: float | None = positive(default=None)
 
     __post_init__ = check
 
@@ -569,7 +548,7 @@ class FederatedAveraging:
         weight_sum: float,
     ) -> Parameters:
         avg_delta = global_params.from_vector(acc.scaled_sum(1.0 / weight_sum))
-        return global_params.axpy(self.config.server_learning_rate, avg_delta)
+        return global_params + avg_delta
 
     def run_round(
         self,
@@ -602,7 +581,6 @@ class FederatedAveraging:
             batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate,
             max_examples=cfg.max_examples_per_client,
-            clip_update_norm=cfg.clip_update_norm,
             buffers=self._cohort_buffers,
         )
         acc = self._accumulator_for(global_params)

@@ -46,6 +46,10 @@ from repro.sim.rng import standalone_stream
 from repro.sim.network import NetworkConditions, NetworkModel, TransferDirection
 from repro.sim.population import DeviceProfile
 
+#: Chance that a finished training pass ends in an on-device compute error
+#: (Sec. 5's "model issue" shape) instead of an upload.
+COMPUTE_ERROR_PROB = 0.005
+
 
 class DeviceState(enum.Enum):
     SLEEPING = "sleeping"          # ineligible
@@ -87,7 +91,7 @@ class DeviceActor(Actor):
     # instance dict, one slot per field.
     __slots__ = (
         "profile", "network", "conditions", "trainer_of", "compute",
-        "event_log", "_rng", "_stream", "job", "compute_error_prob", "ack_timeout_s",
+        "event_log", "_rng", "_stream", "job", "ack_timeout_s",
         "upload_retry", "plane", "row", "scheduler",
         "_active_population", "_round_id", "_aggregator", "_ack_timeout_event",
     )
@@ -102,7 +106,6 @@ class DeviceActor(Actor):
         event_log: EventLog | None = None,
         rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
         job: JobSchedule | None = None,
-        compute_error_prob: float = 0.005,
         ack_timeout_s: float = 60.0,
         upload_retry: Any = None,  # faults.RetryPolicy; None = legacy no-retry
         plane: Any = None,  # sim.idle_plane.VectorizedIdlePlane
@@ -123,7 +126,6 @@ class DeviceActor(Actor):
         self._rng = rng if rng is not None else self._standalone_stream
         self._stream: np.random.Generator | None = None
         self.job = job or JobSchedule()
-        self.compute_error_prob = compute_error_prob
         self.ack_timeout_s = ack_timeout_s
         self.upload_retry = upload_retry
 
@@ -324,7 +326,7 @@ class DeviceActor(Actor):
             result.train_compute_units, self.profile.speed_factor
         )
         self.plane.train_seconds[self.row] += train_time
-        if self.rng.random() < self.compute_error_prob:
+        if self.rng.random() < COMPUTE_ERROR_PROB:
             self.schedule(
                 float(self.rng.uniform(0.0, train_time)), self._on_train_error
             )

@@ -234,7 +234,6 @@ class CohortExecutionPlane:
                 params,
                 [m.schedule for m in members],
                 learning_rate=config.learning_rate,
-                clip_update_norm=config.clip_update_norm,
                 buffers=self._buffers,
             )
         except Exception as exc:

@@ -202,7 +202,6 @@ class RealTrainer:
             learning_rate=cfg.learning_rate,
             rng=rng,
             max_examples=cfg.max_examples,
-            clip_update_norm=cfg.clip_update_norm,
         )
         vector = update.delta.to_vector()
         return TrainResult(
@@ -249,20 +248,17 @@ class RealTrainer:
 class SyntheticTrainer:
     """Zero-cost stand-in producing protocol-identical updates.
 
-    The delta is a small random vector (so aggregation math stays
-    non-degenerate); example counts are sampled log-normally to model
-    heterogeneous on-device data volumes.  A fleet holds one per member
-    row, so it keeps no instance dict, and no ``metrics_template`` dict
-    unless one is given.
+    The delta is a small random vector, each entry drawn from
+    ``N(0, 1e-3)`` (so aggregation math stays non-degenerate); example
+    counts are sampled log-normally to model heterogeneous on-device data
+    volumes.  A fleet holds one per member row, so it keeps no instance
+    dict.
     """
 
     num_parameters: int = count(1)
     mean_examples: float = positive(default=100.0)
     examples_sigma: float = non_negative(default=0.8)
     update_compression_ratio: float = positive(default=3.0)
-    delta_scale: float = non_negative(default=1e-3)
-    #: Extra metrics every report carries (``None``: none).
-    metrics_template: dict[str, float] | None = None
     _zero_delta: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -286,31 +282,24 @@ class SyntheticTrainer:
         )
         n = min(n, plan.device.training.max_examples)
         if plan.device.kind is not TaskKind.TRAINING:
-            metrics = {"eval_loss": float(rng.uniform(0.5, 2.0)),
-                       "num_examples": n}
-            if self.metrics_template:
-                metrics.update(self.metrics_template)
             return TrainResult(
                 delta_vector=self._zero_vector(),
                 weight=float(n),
                 num_examples=n,
-                metrics=metrics,
+                metrics={"eval_loss": float(rng.uniform(0.5, 2.0)), "num_examples": n},
                 upload_nbytes=256,
                 train_compute_units=0.3 * n,
             )
-        delta = rng.normal(0.0, self.delta_scale, size=self.num_parameters)
+        delta = rng.normal(0.0, 1e-3, size=self.num_parameters)
         # Scale the freshly-drawn vector in place: `delta * n` without the
         # second allocation.
         np.multiply(delta, n, out=delta)
         raw_nbytes = self.num_parameters * 8
-        metrics = {"loss": float(rng.uniform(0.5, 2.0)), "num_examples": n}
-        if self.metrics_template:
-            metrics.update(self.metrics_template)
         return TrainResult(
             delta_vector=delta,
             weight=float(n),
             num_examples=n,
-            metrics=metrics,
+            metrics={"loss": float(rng.uniform(0.5, 2.0)), "num_examples": n},
             upload_nbytes=int(raw_nbytes / max(self.update_compression_ratio, 1.0)),
             train_compute_units=float(n * plan.device.training.epochs),
         )

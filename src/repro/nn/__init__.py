@@ -21,7 +21,7 @@ from repro.nn.losses import (
     softmax_cross_entropy_cohort,
 )
 from repro.nn.metrics import accuracy, top_k_recall, perplexity
-from repro.nn.optimizers import SGD, SGDConfig
+from repro.nn.optimizers import SGD
 from repro.nn.models import (
     Model,
     LogisticRegression,
@@ -42,7 +42,6 @@ __all__ = [
     "top_k_recall",
     "perplexity",
     "SGD",
-    "SGDConfig",
     "Model",
     "LogisticRegression",
     "MLPClassifier",

@@ -271,12 +271,6 @@ class Parameters(Mapping[str, np.ndarray]):
             total += float(np.sum(a * a))
         return float(np.sqrt(total))
 
-    def clip_by_norm(self, max_norm: float) -> "Parameters":
-        norm = self.l2_norm()
-        if norm <= max_norm or norm == 0.0:
-            return self
-        return self.scale(max_norm / norm)
-
     def allclose(self, other: "Parameters", atol: float = 1e-9) -> bool:
         if not self.same_structure(other):
             return False
@@ -451,21 +445,6 @@ class StackedParameters:
             shaped = factors.reshape((self.rows,) + (1,) * (a.ndim - 1))
             np.multiply(a, shaped, out=a)
         return self
-
-    def row_norms(self) -> np.ndarray:
-        """Per-row l2 norms across all arrays.
-
-        Row ``i`` is bitwise-identical to ``self.row(i).l2_norm()``: the
-        per-array squared sums reduce over the same element order (a
-        row-contiguous pairwise sum) and accumulate in the same array
-        order, so cohort-side norm clipping matches the per-client path
-        exactly.
-        """
-        total = np.zeros(self.rows, dtype=np.float64)
-        for a in self._arrays.values():
-            squares = a * a
-            total += squares.reshape(self.rows, -1).sum(axis=1)
-        return np.sqrt(total)
 
     def zero_(self) -> "StackedParameters":
         for a in self._arrays.values():

@@ -14,7 +14,7 @@ either simulated or real time, because all scheduling goes through
 # VectorizedIdlePlane``) instead.
 from repro.sim.event_loop import Event, EventLoop, SimulationError, Sweeper
 from repro.sim.rng import RngRegistry
-from repro.sim.diurnal import DiurnalModel, AvailabilityProcess
+from repro.sim.diurnal import DiurnalModel
 from repro.sim.network import NetworkModel, TrafficMeter, TransferDirection
 from repro.sim.population import DeviceProfile, PopulationConfig, build_population
 
@@ -25,7 +25,6 @@ __all__ = [
     "Sweeper",
     "RngRegistry",
     "DiurnalModel",
-    "AvailabilityProcess",
     "NetworkModel",
     "TrafficMeter",
     "TransferDirection",

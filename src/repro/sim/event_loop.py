@@ -101,13 +101,13 @@ class EventLoop:
 
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # NaN fails it too; inf is a legal never
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, fn, *args)
 
     def schedule_at(self, when: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # NaN fails it too; inf is a legal never
             raise SimulationError(
                 f"cannot schedule at t={when} < now={self._now}"
             )
@@ -221,13 +221,15 @@ class Sweeper:
         return self._event.time if self._event is not None else float("inf")
 
     def arm(self, when: float) -> None:
-        """Request a wake-up at ``when``; only the earliest request sticks."""
+        """Request a wake-up at ``when``; only the earliest request sticks.
+        A NaN ``when`` is refused before the pending wake-up is touched."""
         when = max(float(when), self._loop.now)
-        if self._event is not None:
-            if self._event.time <= when:
-                return
-            self._event.cancel()
+        pending = self._event
+        if pending is not None and pending.time <= when:
+            return
         self._event = self._loop.schedule_at(when, self._fire)
+        if pending is not None:
+            pending.cancel()
 
     def disarm(self) -> None:
         if self._event is not None:

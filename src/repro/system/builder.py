@@ -198,10 +198,6 @@ class FleetBuilder:
         self._config.sample_interval_s = float(seconds)
         return self
 
-    def compute_error_prob(self, prob: float) -> "FleetBuilder":
-        self._config.compute_error_prob = float(prob)
-        return self
-
     def waiting_timeout(self, seconds: float) -> "FleetBuilder":
         """How long a checked-in device waits unselected before hanging up."""
         self._config.waiting_timeout_s = float(seconds)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.actors.coordinator import CoordinatorConfig
-from repro.bounds import check, count, nested, non_negative, positive, probability
+from repro.bounds import check, count, nested, positive
 from repro.core.pace import PaceConfig
 from repro.device.runtime import ComputeModel, LocalTrainer
 from repro.device.scheduler import SCHEDULER_POLICIES, JobSchedule
@@ -24,6 +24,11 @@ from repro.system.faults import FaultPlan
 
 #: Builds the per-device local trainer for one population's model.
 TrainerFactory = Callable[[DeviceProfile], LocalTrainer]
+
+#: How long the cluster manager waits before respawning a crashed Selector
+#: (Sec. 4.4's "restarted by the cluster manager"), or a crashed shard
+#: aggregator after its master.
+SELECTOR_RESTART_DELAY_S = 5.0
 
 
 def _default_job_schedule() -> JobSchedule:
@@ -60,7 +65,6 @@ class FleetConfig:
     #: Selector, and rounds fold leaf -> shard -> master like any other.
     selector_shards: int = count(1, default=1)
     sample_interval_s: float = positive(default=120.0)
-    compute_error_prob: float = probability(default=0.005)
     #: How long a checked-in device holds its selector stream open before
     #: hanging up and retrying on the job cadence (Sec. 2.3's bounded
     #: selection wait).
@@ -75,9 +79,6 @@ class FleetConfig:
     #: plane entirely — no hooks, no ``faults/...`` streams, trajectories
     #: byte-identical to a build without the plane.
     faults: FaultPlan | None = nested(default=None)
-    #: How long the cluster manager waits before respawning a crashed
-    #: Selector (Sec. 4.4's "restarted by the cluster manager").
-    selector_restart_delay_s: float = non_negative(default=5.0)
 
     def validate(self) -> None:
         """Every declared range, nested configs included, then the

@@ -33,7 +33,7 @@ Recovery itself is not here: a crashed server actor is restarted by the
 layer that spawned it, through one kernel mechanism
 (:class:`~repro.actors.kernel.Restart`, Sec. 4.4's "restarted by the
 layer above") — the fleet restarts a Selector after
-``config.selector_restart_delay_s``, the lifecycle plane a tenant's
+``SELECTOR_RESTART_DELAY_S``, the lifecycle plane a tenant's
 Coordinator at once, a Coordinator its round's crashed master (the round
 fails; a fresh one starts), a round's master its shard aggregators.
 

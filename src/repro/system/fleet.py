@@ -52,7 +52,7 @@ from repro.sim.idle_plane import ProfileTable, VectorizedIdlePlane
 from repro.sim.population import DeviceProfile, build_population
 from repro.sim.rng import RngRegistry, SessionStreams
 from repro.system.builder import FleetBuilder, FleetValidationError, PopulationSpec
-from repro.system.config import FleetConfig
+from repro.system.config import SELECTOR_RESTART_DELAY_S, FleetConfig
 from repro.system.faults import FaultPlane, RecoveryLedger
 from repro.system.lifecycle import (
     FleetSnapshotManifest,
@@ -279,7 +279,6 @@ class FLFleet:
             compute=config.compute,
             event_log=self.event_log,
             job=config.job,
-            compute_error_prob=config.compute_error_prob,
             upload_retry=(
                 config.faults.upload_retry if config.faults is not None else None
             ),
@@ -288,7 +287,7 @@ class FLFleet:
     def _spawn_selector(self, index: int) -> Selector:
         """Selector ``index`` on its registry stream, at build and at a
         respawn (whose replacement continues the stream's cursor).  The
-        fleet restarts it ``selector_restart_delay_s`` after a crash
+        fleet restarts it :data:`SELECTOR_RESTART_DELAY_S` after a crash
         (Sec. 4.4's cluster manager)."""
         selector = Selector(
             checkpoint_store=self.store,
@@ -300,7 +299,7 @@ class FLFleet:
             selector,
             f"selector/{index}",
             restart=Restart(
-                self.config.selector_restart_delay_s,
+                SELECTOR_RESTART_DELAY_S,
                 partial(self._respawn_selector, index),
             ),
         )

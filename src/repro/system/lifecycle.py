@@ -67,6 +67,7 @@ from repro.core.rounds import RoundResult
 from repro.core.task import FLPopulation, FLTask, TaskScheduler
 from repro.nn.serialization import checkpoint_nbytes
 from repro.system.builder import FleetValidationError, PopulationSpec, device_ids
+from repro.system.config import SELECTOR_RESTART_DELAY_S
 from repro.system.reports import PopulationLifecycleReport
 from repro.tools.versioning import PlanDirectory, PlanRepository, default_transforms
 
@@ -373,7 +374,7 @@ class PopulationLifecycle:
             checkpoint_retry=faults.checkpoint_retry if faults is not None else None,
             recovery=fleet.recovery,
             shard_slots=len(indices),
-            shard_restart_delay_s=fleet.config.selector_restart_delay_s,
+            shard_restart_delay_s=SELECTOR_RESTART_DELAY_S,
             fold_recorder=partial(fleet._record_shard_fold, name),
         )
         return Coordinator(
@@ -571,10 +572,10 @@ class PopulationLifecycle:
 # -- fleet checkpoint / restore ---------------------------------------------------
 
 #: Bumped whenever the on-disk snapshot layout changes incompatibly (the
-#: commit that bumps it says what moved).  19: the idle plane pickles the
-#: fields a sweep touches as one record of 64-byte rows (``_record``),
-#: not as separate columns, and binds their views again on restore.
-SNAPSHOT_FORMAT_VERSION = 19
+#: commit that bumps it says what moved).  20: the pickled fleet,
+#: Coordinator and client-training configs and the synthetic trainers
+#: lost six fields that no caller set.
+SNAPSHOT_FORMAT_VERSION = 20
 
 _SNAPSHOT_MAGIC = "repro-fleet-snapshot"
 

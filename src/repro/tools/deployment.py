@@ -69,7 +69,7 @@ def measure_resources(
     )
     elapsed = wall_timer() - start
     n = max(update.num_examples, 1)
-    # params + gradients + momentum-free optimizer state + one batch.
+    # params + gradients + the stepped copy (SGD keeps no state) + one batch.
     param_mb = 3 * params.nbytes / 1e6
     batch_mb = cfg.batch_size * np.asarray(proxy_data.x[0]).size * 8 / 1e6
     return ResourceEstimate(

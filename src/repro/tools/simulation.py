@@ -15,7 +15,7 @@ from repro.core.config import TaskConfig
 from repro.core.datasets import ClientDataset, pool_datasets
 from repro.core.fedavg import FedAvgConfig, FederatedAveraging, RoundStats
 from repro.nn.models import Model
-from repro.nn.optimizers import SGD, SGDConfig
+from repro.nn.optimizers import SGD
 from repro.nn.parameters import Parameters
 
 
@@ -31,7 +31,7 @@ def pretrain_on_proxy(
     """Centralized pre-training on pooled proxy data (e.g. Wikipedia text
     as a proxy for keyboard input) before FL refinement in the field."""
     pooled = pool_datasets(proxy_clients)
-    optimizer = SGD(SGDConfig(learning_rate=learning_rate))
+    optimizer = SGD(learning_rate)
     for xb, yb in pooled.batches(batch_size, epochs, rng):
         _, grads = model.loss_and_grad(params, xb, yb)
         params = optimizer.step(params, grads)
@@ -61,7 +61,6 @@ def run_simulated_task(
             batch_size=cfg.batch_size,
             learning_rate=cfg.learning_rate,
             max_examples_per_client=cfg.max_examples,
-            clip_update_norm=cfg.clip_update_norm,
         ),
     )
     return algo.fit(

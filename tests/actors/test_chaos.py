@@ -34,6 +34,7 @@ from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
 from repro.sim.network import NetworkModel
 from repro.sim.population import PopulationConfig
+from repro.system.config import SELECTOR_RESTART_DELAY_S
 from repro.system.faults import CRASH_KINDS
 from repro.system import (
     ActorCrashSchedule,
@@ -526,7 +527,7 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
         raise AssertionError(f"no round of {name!r} started in time")
 
     fleet.run_for(2 * 3600.0)
-    delay = fleet.config.selector_restart_delay_s
+    delay = SELECTOR_RESTART_DELAY_S
     # Selectors crash, one per shard: each respawn swaps one list entry.
     for index in (0, 1):
         dead = fleet.selectors[index]

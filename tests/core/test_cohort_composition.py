@@ -4,12 +4,12 @@ batch composition.
 ``client_update_cohort`` over any subset, permutation or block split of
 a cohort gives each client the same delta row, mean loss and step count
 it gets in the whole cohort — ragged example counts (not multiples of
-the batch), differing step counts, ``max_examples`` subsetting and
-``clip_update_norm`` included.  That is what lets the plane execute a
-round's *accepted set* at the fold, retry a failed group row by row, and
-stay byte-identical to any other grouping of the same workloads — and
-what lets one call train its cohort in memory-budget-sized blocks, and
-those blocks on parallel lanes.
+the batch), differing step counts and ``max_examples`` subsetting
+included.  That is what lets the plane execute a round's *accepted set*
+at the fold, retry a failed group row by row, and stay byte-identical
+to any other grouping of the same workloads — and what lets one call
+train its cohort in memory-budget-sized blocks, and those blocks on
+parallel lanes.
 """
 
 import os
@@ -68,10 +68,9 @@ def draw_schedules(model, sizes, seed, epochs, batch_size, max_examples):
     return schedules
 
 
-def run(model, params, schedules, clip, buffers=None):
+def run(model, params, schedules, buffers=None):
     result = client_update_cohort(
-        model, params, schedules, learning_rate=0.1, clip_update_norm=clip,
-        buffers=buffers,
+        model, params, schedules, learning_rate=0.1, buffers=buffers,
     )
     return {
         client_id: (
@@ -125,24 +124,23 @@ def compositions(draw):
     batch_size=st.integers(2, 6),
     epochs=st.integers(1, 3),
     max_examples=st.one_of(st.none(), st.integers(3, 12)),
-    clip=st.one_of(st.none(), st.floats(1e-3, 0.5)),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=60, deadline=None)
 def test_rows_do_not_depend_on_batch_composition(
-    name, composition, batch_size, epochs, max_examples, clip, seed
+    name, composition, batch_size, epochs, max_examples, seed
 ):
     model = MODELS[name]
     sizes, blocks = composition
     params = model.init(np.random.default_rng(seed))
     schedules = draw_schedules(model, sizes, seed, epochs, batch_size, max_examples)
-    whole = run(model, params, schedules, clip)
+    whole = run(model, params, schedules)
     assert list(whole) == [f"c{i}" for i in range(len(sizes))]
     # One reused buffer set across the blocks, as the plane has: stale
     # rows from a larger block are padding to a smaller one.
     buffers = CohortUpdateBuffers(params.layout)
     for block in blocks:
-        part = run(model, params, [schedules[i] for i in block], clip, buffers)
+        part = run(model, params, [schedules[i] for i in block], buffers)
         assert list(part) == [f"c{i}" for i in block]
         assert_same_rows(part, whole)
 
@@ -150,11 +148,10 @@ def test_rows_do_not_depend_on_batch_composition(
 @pytest.mark.parametrize("name", sorted(MODELS) + sorted(BENCHMARK_SHAPES))
 @given(
     data=st.data(),
-    clip=st.one_of(st.none(), st.floats(1e-3, 0.5)),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=40, deadline=None)
-def test_block_boundaries_inside_one_call_do_not_move_rows(name, data, clip, seed):
+def test_block_boundaries_inside_one_call_do_not_move_rows(name, data, seed):
     """``client_update_cohort`` cuts a cohort past its memory budget into
     blocks of rows; one-row blocks must give every row what one block of
     the whole cohort gives it."""
@@ -162,9 +159,9 @@ def test_block_boundaries_inside_one_call_do_not_move_rows(name, data, clip, see
     params = model.init(np.random.default_rng(seed))
     schedules = draw_schedules(model, sizes, seed, **config)
     with mock.patch.object(fedavg, "BLOCK_BYTES", 1):
-        one_row_blocks = run(model, params, schedules, clip)
+        one_row_blocks = run(model, params, schedules)
     with mock.patch.object(fedavg, "BLOCK_BYTES", 1 << 40):
-        one_block = run(model, params, schedules, clip)
+        one_block = run(model, params, schedules)
     assert list(one_row_blocks) == list(one_block)
     assert_same_rows(one_row_blocks, one_block)
 
@@ -178,12 +175,12 @@ def test_every_block_size_on_the_benchmark_shapes(tenant):
     sizes = np.random.default_rng(3).integers(low, high + 1, size=6).tolist()
     params = model.init(np.random.default_rng(4))
     schedules = draw_schedules(model, sizes, 11, **config)
-    whole = run(model, params, schedules, clip=None)
+    whole = run(model, params, schedules)
     buffers = CohortUpdateBuffers(params.layout)
     for block_size in range(1, len(sizes) + 1):
         for start in range(0, len(sizes), block_size):
             block = schedules[start : start + block_size]
-            assert_same_rows(run(model, params, block, None, buffers), whole)
+            assert_same_rows(run(model, params, block, buffers), whole)
 
 
 @contextmanager
@@ -206,11 +203,10 @@ def pinned_lanes(lanes):
 @pytest.mark.parametrize("name", sorted(MODELS) + sorted(BENCHMARK_SHAPES))
 @given(
     data=st.data(),
-    clip=st.one_of(st.none(), st.floats(1e-3, 0.5)),
     seed=st.integers(0, 2**16),
 )
 @settings(max_examples=15, deadline=None)
-def test_lane_count_does_not_move_rows(lanes, name, data, clip, seed):
+def test_lane_count_does_not_move_rows(lanes, name, data, seed):
     """A cohort past one block trains its blocks on up to ``lanes``
     parallel lanes, each on its own share of the budget; every row is
     what one block of the whole cohort gives it."""
@@ -218,7 +214,7 @@ def test_lane_count_does_not_move_rows(lanes, name, data, clip, seed):
     params = model.init(np.random.default_rng(seed))
     schedules = draw_schedules(model, sizes, seed, **config)
     with mock.patch.object(fedavg, "BLOCK_BYTES", 1 << 40):
-        one_block = run(model, params, schedules, clip)
+        one_block = run(model, params, schedules)
     # A budget of ``block_rows`` rows: ceil(K / block_rows) blocks want
     # lanes, and each lane's blocks hold block_rows // lanes rows.
     block_rows = data.draw(st.integers(1, 4))
@@ -228,7 +224,7 @@ def test_lane_count_does_not_move_rows(lanes, name, data, clip, seed):
     )
     with mock.patch.object(fedavg, "BLOCK_BYTES", block_rows * row_bytes), \
             pinned_lanes(lanes) as threads:
-        on_lanes = run(model, params, schedules, clip)
+        on_lanes = run(model, params, schedules)
     assert len(threads) == min(lanes, -(-len(sizes) // block_rows))
     assert list(on_lanes) == list(one_block)
     assert_same_rows(on_lanes, one_block)
@@ -244,14 +240,14 @@ def test_a_forked_child_trains_on_lanes_of_its_own():
     params = model.init(np.random.default_rng(2))
     schedules = draw_schedules(model, [9, 5, 7, 4], 2, 1, 3, None)
     with mock.patch.object(fedavg, "BLOCK_BYTES", 1), pinned_lanes(2) as threads:
-        parent = run(model, params, schedules, None)
+        parent = run(model, params, schedules)
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 signal.alarm(20)
                 threads.clear()
-                child = run(model, params, schedules, None)
+                child = run(model, params, schedules)
                 code = int(len(threads) != 2 or any(
                     not np.array_equal(child[c][0], parent[c][0]) for c in parent
                 ))

@@ -117,18 +117,6 @@ def test_max_examples_caps_client_contribution(rng):
     assert update.weight == 30
 
 
-def test_clip_update_norm_bounds_delta(rng):
-    model = LogisticRegression(input_dim=4, n_classes=3)
-    params = model.init(rng)
-    ds = make_clients(rng, n_clients=1)[0]
-    update = client_update(
-        model, params, ds, epochs=5, batch_size=8, learning_rate=2.0,
-        rng=rng, clip_update_norm=0.01,
-    )
-    # Clip bound is per-example: ||delta|| <= clip * n.
-    assert update.delta.l2_norm() <= 0.01 * update.weight + 1e-9
-
-
 def test_eval_fn_called_on_schedule(rng):
     model = LogisticRegression(input_dim=4, n_classes=3)
     clients = make_clients(rng, n_clients=4)
@@ -142,16 +130,6 @@ def test_eval_fn_called_on_schedule(rng):
     _, history = algo.fit(clients, 7, rng, eval_fn=eval_fn, eval_every=3)
     assert calls == [3, 6, 7]
     assert history[2].eval_metrics == {"acc": 1.0}
-
-
-def test_server_learning_rate_scales_delta(rng):
-    model = LogisticRegression(input_dim=1, n_classes=2)
-    w = Parameters({"v": np.zeros(1)})
-    update = ClientUpdateResult(
-        "a", Parameters({"v": np.array([4.0])}), 2.0, 2, 0.0, 1
-    )
-    half = FederatedAveraging(model, FedAvgConfig(server_learning_rate=0.5))
-    assert half.aggregate(w, [update])["v"][0] == pytest.approx(1.0)
 
 
 def test_aggregate_streaming_matches_functional_chain():
@@ -200,9 +178,7 @@ def rounds(draw):
         epochs=draw(st.integers(1, 3)),
         batch_size=batch_size,
         learning_rate=draw(st.sampled_from([0.05, 0.3])),
-        server_learning_rate=draw(st.sampled_from([1.0, 0.5])),
         max_examples_per_client=max_examples,
-        clip_update_norm=draw(st.none() | st.sampled_from([1e-3, 0.1])),
     )
     return config, sizes, aligned, draw(st.integers(0, 2**32 - 1))
 
@@ -215,8 +191,7 @@ def rounds(draw):
 @example(case=(
     FedAvgConfig(
         clients_per_round=3, epochs=1, batch_size=2, learning_rate=0.05,
-        server_learning_rate=1.0, max_examples_per_client=1,
-        clip_update_norm=None,
+        max_examples_per_client=1,
     ),
     [4, 2, 1], False, 72,
 ))
@@ -250,7 +225,6 @@ def test_federated_averaging_round_matches_manual_aggregate(name, case):
             model, params, clients[i], epochs=cfg.epochs,
             batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
             rng=replay_rng, max_examples=cfg.max_examples_per_client,
-            clip_update_norm=cfg.clip_update_norm,
         )
         for i in replay_rng.choice(len(clients), size=k, replace=False)
     ]

@@ -116,15 +116,6 @@ def test_ragged_cohort_close():
     assert list(stacked.steps) == [10, 6, 2, 2, 2]
 
 
-def test_clipping_matches_per_client():
-    model = EXACT_MODELS["logreg"]
-    datasets = make_datasets("logreg", [16] * 4)
-    # A clip bound tight enough that rows actually clip.
-    run_both(model, datasets, exact=True,
-             epochs=1, batch_size=8, learning_rate=2.0,
-             clip_update_norm=1e-3)
-
-
 def test_max_examples_subset_matches():
     model = EXACT_MODELS["logreg"]
     datasets = make_datasets("logreg", [64] * 3)
@@ -263,30 +254,6 @@ def test_delta_matrix_is_freshly_owned():
         epochs=1, batch_size=8, learning_rate=0.1, buffers=buffers,
     )
     assert np.array_equal(a.delta_matrix, kept)
-
-
-@pytest.mark.parametrize("clip", [-1.0, 0.0, float("nan"), float("inf")])
-def test_bad_clip_norm_is_refused_before_any_draw(clip):
-    """Both paths refuse a clip norm a config would refuse (-1 would
-    negate every delta, 0 zero it, NaN leave the cohort path unclipped
-    and the per-client one all-NaN) before they draw anything."""
-    model = EXACT_MODELS["logreg"]
-    params = model.init(np.random.default_rng(1))
-    dataset = make_datasets("logreg", [16])[0]
-    rng = np.random.default_rng(3)
-    state = rng.bit_generator.state
-    message = "clip_update_norm must be None or finite and > 0"
-    with pytest.raises(ValueError, match=message):
-        client_update(
-            model, params, dataset, epochs=1, batch_size=8, learning_rate=0.1,
-            rng=rng, max_examples=8, clip_update_norm=clip,
-        )
-    with pytest.raises(ValueError, match=message):
-        client_update_cohort(
-            model, params, datasets=[dataset], rngs=[rng], epochs=1,
-            batch_size=8, max_examples=8, clip_update_norm=clip,
-        )
-    assert rng.bit_generator.state == state
 
 
 def test_empty_cohort_rejected():

@@ -62,7 +62,8 @@ NEVER_ELIGIBLE = DiurnalModel(
 
 
 @pytest.fixture
-def harness():
+def harness(monkeypatch):
+    monkeypatch.setattr("repro.device.actor.COMPUTE_ERROR_PROB", 0.0)
     loop = EventLoop()
     rngs = RngRegistry(0)
     system = ActorSystem(loop, rngs.stream("lat"), mean_latency_s=0.001)
@@ -89,7 +90,6 @@ def build_device(rngs, event_log=None, trainers=None, **kwargs):
         event_log=event_log if event_log is not None else EventLog(),
         rng=rng,
         job=JobSchedule(600.0, 0.1),
-        compute_error_prob=0.0,
         **kwargs,
     )
 

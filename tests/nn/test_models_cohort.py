@@ -17,7 +17,7 @@ from repro.nn.models import (
     Model,
     RNNLanguageModel,
 )
-from repro.nn.optimizers import SGD, SGDConfig
+from repro.nn.optimizers import SGD
 from repro.nn.parameters import Parameters, StackedParameters
 
 K, B = 5, 6
@@ -179,10 +179,6 @@ def test_stacked_parameters_ops(rng):
     factors = np.array([1.0, 2.0, 0.5, 3.0])
     stack.scale_rows_(factors)
     assert stack.row(3).allclose(expected.scale(3.0), atol=1e-15)
-    # row_norms is bitwise row-wise l2_norm
-    norms = stack.row_norms()
-    for i in range(4):
-        assert norms[i] == stack.row(i).l2_norm()
     out = np.empty((4, layout.total_size))
     stack.write_rows(out)
     assert np.array_equal(out[1], stack.row(1).to_vector())
@@ -223,49 +219,9 @@ def test_step_stack_matches_per_row_step():
         for name in g:
             grads[name][i] = g[name]
     before = [stack.row(i).copy() for i in range(3)]
-    SGD(SGDConfig(learning_rate=0.3)).step_stack_(stack, grads)
+    SGD(0.3).step_stack_(stack, grads)
     for i in range(3):
-        expected = SGD(SGDConfig(learning_rate=0.3)).step(before[i], g_rows[i])
+        expected = SGD(0.3).step(before[i], g_rows[i])
         for name in expected:
             assert np.array_equal(stack[name][i], expected[name])
 
-
-def test_step_stack_momentum_and_decay():
-    model = MODELS["logreg"]
-    layout, stack = make_stack(model, k=2)
-    cfg = SGDConfig(learning_rate=0.1, momentum=0.9, weight_decay=1e-3)
-    opt = SGD(cfg)
-    per_row = [SGD(cfg) for _ in range(2)]
-    rows = [stack.row(i).copy() for i in range(2)]
-    for step in range(3):
-        grads = layout.stacked(2)
-        g_rows = []
-        for i in range(2):
-            g = model.init(np.random.default_rng(10 * step + i))
-            g_rows.append(g)
-            for name in g:
-                grads[name][i] = g[name]
-        opt.step_stack_(stack, grads)
-        for i in range(2):
-            rows[i] = per_row[i].step(rows[i], g_rows[i])
-    for i in range(2):
-        for name in rows[i]:
-            np.testing.assert_allclose(
-                stack[name][i], rows[i][name], rtol=1e-12, atol=1e-15
-            )
-
-
-def test_step_stack_refuses_mixed_momentum_state():
-    model = MODELS["logreg"]
-    params = model.init(np.random.default_rng(0))
-    grads = model.init(np.random.default_rng(1))
-    layout, stack = make_stack(model, k=2)
-    gstack = layout.stacked(2)
-    opt = SGD(SGDConfig(learning_rate=0.1, momentum=0.9))
-    opt.step(params, grads)
-    with pytest.raises(RuntimeError):
-        opt.step_stack_(stack, gstack)
-    opt2 = SGD(SGDConfig(learning_rate=0.1, momentum=0.9))
-    opt2.step_stack_(stack, gstack)
-    with pytest.raises(RuntimeError):
-        opt2.step(params, grads)

@@ -46,13 +46,9 @@ def test_zeros_like_and_copy_do_not_alias():
     assert a["w"][0, 0] == 1.0
 
 
-def test_l2_norm_and_clip():
+def test_l2_norm():
     p = Parameters({"v": np.array([3.0, 4.0])})
     assert p.l2_norm() == pytest.approx(5.0)
-    clipped = p.clip_by_norm(1.0)
-    assert clipped.l2_norm() == pytest.approx(1.0)
-    # Under the cap: returned unchanged.
-    assert p.clip_by_norm(10.0) is p
 
 
 @given(

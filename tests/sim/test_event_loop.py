@@ -97,6 +97,33 @@ def test_nan_horizon_is_refused_not_run_forever():
     assert loop.run_for(0.0) == 0
 
 
+def test_nan_event_time_is_refused_and_inf_taken():
+    """A NaN time compares false both ways: accepted, it would fire ahead
+    of earlier events and set ``now`` to NaN.  ``inf`` stays legal — a
+    parked sweeper arms there."""
+    from repro.sim.event_loop import Sweeper
+
+    nan, inf = float("nan"), float("inf")
+    loop = EventLoop()
+    fired = []
+    with pytest.raises(SimulationError, match="nan"):
+        loop.schedule(nan, fired.append, "schedule")
+    with pytest.raises(SimulationError, match="nan"):
+        loop.schedule_at(nan, fired.append, "schedule_at")
+    sweeper = Sweeper(loop, lambda: fired.append("sweep"))
+    sweeper.arm(5.0)
+    with pytest.raises(SimulationError, match="nan"):
+        sweeper.arm(nan)
+    assert sweeper.armed_at == 5.0 and len(loop) == 1
+    loop.schedule(inf, fired.append, "never")
+    loop.schedule_at(inf, fired.append, "never")
+    parked = Sweeper(loop, lambda: fired.append("parked"))
+    parked.arm(inf)
+    assert parked.armed_at == inf
+    loop.run(until=100.0)
+    assert fired == ["sweep"] and loop.now == 100.0
+
+
 def test_events_scheduled_during_run_are_processed():
     loop = EventLoop()
     fired = []

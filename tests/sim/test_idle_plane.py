@@ -77,7 +77,8 @@ def make_harness(diurnal):
 
 
 @pytest.fixture
-def harness():
+def harness(monkeypatch):
+    monkeypatch.setattr("repro.device.actor.COMPUTE_ERROR_PROB", 0.0)
     return make_harness(ALWAYS_ELIGIBLE)
 
 
@@ -99,7 +100,6 @@ def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
         event_log=EventLog(),
         rng=rng,
         job=JobSchedule(600.0, 0.1),
-        compute_error_prob=0.0,
         **kwargs,
     )
     plane.adopt(device, memberships)

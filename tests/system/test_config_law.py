@@ -39,7 +39,6 @@ from repro.core.plan import ExampleSelectionCriteria, FLPlan
 from repro.device.runtime import SyntheticTrainer
 from repro.device.scheduler import JobSchedule
 from repro.nn.models import LogisticRegression
-from repro.nn.optimizers import SGDConfig
 from repro.sim.network import TrafficMeter
 from repro.sim.population import PopulationConfig
 from repro.system import (
@@ -59,7 +58,7 @@ COUNT_PROBES = {"1.5": 1.5, "True": True}
 
 ROOTS = (FleetConfig, PopulationSpec)
 ALGORITHM_CONFIGS = (
-    SGDConfig, FedAvgConfig, AdaptiveWindowConfig, ExampleSelectionCriteria,
+    FedAvgConfig, AdaptiveWindowConfig, ExampleSelectionCriteria,
 )
 #: Dataclasses the walk reaches that are not settings.
 NOT_CONFIGS = {
@@ -91,8 +90,6 @@ BASE[FleetConfig] = dict(
 #: Every probe a config accepts, and why it is meaningful.
 LEGAL = {
     ("FleetConfig", "seed", "0"): "the default seed",
-    ("FleetConfig", "compute_error_prob", "0"): "no compute errors",
-    ("FleetConfig", "selector_restart_delay_s", "0"): "respawn at the crash instant",
     ("PopulationConfig", "tz_offset_hours", "-1"): "a time zone",
     ("PopulationConfig", "tz_offset_hours", "0"): "a time zone",
     ("PopulationConfig", "tz_spread_hours", "0"): "every device in one time zone",
@@ -121,9 +118,6 @@ LEGAL = {
     ("DeviceInterruptSchedule", "start_s", "0"): "interrupts from the start",
     ("DeviceInterruptSchedule", "stop_s", "inf"): "runs to the end",
     ("SyntheticTrainer", "examples_sigma", "0"): "every device holds the mean",
-    ("SyntheticTrainer", "delta_scale", "0"): "all-zero updates",
-    ("SGDConfig", "momentum", "0"): "the default: plain SGD",
-    ("SGDConfig", "weight_decay", "0"): "the default: no decay",
 }
 
 

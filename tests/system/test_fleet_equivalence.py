@@ -36,9 +36,7 @@ def build_and_run(days: float):
         task_id="t",
         population_name="pop",
         round_config=RoundConfig(target_participants=15),
-        client_config=ClientTrainingConfig(
-            epochs=2, batch_size=8, learning_rate=0.3, clip_update_norm=1.0
-        ),
+        client_config=ClientTrainingConfig(epochs=2, batch_size=8, learning_rate=0.3),
     )
     fleet = (
         FLFleet.builder()

@@ -939,7 +939,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
 
     path = tmp_path / "fleet.snap"
     manifest = build_fleet(seed=3, devices=60).snapshot(path)
-    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 19
+    assert manifest.format_version == SNAPSHOT_FORMAT_VERSION == 20
     # Format 4's devices still carried their own eligibility process and
     # shard router, and its config an ``idle_plane`` field; format 5's a
     # copy of their memberships and trainers; format 6's their tallies,
@@ -960,8 +960,9 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
     # checkpoint store kept every committed model in ``_history``; format
     # 17's devices lived on after their first session, each with a
     # stale-event generation and a generator cached in the registry;
-    # format 18's idle plane pickled its swept fields as separate columns.
-    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18):
+    # format 18's idle plane pickled its swept fields as separate columns;
+    # format 19's configs and synthetic trainers held fields now constants.
+    for older in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19):
         header = {
             "magic": "repro-fleet-snapshot",
             "manifest": dataclasses.replace(manifest, format_version=older),
@@ -971,7 +972,7 @@ def test_restore_refuses_an_older_format_by_its_header(tmp_path):
         for read in (FLFleet.restore, read_manifest):
             with pytest.raises(
                 SnapshotError,
-                match=f"format {older} unsupported .*reads format 19",
+                match=f"format {older} unsupported .*reads format 20",
             ):
                 read(old)
 

@@ -183,8 +183,7 @@ def test_device_slots_are_pinned():
     assert set(DeviceActor.__slots__) == {
         # what it was built with
         "profile", "network", "conditions", "trainer_of", "compute",
-        "event_log", "_rng", "job", "compute_error_prob",
-        "ack_timeout_s", "upload_retry",
+        "event_log", "_rng", "job", "ack_timeout_s", "upload_retry",
         # where its record and its idle life are
         "plane", "row", "scheduler",
         # the session it is in, and its stream for the session
@@ -217,8 +216,7 @@ def test_per_row_record_slots_are_pinned():
         )),
         (SyntheticTrainer(num_parameters=4), (
             "num_parameters", "mean_examples", "examples_sigma",
-            "update_compression_ratio", "delta_scale", "metrics_template",
-            "_zero_delta",
+            "update_compression_ratio", "_zero_delta",
         )),
     ]
     for record, slots in records:

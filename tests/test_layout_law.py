@@ -61,7 +61,6 @@ ALLOWED = {
     "repro.baselines.ngram": SEC8,
     "repro.nn.metrics": SEC8,
     "repro.federated_analytics": "Sec. 5's federated analytics; examples/federated_analytics.py runs it",
-    "repro.analytics.monitors": "the Sec. 5 time-series monitors, kept until a fleet attaches them",
 }
 
 
