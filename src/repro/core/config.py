@@ -73,9 +73,8 @@ class SecAggConfig:
 
     __post_init__ = check
 
-    def threshold(self, group_size: int | None = None) -> int:
-        g = group_size if group_size is not None else self.group_size
-        return shamir_threshold(g, self.threshold_fraction)
+    def threshold(self, group_size: int) -> int:
+        return shamir_threshold(group_size, self.threshold_fraction)
 
 
 @dataclass(frozen=True)

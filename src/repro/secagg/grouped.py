@@ -10,13 +10,11 @@ securely aggregated over groups of size at least k.  The Master Aggregator
 then further aggregates the intermediate aggregators' results into a final
 aggregate for the round, without Secure Aggregation."
 
-The groups are embarrassingly parallel — one instance per Aggregator —
-so the DH, PRG, and reconstruction sweeps are batched across *all*
-groups at once (:func:`repro.secagg.vectorized.run_vectorized_grouped`).
-The per-device reference protocol in ``tests/reference/secagg.py`` runs
-the groups one device state machine at a time; the two produce
-byte-identical sums, metrics counts, transcripts, rng trajectories, and
-error messages.
+Each group is one instance (:func:`repro.secagg.vectorized.run_vectorized`),
+run in turn on the same rng.  The per-device reference protocol in
+``tests/reference/secagg.py`` runs the groups one device state machine
+at a time; the two produce byte-identical sums, metrics counts,
+transcripts, rng trajectories, and error messages.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from repro.secagg.protocol import (
     SecAggMetrics,
     SecAggTranscript,
 )
-from repro.secagg.vectorized import run_vectorized_grouped
+from repro.secagg.vectorized import _PhaseTimer, run_vectorized
 
 
 def shamir_threshold(group_size: int, threshold_fraction: float) -> int:
@@ -105,21 +103,21 @@ def _grouped_run(
     timer: Callable[[], float] | None,
     capture: bool,
 ) -> tuple[
-    np.ndarray, list[SecAggMetrics], list[SecAggTranscript] | None
+    np.ndarray, list[SecAggMetrics], list[SecAggTranscript | None]
 ]:
     # Every argument is checked here, before the first rng draw.
     groups = partition_into_groups(list(inputs), min_group_size)
     thresholds = [
         shamir_threshold(len(group), threshold_fraction) for group in groups
     ]
-    # One stacked pairwise-agreement pass, one (ΣC, dim) PRG/commit pass,
-    # one shared reconstruction sweep.
-    group_sums, all_metrics, transcripts = run_vectorized_grouped(
-        [{uid: inputs[uid] for uid in group} for group in groups],
-        thresholds, quantizer, rng,
-        [_group_schedule(group, dropouts) for group in groups],
-        timer=timer, capture=capture,
-    )
+    phases = _PhaseTimer(timer)
+    group_sums, all_metrics, transcripts = zip(*(
+        run_vectorized(
+            {uid: inputs[uid] for uid in group}, threshold, quantizer, rng,
+            _group_schedule(group, dropouts), phases, capture,
+        )
+        for group, threshold in zip(groups, thresholds)
+    ))
 
     # Master-Aggregator fold: one preallocated total, accumulated in
     # place.  Bit-identical to a left-to-right chain of `+` because
@@ -127,7 +125,7 @@ def _grouped_run(
     total = np.zeros_like(group_sums[0])
     for group_sum in group_sums:
         np.add(total, group_sum, out=total)
-    return total, all_metrics, transcripts
+    return total, list(all_metrics), list(transcripts)
 
 
 def grouped_secure_sum(
@@ -142,8 +140,8 @@ def grouped_secure_sum(
     """Secure-sum per group, then a plain (Master Aggregator) sum of sums.
 
     Each group of at least ``min_group_size`` devices runs at threshold
-    :func:`shamir_threshold`; ``timer`` is forwarded into every
-    instance's metrics.
+    :func:`shamir_threshold`, the groups in turn; each phase of each
+    group is one lap of one clock over ``timer``.
     """
     total, all_metrics, _ = _grouped_run(
         inputs, min_group_size, threshold_fraction, quantizer, rng,
@@ -167,9 +165,7 @@ def grouped_secure_sum_transcripts(
     against the per-device reference — masked vectors, delivered shares,
     ring sums — not just on the folded total.
     """
-    total, all_metrics, transcripts = _grouped_run(
+    return _grouped_run(
         inputs, min_group_size, threshold_fraction, quantizer, rng,
         dropouts, timer, capture=True,
     )
-    assert transcripts is not None
-    return total, all_metrics, transcripts

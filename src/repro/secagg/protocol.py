@@ -53,16 +53,15 @@ class SecAggMetrics:
     """Server-side cost accounting for one protocol instance.
 
     The phase-seconds fields partition the instance's timed span into
-    four phases: the per-group prologue (rounds 0–1: secret draws, Shamir
-    share creation and the threshold checks), pairwise seed derivation
+    four phases: the prologue (rounds 0–1: secret draws, Shamir share
+    creation and the threshold checks), pairwise seed derivation
     (round 2), PRG expansion + mask arithmetic (round 2), and dropout
-    recovery (round 3, a superset of ``server_seconds``' span).  They are
+    recovery (round 3, the same span as ``server_seconds``).  They are
     populated only when a ``timer`` is injected — the per-device
     reference protocol (``tests/reference/secagg.py``) leaves them 0.0,
     so the equivalence tests' metrics ``==`` holds whenever no timer is
-    injected.  Across groups the prologue is timed group by group, and
-    each shared sweep's duration is attributed to groups proportionally
-    to their share of the sweep's work items.
+    injected.  Grouped instances run in turn, each phase one lap of a
+    clock they share.
     """
 
     cohort_size: int = 0
@@ -108,19 +107,19 @@ def run_secure_aggregation(
     """Orchestrate one full instance over in-memory participants.
 
     Returns the decoded float sum over devices that committed (round 2),
-    and the server's cost metrics.  Raises :class:`SecAggError` if any
-    stage falls below the threshold.  The instance is the one-group case
-    of :func:`repro.secagg.vectorized.run_vectorized_grouped`.  ``timer``
-    is the injected clock for ``metrics.server_seconds``.
+    and the server's cost metrics.  A ``threshold`` that is not an
+    integer >= 2 is refused with ``ValueError`` before any rng draw;
+    :class:`SecAggError` is raised if any stage falls below it.
+    ``timer`` is the injected clock for the metrics' ``*_seconds``.
     """
     # Imported here: vectorized.py builds on this module's types.
-    from repro.secagg.vectorized import run_vectorized_grouped
+    from repro.secagg.vectorized import _PhaseTimer, run_vectorized
 
-    totals, metrics, _ = run_vectorized_grouped(
-        [inputs], [threshold], quantizer, rng,
-        [dropouts or DropoutSchedule.none()], timer=timer,
+    total, metrics, _ = run_vectorized(
+        inputs, threshold, quantizer, rng, dropouts or DropoutSchedule.none(),
+        _PhaseTimer(timer), capture=False,
     )
-    return totals[0], metrics[0]
+    return total, metrics
 
 
 def run_secure_aggregation_transcript(
@@ -137,10 +136,9 @@ def run_secure_aggregation_transcript(
     round by round against the per-device reference protocol
     (``tests/reference/secagg.py``).
     """
-    from repro.secagg.vectorized import run_vectorized_grouped
+    from repro.secagg.vectorized import _PhaseTimer, run_vectorized
 
-    totals, metrics, transcripts = run_vectorized_grouped(
-        [inputs], [threshold], quantizer, rng,
-        [dropouts or DropoutSchedule.none()], timer=timer, capture=True,
+    return run_vectorized(
+        inputs, threshold, quantizer, rng, dropouts or DropoutSchedule.none(),
+        _PhaseTimer(timer), capture=True,
     )
-    return totals[0], metrics[0], transcripts[0]

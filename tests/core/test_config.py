@@ -54,7 +54,7 @@ def test_client_config_validation(kwargs):
 
 def test_secagg_threshold():
     config = SecAggConfig(group_size=100, threshold_fraction=0.66)
-    assert config.threshold() == 66
+    assert config.threshold(100) == 66
     assert config.threshold(10) == 7
     assert config.threshold(2) == 2
 

@@ -1,6 +1,6 @@
 """Bit-identity of the 2^255−19 limb substrate against ``pow(b, e, p)``.
 
-Every claim the cross-group SecAgg plane makes rests on these: the limb
+Every claim the SecAgg plane makes rests on these: the limb
 kernels must agree with CPython's big-int ``pow`` on *every* input, not
 statistically, so edge exponents (the forced-high-bit minimum secret,
 the maximal 120-bit secret, exponent one and zero) and edge bases

@@ -117,7 +117,7 @@ def test_group_cost_is_bounded_by_group_size(rng):
         assert metrics.key_agreements <= 9
 
 
-# -- cross-group plane equivalence --------------------------------------------
+# -- grouped plane equivalence ------------------------------------------------
 
 
 def _fleet(n=60, dim=13, seed=11):
@@ -134,9 +134,9 @@ def _fleet_drops(n=60):
 
 
 def test_both_planes_identical_sums_metrics_and_rng():
-    """The cross-group plane batches DH/PRG/recovery over all groups at
-    once; the contract is byte-identity with the sequential scalar
-    reference, rng trajectory included.  The second point is the Sec. 6
+    """The plane runs the groups in turn, each as one instance; the
+    contract is byte-identity with the sequential scalar reference, rng
+    trajectory included.  The second point is the Sec. 6
     operating size: groups of >= 50 at dim 256."""
     for n, dim, group, groups in ((60, 13, 15, 4), (150, 256, 50, 3)):
         inputs = _fleet(n, dim)
@@ -183,8 +183,7 @@ def test_both_planes_identical_transcripts():
 def test_mid_sequence_group_failure_parity():
     """A threshold failure in a *later* group must surface the same
     error at the same rng position on every plane — earlier groups'
-    draws (and the failing group's own) happen in sequential order even
-    on the cross-group plane."""
+    draws (and the failing group's own) happen in sequential order."""
     inputs = _fleet(n=45)
     # Kill most of the last group (uids 30-44) after ShareKeys.
     drops = DropoutSchedule(after_share=frozenset(range(32, 45)))
@@ -232,9 +231,9 @@ def test_phase_breakdown_populated_only_with_timer():
 
 
 def test_grouped_phases_sum_to_the_timed_span_under_a_step_clock():
-    """Each group's prologue is its own one-read lap of `sharing_seconds`;
-    the shared sweeps are split over groups; across groups the four
-    phases add up to the whole span the timer saw."""
+    """The groups run in turn on one clock, each phase of each group one
+    lap of it; across groups the four phases add up to the whole span
+    the timer saw."""
     reads: list[float] = []
 
     def step_clock():

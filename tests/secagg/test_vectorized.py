@@ -154,25 +154,29 @@ def test_exactly_threshold_survivors_boundary():
 
 
 @pytest.mark.parametrize(
-    "dropouts,expected",
+    "n,dropouts,expected",
     [
         (
-            DropoutSchedule(after_advertise=frozenset(range(100, 106))),
+            6, DropoutSchedule.none(),
+            "only 6 devices advertised keys, threshold is 7",
+        ),
+        (
+            10, DropoutSchedule(after_advertise=frozenset(range(100, 106))),
             "only 4 devices shared keys, threshold is 7",
         ),
         (
-            DropoutSchedule(after_share=frozenset(range(100, 106))),
+            10, DropoutSchedule(after_share=frozenset(range(100, 106))),
             "only 4 devices committed, threshold is 7",
         ),
         (
-            DropoutSchedule(after_mask=frozenset(range(100, 106))),
+            10, DropoutSchedule(after_mask=frozenset(range(100, 106))),
             "only 4 devices answered unmasking, threshold is 7",
         ),
     ],
-    ids=["share_keys", "commit", "unmask"],
+    ids=["advertise_keys", "share_keys", "commit", "unmask"],
 )
-def test_below_threshold_error_identical_on_both_planes(dropouts, expected):
-    inputs = make_inputs(n=10)
+def test_below_threshold_error_identical_on_both_planes(n, dropouts, expected):
+    inputs = make_inputs(n=n)
     observed = {}
     for plane, run in (
         ("scalar", reference.run_secure_aggregation_transcript),
@@ -187,6 +191,22 @@ def test_below_threshold_error_identical_on_both_planes(dropouts, expected):
         observed[plane] = (str(exc.value), rng.bytes(8))
     assert observed["scalar"] == observed["vectorized"]
     assert observed["scalar"][0] == expected
+
+
+@pytest.mark.parametrize(
+    "threshold", [1, 0, -3, True, False, 2.0, 6.5, float("nan"), None, "6"],
+)
+@pytest.mark.parametrize(
+    "run", [run_secure_aggregation, run_secure_aggregation_transcript],
+)
+def test_unsafe_threshold_refused_before_any_draw(run, threshold):
+    """At threshold 1 any single share reconstructs a secret: a threshold
+    that is not an integer >= 2 is refused by name, and the rng is where
+    it was."""
+    rng = np.random.default_rng(2019)
+    with pytest.raises(ValueError, match="threshold"):
+        run(make_inputs(n=8), threshold, quantizer(), rng)
+    assert rng.bytes(8) == np.random.default_rng(2019).bytes(8)
 
 
 def test_grouped_secure_sum_identical_across_planes(kernel_counts):
@@ -440,7 +460,7 @@ def grouped_cases(draw):
 @given(grouped=grouped_cases())
 @settings(max_examples=40, deadline=None)
 def test_grouped_plane_equals_reference_on_generated_instances(grouped):
-    """The cross-group plane against the reference's group-by-group run:
+    """The grouped plane against the reference's group-by-group run:
     the same error at the same rng position, or the same folded total,
     per-group metrics and per-group transcripts."""
     case, k, fraction = grouped
