@@ -39,7 +39,7 @@ from typing import Callable
 
 from repro.actors.kernel import Actor, ActorRef, Restart
 from repro.actors.locking import LockService
-from repro.actors.selector import Forwarding, Selector
+from repro.actors.selector import Forwarding, RoundStart, Selector
 from repro.bounds import check, non_negative, positive
 from repro.core.checkpoint import CheckpointStore
 from repro.core.task import TaskScheduler
@@ -237,8 +237,9 @@ class Coordinator(Actor):
             master=master_ref,
             population_name=self.population_name,
         )
-        for selector in self._live_selectors():
-            selector.receive(self.ref, instruction)
+        live = self._live_selectors()
+        if live:
+            live[0].receive(self.ref, RoundStart(instruction, tuple(live)))
 
     # -- round end -------------------------------------------------------------
     def round_finished(self, round_id: int, task_id: str, committed: bool) -> None:

@@ -24,14 +24,17 @@ tenant)``.  A check-in is judged once: the plane's sweep asks
 :meth:`Selector.fast_checkin_decision` for one verdict per (selector,
 tenant) group — draining, the row's cached attestation verdict, plan
 compatibility, quota — and each admitted row joins the pool by the
-plane's column writes.  At round start, and for rows admitted while a
-round is forwarding, the Selector draws the rows the round still wants
-uniformly from its pool (the paper's reservoir sampling, footnote 1);
-each drawn row's device is configured, every other one is told to come
-back later — vector writes, like every way out of the pool.  An
-admission while no round forwards wakes the tenant's Coordinator
-(Sec. 4.2's report of how many devices are connected, pushed rather than
-polled).
+plane's column writes.  A round starts at a shard in one pass: its
+Coordinator hands the first live Selector a :class:`RoundStart` naming
+them all, their pools are read in one scan of the plane's columns, and
+Selector by Selector each draws the rows the round still wants uniformly
+from its own pool with its own stream (the paper's reservoir sampling,
+footnote 1); rows admitted while the round forwards are offered to it
+the same way, as one group.  Each drawn row's device is configured,
+every other one is told to come back later — vector writes, like every
+way out of the pool.  An admission while no round forwards wakes the
+tenant's Coordinator (Sec. 4.2's report of how many devices are
+connected, pushed rather than polled).
 
 A Selector supervises nothing: the fleet restarts a crashed Selector, and
 a tenant's lifecycle plane its Coordinator (Sec. 4.4's "restarted by the
@@ -42,8 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import compress
-from typing import Any, Callable, Optional
+from itertools import accumulate, compress, islice
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +66,14 @@ class Forwarding:
     count: int
     master: ActorRef
     population_name: str
+
+
+class RoundStart(NamedTuple):
+    """A round starts at its shard (Sec. 4.2): its live ``selectors``, in
+    index order, forward to ``instruction`` and offer it their pools at once."""
+
+    instruction: Forwarding
+    selectors: tuple[Any, ...]
 
 
 @dataclass
@@ -100,11 +111,6 @@ class PopulationRoute:
     pool_cap: int = 1000
     forwarding: Forwarding | None = None
     stats: SelectorStats = field(default_factory=SelectorStats)
-    #: Memoized pace window for the current instant: a batched sweep can
-    #: reject dozens of devices at one timestamp, and the suggestion only
-    #: depends on (now, demand) — each device still samples its own
-    #: reconnect time inside the shared window.
-    window_cache: tuple[float, int, Any] | None = None
     #: Cached ``runtime_version -> has compatible plan`` verdicts (the
     #: plan directory is immutable after deployment).
     plan_compat: dict[int, bool] = field(default_factory=dict)
@@ -140,13 +146,8 @@ class Selector(Actor):
     # -- population registry ---------------------------------------------------
     def add_route(self, route: PopulationRoute) -> None:
         if route.population_name in self.routes:
-            raise ValueError(
-                f"population {route.population_name!r} already routed"
-            )
+            raise ValueError(f"population {route.population_name!r} already routed")
         self.routes[route.population_name] = route
-
-    def route_of(self, population_name: str) -> PopulationRoute:
-        return self.routes[population_name]
 
     def begin_drain(self, population_name: str) -> None:
         """Close admission for a draining population (lifecycle phase 1):
@@ -158,9 +159,9 @@ class Selector(Actor):
             return
         route.draining = True
         route.forwarding = None
-        self.plane.bounce(
-            self.plane.pooled(self.index, population_name), self._suggest_window(route)
-        )
+        window = self._suggest_window(route)
+        pool = self.plane.pools([self.index], population_name)[0]
+        self.plane.bounce(pool, window.earliest_s, window.latest_s)
 
     def remove_route(self, population_name: str) -> PopulationRoute | None:
         """Retire a drained population's route entirely.
@@ -172,7 +173,7 @@ class Selector(Actor):
         route = self.routes.pop(population_name, None)
         if route is None:
             return None
-        self.plane.reset(self.plane.pooled(self.index, population_name))
+        self.plane.reset(self.plane.pools([self.index], population_name)[0])
         return route
 
     # -- lifecycle --------------------------------------------------------------
@@ -189,18 +190,13 @@ class Selector(Actor):
         return 0
 
     def _suggest_window(self, route: PopulationRoute):
+        """The pace window for now: a pure function of the route and demand."""
         forwarding = route.forwarding
-        needed = forwarding.count if forwarding is not None else route.selection_goal
-        cached = route.window_cache
-        if cached is not None and cached[0] == self.now and cached[1] == needed:
-            return cached[2]
-        window = route.pace.suggest_reconnect(
+        return route.pace.suggest_reconnect(
             now_s=self.now,
             population_size=route.population_size,
-            needed_per_round=needed,
+            needed_per_round=forwarding.count if forwarding else route.selection_goal,
         )
-        route.window_cache = (self.now, needed, window)
-        return window
 
     # -- vectorized-plane fast path ------------------------------------------------
     def fast_checkin_decision(
@@ -275,19 +271,22 @@ class Selector(Actor):
         if route is None:
             return
         if route.forwarding is not None:
-            self._drain(route, rows)
+            _drain(route.forwarding, [(self, route, rows)])
         else:
             route.wake()
 
     # -- the Coordinator's calls ---------------------------------------------------
-    def receive(self, sender: Optional[ActorRef], instruction: Forwarding) -> None:
-        """A round of the instruction's tenant starts — its Coordinator
-        calls this, no message is told: offer the round the pool now, and
-        the rows admitted while the instruction stands."""
-        route = self.routes.get(instruction.population_name)
-        if route is not None:
+    def receive(self, sender: Optional[ActorRef], start: RoundStart | Forwarding) -> None:
+        """A round starts: its Coordinator calls the first live Selector of
+        its shard with the :class:`RoundStart` of all of them (no message is
+        told); a bare :class:`Forwarding` starts it at this Selector alone."""
+        instruction, selectors = start if isinstance(start, RoundStart) else (start, [self])
+        name = instruction.population_name
+        hosts = [(s, s.routes[name]) for s in selectors if name in s.routes]
+        for _, route in hosts:
             route.forwarding = instruction
-            self._drain(route, self.plane.pooled(self.index, route.population_name))
+        pools = self.plane.pools([s.index for s, _ in hosts], name)
+        _drain(instruction, [(*host, rows) for host, rows in zip(hosts, pools)])
 
     def clear_forwarding(self, population_name: str, round_id: int | None) -> None:
         """Round ``round_id`` of the tenant is over: stop forwarding to it
@@ -307,52 +306,67 @@ class Selector(Actor):
             route.plan_compat[runtime_version] = compatible
         return compatible
 
-    # -- forwarding path -----------------------------------------------------------
-    def _drain(self, route: PopulationRoute, rows: np.ndarray) -> None:
-        """Offer pooled ``rows`` to the forwarding round: as many as its
-        master still wants, drawn uniformly from those its task can serve
-        (from this Selector's stream), are configured in row order; the
-        rest of those are turned away, round full.  A row the task cannot
-        serve stays pooled for a differently versioned task."""
-        if not rows.size:
-            return
-        instruction = route.forwarding
-        master = self.system.actor_of(instruction.master)
-        if master is None:
+
+# -- forwarding path -----------------------------------------------------------------
+def _drain(instruction: Forwarding, groups: list) -> None:
+    """Offer pooled rows to the forwarding round, a ``(selector, route,
+    rows)`` group at a time (rows in row order): each Selector draws
+    uniformly, from its own stream, as many of its rows the task can serve
+    as the master still wants; the rest of those are turned away, round
+    full, and a row no plan serves stays pooled.  The turned-away rows
+    share one row draw, the taken ones one forward; each Selector's sweep
+    wake-up, admissions and configurations are then made in turn."""
+    groups = [group for group in groups if group[2].size]
+    master = groups and groups[0][0].system.actor_of(instruction.master)
+    if not master:
+        for _, route, _ in groups:
             # Master died (Sec. 4.4): the round is gone; keep the rows
             # pooled for the next round.
             route.forwarding = None
-            return
-        plan_for = partial(route.plans.plan_for_task, instruction.task_id)
-        plans = list(map(plan_for, self.plane._runtime_version[rows].tolist()))
-        if None in plans:
-            servable = [plan is not None for plan in plans]
-            rows, plans = rows[servable], list(compress(plans, servable))
-        demand = master.demand  # type: ignore[attr-defined]
-        if rows.size > demand:
+        return
+    head, sizes = groups[0][0], [group[2].size for group in groups]
+    plane, rows = head.plane, np.concatenate([group[2] for group in groups])
+    versions = plane._runtime_version[rows].tolist()
+    # A tenant's routes share its plan directory: one lookup per version.
+    plan_for = partial(groups[0][1].plans.plan_for_task, instruction.task_id)
+    plan_of = {version: plan_for(version) for version in dict.fromkeys(versions)}
+    plans = list(map(plan_of.__getitem__, versions))
+    if None in plan_of.values():
+        servable = [plan is not None for plan in plans]
+        sizes = [sum(servable[end - n : end]) for end, n in zip(accumulate(sizes), sizes)]
+        rows, plans = rows[servable], list(compress(plans, servable))
+    demand, taken, takes, spans, windows = master.demand, np.ones(rows.size, bool), [], [], {}
+    for (selector, route, _), size, start in zip(groups, sizes, accumulate([0] + sizes)):
+        takes.append(min(size, demand))
+        if size > demand:
             # The rows holding the ``demand`` smallest of one uniform each:
             # a uniform draw of that many.
-            order = self.rng.random(rows.size).argsort()
-            route.stats.rejected_quota += rows.size - demand
-            self.plane.bounce(np.sort(rows[order[demand:]]), self._suggest_window(route))
-            taken = np.sort(order[:demand])
-            rows, plans = rows[taken], [plans[j] for j in taken.tolist()]
-        if not rows.size:
-            return
-        checkpoint = self.store.latest(route.population_name)
-        route.stats.forwarded += rows.size
-        for device, plan in zip(self.plane.forward(rows), plans):
+            taken[start + selector.rng.random(size).argsort()[demand:]] = False
+            route.stats.rejected_quota += size - demand
+            key = (route.pace, route.population_size)  # all a window depends on
+            window = windows[key] = windows.get(key) or selector._suggest_window(route)
+            spans.append((window.earliest_s, window.latest_s))
+        route.stats.forwarded += takes[-1]
+        demand -= takes[-1]
+    if spans:
+        counts = [size - take for size, take in zip(sizes, takes) if size > take]
+        if len(windows) == 1:  # one pace window: it is two scalars
+            earliest, latest = spans[0]
+        else:
+            earliest, latest = np.repeat(np.array(spans), counts, axis=0).T
+        event_t = plane.bounce(rows[~taken], earliest, latest, wake=False)
+        wakes = iter(np.minimum.reduceat(event_t, [0, *accumulate(counts[:-1])]).tolist())
+    configured = iter(())
+    if any(takes):
+        checkpoint = head.store.latest(instruction.population_name)
+        configured = zip(plane.forward(rows[taken]), compress(plans, taken.tolist()))
+    for (selector, _, _), take, size in zip(groups, takes, sizes):
+        if size > take:
+            plane.wake_by(next(wakes))
+        for device, plan in islice(configured, take):
             # The draw stays within the master's demand: it accepts each.
-            aggregator = master.admit_device(  # type: ignore[attr-defined]
-                device.device_id, device.ref
+            aggregator = master.admit_device(device.device_id, device.ref)
+            configure = msg.ConfigureDevice(
+                instruction.round_id, instruction.task_id, plan, checkpoint, aggregator
             )
-            self.tell(
-                device.ref,
-                msg.ConfigureDevice(
-                    round_id=instruction.round_id,
-                    task_id=instruction.task_id,
-                    plan=plan,
-                    checkpoint=checkpoint,
-                    aggregator=aggregator,
-                ),
-            )
+            selector.tell(device.ref, configure)

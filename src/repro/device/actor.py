@@ -131,7 +131,7 @@ class DeviceActor(Actor):
 
         #: The idle plane, this device's row of it (its idle life and its
         #: record) and that row's view of the worker queue: the fleet's,
-        #: or set by ``VectorizedIdlePlane.adopt`` on a hand-built device.
+        #: or set on a hand-built device by the test that enrolls it.
         self.plane = plane
         self.row = row
         self.scheduler = scheduler
@@ -209,8 +209,8 @@ class DeviceActor(Actor):
         if self.plane is None:
             raise RuntimeError(
                 f"device {self.device_id} was spawned without an idle plane "
-                "row: enroll a hand-built device with "
-                "VectorizedIdlePlane.adopt(device, memberships) before spawning it"
+                "row: enroll a hand-built device in a plane (device.plane, "
+                "device.row, device.scheduler) before spawning it"
             )
         self.plane.start()
 

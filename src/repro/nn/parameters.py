@@ -41,7 +41,9 @@ Buffer-ownership invariants (see ROADMAP.md "Performance"):
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Mapping
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -64,16 +66,9 @@ class ParameterLayout:
         self.shapes: tuple[tuple[int, ...], ...] = tuple(
             tuple(s) for s in shapes.values()
         )
-        self.sizes: tuple[int, ...] = tuple(
-            int(np.prod(s)) if s else 1 for s in self.shapes
-        )
-        offsets = []
-        offset = 0
-        for size in self.sizes:
-            offsets.append(offset)
-            offset += size
+        self.sizes: tuple[int, ...] = tuple(int(math.prod(s)) for s in self.shapes)
+        *offsets, self.total_size = accumulate(self.sizes, initial=0)
         self.offsets: tuple[int, ...] = tuple(offsets)
-        self.total_size: int = offset
         self._key = tuple(zip(self.names, self.shapes))
 
     @classmethod

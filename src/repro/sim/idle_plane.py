@@ -62,7 +62,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.device.actor import DeviceHealthStats, DeviceState
-from repro.device.scheduler import ColumnScheduler, JobSchedule, RowScheduler
+from repro.device.scheduler import ColumnScheduler, JobSchedule
 from repro.device.table import DeviceTable
 from repro.sim import columns
 from repro.sim.diurnal import DiurnalModel, sample_transitions
@@ -86,6 +86,8 @@ RESET_RETRY_S = (30.0, 180.0)
 #: start and at an attach's kick: uniform up to the row's job interval).
 WAKE_JITTER_S = (1.0, 120.0)
 FIRST_CHECKIN_MIN_S = 1.0
+#: Rows a fleet start draws for at a time.
+START_CHUNK_ROWS = 4096
 
 #: The column that holds each :class:`DeviceProfile` field, in field order,
 #: and each :class:`NetworkConditions` field.
@@ -115,7 +117,7 @@ class VectorizedIdlePlane:
     :class:`~repro.device.table.DeviceTable`: :meth:`forward` builds a
     row's ``DeviceActor``, :meth:`session_ended` drops it, and so does a
     hang-up first (:meth:`release`).  Without one the plane keeps a table
-    of its own, of the devices :meth:`adopt` seats in it.
+    of its own, of the hand-built devices seated in it.
     """
 
     #: The fields a sweep touches for each due row: one 64-byte record per
@@ -216,7 +218,7 @@ class VectorizedIdlePlane:
         self._devices = devices if devices is not None else DeviceTable()
         #: Rows ``[0, _started)`` have drawn their initial eligibility;
         #: the sweep armed by :meth:`start` starts those up to ``_start_to``
-        #: as one batch.
+        #: ``START_CHUNK_ROWS`` at a time.
         self._started = self._start_to = 0
         #: True while a sweep is running: per-device touches skip re-arming
         #: the sweeper (the sweep's final rearm covers them all at once).
@@ -273,29 +275,6 @@ class VectorizedIdlePlane:
             device_ids.tolist(), self._genuine[rows].tolist()
         )
 
-    def adopt(self, device: "DeviceActor", memberships: Sequence[str] = ()) -> None:
-        """Enroll a hand-built device — a batch of one row, its object
-        seated until its session is over, a member of ``memberships``.
-
-        Must be called before the device actor is spawned
-        (``DeviceActor.on_start`` starts the row): it hands the device the
-        plane, its row index and the row's view of the worker queue.
-        """
-        index = len(self._devices)
-        link = device.conditions
-        self.adopt_rows(
-            {name: [value] for name, value in device.profile._asdict().items()},
-            device.job.base_interval_s,
-            ([link.downlink_bytes_per_s], [link.uplink_bytes_per_s], [link.rtt_s]),
-        )
-        self._devices.seat(index, device)
-        device.plane, device.row = self, index
-        device.scheduler = RowScheduler(self.scheduler, index)
-        row = np.array([index])
-        for name in memberships:
-            self.scheduler.enroll(row, name)
-        self.memberships_changed(row)
-
     def _grow(self, minimum: int) -> None:
         size = max(minimum, 2 * max(self.next_flip_t.size, 16))
         self._resize(size)
@@ -327,8 +306,8 @@ class VectorizedIdlePlane:
         sweeper armed no later than its sweep boundary."""
         t = min(self.next_flip_t[i], self.next_checkin_t[i])
         self._next_event_t[i] = t
-        if t < _INF and not self._sweeping:
-            self._sweeper.arm(self._quantize(t))
+        if t < _INF:
+            self.wake_by(t)
 
     def _job_delay(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Each of ``rows``' jittered job interval at uniform draw ``u``
@@ -352,11 +331,10 @@ class VectorizedIdlePlane:
         if self._started < self._start_to:
             self._sweeper.arm(self._loop.now)
 
-    def _start_rows(self, now: float) -> None:
+    def _start_rows(self, rows: np.ndarray, now: float) -> None:
         """Initial eligibility, first flip and first check-in stagger of
-        every row started since the last sweep, as one batch."""
-        rows = np.arange(self._started, self._start_to)
-        self._started = self._start_to
+        ``rows`` (a sweep starts rows ``START_CHUNK_ROWS`` at a time: a row's
+        draws are its own, so the chunks are unobservable)."""
         model, tz = self._diurnal, self._tz_offset_hours[rows] * SECONDS_PER_HOUR
         u_eligible, u_stagger = self._draw(rows)
         eligible = u_eligible < model.eligible_fraction(now + tz)
@@ -394,9 +372,7 @@ class VectorizedIdlePlane:
         rows = rows[idle & (self.next_checkin_t[rows] == _INF)]
         if rows.size:
             u = self._draw(rows)[1]
-            checkin_t = self._stagger_first_checkin(rows, u, self._loop.now)
-            if not self._sweeping:
-                self._sweeper.arm(self._quantize(float(checkin_t.min())))
+            self.wake_by(float(self._stagger_first_checkin(rows, u, self._loop.now).min()))
 
     def schedule_checkin(self, i: int, delay: float) -> None:
         """Row ``i`` (idle) attempts a check-in ``delay`` seconds from now."""
@@ -432,8 +408,10 @@ class VectorizedIdlePlane:
         self.sweeps += 1
         self._sweeping = True
         try:
-            if self._started < self._start_to:
-                self._start_rows(now)
+            for first in range(self._started, self._start_to, START_CHUNK_ROWS):
+                last = min(first + START_CHUNK_ROWS, self._start_to)
+                self._start_rows(np.arange(first, last), now)
+            self._started = self._start_to
             self._run_sweep(now)
         finally:
             self._sweeping = False
@@ -663,16 +641,20 @@ class VectorizedIdlePlane:
                 )
 
     # -- WAITING rows: the Selector pools as columns -------------------------------
-    def pooled(self, selector: int, name: str | None = None) -> np.ndarray:
-        """The rows WAITING at Selector ``selector`` (for tenant ``name``
-        only, when given), in row order."""
-        waiting = self._waiting_at[: len(self)] == selector
-        if name is not None:
-            if not self.connected(selector, name):
-                return np.zeros(0, np.intp)
-            slot = self.scheduler._slot_of[name]
-            waiting &= self.scheduler._running[: len(self)] == slot
-        return np.flatnonzero(waiting)
+    def pooled(self, selector: int) -> np.ndarray:
+        """The rows WAITING at Selector ``selector``, in row order."""
+        return (self._waiting_at[: len(self)] == selector).nonzero()[0]
+
+    def pools(self, selectors: Sequence[int], name: str) -> list[np.ndarray]:
+        """The rows WAITING for tenant ``name`` at each of ``selectors``,
+        each pool in row order: one scan of the tenant's rows for all."""
+        slot = self.scheduler._slot_of.get(name, -2)
+        rows = (self.scheduler._running[: len(self)] == slot).nonzero()[0]
+        at = self._waiting_at[rows]
+        order = at.argsort(kind="stable")
+        rows, at = rows[order], at[order]
+        starts, ends = at.searchsorted(np.add.outer([0, 1], selectors)).tolist()
+        return [rows[lo:hi] for lo, hi in zip(starts, ends)]
 
     def connected(self, selector: int, name: str) -> int:
         """How many rows WAIT at Selector ``selector`` for tenant ``name``."""
@@ -712,12 +694,15 @@ class VectorizedIdlePlane:
         self._next_event_t[i] = self.next_flip_t[i]
         return self.scheduler.tenants[slot]
 
-    def release(self, rows: np.ndarray, delay: np.ndarray, window: bool = False) -> None:
+    def release(
+        self, rows: np.ndarray, delay: np.ndarray, window: bool = False, wake: bool = True
+    ) -> np.ndarray:
         """WAITING ``rows`` hang up: each leaves its pool, frees its worker
         and, if still eligible, checks in again ``delay`` seconds from now
         — opening a pace window then too, when ``window``.  A forwarded
         row's device goes: a configuration that comes later builds one to
-        turn it away."""
+        turn it away.  Returns their next events, which the sweep wakes by
+        unless ``wake`` is False (then the caller wakes it: :meth:`wake_by`)."""
         forwarded = rows[self._waiting_at[rows] == len(self._selectors)]
         self._move(rows, -1)
         self.scheduler.abort_rows(rows)
@@ -727,22 +712,29 @@ class VectorizedIdlePlane:
         if window:
             self.pending_window_t[rows] = reconnect_at
         event_t = self._book(rows, np.where(self.eligible[rows], reconnect_at, _INF))
-        if event_t.size and not self._sweeping:
-            self._sweeper.arm(self._quantize(float(event_t.min())))
+        if wake and event_t.size:
+            self.wake_by(float(event_t.min()))
         for i in forwarded.tolist():
             self._devices.close(i)
+        return event_t
+
+    def wake_by(self, t: float) -> None:
+        """Keep the sweeper armed no later than ``t``'s sweep boundary (a
+        sweep's final re-arm covers what it writes)."""
+        if not self._sweeping:
+            self._sweeper.arm(self._quantize(t))
 
     def hang_up(self, rows: np.ndarray) -> None:
         """WAITING ``rows`` hang up and come back a jittered job interval
         later, each at its own row draw."""
         self.release(rows, self._job_delay(rows, self._draw(rows)[0]))
 
-    def bounce(self, rows: np.ndarray, window) -> None:
-        """WAITING ``rows`` are turned away into pace window ``window``
-        (a drain, a full round), each at its own row draw."""
-        u = self._draw(rows)[0]
-        reconnect_at = window.earliest_s + (window.latest_s - window.earliest_s) * u
-        self.release(rows, np.maximum(reconnect_at - self._loop.now, 1.0), True)
+    def bounce(self, rows: np.ndarray, earliest, latest, wake: bool = True) -> np.ndarray:
+        """WAITING ``rows`` are turned away (a drain, a full round) into pace
+        windows ``earliest``..``latest`` (per row, or one for all), each at its
+        own row draw (:meth:`release`)."""
+        reconnect_at = earliest + (latest - earliest) * self._draw(rows)[0]
+        return self.release(rows, np.maximum(reconnect_at - self._loop.now, 1.0), True, wake)
 
     def reset(self, rows: np.ndarray) -> None:
         """WAITING ``rows``' Selector stream broke: they retry another one

@@ -492,12 +492,14 @@ def test_respawned_selectors_are_addressed_by_every_coordinator(monkeypatch):
     forwards = []  # (tenant, round, called Selector, alive when called)
     receive = Selector.receive
 
-    def spy(selector, sender, instruction):
-        forwards.append((
-            instruction.population_name, instruction.round_id, selector.ref,
-            fleet.actors.is_alive(selector.ref),
-        ))
-        receive(selector, sender, instruction)
+    def spy(selector, sender, start):
+        # One call per round start: the shard's live Selectors, all at once.
+        for target in start.selectors:
+            forwards.append((
+                start.instruction.population_name, start.instruction.round_id, target.ref,
+                fleet.actors.is_alive(target.ref),
+            ))
+        receive(selector, sender, start)
 
     monkeypatch.setattr(Selector, "receive", spy)
 

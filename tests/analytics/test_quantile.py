@@ -144,11 +144,24 @@ class ArrayP2Quantile:
         return float(self._q[2])
 
 
-def array_summary():
-    summary = MetricSummary.empty()
-    for name in ("p25", "p50", "p75", "p95"):
-        setattr(summary, name, ArrayP2Quantile(getattr(summary, name).quantile))
-    return summary
+class ArraySummary:
+    """``MetricSummary`` fed value by value into array-marker sketches and
+    a ``StreamingMoments``, each separately."""
+
+    def __init__(self):
+        self.moments = StreamingMoments()
+        self.sketches = [ArrayP2Quantile(q) for q in (0.25, 0.5, 0.75, 0.95)]
+
+    def update(self, value):
+        self.moments.update(value)
+        for sketch in self.sketches:
+            sketch.update(value)
+
+    def to_dict(self):
+        summary = MetricSummary.empty()
+        summary.moments = self.moments
+        summary.p25, summary.p50, summary.p75, summary.p95 = self.sketches
+        return summary.to_dict()
 
 
 #: Random values, and long runs of one value (a fleet's health report is
@@ -166,7 +179,7 @@ _RUNS = st.lists(
 @given(_RUNS)
 @settings(max_examples=150, deadline=None)
 def test_float_markers_match_the_array_implementation_exactly(runs):
-    summary, oracle = MetricSummary.empty(), array_summary()
+    summary, oracle = MetricSummary.empty(), ArraySummary()
     seen = 0
     for value, repeat in runs:
         for _ in range(repeat):
@@ -175,3 +188,49 @@ def test_float_markers_match_the_array_implementation_exactly(runs):
         seen += repeat
         # repr() tells -0.0 from 0.0 and spells out every last bit.
         assert repr(summary.to_dict()) == repr(oracle.to_dict()), seen
+
+
+#: Few values (the sketches' sorted phase), ties and long duplicate runs.
+_VALUES = st.lists(
+    st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, 2.5])),
+    max_size=40,
+)
+
+
+@given(_VALUES)
+@settings(max_examples=150, deadline=None)
+def test_summary_update_is_its_five_sketches_fed_separately(values):
+    """``MetricSummary.update`` is one pass over its five sketches: bit for
+    bit, four ``P2Quantile`` and a ``StreamingMoments`` each fed every
+    value on its own."""
+    summary = MetricSummary.empty()
+    moments, sketches = StreamingMoments(), [P2Quantile(q) for q in (0.25, 0.5, 0.75, 0.95)]
+    for value in values:
+        summary.update(value)
+        moments.update(value)
+        for sketch in sketches:
+            sketch.update(value)
+        for ours, theirs in zip((summary.p25, summary.p50, summary.p75, summary.p95), sketches):
+            assert repr([getattr(ours, k) for k in P2Quantile.__slots__]) == repr(
+                [getattr(theirs, k) for k in P2Quantile.__slots__]
+            )
+        assert repr(vars(summary.moments)) == repr(vars(moments))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("at", [0, 2, 7])
+def test_a_non_finite_value_is_counted_not_summarized(bad, at):
+    """A device metric that is NaN or infinite stays out of every
+    statistic — anywhere in the stream, among the first five values too —
+    and is counted under ``non_finite``."""
+    finite = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+    clean, summary = MetricSummary.empty(), MetricSummary.empty()
+    for value in finite:
+        clean.update(value)
+    for value in finite[:at] + [bad] + finite[at:]:
+        summary.update(value)
+    assert summary.to_dict() == {**clean.to_dict(), "non_finite": 1}
+    assert "non_finite" not in clean.to_dict()
+    only_bad = MetricSummary.empty()
+    only_bad.update(bad)
+    assert only_bad.to_dict() == {"count": 0, "non_finite": 1}

@@ -1,7 +1,7 @@
 """DeviceActor unit tests: the participation pipeline against stub actors.
 
 The device under test is a hand-built ``DeviceActor`` whose idle half is
-a one-row ``VectorizedIdlePlane`` (``plane.adopt(device, ("pop",))``
+a one-row ``VectorizedIdlePlane`` (``adopt(plane, device, ("pop",))``
 writes its membership and hands the device ``plane`` / ``row``):
 eligibility is scripted through the plane's law and the row's
 ``next_flip_t`` column, and what the device tallies is read where it
@@ -14,6 +14,7 @@ forwarded does.
 import numpy as np
 import pytest
 
+from reference.devices import adopt
 from repro.actors.kernel import Actor, ActorSystem
 from repro.actors import messages as msg
 from repro.analytics.events import DeviceEvent, EventLog
@@ -105,7 +106,7 @@ def make_device(
         selectors=[server_ref], actor_of=system.actor_of,
         attestation=AttestationService(), job=device.job,
     )
-    plane.adopt(device, ("pop",))
+    adopt(plane, device, ("pop",))
     ref = system.spawn(device, "device-1")
     system.loop.run(until=system.loop.now)  # the plane starts the row
     if eligible_until is not None:
@@ -245,7 +246,8 @@ def test_checkin_rejection_respects_pace_window(harness):
     loop.run(until=700.0)
     first_checkins = device.health.checkins
     window = ReconnectWindow(loop.now + 500.0, loop.now + 510.0)
-    device.plane.bounce(np.array([device.row]), window)  # a round is full
+    # A round is full: the row is turned away into the window.
+    device.plane.bounce(np.array([device.row]), window.earliest_s, window.latest_s)
     assert device.state is DeviceState.IDLE and device.scheduler.running is None
     loop.run(until=loop.now + 400.0)
     assert device.health.checkins == first_checkins  # still away
@@ -284,5 +286,5 @@ def test_download_failure_logs_error(harness):
 
 def test_device_spawned_without_a_plane_row_says_so(harness):
     loop, system, server, server_ref, rngs = harness
-    with pytest.raises(RuntimeError, match="VectorizedIdlePlane.adopt"):
+    with pytest.raises(RuntimeError, match="spawned without an idle plane row"):
         system.spawn(build_device(rngs), "device-1")

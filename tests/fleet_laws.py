@@ -45,7 +45,7 @@ def check_pool_conservation(fleet) -> None:
     for selector in fleet.selector_actors():
         for name, route in selector.routes.items():
             pooled = selector.connected_count_for(name)
-            assert pooled == plane.pooled(selector.index, name).size, (
+            assert pooled == plane.pools([selector.index], name)[0].size, (
                 f"{where}, {selector.ref.name} / {name!r}: count {pooled} "
                 "is not its rows"
             )

@@ -61,3 +61,32 @@ def test_preserves_name_order(rng):
     p = Parameters({"z": np.zeros(1), "a": np.ones(1), "m": np.full(1, 2.0)})
     recovered = params_from_bytes(params_to_bytes(p))
     assert list(recovered) == ["z", "a", "m"]
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda blob: blob + b"junk", "trailing"),
+        (lambda blob: blob[:8], "truncated"),          # inside the header
+        (lambda blob: blob[:20], "truncated"),         # inside an array's header
+        (lambda blob: blob[:-3], "truncated"),         # inside the last array
+        (lambda blob: blob[:4], "truncated"),          # the magic alone
+    ],
+)
+def test_a_cut_or_padded_checkpoint_is_refused(rng, cut, message):
+    """Only a whole checkpoint decodes: one cut short anywhere, or with
+    bytes after its last array, is refused with a ``ValueError`` saying
+    which."""
+    blob = params_to_bytes(Parameters({"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}))
+    with pytest.raises(ValueError, match=message):
+        params_from_bytes(cut(blob))
+
+
+def test_decoded_arrays_are_one_flat_vector(rng):
+    """The decode copies every array into one flat-backed vector, in the
+    blob's order, so whole-model arithmetic on it is one vector op."""
+    p = Parameters({"w": rng.normal(size=(3, 2)), "s": np.array(1.5), "b": rng.normal(size=4)})
+    recovered = params_from_bytes(params_to_bytes(p))
+    assert recovered.flat_base is not None
+    np.testing.assert_array_equal(recovered.flat_base, p.to_vector())
+    assert {k: v.shape for k, v in recovered.items()} == {k: v.shape for k, v in p.items()}

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from reference.devices import adopt
 from repro import FLFleet, FaultPlan, PopulationSpec
 from repro.actors.kernel import Actor, ActorSystem
 from repro.actors import messages as msg
@@ -102,7 +103,7 @@ def make_device(system, plane, rngs, memberships=("pop",), **kwargs):
         job=JobSchedule(600.0, 0.1),
         **kwargs,
     )
-    plane.adopt(device, memberships)
+    adopt(plane, device, memberships)
     system.spawn(device, profile.name)
     system.loop.run(until=system.loop.now)  # the plane starts the row
     return device
@@ -347,6 +348,28 @@ def build_fleet(seed: int, devices: int):
         .population("pop", tasks=[task], model=params)
         .build()
     )
+
+
+def test_a_chunked_start_is_a_one_batch_start(monkeypatch):
+    """Fleet start draws for ``START_CHUNK_ROWS`` rows at a time; a row's
+    draws are its own, so any chunking — here 7 rows, a ragged last chunk
+    included — leaves the record and every column byte-equal to a start
+    in one batch, and the run goes on the same."""
+    from repro.sim import idle_plane
+
+    planes, reports = [], []
+    for chunk in (10**9, 7):
+        monkeypatch.setattr(idle_plane, "START_CHUNK_ROWS", chunk)
+        fleet = build_fleet(seed=11, devices=150)
+        fleet.run_for(0.0)
+        planes.append(
+            {key: value.tobytes() for key, value in _row_arrays(fleet.idle_plane).items()}
+        )
+        planes[-1]["eligible_count"] = fleet.idle_plane._eligible_count
+        fleet.run_for(3600.0)
+        reports.append(fleet.report())
+    assert planes[0] == planes[1]
+    assert reports[0] == reports[1]
 
 
 def test_vectorized_plane_is_deterministic():

@@ -506,7 +506,7 @@ def test_pool_cap_uses_largest_task_goal():
         .build()
     )
     selector = fleet.actors.actor_of(fleet.selectors[0])
-    assert selector.route_of("a").pool_cap == 2 * large.round_config.selection_goal
+    assert selector.routes["a"].pool_cap == 2 * large.round_config.selection_goal
 
 
 def test_public_knob_surface_is_pinned():

@@ -113,10 +113,10 @@ def test_residency_law_catches_a_device_kept_past_its_hang_up(monkeypatch):
     plan = FaultPlan(messages=MessageFaultConfig(drop_prob=0.2))
     release = VectorizedIdlePlane.release
 
-    def keeping_devices(plane, rows, delay, window=False):
+    def keeping_devices(plane, *args):
         plane._devices.close = lambda index: None
         try:
-            release(plane, rows, delay, window)
+            return release(plane, *args)
         finally:
             del plane._devices.close
 
