@@ -211,8 +211,13 @@ class Aggregator(Actor):
         )
 
     def _flush_secagg(
-        self, committed: dict[int, tuple[np.ndarray, float]]
+        self, retained: dict[int, tuple[np.ndarray, float]]
     ) -> msg.IntermediateAggregate:
+        # A vector the ring cannot carry (a NaN or an inf) is not committed.
+        committed = {
+            uid: (vector, weight) for uid, (vector, weight) in retained.items()
+            if np.isfinite(weight) and np.isfinite(vector).all()
+        }
         if not committed:
             return msg.IntermediateAggregate(
                 round_id=self.round_id, delta_sum=None, weight_sum=0.0, device_count=0
@@ -234,11 +239,14 @@ class Aggregator(Actor):
             after_share=frozenset(uid for uid in self._devices if uid not in committed)
         )
         threshold = self.secagg.threshold(len(cohort_ids))
-        max_abs = float(np.abs(stacked).max())
+        # The clip range is at most what the ring can sum over the cohort
+        # (``quantize`` clips to it): an integer, so the scale stays >= 1.
+        summands = max(len(cohort_ids), 1)
+        ring_clip = float(((1 << (self.secagg.modulus_bits - 1)) - 1) // summands)
         quantizer = VectorQuantizer(
             modulus_bits=self.secagg.modulus_bits,
-            clip_range=max(max_abs, 1e-6),
-            max_summands=max(len(cohort_ids), 1),
+            clip_range=max(min(float(np.abs(stacked).max()), ring_clip), 1e-6),
+            max_summands=summands,
         )
         try:
             total, metrics = run_secure_aggregation(

@@ -197,9 +197,11 @@ class Coordinator(Actor):
     def _connected_total(self) -> int:
         """The owning shard's pool sizes, summed (the Sec. 4.2 'how many
         devices are connected to each Selector' report, read as a cheap
-        RPC when a tick is armed and when it fires)."""
+        RPC when a tick is armed and when it fires): the live hosting
+        Selectors' ``connected_count_for``, in one read of the plane."""
         name = self.population_name
-        return sum(s.connected_count_for(name) for s in self._live_selectors())
+        hosts = [s for s in self._live_selectors() if name in s.routes]
+        return hosts[0].plane.connected([s.index for s in hosts], name) if hosts else 0
 
     def _start_threshold(self) -> int:
         """Devices that must be waiting before a round is scheduled.

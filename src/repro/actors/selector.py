@@ -186,7 +186,7 @@ class Selector(Actor):
     # -- helpers ----------------------------------------------------------------
     def connected_count_for(self, population_name: str) -> int:
         if population_name in self.routes:
-            return self.plane.connected(self.index, population_name)
+            return self.plane.connected([self.index], population_name)
         return 0
 
     def _suggest_window(self, route: PopulationRoute):
@@ -257,7 +257,8 @@ class Selector(Actor):
             ]
             stats.rejected_incompatible += len(live) - len(runnable)
             live = runnable
-        free = route.pool_cap - self.plane.connected(self.index, route.population_name)
+        name = route.population_name
+        free = route.pool_cap - self.plane.connected([self.index], name)
         admitted = live[: max(free, 0)]
         stats.rejected_quota += len(live) - len(admitted)
         return admitted

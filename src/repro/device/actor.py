@@ -90,7 +90,7 @@ class DeviceActor(Actor):
     # Built by the ten thousand inside a run (one per session): no
     # instance dict, one slot per field.
     __slots__ = (
-        "profile", "network", "conditions", "trainer_of", "compute",
+        "profile", "network", "_link", "trainer_of", "compute",
         "event_log", "_rng", "_stream", "job", "ack_timeout_s",
         "upload_retry", "plane", "row", "scheduler",
         "_active_population", "_round_id", "_aggregator", "_ack_timeout_event",
@@ -100,7 +100,7 @@ class DeviceActor(Actor):
         self,
         profile: DeviceProfile,
         network: NetworkModel,
-        conditions: NetworkConditions,
+        conditions: NetworkConditions | None,
         trainer_of: Callable[[str], LocalTrainer],
         compute: ComputeModel | None = None,
         event_log: EventLog | None = None,
@@ -114,7 +114,9 @@ class DeviceActor(Actor):
     ):
         self.profile = profile
         self.network = network
-        self.conditions = conditions
+        #: A hand-built device's link (``adopt`` copies it into its row); a
+        #: fleet's device reads its row's link columns once, when first used.
+        self._link = conditions
         #: Tenant name -> this device's trainer for it, which the tenant's
         #: runtime holds (a fleet hands in the lifecycle plane's lookup).
         self.trainer_of = trainer_of
@@ -164,11 +166,19 @@ class DeviceActor(Actor):
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any):
         """A device's timer runs only while its session lasts (its object
         may have gone by then: a timer left behind is a no-op)."""
-        return self.loop.schedule(delay, self._in_session, fn, *args)
+        loop = self.loop
+        return loop.schedule_at(loop.now + delay, self._in_session, fn, *args)
 
     def _in_session(self, fn: Callable[..., Any], *args: Any) -> None:
         if self._aggregator is not None:
             fn(*args)
+
+    @property
+    def conditions(self) -> NetworkConditions:
+        """This device's link: its row's link columns, read once."""
+        if self._link is None:
+            self._link = self.plane.conditions(self.row)
+        return self._link
 
     @property
     def memberships(self) -> tuple[str, ...]:
@@ -193,7 +203,8 @@ class DeviceActor(Actor):
 
     def _log(self, event: DeviceEvent, **attrs: object) -> None:
         self.event_log.log(
-            self.now, self.device_id, self._round_id or 0, event, **attrs
+            self.loop.now, self.profile.device_id, self._round_id or 0, event,
+            **attrs,
         )
 
     def _transfer(self, nbytes: int, direction: TransferDirection) -> tuple[float, bool]:
@@ -285,8 +296,8 @@ class DeviceActor(Actor):
         self._round_id = configure.round_id
         self._aggregator = configure.aggregator  # PARTICIPATING from here
         self.event_log.log(
-            float(self.plane.connected_at_s[self.row]),
-            self.device_id,
+            self.plane.connected_at_s.item(self.row),
+            self.profile.device_id,
             configure.round_id,
             DeviceEvent.CHECKIN,
         )
@@ -411,11 +422,12 @@ class DeviceActor(Actor):
         plane (:meth:`~repro.sim.idle_plane.VectorizedIdlePlane.
         session_ended`), which drops this object."""
         self._cancel_ack_timer()
-        if self.scheduler.running == self._active_population:
+        scheduler, population = self.scheduler, self._active_population
+        if scheduler.running == population:
             if finished:
-                self.scheduler.finish(self._active_population)
+                scheduler.finish(population)
             else:
-                self.scheduler.abort()
+                scheduler.abort()
         self._aggregator = None
         self.plane.session_ended(self.row, back_in)
         self._stream = None  # a retry left behind asks for the row's again

@@ -277,11 +277,12 @@ class SyntheticTrainer:
         now_s: float,
         rng: np.random.Generator,
     ) -> TrainResult:
+        device = plan.device
         n = max(
             1, int(self.mean_examples * np.exp(rng.normal(0.0, self.examples_sigma)))
         )
-        n = min(n, plan.device.training.max_examples)
-        if plan.device.kind is not TaskKind.TRAINING:
+        n = min(n, device.training.max_examples)
+        if device.kind is not TaskKind.TRAINING:
             return TrainResult(
                 delta_vector=self._zero_vector(),
                 weight=float(n),
@@ -293,13 +294,14 @@ class SyntheticTrainer:
         delta = rng.normal(0.0, 1e-3, size=self.num_parameters)
         # Scale the freshly-drawn vector in place: `delta * n` without the
         # second allocation.
-        np.multiply(delta, n, out=delta)
-        raw_nbytes = self.num_parameters * 8
+        delta *= n
+        # rng.uniform(0.5, 2.0) is 0.5 + 1.5 * rng.random(), bit for bit.
+        loss = 0.5 + 1.5 * rng.random()
         return TrainResult(
-            delta_vector=delta,
-            weight=float(n),
-            num_examples=n,
-            metrics={"loss": float(rng.uniform(0.5, 2.0)), "num_examples": n},
-            upload_nbytes=int(raw_nbytes / max(self.update_compression_ratio, 1.0)),
-            train_compute_units=float(n * plan.device.training.epochs),
+            delta,
+            float(n),
+            n,
+            {"loss": loss, "num_examples": n},
+            int(self.num_parameters * 8 / max(self.update_compression_ratio, 1.0)),
+            float(n * device.training.epochs),
         )

@@ -219,7 +219,7 @@ class FixedBaseTable:
     Positions are built lazily (a few milliseconds each) and cached for
     the life of the process;
     :mod:`repro.secagg.dh` keeps one instance for the group generator,
-    shared by pair agreement and dropout-recovery verification.
+    shared by every pair agreement.
     """
 
     def __init__(self, base: int, window_bits: int = _FIXED_WINDOW_BITS):
@@ -253,10 +253,11 @@ class FixedBaseTable:
 
         Returns None for an all-zero exponent batch (callers answer 1).
         """
-        if any(e < 0 for e in exponents):
-            raise ValueError("negative exponents are not supported")
         n = len(exponents)
-        max_bits = max(e.bit_length() for e in exponents) if n else 0
+        if n and min(exponents) < 0:
+            raise ValueError("negative exponents are not supported")
+        # Non-negative, so the largest exponent has the most bits.
+        max_bits = max(exponents, default=0).bit_length()
         if max_bits == 0:
             return None
         num_windows = -(-max_bits // self.window_bits)

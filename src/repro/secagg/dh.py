@@ -11,10 +11,10 @@ systems reproduction, NOT for production cryptography.
 
 An agreed key is ``SHA-256(g^(a·b) mod p)`` truncated to 120 bits, so
 agreed seeds stay inside the Shamir field and can be re-derived after
-reconstructing a dropped device's secret.  Both batch kernels ride the
+reconstructing a dropped device's secret.  The batch kernel rides the
 vectorized 2^255−19 limb substrate in :mod:`repro.secagg.bigmod`, and
-every key and public key is byte-identical to the per-device ``pow``
-of the reference protocol (``tests/reference/secagg.py``).
+every key is byte-identical to the per-device ``pow`` of the reference
+protocol (``tests/reference/secagg.py``).
 ``agree_pairs_batch`` exploits that the *simulator* knows both secrets
 of a pair: ``agree(a, g^b) == SHA-256(g^(a·b))``, so pairwise seeds
 become fixed-base exponentiations with no squaring ladder at all.
@@ -31,17 +31,11 @@ from repro.secagg.field import SECRET_BITS
 DH_PRIME: int = (1 << 255) - 19
 DH_GENERATOR: int = 2
 
-#: Shared fixed-base table for the group generator — one cache serves
-#: public keys, pair agreements, and recovery re-derivations.
+#: Shared fixed-base table for the group generator: one cache serves
+#: every pair agreement of the process.
 _GENERATOR_TABLE = bigmod.FixedBaseTable(DH_GENERATOR)
 
 assert bigmod.MODULUS == DH_PRIME
-
-
-def _derive_key_bytes(element_bytes: bytes) -> int:
-    """Truncated-SHA-256 key of a canonical 32-byte group element."""
-    digest = hashlib.sha256(element_bytes).digest()
-    return int.from_bytes(digest[: SECRET_BITS // 8], "little")
 
 
 def _secret_of(draw: bytes) -> int:
@@ -51,11 +45,6 @@ def _secret_of(draw: bytes) -> int:
     return int.from_bytes(draw, "little") | 1 << (SECRET_BITS - 8)
 
 
-def public_keys_batch(secrets: list[int]) -> list[int]:
-    """``[g^s mod p for s in secrets]`` via the fixed-base table."""
-    return _GENERATOR_TABLE.pow_batch(secrets)
-
-
 def agree_pairs_batch(secret_pairs: list[tuple[int, int]]) -> list[int]:
     """Pairwise agreed keys from both secret exponents at once.
 
@@ -63,9 +52,11 @@ def agree_pairs_batch(secret_pairs: list[tuple[int, int]]) -> list[int]:
     fixed-base exponentiation of the ≤247-bit product — no per-pair base,
     no squarings, and the canonical byte encodings feed SHA-256 straight
     from the limb plane.  Bit-identical to ``agree`` by the group
-    identity.
+    identity.  Each key is the element's SHA-256 digest truncated to
+    ``SECRET_BITS``, little-endian.
     """
     elements = _GENERATOR_TABLE.pow_batch_bytes(
         [a * b for a, b in secret_pairs]
     )
-    return [_derive_key_bytes(e) for e in elements]
+    sha256, from_bytes, width = hashlib.sha256, int.from_bytes, SECRET_BITS // 8
+    return [from_bytes(sha256(e).digest()[:width], "little") for e in elements]

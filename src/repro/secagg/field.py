@@ -15,6 +15,8 @@ batched kernels are bit-identical to live in the reference protocol,
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Mersenne prime 2^127 - 1: comfortably larger than the 120-bit secrets.
@@ -64,24 +66,13 @@ def lagrange_coefficients_at_zero(
         raise ValueError("no share indices provided")
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate share indices")
-    # num_i = Π_{j≠i} (-x_j) via prefix/suffix products (no inversions);
-    # den_i = Π_{j≠i} (x_i - x_j), all inverted in one batch.
-    neg = [(-x) % p for x in xs]
-    n = len(xs)
-    prefix = [1] * (n + 1)
-    for i, v in enumerate(neg):
-        prefix[i + 1] = (prefix[i] * v) % p
-    suffix = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = (suffix[i + 1] * neg[i]) % p
-    nums = [(prefix[i] * suffix[i + 1]) % p for i in range(n)]
-    dens = []
-    for i, xi in enumerate(xs):
-        den = 1
-        for j, xj in enumerate(xs):
-            if i != j:
-                den = (den * (xi - xj)) % p
-        dens.append(den)
+    # num_i = Π_{j≠i} (-x_j) and den_i = Π_{j≠i} (x_i - x_j) are products
+    # of small integers, each reduced once; the dens invert in one batch.
+    nums, dens = [], []
+    for xi in xs:
+        others = [x for x in xs if x != xi]
+        nums.append(math.prod(others) * (-1) ** len(others) % p)
+        dens.append(math.prod([xi - x for x in others]) % p)
     inv_dens = mod_inverse_batch(dens, p)
     return [(num * inv) % p for num, inv in zip(nums, inv_dens)]
 
@@ -109,15 +100,19 @@ def _carry_(acc: np.ndarray, carry: np.ndarray) -> None:
         acc[k + 1] += carry
 
 
-def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
+def eval_polynomial_words(
+    words: np.ndarray, xs: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate many polynomials at many points in one stacked pass.
 
     ``words`` is ``(S, D, 2)``: coefficient ``d`` of polynomial ``i`` as
     two little-endian uint64 words, any value below 2^128 (reducing mod p
     first would not change the result, so words >= p enter as they are;
-    the top limb takes bits 104..127).  Returns ``out[i][j]``, polynomial
-    ``i`` at ``xs[j]`` in GF(p) — per-point Horner's value.  Horner runs on one ``(5, S,
-    n)`` accumulator: two uint64 array ops per degree, plus a parallel
+    the top limb takes bits 104..127).  Returns the ``(S, n)`` low and
+    high uint64 halves of polynomial ``i`` at ``xs[j]``; their
+    :func:`field_values` are per-point Horner's values in GF(p), so a
+    caller converts only the values it reads.  Horner runs on one ``(5,
+    S, n)`` accumulator: two uint64 array ops per degree, plus a parallel
     carry — the top limb's carry folded ×8 into limb 0, as 2^130 ≡ 2^3 —
     whenever the tracked bound ``bits`` would pass 2^63 on the next step.
     """
@@ -125,7 +120,7 @@ def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
         raise ValueError("evaluation points must be in [0, 2^32)")
     num_polys, degree = words.shape[:2]
     if not num_polys or not xs:
-        return [[] for _ in range(num_polys)]
+        return (np.zeros((num_polys, len(xs)), dtype=np.uint64),) * 2
     lo, hi = words[..., 0].T, words[..., 1].T
     coeffs = np.stack([                          # (5, D, S)
         lo & _MASK64, (lo >> _SHIFT64) & _MASK64,
@@ -159,6 +154,12 @@ def eval_polynomial_words(words: np.ndarray, xs: list[int]) -> list[list[int]]:
     lo = acc[0] | (acc[1] << _SHIFT64) | (acc[2] << np.uint64(52))
     hi = (acc[2] >> np.uint64(12)) | (acc[3] << np.uint64(14)) | (
         acc[4] << np.uint64(40))
+    return lo, hi
+
+
+def field_values(lo: np.ndarray, hi: np.ndarray) -> list[list[int]]:
+    """GF(p) values of :func:`eval_polynomial_words`' halves, row by row:
+    each pair holds a value below 2^128 congruent to the share."""
     return [
         [(low | high << 64) % SHAMIR_PRIME for low, high in zip(lrow, hrow)]
         for lrow, hrow in zip(lo.tolist(), hi.tolist())

@@ -13,12 +13,15 @@ bit-identical to live in the reference protocol
 
 from __future__ import annotations
 
+from operator import mul
+
 import numpy as np
 
 from repro.secagg.field import (
     SHAMIR_PRIME,
     coefficient_words,
     eval_polynomial_words,
+    field_values,
     lagrange_coefficients_at_zero,
 )
 
@@ -29,7 +32,19 @@ def share_secrets_batch(
     threshold: int,
     rng: np.random.Generator,
 ) -> list[list[int]]:
-    """Share many secrets at once; returns ``ys[i][x-1]`` for x=1..n.
+    """Share many secrets at once; returns ``ys[i][x-1]`` for x=1..n."""
+    return field_values(*share_secrets_words(secrets, num_shares, threshold, rng))
+
+
+def share_secrets_words(
+    secrets: list[int],
+    num_shares: int,
+    threshold: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`share_secrets_batch` as the ``(len(secrets), num_shares)``
+    uint64 halves of :func:`~repro.secagg.field.eval_polynomial_words`,
+    so a round converts only the shares it reconstructs from.
 
     Coefficients are drawn from ``rng`` secret-by-secret in list order —
     exactly the draws per-secret sharing would make called sequentially
@@ -75,12 +90,7 @@ def reconstruct_secrets_batch(
     per-secret Lagrange interpolation.
     """
     lambdas = lagrange_coefficients_at_zero(xs)
-    out = []
-    for ys in ys_per_secret:
-        if len(ys) != len(xs):
-            raise ValueError("share count does not match x-set")
-        acc = 0
-        for y, lam in zip(ys, lambdas):
-            acc = (acc + y * lam) % SHAMIR_PRIME
-        out.append(acc)
-    return out
+    if any(len(ys) != len(xs) for ys in ys_per_secret):
+        raise ValueError("share count does not match x-set")
+    # One reduction per secret: the exact dot product, then mod p.
+    return [sum(map(mul, ys, lambdas)) % SHAMIR_PRIME for ys in ys_per_secret]

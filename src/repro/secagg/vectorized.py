@@ -12,8 +12,9 @@ as stacked operations:
   of ``g^(a·b)``, no per-pair squaring ladder;
 * mask expansion for all devices is one ``(K, dim)``
   :func:`~repro.secagg.prg.prg_expand_batch` call per mask family;
-* Shamir sharing is one :func:`~repro.secagg.shamir.share_secrets_batch`
-  over every secret of the round (limb-vectorized Horner);
+* Shamir sharing is one :func:`~repro.secagg.shamir.share_secrets_words`
+  over every secret of the round (limb-vectorized Horner), kept as
+  uint64 halves;
 * MaskedInputCollection is in-place uint64 arithmetic on a ``(K, dim)``
   matrix — exact, because 2^b divides 2^64 so wrapping sums followed by
   one final mask equal per-op-masked chains;
@@ -41,15 +42,22 @@ Deliberate simulation shortcuts, none observable in any output:
   element ``g^(a·b)``), where devices compute it independently at both
   endpoints.  Server-side metrics count unmasking work only, so counts
   are unaffected;
-* round 3 reads from round 2, keyed on what it reconstructed: a ``b``
-  seed's self-mask row, a dangling pair's seed (keyed on the product of
-  the reconstructed key and the survivor's secret) and its mask row.
-  Both kernels are pure, so a read equals a recomputation, and a key
-  round 2 never held is computed; metrics count the recomputations;
-* ``g^s`` public keys are materialized only where an output can observe
-  them — verifying reconstructed keys of dropped devices — in one
-  stacked fixed-base pass, instead of one ``pow`` per device at
-  AdvertiseKeys.
+* shares are converted to field elements lazily: round 3 converts the
+  first-``threshold`` responders' x-set of each secret it reconstructs
+  (840 of 2,450 at 35 devices and threshold 24), a transcript all;
+* round 2's server reads the committers' sum, not their rows: a pair
+  both of whose endpoints committed adds its mask at one and subtracts
+  it at the other, so the fleet's path sums the quantized inputs, the
+  self masks and the dangling pairs' rows, and only a transcript folds
+  each committer's masked row;
+* round 3 reads from round 2: a ``b`` seed's self-mask row, keyed on
+  the reconstructed seed (a seed round 2 never held is expanded), and a
+  dangling pair's mask row by pair index.  Both kernels are pure, so a
+  read equals a recomputation; metrics count the recomputations;
+* a reconstructed key is checked against round 2's secret exponent,
+  not against its public key: g's order exceeds 2^251 and exponents are
+  below 2^127, so the keys match exactly when the exponents do, and no
+  ``g^s`` is ever computed.
 """
 
 from __future__ import annotations
@@ -59,8 +67,8 @@ from typing import Callable
 
 import numpy as np
 
-from repro.secagg.dh import _secret_of, agree_pairs_batch, public_keys_batch
-from repro.secagg.field import SECRET_BITS, ring_mask
+from repro.secagg.dh import _secret_of, agree_pairs_batch
+from repro.secagg.field import SECRET_BITS, field_values, ring_mask
 from repro.secagg.masking import VectorQuantizer
 from repro.secagg.prg import prg_expand_batch
 from repro.secagg.protocol import (
@@ -69,45 +77,16 @@ from repro.secagg.protocol import (
     SecAggMetrics,
     SecAggTranscript,
 )
-from repro.secagg.shamir import reconstruct_secrets_batch, share_secrets_batch
+from repro.secagg.shamir import reconstruct_secrets_batch, share_secrets_words
 
 
 def _expand_held(
     seeds: list[int], held: list[int], rows: np.ndarray, bits: int
 ) -> np.ndarray:
-    """``prg_expand_batch(seeds, …)``, read from ``rows`` (round 2's
-    expansion of ``held``) wherever round 2 holds the seed: expansion is
-    pure, so a read row equals a fresh one.  A seed round 2 never held
-    (a wrong reconstruction would be one) is expanded as it stands."""
-    row_of = {seed: k for k, seed in enumerate(held)}
-    fresh = [seed for seed in seeds if seed not in row_of]
-    if fresh:
-        row_of.update(zip(fresh, range(len(held), len(held) + len(fresh))))
-        rows = np.concatenate(
-            [rows, prg_expand_batch(fresh, rows.shape[1], bits)]
-        )
-    return rows[[row_of[seed] for seed in seeds]]
-
-
-def _apply_pair_masks_(
-    masked: np.ndarray,
-    pair_rows: np.ndarray,
-    plus_rows: list[list[int]],
-    minus_rows: list[list[int]],
-) -> None:
-    """Fold signed pairwise mask rows into ``masked`` in place.
-
-    ``plus_rows[i]`` / ``minus_rows[i]`` index into ``pair_rows`` for
-    committer row ``i`` (sign convention: + toward higher-id peers).
-    uint64 ops wrap mod 2^64; the caller masks down to 2^b once at the
-    end, which is exact because 2^b divides 2^64.
-    """
-    for i in range(masked.shape[0]):
-        row = masked[i]
-        for k in plus_rows[i]:
-            row += pair_rows[k]
-        for k in minus_rows[i]:
-            row -= pair_rows[k]
+    """``prg_expand_batch(seeds, …)``: ``rows``, round 2's expansion of
+    ``held``, when the seeds are round 2's (expansion is pure, so a read
+    row equals a fresh one); seeds round 2 never held are expanded."""
+    return rows if seeds == held else prg_expand_batch(seeds, rows.shape[1], bits)
 
 
 class _PhaseTimer:
@@ -181,15 +160,11 @@ def run_vectorized(
     pos = {uid: i for i, uid in enumerate(peer_ids)}
 
     # Round 1: ShareKeys — interleaved (s, b) secrets per survivor,
-    # coefficients drawn in the reference's per-device order.
+    # coefficients drawn in the reference's per-device order; the shares
+    # stay uint64 halves, row 2i for u2[i]'s s and row 2i + 1 for its b.
     u2 = [uid for uid in peer_ids if uid not in dropouts.after_advertise]
-    secrets: list[int] = []
-    for uid in u2:
-        secrets.append(s_secret[uid])
-        secrets.append(b_seed[uid])
-    ys = share_secrets_batch(secrets, cohort, threshold, rng)
-    s_ys = {uid: ys[2 * i] for i, uid in enumerate(u2)}
-    b_ys = {uid: ys[2 * i + 1] for i, uid in enumerate(u2)}
+    secrets = [v for uid in u2 for v in (s_secret[uid], b_seed[uid])]
+    share_lo, share_hi = share_secrets_words(secrets, cohort, threshold, rng)
     if len(u2) < threshold:
         raise SecAggError(
             f"only {len(u2)} devices shared keys, threshold is {threshold}"
@@ -217,65 +192,70 @@ def run_vectorized(
     metrics.sharing_seconds = phases.lap()
 
     # -- Round 2, sweep 1: the pairwise seeds in one fixed-base pass —
-    # one seed per unordered pair with at least one committed endpoint;
-    # agree() hashes the symmetric element g^(ab), so both endpoints of
-    # the pair would compute this exact value.
-    pairs: list[tuple[int, int]] = []
-    secret_pairs: list[tuple[int, int]] = []
-    for i, a in enumerate(u2):
-        a_committed = a in committed
-        for b in u2[i + 1:]:
-            if a_committed or b in committed:
-                pairs.append((a, b))
-                secret_pairs.append((s_secret[a], s_secret[b]))
-    pair_seeds = agree_pairs_batch(secret_pairs)
+    # one seed per unordered pair of u2 positions (i < j, in order) with
+    # at least one committed endpoint; agree() hashes the symmetric
+    # element g^(ab), so both endpoints of the pair would compute it.
+    at_u2 = np.array([uid in committed for uid in u2])
+    firsts, seconds = np.triu_indices(len(u2), 1)
+    keep = at_u2[firsts] | at_u2[seconds]
+    firsts, seconds = firsts[keep], seconds[keep]
+    pairs = list(zip(firsts.tolist(), seconds.tolist()))
+    s_of = [s_secret[uid] for uid in u2]
+    pair_seeds = agree_pairs_batch([(s_of[i], s_of[j]) for i, j in pairs])
     metrics.key_agreement_seconds = phases.lap()
 
     # -- Round 2, sweep 2: one (C, dim) PRG/quantize/mask pass over the
-    # committers, then their wrapped sum.
+    # committers, then their wrapped sum.  A pair's mask enters + at its
+    # first endpoint and - at its second, so the masks of a pair that
+    # both committed cancel in the sum: the server's sum reads the
+    # dangling pairs' rows, by pair index, and only a transcript folds
+    # each committer's masked row.
     dim = next(iter(inputs.values())).shape[0]
     self_seeds = [b_seed[uid] for uid in committers]
     pair_rows = prg_expand_batch(pair_seeds, dim, bits)
     self_rows = prg_expand_batch(self_seeds, dim, bits)
-
-    row_of = {uid: i for i, uid in enumerate(committers)}
-    plus_rows: list[list[int]] = [[] for _ in committers]
-    minus_rows: list[list[int]] = [[] for _ in committers]
-    for k, (a, b) in enumerate(pairs):
-        ia = row_of.get(a)
-        if ia is not None:
-            plus_rows[ia].append(k)
-        ib = row_of.get(b)
-        if ib is not None:
-            minus_rows[ib].append(k)
     # (C, dim) uint64, freshly owned.
     masked = quantizer.quantize(np.stack([inputs[uid] for uid in committers]))
     masked += self_rows
-    _apply_pair_masks_(masked, pair_rows, plus_rows, minus_rows)
-    masked &= ring_mask(bits)
-    result = masked.sum(axis=0)  # uint64 sums wrap: exact mod 2^b
+    ahead = at_u2[firsts] & ~at_u2[seconds]     # committed, dropped peer above
+    behind = at_u2[seconds] & ~at_u2[firsts]    # committed, dropped peer below
+    if capture:  # + at a pair's first endpoint, - at its second
+        row_at = (np.cumsum(at_u2) * at_u2 - 1).tolist()
+        for row, (i, j) in zip(pair_rows, pairs):
+            if row_at[i] >= 0:
+                masked[row_at[i]] += row
+            if row_at[j] >= 0:
+                masked[row_at[j]] -= row
+        masked &= ring_mask(bits)
+        result = masked.sum(axis=0)  # uint64 sums wrap: exact mod 2^b
+    else:
+        result = masked.sum(axis=0)
+        result += pair_rows[ahead].sum(axis=0) - pair_rows[behind].sum(axis=0)
     result &= ring_mask(bits)
     metrics.masking_seconds = phases.lap()
 
     # -- Round 3: one reconstruction sweep.  Every responder holds a
     # share of every reconstructed secret, so all of them use one x-set
     # — the first `threshold` responders, exactly the shares the
-    # reference server consumes — and one Lagrange basis.
-    xs = [pos[uid] + 1 for uid in responders[:threshold]]
-    targets = [b_ys[uid] for uid in committers] + [s_ys[uid] for uid in dropped]
-    metrics.shamir_reconstructions = len(targets)
+    # reference server consumes — and one Lagrange basis; only those
+    # shares become field elements.
+    cols = [pos[uid] for uid in responders[:threshold]]
+    targets = np.concatenate(
+        [2 * np.flatnonzero(at_u2) + 1, 2 * np.flatnonzero(~at_u2)]
+    )
+    picked = np.ix_(targets, cols)
+    metrics.shamir_reconstructions = len(committers) + len(dropped)
     recon = reconstruct_secrets_batch(
-        xs, [[target[x - 1] for x in xs] for target in targets]
+        [x + 1 for x in cols], field_values(share_lo[picked], share_hi[picked])
     )
     recon_b, recon_s = recon[:len(committers)], recon[len(committers):]
 
-    # Verify every reconstructed key against its advertised public key in
-    # one fixed-base pass (the only place public keys are observable).
-    publics = public_keys_batch([s_secret[uid] for uid in dropped] + recon_s)
-    for uid, advertised, reconstructed in zip(
-        dropped, publics, publics[len(dropped):]
-    ):
-        if reconstructed != advertised:
+    # Verify every reconstructed key against its advertised public key.
+    # g has order above 2^251 and both exponents are below 2^127, so the
+    # keys match exactly when the exponents do: the key is then the one
+    # round 2 agreed with, and its pairs' seeds and rows are round 2's.
+    for uid, reconstructed in zip(dropped, recon_s):
+        if reconstructed != s_secret[uid]:
             raise SecAggError(
                 f"reconstructed key for {uid} does not match advertised key"
             )
@@ -284,31 +264,14 @@ def run_vectorized(
     # devices.  The reference server re-derives each self mask from its
     # reconstructed ``b`` seed and each dangling seed from a reconstructed
     # key (one agreement per survivor), and the metrics count that work;
-    # the plane reads round 2's value for what it reconstructed instead.
+    # the plane reads round 2's rows for what it reconstructed instead.
     result -= _expand_held(recon_b, self_seeds, self_rows, bits).sum(axis=0)
     work = len(dropped) * len(committers)
     metrics.key_agreements = work
     metrics.prg_expansions = len(committers) + work
-    dangling: list[tuple[int, int]] = []
-    folds: tuple[list[int], list[int]] = ([], [])  # (sub, add)
-    for uid, s_rec in zip(dropped, recon_s):
-        for survivor in committers:
-            # survivor applied +mask if survivor < uid else -mask;
-            # subtract exactly what was applied.
-            folds[survivor > uid].append(len(dangling))
-            dangling.append((s_rec, s_secret[survivor]))
-    if dangling:
-        # agree() hashes g^(a·b): round 2's seed of the same product.
-        seed_of = dict(zip((a * b for a, b in secret_pairs), pair_seeds))
-        fresh = [(a, b) for a, b in dangling if a * b not in seed_of]
-        seed_of.update(
-            zip((a * b for a, b in fresh), agree_pairs_batch(fresh))
-        )
-        rows = _expand_held(
-            [seed_of[a * b] for a, b in dangling], pair_seeds, pair_rows, bits
-        )
-        sub, add = folds
-        result -= rows[sub].sum(axis=0) - rows[add].sum(axis=0)
+    # Each survivor applied +mask toward a dropped peer above it and
+    # -mask toward one below: subtract what it applied.
+    result -= pair_rows[ahead].sum(axis=0) - pair_rows[behind].sum(axis=0)
     result &= ring_mask(bits)
     # server_seconds keeps its reference meaning — round-3 unmasking time.
     metrics.recovery_seconds = metrics.server_seconds = phases.lap()
@@ -316,16 +279,13 @@ def run_vectorized(
 
     transcript = None
     if capture:
+        ys = field_values(share_lo, share_hi)
         transcript = SecAggTranscript(
             masked={uid: masked[i] for i, uid in enumerate(committers)},
             shares={
                 uid: {
-                    sender: (
-                        pos[uid] + 1,
-                        s_ys[sender][pos[uid]],
-                        b_ys[sender][pos[uid]],
-                    )
-                    for sender in u2
+                    sender: (pos[uid] + 1, ys[2 * i][pos[uid]], ys[2 * i + 1][pos[uid]])
+                    for i, sender in enumerate(u2)
                 }
                 for uid in committers
             },

@@ -656,11 +656,14 @@ class VectorizedIdlePlane:
         starts, ends = at.searchsorted(np.add.outer([0, 1], selectors)).tolist()
         return [rows[lo:hi] for lo, hi in zip(starts, ends)]
 
-    def connected(self, selector: int, name: str) -> int:
-        """How many rows WAIT at Selector ``selector`` for tenant ``name``."""
+    def connected(self, selectors: list[int], name: str) -> int:
+        """How many rows WAIT for tenant ``name`` at the Selectors whose
+        indices are ``selectors``."""
         slot = self.scheduler._slot_of.get(name, -1)
         waiting = self._waiting
-        return waiting.item(selector, slot) if 0 <= slot < waiting.shape[1] else 0
+        if not 0 <= slot < waiting.shape[1]:
+            return 0
+        return sum(map(waiting.item, selectors, [slot] * len(selectors)))
 
     def _move(self, rows: np.ndarray, to: int) -> None:
         """Re-home WAITING ``rows`` at ``to`` (``-1``: they stop waiting)."""
@@ -774,7 +777,11 @@ class VectorizedIdlePlane:
 
     def conditions(self, i: int) -> NetworkConditions:
         """Row ``i``'s link, as the record its device holds."""
-        return NetworkConditions(*(getattr(self, c).item(i) for c in _LINK_COLUMNS))
+        return NetworkConditions(
+            self._downlink_bytes_per_s.item(i),
+            self._uplink_bytes_per_s.item(i),
+            self._rtt_s.item(i),
+        )
 
     def health(self, i: int) -> DeviceHealthStats:
         """Row ``i``'s health record, as the value ``device.health`` is."""

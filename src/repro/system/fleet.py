@@ -328,7 +328,7 @@ class FLFleet:
         profile = profile or plane.profile(index)
         device = DeviceActor(
             profile=profile,
-            conditions=plane.conditions(index),
+            conditions=None,  # its row's link columns
             trainer_of=partial(self.lifecycle.trainer_of, profile.device_id),
             rng=partial(self.device_streams.open, index, f"device/{profile.device_id}"),
             plane=plane,

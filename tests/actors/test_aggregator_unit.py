@@ -229,6 +229,56 @@ def test_secagg_flush_with_non_reporting_devices():
     )
 
 
+def secagg_flush(vectors, cohort):
+    """A SecAgg leaf's flush: every device of ``cohort`` forwarded to it,
+    those in ``vectors`` reporting (weight 2 + id), the rest silent."""
+    config = SecAggConfig(enabled=True, group_size=4, threshold_fraction=0.6)
+    loop, system, master, agg, agg_ref = make_harness(secagg=config)
+    agg._devices = {d: None for d in cohort}
+    for d, vec in vectors.items():
+        system.tell(agg_ref, report(d, vec, weight=2.0 + d))
+    loop.run()
+    return agg.flush()
+
+
+def counts(metrics):
+    """The metrics' counts: the wall-clock phase seconds differ per run."""
+    return {k: v for k, v in vars(metrics).items() if not k.endswith("_seconds")}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_secagg_flush_treats_a_non_finite_update_as_a_dropout(bad):
+    """A committed vector the ring cannot carry enters the instance as a
+    post-ShareKeys dropout: the flush equals one in which that device
+    was forwarded and never reported."""
+    rng = np.random.default_rng(5)
+    vectors = {d: rng.normal(size=5) for d in range(7)}
+    poisoned = dict(vectors)
+    poisoned[3] = vectors[3].copy()
+    poisoned[3][2] = bad
+    silent = {d: v for d, v in vectors.items() if d != 3}
+    got, want = secagg_flush(poisoned, range(7)), secagg_flush(silent, range(7))
+    assert got.device_count == want.device_count == 6
+    assert got.delta_sum.tobytes() == want.delta_sum.tobytes()
+    assert got.weight_sum == want.weight_sum
+    assert counts(got.secagg_metrics) == counts(want.secagg_metrics)
+    assert got.secagg_metrics.dropped_before_commit == 1
+
+
+def test_secagg_flush_clips_an_update_past_the_rings_headroom():
+    """A finite update too large for the ring (clip range x summands past
+    2^31) is clipped to what the ring can sum, not refused."""
+    rng = np.random.default_rng(6)
+    vectors = {d: rng.normal(size=5) for d in range(6)}
+    vectors[4] = vectors[4] * 1e12
+    partial = secagg_flush(vectors, range(6))
+    assert partial.device_count == 6
+    assert np.isfinite(partial.delta_sum).all()
+    ring_clip = ((1 << 31) - 1) // 6
+    expected = sum(np.clip(v, -ring_clip, ring_clip) for v in vectors.values())
+    np.testing.assert_allclose(partial.delta_sum, expected, rtol=1e-6, atol=6.0)
+
+
 # -- buffered fold path -------------------------------------------------------
 
 def left_to_right(vectors):

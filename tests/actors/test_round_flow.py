@@ -441,3 +441,37 @@ def test_tick_grid_is_closed_form_exact_on_awkward_grids():
         assert before < ready  # ... and it is the first
         if on_grid_now and ready == now:
             assert k == j
+
+
+def per_selector_total(coordinator):
+    """The sum ``_connected_total`` reads in one pass: each live shard
+    Selector's ``connected_count_for``, added up."""
+    name = coordinator.population_name
+    return sum(s.connected_count_for(name) for s in coordinator._live_selectors())
+
+
+def test_connected_total_is_the_per_selector_sum():
+    """The plane read equals the per-Selector sum after every event,
+    across rounds, once a Selector that pooled rows has crashed (until
+    its respawn only the live one counts), and for a tenant that no
+    Selector hosts."""
+    fleet, _ = gapped_fleet(tick=10.0, gap=60.0)
+    coordinator = coordinator_of(fleet)
+    seen = set()
+    until = fleet.loop.now + 1800.0
+    while fleet.loop.now < until and fleet.loop.step():
+        total = coordinator._connected_total()
+        assert total == per_selector_total(coordinator)
+        seen.add(total)
+    assert len(seen) > 3
+    plane, crashed = fleet.idle_plane, fleet.selectors[0]
+    while plane.connected([0], "itest") == 0 and fleet.loop.step():
+        pass
+    pooled = plane.connected([0], "itest")
+    fleet.actors.crash(crashed)
+    assert pooled > 0
+    assert coordinator._connected_total() == per_selector_total(coordinator)
+    assert coordinator._connected_total() == plane.connected([1], "itest")
+    for selector in coordinator._live_selectors():
+        selector.routes.pop("itest")
+    assert coordinator._connected_total() == per_selector_total(coordinator) == 0

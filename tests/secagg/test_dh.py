@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from reference.secagg import agree, generate_keypair, public_key_of
-from repro.secagg.dh import agree_pairs_batch, public_keys_batch
+from repro.secagg.dh import (
+    DH_GENERATOR,
+    DH_PRIME,
+    _GENERATOR_TABLE,
+    agree_pairs_batch,
+)
 from repro.secagg.field import SECRET_BITS, SHAMIR_PRIME
 
 
@@ -71,7 +76,21 @@ def test_agree_pairs_batch_matches_agree(rng):
 
 
 def test_public_keys_batch_matches_scalar(rng):
+    """The batched table computes the reference's public keys, and round
+    3 may compare exponents instead of them: g's order exceeds 2^251, so
+    two secret exponents (both below 2^127) share a public key only when
+    they are equal.  The order is read off the factored ``p - 1``."""
     secrets = [generate_keypair(rng).secret for _ in range(9)]
-    assert public_keys_batch(secrets) == [
+    assert _GENERATOR_TABLE.pow_batch(secrets) == [
         public_key_of(s) for s in secrets
     ]
+    big = 74058212732561358302231226437062788676166966415465897661863160754340907
+    assert all(pow(a, big - 1, big) == 1 for a in (2, 3, 5, 7, 11))  # prime
+    factors = [2, 2, 3, 65147, big]
+    assert 12 * 65147 * big == DH_PRIME - 1
+    order = DH_PRIME - 1
+    for q in factors:
+        if pow(DH_GENERATOR, order // q, DH_PRIME) == 1:
+            order //= q
+    assert pow(DH_GENERATOR, order, DH_PRIME) == 1
+    assert order.bit_length() > 251

@@ -11,6 +11,7 @@ from repro.secagg.field import (
     centered_mod,
     coefficient_words,
     eval_polynomial_words,
+    field_values,
 )
 
 
@@ -142,7 +143,7 @@ def test_eval_polynomial_batch_matches_scalar(n_polys, degree, data):
             min_size=1, max_size=8,
         )
     )
-    out = eval_polynomial_words(words_of(coeffs), xs)
+    out = field_values(*eval_polynomial_words(words_of(coeffs), xs))
     assert out == [[eval_polynomial(c, x) for x in xs] for c in coeffs]
 
 
@@ -150,5 +151,5 @@ def test_eval_polynomial_batch_worst_case_coefficients():
     """All-maximal coefficients stress the deferred-carry limb path."""
     coeffs = [[SHAMIR_PRIME - 1] * 33, [SHAMIR_PRIME - 1] * 40]
     xs = [1, 2, (1 << 32) - 1]
-    out = eval_polynomial_words(words_of(coeffs), xs)
+    out = field_values(*eval_polynomial_words(words_of(coeffs), xs))
     assert out == [[eval_polynomial(c, x) for x in xs] for c in coeffs]

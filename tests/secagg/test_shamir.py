@@ -177,3 +177,104 @@ def test_reconstruct_secrets_batch_matches_scalar(rng):
         assert reconstruct_secret([shares[x - 1] for x in xs]) in secrets
     with pytest.raises(ValueError, match="share count"):
         reconstruct_secrets_batch([1, 2], [[5]])
+
+
+# -- the plane's lazy shares and one-reduction reconstruction ------------------
+
+
+def convert_at(xs, lo, hi):
+    """The plane's round-3 read: the halves at ``xs`` (1-based), as field
+    elements, one row per secret."""
+    from repro.secagg.field import field_values
+
+    cols = [x - 1 for x in xs]
+    return field_values(lo[:, cols], hi[:, cols])
+
+
+@given(
+    cohort=st.integers(min_value=2, max_value=60),
+    data=st.data(),
+)
+@settings(max_examples=30, deadline=None)
+def test_share_halves_at_any_x_set_are_the_batch_shares(cohort, data):
+    """Round 1 keeps its shares as uint64 halves and round 3 converts an
+    x-set of them: at any x-set those are ``share_secrets_batch``'s
+    shares, from the same draws."""
+    from repro.secagg.shamir import share_secrets_batch, share_secrets_words
+
+    threshold = data.draw(st.integers(min_value=2, max_value=cohort))
+    secrets = data.draw(st.lists(
+        st.integers(0, SHAMIR_PRIME - 1), min_size=1, max_size=6
+    ))
+    xs = data.draw(st.lists(
+        st.integers(1, cohort), min_size=1, max_size=cohort, unique=True
+    ))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    lo, hi = share_secrets_words(secrets, cohort, threshold, rng)
+    ys = share_secrets_batch(secrets, cohort, threshold, rng2)
+    assert convert_at(xs, lo, hi) == [[row[x - 1] for x in xs] for row in ys]
+    assert rng.bytes(16) == rng2.bytes(16)
+
+
+def test_share_halves_with_adversarial_coefficient_words():
+    """The words of the adversarial-coefficient test, at every x and at
+    a scattered x-set: the halves convert to the reference's shares."""
+    from repro.secagg.shamir import share_secrets_words
+
+    words = [2**128 - 1, SHAMIR_PRIME, SHAMIR_PRIME + 1, 2**127, 0]
+    rng, rng2 = _WordRng(words), _WordRng(words)
+    lo, hi = share_secrets_words(EDGE_SECRETS * 16, 100, 27, rng)
+    reference = [
+        [sh.y for sh in share_secret(secret, 100, 27, rng2)]
+        for secret in EDGE_SECRETS * 16
+    ]
+    for xs in (list(range(1, 101)), [100, 1, 57, 2, 99, 3]):
+        assert convert_at(xs, lo, hi) == [[row[x - 1] for x in xs] for row in reference]
+    assert rng.drawn == rng2.drawn
+
+
+def reconstruct_per_step(xs, ys_per_secret):
+    """The per-step form the plane's reconstruction replaced: every
+    Lagrange denominator and every dot-product step reduced mod p."""
+    p = SHAMIR_PRIME
+    lambdas = []
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if i != j:
+                num = (num * -xj) % p
+                den = (den * (xi - xj)) % p
+        lambdas.append(num * pow(den, p - 2, p) % p)
+    out = []
+    for ys in ys_per_secret:
+        acc = 0
+        for y, lam in zip(ys, lambdas):
+            acc = (acc + y * lam) % p
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("xs", [
+    [1, 2, 3], [5, 2, 9, 11, 60], list(range(1, 25)),
+    [2**32 - 1, 1, 2**31], list(range(40, 0, -1)),
+])
+def test_one_reduction_reconstruction_equals_per_step(xs, rng):
+    """One reduction per secret and per denominator gives the per-step
+    values, on random shares and on edge ones (0, 1, p - 1, 2^126)."""
+    from repro.secagg.field import lagrange_coefficients_at_zero
+    from repro.secagg.shamir import reconstruct_secrets_batch
+
+    edges = [0, 1, SHAMIR_PRIME - 1, 2**126]
+    ys_per_secret = [
+        [int(v) % SHAMIR_PRIME for v in rng.integers(0, 2**63, size=len(xs))]
+        for _ in range(4)
+    ] + [[edge] * len(xs) for edge in edges] + [
+        [edges[i % 4] for i in range(len(xs))]
+    ]
+    assert reconstruct_secrets_batch(xs, ys_per_secret) == reconstruct_per_step(
+        xs, ys_per_secret
+    )
+    assert lagrange_coefficients_at_zero(xs) == reconstruct_per_step(
+        xs, [[int(i == j) for j in range(len(xs))] for i in range(len(xs))]
+    )

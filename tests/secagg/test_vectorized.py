@@ -501,3 +501,42 @@ def test_a_seed_round_two_never_held_is_expanded():
         _expand_held([fresh], [], nothing_held, 32),
         prg_expand_batch([fresh], 17, 32),
     )
+
+
+def mixed(n=12, threshold=7, **stages):
+    """A hand-picked instance whose dropouts combine stages."""
+    return hand_picked(DropoutSchedule(**{
+        stage: frozenset(uids) for stage, uids in stages.items()
+    }), n=n, threshold=threshold)
+
+
+@given(case=cases())
+@example(case=mixed(
+    after_advertise={103}, after_share={101, 105, 110}, after_mask={102, 111},
+))
+@example(case=mixed(after_share={100, 111}, after_mask={101}))
+@example(case=mixed(n=24, threshold=12, after_advertise={100, 123},
+                    after_share={101, 112, 122}, after_mask={104, 105, 106}))
+@settings(max_examples=25, deadline=None)
+def test_fleet_path_equals_transcript_path_and_reference(case):
+    """The fleet's path (no transcript: it converts only round 3's shares
+    and folds no committer's masked row) gives the transcript path's and
+    the reference's total and metrics, or their error, at the same rng
+    position."""
+    runs = (
+        run_secure_aggregation,
+        lambda *a, **k: run_secure_aggregation_transcript(*a, **k)[:2],
+        lambda *a, **k: reference.run_secure_aggregation_transcript(*a, **k)[:2],
+    )
+    (fleet, fleet_probe), *others = (
+        outcome(run, np.random.default_rng(case.rng_seed), case.inputs(),
+                case.threshold, case.quantizer(), dropouts=case.dropouts)
+        for run in runs
+    )
+    for other, probe in others:
+        assert probe == fleet_probe
+        if isinstance(fleet, str) or isinstance(other, str):
+            assert fleet == other
+        else:
+            assert fleet[0].tobytes() == other[0].tobytes()
+            assert fleet[1] == other[1]

@@ -181,8 +181,9 @@ def test_device_slots_are_pinned():
     session's object goes when it is over, and its stale timers are
     turned away by ``_aggregator`` being ``None``."""
     assert set(DeviceActor.__slots__) == {
-        # what it was built with
-        "profile", "network", "conditions", "trainer_of", "compute",
+        # what it was built with (``_link``: a hand-built device's link;
+        # a fleet's reads its row's link columns)
+        "profile", "network", "_link", "trainer_of", "compute",
         "event_log", "_rng", "job", "ack_timeout_s", "upload_retry",
         # where its record and its idle life are
         "plane", "row", "scheduler",
